@@ -4,11 +4,11 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check vet build test race chaos chaos-ha fuzz bench bench-kernel bench-guard bench-dataplane bench-scale bench-health bench-tsdb bench-challenge
+.PHONY: all check vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard
 
 all: check
 
-check: vet build test race chaos chaos-ha fuzz bench-scale bench-health bench-tsdb bench-challenge
+check: vet build test race flake chaos chaos-ha fuzz bench-guard
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Repeats the suites whose tests race real goroutines against each other
+# (squid coalescing, replica elections, HA master publish order), so an
+# ordering bug that shows once in twenty runs fails here, not in CI.
+flake:
+	$(GO) test -count=20 ./internal/squid/ ./internal/replica/
+	$(GO) test -count=20 -run TestHA ./internal/wq/
 
 # Fault-storm suite: the full deploy stack under scripted worker kills,
 # chirp connection drops, and squid stalls, asserting zero task loss and
@@ -56,53 +63,13 @@ bench:
 bench-kernel:
 	$(GO) test ./internal/simevent/ -run XXX -bench . -benchmem
 
-# Fails if the tracing-disabled Fig 11 benchmark regresses >5% against
-# the BENCH_kernel.json baseline (best-of-3 vs best-of-baseline).
+# The one regression guard: evaluates every rule table (BENCH_*.json —
+# kernel, dataplane, scale, health, tsdb, challenge) in one pass. A rule
+# is a benchmark, a metric and a bound: absolute for deterministic costs
+# (allocs/op, bytes/sample, resident bytes per task), same-run ratio for
+# the headline speedups, best-of-N against pinned samples for wall clock
+# at the loose shared-host tolerance (tighten on quiet hardware:
+# `go run ./cmd/bench-guard -time-tolerance 0.05`). One table:
+# `go run ./cmd/bench-guard BENCH_scale.json`. Part of `make check`.
 bench-guard:
 	$(GO) run ./cmd/bench-guard
-
-# Dispatch-plane guard: reruns the sharded-master scale benchmarks
-# against BENCH_scale.json. The batched loopback path must hold its 5x
-# speedup over the pinned pre-PR single-message throughput, the match
-# loop must stay allocation-free at steady state (absolute bound), and
-# the 10k-worker sim must keep resident bytes per task record flat.
-# Wall clock gets the loose 50% -time-tolerance bound, like the data
-# plane; part of `make check`.
-bench-scale:
-	$(GO) run ./cmd/bench-guard -scale
-
-# Streaming data-plane guard: reruns the chirp/xrootd/squid transfer
-# benchmarks against BENCH_dataplane.json. Allocated bytes per op are
-# deterministic and guarded at 5%; wall clock gets a loose 50% bound
-# because shared-host minima jitter (tighten with -time-tolerance on
-# quiet hardware).
-bench-dataplane:
-	$(GO) run ./cmd/bench-guard -dataplane
-
-# Fleet-health guard: holds the hub's 100-endpoint scrape/merge tick and
-# the uninstrumented dispatch path against BENCH_health.json, and the
-# Figure 11 kernel (health hooks compiled in, disabled) against
-# BENCH_kernel.json. The disabled dispatch path is bounded at zero
-# allocations absolutely; wall clock gets the loose shared-host
-# tolerance (enforce the strict 5% kernel-overhead bound on quiet
-# hardware with -time-tolerance 0.05). Part of `make check`.
-bench-health:
-	$(GO) run ./cmd/bench-guard -health
-
-# History-plane guard: holds the embedded time-series store against
-# BENCH_tsdb.json. Steady-state append is bounded at zero allocations
-# and the 100-endpoint hub workload at 2 bytes/sample (both absolute —
-# deterministic costs); the 1M-sample range query must finish under
-# 50 ms; wall clock otherwise gets the loose shared-host tolerance.
-# Part of `make check`.
-bench-tsdb:
-	$(GO) run ./cmd/bench-guard -tsdb
-
-# Data-challenge guard: holds the throughput plane to its acceptance
-# bars against BENCH_challenge.json. The headline numbers are same-run
-# ratios (striped ≥ 2x single-replica fetch on link-throttled loopback;
-# squid peer hit < 50% of an origin miss), so they hold on noisy shared
-# hosts; allocation bounds are absolute, and the seeded paper-scale
-# extrapolation table is compared exactly. Part of `make check`.
-bench-challenge:
-	$(GO) run ./cmd/bench-guard -challenge

@@ -28,7 +28,7 @@ import (
 // poisons every later operation on the same connection. Server-reported
 // and protocol errors are returned as *ServerError / *ProtocolError and
 // are permanent under the retry package's classification; transport
-// errors are retryable on a fresh connection (see Dialer).
+// errors are retryable on a fresh connection (see Pool).
 type Client struct {
 	conn   net.Conn
 	addr   string

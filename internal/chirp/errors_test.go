@@ -133,7 +133,7 @@ func TestTransportErrorClosesConnAndIsRetryable(t *testing.T) {
 	c.Close() // must be a no-op, not a double close panic
 }
 
-func TestDialerRetriesTransportFaults(t *testing.T) {
+func TestPoolRetriesTransportFaults(t *testing.T) {
 	_, addr := startTestServer(t)
 
 	// Drop the connection on the first two client reads; the third
@@ -145,7 +145,7 @@ func TestDialerRetriesTransportFaults(t *testing.T) {
 			Action: faultinject.ActDrop, Times: 2,
 		}},
 	})
-	d := &Dialer{
+	d := NewPool(PoolOptions{
 		Addr:        addr,
 		DialTimeout: time.Second,
 		Retry: retry.Policy{
@@ -153,7 +153,8 @@ func TestDialerRetriesTransportFaults(t *testing.T) {
 			Sleep:       func(time.Duration) {},
 		},
 		Fault: inj,
-	}
+	})
+	defer d.Close()
 	if err := d.PutFile("/r.dat", []byte("retried")); err != nil {
 		t.Fatalf("PutFile with retries: %v", err)
 	}
@@ -166,14 +167,15 @@ func TestDialerRetriesTransportFaults(t *testing.T) {
 	}
 }
 
-func TestDialerDoesNotRetryServerErrors(t *testing.T) {
+func TestPoolDoesNotRetryServerErrors(t *testing.T) {
 	_, addr := startTestServer(t)
 	attempts := 0
-	d := &Dialer{
+	d := NewPool(PoolOptions{
 		Addr:        addr,
 		DialTimeout: time.Second,
 		Retry:       retry.Policy{MaxAttempts: 5, Sleep: func(time.Duration) {}},
-	}
+	})
+	defer d.Close()
 	err := d.Do(func(c *Client) error {
 		attempts++
 		_, err := c.GetFile("/nope.dat")
@@ -190,15 +192,16 @@ func TestDialerDoesNotRetryServerErrors(t *testing.T) {
 	}
 }
 
-func TestDialerUnlinkIdempotentAcrossRetry(t *testing.T) {
+func TestPoolUnlinkIdempotentAcrossRetry(t *testing.T) {
 	_, addr := startTestServer(t)
 
 	// Seed a file, then drop the connection exactly once on the client's
 	// response read: the server processes the unlink, the client never
 	// sees the "0" and retries — the retry's "no such file" must count
 	// as success.
-	seedDialer := &Dialer{Addr: addr, DialTimeout: time.Second}
-	if err := seedDialer.PutFile("/victim.dat", []byte("x")); err != nil {
+	seed := NewPool(PoolOptions{Addr: addr, DialTimeout: time.Second})
+	defer seed.Close()
+	if err := seed.PutFile("/victim.dat", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(&faultinject.Plan{
@@ -208,12 +211,13 @@ func TestDialerUnlinkIdempotentAcrossRetry(t *testing.T) {
 			Action: faultinject.ActDrop, Times: 1,
 		}},
 	})
-	d := &Dialer{
+	d := NewPool(PoolOptions{
 		Addr:        addr,
 		DialTimeout: time.Second,
 		Retry:       retry.Policy{MaxAttempts: 4, Sleep: func(time.Duration) {}},
 		Fault:       inj,
-	}
+	})
+	defer d.Close()
 	if err := d.Unlink("/victim.dat"); err != nil {
 		t.Fatalf("retried unlink not idempotent: %v", err)
 	}

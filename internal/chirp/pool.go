@@ -57,9 +57,13 @@ type PoolStats struct {
 }
 
 // Pool is a bounded pool of chirp connections, safe for concurrent use.
-// It exists for the data plane's hot paths — parallel stage-in/out and
-// merge reads — where the Dialer's connection-per-operation model spends
-// more time in TCP handshakes than in payload bytes.
+// It is the hardened entry point for chirp operations: Do retries
+// transport faults (a dropped connection, a timeout, an injected fault)
+// with bounded exponential backoff, while server-reported and protocol
+// errors are permanent and surface on the first strike (see errors.go).
+// Connections are kept because on the data plane's hot paths — parallel
+// stage-in/out and merge reads — a connection per operation spends more
+// time in TCP handshakes than in payload bytes.
 //
 // Health is checked on reuse, not by background probing: a connection
 // that breaks mid-operation is discarded (the Client poisons itself),

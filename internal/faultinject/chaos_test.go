@@ -226,7 +226,7 @@ func TestChaosWorkerKillStorm(t *testing.T) {
 }
 
 // TestChaosChirpDropStorm cuts and errors storage-element connections
-// during stage-out and merging. The chirp Dialer must redial and
+// during stage-out and merging. The chirp Pool must redial and
 // replay; PutFile and input cleanup are idempotent, so the merged
 // bytes still match the fault-free run. Runs traced so the retry
 // accounting can be reconciled against the span log.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"lobster/internal/stats"
 )
 
 // ErrInjected is the sentinel every injected error matches via
@@ -87,18 +89,6 @@ func (in *Injector) SetSleep(fn func(time.Duration)) {
 	in.sleep = fn
 }
 
-// splitmix64 is the avalanche mix used for the deterministic probability
-// gate: full-period, seed-sensitive, and independent of call order.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // hashString folds s into h (FNV-1a step).
 func hashString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
@@ -115,7 +105,7 @@ func (in *Injector) gate(key string, n int64, prob float64) bool {
 	if prob <= 0 || prob >= 1 {
 		return true
 	}
-	h := splitmix64(hashString(in.plan.Seed^0x5bf03635, key) + uint64(n))
+	h := stats.SplitMix64(hashString(in.plan.Seed^0x5bf03635, key) + uint64(n))
 	return float64(h>>11)/(1<<53) < prob
 }
 

@@ -47,7 +47,7 @@ func benchPage(seed int) []byte {
 // 100-endpoint fleet: 100 exposition pages parsed, stamped, merged into
 // the fleet index, and the default rule set evaluated against it. This
 // is the steady-state cost lobster-fleet pays every scrape interval;
-// bench-guard -health holds it against BENCH_health.json.
+// bench-guard holds it against its BENCH_health.json rule.
 func BenchmarkFleetTick100(b *testing.B) {
 	const n = 100
 	eps := make([]Endpoint, n)

@@ -15,7 +15,11 @@
 // election model checker and the golden failover transcripts possible.
 package replica
 
-import "fmt"
+import (
+	"fmt"
+
+	"lobster/internal/stats"
+)
 
 // Role is a node's current protocol role.
 type Role uint8
@@ -184,24 +188,12 @@ func NewNode(cfg Config, hs HardState, entries []Entry) *Node {
 // quorum is the majority size for the configured membership.
 func (n *Node) quorum() int { return len(n.cfg.Peers)/2 + 1 }
 
-// splitmix64 is the avalanche mix shared with the fault plane: full-period
-// and call-order independent, so jitter is a pure function of (seed, term).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // resetTimer restarts the election countdown with fresh jitter. Jitter is
 // keyed by (seed, id, term) so every (node, term) pair redraws — the
 // split-vote escape hatch — yet identical runs redraw identically.
 func (n *Node) resetTimer() {
 	n.elapsed = 0
-	h := splitmix64(n.cfg.Seed ^ n.cfg.ID*0x9E3779B97F4A7C15 ^ n.term*0xBF58476D1CE4E5B9)
+	h := stats.SplitMix64(n.cfg.Seed ^ n.cfg.ID*0x9E3779B97F4A7C15 ^ n.term*0xBF58476D1CE4E5B9)
 	n.timeout = n.cfg.ElectionTicks + int(h%uint64(n.cfg.ElectionTicks))
 }
 

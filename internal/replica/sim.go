@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"lobster/internal/simevent"
+	"lobster/internal/stats"
 )
 
 // Sim plane: the identical Node state machine driven by the deterministic
@@ -100,7 +101,7 @@ type simRun struct {
 // rand64 draws the next value from the run's deterministic stream.
 func (r *simRun) rand64() uint64 {
 	r.draws++
-	return splitmix64(r.cfg.Seed ^ r.draws*0x9E3779B97F4A7C15)
+	return stats.SplitMix64(r.cfg.Seed ^ r.draws*0x9E3779B97F4A7C15)
 }
 
 // latency draws a message delivery latency.

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"lobster/internal/stats"
 )
 
 // Policy bounds a retry loop. The zero Policy performs exactly one
@@ -92,13 +94,7 @@ func (p Policy) Delay(n int) time.Duration {
 
 // unit maps x to [0,1) via splitmix64.
 func unit(x uint64) float64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(stats.SplitMix64(x)>>11) / (1 << 53)
 }
 
 // Do runs fn up to MaxAttempts times, sleeping the backoff schedule

@@ -1,9 +1,13 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"lobster/internal/stats"
+)
 
 // Data-challenge extrapolation: the loopback harness (lobster-bench
-// -challenge, bench-guard -challenge) measures what one client gets
+// -challenge, the BENCH_challenge.json rules) measures what one client gets
 // from striping across a handful of link-limited replicas; this model
 // extends that measurement to paper-scale link counts — the Coffea-casa
 // 200 Gbps challenge shape, where the question is how many storage-
@@ -132,9 +136,7 @@ func SimulateChallenge(cfg ChallengeConfig) ([]ChallengePoint, error) {
 // splitmix advances a splitmix64 state and returns the next value —
 // the sim plane's standard cheap deterministic sequence.
 func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := stats.SplitMix64(*state)
+	*state += stats.SplitMixGamma
+	return z
 }

@@ -4,8 +4,9 @@ import "testing"
 
 // TestGoldenChallengeExtrapolation pins the data-challenge table
 // exactly: the extrapolation is seeded and the seed is part of the
-// published configuration, so bench-guard -challenge and the EXPERIMENTS
-// table must reproduce these rows bit-identically on every host.
+// published configuration, so lobster-bench -challenge and the
+// EXPERIMENTS table must reproduce these rows bit-identically on every
+// host. This test is the only holder of that pin.
 func TestGoldenChallengeExtrapolation(t *testing.T) {
 	pts, err := SimulateChallenge(DefaultChallengeConfig())
 	if err != nil {

@@ -41,7 +41,7 @@ func benchGet(b *testing.B, url string) {
 }
 
 // BenchmarkOriginMiss is the baseline: a proxy with no peers pays the
-// origin round trip on every miss. bench-guard -challenge holds
+// origin round trip on every miss. A BENCH_challenge.json ratio rule holds
 // BenchmarkPeerHit below half of this number.
 func BenchmarkOriginMiss(b *testing.B) {
 	body := make([]byte, 64<<10)

@@ -143,7 +143,8 @@ func TestPeeredStormSingleOriginFetch(t *testing.T) {
 			}
 		}()
 	}
-	close(delay) // release the origin
+	waitCoalesced(b, waves-1) // everyone has arrived; now release the origin
+	close(delay)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,6 +33,15 @@ func newOrigin(delay chan struct{}) (*httptest.Server, *atomic.Int64) {
 		}
 	})
 	return httptest.NewServer(h), &hits
+}
+
+// waitCoalesced is the arrival barrier of the storm tests: it returns
+// once n requests are parked on an in-flight fetch of p. Releasing the
+// origin any earlier turns late arrivals into cache hits, not waiters.
+func waitCoalesced(p *Proxy, n int64) {
+	for p.Stats().Coalesced < n {
+		runtime.Gosched()
+	}
 }
 
 func get(t *testing.T, url string) (string, string) {
@@ -188,8 +198,7 @@ func TestCoalescing(t *testing.T) {
 		}(i)
 	}
 	// Let all clients pile up, then release the single origin fetch.
-	for hits.Load() == 0 {
-	}
+	waitCoalesced(p, n-1)
 	close(release)
 	wg.Wait()
 	if got := hits.Load(); got != 1 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lobster/internal/stats"
 	"lobster/internal/telemetry"
 )
 
@@ -113,12 +114,7 @@ func (t *Tracer) Now() float64 {
 // cooperative scheduling, collision-free in practice, and free of any
 // coupling to the simulation RNG.
 func (t *Tracer) newID() uint64 {
-	x := t.seed + t.ctr.Add(1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := stats.SplitMix64(t.seed + (t.ctr.Add(1)-1)*stats.SplitMixGamma)
 	if x == 0 {
 		x = 1
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkAppendSteady measures the steady-state append path: known
-// series, block not yet full. bench-guard pins this at 0 allocs/op.
+// series, block not yet full. A BENCH_tsdb.json rule pins this at 0 allocs/op.
 func BenchmarkAppendSteady(b *testing.B) {
 	s := New(Config{})
 	labels := map[string]string{"component": "wq", "instance": "master-0"}
@@ -19,8 +19,8 @@ func BenchmarkAppendSteady(b *testing.B) {
 }
 
 // BenchmarkAppendFleet100 is the 100-endpoint hub shape: ~40 series per
-// endpoint, one sample each per 5 s tick. bench-guard derives the
-// bytes/sample compression bound from this workload's Stats.
+// endpoint, one sample each per 5 s tick. It reports Stats'
+// bytes/sample, which a BENCH_tsdb.json rule bounds at 2.
 func BenchmarkAppendFleet100(b *testing.B) {
 	s := New(Config{})
 	const endpoints = 100
@@ -59,7 +59,7 @@ func BenchmarkAppendFleet100(b *testing.B) {
 }
 
 // BenchmarkRangeQuery1M evaluates a windowed rate over a 1M-sample
-// store — the latency bound bench-guard enforces (< 50 ms).
+// store — BENCH_tsdb.json bounds it absolutely (< 50 ms).
 func BenchmarkRangeQuery1M(b *testing.B) {
 	s := New(Config{Retention: 6e6})
 	const series = 10

@@ -6,7 +6,7 @@ import "testing"
 // enqueue by power-of-two-choices and popBatch with no dispatchTel
 // installed, the state every run is in until Master.Instrument is called.
 // The telemetry hooks must stay a nil-pointer load and nil-receiver
-// no-ops — bench-guard -health holds this at zero allocations per op and
+// no-ops — BENCH_health.json holds this at zero allocations per op and
 // guards its wall clock, so an instrument sneaking an allocation or a
 // lock onto the disabled path fails `make check`.
 func BenchmarkDispatchDisabledTel(b *testing.B) {

@@ -366,6 +366,9 @@ func (h *HAMaster) applyEntry(e replica.Entry) {
 			return // an old leader's in-flight done-record after re-dispatch
 		}
 		delete(h.pending, d.HAID)
+		// Record before publishing: WaitDone(n) returning means the
+		// monitor already holds all n records.
+		h.mon.Add(d.TaskRecord)
 		res := &HAResult{
 			HAID: d.HAID, Tag: d.HATag, Worker: d.TaskRecord.Worker,
 			ExitCode: d.TaskRecord.ExitCode, Error: d.HAError,
@@ -376,7 +379,6 @@ func (h *HAMaster) applyEntry(e replica.Entry) {
 		h.results = append(h.results, res)
 		h.cond.Broadcast()
 		h.mu.Unlock()
-		h.mon.Add(d.TaskRecord)
 	}
 }
 

@@ -63,6 +63,10 @@ func TestHAStandbyLogTornPrefixReplay(t *testing.T) {
 		if !h.WaitDone(n, 15*time.Second) {
 			t.Fatalf("member %d applied %d/%d outcomes", h.ID(), h.DoneCount(), n)
 		}
+		// No wait in between: an outcome is recorded before it is published.
+		if got := h.Monitor().Len(); got != n {
+			t.Fatalf("member %d: WaitDone(%d) returned with %d monitor records", h.ID(), n, got)
+		}
 		if h != ldr {
 			standby = h
 		}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lobster/internal/stats"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 )
@@ -168,13 +169,8 @@ func (d *dispatchTable) stateOf(id int64) *stateShard {
 func splitmixNext(rng *atomic.Uint64) uint64 {
 	for {
 		old := rng.Load()
-		x := old + 0x9e3779b97f4a7c15
-		if rng.CompareAndSwap(old, x) {
-			x ^= x >> 30
-			x *= 0xbf58476d1ce4e5b9
-			x ^= x >> 27
-			x *= 0x94d049bb133111eb
-			return x ^ (x >> 31)
+		if rng.CompareAndSwap(old, old+stats.SplitMixGamma) {
+			return stats.SplitMix64(old)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Data-challenge benchmarks (cmd/bench-guard -challenge): the same
+// Data-challenge benchmarks (BENCH_challenge.json rules): the same
 // 256 MiB file fetched through the single-replica streaming path and
 // through the striped 4-replica path, with every replica's uplink
 // throttled to challengeLinkBps. Raw loopback runs at memcpy speed —
