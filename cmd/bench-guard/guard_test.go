@@ -165,7 +165,8 @@ func TestSchemaValidation(t *testing.T) {
 		{"abs without a limit", row(".", "BenchmarkX", "ns/op", `"bound":"abs"`), "abs rule takes min and/or max"},
 		{"misspelt field", row(".", "BenchmarkX", "ns/op", `"bound":"abs","maximum":1`), `unknown field "maximum"`},
 		{"missing metric", `{"pkg":".","bench":"BenchmarkX","benchtime":"1x","bound":"abs","max":1}`, "are all required"},
-		{"bad direction", row(".", "BenchmarkX", "ns/op", `"better":"bigger","bound":"abs","max":1`), "better must be"},
+		{"bad direction", row(".", "BenchmarkX", "ns/op", `"better":"bigger","bound":"abs","max":1`), "better is"},
+		{"lower is the default, not a value", row(".", "BenchmarkX", "ns/op", `"better":"lower","bound":"abs","max":1`), "better is"},
 	} {
 		if _, err := loadTable(writeTable(t, "", c.row)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error saying %q", c.name, err, c.want)

@@ -87,8 +87,8 @@ func (r *rule) validate() error {
 	if r.Pkg == "" || r.Bench == "" || r.Benchtime == "" || r.Metric == "" {
 		return fmt.Errorf("pkg, bench, benchtime and metric are all required")
 	}
-	if r.Better != "" && r.Better != "lower" && r.Better != "higher" {
-		return fmt.Errorf("better must be lower or higher, not %q", r.Better)
+	if r.Better != "" && r.Better != "higher" {
+		return fmt.Errorf("better is \"higher\" or absent (lower), not %q", r.Better)
 	}
 	limits := r.Min != nil || r.Max != nil
 	switch r.Bound {

@@ -13,6 +13,7 @@ package bufpool
 
 import (
 	"io"
+	"runtime"
 	"sync"
 )
 
@@ -39,6 +40,22 @@ func Put(b *[]byte) {
 		return
 	}
 	pool.Put(b)
+}
+
+// Warm fills the pool so that n concurrent Gets on any Ps are hits. It
+// allocates one chunk more per P than n because a chunk parked in one
+// P's private slot is invisible to the others. The benchmarks that pin
+// B/op call it before the timer starts: without it a five-iteration run
+// charges zero, one or two pool refills depending on where the
+// goroutines landed, and B/op moves in steps of ChunkSize/5.
+func Warm(n int) {
+	held := make([]*[]byte, n+runtime.GOMAXPROCS(0))
+	for i := range held {
+		held[i] = Get()
+	}
+	for _, b := range held {
+		Put(b)
+	}
 }
 
 // Copy is io.Copy through a pooled chunk. When dst implements

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,26 @@ func TestGetPutRoundTrip(t *testing.T) {
 	Put(nil)
 	if got := Get(); len(*got) != ChunkSize {
 		t.Fatalf("pool returned %d-byte chunk", len(*got))
+	}
+}
+
+// TestWarm holds the property the B/op pins lean on: after Warm(n), n
+// chunks held at once come out of the pool, not out of the allocator.
+func TestWarm(t *testing.T) {
+	const n = 4
+	Warm(n)
+	var before, after runtime.MemStats
+	held := make([]*[]byte, n)
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		held[i] = Get()
+	}
+	runtime.ReadMemStats(&after)
+	for _, b := range held {
+		Put(b)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ChunkSize {
+		t.Errorf("%d Gets after Warm(%d) allocated %d bytes, want no fresh chunk", n, n, got)
 	}
 }
 

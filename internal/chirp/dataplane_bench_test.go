@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"lobster/internal/bufpool"
 )
 
 // Data-plane benchmarks: the transfer paths the wq worker, merge
@@ -69,6 +71,7 @@ func BenchmarkDataplaneGet(b *testing.B) {
 			pool := NewPool(PoolOptions{Addr: srv.Addr()})
 			defer pool.Close()
 			dst := filepath.Join(b.TempDir(), "in.root")
+			bufpool.Warm(2) // client and server each hold one chunk
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,6 +96,7 @@ func BenchmarkDataplanePut(b *testing.B) {
 			src := benchFile(b, b.TempDir(), "out.root", sz.n)
 			pool := NewPool(PoolOptions{Addr: srv.Addr()})
 			defer pool.Close()
+			bufpool.Warm(2) // client and server each hold one chunk
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,6 +117,7 @@ func BenchmarkDataplaneRoundTrip64(b *testing.B) {
 	dst := filepath.Join(dir, "back.root")
 	pool := NewPool(PoolOptions{Addr: srv.Addr()})
 	defer pool.Close()
+	bufpool.Warm(2)
 	b.SetBytes(2 * 64 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +148,7 @@ func BenchmarkDataplaneStageIn8(b *testing.B) {
 	sandbox := b.TempDir()
 	pool := NewPool(PoolOptions{Addr: srv.Addr(), Size: 4})
 	defer pool.Close()
+	bufpool.Warm(2 * 4) // four pooled connections, both ends
 	b.SetBytes(files * size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -143,7 +143,7 @@ func TestPeeredStormSingleOriginFetch(t *testing.T) {
 			}
 		}()
 	}
-	waitCoalesced(b, waves-1) // everyone has arrived; now release the origin
+	waitCoalesced(t, b, waves-1) // everyone has arrived; now release the origin
 	close(delay)
 	wg.Wait()
 	close(errs)

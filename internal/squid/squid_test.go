@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // newOrigin returns a test origin that serves deterministic bodies and
@@ -38,8 +39,17 @@ func newOrigin(delay chan struct{}) (*httptest.Server, *atomic.Int64) {
 // waitCoalesced is the arrival barrier of the storm tests: it returns
 // once n requests are parked on an in-flight fetch of p. Releasing the
 // origin any earlier turns late arrivals into cache hits, not waiters.
-func waitCoalesced(p *Proxy, n int64) {
+// If coalescing itself breaks the count never gets there, so after a
+// deadline it fails the test with what the proxy counted and returns:
+// the caller still releases the origin, so nothing is left blocked.
+func waitCoalesced(t *testing.T, p *Proxy, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
 	for p.Stats().Coalesced < n {
+		if time.Now().After(deadline) {
+			t.Errorf("%d requests never coalesced on one fetch: %+v", n, p.Stats())
+			return
+		}
 		runtime.Gosched()
 	}
 }
@@ -198,7 +208,7 @@ func TestCoalescing(t *testing.T) {
 		}(i)
 	}
 	// Let all clients pile up, then release the single origin fetch.
-	waitCoalesced(p, n-1)
+	waitCoalesced(t, p, n-1)
 	close(release)
 	wg.Wait()
 	if got := hits.Load(); got != 1 {

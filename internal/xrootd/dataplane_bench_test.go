@@ -3,6 +3,8 @@ package xrootd
 import (
 	"io"
 	"testing"
+
+	"lobster/internal/bufpool"
 )
 
 // BenchmarkDataplaneFetch64 measures the staging-style whole-file fetch
@@ -24,6 +26,7 @@ func BenchmarkDataplaneFetch64(b *testing.B) {
 	red := NewRedirector()
 	red.Register("/store/bench.root", srv.Store("/store/bench.root", content))
 	cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
+	bufpool.Warm(2) // client and server each hold one chunk
 	b.SetBytes(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
