@@ -4,11 +4,16 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard
+.PHONY: all check fmt vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard
 
 all: check
 
-check: vet build test race flake chaos chaos-ha fuzz bench-guard
+check: fmt vet build test race flake chaos chaos-ha fuzz bench-guard
+
+# gofmt drift fails the build; .bench_build/ is the benchmark's scratch
+# (it holds a Go build cache, not our sources).
+fmt:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/')"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzReplicaWire -fuzztime $(FUZZTIME) ./internal/replica/
+	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 
 bench:
 	$(GO) test -bench=Fig -benchmem .

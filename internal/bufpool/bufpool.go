@@ -13,6 +13,7 @@ package bufpool
 
 import (
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -55,6 +56,48 @@ func Warm(n int) {
 	}
 	for _, b := range held {
 		Put(b)
+	}
+}
+
+// Sized buffers serve working sets whose size the task decides — a
+// stream chunk of 64 events, a staged byte range: one sync.Pool per
+// power-of-two capacity from 4 KiB to 64 MiB, indexed by its log2, so a
+// slot's second task borrows what its first gave back and the collector
+// can still reclaim an idle class.
+const minSizedShift, maxSizedShift = 12, 26
+
+var sized [maxSizedShift + 1]sync.Pool
+
+// sizedShift is log2 of the smallest class capacity holding n bytes.
+func sizedShift(n int) int {
+	return max(bits.Len(uint(max(n, 1)-1)), minSizedShift)
+}
+
+// GetSized borrows a buffer of length n (contents arbitrary) with its
+// class's capacity. Return it with PutSized once nothing can read it any
+// more. Beyond the largest class it is a plain allocation.
+func GetSized(n int) *[]byte {
+	s := sizedShift(n)
+	if s > maxSizedShift {
+		b := make([]byte, n)
+		return &b
+	}
+	if b, ok := sized[s].Get().(*[]byte); ok {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n, 1<<s)
+	return &b
+}
+
+// PutSized returns a GetSized buffer to its class; nil and buffers whose
+// capacity is not exactly a class's are dropped.
+func PutSized(b *[]byte) {
+	if b == nil {
+		return
+	}
+	if s := sizedShift(cap(*b)); s <= maxSizedShift && cap(*b) == 1<<s {
+		sized[s].Put(b)
 	}
 }
 

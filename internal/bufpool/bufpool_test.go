@@ -27,6 +27,9 @@ func TestGetPutRoundTrip(t *testing.T) {
 // TestWarm holds the property the B/op pins lean on: after Warm(n), n
 // chunks held at once come out of the pool, not out of the allocator.
 func TestWarm(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	const n = 4
 	Warm(n)
 	var before, after runtime.MemStats
@@ -91,5 +94,61 @@ func BenchmarkCopyPooled(b *testing.B) {
 		if _, err := Copy(io.Discard, onlyReader{bytes.NewReader(src)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestSizedClasses(t *testing.T) {
+	for _, c := range []struct{ n, wantCap int }{
+		{0, 4 << 10}, {1, 4 << 10}, {4 << 10, 4 << 10}, {4<<10 + 1, 8 << 10},
+		{256 << 10, 256 << 10}, {5_120_000, 8 << 20}, {64 << 20, 64 << 20},
+	} {
+		b := GetSized(c.n)
+		if len(*b) != c.n || cap(*b) != c.wantCap {
+			t.Errorf("GetSized(%d): len %d cap %d, want len %d cap %d", c.n, len(*b), cap(*b), c.n, c.wantCap)
+		}
+		PutSized(b)
+	}
+	// Beyond the largest class: a plain allocation, dropped on return.
+	big := GetSized(64<<20 + 1)
+	if len(*big) != 64<<20+1 {
+		t.Fatalf("oversized GetSized returned %d bytes", len(*big))
+	}
+	PutSized(big)
+	// Foreign capacities must be dropped, not poison a class.
+	odd := make([]byte, 5000)
+	PutSized(&odd)
+	PutSized(nil)
+	if got := GetSized(5000); cap(*got) != 8<<10 {
+		t.Fatalf("class served a %d-byte-capacity buffer", cap(*got))
+	}
+}
+
+// TestSizedReuse holds what the per-task guards lean on: a buffer given
+// back is the one the next request of its class borrows, at any length
+// the class holds.
+func TestSizedReuse(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	const n = 3 << 20
+	// One buffer per P beyond the one borrowed, as Warm does: a buffer
+	// in another P's private slot is invisible, and ReadMemStats stops
+	// the world, after which this goroutine may run on any P.
+	held := make([]*[]byte, 1+runtime.GOMAXPROCS(0))
+	for i := range held {
+		held[i] = GetSized(n)
+	}
+	for _, b := range held {
+		PutSized(b)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := GetSized(n)
+	PutSized(b)
+	b = GetSized(n - 12345)
+	runtime.ReadMemStats(&after)
+	PutSized(b)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n {
+		t.Errorf("two borrows from a filled class allocated %d bytes, want no fresh buffer", got)
 	}
 }

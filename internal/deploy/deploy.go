@@ -242,8 +242,12 @@ func Start(opts Options) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
+	cache.Instrument(opts.Telemetry)
+	// One client for the whole worker process: every task's open takes a
+	// connection an earlier task parked instead of dialling its own.
 	xcl := &xrootd.Client{Redirector: st.Redirector, Dashboard: st.Dashboard,
-		Consumer: "lobster", Fault: opts.Fault, Retry: opts.Retry}
+		Consumer: "lobster", Fault: opts.Fault, Retry: opts.Retry, Telemetry: opts.Telemetry}
+	st.closers = append(st.closers, func() { xcl.Close() })
 	st.Env = &hepsim.Env{
 		ProxyURL:      proxySrv.URL,
 		Repo:          "cms.cern.ch",
@@ -258,12 +262,7 @@ func Start(opts Options) (*Stack, error) {
 			return xcl.Open(lfn)
 		},
 		OpenTraced: func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
-			// A fresh client per open: xrootd clients carry per-task
-			// trace state and tasks open files concurrently.
-			tcl := &xrootd.Client{Redirector: st.Redirector, Dashboard: st.Dashboard,
-				Consumer: "lobster", Fault: opts.Fault, Retry: opts.Retry}
-			tcl.Trace(tr, ctx)
-			return tcl.Open(lfn)
+			return xcl.OpenTraced(lfn, tr, ctx)
 		},
 	}
 	st.closers = append(st.closers, func() { st.Env.Close() })

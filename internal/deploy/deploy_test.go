@@ -1,6 +1,9 @@
 package deploy
 
 import (
+	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -48,6 +51,54 @@ func TestStackEndToEnd(t *testing.T) {
 	}
 	if st.Services.Monitor.Len() == 0 {
 		t.Error("monitor empty")
+	}
+}
+
+// TestStackCloseLeavesNothingOpen: a stack that ran tasks holds parked
+// xrootd and chirp connections between them; Close must hang all of them
+// up. The collector is off for the test, so a connection left to its
+// finalizer shows as the leak it is.
+func TestStackCloseLeavesNothingOpen(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(entries)
+	}
+	run := func() {
+		st, err := Start(Options{
+			Files: 2, LumisPerFile: 2, EventsPerFile: 8,
+			Workers: 1, CoresPerWorker: 2,
+			ScratchDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		l, err := core.New(core.Config{
+			Name: "leak", Kind: core.KindAnalysis, Dataset: st.Dataset.Name,
+			EventSize: st.EventSize(),
+		}, st.Services)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.SetResultTimeout(time.Minute)
+		if rep, err := l.Run(); err != nil || !rep.Succeeded() {
+			t.Fatalf("run: %v %+v", err, rep)
+		}
+	}
+	run() // the first stack pays for whatever the process opens once
+	beforeFDs, beforeG := fds(), runtime.NumGoroutine()
+	run()
+	deadline := time.Now().Add(5 * time.Second)
+	for fds() > beforeFDs || runtime.NumGoroutine() > beforeG {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d descriptors (were %d), %d goroutines (were %d)",
+				fds(), beforeFDs, runtime.NumGoroutine(), beforeG)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

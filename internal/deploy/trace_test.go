@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,29 @@ func TestStackTracedEndToEnd(t *testing.T) {
 	} {
 		if comps[comp] == 0 {
 			t.Errorf("no %q spans recorded (coverage: %v)", comp, comps)
+		}
+	}
+
+	// The worker-scope caches report on the same registry: the first
+	// task parses the catalogs and dials, the tasks after it do neither.
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`lobster_parrot_catalog_memo_total{outcome="miss"}`,
+		`lobster_parrot_catalog_memo_total{outcome="hit"}`,
+		`lobster_xrootd_client_conns_total{outcome="dialed"}`,
+		`lobster_xrootd_client_conns_total{outcome="reused"}`,
+	} {
+		i := strings.Index(expo.String(), series+" ")
+		if i < 0 {
+			t.Errorf("series %s not exported", series)
+			continue
+		}
+		line, _, _ := strings.Cut(expo.String()[i:], "\n")
+		if strings.HasSuffix(line, " 0") {
+			t.Errorf("%s: never counted", line)
 		}
 	}
 }

@@ -334,9 +334,11 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *wq.Result
-	// Each doomed worker can burn at most one dispatch attempt; a few
-	// extra cover connections the storm kills before dispatch.
-	for attempt := 0; attempt < 20 && res == nil; attempt++ {
+	// Each doomed worker can burn at most one dispatch attempt, and
+	// burns none when the master sees the connection die before it has
+	// dispatched: on a loaded host most workers go that way, so the cap
+	// is generous. The loop ends with the first terminal result.
+	for attempt := 0; attempt < 200 && res == nil; attempt++ {
 		w, err := wq.NewWorkerOpts(m.Addr(), fmt.Sprintf("doomed%d", attempt), 1,
 			t.TempDir(), reg, wq.WorkerOptions{Fault: inj})
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"lobster/internal/bufpool"
 	"lobster/internal/chirp"
 	"lobster/internal/faultinject"
 	"lobster/internal/frontier"
@@ -174,12 +175,19 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 	var (
 		kernel  *Kernel
 		mount   *parrot.Mount
-		input   []byte     // staged content (stage mode)
+		input   *[]byte    // staged content (stage mode), borrowed
 		file    RemoteFile // open handle (stream mode)
 		output  []byte     // reduced result
 		events  int
 		delayMS = argInt(args, "delay_ms", 0)
 	)
+	// The staged range goes back to the pool as soon as execute has
+	// reduced it, or on the way out if execute never ran.
+	releaseInput := func() {
+		bufpool.PutSized(input)
+		input = nil
+	}
+	defer releaseInput()
 	rep := wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			sleepMS(delayMS)
@@ -243,11 +251,11 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 				// Staging: pull the task's event range before processing.
 				defer f.Close()
 				lo, hi := eventRange(kernel, f.Size(), args)
-				input = make([]byte, hi-lo)
-				if err := readFullAt(f, input, lo); err != nil {
+				input = bufpool.GetSized(int(hi - lo))
+				if err := readFullAt(f, *input, lo); err != nil {
 					return err
 				}
-				c.SetMetric("bytes_in", float64(len(input)))
+				c.SetMetric("bytes_in", float64(len(*input)))
 				return nil
 			}
 			file = f // streaming: reads happen during execute
@@ -256,7 +264,8 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
 			sleepMS(delayMS)
 			if input != nil {
-				output, events = kernel.ProcessAll(input)
+				defer releaseInput()
+				output, events = kernel.ProcessAll(*input)
 			} else {
 				defer file.Close()
 				var err error
@@ -311,12 +320,21 @@ func eventRange(k *Kernel, size int64, args map[string]string) (lo, hi int64) {
 	return lo, hi
 }
 
+// chunkEvents is how many events the executors hold in memory at once
+// when they work through a task's sample chunk by chunk. A multiple of 8,
+// so a chunk is a whole number of 8-byte RNG draws at any event size.
+const chunkEvents = 64
+
 // processStreaming reads the byte range [lo, hi) in event-aligned chunks,
 // reducing as it goes — I/O and CPU interleave, which is what makes
 // streaming win in the paper's Figure 4.
 func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events int, streamed int64, err error) {
-	chunkEvents := 64
-	chunk := make([]byte, chunkEvents*k.EventSize)
+	buf := bufpool.GetSized(chunkEvents * k.EventSize)
+	defer bufpool.PutSized(buf)
+	chunk := *buf
+	// The output outlives the segment (stage-out may replay it), so it
+	// is not borrowed but allocated, once, at its final size.
+	out = make([]byte, 0, k.DigestBytes(int(hi-lo)))
 	off := lo
 	for off < hi {
 		want := int64(len(chunk))
@@ -332,8 +350,8 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events
 		}
 		streamed += int64(n)
 		off += int64(n)
-		reduced, ne := k.ProcessAll(chunk[:n])
-		out = append(out, reduced...)
+		var ne int
+		out, ne = k.AppendDigests(out, chunk[:n])
 		events += ne
 	}
 	return out, events, streamed, nil
@@ -361,7 +379,6 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 	var (
 		kernel *Kernel
 		pileup []byte
-		signal []byte
 		output []byte
 	)
 	return wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
@@ -414,13 +431,23 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			}
 			seed := uint64(argInt(args, "seed", 1))
 			rng := stats.NewRand(seed)
-			signal = kernel.GenerateEvents(n, rng)
-			if pileup != nil {
-				if err := kernel.OverlayPileup(signal, pileup); err != nil {
-					return err
+			// Generate, overlay and reduce a chunk of events at a time: a
+			// whole number of 8-byte RNG draws per chunk keeps the signal
+			// byte-identical to generating it whole, and the task's
+			// working set is one borrowed chunk, not its whole sample.
+			buf := bufpool.GetSized(chunkEvents * kernel.EventSize)
+			defer bufpool.PutSized(buf)
+			output = make([]byte, 0, kernel.DigestBytes(n*kernel.EventSize))
+			for first := 0; first < n; first += chunkEvents {
+				signal := (*buf)[:min(chunkEvents, n-first)*kernel.EventSize]
+				kernel.GenerateInto(signal, rng)
+				if pileup != nil {
+					if err := kernel.OverlayPileupAt(signal, pileup, first); err != nil {
+						return err
+					}
 				}
+				output, _ = kernel.AppendDigests(output, signal)
 			}
-			output, _ = kernel.ProcessAll(signal)
 			c.SetMetric("events", float64(n))
 			return nil
 		}},

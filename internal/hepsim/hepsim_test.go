@@ -46,8 +46,8 @@ func TestKernelDeterministicReduction(t *testing.T) {
 
 func TestKernelDistinctEventsDistinctDigests(t *testing.T) {
 	k, _ := NewKernel(32, 1)
-	a := k.ProcessEvent(bytes.Repeat([]byte{1}, 32))
-	b := k.ProcessEvent(bytes.Repeat([]byte{2}, 32))
+	a, _ := k.ProcessAll(bytes.Repeat([]byte{1}, 32))
+	b, _ := k.ProcessAll(bytes.Repeat([]byte{2}, 32))
 	if bytes.Equal(a, b) {
 		t.Error("distinct events share a digest")
 	}
@@ -113,7 +113,7 @@ type testServices struct {
 	cvmfsRepo *cvmfs.Repository
 }
 
-func startServices(t *testing.T) *testServices {
+func startServices(t testing.TB) *testServices {
 	t.Helper()
 	// CVMFS origin with a small release.
 	repo := cvmfs.NewRepository("cms.cern.ch")
@@ -174,7 +174,7 @@ func startServices(t *testing.T) *testServices {
 	}
 	// Registered last so it runs first: the env's pooled chirp
 	// connections drop before the storage element shuts down.
-	t.Cleanup(func() { env.Close() })
+	t.Cleanup(func() { env.Close(); cl.Close() })
 	return &testServices{env: env, chirpFS: fs, dataSrv: ds, redir: red, dash: dash, proxy: proxy, cvmfsRepo: repo}
 }
 
@@ -197,9 +197,13 @@ func newFastTimeoutClient() *http.Client {
 	return &http.Client{Timeout: 500 * time.Millisecond}
 }
 
-func runTask(t *testing.T, exec wq.Executor, task *wq.Task) *wrapper.Report {
+func runTask(t testing.TB, exec wq.Executor, task *wq.Task) *wrapper.Report {
 	t.Helper()
-	sandbox := t.TempDir()
+	return runTaskIn(t, t.TempDir(), exec, task)
+}
+
+func runTaskIn(t testing.TB, sandbox string, exec wq.Executor, task *wq.Task) *wrapper.Report {
+	t.Helper()
 	err := exec(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "test"})
 	repData, rerr := readSandboxReport(sandbox)
 	if rerr != nil {

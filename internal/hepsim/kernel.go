@@ -9,6 +9,7 @@
 package hepsim
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -50,30 +51,31 @@ func fnv1a(seed uint64, data []byte) uint64 {
 	return h
 }
 
-// ProcessEvent reduces one event to its digests.
-func (k *Kernel) ProcessEvent(event []byte) []byte {
-	out := make([]byte, 0, 8*k.WorkFactor)
-	var d [8]byte
-	for pass := 0; pass < k.WorkFactor; pass++ {
-		h := fnv1a(uint64(pass), event)
-		binary.LittleEndian.PutUint64(d[:], h)
-		out = append(out, d[:]...)
-	}
-	return out
-}
-
 // Events returns how many whole events data contains.
 func (k *Kernel) Events(dataLen int) int { return dataLen / k.EventSize }
+
+// DigestBytes returns the output size of reducing dataLen input bytes.
+func (k *Kernel) DigestBytes(dataLen int) int { return k.Events(dataLen) * 8 * k.WorkFactor }
+
+// AppendDigests reduces every whole event in data, appending the digests
+// to dst in place: with DigestBytes(len(data)) of spare capacity in dst
+// it allocates nothing. It returns the extended slice and the number of
+// events processed.
+func (k *Kernel) AppendDigests(dst, data []byte) ([]byte, int) {
+	n := k.Events(len(data))
+	for i := 0; i < n; i++ {
+		event := data[i*k.EventSize : (i+1)*k.EventSize]
+		for pass := 0; pass < k.WorkFactor; pass++ {
+			dst = binary.LittleEndian.AppendUint64(dst, fnv1a(uint64(pass), event))
+		}
+	}
+	return dst, n
+}
 
 // ProcessAll reduces every whole event in data, returning the concatenated
 // digests and the number of events processed.
 func (k *Kernel) ProcessAll(data []byte) ([]byte, int) {
-	n := k.Events(len(data))
-	out := make([]byte, 0, n*8*k.WorkFactor)
-	for i := 0; i < n; i++ {
-		out = append(out, k.ProcessEvent(data[i*k.EventSize:(i+1)*k.EventSize])...)
-	}
-	return out, n
+	return k.AppendDigests(make([]byte, 0, k.DigestBytes(len(data))), data)
 }
 
 // GenerateEvents synthesises n events of pseudo-random detector data, the
@@ -81,29 +83,43 @@ func (k *Kernel) ProcessAll(data []byte) ([]byte, int) {
 // for a given rng state.
 func (k *Kernel) GenerateEvents(n int, rng *stats.Rand) []byte {
 	data := make([]byte, n*k.EventSize)
-	for i := 0; i < len(data); i += 8 {
+	k.GenerateInto(data, rng)
+	return data
+}
+
+// GenerateInto is GenerateEvents into a buffer the caller owns: every
+// byte of dst is overwritten, one RNG draw per 8 bytes.
+func (k *Kernel) GenerateInto(dst []byte, rng *stats.Rand) {
+	for ; len(dst) >= 8; dst = dst[8:] {
+		binary.LittleEndian.PutUint64(dst, rng.Uint64())
+	}
+	if len(dst) > 0 {
 		v := rng.Uint64()
-		for j := 0; j < 8 && i+j < len(data); j++ {
-			data[i+j] = byte(v >> (8 * j))
+		for j := range dst {
+			dst[j] = byte(v >> (8 * j))
 		}
 	}
-	return data
 }
 
 // OverlayPileup mixes pile-up (noise) events into signal events in place:
 // each signal event is XOR-combined with a pile-up event chosen round-robin.
 // The pile-up sample is the small external input simulation tasks stream in.
 func (k *Kernel) OverlayPileup(signal, pileup []byte) error {
+	return k.OverlayPileupAt(signal, pileup, 0)
+}
+
+// OverlayPileupAt is OverlayPileup for a signal slice whose first event
+// is event number first of its task, so a task overlaid slice by slice
+// picks the same pile-up events as one overlaid whole.
+func (k *Kernel) OverlayPileupAt(signal, pileup []byte, first int) error {
 	if len(pileup) < k.EventSize {
 		return fmt.Errorf("hepsim: pile-up sample smaller than one event (%d < %d)", len(pileup), k.EventSize)
 	}
 	pileupEvents := k.Events(len(pileup))
 	for i := 0; i < k.Events(len(signal)); i++ {
-		pu := pileup[(i%pileupEvents)*k.EventSize : (i%pileupEvents+1)*k.EventSize]
+		p := (first + i) % pileupEvents
 		sig := signal[i*k.EventSize : (i+1)*k.EventSize]
-		for j := range sig {
-			sig[j] ^= pu[j]
-		}
+		subtle.XORBytes(sig, sig, pileup[p*k.EventSize:(p+1)*k.EventSize])
 	}
 	return nil
 }

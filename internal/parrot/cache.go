@@ -17,10 +17,15 @@ package parrot
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"lobster/internal/bufpool"
+	"lobster/internal/cvmfs"
+	"lobster/internal/telemetry"
 )
 
 // Mode selects the cache-sharing configuration (Figure 6).
@@ -62,7 +67,21 @@ type Cache struct {
 
 	mu       sync.Mutex
 	inflight map[string]*population // ModeAlien: per-object single-flight
+
+	// memo holds decoded catalogs for the life of the process, so a
+	// slot's second task parses nothing the first already parsed. The
+	// key is the directory an object sits in plus its content hash: the
+	// hash makes an entry immutable, the directory keeps ModePerInstance
+	// instances from seeing each other's downloads. A full memo forgets
+	// an arbitrary entry (one re-parse of an object still on disk).
+	memoMu            sync.Mutex
+	memo              map[memoKey]*cvmfs.Catalog
+	memoHit, memoMiss *telemetry.Counter
 }
+
+type memoKey struct{ dir, hash string }
+
+const memoMax = 1024
 
 type population struct {
 	done chan struct{}
@@ -74,7 +93,18 @@ func NewCache(dir string, mode Mode) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("parrot: creating cache dir: %w", err)
 	}
-	return &Cache{dir: dir, mode: mode, inflight: make(map[string]*population)}, nil
+	return &Cache{dir: dir, mode: mode, inflight: make(map[string]*population),
+		memo: make(map[memoKey]*cvmfs.Catalog)}, nil
+}
+
+// Instrument counts catalog-memo lookups on reg as
+// lobster_parrot_catalog_memo_total{outcome="hit|miss"}. Call before
+// use; a nil registry leaves the cache uninstrumented at zero cost.
+func (c *Cache) Instrument(reg *telemetry.Registry) {
+	vec := reg.CounterVec("lobster_parrot_catalog_memo_total",
+		"Catalog lookups answered from the decoded-catalog memo (hit) or by reading and parsing the object (miss).",
+		"outcome")
+	c.memoHit, c.memoMiss = vec.With("hit"), vec.With("miss")
 }
 
 // Mode returns the cache's sharing mode.
@@ -126,6 +156,64 @@ func (i *Instance) readIfPresent(hash string) []byte {
 		return nil
 	}
 	return data
+}
+
+// scanIfPresent reads the cached object end to end through a pooled
+// chunk, as a job touching a release file does, and returns its size: a
+// hit that keeps no bytes allocates no buffer.
+func (i *Instance) scanIfPresent(hash string) (size int64, ok bool) {
+	f, err := os.Open(i.objectPath(hash))
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	for {
+		n, err := f.Read(*buf)
+		size += int64(n)
+		if err == io.EOF {
+			i.stats.Hits++
+			return size, true
+		}
+		if err != nil {
+			return 0, false
+		}
+	}
+}
+
+// memoCatalog returns the decoded catalog remembered for hash, counting
+// a cache hit, or nil. The memo only answers for an object still on
+// disk: a wiped cache directory is cold again, whatever memory holds.
+func (i *Instance) memoCatalog(hash string) *cvmfs.Catalog {
+	c := i.cache
+	c.memoMu.Lock()
+	cat := c.memo[memoKey{i.dir, hash}]
+	c.memoMu.Unlock()
+	if cat != nil {
+		if _, err := os.Stat(i.objectPath(hash)); err == nil {
+			i.stats.Hits++
+			c.memoHit.Inc()
+			return cat
+		}
+	}
+	c.memoMiss.Inc()
+	return nil
+}
+
+// rememberCatalog memoises the catalog decoded from the object at hash.
+// Remembered catalogs are shared between tasks and must not be modified.
+func (i *Instance) rememberCatalog(hash string, cat *cvmfs.Catalog) {
+	c := i.cache
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	if len(c.memo) >= memoMax {
+		for k := range c.memo {
+			delete(c.memo, k)
+			break
+		}
+	}
+	c.memo[memoKey{i.dir, hash}] = cat
 }
 
 // writeObject installs data atomically (temp + rename) so concurrent readers

@@ -108,8 +108,13 @@ func (m *Mount) object(hash string) ([]byte, error) {
 	return data, err
 }
 
-// catalog fetches and decodes a catalog object.
+// catalog returns the decoded catalog object, parsing it at most once
+// per process while it stays in the cache. The result is shared: callers
+// must not modify it.
 func (m *Mount) catalog(hash string) (*cvmfs.Catalog, error) {
+	if cat := m.inst.memoCatalog(hash); cat != nil {
+		return cat, nil
+	}
 	data, err := m.object(hash)
 	if err != nil {
 		return nil, err
@@ -118,6 +123,7 @@ func (m *Mount) catalog(hash string) (*cvmfs.Catalog, error) {
 	if err := json.Unmarshal(data, &cat); err != nil {
 		return nil, fmt.Errorf("parrot: corrupt catalog %s: %w", hash, err)
 	}
+	m.inst.rememberCatalog(hash, &cat)
 	return &cat, nil
 }
 
@@ -198,32 +204,15 @@ type SetupReport struct {
 func (m *Mount) WarmRelease(root string) (*SetupReport, error) {
 	before := m.inst.Stats()
 	start := time.Now()
-	rep := &SetupReport{}
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		entries, err := m.List(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			full := strings.TrimRight(dir, "/") + "/" + e.Name
-			switch e.Type {
-			case cvmfs.TypeFile:
-				data, err := m.ReadFile(full)
-				if err != nil {
-					return err
-				}
-				rep.Files++
-				rep.Bytes += int64(len(data))
-			case cvmfs.TypeDir:
-				if err := walk(full); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	e, err := m.resolve(root)
+	if err != nil {
+		return nil, err
 	}
-	if err := walk(root); err != nil {
+	if e.Type != cvmfs.TypeDir {
+		return nil, fmt.Errorf("parrot: %s is not a directory", root)
+	}
+	rep := &SetupReport{}
+	if err := m.warm(e.Hash, rep); err != nil {
 		return nil, err
 	}
 	after := m.inst.Stats()
@@ -232,4 +221,36 @@ func (m *Mount) WarmRelease(root string) (*SetupReport, error) {
 	rep.BytesFetched = after.BytesFetched - before.BytesFetched
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// warm touches every file beneath the catalog at hash. It descends by
+// the hashes the catalogs list — content addressing makes a path walk
+// from the root redundant once the parent catalog is in hand.
+func (m *Mount) warm(hash string, rep *SetupReport) error {
+	cat, err := m.catalog(hash)
+	if err != nil {
+		return err
+	}
+	for _, e := range cat.Entries {
+		switch e.Type {
+		case cvmfs.TypeFile:
+			// A hit is read through without keeping its bytes; only a
+			// miss materialises the content.
+			n, hit := m.inst.scanIfPresent(e.Hash)
+			if !hit {
+				data, err := m.object(e.Hash)
+				if err != nil {
+					return err
+				}
+				n = int64(len(data))
+			}
+			rep.Files++
+			rep.Bytes += n
+		case cvmfs.TypeDir:
+			if err := m.warm(e.Hash, rep); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -17,7 +17,7 @@ import (
 
 // testRepo publishes a small release and returns the repository, its HTTP
 // server, and the list of file paths.
-func testRepo(t *testing.T) (*cvmfs.Repository, *httptest.Server, []string) {
+func testRepo(t testing.TB) (*cvmfs.Repository, *httptest.Server, []string) {
 	t.Helper()
 	repo := cvmfs.NewRepository("cms.cern.ch")
 	paths, err := cvmfs.PublishRelease(repo, cvmfs.TestRelease("CMSSW_7_4_0"), stats.NewRand(1))

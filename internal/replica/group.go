@@ -33,7 +33,7 @@ type GroupConfig struct {
 	Seed uint64
 	// TickEvery is the wall-clock tick period (default 10ms). Election
 	// timeouts are ElectionTicks..2×ElectionTicks ticks.
-	TickEvery                    time.Duration
+	TickEvery                     time.Duration
 	ElectionTicks, HeartbeatTicks int
 	// Dir, when non-empty, persists the node's hard state and log through
 	// the store WAL so a restarted member rejoins with its vote and

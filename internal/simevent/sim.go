@@ -43,7 +43,7 @@ import (
 // Event kinds. evFn runs a user callback; the proc kinds dispatch without a
 // closure so the proc hot path allocates nothing per operation.
 const (
-	evFn = iota
+	evFn        = iota
 	evStart     // launch the proc on a pooled runner goroutine
 	evWake      // resume a parked proc
 	evInterrupt // resume a parked proc if its interrupt is still pending

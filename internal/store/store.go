@@ -12,6 +12,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -192,10 +193,16 @@ func readRecord(r io.Reader) (op byte, table, key string, value []byte, err erro
 		err = fmt.Errorf("store: implausible record length %d", n)
 		return
 	}
-	payload := make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	// Grow with the bytes that are really there: a torn header must not
+	// turn its claimed length into an allocation.
+	var buf bytes.Buffer
+	if _, err = io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return
 	}
+	payload := buf.Bytes()
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		err = errors.New("store: record checksum mismatch")
 		return

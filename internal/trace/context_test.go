@@ -62,14 +62,14 @@ func TestParseMalformed(t *testing.T) {
 		"",
 		"lt1",
 		"lt1-",
-		"lt2-0000000000000001-0000000000000002-01",  // wrong version
-		"lt1-1-2-01",                                // short hex fields
-		"lt1-000000000000000g-0000000000000002-01",  // bad hex
-		"lt1-0000000000000000-0000000000000002-01",  // zero trace ID
-		"lt1-0000000000000001-0000000000000002-02",  // bad flags
-		"lt1-0000000000000001-0000000000000002-1",   // short flags
-		"lt1-0000000000000001-0000000000000002",     // missing flags
-		"lt1-0000000000000001",                      // missing span
+		"lt2-0000000000000001-0000000000000002-01", // wrong version
+		"lt1-1-2-01", // short hex fields
+		"lt1-000000000000000g-0000000000000002-01", // bad hex
+		"lt1-0000000000000000-0000000000000002-01", // zero trace ID
+		"lt1-0000000000000001-0000000000000002-02", // bad flags
+		"lt1-0000000000000001-0000000000000002-1",  // short flags
+		"lt1-0000000000000001-0000000000000002",    // missing flags
+		"lt1-0000000000000001",                     // missing span
 		"garbage",
 		"lt1-00000000000000010000000000000002-01",
 		"lt1--0000000000000001-0000000000000002-01",

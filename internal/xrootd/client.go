@@ -9,6 +9,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lobster/internal/bufpool"
@@ -56,6 +57,86 @@ type Client struct {
 
 	tracer *trace.Tracer
 	parent trace.Context
+
+	idle idleConns
+}
+
+// wire is one replica connection with its buffers: what a File gives
+// back on Close and the next open on the same replica takes over.
+type wire struct {
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+}
+
+// maxIdlePerReplica matches the chirp pool's size, the most slots one
+// worker process drives at once.
+const maxIdlePerReplica = 8
+
+// idleConns parks healthy connections between Files. The protocol is
+// stateless per command (every open, stat and read names its LFN), so a
+// connection that served one file serves the next as it is. The zero
+// value is ready; a Client must not be copied after first use.
+type idleConns struct {
+	mu     sync.Mutex
+	byAddr map[string][]*wire
+	closed bool
+
+	// lobster_xrootd_client_conns_total{outcome}, resolved on first use;
+	// nil no-ops without a registry.
+	telOnce               sync.Once
+	reused, dialed, stale *telemetry.Counter
+}
+
+func (p *idleConns) take(addr string) *wire {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.byAddr[addr]
+	if len(l) == 0 {
+		return nil
+	}
+	p.byAddr[addr] = l[:len(l)-1]
+	return l[len(l)-1]
+}
+
+// park reports false when addr's list is full or the client closed; the
+// caller hangs up instead.
+func (p *idleConns) park(addr string, w *wire) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || len(p.byAddr[addr]) >= maxIdlePerReplica {
+		return false
+	}
+	if p.byAddr == nil {
+		p.byAddr = make(map[string][]*wire)
+	}
+	p.byAddr[addr] = append(p.byAddr[addr], w)
+	return true
+}
+
+func (c *Client) conns() *idleConns {
+	c.idle.telOnce.Do(func() {
+		vec := c.Telemetry.CounterVec("lobster_xrootd_client_conns_total",
+			"Replica connections an open used: a parked one (reused), a fresh dial (dialed), or a parked one found dead and replaced by a dial (stale).",
+			"outcome")
+		c.idle.reused, c.idle.dialed, c.idle.stale = vec.With("reused"), vec.With("dialed"), vec.With("stale")
+	})
+	return &c.idle
+}
+
+// Close hangs up the parked connections. The client stays usable, but
+// from here on every File.Close hangs up too.
+func (c *Client) Close() error {
+	c.idle.mu.Lock()
+	defer c.idle.mu.Unlock()
+	c.idle.closed = true
+	for _, l := range c.idle.byAddr {
+		for _, w := range l {
+			w.conn.Close()
+		}
+	}
+	c.idle.byAddr = nil
+	return nil
 }
 
 // Trace attaches a tracer and parent context: opens and fetches record
@@ -79,9 +160,7 @@ type File struct {
 	lfn    string
 	size   int64
 	offset int64
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
+	*wire
 	broken bool
 	addr   string
 	rep    Replica // the replica serving this connection
@@ -106,13 +185,16 @@ var errBroken = fmt.Errorf("xrootd: connection broken by earlier failure")
 // order the redirector returns them; configured retries repeat the whole
 // pass with backoff.
 func (c *Client) Open(lfn string) (*File, error) {
-	return c.open(lfn, c.parent)
+	return c.OpenTraced(lfn, c.tracer, c.parent)
 }
 
-func (c *Client) open(lfn string, pctx trace.Context) (*File, error) {
+// OpenTraced is Open with the span recorded on tr under parent instead
+// of the client's own trace state, so tasks tracing under different
+// parents can share one client and its parked connections.
+func (c *Client) OpenTraced(lfn string, tr *trace.Tracer, parent trace.Context) (*File, error) {
 	var sp *trace.Span
-	if c.tracer != nil && pctx.Valid() {
-		sp = c.tracer.Start(pctx, "xrootd", "open")
+	if tr != nil && parent.Valid() {
+		sp = tr.Start(parent, "xrootd", "open")
 		sp.Attr("lfn", lfn)
 	}
 	defer sp.End()
@@ -167,6 +249,26 @@ func (c *Client) openPass(lfn string, sp *trace.Span) (*File, error) {
 }
 
 func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
+	idle := c.conns()
+	f := &File{client: c, lfn: lfn, addr: rep.Addr, rep: rep}
+	if f.wire = idle.take(rep.Addr); f.wire != nil {
+		size, err := f.roundTripSize("open %s\n", lfn)
+		if err == nil {
+			idle.reused.Inc()
+			f.size = size
+			return f, nil
+		}
+		if !f.broken { // answered in protocol: the file's error, a fine connection
+			f.Close()
+			c.Selector.ObserveError(rep)
+			return nil, err
+		}
+		// The peer hung up while the connection sat idle, which says
+		// nothing about the replica now: dial, at no cost to the
+		// caller's retry budget.
+		idle.stale.Inc()
+		f.broken = false
+	}
 	timeout := c.DialTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -176,15 +278,12 @@ func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 		c.Selector.ObserveError(rep)
 		return nil, fmt.Errorf("xrootd: dialing %s: %w", rep.Addr, err)
 	}
+	idle.dialed.Inc()
 	conn = c.Fault.Conn("xrootd_client", conn)
-	f := &File{
-		client: c,
-		lfn:    lfn,
-		conn:   conn,
-		r:      bufio.NewReaderSize(conn, 64<<10),
-		w:      bufio.NewWriterSize(conn, 8<<10),
-		addr:   rep.Addr,
-		rep:    rep,
+	f.wire = &wire{
+		conn: conn,
+		r:    bufio.NewReaderSize(conn, 64<<10),
+		w:    bufio.NewWriterSize(conn, 8<<10),
 	}
 	size, err := f.roundTripSize("open %s\n", lfn)
 	if err != nil {
@@ -308,12 +407,17 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return int(n), nil
 }
 
-// Close releases the connection. A broken connection is already closed.
+// Close gives the connection back to the client for the next open on
+// this replica, or hangs up when the client has no room for it. A broken
+// connection is already closed.
 func (f *File) Close() error {
 	if f.broken {
 		return nil
 	}
 	f.broken = true
+	if f.r.Buffered() == 0 && f.client.idle.park(f.addr, f.wire) {
+		return nil
+	}
 	fmt.Fprint(f.w, "quit\n")
 	f.w.Flush()
 	return f.conn.Close()
@@ -380,12 +484,9 @@ func (c *Client) account(rep Replica, n int64, d time.Duration, err error) {
 // fetchToOnce performs one fetch attempt starting at offset start,
 // returning how many bytes it delivered to w and the replica that
 // served them (the zero Replica when no replica was even opened). The
-// outer policy in FetchTo owns backoff, so the inner open must not
-// retry on its own.
+// outer policy in FetchTo owns backoff, so the open is a single pass.
 func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64, sp *trace.Span) (int64, Replica, error) {
-	inner := *c
-	inner.Retry = retry.Policy{}
-	f, err := inner.openPass(lfn, sp)
+	f, err := c.openPass(lfn, sp)
 	if err != nil {
 		return 0, Replica{}, err
 	}

@@ -35,7 +35,8 @@ type DataServer struct {
 	mu    sync.RWMutex
 	files map[string][]byte
 	crcs  map[string]uint32
-	down  bool // fault injection: refuse all requests
+	down  bool                  // fault injection: refuse all requests
+	open  map[net.Conn]struct{} // accepted conns, force-closed on Close
 
 	wg       sync.WaitGroup
 	closed   atomic.Bool
@@ -51,7 +52,8 @@ func NewDataServer(site, addr string) (*DataServer, error) {
 		return nil, fmt.Errorf("xrootd: listening: %w", err)
 	}
 	s := &DataServer{site: site, lis: lis,
-		files: make(map[string][]byte), crcs: make(map[string]uint32)}
+		files: make(map[string][]byte), crcs: make(map[string]uint32),
+		open: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -106,14 +108,38 @@ func (s *DataServer) Reads() int64 { return s.reads.Load() }
 // BytesOut returns the number of payload bytes served.
 func (s *DataServer) BytesOut() int64 { return s.bytesOut.Load() }
 
-// Close shuts the server down.
+// Close stops accepting, hangs up every open connection and waits for
+// their handlers: clients park connections between files, and an idle
+// one must not be able to stall shutdown.
 func (s *DataServer) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	err := s.lis.Close()
+	s.mu.Lock()
+	for c := range s.open {
+		c.Close()
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
+}
+
+// trackConn registers an accepted conn for force-close on shutdown; on
+// a server already closing it closes the conn instead.
+func (s *DataServer) trackConn(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		conn.Close()
+	}
+	s.open[conn] = struct{}{}
+}
+
+func (s *DataServer) untrackConn(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.open, conn)
+	s.mu.Unlock()
 }
 
 func (s *DataServer) acceptLoop() {
@@ -123,10 +149,12 @@ func (s *DataServer) acceptLoop() {
 		if err != nil {
 			return
 		}
+		s.trackConn(conn)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
+			defer s.untrackConn(conn)
 			s.serveConn(conn)
 		}()
 	}
