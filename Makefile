@@ -4,7 +4,7 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check fmt vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard
+.PHONY: all check fmt vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard bench-e2e
 
 all: check
 
@@ -79,3 +79,18 @@ bench-kernel:
 # `go run ./cmd/bench-guard BENCH_scale.json`. Part of `make check`.
 bench-guard:
 	$(GO) run ./cmd/bench-guard
+
+# The end-to-end benchmark as the pipeline runs it (BENCHMARK.json): every
+# workload, untraced and traced, into .bench_build/report.json, then the
+# bounds table against a parent report. Save the parent's once from a
+# `git clone` of the parent commit (the same run.sh line there, with -out
+# pointing at $(BENCH_PARENT) here). One run is one sample: a gain is claimed
+# on >= 10 alternating parent/change pairs, so repeat both sides; alloc_mb
+# repeats to ~0.5 %, wall clock to 10-30 %. Never edit benchmark/ or
+# BENCHMARK.json in the change being measured.
+BENCH_SEED ?= 1
+BENCH_PARENT ?= .bench_build/parent.json
+bench-e2e:
+	bash benchmark/run.sh --seed $(BENCH_SEED) -out .bench_build/report.json
+	@if [ -f $(BENCH_PARENT) ]; then bash benchmark/run.sh -compare $(BENCH_PARENT) .bench_build/report.json; \
+	else echo "bench-e2e: no parent report at $(BENCH_PARENT); report kept in .bench_build/report.json"; fi

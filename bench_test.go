@@ -14,8 +14,6 @@ package lobster
 import (
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -563,7 +561,8 @@ func BenchmarkAblationForemanFanout(b *testing.B) {
 	}
 	reg := wq.Registry{
 		"touch": func(ctx *wq.ExecContext) error {
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "out"), []byte("x"), 0o644)
+			ctx.SetOutput("out", []byte("x"))
+			return nil
 		},
 	}
 	const tasks = 48
@@ -642,8 +641,8 @@ func BenchmarkAblationForemanFanout(b *testing.B) {
 func BenchmarkAblationTaskBuffer(b *testing.B) {
 	reg := wq.Registry{
 		"quick": func(ctx *wq.ExecContext) error {
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "report.json"),
-				wrapper.Run(wrapper.Step{Segment: wrapper.SegExecute}).Encode(), 0o644)
+			ctx.SetOutput("report.json", wrapper.Run(wrapper.Step{Segment: wrapper.SegExecute}).Encode())
+			return nil
 		},
 	}
 	runBuffer := func(depth int) time.Duration {

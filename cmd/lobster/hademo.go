@@ -29,8 +29,8 @@ func haDemo(workers, cores int, seed uint64) error {
 		ScratchDir: scratch, Seed: seed,
 		Registry: wq.Registry{
 			"echo": func(ctx *wq.ExecContext) error {
-				return os.WriteFile(filepath.Join(ctx.Sandbox, "out.txt"),
-					[]byte(ctx.Task.Args["text"]+"\n"), 0o644)
+				ctx.SetOutput("out.txt", []byte(ctx.Task.Args["text"]+"\n"))
+				return nil
 			},
 		},
 		Telemetry: reg,

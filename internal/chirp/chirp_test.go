@@ -1,8 +1,12 @@
 package chirp
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -360,5 +364,80 @@ func TestClientStatParsesDirAndFile(t *testing.T) {
 	}
 	if _, err := c.Stat("/missing"); err == nil {
 		t.Error("stat of missing path succeeded")
+	}
+}
+
+// TestStatCRC: "stat <path> crc" adds the server-computed checksum on
+// both kinds of backend, moves no payload, tracks a same-size rewrite,
+// and leaves directories, missing files and plain stat as they were.
+func TestStatCRC(t *testing.T) {
+	streaming, _ := newTestServer(t, 4)
+	plainFS, err := NewLocalFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wrapping hides LocalFS's streaming extensions: the ReadFile path.
+	plain, err := NewServer(struct{ FileSystem }{plainFS}, "127.0.0.1:0", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { plain.Close() })
+	for name, srv := range map[string]*Server{"streaming": streaming, "plain": plain} {
+		c := dial(t, srv)
+		content := bytes.Repeat([]byte("pile-up "), 1000)
+		if err := c.PutFile("/pu/minbias.root", content); err != nil {
+			t.Fatal(err)
+		}
+		out := srv.Stats().BytesOut
+		fi, crc, err := c.StatCRC("/pu/minbias.root")
+		if err != nil || fi.Size != int64(len(content)) || fi.IsDir || crc != crc32.ChecksumIEEE(content) {
+			t.Errorf("%s: StatCRC = %+v, %08x, %v; want size %d crc %08x", name, fi, crc, err, len(content), crc32.ChecksumIEEE(content))
+		}
+		if srv.Stats().BytesOut != out {
+			t.Errorf("%s: a checksum stat moved payload bytes", name)
+		}
+		content[0] ^= 1
+		c.PutFile("/pu/minbias.root", content)
+		if _, crc, _ := c.StatCRC("/pu/minbias.root"); crc != crc32.ChecksumIEEE(content) {
+			t.Errorf("%s: checksum did not follow a same-size rewrite", name)
+		}
+		if fi, _, err := c.StatCRC("/pu"); err != nil || !fi.IsDir {
+			t.Errorf("%s: StatCRC of a directory: %+v, %v", name, fi, err)
+		}
+		if _, _, err := c.StatCRC("/pu/missing"); err == nil {
+			t.Errorf("%s: StatCRC of a missing file succeeded", name)
+		}
+		if fi, err := c.Stat("/pu/minbias.root"); err != nil || fi.Size != int64(len(content)) {
+			t.Errorf("%s: plain stat after checksum stats: %+v, %v", name, fi, err)
+		}
+	}
+}
+
+// TestStatCRCGarbled: a regular file's answer with a missing or mangled
+// checksum is a protocol error, not a checksum of zero.
+func TestStatCRCGarbled(t *testing.T) {
+	for _, answer := range []string{"5 file zz\n", "5 file\n"} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			bufio.NewReader(conn).ReadString('\n')
+			io.WriteString(conn, answer)
+		}()
+		c, err := Dial(lis.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, crc, err := c.StatCRC("/f"); !errors.Is(err, ErrProtocol) {
+			t.Errorf("answer %q: crc %08x, err %v; want a protocol error", answer, crc, err)
+		}
+		c.Close()
 	}
 }

@@ -410,24 +410,40 @@ func (c *Client) Append(path string, data []byte) error {
 
 // Stat returns info for the entry at path.
 func (c *Client) Stat(path string) (FileInfo, error) {
+	info, _, err := c.stat("stat %s\n", path, false)
+	return info, err
+}
+
+// StatCRC is Stat plus the IEEE CRC32 of a regular file's content, which
+// the server computes: one round trip and no payload tell the holder of
+// a copy whether it is still current. A directory has no checksum (0).
+func (c *Client) StatCRC(path string) (FileInfo, uint32, error) {
+	return c.stat("stat %s crc\n", path, true)
+}
+
+func (c *Client) stat(format, path string, wantCRC bool) (FileInfo, uint32, error) {
 	if c.broken {
-		return FileInfo{}, errBroken
+		return FileInfo{}, 0, errBroken
 	}
 	sp := c.op("stat")
 	defer sp.End()
-	if err := c.send("stat %s\n", path); err != nil {
-		return FileInfo{}, err
+	if err := c.send(format, path); err != nil {
+		return FileInfo{}, 0, err
 	}
 	line, err := c.readStatusLine("stat")
 	if err != nil {
-		return FileInfo{}, err
+		return FileInfo{}, 0, err
 	}
 	var size int64
 	var kind string
-	if _, err := fmt.Sscanf(line, "%d %s", &size, &kind); err != nil {
-		return FileInfo{}, c.protoErr("stat", "bad stat response %q", line)
+	var crc uint32
+	// Size and kind are the whole answer, except that a regular file
+	// asked for its checksum must come with one.
+	n, _ := fmt.Sscanf(line, "%d %s %x", &size, &kind, &crc)
+	if n < 2 || (wantCRC && kind != "dir" && n != 3) {
+		return FileInfo{}, 0, c.protoErr("stat", "bad stat response %q", line)
 	}
-	return FileInfo{Name: path, Size: size, IsDir: kind == "dir"}, nil
+	return FileInfo{Name: path, Size: size, IsDir: kind == "dir"}, crc, nil
 }
 
 // List returns the entries of the directory at path.

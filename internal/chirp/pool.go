@@ -259,8 +259,14 @@ func (p *Pool) PutFile(path string, data []byte) error {
 // a half-written download is never left behind as a complete-looking
 // one. Returns the byte count.
 func (p *Pool) FetchTo(path, dst string) (int64, error) {
+	return p.FetchToTraced(p.opts.Tracer, p.opts.Parent, path, dst)
+}
+
+// FetchToTraced is FetchTo under an explicit tracer and parent, as
+// DoTraced is to Do.
+func (p *Pool) FetchToTraced(tr *trace.Tracer, parent trace.Context, path, dst string) (int64, error) {
 	var n int64
-	err := p.Do(func(c *Client) error {
+	err := p.DoTraced(tr, parent, func(c *Client) error {
 		f, err := os.Create(dst)
 		if err != nil {
 			return retry.Permanent(fmt.Errorf("chirp: creating %s: %w", dst, err))

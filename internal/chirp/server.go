@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -26,7 +27,7 @@ import (
 //	getfile <path>            → "<size>\n" + bytes | "-1 <error>\n"
 //	putfile <path> <size>\n<bytes> → "0\n" | "-1 <error>\n"
 //	append  <path> <size>\n<bytes> → "0\n" | "-1 <error>\n"
-//	stat <path>               → "<size> <dir|file>\n" | "-1 <error>\n"
+//	stat <path> [crc]         → "<size> <dir|file>[ <crc32 hex>]\n" | "-1 <error>\n"
 //	ls <path>                 → "<n>\n" then n lines "<size> <d|f> <name>" | "-1 ..."
 //	unlink <path>             → "0\n" | "-1 <error>\n"
 //	trace <context>           → no response; tags the next command's span
@@ -383,6 +384,27 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 	return nil
 }
 
+// checksum is the IEEE CRC32 of the file at path, streamed through a
+// pooled chunk: what "stat <path> crc" adds, so a client holding a copy
+// learns in one round trip, and no payload, whether it is still current.
+func (s *Server) checksum(path string) (uint32, error) {
+	sr, ok := s.fs.(StreamReaderFS)
+	if !ok {
+		data, err := s.fs.ReadFile(path)
+		return crc32.ChecksumIEEE(data), err
+	}
+	rc, size, err := sr.OpenRead(path)
+	if err != nil {
+		return 0, err
+	}
+	defer rc.Close()
+	h := crc32.NewIEEE()
+	// The LimitReader also keeps *os.File's WriteTo (a fresh 32 KiB
+	// buffer per call) out of the copy.
+	_, err = bufpool.Copy(h, io.LimitReader(rc, size))
+	return h.Sum32(), err
+}
+
 // servePut absorbs one putfile/append payload. Backends implementing
 // StreamWriterFS receive the bytes as they arrive off the wire
 // (spool-and-commit, so a dead client never corrupts the target);
@@ -542,18 +564,25 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn ne
 		fmt.Fprint(w, "0\n")
 		return nil
 	case "stat":
-		if len(fields) != 2 {
-			return errors.New("usage: stat <path>")
+		withCRC := len(fields) == 3 && fields[2] == "crc"
+		if len(fields) != 2 && !withCRC {
+			return errors.New("usage: stat <path> [crc]")
 		}
 		info, err := s.fs.Stat(fields[1])
 		if err != nil {
 			return err
 		}
-		kind := "file"
 		if info.IsDir {
-			kind = "dir"
+			fmt.Fprintf(w, "%d dir\n", info.Size)
+		} else if withCRC {
+			crc, err := s.checksum(fields[1])
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%d file %08x\n", info.Size, crc)
+		} else {
+			fmt.Fprintf(w, "%d file\n", info.Size)
 		}
-		fmt.Fprintf(w, "%d %s\n", info.Size, kind)
 		return nil
 	case "ls":
 		if len(fields) != 2 {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"os"
 	"testing"
 	"time"
 
@@ -159,7 +158,8 @@ func TestPoolRunsTasksUnderEviction(t *testing.T) {
 	reg := wq.Registry{
 		"spin": func(ctx *wq.ExecContext) error {
 			time.Sleep(30 * time.Millisecond)
-			return os.WriteFile(ctx.Sandbox+"/out", []byte("ok"), 0o644)
+			ctx.SetOutput("out", []byte("ok"))
+			return nil
 		},
 	}
 	pool, err := NewPool(PoolConfig{

@@ -284,7 +284,8 @@ func (l *Lobster) handleResult(r *wq.Result) error {
 		return nil // stale result from an earlier incarnation
 	}
 	delete(l.inflight, r.TaskID)
-	l.recordMonitor(r, info)
+	rep := decodeReport(r)
+	l.recordMonitor(r, info, rep)
 
 	switch info.kind {
 	case "proc":
@@ -295,7 +296,7 @@ func (l *Lobster) handleResult(r *wq.Result) error {
 			l.tel.tasksFailed.Inc()
 			return l.handleProcFailure(info)
 		}
-		return l.handleProcSuccess(r, info)
+		return l.handleProcSuccess(info, rep)
 	case "merge":
 		l.mergingOpen--
 		l.mergesRun++
@@ -311,7 +312,7 @@ func (l *Lobster) handleResult(r *wq.Result) error {
 	return nil
 }
 
-func (l *Lobster) handleProcSuccess(r *wq.Result, info *inflightTask) error {
+func (l *Lobster) handleProcSuccess(info *inflightTask, rep *wrapper.Report) error {
 	for _, tid := range info.group {
 		l.state[tid] = StateDone
 		l.doneTasklets++
@@ -321,7 +322,7 @@ func (l *Lobster) handleProcSuccess(r *wq.Result, info *inflightTask) error {
 	}
 	// Register the output for merging.
 	var outBytes int64
-	if rep := decodeReport(r); rep != nil {
+	if rep != nil {
 		outBytes = int64(rep.Metric("bytes_out"))
 	}
 	l.unmerged = append(l.unmerged, outputFile{Path: info.output, Bytes: outBytes})
@@ -415,9 +416,10 @@ func decodeReport(r *wq.Result) *wrapper.Report {
 	return nil
 }
 
-// recordMonitor converts a task result into a monitoring record, feeding
-// the monitor DB, the task-lifecycle tracer, and the structured event log.
-func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask) {
+// recordMonitor converts a task result and its decoded wrapper report
+// (nil if it carried none) into a monitoring record, feeding the monitor
+// DB, the task-lifecycle tracer, and the structured event log.
+func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.Report) {
 	if l.svc.Monitor == nil && l.svc.EventLog == nil && l.tel.tracer == nil {
 		return
 	}
@@ -448,7 +450,7 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask) {
 	if rec.WQStageOut < 0 {
 		rec.WQStageOut = 0
 	}
-	if rep := decodeReport(r); rep != nil {
+	if rep != nil {
 		rec.FailedSegment = string(rep.Failed)
 		rec.SetupTime = rep.SegmentDuration(wrapper.SegSoftware).Seconds()
 		rec.StageIn = rep.SegmentDuration(wrapper.SegStageIn).Seconds()

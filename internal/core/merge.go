@@ -54,9 +54,27 @@ func MergeExecutor(chirpAddr string) wq.Executor {
 // Data flow: the inputs are fetched in parallel over a bounded chirp
 // connection pool into sandbox spool files (never all in memory at
 // once), then the merged file streams back as one putfile whose payload
-// is the concatenation of the spools.
+// is the concatenation of the spools. The pool is worker-scope, built by
+// the first merge task: later ones dial nothing, and each call re-tags
+// the connection it borrows with its own task's trace context. Nothing
+// closes it; its idle connections go with the storage element's end of
+// them, or after the pool's idle TTL.
 func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
+	var once sync.Once
+	var pool *chirp.Pool
 	return func(ctx *wq.ExecContext) error {
+		once.Do(func() {
+			pool = chirp.NewPool(chirp.PoolOptions{
+				Addr:        chirpAddr,
+				Size:        mergeParallelism,
+				DialTimeout: 30 * time.Second,
+				Retry:       opts.Retry,
+				Fault:       opts.Fault,
+			})
+		})
+		do := func(fn func(*chirp.Client) error) error {
+			return pool.DoTraced(ctx.Tracer, ctx.Trace, fn)
+		}
 		args := ctx.Task.Args
 		inputs := strings.Split(args["inputs"], ";")
 		out := args["output"]
@@ -69,17 +87,6 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 		if err := ctx.EnsureSandbox(); err != nil {
 			return fmt.Errorf("merge sandbox: %w", err)
 		}
-		pool := chirp.NewPool(chirp.PoolOptions{
-			Addr:        chirpAddr,
-			Size:        mergeParallelism,
-			DialTimeout: 30 * time.Second,
-			Retry:       opts.Retry,
-			Fault:       opts.Fault,
-			Tracer:      ctx.Tracer,
-			Parent:      ctx.Trace,
-		})
-		defer pool.Close()
-
 		spools := make([]string, len(inputs))
 		errs := make([]error, len(inputs))
 		var wg sync.WaitGroup
@@ -89,7 +96,7 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 			go func(i int) {
 				defer wg.Done()
 				// The pool's Size caps how many fetches run at once.
-				_, errs[i] = pool.FetchTo(inputs[i], spools[i])
+				_, errs[i] = pool.FetchToTraced(ctx.Tracer, ctx.Trace, inputs[i], spools[i])
 			}(i)
 		}
 		wg.Wait()
@@ -100,7 +107,7 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 			if errors.Is(err, chirp.ErrNotExist) {
 				// A previous attempt of this task may have already
 				// merged and removed the inputs.
-				if derr := pool.Do(func(c *chirp.Client) error {
+				if derr := do(func(c *chirp.Client) error {
 					_, serr := c.Stat(out)
 					return serr
 				}); derr == nil {
@@ -112,7 +119,7 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 
 		// One streamed putfile of the concatenated spools; each retry
 		// reopens them, so the closure stays idempotent.
-		if err := pool.Do(func(c *chirp.Client) error {
+		if err := do(func(c *chirp.Client) error {
 			var total int64
 			readers := make([]io.Reader, 0, len(spools))
 			closers := make([]io.Closer, 0, len(spools))
@@ -141,7 +148,8 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 		// Clean up the small inputs; the merged file replaces them. A
 		// missing input was removed by an earlier attempt — not an error.
 		for _, in := range inputs {
-			if err := pool.Unlink(in); err != nil && !errors.Is(err, chirp.ErrNotExist) {
+			err := do(func(c *chirp.Client) error { return c.Unlink(in) })
+			if err != nil && !errors.Is(err, chirp.ErrNotExist) {
 				return fmt.Errorf("removing merged input %s: %w", in, err)
 			}
 		}
@@ -149,10 +157,11 @@ func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
 	}
 }
 
-// mergeParallelism bounds a merge task's concurrent chirp connections:
-// enough to hide round-trip latency on many small inputs, small enough
-// that a wave of merge tasks doesn't monopolise the storage element's
-// slot cap.
+// mergeParallelism bounds the chirp connections of a worker process's
+// merge tasks, all of them together: enough to hide round-trip latency
+// on many small inputs, and no more, because the storage element gives a
+// connection one of its service slots for as long as it stays open and
+// the pool keeps these open between tasks.
 const mergeParallelism = 4
 
 // groupOutputsBySize forms merge groups whose summed size approaches

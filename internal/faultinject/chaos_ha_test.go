@@ -8,8 +8,6 @@ package faultinject_test
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -31,7 +29,8 @@ func haChaosRegistry() wq.Registry {
 			for i := 0; i < 32; i++ {
 				fmt.Fprintf(&buf, "%s:%d\n", seed, i*i)
 			}
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "out.bin"), buf.Bytes(), 0o644)
+			ctx.SetOutput("out.bin", buf.Bytes())
+			return nil
 		},
 	}
 }

@@ -2,11 +2,13 @@ package hepsim
 
 import (
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lobster/internal/bufpool"
@@ -71,6 +73,22 @@ type Env struct {
 	// connections instead of dialing per segment.
 	poolOnce sync.Once
 	pool     *chirp.Pool
+
+	// probed is set once the machine-compatibility probe (is the scratch
+	// directory writable?) has passed: it runs with the process's first
+	// tasks, not every task.
+	probed atomic.Bool
+
+	// pileup is the last pile-up sample fetched, good for as long as the
+	// storage element reports the same path, size and CRC for it.
+	pileupMu sync.Mutex
+	pileup   pileupSample
+}
+
+type pileupSample struct {
+	path string
+	crc  uint32
+	data []byte
 }
 
 // chirpPool returns the Env's shared connection pool, building it on
@@ -157,38 +175,105 @@ func (e *Env) open(lfn string, c *wrapper.StepContext) (RemoteFile, error) {
 // parrot, conditions via frontier, event data via xrootd (streamed or
 // staged), reduction via the kernel, stage-out via chirp.
 func Analysis(env *Env) wq.Executor {
-	return func(ctx *wq.ExecContext) error {
-		rep, outName := runAnalysis(env, ctx)
-		if err := os.WriteFile(filepath.Join(ctx.Sandbox, ReportFile), rep.Encode(), 0o644); err != nil {
-			return fmt.Errorf("writing report: %w", err)
-		}
-		_ = outName
-		if rep.ExitCode != 0 {
-			return &wq.ExitError{Code: rep.ExitCode, Msg: string(rep.Failed)}
-		}
-		return nil
-	}
+	return func(ctx *wq.ExecContext) error { return finish(ctx, runAnalysis(env, ctx)) }
 }
 
-func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
+// finish hands the wrapper report to the worker in memory — it travels
+// inline in the result message, so it never needs to be a file — and
+// turns a failed segment into the task's exit code.
+func finish(ctx *wq.ExecContext, rep *wrapper.Report) error {
+	ctx.SetOutput(ReportFile, rep.Encode())
+	if rep.ExitCode != 0 {
+		return &wq.ExitError{Code: rep.ExitCode, Msg: string(rep.Failed)}
+	}
+	return nil
+}
+
+// probeScratch checks that the scratch directory sandboxes are made in is
+// writable, until it once was: only success is remembered, so a transient
+// failure costs the tasks that saw it and no later one.
+func (e *Env) probeScratch(ctx *wq.ExecContext) error {
+	if e.probed.Load() {
+		return nil
+	}
+	// Per task, so that concurrent first tasks do not remove each other's.
+	probe := ctx.Sandbox + ".probe"
+	err := os.WriteFile(probe, nil, 0o644)
+	if err == nil {
+		err = os.Remove(probe)
+	}
+	if err != nil {
+		return fmt.Errorf("scratch directory not writable: %w", err)
+	}
+	e.probed.Store(true)
+	return nil
+}
+
+// warmSoftware is the software segment: mount the release through the
+// node-local cache and touch every file of it.
+func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
+	if e.ProxyURL == "" {
+		return nil // software delivery disabled (unit tests)
+	}
+	inst, err := e.Cache.Instance(fmt.Sprintf("task-%d", ctx.Task.ID))
+	if err != nil {
+		return err
+	}
+	mount, err := parrot.NewMount(e.ProxyURL, e.Repo, inst, trace.WrapClient(e.HTTPClient, c.Trace))
+	if err != nil {
+		return err
+	}
+	warm, err := mount.WarmRelease(e.ReleasePath)
+	if err != nil {
+		return err
+	}
+	c.SetMetric("cache_hits", float64(warm.Hits))
+	c.SetMetric("cache_misses", float64(warm.Misses))
+	c.SetMetric("bytes_fetched", float64(warm.BytesFetched))
+	return nil
+}
+
+// stageOut is the stage-out segment: the output goes to the storage
+// element over chirp, or into the sandbox when there is none.
+func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byte) error {
+	out := ctx.Task.Args["output"]
+	if out == "" || e.ChirpAddr == "" {
+		if err := ctx.EnsureSandbox(); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
+	}
+	// PutFile is idempotent, so the pool may replay it freely; the
+	// payload streams through the pooled connection's shared flush.
+	if err := e.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
+		return cc.PutFile(out, output)
+	}); err != nil {
+		return err
+	}
+	c.SetMetric("bytes_out", float64(len(output)))
+	return nil
+}
+
+func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 	args := ctx.Task.Args
 	var (
 		kernel  *Kernel
-		mount   *parrot.Mount
 		input   *[]byte    // staged content (stage mode), borrowed
 		file    RemoteFile // open handle (stream mode)
-		output  []byte     // reduced result
+		output  *[]byte    // reduced result, borrowed
 		events  int
 		delayMS = argInt(args, "delay_ms", 0)
 	)
 	// The staged range goes back to the pool as soon as execute has
-	// reduced it, or on the way out if execute never ran.
+	// reduced it, or on the way out if execute never ran; the output
+	// only once the wrapper is done, because stage-out may replay it.
 	releaseInput := func() {
 		bufpool.PutSized(input)
 		input = nil
 	}
 	defer releaseInput()
-	rep := wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
+	defer func() { bufpool.PutSized(output) }()
+	return wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			sleepMS(delayMS)
 			var err error
@@ -196,34 +281,10 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 			if err != nil {
 				return err
 			}
-			// Machine compatibility: the sandbox must be writable.
-			probe := filepath.Join(ctx.Sandbox, ".probe")
-			if err := os.WriteFile(probe, nil, 0o644); err != nil {
-				return fmt.Errorf("sandbox not writable: %w", err)
-			}
-			return os.Remove(probe)
+			return env.probeScratch(ctx)
 		}},
 		wrapper.Step{Segment: wrapper.SegSoftware, Run: func(c *wrapper.StepContext) error {
-			if env.ProxyURL == "" {
-				return nil // software delivery disabled (unit tests)
-			}
-			inst, err := env.Cache.Instance(fmt.Sprintf("task-%d", ctx.Task.ID))
-			if err != nil {
-				return err
-			}
-			mount, err = parrot.NewMount(env.ProxyURL, env.Repo, inst,
-				trace.WrapClient(env.HTTPClient, c.Trace))
-			if err != nil {
-				return err
-			}
-			warm, err := mount.WarmRelease(env.ReleasePath)
-			if err != nil {
-				return err
-			}
-			c.SetMetric("cache_hits", float64(warm.Hits))
-			c.SetMetric("cache_misses", float64(warm.Misses))
-			c.SetMetric("bytes_fetched", float64(warm.BytesFetched))
-			return nil
+			return env.warmSoftware(ctx, c)
 		}},
 		wrapper.Step{Segment: wrapper.SegConditions, Run: func(c *wrapper.StepContext) error {
 			if env.ConditionsTag == "" || env.ProxyURL == "" {
@@ -265,7 +326,8 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 			sleepMS(delayMS)
 			if input != nil {
 				defer releaseInput()
-				output, events = kernel.ProcessAll(*input)
+				output = bufpool.GetSized(kernel.DigestBytes(len(*input)))
+				*output, events = kernel.AppendDigests((*output)[:0], *input)
 			} else {
 				defer file.Close()
 				var err error
@@ -281,23 +343,9 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) (*wrapper.Report, string) {
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			out := args["output"]
-			if out == "" || env.ChirpAddr == "" {
-				// Keep the output in the sandbox only.
-				return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
-			}
-			// PutFile is idempotent, so the pool may replay it freely; the
-			// payload streams through the pooled connection's shared flush.
-			if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
-				return cc.PutFile(out, output)
-			}); err != nil {
-				return err
-			}
-			c.SetMetric("bytes_out", float64(len(output)))
-			return nil
+			return env.stageOut(ctx, c, *output)
 		}},
 	)
-	return rep, args["output"]
 }
 
 // eventRange maps the task's skip_events/max_events args to a byte range
@@ -328,13 +376,13 @@ const chunkEvents = 64
 // processStreaming reads the byte range [lo, hi) in event-aligned chunks,
 // reducing as it goes — I/O and CPU interleave, which is what makes
 // streaming win in the paper's Figure 4.
-func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events int, streamed int64, err error) {
+// The output is borrowed at its final size; the caller returns it.
+func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out *[]byte, events int, streamed int64, err error) {
 	buf := bufpool.GetSized(chunkEvents * k.EventSize)
 	defer bufpool.PutSized(buf)
 	chunk := *buf
-	// The output outlives the segment (stage-out may replay it), so it
-	// is not borrowed but allocated, once, at its final size.
-	out = make([]byte, 0, k.DigestBytes(int(hi-lo)))
+	out = bufpool.GetSized(k.DigestBytes(int(hi - lo)))
+	*out = (*out)[:0]
 	off := lo
 	for off < hi {
 		want := int64(len(chunk))
@@ -343,7 +391,7 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events
 		}
 		n, err := f.ReadAt(chunk[:want], off)
 		if err != nil {
-			return nil, 0, streamed, err
+			return out, 0, streamed, err
 		}
 		if n == 0 {
 			break
@@ -351,7 +399,7 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events
 		streamed += int64(n)
 		off += int64(n)
 		var ne int
-		out, ne = k.AppendDigests(out, chunk[:n])
+		*out, ne = k.AppendDigests(*out, chunk[:n])
 		events += ne
 	}
 	return out, events, streamed, nil
@@ -362,25 +410,41 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out []byte, events
 // element over chirp, and chirp stage-out. External bandwidth demand is
 // orders of magnitude below analysis, matching §6.
 func Simulation(env *Env) wq.Executor {
-	return func(ctx *wq.ExecContext) error {
-		rep := runSimulation(env, ctx)
-		if err := os.WriteFile(filepath.Join(ctx.Sandbox, ReportFile), rep.Encode(), 0o644); err != nil {
-			return fmt.Errorf("writing report: %w", err)
-		}
-		if rep.ExitCode != 0 {
-			return &wq.ExitError{Code: rep.ExitCode, Msg: string(rep.Failed)}
-		}
-		return nil
+	return func(ctx *wq.ExecContext) error { return finish(ctx, runSimulation(env, ctx)) }
+}
+
+// pileupSample returns the pile-up sample at path. One stat tells
+// whether the copy the last task left on the Env is still what the
+// storage element holds; only a changed or first-seen sample is fetched.
+func (e *Env) pileupSample(cc *chirp.Client, path string) ([]byte, error) {
+	info, crc, err := cc.StatCRC(path)
+	if err != nil {
+		return nil, err
 	}
+	e.pileupMu.Lock()
+	held := e.pileup
+	e.pileupMu.Unlock()
+	if held.path == path && held.crc == crc && int64(len(held.data)) == info.Size {
+		return held.data, nil
+	}
+	data, err := cc.GetFile(path)
+	if err != nil {
+		return nil, err
+	}
+	e.pileupMu.Lock()
+	e.pileup = pileupSample{path: path, crc: crc32.ChecksumIEEE(data), data: data}
+	e.pileupMu.Unlock()
+	return data, nil
 }
 
 func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 	args := ctx.Task.Args
 	var (
 		kernel *Kernel
-		pileup []byte
-		output []byte
+		pileup []byte  // shared with other tasks: read only
+		output *[]byte // reduced result, borrowed until the wrapper is done
 	)
+	defer func() { bufpool.PutSized(output) }()
 	return wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			var err error
@@ -388,26 +452,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			return err
 		}},
 		wrapper.Step{Segment: wrapper.SegSoftware, Run: func(c *wrapper.StepContext) error {
-			if env.ProxyURL == "" {
-				return nil
-			}
-			inst, err := env.Cache.Instance(fmt.Sprintf("task-%d", ctx.Task.ID))
-			if err != nil {
-				return err
-			}
-			mount, err := parrot.NewMount(env.ProxyURL, env.Repo, inst,
-				trace.WrapClient(env.HTTPClient, c.Trace))
-			if err != nil {
-				return err
-			}
-			warm, err := mount.WarmRelease(env.ReleasePath)
-			if err != nil {
-				return err
-			}
-			c.SetMetric("cache_hits", float64(warm.Hits))
-			c.SetMetric("cache_misses", float64(warm.Misses))
-			c.SetMetric("bytes_fetched", float64(warm.BytesFetched))
-			return nil
+			return env.warmSoftware(ctx, c)
 		}},
 		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
 			pu := args["pileup"]
@@ -416,7 +461,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			}
 			if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
 				var gerr error
-				pileup, gerr = cc.GetFile(pu)
+				pileup, gerr = env.pileupSample(cc, pu)
 				return gerr
 			}); err != nil {
 				return err
@@ -437,7 +482,8 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			// working set is one borrowed chunk, not its whole sample.
 			buf := bufpool.GetSized(chunkEvents * kernel.EventSize)
 			defer bufpool.PutSized(buf)
-			output = make([]byte, 0, kernel.DigestBytes(n*kernel.EventSize))
+			output = bufpool.GetSized(kernel.DigestBytes(n * kernel.EventSize))
+			*output = (*output)[:0]
 			for first := 0; first < n; first += chunkEvents {
 				signal := (*buf)[:min(chunkEvents, n-first)*kernel.EventSize]
 				kernel.GenerateInto(signal, rng)
@@ -446,23 +492,13 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 						return err
 					}
 				}
-				output, _ = kernel.AppendDigests(output, signal)
+				*output, _ = kernel.AppendDigests(*output, signal)
 			}
 			c.SetMetric("events", float64(n))
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			out := args["output"]
-			if out == "" || env.ChirpAddr == "" {
-				return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
-			}
-			if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
-				return cc.PutFile(out, output)
-			}); err != nil {
-				return err
-			}
-			c.SetMetric("bytes_out", float64(len(output)))
-			return nil
+			return env.stageOut(ctx, c, *output)
 		}},
 	)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -106,6 +104,7 @@ func (f *fakeFile) Close() error { return nil }
 type testServices struct {
 	env       *Env
 	chirpFS   *chirp.LocalFS
+	chirpSrv  *chirp.Server
 	dataSrv   *xrootd.DataServer
 	redir     *xrootd.Redirector
 	dash      *xrootd.Dashboard
@@ -175,7 +174,7 @@ func startServices(t testing.TB) *testServices {
 	// Registered last so it runs first: the env's pooled chirp
 	// connections drop before the storage element shuts down.
 	t.Cleanup(func() { env.Close(); cl.Close() })
-	return &testServices{env: env, chirpFS: fs, dataSrv: ds, redir: red, dash: dash, proxy: proxy, cvmfsRepo: repo}
+	return &testServices{env: env, chirpFS: fs, chirpSrv: se, dataSrv: ds, redir: red, dash: dash, proxy: proxy, cvmfsRepo: repo}
 }
 
 // muxFor routes cvmfs and frontier paths on one origin.
@@ -186,34 +185,36 @@ func muxFor(repo *cvmfs.Repository, cond *frontier.Service) http.Handler {
 	return mux
 }
 
-// readSandboxReport loads the wrapper report a task left in its sandbox.
-func readSandboxReport(sandbox string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(sandbox, ReportFile))
-}
-
 // newFastTimeoutClient returns an HTTP client that gives up quickly, so
 // dead-proxy tests do not stall.
 func newFastTimeoutClient() *http.Client {
 	return &http.Client{Timeout: 500 * time.Millisecond}
 }
 
-func runTask(t testing.TB, exec wq.Executor, task *wq.Task) *wrapper.Report {
-	t.Helper()
-	return runTaskIn(t, t.TempDir(), exec, task)
+// taskFunc is an executor's body: what Analysis and Simulation wrap, with
+// the wrapper report still in hand for the test to read.
+type taskFunc func(*wq.ExecContext) *wrapper.Report
+
+func analysis(env *Env) taskFunc {
+	return func(ctx *wq.ExecContext) *wrapper.Report { return runAnalysis(env, ctx) }
 }
 
-func runTaskIn(t testing.TB, sandbox string, exec wq.Executor, task *wq.Task) *wrapper.Report {
+func simulation(env *Env) taskFunc {
+	return func(ctx *wq.ExecContext) *wrapper.Report { return runSimulation(env, ctx) }
+}
+
+func runTask(t testing.TB, run taskFunc, task *wq.Task) *wrapper.Report {
 	t.Helper()
-	err := exec(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "test"})
-	repData, rerr := readSandboxReport(sandbox)
-	if rerr != nil {
-		t.Fatalf("no report: %v (exec err: %v)", rerr, err)
-	}
-	rep, derr := wrapper.Decode(repData)
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	if (err != nil) != (rep.ExitCode != 0) {
+	return runTaskIn(t, t.TempDir(), run, task)
+}
+
+// runTaskIn runs one task as the executor would, and checks that the
+// error the worker gets agrees with the report the master gets.
+func runTaskIn(t testing.TB, sandbox string, run taskFunc, task *wq.Task) *wrapper.Report {
+	t.Helper()
+	ctx := &wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "test"}
+	rep := run(ctx)
+	if err := finish(ctx, rep); (err != nil) != (rep.ExitCode != 0) {
 		t.Fatalf("exec err %v inconsistent with report %+v", err, rep)
 	}
 	return rep
@@ -226,7 +227,7 @@ func TestAnalysisStreamingEndToEnd(t *testing.T) {
 	data := k.GenerateEvents(50, stats.NewRand(3))
 	svc.redir.Register("/store/data/f0.root", svc.dataSrv.Store("/store/data/f0.root", data))
 
-	exec := Analysis(svc.env)
+	exec := analysis(svc.env)
 	rep := runTask(t, exec, &wq.Task{
 		ID: 1,
 		Args: map[string]string{
@@ -266,7 +267,7 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 	data := k.GenerateEvents(20, stats.NewRand(4))
 	svc.redir.Register("/store/s.root", svc.dataSrv.Store("/store/s.root", data))
 
-	exec := Analysis(svc.env)
+	exec := analysis(svc.env)
 	repStream := runTask(t, exec, &wq.Task{ID: 2, Args: map[string]string{
 		"lfn": "/store/s.root", "mode": "stream", "output": "/out/stream",
 		"event_size": "128"}})
@@ -306,7 +307,7 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 
 func TestAnalysisFailureSegmentAttribution(t *testing.T) {
 	svc := startServices(t)
-	exec := Analysis(svc.env)
+	exec := analysis(svc.env)
 	// Missing LFN → stage_in failure with its code.
 	rep := runTask(t, exec, &wq.Task{ID: 4, Args: map[string]string{
 		"lfn": "/store/does-not-exist.root"}})
@@ -321,7 +322,7 @@ func TestAnalysisSquidOutageIsSoftwareFailure(t *testing.T) {
 	env := svc.env.cloneConfig()
 	env.ProxyURL = "http://127.0.0.1:1" // nothing listens
 	env.HTTPClient = newFastTimeoutClient()
-	exec := Analysis(env)
+	exec := analysis(env)
 	rep := runTask(t, exec, &wq.Task{ID: 5, Args: map[string]string{"lfn": "/x"}})
 	if rep.Failed != wrapper.SegSoftware {
 		t.Fatalf("failed segment = %s", rep.Failed)
@@ -336,7 +337,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 	if err := svc.chirpFS.WriteFile("/pileup/minbias.root", pileup); err != nil {
 		t.Fatal(err)
 	}
-	exec := Simulation(svc.env)
+	exec := simulation(svc.env)
 	rep := runTask(t, exec, &wq.Task{ID: 6, Args: map[string]string{
 		"events": "25", "seed": "7", "pileup": "/pileup/minbias.root",
 		"output": "/out/sim0.root", "event_size": "128",
@@ -370,7 +371,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 
 func TestSimulationRequiresEvents(t *testing.T) {
 	svc := startServices(t)
-	exec := Simulation(svc.env)
+	exec := simulation(svc.env)
 	rep := runTask(t, exec, &wq.Task{ID: 8, Args: map[string]string{}})
 	if rep.Failed != wrapper.SegExecute {
 		t.Fatalf("report = %+v", rep)
@@ -385,7 +386,7 @@ func TestProcessStreamingMatchesProcessAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nWhole != nStream || !bytes.Equal(whole, streamed) {
+	if nWhole != nStream || !bytes.Equal(whole, *streamed) {
 		t.Error("streaming and staged reductions differ")
 	}
 	if bytesIn != int64(len(data)) {
@@ -427,7 +428,7 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	k, _ := NewKernel(128, 1)
 	data := k.GenerateEvents(40, stats.NewRand(21))
 	svc.redir.Register("/store/ranged.root", svc.dataSrv.Store("/store/ranged.root", data))
-	exec := Analysis(svc.env)
+	exec := analysis(svc.env)
 	rep := runTask(t, exec, &wq.Task{ID: 30, Args: map[string]string{
 		"lfn": "/store/ranged.root", "mode": "stream",
 		"skip_events": "10", "max_events": "15",

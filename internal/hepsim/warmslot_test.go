@@ -3,12 +3,15 @@ package hepsim
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/stats"
+	"lobster/internal/telemetry"
 	"lobster/internal/wq"
 )
 
@@ -92,7 +95,7 @@ func TestSimulationChunkedMatchesWhole(t *testing.T) {
 	if err := svc.chirpFS.WriteFile("/pileup/odd.root", pileup); err != nil {
 		t.Fatal(err)
 	}
-	rep := runTask(t, Simulation(svc.env), &wq.Task{ID: 40, Args: map[string]string{
+	rep := runTask(t, simulation(svc.env), &wq.Task{ID: 40, Args: map[string]string{
 		"events": "150", "seed": "5", "pileup": "/pileup/odd.root",
 		"output": "/out/chunked.root", "event_size": "99", "work": "2",
 	}})
@@ -121,7 +124,7 @@ func TestConcurrentTasksMatchSerial(t *testing.T) {
 	const events = 400
 	data := k.GenerateEvents(events, stats.NewRand(31))
 	svc.redir.Register("/store/shared.root", svc.dataSrv.Store("/store/shared.root", data))
-	exec := Analysis(svc.env)
+	exec := analysis(svc.env)
 
 	const slots, rounds = 2, 12
 	var wg sync.WaitGroup
@@ -155,12 +158,143 @@ func TestConcurrentTasksMatchSerial(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPileupSampleKeptAtWorkerScope: the first simulation task downloads
+// the pile-up sample, the tasks after it ask the storage element one
+// stat each and download nothing — until the sample is republished, even
+// at the same size, which the very next task overlays.
+func TestPileupSampleKeptAtWorkerScope(t *testing.T) {
+	svc := startServices(t)
+	k, _ := NewKernel(64, 1)
+	exec := simulation(svc.env)
+	publish := func(seed uint64) []byte {
+		sample := k.GenerateEvents(32, stats.NewRand(seed))
+		if err := svc.chirpFS.WriteFile("/pileup/minbias.root", sample); err != nil {
+			t.Fatal(err)
+		}
+		return sample
+	}
+	// run executes one task and returns what it cost the storage element.
+	run := func(id int64, sample []byte) (requests, bytesOut int64) {
+		t.Helper()
+		before := svc.chirpSrv.Stats()
+		out := fmt.Sprintf("/out/sim-%d", id)
+		rep := runTask(t, exec, &wq.Task{ID: id, Args: map[string]string{
+			"events": "100", "seed": "9", "pileup": "/pileup/minbias.root", "output": out, "event_size": "64",
+		}})
+		if rep.ExitCode != 0 {
+			t.Fatalf("task %d: %+v", id, rep)
+		}
+		signal := k.GenerateEvents(100, stats.NewRand(9))
+		if err := k.OverlayPileup(signal, sample); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := k.ProcessAll(signal)
+		if got, err := svc.chirpFS.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("task %d overlaid another sample than the one published (%v)", id, err)
+		}
+		after := svc.chirpSrv.Stats()
+		return after.Requests - before.Requests, after.BytesOut - before.BytesOut
+	}
+
+	sample := publish(1)
+	if reqs, out := run(1, sample); reqs != 3 || out != int64(len(sample)) {
+		t.Errorf("cold task: %d requests, %d bytes out; want stat+get+put and the %d-byte sample", reqs, out, len(sample))
+	}
+	for id := int64(2); id <= 4; id++ {
+		if reqs, out := run(id, sample); reqs != 2 || out != 0 {
+			t.Errorf("hot task %d: %d requests, %d bytes out; want stat+put and no payload", id, reqs, out)
+		}
+	}
+	sample = publish(2) // same path, same size, other content
+	if reqs, out := run(5, sample); reqs != 3 || out != int64(len(sample)) {
+		t.Errorf("task after a republish: %d requests, %d bytes out; want the new sample fetched once", reqs, out)
+	}
+	if reqs, out := run(6, sample); reqs != 2 || out != 0 {
+		t.Errorf("task after the refetch: %d requests, %d bytes out; want stat+put", reqs, out)
+	}
+}
+
+// TestHotAnalysisTaskTouchesNoFiles: with chirp stage-out, the second
+// task of a worker process asks for no sandbox and probes no directory;
+// its report exists only in memory. Without a storage element the output
+// has to be a sandbox file, and the executor asks for the sandbox itself.
+func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
+	svc := startServices(t)
+	k, _ := NewKernel(128, 1)
+	data := k.GenerateEvents(16, stats.NewRand(4))
+	svc.redir.Register("/store/f.root", svc.dataSrv.Store("/store/f.root", data))
+	scratch := t.TempDir()
+	exec := Analysis(svc.env)
+	run := func(env *Env, id int64, output string) string {
+		t.Helper()
+		sandbox := filepath.Join(scratch, fmt.Sprintf("task-%d", id)) // as a worker names it; never created
+		ctx := &wq.ExecContext{Task: &wq.Task{ID: id, Args: map[string]string{
+			"lfn": "/store/f.root", "event_size": "128", "output": output,
+		}}, Sandbox: sandbox}
+		if err := exec(ctx); err != nil {
+			t.Fatalf("task %d: %v", id, err)
+		}
+		return sandbox
+	}
+	run(svc.env, 1, "/out/a") // pays the probe
+	before := wq.FilesCreated()
+	for id := int64(2); id <= 5; id++ {
+		run(svc.env, id, fmt.Sprintf("/out/%d", id))
+	}
+	if n := wq.FilesCreated() - before; n != 0 {
+		t.Errorf("four hot tasks asked for %d sandboxes, want 0", n)
+	}
+	if entries, _ := os.ReadDir(scratch); len(entries) != 0 {
+		t.Errorf("scratch directory holds %d entries after tasks that stage out over chirp", len(entries))
+	}
+
+	local := svc.env.cloneConfig()
+	local.ChirpAddr = ""
+	exec = Analysis(local)
+	sandbox := run(local, 6, "")
+	if _, err := os.Stat(filepath.Join(sandbox, "output.root")); err != nil {
+		t.Errorf("no storage element: output not left in the sandbox: %v", err)
+	}
+	if n := wq.FilesCreated() - before; n != 1 {
+		t.Errorf("the no-chirp stage-out counted %d sandbox requests, want 1", n)
+	}
+}
+
+// TestScratchProbeRemembersOnlySuccess: a probe that fails is run again
+// by the next task; one that has passed is not.
+func TestScratchProbeRemembersOnlySuccess(t *testing.T) {
+	env := &Env{}
+	dir := filepath.Join(t.TempDir(), "worker")
+	ctx := &wq.ExecContext{Sandbox: filepath.Join(dir, "task-1")}
+	if env.probeScratch(ctx) == nil {
+		t.Fatal("probe passed in a directory that does not exist")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.probeScratch(ctx); err != nil {
+		t.Fatalf("probe after the directory came back: %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("probe left %d entries behind", len(entries))
+	}
+	os.Remove(dir)
+	if err := env.probeScratch(ctx); err != nil {
+		t.Errorf("a probe that had passed ran again: %v", err)
+	}
+}
+
 // hotTask measures one task on a slot whose earlier tasks already paid
 // for the release, the catalogs, the connections and the buffers. B/op
 // and allocs/op are pinned in BENCH_dataplane.json: per-task garbage
-// that comes back fails `make bench-guard`.
+// that comes back fails `make bench-guard`. So do files/op and
+// manifest-fetches/op, both pinned at zero: a hot task asks for no
+// sandbox and rides the manifest lease.
 func hotTask(b *testing.B, exec func(*Env) wq.Executor, args map[string]string) {
 	svc := startServices(b)
+	reg := telemetry.NewRegistry()
+	svc.env.Cache.Instrument(reg)
+	fetched := reg.CounterVec("lobster_parrot_manifest_total", "", "outcome").With("fetched")
 	k, _ := NewKernel(1024, 1)
 	data := k.GenerateEvents(4096, stats.NewRand(3)) // 4 MiB
 	svc.redir.Register("/store/hot.root", svc.dataSrv.Store("/store/hot.root", data))
@@ -171,12 +305,13 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args map[string]string) 
 	task := &wq.Task{ID: 1, Args: args}
 	args["event_size"], args["output"] = "1024", "/out/hot"
 	for i := 0; i < 3; i++ { // cold start, then fill the caches and the sized pools
-		if rep := runTaskIn(b, sandbox, run, task); rep.ExitCode != 0 {
-			b.Fatalf("warm-up task failed: %+v", rep)
+		if err := run(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "bench"}); err != nil {
+			b.Fatalf("warm-up task failed: %v", err)
 		}
 	}
 	bufpool.Warm(4)
 	warmSized(4<<20, chunkEvents*1024)
+	files0, fetched0 := wq.FilesCreated(), fetched.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,6 +319,8 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args map[string]string) 
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(wq.FilesCreated()-files0)/float64(b.N), "files/op")
+	b.ReportMetric(float64(fetched.Value()-fetched0)/float64(b.N), "manifest-fetches/op")
 }
 
 // warmSized does for the sized classes what bufpool.Warm does for the

@@ -75,13 +75,33 @@ type Cache struct {
 	// instances from seeing each other's downloads. A full memo forgets
 	// an arbitrary entry (one re-parse of an object still on disk).
 	memoMu            sync.Mutex
-	memo              map[memoKey]*cvmfs.Catalog
+	memo              map[memoKey]*hotCatalog
 	memoHit, memoMiss *telemetry.Counter
+
+	// leases holds the root hash each (proxy list, repository) last
+	// published, for manifestTTL: the manifest is the one mutable
+	// resource, so without a lease every mount is an origin round trip.
+	leaseMu                       sync.Mutex
+	leases                        map[leaseKey]lease
+	now                           func() time.Time // tests step the clock
+	manifestLeased, manifestFetch *telemetry.Counter
 }
 
 type memoKey struct{ dir, hash string }
 
 const memoMax = 1024
+
+type leaseKey struct{ proxies, repo string }
+
+type lease struct {
+	root    string
+	fetched time.Time
+}
+
+// manifestTTL is how long a fetched manifest answers later mounts: the
+// real CVMFS client's default, and like there not a knob — a republished
+// revision is seen by new jobs at most this much later.
+const manifestTTL = 240 * time.Second
 
 type population struct {
 	done chan struct{}
@@ -94,17 +114,43 @@ func NewCache(dir string, mode Mode) (*Cache, error) {
 		return nil, fmt.Errorf("parrot: creating cache dir: %w", err)
 	}
 	return &Cache{dir: dir, mode: mode, inflight: make(map[string]*population),
-		memo: make(map[memoKey]*cvmfs.Catalog)}, nil
+		memo: make(map[memoKey]*hotCatalog), leases: make(map[leaseKey]lease), now: time.Now}, nil
 }
 
 // Instrument counts catalog-memo lookups on reg as
-// lobster_parrot_catalog_memo_total{outcome="hit|miss"}. Call before
+// lobster_parrot_catalog_memo_total{outcome="hit|miss"} and mounts as
+// lobster_parrot_manifest_total{outcome="leased|fetched"}. Call before
 // use; a nil registry leaves the cache uninstrumented at zero cost.
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	vec := reg.CounterVec("lobster_parrot_catalog_memo_total",
 		"Catalog lookups answered from the decoded-catalog memo (hit) or by reading and parsing the object (miss).",
 		"outcome")
 	c.memoHit, c.memoMiss = vec.With("hit"), vec.With("miss")
+	vec = reg.CounterVec("lobster_parrot_manifest_total",
+		"Mounts whose root hash came from the manifest lease (leased) or from a GET of .cvmfspublished (fetched).",
+		"outcome")
+	c.manifestLeased, c.manifestFetch = vec.With("leased"), vec.With("fetched")
+}
+
+// leasedRoot returns the root hash key's manifest named, while the lease
+// is younger than manifestTTL.
+func (c *Cache) leasedRoot(key leaseKey) (string, bool) {
+	c.leaseMu.Lock()
+	l, ok := c.leases[key]
+	c.leaseMu.Unlock()
+	if !ok || c.now().Sub(l.fetched) >= manifestTTL {
+		return "", false
+	}
+	c.manifestLeased.Inc()
+	return l.root, true
+}
+
+// grantLease records a manifest fetched just now.
+func (c *Cache) grantLease(key leaseKey, root string) {
+	c.manifestFetch.Inc()
+	c.leaseMu.Lock()
+	c.leases[key] = lease{root: root, fetched: c.now()}
+	c.leaseMu.Unlock()
 }
 
 // Mode returns the cache's sharing mode.
@@ -158,11 +204,11 @@ func (i *Instance) readIfPresent(hash string) []byte {
 	return data
 }
 
-// scanIfPresent reads the cached object end to end through a pooled
+// scanPath reads the cached object at path end to end through a pooled
 // chunk, as a job touching a release file does, and returns its size: a
 // hit that keeps no bytes allocates no buffer.
-func (i *Instance) scanIfPresent(hash string) (size int64, ok bool) {
-	f, err := os.Open(i.objectPath(hash))
+func (i *Instance) scanPath(path string) (size int64, ok bool) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, false
 	}
@@ -182,16 +228,24 @@ func (i *Instance) scanIfPresent(hash string) (size int64, ok bool) {
 	}
 }
 
+// hotCatalog is a decoded catalog with the cache paths a hot walk opens,
+// joined once when the catalog is remembered instead of once per task.
+type hotCatalog struct {
+	*cvmfs.Catalog
+	path  string   // the catalog object itself
+	paths []string // paths[n] holds Entries[n]'s object
+}
+
 // memoCatalog returns the decoded catalog remembered for hash, counting
 // a cache hit, or nil. The memo only answers for an object still on
 // disk: a wiped cache directory is cold again, whatever memory holds.
-func (i *Instance) memoCatalog(hash string) *cvmfs.Catalog {
+func (i *Instance) memoCatalog(hash string) *hotCatalog {
 	c := i.cache
 	c.memoMu.Lock()
 	cat := c.memo[memoKey{i.dir, hash}]
 	c.memoMu.Unlock()
 	if cat != nil {
-		if _, err := os.Stat(i.objectPath(hash)); err == nil {
+		if _, err := os.Stat(cat.path); err == nil {
 			i.stats.Hits++
 			c.memoHit.Inc()
 			return cat
@@ -203,7 +257,11 @@ func (i *Instance) memoCatalog(hash string) *cvmfs.Catalog {
 
 // rememberCatalog memoises the catalog decoded from the object at hash.
 // Remembered catalogs are shared between tasks and must not be modified.
-func (i *Instance) rememberCatalog(hash string, cat *cvmfs.Catalog) {
+func (i *Instance) rememberCatalog(hash string, cat *cvmfs.Catalog) *hotCatalog {
+	hot := &hotCatalog{Catalog: cat, path: i.objectPath(hash), paths: make([]string, len(cat.Entries))}
+	for n, e := range cat.Entries {
+		hot.paths[n] = i.objectPath(e.Hash)
+	}
 	c := i.cache
 	c.memoMu.Lock()
 	defer c.memoMu.Unlock()
@@ -213,7 +271,8 @@ func (i *Instance) rememberCatalog(hash string, cat *cvmfs.Catalog) {
 			break
 		}
 	}
-	c.memo[memoKey{i.dir, hash}] = cat
+	c.memo[memoKey{i.dir, hash}] = hot
+	return hot
 }
 
 // writeObject installs data atomically (temp + rename) so concurrent readers

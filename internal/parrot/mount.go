@@ -49,6 +49,14 @@ func NewMountFailover(bases []string, repo string, inst *Instance, client *http.
 		trimmed[i] = strings.TrimRight(b, "/")
 	}
 	m := &Mount{bases: trimmed, repo: repo, client: client, inst: inst}
+	// Mounts of one worker process share the manifest for its TTL, as the
+	// tasks of a node share one CVMFS client's; the objects it names are
+	// still looked up on disk, so a wiped cache directory stays cold.
+	key := leaseKey{strings.Join(trimmed, " "), repo}
+	if root, ok := inst.cache.leasedRoot(key); ok {
+		m.rootHash = root
+		return m, nil
+	}
 	body, err := m.fetch("/cvmfs/" + repo + "/.cvmfspublished")
 	if err != nil {
 		return nil, fmt.Errorf("parrot: fetching manifest: %w", err)
@@ -61,6 +69,7 @@ func NewMountFailover(bases []string, repo string, inst *Instance, client *http.
 		return nil, fmt.Errorf("parrot: manifest has empty root")
 	}
 	m.rootHash = pub.Root
+	inst.cache.grantLease(key, pub.Root)
 	return m, nil
 }
 
@@ -111,7 +120,7 @@ func (m *Mount) object(hash string) ([]byte, error) {
 // catalog returns the decoded catalog object, parsing it at most once
 // per process while it stays in the cache. The result is shared: callers
 // must not modify it.
-func (m *Mount) catalog(hash string) (*cvmfs.Catalog, error) {
+func (m *Mount) catalog(hash string) (*hotCatalog, error) {
 	if cat := m.inst.memoCatalog(hash); cat != nil {
 		return cat, nil
 	}
@@ -123,8 +132,7 @@ func (m *Mount) catalog(hash string) (*cvmfs.Catalog, error) {
 	if err := json.Unmarshal(data, &cat); err != nil {
 		return nil, fmt.Errorf("parrot: corrupt catalog %s: %w", hash, err)
 	}
-	m.inst.rememberCatalog(hash, &cat)
-	return &cat, nil
+	return m.inst.rememberCatalog(hash, &cat), nil
 }
 
 // resolve walks the catalogs from the pinned root to path.
@@ -231,12 +239,12 @@ func (m *Mount) warm(hash string, rep *SetupReport) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range cat.Entries {
+	for i, e := range cat.Entries {
 		switch e.Type {
 		case cvmfs.TypeFile:
 			// A hit is read through without keeping its bytes; only a
 			// miss materialises the content.
-			n, hit := m.inst.scanIfPresent(e.Hash)
+			n, hit := m.inst.scanPath(cat.paths[i])
 			if !hit {
 				data, err := m.object(e.Hash)
 				if err != nil {

@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"lobster/internal/trace"
@@ -136,15 +138,82 @@ type ExecContext struct {
 	Trace trace.Context
 	// Tracer records executor-internal spans; nil when tracing is off.
 	Tracer *trace.Tracer
+
+	// held is what the executor leaves for the worker. The worker
+	// allocates it, so a copy of the context (a shim re-tagging Trace)
+	// still writes where the worker reads.
+	held *heldState
+}
+
+// heldState is one task's hand-over from executor to worker.
+type heldState struct {
+	outputs []FileSpec // declared outputs handed over in memory
+	sandbox bool       // the sandbox directory was created
 }
 
 // EnsureSandbox creates the sandbox directory on demand. Workers create
-// sandboxes lazily — a task with no declared inputs or outputs never
-// touches the filesystem on the hot path — so an executor that writes
-// scratch files without declaring them must call this first.
+// sandboxes lazily — a task that stages no input files never touches the
+// filesystem on the hot path — so an executor that writes files into the
+// sandbox must call this first.
 func (c *ExecContext) EnsureSandbox() error {
-	return os.MkdirAll(c.Sandbox, 0o755)
+	h := c.hold()
+	if h.sandbox {
+		return nil // the worker, or an earlier call, made and counted it
+	}
+	if err := os.MkdirAll(c.Sandbox, 0o755); err != nil {
+		return err
+	}
+	filesCreated.Add(1)
+	h.sandbox = true
+	return nil
 }
+
+// hold returns the hand-over state, making one when the context was built
+// outside a worker (tests, benchmarks).
+func (c *ExecContext) hold() *heldState {
+	if c.held == nil {
+		c.held = &heldState{}
+	}
+	return c.held
+}
+
+// SetOutput hands the declared output name over in memory: the worker
+// returns data to the master, whether the task then succeeds or fails,
+// without the file ever existing in the sandbox. data must not be
+// modified afterwards. Call it from the executor's own goroutine.
+func (c *ExecContext) SetOutput(name string, data []byte) {
+	h := c.hold()
+	h.outputs = append(h.outputs, FileSpec{Name: name, Data: data})
+}
+
+// collect returns a declared output: what the executor handed over in
+// memory, else the sandbox file.
+func (h *heldState) collect(sandbox, name string) ([]byte, error) {
+	if data, ok := h.output(name); ok {
+		return data, nil
+	}
+	return os.ReadFile(filepath.Join(sandbox, filepath.FromSlash(name)))
+}
+
+func (h *heldState) output(name string) ([]byte, bool) {
+	if h != nil {
+		for _, f := range h.outputs {
+			if f.Name == name {
+				return f.Data, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// filesCreated counts the sandbox directories and files this process's
+// workers and executors made: the per-task file-system cost that the hot
+// path is pinned to keep at zero (BENCH_dataplane.json, files/op).
+var filesCreated atomic.Int64
+
+// FilesCreated returns the process-wide count of sandbox mkdirs
+// (EnsureSandbox included) and staged input files.
+func FilesCreated() int64 { return filesCreated.Load() }
 
 // Executor is the function a task runs on a worker. A non-nil error marks
 // the task failed with exit code 1 unless the error is an *ExitError.

@@ -424,18 +424,24 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 	if decodeErr != nil {
 		return fail(170, "stage-in: %v", decodeErr)
 	}
-	// The sandbox is created lazily: a task that declares no files never
-	// touches the filesystem here — profiling showed sandbox mkdir/rmdir
-	// dominating the per-task syscall budget for file-less tasks.
-	// Executors that write undeclared scratch call ctx.EnsureSandbox.
-	// RemoveAll on a never-created sandbox is one cheap lstat.
+	// The sandbox is created lazily: a task that stages no input files
+	// never touches the filesystem here — profiling showed sandbox
+	// mkdir/rmdir dominating the per-task syscall budget for file-less
+	// tasks. Executors that write into it call ctx.EnsureSandbox; declared
+	// outputs handed over with ctx.SetOutput need no sandbox at all.
 	sandbox := filepath.Join(w.dir, fmt.Sprintf("task-%d", t.ID))
-	if len(t.Inputs) > 0 || len(t.Outputs) > 0 {
+	held := &heldState{sandbox: len(t.Inputs) > 0}
+	if held.sandbox {
+		filesCreated.Add(1 + int64(len(t.Inputs)))
 		if err := os.MkdirAll(sandbox, 0o755); err != nil {
 			return fail(170, "stage-in: creating sandbox: %v", err)
 		}
 	}
-	defer os.RemoveAll(sandbox)
+	defer func() {
+		if held.sandbox {
+			os.RemoveAll(sandbox)
+		}
+	}()
 	// Files land in parallel under a bounded group: a multi-input task
 	// overlaps its sandbox writes instead of paying them end to end.
 	// Each file is staged under the retry policy with the fault hook
@@ -485,7 +491,7 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 		}()
 		return exec(&ExecContext{
 			Task: t, Sandbox: sandbox, WorkerName: w.name,
-			Trace: execTrace, Tracer: tracer,
+			Trace: execTrace, Tracer: tracer, held: held,
 		})
 	}()
 	res.Stats.Exec = time.Since(execStart)
@@ -495,7 +501,7 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 		// as the wrapper report must reach the master even when the task
 		// fails ("a record of ... each segment is returned back").
 		for _, name := range t.Outputs {
-			data, rerr := os.ReadFile(filepath.Join(sandbox, filepath.FromSlash(name)))
+			data, rerr := held.collect(sandbox, name)
 			if rerr == nil {
 				res.Outputs = append(res.Outputs, FileSpec{Name: name, Data: data})
 				res.Stats.BytesOut += int64(len(data))
@@ -519,7 +525,7 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 			if err := w.fault.Check("wq_worker", "stage_out"); err != nil {
 				return err
 			}
-			data, rerr := os.ReadFile(filepath.Join(sandbox, filepath.FromSlash(name)))
+			data, rerr := held.collect(sandbox, name)
 			if rerr != nil {
 				// A declared output that never appeared will not appear on
 				// a retry either — the executor has already finished.

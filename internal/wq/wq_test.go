@@ -15,8 +15,8 @@ import (
 func testRegistry() Registry {
 	return Registry{
 		"echo": func(ctx *ExecContext) error {
-			out := ctx.Task.Args["text"]
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "out.txt"), []byte(out), 0o644)
+			ctx.SetOutput("out.txt", []byte(ctx.Task.Args["text"]))
+			return nil
 		},
 		"cat": func(ctx *ExecContext) error {
 			var buf bytes.Buffer
@@ -206,6 +206,89 @@ func TestMissingDeclaredOutput(t *testing.T) {
 	r, ok := m.WaitResult(10 * time.Second)
 	if !ok || r.ExitCode != 171 {
 		t.Fatalf("result = %+v", r)
+	}
+}
+
+// TestSetOutputInMemory: an output handed over with SetOutput reaches
+// the master without a sandbox ever existing — through a copy of the
+// context (a tracing shim re-tagging it), on the failure path too, and
+// ahead of a sandbox file of the same name; an output nobody set still
+// comes from the sandbox.
+func TestSetOutputInMemory(t *testing.T) {
+	m := newMaster(t)
+	dir := t.TempDir()
+	inner := func(ctx *ExecContext) error {
+		ctx.SetOutput("report.json", []byte("from memory"))
+		switch ctx.Task.Args["mode"] {
+		case "fail":
+			return &ExitError{Code: 42, Msg: "after the report"}
+		case "file":
+			for i := 0; i < 2; i++ { // the second call finds it made
+				if err := ctx.EnsureSandbox(); err != nil {
+					return err
+				}
+			}
+			for _, name := range []string{"report.json", "side.txt"} {
+				if err := os.WriteFile(filepath.Join(ctx.Sandbox, name), []byte("from disk"), 0o644); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	w, err := NewWorker(m.Addr(), "w0", 1, dir, Registry{"shim": func(ctx *ExecContext) error {
+		retagged := *ctx
+		retagged.WorkerName = "shim"
+		return inner(&retagged)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	run := func(mode string, outputs ...string) *Result {
+		t.Helper()
+		m.Submit(&Task{Func: "shim", Args: map[string]string{"mode": mode}, Outputs: outputs})
+		r, ok := m.WaitResult(10 * time.Second)
+		if !ok {
+			t.Fatal("no result")
+		}
+		return r
+	}
+
+	before := FilesCreated()
+	if r := run("ok", "report.json"); r.Failed() || len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
+		t.Errorf("success path: %+v", r)
+	}
+	if r := run("fail", "report.json"); r.ExitCode != 42 || len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
+		t.Errorf("failure path lost the in-memory output: %+v", r)
+	}
+	if n := FilesCreated() - before; n != 0 {
+		t.Errorf("two tasks declaring only outputs created %d files and directories, want 0", n)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("worker dir holds %d entries after tasks that never asked for a sandbox", len(entries))
+	}
+
+	r := run("file", "report.json", "side.txt")
+	if r.Failed() || len(r.Outputs) != 2 || string(r.Outputs[0].Data) != "from memory" || string(r.Outputs[1].Data) != "from disk" {
+		t.Errorf("memory-first, file-fallback collection: %+v", r)
+	}
+	if n := FilesCreated() - before; n != 1 {
+		t.Errorf("EnsureSandbox counted %d, want 1", n)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("sandbox the executor asked for was not removed: %d entries left", len(entries))
+	}
+
+	// A sandbox the worker made for a staged input is not counted again.
+	before = FilesCreated()
+	m.Submit(&Task{Func: "shim", Args: map[string]string{"mode": "file"},
+		Inputs: []FileSpec{{Name: "in.txt", Data: []byte("x")}}, Outputs: []string{"side.txt"}})
+	if r, ok := m.WaitResult(10 * time.Second); !ok || r.Failed() {
+		t.Fatalf("task with a staged input: %+v", r)
+	}
+	if n := FilesCreated() - before; n != 2 {
+		t.Errorf("sandbox + one staged input counted %d, want 2", n)
 	}
 }
 
