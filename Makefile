@@ -4,16 +4,26 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check fmt vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard bench-e2e
+.PHONY: all check fmt copy-lint vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard bench-e2e
 
 all: check
 
-check: fmt vet build test race flake chaos chaos-ha fuzz bench-guard
+check: fmt copy-lint vet build test race flake chaos chaos-ha fuzz bench-guard
 
 # gofmt drift fails the build; .bench_build/ is the benchmark's scratch
 # (it holds a Go build cache, not our sources).
 fmt:
 	@out="$$(gofmt -l . | grep -v '^\.bench_build/')"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# The data-plane packages copy through bufpool.Copy / CopyN, never the
+# stdlib's io.Copy family: handed a source the kernel cannot splice,
+# (*os.File).ReadFrom and (*net.TCPConn).ReadFrom ignore the caller's buffer
+# and allocate 32 KiB per call (DESIGN.md section 17, third turn). Draining
+# a body into io.Discard is the one raw call allowed.
+COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
+copy-lint:
+	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
+	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -1,47 +1,34 @@
-// Package bufpool provides the shared chunk-buffer pool behind the
-// streaming data plane. Every byte-moving path in the repo — chirp
-// get/put, xrootd fetches, squid miss streaming, HDFS block shuttling —
-// copies through these pooled chunks instead of allocating a
-// payload-sized buffer per transfer, so a 10k-core stage-out wave costs
-// a bounded, reusable working set instead of gigabytes of garbage.
+// Package bufpool provides the shared buffer pool behind the streaming
+// data plane. Every byte-moving path in the repo — chirp get/put, xrootd
+// fetches, squid miss streaming, HDFS block shuttling — copies through
+// these pooled buffers instead of allocating a payload-sized buffer per
+// transfer, so a 10k-core stage-out wave costs a bounded, reusable
+// working set instead of gigabytes of garbage.
 //
-// The chunk size (1 MiB) is chosen for the transfer paths this repo
-// cares about: large enough that syscall and bufio overhead amortises
-// to noise on multi-MiB physics files, small enough that a pool shared
-// by a few dozen concurrent transfers stays tens of MiB.
+// One pool per power-of-two capacity from 4 KiB to 64 MiB, indexed by its
+// log2. The transfer chunk (Get/Put, Copy/CopyN) is the 1 MiB class:
+// large enough that syscall and bufio overhead amortises to noise on
+// multi-MiB physics files, small enough that a pool shared by a few dozen
+// concurrent transfers stays tens of MiB.
 package bufpool
 
 import (
 	"io"
 	"math/bits"
+	"net"
+	"os"
 	"runtime"
 	"sync"
 )
 
-// ChunkSize is the size of every pooled buffer.
+// ChunkSize is the size of the transfer chunk Get returns.
 const ChunkSize = 1 << 20
 
-var pool = sync.Pool{
-	New: func() any {
-		b := make([]byte, ChunkSize)
-		return &b
-	},
-}
+// Get borrows a transfer chunk: GetSized(ChunkSize).
+func Get() *[]byte { return GetSized(ChunkSize) }
 
-// Get borrows a chunk. The contents are arbitrary; the caller must not
-// assume zeroing. Return it with Put.
-func Get() *[]byte {
-	return pool.Get().(*[]byte)
-}
-
-// Put returns a chunk to the pool. Only buffers obtained from Get may
-// be returned; foreign or resized buffers are dropped.
-func Put(b *[]byte) {
-	if b == nil || len(*b) != ChunkSize {
-		return
-	}
-	pool.Put(b)
-}
+// Put returns a chunk; it is PutSized under the name Get's callers expect.
+func Put(b *[]byte) { PutSized(b) }
 
 // Warm fills the pool so that n concurrent Gets on any Ps are hits. It
 // allocates one chunk more per P than n because a chunk parked in one
@@ -60,13 +47,32 @@ func Warm(n int) {
 }
 
 // Sized buffers serve working sets whose size the task decides — a
-// stream chunk of 64 events, a staged byte range: one sync.Pool per
-// power-of-two capacity from 4 KiB to 64 MiB, indexed by its log2, so a
-// slot's second task borrows what its first gave back and the collector
-// can still reclaim an idle class.
+// stream chunk of 64 events, a staged byte range — so a slot's second
+// task borrows what its first gave back and the collector can still
+// reclaim an idle class.
 const minSizedShift, maxSizedShift = 12, 26
 
 var sized [maxSizedShift + 1]sync.Pool
+
+// The classes from 64 KiB to 4 MiB also keep a reserve the collector
+// cannot drop: sync.Pool loses everything it holds every second GC, and
+// for these classes one refill is a payload-sized allocation per
+// transfer. The bound is a constant, not a knob — at most reserveBytes
+// or reserveDepth buffers per class, 31.5 MiB over all seven once every
+// class has been in use at that depth — because what it has to cover is
+// the handful of transfers one process has in flight, not a workload.
+const (
+	minReserveShift, maxReserveShift = 16, 22
+	reserveBytes, reserveDepth       = 8 << 20, 8
+)
+
+var reserve [maxSizedShift + 1]chan *[]byte
+
+func init() {
+	for s := minReserveShift; s <= maxReserveShift; s++ {
+		reserve[s] = make(chan *[]byte, min(reserveDepth, reserveBytes>>s))
+	}
+}
 
 // sizedShift is log2 of the smallest class capacity holding n bytes.
 func sizedShift(n int) int {
@@ -82,12 +88,18 @@ func GetSized(n int) *[]byte {
 		b := make([]byte, n)
 		return &b
 	}
-	if b, ok := sized[s].Get().(*[]byte); ok {
-		*b = (*b)[:n]
-		return b
+	var b *[]byte
+	select {
+	case b = <-reserve[s]: // nil outside the reserved classes: never ready
+	default:
+		b, _ = sized[s].Get().(*[]byte)
 	}
-	b := make([]byte, n, 1<<s)
-	return &b
+	if b == nil {
+		fresh := make([]byte, n, 1<<s)
+		return &fresh
+	}
+	*b = (*b)[:n]
+	return b
 }
 
 // PutSized returns a GetSized buffer to its class; nil and buffers whose
@@ -96,32 +108,75 @@ func PutSized(b *[]byte) {
 	if b == nil {
 		return
 	}
-	if s := sizedShift(cap(*b)); s <= maxSizedShift && cap(*b) == 1<<s {
+	s := sizedShift(cap(*b))
+	if s > maxSizedShift || cap(*b) != 1<<s {
+		return
+	}
+	select {
+	case reserve[s] <- b:
+	default:
 		sized[s].Put(b)
 	}
 }
 
-// Copy is io.Copy through a pooled chunk. When dst implements
-// io.ReaderFrom or src implements io.WriterTo the stdlib fast paths
-// (including sendfile/splice kernel offload between files and sockets)
-// still apply — the pooled buffer is only touched on the fallback path.
-func Copy(dst io.Writer, src io.Reader) (int64, error) {
-	buf := Get()
-	defer Put(buf)
-	return io.CopyBuffer(dst, src, *buf)
+// kernelSource reports whether the kernel can move src's bytes without a
+// user-space buffer: a file or a stream socket, bare or inside the
+// LimitedReader the stdlib's splice and sendfile paths unwrap.
+func kernelSource(src io.Reader) bool {
+	if lr, ok := src.(*io.LimitedReader); ok {
+		src = lr.R
+	}
+	switch src.(type) {
+	case *os.File, *net.TCPConn, *net.UnixConn:
+		return true
+	}
+	return false
 }
 
-// CopyN copies exactly n bytes from src to dst through a pooled chunk,
-// with io.CopyN semantics: it returns io.EOF if src drains early. Like
-// Copy, kernel offload applies when the endpoints support it (the
-// stdlib unwraps the internal LimitedReader for sendfile and splice).
+// Copy copies src to dst until EOF and never lets the stdlib pick the
+// buffer. The decision is made up front: a kernelSource goes to dst's
+// ReadFrom (splice, sendfile, copy_file_range; a bufio.Writer forwards
+// it once its own buffer has drained); anything else is read and written
+// through one pooled chunk with dst's ReaderFrom and src's WriterTo left
+// uncalled. io.CopyBuffer cannot promise that: it hands the pair to
+// (*os.File).ReadFrom or (*net.TCPConn).ReadFrom whatever the source, and
+// their generic fallback ignores the buffer it was given and allocates
+// 32 KiB per call. What is left of that is a kernel path refused at run
+// time (an O_APPEND destination), where the stdlib still falls back.
+func Copy(dst io.Writer, src io.Reader) (n int64, err error) {
+	if rf, ok := dst.(io.ReaderFrom); ok && kernelSource(src) {
+		return rf.ReadFrom(src)
+	}
+	buf := Get()
+	defer Put(buf)
+	for {
+		nr, rerr := src.Read(*buf)
+		if nr > 0 {
+			nw, werr := dst.Write((*buf)[:nr])
+			n += int64(nw)
+			if werr == nil && nw < nr {
+				werr = io.ErrShortWrite
+			}
+			if werr != nil {
+				return n, werr
+			}
+		}
+		if rerr != nil {
+			if rerr == io.EOF {
+				rerr = nil
+			}
+			return n, rerr
+		}
+	}
+}
+
+// CopyN copies exactly n bytes from src to dst the way Copy does, with
+// io.CopyN semantics: it returns io.EOF if src drains early.
 func CopyN(dst io.Writer, src io.Reader, n int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	buf := Get()
-	defer Put(buf)
-	written, err := io.CopyBuffer(dst, io.LimitReader(src, n), *buf)
+	written, err := Copy(dst, &io.LimitedReader{R: src, N: n})
 	if written == n {
 		return n, nil
 	}

@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"path"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +267,65 @@ func TestCleanPath(t *testing.T) {
 	for _, p := range bad {
 		if cp, err := CleanPath(p); err == nil {
 			t.Errorf("CleanPath(%q) accepted as %q", p, cp)
+		}
+	}
+}
+
+// cleanPathBySplitting is CleanPath as it was before the scan replaced
+// strings.Split: the reference the allocation-free version is pinned
+// against, as LocalFS.resolve is against the filepath.Join it replaced.
+func cleanPathBySplitting(p string) (string, bool) {
+	if !strings.HasPrefix(p, "/") {
+		return "", false
+	}
+	for _, part := range strings.Split(p, "/") {
+		if part == ".." {
+			return "", false
+		}
+	}
+	return path.Clean(p), true
+}
+
+func TestCleanPathMatchesSplitting(t *testing.T) {
+	fs, err := NewLocalFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{
+		"/", "//", "///", "/a", "/a/", "/a//b", "//a/b//", "/a/./b", "/./", "/.", "/a/.",
+		"/..", "/../", "/../a", "/a/..", "/a/../", "/a/../b", "/a/b/../../c", "//..", "/..//",
+		"/...", "/.../", "/a/...", "/..a", "/a..", "/a../b", "/a/..b", "/a/b..", "/..a/..", "/.../..",
+		"/a.b/c..d/..e", "/. ./x", "/.. /x", "/\x00..", "/store/user/run-1/out_17.root",
+		"", ".", "..", "a", "a/b", "./a", "../a", "a/..", " /a",
+	} {
+		want, wantOK := cleanPathBySplitting(p)
+		got, err := CleanPath(p)
+		if (err == nil) != wantOK || got != want {
+			t.Errorf("CleanPath(%q) = %q, %v; splitting gives %q, ok %v", p, got, err, want, wantOK)
+		}
+		if !wantOK {
+			continue
+		}
+		resolved, err := fs.resolve(p)
+		if joined := filepath.Join(fs.root, filepath.FromSlash(want)); err != nil || resolved != joined {
+			t.Errorf("resolve(%q) = %q, %v; Join gives %q", p, resolved, err, joined)
+		}
+	}
+}
+
+// TestNextFieldMatchesFields pins the in-place command-line cut against
+// strings.Fields, Unicode spaces included.
+func TestNextFieldMatchesFields(t *testing.T) {
+	for _, line := range []string{
+		"", " ", "getfile /a", "  putfile   /a\t12  ", "stat /a crc", "a b c d e",
+		"ls\u00a0/x", "x\u2003y\u0085z", "\v\fquit\r",
+	} {
+		var got []string
+		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
+			got = append(got, f)
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("nextField over %q = %q, strings.Fields gives %q", line, got, want)
 		}
 	}
 }

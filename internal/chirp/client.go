@@ -180,11 +180,11 @@ func (c *Client) protoErr(op, format string, args ...any) error {
 	return err
 }
 
-// GetFileTo fetches the file at path, streaming it into w through
-// pooled chunk buffers — no payload-sized allocation on either side.
-// When w is an *os.File and the connection is an unwrapped TCP socket,
-// the stdlib's splice offload moves the bytes without copying them
-// through user space at all.
+// GetFileTo fetches the file at path, streaming it into w with no
+// payload-sized allocation on either side: what the protocol reader
+// already holds is written straight out of its buffer, the rest moves
+// through one pooled chunk — or, when w is an *os.File and the connection
+// an unwrapped TCP socket, by kernel splice without crossing user space.
 //
 // A sink (w) failure is permanent: the remaining payload is drained off
 // the wire so the connection stays usable, and the sink's error is
@@ -216,33 +216,33 @@ func (c *Client) GetFileTo(path string, w io.Writer) (int64, error) {
 	return written, nil
 }
 
+// writeBuffered writes up to n of the bytes r already holds to w straight
+// out of r's buffer — one Write, no intermediate copy — and reports how
+// many left the buffer.
+func writeBuffered(w io.Writer, r *bufio.Reader, n int64) (int64, error) {
+	p, _ := r.Peek(int(min(int64(r.Buffered()), n)))
+	if len(p) == 0 {
+		return 0, nil
+	}
+	m, err := w.Write(p)
+	r.Discard(m)
+	return int64(m), err
+}
+
 // readPayload consumes exactly size payload bytes from the wire,
 // delivering them to w. Sink errors do not desynchronise the protocol:
 // the remainder is drained and the sink error is returned as permanent
 // (a retry would feed the same broken sink).
 func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
-	if size == 0 {
-		return 0, nil
-	}
 	sink := &sinkWriter{w: w}
-	var consumed int64
-	// Drain what the bufio reader already holds, then read the rest
-	// straight off the connection so file sinks can use kernel offload.
-	if buffered := int64(c.r.Buffered()); buffered > 0 {
-		n := min64(buffered, size)
-		m, err := bufpool.CopyN(sink, c.r, n)
-		consumed += m
-		if err != nil {
-			return sink.n, c.fail(fmt.Errorf("chirp: short read: %w", err))
-		}
-	}
+	// What the bufio reader already holds first, then the rest straight
+	// off the connection so file sinks can use kernel offload.
+	consumed, _ := writeBuffered(sink, c.r, size)
 	if remaining := size - consumed; remaining > 0 {
 		if f, ok := w.(*os.File); ok && sink.err == nil {
 			return c.spliceTail(f, sink.n, remaining)
 		}
-		m, err := bufpool.CopyN(sink, c.conn, remaining)
-		consumed += m
-		if err != nil {
+		if _, err := bufpool.CopyN(sink, c.conn, remaining); err != nil {
 			return sink.n, c.fail(fmt.Errorf("chirp: short read: %w", err))
 		}
 	}
@@ -253,26 +253,20 @@ func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
 }
 
 // spliceTail moves the unbuffered remainder of a payload into a file
-// sink via the file's ReadFrom — kernel splice on an unwrapped TCP
-// connection. A short transfer is disambiguated by draining what the
-// wire still owes: if the drain succeeds the wire was healthy, so the
+// sink — kernel splice on an unwrapped TCP connection, a pooled chunk
+// on a wrapped one. A short transfer is disambiguated by draining what
+// the wire still owes: if the drain succeeds the wire was healthy, so the
 // file (sink) failed and the error is permanent with the connection
 // intact; otherwise the transport is at fault and poisons the
 // connection. prior is what the sink already received from the bufio
 // buffer.
 func (c *Client) spliceTail(f *os.File, prior, remaining int64) (int64, error) {
-	m, err := f.ReadFrom(&io.LimitedReader{R: c.conn, N: remaining})
+	m, err := bufpool.CopyN(f, c.conn, remaining)
 	written := prior + m
 	if m < remaining {
 		dn, derr := bufpool.CopyN(io.Discard, c.conn, remaining-m)
 		if derr != nil || dn != remaining-m {
-			if err == nil {
-				err = derr
-			}
 			return written, c.fail(fmt.Errorf("chirp: short read: %w", err))
-		}
-		if err == nil {
-			err = io.ErrShortWrite
 		}
 	}
 	if err != nil {
@@ -329,8 +323,9 @@ func (b *getBuffer) Write(p []byte) (int, error) {
 }
 
 // PutFileFrom creates or replaces the file at path with exactly size
-// bytes streamed from r through pooled chunks. File readers hand off to
-// sendfile where the kernel supports it. A reader that delivers fewer
+// bytes streamed from r through a pooled chunk. File readers hand off to
+// sendfile where the kernel supports it; a *bytes.Reader holding exactly
+// size bytes is written as the slice it is. A reader that delivers fewer
 // than size bytes poisons the connection (the announced payload length
 // cannot be unsent) and surfaces as a permanent error: the caller's
 // source, not the transport, is at fault.
@@ -365,15 +360,13 @@ func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error 
 	if size > 0 {
 		var n int64
 		var err error
-		if _, isFile := r.(*os.File); isFile {
-			// io.Copy lets the bufio writer hand the payload tail to the
-			// connection's ReadFrom once its buffer drains: the kernel
-			// sendfiles straight from the page cache, no user-space copy.
-			n, err = io.Copy(c.w, &io.LimitedReader{R: r, N: size})
-			if err == nil && n < size {
-				err = io.ErrUnexpectedEOF
-			}
+		if mem, ok := r.(*bytes.Reader); ok && int64(mem.Len()) == size {
+			// Bytes already in memory go out as one Write of the whole
+			// slice behind the header, not chunk by chunk through a Reader.
+			n, err = mem.WriteTo(c.w)
 		} else {
+			// A file source rides the bufio writer's ReadFrom to the
+			// connection's sendfile once the header has drained.
 			n, err = bufpool.CopyN(c.w, r, size)
 		}
 		if err != nil {

@@ -170,3 +170,70 @@ func BenchmarkDataplaneStageIn8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDataplanePutHot is one stage-out put of bytes already in
+// memory on a warm pooled connection, client and LocalFS server in this
+// process: what a finished task's output costs to send home. B/op is the
+// guarded number — neither end may allocate a transfer buffer.
+func BenchmarkDataplanePutHot(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{{"32KiB", 32 << 10}, {"1MiB", 1 << 20}} {
+		b.Run(sz.name, func(b *testing.B) {
+			srv, _ := benchServer(b)
+			pool := NewPool(PoolOptions{Addr: srv.Addr(), Size: 1})
+			defer pool.Close()
+			data := benchPayload(sz.n)
+			put := func() {
+				if err := pool.PutFile("/store/user/bench/out.root", data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			bufpool.Warm(2)
+			put() // dial, first spool, parent directories
+			b.SetBytes(int64(sz.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				put()
+			}
+		})
+	}
+}
+
+// BenchmarkDataplaneGetToFileHot is the matching fetch: GetFileTo into an
+// open local file on a warm connection, the merge task's input grain.
+func BenchmarkDataplaneGetToFileHot(b *testing.B) {
+	const n = 1 << 20
+	srv, fs := benchServer(b)
+	if err := fs.WriteFile("/in.root", benchPayload(n)); err != nil {
+		b.Fatal(err)
+	}
+	c, err := Dial(srv.Addr(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	f, err := os.Create(filepath.Join(b.TempDir(), "in.root"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	get := func() {
+		if _, err := f.Seek(0, 0); err != nil {
+			b.Fatal(err)
+		}
+		if got, err := c.GetFileTo("/in.root", f); err != nil || got != n {
+			b.Fatalf("got %d bytes: %v", got, err)
+		}
+	}
+	bufpool.Warm(2)
+	get()
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}

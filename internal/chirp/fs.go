@@ -10,6 +10,7 @@
 package chirp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -77,8 +78,14 @@ func CleanPath(p string) (string, error) {
 	}
 	// Reject ".." outright rather than relying on Clean semantics: a path
 	// that even mentions the parent directory is never legitimate here.
-	for _, part := range strings.Split(p, "/") {
-		if part == ".." {
+	// Every segment of an absolute path follows a slash, so the scan needs
+	// no split.
+	for i := 0; ; {
+		j := strings.Index(p[i:], "/..")
+		if j < 0 {
+			break
+		}
+		if i += j + 3; i == len(p) || p[i] == '/' {
 			return "", fmt.Errorf("chirp: path %q escapes the export root", p)
 		}
 	}
@@ -111,7 +118,11 @@ func (l *LocalFS) resolve(p string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return filepath.Join(l.root, filepath.FromSlash(cleaned)), nil
+	if cleaned == "/" || l.root == string(filepath.Separator) {
+		return filepath.Join(l.root, filepath.FromSlash(cleaned)), nil
+	}
+	// Both halves are already clean: one concatenation, not a Join.
+	return l.root + filepath.FromSlash(cleaned), nil
 }
 
 // ReadFile implements FileSystem.
@@ -299,11 +310,16 @@ func (l *LocalFS) spool(p string, r io.Reader, size int64) (fp, tmp string, err 
 	if err != nil {
 		return "", "", err
 	}
+	// Create first, make the parents only when they turn out to be
+	// missing: every put after a directory's first finds it there.
 	dir := filepath.Dir(fp)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", fmt.Errorf("chirp: creating parents of %s: %w", p, err)
-	}
 	f, err := os.CreateTemp(dir, ".chirp-spool-*")
+	if errors.Is(err, os.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return "", "", fmt.Errorf("chirp: creating parents of %s: %w", p, err)
+		}
+		f, err = os.CreateTemp(dir, ".chirp-spool-*")
+	}
 	if err != nil {
 		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)
 	}

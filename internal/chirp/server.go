@@ -8,12 +8,12 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/faultinject"
@@ -321,13 +321,6 @@ func sanitizeError(err error) string {
 	return strings.ReplaceAll(err.Error(), "\n", " ")
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // errHangup marks a failure that leaves the protocol stream desynced —
 // a getfile that died after its size header, or a putfile whose payload
 // could not be fully consumed. The only safe recovery is to drop the
@@ -365,15 +358,10 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 	defer rc.Close()
 	fmt.Fprintf(w, "%d\n", size)
 	// The limit guards against a file that grew after the stat: the
-	// announced size is a protocol promise, not a hint. File handles go
-	// through io.Copy so the bufio writer can hand the payload tail to
-	// the connection's ReadFrom — kernel sendfile, no user-space copy.
-	var n int64
-	if _, isFile := rc.(*os.File); isFile {
-		n, err = io.Copy(w, &io.LimitedReader{R: rc, N: size})
-	} else {
-		n, err = bufpool.Copy(w, io.LimitReader(rc, size))
-	}
+	// announced size is a protocol promise, not a hint. A file handle
+	// rides the bufio writer's ReadFrom to the connection's sendfile — no
+	// user-space copy; any other backend moves through a pooled chunk.
+	n, err := bufpool.Copy(w, &io.LimitedReader{R: rc, N: size})
 	s.countOut(n)
 	if err != nil {
 		return hangup("getfile", err)
@@ -399,9 +387,7 @@ func (s *Server) checksum(path string) (uint32, error) {
 	}
 	defer rc.Close()
 	h := crc32.NewIEEE()
-	// The LimitReader also keeps *os.File's WriteTo (a fresh 32 KiB
-	// buffer per call) out of the copy.
-	_, err = bufpool.Copy(h, io.LimitReader(rc, size))
+	_, err = bufpool.Copy(h, &io.LimitedReader{R: rc, N: size})
 	return h.Sum32(), err
 }
 
@@ -414,8 +400,8 @@ func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net
 	sw, ok := s.fs.(StreamWriterFS)
 	if !ok {
 		var buf bytes.Buffer
-		buf.Grow(int(min64(size, 1<<20)))
-		if _, err := io.CopyN(&buf, r, size); err != nil {
+		buf.Grow(int(min(size, 1<<20)))
+		if _, err := bufpool.CopyN(&buf, r, size); err != nil {
 			return hangup(op, fmt.Errorf("short payload: %w", err))
 		}
 		s.countIn(size)
@@ -484,39 +470,26 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 }
 
 // WriteTailTo implements the tailWriter fast path: the protocol
-// reader's buffered prefix first (those bytes are already in user
-// space), then the rest straight off the connection.
+// reader's buffered prefix is written straight out of its buffer (a
+// payload that arrived whole with its command line is one write), then
+// the rest comes off the connection — spliced when both ends allow it.
 func (p *payloadReader) WriteTailTo(w io.Writer, want int64) (int64, error) {
-	var total int64
-	if want > p.remaining() {
-		want = p.remaining()
-	}
-	if buffered := min64(int64(p.br.Buffered()), want); buffered > 0 {
-		m, err := bufpool.CopyN(w, p.br, buffered)
-		p.n += m
-		total += m
-		if err != nil {
-			return total, err
+	want = min(want, p.remaining())
+	total, err := writeBuffered(w, p.br, want)
+	p.n += total
+	if rest := want - total; rest > 0 && err == nil {
+		src := io.Reader(p.br)
+		if p.conn != nil {
+			src = p.conn
 		}
-	}
-	if rest := want - total; rest > 0 {
-		if p.conn == nil {
-			m, err := bufpool.CopyN(w, p.br, rest)
-			p.n += m
-			return total + m, err
-		}
-		lr := &io.LimitedReader{R: p.conn, N: rest}
-		m, err := io.Copy(w, lr)
-		p.n += m
-		total += m
-		if err == nil && m < rest {
+		var m int64
+		if m, err = bufpool.CopyN(w, src, rest); err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		if err != nil {
-			return total, err
-		}
+		p.n += m
+		total += m
 	}
-	return total, nil
+	return total, err
 }
 
 func (s *Server) countIn(n int64) {
@@ -539,8 +512,24 @@ func (s *Server) countOut(n int64) {
 	t.planeOut.Add(n)
 }
 
+// nextField cuts the first whitespace-delimited field off s, the way
+// strings.Fields delimits them, without allocating.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
 func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn net.Conn) error {
-	fields := strings.Fields(line)
+	// No command takes more than two arguments; a fourth field only has
+	// to be seen to be refused.
+	var buf [4]string
+	fields := buf[:0]
+	for f, rest := nextField(line); f != "" && len(fields) < len(buf); f, rest = nextField(rest) {
+		fields = append(fields, f)
+	}
 	if len(fields) == 0 {
 		return errors.New("empty command")
 	}
@@ -561,7 +550,7 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn ne
 		if err := s.servePut(fields[0], fields[1], size, r, conn); err != nil {
 			return err
 		}
-		fmt.Fprint(w, "0\n")
+		w.WriteString("0\n")
 		return nil
 	case "stat":
 		withCRC := len(fields) == 3 && fields[2] == "crc"
@@ -608,7 +597,7 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn ne
 		if err := s.fs.Remove(fields[1]); err != nil {
 			return err
 		}
-		fmt.Fprint(w, "0\n")
+		w.WriteString("0\n")
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])

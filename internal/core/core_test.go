@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"lobster/internal/dbs"
+	"lobster/internal/monitor"
 	"lobster/internal/wq"
+	"lobster/internal/wrapper"
 )
 
 func testDataset(files, lumisPerFile, eventsPerFile int) *dbs.Dataset {
@@ -318,5 +321,34 @@ func TestNewValidatesServices(t *testing.T) {
 	if _, err := New(Config{Name: "x", Kind: KindSimulation, TotalEvents: 10,
 		MergeMode: MergeHadoop, MergeTargetBytes: 100}, Services{Master: m}); err == nil {
 		t.Error("hadoop merge without cluster accepted")
+	}
+}
+
+// TestTaskRecordsShareMetrics: the records of same-sized tasks carry one
+// Metrics map between them, a task of another size gets its own, and no
+// record's values change when a later one differs.
+func TestTaskRecordsShareMetrics(t *testing.T) {
+	l := &Lobster{svc: Services{Monitor: monitor.New()}}
+	report := func(events float64) *wrapper.Report {
+		return &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegExecute,
+			Metrics: map[string]float64{"events": events, "bytes_in": 1024 * events, "bytes_out": 8 * events}}}}
+	}
+	for i, events := range []float64{4, 4, 9, 4} {
+		l.recordMonitor(&wq.Result{TaskID: int64(i + 1)}, &inflightTask{kind: "proc"}, report(events))
+	}
+	recs := l.svc.Monitor.Records()
+	for i, events := range []float64{4, 4, 9, 4} {
+		if m := recs[i].Metrics; m["events"] != events || m["bytes_in"] != 1024*events || m["bytes_out"] != 8*events {
+			t.Errorf("record %d carries %v, want the metrics of a %g-event task", i, m, events)
+		}
+	}
+	same := func(a, b map[string]float64) bool {
+		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	}
+	if !same(recs[0].Metrics, recs[1].Metrics) {
+		t.Error("two same-sized tasks were given a Metrics map each")
+	}
+	if same(recs[1].Metrics, recs[2].Metrics) || same(recs[2].Metrics, recs[3].Metrics) {
+		t.Error("tasks of different sizes share a Metrics map")
 	}
 }

@@ -221,7 +221,11 @@ func TestAnalysisWorkflowEndToEnd(t *testing.T) {
 }
 
 func TestAnalysisWithInterleavedMerge(t *testing.T) {
-	st := startStack(t, 6, 2, 12, nil) // 72 events, 12 tasklets
+	// 288 events, 48 tasklets: six waves over the stack's eight slots, so
+	// the first merge (four outputs, ready after the first wave) has five
+	// waves of analysis left to overlap with. At 12 tasklets the second and
+	// last wave could finish before the merge was even dispatched.
+	st := startStack(t, 6, 8, 48, nil)
 	rep := runWorkflow(t, st, Config{
 		Name: "ilv", Kind: KindAnalysis, Dataset: st.dataset.Name,
 		TaskletsPerTask: 1, MergeMode: MergeInterleaved,
@@ -245,8 +249,8 @@ func TestAnalysisWithInterleavedMerge(t *testing.T) {
 		}
 		total += o.Size
 	}
-	if total != 72*8 {
-		t.Errorf("merged bytes = %d, want 576", total)
+	if total != 288*8 {
+		t.Errorf("merged bytes = %d, want 2304", total)
 	}
 	// Interleaved merging must overlap with analysis: merge tasks recorded
 	// by the monitor should not all start after the last analysis finish.

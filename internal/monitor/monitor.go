@@ -48,6 +48,7 @@ type TaskRecord struct {
 	LostTime   float64 `json:"lost_time"` // runtime destroyed by eviction
 
 	// Metrics are free-form task measurements (events, bytes_in, ...).
+	// Read only: records of same-sized tasks may share one map.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package wq
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -296,57 +297,62 @@ func TestInteropBatchPeers(t *testing.T) {
 	}
 }
 
-// TestWorkerBatchesResults checks the worker-side result batcher: a
-// burst of completions on a negotiated connection must arrive in fewer
-// "results" messages than there are results.
-func TestWorkerBatchesResults(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// queuedResultsWorker is a worker whose resCh already holds n results
+// before its result loop has run: just the loop's own state, one end of
+// an in-memory pipe as the master connection, the capability acked.
+func queuedResultsWorker(n int) (*Worker, net.Conn) {
+	near, far := net.Pipe()
+	w := &Worker{conn: newConn(near), resCh: make(chan *Result, n), done: make(chan struct{})}
+	w.batchOK.Store(true)
+	for i := 0; i < n; i++ {
+		w.resCh <- &Result{TaskID: int64(i + 1)}
 	}
-	defer lis.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := lis.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	w, err := NewWorkerOpts(lis.Addr().String(), "new", 8, t.TempDir(), testRegistry(),
-		WorkerOptions{ResultLinger: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c := <-accepted
-	defer c.Close()
-	p := &rawPeer{t: t, conn: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
-	if hello := p.recv(10 * time.Second); hello.Type != "hello" {
-		t.Fatalf("expected hello, got %q", hello.Type)
-	}
-	p.send(&message{Type: "hello", Proto: protoBatch}) // capability ack
+	return w, far
+}
 
-	// One batch of quick tasks: their results land within one linger
-	// window and must coalesce.
+// TestWorkerBatchesResults checks the worker-side result batcher:
+// results already queued when the loop comes round leave in one
+// "results" message, without a timer to gather them.
+func TestWorkerBatchesResults(t *testing.T) {
 	const n = 8
-	tasks := make([]*Task, n)
-	for i := range tasks {
-		tasks[i] = &Task{ID: int64(i + 1), Func: "echo",
-			Args: map[string]string{"text": "x"}, Outputs: []string{"out.txt"}}
+	w, far := queuedResultsWorker(n)
+	defer far.Close()
+	w.wg.Add(1)
+	go w.resultLoop()
+	defer w.wg.Wait()
+	defer close(w.done)
+
+	var msg message
+	if err := json.NewDecoder(far).Decode(&msg); err != nil {
+		t.Fatal(err)
 	}
-	p.send(&message{Type: "tasks", Tasks: tasks})
-	got, messages := 0, 0
-	for got < n {
-		msg := p.recv(10 * time.Second)
-		switch msg.Type {
-		case "results":
-			messages++
-			got += len(msg.Results)
-		case "result":
-			t.Fatal("worker sent single framing after capability ack")
+	if msg.Type != "results" || len(msg.Results) != n {
+		t.Fatalf("first message is %q with %d results, want all %d queued results in one \"results\"",
+			msg.Type, len(msg.Results), n)
+	}
+	for i, r := range msg.Results {
+		if r.TaskID != int64(i+1) {
+			t.Fatalf("result %d carries task %d: queue order lost", i, r.TaskID)
 		}
 	}
-	if messages >= n {
-		t.Fatalf("%d results arrived in %d messages: no batching happened", n, messages)
+}
+
+// TestEvictedWorkerSendsNoQueuedResults holds the eviction contract on
+// the batcher: results an evicted worker still has queued are dropped,
+// never sent — the master has already requeued their tasks.
+func TestEvictedWorkerSendsNoQueuedResults(t *testing.T) {
+	w, far := queuedResultsWorker(8)
+	w.evicted.Store(true)
+	close(w.done)
+	w.wg.Add(1)
+	go func() {
+		w.resultLoop()
+		w.conn.close() // only now can the master's read end see EOF
+	}()
+	if data, err := io.ReadAll(far); err != nil || len(data) != 0 {
+		t.Fatalf("evicted worker wrote %q (err %v), want nothing", data, err)
+	}
+	if len(w.resCh) != 0 {
+		t.Fatalf("%d results left queued after the loop exited", len(w.resCh))
 	}
 }

@@ -140,3 +140,11 @@ func benchScaleSim(b *testing.B, single bool) {
 	b.ReportMetric(last.TasksPerSec, "tasks/s")
 	b.ReportMetric(last.TaskBytes, "task-B")
 }
+
+// BenchmarkLoopbackDispatchTwoSlots is the end-to-end benchmark's load
+// shape: one connection, two slots, so no result ever has company. What
+// it measures is how long a finished result waits to leave the worker —
+// under the old 200 µs linger, one netpoller-rounded millisecond.
+func BenchmarkLoopbackDispatchTwoSlots(b *testing.B) {
+	benchLoopback(b, 1, 2, WorkerOptions{})
+}

@@ -219,8 +219,8 @@ func (d *dispatchTable) wakeAll() {
 // popBatch fills dst with ready tasks, preferring the home queue and
 // stealing round-robin from the others. Tasks are taken from the first
 // non-empty queue only — a partial batch dispatches immediately rather
-// than waiting to fill (the linger half of flush-on-size-or-linger lives
-// on the result side, where acks can wait; dispatch never should).
+// than waiting to fill, as the worker's result side does: neither end
+// of the wire holds a message back for company.
 func (d *dispatchTable) popBatch(home uint32, dst []*taskMeta) int {
 	for k := uint32(0); k < shardCount; k++ {
 		q := &d.queues[(home+k)&(shardCount-1)]

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,14 +38,14 @@ type Worker struct {
 	evicted atomic.Bool
 
 	// Result batching: finished tasks queue their results on resCh and a
-	// dedicated loop coalesces them into "results" messages — one wire
-	// round per linger window instead of one per core. batchOK turns true
-	// when the master acks the batch capability; before that (and against
-	// an old master, forever) results go out one message each.
+	// dedicated loop sends whatever is queued as one "results" message —
+	// results that finish while a send is on the wire share the next one.
+	// batchOK turns true when the master acks the batch capability; before
+	// that (and against an old master, forever) results go out one message
+	// each.
 	resCh   chan *Result
 	done    chan struct{} // closed by run() after in-flight tasks finish
 	batchOK atomic.Bool
-	linger  time.Duration
 
 	// redirect holds the leader address a redirect message carried, for
 	// the reconnect loop to read after the connection dies.
@@ -139,10 +140,6 @@ type WorkerOptions struct {
 	// (the worker advertises proto 0). Used by interop tests and as an
 	// escape hatch.
 	DisableBatch bool
-	// ResultLinger bounds how long a finished result may wait for
-	// companions before its batch is flushed. Zero means the default
-	// (200µs); it only applies once the master has acked batch framing.
-	ResultLinger time.Duration
 }
 
 // NewWorker connects a worker to the master at addr. dir is the worker's
@@ -165,10 +162,6 @@ func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts 
 		return nil, fmt.Errorf("wq: worker dialing %s: %w", addr, err)
 	}
 	raw = opts.Fault.Conn("wq_worker", raw)
-	linger := opts.ResultLinger
-	if linger <= 0 {
-		linger = 200 * time.Microsecond
-	}
 	w := &Worker{
 		name:       name,
 		cores:      cores,
@@ -181,7 +174,6 @@ func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts 
 		slots:      make(chan struct{}, cores),
 		resCh:      make(chan *Result, cores+batchMax),
 		done:       make(chan struct{}),
-		linger:     linger,
 	}
 	proto := protoBatch
 	if opts.DisableBatch {
@@ -309,10 +301,13 @@ func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
 	}()
 }
 
-// resultLoop coalesces finished results into batch messages: the first
-// result opens a linger window; whatever lands within it (or until the
-// batch fills) rides the same message. Against a master that never acked
-// batching, every result is sent individually the moment it arrives.
+// resultLoop sends finished results the moment resCh runs dry: it never
+// waits for companions, because a sub-millisecond timer is rounded up to a
+// millisecond by an idle process's netpoller and a slot cannot take its
+// next task until the master has seen this one. Batches form by
+// themselves — whatever finishes while a send is on the wire rides the
+// next message. Against a master that never acked batching, every result
+// is its own message.
 func (w *Worker) resultLoop() {
 	defer w.wg.Done()
 	pending := make([]*Result, 0, batchMax)
@@ -329,51 +324,36 @@ func (w *Worker) resultLoop() {
 				}
 			}
 		}
-		for i := range pending {
-			pending[i] = nil
-		}
+		clear(pending)
 		pending = pending[:0]
 	}
-	drainAndExit := func() {
-		for {
-			select {
-			case r := <-w.resCh:
-				pending = append(pending, r)
-				if len(pending) == batchMax {
-					flush()
-				}
-			default:
-				flush()
-				return
-			}
-		}
-	}
-	for {
+	for exiting := false; !exiting; {
 		select {
 		case r := <-w.resCh:
 			pending = append(pending, r)
-			if w.batchOK.Load() {
-				linger := time.NewTimer(w.linger)
-			coalesce:
-				for len(pending) < batchMax {
-					select {
-					case r := <-w.resCh:
-						pending = append(pending, r)
-					case <-linger.C:
-						break coalesce
-					case <-w.done:
-						linger.Stop()
-						drainAndExit()
-						return
-					}
-				}
-				linger.Stop()
-			}
-			flush()
 		case <-w.done:
-			drainAndExit()
-			return
+			// Every in-flight task has queued its result by now.
+			exiting = true
 		}
+		for yielded := false; ; {
+			select {
+			case r := <-w.resCh:
+				if pending = append(pending, r); len(pending) == batchMax {
+					flush()
+				}
+				continue
+			default:
+			}
+			// The queue is dry. While more slots are held than results are
+			// in hand, yield once — a reschedule, not a timer — so tasks
+			// finishing this instant make this message instead of the next.
+			if yielded || len(w.slots) <= len(pending) {
+				break
+			}
+			yielded = true
+			runtime.Gosched()
+		}
+		flush()
 	}
 }
 
