@@ -8,11 +8,13 @@ package deploy
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 
+	"lobster/internal/bufpool"
 	"lobster/internal/chirp"
 	"lobster/internal/core"
 	"lobster/internal/cvmfs"
@@ -178,9 +180,9 @@ func Start(opts Options) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range ds.Files {
-		content := kernel.GenerateEvents(f.Events, rng)
-		st.Redirector.Register(f.LFN, dataSrv.Store(f.LFN, content))
+	dataSrv.Instrument(opts.Telemetry)
+	if err := storeDataset(dataSrv, st.Redirector, ds, kernel, rng); err != nil {
+		return nil, err
 	}
 	st.Dashboard = xrootd.NewDashboard()
 
@@ -294,6 +296,34 @@ func Start(opts Options) (*Stack, error) {
 	st.Services.EventLog = opts.EventLog
 	ok = true
 	return st, nil
+}
+
+// storeDataset generates every file of ds a pooled chunk at a time
+// straight into srv's spool and registers it with red: no file exists
+// whole in memory. A chunk is a multiple of 8 bytes, one RNG draw, so the
+// bytes are those of kernel.GenerateEvents on each whole file in turn.
+func storeDataset(srv *xrootd.DataServer, red *xrootd.Redirector, ds *dbs.Dataset, kernel *hepsim.Kernel, rng *stats.Rand) error {
+	chunk := bufpool.Get()
+	defer bufpool.Put(chunk)
+	for _, f := range ds.Files {
+		left := f.Events * kernel.EventSize
+		rep, err := srv.StoreFrom(f.LFN, func(w io.Writer) error {
+			for left > 0 {
+				b := (*chunk)[:min(left, len(*chunk))]
+				kernel.GenerateInto(b, rng)
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				left -= len(b)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		red.Register(f.LFN, rep)
+	}
+	return nil
 }
 
 // AddWorker attaches one more worker to the master.

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"hash/crc32"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -8,6 +9,10 @@ import (
 	"time"
 
 	"lobster/internal/core"
+	"lobster/internal/dbs"
+	"lobster/internal/hepsim"
+	"lobster/internal/stats"
+	"lobster/internal/xrootd"
 )
 
 func TestStackEndToEnd(t *testing.T) {
@@ -55,8 +60,9 @@ func TestStackEndToEnd(t *testing.T) {
 }
 
 // TestStackCloseLeavesNothingOpen: a stack that ran tasks holds parked
-// xrootd and chirp connections between them; Close must hang all of them
-// up. The collector is off for the test, so a connection left to its
+// xrootd and chirp connections between them, and its data server one
+// open, unlinked spool file per LFN; Close must hang up and close all of
+// it. The collector is off for the test, so a descriptor left to its
 // finalizer shows as the leak it is.
 func TestStackCloseLeavesNothingOpen(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -99,6 +105,81 @@ func TestStackCloseLeavesNothingOpen(t *testing.T) {
 				fds(), beforeFDs, runtime.NumGoroutine(), beforeG)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDatasetBytesUnchanged: generating the dataset a chunk at a time
+// into the data server's spool serves the bytes kernel.GenerateEvents
+// produces for each whole file from the same seed — files larger than
+// one chunk, and an event size that is not a multiple of the 8 bytes an
+// RNG draw fills.
+func TestDatasetBytesUnchanged(t *testing.T) {
+	for _, eventBytes := range []int64{4096, 1001} {
+		opts := Options{
+			Files: 3, LumisPerFile: 1, EventsPerFile: 1100, EventBytes: eventBytes,
+			Workers: 1, CoresPerWorker: 1, Seed: 7,
+			ScratchDir: t.TempDir(),
+		}
+		st, err := Start(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The generator's draws, as Start makes them.
+		rng := stats.NewRand(opts.Seed)
+		ds, err := dbs.Generate(dbs.GenConfig{
+			Name: st.Dataset.Name, Files: opts.Files, EventsPerFile: opts.EventsPerFile,
+			LumisPerFile: opts.LumisPerFile, EventBytes: opts.EventBytes,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, err := hepsim.NewKernel(int(eventBytes), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := &xrootd.Client{Redirector: st.Redirector}
+		for _, f := range ds.Files {
+			whole := kernel.GenerateEvents(f.Events, rng)
+			rf, err := cl.Open(f.LFN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, crc, ok, err := rf.Stat()
+			rf.Close()
+			if err != nil || !ok {
+				t.Fatalf("stat %s: ok=%v err=%v", f.LFN, ok, err)
+			}
+			if want := crc32.ChecksumIEEE(whole); size != int64(len(whole)) || crc != want {
+				t.Errorf("event size %d, %s: served %d bytes crc %08x, GenerateEvents gives %d bytes crc %08x",
+					eventBytes, f.LFN, size, crc, len(whole), want)
+			}
+		}
+		cl.Close()
+		st.Close()
+	}
+}
+
+// TestDatasetOffHeap: the dataset lives in the data server's spool, so
+// bringing up a stack with 32 MiB of it leaves the heap where it was.
+func TestDatasetOffHeap(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	st, err := Start(Options{
+		Files: 4, LumisPerFile: 1, EventsPerFile: 2048, EventBytes: 4096,
+		Workers: 1, CoresPerWorker: 1,
+		ScratchDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if after := heap(); after > before+8<<20 {
+		t.Errorf("heap grew %d MiB bringing up a 32 MiB dataset, want under 8", (after-before)>>20)
 	}
 }
 

@@ -91,6 +91,7 @@ func TestStackTracedEndToEnd(t *testing.T) {
 
 	// The worker-scope caches report on the same registry: the first
 	// task parses the catalogs and dials, the tasks after it do neither.
+	// So does the data server the tasks read from.
 	var expo strings.Builder
 	if err := reg.WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
@@ -100,6 +101,10 @@ func TestStackTracedEndToEnd(t *testing.T) {
 		`lobster_parrot_catalog_memo_total{outcome="hit"}`,
 		`lobster_xrootd_client_conns_total{outcome="dialed"}`,
 		`lobster_xrootd_client_conns_total{outcome="reused"}`,
+		`lobster_xrootd_server_reads_total`,
+		`lobster_xrootd_server_bytes_total`,
+		`lobster_xrootd_server_open_conns`,
+		`lobster_xrootd_server_stored_bytes`,
 	} {
 		i := strings.Index(expo.String(), series+" ")
 		if i < 0 {

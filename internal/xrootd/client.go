@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -252,7 +251,7 @@ func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 	idle := c.conns()
 	f := &File{client: c, lfn: lfn, addr: rep.Addr, rep: rep}
 	if f.wire = idle.take(rep.Addr); f.wire != nil {
-		size, err := f.roundTripSize("open %s\n", lfn)
+		size, err := f.open()
 		if err == nil {
 			idle.reused.Inc()
 			f.size = size
@@ -285,7 +284,7 @@ func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 		r:    bufio.NewReaderSize(conn, 64<<10),
 		w:    bufio.NewWriterSize(conn, 8<<10),
 	}
-	size, err := f.roundTripSize("open %s\n", lfn)
+	size, err := f.open()
 	if err != nil {
 		f.fail(err)
 		c.Selector.ObserveError(rep)
@@ -295,31 +294,40 @@ func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 	return f, nil
 }
 
-// roundTripLine sends one command and returns the trimmed first
-// response line. Transport failures close the connection; a "-1"
-// response maps to *ServerError (permanent, connection intact — no
-// payload follows an error line).
-func (f *File) roundTripLine(format string, args ...any) (string, error) {
+// request starts the command line "<verb> <lfn>" in the writer's own
+// free space; the caller appends arguments and the newline and hands the
+// line to roundTripLine. Nothing is allocated unless the line outgrows
+// the writer's buffer.
+func (f *File) request(verb string) []byte {
+	b := append(f.w.AvailableBuffer(), verb...)
+	b = append(b, ' ')
+	return append(b, f.lfn...)
+}
+
+// roundTripLine sends one command line and returns the first response
+// line, trimmed, valid until the next read on the connection. Transport
+// failures close the connection; a "-1" response maps to *ServerError
+// (permanent, connection intact — no payload follows an error line).
+func (f *File) roundTripLine(cmd []byte) ([]byte, error) {
 	if f.broken {
-		return "", errBroken
+		return nil, errBroken
 	}
 	if t := f.client.OpTimeout; t > 0 {
 		f.conn.SetDeadline(time.Now().Add(t))
 	}
-	if _, err := fmt.Fprintf(f.w, format, args...); err != nil {
-		return "", f.fail(err)
+	if _, err := f.w.Write(cmd); err != nil {
+		return nil, f.fail(err)
 	}
 	if err := f.w.Flush(); err != nil {
-		return "", f.fail(err)
+		return nil, f.fail(err)
 	}
-	line, err := f.r.ReadString('\n')
+	line, err := f.r.ReadSlice('\n')
 	if err != nil {
-		return "", f.fail(fmt.Errorf("xrootd: reading response: %w", err))
+		return nil, f.fail(fmt.Errorf("xrootd: reading response: %w", err))
 	}
-	line = strings.TrimRight(line, "\r\n")
-	if strings.HasPrefix(line, "-1") {
-		return "", &ServerError{Replica: f.addr,
-			Msg: strings.TrimSpace(strings.TrimPrefix(line, "-1"))}
+	line = bytes.TrimRight(line, "\r\n")
+	if msg, ok := bytes.CutPrefix(line, []byte("-1")); ok {
+		return nil, &ServerError{Replica: f.addr, Msg: string(bytes.TrimSpace(msg))}
 	}
 	return line, nil
 }
@@ -327,12 +335,12 @@ func (f *File) roundTripLine(format string, args ...any) (string, error) {
 // roundTripSize is roundTripLine for the numeric responses: a
 // non-numeric line maps to *ProtocolError (permanent, connection
 // closed — the stream is desynchronised).
-func (f *File) roundTripSize(format string, args ...any) (int64, error) {
-	line, err := f.roundTripLine(format, args...)
+func (f *File) roundTripSize(cmd []byte) (int64, error) {
+	line, err := f.roundTripLine(cmd)
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(line, 10, 64)
+	n, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
 		perr := &ProtocolError{Replica: f.addr, Msg: fmt.Sprintf("bad response %q", line)}
 		f.fail(perr)
@@ -341,12 +349,17 @@ func (f *File) roundTripSize(format string, args ...any) (int64, error) {
 	return n, nil
 }
 
+// open asks the replica on f's connection for the file's size.
+func (f *File) open() (int64, error) {
+	return f.roundTripSize(append(f.request("open"), '\n'))
+}
+
 // Stat asks the replica for the file's size and whole-content CRC32.
 // ok is false when the server predates the stat command (it answered
 // "-1 unknown command"); the connection stays usable either way unless
 // a transport or protocol error is returned.
 func (f *File) Stat() (size int64, crc uint32, ok bool, err error) {
-	line, err := f.roundTripLine("stat %s\n", f.lfn)
+	line, err := f.roundTripLine(append(f.request("stat"), '\n'))
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
@@ -355,7 +368,7 @@ func (f *File) Stat() (size int64, crc uint32, ok bool, err error) {
 		return 0, 0, false, err
 	}
 	var c64 uint64
-	if _, serr := fmt.Sscanf(line, "%d %x", &size, &c64); serr != nil || c64 > 1<<32-1 {
+	if _, serr := fmt.Sscanf(string(line), "%d %x", &size, &c64); serr != nil || c64 > 1<<32-1 {
 		perr := &ProtocolError{Replica: f.addr, Msg: fmt.Sprintf("bad stat response %q", line)}
 		f.fail(perr)
 		return 0, 0, false, perr
@@ -390,7 +403,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	n, err := f.roundTripSize("read %s %d %d\n", f.lfn, off, len(p))
+	cmd := append(f.request("read"), ' ')
+	cmd = append(strconv.AppendInt(cmd, off, 10), ' ')
+	cmd = append(strconv.AppendInt(cmd, int64(len(p)), 10), '\n')
+	n, err := f.roundTripSize(cmd)
 	if err != nil {
 		return 0, err
 	}
@@ -418,7 +434,7 @@ func (f *File) Close() error {
 	if f.r.Buffered() == 0 && f.client.idle.park(f.addr, f.wire) {
 		return nil
 	}
-	fmt.Fprint(f.w, "quit\n")
+	f.w.WriteString("quit\n")
 	f.w.Flush()
 	return f.conn.Close()
 }

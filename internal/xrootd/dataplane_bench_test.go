@@ -39,3 +39,44 @@ func BenchmarkDataplaneFetch64(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDataServerReadHot is one positional read on an open file,
+// client and server in this process: the command built in the writer's
+// buffer, parsed in the reader's, the payload read from the spool into
+// the reply and off the wire into the caller's slice. Nothing on either
+// end allocates; BENCH_dataplane.json pins that at 0 allocs/op.
+func BenchmarkDataServerReadHot(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"1KiB", 1 << 10}, {"256KiB", 256 << 10}} {
+		b.Run(tc.name, func(b *testing.B) {
+			srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			const fileSize = 4 << 20
+			red := NewRedirector()
+			red.Register("/store/hot.root", srv.Store("/store/hot.root", make([]byte, fileSize)))
+			cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
+			defer cl.Close()
+			f, err := cl.Open("/store/hot.root")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			bufpool.Warm(1) // the server's chunk for replies past its write buffer
+			p := make([]byte, tc.size)
+			b.SetBytes(int64(tc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := int64(i*tc.size) % fileSize
+				if n, err := f.ReadAt(p, off); err != nil || n != tc.size {
+					b.Fatalf("ReadAt(%d) = %d, %v", off, n, err)
+				}
+			}
+		})
+	}
+}
