@@ -27,6 +27,7 @@ import (
 	"lobster/internal/stats"
 	"lobster/internal/tabulate"
 	"lobster/internal/telemetry"
+	"lobster/internal/trace"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
 )
@@ -640,8 +641,8 @@ func BenchmarkAblationForemanFanout(b *testing.B) {
 // (the paper fixes 400) on a small real-plane workflow.
 func BenchmarkAblationTaskBuffer(b *testing.B) {
 	reg := wq.Registry{
-		"quick": func(ctx *wq.ExecContext) error {
-			ctx.SetOutput("report.json", wrapper.Run(wrapper.Step{Segment: wrapper.SegExecute}).Encode())
+		"analysis": func(ctx *wq.ExecContext) error {
+			ctx.SetOutput("report.json", wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}).Encode())
 			return nil
 		},
 	}
@@ -666,7 +667,7 @@ func BenchmarkAblationTaskBuffer(b *testing.B) {
 		svc.DBS.Register(ds)
 		l, err := core.New(core.Config{
 			Name: fmt.Sprintf("buf%d", depth), Kind: core.KindAnalysis,
-			Dataset: ds.Name, TaskBuffer: depth, AnalysisFunc: "quick",
+			Dataset: ds.Name, TaskBuffer: depth,
 		}, svc)
 		if err != nil {
 			b.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"lobster/internal/chirp"
 	"lobster/internal/faultinject"
 	"lobster/internal/profiling"
+	"lobster/internal/tabulate"
 	"lobster/internal/telemetry"
 )
 
@@ -71,19 +72,6 @@ func main() {
 	<-ch
 	st := srv.Stats()
 	fmt.Printf("\nchirpd: shutting down — %d connections, %d requests, %s in, %s out\n",
-		st.Connections, st.Requests, byteCount(st.BytesIn), byteCount(st.BytesOut))
+		st.Connections, st.Requests, tabulate.Bytes(float64(st.BytesIn)), tabulate.Bytes(float64(st.BytesOut)))
 	srv.Close()
-}
-
-func byteCount(n int64) string {
-	const unit = 1024
-	if n < unit {
-		return fmt.Sprintf("%d B", n)
-	}
-	div, exp := int64(unit), 0
-	for m := n / unit; m >= unit; m /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.1f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
 }

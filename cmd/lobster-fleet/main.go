@@ -80,36 +80,49 @@ func componentOf(name string) string {
 	return name
 }
 
+// options holds the command's flags.
+type options struct {
+	eps                                              scrapeFlags
+	rulesPath, evlogPath, profDir, httpAddr, tsdbDir string
+	interval, retention                              time.Duration
+	evlogMax                                         int64
+	downAfter                                        int
+	once, jsonOut                                    bool
+
+	// -plot and what it reads besides tsdbDir.
+	plot, csvOut     bool
+	query            string
+	start, end, step float64
+	width            int
+}
+
 func main() {
-	var eps scrapeFlags
-	flag.Var(&eps, "scrape", "endpoint to scrape as name=base-url (repeatable; name like worker-3 yields component worker)")
-	var (
-		rulesPath = flag.String("rules", "", "JSON alert rule file (default: built-in detector set)")
-		interval  = flag.Duration("interval", 5*time.Second, "scrape interval")
-		evlog     = flag.String("event-log", "", "append typed alert events to this JSONL file")
-		evlogMax  = flag.Int64("event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
-		profDir   = flag.String("profiles", "", "archive pprof bundles here when a profiling-enabled rule fires")
-		httpAddr  = flag.String("http", "", "serve hub telemetry (/metrics), the merged fleet view (/fleet), and history queries (/query) on this address")
-		downAfter = flag.Int("down-after", 2, "consecutive scrape failures before endpoint_down fires")
-		once      = flag.Bool("once", false, "run one scrape cycle, print the fleet view, and exit")
-		jsonOut   = flag.Bool("json", false, "with -once: print the hub view as JSON instead of tables")
-		tsdbDir   = flag.String("tsdb", "", "persist scrape history as compressed segments in this directory")
-		retention = flag.Duration("retention", 24*time.Hour, "raw-sample retention in the history store")
-		plot      = flag.Bool("plot", false, "query a recorded -tsdb directory and render it (no scraping)")
-		query     = flag.String("q", "", "with -plot: range query, e.g. 'sum(rate(lobster_wq_dispatches_total[600]))'")
-		start     = flag.Float64("start", 0, "with -plot: range start in seconds (0 = end minus one hour)")
-		end       = flag.Float64("end", 0, "with -plot: range end in seconds (0 = newest sample)")
-		step      = flag.Float64("step", 60, "with -plot: evaluation step in seconds")
-		csvOut    = flag.Bool("csv", false, "with -plot: emit CSV rows instead of an ASCII chart")
-		width     = flag.Int("width", 72, "with -plot: chart width in columns")
-	)
+	var o options
+	flag.Var(&o.eps, "scrape", "endpoint to scrape as name=base-url (repeatable; name like worker-3 yields component worker)")
+	flag.StringVar(&o.rulesPath, "rules", "", "JSON alert rule file (default: built-in detector set)")
+	flag.DurationVar(&o.interval, "interval", 5*time.Second, "scrape interval")
+	flag.StringVar(&o.evlogPath, "event-log", "", "append typed alert events to this JSONL file")
+	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
+	flag.StringVar(&o.profDir, "profiles", "", "archive pprof bundles here when a profiling-enabled rule fires")
+	flag.StringVar(&o.httpAddr, "http", "", "serve hub telemetry (/metrics), the merged fleet view (/fleet), and history queries (/query) on this address")
+	flag.IntVar(&o.downAfter, "down-after", 2, "consecutive scrape failures before endpoint_down fires")
+	flag.BoolVar(&o.once, "once", false, "run one scrape cycle, print the fleet view, and exit")
+	flag.BoolVar(&o.jsonOut, "json", false, "with -once: print the hub view as JSON instead of tables")
+	flag.StringVar(&o.tsdbDir, "tsdb", "", "persist scrape history as compressed segments in this directory")
+	flag.DurationVar(&o.retention, "retention", 24*time.Hour, "raw-sample retention in the history store")
+	flag.BoolVar(&o.plot, "plot", false, "query a recorded -tsdb directory and render it (no scraping)")
+	flag.StringVar(&o.query, "q", "", "with -plot: range query, e.g. 'sum(rate(lobster_wq_dispatches_total[600]))'")
+	flag.Float64Var(&o.start, "start", 0, "with -plot: range start in seconds (0 = end minus one hour)")
+	flag.Float64Var(&o.end, "end", 0, "with -plot: range end in seconds (0 = newest sample)")
+	flag.Float64Var(&o.step, "step", 60, "with -plot: evaluation step in seconds")
+	flag.BoolVar(&o.csvOut, "csv", false, "with -plot: emit CSV rows instead of an ASCII chart")
+	flag.IntVar(&o.width, "width", 72, "with -plot: chart width in columns")
 	flag.Parse()
 	var err error
-	if *plot {
-		err = runPlot(os.Stdout, *tsdbDir, *query, *start, *end, *step, *csvOut, *width)
+	if o.plot {
+		err = runPlot(os.Stdout, o.tsdbDir, o.query, o.start, o.end, o.step, o.csvOut, o.width)
 	} else {
-		err = run(eps, *rulesPath, *interval, *evlog, *evlogMax, *profDir, *httpAddr,
-			*tsdbDir, *retention, *downAfter, *once, *jsonOut)
+		err = run(o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lobster-fleet:", err)
@@ -117,15 +130,13 @@ func main() {
 	}
 }
 
-func run(eps []health.Endpoint, rulesPath string, interval time.Duration,
-	evlogPath string, evlogMax int64, profDir, httpAddr, tsdbDir string,
-	retention time.Duration, downAfter int, once, jsonOut bool) error {
-	if len(eps) == 0 {
+func run(o options) error {
+	if len(o.eps) == 0 {
 		return fmt.Errorf("no endpoints: pass at least one -scrape name=url")
 	}
 	rules := health.NewRuleSet(health.DefaultRules())
-	if rulesPath != "" {
-		f, err := os.Open(rulesPath)
+	if o.rulesPath != "" {
+		f, err := os.Open(o.rulesPath)
 		if err != nil {
 			return err
 		}
@@ -137,20 +148,20 @@ func run(eps []health.Endpoint, rulesPath string, interval time.Duration,
 	}
 	reg := telemetry.NewRegistry()
 	var evl *telemetry.EventLog
-	if evlogPath != "" {
+	if o.evlogPath != "" {
 		var err error
-		evl, err = telemetry.OpenEventLogLimit(evlogPath, evlogMax, reg.Now)
+		evl, err = telemetry.OpenEventLogLimit(o.evlogPath, o.evlogMax, reg.Now)
 		if err != nil {
 			return err
 		}
 		defer evl.Close()
 	}
 	var store *tsdb.Store
-	if tsdbDir != "" {
+	if o.tsdbDir != "" {
 		var err error
 		store, err = tsdb.Open(tsdb.Config{
-			Dir:       tsdbDir,
-			Retention: retention.Seconds(),
+			Dir:       o.tsdbDir,
+			Retention: o.retention.Seconds(),
 			Log:       evl,
 		})
 		if err != nil {
@@ -159,13 +170,13 @@ func run(eps []health.Endpoint, rulesPath string, interval time.Duration,
 		defer store.Close()
 	}
 	hub := health.NewHub(health.Config{
-		Endpoints:  eps,
+		Endpoints:  o.eps,
 		Rules:      rules,
-		Interval:   interval,
+		Interval:   o.interval,
 		Log:        evl,
-		ProfileDir: profDir,
+		ProfileDir: o.profDir,
 		Registry:   reg,
-		DownAfter:  downAfter,
+		DownAfter:  o.downAfter,
 		Store:      store,
 		OnAlert: func(a monitor.AlertRecord) {
 			fmt.Fprintf(os.Stderr, "alert %-8s %-22s value=%.3g threshold=%.3g %s\n",
@@ -173,17 +184,17 @@ func run(eps []health.Endpoint, rulesPath string, interval time.Duration,
 		},
 	})
 
-	if once {
+	if o.once {
 		hub.Tick()
-		if jsonOut {
+		if o.jsonOut {
 			return printJSON(os.Stdout, hub)
 		}
 		printFleet(hub)
 		return nil
 	}
 
-	if httpAddr != "" {
-		lis, err := net.Listen("tcp", httpAddr)
+	if o.httpAddr != "" {
+		lis, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
 			return fmt.Errorf("hub listener: %w", err)
 		}
@@ -196,7 +207,7 @@ func run(eps []health.Endpoint, rulesPath string, interval time.Duration,
 	}
 
 	fmt.Printf("scraping %d endpoints every %s, %d rules armed\n",
-		len(eps), interval, len(rules.Rules))
+		len(o.eps), o.interval, len(rules.Rules))
 	stop := make(chan struct{})
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt)

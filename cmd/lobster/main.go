@@ -37,108 +37,119 @@ import (
 	"lobster/internal/trace"
 )
 
+// options holds the command's flags.
+type options struct {
+	// The workflow and the stack it runs on.
+	kind, access, merge                            string
+	files, lumis, events, workers, cores, taskSize int
+	mergeKB                                        float64
+	seed                                           uint64
+	dbdir, confPath                                string
+
+	// Telemetry, tracing and the fault plane.
+	httpAddr, evlogPath, trlogPath, faultPlanPath string
+	pprofOn                                       bool
+	evlogMax                                      int64
+	trRate                                        float64
+	faultSeed                                     uint64
+
+	// Modes that do not run a workflow.
+	haDemo, watch, fleet bool
+	topURL               string
+	interval             time.Duration
+}
+
 func main() {
-	var (
-		kind     = flag.String("kind", "analysis", "workflow kind: analysis or simulation")
-		files    = flag.Int("files", 8, "dataset files (analysis)")
-		lumis    = flag.Int("lumis", 4, "lumisections per file")
-		events   = flag.Int("events", 40, "events per file (analysis) or total events (simulation)")
-		workers  = flag.Int("workers", 2, "worker processes")
-		cores    = flag.Int("cores", 4, "cores per worker")
-		taskSize = flag.Int("task-size", 2, "tasklets per task")
-		access   = flag.String("access", "stream", "data access mode: stream or stage")
-		merge    = flag.String("merge", "none", "merge mode: none, sequential, hadoop, interleaved")
-		mergeMB  = flag.Float64("merge-target-kb", 2, "merged file target size in KiB")
-		dbdir    = flag.String("db", "", "Lobster DB directory (enables crash recovery)")
-		seed     = flag.Uint64("seed", 1, "synthetic content seed")
-		confPath = flag.String("config", "", "JSON workflow configuration file (overrides the workflow flags)")
-		httpAddr = flag.String("http", "", "serve live telemetry (GET /metrics, /status) on this address")
-		pprofOn  = flag.Bool("pprof", false, "with -http: also serve /debug/pprof (goroutine, heap, CPU) for fleet profiling capture")
-		evlog    = flag.String("event-log", "", "append structured JSONL task events to this file")
-		evlogMax = flag.Int64("event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
-		trlog    = flag.String("trace-log", "", "enable distributed tracing; append trace spans to this JSONL file (analyze with lobster-trace)")
-		trRate   = flag.Float64("trace-rate", 0, "head-sampling bound: max new traces sampled per second (0 = all)")
-		fplan    = flag.String("fault-plan", "", "JSON fault plan: inject a deterministic fault storm into the stack")
-		fseed    = flag.Uint64("fault-seed", 0, "override the fault plan's seed (0 = use the plan's)")
-		haDemoOn = flag.Bool("ha-demo", false, "run the replicated-master failover demo (3 members, leader kill, takeover) and exit")
-		topURL   = flag.String("top", "", "print the status of the lobster at this base URL and exit")
-		watch    = flag.Bool("watch", false, "with -top: refresh continuously instead of one-shot")
-		fleet    = flag.Bool("fleet", false, "with -top: the URL is a lobster-fleet hub; render the merged multi-endpoint view")
-		interval = flag.Duration("interval", 2*time.Second, "with -top -watch: refresh interval")
-	)
+	var o options
+	flag.StringVar(&o.kind, "kind", "analysis", "workflow kind: analysis or simulation")
+	flag.IntVar(&o.files, "files", 8, "dataset files (analysis)")
+	flag.IntVar(&o.lumis, "lumis", 4, "lumisections per file")
+	flag.IntVar(&o.events, "events", 40, "events per file (analysis) or total events (simulation)")
+	flag.IntVar(&o.workers, "workers", 2, "worker processes")
+	flag.IntVar(&o.cores, "cores", 4, "cores per worker")
+	flag.IntVar(&o.taskSize, "task-size", 2, "tasklets per task")
+	flag.StringVar(&o.access, "access", "stream", "data access mode: stream or stage")
+	flag.StringVar(&o.merge, "merge", "none", "merge mode: none, sequential, hadoop, interleaved")
+	flag.Float64Var(&o.mergeKB, "merge-target-kb", 2, "merged file target size in KiB")
+	flag.StringVar(&o.dbdir, "db", "", "Lobster DB directory (enables crash recovery)")
+	flag.Uint64Var(&o.seed, "seed", 1, "synthetic content seed")
+	flag.StringVar(&o.confPath, "config", "", "JSON workflow configuration file (overrides the workflow flags)")
+	flag.StringVar(&o.httpAddr, "http", "", "serve live telemetry (GET /metrics, /status) on this address")
+	flag.BoolVar(&o.pprofOn, "pprof", false, "with -http: also serve /debug/pprof (goroutine, heap, CPU) for fleet profiling capture")
+	flag.StringVar(&o.evlogPath, "event-log", "", "append structured JSONL task events to this file")
+	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
+	flag.StringVar(&o.trlogPath, "trace-log", "", "enable distributed tracing; append trace spans to this JSONL file (analyze with lobster-trace)")
+	flag.Float64Var(&o.trRate, "trace-rate", 0, "head-sampling bound: max new traces sampled per second (0 = all)")
+	flag.StringVar(&o.faultPlanPath, "fault-plan", "", "JSON fault plan: inject a deterministic fault storm into the stack")
+	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "override the fault plan's seed (0 = use the plan's)")
+	flag.BoolVar(&o.haDemo, "ha-demo", false, "run the replicated-master failover demo (3 members, leader kill, takeover) and exit")
+	flag.StringVar(&o.topURL, "top", "", "print the status of the lobster at this base URL and exit")
+	flag.BoolVar(&o.watch, "watch", false, "with -top: refresh continuously instead of one-shot")
+	flag.BoolVar(&o.fleet, "fleet", false, "with -top: the URL is a lobster-fleet hub; render the merged multi-endpoint view")
+	flag.DurationVar(&o.interval, "interval", 2*time.Second, "with -top -watch: refresh interval")
 	flag.Parse()
-	if *topURL != "" {
-		if err := top(*topURL, *watch, *fleet, *interval); err != nil {
-			fmt.Fprintln(os.Stderr, "lobster:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case o.topURL != "":
+		err = top(o.topURL, o.watch, o.fleet, o.interval)
+	case o.haDemo:
+		err = haDemo(o.workers, o.cores, o.seed)
+	default:
+		err = run(o)
 	}
-	if *haDemoOn {
-		if err := haDemo(*workers, *cores, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "lobster:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*kind, *files, *lumis, *events, *workers, *cores, *taskSize,
-		*access, *merge, *mergeMB, *dbdir, *seed, *confPath, *httpAddr, *pprofOn,
-		*evlog, *evlogMax, *trlog, *trRate, *fplan, *fseed); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lobster:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, files, lumis, events, workers, cores, taskSize int,
-	access, merge string, mergeKB float64, dbdir string, seed uint64,
-	confPath, httpAddr string, pprofOn bool, evlogPath string, evlogMax int64, trlogPath string, trRate float64,
-	faultPlanPath string, faultSeed uint64) error {
+func run(o options) error {
 	var cfg core.Config
-	if confPath != "" {
+	if o.confPath != "" {
 		var err error
-		cfg, err = core.LoadConfig(confPath)
+		cfg, err = core.LoadConfig(o.confPath)
 		if err != nil {
 			return err
 		}
 		if cfg.Kind == core.KindAnalysis {
-			kind = string(core.KindAnalysis)
+			o.kind = string(core.KindAnalysis)
 		} else {
-			kind = string(core.KindSimulation)
+			o.kind = string(core.KindSimulation)
 		}
-		merge = string(cfg.MergeMode)
+		o.merge = string(cfg.MergeMode)
 	}
 
 	reg := telemetry.NewRegistry()
 	var evl *telemetry.EventLog
-	if evlogPath != "" {
+	if o.evlogPath != "" {
 		var err error
-		evl, err = telemetry.OpenEventLogLimit(evlogPath, evlogMax, reg.Now)
+		evl, err = telemetry.OpenEventLogLimit(o.evlogPath, o.evlogMax, reg.Now)
 		if err != nil {
 			return err
 		}
 		defer evl.Close()
 	}
 	var tracer *trace.Tracer
-	if trlogPath != "" {
+	if o.trlogPath != "" {
 		trl := evl
-		if trlogPath != evlogPath {
+		if o.trlogPath != o.evlogPath {
 			var err error
-			trl, err = telemetry.OpenEventLogLimit(trlogPath, evlogMax, reg.Now)
+			trl, err = telemetry.OpenEventLogLimit(o.trlogPath, o.evlogMax, reg.Now)
 			if err != nil {
 				return err
 			}
 			defer trl.Close()
 		}
-		tracer = trace.New(trace.Config{Registry: reg, Log: trl, MaxTracesPerSec: trRate})
+		tracer = trace.New(trace.Config{Registry: reg, Log: trl, MaxTracesPerSec: o.trRate})
 	}
-	if httpAddr != "" {
-		lis, err := net.Listen("tcp", httpAddr)
+	if o.httpAddr != "" {
+		lis, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
 			return fmt.Errorf("telemetry listener: %w", err)
 		}
 		defer lis.Close()
 		mux := reg.Mux()
-		if pprofOn {
+		if o.pprofOn {
 			profiling.AttachPprof(mux)
 		}
 		go http.Serve(lis, mux)
@@ -147,13 +158,13 @@ func run(kind string, files, lumis, events, workers, cores, taskSize int,
 
 	var inj *faultinject.Injector
 	var faultRetry retry.Policy
-	if faultPlanPath != "" {
-		plan, err := faultinject.LoadPlan(faultPlanPath)
+	if o.faultPlanPath != "" {
+		plan, err := faultinject.LoadPlan(o.faultPlanPath)
 		if err != nil {
 			return err
 		}
-		if faultSeed != 0 {
-			plan.Seed = faultSeed
+		if o.faultSeed != 0 {
+			plan.Seed = o.faultSeed
 		}
 		inj = faultinject.New(plan)
 		// A storm without retries just fails; arm the same bounded
@@ -164,10 +175,10 @@ func run(kind string, files, lumis, events, workers, cores, taskSize int,
 
 	fmt.Println("starting services (cvmfs, squid, frontier, xrootd, chirp, wq)...")
 	st, err := deploy.Start(deploy.Options{
-		Files: files, LumisPerFile: lumis, EventsPerFile: events,
-		Workers: workers, CoresPerWorker: cores,
-		UseHDFS:   merge == "hadoop",
-		Seed:      seed,
+		Files: o.files, LumisPerFile: o.lumis, EventsPerFile: o.events,
+		Workers: o.workers, CoresPerWorker: o.cores,
+		UseHDFS:   o.merge == "hadoop",
+		Seed:      o.seed,
 		Telemetry: reg,
 		EventLog:  evl,
 		Tracer:    tracer,
@@ -179,8 +190,8 @@ func run(kind string, files, lumis, events, workers, cores, taskSize int,
 	}
 	defer st.Close()
 
-	if dbdir != "" {
-		db, err := store.Open(dbdir)
+	if o.dbdir != "" {
+		db, err := store.Open(o.dbdir)
 		if err != nil {
 			return err
 		}
@@ -188,23 +199,23 @@ func run(kind string, files, lumis, events, workers, cores, taskSize int,
 		st.Services.DB = db
 	}
 
-	if confPath == "" {
+	if o.confPath == "" {
 		cfg = core.Config{
 			Name:            "cli",
-			Kind:            core.Kind(kind),
-			TaskletsPerTask: taskSize,
-			AccessMode:      core.AccessMode(access),
-			MergeMode:       core.MergeMode(merge),
+			Kind:            core.Kind(o.kind),
+			TaskletsPerTask: o.taskSize,
+			AccessMode:      core.AccessMode(o.access),
+			MergeMode:       core.MergeMode(o.merge),
 			EventSize:       st.EventSize(),
 		}
 		if cfg.MergeMode != core.MergeNone && cfg.MergeMode != "" {
-			cfg.MergeTargetBytes = int64(mergeKB * 1024)
+			cfg.MergeTargetBytes = int64(o.mergeKB * 1024)
 		}
 		switch cfg.Kind {
 		case core.KindAnalysis:
 			cfg.Dataset = st.Dataset.Name
 		case core.KindSimulation:
-			cfg.TotalEvents = events
+			cfg.TotalEvents = o.events
 			cfg.EventsPerTasklet = 10
 		}
 	} else {
@@ -221,7 +232,7 @@ func run(kind string, files, lumis, events, workers, cores, taskSize int,
 		return err
 	}
 	l.SetResultTimeout(2 * time.Minute)
-	fmt.Printf("running %s workflow %q over %s...\n", kind, cfg.Name, st.Dataset.Name)
+	fmt.Printf("running %s workflow %q over %s...\n", o.kind, cfg.Name, st.Dataset.Name)
 	start := time.Now()
 	rep, err := l.Run()
 	if err != nil {

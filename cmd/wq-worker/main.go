@@ -25,71 +25,76 @@ import (
 	"lobster/internal/wq"
 )
 
+// options holds the command's flags.
+type options struct {
+	master, name, dir                         string
+	cores                                     int
+	proxyURL, repo, release, chirpSE, condTag string
+	lifetime                                  time.Duration
+}
+
 func main() {
-	var (
-		master   = flag.String("master", "127.0.0.1:9123", "master or foreman address")
-		name     = flag.String("name", "", "worker name (default: wq-worker-<pid>)")
-		cores    = flag.Int("cores", 8, "task slots")
-		dir      = flag.String("dir", "", "scratch directory (default: temp)")
-		proxyURL = flag.String("proxy", "", "squid/CVMFS base URL (enables software delivery)")
-		repo     = flag.String("repo", "cms.cern.ch", "CVMFS repository name")
-		release  = flag.String("release", "/CMSSW_7_4_0", "software release path")
-		chirpSE  = flag.String("chirp", "", "chirp storage element address")
-		condTag  = flag.String("conditions", "", "frontier conditions tag")
-		lifetime = flag.Duration("lifetime", 0, "self-evict after this duration (0 = never)")
-	)
+	var o options
+	flag.StringVar(&o.master, "master", "127.0.0.1:9123", "master or foreman address")
+	flag.StringVar(&o.name, "name", "", "worker name (default: wq-worker-<pid>)")
+	flag.IntVar(&o.cores, "cores", 8, "task slots")
+	flag.StringVar(&o.dir, "dir", "", "scratch directory (default: temp)")
+	flag.StringVar(&o.proxyURL, "proxy", "", "squid/CVMFS base URL (enables software delivery)")
+	flag.StringVar(&o.repo, "repo", "cms.cern.ch", "CVMFS repository name")
+	flag.StringVar(&o.release, "release", "/CMSSW_7_4_0", "software release path")
+	flag.StringVar(&o.chirpSE, "chirp", "", "chirp storage element address")
+	flag.StringVar(&o.condTag, "conditions", "", "frontier conditions tag")
+	flag.DurationVar(&o.lifetime, "lifetime", 0, "self-evict after this duration (0 = never)")
 	flag.Parse()
-	if err := run(*master, *name, *cores, *dir, *proxyURL, *repo, *release,
-		*chirpSE, *condTag, *lifetime); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "wq-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run(master, name string, cores int, dir, proxyURL, repo, release,
-	chirpSE, condTag string, lifetime time.Duration) error {
-	if name == "" {
-		name = fmt.Sprintf("wq-worker-%d", os.Getpid())
+func run(o options) error {
+	if o.name == "" {
+		o.name = fmt.Sprintf("wq-worker-%d", os.Getpid())
 	}
-	if dir == "" {
+	if o.dir == "" {
 		d, err := os.MkdirTemp("", "wq-worker-*")
 		if err != nil {
 			return err
 		}
-		dir = d
+		o.dir = d
 	}
-	cache, err := parrot.NewCache(dir+"/cache", parrot.ModeAlien)
+	cache, err := parrot.NewCache(o.dir+"/cache", parrot.ModeAlien)
 	if err != nil {
 		return err
 	}
 	env := &hepsim.Env{
-		ProxyURL:      proxyURL,
-		Repo:          repo,
-		ReleasePath:   release,
+		ProxyURL:      o.proxyURL,
+		Repo:          o.repo,
+		ReleasePath:   o.release,
 		Cache:         cache,
-		ChirpAddr:     chirpSE,
-		ConditionsTag: condTag,
+		ChirpAddr:     o.chirpSE,
+		ConditionsTag: o.condTag,
 	}
 	defer env.Close()
 	reg := wq.Registry{
 		"analysis":   hepsim.Analysis(env),
 		"simulation": hepsim.Simulation(env),
 	}
-	if chirpSE != "" {
-		reg["merge"] = core.MergeExecutor(chirpSE)
+	if o.chirpSE != "" {
+		reg["merge"] = core.MergeExecutor(o.chirpSE)
 	}
-	w, err := wq.NewWorker(master, name, cores, dir, reg)
+	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wq-worker: %s connected to %s with %d cores\n", name, master, cores)
+	fmt.Printf("wq-worker: %s connected to %s with %d cores\n", o.name, o.master, o.cores)
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt)
-	if lifetime > 0 {
+	if o.lifetime > 0 {
 		select {
 		case <-ch:
-		case <-time.After(lifetime):
+		case <-time.After(o.lifetime):
 			fmt.Println("wq-worker: lifetime reached, self-evicting")
 			w.Evict()
 			return nil

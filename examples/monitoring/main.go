@@ -25,6 +25,7 @@ import (
 	"lobster/internal/store"
 	"lobster/internal/tabulate"
 	"lobster/internal/telemetry"
+	"lobster/internal/trace"
 )
 
 func main() {
@@ -86,11 +87,11 @@ func main() {
 			broken[f.LFN] = true
 		}
 	}
-	stack.Env.Open = func(lfn string) (hepsim.RemoteFile, error) {
+	stack.Env.Open = func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
 		if broken[lfn] {
 			return nil, fmt.Errorf("xrootd: connection timed out (transient outage)")
 		}
-		return origOpen(lfn)
+		return origOpen(lfn, tr, ctx)
 	}
 
 	l, err := core.New(cfg, stack.Services)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"path"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -410,6 +411,71 @@ func TestProtocolQuitClosesCleanly(t *testing.T) {
 	if got != "" {
 		t.Errorf("quit produced output %q", got)
 	}
+}
+
+// allocatedDuring reports the bytes the process allocated while fn ran.
+func allocatedDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOverlongLineEndsConnection: a peer whose line outgrows the 64 KiB
+// reader is hung up on, and neither end holds what it was sent.
+func TestOverlongLineEndsConnection(t *testing.T) {
+	junk := bytes.Repeat([]byte{'x'}, 1<<20)
+
+	t.Run("server", func(t *testing.T) {
+		srv, _ := newTestServer(t, 4)
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		grew := allocatedDuring(func() {
+			go conn.Write(junk) // cut short once the server hangs up
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			_, err = conn.Read(make([]byte, 1))
+		})
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("server kept the connection open (read: %v)", err)
+		}
+		if grew > 512<<10 {
+			t.Errorf("server allocated %d bytes for a line it never finished reading", grew)
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			bufio.NewReader(conn).ReadString('\n')
+			conn.Write(junk)
+		}()
+		c, err := Dial(lis.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		grew := allocatedDuring(func() { _, err = c.Stat("/f") })
+		if err == nil || !c.Broken() {
+			t.Fatalf("client accepted an endless status line (err %v, broken %v)", err, c.Broken())
+		}
+		if grew > 512<<10 {
+			t.Errorf("client allocated %d bytes for a line it never finished reading", grew)
+		}
+	})
 }
 
 func TestClientStatParsesDirAndFile(t *testing.T) {

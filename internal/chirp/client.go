@@ -158,11 +158,10 @@ func (c *Client) Close() error {
 // responses into *ServerError (permanent; the connection stays usable —
 // the server answered in protocol).
 func (c *Client) readStatusLine(op string) (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := readLine(c.r)
 	if err != nil {
 		return "", c.fail(fmt.Errorf("chirp: reading response: %w", err))
 	}
-	line = strings.TrimRight(line, "\r\n")
 	if strings.HasPrefix(line, "-1 ") {
 		return "", &ServerError{Op: op, Msg: strings.TrimPrefix(line, "-1 ")}
 	}
@@ -459,11 +458,10 @@ func (c *Client) List(path string) ([]FileInfo, error) {
 	}
 	out := make([]FileInfo, 0, n)
 	for i := 0; i < n; i++ {
-		entry, err := c.r.ReadString('\n')
+		entry, err := readLine(c.r)
 		if err != nil {
 			return nil, c.fail(fmt.Errorf("chirp: truncated listing: %w", err))
 		}
-		entry = strings.TrimRight(entry, "\r\n")
 		parts := strings.SplitN(entry, " ", 3)
 		if len(parts) != 3 {
 			return nil, c.protoErr("ls", "bad listing line %q", entry)

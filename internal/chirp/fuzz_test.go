@@ -26,6 +26,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Add("getfile", []byte{})
 	f.Add("  ", []byte{})
 	f.Add("bogus /f.dat", []byte{})
+	f.Add("getfile /"+strings.Repeat("x", 64<<10), []byte{}) // longer than serveConn's reader would pass on
 	f.Fuzz(func(t *testing.T, line string, payload []byte) {
 		fs, err := NewLocalFS(t.TempDir())
 		if err != nil {

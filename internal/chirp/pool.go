@@ -36,10 +36,6 @@ type PoolOptions struct {
 	// Fault, when non-nil, wires every pooled connection into the fault
 	// plane under component "chirp_client".
 	Fault *faultinject.Injector
-	// Tracer and Parent, when set, are attached to every connection a
-	// Do call uses, so operations record spans.
-	Tracer *trace.Tracer
-	Parent trace.Context
 	// Telemetry, when non-nil, instruments the pool (dial/reuse
 	// counters) and the payload byte counters of every connection.
 	Telemetry *telemetry.Registry
@@ -138,7 +134,7 @@ var errPoolClosed = errors.New("chirp: pool is closed")
 // under re-execution: each retry re-runs it from the top, possibly on a
 // fresh connection, so fn must recreate any readers it consumes.
 func (p *Pool) Do(fn func(*Client) error) error {
-	return p.DoTraced(p.opts.Tracer, p.opts.Parent, fn)
+	return p.DoTraced(nil, trace.Context{}, fn)
 }
 
 // DoTraced is Do with an explicit tracer and parent for this call:
@@ -259,7 +255,7 @@ func (p *Pool) PutFile(path string, data []byte) error {
 // a half-written download is never left behind as a complete-looking
 // one. Returns the byte count.
 func (p *Pool) FetchTo(path, dst string) (int64, error) {
-	return p.FetchToTraced(p.opts.Tracer, p.opts.Parent, path, dst)
+	return p.FetchToTraced(nil, trace.Context{}, path, dst)
 }
 
 // FetchToTraced is FetchTo under an explicit tracer and parent, as

@@ -273,11 +273,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	w := bufio.NewWriterSize(conn, 64<<10)
 	var cur trace.Context // context for the next command, set by "trace"
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
 		if err != nil {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		if line == "quit" {
 			w.Flush()
 			return
@@ -314,6 +313,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// readLine reads one protocol line in place from r's buffer and returns
+// it without its line ending. A line that outgrows the buffer (64 KiB on
+// both ends of a connection) is bufio.ErrBufferFull: the peer is not
+// speaking the protocol, and the caller drops the connection instead of
+// holding whatever it sends.
+func readLine(r *bufio.Reader) (string, error) {
+	raw, err := r.ReadSlice('\n')
+	if err != nil {
+		return "", err
+	}
+	return string(bytes.TrimRight(raw, "\r\n")), nil
 }
 
 // sanitizeError flattens an error to a single line.

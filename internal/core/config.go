@@ -108,21 +108,14 @@ type Config struct {
 	// PileupPath is the storage-element path of the pile-up sample
 	// (simulation only; empty disables overlay).
 	PileupPath string
-
-	// Executor names in the worker registry. Defaults: "analysis",
-	// "simulation", "merge".
-	AnalysisFunc   string
-	SimulationFunc string
-	MergeFunc      string
-
-	// EventBatch coalesces completed-task records into "task_batch" events
-	// of up to this many records before hitting the structured event log,
-	// cutting per-record marshal and write overhead at high dispatch rates.
-	// 0 or 1 keeps the legacy one-"task"-event-per-record framing. Both
-	// framings replay with monitor.ReplayLog; any batched tail is flushed
-	// when Run returns.
-	EventBatch int
 }
+
+// Executor names in the worker registry.
+const (
+	analysisFunc   = "analysis"
+	simulationFunc = "simulation"
+	mergeFunc      = "merge"
+)
 
 // withDefaults validates and fills defaults.
 func (c Config) withDefaults() (Config, error) {
@@ -181,15 +174,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Work <= 0 {
 		c.Work = 1
-	}
-	if c.AnalysisFunc == "" {
-		c.AnalysisFunc = "analysis"
-	}
-	if c.SimulationFunc == "" {
-		c.SimulationFunc = "simulation"
-	}
-	if c.MergeFunc == "" {
-		c.MergeFunc = "merge"
 	}
 	return c, nil
 }

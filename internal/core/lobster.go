@@ -34,8 +34,6 @@ type Lobster struct {
 	resultTimeout time.Duration
 	epoch         time.Time
 
-	eventBatch []monitor.TaskRecord // pending records when cfg.EventBatch > 1
-
 	// taskMetrics is the Metrics map the last record carried, reused by
 	// the next record whose three values (taskMetricVals) are the same.
 	taskMetrics    map[string]float64
@@ -54,14 +52,14 @@ type coreTelemetry struct {
 	tasksRun          *telemetry.Counter
 	tasksFailed       *telemetry.Counter
 	merges            *telemetry.Counter
-	tracer            *telemetry.Tracer
+	stages            *telemetry.StageHistograms
 }
 
 // instrument registers the driver's metric series on svc.Telemetry. A nil
 // registry leaves the driver uninstrumented at zero cost.
 func (l *Lobster) instrument() {
 	reg := l.svc.Telemetry
-	if reg == nil && l.svc.EventLog == nil {
+	if reg == nil {
 		return
 	}
 	l.tel = coreTelemetry{
@@ -77,7 +75,7 @@ func (l *Lobster) instrument() {
 			"Processing task attempts that returned failure."),
 		merges: reg.Counter("lobster_core_merges_total",
 			"Merge tasks that returned."),
-		tracer: telemetry.NewTracer(reg, l.svc.EventLog),
+		stages: telemetry.NewStageHistograms(reg),
 	}
 }
 
@@ -150,9 +148,6 @@ func (l *Lobster) SetResultTimeout(d time.Duration) { l.resultTimeout = d }
 // Run executes the workflow to completion.
 func (l *Lobster) Run() (*RunReport, error) {
 	start := time.Now()
-	// Batched task events must reach the log even on an error return, or a
-	// replay would silently miss up to EventBatch-1 completed tasks.
-	defer l.flushTaskEvents()
 	recovered, err := l.prepare()
 	if err != nil {
 		return nil, err
@@ -423,9 +418,9 @@ func decodeReport(r *wq.Result) *wrapper.Report {
 
 // recordMonitor converts a task result and its decoded wrapper report
 // (nil if it carried none) into a monitoring record, feeding the monitor
-// DB, the task-lifecycle tracer, and the structured event log.
+// DB, the task-stage histograms, and the structured event log.
 func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.Report) {
-	if l.svc.Monitor == nil && l.svc.EventLog == nil && l.tel.tracer == nil {
+	if l.svc.Monitor == nil && l.svc.EventLog == nil && l.tel.stages == nil {
 		return
 	}
 	secs := func(t time.Time) float64 {
@@ -476,9 +471,8 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 		rec.Metrics = l.taskMetrics
 	}
 
-	// Stage timings arrive after the fact inside the wrapper report, so the
-	// real plane records them through Tracer.Observe rather than live spans.
-	if t := l.tel.tracer; t != nil {
+	// Stage timings arrive after the fact inside the wrapper report.
+	if t := l.tel.stages; t != nil {
 		pos := func(v float64) float64 {
 			if v < 0 {
 				return 0
@@ -496,34 +490,8 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 			t.Observe(telemetry.StageStageOut, pos(rec.StageOut+rec.WQStageOut))
 		}
 	}
-	l.emitTaskEvent(rec)
+	l.svc.EventLog.Emit("task", rec)
 	if l.svc.Monitor != nil {
 		l.svc.Monitor.Add(rec)
 	}
-}
-
-// emitTaskEvent feeds one completed-task record to the structured event
-// log, coalescing into "task_batch" events when cfg.EventBatch > 1.
-func (l *Lobster) emitTaskEvent(rec monitor.TaskRecord) {
-	if l.svc.EventLog == nil {
-		return
-	}
-	if l.cfg.EventBatch <= 1 {
-		l.svc.EventLog.Emit("task", rec)
-		return
-	}
-	l.eventBatch = append(l.eventBatch, rec)
-	if len(l.eventBatch) >= l.cfg.EventBatch {
-		l.flushTaskEvents()
-	}
-}
-
-// flushTaskEvents emits any batched records. Emit marshals synchronously,
-// so the backing array is free for reuse as soon as it returns.
-func (l *Lobster) flushTaskEvents() {
-	if len(l.eventBatch) == 0 {
-		return
-	}
-	l.svc.EventLog.Emit("task_batch", l.eventBatch)
-	l.eventBatch = l.eventBatch[:0]
 }

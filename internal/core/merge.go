@@ -199,7 +199,7 @@ func buildMergeTask(cfg *Config, group []outputFile, seq int) *wq.Task {
 		paths[i] = o.Path
 	}
 	return &wq.Task{
-		Func: cfg.MergeFunc,
+		Func: mergeFunc,
 		Args: map[string]string{
 			"inputs": strings.Join(paths, ";"),
 			"output": fmt.Sprintf("%s/%s_merged_%d.root", cfg.OutputDir, cfg.Name, seq),

@@ -27,6 +27,7 @@ import (
 	"lobster/internal/stats"
 	"lobster/internal/store"
 	"lobster/internal/telemetry"
+	"lobster/internal/trace"
 	"lobster/internal/wq"
 	"lobster/internal/xrootd"
 )
@@ -127,8 +128,8 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 		Cache:         cache,
 		ChirpAddr:     st.chirpSrv.Addr(),
 		ConditionsTag: "align",
-		Open: func(lfn string) (hepsim.RemoteFile, error) {
-			return xcl.Open(lfn)
+		Open: func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
+			return xcl.OpenTraced(lfn, tr, ctx)
 		},
 	}
 	st.registry = wq.Registry{
@@ -375,17 +376,16 @@ func TestSimulationWorkflowEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEventBatchedLogReplays runs a workflow with event batching enabled
-// and checks (a) the log carries "task_batch" framing with no per-record
-// "task" events, including the flushed sub-batch tail, and (b) replaying
-// it rebuilds a monitor DB identical to the live one.
-func TestEventBatchedLogReplays(t *testing.T) {
+// TestEventLogReplays runs a workflow with an event log and checks (a) the
+// log carries one "task" event per record, and (b) replaying it rebuilds a
+// monitor DB identical to the live one.
+func TestEventLogReplays(t *testing.T) {
 	st := startStack(t, 4, 4, 20, nil) // 16 tasklets -> 8 tasks
 	var buf bytes.Buffer
 	st.svc.EventLog = telemetry.NewEventLog(&buf, nil)
 	rep := runWorkflow(t, st, Config{
 		Name: "evb", Kind: KindAnalysis, Dataset: st.dataset.Name,
-		TaskletsPerTask: 2, EventBatch: 3, // 8 records -> 2 full batches + tail of 2
+		TaskletsPerTask: 2,
 	})
 	if !rep.Succeeded() || rep.TasksRun != 8 {
 		t.Fatalf("report = %+v", rep)
@@ -394,11 +394,8 @@ func TestEventBatchedLogReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := buf.String()
-	if strings.Contains(log, `"type":"task"`) {
-		t.Error("batched run emitted single-record task events")
-	}
-	if n := strings.Count(log, `"type":"task_batch"`); n != 3 {
-		t.Errorf("task_batch events = %d, want 3 (two full, one flushed tail)", n)
+	if n := strings.Count(log, `"type":"task"`); n != 8 {
+		t.Errorf("task events = %d, want 8", n)
 	}
 	rebuilt := monitor.New()
 	n, err := rebuilt.ReplayLog(&buf)
@@ -502,11 +499,11 @@ func TestFailedSegmentPropagatesToMonitor(t *testing.T) {
 	// one file.
 	brokenLFN := st.dataset.Files[0].LFN
 	origOpen := st.env.Open
-	st.env.Open = func(lfn string) (hepsim.RemoteFile, error) {
+	st.env.Open = func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
 		if lfn == brokenLFN {
 			return nil, fmt.Errorf("synthetic federation outage for %s", lfn)
 		}
-		return origOpen(lfn)
+		return origOpen(lfn, tr, ctx)
 	}
 	rep := runWorkflow(t, st, Config{
 		Name: "fail", Kind: KindAnalysis, Dataset: st.dataset.Name,

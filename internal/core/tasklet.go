@@ -162,7 +162,7 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 	var funcName string
 	switch cfg.Kind {
 	case KindAnalysis:
-		funcName = cfg.AnalysisFunc
+		funcName = analysisFunc
 		skip, num := first.SkipEvents, 0
 		for _, id := range group {
 			t := tasklets[id]
@@ -177,7 +177,7 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 		args["skip_events"] = strconv.Itoa(skip)
 		args["max_events"] = strconv.Itoa(num)
 	case KindSimulation:
-		funcName = cfg.SimulationFunc
+		funcName = simulationFunc
 		num := 0
 		for _, id := range group {
 			num += tasklets[id].NumEvents

@@ -260,10 +260,7 @@ func Start(opts Options) (*Stack, error) {
 		Fault:         opts.Fault,
 		ChirpRetry:    opts.Retry,
 		Telemetry:     opts.Telemetry,
-		Open: func(lfn string) (hepsim.RemoteFile, error) {
-			return xcl.Open(lfn)
-		},
-		OpenTraced: func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
+		Open: func(lfn string, tr *trace.Tracer, ctx trace.Context) (hepsim.RemoteFile, error) {
 			return xcl.OpenTraced(lfn, tr, ctx)
 		},
 	}

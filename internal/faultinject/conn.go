@@ -23,29 +23,6 @@ func (in *Injector) Conn(component string, c net.Conn) net.Conn {
 	return &faultConn{Conn: c, in: in, component: component}
 }
 
-// Listener wraps l so every accepted connection is wrapped with Conn.
-// A nil injector returns l unchanged.
-func (in *Injector) Listener(component string, l net.Listener) net.Listener {
-	if in == nil {
-		return l
-	}
-	return &faultListener{Listener: l, in: in, component: component}
-}
-
-type faultListener struct {
-	net.Listener
-	in        *Injector
-	component string
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.Conn(l.component, c), nil
-}
-
 type faultConn struct {
 	net.Conn
 	in        *Injector

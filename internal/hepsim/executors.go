@@ -40,14 +40,11 @@ type Env struct {
 	ReleasePath string
 	// Cache is the node-local parrot cache shared by all task slots.
 	Cache *parrot.Cache
-	// Open streams an input LFN (nil disables xrootd access). It returns a
-	// reader-like handle; see OpenFunc.
-	Open OpenFunc
-	// OpenTraced, when set, is preferred over Open and receives the
-	// task's tracer and the current segment's span context, so the
-	// data-access client can chain its spans (replica choice, bytes)
-	// under the task trace.
-	OpenTraced func(lfn string, tr *trace.Tracer, ctx trace.Context) (RemoteFile, error)
+	// Open opens an input LFN for reading (nil disables xrootd access). It
+	// receives the task's tracer and the current segment's span context,
+	// both zero when the task runs untraced, so the data-access client can
+	// chain its spans (replica choice, bytes) under the task trace.
+	Open func(lfn string, tr *trace.Tracer, ctx trace.Context) (RemoteFile, error)
 	// ChirpAddr is the storage-element chirp server for outputs (and
 	// pile-up inputs for simulation).
 	ChirpAddr string
@@ -117,7 +114,6 @@ func (e *Env) cloneConfig() *Env {
 		ReleasePath:   e.ReleasePath,
 		Cache:         e.Cache,
 		Open:          e.Open,
-		OpenTraced:    e.OpenTraced,
 		ChirpAddr:     e.ChirpAddr,
 		ConditionsTag: e.ConditionsTag,
 		HTTPClient:    e.HTTPClient,
@@ -135,27 +131,13 @@ func (e *Env) Close() error {
 	return nil
 }
 
-// OpenFunc opens an LFN for reading; the returned handle reports its size
-// and serves positioned reads. *xrootd.File satisfies this via an adapter
-// in the core package; tests can stub it.
-type OpenFunc func(lfn string) (RemoteFile, error)
-
-// RemoteFile is the minimal streaming-read interface executors need.
+// RemoteFile is the minimal streaming-read interface executors need:
+// the handle reports its size and serves positioned reads. *xrootd.File
+// satisfies it; tests can stub it.
 type RemoteFile interface {
 	Size() int64
 	ReadAt(p []byte, off int64) (int, error)
 	Close() error
-}
-
-// open resolves an LFN via OpenTraced when available, else Open.
-func (e *Env) open(lfn string, c *wrapper.StepContext) (RemoteFile, error) {
-	if e.OpenTraced != nil {
-		return e.OpenTraced(lfn, c.Tracer, c.Trace)
-	}
-	if e.Open != nil {
-		return e.Open(lfn)
-	}
-	return nil, fmt.Errorf("no data access configured")
 }
 
 // Args understood by the executors (all optional unless stated):
@@ -273,7 +255,7 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 	}
 	defer releaseInput()
 	defer func() { bufpool.PutSized(output) }()
-	return wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
+	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			sleepMS(delayMS)
 			var err error
@@ -304,7 +286,10 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			if lfn == "" {
 				return fmt.Errorf("analysis task needs an lfn")
 			}
-			f, err := env.open(lfn, c)
+			if env.Open == nil {
+				return fmt.Errorf("no data access configured")
+			}
+			f, err := env.Open(lfn, c.Tracer, c.Trace)
 			if err != nil {
 				return err
 			}
@@ -445,7 +430,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 		output *[]byte // reduced result, borrowed until the wrapper is done
 	)
 	defer func() { bufpool.PutSized(output) }()
-	return wrapper.RunInjected(env.Fault, ctx.Tracer, ctx.Trace,
+	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			var err error
 			kernel, err = NewKernel(argInt(args, "event_size", DefaultEventSize), argInt(args, "work", 1))

@@ -14,6 +14,7 @@ import (
 	"lobster/internal/parrot"
 	"lobster/internal/squid"
 	"lobster/internal/stats"
+	"lobster/internal/trace"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
 	"lobster/internal/xrootd"
@@ -163,8 +164,8 @@ func startServices(t testing.TB) *testServices {
 		Cache:         cache,
 		ChirpAddr:     se.Addr(),
 		ConditionsTag: "align",
-		Open: func(lfn string) (RemoteFile, error) {
-			f, err := cl.Open(lfn)
+		Open: func(lfn string, tr *trace.Tracer, ctx trace.Context) (RemoteFile, error) {
+			f, err := cl.OpenTraced(lfn, tr, ctx)
 			if err != nil {
 				return nil, err
 			}

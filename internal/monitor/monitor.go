@@ -15,9 +15,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"lobster/internal/stats"
-	"lobster/internal/store"
 )
 
 // TaskRecord is the monitoring record for one completed (or failed) task.
@@ -403,75 +400,4 @@ func (m *Monitor) FailureCodes(start, end, binWidth float64) (map[int][]int, err
 		sort.Ints(codes)
 	}
 	return out, nil
-}
-
-// SegmentHistogram builds a histogram of one decomposed-time field, selected
-// by name: "cpu", "io", "setup", "stage_in", "stage_out", "wall".
-func (m *Monitor) SegmentHistogram(field string, lo, hi float64, bins int) (*stats.Histogram, error) {
-	sel, err := fieldSelector(field)
-	if err != nil {
-		return nil, err
-	}
-	h := stats.NewHistogram(lo, hi, bins)
-	m.Each(func(r *TaskRecord) { h.Add(sel(r)) })
-	return h, nil
-}
-
-func fieldSelector(field string) (func(*TaskRecord) float64, error) {
-	switch field {
-	case "cpu":
-		return func(r *TaskRecord) float64 { return r.CPUTime }, nil
-	case "io":
-		return func(r *TaskRecord) float64 { return r.IOTime }, nil
-	case "setup":
-		return func(r *TaskRecord) float64 { return r.SetupTime }, nil
-	case "stage_in":
-		return func(r *TaskRecord) float64 { return r.StageIn }, nil
-	case "stage_out":
-		return func(r *TaskRecord) float64 { return r.StageOut }, nil
-	case "wall":
-		return func(r *TaskRecord) float64 { return r.WallTime() }, nil
-	default:
-		return nil, fmt.Errorf("monitor: unknown field %q", field)
-	}
-}
-
-// --- Persistence ---
-
-const tableName = "monitor_tasks"
-
-// SaveTo writes all records into db (table "monitor_tasks").
-func (m *Monitor) SaveTo(db *store.DB) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for i := range m.records {
-		r := &m.records[i]
-		key := fmt.Sprintf("%016d", r.TaskID)
-		if err := db.PutJSON(tableName, key, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadFrom reads records from db, replacing current contents.
-func (m *Monitor) LoadFrom(db *store.DB) error {
-	var records []TaskRecord
-	err := db.ForEach(tableName, func(key string, value []byte) error {
-		var r TaskRecord
-		if err := db.GetJSON(tableName, key, &r); err != nil {
-			return err
-		}
-		records = append(records, r)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.records = records
-	m.byFinish = nil
-	m.sortGen = 0
-	m.mu.Unlock()
-	return nil
 }

@@ -3,8 +3,6 @@ package monitor
 import (
 	"math"
 	"testing"
-
-	"lobster/internal/store"
 )
 
 // mkRecord builds a simple successful record running [start, start+dur).
@@ -131,30 +129,6 @@ func TestFailureCodes(t *testing.T) {
 	}
 }
 
-func TestSegmentHistogram(t *testing.T) {
-	m := New()
-	for i := 0; i < 10; i++ {
-		r := mkRecord(int64(i), 0, 100, 60)
-		r.SetupTime = float64(i)
-		m.Add(r)
-	}
-	h, err := m.SegmentHistogram("setup", 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 10 {
-		t.Errorf("total = %d", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Counts[i] != 1 {
-			t.Errorf("bin %d = %d", i, h.Counts[i])
-		}
-	}
-	if _, err := m.SegmentHistogram("bogus", 0, 1, 1); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
 func TestDiagnoseRules(t *testing.T) {
 	m := New()
 	// Healthy baseline.
@@ -211,46 +185,5 @@ func assertAdvice(t *testing.T, m *Monitor, code string) {
 func TestDiagnoseEmptyMonitor(t *testing.T) {
 	if advice := New().Diagnose(Thresholds{}); len(advice) != 0 {
 		t.Errorf("empty monitor produced advice: %+v", advice)
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New()
-	for i := 0; i < 20; i++ {
-		r := mkRecord(int64(i), float64(i), 10, 5)
-		r.Metrics = map[string]float64{"events": float64(i * 100)}
-		m.Add(r)
-	}
-	if err := m.SaveTo(db); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	m2 := New()
-	if err := m2.LoadFrom(db2); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Len() != 20 {
-		t.Fatalf("loaded %d records", m2.Len())
-	}
-	recs := m2.Records()
-	found := false
-	for _, r := range recs {
-		if r.TaskID == 7 && r.Metrics["events"] == 700 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("record content lost in round trip")
 	}
 }

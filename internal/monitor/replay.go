@@ -11,8 +11,8 @@ import (
 // ReplayLog rebuilds the monitor's record database from a structured JSONL
 // event log (the crash-recovery path: a restarted Lobster replays the log
 // its predecessor emitted). Events with type "task" carry one TaskRecord
-// each; "task_batch" events carry a slice of them (written by runs with
-// event batching enabled); "alert" events carry one health-plane
+// each; "task_batch" events carry a slice of them (no run writes them any
+// more; logs on disk may hold them); "alert" events carry one health-plane
 // AlertRecord, collected into the alert history (and not counted);
 // "election" events carry one control-plane ElectionRecord, collected
 // into the leadership history (and not counted); other event types are

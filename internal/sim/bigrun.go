@@ -404,7 +404,7 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		}
 		rec.WQStageIn = dispatch
 		rec.Start = p.Now()
-		tel.tracer.Observe(telemetry.StageDispatch, dispatch)
+		tel.stages.Observe(telemetry.StageDispatch, dispatch)
 		segAt(start, "dispatch")
 
 		// Software setup through the proxy layer. The first task of a life
@@ -443,7 +443,7 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			}
 		}
 		setup := p.Now() - setupStart
-		tel.tracer.Observe(telemetry.StageSetup, setup)
+		tel.stages.Observe(telemetry.StageSetup, setup)
 		segAt(setupStart, "setup")
 		if cfg.SetupTimeout > 0 && setup > cfg.SetupTimeout &&
 			rng.Float64() < cfg.SetupTimeoutFailProb {
@@ -495,7 +495,7 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		}
 		io := p.Now() - ioStart
 		rec.IOTime = io
-		tel.tracer.Observe(telemetry.StageStageIn, io)
+		tel.stages.Observe(telemetry.StageStageIn, io)
 		segAt(ioStart, "stage_in")
 
 		// Transient application failure.
@@ -511,7 +511,7 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			return
 		}
 		rec.CPUTime = cpu
-		tel.tracer.Observe(telemetry.StageExecute, cpu)
+		tel.stages.Observe(telemetry.StageExecute, cpu)
 		segAt(p.Now()-cpu, "execute")
 
 		// Stage-out through the chirp connection cap.
@@ -533,7 +533,7 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		}
 		tel.chirpBytesIn.Add(int64(cfg.OutputBytes))
 		rec.StageOut = p.Now() - outStart
-		tel.tracer.Observe(telemetry.StageStageOut, rec.StageOut)
+		tel.stages.Observe(telemetry.StageStageOut, rec.StageOut)
 		segAt(outStart, "stage_out")
 		// Result collection by the loaded master (the paper's "time spent
 		// waiting for responses").

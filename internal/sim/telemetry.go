@@ -39,12 +39,12 @@ type bigRunTelemetry struct {
 	evictions *telemetry.Counter
 
 	// Task lifecycle stage histograms (lobster_task_stage_seconds{stage}).
-	tracer *telemetry.Tracer
+	stages *telemetry.StageHistograms
 }
 
 // init registers the simulated plane's series on reg. The registry's clock
-// must already be the simulation clock so scrape timestamps and span times
-// land in simulated seconds.
+// must already be the simulation clock so scrape timestamps land in
+// simulated seconds.
 func (t *bigRunTelemetry) init(reg *telemetry.Registry) {
 	t.dispatches = reg.Counter("lobster_wq_dispatches_total",
 		"Tasks dispatched to workers.")
@@ -93,5 +93,5 @@ func (t *bigRunTelemetry) init(reg *telemetry.Registry) {
 	t.evictions = reg.Counter("lobster_cluster_evictions_total",
 		"Pilot workers evicted by the batch system.")
 
-	t.tracer = telemetry.NewTracer(reg, nil)
+	t.stages = telemetry.NewStageHistograms(reg)
 }

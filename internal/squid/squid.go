@@ -53,12 +53,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
+// maxOriginConns bounds concurrent origin fetches.
+const maxOriginConns = 64
+
 // Config tunes a Proxy.
 type Config struct {
 	// CapacityBytes bounds the cache size. Zero means 1 GiB.
 	CapacityBytes int64
-	// MaxOriginConns bounds concurrent origin fetches. Zero means 64.
-	MaxOriginConns int
 	// Client performs origin requests; nil means http.DefaultClient with a
 	// 30 s timeout.
 	Client *http.Client
@@ -175,7 +176,7 @@ func (p *Proxy) Instrument(reg *telemetry.Registry) {
 			return float64(p.lru.Len())
 		})
 	reg.GaugeFunc("lobster_squid_origin_inflight",
-		"Origin fetches currently in flight (bounded by MaxOriginConns).",
+		"Origin fetches currently in flight (at most 64).",
 		func() float64 { return float64(len(p.sem)) })
 }
 
@@ -252,9 +253,6 @@ func New(origin string, cfg Config) (*Proxy, error) {
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 1 << 30
 	}
-	if cfg.MaxOriginConns <= 0 {
-		cfg.MaxOriginConns = 64
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
@@ -278,7 +276,7 @@ func New(origin string, cfg Config) (*Proxy, error) {
 		peers:    peers,
 		client:   client,
 		retry:    cfg.Retry,
-		sem:      make(chan struct{}, cfg.MaxOriginConns),
+		sem:      make(chan struct{}, maxOriginConns),
 		capacity: cfg.CapacityBytes,
 		lru:      list.New(),
 		items:    make(map[string]*list.Element),

@@ -74,13 +74,14 @@ func FuzzWALReplay(f *testing.F) {
 
 // snapshotOf copies every table out of db.
 func snapshotOf(db *DB) map[string]map[string]string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	out := map[string]map[string]string{}
-	for _, table := range db.Tables() {
+	for table, t := range db.tables {
 		rows := map[string]string{}
-		db.ForEach(table, func(key string, value []byte) error {
+		for key, value := range t {
 			rows[key] = string(value)
-			return nil
-		})
+		}
 		out[table] = rows
 	}
 	return out

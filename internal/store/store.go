@@ -325,41 +325,11 @@ func (db *DB) Keys(table string) []string {
 	return keys
 }
 
-// Tables returns the names of all non-empty tables in sorted order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Count returns the number of keys in table.
 func (db *DB) Count(table string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.tables[table])
-}
-
-// ForEach calls fn for every (key, value) in table in sorted key order. If
-// fn returns an error, iteration stops and the error is returned.
-func (db *DB) ForEach(table string, fn func(key string, value []byte) error) error {
-	for _, k := range db.Keys(table) {
-		v, err := db.Get(table, k)
-		if errors.Is(err, ErrNotFound) {
-			continue // deleted concurrently
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(k, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PutJSON stores v as JSON under (table, key).

@@ -193,40 +193,12 @@ func TestKeysSortedAndTables(t *testing.T) {
 	if !reflect.DeepEqual(keys, []string{"k1", "k2", "k3"}) {
 		t.Fatalf("keys = %v", keys)
 	}
-	if tb := db.Tables(); !reflect.DeepEqual(tb, []string{"a", "z"}) {
-		t.Fatalf("tables = %v", tb)
+	if n := len(snapshotOf(db)); n != 2 {
+		t.Fatalf("tables = %d, want a and z", n)
 	}
 	db.Delete("z", "k")
-	if tb := db.Tables(); !reflect.DeepEqual(tb, []string{"a"}) {
-		t.Fatalf("empty table not dropped: %v", tb)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	db, _ := openTemp(t)
-	defer db.Close()
-	for i := 0; i < 5; i++ {
-		db.Put("t", fmt.Sprintf("k%d", i), []byte{byte(i)})
-	}
-	var visited []string
-	err := db.ForEach("t", func(k string, v []byte) error {
-		visited = append(visited, k)
-		return nil
-	})
-	if err != nil || len(visited) != 5 {
-		t.Fatalf("visited %v, err %v", visited, err)
-	}
-	stop := errors.New("stop")
-	n := 0
-	err = db.ForEach("t", func(k string, v []byte) error {
-		n++
-		if n == 2 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) || n != 2 {
-		t.Fatalf("early stop broken: n=%d err=%v", n, err)
+	if snap := snapshotOf(db); len(snap) != 1 || snap["a"] == nil {
+		t.Fatalf("empty table not dropped: %v", snap)
 	}
 }
 

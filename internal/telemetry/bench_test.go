@@ -34,31 +34,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			h.Observe(float64(i))
 		}
 	})
-	b.Run("DisabledSpanStart", func(b *testing.B) {
-		var tr *Tracer
-		var sp *Span
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sp = tr.Start("k", int64(i))
-		}
-		_ = sp
-	})
-	b.Run("DisabledSpanMark", func(b *testing.B) {
-		var sp *Span
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sp.Mark(StageSetup)
-		}
-	})
-	b.Run("DisabledSpanEnd", func(b *testing.B) {
-		var sp *Span
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sp.End(0)
-		}
-	})
-	b.Run("DisabledTracerObserve", func(b *testing.B) {
-		var tr *Tracer
+	b.Run("DisabledStageObserve", func(b *testing.B) {
+		var tr *StageHistograms
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr.Observe(StageSetup, 1)
@@ -84,13 +61,11 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 			h.Observe(float64(i % 1000))
 		}
 	})
-	b.Run("SpanFullLifecycle", func(b *testing.B) {
-		tr := NewTracer(r, nil)
+	b.Run("StageObserve", func(b *testing.B) {
+		st := NewStageHistograms(r)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sp := tr.Start("k", int64(i))
-			sp.Mark(StageExecute)
-			sp.End(0)
+			st.Observe(StageExecute, float64(i%1000))
 		}
 	})
 }

@@ -19,9 +19,9 @@
 // Instrument method was never called holds nil *Counter / *Gauge /
 // *Histogram fields and every Inc/Set/Observe on them is a single
 // predictable branch (≤2 ns, zero allocations — see
-// BenchmarkTelemetryOverhead). The same holds for a nil *Tracer and the
-// zero Span, and for a nil *Registry, whose constructors return nil
-// instruments. Components therefore instrument unconditionally.
+// BenchmarkTelemetryOverhead). The same holds for a nil *StageHistograms
+// and for a nil *Registry, whose constructors return nil instruments.
+// Components therefore instrument unconditionally.
 //
 // # Naming scheme
 //

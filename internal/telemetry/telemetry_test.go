@@ -47,11 +47,7 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	if r.Now() != 0 {
 		t.Fatal("nil registry Now must be 0")
 	}
-	tr := NewTracer(nil, nil)
-	sp := tr.Start("k", 1)
-	sp.Mark(StageSetup)
-	sp.End(0)
-	tr.Observe(StageSetup, 1)
+	NewStageHistograms(nil).Observe(StageSetup, 1)
 	var l *EventLog
 	l.Emit("task", 1)
 	if err := l.Close(); err != nil {
@@ -169,59 +165,28 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-func TestSpanStages(t *testing.T) {
+// TestStageObserve: each stage's durations land in that stage's series of
+// lobster_task_stage_seconds, and an out-of-range stage is ignored.
+func TestStageObserve(t *testing.T) {
 	r := NewRegistry()
-	now := 0.0
-	r.SetClock(func() float64 { return now })
-	var buf bytes.Buffer
-	log := NewEventLog(&buf, func() float64 { return now })
-	tr := NewTracer(r, log)
+	st := NewStageHistograms(r)
+	st.Observe(StageSubmit, 10)
+	st.Observe(StageSetup, 30)
+	st.Observe(StageSetup, 12)
+	st.Observe(numStages, 99)
 
-	sp := tr.Start("analysis", 7)
-	now = 10 // 10 s queued
-	sp.Mark(StageDispatch)
-	now = 12 // 2 s dispatch
-	sp.Mark(StageSetup)
-	now = 42 // 30 s setup
-	sp.End(0)
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := tr.stages[StageSubmit].Sum(); got != 10 {
+	if got := st.stages[StageSubmit].Sum(); got != 10 {
 		t.Errorf("submit stage sum = %g, want 10", got)
 	}
-	if got := tr.stages[StageSetup].Sum(); got != 30 {
-		t.Errorf("setup stage sum = %g, want 30", got)
+	if h := st.stages[StageSetup]; h.Sum() != 42 || h.Count() != 2 {
+		t.Errorf("setup stage = %g over %d, want 42 over 2", h.Sum(), h.Count())
 	}
-	if v := tr.active.Value(); v != 0 {
-		t.Errorf("active spans = %g, want 0", v)
-	}
-
-	var spans []SpanEvent
-	err := ReadEvents(&buf, func(ev Event) error {
-		if ev.Type != "span" {
-			t.Fatalf("unexpected event type %q", ev.Type)
-		}
-		var se SpanEvent
-		if err := jsonUnmarshal(ev.Data, &se); err != nil {
-			return err
-		}
-		spans = append(spans, se)
-		return nil
-	})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 {
-		t.Fatalf("got %d span events, want 1", len(spans))
-	}
-	se := spans[0]
-	if se.TaskID != 7 || se.Kind != "analysis" || se.Start != 0 || se.End != 42 {
-		t.Fatalf("span event %+v", se)
-	}
-	if se.Stages["submit"] != 10 || se.Stages["dispatch"] != 2 || se.Stages["setup"] != 30 {
-		t.Fatalf("span stages %+v", se.Stages)
+	if !strings.Contains(buf.String(), `lobster_task_stage_seconds_count{stage="setup"} 2`) {
+		t.Errorf("exposition lacks the setup stage count:\n%s", buf.String())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // EventType tags trace records in the shared telemetry event log, next
-// to the "task" and "span" events the monitor already replays.
+// to the "task" events the monitor replays.
 const EventType = "trace"
 
 // Record is the JSONL payload of one completed span. IDs are 16-digit

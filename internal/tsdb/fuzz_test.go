@@ -85,6 +85,7 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(binary.AppendUvarint(nil, math.MaxUint64)))
 	f.Add(frame(append(binary.AppendUvarint(nil, 3), "keyjunkjunkjunkjunkjunk"...)))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 64<<20), make([]byte, 8)...)) // torn header claiming the largest record
 	// A genuine record to seed valid header shapes.
 	var blk block
 	blk.reset(make([]byte, 0, 256))

@@ -237,6 +237,10 @@ func (s *Store) loadSegment(path string, final bool) (int64, error) {
 		return 0, fmt.Errorf("tsdb: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("tsdb: %w", err)
+	}
 	r := bufio.NewReaderSize(f, 64<<10)
 	var lenBuf [4]byte
 	var valid int64
@@ -256,6 +260,11 @@ func (s *Store) loadSegment(path string, final bool) (int64, error) {
 		recLen := binary.BigEndian.Uint32(lenBuf[:])
 		if recLen < 4 || recLen > 64<<20 {
 			return torn("implausible record length")
+		}
+		// A torn header's claimed length buys no memory: the body must
+		// already lie in the file.
+		if int64(recLen) > st.Size()-valid-4 {
+			return torn("torn record body")
 		}
 		rec := make([]byte, recLen)
 		if _, err := io.ReadFull(r, rec); err != nil {

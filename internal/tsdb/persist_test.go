@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lobster/internal/telemetry"
@@ -108,6 +109,39 @@ func TestPersistTornTail(t *testing.T) {
 		s2.Close()
 	}
 	os.WriteFile(seg, full, 0o644)
+}
+
+// TestPersistTornHeaderClaimsNoMemory: a torn tail whose length prefix
+// claims the largest record the reader accepts, with 8 bytes behind it,
+// loads as the clean prefix and is not allocated for.
+func TestPersistTornHeaderClaimsNoMemory(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(Config{Dir: dir, BlockBytes: 256})
+	fill(s, "c", nil, genSamples(300, 0, 5, func(i int) float64 { return float64(i) }))
+	s.Close()
+
+	f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(binary.BigEndian.AppendUint32(nil, 64<<20))
+	f.Write(make([]byte, 8))
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := Open(Config{Dir: dir, BlockBytes: 256})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("replay allocated %d bytes for a 12-byte torn tail", grew)
+	}
+	if res := s2.Select("c", nil, 0, 1e9); len(res) != 1 || len(res[0].Samples) != 300 {
+		t.Errorf("clean prefix lost behind the torn header: %d series", len(res))
+	}
 }
 
 // TestPersistAppendAfterTornReopen is the crash-recovery sequence the

@@ -161,26 +161,19 @@ type Step struct {
 // Run executes steps in order, recording one SegmentReport each. The first
 // failure stops execution; its segment's exit code becomes the report's.
 // A nil Run function records an instantaneous success (segment skipped).
-func Run(steps ...Step) *Report {
-	return RunTraced(nil, trace.Context{}, steps...)
-}
-
-// RunTraced is Run with distributed tracing: each segment records a
-// span (component "wrapper", named after the segment) chained under
-// parent, and each step's context carries the segment span so service
-// clients used inside chain under it. Segment metrics become span
-// attributes. A nil tracer or invalid parent behaves exactly like Run.
-func RunTraced(tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
-	return RunInjected(nil, tr, parent, steps...)
-}
-
-// RunInjected is RunTraced wired into the fault plane: before each
-// segment runs, the injector is consulted under (component "wrapper",
-// op = segment name). An injected fault fails the segment with its
-// usual exit-code base — from the monitoring side an injected
-// conditions outage is indistinguishable from a real one, which is the
-// point. A nil injector behaves exactly like RunTraced.
-func RunInjected(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
+//
+// Before each segment runs, inj is consulted under (component "wrapper",
+// op = segment name). An injected fault fails the segment with its usual
+// exit-code base — from the monitoring side an injected conditions outage
+// is indistinguishable from a real one, which is the point. A nil injector
+// injects nothing.
+//
+// With a tracer and a valid parent each segment records a span (component
+// "wrapper", named after the segment) chained under parent, and each
+// step's context carries the segment span so service clients used inside
+// chain under it. Segment metrics become span attributes. A nil tracer or
+// invalid parent records no spans.
+func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
 	rep := &Report{}
 	for _, step := range steps {
 		sr := SegmentReport{Segment: step.Segment, Start: time.Now(), Metrics: map[string]float64{}}

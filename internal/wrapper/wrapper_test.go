@@ -4,10 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"lobster/internal/trace"
 )
 
 func TestAllSegmentsSucceed(t *testing.T) {
-	rep := Run(
+	rep := Run(nil, nil, trace.Context{},
 		Step{Segment: SegEnvInit, Run: func(c *StepContext) error { return nil }},
 		Step{Segment: SegSoftware, Run: func(c *StepContext) error {
 			c.SetMetric("cache_hits", 5)
@@ -38,7 +40,7 @@ func TestAllSegmentsSucceed(t *testing.T) {
 
 func TestFailureStopsAndCodes(t *testing.T) {
 	ran := []Segment{}
-	rep := Run(
+	rep := Run(nil, nil, trace.Context{},
 		Step{Segment: SegEnvInit, Run: func(c *StepContext) error {
 			ran = append(ran, SegEnvInit)
 			return nil
@@ -65,7 +67,7 @@ func TestFailureStopsAndCodes(t *testing.T) {
 }
 
 func TestPanicBecomesFailure(t *testing.T) {
-	rep := Run(Step{Segment: SegExecute, Run: func(c *StepContext) error {
+	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegExecute, Run: func(c *StepContext) error {
 		panic("application bug")
 	}})
 	if rep.ExitCode != SegExecute.Code() {
@@ -74,7 +76,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 }
 
 func TestNilStepSkips(t *testing.T) {
-	rep := Run(Step{Segment: SegConditions})
+	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegConditions})
 	if rep.ExitCode != 0 || len(rep.Segments) != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -95,7 +97,7 @@ func TestSegmentCodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rep := Run(
+	rep := Run(nil, nil, trace.Context{},
 		Step{Segment: SegSoftware, Run: func(c *StepContext) error {
 			c.AddMetric("bytes", 100)
 			c.AddMetric("bytes", 50)

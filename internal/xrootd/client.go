@@ -54,9 +54,6 @@ type Client struct {
 	// clients of a consumer so the EWMAs see all streams.
 	Selector *Selector
 
-	tracer *trace.Tracer
-	parent trace.Context
-
 	idle idleConns
 }
 
@@ -138,16 +135,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Trace attaches a tracer and parent context: opens and fetches record
-// spans naming the LFN and the replica that answered, so the analyzer
-// can attribute slow WAN reads to a storage element. Call before use;
-// a nil tracer or invalid parent leaves the client untraced at zero
-// cost.
-func (c *Client) Trace(tr *trace.Tracer, parent trace.Context) {
-	c.tracer = tr
-	c.parent = parent
-}
-
 // File is an open remote file. Not safe for concurrent use.
 //
 // Any transport failure closes the connection and marks the file
@@ -184,12 +171,14 @@ var errBroken = fmt.Errorf("xrootd: connection broken by earlier failure")
 // order the redirector returns them; configured retries repeat the whole
 // pass with backoff.
 func (c *Client) Open(lfn string) (*File, error) {
-	return c.OpenTraced(lfn, c.tracer, c.parent)
+	return c.OpenTraced(lfn, nil, trace.Context{})
 }
 
-// OpenTraced is Open with the span recorded on tr under parent instead
-// of the client's own trace state, so tasks tracing under different
-// parents can share one client and its parked connections.
+// OpenTraced is Open recording an "open" span on tr under parent that
+// names the LFN and the replica that answered, so the analyzer can
+// attribute slow WAN reads to a storage element. Tasks tracing under
+// different parents share one client and its parked connections; a nil
+// tracer or invalid parent records nothing at zero cost.
 func (c *Client) OpenTraced(lfn string, tr *trace.Tracer, parent trace.Context) (*File, error) {
 	var sp *trace.Span
 	if tr != nil && parent.Valid() {
@@ -459,26 +448,15 @@ func (c *Client) Fetch(lfn string) ([]byte, error) {
 // re-fetched or duplicated. A sink (w) failure is permanent — a retry
 // would feed the same broken sink.
 func (c *Client) FetchTo(lfn string, w io.Writer) (int64, error) {
-	var sp *trace.Span
-	if c.tracer != nil && c.parent.Valid() {
-		sp = c.tracer.Start(c.parent, "xrootd", "fetch")
-		sp.Attr("lfn", lfn)
-	}
-	defer sp.End()
 	var written int64
 	err := c.Retry.Do(func() error {
 		startT := time.Now()
-		n, rep, err := c.fetchToOnce(lfn, w, written, sp)
+		n, rep, err := c.fetchToOnce(lfn, w, written)
 		written += n
 		c.account(rep, n, time.Since(startT), err)
 		return err
 	})
-	sp.AttrInt("bytes", written)
-	if err != nil {
-		sp.Attr("error", err.Error())
-		return written, err
-	}
-	return written, nil
+	return written, err
 }
 
 // account feeds one attempt's outcome to the selector and the shared
@@ -501,19 +479,15 @@ func (c *Client) account(rep Replica, n int64, d time.Duration, err error) {
 // returning how many bytes it delivered to w and the replica that
 // served them (the zero Replica when no replica was even opened). The
 // outer policy in FetchTo owns backoff, so the open is a single pass.
-func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64, sp *trace.Span) (int64, Replica, error) {
-	f, err := c.openPass(lfn, sp)
+func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64) (int64, Replica, error) {
+	f, err := c.openPass(lfn, nil)
 	if err != nil {
 		return 0, Replica{}, err
 	}
 	defer f.Close()
-	sp.Attr("replica", f.conn.RemoteAddr().String())
 	if start > f.Size() {
 		return 0, f.rep, retry.Permanent(fmt.Errorf(
 			"xrootd: %s shrank to %d bytes below resume offset %d", lfn, f.Size(), start))
-	}
-	if start > 0 {
-		sp.AttrInt("resume_at", start)
 	}
 	f.offset = start
 	buf := bufpool.Get()

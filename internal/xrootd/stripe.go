@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lobster/internal/bufpool"
-	"lobster/internal/trace"
 )
 
 // StripeConfig tunes FetchToStriped. The zero value means 8 MiB
@@ -114,17 +113,8 @@ func (c *Client) FetchToStriped(lfn string, w io.Writer, cfg StripeConfig) (int6
 		return c.FetchTo(lfn, w)
 	}
 
-	var sp *trace.Span
-	if c.tracer != nil && c.parent.Valid() {
-		sp = c.tracer.Start(c.parent, "xrootd", "fetch_striped")
-		sp.Attr("lfn", lfn)
-	}
-	defer sp.End()
-
 	nStripes := int((total + stripeSize - 1) / stripeSize)
 	window := cfg.window(streams)
-	sp.AttrInt("stripes", int64(nStripes))
-	sp.AttrInt("streams", int64(streams))
 
 	var (
 		claimMu sync.Mutex
@@ -235,21 +225,15 @@ func (c *Client) FetchToStriped(lfn string, w io.Writer, cfg StripeConfig) (int6
 	for _, res := range pending {
 		putChunks(res.chunks)
 	}
-	sp.AttrInt("bytes", written)
 	if firstErr != nil {
-		sp.Attr("error", firstErr.Error())
 		return written, firstErr
 	}
 	if written != total {
-		err := fmt.Errorf("xrootd: striped fetch of %s assembled %d bytes, want %d", lfn, written, total)
-		sp.Attr("error", err.Error())
-		return written, err
+		return written, fmt.Errorf("xrootd: striped fetch of %s assembled %d bytes, want %d", lfn, written, total)
 	}
 	if !cfg.NoVerify && haveCRC && crc != wantCRC {
-		err := fmt.Errorf("xrootd: striped fetch of %s checksum mismatch: got %08x want %08x",
+		return written, fmt.Errorf("xrootd: striped fetch of %s checksum mismatch: got %08x want %08x",
 			lfn, crc, wantCRC)
-		sp.Attr("error", err.Error())
-		return written, err
 	}
 	return written, nil
 }
