@@ -20,10 +20,20 @@ fmt:
 # (*os.File).ReadFrom and (*net.TCPConn).ReadFrom ignore the caller's buffer
 # and allocate 32 KiB per call (DESIGN.md section 17, third turn). Draining
 # a body into io.Discard is the one raw call allowed.
+#
+# And a whole object read into memory lands in a bufpool.Arrival, never in
+# a bytes.Buffer or io.ReadAll: both double as they fill, so a 16 MiB file
+# allocates 31 MiB and is copied twice on its way in (DESIGN.md section
+# 10, where a whole object lands). No name is exempt. The metadata bodies
+# still built that way live outside these directories: the release
+# content internal/cvmfs/release.go assembles at publish time, the WAL
+# record internal/store replays, the rule file internal/health reads.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 copy-lint:
 	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
 	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'bytes\.Buffer|io\.ReadAll\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "doubling payload sink in a data-plane package (use bufpool.Arrival):"; echo "$$out"; exit 1; }
 
 # benchmark/ is its own module (it imports this one through a replace), so
 # `go build ./...` and `go vet ./...` here never see it: deleting an API the
@@ -70,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/chirp/
 	$(GO) test -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/xrootd/
+	$(GO) test -fuzz FuzzFetchReplies -fuzztime $(FUZZTIME) ./internal/xrootd/
 	$(GO) test -fuzz FuzzBatchDispatch -fuzztime $(FUZZTIME) ./internal/wq/
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
 	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/

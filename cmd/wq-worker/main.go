@@ -22,6 +22,7 @@ import (
 	"lobster/internal/core"
 	"lobster/internal/hepsim"
 	"lobster/internal/parrot"
+	"lobster/internal/retry"
 	"lobster/internal/wq"
 )
 
@@ -81,7 +82,9 @@ func run(o options) error {
 		"simulation": hepsim.Simulation(env),
 	}
 	if o.chirpSE != "" {
-		reg["merge"] = core.MergeExecutor(o.chirpSE)
+		pool := core.MergePool(o.chirpSE, retry.Policy{}, nil)
+		defer pool.Close()
+		reg["merge"] = core.MergeExecutor(pool)
 	}
 	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -52,6 +53,10 @@ func Warm(n int) {
 // reclaim an idle class.
 const minSizedShift, maxSizedShift = 12, 26
 
+// MaxSized is the largest class's capacity, and the most memory taken on
+// a peer's word: GetSized's one buffer, an Arrival's one allocation.
+const MaxSized = 1 << maxSizedShift
+
 var sized [maxSizedShift + 1]sync.Pool
 
 // The classes from 64 KiB to 4 MiB also keep a reserve the collector
@@ -81,7 +86,7 @@ func sizedShift(n int) int {
 
 // GetSized borrows a buffer of length n (contents arbitrary) with its
 // class's capacity. Return it with PutSized once nothing can read it any
-// more. Beyond the largest class it is a plain allocation.
+// more. Beyond MaxSized it is a plain allocation (Arrival, for a peer's).
 func GetSized(n int) *[]byte {
 	s := sizedShift(n)
 	if s > maxSizedShift {
@@ -185,4 +190,69 @@ func CopyN(dst io.Writer, src io.Reader, n int64) (int64, error) {
 		err = io.EOF
 	}
 	return written, err
+}
+
+// Arrival is where a whole object lands in memory when a peer said how
+// large it is: a reply's size line, a length in recorded metadata. That
+// is a reservation, not a commitment. Nothing is allocated until the
+// first bytes are about to land; then an object announced at no more than
+// MaxSized takes one allocation of exactly that size (a page nothing
+// arrives in is never resident), and a larger, unannounced or
+// over-running one grows as append does, by what has arrived: a lie costs
+// its teller's bytes and no more. ReadFrom fills the tail straight from
+// its source, so a byte is copied once and never again to make room. The
+// bytes are the caller's; nothing here is pooled.
+type Arrival struct {
+	// Announced is the size the peer gave, negative if it gave none. A
+	// resumed transfer sets it again from what its new source answers.
+	Announced int64
+	buf       []byte
+}
+
+// Bytes is what has arrived: nil until something has.
+func (a *Arrival) Bytes() []byte { return a.buf }
+
+// tail makes room behind what has arrived and returns up to n bytes of it.
+func (a *Arrival) tail(n int) []byte {
+	if len(a.buf) == cap(a.buf) {
+		if a.buf == nil && 0 < a.Announced && a.Announced <= MaxSized {
+			a.buf = make([]byte, 0, a.Announced)
+		} else {
+			a.buf = slices.Grow(a.buf, n)
+		}
+	}
+	return a.buf[len(a.buf):min(len(a.buf)+n, cap(a.buf))]
+}
+
+// Write lands p, for a source that hands over slices it already holds.
+func (a *Arrival) Write(p []byte) (int, error) {
+	if len(p) > 0 {
+		a.tail(len(p)) // the first arrival takes the reservation
+		a.buf = append(a.buf, p...)
+	}
+	return len(p), nil
+}
+
+// ReadFrom lands what r delivers, at most a chunk a Read, until the
+// announced size is in or r ends (io.EOF is no error, as in
+// io.ReaderFrom; the caller compares the count with what it expected). It
+// asks r for nothing more, so a connection keeps what follows a payload.
+func (a *Arrival) ReadFrom(r io.Reader) (n int64, err error) {
+	for err == nil {
+		want := int64(ChunkSize)
+		if a.Announced >= 0 {
+			want = min(want, a.Announced-int64(len(a.buf)))
+		}
+		if want <= 0 {
+			break
+		}
+		var m int
+		m, err = r.Read(a.tail(int(want)))
+		a.buf = a.buf[:len(a.buf)+m]
+		n += int64(m)
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
 }

@@ -3,6 +3,7 @@ package chirp
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"net"
@@ -233,6 +234,14 @@ func writeBuffered(w io.Writer, r *bufio.Reader, n int64) (int64, error) {
 // the remainder is drained and the sink error is returned as permanent
 // (a retry would feed the same broken sink).
 func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
+	if land, ok := w.(*bufpool.Arrival); ok { // in memory: no sink to fail, no chunk between
+		land.Announced = size
+		n, err := land.ReadFrom(c.r)
+		if n < size {
+			return n, c.fail(fmt.Errorf("chirp: short read: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
+		}
+		return n, nil
+	}
 	sink := &sinkWriter{w: w}
 	// What the bufio reader already holds first, then the rest straight
 	// off the connection so file sinks can use kernel offload.
@@ -296,29 +305,16 @@ func (s *sinkWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// GetFile fetches the file at path into memory. It is a wrapper over
-// GetFileTo: the buffer grows as bytes actually arrive (capped initial
-// reservation), so a server claiming a huge size cannot make the
-// client commit the memory up front, and an empty file costs no
-// allocation at all.
+// GetFile fetches the file at path into memory: GetFileTo into a
+// bufpool.Arrival. The size line reserves the destination (one allocation
+// up to bufpool.MaxSized, so a huge claim commits no memory; none at all
+// for an empty file) and the payload is read straight into it.
 func (c *Client) GetFile(path string) ([]byte, error) {
-	var buf getBuffer
-	if _, err := c.GetFileTo(path, &buf); err != nil {
+	var land bufpool.Arrival
+	if _, err := c.GetFileTo(path, &land); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// getBuffer is a bytes.Buffer that stays nil-backed until the first
-// payload byte arrives (so size-0 gets allocate nothing) and reserves
-// at most one chunk ahead of the data.
-type getBuffer struct{ bytes.Buffer }
-
-func (b *getBuffer) Write(p []byte) (int, error) {
-	if b.Len() == 0 && len(p) > 0 {
-		b.Grow(len(p))
-	}
-	return b.Buffer.Write(p)
+	return land.Bytes(), nil
 }
 
 // PutFileFrom creates or replaces the file at path with exactly size

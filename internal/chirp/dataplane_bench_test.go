@@ -87,6 +87,33 @@ func BenchmarkDataplaneGet(b *testing.B) {
 	}
 }
 
+// BenchmarkGetFileWhole is the in-memory GetFile, what a pile-up sample
+// and the end-to-end benchmark's read-back pay: the size line reserves
+// one destination and the payload is read into it, so B/op is the
+// payload and little else. BENCH_dataplane.json bounds it at 1.02 x
+// payload + 64 KiB.
+func BenchmarkGetFileWhole(b *testing.B) {
+	b.Run("16MiB", func(b *testing.B) {
+		const size = 16 << 20
+		srv, fs := benchServer(b)
+		if err := fs.WriteFile("/whole.root", benchPayload(size)); err != nil {
+			b.Fatal(err)
+		}
+		pool := NewPool(PoolOptions{Addr: srv.Addr()})
+		defer pool.Close()
+		bufpool.Warm(1) // the server's chunk, should its sendfile be refused
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data, err := pool.GetFile("/whole.root")
+			if err != nil || len(data) != size {
+				b.Fatalf("GetFile = %d bytes, %v", len(data), err)
+			}
+		}
+	})
+}
+
 // BenchmarkDataplanePut measures a single-file chirp put from a sandbox
 // file, the stage-out grain of every task.
 func BenchmarkDataplanePut(b *testing.B) {

@@ -354,6 +354,3 @@ func (l *LocalFS) Remove(p string) error {
 	}
 	return nil
 }
-
-// ReadAll is a convenience for streaming reads from io.Reader backends.
-func ReadAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }

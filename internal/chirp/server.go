@@ -3,6 +3,7 @@ package chirp
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -406,27 +407,20 @@ func (s *Server) checksum(path string) (uint32, error) {
 // servePut absorbs one putfile/append payload. Backends implementing
 // StreamWriterFS receive the bytes as they arrive off the wire
 // (spool-and-commit, so a dead client never corrupts the target);
-// others get the buffered fallback, growing only as bytes actually
-// arrive so a client claiming a huge size cannot commit server memory.
+// others get the whole payload in memory, landed in a bufpool.Arrival so
+// a client claiming a huge size cannot commit server memory.
 func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net.Conn) error {
 	sw, ok := s.fs.(StreamWriterFS)
 	if !ok {
-		var buf bytes.Buffer
-		buf.Grow(int(min(size, 1<<20)))
-		if _, err := bufpool.CopyN(&buf, r, size); err != nil {
-			return hangup(op, fmt.Errorf("short payload: %w", err))
+		land := bufpool.Arrival{Announced: size}
+		if n, err := land.ReadFrom(r); n < size {
+			return hangup(op, fmt.Errorf("short payload: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
 		}
 		s.countIn(size)
-		var err error
 		if op == "putfile" {
-			err = s.fs.WriteFile(path, buf.Bytes())
-		} else {
-			err = s.fs.Append(path, buf.Bytes())
+			return s.fs.WriteFile(path, land.Bytes())
 		}
-		if err != nil {
-			return err
-		}
-		return nil
+		return s.fs.Append(path, land.Bytes())
 	}
 	pr := &payloadReader{br: r, conn: conn, limit: size}
 	var err error

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"lobster/internal/chirp"
 	"lobster/internal/faultinject"
@@ -24,14 +23,11 @@ type outputFile struct {
 	Bytes int64  `json:"bytes"`
 }
 
-// MergeOptions hardens the merge executor's chirp access.
-type MergeOptions struct {
-	// Retry bounds redial-and-retry for each chirp operation. The zero
-	// Policy performs single attempts.
-	Retry retry.Policy
-	// Fault, when non-nil, wires the executor's chirp connections into
-	// the fault plane (component "chirp_client").
-	Fault *faultinject.Injector
+// MergePool is the chirp connection pool a worker process's merge tasks
+// share, with the optional retry policy and fault plane of its other
+// chirp access. Whoever builds it closes it, after the worker.
+func MergePool(chirpAddr string, policy retry.Policy, fault *faultinject.Injector) *chirp.Pool {
+	return chirp.NewPool(chirp.PoolOptions{Addr: chirpAddr, Size: mergeParallelism, Retry: policy, Fault: fault})
 }
 
 // MergeExecutor returns the worker-side executor for merge tasks: it fetches
@@ -39,11 +35,6 @@ type MergeOptions struct {
 // writes the merged file back. Merge tasks run like analysis tasks (paper:
 // "Merge tasks run in the same way as analysis tasks"), so they are subject
 // to the same eviction and retry machinery.
-func MergeExecutor(chirpAddr string) wq.Executor {
-	return MergeExecutorOpts(chirpAddr, MergeOptions{})
-}
-
-// MergeExecutorOpts is MergeExecutor with retry and fault-plane options.
 //
 // The executor is idempotent under whole-task re-dispatch: a replay that
 // finds an input missing checks for the merged output — when present,
@@ -51,27 +42,14 @@ func MergeExecutor(chirpAddr string) wq.Executor {
 // replay reports success instead of failing the workflow. Input
 // cleanup likewise tolerates already-removed files.
 //
-// Data flow: the inputs are fetched in parallel over a bounded chirp
-// connection pool into sandbox spool files (never all in memory at
-// once), then the merged file streams back as one putfile whose payload
-// is the concatenation of the spools. The pool is worker-scope, built by
-// the first merge task: later ones dial nothing, and each call re-tags
-// the connection it borrows with its own task's trace context. Nothing
-// closes it; its idle connections go with the storage element's end of
-// them, or after the pool's idle TTL.
-func MergeExecutorOpts(chirpAddr string, opts MergeOptions) wq.Executor {
-	var once sync.Once
-	var pool *chirp.Pool
+// Data flow: the inputs are fetched in parallel over pool, a MergePool,
+// into sandbox spool files (never all in memory at once), then the merged
+// file streams back as one putfile whose payload is the concatenation of
+// the spools. The pool is worker-scope: a task dials only what no earlier
+// one left parked, and each call re-tags the connection it borrows with
+// its own task's trace context.
+func MergeExecutor(pool *chirp.Pool) wq.Executor {
 	return func(ctx *wq.ExecContext) error {
-		once.Do(func() {
-			pool = chirp.NewPool(chirp.PoolOptions{
-				Addr:        chirpAddr,
-				Size:        mergeParallelism,
-				DialTimeout: 30 * time.Second,
-				Retry:       opts.Retry,
-				Fault:       opts.Fault,
-			})
-		})
 		do := func(fn func(*chirp.Client) error) error {
 			return pool.DoTraced(ctx.Tracer, ctx.Trace, fn)
 		}

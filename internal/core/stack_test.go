@@ -23,6 +23,7 @@ import (
 	"lobster/internal/hepsim"
 	"lobster/internal/monitor"
 	"lobster/internal/parrot"
+	"lobster/internal/retry"
 	"lobster/internal/squid"
 	"lobster/internal/stats"
 	"lobster/internal/store"
@@ -132,10 +133,12 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 			return xcl.OpenTraced(lfn, tr, ctx)
 		},
 	}
+	mergePool := MergePool(st.chirpSrv.Addr(), retry.Policy{}, nil)
+	t.Cleanup(func() { mergePool.Close() })
 	st.registry = wq.Registry{
 		"analysis":   hepsim.Analysis(st.env),
 		"simulation": hepsim.Simulation(st.env),
-		"merge":      MergeExecutor(st.chirpSrv.Addr()),
+		"merge":      MergeExecutor(mergePool),
 	}
 
 	// Master + workers.

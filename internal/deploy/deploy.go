@@ -53,7 +53,7 @@ type Options struct {
 	CoresPerWorker int
 
 	// ScratchDir holds worker sandboxes, caches, and the chirp export.
-	// Empty means a fresh temporary directory.
+	// Empty means a fresh temporary directory, which Close removes.
 	ScratchDir string
 
 	// Seed drives all synthetic content.
@@ -144,10 +144,14 @@ type Stack struct {
 
 // Start brings up the whole stack.
 func Start(opts Options) (*Stack, error) {
+	ownScratch := opts.ScratchDir == ""
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
 	st := &Stack{Options: opts, scratch: opts.ScratchDir}
+	if ownScratch { // the first closer runs last
+		st.closers = append(st.closers, func() { os.RemoveAll(st.scratch) })
+	}
 	ok := false
 	defer func() {
 		if !ok {
@@ -264,13 +268,12 @@ func Start(opts Options) (*Stack, error) {
 			return xcl.OpenTraced(lfn, tr, ctx)
 		},
 	}
-	st.closers = append(st.closers, func() { st.Env.Close() })
+	mergePool := core.MergePool(st.ChirpSrv.Addr(), opts.Retry, opts.Fault)
+	st.closers = append(st.closers, func() { st.Env.Close() }, func() { mergePool.Close() })
 	st.Registry = wq.Registry{
 		"analysis":   hepsim.Analysis(st.Env),
 		"simulation": hepsim.Simulation(st.Env),
-		"merge": core.MergeExecutorOpts(st.ChirpSrv.Addr(), core.MergeOptions{
-			Retry: opts.Retry, Fault: opts.Fault,
-		}),
+		"merge":      core.MergeExecutor(mergePool),
 	}
 
 	// Master and workers.

@@ -60,10 +60,11 @@ func TestStackEndToEnd(t *testing.T) {
 }
 
 // TestStackCloseLeavesNothingOpen: a stack that ran tasks holds parked
-// xrootd and chirp connections between them, and its data server one
-// open, unlinked spool file per LFN; Close must hang up and close all of
-// it. The collector is off for the test, so a descriptor left to its
-// finalizer shows as the leak it is.
+// xrootd and chirp connections between them — the executors' pool and
+// the merge tasks' own — and its data server one open, unlinked spool
+// file; Close must hang up and close all of it. The collector is off for
+// the test, so a descriptor left to its finalizer shows as the leak it
+// is.
 func TestStackCloseLeavesNothingOpen(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fds := func() int {
@@ -86,13 +87,14 @@ func TestStackCloseLeavesNothingOpen(t *testing.T) {
 		l, err := core.New(core.Config{
 			Name: "leak", Kind: core.KindAnalysis, Dataset: st.Dataset.Name,
 			EventSize: st.EventSize(),
+			MergeMode: core.MergeInterleaved, MergeTargetBytes: 64,
 		}, st.Services)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.SetResultTimeout(time.Minute)
-		if rep, err := l.Run(); err != nil || !rep.Succeeded() {
-			t.Fatalf("run: %v %+v", err, rep)
+		if rep, err := l.Run(); err != nil || !rep.Succeeded() || rep.MergedFiles == 0 {
+			t.Fatalf("run: %v %+v; want a run whose merge tasks used their pool", err, rep)
 		}
 	}
 	run() // the first stack pays for whatever the process opens once
@@ -105,6 +107,30 @@ func TestStackCloseLeavesNothingOpen(t *testing.T) {
 				fds(), beforeFDs, runtime.NumGoroutine(), beforeG)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseRemovesTheScratchItMade: a stack given no ScratchDir makes one
+// under the temporary directory and Close takes it away again; a
+// directory the caller named is the caller's to keep.
+func TestCloseRemovesTheScratchItMade(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	for _, named := range []string{"", t.TempDir()} {
+		st, err := Start(Options{Files: 1, EventsPerFile: 8, Workers: 1, CoresPerWorker: 1, ScratchDir: named})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := st.Options.ScratchDir
+		if _, err := os.Stat(scratch); err != nil {
+			t.Fatalf("scratch directory while running: %v", err)
+		}
+		st.Close()
+		if _, err := os.Stat(scratch); (err == nil) != (named != "") {
+			t.Errorf("ScratchDir %q: after Close, stat %s: %v", named, scratch, err)
+		}
+	}
+	if left, _ := os.ReadDir(os.Getenv("TMPDIR")); len(left) != 0 {
+		t.Errorf("%d entries left under the temporary directory, first %s", len(left), left[0].Name())
 	}
 }
 

@@ -10,12 +10,12 @@
 package hdfs
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
+	"lobster/internal/bufpool"
 	"lobster/internal/chirp"
 )
 
@@ -203,16 +203,9 @@ func (c *Cluster) ReadFile(path string) ([]byte, error) {
 	size := meta.size
 	c.mu.RUnlock()
 
-	// Cap the pre-allocation: size is recorded metadata, and a corrupt or
-	// hostile entry must not translate into an arbitrary upfront make().
-	// The buffer grows amortised past the cap as real blocks arrive.
-	var out bytes.Buffer
-	if grow := size; grow > 0 {
-		if grow > 1<<20 {
-			grow = 1 << 20
-		}
-		out.Grow(int(grow))
-	}
+	// size is recorded metadata: it reserves the destination, and a
+	// corrupt or hostile entry gets what bufpool.Arrival gives a liar.
+	out := bufpool.Arrival{Announced: size}
 	for _, id := range blocks {
 		data, err := c.readBlock(id)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -335,5 +336,54 @@ func TestMapReduceNilFuncsRejected(t *testing.T) {
 	c := newCluster(t, 1, 1, 64)
 	if _, err := c.Run(Job{Name: "nil"}); err == nil {
 		t.Fatal("job without Map/Reduce accepted")
+	}
+}
+
+// TestReadFileReservesTheRecordedSize: a file's recorded size is what
+// ReadFile reserves for it — one allocation of that size for an honest
+// entry, nothing for an empty one — and a corrupt entry claiming a
+// terabyte over a kilobyte of blocks gets the kilobyte it holds.
+func TestReadFileReservesTheRecordedSize(t *testing.T) {
+	c := newCluster(t, 2, 1, 1<<20)
+	want := bytes.Repeat([]byte("0123456789abcdef"), 200_001) // 3.05 MiB: four blocks, the last partial
+	if err := c.WriteFile("/whole", want); err != nil {
+		t.Fatal(err)
+	}
+	allocatedBy := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var got []byte
+	var err error
+	n := allocatedBy(func() { got, err = c.ReadFile("/whole") })
+	if err != nil || !bytes.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("ReadFile: %d bytes (cap %d) of %d, %v", len(got), cap(got), len(want), err)
+	}
+	if limit := uint64(len(want) + len(want)/50 + 64<<10); n > limit {
+		t.Errorf("reading %d bytes allocated %d, want at most %d", len(want), n, limit)
+	}
+
+	c.WriteFile("/liar", bytes.Repeat([]byte("x"), 1<<10))
+	c.files["/liar"].size = 1 << 40
+	n = allocatedBy(func() { got, err = c.ReadFile("/liar") })
+	if err != nil || len(got) != 1<<10 || n >= 4<<20 {
+		t.Errorf("1 TiB recorded over 1 KiB of blocks: %d bytes, %v, %d allocated; want the kilobyte under 4 MiB", len(got), err, n)
+	}
+
+	c.WriteFile("/empty", nil)
+	if got, err = c.ReadFile("/empty"); err != nil || got != nil {
+		t.Errorf("empty file: %d bytes (cap %d), %v; want no allocation", len(got), cap(got), err)
+	}
+
+	// A block that cannot be read fails the whole read, whatever arrived.
+	c.WriteFile("/fragile", want)
+	for _, node := range c.Nodes() {
+		node.SetDown(true)
+	}
+	if got, err = c.ReadFile("/fragile"); err == nil || got != nil {
+		t.Errorf("unreadable block: %d bytes, %v; want an error and nothing", len(got), err)
 	}
 }

@@ -3,6 +3,7 @@ package hepsim
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -297,8 +298,7 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 				// Staging: pull the task's event range before processing.
 				defer f.Close()
 				lo, hi := eventRange(kernel, f.Size(), args)
-				input = bufpool.GetSized(int(hi - lo))
-				if err := readFullAt(f, *input, lo); err != nil {
+				if input, err = stageRange(f, lo, hi-lo); err != nil {
 					return err
 				}
 				c.SetMetric("bytes_in", float64(len(*input)))
@@ -361,12 +361,13 @@ const chunkEvents = 64
 // processStreaming reads the byte range [lo, hi) in event-aligned chunks,
 // reducing as it goes — I/O and CPU interleave, which is what makes
 // streaming win in the paper's Figure 4.
-// The output is borrowed at its final size; the caller returns it.
+// The output is borrowed at its final size, as far as the largest class
+// goes (hi comes from the replica's open reply); the caller returns it.
 func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out *[]byte, events int, streamed int64, err error) {
 	buf := bufpool.GetSized(chunkEvents * k.EventSize)
 	defer bufpool.PutSized(buf)
 	chunk := *buf
-	out = bufpool.GetSized(k.DigestBytes(int(hi - lo)))
+	out = bufpool.GetSized(min(k.DigestBytes(int(hi-lo)), bufpool.MaxSized))
 	*out = (*out)[:0]
 	off := lo
 	for off < hi {
@@ -503,18 +504,35 @@ func sleepMS(ms int) {
 	}
 }
 
-// readFullAt fills buf from the file starting at base offset.
-func readFullAt(f RemoteFile, buf []byte, base int64) error {
-	var off int64
-	for off < int64(len(buf)) {
-		n, err := f.ReadAt(buf[off:], base+off)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("hepsim: unexpected EOF at %d/%d", off, len(buf))
-		}
-		off += int64(n)
+// stageRange reads the n bytes of f from lo into memory. n follows from
+// the size the replica's open announced: up to bufpool.MaxSized it takes
+// one buffer of its class, filled by a single ranged read and the caller's
+// to give back whatever the error; above that, a bufpool.Arrival.
+func stageRange(f RemoteFile, lo, n int64) (*[]byte, error) {
+	src := &rangeReader{f: f, off: lo}
+	if n <= bufpool.MaxSized {
+		buf := bufpool.GetSized(int(n))
+		_, err := io.ReadFull(src, *buf)
+		return buf, err
 	}
-	return nil
+	land := bufpool.Arrival{Announced: n}
+	_, err := land.ReadFrom(src)
+	staged := land.Bytes()
+	return &staged, err
+}
+
+// rangeReader reads f sequentially from off for a caller that asks for
+// no more than was announced: a replica with nothing there fell short.
+type rangeReader struct {
+	f   RemoteFile
+	off int64
+}
+
+func (r *rangeReader) Read(p []byte) (int, error) {
+	n, err := r.f.ReadAt(p, r.off)
+	r.off += int64(n)
+	if n == 0 && err == nil {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
 }

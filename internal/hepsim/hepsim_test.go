@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"lobster/internal/bufpool"
 	"lobster/internal/chirp"
 	"lobster/internal/cvmfs"
 	"lobster/internal/frontier"
@@ -314,6 +316,53 @@ func TestAnalysisFailureSegmentAttribution(t *testing.T) {
 		"lfn": "/store/does-not-exist.root"}})
 	if rep.Failed != wrapper.SegStageIn || rep.ExitCode != wrapper.SegStageIn.Code() {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// lyingFile is a replica whose open announced claimed bytes and whose
+// reads serve the few it holds.
+type lyingFile struct {
+	fakeFile
+	claimed int64
+}
+
+func (f *lyingFile) Size() int64 { return f.claimed }
+
+// TestAnalysisFromALyingReplica: stage mode sizes its input from the
+// replica's open reply. A replica that answers 1 TiB and serves 1 KiB
+// fails the task in stage_in, having cost about a chunk, and the
+// process lives; a claim the largest class covers fails the same way
+// from a pooled buffer that goes back to its class.
+func TestAnalysisFromALyingReplica(t *testing.T) {
+	svc := startServices(t)
+	// run is one task against a replica that claims claimed bytes and
+	// serves 1 KiB, and what the task allocated.
+	run := func(mode string, claimed int64) (*wrapper.Report, uint64) {
+		env := svc.env.cloneConfig()
+		env.Open = func(string, *trace.Tracer, trace.Context) (RemoteFile, error) {
+			return &lyingFile{fakeFile{make([]byte, 1<<10)}, claimed}, nil
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := runTask(t, analysis(env), &wq.Task{ID: 7, Args: map[string]string{
+			"lfn": "/store/liar.root", "mode": mode, "output": "/out/liar", "event_size": "256"}})
+		runtime.ReadMemStats(&after)
+		return rep, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, claimed := range []int64{1 << 40, 5 << 20} {
+		rep, got := run("stage", claimed)
+		if rep.Failed != wrapper.SegStageIn || rep.ExitCode != wrapper.SegStageIn.Code() {
+			t.Fatalf("%d bytes claimed, 1 KiB served: report = %+v, want a stage_in failure", claimed, rep)
+		}
+		if claimed > bufpool.MaxSized && got >= 4<<20 {
+			t.Errorf("%d bytes claimed, 1 KiB served: %d bytes allocated, want under 4 MiB", claimed, got)
+		}
+	}
+	// Stream mode sizes only its output from the claim, and borrows no
+	// more than the largest class for it whatever the claim.
+	rep, got := run("stream", 1<<40)
+	if rep.Metric("events") != 4 || got > bufpool.MaxSized+4<<20 {
+		t.Errorf("stream mode, 1 TiB claimed, 1 KiB served: %g events, %d bytes allocated; want the 4 events served and at most one largest-class buffer", rep.Metric("events"), got)
 	}
 }
 

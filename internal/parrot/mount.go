@@ -3,11 +3,11 @@ package parrot
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
+	"lobster/internal/bufpool"
 	"lobster/internal/cvmfs"
 )
 
@@ -84,7 +84,8 @@ func (m *Mount) fetch(path string) ([]byte, error) {
 			}
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body := bufpool.Arrival{Announced: resp.ContentLength}
+		_, err = body.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			if firstErr == nil {
@@ -98,7 +99,7 @@ func (m *Mount) fetch(path string) ([]byte, error) {
 			}
 			continue
 		}
-		return body, nil
+		return body.Bytes(), nil
 	}
 	return nil, fmt.Errorf("parrot: all %d proxies failed for %s: %w", len(m.bases), path, firstErr)
 }

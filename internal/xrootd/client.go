@@ -399,9 +399,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n > int64(len(p)) {
+	if n < 0 || n > int64(len(p)) {
 		perr := &ProtocolError{Replica: f.addr,
-			Msg: fmt.Sprintf("server over-answered: %d > %d", n, len(p))}
+			Msg: fmt.Sprintf("server over-answered: %d bytes to a read of %d", n, len(p))}
 		f.fail(perr)
 		return 0, perr
 	}
@@ -428,25 +428,25 @@ func (f *File) Close() error {
 	return f.conn.Close()
 }
 
-// Fetch streams the whole file into memory, the staging-style access.
-// It is a wrapper over FetchTo; the buffer grows as bytes actually
-// arrive, so a replica claiming a huge size cannot make the client
-// commit the memory up front.
+// Fetch reads the whole file into memory, the staging-style access:
+// FetchTo into a bufpool.Arrival. The size the replica's open announced
+// reserves the destination (one allocation up to bufpool.MaxSized, so a
+// huge claim commits no memory) and every read, resumed or not, lands in it.
 func (c *Client) Fetch(lfn string) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := c.FetchTo(lfn, &buf); err != nil {
+	var land bufpool.Arrival
+	if _, err := c.FetchTo(lfn, &land); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return land.Bytes(), nil
 }
 
 // FetchTo streams the whole file at lfn into w through pooled chunk
-// buffers, returning the byte count. The positional read protocol makes
-// retries resumable: a transport failure mid-fetch reopens the file
-// (possibly on another replica) and continues at the byte where the
-// previous attempt died, so the bytes already delivered to w are never
-// re-fetched or duplicated. A sink (w) failure is permanent — a retry
-// would feed the same broken sink.
+// buffers (a *bufpool.Arrival takes each read itself), returning the byte
+// count. The positional read protocol makes retries resumable: a transport
+// failure mid-fetch reopens the file (possibly on another replica) and
+// continues at the byte where the previous attempt died, so the bytes
+// already delivered to w are never re-fetched or duplicated. A sink (w)
+// failure is permanent — a retry would feed the same broken sink.
 func (c *Client) FetchTo(lfn string, w io.Writer) (int64, error) {
 	var written int64
 	err := c.Retry.Do(func() error {
@@ -490,6 +490,11 @@ func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64) (int64, Repli
 			"xrootd: %s shrank to %d bytes below resume offset %d", lfn, f.Size(), start))
 	}
 	f.offset = start
+	if land, ok := w.(*bufpool.Arrival); ok { // in memory: no chunk between wire and destination
+		land.Announced = f.Size()
+		n, err := land.ReadFrom(f)
+		return n, f.rep, err
+	}
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
 	var n int64

@@ -40,6 +40,37 @@ func BenchmarkDataplaneFetch64(b *testing.B) {
 	}
 }
 
+// BenchmarkFetchWhole is the in-memory whole-file Fetch, what the
+// end-to-end benchmark's reference computation and any staging-style
+// consumer that wants the bytes in hand pay: the announced size reserves
+// one destination and every read lands in it, so B/op is the payload
+// and little else. BENCH_dataplane.json bounds it at 1.02 x payload +
+// 64 KiB; a destination that regrows as it fills reads about 3.5 x.
+func BenchmarkFetchWhole(b *testing.B) {
+	b.Run("16MiB", func(b *testing.B) {
+		const size = 16 << 20
+		srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		red := NewRedirector()
+		red.Register("/store/whole.root", srv.Store("/store/whole.root", make([]byte, size)))
+		cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
+		defer cl.Close()
+		bufpool.Warm(1) // the server's chunk for replies past its write buffer
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data, err := cl.Fetch("/store/whole.root")
+			if err != nil || len(data) != size {
+				b.Fatalf("Fetch = %d bytes, %v", len(data), err)
+			}
+		}
+	})
+}
+
 // BenchmarkDataServerReadHot is one positional read on an open file,
 // client and server in this process: the command built in the writer's
 // buffer, parsed in the reader's, the payload read from the spool into

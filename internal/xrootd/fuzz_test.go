@@ -73,3 +73,34 @@ func FuzzDispatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFetchReplies feeds an arbitrary reply stream to the client's
+// whole-file Fetch, the replica-facing half of the protocol: the open's
+// size line, then one size line and payload per read. Whatever the
+// replica says, the client must not panic, must not hand back more bytes
+// than the replica sent, and must not park a connection it gave up on.
+func FuzzFetchReplies(f *testing.F) {
+	f.Add([]byte("5\n5\nhello"))
+	f.Add([]byte("0\n"))
+	f.Add([]byte("8\n3\nabc5\ndefgh"))
+	f.Add([]byte("1099511627776\n1024\n" + strings.Repeat("x", 1<<10))) // a terabyte announced, a kilobyte sent
+	f.Add([]byte("33554432\n1048577\nxx"))
+	f.Add([]byte("5\n-5\nhello"))
+	f.Add([]byte("-1 no such file\n"))
+	f.Add([]byte("-7\n"))
+	f.Add([]byte("5\n0\n"))
+	f.Add([]byte("five\n"))
+	f.Fuzz(func(t *testing.T, replies []byte) {
+		c, conn := cannedClient(string(replies))
+		data, err := c.Fetch("/f")
+		if len(data) > len(replies) {
+			t.Fatalf("Fetch returned %d bytes from a replica that sent %d", len(data), len(replies))
+		}
+		if err != nil && data != nil {
+			t.Fatalf("Fetch failed (%v) and still returned %d bytes", err, len(data))
+		}
+		if conn.closed && len(c.idle.byAddr["liar"]) != 0 {
+			t.Fatalf("a closed connection was parked (Fetch error: %v)", err)
+		}
+	})
+}
