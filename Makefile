@@ -28,12 +28,20 @@ fmt:
 # still built that way live outside these directories: the release
 # content internal/cvmfs/release.go assembles at publish time, the WAL
 # record internal/store replays, the rule file internal/health reads.
+#
+# And a line protocol reads its lines and keeps its connections through
+# internal/wire, never a copy of its own: no ReadSlice( (the in-place line
+# read) and no map[net.Conn] (an accept loop's tracking) in these
+# directories outside tests (DESIGN.md section 10, one wire). chirp and
+# xrootd each carried both until the copies drifted into a parse bug.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 copy-lint:
 	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
 	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'bytes\.Buffer|io\.ReadAll\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "doubling payload sink in a data-plane package (use bufpool.Arrival):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'ReadSlice\(|map\[net\.Conn\]' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
 
 # benchmark/ is its own module (it imports this one through a replace), so
 # `go build ./...` and `go vet ./...` here never see it: deleting an API the
@@ -81,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadEvents -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/xrootd/
 	$(GO) test -fuzz FuzzFetchReplies -fuzztime $(FUZZTIME) ./internal/xrootd/
+	$(GO) test -fuzz FuzzLine -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzBatchDispatch -fuzztime $(FUZZTIME) ./internal/wq/
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
 	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/

@@ -12,6 +12,7 @@ import (
 
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
+	"lobster/internal/wire"
 )
 
 // cannedConn is a server that answers whatever it is asked with the next
@@ -29,8 +30,7 @@ func (c *cannedConn) SetDeadline(time.Time) error { return nil }
 
 func cannedClient(replies string) (*Client, *cannedConn) {
 	conn := &cannedConn{replies: bytes.NewReader([]byte(replies))}
-	return &Client{conn: conn, addr: "liar",
-		r: bufio.NewReaderSize(conn, 64<<10), w: bufio.NewWriterSize(conn, 64<<10)}, conn
+	return &Client{conn: wire.NewConn("chirp", conn, 64<<10, 64<<10), addr: "liar"}, conn
 }
 
 // allocatedBy is what f (and anything running beside it) allocated.
@@ -64,8 +64,8 @@ func TestGetFileFromALyingServer(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) || data != nil {
 			t.Errorf("%s: GetFile = %d bytes, %v; want an error naming %q", tc.name, len(data), err, tc.wantErr)
 		}
-		if !c.Broken() || !conn.closed {
-			t.Errorf("%s: broken %v, closed %v; want the connection poisoned", tc.name, c.Broken(), conn.closed)
+		if !c.conn.Broken() || !conn.closed {
+			t.Errorf("%s: broken %v, closed %v; want the connection poisoned", tc.name, c.conn.Broken(), conn.closed)
 		}
 		if tc.maxAlloc != 0 && got >= tc.maxAlloc {
 			t.Errorf("%s: %d bytes allocated, want under %d", tc.name, got, tc.maxAlloc)
@@ -75,8 +75,8 @@ func TestGetFileFromALyingServer(t *testing.T) {
 	// An empty file, with the next reply already behind its size line.
 	c, _ := cannedClient("0\n0\n")
 	data, err := c.GetFile("/f")
-	if err != nil || data != nil || c.Broken() {
-		t.Errorf("empty file: GetFile = %d bytes (cap %d), %v, broken %v", len(data), cap(data), err, c.Broken())
+	if err != nil || data != nil || c.conn.Broken() {
+		t.Errorf("empty file: GetFile = %d bytes (cap %d), %v, broken %v", len(data), cap(data), err, c.conn.Broken())
 	}
 	if err := c.Unlink("/f"); err != nil {
 		t.Errorf("the reply behind an empty payload was not left in place: %v", err)
@@ -111,7 +111,7 @@ func TestGetFileLandsInOneAllocation(t *testing.T) {
 			Action: faultinject.ActDrop, After: 4, Times: 1,
 		}},
 	})
-	pool := NewPool(PoolOptions{Addr: addr, DialTimeout: time.Second, Fault: inj,
+	pool := NewPool(PoolOptions{Addr: addr, Fault: inj,
 		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
 	defer pool.Close()
 	got, err := pool.GetFile("/whole.dat")
@@ -137,7 +137,7 @@ func TestPutFallbackFromALyingClient(t *testing.T) {
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
 		var err error
-		got := allocatedBy(func() { err = s.dispatch(line, r, w, nil) })
+		got := allocatedBy(func() { err = s.dispatch([]byte(line), r, w, nil) })
 		w.Flush()
 		if err != nil && out.Len() != 0 {
 			t.Errorf("%s: failed (%v) after replying %q", line, err, out.String())
@@ -145,10 +145,10 @@ func TestPutFallbackFromALyingClient(t *testing.T) {
 		return err, got
 	}
 	kib := strings.Repeat("x", 1<<10)
-	if err, got := put("putfile /liar.dat 2147483648", kib); !errors.Is(err, errHangup) || got >= 4<<20 {
+	if err, got := put("putfile /liar.dat 2147483648", kib); !errors.Is(err, wire.ErrHangup) || got >= 4<<20 {
 		t.Errorf("MaxPayload announced, 1 KiB sent: %v with %d bytes allocated; want a hang-up under 4 MiB", err, got)
 	}
-	if err, _ := put("append /liar.dat 33554432", kib); !errors.Is(err, errHangup) {
+	if err, _ := put("append /liar.dat 33554432", kib); !errors.Is(err, wire.ErrHangup) {
 		t.Errorf("32 MiB announced, 1 KiB sent: %v; want a hang-up", err)
 	}
 	if _, err := fs.Stat("/liar.dat"); err == nil {

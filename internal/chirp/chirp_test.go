@@ -17,6 +17,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"lobster/internal/wire"
 )
 
 func newTestServer(t *testing.T, maxConcurrent int) (*Server, *LocalFS) {
@@ -314,23 +316,6 @@ func TestCleanPathMatchesSplitting(t *testing.T) {
 	}
 }
 
-// TestNextFieldMatchesFields pins the in-place command-line cut against
-// strings.Fields, Unicode spaces included.
-func TestNextFieldMatchesFields(t *testing.T) {
-	for _, line := range []string{
-		"", " ", "getfile /a", "  putfile   /a\t12  ", "stat /a crc", "a b c d e",
-		"ls\u00a0/x", "x\u2003y\u0085z", "\v\fquit\r",
-	} {
-		var got []string
-		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
-			got = append(got, f)
-		}
-		if want := strings.Fields(line); !slices.Equal(got, want) {
-			t.Errorf("nextField over %q = %q, strings.Fields gives %q", line, got, want)
-		}
-	}
-}
-
 func TestServerCloseIdempotent(t *testing.T) {
 	srv, _ := newTestServer(t, 2)
 	if err := srv.Close(); err != nil {
@@ -413,6 +398,29 @@ func TestProtocolQuitClosesCleanly(t *testing.T) {
 	}
 }
 
+// TestNextFieldMatchesFields: the server cuts a command line into fields
+// exactly as strings.Fields does — ASCII and Unicode spaces, a stray \r,
+// invalid UTF-8 — so a line whose fields are "stat /f" is answered, and
+// any other line, one field too many included, is refused in protocol.
+func TestNextFieldMatchesFields(t *testing.T) {
+	srv, _ := newTestServer(t, 4)
+	if err := dial(t, srv).PutFile("/f", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"stat /f", "  stat   /f  ", "stat\t/f", "\v\fstat /f\r", "stat\u0085/f",
+		"stat\u00a0/f", "stat /f crc x", "stat/f", "\xff stat /f", "stat /f\xff",
+	} {
+		want := "-1 "
+		if slices.Equal(strings.Fields(line), []string{"stat", "/f"}) {
+			want = "5 file\n"
+		}
+		if got := rawSend(t, srv.Addr(), line+"\n"); !strings.HasPrefix(got, want) {
+			t.Errorf("request %q: response %q, want %q (strings.Fields gives %q)", line, got, want, strings.Fields(line))
+		}
+	}
+}
+
 // allocatedDuring reports the bytes the process allocated while fn ran.
 func allocatedDuring(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -469,8 +477,8 @@ func TestOverlongLineEndsConnection(t *testing.T) {
 		}
 		defer c.Close()
 		grew := allocatedDuring(func() { _, err = c.Stat("/f") })
-		if err == nil || !c.Broken() {
-			t.Fatalf("client accepted an endless status line (err %v, broken %v)", err, c.Broken())
+		if err == nil || !c.conn.Broken() {
+			t.Fatalf("client accepted an endless status line (err %v, broken %v)", err, c.conn.Broken())
 		}
 		if grew > 512<<10 {
 			t.Errorf("client allocated %d bytes for a line it never finished reading", grew)
@@ -563,7 +571,8 @@ func TestStatCRCGarbled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, crc, err := c.StatCRC("/f"); !errors.Is(err, ErrProtocol) {
+		var pe *wire.ProtocolError
+		if _, crc, err := c.StatCRC("/f"); !errors.As(err, &pe) {
 			t.Errorf("answer %q: crc %08x, err %v; want a protocol error", answer, crc, err)
 		}
 		c.Close()

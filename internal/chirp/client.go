@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Client is a connection to a chirp server. A client is not safe for
@@ -24,23 +26,20 @@ import (
 // server's slot cap is the intended throttle).
 //
 // Error handling: any transport failure (send, flush, read, short
-// payload) closes the connection and marks the client broken — the line
-// protocol has no resynchronisation point, so a half-finished exchange
-// poisons every later operation on the same connection. Server-reported
-// and protocol errors are returned as *ServerError / *ProtocolError and
-// are permanent under the retry package's classification; transport
-// errors are retryable on a fresh connection (see Pool).
+// payload) breaks the connection — a wire.Conn, which the line protocol's
+// lack of a resynchronisation point makes poison every later operation.
+// Server-reported and protocol errors are *wire.ServerError /
+// *wire.ProtocolError and are permanent under the retry package's
+// classification; transport errors are retryable on a fresh connection
+// (see Pool).
 type Client struct {
-	conn   net.Conn
-	addr   string
-	r      *bufio.Reader
-	w      *bufio.Writer
-	broken bool
+	conn *wire.Conn
+	addr string
 
-	// opTimeout bounds each protocol operation end to end via a
-	// connection deadline set at operation start. Zero means no bound.
-	opTimeout time.Duration
-
+	// tracer and parent trace the operations of one Pool call: each one
+	// records a client-side span attributed to the server address, so the
+	// analyzer can pin slow stage-in to one storage element, and forwards
+	// its context on a "trace" line. Nil leaves the client untraced.
 	tracer *trace.Tracer
 	parent trace.Context
 
@@ -50,33 +49,14 @@ type Client struct {
 	bytesOut *telemetry.Counter
 }
 
-// ClientOptions configures DialOpts.
-type ClientOptions struct {
-	// DialTimeout bounds the TCP connect (default 30s).
-	DialTimeout time.Duration
-	// OpTimeout bounds each protocol operation (0 = unbounded).
-	OpTimeout time.Duration
-	// Fault, when non-nil, wraps the connection so reads and writes
-	// consult the fault plane under component "chirp_client".
-	Fault *faultinject.Injector
-	// Telemetry, when non-nil, counts payload bytes this client moves
-	// under lobster_bytes_total{component="chirp_client"}.
-	Telemetry *telemetry.Registry
-	// Site, when set, stamps the remote storage site on those byte
-	// series (lobster_bytes_total{...,site=Site}) — the per-site
-	// accounting axis of the paper's Figure 9. Empty leaves the label
-	// off.
-	Site string
-}
-
-// Dial connects to a chirp server.
+// Dial connects to a chirp server (timeout 0: 30 s).
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialOpts(addr, ClientOptions{DialTimeout: timeout})
+	return connect(addr, timeout, nil, nil, nil)
 }
 
-// DialOpts connects to a chirp server with explicit options.
-func DialOpts(addr string, opts ClientOptions) (*Client, error) {
-	timeout := opts.DialTimeout
+// connect is Dial with the fault plane and byte counters a Pool gives its
+// connections.
+func connect(addr string, timeout time.Duration, fault *faultinject.Injector, bytesIn, bytesOut *telemetry.Counter) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
@@ -84,100 +64,44 @@ func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chirp: dialing %s: %w", addr, err)
 	}
-	conn = opts.Fault.Conn("chirp_client", conn)
 	return &Client{
-		conn:      conn,
-		addr:      addr,
-		r:         bufio.NewReaderSize(conn, 64<<10),
-		w:         bufio.NewWriterSize(conn, 64<<10),
-		opTimeout: opts.OpTimeout,
-		bytesIn:   opts.Telemetry.SiteBytes("chirp_client", telemetry.DirIn, opts.Site),
-		bytesOut:  opts.Telemetry.SiteBytes("chirp_client", telemetry.DirOut, opts.Site),
+		conn:     wire.NewConn("chirp", fault.Conn("chirp_client", conn), 64<<10, 64<<10),
+		addr:     addr,
+		bytesIn:  bytesIn,
+		bytesOut: bytesOut,
 	}, nil
-}
-
-// Trace attaches a tracer and parent context: every subsequent
-// operation records a client-side span (attributed to the server
-// address, so the analyzer can pin slow stage-in to one storage
-// element) and forwards its context to the server on a "trace"
-// protocol line. A nil tracer or invalid parent leaves the client
-// untraced at zero cost.
-func (c *Client) Trace(tr *trace.Tracer, parent trace.Context) {
-	c.tracer = tr
-	c.parent = parent
 }
 
 // op opens the span for one protocol operation and, when sampled,
 // forwards its context so the matching server span chains under it.
 // The trace line carries no response; it rides the same flush as the
-// command that follows. It also arms the per-op deadline.
+// command that follows. An operation on a broken connection fails before
+// it sends anything, untraced.
 func (c *Client) op(name string) *trace.Span {
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	}
-	if c.tracer == nil || !c.parent.Valid() {
+	if c.tracer == nil || !c.parent.Valid() || c.conn.Broken() {
 		return nil
 	}
 	sp := c.tracer.Start(c.parent, "chirp", name)
 	sp.Attr("server", c.addr)
 	if sp.Sampled() {
-		fmt.Fprintf(c.w, "trace %s\n", sp.Context().Encode())
+		fmt.Fprintf(c.conn.W, "trace %s\n", sp.Context().Encode())
 	}
 	return sp
 }
 
-// fail closes the connection after a transport failure and returns err
-// unchanged. Every later operation short-circuits on the broken flag.
-func (c *Client) fail(err error) error {
-	if !c.broken {
-		c.broken = true
-		c.conn.Close()
-	}
-	return err
-}
-
-// Broken reports whether a transport failure has poisoned this
-// connection. A broken client must be discarded and redialed.
-func (c *Client) Broken() bool { return c.broken }
-
-// errBroken is returned for operations attempted on a broken client.
-var errBroken = fmt.Errorf("chirp: connection broken by earlier failure")
-
 // Close sends quit and closes the connection. A broken connection is
 // already closed; Close is then a no-op.
-func (c *Client) Close() error {
-	if c.broken {
-		return nil
-	}
-	c.broken = true
-	fmt.Fprint(c.w, "quit\n")
-	c.w.Flush()
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.conn.Close() }
 
-// readStatusLine reads one response line, decoding "-1 <error>"
-// responses into *ServerError (permanent; the connection stays usable —
-// the server answered in protocol).
-func (c *Client) readStatusLine(op string) (string, error) {
-	line, err := readLine(c.r)
-	if err != nil {
-		return "", c.fail(fmt.Errorf("chirp: reading response: %w", err))
+// request sends the command line "<verb> <path><tail>\n", built in the
+// writer's own free space. A path the line cannot carry is refused.
+func (c *Client) request(verb, path, tail string) error {
+	if err := checkPath(path); err != nil {
+		return err
 	}
-	if strings.HasPrefix(line, "-1 ") {
-		return "", &ServerError{Op: op, Msg: strings.TrimPrefix(line, "-1 ")}
-	}
-	if line == "-1" {
-		return "", &ServerError{Op: op, Msg: "unspecified error"}
-	}
-	return line, nil
-}
-
-// protoErr records a malformed response and closes the connection: a
-// peer that answered out of protocol has desynchronised the stream.
-func (c *Client) protoErr(op, format string, args ...any) error {
-	err := &ProtocolError{Op: op, Msg: fmt.Sprintf(format, args...)}
-	c.fail(err)
-	return err
+	cmd := append(c.conn.W.AvailableBuffer(), verb...)
+	cmd = append(append(cmd, ' '), path...)
+	return c.conn.Send(append(append(cmd, tail...), '\n'))
 }
 
 // GetFileTo fetches the file at path, streaming it into w with no
@@ -191,21 +115,14 @@ func (c *Client) protoErr(op, format string, args ...any) error {
 // returned. Transport failures poison the connection as usual. The
 // number of bytes written to w is returned in both cases.
 func (c *Client) GetFileTo(path string, w io.Writer) (int64, error) {
-	if c.broken {
-		return 0, errBroken
-	}
 	sp := c.op("get")
 	defer sp.End()
-	if err := c.send("getfile %s\n", path); err != nil {
+	if err := c.request("getfile", path, ""); err != nil {
 		return 0, err
 	}
-	line, err := c.readStatusLine("getfile")
+	size, err := c.conn.ReadSize(MaxPayload)
 	if err != nil {
 		return 0, err
-	}
-	size, err := strconv.ParseInt(line, 10, 64)
-	if err != nil || size < 0 || size > MaxPayload {
-		return 0, c.protoErr("getfile", "bad size response %q", line)
 	}
 	written, err := c.readPayload(w, size)
 	if err != nil {
@@ -236,22 +153,22 @@ func writeBuffered(w io.Writer, r *bufio.Reader, n int64) (int64, error) {
 func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
 	if land, ok := w.(*bufpool.Arrival); ok { // in memory: no sink to fail, no chunk between
 		land.Announced = size
-		n, err := land.ReadFrom(c.r)
+		n, err := land.ReadFrom(c.conn.R)
 		if n < size {
-			return n, c.fail(fmt.Errorf("chirp: short read: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
+			return n, c.conn.Fail(fmt.Errorf("chirp: short read: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
 		}
 		return n, nil
 	}
 	sink := &sinkWriter{w: w}
 	// What the bufio reader already holds first, then the rest straight
 	// off the connection so file sinks can use kernel offload.
-	consumed, _ := writeBuffered(sink, c.r, size)
+	consumed, _ := writeBuffered(sink, c.conn.R, size)
 	if remaining := size - consumed; remaining > 0 {
 		if f, ok := w.(*os.File); ok && sink.err == nil {
 			return c.spliceTail(f, sink.n, remaining)
 		}
-		if _, err := bufpool.CopyN(sink, c.conn, remaining); err != nil {
-			return sink.n, c.fail(fmt.Errorf("chirp: short read: %w", err))
+		if _, err := bufpool.CopyN(sink, c.conn.Net, remaining); err != nil {
+			return sink.n, c.conn.Fail(fmt.Errorf("chirp: short read: %w", err))
 		}
 	}
 	if sink.err != nil {
@@ -269,12 +186,12 @@ func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
 // connection. prior is what the sink already received from the bufio
 // buffer.
 func (c *Client) spliceTail(f *os.File, prior, remaining int64) (int64, error) {
-	m, err := bufpool.CopyN(f, c.conn, remaining)
+	m, err := bufpool.CopyN(f, c.conn.Net, remaining)
 	written := prior + m
 	if m < remaining {
-		dn, derr := bufpool.CopyN(io.Discard, c.conn, remaining-m)
+		dn, derr := bufpool.CopyN(io.Discard, c.conn.Net, remaining-m)
 		if derr != nil || dn != remaining-m {
-			return written, c.fail(fmt.Errorf("chirp: short read: %w", err))
+			return written, c.conn.Fail(fmt.Errorf("chirp: short read: %w", err))
 		}
 	}
 	if err != nil {
@@ -335,8 +252,8 @@ func (c *Client) AppendFrom(path string, r io.Reader, size int64) error {
 }
 
 func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error {
-	if c.broken {
-		return errBroken
+	if err := c.conn.Err(); err != nil {
+		return err
 	}
 	if size < 0 || size > MaxPayload {
 		return retry.Permanent(fmt.Errorf("chirp: bad payload size %d", size))
@@ -349,23 +266,23 @@ func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error 
 	}
 	// Command line and payload share one flush: the header rides the
 	// front of the first payload chunk instead of its own packet.
-	if _, err := fmt.Fprintf(c.w, "%s %s %d\n", cmd, path, size); err != nil {
-		return c.fail(fmt.Errorf("chirp: sending request: %w", err))
-	}
+	w := c.conn.W
+	head := append(append(append(w.AvailableBuffer(), cmd...), ' '), path...)
+	w.Write(append(strconv.AppendInt(append(head, ' '), size, 10), '\n'))
 	if size > 0 {
 		var n int64
 		var err error
 		if mem, ok := r.(*bytes.Reader); ok && int64(mem.Len()) == size {
 			// Bytes already in memory go out as one Write of the whole
 			// slice behind the header, not chunk by chunk through a Reader.
-			n, err = mem.WriteTo(c.w)
+			n, err = mem.WriteTo(w)
 		} else {
 			// A file source rides the bufio writer's ReadFrom to the
 			// connection's sendfile once the header has drained.
-			n, err = bufpool.CopyN(c.w, r, size)
+			n, err = bufpool.CopyN(w, r, size)
 		}
 		if err != nil {
-			werr := c.fail(fmt.Errorf("chirp: sending payload (%d/%d bytes): %w", n, size, err))
+			werr := c.conn.Fail(fmt.Errorf("chirp: sending payload (%d/%d bytes): %w", n, size, err))
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				// The source underdelivered: no redial can complete
 				// this payload, so don't let the retry layer try.
@@ -374,10 +291,10 @@ func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error 
 			return werr
 		}
 	}
-	if err := c.w.Flush(); err != nil {
-		return c.fail(fmt.Errorf("chirp: sending payload: %w", err))
+	if err := c.conn.Send(nil); err != nil {
+		return err
 	}
-	if _, err := c.readStatusLine(cmd); err != nil {
+	if _, err := c.conn.ReadStatus(); err != nil {
 		return err
 	}
 	c.bytesOut.Add(size)
@@ -398,7 +315,7 @@ func (c *Client) Append(path string, data []byte) error {
 
 // Stat returns info for the entry at path.
 func (c *Client) Stat(path string) (FileInfo, error) {
-	info, _, err := c.stat("stat %s\n", path, false)
+	info, _, err := c.stat(path, "")
 	return info, err
 }
 
@@ -406,84 +323,80 @@ func (c *Client) Stat(path string) (FileInfo, error) {
 // the server computes: one round trip and no payload tell the holder of
 // a copy whether it is still current. A directory has no checksum (0).
 func (c *Client) StatCRC(path string) (FileInfo, uint32, error) {
-	return c.stat("stat %s crc\n", path, true)
+	return c.stat(path, " crc")
 }
 
-func (c *Client) stat(format, path string, wantCRC bool) (FileInfo, uint32, error) {
-	if c.broken {
-		return FileInfo{}, 0, errBroken
-	}
+func (c *Client) stat(path, tail string) (FileInfo, uint32, error) {
 	sp := c.op("stat")
 	defer sp.End()
-	if err := c.send(format, path); err != nil {
+	if err := c.request("stat", path, tail); err != nil {
 		return FileInfo{}, 0, err
 	}
-	line, err := c.readStatusLine("stat")
+	line, err := c.conn.ReadStatus()
 	if err != nil {
 		return FileInfo{}, 0, err
 	}
-	var size int64
-	var kind string
-	var crc uint32
 	// Size and kind are the whole answer, except that a regular file
 	// asked for its checksum must come with one.
-	n, _ := fmt.Sscanf(line, "%d %s %x", &size, &kind, &crc)
-	if n < 2 || (wantCRC && kind != "dir" && n != 3) {
-		return FileInfo{}, 0, c.protoErr("stat", "bad stat response %q", line)
+	var buf [3][]byte
+	fields := wire.Fields(line, buf[:0])
+	isDir := len(fields) > 1 && string(fields[1]) == "dir"
+	wantCRC := tail != "" && !isDir
+	var crc uint64
+	if wantCRC && len(fields) == 3 {
+		crc, err = strconv.ParseUint(string(fields[2]), 16, 32)
 	}
-	return FileInfo{Name: path, Size: size, IsDir: kind == "dir"}, crc, nil
+	if len(fields) < 2 || err != nil || (wantCRC && len(fields) != 3) {
+		return FileInfo{}, 0, c.conn.Protocol("bad stat response %q", line)
+	}
+	size, err := c.conn.ParseSize(fields[0], math.MaxInt64)
+	if err != nil {
+		return FileInfo{}, 0, err
+	}
+	return FileInfo{Name: path, Size: size, IsDir: isDir}, uint32(crc), nil
 }
 
 // List returns the entries of the directory at path.
 func (c *Client) List(path string) ([]FileInfo, error) {
-	if c.broken {
-		return nil, errBroken
-	}
 	sp := c.op("ls")
 	defer sp.End()
-	if err := c.send("ls %s\n", path); err != nil {
+	if err := c.request("ls", path, ""); err != nil {
 		return nil, err
 	}
-	line, err := c.readStatusLine("ls")
+	// The count reserves nothing: entries are appended as they arrive.
+	n, err := c.conn.ReadSize(MaxPayload)
 	if err != nil {
 		return nil, err
 	}
-	n, err := strconv.Atoi(line)
-	if err != nil || n < 0 {
-		return nil, c.protoErr("ls", "bad count response %q", line)
-	}
-	out := make([]FileInfo, 0, n)
-	for i := 0; i < n; i++ {
-		entry, err := readLine(c.r)
+	var out []FileInfo
+	for ; n > 0; n-- {
+		entry, err := c.conn.ReadLine()
 		if err != nil {
-			return nil, c.fail(fmt.Errorf("chirp: truncated listing: %w", err))
+			return nil, err
 		}
-		parts := strings.SplitN(entry, " ", 3)
+		parts := bytes.SplitN(entry, []byte(" "), 3)
 		if len(parts) != 3 {
-			return nil, c.protoErr("ls", "bad listing line %q", entry)
+			return nil, c.conn.Protocol("bad listing line %q", entry)
 		}
-		size, err := strconv.ParseInt(parts[0], 10, 64)
+		size, err := c.conn.ParseSize(parts[0], math.MaxInt64)
 		if err != nil {
-			return nil, c.protoErr("ls", "bad listing size %q", parts[0])
+			return nil, err
 		}
-		out = append(out, FileInfo{Name: parts[2], Size: size, IsDir: parts[1] == "d"})
+		out = append(out, FileInfo{Name: string(parts[2]), Size: size, IsDir: string(parts[1]) == "d"})
 	}
 	return out, nil
 }
 
 // Unlink removes the file at path. Callers retrying an unlink should
-// tolerate ErrNotExist: the first attempt may have removed the file
+// tolerate wire.ErrNotExist: the first attempt may have removed the file
 // before its response was lost.
 func (c *Client) Unlink(path string) error {
-	if c.broken {
-		return errBroken
-	}
 	sp := c.op("unlink")
 	defer sp.End()
-	if err := c.send("unlink %s\n", path); err != nil {
+	if err := c.request("unlink", path, ""); err != nil {
 		return err
 	}
-	_, err := c.readStatusLine("unlink")
+	_, err := c.conn.ReadStatus()
 	return err
 }
 
@@ -494,23 +407,6 @@ func (c *Client) Unlink(path string) error {
 func checkPath(path string) error {
 	if strings.ContainsAny(path, " \t\r\n") {
 		return retry.Permanent(fmt.Errorf("chirp: path %q contains whitespace", path))
-	}
-	return nil
-}
-
-func (c *Client) send(format string, args ...any) error {
-	for _, a := range args {
-		if s, ok := a.(string); ok {
-			if err := checkPath(s); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := fmt.Fprintf(c.w, format, args...); err != nil {
-		return c.fail(fmt.Errorf("chirp: sending request: %w", err))
-	}
-	if err := c.w.Flush(); err != nil {
-		return c.fail(fmt.Errorf("chirp: sending request: %w", err))
 	}
 	return nil
 }

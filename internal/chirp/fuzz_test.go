@@ -40,7 +40,7 @@ func FuzzDispatch(f *testing.F) {
 			r := bufio.NewReader(bytes.NewReader(payload))
 			var out bytes.Buffer
 			w := bufio.NewWriter(&out)
-			err = s.dispatch(line, r, w, nil)
+			err = s.dispatch([]byte(line), r, w, nil)
 			w.Flush()
 			if err != nil && strings.HasPrefix(out.String(), "0\n") {
 				t.Fatalf("dispatch(%q) failed (%v) after writing a success reply %q", line, err, out.String())

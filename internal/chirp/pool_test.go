@@ -11,11 +11,18 @@ import (
 
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
+	"lobster/internal/telemetry"
 )
+
+// conns reads the pool's lobster_chirp_client_conns_total{outcome}.
+func conns(reg *telemetry.Registry, outcome string) int64 {
+	return reg.CounterVec("lobster_chirp_client_conns_total", "", "outcome").With(outcome).Value()
+}
 
 func TestPoolReusesConnections(t *testing.T) {
 	_, addr := startTestServer(t)
-	p := NewPool(PoolOptions{Addr: addr, Size: 2, DialTimeout: time.Second})
+	reg := telemetry.NewRegistry()
+	p := NewPool(PoolOptions{Addr: addr, Size: 2, Telemetry: reg})
 	defer p.Close()
 
 	payload := []byte("pooled payload")
@@ -28,39 +35,17 @@ func TestPoolReusesConnections(t *testing.T) {
 			t.Fatalf("GetFile = %q, %v", got, err)
 		}
 	}
-	st := p.Stats()
-	if st.Dials > 2 {
-		t.Errorf("pool dialed %d times for sequential ops, want <= 2", st.Dials)
+	if d := conns(reg, "dialed"); d > 2 {
+		t.Errorf("pool dialed %d times for sequential ops, want <= 2", d)
 	}
-	if st.Reuses < 15 {
-		t.Errorf("pool reused only %d times over 20 ops", st.Reuses)
-	}
-}
-
-func TestPoolIdleTTLDiscardsStaleConnections(t *testing.T) {
-	_, addr := startTestServer(t)
-	p := NewPool(PoolOptions{Addr: addr, Size: 2, IdleTTL: time.Millisecond, DialTimeout: time.Second})
-	defer p.Close()
-
-	if err := p.PutFile("/ttl.dat", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, err := p.GetFile("/ttl.dat"); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Dials < 2 {
-		t.Errorf("stale idle connection was reused: %+v", st)
-	}
-	if st.Discards < 1 {
-		t.Errorf("stale idle connection was not discarded: %+v", st)
+	if r := conns(reg, "reused"); r < 15 {
+		t.Errorf("pool reused only %d times over 20 ops", r)
 	}
 }
 
 func TestPoolClosedRejectsWork(t *testing.T) {
 	_, addr := startTestServer(t)
-	p := NewPool(PoolOptions{Addr: addr, DialTimeout: time.Second})
+	p := NewPool(PoolOptions{Addr: addr})
 	if err := p.PutFile("/c.dat", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +79,16 @@ func TestPoolSurvivesFaultStorm(t *testing.T) {
 			Action:    faultinject.ActDrop, Prob: 0.02,
 		}},
 	})
+	reg := telemetry.NewRegistry()
 	p := NewPool(PoolOptions{
-		Addr:        srv.Addr(),
-		Size:        8,
-		DialTimeout: time.Second,
+		Addr: srv.Addr(),
+		Size: 8,
 		Retry: retry.Policy{
 			MaxAttempts: 10,
 			Sleep:       func(time.Duration) {},
 		},
-		Fault: inj,
+		Fault:     inj,
+		Telemetry: reg,
 	})
 	defer p.Close()
 
@@ -143,14 +129,16 @@ func TestPoolSurvivesFaultStorm(t *testing.T) {
 	if inj.TotalFired() == 0 {
 		t.Fatal("injector never fired — the storm exercised nothing")
 	}
-	if p.Stats().Discards == 0 {
-		t.Error("no broken connection was ever discarded")
+	// Eight slots need eight connections; every dial past them replaced
+	// one the storm broke.
+	if d := conns(reg, "dialed"); d <= 8 {
+		t.Errorf("%d dials: no broken connection was ever replaced", d)
 	}
 }
 
 func TestPoolFetchToAndStoreFrom(t *testing.T) {
 	_, addr := startTestServer(t)
-	p := NewPool(PoolOptions{Addr: addr, DialTimeout: time.Second})
+	p := NewPool(PoolOptions{Addr: addr})
 	defer p.Close()
 
 	dir := t.TempDir()
@@ -170,10 +158,31 @@ func TestPoolFetchToAndStoreFrom(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip corrupted the payload (%d bytes, %v)", len(got), err)
 	}
-	if err := p.Unlink("/staged.dat"); err != nil {
+	if err := p.Do(func(c *Client) error { return c.Unlink("/staged.dat") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.FetchTo("/staged.dat", dst); err == nil {
 		t.Fatal("fetch of unlinked file succeeded")
+	}
+}
+
+// TestConnCountersCostNothingWithoutRegistry: with no registry, taking a
+// parked connection and parking it again — counted as reused — allocates
+// nothing.
+func TestConnCountersCostNothingWithoutRegistry(t *testing.T) {
+	_, addr := startTestServer(t)
+	p := NewPool(PoolOptions{Addr: addr})
+	defer p.Close()
+	if err := p.PutFile("/c.dat", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c, err := p.conns.Take(addr, func(*Client) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.conns.Put(addr, c)
+	}); n != 0 {
+		t.Errorf("take and park without a registry: %v allocs/op, want 0", n)
 	}
 }

@@ -10,16 +10,14 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/faultinject"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Protocol: each request is one text line; commands carrying data follow the
@@ -54,14 +52,10 @@ type ServerStats struct {
 // serviced connections.
 type Server struct {
 	fs  FileSystem
-	lis net.Listener
+	srv *wire.Server
 	// slots bounds concurrently-serviced connections; others queue.
 	slots chan struct{}
 
-	mu      sync.Mutex
-	closed  bool
-	open    map[net.Conn]struct{} // accepted conns, force-closed on Close
-	wg      sync.WaitGroup
 	conns   atomic.Int64
 	active  atomic.Int64
 	queued  atomic.Int64
@@ -167,14 +161,13 @@ func NewServer(fs FileSystem, addr string, maxConcurrent int) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chirp: listening on %s: %w", addr, err)
 	}
-	s := &Server{fs: fs, lis: lis, slots: make(chan struct{}, maxConcurrent)}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{fs: fs, slots: make(chan struct{}, maxConcurrent)}
+	s.srv = wire.Serve(lis, s.handle)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats {
@@ -190,160 +183,56 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// Close stops accepting, hangs up every open connection, and waits for
-// their handlers to finish. Force-closing matters now that clients hold
-// pooled connections open between operations: an idle client parked in
-// its pool must not be able to stall server shutdown.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.open {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.lis.Close()
-	s.wg.Wait()
-	return err
-}
+// Close stops accepting, hangs up every open connection (parked ones
+// included) and waits for their handlers to finish.
+func (s *Server) Close() error { return s.srv.Close() }
 
-// trackConn registers an accepted conn for force-close on shutdown; it
-// reports false (and closes the conn) if the server is already closing.
-func (s *Server) trackConn(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		conn.Close()
-		return false
-	}
-	if s.open == nil {
-		s.open = make(map[net.Conn]struct{})
-	}
-	s.open[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.open, conn)
-	s.mu.Unlock()
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		conn = s.fault.Load().Conn("chirp_server", conn)
-		if !s.trackConn(conn) {
-			return // server closing
-		}
-		s.conns.Add(1)
-		s.telemetry().conns.Inc()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			defer s.untrackConn(conn)
-			// Queue for a service slot: this is the connection cap that
-			// produces batched stage-out behaviour under bursts.
-			start := time.Now()
-			s.queued.Add(1)
-			s.slots <- struct{}{}
-			s.queued.Add(-1)
-			wait := time.Since(start)
-			s.qwait.Add(int64(wait))
-			s.telemetry().queueWait.Observe(wait.Seconds())
-			s.active.Add(1)
-			defer func() {
-				s.active.Add(-1)
-				<-s.slots
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 64<<10)
-	w := bufio.NewWriterSize(conn, 64<<10)
+// handle answers one accepted connection's requests once it holds a
+// service slot.
+func (s *Server) handle(conn net.Conn) {
+	conn = s.fault.Load().Conn("chirp_server", conn)
+	s.conns.Add(1)
+	s.telemetry().conns.Inc()
+	// Queue for a service slot: this is the connection cap that
+	// produces batched stage-out behaviour under bursts.
+	start := time.Now()
+	s.queued.Add(1)
+	s.slots <- struct{}{}
+	s.queued.Add(-1)
+	wait := time.Since(start)
+	s.qwait.Add(int64(wait))
+	s.telemetry().queueWait.Observe(wait.Seconds())
+	s.active.Add(1)
+	defer func() {
+		s.active.Add(-1)
+		<-s.slots
+	}()
+	// A line that outgrows the 64 KiB reader ends the connection.
 	var cur trace.Context // context for the next command, set by "trace"
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		if line == "quit" {
-			w.Flush()
-			return
-		}
-		if rest, ok := strings.CutPrefix(line, "trace "); ok {
+	wire.ServeLines(conn, 64<<10, 64<<10, func(line []byte, r *bufio.Reader, w *bufio.Writer) error {
+		if rest, ok := bytes.CutPrefix(line, []byte("trace ")); ok {
 			// Advisory, no response: a malformed context parses to the
 			// zero value, which simply leaves the next command untraced.
-			cur, _ = trace.Parse(rest)
-			continue
+			cur, _ = trace.Parse(string(rest))
+			return nil
 		}
 		s.reqs.Add(1)
 		s.telemetry().reqs.Inc()
 		var sp *trace.Span
 		if tr := s.tracer.Load(); tr != nil && cur.Valid() {
-			cmd, _, _ := strings.Cut(line, " ")
-			sp = tr.Start(cur, "chirp_server", cmd)
+			cmd, _, _ := bytes.Cut(line, []byte(" "))
+			sp = tr.Start(cur, "chirp_server", string(cmd))
 		}
 		cur = trace.Context{}
-		if err := s.dispatch(line, r, w, conn); err != nil {
+		defer sp.End()
+		err := s.dispatch(line, r, w, conn)
+		if err != nil {
 			s.errs.Add(1)
 			s.telemetry().errs.Inc()
-			sp.Attr("error", sanitizeError(err))
-			if errors.Is(err, errHangup) {
-				// The stream is desynced (e.g. a transfer died after its
-				// size header): an error reply would be read as payload.
-				sp.End()
-				w.Flush()
-				return
-			}
-			fmt.Fprintf(w, "-1 %s\n", sanitizeError(err))
+			sp.Attr("error", err.Error())
 		}
-		sp.End()
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// readLine reads one protocol line in place from r's buffer and returns
-// it without its line ending. A line that outgrows the buffer (64 KiB on
-// both ends of a connection) is bufio.ErrBufferFull: the peer is not
-// speaking the protocol, and the caller drops the connection instead of
-// holding whatever it sends.
-func readLine(r *bufio.Reader) (string, error) {
-	raw, err := r.ReadSlice('\n')
-	if err != nil {
-		return "", err
-	}
-	return string(bytes.TrimRight(raw, "\r\n")), nil
-}
-
-// sanitizeError flattens an error to a single line.
-func sanitizeError(err error) string {
-	return strings.ReplaceAll(err.Error(), "\n", " ")
-}
-
-// errHangup marks a failure that leaves the protocol stream desynced —
-// a getfile that died after its size header, or a putfile whose payload
-// could not be fully consumed. The only safe recovery is to drop the
-// connection: an error reply would be read as payload bytes.
-var errHangup = errors.New("chirp: stream desynced")
-
-// hangup wraps err so serveConn closes the connection instead of
-// replying.
-func hangup(op string, err error) error {
-	return fmt.Errorf("%s: %w: %w", op, errHangup, err)
+		return err
+	})
 }
 
 // serveGet answers one getfile request. Backends implementing
@@ -359,7 +248,7 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 		}
 		fmt.Fprintf(w, "%d\n", len(data))
 		if _, err := w.Write(data); err != nil {
-			return hangup("getfile", err)
+			return wire.Hangup(err)
 		}
 		s.countOut(int64(len(data)))
 		return nil
@@ -377,10 +266,10 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 	n, err := bufpool.Copy(w, &io.LimitedReader{R: rc, N: size})
 	s.countOut(n)
 	if err != nil {
-		return hangup("getfile", err)
+		return wire.Hangup(err)
 	}
 	if n != size {
-		return hangup("getfile", fmt.Errorf("file shrank to %d of %d bytes mid-send", n, size))
+		return wire.Hangup(fmt.Errorf("file shrank to %d of %d bytes mid-send", n, size))
 	}
 	return nil
 }
@@ -414,7 +303,7 @@ func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net
 	if !ok {
 		land := bufpool.Arrival{Announced: size}
 		if n, err := land.ReadFrom(r); n < size {
-			return hangup(op, fmt.Errorf("short payload: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
+			return wire.Hangup(fmt.Errorf("short %s payload: %w", op, cmp.Or(err, io.ErrUnexpectedEOF)))
 		}
 		s.countIn(size)
 		if op == "putfile" {
@@ -439,7 +328,7 @@ func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net
 			dn, derr := bufpool.CopyN(io.Discard, r, rem)
 			s.countIn(dn)
 			if derr != nil || dn != rem {
-				return hangup(op, fmt.Errorf("short payload: %w", err))
+				return wire.Hangup(fmt.Errorf("short %s payload: %w", op, err))
 			}
 		}
 		return err
@@ -518,59 +407,50 @@ func (s *Server) countOut(n int64) {
 	t.planeOut.Add(n)
 }
 
-// nextField cuts the first whitespace-delimited field off s, the way
-// strings.Fields delimits them, without allocating.
-func nextField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, ""
-}
-
-func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn net.Conn) error {
+func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, conn net.Conn) error {
 	// No command takes more than two arguments; a fourth field only has
 	// to be seen to be refused.
-	var buf [4]string
-	fields := buf[:0]
-	for f, rest := nextField(line); f != "" && len(fields) < len(buf); f, rest = nextField(rest) {
-		fields = append(fields, f)
-	}
+	var buf [4][]byte
+	fields := wire.Fields(line, buf[:0])
 	if len(fields) == 0 {
 		return errors.New("empty command")
 	}
-	switch fields[0] {
+	var path string
+	if len(fields) > 1 {
+		path = string(fields[1])
+	}
+	switch string(fields[0]) {
 	case "getfile":
 		if len(fields) != 2 {
 			return errors.New("usage: getfile <path>")
 		}
-		return s.serveGet(fields[1], w)
+		return s.serveGet(path, w)
 	case "putfile", "append":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: %s <path> <size>", fields[0])
 		}
-		size, err := strconv.ParseInt(fields[2], 10, 64)
+		size, err := strconv.ParseInt(string(fields[2]), 10, 64)
 		if err != nil || size < 0 || size > MaxPayload {
 			return fmt.Errorf("bad size %q", fields[2])
 		}
-		if err := s.servePut(fields[0], fields[1], size, r, conn); err != nil {
+		if err := s.servePut(string(fields[0]), path, size, r, conn); err != nil {
 			return err
 		}
 		w.WriteString("0\n")
 		return nil
 	case "stat":
-		withCRC := len(fields) == 3 && fields[2] == "crc"
+		withCRC := len(fields) == 3 && string(fields[2]) == "crc"
 		if len(fields) != 2 && !withCRC {
 			return errors.New("usage: stat <path> [crc]")
 		}
-		info, err := s.fs.Stat(fields[1])
+		info, err := s.fs.Stat(path)
 		if err != nil {
 			return err
 		}
 		if info.IsDir {
 			fmt.Fprintf(w, "%d dir\n", info.Size)
 		} else if withCRC {
-			crc, err := s.checksum(fields[1])
+			crc, err := s.checksum(path)
 			if err != nil {
 				return err
 			}
@@ -583,7 +463,7 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn ne
 		if len(fields) != 2 {
 			return errors.New("usage: ls <path>")
 		}
-		entries, err := s.fs.List(fields[1])
+		entries, err := s.fs.List(path)
 		if err != nil {
 			return err
 		}
@@ -600,7 +480,7 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer, conn ne
 		if len(fields) != 2 {
 			return errors.New("usage: unlink <path>")
 		}
-		if err := s.fs.Remove(fields[1]); err != nil {
+		if err := s.fs.Remove(path); err != nil {
 			return err
 		}
 		w.WriteString("0\n")

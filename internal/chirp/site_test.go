@@ -2,31 +2,24 @@ package chirp
 
 import (
 	"testing"
-	"time"
 
 	"lobster/internal/telemetry"
 )
 
-// TestSiteLabelledBytes pins the Figure-9 accounting shape: a client
-// dialed with a Site stamps that site on its lobster_bytes_total
-// series, so per-site transfer volume falls out of one label query.
+// TestSiteLabelledBytes pins the Figure-9 accounting shape: a pool
+// given a Site stamps that site on its connections' lobster_bytes_total
+// series, both directions, so per-site transfer volume falls out of one
+// label query.
 func TestSiteLabelledBytes(t *testing.T) {
 	srv, _ := newTestServer(t, 4)
 	reg := telemetry.NewRegistry()
-	c, err := DialOpts(srv.Addr(), ClientOptions{
-		DialTimeout: 5 * time.Second,
-		Telemetry:   reg,
-		Site:        "T3_US_NotreDame",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(PoolOptions{Addr: srv.Addr(), Telemetry: reg, Site: "T3_US_NotreDame"})
+	defer p.Close()
 	payload := []byte("site-stamped payload")
-	if err := c.PutFile("/f", payload); err != nil {
+	if err := p.PutFile("/f", payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetFile("/f"); err != nil {
+	if _, err := p.GetFile("/f"); err != nil {
 		t.Fatal(err)
 	}
 	out := reg.SiteBytes("chirp_client", telemetry.DirOut, "T3_US_NotreDame").Value()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lobster/internal/retry"
+	"lobster/internal/wire"
 )
 
 // TestStreamedMatchesBuffered pushes a large, incompressible payload
@@ -94,7 +95,7 @@ func TestSinkFailureDrainsAndKeepsConnection(t *testing.T) {
 	if n != int64(sink.n) {
 		t.Fatalf("reported %d bytes written, sink saw %d", n, sink.n)
 	}
-	if c.Broken() {
+	if c.conn.Broken() {
 		t.Fatal("sink failure poisoned the connection")
 	}
 	got, err := c.GetFile("/drain.dat")
@@ -138,7 +139,7 @@ func TestShortSourcePoisonsConnection(t *testing.T) {
 	if !retry.IsPermanent(err) {
 		t.Fatalf("short source error not permanent: %v", err)
 	}
-	if !c.Broken() {
+	if !c.conn.Broken() {
 		t.Fatal("short source left the connection alive with a half-sent payload")
 	}
 }
@@ -156,11 +157,11 @@ func TestServerErrorMidPayloadKeepsStreamAligned(t *testing.T) {
 	if err == nil {
 		t.Fatal("putfile onto a directory succeeded")
 	}
-	var se *ServerError
+	var se *wire.ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("want in-protocol ServerError, got %v", err)
 	}
-	if c.Broken() {
+	if c.conn.Broken() {
 		t.Fatal("in-protocol server error poisoned the connection")
 	}
 	if err := c.PutFile("/after.dat", []byte("still works")); err != nil {

@@ -14,6 +14,7 @@ import (
 	"lobster/internal/faultinject"
 	"lobster/internal/hdfs"
 	"lobster/internal/retry"
+	"lobster/internal/wire"
 	"lobster/internal/wq"
 )
 
@@ -82,7 +83,7 @@ func MergeExecutor(pool *chirp.Pool) wq.Executor {
 			if err == nil {
 				continue
 			}
-			if errors.Is(err, chirp.ErrNotExist) {
+			if errors.Is(err, wire.ErrNotExist) {
 				// A previous attempt of this task may have already
 				// merged and removed the inputs.
 				if derr := do(func(c *chirp.Client) error {
@@ -127,7 +128,7 @@ func MergeExecutor(pool *chirp.Pool) wq.Executor {
 		// missing input was removed by an earlier attempt — not an error.
 		for _, in := range inputs {
 			err := do(func(c *chirp.Client) error { return c.Unlink(in) })
-			if err != nil && !errors.Is(err, chirp.ErrNotExist) {
+			if err != nil && !errors.Is(err, wire.ErrNotExist) {
 				return fmt.Errorf("removing merged input %s: %w", in, err)
 			}
 		}

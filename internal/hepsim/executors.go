@@ -94,12 +94,11 @@ type pileupSample struct {
 func (e *Env) chirpPool() *chirp.Pool {
 	e.poolOnce.Do(func() {
 		e.pool = chirp.NewPool(chirp.PoolOptions{
-			Addr:        e.ChirpAddr,
-			Size:        8,
-			DialTimeout: 30 * time.Second,
-			Retry:       e.ChirpRetry,
-			Fault:       e.Fault,
-			Telemetry:   e.Telemetry,
+			Addr:      e.ChirpAddr,
+			Size:      8,
+			Retry:     e.ChirpRetry,
+			Fault:     e.Fault,
+			Telemetry: e.Telemetry,
 		})
 	})
 	return e.pool

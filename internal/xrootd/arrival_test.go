@@ -1,7 +1,6 @@
 package xrootd
 
 import (
-	"bufio"
 	"bytes"
 	"net"
 	"runtime"
@@ -11,6 +10,7 @@ import (
 
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
+	"lobster/internal/wire"
 )
 
 // cannedConn is a replica that answers whatever it is asked with the
@@ -34,8 +34,7 @@ func cannedClient(replies string) (*Client, *cannedConn) {
 	red := NewRedirector()
 	red.Register("/f", Replica{Site: "T2_LIAR", Addr: "liar"})
 	c := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "c"}
-	c.conns().park("liar", &wire{conn: conn,
-		r: bufio.NewReaderSize(conn, 64<<10), w: bufio.NewWriterSize(conn, 8<<10)})
+	c.conns().Put("liar", wire.NewConn("xrootd", conn, 64<<10, 8<<10))
 	return c, conn
 }
 
@@ -61,7 +60,7 @@ func TestFetchFromALyingReplica(t *testing.T) {
 	}{
 		{"1 TiB announced, 1 KiB sent", "1099511627776\n1024\n" + kib, "reading response", 4 << 20},
 		{"32 MiB announced, hang-up 1 KiB into a read", "33554432\n1048576\n" + kib, "short payload", 0},
-		{"a read answered past what was asked", "33554432\n1048577\n" + kib, "over-answered", 0},
+		{"a read answered past what was asked", "33554432\n1048577\n" + kib, "bad size response", 0},
 	} {
 		c, conn := cannedClient(tc.replies)
 		var data []byte
@@ -70,9 +69,9 @@ func TestFetchFromALyingReplica(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) || data != nil {
 			t.Errorf("%s: Fetch = %d bytes, %v; want an error naming %q", tc.name, len(data), err, tc.wantErr)
 		}
-		if !conn.closed || len(c.idle.byAddr["liar"]) != 0 {
+		if !conn.closed || c.conns().Parked() != 0 {
 			t.Errorf("%s: connection closed %v, parked %d; want it broken and never parked",
-				tc.name, conn.closed, len(c.idle.byAddr["liar"]))
+				tc.name, conn.closed, c.conns().Parked())
 		}
 		if tc.maxAlloc != 0 && got >= tc.maxAlloc {
 			t.Errorf("%s: %d bytes allocated, want under %d", tc.name, got, tc.maxAlloc)
@@ -84,9 +83,9 @@ func TestFetchFromALyingReplica(t *testing.T) {
 	if err != nil || data != nil {
 		t.Errorf("empty file: Fetch = %d bytes (cap %d), %v; want nil, nil", len(data), cap(data), err)
 	}
-	if conn.closed || len(c.idle.byAddr["liar"]) != 1 {
+	if conn.closed || c.conns().Parked() != 1 {
 		t.Errorf("empty file: connection closed %v, parked %d; want it parked for the next open",
-			conn.closed, len(c.idle.byAddr["liar"]))
+			conn.closed, c.conns().Parked())
 	}
 }
 

@@ -1,11 +1,10 @@
 package xrootd
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Client opens LFNs through a redirector, streaming content from whichever
@@ -24,19 +24,15 @@ import (
 //
 // Failure handling: each replica pass tries every replica once, skipping
 // to the next on transport failures and stopping early on permanent
-// (server-reported or protocol) errors. When Retry is configured, whole
-// passes repeat under bounded exponential backoff — the WAN read path
-// in the paper's environment sees transient replica outages that clear
-// within seconds, so a second pass usually lands.
+// (server-reported or protocol) errors — wire.ServerError and
+// wire.ProtocolError. When Retry is configured, whole passes repeat under
+// bounded exponential backoff — the WAN read path in the paper's
+// environment sees transient replica outages that clear within seconds,
+// so a second pass usually lands.
 type Client struct {
 	Redirector *Redirector
 	Dashboard  *Dashboard
 	Consumer   string
-	// DialTimeout bounds each connection attempt (default 10 s).
-	DialTimeout time.Duration
-	// OpTimeout bounds each protocol round trip via a connection
-	// deadline (0 = unbounded).
-	OpTimeout time.Duration
 	// Retry bounds repeated replica passes on transport failures. The
 	// zero Policy keeps the old behaviour: one pass, fail over between
 	// replicas, surface the first error when all fail.
@@ -46,7 +42,8 @@ type Client struct {
 	Fault *faultinject.Injector
 	// Telemetry, when non-nil, counts fetched payload bytes under
 	// lobster_bytes_total{component="xrootd_client",site=...}, one
-	// series per serving site — the Figure 9 accounting shape.
+	// series per serving site — the Figure 9 accounting shape — and the
+	// connections opens use under lobster_xrootd_client_conns_total.
 	Telemetry *telemetry.Registry
 	// Selector, when non-nil, orders Locate results by observed
 	// bandwidth and sheds consistently slow or failing replicas. Every
@@ -54,118 +51,50 @@ type Client struct {
 	// clients of a consumer so the EWMAs see all streams.
 	Selector *Selector
 
-	idle idleConns
+	// The protocol is stateless per command (every open, stat and read
+	// names its LFN), so a connection that served one File serves the
+	// next as it is: File.Close parks it here. Built on first use; a
+	// Client must not be copied after that.
+	once sync.Once
+	pool *wire.Pool[*wire.Conn]
 }
 
-// wire is one replica connection with its buffers: what a File gives
-// back on Close and the next open on the same replica takes over.
-type wire struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-// maxIdlePerReplica matches the chirp pool's size, the most slots one
-// worker process drives at once.
-const maxIdlePerReplica = 8
-
-// idleConns parks healthy connections between Files. The protocol is
-// stateless per command (every open, stat and read names its LFN), so a
-// connection that served one file serves the next as it is. The zero
-// value is ready; a Client must not be copied after first use.
-type idleConns struct {
-	mu     sync.Mutex
-	byAddr map[string][]*wire
-	closed bool
-
-	// lobster_xrootd_client_conns_total{outcome}, resolved on first use;
-	// nil no-ops without a registry.
-	telOnce               sync.Once
-	reused, dialed, stale *telemetry.Counter
-}
-
-func (p *idleConns) take(addr string) *wire {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l := p.byAddr[addr]
-	if len(l) == 0 {
-		return nil
-	}
-	p.byAddr[addr] = l[:len(l)-1]
-	return l[len(l)-1]
-}
-
-// park reports false when addr's list is full or the client closed; the
-// caller hangs up instead.
-func (p *idleConns) park(addr string, w *wire) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.byAddr[addr]) >= maxIdlePerReplica {
-		return false
-	}
-	if p.byAddr == nil {
-		p.byAddr = make(map[string][]*wire)
-	}
-	p.byAddr[addr] = append(p.byAddr[addr], w)
-	return true
-}
-
-func (c *Client) conns() *idleConns {
-	c.idle.telOnce.Do(func() {
-		vec := c.Telemetry.CounterVec("lobster_xrootd_client_conns_total",
-			"Replica connections an open used: a parked one (reused), a fresh dial (dialed), or a parked one found dead and replaced by a dial (stale).",
-			"outcome")
-		c.idle.reused, c.idle.dialed, c.idle.stale = vec.With("reused"), vec.With("dialed"), vec.With("stale")
+func (c *Client) conns() *wire.Pool[*wire.Conn] {
+	c.once.Do(func() {
+		c.pool = wire.NewPool(c.Telemetry, "lobster_xrootd_client_conns_total", c.dial,
+			func(w *wire.Conn) *wire.Conn { return w })
 	})
-	return &c.idle
+	return c.pool
+}
+
+func (c *Client) dial(addr string) (*wire.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("xrootd: dialing %s: %w", addr, err)
+	}
+	return wire.NewConn("xrootd", c.Fault.Conn("xrootd_client", conn), 64<<10, 8<<10), nil
 }
 
 // Close hangs up the parked connections. The client stays usable, but
 // from here on every File.Close hangs up too.
-func (c *Client) Close() error {
-	c.idle.mu.Lock()
-	defer c.idle.mu.Unlock()
-	c.idle.closed = true
-	for _, l := range c.idle.byAddr {
-		for _, w := range l {
-			w.conn.Close()
-		}
-	}
-	c.idle.byAddr = nil
-	return nil
-}
+func (c *Client) Close() error { return c.conns().Close() }
 
 // File is an open remote file. Not safe for concurrent use.
 //
-// Any transport failure closes the connection and marks the file
-// broken: the line protocol has no resync point, so later operations
-// short-circuit with the original classification (retryable — reopen
-// and try again).
+// Any transport failure breaks the file's connection: later operations
+// fail at once, retryable — reopen and try again.
 type File struct {
 	client *Client
 	lfn    string
 	size   int64
 	offset int64
-	*wire
-	broken bool
-	addr   string
-	rep    Replica // the replica serving this connection
-}
-
-// fail closes the connection after a transport failure and returns err.
-func (f *File) fail(err error) error {
-	if !f.broken {
-		f.broken = true
-		f.conn.Close()
-	}
-	return err
+	conn   *wire.Conn // nil once Close gave it back
+	rep    Replica    // the replica serving this connection
 }
 
 // Broken reports whether a transport failure has poisoned this file's
-// connection; a broken file must be reopened.
-func (f *File) Broken() bool { return f.broken }
-
-var errBroken = fmt.Errorf("xrootd: connection broken by earlier failure")
+// connection (or Close has given it back); a broken file must be reopened.
+func (f *File) Broken() bool { return f.conn.Broken() }
 
 // Open resolves lfn and connects to a replica. Replicas are tried in the
 // order the redirector returns them; configured retries repeat the whole
@@ -236,111 +165,41 @@ func (c *Client) openPass(lfn string, sp *trace.Span) (*File, error) {
 	return nil, err
 }
 
+// openAt opens lfn at rep on a parked connection or a fresh dial. A
+// parked one the peer hung up on is replaced by a dial at no cost to the
+// caller's retry budget or to the replica's standing with the Selector.
 func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
-	idle := c.conns()
-	f := &File{client: c, lfn: lfn, addr: rep.Addr, rep: rep}
-	if f.wire = idle.take(rep.Addr); f.wire != nil {
-		size, err := f.open()
-		if err == nil {
-			idle.reused.Inc()
-			f.size = size
-			return f, nil
-		}
-		if !f.broken { // answered in protocol: the file's error, a fine connection
-			f.Close()
-			c.Selector.ObserveError(rep)
-			return nil, err
-		}
-		// The peer hung up while the connection sat idle, which says
-		// nothing about the replica now: dial, at no cost to the
-		// caller's retry budget.
-		idle.stale.Inc()
-		f.broken = false
-	}
-	timeout := c.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", rep.Addr, timeout)
+	f := &File{client: c, lfn: lfn, rep: rep}
+	conn, err := c.conns().Take(rep.Addr, func(conn *wire.Conn) (err error) {
+		f.conn = conn
+		f.size, err = f.roundTrip(append(f.request("open"), '\n'), math.MaxInt64)
+		return err
+	})
 	if err != nil {
-		c.Selector.ObserveError(rep)
-		return nil, fmt.Errorf("xrootd: dialing %s: %w", rep.Addr, err)
-	}
-	idle.dialed.Inc()
-	conn = c.Fault.Conn("xrootd_client", conn)
-	f.wire = &wire{
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, 64<<10),
-		w:    bufio.NewWriterSize(conn, 8<<10),
-	}
-	size, err := f.open()
-	if err != nil {
-		f.fail(err)
 		c.Selector.ObserveError(rep)
 		return nil, err
 	}
-	f.size = size
+	f.conn = conn
 	return f, nil
 }
 
 // request starts the command line "<verb> <lfn>" in the writer's own
 // free space; the caller appends arguments and the newline and hands the
-// line to roundTripLine. Nothing is allocated unless the line outgrows
-// the writer's buffer.
+// line to roundTrip. Nothing is allocated unless the line outgrows the
+// writer's buffer.
 func (f *File) request(verb string) []byte {
-	b := append(f.w.AvailableBuffer(), verb...)
+	b := append(f.conn.W.AvailableBuffer(), verb...)
 	b = append(b, ' ')
 	return append(b, f.lfn...)
 }
 
-// roundTripLine sends one command line and returns the first response
-// line, trimmed, valid until the next read on the connection. Transport
-// failures close the connection; a "-1" response maps to *ServerError
-// (permanent, connection intact — no payload follows an error line).
-func (f *File) roundTripLine(cmd []byte) ([]byte, error) {
-	if f.broken {
-		return nil, errBroken
-	}
-	if t := f.client.OpTimeout; t > 0 {
-		f.conn.SetDeadline(time.Now().Add(t))
-	}
-	if _, err := f.w.Write(cmd); err != nil {
-		return nil, f.fail(err)
-	}
-	if err := f.w.Flush(); err != nil {
-		return nil, f.fail(err)
-	}
-	line, err := f.r.ReadSlice('\n')
-	if err != nil {
-		return nil, f.fail(fmt.Errorf("xrootd: reading response: %w", err))
-	}
-	line = bytes.TrimRight(line, "\r\n")
-	if msg, ok := bytes.CutPrefix(line, []byte("-1")); ok {
-		return nil, &ServerError{Replica: f.addr, Msg: string(bytes.TrimSpace(msg))}
-	}
-	return line, nil
-}
-
-// roundTripSize is roundTripLine for the numeric responses: a
-// non-numeric line maps to *ProtocolError (permanent, connection
-// closed — the stream is desynchronised).
-func (f *File) roundTripSize(cmd []byte) (int64, error) {
-	line, err := f.roundTripLine(cmd)
-	if err != nil {
+// roundTrip sends one command line and returns the size its reply
+// announces, at most max.
+func (f *File) roundTrip(cmd []byte, max int64) (int64, error) {
+	if err := f.conn.Send(cmd); err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(string(line), 10, 64)
-	if err != nil {
-		perr := &ProtocolError{Replica: f.addr, Msg: fmt.Sprintf("bad response %q", line)}
-		f.fail(perr)
-		return 0, perr
-	}
-	return n, nil
-}
-
-// open asks the replica on f's connection for the file's size.
-func (f *File) open() (int64, error) {
-	return f.roundTripSize(append(f.request("open"), '\n'))
+	return f.conn.ReadSize(max)
 }
 
 // Stat asks the replica for the file's size and whole-content CRC32.
@@ -348,28 +207,35 @@ func (f *File) open() (int64, error) {
 // "-1 unknown command"); the connection stays usable either way unless
 // a transport or protocol error is returned.
 func (f *File) Stat() (size int64, crc uint32, ok bool, err error) {
-	line, err := f.roundTripLine(append(f.request("stat"), '\n'))
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) {
-			return f.size, 0, false, nil
-		}
+	if err := f.conn.Err(); err != nil {
 		return 0, 0, false, err
 	}
-	var c64 uint64
-	if _, serr := fmt.Sscanf(string(line), "%d %x", &size, &c64); serr != nil || c64 > 1<<32-1 {
-		perr := &ProtocolError{Replica: f.addr, Msg: fmt.Sprintf("bad stat response %q", line)}
-		f.fail(perr)
-		return 0, 0, false, perr
+	if err := f.conn.Send(append(f.request("stat"), '\n')); err != nil {
+		return 0, 0, false, err
 	}
-	return size, uint32(c64), true, nil
+	line, err := f.conn.ReadStatus()
+	var se *wire.ServerError
+	if errors.As(err, &se) {
+		return f.size, 0, false, nil
+	}
+	if err != nil {
+		return 0, 0, false, err
+	}
+	var buf [3][]byte
+	fields := wire.Fields(line, buf[:0])
+	var c64 uint64
+	if len(fields) == 2 {
+		c64, err = strconv.ParseUint(string(fields[1]), 16, 32)
+	}
+	if len(fields) != 2 || err != nil {
+		return 0, 0, false, f.conn.Protocol("bad stat response %q", line)
+	}
+	size, err = f.conn.ParseSize(fields[0], math.MaxInt64)
+	return size, uint32(c64), err == nil, err
 }
 
 // Size returns the file size.
 func (f *File) Size() int64 { return f.size }
-
-// LFN returns the file's logical name.
-func (f *File) LFN() string { return f.lfn }
 
 // Read implements io.Reader, streaming sequentially from the replica.
 func (f *File) Read(p []byte) (int, error) {
@@ -387,45 +253,38 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAt reads len(p) bytes at the given offset (shorter only at EOF).
+// ReadAt reads len(p) bytes at the given offset (shorter only at EOF). A
+// reply that announces more than len(p) is a protocol error.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	if err := f.conn.Err(); err != nil {
+		return 0, err
+	}
 	cmd := append(f.request("read"), ' ')
 	cmd = append(strconv.AppendInt(cmd, off, 10), ' ')
 	cmd = append(strconv.AppendInt(cmd, int64(len(p)), 10), '\n')
-	n, err := f.roundTripSize(cmd)
+	n, err := f.roundTrip(cmd, int64(len(p)))
 	if err != nil {
 		return 0, err
 	}
-	if n < 0 || n > int64(len(p)) {
-		perr := &ProtocolError{Replica: f.addr,
-			Msg: fmt.Sprintf("server over-answered: %d bytes to a read of %d", n, len(p))}
-		f.fail(perr)
-		return 0, perr
-	}
-	if _, err := io.ReadFull(f.r, p[:n]); err != nil {
-		return 0, f.fail(fmt.Errorf("xrootd: short payload: %w", err))
+	if _, err := io.ReadFull(f.conn.R, p[:n]); err != nil {
+		return 0, f.conn.Fail(fmt.Errorf("xrootd: short payload: %w", err))
 	}
 	f.client.Dashboard.Record(f.client.Consumer, n)
 	return int(n), nil
 }
 
 // Close gives the connection back to the client for the next open on
-// this replica, or hangs up when the client has no room for it. A broken
-// connection is already closed.
+// this replica; the client hangs it up when it has no room for it or it
+// broke.
 func (f *File) Close() error {
-	if f.broken {
-		return nil
+	if f.conn != nil {
+		f.client.conns().Put(f.rep.Addr, f.conn)
+		f.conn = nil
 	}
-	f.broken = true
-	if f.r.Buffered() == 0 && f.client.idle.park(f.addr, f.wire) {
-		return nil
-	}
-	f.w.WriteString("quit\n")
-	f.w.Flush()
-	return f.conn.Close()
+	return nil
 }
 
 // Fetch reads the whole file into memory, the staging-style access:

@@ -8,6 +8,7 @@ import (
 
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
+	"lobster/internal/wire"
 )
 
 func TestServerErrorClassification(t *testing.T) {
@@ -21,16 +22,41 @@ func TestServerErrorClassification(t *testing.T) {
 	if err == nil {
 		t.Fatal("open succeeded with replica down")
 	}
-	var se *ServerError
+	var se *wire.ServerError
 	if !errors.As(err, &se) {
-		t.Fatalf("err = %T %v, want *ServerError in chain", err, err)
-	}
-	if !errors.Is(err, ErrServer) {
-		t.Error("down-replica error does not match ErrServer")
+		t.Fatalf("err = %T %v, want *wire.ServerError in chain", err, err)
 	}
 	// All replicas failed permanently → the aggregate is permanent.
 	if !retry.IsPermanent(err) {
 		t.Error("all-permanent pass not classified permanent")
+	}
+}
+
+// TestOpenRepliesOutOfProtocol: an open is answered with a size or a
+// "-1" line and nothing else. A negative size, a "-1" that is only the
+// start of a field, or a size with a trailing field is a protocol error
+// on a connection that is never parked again; a real "-1" line is the
+// replica's error on a connection that stays usable.
+func TestOpenRepliesOutOfProtocol(t *testing.T) {
+	for _, reply := range []string{"-7\n", "-15\n", "-100 oops\n", "5 trailing\n"} {
+		c, conn := cannedClient(reply)
+		f, err := c.Open("/f")
+		var pe *wire.ProtocolError
+		if !errors.As(err, &pe) || f != nil {
+			t.Errorf("open answered %q: file %v, err %v; want a protocol error", reply, f, err)
+		}
+		if !conn.closed || c.conns().Parked() != 0 {
+			t.Errorf("open answered %q: closed %v, parked %d; want the connection broken", reply, conn.closed, c.conns().Parked())
+		}
+	}
+	c, conn := cannedClient("-1 no such file /f\n")
+	_, err := c.Open("/f")
+	var se *wire.ServerError
+	if !errors.As(err, &se) || se.Msg != "no such file /f" || !errors.Is(err, wire.ErrNotExist) {
+		t.Errorf("open answered -1: err %v; want the replica's missing-file error", err)
+	}
+	if conn.closed || c.conns().Parked() != 1 {
+		t.Errorf("open answered -1: closed %v, parked %d; want the connection kept", conn.closed, c.conns().Parked())
 	}
 }
 
@@ -82,8 +108,8 @@ func TestTransportFaultMarksFileBroken(t *testing.T) {
 	if !f.Broken() {
 		t.Fatal("transport failure did not mark the file broken")
 	}
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, errBroken) {
-		t.Fatalf("broken file op = %v, want errBroken", err)
+	if _, err := f.ReadAt(buf, 0); err == nil || retry.IsPermanent(err) {
+		t.Fatalf("broken file op = %v, want a retryable error", err)
 	}
 	f.Close() // no-op on broken file, must not panic
 }
@@ -120,18 +146,15 @@ func TestFetchRetriesTransportFaults(t *testing.T) {
 }
 
 func TestProtocolErrorClassification(t *testing.T) {
-	pe := &ProtocolError{Replica: "x:1", Msg: "bad response"}
-	if !errors.Is(pe, ErrProtocol) || !errors.Is(pe, retry.ErrPermanent) {
-		t.Error("protocol error classification wrong")
+	pe := &wire.ProtocolError{Proto: "xrootd", Msg: "bad response"}
+	if !retry.IsPermanent(pe) || pe.Error() != "xrootd: protocol error: bad response" {
+		t.Errorf("protocol error %q: permanent %v", pe, retry.IsPermanent(pe))
 	}
-	if IsRetryable(pe) {
-		t.Error("protocol error classified retryable")
+	se := &wire.ServerError{Proto: "xrootd", Msg: "boom"}
+	if !retry.IsPermanent(se) || errors.Is(se, wire.ErrNotExist) {
+		t.Error("server error: want permanent, and not a missing file")
 	}
-	se := &ServerError{Replica: "x:1", Msg: "boom"}
-	if IsRetryable(se) {
-		t.Error("server error classified retryable")
-	}
-	if !IsRetryable(errors.New("connection reset")) {
+	if retry.IsPermanent(errors.New("connection reset")) {
 		t.Error("plain transport error classified permanent")
 	}
 }

@@ -3,17 +3,20 @@ package xrootd
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"lobster/internal/wire"
 )
 
 // FuzzDispatch feeds arbitrary protocol lines to the command dispatcher
 // of a data server holding one spooled file. The dispatcher must never
 // panic, and its framing must stay coherent: an error return means
 // nothing was written (the caller emits "-1 ..." next, which would desync
-// the stream after a partial success reply) — errHangup, the one error
+// the stream after a partial success reply) — a wire.Hangup, the one error
 // that may follow written bytes, cannot come from a healthy spool and a
 // sink that takes every write — and a successful read's "<n>\n" header
 // must be followed by exactly n payload bytes drawn from the stored file.
@@ -43,7 +46,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
-		err := s.dispatch([]byte(line), w)
+		err := s.dispatch([]byte(line), nil, w)
 		w.Flush()
 		if err != nil {
 			if out.Len() != 0 {
@@ -78,7 +81,9 @@ func FuzzDispatch(f *testing.F) {
 // whole-file Fetch, the replica-facing half of the protocol: the open's
 // size line, then one size line and payload per read. Whatever the
 // replica says, the client must not panic, must not hand back more bytes
-// than the replica sent, and must not park a connection it gave up on.
+// than the replica sent, and must not park a connection it gave up on or
+// one whose reply broke protocol; and an open must not hand back a file
+// of negative size.
 func FuzzFetchReplies(f *testing.F) {
 	f.Add([]byte("5\n5\nhello"))
 	f.Add([]byte("0\n"))
@@ -90,6 +95,9 @@ func FuzzFetchReplies(f *testing.F) {
 	f.Add([]byte("-7\n"))
 	f.Add([]byte("5\n0\n"))
 	f.Add([]byte("five\n"))
+	f.Add([]byte("-15\n"))
+	f.Add([]byte("-100 oops\n"))
+	f.Add([]byte("5 trailing\n"))
 	f.Fuzz(func(t *testing.T, replies []byte) {
 		c, conn := cannedClient(string(replies))
 		data, err := c.Fetch("/f")
@@ -99,8 +107,20 @@ func FuzzFetchReplies(f *testing.F) {
 		if err != nil && data != nil {
 			t.Fatalf("Fetch failed (%v) and still returned %d bytes", err, len(data))
 		}
-		if conn.closed && len(c.idle.byAddr["liar"]) != 0 {
+		if conn.closed && c.conns().Parked() != 0 {
 			t.Fatalf("a closed connection was parked (Fetch error: %v)", err)
+		}
+		var pe *wire.ProtocolError
+		if errors.As(err, &pe) && c.conns().Parked() != 0 {
+			t.Fatalf("a connection whose reply broke protocol was parked (%v)", err)
+		}
+
+		// The open alone, on a fresh replay of the same replies.
+		c, _ = cannedClient(string(replies))
+		if f, err := c.Open("/f"); err == nil && f.Size() < 0 {
+			t.Fatalf("Open returned a file of size %d", f.Size())
+		} else if errors.As(err, &pe) && c.conns().Parked() != 0 {
+			t.Fatalf("a connection whose open reply broke protocol was parked (%v)", err)
 		}
 	})
 }

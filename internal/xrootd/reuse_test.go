@@ -2,6 +2,7 @@ package xrootd
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
+	"lobster/internal/wire"
 )
 
 // reuseFixture is one replica holding one file, and a client whose
@@ -69,25 +71,17 @@ func (fx *reuseFixture) wantConns(t *testing.T, reused, dialed, stale int64) {
 	}
 }
 
-// idle counts the connections the client has parked.
-func (c *Client) idleCount() int {
-	c.idle.mu.Lock()
-	defer c.idle.mu.Unlock()
-	n := 0
-	for _, l := range c.idle.byAddr {
-		n += len(l)
+// hangUp restarts the replica's accept loop at its address, hanging up
+// every connection it had, as a replica restarting does.
+func (s *DataServer) hangUp(t *testing.T) {
+	t.Helper()
+	addr := s.Addr()
+	s.srv.Close()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
-}
-
-// hangUp closes every connection from the server's side, as a replica
-// restarting or reaping idle clients does.
-func (s *DataServer) hangUp() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range s.open {
-		c.Close()
-	}
+	s.srv = wire.Serve(lis, s.serveConn)
 }
 
 func TestSecondTaskReusesTheConnection(t *testing.T) {
@@ -96,7 +90,7 @@ func TestSecondTaskReusesTheConnection(t *testing.T) {
 		fx.task(t)
 	}
 	fx.wantConns(t, 4, 1, 0)
-	if n := fx.c.idleCount(); n != 1 {
+	if n := fx.c.conns().Parked(); n != 1 {
 		t.Errorf("%d connections parked, want 1", n)
 	}
 	// A server-reported error leaves the connection usable and parked.
@@ -113,7 +107,7 @@ func TestSecondTaskReusesTheConnection(t *testing.T) {
 func TestIdleConnKilledByPeerFallsBackToDial(t *testing.T) {
 	fx := newReuseFixture(t, nil)
 	fx.task(t)
-	fx.srv.hangUp()
+	fx.srv.hangUp(t)
 	fx.task(t) // must succeed on a fresh dial, on the first attempt
 	fx.wantConns(t, 0, 2, 1)
 	fx.task(t)
@@ -142,7 +136,7 @@ func TestBrokenFileIsNeverParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.srv.hangUp()
+	fx.srv.hangUp(t)
 	if _, err := f.ReadAt(make([]byte, 16), 0); err == nil {
 		t.Fatal("read on a connection the peer closed succeeded")
 	}
@@ -150,7 +144,7 @@ func TestBrokenFileIsNeverParked(t *testing.T) {
 		t.Fatal("transport failure did not mark the file broken")
 	}
 	f.Close()
-	if n := fx.c.idleCount(); n != 0 {
+	if n := fx.c.conns().Parked(); n != 0 {
 		t.Errorf("%d connections parked after a broken file closed, want 0", n)
 	}
 	// Closing twice must not park the same connection twice.
@@ -161,14 +155,15 @@ func TestBrokenFileIsNeverParked(t *testing.T) {
 	}
 	g.Close()
 	g.Close()
-	if n := fx.c.idleCount(); n != 1 {
+	if n := fx.c.conns().Parked(); n != 1 {
 		t.Errorf("%d connections parked after a double close, want 1", n)
 	}
 }
 
 func TestIdleListIsBounded(t *testing.T) {
+	const maxIdle = 8 // the most connections wire.Pool parks per address
 	fx := newReuseFixture(t, nil)
-	files := make([]*File, maxIdlePerReplica+3)
+	files := make([]*File, maxIdle+3)
 	for i := range files {
 		f, err := fx.c.Open("/store/f.root")
 		if err != nil {
@@ -179,8 +174,8 @@ func TestIdleListIsBounded(t *testing.T) {
 	for _, f := range files {
 		f.Close()
 	}
-	if n := fx.c.idleCount(); n != maxIdlePerReplica {
-		t.Errorf("%d connections parked, want the bound %d", n, maxIdlePerReplica)
+	if n := fx.c.conns().Parked(); n != maxIdle {
+		t.Errorf("%d connections parked, want the bound %d", n, maxIdle)
 	}
 }
 
@@ -214,12 +209,12 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 	for _, f := range held[:3] {
 		f.Close()
 	}
-	if n := c.idleCount(); n != 3 {
+	if n := c.conns().Parked(); n != 3 {
 		t.Fatalf("%d connections parked, want 3", n)
 	}
 	c.Close()
 	held[3].Close() // after Close: hangs up instead of parking
-	if n := c.idleCount(); n != 0 {
+	if n := c.conns().Parked(); n != 0 {
 		t.Errorf("%d connections parked on a closed client", n)
 	}
 	if _, err := c.Fetch("/f"); err != nil {
@@ -251,14 +246,26 @@ func TestServerCloseDoesNotWaitForParkedClients(t *testing.T) {
 	}
 }
 
+// TestConnCountersCostNothingWithoutRegistry: with no registry, taking a
+// parked connection and parking it again — counted as reused — allocates
+// nothing.
 func TestConnCountersCostNothingWithoutRegistry(t *testing.T) {
-	c := &Client{}
+	fx := newReuseFixture(t, nil)
+	c := &Client{Redirector: fx.c.Redirector}
+	defer c.Close()
+	f, err := c.Open("/store/f.root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	addr := fx.srv.Addr()
 	if n := testing.AllocsPerRun(100, func() {
-		idle := c.conns()
-		idle.reused.Inc()
-		idle.dialed.Inc()
-		idle.stale.Inc()
+		conn, err := c.conns().Take(addr, func(*wire.Conn) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.conns().Put(addr, conn)
 	}); n != 0 {
-		t.Errorf("nil-registry connection counters: %v allocs/op, want 0", n)
+		t.Errorf("take and park without a registry: %v allocs/op, want 0", n)
 	}
 }

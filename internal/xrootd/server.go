@@ -2,7 +2,6 @@ package xrootd
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,14 +9,13 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/telemetry"
+	"lobster/internal/wire"
 )
 
 // Protocol (one text line per request; binary payloads follow):
@@ -42,7 +40,7 @@ import (
 // is all there is of it and a process that dies leaves nothing on disk.
 type DataServer struct {
 	site  string
-	lis   net.Listener
+	srv   *wire.Server
 	spool *os.File
 
 	// storing admits one StoreFrom at a time, so a file is one unbroken
@@ -52,9 +50,7 @@ type DataServer struct {
 
 	mu    sync.RWMutex
 	files map[string]stored
-	open  map[net.Conn]struct{} // accepted conns, force-closed on Close
 
-	wg          sync.WaitGroup
 	closed      atomic.Bool
 	down        atomic.Bool // fault injection: refuse all requests
 	reads       atomic.Int64
@@ -109,18 +105,13 @@ func NewDataServer(site, addr string) (*DataServer, error) {
 		spool.Close()
 		return nil, fmt.Errorf("xrootd: listening: %w", err)
 	}
-	s := &DataServer{site: site, lis: lis, spool: spool,
-		files: make(map[string]stored), open: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &DataServer{site: site, spool: spool, files: make(map[string]stored)}
+	s.srv = wire.Serve(lis, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *DataServer) Addr() string { return s.lis.Addr().String() }
-
-// Site returns the site name.
-func (s *DataServer) Site() string { return s.site }
+func (s *DataServer) Addr() string { return s.srv.Addr() }
 
 // StoreFrom installs as lfn whatever fill writes and returns the replica
 // descriptor to register with a redirector. The bytes go straight to the
@@ -197,9 +188,6 @@ func (s *DataServer) pace(n int64) {
 // Reads returns the number of read requests served.
 func (s *DataServer) Reads() int64 { return s.reads.Load() }
 
-// BytesOut returns the number of payload bytes served.
-func (s *DataServer) BytesOut() int64 { return s.bytesOut.Load() }
-
 // Instrument exports the server's own counters on reg, read at scrape
 // time; a nil registry is a no-op. One data server per registry: the
 // series carry no site label.
@@ -212,11 +200,7 @@ func (s *DataServer) Instrument(reg *telemetry.Registry) {
 		func() float64 { return float64(s.bytesOut.Load()) })
 	reg.GaugeFunc("lobster_xrootd_server_open_conns",
 		"Client connections open on the data server right now, parked ones included.",
-		func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(len(s.open))
-		})
+		func() float64 { return float64(s.srv.Conns()) })
 	reg.GaugeFunc("lobster_xrootd_server_stored_bytes",
 		"Bytes of file content the data server serves from its spool.",
 		func() float64 { return float64(s.storedBytes.Load()) })
@@ -230,13 +214,7 @@ func (s *DataServer) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	err := s.lis.Close()
-	s.mu.Lock()
-	for c := range s.open {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	err := s.srv.Close()
 	s.mu.Lock()
 	s.files = nil
 	s.mu.Unlock()
@@ -244,85 +222,10 @@ func (s *DataServer) Close() error {
 	return err
 }
 
-// trackConn registers an accepted conn for force-close on shutdown; on
-// a server already closing it closes the conn instead.
-func (s *DataServer) trackConn(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		conn.Close()
-		return
-	}
-	s.open[conn] = struct{}{}
-}
-
-func (s *DataServer) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.open, conn)
-	s.mu.Unlock()
-}
-
-func (s *DataServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.trackConn(conn)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			defer s.untrackConn(conn)
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// errHangup marks a dispatch failure that came after part of the reply
-// had been written: a "-1" line now would land in the middle of a
-// payload the client is counting, so the connection is closed instead.
-var errHangup = errors.New("xrootd: reply cut short")
-
-func hangup(err error) error { return fmt.Errorf("%w: %v", errHangup, err) }
-
-func (s *DataServer) serveConn(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 32<<10)
-	w := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		// The line is read in place, so one longer than the reader's
-		// buffer (an LFN of 32 KiB) ends the connection.
-		line, err := r.ReadSlice('\n')
-		if err != nil {
-			return
-		}
-		line = bytes.TrimRight(line, "\r\n")
-		if string(line) == "quit" {
-			w.Flush()
-			return
-		}
-		if err := s.dispatch(line, w); err != nil {
-			if errors.Is(err, errHangup) {
-				return
-			}
-			fmt.Fprintf(w, "-1 %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// nextField cuts the first whitespace-delimited field off b, the way
-// strings.Fields delimits them, without allocating.
-func nextField(b []byte) (field, rest []byte) {
-	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
-	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
-		return b[:i], b[i:]
-	}
-	return b, nil
-}
+// serveConn answers one connection's requests. The line is read in place,
+// so one longer than the reader's buffer (an LFN of 32 KiB) ends the
+// connection.
+func (s *DataServer) serveConn(conn net.Conn) { wire.ServeLines(conn, 32<<10, 64<<10, s.dispatch) }
 
 // lookup finds where lfn's bytes lie.
 func (s *DataServer) lookup(lfn []byte) (stored, error) {
@@ -335,20 +238,17 @@ func (s *DataServer) lookup(lfn []byte) (stored, error) {
 	return st, nil
 }
 
-// dispatch answers one command line into w. An error that is not an
-// errHangup means nothing was written, and the caller reports it in
+// dispatch answers one command line into w. An error that is not a
+// wire.Hangup means nothing was written, and the caller reports it in
 // protocol.
-func (s *DataServer) dispatch(line []byte, w *bufio.Writer) error {
+func (s *DataServer) dispatch(line []byte, _ *bufio.Reader, w *bufio.Writer) error {
 	if s.down.Load() {
 		return errors.New("server unavailable")
 	}
 	// No command takes more than three arguments; a fifth field only has
 	// to be seen to be refused.
 	var buf [5][]byte
-	fields := buf[:0]
-	for f, rest := nextField(line); len(f) > 0 && len(fields) < len(buf); f, rest = nextField(rest) {
-		fields = append(fields, f)
-	}
+	fields := wire.Fields(line, buf[:0])
 	if len(fields) == 0 {
 		return errors.New("empty command")
 	}
@@ -423,7 +323,7 @@ func (s *DataServer) sendRange(w *bufio.Writer, off, n int64) error {
 		m := int(min(n, int64(len(chunk)-head)))
 		if _, err := s.spool.ReadAt(chunk[head:head+m], off); err != nil {
 			if sent {
-				return hangup(err)
+				return wire.Hangup(err)
 			}
 			return fmt.Errorf("reading the spool: %w", err)
 		}
@@ -432,7 +332,7 @@ func (s *DataServer) sendRange(w *bufio.Writer, off, n int64) error {
 		}
 		s.bytesOut.Add(int64(m))
 		if _, err := w.Write(chunk[:head+m]); err != nil {
-			return hangup(err)
+			return wire.Hangup(err)
 		}
 		if off, n, head = off+int64(m), n-int64(m), 0; n == 0 {
 			return nil

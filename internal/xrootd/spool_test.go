@@ -15,23 +15,33 @@ import (
 	"sync"
 	"testing"
 
+	"lobster/internal/retry"
 	"lobster/internal/telemetry"
+	"lobster/internal/wire"
 )
 
-// TestFieldsMatchStringsFields: a command line's fields are delimited
-// exactly as strings.Fields delimits them, Unicode spaces and invalid
-// UTF-8 included. The ASCII cases ride in TestDispatchReplies.
+// TestFieldsMatchStringsFields: the data server cuts a command line into
+// fields exactly as strings.Fields delimits them, Unicode spaces and
+// invalid UTF-8 included: a line whose fields are "open <lfn>" is
+// answered, any other is refused. The ASCII cases ride in
+// TestDispatchReplies.
 func TestFieldsMatchStringsFields(t *testing.T) {
+	s := newServer(t, "T3")
+	s.Store("/f", bytes.Repeat([]byte("x0"), 128))
 	for _, line := range []string{
-		"", "one", " \v\f lead", "a\u00a0b \u2003c", "\xff\xfe x",
-		"open\u0085/f", "a b c d e f g",
+		"open /f", " \v\f open /f", "open\u00a0/f", "open\u2003/f\u0085", "open\u0085/f",
+		"\xff\xfe open /f", "open /f\xff", "open/f", "open /f a b c d e",
 	} {
-		var got []string
-		for f, rest := nextField([]byte(line)); len(f) > 0; f, rest = nextField(rest) {
-			got = append(got, string(f))
+		want := ""
+		if slices.Equal(strings.Fields(line), []string{"open", "/f"}) {
+			want = "256\n"
 		}
-		if want := strings.Fields(line); !slices.Equal(got, want) {
-			t.Errorf("nextField over %q = %q, strings.Fields gives %q", line, got, want)
+		var out bytes.Buffer
+		w := bufio.NewWriter(&out)
+		err := s.dispatch([]byte(line), nil, w)
+		w.Flush()
+		if out.String() != want || (err == nil) != (want != "") {
+			t.Errorf("dispatch(%q) = %q, error %v; want %q (strings.Fields gives %q)", line, out.String(), err, want, strings.Fields(line))
 		}
 	}
 }
@@ -73,7 +83,7 @@ func TestDispatchReplies(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
-		err := s.dispatch([]byte(tc.line), w)
+		err := s.dispatch([]byte(tc.line), nil, w)
 		w.Flush()
 		if msg := errString(err); msg != tc.err || out.String() != tc.reply {
 			t.Errorf("dispatch(%q) = %q, error %q; want %q, error %q", tc.line, out.String(), msg, tc.reply, tc.err)
@@ -163,7 +173,7 @@ func TestStoreFromFillError(t *testing.T) {
 	red.Register("/f", Replica{Site: "T3", Addr: srv.Addr()})
 	c := &Client{Redirector: red}
 	defer c.Close()
-	if _, err := c.Open("/f"); !errors.Is(err, ErrServer) {
+	if _, err := c.Open("/f"); !errors.Is(err, wire.ErrNotExist) {
 		t.Errorf("Open after a failed fill = %v, want no such file", err)
 	}
 
@@ -240,14 +250,15 @@ func TestSpoolErrorMidReplyHangsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = f.ReadAt(buf[:64], 2<<20)
-	if !errors.Is(err, ErrServer) || f.Broken() {
+	var se *wire.ServerError
+	if !errors.As(err, &se) || f.Broken() {
 		t.Fatalf("read wholly past the truncation = %v (broken %v), want an in-protocol error on a live connection", err, f.Broken())
 	}
 	if n, err := f.ReadAt(buf[:64], 0); err != nil || !bytes.Equal(buf[:n], content[:64]) {
 		t.Fatalf("connection out of sync after an in-protocol spool error: %d, %v", n, err)
 	}
 	n, err := f.ReadAt(buf, 0)
-	if err == nil || errors.Is(err, ErrServer) || errors.Is(err, ErrProtocol) {
+	if err == nil || retry.IsPermanent(err) {
 		t.Fatalf("read across the truncation = %d, %v; want a transport failure", n, err)
 	}
 	if !f.Broken() {
@@ -255,19 +266,16 @@ func TestSpoolErrorMidReplyHangsUp(t *testing.T) {
 	}
 }
 
-// TestTrackConnAfterClose: a connection accepted while the server closes
-// is hung up and not left in the table Close has already swept.
+// TestTrackConnAfterClose: a closed server takes no connection and no
+// file (wire's TestServerTrackAfterClose has the connection that races
+// the close).
 func TestTrackConnAfterClose(t *testing.T) {
 	srv := newServer(t, "T3")
+	addr := srv.Addr()
 	srv.Close()
-	ours, theirs := net.Pipe()
-	defer ours.Close()
-	srv.trackConn(theirs)
-	if len(srv.open) != 0 {
-		t.Error("a closed server kept the connection in its table")
-	}
-	if _, err := theirs.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-		t.Errorf("connection left open by a closed server: write = %v", err)
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Error("a closed server accepted a connection")
 	}
 	if _, err := srv.StoreFrom("/late", func(io.Writer) error { return nil }); err == nil {
 		t.Error("a closed server stored a file")

@@ -315,7 +315,7 @@ func (sw *stripeStream) file() (*File, error) {
 // servers without stat pass (size is still compared from open).
 func (sw *stripeStream) check(f *File) error {
 	if f.Size() != sw.total {
-		return fmt.Errorf("replica %s has size %d, want %d", f.addr, f.Size(), sw.total)
+		return fmt.Errorf("replica %s has size %d, want %d", f.rep.Addr, f.Size(), sw.total)
 	}
 	if !sw.haveCRC {
 		return nil
@@ -326,7 +326,7 @@ func (sw *stripeStream) check(f *File) error {
 	}
 	if ok && (size != sw.total || crc != sw.wantCRC) {
 		return fmt.Errorf("replica %s content mismatch (size %d crc %08x, want %d %08x)",
-			f.addr, size, crc, sw.total, sw.wantCRC)
+			f.rep.Addr, size, crc, sw.total, sw.wantCRC)
 	}
 	return nil
 }

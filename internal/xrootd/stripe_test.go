@@ -80,7 +80,7 @@ func TestFetchToStripedSpreadsLoad(t *testing.T) {
 	}
 	served := 0
 	for _, srv := range servers {
-		if srv.BytesOut() > 0 {
+		if srv.bytesOut.Load() > 0 {
 			served++
 		}
 	}

@@ -193,8 +193,8 @@ func TestConcurrentStreams(t *testing.T) {
 	for _, c := range contents {
 		total += int64(len(c))
 	}
-	if srv.BytesOut() != total {
-		t.Errorf("server bytes out = %d, want %d", srv.BytesOut(), total)
+	if srv.bytesOut.Load() != total {
+		t.Errorf("server bytes out = %d, want %d", srv.bytesOut.Load(), total)
 	}
 }
 
