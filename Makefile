@@ -4,11 +4,11 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check fmt copy-lint vet build test race flake chaos chaos-ha fuzz bench bench-kernel bench-guard bench-e2e lines
+.PHONY: all check fmt copy-lint vet build test race flake chaos fuzz bench bench-kernel bench-guard bench-e2e lines
 
 all: check
 
-check: fmt copy-lint vet build test race flake chaos chaos-ha fuzz bench-guard
+check: fmt copy-lint vet build test race flake chaos fuzz bench-guard
 
 # gofmt drift fails the build; .bench_build/ is the benchmark's scratch
 # (it holds a Go build cache, not our sources).
@@ -59,12 +59,11 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Repeats the suites whose tests race real goroutines against each other
-# (squid coalescing, replica elections, HA master publish order), so an
-# ordering bug that shows once in twenty runs fails here, not in CI.
+# Repeats the suite whose tests race real goroutines against each other
+# (squid coalescing), so an ordering bug that shows once in twenty runs
+# fails here, not in CI.
 flake:
-	$(GO) test -count=20 ./internal/squid/ ./internal/replica/
-	$(GO) test -count=20 -run TestHA ./internal/wq/
+	$(GO) test -count=20 ./internal/squid/
 
 # Fault-storm suite: the full deploy stack under scripted worker kills,
 # chirp connection drops, and squid stalls, asserting zero task loss and
@@ -72,13 +71,6 @@ flake:
 # to shake out exactly the interleavings -race catches.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faultinject/
-
-# Control-plane failover storm: a 5-member replicated master fleet loses
-# its leader twice mid-dispatch (plus replica-transport drops); survivors
-# must elect, replay, and finish with exactly-one terminal outcome per
-# task and byte-identical outputs to a kill-free run (DESIGN.md §14).
-chaos-ha:
-	$(GO) test -race -count=1 -run 'TestChaosHA' ./internal/faultinject/
 
 # Native fuzzing of the wire-facing parsers, 30s per target. Checked-in
 # seed corpora live in each package's testdata/fuzz/.
@@ -94,7 +86,6 @@ fuzz:
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
 	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -fuzz FuzzReplicaWire -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.

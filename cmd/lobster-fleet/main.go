@@ -250,27 +250,6 @@ func printFleet(hub *health.Hub) {
 		tb.Row(e.Name, e.Component, state, age, fmt.Sprint(e.Series), e.Err)
 	}
 	fmt.Print(tb.Render())
-	// When the scrape set includes a replicated control plane, surface who
-	// leads and how settled leadership is next to the endpoint table.
-	if roles := f.Select("lobster_replica_role", nil); len(roles) > 0 {
-		leader := "none"
-		for _, s := range roles {
-			if s.Value == 2 { // gauge: 0 follower, 1 candidate, 2 leader
-				leader = "node " + s.Label("node")
-			}
-		}
-		term, elections := 0.0, 0.0
-		for _, s := range f.Select("lobster_replica_term", nil) {
-			if s.Value > term {
-				term = s.Value
-			}
-		}
-		for _, s := range f.Select("lobster_replica_elections_total", nil) {
-			elections += s.Value
-		}
-		fmt.Printf("control plane: %d members, leader=%s term=%.0f elections=%.0f\n",
-			len(roles), leader, term, elections)
-	}
 	if firing := hub.Firing(); len(firing) > 0 {
 		fmt.Printf("firing: %s\n", strings.Join(firing, ", "))
 	}

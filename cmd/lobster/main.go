@@ -14,7 +14,6 @@
 //	lobster -fault-plan storm.json ...          # replay a deterministic fault storm
 //	lobster -top http://127.0.0.1:9099          # one-shot status of a live run
 //	lobster -top http://127.0.0.1:9099 -watch   # live bottleneck dashboard
-//	lobster -ha-demo                            # replicated-master failover demo
 package main
 
 import (
@@ -54,9 +53,9 @@ type options struct {
 	faultSeed                                     uint64
 
 	// Modes that do not run a workflow.
-	haDemo, watch, fleet bool
-	topURL               string
-	interval             time.Duration
+	watch, fleet bool
+	topURL       string
+	interval     time.Duration
 }
 
 func main() {
@@ -82,7 +81,6 @@ func main() {
 	flag.Float64Var(&o.trRate, "trace-rate", 0, "head-sampling bound: max new traces sampled per second (0 = all)")
 	flag.StringVar(&o.faultPlanPath, "fault-plan", "", "JSON fault plan: inject a deterministic fault storm into the stack")
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "override the fault plan's seed (0 = use the plan's)")
-	flag.BoolVar(&o.haDemo, "ha-demo", false, "run the replicated-master failover demo (3 members, leader kill, takeover) and exit")
 	flag.StringVar(&o.topURL, "top", "", "print the status of the lobster at this base URL and exit")
 	flag.BoolVar(&o.watch, "watch", false, "with -top: refresh continuously instead of one-shot")
 	flag.BoolVar(&o.fleet, "fleet", false, "with -top: the URL is a lobster-fleet hub; render the merged multi-endpoint view")
@@ -92,8 +90,6 @@ func main() {
 	switch {
 	case o.topURL != "":
 		err = top(o.topURL, o.watch, o.fleet, o.interval)
-	case o.haDemo:
-		err = haDemo(o.workers, o.cores, o.seed)
 	default:
 		err = run(o)
 	}

@@ -451,8 +451,7 @@ func (rs *RuleSet) Firing() []string {
 // DefaultRules is the built-in detector set covering the failure modes
 // the paper's operations narrative calls out: opportunistic eviction
 // storms, wedged tasks, dispatch-shard skew, chirp connection-pool
-// saturation, a worker ramp that stops climbing while work is queued,
-// and a replicated control plane that keeps re-electing its leader.
+// saturation, and a worker ramp that stops climbing while work is queued.
 func DefaultRules() []Rule {
 	return []Rule{
 		{
@@ -500,21 +499,6 @@ func DefaultRules() []Rule {
 			Threshold: 8,
 			For:       2,
 			Clear:     2,
-			Profile:   true,
-		},
-		{
-			Name:     "leader_flap",
-			Help:     "the replicated control plane keeps holding elections; leadership is not sticking",
-			Severity: "critical",
-			// One election per takeover is health; a sustained election
-			// rate means the fleet is flapping — masters partitioned from
-			// their peers or a tick loop too starved to heart-beat. The
-			// counter is per-member, so the fleet-wide sum rises by
-			// ~quorum size per genuine leadership change.
-			Expr:      Expr{Metric: "lobster_replica_elections_total", Fn: "rate", Window: 60},
-			Threshold: 0.5, // sustained elections/sec across the fleet
-			For:       2,
-			Clear:     3,
 			Profile:   true,
 		},
 		{

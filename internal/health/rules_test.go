@@ -249,94 +249,16 @@ func TestLoadRules(t *testing.T) {
 // validation (round-tripped through the JSON loader).
 func TestDefaultRulesValid(t *testing.T) {
 	rules := DefaultRules()
-	if len(rules) != 6 {
-		t.Fatalf("default rules = %d, want 6", len(rules))
+	if len(rules) != 5 {
+		t.Fatalf("default rules = %d, want 5", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
 		names[r.Name] = true
 	}
-	for _, want := range []string{"eviction_spike", "stuck_tasks", "shard_imbalance", "chirp_pool_exhausted", "leader_flap", "worker_ramp_stall"} {
+	for _, want := range []string{"eviction_spike", "stuck_tasks", "shard_imbalance", "chirp_pool_exhausted", "worker_ramp_stall"} {
 		if !names[want] {
 			t.Errorf("default rule %q missing", want)
 		}
-	}
-}
-
-// TestLeaderFlapRule pins the control-plane flap detector from the
-// default set: a one-off leader change (the counter steps once and goes
-// flat) must stay quiet, a sustained election storm must fire, and
-// leadership sticking again must resolve it through its hysteresis.
-func TestLeaderFlapRule(t *testing.T) {
-	var flap *Rule
-	for _, r := range DefaultRules() {
-		if r.Name == "leader_flap" {
-			rc := r
-			flap = &rc
-		}
-	}
-	if flap == nil {
-		t.Fatal("leader_flap missing from DefaultRules")
-	}
-	if flap.Severity != "critical" || !flap.Profile {
-		t.Fatalf("leader_flap lost its severity or profile capture: %+v", flap)
-	}
-	rs := NewRuleSet([]Rule{*flap})
-
-	// Three members' counters, fleet-summed by the engine.
-	tick := func(now float64, perMember float64) []Transition {
-		return rs.Evaluate(fleetAt(now,
-			s("lobster_replica_elections_total", perMember, "node", "1"),
-			s("lobster_replica_elections_total", perMember, "node", "2"),
-			s("lobster_replica_elections_total", perMember, "node", "3"),
-		), now)
-	}
-
-	// Startup election, then stable leadership: one step, then flat.
-	if tr := tick(0, 1); len(tr) != 0 {
-		t.Fatalf("first observation fired: %+v", tr)
-	}
-	for now := 10.0; now <= 60; now += 10 {
-		if tr := tick(now, 1); len(tr) != 0 {
-			t.Fatalf("stable leadership fired at t=%v: %+v", now, tr)
-		}
-	}
-
-	// Flap: every member holds an election every tick — the fleet-wide
-	// counter climbs 3/tick over 10s = 0.3/s... below threshold; make it
-	// genuinely stormy at 1 election per member per second.
-	per := 1.0
-	fired := false
-	for i := 1; i <= 3; i++ {
-		now := 60 + float64(i)*10
-		per += 10 // 1/s per member → 3/s fleet-wide, > 0.5 threshold
-		for _, tr := range tick(now, per) {
-			if tr.Firing {
-				fired = true
-				if tr.Value <= flap.Threshold {
-					t.Fatalf("fired with value %v <= threshold %v", tr.Value, tr.Threshold)
-				}
-			}
-		}
-	}
-	if !fired {
-		t.Fatal("election storm never fired leader_flap")
-	}
-
-	// Leadership sticks again: flat counter resolves after Clear ticks.
-	resolved := false
-	for i := 1; i <= 5; i++ {
-		now := 90 + float64(i)*10
-		for _, tr := range tick(now, per) {
-			if !tr.Firing {
-				resolved = true
-			}
-		}
-	}
-	if !resolved {
-		t.Fatal("leader_flap never resolved after leadership stabilised")
-	}
-	if f := rs.Firing(); len(f) != 0 {
-		t.Fatalf("still firing after resolve: %v", f)
 	}
 }

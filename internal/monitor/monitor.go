@@ -76,26 +76,11 @@ type AlertRecord struct {
 // Firing reports whether the record is a firing transition.
 func (a *AlertRecord) Firing() bool { return a.State == "firing" }
 
-// ElectionRecord is one control-plane role transition observed by a
-// replicated master: a member becoming candidate, winning leadership, or
-// learning who leads its term. The replica group emits these as
-// "election" events on the member's JSONL event log (the same stream its
-// applied task entries ride), so a replayed log reconstructs leadership
-// history next to task history — who was dispatching when each task ran.
-type ElectionRecord struct {
-	Time   float64 `json:"t"`
-	Node   uint64  `json:"node"`
-	Term   uint64  `json:"term"`
-	Role   string  `json:"role"` // "follower", "candidate", or "leader"
-	Leader uint64  `json:"leader,omitempty"`
-}
-
 // Monitor accumulates task records. It is safe for concurrent use.
 type Monitor struct {
-	mu        sync.RWMutex
-	records   []TaskRecord
-	alerts    []AlertRecord
-	elections []ElectionRecord
+	mu      sync.RWMutex
+	records []TaskRecord
+	alerts  []AlertRecord
 
 	// byFinish caches record indices sorted by Finish so windowed queries
 	// (Timeline, FailureCodes) can binary-search to their window instead of
@@ -172,21 +157,6 @@ func (m *Monitor) Alerts() []AlertRecord {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return append([]AlertRecord(nil), m.alerts...)
-}
-
-// AddElection appends a control-plane role transition.
-func (m *Monitor) AddElection(e ElectionRecord) {
-	m.mu.Lock()
-	m.elections = append(m.elections, e)
-	m.mu.Unlock()
-}
-
-// Elections returns a copy of the collected role transitions, in arrival
-// (= replay) order.
-func (m *Monitor) Elections() []ElectionRecord {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]ElectionRecord(nil), m.elections...)
 }
 
 // Each calls fn for every record under the read lock.

@@ -13,22 +13,11 @@ import (
 // its predecessor emitted). Events with type "task" carry one TaskRecord
 // each; "task_batch" events carry a slice of them (no run writes them any
 // more; logs on disk may hold them); "alert" events carry one health-plane
-// AlertRecord, collected into the alert history (and not counted);
-// "election" events carry one control-plane ElectionRecord, collected
-// into the leadership history (and not counted); other event types are
-// skipped. Returns the number of task records replayed.
+// AlertRecord, collected into the alert history (and not counted); other
+// event types are skipped. Returns the number of task records replayed.
 func (m *Monitor) ReplayLog(r io.Reader) (int, error) {
 	n := 0
 	err := telemetry.ReadEvents(r, m.replayEvent(&n))
-	return n, err
-}
-
-// ReplayLogPath is ReplayLog for a log file on disk, replaying any
-// rotated segments (<path>.000001, …) before the live file so a
-// size-capped log restores the full task history in write order.
-func (m *Monitor) ReplayLogPath(path string) (int, error) {
-	n := 0
-	err := telemetry.ReadEventsPath(path, m.replayEvent(&n))
 	return n, err
 }
 
@@ -60,15 +49,6 @@ func (m *Monitor) replayEvent(n *int) func(telemetry.Event) error {
 				a.Time = ev.Time
 			}
 			m.AddAlert(a)
-		case "election":
-			var e ElectionRecord
-			if err := json.Unmarshal(ev.Data, &e); err != nil {
-				return fmt.Errorf("monitor: replaying election event: %w", err)
-			}
-			if e.Time == 0 {
-				e.Time = ev.Time
-			}
-			m.AddElection(e)
 		}
 		return nil
 	}

@@ -116,8 +116,9 @@ func TestReplayLogBatchedEvents(t *testing.T) {
 	}
 }
 
-// TestReplayLogPathRotated replays a size-capped, rotated on-disk log
-// and checks the rebuilt DB holds every record across all segments.
+// TestReplayLogPathRotated replays a size-capped, rotated on-disk log,
+// segments (<path>.000001, …) before the live file, and checks the
+// rebuilt DB holds every record across all segments in write order.
 func TestReplayLogPathRotated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	log, err := telemetry.OpenEventLogLimit(path, 512, nil)
@@ -142,8 +143,8 @@ func TestReplayLogPathRotated(t *testing.T) {
 	}
 
 	rebuilt := New()
-	n, err := rebuilt.ReplayLogPath(path)
-	if err != nil {
+	n := 0
+	if err := telemetry.ReadEventsPath(path, rebuilt.replayEvent(&n)); err != nil {
 		t.Fatal(err)
 	}
 	if n != 60 {
@@ -324,12 +325,20 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 // transitions, profile-bundle captures, and the tsdb's segment-rotation
 // markers all interleaved in one stream. Replay must restore every task
 // and alert, skip the rest without error — including under every
-// possible torn-tail byte prefix a crash could leave.
+// possible torn-tail byte prefix a crash could leave. The stream also
+// carries the "election" and "ha_submit" lines a log written by the
+// since-removed replicated master holds; they are skipped, so the log
+// replays to exactly what the same log without them does.
 func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	live := New()
 	var liveAlerts []AlertRecord
-	var buf bytes.Buffer
+	var buf, plainBuf bytes.Buffer
 	log := telemetry.NewEventLog(&buf, nil)
+	plain := telemetry.NewEventLog(&plainBuf, nil) // the same log minus the old lines
+	emit := func(typ string, v any) {
+		log.Emit(typ, v)
+		plain.Emit(typ, v)
+	}
 	const n = 24
 	for i := 0; i < n; i += 4 {
 		batch := make([]TaskRecord, 0, 4)
@@ -342,7 +351,7 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 			live.Add(rec)
 			batch = append(batch, rec)
 		}
-		log.Emit("task_batch", batch)
+		emit("task_batch", batch)
 		// Interleave the other planes' event types between batches.
 		switch (i / 4) % 3 {
 		case 0:
@@ -352,20 +361,34 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 				Profile: fmt.Sprintf("profiles/bundle-%06d", i),
 			}
 			liveAlerts = append(liveAlerts, a)
-			log.Emit("alert", a)
+			emit("alert", a)
 		case 1:
-			log.Emit("profile_bundle", map[string]any{
+			emit("profile_bundle", map[string]any{
 				"dir": fmt.Sprintf("profiles/bundle-%06d", i), "rule": "stuck_tasks",
 				"profiles": []string{"cpu.pprof", "heap.pprof", "goroutine.pprof"},
 			})
 		case 2:
-			log.Emit("tsdb_segment", tsdb.SegmentEvent{
+			emit("tsdb_segment", tsdb.SegmentEvent{
 				Seq: i / 4, Path: fmt.Sprintf("tsdb/seg-%06d.tsdb", i/4), Size: 4 << 20,
 			})
+		}
+		if i == 8 {
+			log.Emit("election", map[string]any{"t": 0.2, "node": 3, "term": 1, "role": "leader", "leader": 3})
+			log.Emit("ha_submit", map[string]any{"id": 99, "func": "analysis", "tag": "job-a"})
 		}
 	}
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if err := plain.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"type":"election"`)) || !bytes.Contains(buf.Bytes(), []byte(`"type":"ha_submit"`)) {
+		t.Fatal("log lacks the old election / ha_submit lines")
+	}
+	without := New()
+	if got, err := without.ReplayLog(&plainBuf); err != nil || got != n {
+		t.Fatalf("log without the old lines replayed %d task records (%v), want %d", got, err, n)
 	}
 
 	rebuilt := New()
@@ -378,6 +401,9 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live.Records(), rebuilt.Records()) {
 		t.Error("replayed records differ from live records")
+	}
+	if !reflect.DeepEqual(without.Records(), rebuilt.Records()) {
+		t.Error("election / ha_submit lines changed the replayed records")
 	}
 	if !reflect.DeepEqual(liveAlerts, rebuilt.Alerts()) {
 		t.Errorf("replayed alerts differ: live=%+v rebuilt=%+v", liveAlerts, rebuilt.Alerts())
@@ -411,57 +437,5 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	if prevTasks != n || prevAlerts != len(liveAlerts) {
 		t.Fatalf("full log replayed %d/%d tasks, %d/%d alerts",
 			prevTasks, n, prevAlerts, len(liveAlerts))
-	}
-}
-
-// TestReplayLogElections replays a log carrying the control plane's
-// "election" role transitions interleaved with task records: the
-// leadership history must come back in order with event timestamps
-// backfilled, without perturbing the task replay count.
-func TestReplayLogElections(t *testing.T) {
-	var buf bytes.Buffer
-	log := telemetry.NewEventLog(&buf, nil)
-	want := []ElectionRecord{
-		{Time: 0.1, Node: 3, Term: 1, Role: "candidate"},
-		{Time: 0.2, Node: 3, Term: 1, Role: "leader", Leader: 3},
-		{Time: 0.3, Node: 1, Term: 1, Role: "follower", Leader: 3},
-		{Time: 1.6, Node: 2, Term: 2, Role: "leader", Leader: 2},
-	}
-	log.Emit("election", want[0])
-	log.Emit("election", want[1])
-	log.Emit("task", TaskRecord{TaskID: 1, Kind: "analysis", Finish: 0.25})
-	log.Emit("election", want[2])
-	log.Emit("task", TaskRecord{TaskID: 2, Kind: "analysis", Finish: 1.5})
-	log.Emit("election", want[3])
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	m := New()
-	n, err := m.ReplayLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("replayed %d task records, want 2 (elections must not count)", n)
-	}
-	if !reflect.DeepEqual(m.Elections(), want) {
-		t.Fatalf("elections differ:\n got %+v\nwant %+v", m.Elections(), want)
-	}
-
-	// An election event without its own timestamp inherits the line's.
-	var buf2 bytes.Buffer
-	log2 := telemetry.NewEventLog(&buf2, func() float64 { return 4.5 })
-	log2.Emit("election", map[string]any{"node": 2, "term": 3, "role": "candidate"})
-	if err := log2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	m2 := New()
-	if _, err := m2.ReplayLog(bytes.NewReader(buf2.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	es := m2.Elections()
-	if len(es) != 1 || es[0].Time != 4.5 || es[0].Node != 2 || es[0].Term != 3 {
-		t.Fatalf("backfilled election record wrong: %+v", es)
 	}
 }

@@ -30,7 +30,9 @@ const (
 	snapName     = "lobster.snap"
 	snapTempName = "lobster.snap.tmp"
 
-	opPut    = byte(1)
+	opPut = byte(1)
+	// opDelete is no longer written, but replay still applies it, so a
+	// database directory whose log holds deletes loads unchanged.
 	opDelete = byte(2)
 )
 
@@ -257,24 +259,6 @@ func (db *DB) Put(table, key string, value []byte) error {
 	return nil
 }
 
-// Delete removes (table, key); deleting a missing key is a no-op.
-func (db *DB) Delete(table, key string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return errors.New("store: use of closed DB")
-	}
-	if err := writeRecord(db.walBuf, opDelete, table, key, nil); err != nil {
-		return fmt.Errorf("store: appending wal: %w", err)
-	}
-	db.walLen += recordSize(table, key, nil)
-	if err := db.maybeSync(); err != nil {
-		return err
-	}
-	db.applyDelete(table, key)
-	return nil
-}
-
 func (db *DB) maybeSync() error {
 	if !db.SyncEvery {
 		return nil
@@ -298,38 +282,6 @@ func (db *DB) Get(table, key string) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return append([]byte(nil), v...), nil
-}
-
-// Has reports whether (table, key) exists.
-func (db *DB) Has(table, key string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[table]
-	if t == nil {
-		return false
-	}
-	_, ok := t[key]
-	return ok
-}
-
-// Keys returns all keys in table in sorted order.
-func (db *DB) Keys(table string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[table]
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Count returns the number of keys in table.
-func (db *DB) Count(table string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.tables[table])
 }
 
 // PutJSON stores v as JSON under (table, key).

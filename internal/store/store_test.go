@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,9 +23,29 @@ func openTemp(t *testing.T) (*DB, string) {
 	return db, dir
 }
 
+// appendDeletes appends delete records for keys of table to the log in
+// dir, the shape a log written by an older version that deleted keys
+// takes. The database in dir must be closed.
+func appendDeletes(t *testing.T, dir, table string, keys ...string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := writeRecord(f, opDelete, table, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutGetDelete reads back a put, then replays a log whose delete
+// records remove it; deleting a missing key replays as a no-op.
 func TestPutGetDelete(t *testing.T) {
-	db, _ := openTemp(t)
-	defer db.Close()
+	db, dir := openTemp(t)
 	if err := db.Put("tasks", "t1", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +53,20 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || string(v) != "hello" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-	if !db.Has("tasks", "t1") {
-		t.Error("Has = false")
-	}
-	if err := db.Delete("tasks", "t1"); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get("tasks", "t1"); !errors.Is(err, ErrNotFound) {
+	appendDeletes(t, dir, "tasks", "t1", "missing")
+	db2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("replaying deletes: %v", err)
+	}
+	defer db2.Close()
+	if _, err := db2.Get("tasks", "t1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after delete: %v", err)
 	}
-	if err := db.Delete("tasks", "missing"); err != nil {
-		t.Errorf("deleting missing key: %v", err)
+	if snap := snapshotOf(db2); len(snap) != 0 {
+		t.Fatalf("state after deleting the only key: %v", snap)
 	}
 }
 
@@ -66,24 +91,25 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Put("tasks", fmt.Sprintf("t%03d", i), []byte(fmt.Sprintf("v%d", i)))
 	}
-	db.Delete("tasks", "t050")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	appendDeletes(t, dir, "tasks", "t050")
 
 	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := db2.Count("tasks"); n != 99 {
-		t.Fatalf("count after reopen = %d", n)
+	rows := snapshotOf(db2)["tasks"]
+	if len(rows) != 99 {
+		t.Fatalf("count after reopen = %d", len(rows))
 	}
 	v, err := db2.Get("tasks", "t042")
 	if err != nil || string(v) != "v42" {
 		t.Fatalf("t042 = %q, %v", v, err)
 	}
-	if db2.Has("tasks", "t050") {
+	if _, ok := rows["t050"]; ok {
 		t.Error("deleted key survived reopen")
 	}
 }
@@ -94,8 +120,17 @@ func TestCompactionPreservesState(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Put("a", fmt.Sprintf("k%d", i), []byte("x"))
 	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var gone []string
 	for i := 0; i < 25; i++ {
-		db.Delete("a", fmt.Sprintf("k%d", i))
+		gone = append(gone, fmt.Sprintf("k%d", i))
+	}
+	appendDeletes(t, dir, "a", gone...)
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
@@ -112,7 +147,7 @@ func TestCompactionPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := db2.Count("a"); n != 26 {
+	if n := len(snapshotOf(db2)["a"]); n != 26 {
 		t.Fatalf("count = %d, want 26", n)
 	}
 	if v, _ := db2.Get("a", "post"); string(v) != "y" {
@@ -174,30 +209,58 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.Has("t", "a") {
+	rows := snapshotOf(db2)["t"]
+	if _, ok := rows["a"]; !ok {
 		t.Error("record before corruption lost")
 	}
-	if db2.Has("t", "b") {
+	if _, ok := rows["b"]; ok {
 		t.Error("corrupt record surfaced")
 	}
 }
 
+// TestKeysSortedAndTables checks that compaction writes its snapshot in
+// table then key order, and that a table whose last key a replayed delete
+// removes is dropped.
 func TestKeysSortedAndTables(t *testing.T) {
-	db, _ := openTemp(t)
-	defer db.Close()
+	db, dir := openTemp(t)
 	db.Put("z", "k", nil)
 	db.Put("a", "k3", nil)
 	db.Put("a", "k1", nil)
 	db.Put("a", "k2", nil)
-	keys := db.Keys("a")
-	if !reflect.DeepEqual(keys, []string{"k1", "k2", "k3"}) {
-		t.Fatalf("keys = %v", keys)
-	}
 	if n := len(snapshotOf(db)); n != 2 {
 		t.Fatalf("tables = %d, want a and z", n)
 	}
-	db.Delete("z", "k")
-	if snap := snapshotOf(db); len(snap) != 1 || snap["a"] == nil {
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for r := bytes.NewReader(data); ; {
+		_, table, key, _, err := readRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, table+"/"+key)
+	}
+	if want := []string{"a/k1", "a/k2", "a/k3", "z/k"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("snapshot order = %v, want %v", order, want)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendDeletes(t, dir, "z", "k")
+	db2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if snap := snapshotOf(db2); len(snap) != 1 || snap["a"] == nil {
 		t.Fatalf("empty table not dropped: %v", snap)
 	}
 }
@@ -329,7 +392,7 @@ func TestConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := db.Count("concurrent"); n != writers*perWriter {
+	if n := len(snapshotOf(db)["concurrent"]); n != writers*perWriter {
 		t.Fatalf("count = %d, want %d", n, writers*perWriter)
 	}
 	if err := db.Close(); err != nil {
@@ -341,7 +404,7 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := db2.Count("concurrent"); n != writers*perWriter {
+	if n := len(snapshotOf(db2)["concurrent"]); n != writers*perWriter {
 		t.Fatalf("after reopen: count = %d", n)
 	}
 	for w := 0; w < writers; w++ {
@@ -380,7 +443,7 @@ func TestCompactDuringWrites(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Count("t"); n != 100 {
+	if n := len(snapshotOf(db)["t"]); n != 100 {
 		t.Fatalf("count = %d after concurrent compactions, want 100", n)
 	}
 	// Final values are the writer's last round.

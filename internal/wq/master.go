@@ -49,12 +49,6 @@ type Master struct {
 	nextID atomic.Int64
 	closed atomic.Bool
 
-	// HA gate: a refusing master answers worker hellos with a redirect
-	// naming the address in redirect (possibly empty) instead of admitting
-	// them. The zero value accepts, preserving standalone behaviour.
-	refusing atomic.Bool
-	redirect atomic.Pointer[string]
-
 	running atomic.Int64 // dispatched, result not yet received
 
 	workersMu sync.Mutex
@@ -247,39 +241,6 @@ func NewMaster(addr string) (*Master, error) {
 // Addr returns the master's listen address.
 func (m *Master) Addr() string { return m.lis.Addr().String() }
 
-// SetAccepting gates worker admission. While not accepting, every worker
-// hello is answered with a redirect message (see SetRedirect) and the
-// connection is dropped. Standby masters in a replicated control plane run
-// permanently gated; a deposed leader gates itself before kicking its
-// fleet.
-func (m *Master) SetAccepting(ok bool) { m.refusing.Store(!ok) }
-
-// SetRedirect sets the address carried in redirect messages — the current
-// leader's worker-facing address, when known.
-func (m *Master) SetRedirect(addr string) { m.redirect.Store(&addr) }
-
-// KickWorkers sends every connected worker a redirect and severs its
-// connection. Tasks the connections held are requeued by the normal
-// worker-loss path; on a deposed master they then fail their retry budget
-// locally, which is correct — the new leader owns them now.
-func (m *Master) KickWorkers() {
-	m.workersMu.Lock()
-	conns := make([]*workerConn, 0, len(m.workers))
-	for wc := range m.workers {
-		conns = append(conns, wc)
-	}
-	m.workersMu.Unlock()
-	var addr string
-	if p := m.redirect.Load(); p != nil {
-		addr = *p
-	}
-	for _, wc := range conns {
-		wc.conn.send(&message{Type: "redirect", Name: addr})
-		m.markDead(wc)
-		wc.conn.close()
-	}
-}
-
 // Submit queues a task and returns its assigned ID.
 func (m *Master) Submit(t *Task) (int64, error) {
 	if t.Func == "" {
@@ -448,14 +409,6 @@ func (m *Master) serveWorker(c *conn) {
 	if err != nil || hello.Type != "hello" || hello.Cores < 1 {
 		return
 	}
-	if m.refusing.Load() {
-		var addr string
-		if p := m.redirect.Load(); p != nil {
-			addr = *p
-		}
-		c.send(&message{Type: "redirect", Name: addr})
-		return
-	}
 	wc := &workerConn{
 		name:  hello.Name,
 		cores: hello.Cores,
@@ -622,8 +575,16 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 		}
 		wc.inUse += n
 		wc.mu.Unlock()
+		// Take the tasks while this loop still owns every meta: once
+		// stampBatch names wc the owner, a result for a task (a forged or
+		// duplicated one included) can complete it and recycle its meta
+		// before the send has read it.
+		tasks := wc.taskBuf[:n]
+		for i, mt := range batch {
+			tasks[i] = mt.task
+		}
 		m.stampBatch(wc, batch)
-		if !m.sendBatch(wc, batch) {
+		if !m.sendBatch(wc, tasks) {
 			return
 		}
 	}
@@ -667,19 +628,18 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	m.statsDispatched.Add(n)
 }
 
-// sendBatch encodes the batch into the connection's reusable scratch and
-// ships it: one "tasks" message for a batch peer, a message per task for
-// a v0 peer. Returns false when the connection died; the read loop's
+// sendBatch encodes tasks in place into the connection's reusable scratch
+// and ships them: one "tasks" message for a batch peer, a message per task
+// for a v0 peer. Returns false when the connection died; the read loop's
 // cleanup requeues everything the connection held, including this batch.
-func (m *Master) sendBatch(wc *workerConn, batch []*taskMeta) bool {
-	tasks := wc.taskBuf[:0]
+func (m *Master) sendBatch(wc *workerConn, tasks []*Task) bool {
 	var sent int64
-	for i, mt := range batch {
-		t := encodeInputsInto(&wc.encScratch[i], mt.task, wc.sent)
+	for i, t := range tasks {
+		t = encodeInputsInto(&wc.encScratch[i], t, wc.sent)
 		for j := range t.Inputs {
 			sent += int64(len(t.Inputs[j].Data))
 		}
-		tasks = append(tasks, t)
+		tasks[i] = t
 	}
 	var err error
 	if wc.batch {

@@ -15,7 +15,6 @@ import (
 //	master → worker:  tasks {tasks}           (batch framing, proto ≥ 1 peers)
 //	worker → master:  result {result}         (v0 single-result framing)
 //	worker → master:  results {results}       (batch framing, only after the master's ack)
-//	master → worker:  redirect {name}         (go away; Name carries the leader's address)
 //	either direction: ping {}
 //
 // Batch framing carries one message per K tasks (or results) instead of one
@@ -26,14 +25,6 @@ import (
 // degrades the connection to the v0 single-message framing with no
 // configuration. Unknown message types are ignored on both sides, so the
 // protocol stays forward-extensible.
-//
-// The redirect message is the HA handshake: a master that is not accepting
-// work (a standby in a replicated control plane, or a deposed leader)
-// answers a worker's hello with a redirect naming the current leader's
-// address — possibly empty when no leader is known — and drops the
-// connection. An old worker ignores the message and simply sees the
-// connection close; either way it redials, so redirects degrade to plain
-// reconnect behaviour.
 //
 // Cacheable input files are sent with data the first time a given content
 // hash crosses a connection and with hash only afterwards; each side keeps a

@@ -47,10 +47,6 @@ type Worker struct {
 	done    chan struct{} // closed by run() after in-flight tasks finish
 	batchOK atomic.Bool
 
-	// redirect holds the leader address a redirect message carried, for
-	// the reconnect loop to read after the connection dies.
-	redirect atomic.Pointer[string]
-
 	tasksRun    atomic.Int64
 	tasksFailed atomic.Int64
 
@@ -201,19 +197,6 @@ func (w *Worker) TasksFailed() int64 { return w.tasksFailed.Load() }
 // CachedObjects returns the number of cacheable inputs held.
 func (w *Worker) CachedObjects() int { return w.cache.len() }
 
-// Done is closed when the worker's connection has died and its in-flight
-// tasks have finished — the reconnect signal for an HA redial loop.
-func (w *Worker) Done() <-chan struct{} { return w.done }
-
-// RedirectAddr returns the leader address the master named in a redirect
-// message, or "" if the connection died without one.
-func (w *Worker) RedirectAddr() string {
-	if p := w.redirect.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // Close disconnects gracefully after in-flight tasks finish sending.
 func (w *Worker) Close() error {
 	if w.closed.Swap(true) {
@@ -263,11 +246,6 @@ func (w *Worker) run() {
 			if msg.Proto >= protoBatch {
 				w.batchOK.Store(true)
 			}
-		case "redirect":
-			// The master is a standby or a deposed leader: remember where it
-			// pointed us and wait for it to drop the connection.
-			addr := msg.Name
-			w.redirect.Store(&addr)
 		case "ping":
 			w.conn.send(&message{Type: "ping"})
 		}
