@@ -26,15 +26,21 @@ fmt:
 # allocates 31 MiB and is copied twice on its way in (DESIGN.md section
 # 10, where a whole object lands). No name is exempt. The metadata bodies
 # still built that way live outside these directories: the release
-# content internal/cvmfs/release.go assembles at publish time, the WAL
-# record internal/store replays, the rule file internal/health reads.
+# content internal/cvmfs/release.go assembles at publish time and the rule
+# file internal/health reads.
 #
 # And a line protocol reads its lines and keeps its connections through
 # internal/wire, never a copy of its own: no ReadSlice( (the in-place line
 # read) and no map[net.Conn] (an accept loop's tracking) in these
 # directories outside tests (DESIGN.md section 10, one wire). chirp and
 # xrootd each carried both until the copies drifted into a parse bug.
+#
+# And the Lobster DB and the history store persist through internal/seglog,
+# never a log of their own: no hash/crc32, os.Truncate or os.Rename in their
+# non-test code (DESIGN.md section 14, one log). Each carried its own CRC'd
+# log until the same length-trusting read had been fixed in both.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
+LOG_LINT_DIRS = internal/store internal/tsdb
 copy-lint:
 	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
 	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
@@ -42,6 +48,8 @@ copy-lint:
 	test -z "$$out" || { echo "doubling payload sink in a data-plane package (use bufpool.Arrival):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'ReadSlice\(|map\[net\.Conn\]' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 
 # benchmark/ is its own module (it imports this one through a replace), so
 # `go build ./...` and `go vet ./...` here never see it: deleting an API the
@@ -87,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/seglog/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"lobster/internal/seglog"
 	"lobster/internal/telemetry"
-	"lobster/internal/tsdb"
 )
 
 // TestReplayLogEquivalence writes records through a telemetry event log and
@@ -295,6 +296,10 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 		t.Fatalf("found %d task lines, want %d", len(ends), n)
 	}
 
+	// Each prefix is also the file a crash left behind, reopened and given
+	// two more events: those must replay after exactly the prefix's records.
+	more := []TaskRecord{{TaskID: 101, Kind: "merge", Finish: 50}, {TaskID: 102, Kind: "merge", Finish: 51}}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
 	full := buf.Bytes()
 	for cut := 0; cut <= len(full); cut++ {
 		m := New()
@@ -316,6 +321,27 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 		}
 		if got > 0 && !reflect.DeepEqual(m.Records(), live.Records()[:got]) {
 			t.Fatalf("prefix of %d bytes: replayed records are not a prefix of the live DB", cut)
+		}
+
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := telemetry.OpenEventLog(path, nil)
+		if err != nil {
+			t.Fatalf("prefix of %d bytes: reopening: %v", cut, err)
+		}
+		for _, rec := range more {
+			reopened.Emit("task", rec)
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m2, n2 := New(), 0
+		if err := telemetry.ReadEventsPath(path, m2.replayEvent(&n2)); err != nil {
+			t.Fatalf("prefix of %d bytes, reopened and appended to: %v", cut, err)
+		}
+		if want := append(live.Records()[:got:got], more...); !reflect.DeepEqual(m2.Records(), want) {
+			t.Fatalf("prefix of %d bytes, reopened and appended to: replayed %d records, want the %d of the prefix + %d", cut, n2, got, len(more))
 		}
 	}
 }
@@ -368,7 +394,7 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 				"profiles": []string{"cpu.pprof", "heap.pprof", "goroutine.pprof"},
 			})
 		case 2:
-			emit("tsdb_segment", tsdb.SegmentEvent{
+			emit("tsdb_segment", seglog.Sealed{
 				Seq: i / 4, Path: fmt.Sprintf("tsdb/seg-%06d.tsdb", i/4), Size: 4 << 20,
 			})
 		}

@@ -32,15 +32,20 @@ func peerPair(t *testing.T) (aURL, bURL string, a, b *Proxy, originHits func() i
 
 func TestPeerHitAvoidsOrigin(t *testing.T) {
 	aURL, bURL, a, b, originHits := peerPair(t)
-	// Warm the sibling: one origin fetch.
+	// Warm the sibling: one origin fetch. A client can hold every byte
+	// before the proxy's pump has counted and cached them, so each fetch
+	// below waits for that bookkeeping before the next step reads it.
+	cached := func(s Stats) bool { return s.CachedObjects == 1 }
 	if body, _ := get(t, aURL+"/obj/x"); body != "body:/obj/x" {
 		t.Fatalf("warming fetch: %q", body)
 	}
+	waitStats(t, a, "a caching the warmed object", cached)
 	// b's miss must be fed by a's cache, not the origin.
 	body, cache := get(t, bURL+"/obj/x")
 	if body != "body:/obj/x" || cache != "MISS" {
 		t.Fatalf("peer-fed fetch: %q %q", body, cache)
 	}
+	waitStats(t, b, "b caching the peer-fed object", cached)
 	if n := originHits(); n != 1 {
 		t.Errorf("origin fetched %d times, want 1 (peer hit must bypass it)", n)
 	}

@@ -36,22 +36,28 @@ func newOrigin(delay chan struct{}) (*httptest.Server, *atomic.Int64) {
 	return httptest.NewServer(h), &hits
 }
 
-// waitCoalesced is the arrival barrier of the storm tests: it returns
-// once n requests are parked on an in-flight fetch of p. Releasing the
-// origin any earlier turns late arrivals into cache hits, not waiters.
-// If coalescing itself breaks the count never gets there, so after a
-// deadline it fails the test with what the proxy counted and returns:
-// the caller still releases the origin, so nothing is left blocked.
-func waitCoalesced(t *testing.T, p *Proxy, n int64) {
+// waitStats spins until p's counters satisfy done: the barrier for
+// bookkeeping a proxy finishes after its client already holds the whole
+// response. After a deadline it fails the test with what the proxy counted
+// and returns, so the caller can still release anything it holds blocked.
+func waitStats(t *testing.T, p *Proxy, what string, done func(Stats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for p.Stats().Coalesced < n {
+	for !done(p.Stats()) {
 		if time.Now().After(deadline) {
-			t.Errorf("%d requests never coalesced on one fetch: %+v", n, p.Stats())
+			t.Errorf("%s never happened: %+v", what, p.Stats())
 			return
 		}
 		runtime.Gosched()
 	}
+}
+
+// waitCoalesced is the arrival barrier of the storm tests: it returns
+// once n requests are parked on an in-flight fetch of p. Releasing the
+// origin any earlier turns late arrivals into cache hits, not waiters.
+func waitCoalesced(t *testing.T, p *Proxy, n int64) {
+	t.Helper()
+	waitStats(t, p, fmt.Sprintf("%d requests coalescing on one fetch", n), func(s Stats) bool { return s.Coalesced >= n })
 }
 
 func get(t *testing.T, url string) (string, string) {

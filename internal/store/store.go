@@ -2,138 +2,84 @@
 // Lobster DB: the durable record of the tasklet→task mapping, task states,
 // and monitoring records (the paper uses SQLite for this role).
 //
-// The design is a write-ahead log of (table, key, value) mutations with
-// CRC-protected framing plus periodic snapshot compaction. State is fully
-// recovered by replaying the snapshot and then the log; a torn final record
-// (crash mid-write) is detected by its checksum and discarded, matching the
-// paper's observation that "system state is quickly and automatically
-// recovered if the scheduler node should crash and reboot."
+// Every Put appends one (table, key, value) record to a seglog log, and
+// Compact restates the whole state as one fresh segment. State is fully
+// recovered by replaying the segments; a torn final record (crash
+// mid-write) fails its checksum and is cut away, matching the paper's
+// observation that "system state is quickly and automatically recovered if
+// the scheduler node should crash and reboot."
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"lobster/internal/seglog"
 )
 
 const (
-	walName      = "lobster.wal"
-	snapName     = "lobster.snap"
-	snapTempName = "lobster.snap.tmp"
-
-	opPut = byte(1)
-	// opDelete is no longer written, but replay still applies it, so a
-	// database directory whose log holds deletes loads unchanged.
-	opDelete = byte(2)
+	suffix = ".wal"
+	opPut  = byte(1)
 )
 
 // ErrNotFound is returned by Get when the key does not exist.
 var ErrNotFound = errors.New("store: key not found")
 
+// errRecord marks a record that passed its checksum but does not decode.
+var errRecord = errors.New("store: undecodable record")
+
 // DB is an embedded key-value store with named tables. It is safe for
 // concurrent use.
 type DB struct {
-	mu     sync.RWMutex
-	dir    string
-	tables map[string]map[string][]byte
-	wal    *os.File
-	walBuf *bufio.Writer
-	walLen int64 // bytes appended since last compaction
-	closed bool
-	// SyncEvery forces an fsync after every write when true (slower, used by
-	// durability tests); otherwise data is flushed on Close/Compact.
-	SyncEvery bool
+	mu      sync.RWMutex
+	tables  map[string]map[string][]byte
+	log     *seglog.Log
+	scratch []byte // Put's record encoding, reused
 }
 
-// Open opens (or creates) a database in dir.
+// Open opens (or creates) a database in dir. A directory in the layout
+// that predates segments is refused rather than read as empty, so a
+// finished workflow is not silently run again.
 func Open(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	for _, old := range []string{"lobster.wal", "lobster.snap"} {
+		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+			return nil, fmt.Errorf("store: %s holds %s, a database in the old WAL + snapshot layout, which this version does not read", dir, old)
+		}
 	}
-	db := &DB{dir: dir, tables: make(map[string]map[string][]byte)}
-	if err := db.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := db.replayWAL(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	db := &DB{tables: make(map[string]map[string][]byte)}
+	log, err := seglog.Open(dir, suffix, db.replay)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening wal: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	db.wal = f
-	db.walBuf = bufio.NewWriter(f)
+	db.log = log
 	return db, nil
 }
 
-func (db *DB) loadSnapshot() error {
-	f, err := os.Open(filepath.Join(db.dir, snapName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// replay applies one logged record: table, key and value.
+func (db *DB) replay(rec []byte) error {
+	if len(rec) == 0 || rec[0] != opPut {
+		return fmt.Errorf("%w: not a put", errRecord)
 	}
-	if err != nil {
-		return fmt.Errorf("store: opening snapshot: %w", err)
+	var f [3][]byte
+	rest := rec[1:]
+	for i := range f {
+		if len(rest) < 4 || uint32(len(rest)-4) < binary.LittleEndian.Uint32(rest) {
+			return fmt.Errorf("%w: truncated field", errRecord)
+		}
+		n := 4 + binary.LittleEndian.Uint32(rest)
+		f[i], rest = rest[4:n], rest[n:]
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		op, table, key, value, err := readRecord(r)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("store: corrupt snapshot: %w", err)
-		}
-		if op != opPut {
-			return fmt.Errorf("store: unexpected op %d in snapshot", op)
-		}
-		db.applyPut(table, key, value)
-	}
+	db.apply(string(f[0]), string(f[1]), append([]byte(nil), f[2]...))
+	return nil
 }
 
-func (db *DB) replayWAL() error {
-	f, err := os.Open(filepath.Join(db.dir, walName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: opening wal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var replayed int64
-	for {
-		op, table, key, value, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn tail from a crash mid-append: keep what replayed cleanly.
-			break
-		}
-		switch op {
-		case opPut:
-			db.applyPut(table, key, value)
-		case opDelete:
-			db.applyDelete(table, key)
-		}
-		replayed += recordSize(table, key, value)
-	}
-	db.walLen = replayed
-	// Truncate any torn tail so fresh appends start at a clean boundary.
-	return os.Truncate(filepath.Join(db.dir, walName), replayed)
-}
-
-func (db *DB) applyPut(table, key string, value []byte) {
+func (db *DB) apply(table, key string, value []byte) {
 	t := db.tables[table]
 	if t == nil {
 		t = make(map[string][]byte)
@@ -142,131 +88,28 @@ func (db *DB) applyPut(table, key string, value []byte) {
 	t[key] = value
 }
 
-func (db *DB) applyDelete(table, key string) {
-	if t := db.tables[table]; t != nil {
-		delete(t, key)
-		if len(t) == 0 {
-			delete(db.tables, table)
-		}
-	}
-}
-
-// Record framing: crc32(payload) | payloadLen | payload, where payload is
-// op | tableLen | table | keyLen | key | valueLen | value. All integers are
-// little-endian uint32.
-func writeRecord(w io.Writer, op byte, table, key string, value []byte) error {
-	payload := make([]byte, 0, 1+4+len(table)+4+len(key)+4+len(value))
-	payload = append(payload, op)
-	payload = appendLenPrefixed(payload, []byte(table))
-	payload = appendLenPrefixed(payload, []byte(key))
-	payload = appendLenPrefixed(payload, value)
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(payload)))
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func appendLenPrefixed(b, data []byte) []byte {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(data)))
-	b = append(b, l[:]...)
-	return append(b, data...)
-}
-
-func recordSize(table, key string, value []byte) int64 {
-	return int64(8 + 1 + 4 + len(table) + 4 + len(key) + 4 + len(value))
-}
-
-func readRecord(r io.Reader) (op byte, table, key string, value []byte, err error) {
-	var head [8]byte
-	if _, err = io.ReadFull(r, head[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return
-	}
-	wantCRC := binary.LittleEndian.Uint32(head[0:])
-	n := binary.LittleEndian.Uint32(head[4:])
-	if n > 1<<30 {
-		err = fmt.Errorf("store: implausible record length %d", n)
-		return
-	}
-	// Grow with the bytes that are really there: a torn header must not
-	// turn its claimed length into an allocation.
-	var buf bytes.Buffer
-	if _, err = io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return
-	}
-	payload := buf.Bytes()
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		err = errors.New("store: record checksum mismatch")
-		return
-	}
-	if len(payload) < 1 {
-		err = errors.New("store: empty record")
-		return
-	}
-	op = payload[0]
-	rest := payload[1:]
-	var tb, kb []byte
-	if tb, rest, err = readLenPrefixed(rest); err != nil {
-		return
-	}
-	if kb, rest, err = readLenPrefixed(rest); err != nil {
-		return
-	}
-	if value, _, err = readLenPrefixed(rest); err != nil {
-		return
-	}
-	table, key = string(tb), string(kb)
-	return
-}
-
-func readLenPrefixed(b []byte) (data, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, errors.New("store: truncated length prefix")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return nil, nil, errors.New("store: truncated field")
-	}
-	return b[:n], b[n:], nil
+// Record payload: op | tableLen | table | keyLen | key | valueLen | value,
+// lengths little-endian uint32.
+func appendRecord(b []byte, table, key string, value []byte) []byte {
+	b = append(b, opPut)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(table)))
+	b = append(b, table...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(value)))
+	return append(b, value...)
 }
 
 // Put stores value under (table, key).
 func (db *DB) Put(table, key string, value []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return errors.New("store: use of closed DB")
+	db.scratch = appendRecord(db.scratch[:0], table, key, value)
+	if _, err := db.log.Append(db.scratch); err != nil {
+		return fmt.Errorf("store: appending: %w", err)
 	}
-	if err := writeRecord(db.walBuf, opPut, table, key, value); err != nil {
-		return fmt.Errorf("store: appending wal: %w", err)
-	}
-	db.walLen += recordSize(table, key, value)
-	if err := db.maybeSync(); err != nil {
-		return err
-	}
-	db.applyPut(table, key, append([]byte(nil), value...))
+	db.apply(table, key, append([]byte(nil), value...))
 	return nil
-}
-
-func (db *DB) maybeSync() error {
-	if !db.SyncEvery {
-		return nil
-	}
-	if err := db.walBuf.Flush(); err != nil {
-		return err
-	}
-	return db.wal.Sync()
 }
 
 // Get returns the value stored under (table, key), or ErrNotFound.
@@ -305,76 +148,44 @@ func (db *DB) GetJSON(table, key string, out any) error {
 	return nil
 }
 
-// WALSize returns the number of bytes appended to the log since the last
-// compaction, a trigger for Compact.
+// WALSize returns the number of bytes appended to the log since Open or
+// the last compaction, a trigger for Compact.
 func (db *DB) WALSize() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.walLen
+	return db.log.Size()
 }
 
-// Compact writes the full current state to a fresh snapshot and truncates
-// the WAL. The snapshot is written to a temp file and renamed, so a crash at
-// any point leaves either the old or the new snapshot intact.
+// Compact rewrites the full current state, tables then keys in sorted
+// order, as one fresh segment and drops the segments it replaces.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return errors.New("store: use of closed DB")
-	}
-	if err := db.walBuf.Flush(); err != nil {
-		return err
-	}
-	tmp := filepath.Join(db.dir, snapTempName)
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	w := bufio.NewWriter(f)
 	tables := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		tables = append(tables, n)
 	}
 	sort.Strings(tables)
-	for _, tn := range tables {
-		t := db.tables[tn]
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := writeRecord(w, opPut, tn, k, t[k]); err != nil {
-				f.Close()
-				return fmt.Errorf("store: writing snapshot: %w", err)
+	err := db.log.Compact(func(add func([]byte) error) error {
+		for _, tn := range tables {
+			t := db.tables[tn]
+			keys := make([]string, 0, len(t))
+			for k := range t {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				db.scratch = appendRecord(db.scratch[:0], tn, k, t[k])
+				if err := add(db.scratch); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, snapName)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	// Reset the WAL now that the snapshot holds everything.
-	if err := db.wal.Close(); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(filepath.Join(db.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("store: resetting wal: %w", err)
+		return fmt.Errorf("store: compacting: %w", err)
 	}
-	db.wal = nf
-	db.walBuf = bufio.NewWriter(nf)
-	db.walLen = 0
 	return nil
 }
 
@@ -382,17 +193,5 @@ func (db *DB) Compact() error {
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil
-	}
-	db.closed = true
-	if err := db.walBuf.Flush(); err != nil {
-		db.wal.Close()
-		return err
-	}
-	if err := db.wal.Sync(); err != nil {
-		db.wal.Close()
-		return err
-	}
-	return db.wal.Close()
+	return db.log.Close()
 }

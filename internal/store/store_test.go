@@ -1,16 +1,18 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"lobster/internal/seglog"
 )
 
 func openTemp(t *testing.T) (*DB, string) {
@@ -23,29 +25,13 @@ func openTemp(t *testing.T) (*DB, string) {
 	return db, dir
 }
 
-// appendDeletes appends delete records for keys of table to the log in
-// dir, the shape a log written by an older version that deleted keys
-// takes. The database in dir must be closed.
-func appendDeletes(t *testing.T, dir, table string, keys ...string) {
-	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if err := writeRecord(f, opDelete, table, k, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
+// livePath is the segment a fresh database appends to.
+func livePath(dir string) string { return filepath.Join(dir, "seg-000001"+suffix) }
 
-// TestPutGetDelete reads back a put, then replays a log whose delete
-// records remove it; deleting a missing key replays as a no-op.
+// TestPutGetDelete reads back a put; a missing key is ErrNotFound.
 func TestPutGetDelete(t *testing.T) {
-	db, dir := openTemp(t)
+	db, _ := openTemp(t)
+	defer db.Close()
 	if err := db.Put("tasks", "t1", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +39,46 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || string(v) != "hello" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := db.Get("tasks", "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing key: %v", err)
 	}
-	appendDeletes(t, dir, "tasks", "t1", "missing")
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("replaying deletes: %v", err)
+}
+
+// TestOpenRefusesOldLayout: a directory written in the WAL + snapshot
+// layout is refused by name, not opened as an empty database.
+func TestOpenRefusesOldLayout(t *testing.T) {
+	for _, name := range []string{"lobster.wal", "lobster.snap"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err == nil {
+			db.Close()
+			t.Errorf("%s: old layout opened", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error does not name the file: %v", name, err)
+		}
 	}
-	defer db2.Close()
-	if _, err := db2.Get("tasks", "t1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("after delete: %v", err)
+}
+
+// TestWALSizeCountsFrames pins the log's cost: a fresh database is one
+// file, and a Put grows WALSize by its 8-byte frame, 13 bytes of op and
+// lengths, and the table, key and value.
+func TestWALSizeCountsFrames(t *testing.T) {
+	db, dir := openTemp(t)
+	defer db.Close()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("fresh database files: %v, %v", ents, err)
 	}
-	if snap := snapshotOf(db2); len(snap) != 0 {
-		t.Fatalf("state after deleting the only key: %v", snap)
+	for _, r := range []struct{ table, key, value string }{{"t", "k", ""}, {"wf:x:tasklets", "0000000001", `{"state":3}`}} {
+		before := db.WALSize()
+		if err := db.Put(r.table, r.key, []byte(r.value)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := db.WALSize()-before, int64(8+13+len(r.table)+len(r.key)+len(r.value)); got != want {
+			t.Errorf("Put(%q, %q, %q) grew WALSize by %d, want %d", r.table, r.key, r.value, got, want)
+		}
 	}
 }
 
@@ -94,23 +106,18 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appendDeletes(t, dir, "tasks", "t050")
 
 	db2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	rows := snapshotOf(db2)["tasks"]
-	if len(rows) != 99 {
-		t.Fatalf("count after reopen = %d", len(rows))
+	if n := len(snapshotOf(db2)["tasks"]); n != 100 {
+		t.Fatalf("count after reopen = %d", n)
 	}
 	v, err := db2.Get("tasks", "t042")
 	if err != nil || string(v) != "v42" {
 		t.Fatalf("t042 = %q, %v", v, err)
-	}
-	if _, ok := rows["t050"]; ok {
-		t.Error("deleted key survived reopen")
 	}
 }
 
@@ -119,18 +126,6 @@ func TestCompactionPreservesState(t *testing.T) {
 	db, _ := Open(dir)
 	for i := 0; i < 50; i++ {
 		db.Put("a", fmt.Sprintf("k%d", i), []byte("x"))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var gone []string
-	for i := 0; i < 25; i++ {
-		gone = append(gone, fmt.Sprintf("k%d", i))
-	}
-	appendDeletes(t, dir, "a", gone...)
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
@@ -147,8 +142,8 @@ func TestCompactionPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := len(snapshotOf(db2)["a"]); n != 26 {
-		t.Fatalf("count = %d, want 26", n)
+	if n := len(snapshotOf(db2)["a"]); n != 51 {
+		t.Fatalf("count = %d, want 51", n)
 	}
 	if v, _ := db2.Get("a", "post"); string(v) != "y" {
 		t.Error("post-compaction write lost")
@@ -162,8 +157,7 @@ func TestTornTailRecovered(t *testing.T) {
 	db.Close()
 
 	// Append garbage simulating a crash mid-record.
-	walPath := filepath.Join(dir, "lobster.wal")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(livePath(dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +187,14 @@ func TestTornTailRecovered(t *testing.T) {
 func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir)
-	db.SyncEvery = true
 	db.Put("t", "a", []byte("1"))
 	db.Put("t", "b", []byte("2"))
 	db.Close()
 
-	// Flip a byte inside the second record's payload.
-	walPath := filepath.Join(dir, "lobster.wal")
-	data, _ := os.ReadFile(walPath)
+	// Flip a byte of the second record's checksum.
+	data, _ := os.ReadFile(livePath(dir))
 	data[len(data)-1] ^= 0xff
-	os.WriteFile(walPath, data, 0o644)
+	os.WriteFile(livePath(dir), data, 0o644)
 
 	db2, err := Open(dir)
 	if err != nil {
@@ -218,9 +210,8 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	}
 }
 
-// TestKeysSortedAndTables checks that compaction writes its snapshot in
-// table then key order, and that a table whose last key a replayed delete
-// removes is dropped.
+// TestKeysSortedAndTables checks that compaction leaves one segment that
+// holds the state in table then key order.
 func TestKeysSortedAndTables(t *testing.T) {
 	db, dir := openTemp(t)
 	db.Put("z", "k", nil)
@@ -233,35 +224,26 @@ func TestKeysSortedAndTables(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	for r := bytes.NewReader(data); ; {
-		_, table, key, _, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, table+"/"+key)
-	}
-	if want := []string{"a/k1", "a/k2", "a/k3", "z/k"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("snapshot order = %v, want %v", order, want)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appendDeletes(t, dir, "z", "k")
-	db2, err := Open(dir)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(segs) != 1 {
+		t.Fatalf("segments after compaction: %v", segs)
+	}
+	var order []string
+	l, err := seglog.Open(dir, suffix, func(rec []byte) error {
+		tl := binary.LittleEndian.Uint32(rec[1:])
+		table := rec[5 : 5+tl]
+		key := rec[9+tl : 9+tl+binary.LittleEndian.Uint32(rec[5+tl:])]
+		order = append(order, string(table)+"/"+string(key))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	if snap := snapshotOf(db2); len(snap) != 1 || snap["a"] == nil {
-		t.Fatalf("empty table not dropped: %v", snap)
+	l.Close()
+	if want := []string{"a/k1", "a/k2", "a/k3", "z/k"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("compacted order = %v, want %v", order, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,17 +72,20 @@ func OpenEventLog(path string, clock Clock) (*EventLog, error) {
 // Appending to a log that already has rotated segments continues the
 // sequence after the highest existing one.
 func OpenEventLogLimit(path string, maxBytes int64, clock Clock) (*EventLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: event log: %w", err)
+	}
+	size, err := endLine(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("telemetry: event log %s: %w", path, err)
 	}
 	l := NewEventLog(f, clock)
 	if maxBytes > 0 {
 		l.path = path
 		l.maxBytes = maxBytes
-		if st, err := f.Stat(); err == nil {
-			l.written = st.Size()
-		}
+		l.written = size
 		segs, _ := eventSegments(path)
 		if len(segs) > 0 {
 			l.nextSeg = segs[len(segs)-1].seq + 1
@@ -90,6 +94,45 @@ func OpenEventLogLimit(path string, maxBytes int64, clock Clock) (*EventLog, err
 		}
 	}
 	return l, nil
+}
+
+// endLine makes a live file that a crash left without a final newline end
+// on a line boundary, and returns its size, before anything is appended:
+// else the next event would fuse with the unterminated tail into one
+// malformed line. This is seglog's live-segment rule in line framing. A
+// whole event in the tail gets its newline, since ReadEvents already counts
+// it; anything else is the torn tail ReadEvents skips, and is cut off.
+func endLine(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	end := st.Size()
+	start := end // of the unterminated tail
+	var buf [4096]byte
+	for start > 0 {
+		n := min(start, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], start-n); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			start += int64(i) + 1 - n
+			break
+		}
+		start -= n
+	}
+	if start == end {
+		return end, nil
+	}
+	tail := make([]byte, end-start)
+	if _, err := f.ReadAt(tail, start); err != nil {
+		return 0, err
+	}
+	if json.Unmarshal(tail, new(Event)) == nil {
+		_, err = f.Write([]byte{'\n'})
+		return end + 1, err
+	}
+	return start, f.Truncate(start)
 }
 
 // Emit appends one event of the given type. Marshal failures poison the

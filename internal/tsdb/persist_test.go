@@ -2,15 +2,39 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"lobster/internal/telemetry"
 )
+
+// segBytes is the size at which seglog seals a segment. No program varies
+// it, so it is unexported; the rotation tests shrink it by its link name.
+//
+//go:linkname segBytes lobster/internal/seglog.segBytes
+var segBytes int64
+
+// smallSegments seals segments at n bytes for the rest of the test.
+func smallSegments(t *testing.T, n int64) {
+	old := segBytes
+	segBytes = n
+	t.Cleanup(func() { segBytes = old })
+}
+
+func segPath(dir string, seq int) string {
+	return filepath.Join(dir, fmt.Sprintf("seg-%06d%s", seq, segSuffix))
+}
+
+// listSegments returns the store's segment files, oldest first.
+func listSegments(dir string) ([]string, error) {
+	return filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
+}
 
 func TestPersistReload(t *testing.T) {
 	dir := t.TempDir()
@@ -208,7 +232,8 @@ func TestPersistAppendAfterTornReopen(t *testing.T) {
 func TestPersistMidHistoryCorruptionErrors(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotations so segment 1 is not the live one.
-	s, err := Open(Config{Dir: dir, BlockBytes: 128, MaxSegBytes: 1024})
+	smallSegments(t, 1024)
+	s, err := Open(Config{Dir: dir, BlockBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +244,7 @@ func TestPersistMidHistoryCorruptionErrors(t *testing.T) {
 		t.Fatalf("segments: %v, want >= 2", seqs)
 	}
 
-	seg := segPath(dir, seqs[0])
+	seg := seqs[0]
 	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +254,7 @@ func TestPersistMidHistoryCorruptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s2, err := Open(Config{Dir: dir, BlockBytes: 128, MaxSegBytes: 1024}); err == nil {
+	if s2, err := Open(Config{Dir: dir, BlockBytes: 128}); err == nil {
 		s2.Close()
 		t.Fatal("mid-history corruption silently tolerated")
 	}
@@ -294,7 +319,8 @@ func TestPersistSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny segments force several rotations.
-	s, err := Open(Config{Dir: dir, BlockBytes: 128, MaxSegBytes: 1024, Log: log})
+	smallSegments(t, 1024)
+	s, err := Open(Config{Dir: dir, BlockBytes: 128, Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +351,7 @@ func TestPersistSegmentRotation(t *testing.T) {
 	}
 
 	// Reload across all segments.
-	s2, err := Open(Config{Dir: dir, BlockBytes: 128, MaxSegBytes: 1024})
+	s2, err := Open(Config{Dir: dir, BlockBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

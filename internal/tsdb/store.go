@@ -5,7 +5,7 @@
 // series are indexed by metric name plus label set; raw samples age out
 // on a time-windowed retention with a coarser-resolution rollup ring
 // preserving the long tail; sealed blocks optionally persist as
-// length-prefixed segments next to the JSONL event log, so a restarted
+// seglog segments next to the JSONL event log, so a restarted
 // hub reopens its history and the paper's ramp figures can be replotted
 // from any past run.
 package tsdb
@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"lobster/internal/seglog"
 	"lobster/internal/telemetry"
 )
 
@@ -39,16 +40,12 @@ type Config struct {
 	// BlockBytes is the compressed block capacity (default 1024).
 	BlockBytes int
 
-	// Dir, when non-empty, persists sealed blocks as length-prefixed
-	// segment files in this directory (created if needed).
+	// Dir, when non-empty, persists sealed blocks as seglog segment
+	// files in this directory (created if needed).
 	Dir string
 
-	// MaxSegBytes rotates the live segment file past this size
-	// (default 4 MiB).
-	MaxSegBytes int64
-
 	// Log, when set, receives a typed "tsdb_segment" event each time a
-	// segment rotates, interleaving the store's persistence markers
+	// segment seals, interleaving the store's persistence markers
 	// with the task/alert event stream monitor.ReplayLog replays.
 	Log *telemetry.EventLog
 }
@@ -65,9 +62,6 @@ func (c *Config) defaults() {
 	}
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = 1024
-	}
-	if c.MaxSegBytes <= 0 {
-		c.MaxSegBytes = 4 << 20
 	}
 }
 
@@ -125,7 +119,8 @@ type Store struct {
 	samples int64    // total appended
 	minMs   int64
 	maxMs   int64
-	seg     *segmentWriter
+	log     *seglog.Log // nil for an in-memory store
+	scratch []byte      // writeBlock's record encoding, reused
 }
 
 // New creates an in-memory store (cfg.Dir empty) without touching disk.
@@ -235,8 +230,8 @@ func (s *Store) seal(se *memSeries) {
 		return
 	}
 	payload := b.bytes()
-	if s.seg != nil {
-		s.seg.writeBlock(se.key, b.n, b.tFirst, b.tLast, payload)
+	if s.log != nil {
+		s.writeBlock(se.key, b.n, b.tFirst, b.tLast, payload)
 	}
 	se.sealed = append(se.sealed, sealedBlock{buf: payload, n: b.n, tFirst: b.tFirst, tLast: b.tLast})
 	// Retention: drop sealed blocks wholly older than the cutoff. Their
@@ -571,13 +566,13 @@ func (s *Store) Flush() error {
 			s.seal(se)
 		}
 	}
-	if s.seg != nil {
-		return s.seg.flush()
+	if s.log != nil {
+		return s.log.Sync()
 	}
 	return nil
 }
 
-// Close flushes and closes the segment writer.
+// Close flushes and closes the segment log.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
@@ -585,11 +580,11 @@ func (s *Store) Close() error {
 	err := s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seg != nil {
-		if cerr := s.seg.close(); err == nil {
+	if s.log != nil {
+		if cerr := s.log.Close(); err == nil {
 			err = cerr
 		}
-		s.seg = nil
+		s.log = nil
 	}
 	return err
 }
