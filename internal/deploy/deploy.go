@@ -302,18 +302,48 @@ func Start(opts Options) (*Stack, error) {
 // straight into srv's spool and registers it with red: no file exists
 // whole in memory. A chunk is a multiple of 8 bytes, one RNG draw, so the
 // bytes are those of kernel.GenerateEvents on each whole file in turn.
+// One goroutine generates while this one writes: the two pass two chunks
+// back and forth in dataset order, and the generator is joined before
+// return on every path, because the caller draws from rng next.
 func storeDataset(srv *xrootd.DataServer, red *xrootd.Redirector, ds *dbs.Dataset, kernel *hepsim.Kernel, rng *stats.Rand) error {
-	chunk := bufpool.Get()
-	defer bufpool.Put(chunk)
+	chunks := [2]*[]byte{bufpool.Get(), bufpool.Get()}
+	free := make(chan []byte, len(chunks)) // closed: stop generating
+	full := make(chan []byte, len(chunks)) // never blocks: two chunks in all
+	for _, c := range chunks {
+		free <- *c
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, f := range ds.Files {
+			for left := f.Events * kernel.EventSize; left > 0; {
+				b, ok := <-free
+				if !ok {
+					return
+				}
+				b = b[:min(left, len(b))]
+				rng.Fill(b)
+				full <- b
+				left -= len(b)
+			}
+		}
+	}()
+	defer func() {
+		close(free)
+		<-done
+		for _, c := range chunks {
+			bufpool.Put(c)
+		}
+	}()
 	for _, f := range ds.Files {
 		left := f.Events * kernel.EventSize
 		rep, err := srv.StoreFrom(f.LFN, func(w io.Writer) error {
 			for left > 0 {
-				b := (*chunk)[:min(left, len(*chunk))]
-				kernel.GenerateInto(b, rng)
+				b := <-full
 				if _, err := w.Write(b); err != nil {
 					return err
 				}
+				free <- b[:cap(b)]
 				left -= len(b)
 			}
 			return nil

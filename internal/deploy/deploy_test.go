@@ -1,7 +1,7 @@
 package deploy
 
 import (
-	"hash/crc32"
+	"errors"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -135,37 +135,30 @@ func TestCloseRemovesTheScratchItMade(t *testing.T) {
 }
 
 // TestDatasetBytesUnchanged: generating the dataset a chunk at a time
-// into the data server's spool serves the bytes kernel.GenerateEvents
-// produces for each whole file from the same seed — files larger than
-// one chunk, and an event size that is not a multiple of the 8 bytes an
-// RNG draw fills.
+// into the data server's spool, one goroutine generating while another
+// writes, serves the bytes the generator has always produced for each
+// whole file from the same seed — files larger than one chunk, and an
+// event size that is not a multiple of the 8 bytes an RNG draw fills. The
+// CRCs are constants, not a second run of the generator, so a drift that
+// the generator and the path under test share still fails here.
 func TestDatasetBytesUnchanged(t *testing.T) {
-	for _, eventBytes := range []int64{4096, 1001} {
-		opts := Options{
-			Files: 3, LumisPerFile: 1, EventsPerFile: 1100, EventBytes: eventBytes,
+	for _, c := range []struct {
+		eventBytes int64
+		crcs       [3]uint32 // files 000000-000002
+	}{
+		{4096, [3]uint32{0x85c76d9b, 0xbbd4b724, 0x147ecab2}},
+		{1001, [3]uint32{0x4bcfd185, 0x56fd37f9, 0xbe0993e9}},
+	} {
+		st, err := Start(Options{
+			Files: 3, LumisPerFile: 1, EventsPerFile: 1100, EventBytes: c.eventBytes,
 			Workers: 1, CoresPerWorker: 1, Seed: 7,
 			ScratchDir: t.TempDir(),
-		}
-		st, err := Start(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The generator's draws, as Start makes them.
-		rng := stats.NewRand(opts.Seed)
-		ds, err := dbs.Generate(dbs.GenConfig{
-			Name: st.Dataset.Name, Files: opts.Files, EventsPerFile: opts.EventsPerFile,
-			LumisPerFile: opts.LumisPerFile, EventBytes: opts.EventBytes,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kernel, err := hepsim.NewKernel(int(eventBytes), 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cl := &xrootd.Client{Redirector: st.Redirector}
-		for _, f := range ds.Files {
-			whole := kernel.GenerateEvents(f.Events, rng)
+		for i, f := range st.Dataset.Files {
 			rf, err := cl.Open(f.LFN)
 			if err != nil {
 				t.Fatal(err)
@@ -175,13 +168,46 @@ func TestDatasetBytesUnchanged(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("stat %s: ok=%v err=%v", f.LFN, ok, err)
 			}
-			if want := crc32.ChecksumIEEE(whole); size != int64(len(whole)) || crc != want {
-				t.Errorf("event size %d, %s: served %d bytes crc %08x, GenerateEvents gives %d bytes crc %08x",
-					eventBytes, f.LFN, size, crc, len(whole), want)
+			if want := 1100 * c.eventBytes; size != want || crc != c.crcs[i] {
+				t.Errorf("event size %d, %s: served %d bytes crc %08x, want %d bytes crc %08x",
+					c.eventBytes, f.LFN, size, crc, want, c.crcs[i])
 			}
 		}
 		cl.Close()
 		st.Close()
+	}
+}
+
+// TestStoreDatasetFailureJoinsGenerator: a spool that cannot be written
+// fails storeDataset with StoreFrom's error, and the generator goroutine
+// is gone by then rather than parked on a chunk nobody will take.
+func TestStoreDatasetFailureJoinsGenerator(t *testing.T) {
+	srv, err := xrootd.NewDataServer("T3_US_Closed", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	ds, err := dbs.Generate(dbs.GenConfig{
+		Name: "/Closed/Run/AOD", Files: 4, EventsPerFile: 512, LumisPerFile: 1, EventBytes: 4096,
+	}, stats.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel, err := hepsim.NewKernel(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	err = storeDataset(srv, xrootd.NewRedirector(), ds, kernel, stats.NewRand(1))
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("storeDataset into a closed server: %v, want the spool's %v", err, os.ErrClosed)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a failed storeDataset, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

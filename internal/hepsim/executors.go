@@ -359,7 +359,10 @@ const chunkEvents = 64
 
 // processStreaming reads the byte range [lo, hi) in event-aligned chunks,
 // reducing as it goes — I/O and CPU interleave, which is what makes
-// streaming win in the paper's Figure 4.
+// streaming win in the paper's Figure 4. Each chunk is filled the way
+// stage mode fills its range, continuing a short answer, so every chunk
+// starts on an event; a replica with nothing more ends the stream after
+// the whole events it served.
 // The output is borrowed at its final size, as far as the largest class
 // goes (hi comes from the replica's open reply); the caller returns it.
 func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out *[]byte, events int, streamed int64, err error) {
@@ -368,24 +371,19 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out *[]byte, event
 	chunk := *buf
 	out = bufpool.GetSized(min(k.DigestBytes(int(hi-lo)), bufpool.MaxSized))
 	*out = (*out)[:0]
-	off := lo
-	for off < hi {
-		want := int64(len(chunk))
-		if hi-off < want {
-			want = hi - off
-		}
-		n, err := f.ReadAt(chunk[:want], off)
-		if err != nil {
+	src := &rangeReader{f: f, off: lo}
+	for src.off < hi {
+		n, err := io.ReadFull(src, chunk[:min(int64(len(chunk)), hi-src.off)])
+		if err != nil && err != io.ErrUnexpectedEOF {
 			return out, 0, streamed, err
 		}
-		if n == 0 {
-			break
-		}
 		streamed += int64(n)
-		off += int64(n)
 		var ne int
 		*out, ne = k.AppendDigests(*out, chunk[:n])
 		events += ne
+		if err != nil {
+			break
+		}
 	}
 	return out, events, streamed, nil
 }
@@ -471,7 +469,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			*output = (*output)[:0]
 			for first := 0; first < n; first += chunkEvents {
 				signal := (*buf)[:min(chunkEvents, n-first)*kernel.EventSize]
-				kernel.GenerateInto(signal, rng)
+				rng.Fill(signal)
 				if pileup != nil {
 					if err := kernel.OverlayPileupAt(signal, pileup, first); err != nil {
 						return err

@@ -366,6 +366,43 @@ func TestAnalysisFromALyingReplica(t *testing.T) {
 	}
 }
 
+// choppyFile is a replica that answers at most 1,000 bytes per read, as a
+// server may: fewer than asked is not the end of the file.
+type choppyFile struct{ fakeFile }
+
+func (f *choppyFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.fakeFile.ReadAt(p[:min(len(p), 1000)], off)
+}
+
+// TestAnalysisFromAChoppyReplica: a short answer that ends mid-event is
+// continued, not dropped, so stream mode reduces the same events as stage
+// mode and ProcessAll and counts the same bytes in.
+func TestAnalysisFromAChoppyReplica(t *testing.T) {
+	svc := startServices(t)
+	k, _ := NewKernel(256, 1)
+	data := k.GenerateEvents(200, stats.NewRand(5))
+	want, _ := k.ProcessAll(data)
+	env := svc.env.cloneConfig()
+	env.Open = func(string, *trace.Tracer, trace.Context) (RemoteFile, error) {
+		return &choppyFile{fakeFile{data}}, nil
+	}
+	for i, mode := range []string{"stream", "stage"} {
+		out := "/out/choppy-" + mode
+		rep := runTask(t, analysis(env), &wq.Task{ID: int64(40 + i), Args: map[string]string{
+			"lfn": "/store/choppy.root", "mode": mode, "output": out, "event_size": "256"}})
+		if rep.ExitCode != 0 {
+			t.Fatalf("%s mode: report %+v", mode, rep)
+		}
+		got, err := svc.chirpFS.ReadFile(out)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s mode: digests differ from ProcessAll's (err %v)", mode, err)
+		}
+		if rep.Metric("events") != 200 || rep.Metric("bytes_in") != float64(len(data)) {
+			t.Errorf("%s mode: %g events, %g bytes in; want 200 and %d", mode, rep.Metric("events"), rep.Metric("bytes_in"), len(data))
+		}
+	}
+}
+
 func TestAnalysisSquidOutageIsSoftwareFailure(t *testing.T) {
 	svc := startServices(t)
 	// Point the env at a dead proxy: software setup must fail with its code.

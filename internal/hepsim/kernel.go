@@ -80,25 +80,12 @@ func (k *Kernel) ProcessAll(data []byte) ([]byte, int) {
 
 // GenerateEvents synthesises n events of pseudo-random detector data, the
 // role of the Monte Carlo generation step in simulation tasks. Deterministic
-// for a given rng state.
+// for a given rng state: the bytes are rng.Fill's, so a caller that fills
+// its own buffer in pieces of whole 8-byte draws produces the same ones.
 func (k *Kernel) GenerateEvents(n int, rng *stats.Rand) []byte {
 	data := make([]byte, n*k.EventSize)
-	k.GenerateInto(data, rng)
+	rng.Fill(data)
 	return data
-}
-
-// GenerateInto is GenerateEvents into a buffer the caller owns: every
-// byte of dst is overwritten, one RNG draw per 8 bytes.
-func (k *Kernel) GenerateInto(dst []byte, rng *stats.Rand) {
-	for ; len(dst) >= 8; dst = dst[8:] {
-		binary.LittleEndian.PutUint64(dst, rng.Uint64())
-	}
-	if len(dst) > 0 {
-		v := rng.Uint64()
-		for j := range dst {
-			dst[j] = byte(v >> (8 * j))
-		}
-	}
 }
 
 // OverlayPileup mixes pile-up (noise) events into signal events in place:

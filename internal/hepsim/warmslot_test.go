@@ -30,17 +30,23 @@ func generateByteLoop(n int, rng *stats.Rand) []byte {
 
 func TestGenerateMatchesByteLoop(t *testing.T) {
 	// Event size 1 makes n the buffer length: every tail length 0..7
-	// twice over, then one odd event size.
-	sizes := []struct{ eventSize, n int }{{1001, 3}}
+	// twice over, one odd event size, then more than a dataset chunk with
+	// a tail.
+	sizes := []struct{ eventSize, n int }{{1001, 3}, {1, 1<<20 + 3}}
 	for n := 0; n <= 17; n++ {
 		sizes = append(sizes, struct{ eventSize, n int }{1, n})
 	}
 	for _, c := range sizes {
 		k, _ := NewKernel(c.eventSize, 1)
-		got := k.GenerateEvents(c.n, stats.NewRand(11))
-		want := generateByteLoop(c.n*c.eventSize, stats.NewRand(11))
+		gen, loop := stats.NewRand(11), stats.NewRand(11)
+		got := k.GenerateEvents(c.n, gen)
+		want := generateByteLoop(c.n*c.eventSize, loop)
 		if !bytes.Equal(got, want) {
 			t.Errorf("event size %d × %d events: bytes differ from the byte loop", c.eventSize, c.n)
+		}
+		// The generator's state went back to it: the next draw agrees.
+		if g, l := gen.Uint64(), loop.Uint64(); g != l {
+			t.Errorf("event size %d × %d events: next draw %#x, the byte loop's %#x", c.eventSize, c.n, g, l)
 		}
 	}
 }

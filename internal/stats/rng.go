@@ -8,7 +8,11 @@
 // tasklet durations, and therefore the same figures.
 package stats
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator implementing the
 // PCG-XSL-RR 128/64 algorithm (O'Neill, 2014). The zero value is not usable;
@@ -37,13 +41,10 @@ func NewRand(seed uint64) *Rand {
 // Distinct streams with the same seed produce statistically independent
 // sequences.
 func NewRandStream(seed, stream uint64) *Rand {
-	r := &Rand{}
-	r.incHi = stream
-	r.incLo = stream<<1 | 1
-	r.hi, r.lo = 0, 0
-	r.step()
+	r := &Rand{incHi: stream, incLo: stream<<1 | 1}
+	r.hi, r.lo = advance(0, 0, r.incHi, r.incLo)
 	r.addSeed(seed)
-	r.step()
+	r.hi, r.lo = advance(r.hi, r.lo, r.incHi, r.incLo)
 	return r
 }
 
@@ -56,54 +57,48 @@ func (r *Rand) Split() *Rand {
 
 func (r *Rand) addSeed(seed uint64) {
 	var carry uint64
-	r.lo, carry = add64(r.lo, seed, 0)
-	r.hi, _ = add64(r.hi, 0, carry)
+	r.lo, carry = bits.Add64(r.lo, seed, 0)
+	r.hi += carry
 }
 
-func add64(a, b, carry uint64) (sum, carryOut uint64) {
-	sum = a + b + carry
-	if sum < a || (carry == 1 && sum == a) {
-		carryOut = 1
-	}
-	return sum, carryOut
+// advance is one step of the 128-bit LCG: (hi,lo)*mul + inc mod 2^128.
+func advance(hi, lo, incHi, incLo uint64) (uint64, uint64) {
+	pHi, pLo := bits.Mul64(lo, pcgMulLo)
+	pHi += hi*pcgMulLo + lo*pcgMulHi
+	lo, carry := bits.Add64(pLo, incLo, 0)
+	return pHi + incHi + carry, lo
 }
 
-// step advances the 128-bit LCG state.
-func (r *Rand) step() {
-	// (hi,lo) = (hi,lo) * mul + inc  (mod 2^128)
-	loHi, loLo := mul64(r.lo, pcgMulLo)
-	hi := r.hi*pcgMulLo + r.lo*pcgMulHi + loHi
-	lo := loLo
-	var carry uint64
-	lo, carry = add64(lo, r.incLo, 0)
-	hi, _ = add64(hi, r.incHi, carry)
-	r.hi, r.lo = hi, lo
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	c = t >> 32
-	m := t & mask
-	t = aLo*bHi + m
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + t>>32
-	return hi, lo
+// output is the XSL-RR output function: xor-fold the state, rotate right
+// by its top six bits.
+func output(hi, lo uint64) uint64 {
+	return bits.RotateLeft64(hi^lo, -int(hi>>58))
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Rand) Uint64() uint64 {
-	r.step()
-	// XSL-RR output function: xor-fold the state, rotate by the top bits.
-	x := r.hi ^ r.lo
-	rot := uint(r.hi >> 58)
-	return x>>rot | x<<((64-rot)&63)
+	r.hi, r.lo = advance(r.hi, r.lo, r.incHi, r.incLo)
+	return output(r.hi, r.lo)
+}
+
+// Fill overwrites dst with the stream's next draws, each stored little
+// endian, so the bytes are those of successive Uint64 calls; a tail
+// shorter than 8 bytes takes the low bytes of one more draw. The state
+// stays in registers for the whole buffer.
+func (r *Rand) Fill(dst []byte) {
+	hi, lo, incHi, incLo := r.hi, r.lo, r.incHi, r.incLo
+	for ; len(dst) >= 8; dst = dst[8:] {
+		hi, lo = advance(hi, lo, incHi, incLo)
+		binary.LittleEndian.PutUint64(dst, output(hi, lo))
+	}
+	if len(dst) > 0 {
+		hi, lo = advance(hi, lo, incHi, incLo)
+		v := output(hi, lo)
+		for j := range dst {
+			dst[j] = byte(v >> (8 * j))
+		}
+	}
+	r.hi, r.lo = hi, lo
 }
 
 // Float64 returns a uniform value in [0,1).
@@ -118,11 +113,11 @@ func (r *Rand) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded generation.
 	bound := uint64(n)
-	hi, lo := mul64(r.Uint64(), bound)
+	hi, lo := bits.Mul64(r.Uint64(), bound)
 	if lo < bound {
 		threshold := (-bound) % bound
 		for lo < threshold {
-			hi, lo = mul64(r.Uint64(), bound)
+			hi, lo = bits.Mul64(r.Uint64(), bound)
 		}
 	}
 	return int(hi)

@@ -14,6 +14,29 @@ func TestRandDeterminism(t *testing.T) {
 			t.Fatalf("draw %d: %d != %d", i, av, bv)
 		}
 	}
+	// Known answers: the stream itself, not just its repeatability, so a
+	// rewrite of the step that drifts fails here and not in a figure.
+	for _, c := range []struct {
+		name string
+		r    *Rand
+		want [4]uint64
+	}{
+		{"NewRand(1)", NewRand(1), [4]uint64{0x54a311bf298d1c98, 0xc542c04e4c4a8760, 0xebccca349381bfc3, 0x4d249a015a26df57}},
+		{"NewRand(42)", NewRand(42), [4]uint64{0x6c25d3106055f0aa, 0x5597eb32949d9b1b, 0x8d8d89c90f05d381, 0xdf0a3ed28fb13592}},
+		{"NewRandStream(7, 3)", NewRandStream(7, 3), [4]uint64{0xad980842b96ec897, 0xee7e645767f8bd90, 0x820c1a4d32576a8b, 0x5304081d7057aaf0}},
+	} {
+		for i, w := range c.want {
+			if got := c.r.Uint64(); got != w {
+				t.Errorf("%s draw %d = %#x, want %#x", c.name, i, got, w)
+			}
+		}
+	}
+	r := NewRand(9)
+	for i, w := range []int{610, 12, 296, 617} {
+		if got := r.Intn(1000); got != w {
+			t.Errorf("NewRand(9).Intn(1000) call %d = %d, want %d", i, got, w)
+		}
+	}
 }
 
 func TestRandSeedsDiffer(t *testing.T) {
@@ -187,6 +210,19 @@ func BenchmarkRandUint64(b *testing.B) {
 		sink = r.Uint64()
 	}
 	_ = sink
+}
+
+// BenchmarkRandFill is event generation's inner loop: 1 MiB, the chunk
+// deploy.Start fills the dataset in.
+func BenchmarkRandFill(b *testing.B) {
+	r := NewRand(1)
+	buf := make([]byte, 1<<20)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Fill(buf)
+	}
 }
 
 func BenchmarkRandNormFloat64(b *testing.B) {
