@@ -34,19 +34,26 @@ fmt:
 # read) and no map[net.Conn] (an accept loop's tracking) in these
 # directories outside tests (DESIGN.md section 10, one wire). chirp and
 # xrootd each carried both until the copies drifted into a parse bug.
+# internal/wq is held to the same rule and one more, no json.NewDecoder(:
+# its messages come off the connection through wire.Conn.ReadFrame, which
+# refuses a size over the bound before reading a byte of the body. A
+# decoder over the socket buffers one JSON value with no bound, so a single
+# peer streaming an endless object could grow the master's heap until the
+# one process every worker hangs from died (DESIGN.md section 11).
 #
 # And the Lobster DB and the history store persist through internal/seglog,
 # never a log of their own: no hash/crc32, os.Truncate or os.Rename in their
 # non-test code (DESIGN.md section 14, one log). Each carried its own CRC'd
 # log until the same length-trusting read had been fixed in both.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
+WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store internal/tsdb
 copy-lint:
 	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
 	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'bytes\.Buffer|io\.ReadAll\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "doubling payload sink in a data-plane package (use bufpool.Arrival):"; echo "$$out"; exit 1; }
-	@out="$$(grep -rnE 'ReadSlice\(|map\[net\.Conn\]' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:')"; \
+	@out="$$(grep -rnE 'ReadSlice\(|map\[net\.Conn\]|json\.NewDecoder\(' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }

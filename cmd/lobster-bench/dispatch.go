@@ -11,37 +11,22 @@ import (
 // target (the fleet the paper ramps toward in figures 5 and 6) through
 // one master's real sharded table, and the loopback plane pushes the
 // same wire protocol through real TCP workers, where file descriptors
-// bound the fleet. Both planes run single-message first, then batched,
-// so one invocation prints the before/after framing comparison.
+// bound the fleet.
 func runDispatch(scale float64) error {
 	simWorkers := atLeast(int(100_000*scale), 1000)
 	simTasks := atLeast(int(1_000_000*scale), 10_000)
 	fmt.Printf("== Dispatch plane: sim (%d workers × 8 cores, %d tasks) ==\n", simWorkers, simTasks)
-	for _, single := range []bool{true, false} {
-		rep := wq.RunScaleSim(wq.ScaleConfig{
-			Workers: simWorkers, Tasks: simTasks, SingleMessage: single,
-		})
-		fmt.Printf("%-7s %s\n", framing(single), rep)
-	}
+	fmt.Println(wq.RunScaleSim(wq.ScaleConfig{Workers: simWorkers, Tasks: simTasks}))
 
 	loWorkers := 64
 	loTasks := atLeast(int(20_000*scale), 2000)
 	fmt.Printf("\n== Dispatch plane: loopback TCP (%d workers × 8 cores, %d tasks) ==\n", loWorkers, loTasks)
-	for _, single := range []bool{true, false} {
-		rep, err := wq.RunScaleLoopback(loWorkers, 8, loTasks, single)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-7s %s\n", framing(single), rep)
+	rep, err := wq.RunScaleLoopback(loWorkers, 8, loTasks, false)
+	if err != nil {
+		return err
 	}
+	fmt.Println(rep)
 	return nil
-}
-
-func framing(single bool) string {
-	if single {
-		return "single"
-	}
-	return "batched"
 }
 
 func atLeast(v, floor int) int {

@@ -376,6 +376,68 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 	}
 }
 
+// TestChaosResultWriteError fails one worker's first result write and
+// leaves its connection open — the error verdict, not a drop. The failed
+// send must break the connection, so the master sees the worker go, requeues
+// the task, and a second worker completes it: exactly one result per task.
+// A worker that shrugged the error off would keep its slot and the master
+// would wait for that result forever.
+func TestChaosResultWriteError(t *testing.T) {
+	inj := faultinject.New(&faultinject.Plan{
+		Seed: 8,
+		Rules: []faultinject.Rule{
+			// Write 1 is the hello; write 2 is the first result.
+			{Component: "wq_worker", Op: "write", Action: faultinject.ActError, After: 1, Times: 1},
+		},
+	})
+	m, err := wq.NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	reg := wq.Registry{"noop": func(*wq.ExecContext) error { return nil }}
+	const n = 4
+	ids := make(map[int64]int)
+	for i := 0; i < n; i++ {
+		id, err := m.Submit(&wq.Task{Func: "noop"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[id] = 0
+	}
+	faulty, err := wq.NewWorkerOpts(m.Addr(), "faulty", 1, t.TempDir(), reg, wq.WorkerOptions{Fault: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faulty.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for inj.TotalFired() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the result write was never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	healthy, err := wq.NewWorker(m.Addr(), "healthy", 1, t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	for _, r := range m.Drain(n, 10*time.Second) {
+		if r.Failed() {
+			t.Errorf("task %d failed: %+v", r.TaskID, r)
+		}
+		ids[r.TaskID]++
+	}
+	for id, got := range ids {
+		if got != 1 {
+			t.Errorf("task %d: %d results, want exactly 1", id, got)
+		}
+	}
+	if s := m.Stats(); s.Requeues != 1 || s.WorkersLost != 1 || s.TasksRunning != 0 {
+		t.Errorf("stats %+v: want the one task the faulty worker held requeued, that worker lost, nothing in flight", s)
+	}
+}
+
 // TestChaosDeterminism replays one storm twice with the same plan and
 // seed: the verdict counts per seam must be identical, which is what
 // makes a chaos failure reproducible from its JSON plan alone.

@@ -1,44 +1,61 @@
-// Package wire is what chirp and xrootd share underneath their commands:
-// a text protocol over TCP in which every request is one line, every reply
-// starts with one status line — the command's answer, or "-1 <error>" —
-// and payload bytes follow a size line. Both protocols used to carry a
-// copy of each piece here, and the copies drifted (DESIGN.md §10, "One
-// wire"); what is left in each package is its commands.
+// Package wire is what the three protocols of this module share
+// underneath their messages. chirp and xrootd are text protocols over TCP
+// in which every request is one line, every reply starts with one status
+// line — the command's answer, or "-1 <error>" — and payload bytes follow
+// a size line. wq sends size-framed JSON: a size line, then exactly that
+// many bytes of one JSON value (ReadFrame, SendFrame). Each protocol used
+// to carry a copy of each piece here, and the copies drifted (DESIGN.md
+// §10, "One wire"); what is left in each package is its commands.
 //
-// The package holds the one copy of: the client connection that poisons
-// itself on a transport failure (Conn), the in-place line read and field
-// cut (ReadLine, Fields), the status convention (ReadStatus on the client,
-// ReplyError on the server), the size-line parse (ParseSize), the error
-// pair a peer's answer turns into (ServerError, ProtocolError), the
-// parked-connection list (Pool), and the server's accept and request
-// loops (Server, ServeLines).
+// The package holds the one copy of: the connection that poisons itself
+// on a transport failure (Conn), the in-place line read and field cut
+// (ReadLine, Fields), the status convention (ReadStatus on the client,
+// ReplyError on the server), the size-line parse (ParseSize), the bounded
+// message frame (ReadFrame, SendFrame), the error pair a peer's answer
+// turns into (ServerError, ProtocolError), the parked-connection list
+// (Pool), and the server's accept and request loops (Server, ServeLines).
 package wire
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"unicode"
 
 	"lobster/internal/retry"
 )
 
-// Conn is one client connection of a line protocol: the socket and its
-// buffered reader and writer. Any transport failure — a send, a flush, a
-// read, a short payload — closes it and marks it broken (Fail): the
-// protocol has no point to resynchronise at, so a half-finished exchange
-// poisons every later one, and each later operation fails at once with
-// the error Err returns. A nil Conn is broken. Not safe for concurrent use.
+// Conn is one connection of a wire protocol: the socket and its buffered
+// reader and writer. Any transport failure — a send, a flush, a read, a
+// short payload — closes it and marks it broken (Fail): the protocol has
+// no point to resynchronise at, so a half-finished exchange poisons every
+// later one, and each later operation fails at once with the error Err
+// returns. A nil Conn is broken.
+//
+// One goroutine may read while another writes — wq runs a receive loop
+// and a send loop on each connection — and Fail, Broken and Err are safe
+// from any goroutine, so a third can hang up. Two writers must take turns
+// under a lock of their own.
 type Conn struct {
 	Net net.Conn
 	R   *bufio.Reader
 	W   *bufio.Writer
 
-	proto  string // "chirp" or "xrootd": the prefix of every error text
-	broken bool
+	proto  string // "chirp", "xrootd" or "wq": the prefix of every error text
+	broken atomic.Bool
+
+	// The frame codec's state (frame.go), each half owned by its side:
+	// body and dec by the reader, out and enc by the writer.
+	body io.LimitedReader
+	dec  *json.Decoder
+	out  bytes.Buffer
+	enc  *json.Encoder
 }
 
 // NewConn wraps nc for protocol proto with buffers of the given sizes.
@@ -60,12 +77,13 @@ func (c *Conn) Err() error {
 
 // Broken reports whether a transport failure has poisoned c; a broken
 // connection is already closed and must be replaced.
-func (c *Conn) Broken() bool { return c == nil || c.broken }
+func (c *Conn) Broken() bool { return c == nil || c.broken.Load() }
 
 // Fail closes c after a transport failure and returns err unchanged.
+// Fail(nil) hangs up with nothing to report: it is how a goroutine that
+// neither reads nor writes c ends it, since Close writes.
 func (c *Conn) Fail(err error) error {
-	if !c.broken {
-		c.broken = true
+	if c.broken.CompareAndSwap(false, true) {
 		c.Net.Close()
 	}
 	return err
@@ -74,10 +92,9 @@ func (c *Conn) Fail(err error) error {
 // Close says quit and hangs up. A broken connection is already closed;
 // Close is then a no-op.
 func (c *Conn) Close() error {
-	if c.broken {
+	if c.broken.Swap(true) {
 		return nil
 	}
-	c.broken = true
 	c.W.WriteString("quit\n")
 	c.W.Flush()
 	return c.Net.Close()

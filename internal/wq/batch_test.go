@@ -1,10 +1,13 @@
 package wq
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -116,15 +119,14 @@ func TestPoisonTaskPermanentFailure(t *testing.T) {
 	}
 }
 
-// --- Interop matrix ---------------------------------------------------
+// --- Wire peers -------------------------------------------------------
 
-// rawPeer speaks the wire protocol by hand, so tests can impersonate old
-// (proto 0) and new (proto ≥ 1) peers and inspect exact framing.
+// rawPeer speaks the wire protocol by hand — a size line, then the JSON
+// body — so tests can impersonate a peer and inspect the exact framing.
 type rawPeer struct {
 	t    *testing.T
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	r    *bufio.Reader
 }
 
 func dialRaw(t *testing.T, addr string) *rawPeer {
@@ -134,12 +136,16 @@ func dialRaw(t *testing.T, addr string) *rawPeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return &rawPeer{t: t, conn: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
+	return &rawPeer{t: t, conn: c, r: bufio.NewReader(c)}
 }
 
 func (p *rawPeer) send(m *message) {
 	p.t.Helper()
-	if err := p.enc.Encode(m); err != nil {
+	body, err := json.Marshal(m)
+	if err == nil {
+		_, err = fmt.Fprintf(p.conn, "%d\n%s", len(body), body)
+	}
+	if err != nil {
 		p.t.Fatalf("raw send %s: %v", m.Type, err)
 	}
 }
@@ -147,119 +153,33 @@ func (p *rawPeer) send(m *message) {
 func (p *rawPeer) recv(timeout time.Duration) *message {
 	p.t.Helper()
 	p.conn.SetReadDeadline(time.Now().Add(timeout))
-	var m message
-	if err := p.dec.Decode(&m); err != nil {
+	defer p.conn.SetReadDeadline(time.Time{})
+	line, err := p.r.ReadString('\n')
+	if err != nil {
 		p.t.Fatalf("raw recv: %v", err)
 	}
-	p.conn.SetReadDeadline(time.Time{})
+	n, err := strconv.Atoi(strings.TrimSuffix(line, "\n"))
+	if err != nil {
+		p.t.Fatalf("raw recv: size line %q: %v", line, err)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(p.r, body); err != nil {
+		p.t.Fatalf("raw recv: %d-byte body: %v", n, err)
+	}
+	var m message
+	if err := json.Unmarshal(body, &m); err != nil || body[0] != '{' || body[n-1] != '}' {
+		p.t.Fatalf("raw recv: body %q is not exactly one object: %v", body, err)
+	}
 	return &m
 }
 
-// TestInteropNewMasterOldWorker connects a proto-0 worker (no proto in
-// hello) to the batching master: the master must never ack the batch
-// capability and must frame every task as a v0 single "task" message.
-func TestInteropNewMasterOldWorker(t *testing.T) {
-	m := newMaster(t)
-	p := dialRaw(t, m.Addr())
-	p.send(&message{Type: "hello", Name: "old", Cores: 4})
-
-	const n = 6
-	for i := 0; i < n; i++ {
-		if _, err := m.Submit(&Task{Func: "noop", Tag: "interop"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		msg := p.recv(10 * time.Second)
-		switch msg.Type {
-		case "hello":
-			t.Fatal("master acked batch capability to a proto-0 worker")
-		case "tasks":
-			t.Fatal("master sent batch framing to a proto-0 worker")
-		case "task":
-			if msg.Task == nil {
-				t.Fatal("task message without task")
-			}
-			// An old worker answers one result per message.
-			p.send(&message{Type: "result",
-				Result: &Result{TaskID: msg.Task.ID, Worker: "old"}})
-		default:
-			t.Fatalf("unexpected message %q", msg.Type)
-		}
-	}
-	if got := m.Drain(n, 10*time.Second); len(got) != n {
-		t.Fatalf("collected %d/%d results via old worker", len(got), n)
-	}
-}
-
-// TestInteropOldMasterNewWorker runs the batching worker against a
-// master that never acks the capability (a proto-0 master): the worker
-// must keep every result on single-message framing.
-func TestInteropOldMasterNewWorker(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := lis.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	w, err := NewWorker(lis.Addr().String(), "new", 4, t.TempDir(), testRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c := <-accepted
-	defer c.Close()
-	p := &rawPeer{t: t, conn: c, enc: json.NewEncoder(c), dec: json.NewDecoder(c)}
-
-	hello := p.recv(10 * time.Second)
-	if hello.Type != "hello" || hello.Proto < protoBatch {
-		t.Fatalf("worker hello = %+v, want proto >= %d advertised", hello, protoBatch)
-	}
-	// An old master ignores the unknown proto field and never acks.
-	// Send a burst of tasks as singles; every result must come back as a
-	// single "result" message.
-	const n = 8
-	for i := 0; i < n; i++ {
-		p.send(&message{Type: "task", Task: &Task{
-			ID: int64(i + 1), Func: "echo",
-			Args: map[string]string{"text": "x"}, Outputs: []string{"out.txt"},
-		}})
-	}
-	seen := make(map[int64]bool)
-	for len(seen) < n {
-		msg := p.recv(10 * time.Second)
-		switch msg.Type {
-		case "results":
-			t.Fatal("worker sent batch framing without a capability ack")
-		case "result":
-			if msg.Result == nil || seen[msg.Result.TaskID] {
-				t.Fatalf("bad or duplicate result: %+v", msg.Result)
-			}
-			if msg.Result.Failed() {
-				t.Fatalf("task failed: %+v", msg.Result)
-			}
-			seen[msg.Result.TaskID] = true
-		}
-	}
-}
-
-// TestInteropBatchPeers impersonates a batching worker and checks the
-// full negotiated path: hello exchange, "tasks" batch framing down, and
-// "results" batch framing accepted back.
+// TestInteropBatchPeers impersonates a worker and checks the whole
+// exchange on the one framing: a hello, no reply to it, "tasks" batches
+// down, and "results" batches accepted back.
 func TestInteropBatchPeers(t *testing.T) {
 	m := newMaster(t)
 	p := dialRaw(t, m.Addr())
-	p.send(&message{Type: "hello", Name: "batcher", Cores: 16, Proto: protoBatch})
-	if ack := p.recv(10 * time.Second); ack.Type != "hello" || ack.Proto < protoBatch {
-		t.Fatalf("capability ack = %+v, want hello with proto >= %d", ack, protoBatch)
-	}
+	p.send(&message{Type: "hello", Name: "batcher", Cores: 16})
 
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -269,28 +189,17 @@ func TestInteropBatchPeers(t *testing.T) {
 	}
 	var results []*Result
 	got := 0
-	sawBatch := false
 	for got < n {
 		msg := p.recv(10 * time.Second)
-		var tasks []*Task
-		switch msg.Type {
-		case "tasks":
-			sawBatch = true
-			tasks = msg.Tasks
-		case "task":
-			tasks = []*Task{msg.Task}
-		default:
-			t.Fatalf("unexpected message %q", msg.Type)
+		if msg.Type != "tasks" || len(msg.Tasks) == 0 {
+			t.Fatalf("unexpected message %+v", msg)
 		}
 		results = results[:0]
-		for _, task := range tasks {
+		for _, task := range msg.Tasks {
 			results = append(results, &Result{TaskID: task.ID, Worker: "batcher"})
 			got++
 		}
 		p.send(&message{Type: "results", Results: results})
-	}
-	if !sawBatch {
-		t.Error("negotiated batch connection never used batch framing")
 	}
 	if collected := m.Drain(n, 10*time.Second); len(collected) != n {
 		t.Fatalf("collected %d/%d batched results", len(collected), n)
@@ -298,12 +207,11 @@ func TestInteropBatchPeers(t *testing.T) {
 }
 
 // queuedResultsWorker is a worker whose resCh already holds n results
-// before its result loop has run: just the loop's own state, one end of
-// an in-memory pipe as the master connection, the capability acked.
+// before its result loop has run: just the loop's own state, and one end
+// of an in-memory pipe as the master connection.
 func queuedResultsWorker(n int) (*Worker, net.Conn) {
 	near, far := net.Pipe()
 	w := &Worker{conn: newConn(near), resCh: make(chan *Result, n), done: make(chan struct{})}
-	w.batchOK.Store(true)
 	for i := 0; i < n; i++ {
 		w.resCh <- &Result{TaskID: int64(i + 1)}
 	}
@@ -322,10 +230,7 @@ func TestWorkerBatchesResults(t *testing.T) {
 	defer w.wg.Wait()
 	defer close(w.done)
 
-	var msg message
-	if err := json.NewDecoder(far).Decode(&msg); err != nil {
-		t.Fatal(err)
-	}
+	msg := (&rawPeer{t: t, conn: far, r: bufio.NewReader(far)}).recv(10 * time.Second)
 	if msg.Type != "results" || len(msg.Results) != n {
 		t.Fatalf("first message is %q with %d results, want all %d queued results in one \"results\"",
 			msg.Type, len(msg.Results), n)
@@ -347,7 +252,7 @@ func TestEvictedWorkerSendsNoQueuedResults(t *testing.T) {
 	w.wg.Add(1)
 	go func() {
 		w.resultLoop()
-		w.conn.close() // only now can the master's read end see EOF
+		w.conn.Fail(nil) // only now can the master's read end see EOF
 	}()
 	if data, err := io.ReadAll(far); err != nil || len(data) != 0 {
 		t.Fatalf("evicted worker wrote %q (err %v), want nothing", data, err)

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lobster/internal/faultinject"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Foreman sits between a master and a set of workers: upstream it looks
@@ -23,7 +23,8 @@ import (
 type Foreman struct {
 	name     string
 	cores    int
-	upstream *conn
+	upstream *wire.Conn
+	upMu     sync.Mutex // the task loop and the result loop both send upstream
 	down     *Master
 	cache    *contentCache
 
@@ -32,7 +33,6 @@ type Foreman struct {
 	relayed atomic.Int64
 	wg      sync.WaitGroup
 	closed  atomic.Bool
-	upBatch atomic.Bool // upstream master acked batch framing
 
 	// telRelayed/telErrors/tracer are installed after the relay loops
 	// are already running, so publication must be atomic (nil loads are
@@ -81,23 +81,9 @@ func (f *Foreman) Instrument(reg *telemetry.Registry) {
 		})
 }
 
-// ForemanOptions configures NewForemanOpts.
-type ForemanOptions struct {
-	// Fault, when non-nil, wraps the foreman's upstream connection under
-	// component "wq_foreman" and installs itself on the internal
-	// downstream master (so downstream worker connections are wrapped
-	// under "wq_master" as usual).
-	Fault *faultinject.Injector
-}
-
 // NewForeman connects to the master at upstreamAddr, advertising cores
 // upstream, and listens for downstream workers on listenAddr.
 func NewForeman(upstreamAddr, listenAddr, name string, cores int) (*Foreman, error) {
-	return NewForemanOpts(upstreamAddr, listenAddr, name, cores, ForemanOptions{})
-}
-
-// NewForemanOpts is NewForeman with fault-plane options.
-func NewForemanOpts(upstreamAddr, listenAddr, name string, cores int, opts ForemanOptions) (*Foreman, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("wq: foreman needs at least one core")
 	}
@@ -105,13 +91,11 @@ func NewForemanOpts(upstreamAddr, listenAddr, name string, cores int, opts Forem
 	if err != nil {
 		return nil, fmt.Errorf("wq: foreman downstream: %w", err)
 	}
-	down.Fault(opts.Fault)
 	raw, err := net.DialTimeout("tcp", upstreamAddr, 30*time.Second)
 	if err != nil {
 		down.Close()
 		return nil, fmt.Errorf("wq: foreman dialing master: %w", err)
 	}
-	raw = opts.Fault.Conn("wq_foreman", raw)
 	f := &Foreman{
 		name:     name,
 		cores:    cores,
@@ -120,7 +104,7 @@ func NewForemanOpts(upstreamAddr, listenAddr, name string, cores int, opts Forem
 		cache:    newContentCache(),
 		idMap:    make(map[int64]relayEntry),
 	}
-	if err := f.upstream.send(&message{Type: "hello", Name: name, Cores: cores, Proto: protoBatch}); err != nil {
+	if err := f.upstream.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -147,44 +131,45 @@ func (f *Foreman) Close() error {
 	if f.closed.Swap(true) {
 		return nil
 	}
-	f.upstream.close()
+	f.upstream.Fail(nil)
 	err := f.down.Close()
 	f.wg.Wait()
 	return err
 }
 
-// taskLoop receives tasks from the master and resubmits them downstream.
+// taskLoop receives tasks from the master and resubmits them downstream,
+// until upstream is gone: a real deployment would retry; tests close here.
 func (f *Foreman) taskLoop() {
 	defer f.wg.Done()
-	for {
-		msg, err := f.upstream.recv()
-		if err != nil {
-			// Upstream gone: a real deployment would retry; tests close here.
-			return
+	var msg message
+	for recv(f.upstream, &msg) == nil {
+		if msg.Type != "tasks" {
+			continue
 		}
-		switch msg.Type {
-		case "task":
-			if msg.Task != nil {
-				f.relayTask(msg.Task)
+		// Relay in slice order so a data-bearing cacheable input is cached
+		// before a later hash-only reference to it resolves.
+		for _, t := range msg.Tasks {
+			if t != nil {
+				f.relayTask(t)
 			}
-		case "tasks":
-			// Batch framing from upstream: relay in slice order so a
-			// data-bearing cacheable input is cached before a later
-			// hash-only reference to it resolves.
-			for _, t := range msg.Tasks {
-				if t != nil {
-					f.relayTask(t)
-				}
-			}
-		case "hello":
-			// Upstream's capability ack: batched results are welcome.
-			if msg.Proto >= protoBatch {
-				f.upBatch.Store(true)
-			}
-		case "ping":
-			f.upstream.send(&message{Type: "ping"})
 		}
 	}
+}
+
+// sendUp sends results upstream, one send at a time: the task loop and
+// the result loop both send. A failed send has broken the connection
+// (SendFrame), so the task loop's next read ends and the master requeues
+// what this foreman held.
+func (f *Foreman) sendUp(results []*Result) error {
+	f.upMu.Lock()
+	defer f.upMu.Unlock()
+	return f.upstream.SendFrame(&message{Type: "results", Results: results})
+}
+
+// failUp answers an upstream task with a local failure.
+func (f *Foreman) failUp(upstreamID int64, tag, msg string) {
+	f.telErrors.Load().Inc()
+	f.sendUp([]*Result{{TaskID: upstreamID, Tag: tag, Worker: f.name, ExitCode: 170, Error: msg}})
 }
 
 // relayTask resubmits one upstream task to the downstream master,
@@ -205,24 +190,16 @@ func (f *Foreman) relayTask(t *Task) {
 	// Materialise stripped cacheable inputs from the foreman cache
 	// so they can be re-encoded per downstream connection.
 	if _, _, err := decodeInputs(t, f.cache); err != nil {
-		f.telErrors.Load().Inc()
 		span.Attr("error", "cache")
 		span.End()
-		f.upstream.send(&message{Type: "result", Result: &Result{
-			TaskID: upstreamID, Tag: t.Tag, Worker: f.name,
-			ExitCode: 170, Error: fmt.Sprintf("foreman cache: %v", err),
-		}})
+		f.failUp(upstreamID, t.Tag, "foreman cache: "+err.Error())
 		return
 	}
 	downID, err := f.down.Submit(t)
 	if err != nil {
-		f.telErrors.Load().Inc()
 		span.Attr("error", "submit")
 		span.End()
-		f.upstream.send(&message{Type: "result", Result: &Result{
-			TaskID: upstreamID, Tag: t.Tag, Worker: f.name,
-			ExitCode: 170, Error: fmt.Sprintf("foreman submit: %v", err),
-		}})
+		f.failUp(upstreamID, t.Tag, "foreman submit: "+err.Error())
 		return
 	}
 	f.mu.Lock()
@@ -250,9 +227,9 @@ func (f *Foreman) relayResult(r *Result) *Result {
 }
 
 // resultLoop relays downstream results upstream with their original IDs.
-// When upstream speaks batch framing, each blocking wait is followed by a
-// non-blocking sweep of whatever else has already finished downstream, so
-// a burst of completions rides one "results" message.
+// Each blocking wait is followed by a non-blocking sweep of whatever else
+// has already finished downstream, so a burst of completions rides one
+// "results" message.
 func (f *Foreman) resultLoop() {
 	defer f.wg.Done()
 	sweep := make([]*Result, batchMax)
@@ -266,24 +243,13 @@ func (f *Foreman) resultLoop() {
 		if rr := f.relayResult(r); rr != nil {
 			out = append(out, rr)
 		}
-		if f.upBatch.Load() {
-			n := f.down.takeResults(sweep[:batchMax-len(out)])
-			for _, r2 := range sweep[:n] {
-				if rr := f.relayResult(r2); rr != nil {
-					out = append(out, rr)
-				}
+		n := f.down.takeResults(sweep[:batchMax-len(out)])
+		for _, r2 := range sweep[:n] {
+			if rr := f.relayResult(r2); rr != nil {
+				out = append(out, rr)
 			}
 		}
-		var err error
-		switch {
-		case len(out) == 0:
-			continue
-		case f.upBatch.Load():
-			err = f.upstream.send(&message{Type: "results", Results: out})
-		default:
-			err = f.upstream.send(&message{Type: "result", Result: out[0]})
-		}
-		if err != nil {
+		if len(out) > 0 && f.sendUp(out) != nil {
 			return
 		}
 	}

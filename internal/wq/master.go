@@ -12,6 +12,7 @@ import (
 	"lobster/internal/faultinject"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // MasterStats is a snapshot of master-side counters. Counters are lock-free
@@ -43,7 +44,7 @@ type MasterStats struct {
 // master-wide mutex. Per-connection slot accounting lives on the
 // workerConn's own lock, and fleet-wide counters are plain atomics.
 type Master struct {
-	lis net.Listener
+	srv *wire.Server // nil on a local master (scale.go), which is never closed
 
 	d      *dispatchTable
 	nextID atomic.Int64
@@ -65,8 +66,6 @@ type Master struct {
 	tel    atomic.Pointer[masterTelemetry]
 	fault  atomic.Pointer[faultinject.Injector]
 	tracer atomic.Pointer[trace.Tracer]
-
-	wg sync.WaitGroup
 }
 
 // Fault wires the master into the fault plane: newly accepted worker
@@ -192,9 +191,8 @@ func (m *Master) Trace(tr *trace.Tracer) {
 type workerConn struct {
 	name  string
 	cores int
-	batch bool   // peer negotiated batch framing (proto >= protoBatch)
 	home  uint32 // home dispatch queue, hashed from the peer identity
-	conn  *conn
+	conn  *wire.Conn
 	sent  *sentSet
 
 	mu   sync.Mutex
@@ -227,19 +225,15 @@ func NewMaster(addr string) (*Master, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wq: master listen: %w", err)
 	}
-	m := &Master{
-		lis:     lis,
-		d:       newDispatchTable(),
-		res:     newResultTable(),
-		workers: make(map[*workerConn]bool),
-	}
-	m.wg.Add(1)
-	go m.acceptLoop()
+	m := newLocalMaster()
+	m.srv = wire.Serve(lis, func(nc net.Conn) {
+		m.serveWorker(newConn(m.fault.Load().Conn("wq_master", nc)))
+	})
 	return m, nil
 }
 
 // Addr returns the master's listen address.
-func (m *Master) Addr() string { return m.lis.Addr().String() }
+func (m *Master) Addr() string { return m.srv.Addr() }
 
 // Submit queues a task and returns its assigned ID.
 func (m *Master) Submit(t *Task) (int64, error) {
@@ -354,41 +348,16 @@ func (m *Master) pushResults(rs []*Result) {
 	m.res.pushBatch(rs)
 }
 
-// Close shuts the master down. Queued and running tasks are abandoned.
+// Close shuts the master down. Queued and running tasks are abandoned:
+// the server hangs every connection up, and each connection's handler
+// takes its worker out of dispatch as its read fails.
 func (m *Master) Close() error {
 	if m.closed.Swap(true) {
 		return nil
 	}
-	m.workersMu.Lock()
-	for wc := range m.workers {
-		wc.dead.Store(true)
-		wc.conn.close()
-		wc.mu.Lock()
-		wc.cond.Broadcast()
-		wc.mu.Unlock()
-	}
-	m.workersMu.Unlock()
 	m.d.wakeAll()
 	m.res.wakeAll()
-	err := m.lis.Close()
-	m.wg.Wait()
-	return err
-}
-
-func (m *Master) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		raw, err := m.lis.Accept()
-		if err != nil {
-			return
-		}
-		raw = m.fault.Load().Conn("wq_master", raw)
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.serveWorker(newConn(raw))
-		}()
-	}
+	return m.srv.Close()
 }
 
 // markDead takes wc out of dispatch: the dispatcher wakes (whether it is
@@ -402,37 +371,25 @@ func (m *Master) markDead(wc *workerConn) {
 }
 
 // serveWorker owns one worker connection: reads the hello, then runs the
-// dispatch loop and result reader until the connection dies.
-func (m *Master) serveWorker(c *conn) {
-	defer c.close()
-	hello, err := c.recv()
-	if err != nil || hello.Type != "hello" || hello.Cores < 1 {
+// dispatch loop and result reader until the connection dies. The caller
+// closes c once it returns.
+func (m *Master) serveWorker(c *wire.Conn) {
+	var hello message
+	if recv(c, &hello) != nil || hello.Type != "hello" || hello.Cores < 1 {
 		return
 	}
 	wc := &workerConn{
 		name:  hello.Name,
 		cores: hello.Cores,
-		batch: hello.Proto >= protoBatch,
 		home:  homeQueue(hello.Name),
 		conn:  c,
 		sent:  newSentSet(),
 	}
 	wc.cond = sync.NewCond(&wc.mu)
-	width := 1
-	if wc.batch {
-		width = min(wc.cores, batchMax)
-	}
+	width := min(wc.cores, batchMax)
 	wc.popBuf = make([]*taskMeta, width)
 	wc.taskBuf = make([]*Task, 0, width)
 	wc.encScratch = make([]Task, width)
-	if wc.batch {
-		// Ack the batch capability so the peer knows it may send batched
-		// results; an old peer never advertised, never gets the ack, and
-		// the connection stays on single-message framing.
-		if err := c.send(&message{Type: "hello", Proto: protoBatch}); err != nil {
-			return
-		}
-	}
 	m.workersMu.Lock()
 	if m.closed.Load() {
 		m.workersMu.Unlock()
@@ -449,11 +406,11 @@ func (m *Master) serveWorker(c *conn) {
 		close(done)
 	}()
 	m.readLoop(wc)
-	// Connection is gone: unblock the dispatcher, then requeue what the
-	// connection held. The scan waits for the dispatcher to exit so no
-	// new assignments to wc can race it.
+	// Connection is gone — the read that ended readLoop broke it, which
+	// also fails a send in progress: unblock the dispatcher, then requeue
+	// what the connection held. The scan waits for the dispatcher to exit
+	// so no new assignments to wc can race it.
 	m.markDead(wc)
-	c.close()
 	m.workersMu.Lock()
 	delete(m.workers, wc)
 	m.workersMu.Unlock()
@@ -539,9 +496,9 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 }
 
 // dispatchLoop matches ready tasks to wc's free slots: pop a batch sized
-// to the free slots (one task for a v0 peer), stamp the assignments, and
-// ship them in one message. With no ready work it parks on the table's
-// idle condition; with no free slots it waits on the connection's own.
+// to the free slots, stamp the assignments, and ship them in one message.
+// With no ready work it parks on the table's idle condition; with no free
+// slots it waits on the connection's own.
 func (m *Master) dispatchLoop(wc *workerConn) {
 	for {
 		wc.mu.Lock()
@@ -553,11 +510,7 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 		if wc.dead.Load() || m.closed.Load() {
 			return
 		}
-		width := 1
-		if wc.batch {
-			width = min(free, batchMax)
-		}
-		n := m.d.popBatch(wc.home, wc.popBuf[:width])
+		n := m.d.popBatch(wc.home, wc.popBuf[:min(free, batchMax)])
 		if n == 0 {
 			m.d.park(func() bool { return wc.dead.Load() || m.closed.Load() })
 			continue
@@ -629,8 +582,8 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 }
 
 // sendBatch encodes tasks in place into the connection's reusable scratch
-// and ships them: one "tasks" message for a batch peer, a message per task
-// for a v0 peer. Returns false when the connection died; the read loop's
+// and ships them as one "tasks" message. Returns false when the send
+// failed, which broke the connection: the read loop ends on it, and its
 // cleanup requeues everything the connection held, including this batch.
 func (m *Master) sendBatch(wc *workerConn, tasks []*Task) bool {
 	var sent int64
@@ -641,21 +594,8 @@ func (m *Master) sendBatch(wc *workerConn, tasks []*Task) bool {
 		}
 		tasks[i] = t
 	}
-	var err error
-	if wc.batch {
-		wc.msg = message{Type: "tasks", Tasks: tasks}
-		err = wc.conn.send(&wc.msg)
-	} else {
-		for _, t := range tasks {
-			wc.msg = message{Type: "task", Task: t}
-			if err = wc.conn.send(&wc.msg); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		m.markDead(wc)
-		wc.conn.close()
+	wc.msg = message{Type: "tasks", Tasks: tasks}
+	if wc.conn.SendFrame(&wc.msg) != nil {
 		return false
 	}
 	m.statsBytesOut.Add(sent)
@@ -713,32 +653,23 @@ func (m *Master) completeTask(wc *workerConn, r *Result) bool {
 	return true
 }
 
-// readLoop consumes results until the connection errors.
+// readLoop consumes results until the connection errors. Each message's
+// results are settled, then the accepted ones are published under a
+// single result-lock acquisition; the accepted slice reuses the decoded
+// message's backing array.
 func (m *Master) readLoop(wc *workerConn) {
-	for {
-		msg, err := wc.conn.recv()
-		if err != nil {
-			return
+	var msg message
+	for recv(wc.conn, &msg) == nil {
+		if msg.Type != "results" {
+			continue
 		}
-		switch msg.Type {
-		case "result":
-			if msg.Result != nil && m.completeTask(wc, msg.Result) {
-				m.pushResult(msg.Result)
+		accepted := msg.Results[:0]
+		for _, r := range msg.Results {
+			if r != nil && m.completeTask(wc, r) {
+				accepted = append(accepted, r)
 			}
-		case "results":
-			// Settle each result, then publish the accepted ones under a
-			// single result-lock acquisition. The accepted slice reuses
-			// the decoded message's backing array.
-			accepted := msg.Results[:0]
-			for _, r := range msg.Results {
-				if r != nil && m.completeTask(wc, r) {
-					accepted = append(accepted, r)
-				}
-			}
-			m.pushResults(accepted)
-		case "ping":
-			wc.conn.send(&message{Type: "ping"})
 		}
+		m.pushResults(accepted)
 	}
 }
 

@@ -1,30 +1,25 @@
 package wq
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
+
+	"lobster/internal/wire"
 )
 
-// The wire protocol is newline-delimited JSON messages in both directions.
+// The wire protocol is one framing in both directions: a message is a
+// size line, then exactly that many bytes of one JSON object
+// (wire.Conn.SendFrame / ReadFrame).
 //
-//	worker → master:  hello {name, cores, proto}
-//	master → worker:  hello {proto}           (batch capability ack, proto ≥ 1 peers only)
-//	master → worker:  task {task}             (v0 single-task framing)
-//	master → worker:  tasks {tasks}           (batch framing, proto ≥ 1 peers)
-//	worker → master:  result {result}         (v0 single-result framing)
-//	worker → master:  results {results}       (batch framing, only after the master's ack)
-//	either direction: ping {}
+//	worker → master:  hello {name, cores}
+//	master → worker:  tasks {tasks}
+//	worker → master:  results {results}
 //
-// Batch framing carries one message per K tasks (or results) instead of one
-// message per task, so a worker asking for K cores costs one wire round
-// instead of K. Capability is negotiated in the hello exchange: a worker
-// advertises proto ≥ 1, the master acks with its own hello, and only then
-// does either side use the batch message types — an old peer on either end
-// degrades the connection to the v0 single-message framing with no
-// configuration. Unknown message types are ignored on both sides, so the
-// protocol stays forward-extensible.
+// One message carries up to batchMax tasks (or results), so a worker
+// asking for K cores costs one wire round instead of K. Every peer lives in
+// this module, so there is nothing to negotiate. Unknown message types are
+// ignored on both sides, so the protocol stays forward-extensible.
 //
 // Cacheable input files are sent with data the first time a given content
 // hash crosses a connection and with hash only afterwards; each side keeps a
@@ -32,67 +27,41 @@ import (
 // cache. Within a batch, tasks are decoded in slice order, preserving the
 // data-before-hash-only invariant.
 
-// protoBatch is the protocol feature level at which batch framing is
-// understood. Level 0 peers speak one task or result per message.
-const protoBatch = 1
-
-// batchMax bounds the tasks or results carried by one batch message: large
+// batchMax bounds the tasks or results carried by one message: large
 // enough to amortise framing and syscalls across a whole worker's cores,
-// small enough that one message never buffers an unbounded payload.
+// small enough that one message stays far inside maxFrame.
 const batchMax = 64
+
+// maxFrame bounds one message's JSON body, and with it what a peer can
+// make a master, foreman or worker hold: a size line over it ends the
+// connection before a byte of the body is read. It is sized to the largest
+// message any caller sends. Production messages are small — a 64-task
+// batch is tens of KB, since task data travels over xrootd and chirp and a
+// result carries its report — while a task that ships its input files in
+// the message carries them base64-encoded, 4/3 of their size:
+// TestLargePayloadRoundTrip's 8 MiB file is ≈ 11 MiB of JSON each way.
+// 16 MiB holds that with room to spare.
+const maxFrame = 16 << 20
 
 type message struct {
 	Type    string    `json:"type"`
 	Name    string    `json:"name,omitempty"`
 	Cores   int       `json:"cores,omitempty"`
-	Proto   int       `json:"proto,omitempty"`
-	Task    *Task     `json:"task,omitempty"`
-	Result  *Result   `json:"result,omitempty"`
 	Tasks   []*Task   `json:"tasks,omitempty"`
 	Results []*Result `json:"results,omitempty"`
 }
 
-// conn wraps a net.Conn with JSON framing and a write lock so multiple
-// goroutines can send. The encoder and decoder are created once per
-// connection and reused for every message — the per-message cost is the
-// marshal itself, never a fresh encoder or framing buffer — and the
-// receive side decodes into a reused message struct, so steady-state
-// traffic allocates only the payload objects that escape to the caller.
-type conn struct {
-	raw net.Conn
-	dec *json.Decoder
+// newConn wraps one master, foreman or worker connection. The reader holds
+// a batch of small tasks or results whole; a bigger message goes past
+// both buffers straight between the socket and the codec.
+func newConn(nc net.Conn) *wire.Conn { return wire.NewConn("wq", nc, 4<<10, 4<<10) }
 
-	wmu sync.Mutex
-	enc *json.Encoder
-
-	rmsg message // recv scratch; valid until the next recv call
+// recv reads the next message into m, zeroed first so the tasks and
+// results it decodes are fresh objects that may outlive m.
+func recv(c *wire.Conn, m *message) error {
+	*m = message{}
+	return c.ReadFrame(maxFrame, m)
 }
-
-func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, dec: json.NewDecoder(raw), enc: json.NewEncoder(raw)}
-}
-
-func (c *conn) send(m *message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("wq: sending %s: %w", m.Type, err)
-	}
-	return nil
-}
-
-// recv decodes the next message into the connection's reusable scratch
-// struct. The returned pointer is only valid until the next recv call;
-// payload objects (tasks, results) are freshly allocated and may escape.
-func (c *conn) recv() (*message, error) {
-	c.rmsg = message{}
-	if err := c.dec.Decode(&c.rmsg); err != nil {
-		return nil, err
-	}
-	return &c.rmsg, nil
-}
-
-func (c *conn) close() error { return c.raw.Close() }
 
 // contentCache is a process-wide store of cacheable file contents by hash,
 // shared by all of a worker's slots (the paper's single cache directory per

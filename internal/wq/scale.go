@@ -1,6 +1,7 @@
 package wq
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +29,6 @@ type ScaleConfig struct {
 	// Drivers is the number of goroutines driving virtual workers
 	// (default GOMAXPROCS). Each driver owns an equal slice of the fleet.
 	Drivers int
-	// SingleMessage disables batch semantics: every dispatch round moves
-	// one task, the v0 protocol's behaviour, for before/after comparison.
-	SingleMessage bool
 }
 
 // ScaleReport is the outcome of one scale run.
@@ -55,12 +53,11 @@ func (r ScaleReport) String() string {
 // newLocalMaster builds a master with no listener: the dispatch plane is
 // driven directly (scale simulation), never over the network.
 func newLocalMaster() *Master {
-	m := &Master{
+	return &Master{
 		d:       newDispatchTable(),
 		res:     newResultTable(),
 		workers: make(map[*workerConn]bool),
 	}
-	return m
 }
 
 // newSimWorker builds a virtual worker: real dispatch bookkeeping, no
@@ -69,7 +66,6 @@ func newSimWorker(name string, cores, width int) *workerConn {
 	wc := &workerConn{
 		name:  name,
 		cores: cores,
-		batch: width > 1,
 		home:  homeQueue(name),
 		sent:  newSentSet(),
 	}
@@ -93,13 +89,7 @@ func RunScaleSim(cfg ScaleConfig) ScaleReport {
 	if cfg.Drivers <= 0 {
 		cfg.Drivers = runtime.GOMAXPROCS(0)
 	}
-	width := batchMax
-	if cfg.SingleMessage {
-		width = 1
-	}
-	if width > cfg.Cores {
-		width = cfg.Cores
-	}
+	width := min(batchMax, cfg.Cores)
 
 	m := newLocalMaster()
 	fleet := make([]*workerConn, cfg.Workers)
@@ -210,8 +200,13 @@ func RunScaleSim(cfg ScaleConfig) ScaleReport {
 // full wire framing, result batching, executor and sandbox lifecycle.
 // Worker counts here are bounded by file descriptors and goroutines, so
 // this plane proves the protocol end to end while RunScaleSim proves the
-// table's ceiling. single disables batch framing for before/after runs.
+// table's ceiling. single must be false: the single-message framing it
+// once chose is gone, and the argument goes with ROADMAP item 1 f, which
+// drops it from its last caller.
 func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, error) {
+	if single {
+		return ScaleReport{}, errors.New("wq: single-message framing was removed; drop the argument (ROADMAP item 1 f)")
+	}
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
 		return ScaleReport{}, err
@@ -230,9 +225,8 @@ func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, erro
 		}
 	}()
 	for i := 0; i < workers; i++ {
-		w, err := NewWorkerOpts(m.Addr(), fmt.Sprintf("lo-%d", i), cores,
-			filepath.Join(root, fmt.Sprintf("w%d", i)), reg,
-			WorkerOptions{DisableBatch: single})
+		w, err := NewWorker(m.Addr(), fmt.Sprintf("lo-%d", i), cores,
+			filepath.Join(root, fmt.Sprintf("w%d", i)), reg)
 		if err != nil {
 			return ScaleReport{}, err
 		}
@@ -255,18 +249,11 @@ func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, erro
 	}
 	elapsed := time.Since(start)
 
-	width := batchMax
-	if single {
-		width = 1
-	}
-	if width > cores {
-		width = cores
-	}
 	return ScaleReport{
 		Workers:     workers,
 		Cores:       cores,
 		Tasks:       tasks,
-		BatchWidth:  width,
+		BatchWidth:  min(batchMax, cores),
 		Elapsed:     elapsed,
 		TasksPerSec: float64(tasks) / elapsed.Seconds(),
 	}, nil

@@ -1,7 +1,9 @@
 package wq
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
@@ -61,7 +63,7 @@ func BenchmarkMatchLoop(b *testing.B) {
 
 // benchLoopback drives no-op tasks through a real master and real TCP
 // loopback workers, reporting sustained end-to-end dispatch throughput.
-func benchLoopback(b *testing.B, workers, cores int, opts WorkerOptions) {
+func benchLoopback(b *testing.B, workers, cores int) {
 	b.Helper()
 	reg := Registry{"noop": func(*ExecContext) error { return nil }}
 	m, err := NewMaster("127.0.0.1:0")
@@ -72,8 +74,8 @@ func benchLoopback(b *testing.B, workers, cores int, opts WorkerOptions) {
 	dir := b.TempDir()
 	ws := make([]*Worker, workers)
 	for i := range ws {
-		w, err := NewWorkerOpts(m.Addr(), fmt.Sprintf("w%d", i), cores,
-			fmt.Sprintf("%s/w%d", dir, i), reg, opts)
+		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), cores,
+			fmt.Sprintf("%s/w%d", dir, i), reg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,40 +104,19 @@ func benchLoopback(b *testing.B, workers, cores int, opts WorkerOptions) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
 
-// BenchmarkLoopbackDispatchSingle is the v0 wire path: one message per
-// task, one per result (the pre-batching protocol, via DisableBatch).
-func BenchmarkLoopbackDispatchSingle(b *testing.B) {
-	benchLoopback(b, 64, 8, WorkerOptions{DisableBatch: true})
-}
-
-// BenchmarkLoopbackDispatchBatched is the same fleet on batch framing.
+// BenchmarkLoopbackDispatchBatched is 64 workers of 8 cores, each task
+// and result riding a batch of up to 8.
 func BenchmarkLoopbackDispatchBatched(b *testing.B) {
-	benchLoopback(b, 64, 8, WorkerOptions{})
+	benchLoopback(b, 64, 8)
 }
 
 // BenchmarkScaleSim pushes 100k tasks through 10k virtual workers per op
 // — the guard-sized version of the 100k-worker / 1M-task harness run
 // (`lobster-bench -dispatch`), measuring the match loop at fleet scale.
 func BenchmarkScaleSim(b *testing.B) {
-	benchScaleSim(b, false)
-}
-
-// BenchmarkScaleSimSingle is the same fleet restricted to one task per
-// dispatch round, isolating what batch width alone buys.
-func BenchmarkScaleSimSingle(b *testing.B) {
-	benchScaleSim(b, true)
-}
-
-func benchScaleSim(b *testing.B, single bool) {
-	b.Helper()
 	var last ScaleReport
 	for i := 0; i < b.N; i++ {
-		last = RunScaleSim(ScaleConfig{
-			Workers:       10_000,
-			Cores:         8,
-			Tasks:         100_000,
-			SingleMessage: single,
-		})
+		last = RunScaleSim(ScaleConfig{Workers: 10_000, Cores: 8, Tasks: 100_000})
 	}
 	b.ReportMetric(last.TasksPerSec, "tasks/s")
 	b.ReportMetric(last.TaskBytes, "task-B")
@@ -146,5 +127,43 @@ func benchScaleSim(b *testing.B, single bool) {
 // it measures is how long a finished result waits to leave the worker —
 // under the old 200 µs linger, one netpoller-rounded millisecond.
 func BenchmarkLoopbackDispatchTwoSlots(b *testing.B) {
-	benchLoopback(b, 1, 2, WorkerOptions{})
+	benchLoopback(b, 1, 2)
+}
+
+// loopConn reads back what was written to it: a connection's two ends in
+// one, so a message's send and receive run on one goroutine.
+type loopConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *loopConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c *loopConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// BenchmarkResultMessage sends and receives one "results" message holding
+// one result, the message a two-slot worker sends per task: B/op and
+// allocs/op are the codec's cost per message, both ends together (the
+// received result is the one allocation that must escape), and wire-B is
+// the message's bytes on the wire, framing included.
+func BenchmarkResultMessage(b *testing.B) {
+	nc := &loopConn{}
+	c := newConn(nc)
+	now := time.Now()
+	out := message{Type: "results", Results: []*Result{{
+		TaskID: 123456, Tag: "small-tasks", Worker: "pilot-3",
+		Stats: TaskStats{Times: TaskTimes{Started: now, Finished: now}, Exec: time.Millisecond},
+	}}}
+	var in message
+	wire := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.SendFrame(&out); err != nil {
+			b.Fatal(err)
+		}
+		wire = nc.buf.Len()
+		if err := recv(c, &in); err != nil || len(in.Results) != 1 {
+			b.Fatalf("recv: %v", err)
+		}
+	}
+	b.ReportMetric(float64(wire), "wire-B")
 }

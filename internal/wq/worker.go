@@ -14,6 +14,7 @@ import (
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Worker connects to a master (or foreman), advertises a number of cores,
@@ -27,7 +28,7 @@ type Worker struct {
 	reg   Registry
 	dir   string
 	cache *contentCache
-	conn  *conn
+	conn  *wire.Conn
 
 	fault      *faultinject.Injector
 	stageRetry retry.Policy
@@ -40,12 +41,8 @@ type Worker struct {
 	// Result batching: finished tasks queue their results on resCh and a
 	// dedicated loop sends whatever is queued as one "results" message —
 	// results that finish while a send is on the wire share the next one.
-	// batchOK turns true when the master acks the batch capability; before
-	// that (and against an old master, forever) results go out one message
-	// each.
-	resCh   chan *Result
-	done    chan struct{} // closed by run() after in-flight tasks finish
-	batchOK atomic.Bool
+	resCh chan *Result
+	done  chan struct{} // closed by run() after in-flight tasks finish
 
 	tasksRun    atomic.Int64
 	tasksFailed atomic.Int64
@@ -132,10 +129,6 @@ type WorkerOptions struct {
 	// reads during staging. The zero Policy keeps the old behaviour:
 	// first error fails the task.
 	StageRetry retry.Policy
-	// DisableBatch pins the connection to the v0 single-message framing
-	// (the worker advertises proto 0). Used by interop tests and as an
-	// escape hatch.
-	DisableBatch bool
 }
 
 // NewWorker connects a worker to the master at addr. dir is the worker's
@@ -171,12 +164,7 @@ func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts 
 		resCh:      make(chan *Result, cores+batchMax),
 		done:       make(chan struct{}),
 	}
-	proto := protoBatch
-	if opts.DisableBatch {
-		proto = 0
-	}
-	if err := w.conn.send(&message{Type: "hello", Name: name, Cores: cores, Proto: proto}); err != nil {
-		raw.Close()
+	if err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		return nil, err
 	}
 	w.wg.Add(2)
@@ -202,9 +190,9 @@ func (w *Worker) Close() error {
 	if w.closed.Swap(true) {
 		return nil
 	}
-	err := w.conn.close()
+	w.conn.Fail(nil)
 	w.wg.Wait()
-	return err
+	return nil
 }
 
 // Evict abruptly severs the connection, abandoning running tasks — the
@@ -222,32 +210,18 @@ func (w *Worker) run() {
 	defer close(w.done)
 	var taskWG sync.WaitGroup
 	defer taskWG.Wait()
-	for {
-		msg, err := w.conn.recv()
-		if err != nil {
-			return
+	var msg message
+	for recv(w.conn, &msg) == nil {
+		if msg.Type != "tasks" {
+			continue
 		}
-		switch msg.Type {
-		case "task":
-			if msg.Task != nil {
-				w.startTask(msg.Task, &taskWG)
+		// Slice order matters: startTask resolves cacheable inputs as it
+		// goes, preserving the data-before-hash-only invariant within the
+		// batch.
+		for _, t := range msg.Tasks {
+			if t != nil {
+				w.startTask(t, &taskWG)
 			}
-		case "tasks":
-			// Batch framing: K tasks in one message. Slice order matters —
-			// startTask resolves cacheable inputs as it goes, preserving
-			// the data-before-hash-only invariant within the batch.
-			for _, t := range msg.Tasks {
-				if t != nil {
-					w.startTask(t, &taskWG)
-				}
-			}
-		case "hello":
-			// The master's capability ack: batched results are welcome.
-			if msg.Proto >= protoBatch {
-				w.batchOK.Store(true)
-			}
-		case "ping":
-			w.conn.send(&message{Type: "ping"})
 		}
 	}
 }
@@ -284,23 +258,20 @@ func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
 // millisecond by an idle process's netpoller and a slot cannot take its
 // next task until the master has seen this one. Batches form by
 // themselves — whatever finishes while a send is on the wire rides the
-// next message. Against a master that never acked batching, every result
-// is its own message.
+// next message. A failed send has broken the connection (SendFrame): the
+// master requeues what this worker held, the receive loop ends on the
+// closed socket, and every later send fails at once.
 func (w *Worker) resultLoop() {
 	defer w.wg.Done()
 	pending := make([]*Result, 0, batchMax)
+	out := message{Type: "results"}
 	flush := func() {
 		if len(pending) == 0 {
 			return
 		}
 		if !w.evicted.Load() {
-			if w.batchOK.Load() {
-				w.conn.send(&message{Type: "results", Results: pending})
-			} else {
-				for _, r := range pending {
-					w.conn.send(&message{Type: "result", Result: r})
-				}
-			}
+			out.Results = pending
+			w.conn.SendFrame(&out)
 		}
 		clear(pending)
 		pending = pending[:0]
