@@ -115,7 +115,7 @@ bench-kernel:
 	$(GO) test ./internal/simevent/ -run XXX -bench . -benchmem
 
 # The one regression guard: evaluates every rule table (BENCH_*.json —
-# kernel, dataplane, scale, health, tsdb, challenge) in one pass. A rule
+# kernel, dataplane, scale, health, tsdb) in one pass. A rule
 # is a benchmark, a metric and a bound: absolute for deterministic costs
 # (allocs/op, bytes/sample, resident bytes per task), same-run ratio for
 # the headline speedups, best-of-N against pinned samples for wall clock

@@ -205,13 +205,13 @@ func TestUpdateRewritesOnlyPinnedSamples(t *testing.T) {
 	}
 }
 
-// The six real tables: valid under the one schema, laid out the way
+// The five real tables: valid under the one schema, laid out the way
 // -update writes them (so a re-pin diffs only samples), and every rule
 // names a benchmark its package declares. Runs no benchmark.
 func TestRootTables(t *testing.T) {
 	paths, _ := filepath.Glob("../../BENCH_*.json")
-	if len(paths) != 6 {
-		t.Fatalf("found %d BENCH_*.json in the module root, want 6: %v", len(paths), paths)
+	if len(paths) != 5 {
+		t.Fatalf("found %d BENCH_*.json in the module root, want 5: %v", len(paths), paths)
 	}
 	declared := map[string][]byte{} // pkg → its *_test.go sources
 	for _, path := range paths {

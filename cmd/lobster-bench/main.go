@@ -12,7 +12,6 @@
 //	lobster-bench -scale 1   # full paper scale
 //	lobster-bench -only fig10,fig11
 //	lobster-bench -dispatch -scale 1   # 100k workers / 1M tasks through one master
-//	lobster-bench -challenge           # striped-fetch throughput + link extrapolation
 //	lobster-bench -cpuprofile cpu.pprof -memprofile mem.pprof -trace trace.out
 package main
 
@@ -37,7 +36,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure list (fig2,...,fig11); empty = all")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum figures generated concurrently")
 	dispatch := flag.Bool("dispatch", false, "run the dispatch-plane scale harness (100k workers / 1M tasks at -scale 1) instead of the figures")
-	challenge := flag.Bool("challenge", false, "run the data-challenge throughput harness (loopback striped fetch + paper-scale link extrapolation) instead of the figures")
 	var prof profiling.Flags
 	prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -56,12 +54,9 @@ func main() {
 		os.Exit(1)
 	}
 	var runErr error
-	switch {
-	case *dispatch:
+	if *dispatch {
 		runErr = runDispatch(*scale)
-	case *challenge:
-		runErr = runChallenge(*scale)
-	default:
+	} else {
 		runErr = run(*scale, sel, *jobs)
 	}
 	if err := stop(); err != nil && runErr == nil {

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"errors"
+	"hash/crc32"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -139,8 +140,9 @@ func TestCloseRemovesTheScratchItMade(t *testing.T) {
 // writes, serves the bytes the generator has always produced for each
 // whole file from the same seed — files larger than one chunk, and an
 // event size that is not a multiple of the 8 bytes an RNG draw fills. The
-// CRCs are constants, not a second run of the generator, so a drift that
-// the generator and the path under test share still fails here.
+// CRCs are taken here over the bytes as a client fetches them, and they
+// are constants, not a second run of the generator, so a drift that the
+// generator and the path under test share still fails here.
 func TestDatasetBytesUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		eventBytes int64
@@ -159,15 +161,11 @@ func TestDatasetBytesUnchanged(t *testing.T) {
 		}
 		cl := &xrootd.Client{Redirector: st.Redirector}
 		for i, f := range st.Dataset.Files {
-			rf, err := cl.Open(f.LFN)
+			data, err := cl.Fetch(f.LFN)
 			if err != nil {
 				t.Fatal(err)
 			}
-			size, crc, ok, err := rf.Stat()
-			rf.Close()
-			if err != nil || !ok {
-				t.Fatalf("stat %s: ok=%v err=%v", f.LFN, ok, err)
-			}
+			size, crc := int64(len(data)), crc32.ChecksumIEEE(data)
 			if want := 1100 * c.eventBytes; size != want || crc != c.crcs[i] {
 				t.Errorf("event size %d, %s: served %d bytes crc %08x, want %d bytes crc %08x",
 					c.eventBytes, f.LFN, size, crc, want, c.crcs[i])

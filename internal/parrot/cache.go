@@ -375,12 +375,22 @@ func (i *Instance) fetchAlien(hash string, fetch func() ([]byte, error)) ([]byte
 		c.inflight[hash] = p
 		c.mu.Unlock()
 
-		data, _, err := i.fetchDirect(hash, fetch)
+		// A populator may have installed the object and left between our
+		// first look and taking the slot: it writes before it leaves, so
+		// look again before downloading a second time.
+		data := i.readIfPresent(hash)
+		hit := data != nil
+		var err error
+		if hit {
+			i.stats.Hits++
+		} else {
+			data, _, err = i.fetchDirect(hash, fetch)
+		}
 		p.err = err
 		c.mu.Lock()
 		delete(c.inflight, hash)
 		c.mu.Unlock()
 		close(p.done)
-		return data, false, err
+		return data, hit, err
 	}
 }

@@ -39,9 +39,6 @@ type Stats struct {
 	CachedBytes   int64
 	Evictions     int64
 	Coalesced     int64 // requests satisfied by piggybacking on an in-flight fetch
-	PeerHits      int64 // misses satisfied by a sibling cache instead of the origin
-	PeerBytes     int64 // bytes fetched from sibling caches
-	ProbesServed  int64 // only-if-cached probes answered for siblings (hit or miss)
 }
 
 // HitRate returns hits / (hits+misses), or 0 with no traffic.
@@ -60,9 +57,6 @@ const maxOriginConns = 64
 type Config struct {
 	// CapacityBytes bounds the cache size. Zero means 1 GiB.
 	CapacityBytes int64
-	// Client performs origin requests; nil means http.DefaultClient with a
-	// 30 s timeout.
-	Client *http.Client
 	// Fault, when non-nil, wraps the origin client's transport so every
 	// origin round trip consults the fault plane under component
 	// "squid_origin".
@@ -72,13 +66,6 @@ type Config struct {
 	// Coalesced waiters share the retried fetch, so a storm of identical
 	// requests still costs one origin attempt sequence.
 	Retry retry.Policy
-	// Peers lists sibling cache base URLs probed on a miss before the
-	// origin — the squid cache-hierarchy peering that keeps a site's
-	// second cold cache from re-crossing the WAN. Probes carry
-	// Cache-Control: only-if-cached, so a sibling answers from its cache
-	// or says 504 immediately; it never recurses to the origin or its
-	// own peers on a probe, which also makes mutual peering cycle-free.
-	Peers []string
 }
 
 // Proxy is a caching HTTP proxy in front of a single origin base URL.
@@ -86,7 +73,6 @@ type Config struct {
 // origin base. Safe for concurrent use.
 type Proxy struct {
 	origin *url.URL
-	peers  []*url.URL
 	client *http.Client
 	retry  retry.Policy
 	sem    chan struct{}
@@ -124,8 +110,6 @@ type proxyTelemetry struct {
 	evictions    *telemetry.Counter
 	bytesServed  *telemetry.Counter
 	bytesFetched *telemetry.Counter
-	peerHits     *telemetry.Counter
-	peerBytes    *telemetry.Counter
 	planeIn      *telemetry.Counter // lobster_bytes_total{squid,in}
 	planeOut     *telemetry.Counter // lobster_bytes_total{squid,out}
 }
@@ -151,10 +135,6 @@ func (p *Proxy) Instrument(reg *telemetry.Registry) {
 			"Response bytes served to clients."),
 		bytesFetched: reg.Counter("lobster_squid_bytes_fetched_total",
 			"Bytes fetched from the origin (misses only)."),
-		peerHits: reg.Counter("lobster_squid_peer_hits_total",
-			"Misses satisfied by a sibling cache instead of the origin."),
-		peerBytes: reg.Counter("lobster_squid_peer_bytes_total",
-			"Bytes fetched from sibling caches."),
 		planeIn:  reg.Bytes("squid", telemetry.DirIn),
 		planeOut: reg.Bytes("squid", telemetry.DirOut),
 	}
@@ -253,27 +233,10 @@ func New(origin string, cfg Config) (*Proxy, error) {
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 1 << 30
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.Fault != nil {
-		// Clone so the caller's client is not mutated.
-		cl := *client
-		cl.Transport = cfg.Fault.Transport("squid_origin", client.Transport)
-		client = &cl
-	}
-	peers := make([]*url.URL, 0, len(cfg.Peers))
-	for _, peer := range cfg.Peers {
-		pu, err := url.Parse(peer)
-		if err != nil || pu.Scheme == "" || pu.Host == "" {
-			return nil, fmt.Errorf("squid: bad peer %q: must be an absolute URL", peer)
-		}
-		peers = append(peers, pu)
-	}
+	// A nil Fault leaves the transport nil: http.DefaultTransport.
+	client := &http.Client{Timeout: 30 * time.Second, Transport: cfg.Fault.Transport("squid_origin", nil)}
 	return &Proxy{
 		origin:   u,
-		peers:    peers,
 		client:   client,
 		retry:    cfg.Retry,
 		sem:      make(chan struct{}, maxOriginConns),
@@ -282,25 +245,6 @@ func New(origin string, cfg Config) (*Proxy, error) {
 		items:    make(map[string]*list.Element),
 		inflight: make(map[string]*stream),
 	}, nil
-}
-
-// SetPeers replaces the sibling cache set. Mutual peering needs it:
-// two proxies can only learn each other's URLs after both listeners
-// are up. Safe to call while serving; in-flight pumps keep the set
-// they started with.
-func (p *Proxy) SetPeers(peers ...string) error {
-	parsed := make([]*url.URL, 0, len(peers))
-	for _, peer := range peers {
-		pu, err := url.Parse(peer)
-		if err != nil || pu.Scheme == "" || pu.Host == "" {
-			return fmt.Errorf("squid: bad peer %q: must be an absolute URL", peer)
-		}
-		parsed = append(parsed, pu)
-	}
-	p.mu.Lock()
-	p.peers = parsed
-	p.mu.Unlock()
-	return nil
 }
 
 // Stats returns a snapshot of the proxy counters.
@@ -334,9 +278,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if el, ok := p.items[key]; ok {
 		p.lru.MoveToFront(el)
 		p.stats.Hits++
-		if onlyIfCached(r.Header) {
-			p.stats.ProbesServed++
-		}
 		ent := el.Value.(*entry)
 		p.mu.Unlock()
 		p.tel.hits.Inc()
@@ -352,19 +293,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 		p.countServed(int64(len(ent.body)))
 		w.Write(ent.body)
-		return
-	}
-	// A sibling's only-if-cached probe gets an immediate answer: hit was
-	// handled above, so this is a miss, and a probe must never trigger an
-	// origin fetch or coalesce onto one — mutual peers probing each other
-	// mid-miss would otherwise deadlock waiting on each other's pumps.
-	if onlyIfCached(r.Header) {
-		p.stats.ProbesServed++
-		p.mu.Unlock()
-		sp.Attr("outcome", outcomeProbeMiss)
-		sp.End()
-		w.Header().Set("X-Cache", "MISS")
-		http.Error(w, "squid: not cached", http.StatusGatewayTimeout)
 		return
 	}
 	// Coalesce with an in-flight fetch when one exists; otherwise become
@@ -472,33 +400,13 @@ const (
 	outcomeHit       = "hit"
 	outcomeMiss      = "miss"
 	outcomeCoalesced = "coalesced"
-	outcomeProbeMiss = "probe_miss"
 )
 
-// onlyIfCached reports whether the request is a sibling cache probe:
-// RFC 9111's only-if-cached directive asks for the cached copy or an
-// immediate 504, never a forwarded fetch.
-func onlyIfCached(h http.Header) bool {
-	return strings.Contains(h.Get("Cache-Control"), "only-if-cached")
-}
-
-// pump runs the fetch for one miss — sibling caches first, then the
-// origin — broadcasting bytes to the stream's consumers and committing
-// the result to the cache. Runs in its own goroutine so the leader
-// request streams like every waiter. Peer probing happens inside the
-// single-flight: however many requests coalesced on this key, the
-// cluster sees one probe sweep and at most one origin fetch.
+// pump runs the origin fetch for one miss, broadcasting bytes to the
+// stream's consumers and committing the result to the cache. Runs in its
+// own goroutine so the leader request streams like every waiter.
 func (p *Proxy) pump(key string, st *stream, wireCtx, spanCtx trace.Context) {
-	p.mu.Lock()
-	peers := p.peers
-	p.mu.Unlock()
-	err := errPeerMiss
-	if len(peers) > 0 {
-		err = p.fetchPeers(peers, key, st, wireCtx, spanCtx)
-	}
-	if err == errPeerMiss {
-		err = p.fetchOrigin(key, st, wireCtx, spanCtx)
-	}
+	err := p.fetchOrigin(key, st, wireCtx, spanCtx)
 	p.mu.Lock()
 	delete(p.inflight, key)
 	if err == nil && cacheable(st.hdr) {
@@ -508,98 +416,6 @@ func (p *Proxy) pump(key string, st *stream, wireCtx, spanCtx trace.Context) {
 	}
 	p.mu.Unlock()
 	st.finish(err)
-}
-
-// errPeerMiss means no sibling cache held the object: fall through to
-// the origin. Any other fetchPeers error means a peer committed the
-// response headers and then failed — the body is already under way to
-// clients, so the origin cannot repair it.
-var errPeerMiss = fmt.Errorf("squid: no peer holds the object")
-
-// fetchPeers probes the sibling caches in order and streams the body
-// from the first one that answers 200.
-func (p *Proxy) fetchPeers(peers []*url.URL, key string, st *stream, wireCtx, spanCtx trace.Context) error {
-	for _, peer := range peers {
-		committed, err := p.fetchPeer(peer, key, st, wireCtx, spanCtx)
-		if err == nil {
-			return nil
-		}
-		if committed {
-			return err
-		}
-	}
-	return errPeerMiss
-}
-
-// fetchPeer probes one sibling. committed reports whether response
-// headers were published to the stream (after which failures are
-// final). Probe failures before that are soft: the next peer or the
-// origin picks up.
-func (p *Proxy) fetchPeer(peer *url.URL, key string, st *stream, wireCtx, spanCtx trace.Context) (committed bool, err error) {
-	u := *peer
-	if i := strings.IndexByte(key, '?'); i >= 0 {
-		u.Path = key[:i]
-		u.RawQuery = key[i+1:]
-	} else {
-		u.Path = key
-	}
-	var sp *trace.Span
-	if p.tracer != nil && spanCtx.Valid() {
-		sp = p.tracer.Start(spanCtx, "squid", "peer_probe")
-		sp.Attr("peer", peer.Host)
-	}
-	defer sp.End()
-	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Cache-Control", "only-if-cached")
-	sp.Context().OrElse(wireCtx).SetHTTP(req.Header)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		sp.Attr("error", err.Error())
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		sp.Attr("outcome", "miss")
-		return false, errPeerMiss
-	}
-	hdr := make(http.Header)
-	for _, k := range []string{"Content-Type", "Cache-Control"} {
-		if v := resp.Header.Get(k); v != "" {
-			hdr.Set(k, v)
-		}
-	}
-	st.publishHeaders(hdr, resp.ContentLength)
-	var fetched int64
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	for {
-		n, rerr := resp.Body.Read(*buf)
-		if n > 0 {
-			st.append((*buf)[:n])
-			fetched += int64(n)
-			p.tel.peerBytes.Add(int64(n))
-			p.tel.planeIn.Add(int64(n))
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			sp.Attr("error", rerr.Error())
-			return true, fmt.Errorf("squid: peer body truncated at %d bytes: %w", fetched, rerr)
-		}
-	}
-	p.mu.Lock()
-	p.stats.PeerHits++
-	p.stats.PeerBytes += fetched
-	p.mu.Unlock()
-	p.tel.peerHits.Inc()
-	sp.Attr("outcome", "hit")
-	sp.AttrInt("bytes", fetched)
-	return true, nil
 }
 
 // cacheable reports whether the response headers permit caching.

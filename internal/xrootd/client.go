@@ -1,7 +1,6 @@
 package xrootd
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -40,19 +39,14 @@ type Client struct {
 	// Fault, when non-nil, wires replica connections into the fault
 	// plane under component "xrootd_client".
 	Fault *faultinject.Injector
-	// Telemetry, when non-nil, counts fetched payload bytes under
-	// lobster_bytes_total{component="xrootd_client",site=...}, one
+	// Telemetry, when non-nil, counts every payload byte a read receives
+	// under lobster_bytes_total{component="xrootd_client",site=...}, one
 	// series per serving site — the Figure 9 accounting shape — and the
 	// connections opens use under lobster_xrootd_client_conns_total.
 	Telemetry *telemetry.Registry
-	// Selector, when non-nil, orders Locate results by observed
-	// bandwidth and sheds consistently slow or failing replicas. Every
-	// completed transfer feeds it; share one selector across the
-	// clients of a consumer so the EWMAs see all streams.
-	Selector *Selector
 
-	// The protocol is stateless per command (every open, stat and read
-	// names its LFN), so a connection that served one File serves the
+	// The protocol is stateless per command (every open and read names
+	// its LFN), so a connection that served one File serves the
 	// next as it is: File.Close parks it here. Built on first use; a
 	// Client must not be copied after that.
 	once sync.Once
@@ -90,6 +84,9 @@ type File struct {
 	offset int64
 	conn   *wire.Conn // nil once Close gave it back
 	rep    Replica    // the replica serving this connection
+	// siteBytes is the serving site's lobster_bytes_total series, nil
+	// when the client has no Telemetry.
+	siteBytes *telemetry.Counter
 }
 
 // Broken reports whether a transport failure has poisoned this file's
@@ -139,7 +136,6 @@ func (c *Client) openPass(lfn string, sp *trace.Span) (*File, error) {
 		// An unknown LFN will stay unknown: no point re-asking.
 		return nil, retry.Permanent(err)
 	}
-	reps = c.Selector.Order(reps)
 	var firstErr error
 	allPermanent := true
 	for i, rep := range reps {
@@ -167,7 +163,7 @@ func (c *Client) openPass(lfn string, sp *trace.Span) (*File, error) {
 
 // openAt opens lfn at rep on a parked connection or a fresh dial. A
 // parked one the peer hung up on is replaced by a dial at no cost to the
-// caller's retry budget or to the replica's standing with the Selector.
+// caller's retry budget.
 func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 	f := &File{client: c, lfn: lfn, rep: rep}
 	conn, err := c.conns().Take(rep.Addr, func(conn *wire.Conn) (err error) {
@@ -176,10 +172,10 @@ func (c *Client) openAt(lfn string, rep Replica) (*File, error) {
 		return err
 	})
 	if err != nil {
-		c.Selector.ObserveError(rep)
 		return nil, err
 	}
 	f.conn = conn
+	f.siteBytes = c.Telemetry.SiteBytes("xrootd_client", telemetry.DirIn, rep.Site)
 	return f, nil
 }
 
@@ -202,38 +198,6 @@ func (f *File) roundTrip(cmd []byte, max int64) (int64, error) {
 	return f.conn.ReadSize(max)
 }
 
-// Stat asks the replica for the file's size and whole-content CRC32.
-// ok is false when the server predates the stat command (it answered
-// "-1 unknown command"); the connection stays usable either way unless
-// a transport or protocol error is returned.
-func (f *File) Stat() (size int64, crc uint32, ok bool, err error) {
-	if err := f.conn.Err(); err != nil {
-		return 0, 0, false, err
-	}
-	if err := f.conn.Send(append(f.request("stat"), '\n')); err != nil {
-		return 0, 0, false, err
-	}
-	line, err := f.conn.ReadStatus()
-	var se *wire.ServerError
-	if errors.As(err, &se) {
-		return f.size, 0, false, nil
-	}
-	if err != nil {
-		return 0, 0, false, err
-	}
-	var buf [3][]byte
-	fields := wire.Fields(line, buf[:0])
-	var c64 uint64
-	if len(fields) == 2 {
-		c64, err = strconv.ParseUint(string(fields[1]), 16, 32)
-	}
-	if len(fields) != 2 || err != nil {
-		return 0, 0, false, f.conn.Protocol("bad stat response %q", line)
-	}
-	size, err = f.conn.ParseSize(fields[0], math.MaxInt64)
-	return size, uint32(c64), err == nil, err
-}
-
 // Size returns the file size.
 func (f *File) Size() int64 { return f.size }
 
@@ -254,7 +218,9 @@ func (f *File) Read(p []byte) (int, error) {
 }
 
 // ReadAt reads len(p) bytes at the given offset (shorter only at EOF). A
-// reply that announces more than len(p) is a protocol error.
+// reply that announces more than len(p) is a protocol error. The bytes
+// count for the consumer on the Dashboard and for the serving site on
+// the client's Telemetry.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -273,6 +239,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, f.conn.Fail(fmt.Errorf("xrootd: short payload: %w", err))
 	}
 	f.client.Dashboard.Record(f.client.Consumer, n)
+	f.siteBytes.Add(n)
 	return int(n), nil
 }
 
@@ -304,55 +271,37 @@ func (c *Client) Fetch(lfn string) ([]byte, error) {
 // count. The positional read protocol makes retries resumable: a transport
 // failure mid-fetch reopens the file (possibly on another replica) and
 // continues at the byte where the previous attempt died, so the bytes
-// already delivered to w are never re-fetched or duplicated. A sink (w)
-// failure is permanent — a retry would feed the same broken sink.
+// already delivered to w are never re-fetched or duplicated. Every read
+// goes through File.ReadAt, so each attempt's bytes count for the site
+// that served them. A sink (w) failure is permanent — a retry would feed
+// the same broken sink.
 func (c *Client) FetchTo(lfn string, w io.Writer) (int64, error) {
 	var written int64
 	err := c.Retry.Do(func() error {
-		startT := time.Now()
-		n, rep, err := c.fetchToOnce(lfn, w, written)
+		n, err := c.fetchToOnce(lfn, w, written)
 		written += n
-		c.account(rep, n, time.Since(startT), err)
 		return err
 	})
 	return written, err
 }
 
-// account feeds one attempt's outcome to the selector and the shared
-// byte counter. Bytes are counted per attempt, stamped with the serving
-// site, so a fetch that fails over mid-file attributes each span of
-// bytes to the replica that actually served it.
-func (c *Client) account(rep Replica, n int64, d time.Duration, err error) {
-	if n > 0 {
-		c.Selector.Observe(rep, n, d)
-		if reg := c.Telemetry; reg != nil {
-			reg.SiteBytes("xrootd_client", telemetry.DirIn, rep.Site).Add(n)
-		}
-	}
-	if err != nil && rep.Addr != "" {
-		c.Selector.ObserveError(rep)
-	}
-}
-
 // fetchToOnce performs one fetch attempt starting at offset start,
-// returning how many bytes it delivered to w and the replica that
-// served them (the zero Replica when no replica was even opened). The
-// outer policy in FetchTo owns backoff, so the open is a single pass.
-func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64) (int64, Replica, error) {
+// returning how many bytes it delivered to w. The outer policy in
+// FetchTo owns backoff, so the open is a single pass.
+func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64) (int64, error) {
 	f, err := c.openPass(lfn, nil)
 	if err != nil {
-		return 0, Replica{}, err
+		return 0, err
 	}
 	defer f.Close()
 	if start > f.Size() {
-		return 0, f.rep, retry.Permanent(fmt.Errorf(
+		return 0, retry.Permanent(fmt.Errorf(
 			"xrootd: %s shrank to %d bytes below resume offset %d", lfn, f.Size(), start))
 	}
 	f.offset = start
 	if land, ok := w.(*bufpool.Arrival); ok { // in memory: no chunk between wire and destination
 		land.Announced = f.Size()
-		n, err := land.ReadFrom(f)
-		return n, f.rep, err
+		return land.ReadFrom(f)
 	}
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
@@ -366,14 +315,14 @@ func (c *Client) fetchToOnce(lfn string, w io.Writer, start int64) (int64, Repli
 				werr = io.ErrShortWrite
 			}
 			if werr != nil {
-				return n, f.rep, retry.Permanent(fmt.Errorf("xrootd: writing payload to sink: %w", werr))
+				return n, retry.Permanent(fmt.Errorf("xrootd: writing payload to sink: %w", werr))
 			}
 		}
 		if err == io.EOF {
-			return n, f.rep, nil
+			return n, nil
 		}
 		if err != nil {
-			return n, f.rep, err
+			return n, err
 		}
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/telemetry"
@@ -22,21 +20,14 @@ import (
 //
 //	open <lfn>                 → "<size>\n" | "-1 <error>\n"
 //	read <lfn> <offset> <len>  → "<n>\n" + n bytes | "-1 <error>\n"
-//	stat <lfn>                 → "<size> <crc32>\n" | "-1 <error>\n"
 //	quit                       → closes the connection
 //
-// read returns fewer than len bytes only at end of file. stat carries
-// the IEEE CRC32 of the whole content in lower-case hex: striped
-// multi-replica fetches use it to check that the replicas they are
-// about to stripe across hold the same bytes, and to verify the
-// reassembled output. Servers predating stat answer "-1 unknown
-// command", which clients treat as "no checksum available".
+// read returns fewer than len bytes only at end of file.
 
 // DataServer serves file content by LFN over TCP for one site. What it
 // stores lives in one spool file, never on the heap: the stored files lie
-// end to end in it, each written once with its CRC taken in the same
-// pass, and every connection answers reads with positional ReadAt on the
-// one handle. The spool is unlinked as soon as it exists, so the handle
+// end to end in it, each written once, and every connection answers reads
+// with positional ReadAt on the one handle. The spool is unlinked as soon as it exists, so the handle
 // is all there is of it and a process that dies leaves nothing on disk.
 type DataServer struct {
 	site  string
@@ -56,17 +47,13 @@ type DataServer struct {
 	reads       atomic.Int64
 	bytesOut    atomic.Int64
 	storedBytes atomic.Int64
-	throttle    atomic.Int64 // payload bytes/sec per connection; 0 = unthrottled
 }
 
-// stored is where one file's bytes lie in the spool, and their CRC.
-type stored struct {
-	off, size int64
-	crc       uint32
-}
+// stored is where one file's bytes lie in the spool.
+type stored struct{ off, size int64 }
 
 // spoolWriter is what a StoreFrom fill writes through: the bytes go to
-// the spool from off on, the size and CRC kept as they go by.
+// the spool from off on, the size kept as they go by.
 type spoolWriter struct {
 	f *os.File
 	stored
@@ -85,7 +72,6 @@ func (w *spoolWriter) Write(p []byte) (n int, err error) {
 		var m int
 		m, err = w.f.WriteAt(p[:min(len(p), spoolWrite)], w.off+w.size)
 		w.size += int64(m)
-		w.crc = crc32.Update(w.crc, crc32.IEEETable, p[:m])
 		n, p = n+m, p[m:]
 	}
 	return n, err
@@ -148,7 +134,7 @@ func (s *DataServer) install(lfn string, st stored) error {
 }
 
 // Store is StoreFrom for content already in memory, the form fixtures
-// and the challenge bench use. Like httptest.NewServer it panics when the
+// use. Like httptest.NewServer it panics when the
 // environment fails it (the spool cannot be written) rather than make
 // every caller carry an error it cannot act on.
 func (s *DataServer) Store(lfn string, content []byte) Replica {
@@ -165,28 +151,6 @@ func (s *DataServer) Store(lfn string, content []byte) Replica {
 // SetDown toggles fault injection: while down, every request errors. This
 // models the transient WAN data-access outage in the paper's Figure 10.
 func (s *DataServer) SetDown(down bool) { s.down.Store(down) }
-
-// SetThrottle caps each connection's payload rate at bytesPerSec
-// (0 = unthrottled). Loopback runs at memcpy speed; a throttled server
-// models the data-challenge shape instead — a remote storage element
-// whose uplink, not the client NIC, bounds a single stream, which is
-// the regime where striping across replicas pays.
-func (s *DataServer) SetThrottle(bytesPerSec int64) {
-	s.throttle.Store(bytesPerSec)
-}
-
-// pace sleeps long enough after serving n payload bytes to hold the
-// connection at the throttle rate.
-func (s *DataServer) pace(n int64) {
-	rate := s.throttle.Load()
-	if rate <= 0 || n <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(n * int64(time.Second) / rate))
-}
-
-// Reads returns the number of read requests served.
-func (s *DataServer) Reads() int64 { return s.reads.Load() }
 
 // Instrument exports the server's own counters on reg, read at scrape
 // time; a nil registry is a no-op. One data server per registry: the
@@ -263,16 +227,6 @@ func (s *DataServer) dispatch(line []byte, _ *bufio.Reader, w *bufio.Writer) err
 		}
 		fmt.Fprintf(w, "%d\n", st.size)
 		return nil
-	case "stat":
-		if len(fields) != 2 {
-			return errors.New("usage: stat <lfn>")
-		}
-		st, err := s.lookup(fields[1])
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%d %08x\n", st.size, st.crc)
-		return nil
 	case "read":
 		if len(fields) != 4 {
 			return errors.New("usage: read <lfn> <offset> <len>")
@@ -290,11 +244,7 @@ func (s *DataServer) dispatch(line []byte, _ *bufio.Reader, w *bufio.Writer) err
 		// overflow int64, the subtraction cannot.
 		off = min(off, st.size)
 		n = min(n, st.size-off)
-		if err := s.sendRange(w, st.off+off, n); err != nil {
-			return err
-		}
-		s.pace(n)
-		return nil
+		return s.sendRange(w, st.off+off, n)
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])
 	}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -59,8 +57,7 @@ func TestDispatchReplies(t *testing.T) {
 		{line: "open /missing", err: "no such file /missing"},
 		{line: "open", err: "usage: open <lfn>"},
 		{line: "open /store/a.root extra", err: "usage: open <lfn>"},
-		{line: "stat /store/a.root", reply: fmt.Sprintf("256 %08x\n", crc32.ChecksumIEEE(content))},
-		{line: "stat /missing", err: "no such file /missing"},
+		{line: "stat /store/a.root", err: `unknown command "stat"`},
 		{line: "read /store/a.root 0 4", reply: "4\nx0x0"},
 		{line: "read /store/a.root 1 3", reply: "3\n0x0"},
 		{line: "  read\t/store/a.root  1   3 ", reply: "3\n0x0"},

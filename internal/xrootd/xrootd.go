@@ -46,25 +46,6 @@ func (r *Redirector) Register(lfn string, rep Replica) {
 	r.replicas[lfn] = append(r.replicas[lfn], rep)
 }
 
-// Deregister removes every replica of lfn at the given address (server
-// decommissioned or declared lost).
-func (r *Redirector) Deregister(lfn, addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	reps := r.replicas[lfn]
-	out := reps[:0]
-	for _, rep := range reps {
-		if rep.Addr != addr {
-			out = append(out, rep)
-		}
-	}
-	if len(out) == 0 {
-		delete(r.replicas, lfn)
-	} else {
-		r.replicas[lfn] = out
-	}
-}
-
 // Locate returns the replicas of lfn.
 func (r *Redirector) Locate(lfn string) ([]Replica, error) {
 	r.mu.Lock()
@@ -82,13 +63,6 @@ func (r *Redirector) Lookups() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.lookups
-}
-
-// Files returns the number of distinct LFNs known.
-func (r *Redirector) Files() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.replicas)
 }
 
 // Dashboard aggregates transfer volume by consumer, as the CMS global

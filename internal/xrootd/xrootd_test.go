@@ -6,6 +6,10 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
+
+	"lobster/internal/retry"
+	"lobster/internal/telemetry"
 )
 
 func newServer(t *testing.T, site string) *DataServer {
@@ -31,23 +35,8 @@ func TestRedirectorRegisterLocate(t *testing.T) {
 	if _, err := r.Locate("/store/missing.root"); err == nil {
 		t.Error("missing LFN located")
 	}
-	if r.Files() != 1 || r.Lookups() != 2 {
-		t.Errorf("files=%d lookups=%d", r.Files(), r.Lookups())
-	}
-}
-
-func TestRedirectorDeregister(t *testing.T) {
-	r := NewRedirector()
-	r.Register("/f", Replica{Site: "A", Addr: "a:1"})
-	r.Register("/f", Replica{Site: "B", Addr: "b:1"})
-	r.Deregister("/f", "a:1")
-	reps, err := r.Locate("/f")
-	if err != nil || len(reps) != 1 || reps[0].Site != "B" {
-		t.Fatalf("after deregister: %v, %v", reps, err)
-	}
-	r.Deregister("/f", "b:1")
-	if _, err := r.Locate("/f"); err == nil {
-		t.Error("fully deregistered LFN located")
+	if r.Lookups() != 2 {
+		t.Errorf("lookups=%d", r.Lookups())
 	}
 }
 
@@ -137,6 +126,70 @@ func TestFailoverToSecondReplica(t *testing.T) {
 	}
 	if string(got) != string(content) {
 		t.Fatal("content mismatch after failover")
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestFetchToFailoverStampsSiteBytes: a fetch whose replica goes away
+// mid-file resumes on the next one, and each site's lobster_bytes_total
+// series holds exactly the bytes that site served.
+func TestFetchToFailoverStampsSiteBytes(t *testing.T) {
+	first, second := newServer(t, "T2_US_Site0"), newServer(t, "T2_US_Site1")
+	red := NewRedirector()
+	content := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
+	red.Register("/big", first.Store("/big", content))
+	red.Register("/big", second.Store("/big", content))
+	reg := telemetry.NewRegistry()
+	c := &Client{Redirector: red, Consumer: "c", Telemetry: reg,
+		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}}}
+	defer c.Close()
+	var out bytes.Buffer
+	n, err := c.FetchTo("/big", writerFunc(func(p []byte) (int, error) {
+		if out.Len() == 0 {
+			first.Close() // the serving replica dies after its first chunk
+		}
+		return out.Write(p)
+	}))
+	if err != nil || n != int64(len(content)) || !bytes.Equal(out.Bytes(), content) {
+		t.Fatalf("FetchTo = %d, %v; identical %v", n, err, bytes.Equal(out.Bytes(), content))
+	}
+	a := reg.SiteBytes("xrootd_client", telemetry.DirIn, "T2_US_Site0").Value()
+	b := reg.SiteBytes("xrootd_client", telemetry.DirIn, "T2_US_Site1").Value()
+	if a == 0 || b == 0 || a+b != int64(len(content)) {
+		t.Fatalf("site bytes %d + %d; want both sites counted, %d in all", a, b, len(content))
+	}
+}
+
+// TestReadAtStampsSiteBytes: the workflow reads through Open and ReadAt,
+// never FetchTo, and those reads count for the serving site too.
+func TestReadAtStampsSiteBytes(t *testing.T) {
+	srv := newServer(t, "T3_US_NotreDame")
+	red := NewRedirector()
+	content := bytes.Repeat([]byte("event;"), 1000)
+	red.Register("/f", srv.Store("/f", content))
+	reg := telemetry.NewRegistry()
+	c := &Client{Redirector: red, Consumer: "c", Telemetry: reg}
+	defer c.Close()
+	f, err := c.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 100)
+	var read int64
+	for _, off := range []int64{0, 1000, int64(len(content)) - 40} {
+		n, err := f.ReadAt(buf, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read += int64(n)
+	}
+	if got := reg.SiteBytes("xrootd_client", telemetry.DirIn, "T3_US_NotreDame").Value(); got != read || read != 240 {
+		t.Fatalf("site bytes = %d after ReadAt delivered %d, want 240", got, read)
 	}
 }
 
