@@ -111,8 +111,11 @@ lines:
 bench:
 	$(GO) test -bench=Fig -benchmem .
 
+# Both kernels: the discrete-event simulator's and the hepsim event kernel
+# every analysis and simulation task runs (MB/s of input, 0 allocs/op).
 bench-kernel:
 	$(GO) test ./internal/simevent/ -run XXX -bench . -benchmem
+	$(GO) test ./internal/hepsim/ -run XXX -bench Kernel -benchmem
 
 # The one regression guard: evaluates every rule table (BENCH_*.json —
 # kernel, dataplane, scale, health, tsdb) in one pass. A rule

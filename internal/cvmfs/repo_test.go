@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,8 +173,10 @@ func TestWalk(t *testing.T) {
 }
 
 func TestPathResolutionProperty(t *testing.T) {
-	r := NewRepository("prop.cern.ch")
 	check := func(rawParts []string, content []byte) bool {
+		// A repository per case: in a shared one a file at /d from one
+		// case collides with a directory /d/x from a later one.
+		r := NewRepository("prop.cern.ch")
 		// Build a clean path from generated parts.
 		var parts []string
 		for _, p := range rawParts {
@@ -208,7 +211,7 @@ func TestPathResolutionProperty(t *testing.T) {
 		}
 		return bytes.Equal(got, content)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

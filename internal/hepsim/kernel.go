@@ -40,15 +40,34 @@ func NewKernel(eventSize, workFactor int) (*Kernel, error) {
 	return &Kernel{EventSize: eventSize, WorkFactor: workFactor}, nil
 }
 
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // fnv1a computes a 64-bit FNV-1a hash seeded so repeated passes differ.
 func fnv1a(seed uint64, data []byte) uint64 {
-	const prime = 1099511628211
-	h := seed ^ 14695981039346656037
+	h := seed ^ fnvOffset
 	for _, b := range data {
 		h ^= uint64(b)
-		h *= prime
+		h *= fnvPrime
 	}
 	return h
+}
+
+// fnv1a4 is fnv1a for the four seeds seed … seed+3 over one read of data.
+// Each chain's multiply waits on its own previous byte only, so the four
+// overlap where one chain alone is latency-bound.
+func fnv1a4(seed uint64, data []byte) (h0, h1, h2, h3 uint64) {
+	h0, h1, h2, h3 = seed^fnvOffset, (seed+1)^fnvOffset, (seed+2)^fnvOffset, (seed+3)^fnvOffset
+	for _, b := range data {
+		x := uint64(b)
+		h0 = (h0 ^ x) * fnvPrime
+		h1 = (h1 ^ x) * fnvPrime
+		h2 = (h2 ^ x) * fnvPrime
+		h3 = (h3 ^ x) * fnvPrime
+	}
+	return h0, h1, h2, h3
 }
 
 // Events returns how many whole events data contains.
@@ -63,9 +82,30 @@ func (k *Kernel) DigestBytes(dataLen int) int { return k.Events(dataLen) * 8 * k
 // events processed.
 func (k *Kernel) AppendDigests(dst, data []byte) ([]byte, int) {
 	n := k.Events(len(data))
+	// Passes run four at a time and the WorkFactor mod 4 left over one at
+	// a time. Below 4 the one-pass loop runs alone: an empty group loop
+	// per event costs Work 1 about a tenth at 32-byte events, and a 4-lane
+	// pass that discards lanes a quarter at any size.
+	if k.WorkFactor < 4 {
+		for i := 0; i < n; i++ {
+			event := data[i*k.EventSize : (i+1)*k.EventSize]
+			for pass := 0; pass < k.WorkFactor; pass++ {
+				dst = binary.LittleEndian.AppendUint64(dst, fnv1a(uint64(pass), event))
+			}
+		}
+		return dst, n
+	}
 	for i := 0; i < n; i++ {
 		event := data[i*k.EventSize : (i+1)*k.EventSize]
-		for pass := 0; pass < k.WorkFactor; pass++ {
+		pass := 0
+		for ; pass+4 <= k.WorkFactor; pass += 4 {
+			h0, h1, h2, h3 := fnv1a4(uint64(pass), event)
+			dst = binary.LittleEndian.AppendUint64(dst, h0)
+			dst = binary.LittleEndian.AppendUint64(dst, h1)
+			dst = binary.LittleEndian.AppendUint64(dst, h2)
+			dst = binary.LittleEndian.AppendUint64(dst, h3)
+		}
+		for ; pass < k.WorkFactor; pass++ {
 			dst = binary.LittleEndian.AppendUint64(dst, fnv1a(uint64(pass), event))
 		}
 	}

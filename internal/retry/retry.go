@@ -46,9 +46,6 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
-// Enabled reports whether the policy will ever retry.
-func (p Policy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // norm fills defaults for a policy that has retries enabled.
 func (p Policy) norm() Policy {
 	if p.BaseDelay <= 0 {

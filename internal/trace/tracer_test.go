@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"lobster/internal/telemetry"
@@ -233,6 +234,25 @@ func BenchmarkUnsampledSpan(b *testing.B) {
 	now := 0.0
 	tr, _, _ := testTracer(&buf, &now, 0)
 	parent := Context{TraceID: 1, SpanID: 2, Sampled: false}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := tr.StartAt(0, parent, "worker", "stage_in")
+		s.Attr("k", "v")
+		s.EndAt(1)
+	}
+}
+
+// BenchmarkSampledSpan is what a recorded span costs: one sampled child
+// span with one attribute, marshalled into an event log that writes to
+// io.Discard, so the bytes and allocations are the tracer's and the
+// log's own.
+func BenchmarkSampledSpan(b *testing.B) {
+	clock := func() float64 { return 0 }
+	reg := telemetry.NewRegistry()
+	reg.SetClock(clock)
+	tr := New(Config{Registry: reg, Log: telemetry.NewEventLog(io.Discard, clock), Seed: 42})
+	parent := Context{TraceID: 1, SpanID: 2, Sampled: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
