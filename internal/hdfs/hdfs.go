@@ -141,7 +141,8 @@ func NewCluster(datanodes int, replication int, blockSize int64) (*Cluster, erro
 	return c, nil
 }
 
-// Nodes returns the cluster's datanodes.
+// Nodes returns the cluster's datanodes: the handle a test takes an outage
+// through (DataNode.SetDown), as xrootd.DataServer.SetDown is for a replica.
 func (c *Cluster) Nodes() []*DataNode { return c.nodes }
 
 // BlockSize returns the configured block size.

@@ -70,6 +70,26 @@ func fnv1a4(seed uint64, data []byte) (h0, h1, h2, h3 uint64) {
 	return h0, h1, h2, h3
 }
 
+// fnv1aEvents4 is fnv1a with seed 0 over each of the four consecutive
+// events of size bytes that group holds: the same four overlapping chains
+// as fnv1a4, one per event instead of one per pass.
+func fnv1aEvents4(group []byte, size int) (h0, h1, h2, h3 uint64) {
+	// Re-slicing to len(e0) is what lets the compiler drop the bounds
+	// checks on e1[i], e2[i] and e3[i] in the loop.
+	e0 := group[:size]
+	e1 := group[size : 2*size][:len(e0)]
+	e2 := group[2*size : 3*size][:len(e0)]
+	e3 := group[3*size : 4*size][:len(e0)]
+	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	for i, b := range e0 {
+		h0 = (h0 ^ uint64(b)) * fnvPrime
+		h1 = (h1 ^ uint64(e1[i])) * fnvPrime
+		h2 = (h2 ^ uint64(e2[i])) * fnvPrime
+		h3 = (h3 ^ uint64(e3[i])) * fnvPrime
+	}
+	return h0, h1, h2, h3
+}
+
 // Events returns how many whole events data contains.
 func (k *Kernel) Events(dataLen int) int { return dataLen / k.EventSize }
 
@@ -80,21 +100,41 @@ func (k *Kernel) DigestBytes(dataLen int) int { return k.Events(dataLen) * 8 * k
 // to dst in place: with DigestBytes(len(data)) of spare capacity in dst
 // it allocates nothing. It returns the extended slice and the number of
 // events processed.
+//
+// One FNV-1a chain is latency-bound, so the kernel keeps four in flight:
+// at Work 1 over four events at a time, above it over four passes of one
+// event. Each shape has a loop of its own so that neither pays for the
+// other's code.
 func (k *Kernel) AppendDigests(dst, data []byte) ([]byte, int) {
 	n := k.Events(len(data))
-	// Passes run four at a time and the WorkFactor mod 4 left over one at
-	// a time. Below 4 the one-pass loop runs alone: an empty group loop
-	// per event costs Work 1 about a tenth at 32-byte events, and a 4-lane
-	// pass that discards lanes a quarter at any size.
-	if k.WorkFactor < 4 {
-		for i := 0; i < n; i++ {
-			event := data[i*k.EventSize : (i+1)*k.EventSize]
-			for pass := 0; pass < k.WorkFactor; pass++ {
-				dst = binary.LittleEndian.AppendUint64(dst, fnv1a(uint64(pass), event))
-			}
-		}
-		return dst, n
+	if k.WorkFactor == 1 {
+		return k.appendEventLanes(dst, data, n), n
 	}
+	return k.appendPassLanes(dst, data, n), n
+}
+
+// appendEventLanes is AppendDigests at Work 1: events four at a time in
+// fnv1aEvents4, the n mod 4 left over one at a time.
+func (k *Kernel) appendEventLanes(dst, data []byte, n int) []byte {
+	size := k.EventSize
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		h0, h1, h2, h3 := fnv1aEvents4(data[i*size:(i+4)*size], size)
+		dst = binary.LittleEndian.AppendUint64(dst, h0)
+		dst = binary.LittleEndian.AppendUint64(dst, h1)
+		dst = binary.LittleEndian.AppendUint64(dst, h2)
+		dst = binary.LittleEndian.AppendUint64(dst, h3)
+	}
+	for ; i < n; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, fnv1a(0, data[i*size:(i+1)*size]))
+	}
+	return dst
+}
+
+// appendPassLanes is AppendDigests above Work 1: an event's passes four
+// at a time in fnv1a4, the WorkFactor mod 4 left over one at a time (all
+// of them at Work 2 and 3).
+func (k *Kernel) appendPassLanes(dst, data []byte, n int) []byte {
 	for i := 0; i < n; i++ {
 		event := data[i*k.EventSize : (i+1)*k.EventSize]
 		pass := 0
@@ -109,7 +149,7 @@ func (k *Kernel) AppendDigests(dst, data []byte) ([]byte, int) {
 			dst = binary.LittleEndian.AppendUint64(dst, fnv1a(uint64(pass), event))
 		}
 	}
-	return dst, n
+	return dst
 }
 
 // ProcessAll reduces every whole event in data, returning the concatenated

@@ -20,7 +20,9 @@ func kernelPattern(n int) []byte {
 // TestKernelKnownAnswers pins the digest stream itself. The benchmark
 // oracle reduces with this same kernel, so it cannot see a drift: these
 // constants were computed by the one-pass-at-a-time scalar kernel, for two
-// events of kernelPattern at each size and passes 0–8.
+// events of kernelPattern at each size and passes 0–8. Work 1 also hashes
+// the pair among filler events, at every position of a nine-event run, so
+// each of the four event lanes and the scalar tail must reproduce pass 0.
 func TestKernelKnownAnswers(t *testing.T) {
 	want := map[int][2][9]uint64{
 		1: {
@@ -56,6 +58,23 @@ func TestKernelKnownAnswers(t *testing.T) {
 					if got := binary.LittleEndian.Uint64(out[(e*work+pass)*8:]); got != passes[pass] {
 						t.Errorf("size %d work %d event %d pass %d: %#016x, want %#016x", size, work, e, pass, got, passes[pass])
 					}
+				}
+			}
+		}
+		k, _ := NewKernel(size, 1)
+		for at := 0; at+2 <= 9; at++ {
+			data := make([]byte, 9*size)
+			for i := range data {
+				data[i] = byte(i*29 + 0x5a)
+			}
+			copy(data[at*size:], kernelPattern(2*size))
+			out, n := k.ProcessAll(data)
+			if n != 9 || len(out) != 9*8 {
+				t.Fatalf("size %d pair at %d: %d events, %d digest bytes", size, at, n, len(out))
+			}
+			for e, passes := range events {
+				if got := binary.LittleEndian.Uint64(out[(at+e)*8:]); got != passes[0] {
+					t.Errorf("size %d work 1 event %d of 9: %#016x, want %#016x", size, at+e, got, passes[0])
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Event is one JSONL event-log line. Data holds the type-specific payload
@@ -44,8 +43,6 @@ type EventLog struct {
 	maxBytes int64
 	written  int64 // bytes in the live segment
 	nextSeg  int
-
-	emitted atomic.Int64
 }
 
 // NewEventLog writes events to w, stamping them with clock (nil clock
@@ -165,7 +162,6 @@ func (l *EventLog) Emit(typ string, data any) {
 		}
 	}
 	l.mu.Unlock()
-	l.emitted.Add(1)
 }
 
 // rotateLocked renames the live file to the next segment and reopens a
@@ -203,14 +199,6 @@ func (l *EventLog) rotateLocked() {
 	} else {
 		l.written = 0
 	}
-}
-
-// Emitted returns the number of events appended.
-func (l *EventLog) Emitted() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.emitted.Load()
 }
 
 // Flush forces buffered events to the underlying writer.

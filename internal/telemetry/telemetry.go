@@ -43,11 +43,11 @@ import (
 // installs the simulated clock.
 type Clock func() float64
 
-// DefaultMaxSeries bounds the label cardinality of one metric family.
+// maxSeries is the fixed bound on the label cardinality of one metric family.
 // Series beyond the bound collapse into a single overflow series (labels
 // "_other") and increment lobster_telemetry_dropped_series_total, so a
 // label-explosion bug degrades the metric instead of exhausting memory.
-const DefaultMaxSeries = 256
+const maxSeries = 256
 
 // kind discriminates metric families.
 type kind uint8
@@ -74,13 +74,12 @@ func (k kind) String() string {
 // for concurrent use and safe on a nil receiver (returning nil instruments,
 // which are themselves no-ops).
 type Registry struct {
-	mu        sync.Mutex
-	clock     Clock
-	epoch     time.Time
-	families  map[string]*family
-	maxSeries int
-	info      map[string]string
-	dropped   *Counter // series lost to the cardinality bound
+	mu       sync.Mutex
+	clock    Clock
+	epoch    time.Time
+	families map[string]*family
+	info     map[string]string
+	dropped  *Counter // series lost to the cardinality bound
 }
 
 // family is one named metric with a fixed label scheme.
@@ -97,7 +96,6 @@ type family struct {
 	values   map[string][]string   // key → label values
 	fn       func() float64        // kindGaugeFunc
 	overflow instrument            // shared series past the cardinality bound
-	max      int
 }
 
 // instrument is the common interface of concrete metric series.
@@ -106,9 +104,8 @@ type instrument interface{ isInstrument() }
 // NewRegistry returns a registry on the wall clock (seconds since creation).
 func NewRegistry() *Registry {
 	r := &Registry{
-		epoch:     time.Now(),
-		families:  make(map[string]*family),
-		maxSeries: DefaultMaxSeries,
+		epoch:    time.Now(),
+		families: make(map[string]*family),
 	}
 	r.clock = func() float64 { return time.Since(r.epoch).Seconds() }
 	r.dropped = r.Counter("lobster_telemetry_dropped_series_total",
@@ -171,17 +168,6 @@ func (r *Registry) Now() float64 {
 	return c()
 }
 
-// SetMaxSeries adjusts the per-family cardinality bound for families
-// registered afterwards. Values < 1 are ignored.
-func (r *Registry) SetMaxSeries(n int) {
-	if r == nil || n < 1 {
-		return
-	}
-	r.mu.Lock()
-	r.maxSeries = n
-	r.mu.Unlock()
-}
-
 // lookup returns the family for name, creating it on first use. Re-registering
 // an existing name returns the existing family when the shape matches and
 // panics otherwise (a programming error, like a duplicate flag).
@@ -200,7 +186,6 @@ func (r *Registry) lookup(name, help string, k kind, labels []string, buckets []
 		buckets: buckets,
 		series:  make(map[string]instrument),
 		values:  make(map[string][]string),
-		max:     r.maxSeries,
 	}
 	r.families[name] = f
 	return f
@@ -238,7 +223,7 @@ func (f *family) get(values []string, dropped *Counter, mk func() instrument) in
 	if ins, ok := f.series[key]; ok {
 		return ins
 	}
-	if len(f.series) >= f.max {
+	if len(f.series) >= maxSeries {
 		dropped.Inc()
 		if f.overflow == nil {
 			f.overflow = mk()
