@@ -40,6 +40,11 @@ fmt:
 # decoder over the socket buffers one JSON value with no bound, so a single
 # peer streaming an endless object could grow the master's heap until the
 # one process every worker hangs from died (DESIGN.md section 11).
+# Nor does a payload leave the connection through a reader of its own: no
+# Peek( and no io.LimitedReader{ there outside tests, only
+# wire.Conn.ReadPayload (DESIGN.md section 10, one payload reader). chirp's
+# client and server each carried one, and both waited forever to drain a
+# payload after a file sink failed mid-splice.
 #
 # And the Lobster DB and the history store persist through internal/seglog,
 # never a log of their own: no hash/crc32, os.Truncate or os.Rename in their
@@ -55,6 +60,8 @@ copy-lint:
 	test -z "$$out" || { echo "doubling payload sink in a data-plane package (use bufpool.Arrival):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'ReadSlice\(|map\[net\.Conn\]|json\.NewDecoder\(' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE '\.Peek\(|io\.LimitedReader\{' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 

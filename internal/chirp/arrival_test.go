@@ -1,7 +1,6 @@
 package chirp
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"net"
@@ -15,22 +14,31 @@ import (
 	"lobster/internal/wire"
 )
 
-// cannedConn is a server that answers whatever it is asked with the next
-// bytes of a fixed reply stream and hangs up when they run out.
+// cannedConn is a peer that answers whatever it is asked with the next
+// bytes of a fixed reply stream and hangs up when they run out; what it
+// is sent collects in sent.
 type cannedConn struct {
 	net.Conn
 	replies *bytes.Reader
+	sent    bytes.Buffer
 	closed  bool
 }
 
 func (c *cannedConn) Read(p []byte) (int, error)  { return c.replies.Read(p) }
-func (c *cannedConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *cannedConn) Write(p []byte) (int, error) { return c.sent.Write(p) }
 func (c *cannedConn) Close() error                { c.closed = true; return nil }
 func (c *cannedConn) SetDeadline(time.Time) error { return nil }
 
 func cannedClient(replies string) (*Client, *cannedConn) {
 	conn := &cannedConn{replies: bytes.NewReader([]byte(replies))}
 	return &Client{conn: wire.NewConn("chirp", conn, 64<<10, 64<<10), addr: "liar"}, conn
+}
+
+// serverConn is the server's end of a connection on which the client
+// sends stream: request payloads, and whatever follows them.
+func serverConn(stream string) (*wire.Conn, *cannedConn) {
+	conn := &cannedConn{replies: bytes.NewReader([]byte(stream))}
+	return wire.NewConn("chirp", conn, 64<<10, 64<<10), conn
 }
 
 // allocatedBy is what f (and anything running beside it) allocated.
@@ -133,14 +141,12 @@ func TestPutFallbackFromALyingClient(t *testing.T) {
 	}
 	s := &Server{fs: struct{ FileSystem }{fs}}
 	put := func(line, payload string) (error, uint64) {
-		r := bufio.NewReader(strings.NewReader(payload))
-		var out bytes.Buffer
-		w := bufio.NewWriter(&out)
+		c, conn := serverConn(payload)
 		var err error
-		got := allocatedBy(func() { err = s.dispatch([]byte(line), r, w, nil) })
-		w.Flush()
-		if err != nil && out.Len() != 0 {
-			t.Errorf("%s: failed (%v) after replying %q", line, err, out.String())
+		got := allocatedBy(func() { err = s.dispatch([]byte(line), c) })
+		c.W.Flush()
+		if err != nil && conn.sent.Len() != 0 {
+			t.Errorf("%s: failed (%v) after replying %q", line, err, conn.sent.String())
 		}
 		return err, got
 	}

@@ -1,14 +1,11 @@
 package chirp
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -105,15 +102,19 @@ func (c *Client) request(verb, path, tail string) error {
 }
 
 // GetFileTo fetches the file at path, streaming it into w with no
-// payload-sized allocation on either side: what the protocol reader
-// already holds is written straight out of its buffer, the rest moves
-// through one pooled chunk — or, when w is an *os.File and the connection
-// an unwrapped TCP socket, by kernel splice without crossing user space.
+// payload-sized allocation on either side (wire.Conn.ReadPayload): what
+// the protocol reader already holds is written straight out of its
+// buffer, the rest moves through one pooled chunk — or, when w is an
+// *os.File and the connection an unwrapped TCP socket, by kernel splice
+// without crossing user space.
 //
 // A sink (w) failure is permanent: the remaining payload is drained off
 // the wire so the connection stays usable, and the sink's error is
-// returned. Transport failures poison the connection as usual. The
-// number of bytes written to w is returned in both cases.
+// returned. A file sink that fails in the spliced tail is the exception:
+// nothing counts what the kernel took off the socket, so the connection
+// breaks and the error is retryable (Pool.FetchTo recreates the file on
+// each attempt). Transport failures poison the connection as usual. The
+// number of bytes written to w is returned in every case.
 func (c *Client) GetFileTo(path string, w io.Writer) (int64, error) {
 	sp := c.op("get")
 	defer sp.End()
@@ -124,102 +125,13 @@ func (c *Client) GetFileTo(path string, w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	written, err := c.readPayload(w, size)
+	written, err := c.conn.ReadPayload(w, size)
 	if err != nil {
 		return written, err
 	}
 	c.bytesIn.Add(size)
 	sp.AttrInt("bytes", size)
 	return written, nil
-}
-
-// writeBuffered writes up to n of the bytes r already holds to w straight
-// out of r's buffer — one Write, no intermediate copy — and reports how
-// many left the buffer.
-func writeBuffered(w io.Writer, r *bufio.Reader, n int64) (int64, error) {
-	p, _ := r.Peek(int(min(int64(r.Buffered()), n)))
-	if len(p) == 0 {
-		return 0, nil
-	}
-	m, err := w.Write(p)
-	r.Discard(m)
-	return int64(m), err
-}
-
-// readPayload consumes exactly size payload bytes from the wire,
-// delivering them to w. Sink errors do not desynchronise the protocol:
-// the remainder is drained and the sink error is returned as permanent
-// (a retry would feed the same broken sink).
-func (c *Client) readPayload(w io.Writer, size int64) (int64, error) {
-	if land, ok := w.(*bufpool.Arrival); ok { // in memory: no sink to fail, no chunk between
-		land.Announced = size
-		n, err := land.ReadFrom(c.conn.R)
-		if n < size {
-			return n, c.conn.Fail(fmt.Errorf("chirp: short read: %w", cmp.Or(err, io.ErrUnexpectedEOF)))
-		}
-		return n, nil
-	}
-	sink := &sinkWriter{w: w}
-	// What the bufio reader already holds first, then the rest straight
-	// off the connection so file sinks can use kernel offload.
-	consumed, _ := writeBuffered(sink, c.conn.R, size)
-	if remaining := size - consumed; remaining > 0 {
-		if f, ok := w.(*os.File); ok && sink.err == nil {
-			return c.spliceTail(f, sink.n, remaining)
-		}
-		if _, err := bufpool.CopyN(sink, c.conn.Net, remaining); err != nil {
-			return sink.n, c.conn.Fail(fmt.Errorf("chirp: short read: %w", err))
-		}
-	}
-	if sink.err != nil {
-		return sink.n, retry.Permanent(fmt.Errorf("chirp: writing payload to sink: %w", sink.err))
-	}
-	return sink.n, nil
-}
-
-// spliceTail moves the unbuffered remainder of a payload into a file
-// sink — kernel splice on an unwrapped TCP connection, a pooled chunk
-// on a wrapped one. A short transfer is disambiguated by draining what
-// the wire still owes: if the drain succeeds the wire was healthy, so the
-// file (sink) failed and the error is permanent with the connection
-// intact; otherwise the transport is at fault and poisons the
-// connection. prior is what the sink already received from the bufio
-// buffer.
-func (c *Client) spliceTail(f *os.File, prior, remaining int64) (int64, error) {
-	m, err := bufpool.CopyN(f, c.conn.Net, remaining)
-	written := prior + m
-	if m < remaining {
-		dn, derr := bufpool.CopyN(io.Discard, c.conn.Net, remaining-m)
-		if derr != nil || dn != remaining-m {
-			return written, c.conn.Fail(fmt.Errorf("chirp: short read: %w", err))
-		}
-	}
-	if err != nil {
-		return written, retry.Permanent(fmt.Errorf("chirp: writing payload to sink: %w", err))
-	}
-	return written, nil
-}
-
-// sinkWriter tracks the caller's sink separately from the wire: once
-// the sink fails, further chunks are swallowed (claiming success) so
-// the payload keeps draining and the connection survives.
-type sinkWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (s *sinkWriter) Write(p []byte) (int, error) {
-	if s.err != nil {
-		return len(p), nil
-	}
-	n, err := s.w.Write(p)
-	s.n += int64(n)
-	if err == nil && n < len(p) {
-		err = io.ErrShortWrite
-	}
-	s.err = err
-	return len(p), nil
 }
 
 // GetFile fetches the file at path into memory: GetFileTo into a

@@ -60,14 +60,17 @@ type StreamReaderFS interface {
 }
 
 // StreamWriterFS is an optional FileSystem extension for backends that
-// can absorb a payload as a stream of exactly size bytes. A reader
-// error must leave the target unmodified (spool-then-commit), because
-// the bytes come straight off a network peer that may die mid-payload.
+// can absorb a payload of exactly size bytes as it arrives: the backend
+// calls fill once with the writer the bytes belong in, and fill writes
+// all of them or fails. A failed fill must leave the target unmodified
+// (spool-then-commit), because the bytes come straight off a network peer
+// that may die mid-payload.
 type StreamWriterFS interface {
-	// WriteFileFrom creates or replaces the file at path from r.
-	WriteFileFrom(path string, r io.Reader, size int64) error
-	// AppendFileFrom appends size bytes from r to the file at path.
-	AppendFileFrom(path string, r io.Reader, size int64) error
+	// WriteFileFrom creates or replaces the file at path with what fill
+	// writes.
+	WriteFileFrom(path string, size int64, fill func(io.Writer) error) error
+	// AppendFileFrom appends what fill writes to the file at path.
+	AppendFileFrom(path string, size int64, fill func(io.Writer) error) error
 }
 
 // CleanPath validates and normalises a client-supplied path: it must be
@@ -248,9 +251,9 @@ func (l *LocalFS) OpenRead(p string) (io.ReadCloser, int64, error) {
 // WriteFileFrom implements StreamWriterFS: the payload spools into a
 // temp file in the target directory (no lock held while the bytes
 // arrive off the network), then a rename commits it under the write
-// lock. A reader error discards the spool and leaves the target alone.
-func (l *LocalFS) WriteFileFrom(p string, r io.Reader, size int64) error {
-	fp, tmp, err := l.spool(p, r, size)
+// lock. A failed fill discards the spool and leaves the target alone.
+func (l *LocalFS) WriteFileFrom(p string, size int64, fill func(io.Writer) error) error {
+	fp, tmp, err := l.spool(p, fill)
 	if err != nil {
 		return err
 	}
@@ -266,8 +269,8 @@ func (l *LocalFS) WriteFileFrom(p string, r io.Reader, size int64) error {
 // AppendFileFrom implements StreamWriterFS. Appends cannot be committed
 // by rename, so the spool is copied onto the target under the write
 // lock — a disk-to-disk copy that never waits on the network.
-func (l *LocalFS) AppendFileFrom(p string, r io.Reader, size int64) error {
-	fp, tmp, err := l.spool(p, r, size)
+func (l *LocalFS) AppendFileFrom(p string, size int64, fill func(io.Writer) error) error {
+	fp, tmp, err := l.spool(p, fill)
 	if err != nil {
 		return err
 	}
@@ -293,19 +296,11 @@ func (l *LocalFS) AppendFileFrom(p string, r io.Reader, size int64) error {
 	return nil
 }
 
-// tailWriter lets a payload source deliver the bytes of a spool copy
-// in one call instead of chunked Reads — the chirp server's wire
-// reader uses it to splice the unbuffered tail of a payload straight
-// from the socket into the spool file, skipping user space. The
-// implementation must deliver exactly n bytes or return an error.
-type tailWriter interface {
-	WriteTailTo(w io.Writer, n int64) (int64, error)
-}
-
-// spool drains exactly size bytes of r into a fresh temp file next to
-// the resolved target path. It returns the resolved target and the
-// temp path; on any error the temp file is already gone.
-func (l *LocalFS) spool(p string, r io.Reader, size int64) (fp, tmp string, err error) {
+// spool has fill write into a fresh temp file next to the resolved target
+// path — the server's fill splices the payload off the socket into it. It
+// returns the resolved target and the temp path; on any error the temp
+// file is already gone.
+func (l *LocalFS) spool(p string, fill func(io.Writer) error) (fp, tmp string, err error) {
 	fp, err = l.resolve(p)
 	if err != nil {
 		return "", "", err
@@ -324,12 +319,7 @@ func (l *LocalFS) spool(p string, r io.Reader, size int64) (fp, tmp string, err 
 		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)
 	}
 	tmp = f.Name()
-	if tw, ok := r.(tailWriter); ok {
-		_, err = tw.WriteTailTo(f, size)
-	} else {
-		_, err = bufpool.CopyN(f, r, size)
-	}
-	if err != nil {
+	if err := fill(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)

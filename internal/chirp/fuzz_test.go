@@ -1,7 +1,6 @@
 package chirp
 
 import (
-	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -37,13 +36,11 @@ func FuzzDispatch(f *testing.F) {
 		}
 		for _, backend := range []FileSystem{fs, struct{ FileSystem }{fs}} {
 			s := &Server{fs: backend}
-			r := bufio.NewReader(bytes.NewReader(payload))
-			var out bytes.Buffer
-			w := bufio.NewWriter(&out)
-			err = s.dispatch([]byte(line), r, w, nil)
-			w.Flush()
-			if err != nil && strings.HasPrefix(out.String(), "0\n") {
-				t.Fatalf("dispatch(%q) failed (%v) after writing a success reply %q", line, err, out.String())
+			c, conn := serverConn(string(payload))
+			err = s.dispatch([]byte(line), c)
+			c.W.Flush()
+			if err != nil && strings.HasPrefix(conn.sent.String(), "0\n") {
+				t.Fatalf("dispatch(%q) failed (%v) after writing a success reply %q", line, err, conn.sent.String())
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package chirp
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -209,7 +208,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	// A line that outgrows the 64 KiB reader ends the connection.
 	var cur trace.Context // context for the next command, set by "trace"
-	wire.ServeLines(conn, 64<<10, 64<<10, func(line []byte, r *bufio.Reader, w *bufio.Writer) error {
+	wire.ServeLines("chirp", conn, 64<<10, 64<<10, func(line []byte, c *wire.Conn) error {
 		if rest, ok := bytes.CutPrefix(line, []byte("trace ")); ok {
 			// Advisory, no response: a malformed context parses to the
 			// zero value, which simply leaves the next command untraced.
@@ -225,7 +224,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		cur = trace.Context{}
 		defer sp.End()
-		err := s.dispatch(line, r, w, conn)
+		err := s.dispatch(line, c)
 		if err != nil {
 			s.errs.Add(1)
 			s.telemetry().errs.Inc()
@@ -259,17 +258,17 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 	}
 	defer rc.Close()
 	fmt.Fprintf(w, "%d\n", size)
-	// The limit guards against a file that grew after the stat: the
-	// announced size is a protocol promise, not a hint. A file handle
+	// Exactly the announced size goes out, whatever the file did since the
+	// stat: the size line is a protocol promise, not a hint. A file handle
 	// rides the bufio writer's ReadFrom to the connection's sendfile — no
 	// user-space copy; any other backend moves through a pooled chunk.
-	n, err := bufpool.Copy(w, &io.LimitedReader{R: rc, N: size})
+	n, err := bufpool.CopyN(w, rc, size)
 	s.countOut(n)
+	if err == io.EOF {
+		return wire.Hangup(fmt.Errorf("file shrank to %d of %d bytes mid-send", n, size))
+	}
 	if err != nil {
 		return wire.Hangup(err)
-	}
-	if n != size {
-		return wire.Hangup(fmt.Errorf("file shrank to %d of %d bytes mid-send", n, size))
 	}
 	return nil
 }
@@ -277,6 +276,8 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 // checksum is the IEEE CRC32 of the file at path, streamed through a
 // pooled chunk: what "stat <path> crc" adds, so a client holding a copy
 // learns in one round trip, and no payload, whether it is still current.
+// A file that ends before the size it was opened at is an error, not the
+// checksum of a prefix.
 func (s *Server) checksum(path string) (uint32, error) {
 	sr, ok := s.fs.(StreamReaderFS)
 	if !ok {
@@ -289,21 +290,26 @@ func (s *Server) checksum(path string) (uint32, error) {
 	}
 	defer rc.Close()
 	h := crc32.NewIEEE()
-	_, err = bufpool.Copy(h, &io.LimitedReader{R: rc, N: size})
-	return h.Sum32(), err
+	if n, err := bufpool.CopyN(h, rc, size); err != nil {
+		return 0, fmt.Errorf("checksumming %s: read %d of %d bytes: %w", path, n, size, err)
+	}
+	return h.Sum32(), nil
 }
 
-// servePut absorbs one putfile/append payload. Backends implementing
-// StreamWriterFS receive the bytes as they arrive off the wire
-// (spool-and-commit, so a dead client never corrupts the target);
-// others get the whole payload in memory, landed in a bufpool.Arrival so
-// a client claiming a huge size cannot commit server memory.
-func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net.Conn) error {
+// servePut absorbs one putfile/append payload off c. A backend
+// implementing StreamWriterFS hands over the writer its spool is, and the
+// bytes are read into it as they arrive off the wire (spool-and-commit,
+// so a dead client never corrupts the target); others get the whole
+// payload in memory, landed in a bufpool.Arrival so a client claiming a
+// huge size cannot commit server memory. A payload the backend never
+// asked for is drained, so the reply stays in step; one that could not
+// all be read has broken c, and the server hangs up.
+func (s *Server) servePut(op, path string, size int64, c *wire.Conn) error {
 	sw, ok := s.fs.(StreamWriterFS)
 	if !ok {
-		land := bufpool.Arrival{Announced: size}
-		if n, err := land.ReadFrom(r); n < size {
-			return wire.Hangup(fmt.Errorf("short %s payload: %w", op, cmp.Or(err, io.ErrUnexpectedEOF)))
+		var land bufpool.Arrival
+		if _, err := c.ReadPayload(&land, size); err != nil {
+			return wire.Hangup(fmt.Errorf("short %s payload: %w", op, err))
 		}
 		s.countIn(size)
 		if op == "putfile" {
@@ -311,80 +317,27 @@ func (s *Server) servePut(op, path string, size int64, r *bufio.Reader, conn net
 		}
 		return s.fs.Append(path, land.Bytes())
 	}
-	pr := &payloadReader{br: r, conn: conn, limit: size}
+	var read bool
+	var rerr error
+	fill := func(w io.Writer) error {
+		read = true
+		_, rerr = c.ReadPayload(w, size)
+		return rerr
+	}
 	var err error
 	if op == "putfile" {
-		err = sw.WriteFileFrom(path, pr, size)
+		err = sw.WriteFileFrom(path, size, fill)
 	} else {
-		err = sw.AppendFileFrom(path, pr, size)
+		err = sw.AppendFileFrom(path, size, fill)
 	}
-	s.countIn(pr.n)
-	if err != nil {
-		// The backend may have stopped mid-payload (disk full, quota).
-		// Drain what the client already committed to sending so the
-		// stream stays aligned and the error reply is deliverable; if
-		// the payload itself is short the client is gone — hang up.
-		if rem := size - pr.n; rem > 0 {
-			dn, derr := bufpool.CopyN(io.Discard, r, rem)
-			s.countIn(dn)
-			if derr != nil || dn != rem {
-				return wire.Hangup(fmt.Errorf("short %s payload: %w", op, err))
-			}
-		}
-		return err
+	if !read {
+		_, rerr = c.ReadPayload(io.Discard, size)
 	}
-	return nil
-}
-
-// payloadReader delivers exactly limit payload bytes off the wire and
-// tracks how many the backend consumed, so servePut knows how much of
-// the announced payload is still pending after a backend error. Read
-// serves everything through the protocol reader; the tailWriter fast
-// path additionally hands the unbuffered remainder of a spool copy
-// straight from the connection, so file destinations can use kernel
-// splice instead of copying through user space.
-type payloadReader struct {
-	br    *bufio.Reader
-	conn  net.Conn // may be nil (tests/fuzzing); the tail then reads via br
-	n     int64    // bytes consumed off the wire
-	limit int64
-}
-
-func (p *payloadReader) remaining() int64 { return p.limit - p.n }
-
-func (p *payloadReader) Read(b []byte) (int, error) {
-	if p.remaining() <= 0 {
-		return 0, io.EOF
+	if c.Broken() {
+		return wire.Hangup(fmt.Errorf("%s payload: %w", op, rerr))
 	}
-	if int64(len(b)) > p.remaining() {
-		b = b[:p.remaining()]
-	}
-	n, err := p.br.Read(b)
-	p.n += int64(n)
-	return n, err
-}
-
-// WriteTailTo implements the tailWriter fast path: the protocol
-// reader's buffered prefix is written straight out of its buffer (a
-// payload that arrived whole with its command line is one write), then
-// the rest comes off the connection — spliced when both ends allow it.
-func (p *payloadReader) WriteTailTo(w io.Writer, want int64) (int64, error) {
-	want = min(want, p.remaining())
-	total, err := writeBuffered(w, p.br, want)
-	p.n += total
-	if rest := want - total; rest > 0 && err == nil {
-		src := io.Reader(p.br)
-		if p.conn != nil {
-			src = p.conn
-		}
-		var m int64
-		if m, err = bufpool.CopyN(w, src, rest); err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		p.n += m
-		total += m
-	}
-	return total, err
+	s.countIn(size)
+	return err
 }
 
 func (s *Server) countIn(n int64) {
@@ -407,7 +360,10 @@ func (s *Server) countOut(n int64) {
 	t.planeOut.Add(n)
 }
 
-func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, conn net.Conn) error {
+// dispatch answers one command line on c: its reply into c.W, a put's
+// payload off c.
+func (s *Server) dispatch(line []byte, c *wire.Conn) error {
+	w := c.W
 	// No command takes more than two arguments; a fourth field only has
 	// to be seen to be refused.
 	var buf [4][]byte
@@ -433,7 +389,7 @@ func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, conn ne
 		if err != nil || size < 0 || size > MaxPayload {
 			return fmt.Errorf("bad size %q", fields[2])
 		}
-		if err := s.servePut(string(fields[0]), path, size, r, conn); err != nil {
+		if err := s.servePut(string(fields[0]), path, size, c); err != nil {
 			return err
 		}
 		w.WriteString("0\n")

@@ -3,6 +3,7 @@ package chirp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -177,4 +178,136 @@ func mustDial(t *testing.T, addr string) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// brokenPipe is the write end of a pipe whose reader takes limit bytes and
+// hangs up: a file that fails partway through a payload, as one on a full
+// disk does.
+func brokenPipe(limit int64) (*os.File, error) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		io.CopyN(io.Discard, pr, limit)
+		pr.Close()
+	}()
+	return pw, nil
+}
+
+// within runs f and fails the test if it has not returned inside d: the
+// guard against a transfer that waits for bytes that never come.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s: still blocked after %v", what, d)
+	}
+}
+
+// TestGetFileToFailingFileDoesNotHang: a file sink that fails partway
+// through the spliced tail of a payload — the kernel has taken bytes off
+// the socket that no count includes — ends the get instead of leaving it
+// waiting to drain bytes that never come. The connection is broken and the
+// error retryable, or it is usable and the next get is byte-identical.
+func TestGetFileToFailingFileDoesNotHang(t *testing.T) {
+	_, addr := startTestServer(t)
+	c := mustDial(t, addr)
+	payload := make([]byte, 8<<20)
+	rand.New(rand.NewSource(11)).Read(payload)
+	if err := c.PutFile("/big.dat", payload); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := brokenPipe(3 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	var n int64
+	within(t, 10*time.Second, "GetFileTo into a pipe that hung up after 3 MiB", func() {
+		n, err = c.GetFileTo("/big.dat", sink)
+	})
+	if err == nil || n >= int64(len(payload)) {
+		t.Fatalf("GetFileTo = %d, %v; want the sink's failure", n, err)
+	}
+	if c.conn.Broken() {
+		if retry.IsPermanent(err) {
+			t.Fatalf("a broken connection with a permanent error %v: the pool would not refetch", err)
+		}
+		return
+	}
+	var got []byte
+	within(t, 10*time.Second, "GetFile after the failed get", func() { got, err = c.GetFile("/big.dat") })
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("connection desynced after the failed get: %d bytes, %v", len(got), err)
+	}
+}
+
+// pipeSpool spools every put into a pipe that takes limit bytes and hangs
+// up, and serves everything else from the LocalFS under it.
+type pipeSpool struct {
+	*LocalFS
+	limit int64
+}
+
+func (p pipeSpool) WriteFileFrom(path string, size int64, fill func(io.Writer) error) error {
+	pw, err := brokenPipe(p.limit)
+	if err != nil {
+		return err
+	}
+	defer pw.Close()
+	if err := fill(pw); err != nil {
+		return err
+	}
+	return errors.New("a pipe spool commits nothing")
+}
+
+func (p pipeSpool) AppendFileFrom(path string, size int64, fill func(io.Writer) error) error {
+	return p.WriteFileFrom(path, size, fill)
+}
+
+// TestPutIntoFailingSpoolDoesNotHang: a spool file that fails partway
+// through the spliced tail of a put ends the put instead of leaving the
+// server draining bytes that never come, and the server's one slot is
+// free again for the next client.
+func TestPutIntoFailingSpoolDoesNotHang(t *testing.T) {
+	fs, err := NewLocalFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := []byte("served from the LocalFS")
+	if err := fs.WriteFile("/known.dat", known); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(pipeSpool{fs, 3 << 20}, "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := mustDial(t, srv.Addr())
+	payload := make([]byte, 8<<20)
+	rand.New(rand.NewSource(12)).Read(payload)
+	within(t, 10*time.Second, "PutFile into a spool that hung up after 3 MiB", func() {
+		err = c.PutFile("/big.dat", payload)
+	})
+	if err == nil {
+		t.Fatal("PutFile into a failing spool succeeded")
+	}
+	if !c.conn.Broken() {
+		var got []byte
+		within(t, 10*time.Second, "GetFile after the failed put", func() { got, err = c.GetFile("/known.dat") })
+		if err != nil || !bytes.Equal(got, known) {
+			t.Fatalf("connection desynced after the failed put: %q, %v", got, err)
+		}
+	}
+	c.Close()
+	next := mustDial(t, srv.Addr())
+	var got []byte
+	within(t, 10*time.Second, "the next client of a one-slot server", func() { got, err = next.GetFile("/known.dat") })
+	if err != nil || !bytes.Equal(got, known) {
+		t.Fatalf("next client: %q, %v", got, err)
+	}
 }

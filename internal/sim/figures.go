@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"lobster/internal/monitor"
@@ -179,41 +178,6 @@ func (d *Fig10Data) OutageWindowStats(outStart, outEnd float64) (peakFailures in
 		effOut = outSum / float64(outN)
 	}
 	return peakFailures, effIn, effOut
-}
-
-// Fig7Binned renders a MergeTimeline into per-bin completion counts for the
-// paper's stacked-bar presentation.
-type Fig7Binned struct {
-	Mode      string
-	BinWidth  float64
-	Times     []float64
-	Analysis  []int
-	Merges    []int
-	LastMerge float64
-}
-
-// BinMergeTimeline aggregates a merge-mode timeline into bins.
-func BinMergeTimeline(tl *MergeTimeline, binWidth float64) (*Fig7Binned, error) {
-	if binWidth <= 0 {
-		return nil, fmt.Errorf("sim: bin width %g", binWidth)
-	}
-	end := tl.LastMerge
-	if tl.LastAnalysis > end {
-		end = tl.LastAnalysis
-	}
-	nbins := int(end/binWidth) + 1
-	out := &Fig7Binned{Mode: tl.Mode, BinWidth: binWidth, LastMerge: tl.LastMerge,
-		Analysis: make([]int, nbins), Merges: make([]int, nbins)}
-	for i := 0; i < nbins; i++ {
-		out.Times = append(out.Times, float64(i)*binWidth)
-	}
-	for _, t := range tl.AnalysisDone {
-		out.Analysis[int(t/binWidth)]++
-	}
-	for _, t := range tl.MergeDone {
-		out.Merges[int(t/binWidth)]++
-	}
-	return out, nil
 }
 
 // SortedCodes returns the distinct failure codes seen in a Fig11Data,

@@ -241,31 +241,6 @@ func TestFig7ModeOrdering(t *testing.T) {
 	}
 }
 
-func TestFig7Binned(t *testing.T) {
-	cfg := DefaultMergeSimConfig()
-	cfg.AnalysisTasks = 300
-	cfg.Workers = 150
-	tl, err := SimulateMerging(cfg, "interleaved")
-	if err != nil {
-		t.Fatal(err)
-	}
-	binned, err := BinMergeTimeline(tl, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var analysis, merges int
-	for i := range binned.Times {
-		analysis += binned.Analysis[i]
-		merges += binned.Merges[i]
-	}
-	if analysis != cfg.AnalysisTasks || merges != tl.MergedFiles {
-		t.Errorf("binned totals: %d analysis, %d merges", analysis, merges)
-	}
-	if _, err := BinMergeTimeline(tl, 0); err == nil {
-		t.Error("zero bin width accepted")
-	}
-}
-
 func TestBigRunDataProcessing(t *testing.T) {
 	cfg := DataRunConfig(0.05)
 	cfg.Duration = 24 * 3600

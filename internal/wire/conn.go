@@ -10,8 +10,9 @@
 // The package holds the one copy of: the connection that poisons itself
 // on a transport failure (Conn), the in-place line read and field cut
 // (ReadLine, Fields), the status convention (ReadStatus on the client,
-// ReplyError on the server), the size-line parse (ParseSize), the bounded
-// message frame (ReadFrame, SendFrame), the error pair a peer's answer
+// ReplyError on the server), the size-line parse (ParseSize), the payload
+// that follows a size or request line (ReadPayload), the bounded message
+// frame (ReadFrame, SendFrame), the error pair a peer's answer
 // turns into (ServerError, ProtocolError), the parked-connection list
 // (Pool), and the server's accept and request loops (Server, ServeLines).
 package wire

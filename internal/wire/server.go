@@ -1,33 +1,32 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 )
 
-// ServeLines answers the request lines read off conn until the peer says
-// quit or hangs up, or sends a line that outgrows the reader. answer
-// writes one line's reply into w; an error it returns is answered in
-// protocol (ReplyError) — unless it is a Hangup, which ends the
-// connection instead.
-func ServeLines(conn net.Conn, rsize, wsize int, answer func(line []byte, r *bufio.Reader, w *bufio.Writer) error) {
-	r := bufio.NewReaderSize(conn, rsize)
-	w := bufio.NewWriterSize(conn, wsize)
+// ServeLines answers the request lines read off conn, a connection of
+// protocol proto, until the peer says quit or hangs up, or sends a line
+// that outgrows the reader. answer writes one line's reply into c.W and
+// reads any payload behind the line off c (ReadPayload); an error it
+// returns is answered in protocol (ReplyError) — unless it is a Hangup,
+// which ends the connection instead.
+func ServeLines(proto string, conn net.Conn, rsize, wsize int, answer func(line []byte, c *Conn) error) {
+	c := NewConn(proto, conn, rsize, wsize)
 	for {
-		line, err := readLine(r)
+		line, err := readLine(c.R)
 		if err != nil || string(line) == "quit" {
 			return
 		}
-		if err := answer(line, r, w); err != nil {
+		if err := answer(line, c); err != nil {
 			if errors.Is(err, ErrHangup) {
 				return
 			}
-			ReplyError(w, err)
+			ReplyError(c.W, err)
 		}
-		if w.Flush() != nil {
+		if c.W.Flush() != nil {
 			return
 		}
 	}

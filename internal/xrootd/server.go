@@ -188,8 +188,12 @@ func (s *DataServer) Close() error {
 
 // serveConn answers one connection's requests. The line is read in place,
 // so one longer than the reader's buffer (an LFN of 32 KiB) ends the
-// connection.
-func (s *DataServer) serveConn(conn net.Conn) { wire.ServeLines(conn, 32<<10, 64<<10, s.dispatch) }
+// connection. No request carries a payload, so dispatch reads nothing.
+func (s *DataServer) serveConn(conn net.Conn) {
+	wire.ServeLines("xrootd", conn, 32<<10, 64<<10, func(line []byte, c *wire.Conn) error {
+		return s.dispatch(line, nil, c.W)
+	})
+}
 
 // lookup finds where lfn's bytes lie.
 func (s *DataServer) lookup(lfn []byte) (stored, error) {
