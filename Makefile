@@ -46,13 +46,14 @@ fmt:
 # client and server each carried one, and both waited forever to drain a
 # payload after a file sink failed mid-splice.
 #
-# And the Lobster DB and the history store persist through internal/seglog,
-# never a log of their own: no hash/crc32, os.Truncate or os.Rename in their
-# non-test code (DESIGN.md section 14, one log). Each carried its own CRC'd
-# log until the same length-trusting read had been fixed in both.
+# And the Lobster DB persists through internal/seglog, never a log of its
+# own: no hash/crc32, os.Truncate or os.Rename in its non-test code
+# (DESIGN.md section 14, one log). It and the since-deleted history store
+# each carried their own CRC'd log until the same length-trusting read had
+# been fixed in both.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
-LOG_LINT_DIRS = internal/store internal/tsdb
+LOG_LINT_DIRS = internal/store
 copy-lint:
 	@out="$$(grep -rnE 'io\.Copy(N|Buffer)?\(' --include='*.go' $(COPY_LINT_DIRS) | grep -v '_test\.go:' | grep -v 'io\.Copy(io\.Discard,')"; \
 	test -z "$$out" || { echo "raw io.Copy in a data-plane package (use bufpool.Copy / CopyN):"; echo "$$out"; exit 1; }
@@ -81,11 +82,13 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Repeats the suite whose tests race real goroutines against each other
-# (squid coalescing), so an ordering bug that shows once in twenty runs
-# fails here, not in CI.
+# Repeats the suites whose tests race real goroutines against each other
+# (squid coalescing; the worker-kill storm, whose abandoned attempts must
+# never stage out), so an ordering bug that shows once in twenty runs, or
+# a few in a thousand, fails here, not in CI.
 flake:
 	$(GO) test -count=20 ./internal/squid/
+	$(GO) test -count=200 -run 'TestChaosWorkerKillStorm$$' ./internal/faultinject/
 
 # Fault-storm suite: the full deploy stack under scripted worker kills,
 # chirp connection drops, and squid stalls, asserting zero task loss and
@@ -106,8 +109,6 @@ fuzz:
 	$(GO) test -fuzz FuzzLine -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzBatchDispatch -fuzztime $(FUZZTIME) ./internal/wq/
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
-	$(GO) test -fuzz FuzzBlockRoundTrip -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/seglog/
 
@@ -125,7 +126,7 @@ bench-kernel:
 	$(GO) test ./internal/hepsim/ -run XXX -bench Kernel -benchmem
 
 # The one regression guard: evaluates every rule table (BENCH_*.json —
-# kernel, dataplane, scale, health, tsdb) in one pass. A rule
+# kernel, dataplane, scale, health) in one pass. A rule
 # is a benchmark, a metric and a bound: absolute for deterministic costs
 # (allocs/op, bytes/sample, resident bytes per task), same-run ratio for
 # the headline speedups, best-of-N against pinned samples for wall clock

@@ -552,91 +552,6 @@ func BenchmarkAblationProxyCount(b *testing.B) {
 	printFirst(b, tb.Render())
 }
 
-// BenchmarkAblationForemanFanout compares direct master→worker distribution
-// against a foreman hierarchy for tasks with a large shared sandbox — the
-// load the paper inserts foremen to spread.
-func BenchmarkAblationForemanFanout(b *testing.B) {
-	sandbox := make([]byte, 1<<20)
-	for i := range sandbox {
-		sandbox[i] = byte(i)
-	}
-	reg := wq.Registry{
-		"touch": func(ctx *wq.ExecContext) error {
-			ctx.SetOutput("out", []byte("x"))
-			return nil
-		},
-	}
-	const tasks = 48
-	runTopology := func(foremen int) time.Duration {
-		master, err := wq.NewMaster("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer master.Close()
-		var cleanup []func() error
-		defer func() {
-			for _, c := range cleanup {
-				c()
-			}
-		}()
-		if foremen == 0 {
-			for i := 0; i < 4; i++ {
-				w, err := wq.NewWorker(master.Addr(), fmt.Sprintf("w%d", i), 2, b.TempDir(), reg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cleanup = append(cleanup, w.Close)
-			}
-		} else {
-			for f := 0; f < foremen; f++ {
-				fm, err := wq.NewForeman(master.Addr(), "127.0.0.1:0", fmt.Sprintf("f%d", f), 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cleanup = append(cleanup, fm.Close)
-				for i := 0; i < 4/foremen; i++ {
-					w, err := wq.NewWorker(fm.Addr(), fmt.Sprintf("f%dw%d", f, i), 2, b.TempDir(), reg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cleanup = append(cleanup, w.Close)
-				}
-			}
-		}
-		start := time.Now()
-		for i := 0; i < tasks; i++ {
-			master.Submit(&wq.Task{
-				Func:    "touch",
-				Inputs:  []wq.FileSpec{{Name: "sandbox.tar", Data: sandbox, Cacheable: true}},
-				Outputs: []string{"out"},
-			})
-		}
-		if got := master.Drain(tasks, 60*time.Second); len(got) != tasks {
-			b.Fatalf("completed %d/%d tasks", len(got), tasks)
-		}
-		return time.Since(start)
-	}
-	type point struct {
-		label   string
-		elapsed time.Duration
-	}
-	var points []point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		points = points[:0]
-		points = append(points,
-			point{"direct (4 workers)", runTopology(0)},
-			point{"2 foremen x 2 workers", runTopology(2)})
-	}
-	b.StopTimer()
-	tb := tabulate.NewTable("Ablation: foreman fan-out (1 MiB shared sandbox)",
-		"topology", "makespan")
-	for _, p := range points {
-		tb.Row(p.label, p.elapsed.Round(time.Millisecond).String())
-	}
-	printFirst(b, tb.Render())
-}
-
 // BenchmarkAblationTaskBuffer sweeps Lobster's submitted-task buffer depth
 // (the paper fixes 400) on a small real-plane workflow.
 func BenchmarkAblationTaskBuffer(b *testing.B) {

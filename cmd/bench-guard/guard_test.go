@@ -12,7 +12,7 @@ import (
 )
 
 // testdata/bench_output.txt is three real `go test -bench -cpu 8` runs
-// from this repository, edited in three places: the tsdb line lost its
+// from this repository, edited in three places: the AppendFleet100 line lost its
 // -8 (the GOMAXPROCS=1 form), the LoopbackDispatchBatched numbers are
 // in e-notation, and a "--- BENCH" log block and a result-less name
 // line were spliced in.
@@ -205,13 +205,13 @@ func TestUpdateRewritesOnlyPinnedSamples(t *testing.T) {
 	}
 }
 
-// The five real tables: valid under the one schema, laid out the way
+// The four real tables: valid under the one schema, laid out the way
 // -update writes them (so a re-pin diffs only samples), and every rule
 // names a benchmark its package declares. Runs no benchmark.
 func TestRootTables(t *testing.T) {
 	paths, _ := filepath.Glob("../../BENCH_*.json")
-	if len(paths) != 5 {
-		t.Fatalf("found %d BENCH_*.json in the module root, want 5: %v", len(paths), paths)
+	if len(paths) != 4 {
+		t.Fatalf("found %d BENCH_*.json in the module root, want 4: %v", len(paths), paths)
 	}
 	declared := map[string][]byte{} // pkg → its *_test.go sources
 	for _, path := range paths {

@@ -1,8 +1,7 @@
 // Command lobster-fleet is the fleet monitoring hub: it scrapes every
 // component's /metrics endpoint, merges the series into cluster-wide
 // aggregates, evaluates the anomaly rule set, appends typed "alert"
-// events to a JSONL event log, records every merged scrape into an
-// embedded time-series store, and archives pprof bundles from the
+// events to a JSONL event log, and archives pprof bundles from the
 // affected endpoints when a profiling-enabled rule fires.
 //
 // Usage:
@@ -10,18 +9,13 @@
 //	lobster-fleet -scrape master=http://127.0.0.1:9099 \
 //	              -scrape chirpd=http://127.0.0.1:9095 \
 //	              -interval 5s -event-log fleet.jsonl -profiles ./profiles \
-//	              -tsdb ./history -http 127.0.0.1:9100
+//	              -http 127.0.0.1:9100
 //
 //	lobster-fleet -scrape master=http://127.0.0.1:9099 -once        # one tick, print, exit
 //	lobster-fleet -scrape master=http://127.0.0.1:9099 -once -json  # machine-readable snapshot
 //
-//	lobster-fleet -plot -tsdb ./history \
-//	              -q 'avg_over_time(lobster_cluster_pilots_up[600])' \
-//	              -step 300                                          # replot a past run's ramp
-//
-// The hub's own address serves /metrics (hub self-telemetry), /fleet
-// (the merged JSON view `lobster -top -fleet` renders), and /query
-// (range queries over the recorded history).
+// The hub's own address serves /metrics (hub self-telemetry) and /fleet
+// (the merged JSON view `lobster -top -fleet` renders).
 package main
 
 import (
@@ -41,7 +35,6 @@ import (
 	"lobster/internal/monitor"
 	"lobster/internal/tabulate"
 	"lobster/internal/telemetry"
-	"lobster/internal/tsdb"
 )
 
 // scrapeFlags accumulates repeated -scrape name=url specs.
@@ -82,18 +75,12 @@ func componentOf(name string) string {
 
 // options holds the command's flags.
 type options struct {
-	eps                                              scrapeFlags
-	rulesPath, evlogPath, profDir, httpAddr, tsdbDir string
-	interval, retention                              time.Duration
-	evlogMax                                         int64
-	downAfter                                        int
-	once, jsonOut                                    bool
-
-	// -plot and what it reads besides tsdbDir.
-	plot, csvOut     bool
-	query            string
-	start, end, step float64
-	width            int
+	eps                                     scrapeFlags
+	rulesPath, evlogPath, profDir, httpAddr string
+	interval                                time.Duration
+	evlogMax                                int64
+	downAfter                               int
+	once, jsonOut                           bool
 }
 
 func main() {
@@ -104,27 +91,12 @@ func main() {
 	flag.StringVar(&o.evlogPath, "event-log", "", "append typed alert events to this JSONL file")
 	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
 	flag.StringVar(&o.profDir, "profiles", "", "archive pprof bundles here when a profiling-enabled rule fires")
-	flag.StringVar(&o.httpAddr, "http", "", "serve hub telemetry (/metrics), the merged fleet view (/fleet), and history queries (/query) on this address")
+	flag.StringVar(&o.httpAddr, "http", "", "serve hub telemetry (/metrics) and the merged fleet view (/fleet) on this address")
 	flag.IntVar(&o.downAfter, "down-after", 2, "consecutive scrape failures before endpoint_down fires")
 	flag.BoolVar(&o.once, "once", false, "run one scrape cycle, print the fleet view, and exit")
 	flag.BoolVar(&o.jsonOut, "json", false, "with -once: print the hub view as JSON instead of tables")
-	flag.StringVar(&o.tsdbDir, "tsdb", "", "persist scrape history as compressed segments in this directory")
-	flag.DurationVar(&o.retention, "retention", 24*time.Hour, "raw-sample retention in the history store")
-	flag.BoolVar(&o.plot, "plot", false, "query a recorded -tsdb directory and render it (no scraping)")
-	flag.StringVar(&o.query, "q", "", "with -plot: range query, e.g. 'sum(rate(lobster_wq_dispatches_total[600]))'")
-	flag.Float64Var(&o.start, "start", 0, "with -plot: range start in seconds (0 = end minus one hour)")
-	flag.Float64Var(&o.end, "end", 0, "with -plot: range end in seconds (0 = newest sample)")
-	flag.Float64Var(&o.step, "step", 60, "with -plot: evaluation step in seconds")
-	flag.BoolVar(&o.csvOut, "csv", false, "with -plot: emit CSV rows instead of an ASCII chart")
-	flag.IntVar(&o.width, "width", 72, "with -plot: chart width in columns")
 	flag.Parse()
-	var err error
-	if o.plot {
-		err = runPlot(os.Stdout, o.tsdbDir, o.query, o.start, o.end, o.step, o.csvOut, o.width)
-	} else {
-		err = run(o)
-	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "lobster-fleet:", err)
 		os.Exit(1)
 	}
@@ -156,19 +128,6 @@ func run(o options) error {
 		}
 		defer evl.Close()
 	}
-	var store *tsdb.Store
-	if o.tsdbDir != "" {
-		var err error
-		store, err = tsdb.Open(tsdb.Config{
-			Dir:       o.tsdbDir,
-			Retention: o.retention.Seconds(),
-			Log:       evl,
-		})
-		if err != nil {
-			return fmt.Errorf("opening history store: %w", err)
-		}
-		defer store.Close()
-	}
 	hub := health.NewHub(health.Config{
 		Endpoints:  o.eps,
 		Rules:      rules,
@@ -177,7 +136,6 @@ func run(o options) error {
 		ProfileDir: o.profDir,
 		Registry:   reg,
 		DownAfter:  o.downAfter,
-		Store:      store,
 		OnAlert: func(a monitor.AlertRecord) {
 			fmt.Fprintf(os.Stderr, "alert %-8s %-22s value=%.3g threshold=%.3g %s\n",
 				a.State, a.Rule, a.Value, a.Threshold, a.Help)
@@ -201,9 +159,8 @@ func run(o options) error {
 		defer lis.Close()
 		mux := reg.Mux()
 		mux.Handle("/fleet", hub.StatusHandler())
-		mux.Handle("/query", hub.Store().QueryHandler())
 		go http.Serve(lis, mux)
-		fmt.Printf("fleet hub on http://%s/fleet (telemetry /metrics, history /query)\n", lis.Addr())
+		fmt.Printf("fleet hub on http://%s/fleet (telemetry /metrics)\n", lis.Addr())
 	}
 
 	fmt.Printf("scraping %d endpoints every %s, %d rules armed\n",
@@ -218,9 +175,6 @@ func run(o options) error {
 	printFleet(hub)
 	alerts := hub.Alerts()
 	fmt.Printf("shutting down: %d ticks, %d alert transitions\n", hub.Ticks(), len(alerts))
-	if err := hub.Store().Flush(); err != nil {
-		return fmt.Errorf("flushing history store: %w", err)
-	}
 	return nil
 }
 

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"lobster/internal/health"
-	"lobster/internal/tsdb"
 )
 
 // TestOnceJSONGolden pins the exact machine-readable snapshot `-once
@@ -74,55 +76,23 @@ func TestOnceJSONGolden(t *testing.T) {
 	}
 }
 
-// TestRunPlotChartAndCSV drives the offline replot path end to end: a
-// store recorded to disk, reopened by runPlot, rendered both ways.
-func TestRunPlotChartAndCSV(t *testing.T) {
-	dir := t.TempDir()
-	st, err := tsdb.Open(tsdb.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+// TestTsdbFlagRefused: the history store and its -tsdb flag are gone, so
+// an old command line that still names a history directory must fail
+// loudly, naming the flag, instead of scraping without its history.
+func TestTsdbFlagRefused(t *testing.T) {
+	if dir := os.Getenv("LOBSTER_FLEET_TSDB_DIR"); dir != "" {
+		os.Args = []string{"lobster-fleet", "-tsdb", dir}
+		main()
+		return
 	}
-	labels := map[string]string{"component": "master", "instance": "m-1"}
-	for i := 0; i <= 120; i++ {
-		st.Append("lobster_cluster_pilots_up", labels, float64(i*10), float64(i))
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTsdbFlagRefused$")
+	cmd.Env = append(os.Environ(), "LOBSTER_FLEET_TSDB_DIR="+t.TempDir())
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("lobster-fleet -tsdb dir: err %v, want a non-zero exit:\n%s", err, out)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var chart bytes.Buffer
-	err = runPlot(&chart, dir, "lobster_cluster_pilots_up", 0, 0, 60, false, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := chart.String()
-	if !strings.Contains(out, "lobster_cluster_pilots_up{component=master,instance=m-1}") {
-		t.Errorf("chart lacks series title:\n%s", out)
-	}
-	if !strings.Contains(out, "*") {
-		t.Errorf("chart has no plotted points:\n%s", out)
-	}
-
-	var csv bytes.Buffer
-	if err := runPlot(&csv, dir, "lobster_cluster_pilots_up", 600, 1200, 300, true, 60); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 4 { // header + 600,900,1200
-		t.Fatalf("csv rows = %d, want 4:\n%s", len(lines), csv.String())
-	}
-	if lines[1] != "600,60" || lines[3] != "1200,120" {
-		t.Errorf("csv values drifted: %q", lines)
-	}
-
-	// Error paths a user will actually hit.
-	if err := runPlot(&csv, "", "x", 0, 0, 60, false, 60); err == nil {
-		t.Error("missing -tsdb dir not rejected")
-	}
-	if err := runPlot(&csv, dir, "", 0, 0, 60, false, 60); err == nil {
-		t.Error("missing -q not rejected")
-	}
-	if err := runPlot(&csv, dir, "no_such_metric", 0, 0, 60, false, 60); err == nil {
-		t.Error("no-match query not rejected")
+	if !strings.Contains(string(out), "-tsdb") {
+		t.Errorf("the refusal does not name -tsdb:\n%s", out)
 	}
 }

@@ -11,42 +11,77 @@ import (
 	"lobster/internal/tabulate"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
-	"lobster/internal/tsdb"
 )
 
 // sparkPoints is how many trailing samples the watch-mode sparklines
 // show — one screen column per refresh.
 const sparkPoints = 24
 
-// topHistory is the short in-process history window behind the watch
-// mode's per-series sparklines: every refresh appends the scraped
-// values into an embedded tsdb with a few minutes of retention, and the
-// trend column tails the last sparkPoints samples back out of it.
+// topHistory is the short in-process history behind the watch mode's
+// per-series sparklines: a fixed ring of the last sparkPoints refreshes
+// per series, keyed by name and labels.
 type topHistory struct {
-	store *tsdb.Store
-	seq   float64 // refresh counter used as the sample clock
+	series map[string]*sparkRing
+	seq    int // refresh counter: the ring slot and the sample clock
+}
+
+// sparkRing holds one series' values by refresh: slot seq%sparkPoints
+// holds the value recorded at refresh seq.
+type sparkRing struct {
+	seq [sparkPoints]int
+	val [sparkPoints]float64
 }
 
 func newTopHistory() *topHistory {
-	return &topHistory{store: tsdb.New(tsdb.Config{Retention: 4 * sparkPoints, RollupStep: sparkPoints})}
+	return &topHistory{series: make(map[string]*sparkRing)}
 }
 
 // add records one value for the named series at the current refresh.
 func (h *topHistory) add(name string, labels map[string]string, v float64) {
-	h.store.Append(name, labels, h.seq, v)
+	key := seriesName(name, labels)
+	r := h.series[key]
+	if r == nil {
+		r = new(sparkRing)
+		h.series[key] = r
+	}
+	i := h.seq % sparkPoints
+	r.seq[i], r.val[i] = h.seq, v
 }
 
-// spark renders the series' trailing window as a sparkline.
+// spark renders the values the series recorded over the last
+// sparkPoints refreshes as a sparkline.
 func (h *topHistory) spark(name string, labels map[string]string) string {
-	tail := h.store.Tail(name, labels, sparkPoints)
-	if len(tail) < 2 {
+	r := h.series[seriesName(name, labels)]
+	if r == nil {
 		return ""
 	}
-	vals := make([]float64, len(tail))
-	for i, s := range tail {
-		vals[i] = s.V
+	vals := make([]float64, 0, sparkPoints)
+	for seq := max(h.seq-sparkPoints+1, 1); seq <= h.seq; seq++ {
+		if i := seq % sparkPoints; r.seq[i] == seq {
+			vals = append(vals, r.val[i])
+		}
+	}
+	if len(vals) < 2 {
+		return ""
 	}
 	return tabulate.Spark(vals)
+}
+
+// seriesName renders a series as name{k=v,...}, labels sorted.
+func seriesName(name string, labels map[string]string) string {
+	if len(labels) == 0 {
+		return name
+	}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = k + "=" + labels[k]
+	}
+	return name + "{" + strings.Join(parts, ",") + "}"
 }
 
 // top fetches /status from a live lobster (started with -http) and
@@ -156,19 +191,7 @@ func renderStatus(st *telemetry.Status, age time.Duration, scrapeErr error, hist
 	}
 	tb := tabulate.NewTable("Telemetry", headers...)
 	for _, p := range st.Series {
-		name := p.Name
-		if len(p.Labels) > 0 {
-			keys := make([]string, 0, len(p.Labels))
-			for k := range p.Labels {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			parts := make([]string, len(keys))
-			for i, k := range keys {
-				parts[i] = k + "=" + p.Labels[k]
-			}
-			name += "{" + strings.Join(parts, ",") + "}"
-		}
+		name := seriesName(p.Name, p.Labels)
 		var val string
 		if p.Type == "histogram" {
 			val = fmt.Sprintf("n=%d mean=%.4g", p.Count, p.Mean)

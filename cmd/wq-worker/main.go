@@ -1,7 +1,7 @@
-// Command wq-worker joins a standalone Work Queue worker to a master (or
-// foreman). It registers the standard Lobster executors (analysis,
-// simulation, merge) configured from flags, matching how the paper's worker
-// pilots are started in bulk by a batch system.
+// Command wq-worker joins a standalone Work Queue worker to a master. It
+// registers the standard Lobster executors (analysis, simulation, merge)
+// configured from flags, matching how the paper's worker pilots are
+// started in bulk by a batch system.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.master, "master", "127.0.0.1:9123", "master or foreman address")
+	flag.StringVar(&o.master, "master", "127.0.0.1:9123", "master address")
 	flag.StringVar(&o.name, "name", "", "worker name (default: wq-worker-<pid>)")
 	flag.IntVar(&o.cores, "cores", 8, "task slots")
 	flag.StringVar(&o.dir, "dir", "", "scratch directory (default: temp)")

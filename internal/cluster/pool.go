@@ -14,7 +14,7 @@ import (
 // wq.Worker processes (goroutines) joined to a master and evicted by a
 // batch-system stand-in.
 type PoolConfig struct {
-	// MasterAddr is the wq master (or foreman) workers connect to.
+	// MasterAddr is the wq master workers connect to.
 	MasterAddr string
 	// Workers is the target number of concurrently-running workers.
 	Workers int

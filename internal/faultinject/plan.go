@@ -10,7 +10,7 @@
 // The paper's core claim is surviving a *non-dedicated* environment —
 // workers are evicted mid-task, connections drop, services stall. The
 // simulation plane models that statistically; this package injects it
-// into the real plane (wq master/foreman/worker protocol, chirp, squid,
+// into the real plane (wq master/worker protocol, chirp, squid,
 // xrootd, wrapper segments) so the recovery invariants can be asserted
 // under test: no task is lost, outputs are byte-identical to a
 // fault-free run, and retry accounting reconciles.

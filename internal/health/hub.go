@@ -15,7 +15,6 @@ import (
 
 	"lobster/internal/monitor"
 	"lobster/internal/telemetry"
-	"lobster/internal/tsdb"
 )
 
 // Config wires a Hub.
@@ -52,12 +51,6 @@ type Config struct {
 	// down (default 2).
 	DownAfter int
 
-	// Store receives every merged scrape as time-series history and
-	// backs the rules' multi-tick windows. Nil means an in-memory store
-	// with default retention is created; the caller owns flushing a
-	// persistent store.
-	Store *tsdb.Store
-
 	// ScrapeTimeout bounds a single tick's scrape phase: endpoints that
 	// have not answered by then are counted as failed for the tick and
 	// their in-flight requests cancelled, so one hung endpoint cannot
@@ -71,7 +64,6 @@ type Hub struct {
 	cfg   Config
 	rules *RuleSet
 	clock telemetry.Clock
-	store *tsdb.Store
 
 	mu     sync.Mutex
 	eps    []endpointScrape
@@ -107,11 +99,6 @@ func NewHub(cfg Config) *Hub {
 			h.cfg.ScrapeTimeout = 5 * time.Second
 		}
 	}
-	h.store = cfg.Store
-	if h.store == nil {
-		h.store = tsdb.New(tsdb.Config{})
-	}
-	h.rules.SetHistory(h.store)
 	h.eps = make([]endpointScrape, len(cfg.Endpoints))
 	for i, ep := range cfg.Endpoints {
 		h.eps[i] = endpointScrape{ep: ep}
@@ -252,14 +239,6 @@ drain:
 	h.upGauge.Set(float64(f.Up()))
 	h.seriesG.Set(float64(len(f.Series)))
 
-	// Record the merged view into history before evaluating rules, so a
-	// window ending at `now` sees this tick's values — the store is the
-	// rules' multi-tick memory.
-	for i := range f.Series {
-		s := &f.Series[i]
-		h.store.Append(s.Name, s.Labels, now, s.Value)
-	}
-
 	// Built-in endpoint-down detection, then the declarative rules.
 	var emitted []monitor.AlertRecord
 	for i := range f.Endpoints {
@@ -334,11 +313,6 @@ func (h *Hub) Fleet() *Fleet {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.fleet
-}
-
-// Store returns the hub's time-series history.
-func (h *Hub) Store() *tsdb.Store {
-	return h.store
 }
 
 // Alerts returns a copy of every alert emitted so far.

@@ -98,7 +98,9 @@ func (p *Page) baseFamily(name string) *Family {
 func ParseMetrics(r io.Reader) (*Page, error) {
 	p := &Page{byName: make(map[string]*Family)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// The scanner starts at 4 KiB and doubles only for a longer line: a
+	// page is a few KiB, and the hub parses one per endpoint per tick.
+	sc.Buffer(nil, 16<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

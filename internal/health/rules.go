@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-
-	"lobster/internal/tsdb"
 )
 
 // Expr selects and reduces fleet series to one scalar. Fn picks the
@@ -14,32 +13,29 @@ import (
 //
 //	value     sum of the matching series (default)
 //	max       max of the matching series
-//	rate      per-second increase of the summed value since the last tick
+//	rate      counter-reset-safe per-second increase of the summed value
+//	          over the last Window seconds, or since the last tick when
+//	          Window is zero
 //	stall     seconds since the summed value last changed
 //	imbalance max/mean of the per-group sums, grouped by the Over label
 //	hist_mean fleet-wide mean of a histogram metric (sum of _sum over
 //	          sum of _count)
 //
-// rate and stall are multi-tick functions. With history attached (see
-// RuleSet.SetHistory — the hub always attaches its tsdb store) they
-// evaluate against the recorded window: rate is the counter-reset-safe
-// per-second increase over the last Window seconds (or the last two
-// samples when Window is zero, matching the classic tick-over-tick
-// rate), and stall scans recorded history for the instant the summed
-// value last changed, so a freshly restarted hub with persisted history
-// doesn't forget a wedged counter. Without history both fall back to
-// per-rule memory across ticks and abstain on their first observation.
-// Every fn abstains (the rule is skipped that tick) when no series
-// match, so a rule set written for the full fleet degrades quietly on
-// components that don't expose a given metric.
+// rate and stall are multi-tick functions over the rule's own bounded
+// memory (ruleState): rate abstains until it holds two samples, stall
+// measures from its first observation. Every fn abstains (the rule is
+// skipped that tick) when no series match, so a rule set written for the
+// full fleet degrades quietly on components that don't expose a given
+// metric.
 type Expr struct {
 	Metric string            `json:"metric"`
 	Match  map[string]string `json:"match,omitempty"`
 	Fn     string            `json:"fn,omitempty"`
 	Over   string            `json:"over,omitempty"`
 
-	// Window widens rate/stall to a history window of this many
-	// seconds. Zero keeps the single-tick lookback semantics.
+	// Window widens rate to the samples of this many seconds. Zero
+	// keeps the single-tick lookback. Only rate takes one: stall
+	// measures from the last change however long ago that was.
 	Window float64 `json:"window,omitempty"`
 }
 
@@ -85,11 +81,13 @@ type Rule struct {
 	Profile bool `json:"profile,omitempty"`
 }
 
-// ruleState is the engine's per-rule memory across ticks.
+// ruleState is the engine's per-rule memory across ticks, updated on
+// every evaluation. It is all the history a rule has: rate keeps the
+// samples inside its window, stall the value and when it last changed.
 type ruleState struct {
 	// expression memory (rate / stall)
+	window     []sample
 	prevVal    float64
-	prevTime   float64
 	hasPrev    bool
 	lastChange float64
 
@@ -113,70 +111,69 @@ func exceeds(op string, val, threshold float64) bool {
 	}
 }
 
-// History is the recorded multi-tick window rate/stall evaluate
-// against: the per-timestamp sum of every matching series over a time
-// range. *tsdb.Store satisfies it.
-type History interface {
-	SumOver(name string, match map[string]string, from, to float64) []tsdb.Sample
+// sample is one (time, summed value) observation a rate rule remembers.
+// Time is in integer milliseconds so the window edge is exact.
+type sample struct {
+	ms int64
+	v  float64
 }
 
-// rateLookback bounds how far a zero-window rate looks for its previous
-// sample; stallLookback effectively means "all recorded history" (the
-// store's retention is the real bound).
-const (
-	rateLookback  = 3600.0
-	stallLookback = 1e9
-)
+func millis(t float64) int64 { return int64(math.Round(t * 1000)) }
 
-// evalRateHistory computes the counter-reset-safe rate over the
-// recorded window: the last Window seconds, or just the last two
-// samples when Window is zero (classic tick-over-tick semantics).
-func (e *Expr) evalRateHistory(hist History, now float64) (val float64, ok bool) {
-	lookback := e.Window
-	if lookback <= 0 {
-		lookback = rateLookback
+// rateLookback bounds how far a zero-window rate looks for its previous
+// sample.
+const rateLookback = 3600.0
+
+// counterIncrease returns the reset-safe increase over samples and the
+// seconds between the first and the last. A counter reset (the value
+// drops) contributes the post-reset value, matching Prometheus: the
+// counter restarted from zero, so everything accumulated since counts.
+func counterIncrease(samples []sample) (inc, elapsed float64, ok bool) {
+	if len(samples) < 2 {
+		return 0, 0, false
 	}
-	samples := hist.SumOver(e.Metric, e.Match, now-lookback, now)
-	if e.Window <= 0 && len(samples) > 2 {
-		samples = samples[len(samples)-2:]
+	prev := samples[0].v
+	for _, p := range samples[1:] {
+		if p.v >= prev {
+			inc += p.v - prev
+		} else {
+			inc += p.v
+		}
+		prev = p.v
 	}
-	inc, elapsed, cok := tsdb.CounterIncrease(samples)
-	if !cok || elapsed <= 0 {
+	return inc, float64(samples[len(samples)-1].ms)/1000 - float64(samples[0].ms)/1000, true
+}
+
+// rate records cur at now and returns the per-second increase over the
+// rule's window: the samples no older than now-window, or the last two
+// (within rateLookback) when window is zero, the tick-over-tick rate.
+func (st *ruleState) rate(window, now, cur float64) (float64, bool) {
+	lookback, keep := window, 0
+	if window <= 0 {
+		lookback, keep = rateLookback, 2
+	}
+	st.window = append(st.window, sample{millis(now), cur})
+	edge, drop := millis(now-lookback), 0
+	for drop < len(st.window) && st.window[drop].ms < edge {
+		drop++
+	}
+	if keep > 0 && len(st.window)-drop > keep {
+		drop = len(st.window) - keep
+	}
+	if drop > 0 {
+		st.window = append(st.window[:0], st.window[drop:]...)
+	}
+	inc, elapsed, ok := counterIncrease(st.window)
+	if !ok || elapsed <= 0 {
 		return 0, false
 	}
 	return inc / elapsed, true
 }
 
-// stallRunStart scans recorded history backwards for the start of the
-// current flat run. Called once, on a rule's first evaluation — after
-// that the engine tracks changes incrementally (it observes every tick
-// the hub records), keeping steady-state stall evaluation O(1) instead
-// of re-decoding an arbitrarily long flat run each tick.
-func (e *Expr) stallRunStart(hist History, now float64) (float64, bool) {
-	lookback := e.Window
-	if lookback <= 0 {
-		lookback = stallLookback
-	}
-	samples := hist.SumOver(e.Metric, e.Match, now-lookback, now)
-	if len(samples) == 0 {
-		return 0, false
-	}
-	cur := samples[len(samples)-1].V
-	runStart := samples[len(samples)-1].T
-	for i := len(samples) - 2; i >= 0; i-- {
-		if samples[i].V != cur {
-			break
-		}
-		runStart = samples[i].T
-	}
-	return runStart, true
-}
-
 // eval reduces the expression against the fleet at hub time now, using
-// (and updating) the rule's memory. hist, when non-nil, backs rate and
-// stall with recorded multi-tick windows instead of single-tick memory.
-// ok is false when the expression abstains this tick.
-func (e *Expr) eval(f *Fleet, st *ruleState, now float64, hist History) (val float64, ok bool) {
+// (and updating) the rule's memory. ok is false when the expression
+// abstains this tick.
+func (e *Expr) eval(f *Fleet, st *ruleState, now float64) (val float64, ok bool) {
 	switch e.Fn {
 	case "", "value":
 		sel := f.Select(e.Metric, e.Match)
@@ -203,19 +200,11 @@ func (e *Expr) eval(f *Fleet, st *ruleState, now float64, hist History) (val flo
 		if len(sel) == 0 {
 			return 0, false
 		}
-		if hist != nil {
-			return e.evalRateHistory(hist, now)
-		}
 		cur := 0.0
 		for _, s := range sel {
 			cur += s.Value
 		}
-		defer func() { st.prevVal, st.prevTime, st.hasPrev = cur, now, true }()
-		if !st.hasPrev || now <= st.prevTime || cur < st.prevVal {
-			// First tick, stalled clock, or counter reset: abstain.
-			return 0, false
-		}
-		return (cur - st.prevVal) / (now - st.prevTime), true
+		return st.rate(e.Window, now, cur)
 	case "stall":
 		sel := f.Select(e.Metric, e.Match)
 		if len(sel) == 0 {
@@ -224,22 +213,6 @@ func (e *Expr) eval(f *Fleet, st *ruleState, now float64, hist History) (val flo
 		cur := 0.0
 		for _, s := range sel {
 			cur += s.Value
-		}
-		if hist != nil {
-			switch {
-			case !st.hasPrev:
-				// First evaluation: recover the flat run from recorded
-				// history, so a restarted hub with persisted samples
-				// remembers how long a counter has been wedged.
-				runStart, rok := e.stallRunStart(hist, now)
-				if !rok {
-					runStart = now
-				}
-				st.prevVal, st.hasPrev, st.lastChange = cur, true, runStart
-			case cur != st.prevVal:
-				st.prevVal, st.lastChange = cur, now
-			}
-			return now - st.lastChange, true
 		}
 		if !st.hasPrev || cur != st.prevVal {
 			st.prevVal, st.hasPrev, st.lastChange = cur, true, now
@@ -284,7 +257,7 @@ func (r *Rule) effectiveThreshold(f *Fleet, now float64) (float64, bool) {
 		return r.Threshold, true
 	}
 	var scratch ruleState // derived thresholds use memoryless fns
-	dyn, ok := r.ThresholdExpr.eval(f, &scratch, now, nil)
+	dyn, ok := r.ThresholdExpr.eval(f, &scratch, now)
 	if !ok {
 		// Derived bound unavailable (no observations yet): fall back to
 		// the floor if one is set, otherwise abstain.
@@ -304,21 +277,11 @@ func (r *Rule) effectiveThreshold(f *Fleet, now float64) (float64, bool) {
 type RuleSet struct {
 	Rules  []Rule
 	states []ruleState
-	hist   History
 }
 
 // NewRuleSet wraps rules with fresh engine state.
 func NewRuleSet(rules []Rule) *RuleSet {
 	return &RuleSet{Rules: rules, states: make([]ruleState, len(rules))}
-}
-
-// SetHistory attaches the recorded window rate/stall evaluate against.
-// The hub calls this with its tsdb store; a nil history restores the
-// single-tick memory fallback.
-func (rs *RuleSet) SetHistory(h History) {
-	if rs != nil {
-		rs.hist = h
-	}
 }
 
 // LoadRules parses a JSON rule file: either a bare array of rules or an
@@ -361,10 +324,8 @@ func LoadRules(r io.Reader) (*RuleSet, error) {
 		if w := rules[i].Expr.Window; w < 0 {
 			return nil, fmt.Errorf("health: rule %q: negative window", rules[i].Name)
 		} else if w > 0 {
-			switch rules[i].Expr.Fn {
-			case "rate", "stall":
-			default:
-				return nil, fmt.Errorf("health: rule %q: window only applies to rate/stall", rules[i].Name)
+			if rules[i].Expr.Fn != "rate" {
+				return nil, fmt.Errorf("health: rule %q: window only applies to rate", rules[i].Name)
 			}
 		}
 	}
@@ -392,14 +353,14 @@ func (rs *RuleSet) Evaluate(f *Fleet, now float64) []Transition {
 		st := &rs.states[i]
 
 		threshold, thrOK := r.effectiveThreshold(f, now)
-		val, ok := r.Expr.eval(f, st, now, rs.hist)
+		val, ok := r.Expr.eval(f, st, now)
 		cond := false
 		if ok && thrOK {
 			cond = exceeds(r.Op, val, threshold)
 		}
 		if r.Gate != nil && cond {
 			var scratch ruleState
-			gv, gok := r.Gate.Expr.eval(f, &scratch, now, nil)
+			gv, gok := r.Gate.Expr.eval(f, &scratch, now)
 			if !gok || !exceeds(r.Gate.Op, gv, r.Gate.Threshold) {
 				cond = false
 			}

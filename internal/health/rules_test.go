@@ -31,19 +31,19 @@ func TestExprValueAndMax(t *testing.T) {
 	)
 	var st ruleState
 	e := Expr{Metric: "depth"}
-	if v, ok := e.eval(f, &st, 10, nil); !ok || v != 17 {
+	if v, ok := e.eval(f, &st, 10); !ok || v != 17 {
 		t.Fatalf("value = %v,%v want 17,true", v, ok)
 	}
 	e = Expr{Metric: "depth", Fn: "max"}
-	if v, ok := e.eval(f, &st, 10, nil); !ok || v != 9 {
+	if v, ok := e.eval(f, &st, 10); !ok || v != 9 {
 		t.Fatalf("max = %v,%v want 9,true", v, ok)
 	}
 	e = Expr{Metric: "depth", Match: map[string]string{"component": "worker"}}
-	if v, ok := e.eval(f, &st, 10, nil); !ok || v != 8 {
+	if v, ok := e.eval(f, &st, 10); !ok || v != 8 {
 		t.Fatalf("matched value = %v,%v want 8,true", v, ok)
 	}
 	e = Expr{Metric: "absent"}
-	if _, ok := e.eval(f, &st, 10, nil); ok {
+	if _, ok := e.eval(f, &st, 10); ok {
 		t.Fatal("absent metric should abstain")
 	}
 }
@@ -51,31 +51,56 @@ func TestExprValueAndMax(t *testing.T) {
 func TestExprRate(t *testing.T) {
 	e := Expr{Metric: "evictions", Fn: "rate"}
 	var st ruleState
-	if _, ok := e.eval(fleetAt(0, s("evictions", 100)), &st, 0, nil); ok {
+	if _, ok := e.eval(fleetAt(0, s("evictions", 100)), &st, 0); ok {
 		t.Fatal("first rate observation should abstain")
 	}
-	if v, ok := e.eval(fleetAt(10, s("evictions", 150)), &st, 10, nil); !ok || v != 5 {
+	if v, ok := e.eval(fleetAt(10, s("evictions", 150)), &st, 10); !ok || v != 5 {
 		t.Fatalf("rate = %v,%v want 5,true", v, ok)
 	}
-	// Counter reset abstains, then resumes from the new base.
-	if _, ok := e.eval(fleetAt(20, s("evictions", 3)), &st, 20, nil); ok {
-		t.Fatal("counter reset should abstain")
+	// A counter reset counts the post-reset value, then resumes from the
+	// new base.
+	if v, ok := e.eval(fleetAt(20, s("evictions", 3)), &st, 20); !ok || v != 0.3 {
+		t.Fatalf("reset rate = %v,%v want 0.3,true", v, ok)
 	}
-	if v, ok := e.eval(fleetAt(30, s("evictions", 23)), &st, 30, nil); !ok || v != 2 {
+	if v, ok := e.eval(fleetAt(30, s("evictions", 23)), &st, 30); !ok || v != 2 {
 		t.Fatalf("post-reset rate = %v,%v want 2,true", v, ok)
+	}
+}
+
+// TestExprRateWindowBounded: a windowed rate remembers only the samples
+// inside its window, edge included, however long it runs, and a
+// zero-window rate only the last two.
+func TestExprRateWindowBounded(t *testing.T) {
+	for _, c := range []struct {
+		window      float64
+		keep        int
+		firstMillis int64
+	}{{30, 4, 970_000}, {0, 2, 990_000}} {
+		e := Expr{Metric: "done", Fn: "rate", Window: c.window}
+		var st ruleState
+		for i := 0; i <= 100; i++ {
+			now := float64(10 * i)
+			v, ok := e.eval(fleetAt(now, s("done", 2*now)), &st, now)
+			if i > 0 && (!ok || v != 2) {
+				t.Fatalf("window %g tick %d: rate = %v,%v want 2,true", c.window, i, v, ok)
+			}
+		}
+		if len(st.window) != c.keep || st.window[0].ms != c.firstMillis {
+			t.Errorf("window %g holds %v, want the last %d samples", c.window, st.window, c.keep)
+		}
 	}
 }
 
 func TestExprStall(t *testing.T) {
 	e := Expr{Metric: "done", Fn: "stall"}
 	var st ruleState
-	if v, ok := e.eval(fleetAt(100, s("done", 10)), &st, 100, nil); !ok || v != 0 {
+	if v, ok := e.eval(fleetAt(100, s("done", 10)), &st, 100); !ok || v != 0 {
 		t.Fatalf("first stall = %v,%v want 0,true", v, ok)
 	}
-	if v, _ := e.eval(fleetAt(160, s("done", 10)), &st, 160, nil); v != 60 {
+	if v, _ := e.eval(fleetAt(160, s("done", 10)), &st, 160); v != 60 {
 		t.Fatalf("stall after flat minute = %v, want 60", v)
 	}
-	if v, _ := e.eval(fleetAt(170, s("done", 11)), &st, 170, nil); v != 0 {
+	if v, _ := e.eval(fleetAt(170, s("done", 11)), &st, 170); v != 0 {
 		t.Fatalf("stall after progress = %v, want 0", v)
 	}
 }
@@ -90,16 +115,16 @@ func TestExprImbalance(t *testing.T) {
 		s("depth", 5, "shard", "3"),
 	)
 	// mean = 25, max = 80 → 3.2
-	if v, ok := e.eval(f, &st, 0, nil); !ok || v != 3.2 {
+	if v, ok := e.eval(f, &st, 0); !ok || v != 3.2 {
 		t.Fatalf("imbalance = %v,%v want 3.2,true", v, ok)
 	}
 	// One group only: abstain.
-	if _, ok := e.eval(fleetAt(0, s("depth", 80, "shard", "0")), &st, 0, nil); ok {
+	if _, ok := e.eval(fleetAt(0, s("depth", 80, "shard", "0")), &st, 0); ok {
 		t.Fatal("single group should abstain")
 	}
 	// All-zero depths: abstain (no work, no skew).
 	f = fleetAt(0, s("depth", 0, "shard", "0"), s("depth", 0, "shard", "1"))
-	if _, ok := e.eval(f, &st, 0, nil); ok {
+	if _, ok := e.eval(f, &st, 0); ok {
 		t.Fatal("zero mean should abstain")
 	}
 }
@@ -113,10 +138,10 @@ func TestExprHistMean(t *testing.T) {
 		s("exec_seconds_sum", 10, "component", "worker"),
 		s("exec_seconds_count", 10, "component", "worker"),
 	)
-	if v, ok := e.eval(f, &st, 0, nil); !ok || v != 2 {
+	if v, ok := e.eval(f, &st, 0); !ok || v != 2 {
 		t.Fatalf("hist_mean = %v,%v want 2,true", v, ok)
 	}
-	if _, ok := e.eval(fleetAt(0), &st, 0, nil); ok {
+	if _, ok := e.eval(fleetAt(0), &st, 0); ok {
 		t.Fatal("no observations should abstain")
 	}
 }
@@ -236,6 +261,7 @@ func TestLoadRules(t *testing.T) {
 		`[{"name": "a", "expr": {}}]`,                                                      // no metric
 		`[{"name": "a", "expr": {"metric": "m", "fn": "median"}}]`,                         // unknown fn
 		`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance"}}]`,                      // imbalance sans over
+		`[{"name": "a", "expr": {"metric": "m", "fn": "stall", "window": 60}}]`,            // window on stall
 		`[{"name": "a", "expr": {"metric": "m"}}, {"name": "a", "expr": {"metric": "m"}}]`, // dup
 		`not json`,
 	} {

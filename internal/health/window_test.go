@@ -20,7 +20,7 @@ func counterPage(name string, v float64) []byte {
 // rules exist for: a counter that resets mid-window (its process
 // restarted) must not wobble a firing rate rule through its hysteresis.
 // The single-tick rate abstained on the reset tick, eating into the
-// Clear budget; the tsdb-backed window rides through because the
+// Clear budget; the windowed rate rides through because the
 // counter-reset-safe increase still sees the surrounding climb.
 func TestWindowedRateCounterResetHysteresis(t *testing.T) {
 	src := &StaticSource{Text: counterPage("lobster_restarts_total", 0)}
@@ -73,8 +73,8 @@ func TestWindowedRateCounterResetHysteresis(t *testing.T) {
 	}
 }
 
-// TestWindowedStallSeesThroughRestart: stall backed by history measures
-// from the last recorded change, not from rule-state birth.
+// TestWindowedStallSeesThroughRestart: stall measures from the last
+// observed change of the value.
 func TestWindowedStallSeesThroughRestart(t *testing.T) {
 	src := &StaticSource{Text: counterPage("lobster_wq_tasks_done_total", 1)}
 	now := 0.0
@@ -184,9 +184,9 @@ func TestHubScrapeTimeout(t *testing.T) {
 	if !found {
 		t.Fatalf("no endpoint_down alert for the hung endpoint: %+v", alerts)
 	}
-	// The healthy endpoint's value made it into history both ticks.
-	if tail := hub.Store().Tail("lobster_ok", map[string]string{"component": "master", "instance": "fast"}, 4); len(tail) != 2 {
-		t.Fatalf("history for healthy endpoint: %v", tail)
+	// The healthy endpoint's fresh value survived the hung peer.
+	if sel := f.Select("lobster_ok", map[string]string{"component": "master", "instance": "fast"}); len(sel) != 1 || sel[0].Value != 1 {
+		t.Fatalf("healthy endpoint's value in the fleet view: %v", sel)
 	}
 }
 

@@ -225,6 +225,11 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byt
 		}
 		return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
 	}
+	// An attempt whose worker lost its master has been requeued: its put
+	// would land after, or over, the accepted attempt's output.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	// PutFile is idempotent, so the pool may replay it freely; the
 	// payload streams through the pooled connection's shared flush.
 	if err := e.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {

@@ -3,8 +3,10 @@ package hepsim
 import (
 	"bytes"
 	"fmt"
+	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -545,5 +547,64 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	got2, _ := svc.chirpFS.ReadFile("/out/ranged-staged")
 	if !bytes.Equal(got2, want) {
 		t.Fatal("staged sub-range differs from streamed")
+	}
+}
+
+// TestStageOutAfterMasterLostWritesNothing: an attempt whose worker lost
+// its master reaches stage-out after the master has requeued the task.
+// Its put must not reach the storage element, not even as a spool file.
+func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
+	root := t.TempDir()
+	fs, err := chirp.NewLocalFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := chirp.NewServer(fs, "127.0.0.1:0", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	env := &Env{ChirpAddr: se.Addr()}
+	defer env.Close()
+
+	m, err := wq.NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	reports := make(chan *wrapper.Report, 1)
+	reg := wq.Registry{"zombie": func(ctx *wq.ExecContext) error {
+		close(entered)
+		for deadline := time.Now().Add(10 * time.Second); ctx.Err() == nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				break
+			}
+		}
+		reports <- wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegStageOut,
+			Run: func(c *wrapper.StepContext) error { return env.stageOut(ctx, c, []byte("late")) }})
+		return nil
+	}}
+	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := m.Submit(&wq.Task{Func: "zombie", Args: map[string]string{"output": "/store/user/late/out.root"}}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	m.Close()
+	if rep := <-reports; rep.ExitCode == 0 {
+		t.Fatalf("stage-out after the master was lost succeeded: %+v", rep)
+	}
+	var left []string
+	filepath.WalkDir(root, func(path string, d iofs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			left = append(left, path)
+		}
+		return err
+	})
+	if len(left) != 0 {
+		t.Fatalf("the abandoned attempt wrote to the storage element: %v", left)
 	}
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"lobster/internal/seglog"
 	"lobster/internal/telemetry"
 )
 
@@ -348,8 +348,8 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 
 // TestReplayLogInterleavedHistoryPlane replays a log shaped like a full
 // production run with the history plane armed: task batches, alert
-// transitions, profile-bundle captures, and the tsdb's segment-rotation
-// markers all interleaved in one stream. Replay must restore every task
+// transitions, profile-bundle captures, and the since-removed history
+// store's "tsdb_segment" markers all interleaved in one stream. Replay must restore every task
 // and alert, skip the rest without error — including under every
 // possible torn-tail byte prefix a crash could leave. The stream also
 // carries the "election" and "ha_submit" lines a log written by the
@@ -394,9 +394,8 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 				"profiles": []string{"cpu.pprof", "heap.pprof", "goroutine.pprof"},
 			})
 		case 2:
-			emit("tsdb_segment", seglog.Sealed{
-				Seq: i / 4, Path: fmt.Sprintf("tsdb/seg-%06d.tsdb", i/4), Size: 4 << 20,
-			})
+			emit("tsdb_segment", json.RawMessage(fmt.Sprintf(
+				`{"seq":%d,"path":"tsdb/seg-%06d.tsdb","size":%d}`, i/4, i/4, 4<<20)))
 		}
 		if i == 8 {
 			log.Emit("election", map[string]any{"t": 0.2, "node": 3, "term": 1, "role": "leader", "leader": 3})

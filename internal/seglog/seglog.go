@@ -1,5 +1,5 @@
-// Package seglog is the one crash-safe append log under the Lobster DB
-// (internal/store) and the history store (internal/tsdb). A log is a
+// Package seglog is the crash-safe append log under the Lobster DB
+// (internal/store). A log is a
 // directory of numbered segment files, seg-NNNNNN<suffix>, each a run of
 // CRC-framed records:
 //
@@ -35,14 +35,6 @@ const prefix = "seg-"
 // segBytes is the size at which Append seals the live segment. No program
 // varies it; tests shrink it.
 var segBytes int64 = 4 << 20
-
-// Sealed describes a segment Append sealed. The history store emits it as
-// its "tsdb_segment" event.
-type Sealed struct {
-	Seq  int    `json:"seq"`
-	Path string `json:"path"`
-	Size int64  `json:"size"`
-}
 
 // Log is an open segment log. Its owner serialises calls.
 type Log struct {
@@ -160,26 +152,22 @@ func (l *Log) fail(err error) error {
 }
 
 // Append writes one record, first sealing the live segment when it has
-// reached the size limit; sealed is non-nil exactly then. Records sit in a
-// 4 KiB buffer until it fills or Sync, Compact or Close.
-func (l *Log) Append(rec []byte) (sealed *Sealed, err error) {
+// reached the size limit. Records sit in a 4 KiB buffer until it fills or
+// Sync, Compact or Close.
+func (l *Log) Append(rec []byte) error {
 	if l.err != nil {
-		return nil, l.err
+		return l.err
 	}
 	if l.live >= segBytes {
-		sealed = &Sealed{Seq: l.seq, Path: l.path(l.seq), Size: l.live}
 		if err := l.closeLive(); err != nil {
-			return nil, l.fail(err)
+			return l.fail(err)
 		}
 		l.seq++
 		if err := l.openLive(0); err != nil {
-			return nil, l.fail(err)
+			return l.fail(err)
 		}
 	}
-	if err := l.write(rec); err != nil {
-		return nil, err
-	}
-	return sealed, nil
+	return l.write(rec)
 }
 
 // write frames rec into the live segment. A bufio.Writer keeps its first

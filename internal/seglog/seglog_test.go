@@ -139,7 +139,7 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append([]byte("probe")); err != nil {
+		if err := l.Append([]byte("probe")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -168,11 +168,11 @@ func TestReplayEveryPrefix(t *testing.T) {
 	put := func(i int) {
 		k, v := fmt.Sprint("k", i%5), fmt.Sprint(i)
 		state[k] = v
-		sealed, err := l.Append([]byte(k + "=" + v))
-		if err != nil {
+		seq := l.seq
+		if err := l.Append([]byte(k + "=" + v)); err != nil {
 			t.Fatal(err)
 		}
-		if sealed != nil {
+		if l.seq != seq {
 			seals++
 		}
 	}
@@ -243,7 +243,7 @@ func TestCompactCrashPoints(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		k, v := fmt.Sprint("k", i%7), fmt.Sprint(i)
 		state[k] = v
-		if _, err := l.Append([]byte(k + "=" + v)); err != nil {
+		if err := l.Append([]byte(k + "=" + v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestDecoderRejectionIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []string{"a=1", "garbage", "c=3"} {
-		if _, err := l.Append([]byte(rec)); err != nil {
+		if err := l.Append([]byte(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}

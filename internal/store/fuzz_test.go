@@ -17,7 +17,7 @@ func framed(f *testing.F, recs ...[]byte) []byte {
 		f.Fatal(err)
 	}
 	for _, rec := range recs {
-		if _, err := l.Append(rec); err != nil {
+		if err := l.Append(rec); err != nil {
 			f.Fatal(err)
 		}
 	}

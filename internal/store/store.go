@@ -105,7 +105,7 @@ func (db *DB) Put(table, key string, value []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.scratch = appendRecord(db.scratch[:0], table, key, value)
-	if _, err := db.log.Append(db.scratch); err != nil {
+	if err := db.log.Append(db.scratch); err != nil {
 		return fmt.Errorf("store: appending: %w", err)
 	}
 	db.apply(table, key, append([]byte(nil), value...))

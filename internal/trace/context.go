@@ -1,6 +1,6 @@
 // Package trace is Lobster's distributed-tracing layer: a propagated
 // trace context (trace ID, parent span ID, sampled flag, baggage) that
-// flows across every component boundary — wq master → foreman → worker
+// flows across every component boundary — wq master → worker
 // dispatch, worker → chirp stage-in/out, worker → squid/CVMFS software
 // fetch, worker → xrootd reads, and merge jobs — plus span recording
 // into the shared telemetry event log and offline analysis (span trees,

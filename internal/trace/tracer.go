@@ -19,7 +19,7 @@ type Record struct {
 	Trace  string            `json:"trace"`
 	Span   string            `json:"span"`
 	Parent string            `json:"parent,omitempty"`
-	Comp   string            `json:"comp"` // emitting component: master, foreman, worker, chirp, squid, …
+	Comp   string            `json:"comp"` // emitting component: master, worker, chirp, squid, …
 	Name   string            `json:"name"` // operation: task, dispatch, stage_in, get, …
 	Start  float64           `json:"start"`
 	End    float64           `json:"end"`

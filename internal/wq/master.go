@@ -21,7 +21,7 @@ import (
 // straddle a task completing (TasksRunning and TasksDone can transiently sum
 // one high or low). Monitoring consumers tolerate that; tests quiesce first.
 type MasterStats struct {
-	WorkersConnected int // currently connected (foremen count as one)
+	WorkersConnected int // currently connected
 	WorkersSeen      int // total hellos
 	WorkersLost      int // connections dropped with tasks outstanding or not
 	CoresConnected   int
@@ -69,7 +69,7 @@ type Master struct {
 }
 
 // Fault wires the master into the fault plane: newly accepted worker
-// and foreman connections are wrapped so their reads and writes consult
+// connections are wrapped so their reads and writes consult
 // inj under component "wq_master". The master's requeue accounting
 // turns the resulting connection losses into re-dispatches, which is
 // exactly what chaos storms assert on. Call before traffic; nil is a
@@ -141,7 +141,7 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 		"Tasks dispatched and awaiting results (in flight).",
 		func() float64 { return float64(m.running.Load()) })
 	reg.GaugeFunc("lobster_wq_workers_connected",
-		"Workers (or foremen) currently connected.",
+		"Workers currently connected.",
 		func() float64 { return float64(m.Stats().WorkersConnected) })
 	reg.GaugeFunc("lobster_wq_cores_connected",
 		"Cores advertised by connected workers.",
@@ -175,16 +175,15 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 // Trace attaches a tracer: every task gets a root span spanning
 // submit→result, a "submit" span per queue wait, and a "dispatch" span
 // per dispatch attempt whose context travels to the worker in the task's
-// Trace field. Tasks submitted with a valid upstream context (a foreman
-// relaying) chain under it instead of starting a new trace. Call before
-// traffic; a nil tracer leaves the master untraced at zero cost.
+// Trace field. Call before traffic; a nil tracer leaves the master
+// untraced at zero cost.
 func (m *Master) Trace(tr *trace.Tracer) {
 	if tr != nil {
 		m.tracer.Store(tr)
 	}
 }
 
-// workerConn is the master's end of one worker (or foreman) connection.
+// workerConn is the master's end of one worker connection.
 // The dispatch scratch buffers (popBuf, taskBuf, encScratch, msg) are
 // owned by the connection's single dispatcher goroutine and sized once at
 // hello, so a dispatch round reuses the same memory end to end.
@@ -208,9 +207,9 @@ type workerConn struct {
 	msg        message
 }
 
-// homeQueue maps a peer identity onto a dispatch queue (FNV-1a). Foremen
-// are the natural shard key: each foreman's dispatcher drains its own
-// stripe first and steals from the others only when it runs dry.
+// homeQueue maps a peer identity onto a dispatch queue (FNV-1a): each
+// worker's dispatcher drains its own stripe first and steals from the
+// others only when it runs dry.
 func homeQueue(name string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {
@@ -252,12 +251,7 @@ func (m *Master) Submit(t *Task) (int64, error) {
 	mt.task = t
 	mt.submitted = time.Now()
 	if tr := m.tracer.Load(); tr != nil {
-		var span *trace.Span
-		if ctx, ok := trace.Parse(t.Trace); ok {
-			span = tr.Start(ctx, "master", "task") // downstream hop (foreman)
-		} else {
-			span = tr.Root("master", "task", t.Tag)
-		}
+		span := tr.Root("master", "task", t.Tag)
 		span.AttrInt("task_id", id)
 		if t.Tag != "" {
 			span.Attr("tag", t.Tag)

@@ -33,7 +33,7 @@ import (
 const batchMax = 64
 
 // maxFrame bounds one message's JSON body, and with it what a peer can
-// make a master, foreman or worker hold: a size line over it ends the
+// make a master or worker hold: a size line over it ends the
 // connection before a byte of the body is read. It is sized to the largest
 // message any caller sends. Production messages are small — a 64-task
 // batch is tens of KB, since task data travels over xrootd and chirp and a
@@ -51,7 +51,7 @@ type message struct {
 	Results []*Result `json:"results,omitempty"`
 }
 
-// newConn wraps one master, foreman or worker connection. The reader holds
+// newConn wraps one master or worker connection. The reader holds
 // a batch of small tasks or results whole; a bigger message goes past
 // both buffers straight between the socket and the codec.
 func newConn(nc net.Conn) *wire.Conn { return wire.NewConn("wq", nc, 4<<10, 4<<10) }
@@ -65,7 +65,7 @@ func recv(c *wire.Conn, m *message) error {
 
 // contentCache is a process-wide store of cacheable file contents by hash,
 // shared by all of a worker's slots (the paper's single cache directory per
-// worker) or by all of a foreman's downstream connections.
+// worker).
 type contentCache struct {
 	mu    sync.RWMutex
 	items map[string][]byte

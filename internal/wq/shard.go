@@ -19,8 +19,7 @@ import (
 //     stripes and any single lock sees 1/N of the per-task traffic.
 //   - dispatch queues hold the ready (undispatched) tasks. Submit picks a
 //     queue by power-of-two-choices on queue length; each worker connection
-//     has a home queue (hashed from the worker identity, the foreman being
-//     the natural shard key) and steals round-robin from the others when
+//     has a home queue (hashed from the worker identity) and steals round-robin from the others when
 //     its home runs dry, so no queue can strand work.
 //
 // Dispatchers that find every queue empty park on one idle condition

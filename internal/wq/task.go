@@ -1,8 +1,7 @@
 // Package wq implements a Work Queue distributed execution system in the
 // style the paper uses: a master holds a queue of tasks, workers connect
-// over TCP and pull work, each worker drives several cores from one process
-// with one shared cache, and foremen can be interposed between master and
-// workers to form a hierarchy of arbitrary width and depth.
+// over TCP and pull work, and each worker drives several cores from one
+// process with one shared cache.
 //
 // Tasks name an executor function from a Registry shared by master and
 // workers (the Go analogue of shipping a command line), carry input files
@@ -17,6 +16,7 @@ package wq
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,9 +64,9 @@ type Task struct {
 	// MaxRetries bounds automatic requeue after worker loss (default 5).
 	MaxRetries int `json:"max_retries,omitempty"`
 	// Trace carries the encoded trace context across wire hops (see
-	// internal/trace). The master stamps it at dispatch; foremen re-stamp
-	// it with their own span so every hop chains into one trace. A
-	// malformed or absent value degrades to a fresh root downstream.
+	// internal/trace). The master stamps it at dispatch, overwriting
+	// whatever the submitter put there. A malformed or absent value
+	// degrades to a fresh root on the worker.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -143,6 +143,29 @@ type ExecContext struct {
 	// allocates it, so a copy of the context (a shim re-tagging Trace)
 	// still writes where the worker reads.
 	held *heldState
+	// lost is the worker's: closed when its receive loop ends.
+	lost <-chan struct{}
+}
+
+// errLost is what Err reports once the attempt can no longer be reported.
+var errLost = errors.New("wq: the worker lost its master; attempt abandoned")
+
+// Err returns nil while the attempt's result can still reach the master,
+// and an error once the worker has lost its master: the connection
+// failed, or the worker was closed or evicted. The master has requeued
+// the task by then, so the executor must not stage anything out. It is
+// shaped like context.Context's Err, and is nil for a nil context or one
+// built outside a worker.
+func (c *ExecContext) Err() error {
+	if c == nil {
+		return nil
+	}
+	select {
+	case <-c.lost:
+		return errLost
+	default:
+		return nil
+	}
 }
 
 // heldState is one task's hand-over from executor to worker.

@@ -2,7 +2,6 @@ package wq
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -30,93 +29,6 @@ func records(t *testing.T, buf *bytes.Buffer, log *telemetry.EventLog) []trace.R
 		t.Fatal(err)
 	}
 	return recs
-}
-
-// TestTracePropagationMasterForemanWorker runs tasks through the full
-// hierarchy — master → foreman → (downstream master) → worker — and
-// asserts every hop's spans share one trace ID per task, chaining
-// parent→child across the wire.
-func TestTracePropagationMasterForemanWorker(t *testing.T) {
-	tr, buf, log := traceSetup(t)
-
-	m := newMaster(t)
-	m.Trace(tr)
-	f, err := NewForeman(m.Addr(), "127.0.0.1:0", "fm0", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	f.Trace(tr)
-	w := newWorker(t, f.Addr(), "w0", 2)
-	w.Trace(tr)
-
-	const n = 5
-	ids := make(map[int64]bool, n)
-	for i := 0; i < n; i++ {
-		id, err := m.Submit(&Task{
-			Func:    "echo",
-			Args:    map[string]string{"text": fmt.Sprintf("task %d", i)},
-			Outputs: []string{"out.txt"},
-			Tag:     "analysis",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[id] = true
-	}
-	for i := 0; i < n; i++ {
-		r, ok := m.WaitResult(10 * time.Second)
-		if !ok || r.Failed() {
-			t.Fatalf("result %d: %+v", i, r)
-		}
-		delete(ids, r.TaskID)
-	}
-	if len(ids) != 0 {
-		t.Fatalf("missing results for %v", ids)
-	}
-
-	trees := trace.BuildTrees(records(t, buf, log))
-	if len(trees) != n {
-		t.Fatalf("got %d traces, want %d", len(trees), n)
-	}
-	for _, tree := range trees {
-		if tree.Orphans != 0 {
-			t.Errorf("trace %s has %d orphan spans", tree.TraceID, tree.Orphans)
-		}
-		// Every component of every hop appears in the one trace.
-		comps := map[string]int{}
-		names := map[string]int{}
-		var visit func(nd *trace.Node)
-		visit = func(nd *trace.Node) {
-			if nd.Trace != tree.TraceID {
-				t.Fatalf("span %s has trace %s, want %s", nd.Span, nd.Trace, tree.TraceID)
-			}
-			comps[nd.Comp]++
-			names[nd.Name]++
-			for _, c := range nd.Children {
-				visit(c)
-			}
-		}
-		visit(tree.Root)
-		// master task/submit/dispatch appear twice: upstream master and
-		// the foreman's internal downstream master.
-		for comp, want := range map[string]int{"master": 6, "foreman": 1, "worker": 4} {
-			if comps[comp] != want {
-				t.Errorf("trace %s: %d %s spans, want %d (comps=%v names=%v)",
-					tree.TraceID, comps[comp], comp, want, comps, names)
-			}
-		}
-		for _, name := range []string{"run", "stage_in", "execute", "stage_out"} {
-			if names[name] != 1 {
-				t.Errorf("trace %s: %d %q spans, want 1", tree.TraceID, names[name], name)
-			}
-		}
-		// The chain crosses hops in order: root task (master) → … →
-		// foreman relay → downstream task → … → worker run.
-		if tree.Root.Comp != "master" || tree.Root.Name != "task" {
-			t.Errorf("root is %s/%s, want master/task", tree.Root.Comp, tree.Root.Name)
-		}
-	}
 }
 
 // TestTraceMalformedContextDegrades submits tasks whose Trace field

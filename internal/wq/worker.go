@@ -17,7 +17,7 @@ import (
 	"lobster/internal/wire"
 )
 
-// Worker connects to a master (or foreman), advertises a number of cores,
+// Worker connects to a master, advertises a number of cores,
 // and executes the tasks it is sent. All slots share one content cache, the
 // Work Queue behaviour the paper relies on: "a single worker can ... run
 // multiple tasks simultaneously, sharing a single cache directory, and a
@@ -43,6 +43,7 @@ type Worker struct {
 	// results that finish while a send is on the wire share the next one.
 	resCh chan *Result
 	done  chan struct{} // closed by run() after in-flight tasks finish
+	lost  chan struct{} // closed by run() when the receive loop ends
 
 	tasksRun    atomic.Int64
 	tasksFailed atomic.Int64
@@ -163,6 +164,7 @@ func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts 
 		slots:      make(chan struct{}, cores),
 		resCh:      make(chan *Result, cores+batchMax),
 		done:       make(chan struct{}),
+		lost:       make(chan struct{}),
 	}
 	if err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		return nil, err
@@ -202,9 +204,11 @@ func (w *Worker) Evict() {
 	w.Close()
 }
 
-// run reads tasks until the connection dies. The deferred order matters:
-// in-flight tasks finish (and queue their results) before done closes,
-// so the result loop flushes everything before it exits.
+// run reads tasks until the connection dies. Then lost closes, so the
+// tasks still running see ExecContext.Err and stage nothing out. The
+// deferred order matters: in-flight tasks finish (and queue their
+// results) before done closes, so the result loop flushes everything
+// before it exits.
 func (w *Worker) run() {
 	defer w.wg.Done()
 	defer close(w.done)
@@ -224,6 +228,7 @@ func (w *Worker) run() {
 			}
 		}
 	}
+	close(w.lost)
 }
 
 // startTask resolves a task's inputs and launches it on a free slot,
@@ -420,7 +425,7 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 		}()
 		return exec(&ExecContext{
 			Task: t, Sandbox: sandbox, WorkerName: w.name,
-			Trace: execTrace, Tracer: tracer, held: held,
+			Trace: execTrace, Tracer: tracer, held: held, lost: w.lost,
 		})
 	}()
 	res.Stats.Exec = time.Since(execStart)

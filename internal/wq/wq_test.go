@@ -3,10 +3,10 @@ package wq
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -440,73 +440,6 @@ func TestMasterStatsWorkers(t *testing.T) {
 	}
 }
 
-func TestForemanHierarchy(t *testing.T) {
-	m := newMaster(t)
-	fm, err := NewForeman(m.Addr(), "127.0.0.1:0", "foreman0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fm.Close()
-	newWorker(t, fm.Addr(), "w0", 2)
-	newWorker(t, fm.Addr(), "w1", 2)
-
-	sandbox := bytes.Repeat([]byte("release;"), 500)
-	const n = 20
-	for i := 0; i < n; i++ {
-		m.Submit(&Task{
-			Func:    "cat",
-			Inputs:  []FileSpec{{Name: "sb", Data: sandbox, Cacheable: true}},
-			Outputs: []string{"merged"},
-		})
-	}
-	results := m.Drain(n, 30*time.Second)
-	if len(results) != n {
-		t.Fatalf("got %d results through foreman", len(results))
-	}
-	for _, r := range results {
-		if r.Failed() {
-			t.Fatalf("task failed: %+v", r)
-		}
-		if !bytes.Equal(r.Outputs[0].Data, sandbox) {
-			t.Fatal("output corrupted through foreman")
-		}
-	}
-	if fm.Relayed() != n {
-		t.Errorf("foreman relayed %d", fm.Relayed())
-	}
-	if fm.CachedObjects() != 1 {
-		t.Errorf("foreman cache holds %d", fm.CachedObjects())
-	}
-	// Task IDs must be the master's, not the foreman's internal ones.
-	seen := make(map[int64]bool)
-	for _, r := range results {
-		if r.TaskID < 1 || r.TaskID > n || seen[r.TaskID] {
-			t.Fatalf("bad relayed task ID %d", r.TaskID)
-		}
-		seen[r.TaskID] = true
-	}
-}
-
-func TestTwoForemen(t *testing.T) {
-	m := newMaster(t)
-	for i := 0; i < 2; i++ {
-		fm, err := NewForeman(m.Addr(), "127.0.0.1:0", fmt.Sprintf("f%d", i), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fm.Close()
-		newWorker(t, fm.Addr(), fmt.Sprintf("w%d", i), 2)
-	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		m.Submit(&Task{Func: "echo", Args: map[string]string{"text": "x"}, Outputs: []string{"out.txt"}})
-	}
-	results := m.Drain(n, 30*time.Second)
-	if len(results) != n {
-		t.Fatalf("got %d results via two foremen", len(results))
-	}
-}
-
 func TestMasterCloseUnblocksWaiters(t *testing.T) {
 	m, err := NewMaster("127.0.0.1:0")
 	if err != nil {
@@ -547,76 +480,6 @@ func TestWorkerRequiresPositiveCores(t *testing.T) {
 	m := newMaster(t)
 	if _, err := NewWorker(m.Addr(), "bad", 0, t.TempDir(), nil); err == nil {
 		t.Error("zero-core worker accepted")
-	}
-}
-
-var _ = atomic.Int64{} // placeholder to keep import if tests evolve
-
-func TestTwoLevelForemanHierarchy(t *testing.T) {
-	// master → foreman A → foreman B → workers: "a hierarchy of arbitrary
-	// width and depth".
-	m := newMaster(t)
-	top, err := NewForeman(m.Addr(), "127.0.0.1:0", "top", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer top.Close()
-	mid, err := NewForeman(top.Addr(), "127.0.0.1:0", "mid", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mid.Close()
-	newWorker(t, mid.Addr(), "leaf0", 2)
-	newWorker(t, mid.Addr(), "leaf1", 2)
-
-	sandbox := bytes.Repeat([]byte("deep"), 2000)
-	const n = 12
-	for i := 0; i < n; i++ {
-		m.Submit(&Task{
-			Func:    "cat",
-			Inputs:  []FileSpec{{Name: "sb", Data: sandbox, Cacheable: true}},
-			Outputs: []string{"merged"},
-		})
-	}
-	results := m.Drain(n, 30*time.Second)
-	if len(results) != n {
-		t.Fatalf("got %d results through two foreman levels", len(results))
-	}
-	for _, r := range results {
-		if r.Failed() || !bytes.Equal(r.Outputs[0].Data, sandbox) {
-			t.Fatalf("bad result: %+v", r)
-		}
-	}
-	// Each level cached the sandbox once.
-	if top.CachedObjects() != 1 || mid.CachedObjects() != 1 {
-		t.Errorf("cache depth: top=%d mid=%d", top.CachedObjects(), mid.CachedObjects())
-	}
-}
-
-func TestForemanSurvivesWorkerEviction(t *testing.T) {
-	m := newMaster(t)
-	fm, err := NewForeman(m.Addr(), "127.0.0.1:0", "fm", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fm.Close()
-	victim := newWorker(t, fm.Addr(), "victim", 2)
-	m.Submit(&Task{Func: "sleep", Args: map[string]string{"d": "3s"}})
-	deadline := time.Now().Add(5 * time.Second)
-	for fm.DownstreamStats().TasksRunning != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("task never reached the downstream worker")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	victim.Evict()
-	newWorker(t, fm.Addr(), "rescuer", 2)
-	r, ok := m.WaitResult(30 * time.Second)
-	if !ok || r.Failed() {
-		t.Fatalf("task lost across foreman after eviction: %+v", r)
-	}
-	if r.Worker != "rescuer" {
-		t.Errorf("completed on %q", r.Worker)
 	}
 }
 
@@ -691,5 +554,59 @@ func BenchmarkCacheableSandboxDispatch(b *testing.B) {
 	}
 	if got := m.Drain(b.N, 120*time.Second); len(got) != b.N {
 		b.Fatalf("drained %d/%d", len(got), b.N)
+	}
+}
+
+// TestExecContextErrAfterMasterLost: a master that drops the connection
+// while an executor blocks leaves that attempt abandoned, and the
+// executor sees so through Err once it resumes.
+func TestExecContextErrAfterMasterLost(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	entered, resume := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	reg := Registry{"block": func(ctx *ExecContext) error {
+		errs <- ctx.Err()
+		close(entered)
+		<-resume
+		errs <- ctx.Err()
+		return nil
+	}}
+	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	nc, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(nc)
+	var hello message
+	if err := recv(c, &hello); err != nil || hello.Type != "hello" {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+	if err := c.SendFrame(&message{Type: "tasks", Tasks: []*Task{{ID: 1, Func: "block"}}}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	c.Fail(nil) // the master drops the worker
+	select {
+	case <-w.lost:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker's receive loop outlived its connection")
+	}
+	close(resume)
+	if err := <-errs; err != nil {
+		t.Fatalf("Err while connected = %v, want nil", err)
+	}
+	if err := <-errs; err == nil {
+		t.Fatal("Err after the master dropped the worker = nil")
+	}
+	if err := (*ExecContext)(nil).Err(); err != nil {
+		t.Fatalf("nil context Err = %v", err)
 	}
 }
