@@ -84,11 +84,13 @@ race:
 
 # Repeats the suites whose tests race real goroutines against each other
 # (squid coalescing; the worker-kill storm, whose abandoned attempts must
-# never stage out), so an ordering bug that shows once in twenty runs, or
+# never stage out; the wq master's one task-table lock and its two
+# conditions, raced), so an ordering bug that shows once in twenty runs, or
 # a few in a thousand, fails here, not in CI.
 flake:
 	$(GO) test -count=20 ./internal/squid/
 	$(GO) test -count=200 -run 'TestChaosWorkerKillStorm$$' ./internal/faultinject/
+	$(GO) test -race -count=50 -run '^(TestDispatchFIFO|TestManyTasksManyWorkers|TestDrainUnderBurst|TestDrainBurstAfterDeadline|TestMasterCloseUnblocksWaiters|TestWaitResultTimeout|TestEvictedWorkerSendsNoQueuedResults)$$' ./internal/wq/
 
 # Fault-storm suite: the full deploy stack under scripted worker kills,
 # chirp connection drops, and squid stalls, asserting zero task loss and

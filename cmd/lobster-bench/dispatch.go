@@ -9,7 +9,7 @@ import (
 // runDispatch exercises the dispatch plane at paper scale instead of the
 // evaluation figures: the sim plane holds the full 100k-worker / 1M-task
 // target (the fleet the paper ramps toward in figures 5 and 6) through
-// one master's real sharded table, and the loopback plane pushes the
+// one master's real one-lock task table, and the loopback plane pushes the
 // same wire protocol through real TCP workers, where file descriptors
 // bound the fleet.
 func runDispatch(scale float64) error {

@@ -2,8 +2,8 @@
 // monitoring hub that scrapes every component's /metrics endpoint, merges
 // the per-process Prometheus series into cluster-wide aggregates with
 // per-component labels, evaluates a declarative rule set of derived
-// health signals with hysteresis (eviction spikes, stuck tasks, shard
-// imbalance, chirp-pool exhaustion, ramp stalls), emits typed "alert"
+// health signals with hysteresis (eviction spikes, stuck tasks,
+// chirp-pool exhaustion, ramp stalls), emits typed "alert"
 // events onto the shared JSONL event log, and — on anomaly — captures
 // pprof profile bundles from the affected endpoints so a storm leaves a
 // self-contained post-mortem next to the event log.

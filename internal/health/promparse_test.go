@@ -114,9 +114,6 @@ func buildRegistry() *telemetry.Registry {
 	v.With("alpha").Add(3)
 	v.With("beta").Add(5)
 	reg.GaugeFunc("lobster_test_derived", "Computed at scrape.", func() float64 { return 2.5 })
-	fv := reg.GaugeFuncVec("lobster_test_shard_depth", "Per-shard depth.", "shard")
-	fv.With(func() float64 { return 4 }, "0")
-	fv.With(func() float64 { return 9 }, "1")
 	h := reg.Histogram("lobster_test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	for _, obs := range []float64{0.05, 0.5, 0.7, 5, 20} {
 		h.Observe(obs)

@@ -17,7 +17,6 @@ import (
 //	          over the last Window seconds, or since the last tick when
 //	          Window is zero
 //	stall     seconds since the summed value last changed
-//	imbalance max/mean of the per-group sums, grouped by the Over label
 //	hist_mean fleet-wide mean of a histogram metric (sum of _sum over
 //	          sum of _count)
 //
@@ -31,7 +30,6 @@ type Expr struct {
 	Metric string            `json:"metric"`
 	Match  map[string]string `json:"match,omitempty"`
 	Fn     string            `json:"fn,omitempty"`
-	Over   string            `json:"over,omitempty"`
 
 	// Window widens rate to the samples of this many seconds. Zero
 	// keeps the single-tick lookback. Only rate takes one: stall
@@ -219,27 +217,6 @@ func (e *Expr) eval(f *Fleet, st *ruleState, now float64) (val float64, ok bool)
 			return 0, true
 		}
 		return now - st.lastChange, true
-	case "imbalance":
-		sel := f.Select(e.Metric, e.Match)
-		groups := make(map[string]float64, 16)
-		for _, s := range sel {
-			groups[s.Label(e.Over)] += s.Value
-		}
-		if len(groups) < 2 {
-			return 0, false
-		}
-		total, max := 0.0, 0.0
-		for _, v := range groups {
-			total += v
-			if v > max {
-				max = v
-			}
-		}
-		mean := total / float64(len(groups))
-		if mean <= 0 {
-			return 0, false
-		}
-		return max / mean, true
 	case "hist_mean":
 		count := f.Value(e.Metric+"_count", e.Match)
 		if count <= 0 {
@@ -314,12 +291,11 @@ func LoadRules(r io.Reader) (*RuleSet, error) {
 			return nil, fmt.Errorf("health: rule %q has no metric", rules[i].Name)
 		}
 		switch rules[i].Expr.Fn {
-		case "", "value", "max", "rate", "stall", "imbalance", "hist_mean":
+		case "", "value", "max", "rate", "stall", "hist_mean":
+		case "imbalance":
+			return nil, fmt.Errorf("health: rule %q: fn \"imbalance\" was removed with the wq master's dispatch stripes it measured", rules[i].Name)
 		default:
 			return nil, fmt.Errorf("health: rule %q: unknown fn %q", rules[i].Name, rules[i].Expr.Fn)
-		}
-		if rules[i].Expr.Fn == "imbalance" && rules[i].Expr.Over == "" {
-			return nil, fmt.Errorf("health: rule %q: imbalance needs an over label", rules[i].Name)
 		}
 		if w := rules[i].Expr.Window; w < 0 {
 			return nil, fmt.Errorf("health: rule %q: negative window", rules[i].Name)
@@ -411,8 +387,8 @@ func (rs *RuleSet) Firing() []string {
 
 // DefaultRules is the built-in detector set covering the failure modes
 // the paper's operations narrative calls out: opportunistic eviction
-// storms, wedged tasks, dispatch-shard skew, chirp connection-pool
-// saturation, and a worker ramp that stops climbing while work is queued.
+// storms, wedged tasks, chirp connection-pool saturation, and a worker
+// ramp that stops climbing while work is queued.
 func DefaultRules() []Rule {
 	return []Rule{
 		{
@@ -441,16 +417,6 @@ func DefaultRules() []Rule {
 			For:           2,
 			Clear:         1,
 			Profile:       true,
-		},
-		{
-			Name:      "shard_imbalance",
-			Help:      "dispatch-shard queue depths are skewed; one shard holds several times its fair share",
-			Severity:  "warn",
-			Expr:      Expr{Metric: "lobster_wq_shard_queue_depth", Fn: "imbalance", Over: "shard"},
-			Threshold: 4,
-			Gate:      &Gate{Expr: Expr{Metric: "lobster_wq_shard_queue_depth"}, Threshold: 64},
-			For:       3,
-			Clear:     2,
 		},
 		{
 			Name:      "chirp_pool_exhausted",

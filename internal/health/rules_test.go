@@ -105,30 +105,6 @@ func TestExprStall(t *testing.T) {
 	}
 }
 
-func TestExprImbalance(t *testing.T) {
-	e := Expr{Metric: "depth", Fn: "imbalance", Over: "shard"}
-	var st ruleState
-	f := fleetAt(0,
-		s("depth", 80, "shard", "0"),
-		s("depth", 10, "shard", "1"),
-		s("depth", 5, "shard", "2"),
-		s("depth", 5, "shard", "3"),
-	)
-	// mean = 25, max = 80 → 3.2
-	if v, ok := e.eval(f, &st, 0); !ok || v != 3.2 {
-		t.Fatalf("imbalance = %v,%v want 3.2,true", v, ok)
-	}
-	// One group only: abstain.
-	if _, ok := e.eval(fleetAt(0, s("depth", 80, "shard", "0")), &st, 0); ok {
-		t.Fatal("single group should abstain")
-	}
-	// All-zero depths: abstain (no work, no skew).
-	f = fleetAt(0, s("depth", 0, "shard", "0"), s("depth", 0, "shard", "1"))
-	if _, ok := e.eval(f, &st, 0); ok {
-		t.Fatal("zero mean should abstain")
-	}
-}
-
 func TestExprHistMean(t *testing.T) {
 	e := Expr{Metric: "exec_seconds", Fn: "hist_mean"}
 	var st ruleState
@@ -243,12 +219,12 @@ func TestRuleDynamicThreshold(t *testing.T) {
 func TestLoadRules(t *testing.T) {
 	rs, err := LoadRules(strings.NewReader(`[
 		{"name": "a", "expr": {"metric": "m", "fn": "rate"}, "threshold": 1, "for": 2},
-		{"name": "b", "expr": {"metric": "n", "fn": "imbalance", "over": "shard"}, "threshold": 4}
+		{"name": "b", "expr": {"metric": "n", "fn": "max"}, "threshold": 4}
 	]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rules) != 2 || rs.Rules[0].For != 2 || rs.Rules[1].Expr.Over != "shard" {
+	if len(rs.Rules) != 2 || rs.Rules[0].For != 2 || rs.Rules[1].Expr.Fn != "max" {
 		t.Fatalf("rules = %+v", rs.Rules)
 	}
 	// Wrapped form.
@@ -260,7 +236,7 @@ func TestLoadRules(t *testing.T) {
 		`[{"expr": {"metric": "m"}}]`,                                                      // no name
 		`[{"name": "a", "expr": {}}]`,                                                      // no metric
 		`[{"name": "a", "expr": {"metric": "m", "fn": "median"}}]`,                         // unknown fn
-		`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance"}}]`,                      // imbalance sans over
+		`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance"}}]`,                      // removed fn
 		`[{"name": "a", "expr": {"metric": "m", "fn": "stall", "window": 60}}]`,            // window on stall
 		`[{"name": "a", "expr": {"metric": "m"}}, {"name": "a", "expr": {"metric": "m"}}]`, // dup
 		`not json`,
@@ -269,20 +245,26 @@ func TestLoadRules(t *testing.T) {
 			t.Errorf("LoadRules(%q) succeeded, want error", bad)
 		}
 	}
+	// A rule file written for the striped master's skew detector is
+	// refused by name, not as an unknown fn.
+	_, err = LoadRules(strings.NewReader(`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance", "over": "shard"}}]`))
+	if err == nil || !strings.Contains(err.Error(), `fn "imbalance" was removed`) {
+		t.Errorf("imbalance rule: err = %v, want it refused by name", err)
+	}
 }
 
 // TestDefaultRulesValid pins that the built-in set passes its own
 // validation (round-tripped through the JSON loader).
 func TestDefaultRulesValid(t *testing.T) {
 	rules := DefaultRules()
-	if len(rules) != 5 {
-		t.Fatalf("default rules = %d, want 5", len(rules))
+	if len(rules) != 4 {
+		t.Fatalf("default rules = %d, want 4", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
 		names[r.Name] = true
 	}
-	for _, want := range []string{"eviction_spike", "stuck_tasks", "shard_imbalance", "chirp_pool_exhausted", "worker_ramp_stall"} {
+	for _, want := range []string{"eviction_spike", "stuck_tasks", "chirp_pool_exhausted", "worker_ramp_stall"} {
 		if !names[want] {
 			t.Errorf("default rule %q missing", want)
 		}

@@ -182,8 +182,8 @@ const SplitMixGamma uint64 = 0x9E3779B97F4A7C15
 // SplitMix64 is one output of the splitmix64 generator (Steele, Lea and
 // Flood, 2014) whose state before the step is x: add SplitMixGamma, then
 // avalanche. Used as a stateless mix it is full-period and independent
-// of call order, so seeded jitter, fault gates and power-of-two-choices
-// picks are pure functions of their key; a caller that wants the stream
+// of call order, so seeded jitter, fault gates and trace span IDs are
+// pure functions of their key; a caller that wants the stream
 // keeps its own state and advances it by SplitMixGamma per call.
 func SplitMix64(x uint64) uint64 {
 	x += SplitMixGamma

@@ -39,11 +39,6 @@ func (f *family) expo(b *strings.Builder) {
 		if f.fn != nil {
 			fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
 		}
-		for _, key := range f.order {
-			if g, ok := f.series[key].(*gaugeFunc); ok && g.fn != nil {
-				fmt.Fprintf(b, "%s%s %s\n", f.name, labelPairs(f.labels, f.values[key]), formatFloat(g.fn()))
-			}
-		}
 		return
 	}
 	for _, key := range f.order {
@@ -154,36 +149,12 @@ func (r *Registry) Snapshot() Status {
 	for _, f := range r.sortedFamilies() {
 		f.mu.Lock()
 		if f.kind == kindGaugeFunc {
-			// Collect the callbacks under the lock, evaluate outside it:
-			// fn may snapshot a component that itself exposes gauges.
-			type fnPoint struct {
-				fn     func() float64
-				labels map[string]string
-			}
-			var fns []fnPoint
-			if f.fn != nil {
-				fns = append(fns, fnPoint{fn: f.fn})
-			}
-			for _, key := range f.order {
-				g, ok := f.series[key].(*gaugeFunc)
-				if !ok || g.fn == nil {
-					continue
-				}
-				p := fnPoint{fn: g.fn}
-				if len(f.labels) > 0 {
-					p.labels = make(map[string]string, len(f.labels))
-					vals := f.values[key]
-					for i, n := range f.labels {
-						if i < len(vals) {
-							p.labels[n] = vals[i]
-						}
-					}
-				}
-				fns = append(fns, p)
-			}
+			// Evaluate the callback outside the lock: fn may snapshot a
+			// component that itself exposes gauges.
+			fn := f.fn
 			f.mu.Unlock()
-			for _, p := range fns {
-				st.Series = append(st.Series, SeriesPoint{Name: f.name, Type: "gauge", Labels: p.labels, Value: p.fn()})
+			if fn != nil {
+				st.Series = append(st.Series, SeriesPoint{Name: f.name, Type: "gauge", Value: fn()})
 			}
 			continue
 		}

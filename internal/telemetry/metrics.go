@@ -142,11 +142,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.get(values, v.r.dropped, func() instrument { return new(Gauge) }).(*Gauge)
 }
 
-// gaugeFunc wraps a callback evaluated at collection time.
-type gaugeFunc struct{ fn func() float64 }
-
-func (*gaugeFunc) isInstrument() {}
-
 // GaugeFunc registers a gauge whose value is computed by fn at every
 // collection (scrape or snapshot). fn must be safe to call from any
 // goroutine. Useful for values a component already tracks under its own
@@ -159,37 +154,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.mu.Lock()
 	f.fn = fn
 	f.mu.Unlock()
-}
-
-// GaugeFuncVec registers (or finds) a labelled family of callback gauges:
-// each label combination carries its own fn, evaluated at collection time
-// like GaugeFunc. The per-shard dispatch-queue depths use this — sixteen
-// series under one family, each reading its own atomic.
-func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeFuncVec{f: r.lookup(name, help, kindGaugeFunc, labels, nil), r: r}
-}
-
-// GaugeFuncVec resolves label values to callback gauges.
-type GaugeFuncVec struct {
-	f *family
-	r *Registry
-}
-
-// With installs fn as the series for the given label values. Re-installing
-// an existing series replaces its callback. A nil vec or fn is a no-op.
-func (v *GaugeFuncVec) With(fn func() float64, values ...string) {
-	if v == nil || fn == nil {
-		return
-	}
-	ins := v.f.get(values, v.r.dropped, func() instrument { return new(gaugeFunc) })
-	if g, ok := ins.(*gaugeFunc); ok {
-		v.f.mu.Lock()
-		g.fn = fn
-		v.f.mu.Unlock()
-	}
 }
 
 // --- Histogram ---

@@ -26,7 +26,7 @@ func TestDrainBurstAfterDeadline(t *testing.T) {
 	for i := range burst {
 		burst[i] = &Result{TaskID: int64(i + 1), Worker: "w"}
 	}
-	m.pushResults(burst)
+	m.res.push(burst...)
 	// A 1ns timeout is expired by the time Drain reads the clock.
 	got := m.Drain(n, time.Nanosecond)
 	if len(got) != n {

@@ -59,7 +59,7 @@ func FuzzBatchDispatch(f *testing.F) {
 		if n := m.running.Load(); n < 0 {
 			t.Fatalf("in-flight count went negative: %d", n)
 		}
-		if n := m.d.pending.Load(); n < 0 {
+		if n := m.d.waiting(); n < 0 {
 			t.Fatalf("queue depth went negative: %d", n)
 		}
 		if s := m.Stats(); s.TasksDone > s.TasksDispatched {

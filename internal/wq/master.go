@@ -1,10 +1,11 @@
 package wq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +39,11 @@ type MasterStats struct {
 
 // Master owns the task queue and distributes work to connected workers.
 //
-// All per-task state lives in the sharded dispatchTable (see shard.go):
-// Submit, dispatch, completion and requeue each lock only the one stripe a
-// task hashes to, so the hot path never serialises the whole fleet on a
-// master-wide mutex. Per-connection slot accounting lives on the
-// workerConn's own lock, and fleet-wide counters are plain atomics.
+// All per-task state lives in the dispatchTable (see table.go): one
+// mutex over the live tasks and the FIFO ready queue, taken once per
+// Submit, pop batch, stamp batch and results message. Per-connection slot
+// accounting lives on the workerConn's own lock, and fleet-wide counters
+// are plain atomics.
 type Master struct {
 	srv *wire.Server // nil on a local master (scale.go), which is never closed
 
@@ -136,7 +137,7 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 	})
 	reg.GaugeFunc("lobster_wq_tasks_waiting",
 		"Tasks submitted and awaiting dispatch (queue depth).",
-		func() float64 { return float64(m.d.pending.Load()) })
+		func() float64 { return float64(m.d.waiting()) })
 	reg.GaugeFunc("lobster_wq_tasks_running",
 		"Tasks dispatched and awaiting results (in flight).",
 		func() float64 { return float64(m.running.Load()) })
@@ -148,28 +149,20 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 		func() float64 { return float64(m.Stats().CoresConnected) })
 	reg.GaugeFunc("lobster_wq_results_pending",
 		"Results received from workers and not yet collected by WaitResult.",
-		func() float64 { return float64(m.res.pending.Load()) })
+		func() float64 { return float64(m.res.pending()) })
 
-	// Dispatch-plane instruments: per-shard queue depths for the skew
-	// detectors, steal/park/wake counters for the idle-gate economics, and
-	// the batch-size histogram that shows how full dispatch rounds run.
+	// Dispatch-plane instruments: park/wake counters for the idle
+	// dispatchers, and the batch-size histogram that shows how full
+	// dispatch rounds run.
 	m.d.tel.Store(&dispatchTel{
-		steals: reg.Counter("lobster_wq_dispatch_steals_total",
-			"Dispatch batches taken from a non-home queue."),
 		parks: reg.Counter("lobster_wq_dispatch_parks_total",
-			"Dispatcher park episodes (every queue empty)."),
+			"Dispatcher park episodes (ready queue empty)."),
 		wakes: reg.Counter("lobster_wq_dispatch_wakes_total",
-			"Idle-gate broadcasts waking parked dispatchers."),
+			"Broadcasts waking parked dispatchers."),
 		batchSize: reg.Histogram("lobster_wq_dispatch_batch_size",
 			"Tasks taken per dispatch batch.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 	})
-	depth := reg.GaugeFuncVec("lobster_wq_shard_queue_depth",
-		"Ready tasks queued per dispatch shard.", "shard")
-	for i := range m.d.queues {
-		q := &m.d.queues[i]
-		depth.With(func() float64 { return float64(q.size.Load()) }, strconv.Itoa(i))
-	}
 }
 
 // Trace attaches a tracer: every task gets a root span spanning
@@ -186,11 +179,11 @@ func (m *Master) Trace(tr *trace.Tracer) {
 // workerConn is the master's end of one worker connection.
 // The dispatch scratch buffers (popBuf, taskBuf, encScratch, msg) are
 // owned by the connection's single dispatcher goroutine and sized once at
-// hello, so a dispatch round reuses the same memory end to end.
+// hello, so a dispatch round reuses the same memory end to end; settled
+// is the result reader's, grown to the largest results message.
 type workerConn struct {
 	name  string
 	cores int
-	home  uint32 // home dispatch queue, hashed from the peer identity
 	conn  *wire.Conn
 	sent  *sentSet
 
@@ -205,17 +198,7 @@ type workerConn struct {
 	taskBuf    []*Task
 	encScratch []Task
 	msg        message
-}
-
-// homeQueue maps a peer identity onto a dispatch queue (FNV-1a): each
-// worker's dispatcher drains its own stripe first and steals from the
-// others only when it runs dry.
-func homeQueue(name string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return h & (shardCount - 1)
+	settled    []*taskMeta
 }
 
 // NewMaster starts a master listening on addr (e.g. "127.0.0.1:0").
@@ -259,11 +242,7 @@ func (m *Master) Submit(t *Task) (int64, error) {
 		t.Trace = span.Context().Encode()
 		mt.tt = &taskTrace{root: span, rootCtx: span.Context(), readyAt: tr.Now()}
 	}
-	sh := m.d.stateOf(id)
-	sh.mu.Lock()
-	sh.tasks[id] = mt
-	sh.mu.Unlock()
-	m.d.enqueue(mt)
+	m.d.submit(mt)
 	return id, nil
 }
 
@@ -272,7 +251,7 @@ func (m *Master) Stats() MasterStats {
 	s := MasterStats{
 		WorkersSeen:     int(m.statsSeen.Load()),
 		WorkersLost:     int(m.statsLost.Load()),
-		TasksWaiting:    int(m.d.pending.Load()),
+		TasksWaiting:    m.d.waiting(),
 		TasksRunning:    int(m.running.Load()),
 		TasksDispatched: int(m.statsDispatched.Load()),
 		TasksDone:       int(m.statsDone.Load()),
@@ -289,7 +268,7 @@ func (m *Master) Stats() MasterStats {
 		}
 	}
 	m.workersMu.Unlock()
-	s.ResultsPending = int(m.res.pending.Load())
+	s.ResultsPending = m.res.pending()
 	return s
 }
 
@@ -297,49 +276,27 @@ func (m *Master) Stats() MasterStats {
 // (timeout <= 0 waits forever). The second return is false on timeout or
 // master close with no pending results.
 func (m *Master) WaitResult(timeout time.Duration) (*Result, bool) {
-	var deadline time.Time
-	var expired atomic.Bool
+	t := m.res
+	expired := false // guarded by t.mu
 	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		// Wake the idle gate when the deadline lands so the timeout is
-		// honoured even with no arrivals.
 		timer := time.AfterFunc(timeout, func() {
-			expired.Store(true)
-			m.res.wakeAll()
+			t.mu.Lock()
+			expired = true
+			t.arrived.Broadcast()
+			t.mu.Unlock()
 		})
 		defer timer.Stop()
 	}
-	for {
-		if r, ok := m.res.pop(); ok {
-			return r, true
-		}
-		if m.closed.Load() {
+	var one [1]*Result
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.q.popN(one[:]) == 0 {
+		if expired || m.closed.Load() {
 			return nil, false
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, false
-		}
-		m.res.park(func() bool { return expired.Load() || m.closed.Load() })
+		t.arrived.Wait()
 	}
-}
-
-// takeResults moves up to len(dst) already-arrived results into dst
-// without blocking, returning the count. The batch analogue of a
-// non-blocking WaitResult: a drainer sweeps whatever the result stripes
-// hold.
-func (m *Master) takeResults(dst []*Result) int {
-	return m.res.popN(dst)
-}
-
-// pushResult records a completed task outcome.
-func (m *Master) pushResult(r *Result) {
-	m.res.push(r)
-}
-
-// pushResults records a batch of outcomes under one stripe-lock
-// acquisition.
-func (m *Master) pushResults(rs []*Result) {
-	m.res.pushBatch(rs)
+	return one[0], true
 }
 
 // Close shuts the master down. Queued and running tasks are abandoned:
@@ -375,7 +332,6 @@ func (m *Master) serveWorker(c *wire.Conn) {
 	wc := &workerConn{
 		name:  hello.Name,
 		cores: hello.Cores,
-		home:  homeQueue(hello.Name),
 		conn:  c,
 		sent:  newSentSet(),
 	}
@@ -412,29 +368,28 @@ func (m *Master) serveWorker(c *wire.Conn) {
 	m.telemetry().workersLost.Inc()
 	<-done
 	var lost []*taskMeta
-	for i := range m.d.state {
-		sh := &m.d.state[i]
-		sh.mu.Lock()
-		for _, mt := range sh.tasks {
-			if mt.wc == wc {
-				lost = append(lost, mt)
-			}
+	m.d.mu.Lock()
+	for _, mt := range m.d.tasks {
+		if mt.wc == wc {
+			lost = append(lost, mt)
 		}
-		sh.mu.Unlock()
 	}
+	m.d.mu.Unlock()
+	// Back to the tail in submission order, as FIFO dispatch had them.
+	slices.SortFunc(lost, func(a, b *taskMeta) int { return cmp.Compare(a.task.ID, b.task.ID) })
 	for _, mt := range lost {
 		m.requeueMeta(mt, wc.name)
 	}
 }
 
-// requeueMeta returns a lost task to the queue, or fails it permanently
-// when its retry budget is exhausted.
+// requeueMeta returns a lost task to the tail of the ready queue, or
+// fails it permanently when its retry budget is exhausted.
 func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 	id := mt.task.ID
-	sh := m.d.stateOf(id)
-	sh.mu.Lock()
-	if sh.tasks[id] != mt || mt.wc == nil {
-		sh.mu.Unlock()
+	d := m.d
+	d.mu.Lock()
+	if d.tasks[id] != mt || mt.wc == nil {
+		d.mu.Unlock()
 		return // completed or already requeued since the caller's scan
 	}
 	mt.wc = nil
@@ -448,7 +403,8 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 		tt.readyAt = m.tracer.Load().Now() // requeue restarts the queue wait
 	}
 	if n <= t.MaxRetries && !m.closed.Load() {
-		sh.mu.Unlock()
+		d.pushLocked(mt)
+		d.mu.Unlock()
 		m.running.Add(-1)
 		if lostDispatch != nil {
 			lostDispatch.Attr("lost", worker)
@@ -456,12 +412,11 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 		}
 		m.statsRequeues.Add(1)
 		m.telemetry().requeues.Inc()
-		m.d.enqueue(mt)
 		return
 	}
-	delete(sh.tasks, id)
+	delete(d.tasks, id)
 	sub := mt.submitted
-	sh.mu.Unlock()
+	d.mu.Unlock()
 	releaseMeta(mt)
 	m.running.Add(-1)
 	if lostDispatch != nil {
@@ -477,7 +432,7 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 	m.statsFailed.Add(1)
 	m.telemetry().done.Inc()
 	m.telemetry().failed.Inc()
-	m.pushResult(&Result{
+	m.res.push(&Result{
 		TaskID:    id,
 		Tag:       t.Tag,
 		Worker:    worker,
@@ -504,20 +459,18 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 		if wc.dead.Load() || m.closed.Load() {
 			return
 		}
-		n := m.d.popBatch(wc.home, wc.popBuf[:min(free, batchMax)])
+		n := m.d.popBatch(wc.popBuf[:min(free, batchMax)])
 		if n == 0 {
 			m.d.park(func() bool { return wc.dead.Load() || m.closed.Load() })
 			continue
 		}
 		batch := wc.popBuf[:n]
 		// Reserve the slots; a connection that died since the free-slot
-		// read returns its pops to the queue and exits.
+		// read returns its pops to the tail of the queue and exits.
 		wc.mu.Lock()
 		if wc.dead.Load() {
 			wc.mu.Unlock()
-			for _, mt := range batch {
-				m.d.enqueue(mt)
-			}
+			m.d.enqueue(batch...)
 			return
 		}
 		wc.inUse += n
@@ -539,18 +492,14 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 
 // stampBatch records the assignment of each popped task to wc: owner,
 // dispatch time, and the trace spans for the queue wait and this dispatch
-// attempt. Each task locks only its own state stripe.
+// attempt. Until wc is named the owner no other goroutine reads a popped
+// meta, so the spans and the queue-wait observation take no lock; the
+// owners are named under one.
 func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	now := time.Now()
 	tel := m.telemetry()
 	tr := m.tracer.Load()
 	for _, mt := range batch {
-		id := mt.task.ID
-		sh := m.d.stateOf(id)
-		sh.mu.Lock()
-		mt.wc = wc
-		mt.dispatched = now
-		sub := mt.submitted
 		if tt := mt.tt; tt != nil {
 			// Queue wait since submit (or the last requeue) becomes a
 			// closed "submit" span; the dispatch attempt opens a span
@@ -564,13 +513,16 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 			tt.dispatch = d
 			mt.task.Trace = d.Context().Encode()
 		}
-		sh.mu.Unlock()
-		tel.dispatches.Inc()
-		if !sub.IsZero() {
-			tel.dispatchWait.Observe(now.Sub(sub).Seconds())
-		}
+		tel.dispatchWait.Observe(now.Sub(mt.submitted).Seconds())
 	}
+	m.d.mu.Lock()
+	for _, mt := range batch {
+		mt.wc = wc
+		mt.dispatched = now
+	}
+	m.d.mu.Unlock()
 	n := int64(len(batch))
+	tel.dispatches.Add(n)
 	m.running.Add(n)
 	m.statsDispatched.Add(n)
 }
@@ -597,73 +549,80 @@ func (m *Master) sendBatch(wc *workerConn, tasks []*Task) bool {
 	return true
 }
 
-// completeTask settles one result against the task table. It reports
-// false (and the result must be dropped) when the task is unknown or
+// settle completes the results of one message against the task table
+// under one lock acquisition and returns the accepted ones, kept in place
+// at the front of rs. A result is dropped when its task is unknown or
 // owned by a different connection — a duplicate, or a task requeued away
 // from a worker presumed lost that answered after all.
-func (m *Master) completeTask(wc *workerConn, r *Result) bool {
-	sh := m.d.stateOf(r.TaskID)
-	sh.mu.Lock()
-	mt := sh.tasks[r.TaskID]
-	if mt == nil || mt.wc != wc {
-		sh.mu.Unlock()
-		return false
+func (m *Master) settle(wc *workerConn, rs []*Result) []*Result {
+	accepted := rs[:0]
+	metas := wc.settled[:0]
+	m.d.mu.Lock()
+	for _, r := range rs {
+		if r == nil {
+			continue
+		}
+		mt := m.d.tasks[r.TaskID]
+		if mt == nil || mt.wc != wc {
+			continue
+		}
+		delete(m.d.tasks, r.TaskID)
+		r.Requeues = mt.retries
+		r.Stats.Times.Submitted = mt.submitted
+		r.Stats.Times.Dispatched = mt.dispatched
+		accepted = append(accepted, r)
+		metas = append(metas, mt)
 	}
-	delete(sh.tasks, r.TaskID)
-	r.Requeues = mt.retries
-	r.Stats.Times.Submitted = mt.submitted
-	r.Stats.Times.Dispatched = mt.dispatched
-	tt := mt.tt
-	sh.mu.Unlock()
-	releaseMeta(mt)
-	m.running.Add(-1)
+	m.d.mu.Unlock()
+	wc.settled = metas
+	n := int64(len(accepted))
+	if n == 0 {
+		return accepted
+	}
+	m.running.Add(-n)
 	wc.mu.Lock()
-	wc.inUse--
+	wc.inUse -= len(accepted)
 	wc.cond.Signal()
 	wc.mu.Unlock()
-	var recv int64
-	for i := range r.Outputs {
-		recv += int64(len(r.Outputs[i].Data))
+	var recv, failed int64
+	now := time.Now()
+	for i, r := range accepted {
+		for j := range r.Outputs {
+			recv += int64(len(r.Outputs[j].Data))
+		}
+		if r.Failed() {
+			failed++
+		}
+		if tt := metas[i].tt; tt != nil {
+			tt.dispatch.End()
+			tt.root.AttrInt("exit_code", int64(r.ExitCode))
+			tt.root.AttrInt("requeues", int64(r.Requeues))
+			tt.root.End()
+		}
+		releaseMeta(metas[i])
+		metas[i] = nil
+		r.Stats.Times.Returned = now
 	}
 	m.statsBytesIn.Add(recv)
-	m.statsDone.Add(1)
-	failed := r.Failed()
-	if failed {
-		m.statsFailed.Add(1)
-	}
+	m.statsDone.Add(n)
+	m.statsFailed.Add(failed)
 	tel := m.telemetry()
-	tel.done.Inc()
-	if failed {
-		tel.failed.Inc()
-	}
+	tel.done.Add(n)
+	tel.failed.Add(failed)
 	tel.bytesRecv.Add(recv)
-	if tt != nil {
-		tt.dispatch.End()
-		tt.root.AttrInt("exit_code", int64(r.ExitCode))
-		tt.root.AttrInt("requeues", int64(r.Requeues))
-		tt.root.End()
-	}
-	r.Stats.Times.Returned = time.Now()
-	return true
+	return accepted
 }
 
 // readLoop consumes results until the connection errors. Each message's
-// results are settled, then the accepted ones are published under a
-// single result-lock acquisition; the accepted slice reuses the decoded
-// message's backing array.
+// results are settled under one task-table lock and published under one
+// result-table lock; the accepted slice reuses the decoded message's
+// backing array.
 func (m *Master) readLoop(wc *workerConn) {
 	var msg message
 	for recv(wc.conn, &msg) == nil {
-		if msg.Type != "results" {
-			continue
+		if msg.Type == "results" {
+			m.res.push(m.settle(wc, msg.Results)...)
 		}
-		accepted := msg.Results[:0]
-		for _, r := range msg.Results {
-			if r != nil && m.completeTask(wc, r) {
-				accepted = append(accepted, r)
-			}
-		}
-		m.pushResults(accepted)
 	}
 }
 
@@ -678,7 +637,7 @@ func (m *Master) Drain(n int, timeout time.Duration) []*Result {
 	for len(out) < n {
 		// Sweep whatever is already pending before consulting the clock.
 		want := min(n-len(out), len(sweep))
-		if k := m.takeResults(sweep[:want]); k > 0 {
+		if k := m.res.popN(sweep[:want]); k > 0 {
 			out = append(out, sweep[:k]...)
 			continue
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // The scale simulation drives the master's real dispatch plane — the
-// sharded task table, the power-of-two-choices queues, stamping,
-// completion and result collection — with virtual workers that skip only
+// one-lock task table and its FIFO ready queue, stamping, completion and
+// result collection — with virtual workers that skip only
 // the wire: no sockets, no JSON, no executor. 100k workers then cost a
 // workerConn struct each instead of a file descriptor and two goroutines,
 // so the harness can push the match loop far past what one host can hold
@@ -66,7 +66,6 @@ func newSimWorker(name string, cores, width int) *workerConn {
 	wc := &workerConn{
 		name:  name,
 		cores: cores,
-		home:  homeQueue(name),
 		sent:  newSentSet(),
 	}
 	wc.cond = sync.NewCond(&wc.mu)
@@ -123,7 +122,7 @@ func RunScaleSim(cfg ScaleConfig) ScaleReport {
 		swept := 0
 		buf := make([]*Result, 4*batchMax)
 		for swept < cfg.Tasks {
-			n := m.takeResults(buf)
+			n := m.res.popN(buf)
 			if n == 0 {
 				if r, ok := m.WaitResult(time.Second); ok {
 					resPool.Put(r)
@@ -146,37 +145,33 @@ func RunScaleSim(cfg ScaleConfig) ScaleReport {
 		go func(p int) {
 			defer driveWG.Done()
 			// Each driver round-robins its own slice of the fleet so every
-			// virtual worker identity (and home queue) sees traffic.
+			// virtual worker identity sees traffic. Nothing is requeued, so
+			// an empty ready queue means the backlog is all dispatched.
 			mine := fleet[p*len(fleet)/cfg.Drivers : (p+1)*len(fleet)/cfg.Drivers]
 			if len(mine) == 0 {
 				return
 			}
 			out := make([]*Result, 0, width)
-			for i := 0; m.d.pending.Load() > 0; i++ {
+			for i := 0; ; i++ {
 				wc := mine[i%len(mine)]
-				n := m.d.popBatch(wc.home, wc.popBuf[:width])
+				n := m.d.popBatch(wc.popBuf[:width])
 				if n == 0 {
-					continue
+					return
 				}
 				batch := wc.popBuf[:n]
 				wc.mu.Lock()
 				wc.inUse += n
 				wc.mu.Unlock()
 				m.stampBatch(wc, batch)
-				// "Execute" instantly: settle each task through the real
-				// completion path and publish the batch like a results
-				// message would.
+				// "Execute" instantly: settle the batch through the real
+				// completion path and publish it like a results message.
 				out = out[:0]
 				for _, mt := range batch {
 					r := resPool.Get().(*Result)
 					*r = Result{TaskID: mt.task.ID, Tag: mt.task.Tag, Worker: wc.name}
-					if m.completeTask(wc, r) {
-						out = append(out, r)
-					} else {
-						resPool.Put(r)
-					}
+					out = append(out, r)
 				}
-				m.pushResults(out)
+				m.res.push(m.settle(wc, out)...)
 			}
 		}(p)
 	}

@@ -34,7 +34,7 @@ func BenchmarkMatchLoop(b *testing.B) {
 		}
 		popped := 0
 		for popped < batchMax {
-			n := m.d.popBatch(wc.home, wc.popBuf[popped:batchMax])
+			n := m.d.popBatch(wc.popBuf[popped:batchMax])
 			if n == 0 {
 				b.Fatal("queue ran dry mid-batch")
 			}
@@ -43,17 +43,17 @@ func BenchmarkMatchLoop(b *testing.B) {
 			wc.inUse += n
 			wc.mu.Unlock()
 			m.stampBatch(wc, batch)
+			rs := results[popped : popped+n]
 			for k, mt := range batch {
-				r := results[popped+k]
-				*r = Result{TaskID: mt.task.ID}
-				if !m.completeTask(wc, r) {
-					b.Fatal("completion rejected")
-				}
+				*rs[k] = Result{TaskID: mt.task.ID}
+			}
+			if len(m.settle(wc, rs)) != n {
+				b.Fatal("completion rejected")
 			}
 			popped += n
 		}
-		m.pushResults(results[:batchMax])
-		if got := m.takeResults(sweep); got != batchMax {
+		m.res.push(results[:batchMax]...)
+		if got := m.res.popN(sweep); got != batchMax {
 			b.Fatalf("swept %d results, want %d", got, batchMax)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -608,5 +609,44 @@ func TestExecContextErrAfterMasterLost(t *testing.T) {
 	}
 	if err := (*ExecContext)(nil).Err(); err != nil {
 		t.Fatalf("nil context Err = %v", err)
+	}
+}
+
+// TestDispatchFIFO: tasks queued before any worker connects run in
+// submission order on a one-core worker, the one queue of ready tasks
+// the paper's master hands out oldest first.
+func TestDispatchFIFO(t *testing.T) {
+	m := newMaster(t)
+	const n = 200
+	ids := make([]int64, n)
+	for i := range ids {
+		id, err := m.Submit(&Task{Func: "record"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	var mu sync.Mutex
+	var ran []int64
+	reg := Registry{"record": func(ctx *ExecContext) error {
+		mu.Lock()
+		ran = append(ran, ctx.Task.ID)
+		mu.Unlock()
+		return nil
+	}}
+	w, err := NewWorker(m.Addr(), "w0", 1, t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := m.Drain(n, 30*time.Second); len(got) != n {
+		t.Fatalf("drained %d/%d results", len(got), n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, id := range ids {
+		if ran[i] != id {
+			t.Fatalf("run %d was task %d, want %d: dispatch is not FIFO", i, ran[i], id)
+		}
 	}
 }
