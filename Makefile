@@ -51,6 +51,15 @@ fmt:
 # (DESIGN.md section 14, one log). It and the since-deleted history store
 # each carried their own CRC'd log until the same length-trusting read had
 # been fixed in both.
+#
+# And a /metrics page is written by internal/telemetry's one writer
+# (telemetry.Expo), never a second one: no "# HELP" or "# TYPE" string
+# literal in non-test code outside internal/telemetry (DESIGN.md section
+# 7, one observation format). The registry and the parser each carried an
+# exposition writer, and the registry's escaped every label value twice
+# (its own escaper, then %q), so a"b reached the fleet hub as a\"b and a
+# tab as a literal \t. The parser's copy, which only tests called,
+# escaped once, so the round-trip test that used it never saw the bug.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -65,6 +74,8 @@ copy-lint:
 	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
+	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 
 # benchmark/ is its own module (it imports this one through a replace), so
 # `go build ./...` and `go vet ./...` here never see it: deleting an API the

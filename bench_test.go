@@ -22,6 +22,7 @@ import (
 	"lobster/internal/core"
 	"lobster/internal/cvmfs"
 	"lobster/internal/dbs"
+	"lobster/internal/health"
 	"lobster/internal/parrot"
 	"lobster/internal/sim"
 	"lobster/internal/stats"
@@ -408,7 +409,11 @@ func BenchmarkFig11SimulationTimelineTelemetry(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, s := range reg.Snapshot().Series {
+	series, err := (&health.RegistrySource{Reg: reg}).Scrape()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range series {
 		switch s.Name {
 		case "lobster_wq_tasks_done_total":
 			if int(s.Value) != res.TasksDone {

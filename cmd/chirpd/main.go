@@ -4,7 +4,7 @@
 // Usage:
 //
 //	chirpd -addr 127.0.0.1:9094 -root /data/storage -max-concurrent 16
-//	chirpd -metrics 127.0.0.1:9095 ...   # serve /metrics and /status too
+//	chirpd -metrics 127.0.0.1:9095 ...   # serve /metrics too
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9094", "listen address")
 	root := flag.String("root", "./chirp-export", "directory to export")
 	maxConc := flag.Int("max-concurrent", 16, "concurrently served connections")
-	metrics := flag.String("metrics", "", "serve telemetry (GET /metrics, /status) on this address")
+	metrics := flag.String("metrics", "", "serve telemetry (GET /metrics, Prometheus text) on this address")
 	pprofOn := flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof for fleet profiling capture")
 	fplan := flag.String("fault-plan", "", "JSON fault plan: inject deterministic faults into served connections")
 	flag.Parse()
@@ -63,7 +63,7 @@ func main() {
 			profiling.AttachPprof(mux)
 		}
 		go http.Serve(lis, mux)
-		fmt.Printf("chirpd: telemetry on http://%s/metrics and /status\n", lis.Addr())
+		fmt.Printf("chirpd: telemetry on http://%s/metrics\n", lis.Addr())
 	}
 	fmt.Printf("chirpd: exporting %s on %s (max %d concurrent)\n", fs.Root(), srv.Addr(), *maxConc)
 

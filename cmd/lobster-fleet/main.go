@@ -11,23 +11,20 @@
 //	              -interval 5s -event-log fleet.jsonl -profiles ./profiles \
 //	              -http 127.0.0.1:9100
 //
-//	lobster-fleet -scrape master=http://127.0.0.1:9099 -once        # one tick, print, exit
-//	lobster-fleet -scrape master=http://127.0.0.1:9099 -once -json  # machine-readable snapshot
+//	lobster-fleet -scrape master=http://127.0.0.1:9099 -once   # one tick, print, exit
 //
-// The hub's own address serves /metrics (hub self-telemetry) and /fleet
-// (the merged JSON view `lobster -top -fleet` renders).
+// The hub's own address serves /metrics: its own series, per-endpoint
+// scrape gauges, per-rule firing gauges and every endpoint's series with
+// component and instance stamped (`lobster -top` renders it).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -80,7 +77,7 @@ type options struct {
 	interval                                time.Duration
 	evlogMax                                int64
 	downAfter                               int
-	once, jsonOut                           bool
+	once                                    bool
 }
 
 func main() {
@@ -91,10 +88,9 @@ func main() {
 	flag.StringVar(&o.evlogPath, "event-log", "", "append typed alert events to this JSONL file")
 	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
 	flag.StringVar(&o.profDir, "profiles", "", "archive pprof bundles here when a profiling-enabled rule fires")
-	flag.StringVar(&o.httpAddr, "http", "", "serve hub telemetry (/metrics) and the merged fleet view (/fleet) on this address")
+	flag.StringVar(&o.httpAddr, "http", "", "serve the federated fleet page (GET /metrics: hub, endpoint and rule series) on this address")
 	flag.IntVar(&o.downAfter, "down-after", 2, "consecutive scrape failures before endpoint_down fires")
 	flag.BoolVar(&o.once, "once", false, "run one scrape cycle, print the fleet view, and exit")
-	flag.BoolVar(&o.jsonOut, "json", false, "with -once: print the hub view as JSON instead of tables")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "lobster-fleet:", err)
@@ -144,9 +140,6 @@ func run(o options) error {
 
 	if o.once {
 		hub.Tick()
-		if o.jsonOut {
-			return printJSON(os.Stdout, hub)
-		}
 		printFleet(hub)
 		return nil
 	}
@@ -157,10 +150,10 @@ func run(o options) error {
 			return fmt.Errorf("hub listener: %w", err)
 		}
 		defer lis.Close()
-		mux := reg.Mux()
-		mux.Handle("/fleet", hub.StatusHandler())
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", telemetry.MetricsHandler(hub))
 		go http.Serve(lis, mux)
-		fmt.Printf("fleet hub on http://%s/fleet (telemetry /metrics)\n", lis.Addr())
+		fmt.Printf("fleet hub on http://%s/metrics\n", lis.Addr())
 	}
 
 	fmt.Printf("scraping %d endpoints every %s, %d rules armed\n",
@@ -176,14 +169,6 @@ func run(o options) error {
 	alerts := hub.Alerts()
 	fmt.Printf("shutting down: %d ticks, %d alert transitions\n", hub.Ticks(), len(alerts))
 	return nil
-}
-
-// printJSON emits the machine-readable hub view — the same document
-// StatusHandler serves — for scripting a one-shot health check.
-func printJSON(w io.Writer, hub *health.Hub) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(hub.View(20, true))
 }
 
 // printFleet renders the endpoint table and top fleet aggregates.
@@ -207,10 +192,8 @@ func printFleet(hub *health.Hub) {
 	if firing := hub.Firing(); len(firing) > 0 {
 		fmt.Printf("firing: %s\n", strings.Join(firing, ", "))
 	}
-	agg := f.Aggregate()
-	sort.Slice(agg, func(i, j int) bool { return agg[i].Name < agg[j].Name })
 	at := tabulate.NewTable("aggregates", "SERIES", "TOTAL", "MAX", "N")
-	for _, a := range agg {
+	for _, a := range f.Aggregate() {
 		if !strings.HasPrefix(a.Name, "lobster_") {
 			continue
 		}

@@ -9,11 +9,12 @@
 //
 //	lobster -kind analysis -files 8 -workers 4 -merge interleaved
 //	lobster -kind simulation -events 2000
-//	lobster -http 127.0.0.1:9099 ...            # serve /metrics and /status
+//	lobster -http 127.0.0.1:9099 ...            # serve /metrics
 //	lobster -trace-log spans.jsonl ...          # record spans; analyze with lobster-trace
 //	lobster -fault-plan storm.json ...          # replay a deterministic fault storm
 //	lobster -top http://127.0.0.1:9099          # one-shot status of a live run
 //	lobster -top http://127.0.0.1:9099 -watch   # live bottleneck dashboard
+//	lobster -top http://127.0.0.1:9100          # a lobster-fleet hub: adds endpoints, rules, aggregates
 package main
 
 import (
@@ -53,9 +54,9 @@ type options struct {
 	faultSeed                                     uint64
 
 	// Modes that do not run a workflow.
-	watch, fleet bool
-	topURL       string
-	interval     time.Duration
+	watch    bool
+	topURL   string
+	interval time.Duration
 }
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 	flag.StringVar(&o.dbdir, "db", "", "Lobster DB directory (enables crash recovery)")
 	flag.Uint64Var(&o.seed, "seed", 1, "synthetic content seed")
 	flag.StringVar(&o.confPath, "config", "", "JSON workflow configuration file (overrides the workflow flags)")
-	flag.StringVar(&o.httpAddr, "http", "", "serve live telemetry (GET /metrics, /status) on this address")
+	flag.StringVar(&o.httpAddr, "http", "", "serve live telemetry (GET /metrics, Prometheus text) on this address")
 	flag.BoolVar(&o.pprofOn, "pprof", false, "with -http: also serve /debug/pprof (goroutine, heap, CPU) for fleet profiling capture")
 	flag.StringVar(&o.evlogPath, "event-log", "", "append structured JSONL task events to this file")
 	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
@@ -81,15 +82,14 @@ func main() {
 	flag.Float64Var(&o.trRate, "trace-rate", 0, "head-sampling bound: max new traces sampled per second (0 = all)")
 	flag.StringVar(&o.faultPlanPath, "fault-plan", "", "JSON fault plan: inject a deterministic fault storm into the stack")
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "override the fault plan's seed (0 = use the plan's)")
-	flag.StringVar(&o.topURL, "top", "", "print the status of the lobster at this base URL and exit")
+	flag.StringVar(&o.topURL, "top", "", "print the /metrics of the lobster, chirpd or lobster-fleet hub at this base URL and exit")
 	flag.BoolVar(&o.watch, "watch", false, "with -top: refresh continuously instead of one-shot")
-	flag.BoolVar(&o.fleet, "fleet", false, "with -top: the URL is a lobster-fleet hub; render the merged multi-endpoint view")
 	flag.DurationVar(&o.interval, "interval", 2*time.Second, "with -top -watch: refresh interval")
 	flag.Parse()
 	var err error
 	switch {
 	case o.topURL != "":
-		err = top(o.topURL, o.watch, o.fleet, o.interval)
+		err = top(os.Stdout, o.topURL, o.watch, o.interval)
 	default:
 		err = run(o)
 	}
@@ -149,7 +149,7 @@ func run(o options) error {
 			profiling.AttachPprof(mux)
 		}
 		go http.Serve(lis, mux)
-		fmt.Printf("telemetry on http://%s/metrics and /status\n", lis.Addr())
+		fmt.Printf("telemetry on http://%s/metrics\n", lis.Addr())
 	}
 
 	var inj *faultinject.Injector

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"sort"
 	"strings"
 	"time"
 
+	"lobster/internal/health"
 	"lobster/internal/tabulate"
-	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 )
 
@@ -84,104 +83,176 @@ func seriesName(name string, labels map[string]string) string {
 	return name + "{" + strings.Join(parts, ",") + "}"
 }
 
-// top fetches /status from a live lobster (started with -http) and
-// prints a dashboard: build/uptime/sampling header, the per-segment
-// runtime breakdown derived from the stage histograms (the live view of
-// the Figure 8 accounting), and every telemetry series. With watch it
-// redraws every interval until interrupted, htop-style; a failed scrape
-// keeps the last good data on screen under an explicit error banner with
-// the data's age, rather than silently showing stale numbers or dying.
-// With fleet it reads a lobster-fleet hub's /fleet endpoint instead and
-// renders the merged multi-endpoint view.
-func top(baseURL string, watch, fleet bool, interval time.Duration) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	if fleet {
-		return topFleet(client, baseURL, watch, interval)
-	}
-	url := strings.TrimRight(baseURL, "/") + "/status"
-	var last *telemetry.Status
+// top scrapes baseURL/metrics — a lobster started with -http, a chirpd
+// with -metrics or a lobster-fleet hub — and prints a dashboard to w: the
+// per-segment runtime breakdown from the stage histograms (the live view
+// of the Figure 8 accounting) and one table of the page's series. A hub's
+// page, whose endpoint series carry an instance label, adds the endpoint
+// table, the firing rules and the fleet aggregates per component. With
+// watch it redraws every interval until interrupted, htop-style; a failed
+// scrape keeps the last good data on screen under an explicit error
+// banner with the data's age, rather than silently showing stale numbers
+// or dying.
+func top(w io.Writer, baseURL string, watch bool, interval time.Duration) error {
+	src := &health.HTTPSource{BaseURL: baseURL}
+	var last *topView
 	var lastOK time.Time
 	var hist *topHistory
 	if watch {
 		hist = newTopHistory()
 	}
 	for {
-		st, err := fetchStatus(client, url)
+		series, err := src.Scrape()
 		if err == nil {
-			last, lastOK = st, time.Now()
-			if hist != nil {
-				hist.seq++
-				for _, p := range st.Series {
-					v := p.Value
-					if p.Type == "histogram" {
-						v = p.Mean
-					}
-					hist.add(p.Name, p.Labels, v)
-				}
-			}
+			last, lastOK = newTopView(series), time.Now()
+			last.record(hist)
 		}
 		if !watch {
 			if err != nil {
 				return err
 			}
-			fmt.Print(renderStatus(last, 0, nil, nil))
+			fmt.Fprint(w, last.render(0, nil, nil))
 			return nil
 		}
 		// Home the cursor and clear below rather than clearing the
 		// whole screen: no flicker between refreshes.
-		fmt.Print("\033[H\033[J")
+		fmt.Fprint(w, "\033[H\033[J")
 		if last == nil {
-			fmt.Printf("lobster top: no successful scrape yet: %v\n", err)
+			fmt.Fprintf(w, "lobster top: no successful scrape yet: %v\n", err)
 		} else {
-			fmt.Print(renderStatus(last, time.Since(lastOK), err, hist))
+			fmt.Fprint(w, last.render(time.Since(lastOK), err, hist))
 		}
 		time.Sleep(interval)
 	}
 }
 
-func fetchStatus(client *http.Client, url string) (*telemetry.Status, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	var st telemetry.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
-	}
-	return &st, nil
+// The hub's scrape gauges, drawn as the endpoint table rather than rows.
+const (
+	endpointFailures = "lobster_fleet_endpoint_scrape_failures"
+	endpointAge      = "lobster_fleet_endpoint_scrape_age_seconds"
+)
+
+// allInstances keys a fleet aggregate's sparkline apart from a row of
+// the same name.
+var allInstances = map[string]string{"instance": "*"}
+
+// topView is one scraped page, digested for the dashboard.
+type topView struct {
+	samples   int      // lines on the page
+	rows      []topRow // series without an instance label
+	segments  string   // the rendered runtime breakdown; "" with no stage time
+	endpoints []topEndpoint
+	firing    []string
+	agg       []health.FleetSeries // the endpoints' series, per component
 }
 
-// renderStatus renders one status page. age is how long ago the data was
-// scraped (0 = fresh this cycle); scrapeErr, when non-nil, is the error
-// that kept this cycle from refreshing it; hist, when non-nil (watch
-// mode), adds a per-series sparkline over the recent refreshes.
-func renderStatus(st *telemetry.Status, age time.Duration, scrapeErr error, hist *topHistory) string {
+// topRow is one line of the telemetry table: a series, or a histogram
+// folded into one n=… mean=… row from its _sum and _count.
+type topRow struct {
+	name   string
+	labels map[string]string
+	typ    string
+	value  float64 // a histogram's mean
+	count  float64 // a histogram's observations
+}
+
+// topEndpoint is one endpoint of a hub, from its scrape gauges.
+type topEndpoint struct {
+	name, component string
+	fails, age      float64
+	series          int
+}
+
+func newTopView(series []health.Series) *topView {
+	v := &topView{samples: len(series), segments: renderSegments(series)}
+	var fleet []health.Series
+	hists := make(map[string]int)     // histogram row index by name{labels}
+	endpoints := make(map[string]int) // endpoint index by instance
+	perInstance := make(map[string]int)
+	for _, s := range series {
+		inst := s.Label("instance")
+		if s.Name == endpointFailures || s.Name == endpointAge {
+			i, ok := endpoints[inst]
+			if !ok {
+				i = len(v.endpoints)
+				endpoints[inst] = i
+				v.endpoints = append(v.endpoints, topEndpoint{name: inst, component: s.Label("component")})
+			}
+			if s.Name == endpointFailures {
+				v.endpoints[i].fails = s.Value
+			} else {
+				v.endpoints[i].age = s.Value
+			}
+			continue
+		}
+		if s.Name == "lobster_fleet_rule_firing" && s.Value > 0 {
+			v.firing = append(v.firing, s.Label("rule"))
+		}
+		switch {
+		case inst != "":
+			fleet = append(fleet, s)
+			perInstance[inst]++
+		case s.Type != "histogram":
+			v.rows = append(v.rows, topRow{name: s.Name, labels: s.Labels, typ: s.Type, value: s.Value})
+		case !strings.HasSuffix(s.Name, "_bucket"):
+			key := seriesName(s.Family, s.Labels)
+			i, ok := hists[key]
+			if !ok {
+				i = len(v.rows)
+				hists[key] = i
+				v.rows = append(v.rows, topRow{name: s.Family, labels: s.Labels, typ: s.Type})
+			}
+			if strings.HasSuffix(s.Name, "_count") {
+				v.rows[i].count = s.Value
+			} else {
+				v.rows[i].value = s.Value
+			}
+		}
+	}
+	for i := range v.rows {
+		if r := &v.rows[i]; r.typ == "histogram" && r.count > 0 {
+			r.value /= r.count // the sum until now
+		}
+	}
+	for i := range v.endpoints {
+		v.endpoints[i].series = perInstance[v.endpoints[i].name]
+	}
+	if len(fleet) > 0 {
+		v.agg = (&health.Fleet{Series: fleet}).Aggregate()
+	}
+	return v
+}
+
+// record adds this scrape to the watch-mode history (nil: one-shot).
+func (v *topView) record(h *topHistory) {
+	if h == nil {
+		return
+	}
+	h.seq++
+	for i := range v.rows {
+		h.add(v.rows[i].name, v.rows[i].labels, v.rows[i].value)
+	}
+	for _, a := range v.agg {
+		h.add(a.Name, allInstances, a.Total)
+	}
+}
+
+// render draws the dashboard. age is how long ago the data was scraped
+// (0 = fresh this cycle); scrapeErr, when non-nil, is the error that kept
+// this cycle from refreshing it; hist, when non-nil (watch mode), adds a
+// per-series sparkline over the recent refreshes.
+func (v *topView) render(age time.Duration, scrapeErr error, hist *topHistory) string {
 	var b strings.Builder
 	if scrapeErr != nil {
 		fmt.Fprintf(&b, "!! SCRAPE FAILED: %v\n!! showing data %.1fs old\n", scrapeErr, age.Seconds())
 	}
-	fmt.Fprintf(&b, "lobster status at t=%.1fs  up %s", st.Time, tabulate.Duration(st.UptimeSec))
-	if st.Go != "" {
-		fmt.Fprintf(&b, "  %s", st.Go)
+	fmt.Fprintf(&b, "lobster metrics: %d samples", v.samples)
+	if len(v.endpoints) > 0 {
+		fmt.Fprintf(&b, ", a fleet hub over %d endpoints", len(v.endpoints))
 	}
-	if len(st.Info) > 0 {
-		keys := make([]string, 0, len(st.Info))
-		for k := range st.Info {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s=%s", k, st.Info[k])
-		}
-	}
-	fmt.Fprintf(&b, "  (%d series)\n", len(st.Series))
-
-	if tb := renderSegments(st); tb != "" {
-		b.WriteString(tb)
+	b.WriteByte('\n')
+	if v.segments != "" {
+		b.WriteString(v.segments)
 		b.WriteByte('\n')
 	}
 
@@ -190,197 +261,102 @@ func renderStatus(st *telemetry.Status, age time.Duration, scrapeErr error, hist
 		headers = append(headers, "trend")
 	}
 	tb := tabulate.NewTable("Telemetry", headers...)
-	for _, p := range st.Series {
-		name := seriesName(p.Name, p.Labels)
-		var val string
-		if p.Type == "histogram" {
-			val = fmt.Sprintf("n=%d mean=%.4g", p.Count, p.Mean)
-		} else {
-			val = fmt.Sprintf("%g", p.Value)
+	for i := range v.rows {
+		r := &v.rows[i]
+		val := fmt.Sprintf("%g", r.value)
+		if r.typ == "histogram" {
+			val = fmt.Sprintf("n=%d mean=%.4g", int64(r.count), r.value)
 		}
 		if hist != nil {
-			tb.Row(name, p.Type, val, hist.spark(p.Name, p.Labels))
+			tb.Row(seriesName(r.name, r.labels), r.typ, val, hist.spark(r.name, r.labels))
 		} else {
-			tb.Row(name, p.Type, val)
+			tb.Row(seriesName(r.name, r.labels), r.typ, val)
 		}
 	}
 	b.WriteString(tb.Render())
 	b.WriteByte('\n')
+	v.renderFleet(&b, hist)
 	return b.String()
 }
 
-// fleetView mirrors the JSON document lobster-fleet serves on /fleet.
-type fleetView struct {
-	Time      float64 `json:"t"`
-	Ticks     int64   `json:"ticks"`
-	Endpoints []struct {
-		Name      string  `json:"name"`
-		Component string  `json:"component"`
-		Up        bool    `json:"up"`
-		Err       string  `json:"err"`
-		AgeSec    float64 `json:"age_sec"`
-		Series    int     `json:"series"`
-		Fails     int     `json:"fails"`
-	} `json:"endpoints"`
-	Firing []string `json:"firing"`
-	Alerts []struct {
-		Time     float64 `json:"t"`
-		Rule     string  `json:"rule"`
-		Severity string  `json:"severity"`
-		State    string  `json:"state"`
-		Value    float64 `json:"value"`
-	} `json:"alerts"`
-	Series []struct {
-		Name         string
-		Total        float64
-		Max          float64
-		N            int
-		PerComponent map[string]float64
-	} `json:"series"`
-}
-
-// topFleet polls a lobster-fleet hub's /fleet endpoint and renders the
-// merged cluster view: per-endpoint scrape health with an age column,
-// firing rules, the recent alert tail, and the fleet aggregates broken
-// down per component.
-func topFleet(client *http.Client, baseURL string, watch bool, interval time.Duration) error {
-	url := strings.TrimRight(baseURL, "/") + "/fleet"
-	var last *fleetView
-	var lastOK time.Time
-	var hist *topHistory
-	if watch {
-		hist = newTopHistory()
-	}
-	for {
-		v, err := fetchFleet(client, url)
-		if err == nil {
-			last, lastOK = v, time.Now()
-			if hist != nil {
-				hist.seq++
-				for _, s := range v.Series {
-					hist.add(s.Name, nil, s.Total)
-				}
+// renderFleet draws what only a hub's page holds: per-endpoint scrape
+// health with an age column, the firing rules, and the fleet aggregates
+// broken down per component.
+func (v *topView) renderFleet(b *strings.Builder, hist *topHistory) {
+	if len(v.endpoints) > 0 {
+		tb := tabulate.NewTable("Endpoints", "endpoint", "component", "state", "age", "series")
+		for _, e := range v.endpoints {
+			state := "up"
+			if e.fails > 0 || e.age < 0 {
+				state = fmt.Sprintf("DOWN(%d)", int(e.fails))
 			}
-		}
-		if !watch {
-			if err != nil {
-				return err
+			ageCol := fmt.Sprintf("%.1fs", e.age)
+			if e.age < 0 {
+				ageCol = "never"
 			}
-			fmt.Print(renderFleet(last, 0, nil, nil))
-			return nil
+			tb.Row(e.name, e.component, state, ageCol, fmt.Sprint(e.series))
 		}
-		fmt.Print("\033[H\033[J")
-		if last == nil {
-			fmt.Printf("lobster top: no successful hub scrape yet: %v\n", err)
-		} else {
-			fmt.Print(renderFleet(last, time.Since(lastOK), err, hist))
+		b.WriteString(tb.Render())
+	}
+	if len(v.firing) > 0 {
+		fmt.Fprintf(b, "\nFIRING: %s\n", strings.Join(v.firing, ", "))
+	}
+	if len(v.agg) == 0 {
+		return
+	}
+	// Column per component, stable order.
+	comps := map[string]bool{}
+	for _, s := range v.agg {
+		for c := range s.PerComponent {
+			comps[c] = true
 		}
-		time.Sleep(interval)
 	}
-}
-
-func fetchFleet(client *http.Client, url string) (*fleetView, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
+	order := make([]string, 0, len(comps))
+	for c := range comps {
+		order = append(order, c)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+	sort.Strings(order)
+	headers := append([]string{"series", "total", "max"}, order...)
+	if hist != nil {
+		headers = append(headers, "trend")
 	}
-	var v fleetView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
-	}
-	return &v, nil
-}
-
-func renderFleet(v *fleetView, age time.Duration, scrapeErr error, hist *topHistory) string {
-	var b strings.Builder
-	if scrapeErr != nil {
-		fmt.Fprintf(&b, "!! HUB SCRAPE FAILED: %v\n!! showing data %.1fs old\n", scrapeErr, age.Seconds())
-	}
-	fmt.Fprintf(&b, "fleet at t=%.1fs  tick %d  %d endpoints\n", v.Time, v.Ticks, len(v.Endpoints))
-
-	tb := tabulate.NewTable("Endpoints", "endpoint", "component", "state", "age", "series", "error")
-	for _, e := range v.Endpoints {
-		state := "up"
-		if !e.Up {
-			state = fmt.Sprintf("DOWN(%d)", e.Fails)
+	cells := make([]any, 0, len(headers))
+	st := tabulate.NewTable("Fleet aggregates", headers...)
+	for _, s := range v.agg {
+		if !strings.HasPrefix(s.Name, "lobster_") {
+			continue
 		}
-		ageCol := fmt.Sprintf("%.1fs", e.AgeSec)
-		if e.AgeSec < 0 {
-			ageCol = "never"
+		cells = cells[:0]
+		cells = append(cells, s.Name, fmt.Sprintf("%.6g", s.Total), fmt.Sprintf("%.6g", s.Max))
+		for _, c := range order {
+			cells = append(cells, fmt.Sprintf("%.6g", s.PerComponent[c]))
 		}
-		tb.Row(e.Name, e.Component, state, ageCol, fmt.Sprint(e.Series), e.Err)
-	}
-	b.WriteString(tb.Render())
-
-	if len(v.Firing) > 0 {
-		fmt.Fprintf(&b, "\nFIRING: %s\n", strings.Join(v.Firing, ", "))
-	}
-	if len(v.Alerts) > 0 {
-		at := tabulate.NewTable("Recent alerts", "t", "rule", "severity", "state", "value")
-		for _, a := range v.Alerts {
-			at.Row(fmt.Sprintf("%.1f", a.Time), a.Rule, a.Severity, a.State, fmt.Sprintf("%.4g", a.Value))
-		}
-		b.WriteByte('\n')
-		b.WriteString(at.Render())
-	}
-	if len(v.Series) > 0 {
-		// Column per component, stable order.
-		comps := map[string]bool{}
-		for _, s := range v.Series {
-			for c := range s.PerComponent {
-				comps[c] = true
-			}
-		}
-		order := make([]string, 0, len(comps))
-		for c := range comps {
-			order = append(order, c)
-		}
-		sort.Strings(order)
-		headers := append([]string{"series", "total", "max"}, order...)
 		if hist != nil {
-			headers = append(headers, "trend")
+			cells = append(cells, hist.spark(s.Name, allInstances))
 		}
-		cells := make([]any, 0, len(headers))
-		st := tabulate.NewTable("Fleet aggregates", headers...)
-		for _, s := range v.Series {
-			if !strings.HasPrefix(s.Name, "lobster_") {
-				continue
-			}
-			cells = cells[:0]
-			cells = append(cells, s.Name, fmt.Sprintf("%.6g", s.Total), fmt.Sprintf("%.6g", s.Max))
-			for _, c := range order {
-				cells = append(cells, fmt.Sprintf("%.6g", s.PerComponent[c]))
-			}
-			if hist != nil {
-				cells = append(cells, hist.spark(s.Name, nil))
-			}
-			st.Row(cells...)
-		}
-		b.WriteByte('\n')
-		b.WriteString(st.Render())
+		st.Row(cells...)
 	}
-	return b.String()
+	b.WriteByte('\n')
+	b.WriteString(st.Render())
 }
 
 // renderSegments turns the lobster_task_stage_seconds histograms into
 // the live per-segment breakdown — the same accounting lobster-trace
 // computes offline from span trees (the two reconcile by construction).
-func renderSegments(st *telemetry.Status) string {
+// A hub's page sums each stage over its endpoints. The stage label is
+// telemetry.Stage's closed set, every name of which is a trace segment.
+func renderSegments(series []health.Series) string {
 	secs := make(map[string]float64)
-	counts := make(map[string]int64)
+	counts := make(map[string]float64)
 	var total float64
-	for _, p := range st.Series {
-		if p.Name != "lobster_task_stage_seconds" {
-			continue
+	for _, s := range series {
+		switch s.Name {
+		case "lobster_task_stage_seconds_sum":
+			secs[s.Label("stage")] += s.Value
+			total += s.Value
+		case "lobster_task_stage_seconds_count":
+			counts[s.Label("stage")] += s.Value
 		}
-		stage := p.Labels["stage"]
-		secs[stage] += p.Value // histogram Value is the sum
-		counts[stage] += p.Count
-		total += p.Value
 	}
 	if total <= 0 {
 		return ""
@@ -395,22 +371,9 @@ func renderSegments(st *telemetry.Status) string {
 			continue
 		}
 		tb.Row(seg, fmt.Sprintf("%.2f", v), fmt.Sprintf("%.1f", 100*v/total),
-			fmt.Sprintf("%d", counts[seg]))
+			fmt.Sprintf("%d", int64(counts[seg])))
 		labels = append(labels, seg)
 		values = append(values, v)
-		delete(secs, seg)
-	}
-	// Stages outside the canonical segment list still show up.
-	rest := make([]string, 0, len(secs))
-	for s := range secs {
-		rest = append(rest, s)
-	}
-	sort.Strings(rest)
-	for _, s := range rest {
-		tb.Row(s, fmt.Sprintf("%.2f", secs[s]), fmt.Sprintf("%.1f", 100*secs[s]/total),
-			fmt.Sprintf("%d", counts[s]))
-		labels = append(labels, s)
-		values = append(values, secs[s])
 	}
 	return tb.Render() + "\n" + tabulate.Bars(labels, values, 48)
 }

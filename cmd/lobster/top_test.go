@@ -1,9 +1,14 @@
 package main
 
 import (
+	"errors"
+	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
+	"lobster/internal/health"
 	"lobster/internal/telemetry"
 )
 
@@ -11,13 +16,10 @@ import (
 // checks the rendered dashboard grows a trend column with a sparkline
 // per series — and that one-shot mode (no history) stays column-stable.
 func TestWatchSparklines(t *testing.T) {
-	st := &telemetry.Status{
-		Time: 30,
-		Series: []telemetry.SeriesPoint{
-			{Name: "lobster_wq_tasks_done_total", Type: "counter", Value: 40},
-			{Name: "lobster_wq_tasks_running", Type: "gauge", Value: 3},
-		},
-	}
+	v := newTopView([]health.Series{
+		{Name: "lobster_wq_tasks_done_total", Type: "counter", Value: 40, Family: "lobster_wq_tasks_done_total"},
+		{Name: "lobster_wq_tasks_running", Type: "gauge", Value: 3, Family: "lobster_wq_tasks_running"},
+	})
 	hist := newTopHistory()
 	for i := 0; i < 4; i++ {
 		hist.seq++
@@ -25,7 +27,7 @@ func TestWatchSparklines(t *testing.T) {
 		hist.add("lobster_wq_tasks_running", nil, 3)
 	}
 
-	out := renderStatus(st, 0, nil, hist)
+	out := v.render(0, nil, hist)
 	if !strings.Contains(out, "trend") {
 		t.Errorf("watch render lacks trend column:\n%s", out)
 	}
@@ -36,7 +38,7 @@ func TestWatchSparklines(t *testing.T) {
 		t.Errorf("flat gauge should render a flat mid-height sparkline:\n%s", out)
 	}
 
-	oneShot := renderStatus(st, 0, nil, nil)
+	oneShot := v.render(0, nil, nil)
 	if strings.Contains(oneShot, "trend") {
 		t.Errorf("one-shot render must not grow a trend column:\n%s", oneShot)
 	}
@@ -60,5 +62,123 @@ func TestTopHistoryWindow(t *testing.T) {
 	}
 	if s := hist.spark("absent", nil); s != "" {
 		t.Errorf("unknown series rendered %q, want empty", s)
+	}
+}
+
+// topOnce runs the one-shot dashboard against a live /metrics server.
+func topOnce(t *testing.T, x telemetry.Exposition) string {
+	t.Helper()
+	srv := httptest.NewServer(telemetry.MetricsHandler(x))
+	defer srv.Close()
+	var b strings.Builder
+	if err := top(&b, srv.URL, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestTopSingleProcess: one process's page draws one table with one row
+// per histogram, its n and mean from _count and _sum, and the runtime
+// breakdown from the stage histograms; no fleet section.
+func TestTopSingleProcess(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Counter("lobster_wq_tasks_done_total", "Done.").Add(12)
+	h := reg.Histogram("lobster_wq_worker_exec_seconds", "Exec.", []float64{1, 10})
+	h.Observe(2)
+	h.Observe(4)
+	st := telemetry.NewStageHistograms(reg)
+	st.Observe(telemetry.StageSetup, 30)
+	st.Observe(telemetry.StageExecute, 90)
+	st.Observe(telemetry.StageExecute, 30)
+
+	out := topOnce(t, reg)
+	if n := strings.Count(out, "lobster_wq_worker_exec_seconds"); n != 1 {
+		t.Errorf("histogram drawn on %d rows, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(out, "n=2 mean=3") {
+		t.Errorf("histogram row lacks n=2 mean=3:\n%s", out)
+	}
+	for _, want := range []string{"Runtime breakdown", "execute", "120.00", "80.0", "setup", "30.00", "20.0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("segment breakdown lacks %q:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, `lobster_task_stage_seconds{stage=execute}`) || !strings.Contains(out, "n=2 mean=60") {
+		t.Errorf("stage histogram row missing:\n%s", out)
+	}
+	for _, fleetOnly := range []string{"Endpoints", "FIRING", "Fleet aggregates"} {
+		if strings.Contains(out, fleetOnly) {
+			t.Errorf("single-process page drew %q:\n%s", fleetOnly, out)
+		}
+	}
+}
+
+// TestTopFleetPage: a hub's federated page draws the endpoint rows, the
+// FIRING line and the per-component aggregate columns, and keeps the
+// endpoints' series out of the telemetry table.
+func TestTopFleetPage(t *testing.T) {
+	master, chirpd := telemetry.NewRegistry(), telemetry.NewRegistry()
+	master.Counter("lobster_wq_tasks_done_total", "Done.").Add(40)
+	master.Gauge("lobster_chirp_queued_connections", "Queued.").Set(6)
+	chirpd.Gauge("lobster_chirp_queued_connections", "Queued.").Set(5)
+	now := 0.0
+	hub := health.NewHub(health.Config{
+		Endpoints: []health.Endpoint{
+			{Name: "master-1", Component: "master", Source: &health.RegistrySource{Reg: master}},
+			{Name: "chirpd-1", Component: "chirpd", Source: &health.RegistrySource{Reg: chirpd}},
+		},
+		Clock:    func() float64 { now += 5; return now },
+		Registry: telemetry.NewRegistry(),
+	})
+	for i := 0; i < 3; i++ {
+		hub.Tick()
+	}
+
+	out := topOnce(t, hub)
+	for _, want := range []string{
+		"a fleet hub over 2 endpoints",
+		"Endpoints", "master-1", "chirpd-1",
+		"FIRING: chirp_pool_exhausted",
+		"Fleet aggregates", "chirpd", "master",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fleet dashboard lacks %q:\n%s", want, out)
+		}
+	}
+	var aggRow string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "lobster_chirp_queued_connections") {
+			if strings.Contains(line, "instance=") {
+				t.Errorf("an endpoint series landed in the telemetry table: %q", line)
+			}
+			aggRow = line
+		}
+		if strings.Contains(line, "master-1") && !strings.Contains(line, "up") {
+			t.Errorf("master-1 is not up: %q", line)
+		}
+	}
+	// total 11, max 6, then the chirpd and master columns.
+	if f := strings.Fields(aggRow); len(f) < 5 || f[1] != "11" || f[2] != "6" || f[3] != "5" || f[4] != "6" {
+		t.Errorf("aggregate row = %q, want total 11, max 6, chirpd 5, master 6", aggRow)
+	}
+}
+
+// TestFleetFlagRefused: -fleet is gone (a hub's page is read like any
+// other), so a command line that still passes it fails, naming the flag.
+func TestFleetFlagRefused(t *testing.T) {
+	if os.Getenv("LOBSTER_TOP_FLEET") != "" {
+		os.Args = []string{"lobster", "-top", "http://127.0.0.1:1", "-fleet"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFleetFlagRefused$")
+	cmd.Env = append(os.Environ(), "LOBSTER_TOP_FLEET=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("lobster -top URL -fleet: err %v, want a non-zero exit:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-fleet") {
+		t.Errorf("the refusal does not name -fleet:\n%s", out)
 	}
 }

@@ -418,56 +418,80 @@ func fetchToFile(client *http.Client, url, path string) error {
 	return f.Close()
 }
 
-// View is the hub's machine-readable status document: endpoint scrape
-// health, currently-firing rules, an alert tail, and the cluster-wide
-// aggregates. StatusHandler serves it over HTTP; `lobster-fleet -once
-// -json` prints it for scripting.
-type View struct {
-	Time      float64               `json:"t"`
-	Ticks     int64                 `json:"ticks"`
-	Endpoints []EndpointState       `json:"endpoints"`
-	Firing    []string              `json:"firing,omitempty"`
-	Alerts    []monitor.AlertRecord `json:"alerts,omitempty"`
-	Series    []FleetSeries         `json:"series,omitempty"`
-}
-
-// View snapshots the hub's status. alertTail bounds the most-recent
-// alerts included (0 drops them); includeSeries controls the aggregate
-// dump. Aggregates come back sorted by name.
-func (h *Hub) View(alertTail int, includeSeries bool) View {
+// WritePrometheus writes the hub's /metrics page in Prometheus's
+// federation shape: one TYPE line per family, each family's lines
+// contiguous, families sorted by name. Within a family come the hub's
+// own series (Config.Registry) first; then the gauges it derives from
+// its last tick, lobster_fleet_endpoint_scrape_failures and
+// lobster_fleet_endpoint_scrape_age_seconds (−1 = never scraped) per
+// endpoint and lobster_fleet_rule_firing (0/1) per rule; then every
+// endpoint's last good series with component and instance stamped.
+// `lobster -top` reads this page like any other /metrics page.
+func (h *Hub) WritePrometheus(w io.Writer) error {
+	var series []Series
+	if h.cfg.Registry != nil {
+		own, err := (&RegistrySource{Reg: h.cfg.Registry}).Scrape()
+		if err != nil {
+			return err
+		}
+		series = own
+	}
 	h.mu.Lock()
-	v := View{Ticks: h.ticks, Firing: h.rules.Firing()}
 	if h.fleet != nil {
-		v.Time = h.fleet.Time
-		v.Endpoints = h.fleet.Endpoints
-		if includeSeries {
-			v.Series = h.fleet.Aggregate()
+		for _, e := range h.fleet.Endpoints {
+			labels := map[string]string{"component": e.Component, "instance": e.Name}
+			series = append(series,
+				Series{Name: "lobster_fleet_endpoint_scrape_failures", Labels: labels, Value: float64(e.Fails), Type: "gauge"},
+				Series{Name: "lobster_fleet_endpoint_scrape_age_seconds", Labels: labels, Value: e.AgeSec, Type: "gauge"})
 		}
 	}
-	if n := len(h.alerts); alertTail > 0 && n > 0 {
-		if alertTail > n {
-			alertTail = n
+	for i, r := range h.rules.Rules {
+		v := 0.0
+		if h.rules.states[i].firing {
+			v = 1
 		}
-		v.Alerts = append([]monitor.AlertRecord(nil), h.alerts[n-alertTail:]...)
+		series = append(series, Series{Name: "lobster_fleet_rule_firing",
+			Labels: map[string]string{"rule": r.Name}, Value: v, Type: "gauge"})
+	}
+	for i := range h.eps {
+		series = append(series, h.eps[i].series...)
 	}
 	h.mu.Unlock()
-	sort.Slice(v.Series, func(i, j int) bool { return v.Series[i].Name < v.Series[j].Name })
-	return v
+	var e telemetry.Expo
+	writeFamilies(&e, series)
+	_, err := e.WriteTo(w)
+	return err
 }
 
-// StatusHandler serves the hub's merged view as JSON. `?alerts=N`
-// bounds the alert tail (default 20); `?series=0` drops the aggregate
-// dump for cheap polling.
-func (h *Hub) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tail := 20
-		if q := r.URL.Query().Get("alerts"); q != "" {
-			fmt.Sscanf(q, "%d", &tail)
+// writeFamilies writes series through the one exposition writer, grouped
+// by family: one TYPE line each, the family's lines contiguous and in
+// the order given, families sorted by name.
+func writeFamilies(e *telemetry.Expo, series []Series) {
+	byFamily := make(map[string][]int)
+	var names []string
+	for i := range series {
+		name := series[i].Family
+		if name == "" {
+			name = series[i].Name
 		}
-		v := h.View(tail, r.URL.Query().Get("series") != "0")
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(&v)
-	})
+		if _, ok := byFamily[name]; !ok {
+			names = append(names, name)
+		}
+		byFamily[name] = append(byFamily[name], i)
+	}
+	sort.Strings(names)
+	var labels []Label
+	for _, name := range names {
+		idx := byFamily[name]
+		e.Type(name, series[idx[0]].Type)
+		for _, i := range idx {
+			s := &series[i]
+			labels = labels[:0]
+			for k, v := range s.Labels {
+				labels = append(labels, Label{Name: k, Value: v})
+			}
+			sort.Slice(labels, func(a, b int) bool { return labels[a].Name < labels[b].Name })
+			e.Sample(s.Name, labels, s.Value)
+		}
+	}
 }

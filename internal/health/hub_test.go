@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +15,21 @@ import (
 	"lobster/internal/profiling"
 	"lobster/internal/telemetry"
 )
+
+// StaticSource replays a fixed exposition payload — benchmarks and tests
+// use it to model a fleet without sockets.
+type StaticSource struct {
+	Text []byte
+}
+
+// Scrape parses the payload.
+func (s *StaticSource) Scrape() ([]Series, error) {
+	page, err := ParseMetrics(strings.NewReader(string(s.Text)))
+	if err != nil {
+		return nil, err
+	}
+	return page.Series(), nil
+}
 
 // failSource fails until revived.
 type failSource struct {
@@ -241,58 +257,95 @@ func TestHubHTTPScrapeAndProfileCapture(t *testing.T) {
 	}
 }
 
-func TestHubStatusHandler(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Gauge("lobster_chirp_queued_connections", "Queued.").Set(50)
+// TestHubFederatedPage: two endpoints on a fixed clock share one family
+// and chirp_pool_exhausted fires. The hub's /metrics page carries each
+// endpoint's series with component and instance stamped (an endpoint's
+// own component label kept as exported_component), one TYPE line per
+// family with the family's lines contiguous, the per-endpoint scrape
+// gauges and the firing rule — all an HTTP scrape can read back.
+func TestHubFederatedPage(t *testing.T) {
+	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
+	regA.Gauge("lobster_chirp_queued_connections", "Queued.").Set(30)
+	regA.CounterVec("lobster_bytes_total", "Bytes.", "component").With("chirp").Add(5)
+	regB.Gauge("lobster_chirp_queued_connections", "Queued.").Set(20)
+	regB.Histogram("lobster_wq_worker_exec_seconds", "Exec.", []float64{1}).Observe(3)
 	hub := NewHub(Config{
-		Endpoints: []Endpoint{{Name: "chirpd", Component: "chirpd", Source: &RegistrySource{Reg: reg}}},
-		Clock:     func() float64 { return 7 },
+		Endpoints: []Endpoint{
+			{Name: "chirpd-1", Component: "chirpd", Source: &RegistrySource{Reg: regA}},
+			{Name: "chirpd-2", Component: "chirpd", Source: &RegistrySource{Reg: regB}},
+			{Name: "gone", Component: "worker", Source: &failSource{fail: true}},
+		},
+		Clock:    func() float64 { return 7 },
+		Registry: telemetry.NewRegistry(),
 	})
-	hub.Tick()
-	hub.Tick()
-	hub.Tick() // chirp_pool_exhausted fires (For=2)
+	for i := 0; i < 3; i++ {
+		hub.Tick() // chirp_pool_exhausted fires on the third (For=2)
+	}
 
-	srv := httptest.NewServer(hub.StatusHandler())
+	srv := httptest.NewServer(telemetry.MetricsHandler(hub))
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/fleet")
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var v struct {
-		Ticks     int64 `json:"ticks"`
-		Endpoints []struct {
-			Name string `json:"name"`
-			Up   bool   `json:"up"`
-		} `json:"endpoints"`
-		Firing []string `json:"firing"`
-		Alerts []struct {
-			Rule string `json:"rule"`
-		} `json:"alerts"`
-		Series []struct {
-			Name  string  `json:"Name"`
-			Total float64 `json:"Total"`
-		} `json:"series"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Ticks != 3 || len(v.Endpoints) != 1 || !v.Endpoints[0].Up {
-		t.Fatalf("status = %+v", v)
-	}
-	if len(v.Firing) != 1 || v.Firing[0] != "chirp_pool_exhausted" {
-		t.Fatalf("firing = %v", v.Firing)
-	}
-	if len(v.Alerts) != 1 || v.Alerts[0].Rule != "chirp_pool_exhausted" {
-		t.Fatalf("alerts = %+v", v.Alerts)
-	}
-	found := false
-	for _, s := range v.Series {
-		if s.Name == "lobster_chirp_queued_connections" && s.Total == 50 {
-			found = true
+	page := string(raw)
+
+	// One TYPE line per family, and every sample under its own family's.
+	typed := map[string]bool{}
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(page), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			current, _, _ = strings.Cut(name, " ")
+			if typed[current] {
+				t.Errorf("family %s typed twice", current)
+			}
+			typed[current] = true
+			continue
+		}
+		switch line[:strings.IndexAny(line, "{ ")] {
+		case current, current + "_bucket", current + "_sum", current + "_count":
+		default:
+			t.Errorf("sample %q outside its family (under %s)", line, current)
 		}
 	}
-	if !found {
-		t.Fatalf("aggregates missing queued connections: %+v", v.Series)
+
+	p, err := ParseMetrics(strings.NewReader(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Fleet{Series: p.Series()}
+	f.index()
+	for _, c := range []struct {
+		name  string
+		match map[string]string
+		want  float64
+	}{
+		{"lobster_chirp_queued_connections", map[string]string{"component": "chirpd", "instance": "chirpd-1"}, 30},
+		{"lobster_chirp_queued_connections", map[string]string{"component": "chirpd", "instance": "chirpd-2"}, 20},
+		{"lobster_wq_worker_exec_seconds_count", map[string]string{"instance": "chirpd-2"}, 1},
+		{"lobster_fleet_endpoint_scrape_failures", map[string]string{"instance": "chirpd-1"}, 0},
+		{"lobster_fleet_endpoint_scrape_failures", map[string]string{"component": "worker", "instance": "gone"}, 3},
+		{"lobster_fleet_endpoint_scrape_age_seconds", map[string]string{"instance": "chirpd-2"}, 0},
+		{"lobster_fleet_endpoint_scrape_age_seconds", map[string]string{"instance": "gone"}, -1},
+		{"lobster_fleet_rule_firing", map[string]string{"rule": "chirp_pool_exhausted"}, 1},
+		{"lobster_fleet_rule_firing", map[string]string{"rule": "eviction_spike"}, 0},
+		{"lobster_fleet_scrapes_total", nil, 9},
+		{"lobster_bytes_total", map[string]string{"component": "chirpd", "exported_component": "chirp"}, 5},
+	} {
+		sel := f.Select(c.name, c.match)
+		if len(sel) != 1 || sel[0].Value != c.want {
+			t.Errorf("%s%v = %+v, want one series at %v", c.name, c.match, sel, c.want)
+		}
+	}
+	if got := len(f.Select("lobster_chirp_queued_connections", nil)); got != 2 {
+		t.Errorf("queued connections series = %d, want one per endpoint", got)
+	}
+	if p.Family("lobster_wq_worker_exec_seconds").Type != "histogram" {
+		t.Errorf("histogram family lost its type:\n%s", page)
 	}
 }

@@ -8,12 +8,15 @@ import (
 // Series is one merged fleet sample: a metric name, its labels (including
 // the scraper-stamped "component" and "instance"), and the value at scrape
 // time. Type carries the family type so aggregations can distinguish
-// cumulative counters from instantaneous gauges.
+// cumulative counters from instantaneous gauges; Family names the family
+// the sample was written under (a histogram's _sum sits under its base
+// name), so the hub's page writes it back under the same one.
 type Series struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-	Type   string            `json:"type,omitempty"`
+	Name   string
+	Labels map[string]string
+	Value  float64
+	Type   string
+	Family string
 }
 
 // Label returns the named label, or "".
@@ -26,15 +29,15 @@ func (s *Series) Label(name string) string {
 
 // EndpointState is the per-endpoint scrape outcome inside a Fleet view.
 type EndpointState struct {
-	Name      string `json:"name"`
-	Component string `json:"component"`
-	Up        bool   `json:"up"`
-	Err       string `json:"err,omitempty"`
+	Name      string
+	Component string
+	Up        bool
+	Err       string
 	// AgeSec is the time since the last successful scrape on the hub
 	// clock; 0 for a fresh success, negative never-succeeded.
-	AgeSec float64 `json:"age_sec"`
-	Series int     `json:"series"`
-	Fails  int     `json:"fails"` // consecutive scrape failures
+	AgeSec float64
+	Series int
+	Fails  int // consecutive scrape failures
 }
 
 // Fleet is one merged cluster-wide view: every endpoint's series with
@@ -141,15 +144,4 @@ func (f *Fleet) Value(name string, match map[string]string) float64 {
 		total += s.Value
 	}
 	return total
-}
-
-// HistMean returns sum(name_sum{match})/sum(name_count{match}), the
-// fleet-wide mean of a histogram metric, or 0 with no observations.
-func (f *Fleet) HistMean(name string, match map[string]string) float64 {
-	sum := f.Value(name+"_sum", match)
-	count := f.Value(name+"_count", match)
-	if count <= 0 {
-		return 0
-	}
-	return sum / count
 }

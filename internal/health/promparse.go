@@ -18,27 +18,21 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
+
+	"lobster/internal/telemetry"
 )
 
-// Label is one name="value" pair of a series.
-type Label struct {
-	Name  string
-	Value string
-}
+// Label is one name="value" pair of a series, the writer's own type.
+type Label = telemetry.Label
 
 // Sample is one exposition line: a series name (including any _bucket,
 // _sum, or _count suffix), its labels in written order, and the value.
-// raw preserves the exact value token so a parsed page re-renders
-// byte-identically (the round-trip property the parser is tested on).
 type Sample struct {
 	Name   string
 	Labels []Label
 	Value  float64
-	raw    string
 }
 
 // Label returns the value of the named label, or "".
@@ -91,9 +85,9 @@ func (p *Page) baseFamily(name string) *Family {
 }
 
 // ParseMetrics parses a Prometheus text-exposition page (format 0.0.4,
-// the dialect internal/telemetry emits): # HELP and # TYPE comments, then
+// the dialect internal/telemetry emits): HELP and TYPE comments, then
 // series lines `name{label="value",...} value`. Unknown comment lines are
-// skipped; a sample with no preceding # TYPE gets an implicit untyped
+// skipped; a sample with no preceding TYPE gets an implicit untyped
 // gauge family. Malformed series lines abort with their line number.
 func ParseMetrics(r io.Reader) (*Page, error) {
 	p := &Page{byName: make(map[string]*Family)}
@@ -193,7 +187,6 @@ func (p *Page) parseSample(line string) error {
 		return fmt.Errorf("bad value %q: %w", tok, err)
 	}
 	s.Value = v
-	s.raw = tok
 	f := p.baseFamily(s.Name)
 	if f == nil {
 		f = p.family(s.Name)
@@ -284,77 +277,10 @@ func unescapeHelp(s string) string {
 	return b.String()
 }
 
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	return strings.ReplaceAll(s, "\n", "\\n")
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	s = strings.ReplaceAll(s, "\"", "\\\"")
-	return strings.ReplaceAll(s, "\n", "\\n")
-}
-
-// WriteTo re-renders the page in the canonical exposition dialect the
-// telemetry registry emits. A page parsed from registry output renders
-// byte-identically (the round-trip property test pins this), which is
-// what lets the hub archive raw scrapes and re-ingest them later.
-func (p *Page) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	for _, f := range p.Families {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
-		for i := range f.Samples {
-			s := &f.Samples[i]
-			b.WriteString(s.Name)
-			if len(s.Labels) > 0 {
-				b.WriteByte('{')
-				for j, l := range s.Labels {
-					if j > 0 {
-						b.WriteByte(',')
-					}
-					b.WriteString(l.Name)
-					b.WriteString(`="`)
-					b.WriteString(escapeLabel(l.Value))
-					b.WriteByte('"')
-				}
-				b.WriteByte('}')
-			}
-			b.WriteByte(' ')
-			b.WriteString(s.valueToken())
-			b.WriteByte('\n')
-		}
-	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-// Render returns the canonical exposition text.
-func (p *Page) Render() string {
-	var b strings.Builder
-	p.WriteTo(&b)
-	return b.String()
-}
-
-// valueToken formats the sample's value, preferring the exact token it
-// was parsed from.
-func (s *Sample) valueToken() string {
-	if s.raw != "" {
-		return s.raw
-	}
-	return formatValue(s.Value)
-}
-
-func formatValue(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // Series flattens the page into the hub's merge representation: one
-// Series per sample, labels as a map. The extra labels (component,
-// instance) are appended by the scraper.
+// Series per sample, labels as a map, each naming the family it was
+// written under. The extra labels (component, instance) are appended by
+// the scraper.
 func (p *Page) Series() []Series {
 	n := 0
 	for _, f := range p.Families {
@@ -364,7 +290,7 @@ func (p *Page) Series() []Series {
 	for _, f := range p.Families {
 		for i := range f.Samples {
 			s := &f.Samples[i]
-			sr := Series{Name: s.Name, Value: s.Value, Type: f.Type}
+			sr := Series{Name: s.Name, Value: s.Value, Type: f.Type, Family: f.Name}
 			if len(s.Labels) > 0 {
 				sr.Labels = make(map[string]string, len(s.Labels)+2)
 				for _, l := range s.Labels {
@@ -375,9 +301,4 @@ func (p *Page) Series() []Series {
 		}
 	}
 	return out
-}
-
-// sortLabels orders a label slice by name (used by tests and merge keys).
-func sortLabels(ls []Label) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
 }

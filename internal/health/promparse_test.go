@@ -1,6 +1,11 @@
 package health
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,14 +77,49 @@ m{path="a\"b\\c\nd"} 1
 	if got := f.Samples[0].Label("path"); got != "a\"b\\c\nd" {
 		t.Fatalf("label = %q", got)
 	}
-	// Escapes survive a render round trip.
-	p2, err := ParseMetrics(strings.NewReader(p.Render()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p2.Family("m").Samples[0].Label("path"); got != "a\"b\\c\nd" {
+	// Escapes survive a trip through the one writer.
+	back := rewrite(t, p.Series())
+	if got := back[0].Labels["path"]; got != "a\"b\\c\nd" {
 		t.Fatalf("round-tripped label = %q", got)
 	}
+}
+
+// rewrite writes series through the one writer, as the hub's page does,
+// and parses the result back.
+func rewrite(t testing.TB, series []Series) []Series {
+	t.Helper()
+	var e telemetry.Expo
+	writeFamilies(&e, series)
+	var b strings.Builder
+	e.WriteTo(&b)
+	p, err := ParseMetrics(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("re-parse of the writer's page failed: %v\npage:\n%s", err, b.String())
+	}
+	return p.Series()
+}
+
+// canonical renders series as sorted lines, so two pages that hold the
+// same samples compare equal whatever order they were written in.
+func canonical(series []Series) []string {
+	out := make([]string, len(series))
+	for i, s := range series {
+		keys := make([]string, 0, len(s.Labels))
+		for k, v := range s.Labels {
+			keys = append(keys, strconv.Quote(k)+"="+strconv.Quote(v))
+		}
+		sort.Strings(keys)
+		v := s.Value
+		switch {
+		case math.IsNaN(v):
+			v = math.NaN() // every NaN is one
+		case v == 0:
+			v = 0 // -0 is written as 0
+		}
+		out[i] = fmt.Sprintf("%q %s {%s} %x", s.Name, s.Type, strings.Join(keys, ","), math.Float64bits(v))
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestParseMetricsErrors(t *testing.T) {
@@ -121,21 +161,74 @@ func buildRegistry() *telemetry.Registry {
 	return reg
 }
 
-// TestRoundTripRegistry pins the core property: the parser re-renders
-// exactly what the telemetry registry emits, byte for byte.
+// TestRoundTripRegistry pins the core property: the parser reads exactly
+// what the telemetry registry holds, and the one writer writes it back
+// unchanged.
 func TestRoundTripRegistry(t *testing.T) {
-	reg := buildRegistry()
 	var orig strings.Builder
-	if err := reg.WritePrometheus(&orig); err != nil {
+	if err := buildRegistry().WritePrometheus(&orig); err != nil {
 		t.Fatal(err)
 	}
 	p, err := ParseMetrics(strings.NewReader(orig.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Render(); got != orig.String() {
-		t.Fatalf("round trip not byte-identical:\n--- emitted ---\n%s\n--- re-rendered ---\n%s", orig.String(), got)
+	want := map[string]float64{
+		"lobster_test_events_total":                   42,
+		"lobster_test_depth":                          17,
+		`lobster_test_by_kind_total{kind="alpha"}`:    3,
+		`lobster_test_by_kind_total{kind="beta"}`:     5,
+		"lobster_test_derived":                        2.5,
+		`lobster_test_latency_seconds_bucket{le="1"}`: 3,
+		"lobster_test_latency_seconds_sum":            26.25,
+		"lobster_test_latency_seconds_count":          5,
 	}
+	series := p.Series()
+	got := make(map[string]float64, len(series))
+	for _, s := range series {
+		key := s.Name
+		for k, v := range s.Labels {
+			key += "{" + k + "=" + strconv.Quote(v) + "}"
+		}
+		got[key] = s.Value
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %v, want %v", k, got[k], v)
+		}
+	}
+	if f := p.Family("lobster_test_latency_seconds"); f == nil || f.Type != "histogram" || len(f.Samples) != 6 {
+		t.Fatalf("histogram family = %+v", f)
+	}
+	if a, b := canonical(series), canonical(rewrite(t, series)); !slices.Equal(a, b) {
+		t.Fatalf("rewritten page differs:\n%v\n%v", a, b)
+	}
+}
+
+// TestRegistryLabelRoundTrip: a label value holding every byte the
+// format escapes, and two it does not (a tab, a non-ASCII rune), leaves a
+// registry and reaches the hub exactly as it went in. The value is
+// escaped once: quoted a second time, a"b would arrive as a\"b and the
+// tab as a literal \t.
+func TestRegistryLabelRoundTrip(t *testing.T) {
+	const path = "a\"b\\c\nd\té"
+	reg := telemetry.NewRegistry()
+	reg.GaugeVec("m", "h", "path").With(path).Set(1)
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ParseMetrics(strings.NewReader(page.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := p.Family("m"); f != nil && len(f.Samples) == 1 {
+		if got := f.Samples[0].Label("path"); got != path {
+			t.Fatalf("label = %q, want %q\npage:\n%s", got, path, page.String())
+		}
+		return
+	}
+	t.Fatalf("series m missing from the page:\n%s", page.String())
 }
 
 func TestPageSeries(t *testing.T) {
@@ -162,10 +255,10 @@ func TestPageSeries(t *testing.T) {
 	}
 }
 
-// FuzzPromParse: any input that parses must re-render to a fixpoint —
-// parse(render(parse(x))) renders identically. Corpus seeds cover the
-// emitter dialect; the fuzzer explores escapes, label shapes, and number
-// formats.
+// FuzzPromParse: any input that parses survives the one writer — parse,
+// write through it, parse again, and the series are equal. Corpus seeds
+// cover the emitter dialect; the fuzzer explores escapes, label shapes,
+// and number formats.
 func FuzzPromParse(f *testing.F) {
 	f.Add(samplePage)
 	f.Add("m 1\n")
@@ -180,13 +273,10 @@ func FuzzPromParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r1 := p.Render()
-		p2, err := ParseMetrics(strings.NewReader(r1))
-		if err != nil {
-			t.Fatalf("re-parse of own render failed: %v\nrender:\n%s", err, r1)
-		}
-		if r2 := p2.Render(); r2 != r1 {
-			t.Fatalf("render not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", r1, r2)
+		series := p.Series()
+		if a, b := canonical(series), canonical(rewrite(t, series)); !slices.Equal(a, b) {
+			t.Fatalf("series changed through the writer:\n--- parsed ---\n%s\n--- rewritten ---\n%s",
+				strings.Join(a, "\n"), strings.Join(b, "\n"))
 		}
 	})
 }

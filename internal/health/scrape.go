@@ -1,6 +1,7 @@
 package health
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -87,43 +88,25 @@ func (s *HTTPSource) ScrapeContext(ctx context.Context) ([]Series, error) {
 	return page.Series(), nil
 }
 
-// RegistrySource scrapes an in-process registry directly — the path the
+// RegistrySource scrapes an in-process registry — the path the
 // simulation plane uses, where there is no HTTP listener and time is
-// simulated. The series shape matches what an HTTP scrape of the same
-// registry would parse: histograms flatten to name_sum and name_count.
+// simulated. It reads the registry exactly as a live hub does, through
+// WritePrometheus and ParseMetrics, so the sim-plane goldens read the
+// same series a scrape of the same registry over HTTP would.
 type RegistrySource struct {
 	Reg *telemetry.Registry
 }
 
-// Scrape snapshots the registry.
+// Scrape writes the registry's page and parses it.
 func (s *RegistrySource) Scrape() ([]Series, error) {
 	if s.Reg == nil {
 		return nil, fmt.Errorf("health: registry source has no registry")
 	}
-	st := s.Reg.Snapshot()
-	out := make([]Series, 0, len(st.Series)+8)
-	for _, p := range st.Series {
-		switch p.Type {
-		case "histogram":
-			out = append(out,
-				Series{Name: p.Name + "_sum", Labels: p.Labels, Value: p.Value, Type: p.Type},
-				Series{Name: p.Name + "_count", Labels: p.Labels, Value: float64(p.Count), Type: p.Type})
-		default:
-			out = append(out, Series{Name: p.Name, Labels: p.Labels, Value: p.Value, Type: p.Type})
-		}
+	var b bytes.Buffer
+	if err := s.Reg.WritePrometheus(&b); err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// StaticSource replays a fixed exposition payload — benchmarks and tests
-// use it to model a fleet without sockets.
-type StaticSource struct {
-	Text []byte
-}
-
-// Scrape parses the payload.
-func (s *StaticSource) Scrape() ([]Series, error) {
-	page, err := ParseMetrics(strings.NewReader(string(s.Text)))
+	page, err := ParseMetrics(&b)
 	if err != nil {
 		return nil, err
 	}
@@ -141,14 +124,24 @@ type endpointScrape struct {
 	downFiring bool     // built-in endpoint_down alert state
 }
 
-// stamp attaches the component/instance labels to a fresh scrape.
+// stamp attaches the component/instance labels to a fresh scrape. A
+// label the endpoint already set under either name moves to
+// exported_<name>, Prometheus's rule, so two of its series never
+// collapse into one on the hub's page.
 func (e *endpointScrape) stamp(series []Series) {
 	for i := range series {
-		if series[i].Labels == nil {
-			series[i].Labels = make(map[string]string, 2)
+		l := series[i].Labels
+		if l == nil {
+			l = make(map[string]string, 2)
+			series[i].Labels = l
 		}
-		series[i].Labels["component"] = e.ep.Component
-		series[i].Labels["instance"] = e.ep.Name
+		if c, ok := l["component"]; ok && c != e.ep.Component {
+			l["exported_component"] = c
+		}
+		if n, ok := l["instance"]; ok && n != e.ep.Name {
+			l["exported_instance"] = n
+		}
+		l["component"], l["instance"] = e.ep.Component, e.ep.Name
 	}
 	e.series = series
 }

@@ -4,8 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"lobster/internal/health"
 	"lobster/internal/telemetry"
 )
+
+// scrape reads reg the way the fleet hub does: its /metrics page, parsed.
+func scrape(t *testing.T, reg *telemetry.Registry) []health.Series {
+	t.Helper()
+	series, err := (&health.RegistrySource{Reg: reg}).Scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
+}
 
 // TestBigRunTelemetrySeries runs the Figure 11 model with a registry
 // attached and checks that the real plane's series come out populated, on
@@ -25,26 +36,20 @@ func TestBigRunTelemetrySeries(t *testing.T) {
 		t.Errorf("registry clock = %.0f, want ≥ %.0f (simulated seconds)", now, cfg.Duration*0.9)
 	}
 
-	snap := reg.Snapshot()
+	series := scrape(t, reg)
 	val := func(name string) float64 {
 		t.Helper()
-		for _, s := range snap.Series {
+		for _, s := range series {
 			if s.Name == name {
 				return s.Value
 			}
 		}
-		t.Fatalf("series %s missing from snapshot", name)
+		t.Fatalf("series %s missing from the page", name)
 		return 0
 	}
 	count := func(name string) int64 {
 		t.Helper()
-		for _, s := range snap.Series {
-			if s.Name == name {
-				return s.Count
-			}
-		}
-		t.Fatalf("series %s missing from snapshot", name)
-		return 0
+		return int64(val(name + "_count"))
 	}
 
 	if got := val("lobster_wq_tasks_done_total"); got != float64(res.TasksDone) {
@@ -67,8 +72,8 @@ func TestBigRunTelemetrySeries(t *testing.T) {
 	}
 	for _, stage := range []string{"dispatch", "setup", "stage_in", "execute", "stage_out"} {
 		found := false
-		for _, s := range snap.Series {
-			if s.Name == "lobster_task_stage_seconds" && s.Labels["stage"] == stage && s.Count > 0 {
+		for _, s := range series {
+			if s.Name == "lobster_task_stage_seconds_count" && s.Labels["stage"] == stage && s.Value > 0 {
 				found = true
 				break
 			}

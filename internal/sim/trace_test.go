@@ -63,11 +63,11 @@ func TestBigRunTraceReconciliation(t *testing.T) {
 	trees := trace.BuildTrees(recs)
 	b := trace.Analyze(trees)
 
-	snap := reg.Snapshot()
+	series := scrape(t, reg)
 	histSum := func(stage string) float64 {
 		t.Helper()
-		for _, s := range snap.Series {
-			if s.Name == "lobster_task_stage_seconds" && s.Labels["stage"] == stage {
+		for _, s := range series {
+			if s.Name == "lobster_task_stage_seconds_sum" && s.Labels["stage"] == stage {
 				return s.Value
 			}
 		}

@@ -1,19 +1,74 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// This file is the live status plane: Prometheus text exposition
-// (format 0.0.4) for /metrics, and a JSON snapshot for /status that the
-// `lobster top` one-shot printer consumes.
+// This file is the observation plane: Prometheus text exposition (format
+// 0.0.4) on /metrics, the one format every process is read through.
+
+// Label is one name="value" pair of an exposition line.
+type Label struct {
+	Name  string
+	Value string
+}
+
+// Expo accumulates a text exposition page. It is the one writer of the
+// format: the registry's /metrics and the fleet hub's federated page both
+// go through it, so a label value is escaped once, by one escaper, and
+// every value is spelled by one formatter.
+type Expo struct {
+	b []byte
+}
+
+// Help writes a family's HELP comment.
+func (e *Expo) Help(name, help string) {
+	e.b = append(e.b, "# HELP "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, escapeHelp(help)...)
+	e.b = append(e.b, '\n')
+}
+
+// Type writes a family's TYPE comment.
+func (e *Expo) Type(name, typ string) {
+	e.b = append(e.b, "# TYPE "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, typ...)
+	e.b = append(e.b, '\n')
+}
+
+// Sample writes one series line: name{labels} value.
+func (e *Expo) Sample(name string, labels []Label, v float64) {
+	e.b = append(e.b, name...)
+	if len(labels) > 0 {
+		e.b = append(e.b, '{')
+		for i, l := range labels {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = append(e.b, l.Name...)
+			e.b = append(e.b, `="`...)
+			e.b = append(e.b, escapeLabel(l.Value)...)
+			e.b = append(e.b, '"')
+		}
+		e.b = append(e.b, '}')
+	}
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, formatFloat(v)...)
+	e.b = append(e.b, '\n')
+}
+
+// WriteTo writes the page accumulated so far.
+func (e *Expo) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(e.b)
+	return int64(n), err
+}
 
 // WritePrometheus writes every series in text exposition format, families
 // sorted by name, series in creation order within a family.
@@ -21,50 +76,62 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var b strings.Builder
+	var e Expo
 	for _, f := range r.sortedFamilies() {
-		f.expo(&b)
+		f.expo(&e)
 	}
-	_, err := io.WriteString(w, b.String())
+	_, err := e.WriteTo(w)
 	return err
 }
 
 // expo renders one family.
-func (f *family) expo(b *strings.Builder) {
+func (f *family) expo(e *Expo) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
+	e.Help(f.name, f.help)
+	e.Type(f.name, f.kind.String())
 	if f.kind == kindGaugeFunc {
 		if f.fn != nil {
-			fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
+			e.Sample(f.name, nil, f.fn())
 		}
 		return
 	}
+	labels := make([]Label, len(f.labels), len(f.labels)+1)
 	for _, key := range f.order {
-		labels := labelPairs(f.labels, f.values[key])
+		values := f.values[key]
+		for i, n := range f.labels {
+			labels[i] = Label{Name: n}
+			if i < len(values) {
+				labels[i].Value = values[i]
+			}
+		}
 		switch ins := f.series[key].(type) {
 		case *Counter:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labels, ins.Value())
+			e.Sample(f.name, labels, float64(ins.Value()))
 		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labels, formatFloat(ins.Value()))
+			e.Sample(f.name, labels, ins.Value())
 		case *Histogram:
 			cum := int64(0)
 			for i, ub := range ins.upper {
 				cum += ins.counts[i].Load()
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-					labelPairsExtra(f.labels, f.values[key], "le", formatFloat(ub)), cum)
+				e.Sample(f.name+"_bucket", append(labels, Label{"le", formatFloat(ub)}), float64(cum))
 			}
 			cum += ins.counts[len(ins.upper)].Load()
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-				labelPairsExtra(f.labels, f.values[key], "le", "+Inf"), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, formatFloat(ins.Sum()))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labels, ins.Count())
+			e.Sample(f.name+"_bucket", append(labels, Label{"le", "+Inf"}), float64(cum))
+			e.Sample(f.name+"_sum", labels, ins.Sum())
+			e.Sample(f.name+"_count", labels, float64(ins.Count()))
 		}
 	}
 }
 
+// formatFloat is the one value formatter. An integral value below 1e15
+// is written as an integer, so a counter reads 107303801934, not
+// 1.07303801934e+11; anything else takes Go's shortest form, which
+// spells the infinities and NaN the way the format does.
 func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
@@ -73,143 +140,32 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", "\\n")
 }
 
+// escapeLabel is the one label escaper: backslash, double quote and
+// newline, the three escapes the format defines. Every other byte, a tab
+// or a non-ASCII rune included, is written as it is.
 func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, "\\", "\\\\")
 	s = strings.ReplaceAll(s, "\"", "\\\"")
 	return strings.ReplaceAll(s, "\n", "\\n")
 }
 
-// labelPairs renders {k="v",...} or "" with no labels.
-func labelPairs(names, values []string) string {
-	return labelPairsExtra(names, values, "", "")
+// Exposition is anything that writes a /metrics page: a registry, or
+// the fleet hub's federated page over many.
+type Exposition interface {
+	WritePrometheus(w io.Writer) error
 }
 
-func labelPairsExtra(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		v := ""
-		if i < len(values) {
-			v = values[i]
-		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(v))
-	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", extraName, extraValue)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// --- JSON snapshot (/status and `lobster top`) ---
-
-// SeriesPoint is one series in a status snapshot. Histograms report their
-// count, sum, and mean rather than buckets.
-type SeriesPoint struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-	Count  int64             `json:"count,omitempty"`
-	Mean   float64           `json:"mean,omitempty"`
-}
-
-// Status is the full /status document. Time is on the registry clock
-// (simulated seconds under the simulator); UptimeSec is always wall
-// time since the registry was created, so `lobster -top` can show how
-// long the process has been up on either plane.
-type Status struct {
-	Time      float64           `json:"time"`
-	UptimeSec float64           `json:"uptime_sec"`
-	Go        string            `json:"go,omitempty"`
-	Info      map[string]string `json:"info,omitempty"`
-	Series    []SeriesPoint     `json:"series"`
-}
-
-// Snapshot captures every series at one instant.
-func (r *Registry) Snapshot() Status {
-	st := Status{Time: r.Now()}
-	if r == nil {
-		return st
-	}
-	r.mu.Lock()
-	st.UptimeSec = time.Since(r.epoch).Seconds()
-	r.mu.Unlock()
-	st.Go = runtime.Version()
-	st.Info = r.Info()
-	for _, f := range r.sortedFamilies() {
-		f.mu.Lock()
-		if f.kind == kindGaugeFunc {
-			// Evaluate the callback outside the lock: fn may snapshot a
-			// component that itself exposes gauges.
-			fn := f.fn
-			f.mu.Unlock()
-			if fn != nil {
-				st.Series = append(st.Series, SeriesPoint{Name: f.name, Type: "gauge", Value: fn()})
-			}
-			continue
-		}
-		for _, key := range f.order {
-			p := SeriesPoint{Name: f.name, Type: f.kind.String()}
-			if len(f.labels) > 0 {
-				p.Labels = make(map[string]string, len(f.labels))
-				vals := f.values[key]
-				for i, n := range f.labels {
-					if i < len(vals) {
-						p.Labels[n] = vals[i]
-					}
-				}
-			}
-			switch ins := f.series[key].(type) {
-			case *Counter:
-				p.Value = float64(ins.Value())
-			case *Gauge:
-				p.Value = ins.Value()
-			case *Histogram:
-				p.Count = ins.Count()
-				p.Value = ins.Sum()
-				if p.Count > 0 {
-					p.Mean = p.Value / float64(p.Count)
-				}
-			}
-			st.Series = append(st.Series, p)
-		}
-		f.mu.Unlock()
-	}
-	return st
-}
-
-// MetricsHandler serves Prometheus text exposition.
-func (r *Registry) MetricsHandler() http.Handler {
+// MetricsHandler serves x's page as Prometheus text exposition.
+func MetricsHandler(x Exposition) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		x.WritePrometheus(w)
 	})
 }
 
-// StatusHandler serves the JSON snapshot.
-func (r *Registry) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot())
-	})
-}
-
-// Mux returns a mux serving GET /metrics and GET /status.
+// Mux returns a mux serving GET /metrics.
 func (r *Registry) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.MetricsHandler())
-	mux.Handle("/status", r.StatusHandler())
+	mux.Handle("/metrics", MetricsHandler(r))
 	return mux
 }

@@ -1,8 +1,9 @@
 // Package telemetry is Lobster's unified observability layer: a
 // stdlib-only metrics registry (atomic counters, gauges, fixed-bucket
 // histograms, all optionally labelled), lightweight span tracing for the
-// task lifecycle, a Prometheus-text /metrics and JSON /status plane, and a
-// JSONL structured event log the monitor can replay after a crash.
+// task lifecycle, a Prometheus-text /metrics plane (the one format every
+// process is read through), and a JSONL structured event log the monitor
+// can replay after a crash.
 //
 // # Two planes, one instrumentation
 //
@@ -78,7 +79,6 @@ type Registry struct {
 	clock    Clock
 	epoch    time.Time
 	families map[string]*family
-	info     map[string]string
 	dropped  *Counter // series lost to the cardinality bound
 }
 
@@ -123,38 +123,6 @@ func (r *Registry) SetClock(clock Clock) {
 	r.mu.Lock()
 	r.clock = clock
 	r.mu.Unlock()
-}
-
-// SetInfo attaches one piece of static build/deployment metadata
-// (version, sampling config, plane) to the registry; it appears in the
-// /status document's info map. Safe on a nil registry.
-func (r *Registry) SetInfo(key, value string) {
-	if r == nil || key == "" {
-		return
-	}
-	r.mu.Lock()
-	if r.info == nil {
-		r.info = make(map[string]string, 4)
-	}
-	r.info[key] = value
-	r.mu.Unlock()
-}
-
-// Info returns a copy of the registry's metadata map.
-func (r *Registry) Info() map[string]string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.info) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(r.info))
-	for k, v := range r.info {
-		out[k] = v
-	}
-	return out
 }
 
 // Now reads the registry clock. A nil registry reads as 0.

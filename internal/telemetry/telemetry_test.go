@@ -144,7 +144,6 @@ func TestConcurrentCounters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		var b bytes.Buffer
 		r.WritePrometheus(&b)
-		r.Snapshot()
 	}
 	wg.Wait()
 	if c.Value() != workers*iters {
@@ -273,28 +272,5 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 	if times[0] != 5 || times[1] != 6 {
 		t.Fatalf("times %v", times)
-	}
-}
-
-func TestSnapshotAndStatus(t *testing.T) {
-	r := NewRegistry()
-	r.SetClock(func() float64 { return 99 })
-	r.Counter("a_total", "h").Add(4)
-	h := r.Histogram("b_seconds", "h", []float64{1})
-	h.Observe(2)
-	h.Observe(4)
-	st := r.Snapshot()
-	if st.Time != 99 {
-		t.Fatalf("snapshot time = %g", st.Time)
-	}
-	byName := map[string]SeriesPoint{}
-	for _, p := range st.Series {
-		byName[p.Name] = p
-	}
-	if byName["a_total"].Value != 4 {
-		t.Fatalf("a_total = %+v", byName["a_total"])
-	}
-	if p := byName["b_seconds"]; p.Count != 2 || p.Mean != 3 {
-		t.Fatalf("b_seconds = %+v", p)
 	}
 }

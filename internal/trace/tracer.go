@@ -87,15 +87,9 @@ func New(cfg Config) *Tracer {
 		"Root traces admitted by head sampling.")
 	t.dropped = cfg.Registry.Counter("lobster_trace_traces_dropped_total",
 		"Root traces rejected by the head-sampling rate bound.")
-	cfg.Registry.SetInfo("trace_sampling", samplingInfo(cfg.MaxTracesPerSec))
+	cfg.Registry.Gauge("lobster_trace_max_traces_per_second",
+		"Head-sampling bound on root traces per second (0 = all).").Set(max(cfg.MaxTracesPerSec, 0))
 	return t
-}
-
-func samplingInfo(limit float64) string {
-	if limit <= 0 {
-		return "all"
-	}
-	return strconv.FormatFloat(limit, 'g', -1, 64) + "/s"
 }
 
 // Enabled reports whether spans will be recorded at all.

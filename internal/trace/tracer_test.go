@@ -168,21 +168,12 @@ func TestHeadSamplingRateBound(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
-	snap := reg.Snapshot()
-	var sampledTotal, droppedTotal float64
-	for _, p := range snap.Series {
-		switch p.Name {
-		case "lobster_trace_traces_sampled_total":
-			sampledTotal = p.Value
-		case "lobster_trace_traces_dropped_total":
-			droppedTotal = p.Value
-		}
-	}
+	sampledTotal, droppedTotal := tr.sampled.Value(), tr.dropped.Value()
 	if sampledTotal != 4 || droppedTotal != 9 {
-		t.Fatalf("sampled=%g dropped=%g, want 4/9", sampledTotal, droppedTotal)
+		t.Fatalf("sampled=%d dropped=%d, want 4/9", sampledTotal, droppedTotal)
 	}
-	if snap.Info["trace_sampling"] != "2/s" {
-		t.Fatalf("sampling info = %q", snap.Info["trace_sampling"])
+	if got := reg.Gauge("lobster_trace_max_traces_per_second", "").Value(); got != 2 {
+		t.Fatalf("sampling bound gauge = %g, want 2", got)
 	}
 }
 
