@@ -60,6 +60,15 @@ fmt:
 # (its own escaper, then %q), so a"b reached the fleet hub as a\"b and a
 # tab as a literal \t. The parser's copy, which only tests called,
 # escaped once, so the round-trip test that used it never saw the bug.
+#
+# And wq moves no files: no crypto/sha256, os.ReadFile( or os.WriteFile(
+# in its non-test code (DESIGN.md section 11, task files). A task carries
+# its arguments and a result what the executor handed over with
+# ExecContext.SetOutput; what a task reads and writes travels over
+# parrot/CVMFS, xrootd and chirp. The cacheable-input plane, sandbox
+# staging and the sandbox-file output fallback were about 290 lines that
+# no program reached, and a worker started without a storage element
+# reported tasks succeeded whose outputs its sandbox cleanup then deleted.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -72,6 +81,8 @@ copy-lint:
 	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '\.Peek\(|io\.LimitedReader\{' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'crypto/sha256|os\.ReadFile\(|os\.WriteFile\(' --include='*.go' internal/wq | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "wq moving files (a task carries arguments, an output goes through SetOutput):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \

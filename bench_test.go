@@ -572,7 +572,7 @@ func BenchmarkAblationTaskBuffer(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer master.Close()
-		w, err := wq.NewWorker(master.Addr(), "w0", 4, b.TempDir(), reg)
+		w, err := wq.NewWorker(master.Addr(), "w0", 4, b.TempDir(), reg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func main() {
 	flag.StringVar(&o.proxyURL, "proxy", "", "squid/CVMFS base URL (enables software delivery)")
 	flag.StringVar(&o.repo, "repo", "cms.cern.ch", "CVMFS repository name")
 	flag.StringVar(&o.release, "release", "/CMSSW_7_4_0", "software release path")
-	flag.StringVar(&o.chirpSE, "chirp", "", "chirp storage element address")
+	flag.StringVar(&o.chirpSE, "chirp", "", "chirp storage element address (a task naming an output fails without one)")
 	flag.StringVar(&o.condTag, "conditions", "", "frontier conditions tag")
 	flag.DurationVar(&o.lifetime, "lifetime", 0, "self-evict after this duration (0 = never)")
 	flag.Parse()
@@ -86,7 +86,7 @@ func run(o options) error {
 		defer pool.Close()
 		reg["merge"] = core.MergeExecutor(pool)
 	}
-	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg)
+	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg, nil)
 	if err != nil {
 		return err
 	}

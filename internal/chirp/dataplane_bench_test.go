@@ -162,8 +162,7 @@ func BenchmarkDataplaneRoundTrip64(b *testing.B) {
 }
 
 // BenchmarkDataplaneStageIn8 stages eight 8 MiB inputs into a sandbox
-// directory in parallel over the pool, the t.Inputs fan-in of the wq
-// worker and the merge executor.
+// directory in parallel over the pool, the fan-in of the merge executor.
 func BenchmarkDataplaneStageIn8(b *testing.B) {
 	const files, size = 8, 8 << 20
 	srv, fs := benchServer(b)

@@ -149,7 +149,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	t.Cleanup(func() { master.Close() })
 	st.svc.Master = master
 	for i := 0; i < 2; i++ {
-		w, err := wq.NewWorker(master.Addr(), fmt.Sprintf("w%d", i), 4, t.TempDir(), st.registry)
+		w, err := wq.NewWorker(master.Addr(), fmt.Sprintf("w%d", i), 4, t.TempDir(), st.registry, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +472,7 @@ func TestWorkflowUnderEviction(t *testing.T) {
 	st := startStack(t, 4, 2, 10, nil)
 	// Add a saboteur: an extra worker that keeps dying. The pool machinery
 	// is exercised in cluster tests; here one flaky worker suffices.
-	flaky, err := wq.NewWorker(st.svc.Master.Addr(), "flaky", 2, t.TempDir(), st.registry)
+	flaky, err := wq.NewWorker(st.svc.Master.Addr(), "flaky", 2, t.TempDir(), st.registry, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

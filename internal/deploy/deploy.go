@@ -72,16 +72,16 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Fault, when set, wires every component into the deterministic
 	// fault plane: the wq master's accepted connections, each worker's
-	// master connection and staging hooks, chirp server and client
-	// connections, xrootd replica connections, squid origin fetches, and
-	// the wrapper's per-segment hooks. Chaos tests script storms against
+	// master connection, chirp server and client connections, xrootd
+	// replica connections, squid origin fetches, and the wrapper's
+	// per-segment hooks. Chaos tests script storms against
 	// these seams; a nil injector leaves the stack fault-free at zero
 	// cost.
 	Fault *faultinject.Injector
 	// Retry configures the client-path backoff policies armed when the
 	// stack should survive faults (chirp operations, xrootd fetches,
-	// squid origin fetches, worker staging). The zero value keeps every
-	// path single-attempt.
+	// squid origin fetches). The zero value keeps every path
+	// single-attempt.
 	Retry retry.Policy
 }
 
@@ -360,11 +360,8 @@ func storeDataset(srv *xrootd.DataServer, red *xrootd.Redirector, ds *dbs.Datase
 func (st *Stack) AddWorker() (*wq.Worker, error) {
 	name := fmt.Sprintf("worker-%d", st.nWorkers)
 	st.nWorkers++
-	w, err := wq.NewWorkerOpts(st.Services.Master.Addr(), name, st.Options.CoresPerWorker,
-		filepath.Join(st.scratch, name), st.Registry, wq.WorkerOptions{
-			Fault:      st.Options.Fault,
-			StageRetry: st.Options.Retry,
-		})
+	w, err := wq.NewWorker(st.Services.Master.Addr(), name, st.Options.CoresPerWorker,
+		filepath.Join(st.scratch, name), st.Registry, st.Options.Fault)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: starting %s: %w", name, err)
 	}

@@ -342,8 +342,8 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 	// dispatched: on a loaded host most workers go that way, so the cap
 	// is generous. The loop ends with the first terminal result.
 	for attempt := 0; attempt < 200 && res == nil; attempt++ {
-		w, err := wq.NewWorkerOpts(m.Addr(), fmt.Sprintf("doomed%d", attempt), 1,
-			t.TempDir(), reg, wq.WorkerOptions{Fault: inj})
+		w, err := wq.NewWorker(m.Addr(), fmt.Sprintf("doomed%d", attempt), 1,
+			t.TempDir(), reg, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestChaosResultWriteError(t *testing.T) {
 		}
 		ids[id] = 0
 	}
-	faulty, err := wq.NewWorkerOpts(m.Addr(), "faulty", 1, t.TempDir(), reg, wq.WorkerOptions{Fault: inj})
+	faulty, err := wq.NewWorker(m.Addr(), "faulty", 1, t.TempDir(), reg, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestChaosResultWriteError(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	healthy, err := wq.NewWorker(m.Addr(), "healthy", 1, t.TempDir(), reg)
+	healthy, err := wq.NewWorker(m.Addr(), "healthy", 1, t.TempDir(), reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

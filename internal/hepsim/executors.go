@@ -144,7 +144,8 @@ type RemoteFile interface {
 //
 //	lfn         analysis: input logical file name (required)
 //	mode        analysis: "stream" (default) or "stage"
-//	output      chirp path for the task's output file (required if ChirpAddr set)
+//	output      chirp path for the task's output file (needs ChirpAddr; a
+//	            task without one leaves output.root in the sandbox)
 //	run         experiment run number, for conditions lookup
 //	event_size  kernel event size in bytes
 //	work        kernel work factor
@@ -216,14 +217,19 @@ func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
 }
 
 // stageOut is the stage-out segment: the output goes to the storage
-// element over chirp, or into the sandbox when there is none.
+// element over chirp. A task that names an output fails here when there is
+// no storage element, since the sandbox goes when the task ends; only a
+// task that names none leaves its output in the sandbox.
 func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byte) error {
 	out := ctx.Task.Args["output"]
-	if out == "" || e.ChirpAddr == "" {
+	if out == "" {
 		if err := ctx.EnsureSandbox(); err != nil {
 			return err
 		}
 		return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
+	}
+	if e.ChirpAddr == "" {
+		return fmt.Errorf("output %s: no storage element to stage it out to", out)
 	}
 	// An attempt whose worker lost its master has been requeued: its put
 	// would land after, or over, the accepted attempt's output.

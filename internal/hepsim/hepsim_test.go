@@ -6,8 +6,10 @@ import (
 	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -321,6 +323,30 @@ func TestAnalysisFailureSegmentAttribution(t *testing.T) {
 	}
 }
 
+// TestAnalysisOutputWithoutStorageElementFails: a task that names an
+// output on a worker with no storage element fails in stage_out, naming
+// the output. Written into the sandbox instead, it would be deleted with
+// the sandbox while the task reported success.
+func TestAnalysisOutputWithoutStorageElementFails(t *testing.T) {
+	svc := startServices(t)
+	k, _ := NewKernel(128, 1)
+	svc.redir.Register("/store/f.root", svc.dataSrv.Store("/store/f.root", k.GenerateEvents(8, stats.NewRand(5))))
+	local := svc.env.cloneConfig()
+	local.ChirpAddr = ""
+	sandbox := filepath.Join(t.TempDir(), "task-7")
+	rep := runTaskIn(t, sandbox, analysis(local), &wq.Task{ID: 7, Args: map[string]string{
+		"lfn": "/store/f.root", "event_size": "128", "output": "/out/lost.root"}})
+	if rep.Failed != wrapper.SegStageOut || rep.ExitCode != wrapper.SegStageOut.Code() {
+		t.Fatalf("report = %+v, want a stage_out failure", rep)
+	}
+	if seg := rep.Segments[len(rep.Segments)-1]; !strings.Contains(seg.Error, "/out/lost.root") {
+		t.Errorf("stage_out error %q does not name the output", seg.Error)
+	}
+	if _, err := os.Stat(sandbox); !os.IsNotExist(err) {
+		t.Errorf("the failed stage-out left a sandbox behind: %v", err)
+	}
+}
+
 // lyingFile is a replica whose open announced claimed bytes and whose
 // reads serve the few it holds.
 type lyingFile struct {
@@ -584,7 +610,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 			Run: func(c *wrapper.StepContext) error { return env.stageOut(ctx, c, []byte("late")) }})
 		return nil
 	}}
-	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg)
+	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

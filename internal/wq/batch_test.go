@@ -83,7 +83,7 @@ func TestPoisonTaskPermanentFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		w, err := NewWorker(m.Addr(), fmt.Sprintf("victim%d", attempt), 1, t.TempDir(), testRegistry())
+		w, err := NewWorker(m.Addr(), fmt.Sprintf("victim%d", attempt), 1, t.TempDir(), testRegistry(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

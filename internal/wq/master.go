@@ -33,7 +33,7 @@ type MasterStats struct {
 	TasksFailed      int   // done with failure
 	Requeues         int   // cumulative dispatches repeated after worker loss
 	ResultsPending   int   // results received but not yet collected by WaitResult
-	BytesSent        int64 // task input payload bytes shipped to workers
+	BytesSent        int64 // always 0, tasks carry no files; the benchmark harness still reads it
 	BytesReceived    int64 // task output payload bytes returned by workers
 }
 
@@ -60,7 +60,7 @@ type Master struct {
 
 	statsSeen, statsLost, statsDone, statsFailed atomic.Int64
 	statsRequeues, statsDispatched               atomic.Int64
-	statsBytesOut, statsBytesIn                  atomic.Int64
+	statsBytesIn                                 atomic.Int64
 
 	// tel, fault and tracer are installed after the accept loop is already
 	// running, so publication must be atomic.
@@ -91,7 +91,6 @@ type masterTelemetry struct {
 	failed       *telemetry.Counter
 	workersSeen  *telemetry.Counter
 	workersLost  *telemetry.Counter
-	bytesSent    *telemetry.Counter
 	bytesRecv    *telemetry.Counter
 	dispatchWait *telemetry.Histogram
 }
@@ -128,8 +127,6 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 			"Worker hellos accepted."),
 		workersLost: reg.Counter("lobster_wq_workers_lost_total",
 			"Worker connections dropped."),
-		bytesSent: reg.Counter("lobster_wq_bytes_sent_total",
-			"Task input payload bytes shipped to workers (after cache stripping)."),
 		bytesRecv: reg.Counter("lobster_wq_bytes_received_total",
 			"Task output payload bytes returned by workers."),
 		dispatchWait: reg.Histogram("lobster_wq_dispatch_latency_seconds",
@@ -177,15 +174,14 @@ func (m *Master) Trace(tr *trace.Tracer) {
 }
 
 // workerConn is the master's end of one worker connection.
-// The dispatch scratch buffers (popBuf, taskBuf, encScratch, msg) are
-// owned by the connection's single dispatcher goroutine and sized once at
-// hello, so a dispatch round reuses the same memory end to end; settled
-// is the result reader's, grown to the largest results message.
+// The dispatch scratch buffers (popBuf, taskBuf, msg) are owned by the
+// connection's single dispatcher goroutine and sized once at hello, so a
+// dispatch round reuses the same memory end to end; settled is the result
+// reader's, grown to the largest results message.
 type workerConn struct {
 	name  string
 	cores int
 	conn  *wire.Conn
-	sent  *sentSet
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -194,11 +190,10 @@ type workerConn struct {
 	inUse int
 	dead  atomic.Bool
 
-	popBuf     []*taskMeta
-	taskBuf    []*Task
-	encScratch []Task
-	msg        message
-	settled    []*taskMeta
+	popBuf  []*taskMeta
+	taskBuf []*Task
+	msg     message
+	settled []*taskMeta
 }
 
 // NewMaster starts a master listening on addr (e.g. "127.0.0.1:0").
@@ -257,7 +252,6 @@ func (m *Master) Stats() MasterStats {
 		TasksDone:       int(m.statsDone.Load()),
 		TasksFailed:     int(m.statsFailed.Load()),
 		Requeues:        int(m.statsRequeues.Load()),
-		BytesSent:       m.statsBytesOut.Load(),
 		BytesReceived:   m.statsBytesIn.Load(),
 	}
 	m.workersMu.Lock()
@@ -333,13 +327,11 @@ func (m *Master) serveWorker(c *wire.Conn) {
 		name:  hello.Name,
 		cores: hello.Cores,
 		conn:  c,
-		sent:  newSentSet(),
 	}
 	wc.cond = sync.NewCond(&wc.mu)
 	width := min(wc.cores, batchMax)
 	wc.popBuf = make([]*taskMeta, width)
 	wc.taskBuf = make([]*Task, 0, width)
-	wc.encScratch = make([]Task, width)
 	m.workersMu.Lock()
 	if m.closed.Load() {
 		m.workersMu.Unlock()
@@ -484,7 +476,11 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 			tasks[i] = mt.task
 		}
 		m.stampBatch(wc, batch)
-		if !m.sendBatch(wc, tasks) {
+		// A failed send broke the connection: the read loop ends on it,
+		// and its cleanup requeues everything the connection held, this
+		// batch included.
+		wc.msg = message{Type: "tasks", Tasks: tasks}
+		if wc.conn.SendFrame(&wc.msg) != nil {
 			return
 		}
 	}
@@ -525,28 +521,6 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	tel.dispatches.Add(n)
 	m.running.Add(n)
 	m.statsDispatched.Add(n)
-}
-
-// sendBatch encodes tasks in place into the connection's reusable scratch
-// and ships them as one "tasks" message. Returns false when the send
-// failed, which broke the connection: the read loop ends on it, and its
-// cleanup requeues everything the connection held, including this batch.
-func (m *Master) sendBatch(wc *workerConn, tasks []*Task) bool {
-	var sent int64
-	for i, t := range tasks {
-		t = encodeInputsInto(&wc.encScratch[i], t, wc.sent)
-		for j := range t.Inputs {
-			sent += int64(len(t.Inputs[j].Data))
-		}
-		tasks[i] = t
-	}
-	wc.msg = message{Type: "tasks", Tasks: tasks}
-	if wc.conn.SendFrame(&wc.msg) != nil {
-		return false
-	}
-	m.statsBytesOut.Add(sent)
-	m.telemetry().bytesSent.Add(sent)
-	return true
 }
 
 // settle completes the results of one message against the task table

@@ -61,13 +61,9 @@ func newLocalMaster() *Master {
 }
 
 // newSimWorker builds a virtual worker: real dispatch bookkeeping, no
-// connection, no encode scratch (nothing is ever serialised).
+// connection (nothing is ever serialised).
 func newSimWorker(name string, cores, width int) *workerConn {
-	wc := &workerConn{
-		name:  name,
-		cores: cores,
-		sent:  newSentSet(),
-	}
+	wc := &workerConn{name: name, cores: cores}
 	wc.cond = sync.NewCond(&wc.mu)
 	wc.popBuf = make([]*taskMeta, width)
 	return wc
@@ -221,7 +217,7 @@ func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, erro
 	}()
 	for i := 0; i < workers; i++ {
 		w, err := NewWorker(m.Addr(), fmt.Sprintf("lo-%d", i), cores,
-			filepath.Join(root, fmt.Sprintf("w%d", i)), reg)
+			filepath.Join(root, fmt.Sprintf("w%d", i)), reg, nil)
 		if err != nil {
 			return ScaleReport{}, err
 		}

@@ -75,7 +75,7 @@ func benchLoopback(b *testing.B, workers, cores int) {
 	ws := make([]*Worker, workers)
 	for i := range ws {
 		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), cores,
-			fmt.Sprintf("%s/w%d", dir, i), reg)
+			fmt.Sprintf("%s/w%d", dir, i), reg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

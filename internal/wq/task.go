@@ -4,9 +4,10 @@
 // process with one shared cache.
 //
 // Tasks name an executor function from a Registry shared by master and
-// workers (the Go analogue of shipping a command line), carry input files
-// inline — cacheable inputs such as the task sandbox are transferred once
-// per connection and shared thereafter — and declare the outputs to return.
+// workers (the Go analogue of shipping a command line) and carry its
+// arguments. wq moves no files: what a task reads and writes travels over
+// parrot/CVMFS, xrootd and chirp, and a declared output comes back only if
+// the executor hands it over in memory with ExecContext.SetOutput.
 //
 // Non-dedicated behaviour is first-class: a worker may vanish at any moment
 // (eviction); the master detects the lost connection and requeues the tasks
@@ -14,37 +15,21 @@
 package wq
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"lobster/internal/trace"
 )
 
-// FileSpec is one file moved with a task: an input into the sandbox or an
-// output returned to the master.
+// FileSpec is one declared output returned to the master.
 type FileSpec struct {
-	// Name is the file's path within the task sandbox.
+	// Name is the output's declared name (Task.Outputs).
 	Name string `json:"name"`
-	// Data is the content. For cacheable inputs it may be omitted on the
-	// wire when the receiver is known to hold Hash already.
+	// Data is what the executor handed over with ExecContext.SetOutput.
 	Data []byte `json:"data,omitempty"`
-	// Hash is the content hash, filled by the transport for cacheable files.
-	Hash string `json:"hash,omitempty"`
-	// Cacheable marks immutable inputs (software sandbox, configuration)
-	// that workers keep across tasks, the paper's per-worker cache.
-	Cacheable bool `json:"cacheable,omitempty"`
-}
-
-// hashBytes returns the content hash used for the transfer cache.
-func hashBytes(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // Task is one unit of work dispatched to a single worker slot.
@@ -55,9 +40,8 @@ type Task struct {
 	Func string `json:"func"`
 	// Args are free-form parameters for the executor.
 	Args map[string]string `json:"args,omitempty"`
-	// Inputs are staged into the sandbox before execution.
-	Inputs []FileSpec `json:"inputs,omitempty"`
-	// Outputs are the sandbox paths collected after execution.
+	// Outputs name the outputs the executor must hand over with
+	// ExecContext.SetOutput; one it does not fails the task with 171.
 	Outputs []string `json:"outputs,omitempty"`
 	// Tag is an opaque caller label (Lobster uses it for workflow/task kind).
 	Tag string `json:"tag,omitempty"`
@@ -82,17 +66,13 @@ type TaskTimes struct {
 // TaskStats is measured on the worker and augmented by the master.
 type TaskStats struct {
 	Times TaskTimes `json:"times"`
-	// StageIn is sandbox preparation time on the worker.
+	// StageIn is the worker's preparation time before the executor runs.
 	StageIn time.Duration `json:"stage_in"`
 	// Exec is executor wall time.
 	Exec time.Duration `json:"exec"`
 	// StageOut is output collection time on the worker.
 	StageOut time.Duration `json:"stage_out"`
-	// CacheHits / CacheMisses count cacheable-input resolutions.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// BytesIn / BytesOut are payload volumes for this task.
-	BytesIn  int64 `json:"bytes_in"`
+	// BytesOut is the volume of the outputs this task returned.
 	BytesOut int64 `json:"bytes_out"`
 }
 
@@ -126,8 +106,9 @@ func (r *Result) PermanentlyFailed() bool { return r.Permanent && r.Failed() }
 type ExecContext struct {
 	// Task is the task being executed (do not mutate).
 	Task *Task
-	// Sandbox is the task's scratch directory; inputs are staged here and
-	// outputs are collected from here.
+	// Sandbox is the path of the task's scratch directory. It exists only
+	// once EnsureSandbox has made it, and the worker removes it when the
+	// task ends: nothing is staged into it and no output is read from it.
 	Sandbox string
 	// WorkerName identifies the executing worker.
 	WorkerName string
@@ -174,14 +155,14 @@ type heldState struct {
 	sandbox bool       // the sandbox directory was created
 }
 
-// EnsureSandbox creates the sandbox directory on demand. Workers create
-// sandboxes lazily — a task that stages no input files never touches the
-// filesystem on the hot path — so an executor that writes files into the
-// sandbox must call this first.
+// EnsureSandbox creates the sandbox directory on demand. The worker never
+// makes one itself — a task that asks for none never touches the
+// filesystem on the hot path — so an executor that writes scratch files
+// into the sandbox must call this first.
 func (c *ExecContext) EnsureSandbox() error {
 	h := c.hold()
 	if h.sandbox {
-		return nil // the worker, or an earlier call, made and counted it
+		return nil // an earlier call made and counted it
 	}
 	if err := os.MkdirAll(c.Sandbox, 0o755); err != nil {
 		return err
@@ -209,33 +190,41 @@ func (c *ExecContext) SetOutput(name string, data []byte) {
 	h.outputs = append(h.outputs, FileSpec{Name: name, Data: data})
 }
 
-// collect returns a declared output: what the executor handed over in
-// memory, else the sandbox file.
-func (h *heldState) collect(sandbox, name string) ([]byte, error) {
-	if data, ok := h.output(name); ok {
-		return data, nil
+// collect adds the declared outputs the executor handed over to res, in
+// declaration order, and returns the first declared name it did not hand
+// over ("" when none is missing). A file of that name left in the sandbox
+// does not count: wq moves no files.
+func (h *heldState) collect(res *Result, names []string) (missing string) {
+	for _, name := range names {
+		data, ok := h.output(name)
+		if !ok {
+			if missing == "" {
+				missing = name
+			}
+			continue
+		}
+		res.Outputs = append(res.Outputs, FileSpec{Name: name, Data: data})
+		res.Stats.BytesOut += int64(len(data))
 	}
-	return os.ReadFile(filepath.Join(sandbox, filepath.FromSlash(name)))
+	return missing
 }
 
 func (h *heldState) output(name string) ([]byte, bool) {
-	if h != nil {
-		for _, f := range h.outputs {
-			if f.Name == name {
-				return f.Data, true
-			}
+	for _, f := range h.outputs {
+		if f.Name == name {
+			return f.Data, true
 		}
 	}
 	return nil, false
 }
 
-// filesCreated counts the sandbox directories and files this process's
-// workers and executors made: the per-task file-system cost that the hot
-// path is pinned to keep at zero (BENCH_dataplane.json, files/op).
+// filesCreated counts the sandbox directories this process's executors
+// made: the per-task file-system cost that the hot path is pinned to keep
+// at zero (BENCH_dataplane.json, files/op).
 var filesCreated atomic.Int64
 
-// FilesCreated returns the process-wide count of sandbox mkdirs
-// (EnsureSandbox included) and staged input files.
+// FilesCreated returns the process-wide count of sandboxes EnsureSandbox
+// made.
 func FilesCreated() int64 { return filesCreated.Load() }
 
 // Executor is the function a task runs on a worker. A non-nil error marks

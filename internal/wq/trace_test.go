@@ -76,7 +76,7 @@ func TestTraceRequeueSpans(t *testing.T) {
 	tr, buf, log := traceSetup(t)
 	m := newMaster(t)
 	m.Trace(tr)
-	w1, err := NewWorker(m.Addr(), "victim", 1, t.TempDir(), testRegistry())
+	w1, err := NewWorker(m.Addr(), "victim", 1, t.TempDir(), testRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,27 +11,23 @@ import (
 	"time"
 
 	"lobster/internal/faultinject"
-	"lobster/internal/retry"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 	"lobster/internal/wire"
 )
 
 // Worker connects to a master, advertises a number of cores,
-// and executes the tasks it is sent. All slots share one content cache, the
-// Work Queue behaviour the paper relies on: "a single worker can ... run
-// multiple tasks simultaneously, sharing a single cache directory, and a
-// single connection to the master."
+// and executes the tasks it is sent: "a single worker can ... run multiple
+// tasks simultaneously, sharing a single cache directory, and a single
+// connection to the master." The one connection is this one; the shared
+// cache directory is parrot's alien cache, which the executors reach, not
+// wq, since wq moves no files.
 type Worker struct {
 	name  string
 	cores int
 	reg   Registry
 	dir   string
-	cache *contentCache
 	conn  *wire.Conn
-
-	fault      *faultinject.Injector
-	stageRetry retry.Policy
 
 	slots   chan struct{}
 	wg      sync.WaitGroup
@@ -72,12 +68,9 @@ func (w *Worker) Trace(tr *trace.Tracer) {
 type workerTelemetry struct {
 	tasks     *telemetry.Counter
 	failures  *telemetry.Counter
-	cacheHits *telemetry.Counter
-	cacheMiss *telemetry.Counter
 	stageIn   *telemetry.Histogram
 	execTime  *telemetry.Histogram
 	slotsBusy *telemetry.Gauge
-	planeIn   *telemetry.Counter // lobster_bytes_total{wq_worker,in}
 	planeOut  *telemetry.Counter // lobster_bytes_total{wq_worker,out}
 }
 
@@ -104,43 +97,22 @@ func (w *Worker) Instrument(reg *telemetry.Registry) {
 			"Tasks executed by workers in this process."),
 		failures: reg.Counter("lobster_wq_worker_failures_total",
 			"Tasks that failed locally on workers in this process."),
-		cacheHits: reg.Counter("lobster_wq_worker_cache_hits_total",
-			"Cacheable inputs satisfied from the worker content cache."),
-		cacheMiss: reg.Counter("lobster_wq_worker_cache_misses_total",
-			"Cacheable inputs that had to arrive with data."),
 		stageIn: reg.Histogram("lobster_wq_worker_stage_in_seconds",
-			"Sandbox stage-in time per task.", nil),
+			"Worker stage-in time per task.", nil),
 		execTime: reg.Histogram("lobster_wq_worker_exec_seconds",
 			"Executor run time per task.", nil),
 		slotsBusy: reg.Gauge("lobster_wq_worker_slots_busy",
 			"Core slots currently executing tasks across workers in this process."),
-		planeIn:  reg.Bytes("wq_worker", telemetry.DirIn),
 		planeOut: reg.Bytes("wq_worker", telemetry.DirOut),
 	})
 }
 
-// WorkerOptions configures NewWorkerOpts beyond the required plumbing.
-type WorkerOptions struct {
-	// Fault, when non-nil, wraps the worker's master connection so its
-	// reads and writes consult the fault plane under component
-	// "wq_worker", and arms Check hooks in stage-in and stage-out
-	// (ops "stage_in" / "stage_out").
-	Fault *faultinject.Injector
-	// StageRetry bounds retries of individual sandbox file writes and
-	// reads during staging. The zero Policy keeps the old behaviour:
-	// first error fails the task.
-	StageRetry retry.Policy
-}
-
 // NewWorker connects a worker to the master at addr. dir is the worker's
-// scratch directory (sandboxes and cache live beneath it). The registry maps
-// the executor names tasks will reference.
-func NewWorker(addr, name string, cores int, dir string, reg Registry) (*Worker, error) {
-	return NewWorkerOpts(addr, name, cores, dir, reg, WorkerOptions{})
-}
-
-// NewWorkerOpts is NewWorker with fault-plane and staging-retry options.
-func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts WorkerOptions) (*Worker, error) {
+// scratch directory (the sandboxes executors ask for live beneath it). The
+// registry maps the executor names tasks will reference. A non-nil fault
+// wraps the master connection so its reads and writes consult the fault
+// plane under component "wq_worker"; nil leaves it fault-free.
+func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *faultinject.Injector) (*Worker, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("wq: worker needs at least one core")
 	}
@@ -151,20 +123,16 @@ func NewWorkerOpts(addr, name string, cores int, dir string, reg Registry, opts 
 	if err != nil {
 		return nil, fmt.Errorf("wq: worker dialing %s: %w", addr, err)
 	}
-	raw = opts.Fault.Conn("wq_worker", raw)
 	w := &Worker{
-		name:       name,
-		cores:      cores,
-		reg:        reg,
-		dir:        dir,
-		cache:      newContentCache(),
-		conn:       newConn(raw),
-		fault:      opts.Fault,
-		stageRetry: opts.StageRetry,
-		slots:      make(chan struct{}, cores),
-		resCh:      make(chan *Result, cores+batchMax),
-		done:       make(chan struct{}),
-		lost:       make(chan struct{}),
+		name:  name,
+		cores: cores,
+		reg:   reg,
+		dir:   dir,
+		conn:  newConn(fault.Conn("wq_worker", raw)),
+		slots: make(chan struct{}, cores),
+		resCh: make(chan *Result, cores+batchMax),
+		done:  make(chan struct{}),
+		lost:  make(chan struct{}),
 	}
 	if err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		return nil, err
@@ -183,9 +151,6 @@ func (w *Worker) TasksRun() int64 { return w.tasksRun.Load() }
 
 // TasksFailed returns the number of tasks that failed locally.
 func (w *Worker) TasksFailed() int64 { return w.tasksFailed.Load() }
-
-// CachedObjects returns the number of cacheable inputs held.
-func (w *Worker) CachedObjects() int { return w.cache.len() }
 
 // Close disconnects gracefully after in-flight tasks finish sending.
 func (w *Worker) Close() error {
@@ -219,9 +184,6 @@ func (w *Worker) run() {
 		if msg.Type != "tasks" {
 			continue
 		}
-		// Slice order matters: startTask resolves cacheable inputs as it
-		// goes, preserving the data-before-hash-only invariant within the
-		// batch.
 		for _, t := range msg.Tasks {
 			if t != nil {
 				w.startTask(t, &taskWG)
@@ -231,18 +193,10 @@ func (w *Worker) run() {
 	close(w.lost)
 }
 
-// startTask resolves a task's inputs and launches it on a free slot,
-// blocking while all cores are busy (the worker's natural backpressure on
-// the receive loop).
+// startTask launches a task on a free slot, blocking while all cores are
+// busy (the worker's natural backpressure on the receive loop).
 func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
-	// Resolve cacheable inputs synchronously, in arrival order: the
-	// master sends each cacheable payload once per connection, so a
-	// later hash-only reference must decode after the data-bearing
-	// task has populated the cache.
-	hits, misses, decodeErr := decodeInputs(t, w.cache)
 	tel := w.telemetry()
-	tel.cacheHits.Add(int64(hits))
-	tel.cacheMiss.Add(int64(misses))
 	taskWG.Add(1)
 	w.slots <- struct{}{}
 	go func() {
@@ -250,7 +204,7 @@ func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
 		defer func() { <-w.slots }()
 		tel.slotsBusy.Add(1)
 		defer tel.slotsBusy.Add(-1)
-		res := w.execute(t, hits, misses, decodeErr)
+		res := w.execute(t)
 		if w.evicted.Load() {
 			return // evicted mid-task: never report
 		}
@@ -311,9 +265,8 @@ func (w *Worker) resultLoop() {
 	}
 }
 
-// execute stages inputs, runs the executor, and collects outputs. Cache
-// resolution already happened in the receive loop; its outcome is passed in.
-func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *Result {
+// execute runs the executor and collects the outputs it handed over.
+func (w *Worker) execute(t *Task) *Result {
 	res := &Result{TaskID: t.ID, Tag: t.Tag, Worker: w.name}
 	res.Stats.Times.Started = time.Now()
 	tracer := w.tracer.Load()
@@ -348,60 +301,21 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 		return res
 	}
 
-	// Stage in.
+	// Stage in: a task carries its arguments and nothing else, so there
+	// is nothing to move; the span and StageIn keep the run's shape the
+	// same as every other stage's. The sandbox is executor scratch, made
+	// only if the executor asks for it (ctx.EnsureSandbox): profiling
+	// showed sandbox mkdir/rmdir dominating the per-task syscall budget.
 	stageStart := time.Now()
 	siSpan = tracer.Start(run.Context(), "worker", "stage_in")
-	res.Stats.CacheHits = cacheHits
-	res.Stats.CacheMisses = cacheMisses
-	siSpan.AttrInt("cache_hits", int64(cacheHits))
-	siSpan.AttrInt("cache_misses", int64(cacheMisses))
-	if decodeErr != nil {
-		return fail(170, "stage-in: %v", decodeErr)
-	}
-	// The sandbox is created lazily: a task that stages no input files
-	// never touches the filesystem here — profiling showed sandbox
-	// mkdir/rmdir dominating the per-task syscall budget for file-less
-	// tasks. Executors that write into it call ctx.EnsureSandbox; declared
-	// outputs handed over with ctx.SetOutput need no sandbox at all.
 	sandbox := filepath.Join(w.dir, fmt.Sprintf("task-%d", t.ID))
-	held := &heldState{sandbox: len(t.Inputs) > 0}
-	if held.sandbox {
-		filesCreated.Add(1 + int64(len(t.Inputs)))
-		if err := os.MkdirAll(sandbox, 0o755); err != nil {
-			return fail(170, "stage-in: creating sandbox: %v", err)
-		}
-	}
+	held := &heldState{}
 	defer func() {
 		if held.sandbox {
 			os.RemoveAll(sandbox)
 		}
 	}()
-	// Files land in parallel under a bounded group: a multi-input task
-	// overlaps its sandbox writes instead of paying them end to end.
-	// Each file is staged under the retry policy with the fault hook
-	// inside the attempt, so injected staging faults exercise the same
-	// recovery path as a flaky local disk.
-	if err := stageGroup(len(t.Inputs), stageParallelism, func(i int) error {
-		f := t.Inputs[i]
-		dst := filepath.Join(sandbox, filepath.FromSlash(f.Name))
-		return w.stageRetry.Do(func() error {
-			if err := w.fault.Check("wq_worker", "stage_in"); err != nil {
-				return err
-			}
-			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-				return err
-			}
-			return os.WriteFile(dst, f.Data, 0o644)
-		})
-	}); err != nil {
-		return fail(170, "stage-in: %v", err)
-	}
-	for _, f := range t.Inputs {
-		res.Stats.BytesIn += int64(len(f.Data))
-	}
-	w.telemetry().planeIn.Add(res.Stats.BytesIn)
 	res.Stats.StageIn = time.Since(stageStart)
-	siSpan.AttrInt("bytes", res.Stats.BytesIn)
 	siSpan.End()
 
 	// Execute.
@@ -434,83 +348,23 @@ func (w *Worker) execute(t *Task, cacheHits, cacheMisses int, decodeErr error) *
 		// Best-effort output collection on failure: diagnostic outputs such
 		// as the wrapper report must reach the master even when the task
 		// fails ("a record of ... each segment is returned back").
-		for _, name := range t.Outputs {
-			data, rerr := held.collect(sandbox, name)
-			if rerr == nil {
-				res.Outputs = append(res.Outputs, FileSpec{Name: name, Data: data})
-				res.Stats.BytesOut += int64(len(data))
-			}
-		}
+		held.collect(res, t.Outputs)
 		if ee, ok := err.(*ExitError); ok {
 			return fail(ee.Code, "%s", ee.Error())
 		}
 		return fail(1, "%v", err)
 	}
 
-	// Stage out: outputs are read in parallel under the same bounded
-	// group, then appended in declaration order so results stay
-	// deterministic.
+	// Stage out: the outputs travel in the result message, as the
+	// executor handed them over.
 	outStart := time.Now()
 	soSpan = tracer.Start(run.Context(), "worker", "stage_out")
-	collected := make([][]byte, len(t.Outputs))
-	if err := stageGroup(len(t.Outputs), stageParallelism, func(i int) error {
-		name := t.Outputs[i]
-		return w.stageRetry.Do(func() error {
-			if err := w.fault.Check("wq_worker", "stage_out"); err != nil {
-				return err
-			}
-			data, rerr := held.collect(sandbox, name)
-			if rerr != nil {
-				// A declared output that never appeared will not appear on
-				// a retry either — the executor has already finished.
-				return retry.Permanent(rerr)
-			}
-			collected[i] = data
-			return nil
-		})
-	}); err != nil {
-		return fail(171, "stage-out: declared output missing: %v", err)
-	}
-	for i, name := range t.Outputs {
-		res.Outputs = append(res.Outputs, FileSpec{Name: name, Data: collected[i]})
-		res.Stats.BytesOut += int64(len(collected[i]))
+	if missing := held.collect(res, t.Outputs); missing != "" {
+		return fail(171, "stage-out: declared output %q was not handed over with SetOutput", missing)
 	}
 	w.telemetry().planeOut.Add(res.Stats.BytesOut)
 	res.Stats.StageOut = time.Since(outStart)
 	soSpan.AttrInt("bytes", res.Stats.BytesOut)
 	soSpan.End()
 	return res
-}
-
-// stageParallelism bounds concurrent file operations within one task's
-// stage-in or stage-out. Small on purpose: staging overlaps I/O waits,
-// it must not become a per-task thundering herd on the local disk.
-const stageParallelism = 4
-
-// stageGroup runs fn(0..n-1) with at most limit goroutines in flight
-// and returns the first error. All launched calls run to completion
-// either way, so fn's writes are never abandoned mid-file.
-func stageGroup(n, limit int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return fn(0)
-	}
-	sem := make(chan struct{}, limit)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem }()
-			errs <- fn(i)
-		}(i)
-	}
-	var first error
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -1,12 +1,12 @@
 package wq
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,17 +18,6 @@ func testRegistry() Registry {
 		"echo": func(ctx *ExecContext) error {
 			ctx.SetOutput("out.txt", []byte(ctx.Task.Args["text"]))
 			return nil
-		},
-		"cat": func(ctx *ExecContext) error {
-			var buf bytes.Buffer
-			for _, in := range ctx.Task.Inputs {
-				data, err := os.ReadFile(filepath.Join(ctx.Sandbox, in.Name))
-				if err != nil {
-					return err
-				}
-				buf.Write(data)
-			}
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "merged"), buf.Bytes(), 0o644)
 		},
 		"sleep": func(ctx *ExecContext) error {
 			d, err := time.ParseDuration(ctx.Task.Args["d"])
@@ -59,7 +48,7 @@ func newMaster(t *testing.T) *Master {
 
 func newWorker(t *testing.T, addr, name string, cores int) *Worker {
 	t.Helper()
-	w, err := NewWorker(addr, name, cores, t.TempDir(), testRegistry())
+	w, err := NewWorker(addr, name, cores, t.TempDir(), testRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,29 +88,6 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 	}
 	if ts.Dispatched.Before(ts.Submitted) || ts.Returned.Before(ts.Started) {
 		t.Errorf("timestamp ordering wrong: %+v", ts)
-	}
-}
-
-func TestInputStagingAndOutputs(t *testing.T) {
-	m := newMaster(t)
-	newWorker(t, m.Addr(), "w0", 1)
-	m.Submit(&Task{
-		Func: "cat",
-		Inputs: []FileSpec{
-			{Name: "a.txt", Data: []byte("one-")},
-			{Name: "sub/b.txt", Data: []byte("two")},
-		},
-		Outputs: []string{"merged"},
-	})
-	r, ok := m.WaitResult(10 * time.Second)
-	if !ok || r.Failed() {
-		t.Fatalf("result = %+v", r)
-	}
-	if string(r.Outputs[0].Data) != "one-two" {
-		t.Fatalf("merged = %q", r.Outputs[0].Data)
-	}
-	if r.Stats.BytesIn != 7 || r.Stats.BytesOut != 7 {
-		t.Errorf("bytes: in=%d out=%d", r.Stats.BytesIn, r.Stats.BytesOut)
 	}
 }
 
@@ -213,8 +179,8 @@ func TestMissingDeclaredOutput(t *testing.T) {
 // TestSetOutputInMemory: an output handed over with SetOutput reaches
 // the master without a sandbox ever existing — through a copy of the
 // context (a tracing shim re-tagging it), on the failure path too, and
-// ahead of a sandbox file of the same name; an output nobody set still
-// comes from the sandbox.
+// ahead of a sandbox file of the same name; a declared output left only
+// as a sandbox file fails the task with 171, since wq moves no files.
 func TestSetOutputInMemory(t *testing.T) {
 	m := newMaster(t)
 	dir := t.TempDir()
@@ -241,7 +207,7 @@ func TestSetOutputInMemory(t *testing.T) {
 		retagged := *ctx
 		retagged.WorkerName = "shim"
 		return inner(&retagged)
-	}})
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +237,11 @@ func TestSetOutputInMemory(t *testing.T) {
 	}
 
 	r := run("file", "report.json", "side.txt")
-	if r.Failed() || len(r.Outputs) != 2 || string(r.Outputs[0].Data) != "from memory" || string(r.Outputs[1].Data) != "from disk" {
-		t.Errorf("memory-first, file-fallback collection: %+v", r)
+	if r.ExitCode != 171 || !strings.Contains(r.Error, `"side.txt"`) {
+		t.Errorf("a declared output left only as a sandbox file: exit %d %q, want 171 naming side.txt", r.ExitCode, r.Error)
+	}
+	if len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
+		t.Errorf("the handed-over report did not ride the failed result: %+v", r.Outputs)
 	}
 	if n := FilesCreated() - before; n != 1 {
 		t.Errorf("EnsureSandbox counted %d, want 1", n)
@@ -280,63 +249,12 @@ func TestSetOutputInMemory(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("sandbox the executor asked for was not removed: %d entries left", len(entries))
 	}
-
-	// A sandbox the worker made for a staged input is not counted again.
-	before = FilesCreated()
-	m.Submit(&Task{Func: "shim", Args: map[string]string{"mode": "file"},
-		Inputs: []FileSpec{{Name: "in.txt", Data: []byte("x")}}, Outputs: []string{"side.txt"}})
-	if r, ok := m.WaitResult(10 * time.Second); !ok || r.Failed() {
-		t.Fatalf("task with a staged input: %+v", r)
-	}
-	if n := FilesCreated() - before; n != 2 {
-		t.Errorf("sandbox + one staged input counted %d, want 2", n)
-	}
 }
 
 func TestSubmitValidation(t *testing.T) {
 	m := newMaster(t)
 	if _, err := m.Submit(&Task{}); err == nil {
 		t.Error("task without Func accepted")
-	}
-}
-
-func TestCacheableInputSentOnce(t *testing.T) {
-	m := newMaster(t)
-	w := newWorker(t, m.Addr(), "w0", 2)
-	sandbox := bytes.Repeat([]byte("software-release;"), 1000)
-	const n = 10
-	for i := 0; i < n; i++ {
-		m.Submit(&Task{
-			Func: "cat",
-			Inputs: []FileSpec{
-				{Name: "sandbox.tar", Data: sandbox, Cacheable: true},
-			},
-			Outputs: []string{"merged"},
-		})
-	}
-	results := m.Drain(n, 30*time.Second)
-	if len(results) != n {
-		t.Fatalf("got %d results", len(results))
-	}
-	var hits, misses int
-	for _, r := range results {
-		if r.Failed() {
-			t.Fatalf("task failed: %s", r.Error)
-		}
-		if !bytes.Equal(r.Outputs[0].Data, sandbox) {
-			t.Fatal("cached input corrupted")
-		}
-		hits += r.Stats.CacheHits
-		misses += r.Stats.CacheMisses
-	}
-	if misses != 1 {
-		t.Errorf("cacheable input transferred %d times, want 1", misses)
-	}
-	if hits != n-1 {
-		t.Errorf("cache hits = %d, want %d", hits, n-1)
-	}
-	if w.CachedObjects() != 1 {
-		t.Errorf("worker cache holds %d objects", w.CachedObjects())
 	}
 }
 
@@ -479,29 +397,8 @@ func TestExitErrorFormatting(t *testing.T) {
 
 func TestWorkerRequiresPositiveCores(t *testing.T) {
 	m := newMaster(t)
-	if _, err := NewWorker(m.Addr(), "bad", 0, t.TempDir(), nil); err == nil {
+	if _, err := NewWorker(m.Addr(), "bad", 0, t.TempDir(), nil, nil); err == nil {
 		t.Error("zero-core worker accepted")
-	}
-}
-
-func TestLargePayloadRoundTrip(t *testing.T) {
-	m := newMaster(t)
-	newWorker(t, m.Addr(), "w0", 1)
-	big := make([]byte, 8<<20)
-	for i := range big {
-		big[i] = byte(i * 7)
-	}
-	m.Submit(&Task{
-		Func:    "cat",
-		Inputs:  []FileSpec{{Name: "big.bin", Data: big}},
-		Outputs: []string{"merged"},
-	})
-	r, ok := m.WaitResult(30 * time.Second)
-	if !ok || r.Failed() {
-		t.Fatalf("result: %+v", r)
-	}
-	if !bytes.Equal(r.Outputs[0].Data, big) {
-		t.Fatal("8 MiB payload corrupted in transit")
 	}
 }
 
@@ -515,7 +412,7 @@ func BenchmarkMasterTaskThroughput(b *testing.B) {
 		"noop": func(ctx *ExecContext) error { return nil },
 	}
 	for i := 0; i < 4; i++ {
-		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), 4, b.TempDir(), reg)
+		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), 4, b.TempDir(), reg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -526,32 +423,6 @@ func BenchmarkMasterTaskThroughput(b *testing.B) {
 		if _, err := m.Submit(&Task{Func: "noop"}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if got := m.Drain(b.N, 120*time.Second); len(got) != b.N {
-		b.Fatalf("drained %d/%d", len(got), b.N)
-	}
-}
-
-func BenchmarkCacheableSandboxDispatch(b *testing.B) {
-	m, err := NewMaster("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	reg := Registry{"noop": func(ctx *ExecContext) error { return nil }}
-	w, err := NewWorker(m.Addr(), "w0", 4, b.TempDir(), reg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	sandbox := bytes.Repeat([]byte("release"), 64<<10) // 448 KiB
-	b.SetBytes(int64(len(sandbox)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Submit(&Task{
-			Func:   "noop",
-			Inputs: []FileSpec{{Name: "sb", Data: sandbox, Cacheable: true}},
-		})
 	}
 	if got := m.Drain(b.N, 120*time.Second); len(got) != b.N {
 		b.Fatalf("drained %d/%d", len(got), b.N)
@@ -576,7 +447,7 @@ func TestExecContextErrAfterMasterLost(t *testing.T) {
 		errs <- ctx.Err()
 		return nil
 	}}
-	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), reg)
+	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +505,7 @@ func TestDispatchFIFO(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}}
-	w, err := NewWorker(m.Addr(), "w0", 1, t.TempDir(), reg)
+	w, err := NewWorker(m.Addr(), "w0", 1, t.TempDir(), reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
