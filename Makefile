@@ -26,8 +26,8 @@ fmt:
 # allocates 31 MiB and is copied twice on its way in (DESIGN.md section
 # 10, where a whole object lands). No name is exempt. The metadata bodies
 # still built that way live outside these directories: the release
-# content internal/cvmfs/release.go assembles at publish time and the rule
-# file internal/health reads.
+# content internal/cvmfs/release.go assembles at publish time and the
+# registry page internal/health parses.
 #
 # And a line protocol reads its lines and keeps its connections through
 # internal/wire, never a copy of its own: no ReadSlice( (the in-place line
@@ -69,6 +69,12 @@ fmt:
 # staging and the sandbox-file output fallback were about 290 lines that
 # no program reached, and a worker started without a storage element
 # reported tasks succeeded whose outputs its sandbox cleanup then deleted.
+#
+# And alerts read the process's own registry: no net/http in non-test
+# internal/health code (DESIGN.md section 12, the in-process evaluator).
+# Nothing scrapes. The fleet hub and lobster-fleet, about 830 lines that
+# fetched other processes' pages and profiles over HTTP, ran in no
+# program or chaos test, and no run's event log ever held an alert.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -83,6 +89,8 @@ copy-lint:
 	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'crypto/sha256|os\.ReadFile\(|os\.WriteFile\(' --include='*.go' internal/wq | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "wq moving files (a task carries arguments, an output goes through SetOutput):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE '"net/http' --include='*.go' internal/health | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "health scraping over HTTP (rules evaluate the process's own registry):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \

@@ -27,7 +27,7 @@ func main() {
 	root := flag.String("root", "./chirp-export", "directory to export")
 	maxConc := flag.Int("max-concurrent", 16, "concurrently served connections")
 	metrics := flag.String("metrics", "", "serve telemetry (GET /metrics, Prometheus text) on this address")
-	pprofOn := flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof for fleet profiling capture")
+	pprofOn := flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof for go tool pprof")
 	fplan := flag.String("fault-plan", "", "JSON fault plan: inject deterministic faults into served connections")
 	flag.Parse()
 

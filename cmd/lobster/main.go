@@ -2,8 +2,10 @@
 // execution plane: it assembles the service stack in-process (CVMFS behind
 // squid, XrootD federation, Chirp storage element, Work Queue master and
 // workers), plans a workflow from a synthetic dataset, runs it with retries
-// and merging, and prints the run report, the runtime breakdown, and any
-// monitoring diagnoses.
+// and merging, and prints the run report, the runtime breakdown, any
+// monitoring diagnoses, and the alerts the default health rules raised
+// over the run's own telemetry (each also an "alert" event on -event-log,
+// with profiles under <event-log>.profiles/ for a rule that profiles).
 //
 // Usage:
 //
@@ -14,7 +16,6 @@
 //	lobster -fault-plan storm.json ...          # replay a deterministic fault storm
 //	lobster -top http://127.0.0.1:9099          # one-shot status of a live run
 //	lobster -top http://127.0.0.1:9099 -watch   # live bottleneck dashboard
-//	lobster -top http://127.0.0.1:9100          # a lobster-fleet hub: adds endpoints, rules, aggregates
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"lobster/internal/core"
 	"lobster/internal/deploy"
 	"lobster/internal/faultinject"
+	"lobster/internal/health"
 	"lobster/internal/monitor"
 	"lobster/internal/profiling"
 	"lobster/internal/retry"
@@ -75,14 +77,14 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "synthetic content seed")
 	flag.StringVar(&o.confPath, "config", "", "JSON workflow configuration file (overrides the workflow flags)")
 	flag.StringVar(&o.httpAddr, "http", "", "serve live telemetry (GET /metrics, Prometheus text) on this address")
-	flag.BoolVar(&o.pprofOn, "pprof", false, "with -http: also serve /debug/pprof (goroutine, heap, CPU) for fleet profiling capture")
+	flag.BoolVar(&o.pprofOn, "pprof", false, "with -http: also serve /debug/pprof (goroutine, heap, CPU) for go tool pprof")
 	flag.StringVar(&o.evlogPath, "event-log", "", "append structured JSONL task events to this file")
 	flag.Int64Var(&o.evlogMax, "event-log-max", 0, "rotate the event log after this many bytes (0 = never)")
 	flag.StringVar(&o.trlogPath, "trace-log", "", "enable distributed tracing; append trace spans to this JSONL file (analyze with lobster-trace)")
 	flag.Float64Var(&o.trRate, "trace-rate", 0, "head-sampling bound: max new traces sampled per second (0 = all)")
 	flag.StringVar(&o.faultPlanPath, "fault-plan", "", "JSON fault plan: inject a deterministic fault storm into the stack")
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "override the fault plan's seed (0 = use the plan's)")
-	flag.StringVar(&o.topURL, "top", "", "print the /metrics of the lobster, chirpd or lobster-fleet hub at this base URL and exit")
+	flag.StringVar(&o.topURL, "top", "", "print the /metrics of the lobster or chirpd at this base URL and exit")
 	flag.BoolVar(&o.watch, "watch", false, "with -top: refresh continuously instead of one-shot")
 	flag.DurationVar(&o.interval, "interval", 2*time.Second, "with -top -watch: refresh interval")
 	flag.Parse()
@@ -138,6 +140,11 @@ func run(o options) error {
 		}
 		tracer = trace.New(trace.Config{Registry: reg, Log: trl, MaxTracesPerSec: o.trRate})
 	}
+	profDir := ""
+	if o.evlogPath != "" {
+		profDir = o.evlogPath + ".profiles"
+	}
+	hub := health.NewHub(health.Config{Registry: reg, Log: evl, ProfileDir: profDir})
 	if o.httpAddr != "" {
 		lis, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
@@ -230,7 +237,9 @@ func run(o options) error {
 	l.SetResultTimeout(2 * time.Minute)
 	fmt.Printf("running %s workflow %q over %s...\n", o.kind, cfg.Name, st.Dataset.Name)
 	start := time.Now()
+	finish := evaluate(hub)
 	rep, err := l.Run()
+	finish()
 	if err != nil {
 		return err
 	}
@@ -256,6 +265,15 @@ func run(o options) error {
 	} else {
 		fmt.Println("Diagnoses: none — the run looks healthy.")
 	}
+	if alerts := hub.Alerts(); len(alerts) > 0 {
+		fmt.Println("Alerts:")
+		for _, a := range alerts {
+			fmt.Printf("  %8.1fs %-8s %-22s value=%.3g threshold=%.3g %s\n",
+				a.Time, a.State, a.Rule, a.Value, a.Threshold, a.Profile)
+		}
+	} else {
+		fmt.Println("Alerts: none.")
+	}
 
 	outDir := "/store/user/" + cfg.Name
 	outs, err := st.ChirpFS.List(outDir)
@@ -272,4 +290,41 @@ func run(o options) error {
 		return fmt.Errorf("%d tasklets failed", rep.TaskletsFailed)
 	}
 	return nil
+}
+
+// alertInterval is how often the health rules evaluate the run's
+// registry while the workflow runs.
+const alertInterval = 5 * time.Second
+
+// evaluate ticks hub every alertInterval until the returned function is
+// called. That function joins the ticker and runs one last tick, so the
+// run's final counters are evaluated before the event log closes. Each
+// transition is printed on stderr as it happens.
+func evaluate(hub *health.Hub) (finish func()) {
+	stop, ticked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ticked)
+		t := time.NewTicker(alertInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				printAlerts(hub.Tick())
+			}
+		}
+	}()
+	return func() {
+		close(stop)
+		<-ticked
+		printAlerts(hub.Tick())
+	}
+}
+
+func printAlerts(alerts []monitor.AlertRecord) {
+	for _, a := range alerts {
+		fmt.Fprintf(os.Stderr, "alert %-8s %-22s value=%.3g threshold=%.3g %s\n",
+			a.State, a.Rule, a.Value, a.Threshold, a.Help)
+	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -83,18 +84,36 @@ func seriesName(name string, labels map[string]string) string {
 	return name + "{" + strings.Join(parts, ",") + "}"
 }
 
-// top scrapes baseURL/metrics — a lobster started with -http, a chirpd
-// with -metrics or a lobster-fleet hub — and prints a dashboard to w: the
-// per-segment runtime breakdown from the stage histograms (the live view
-// of the Figure 8 accounting) and one table of the page's series. A hub's
-// page, whose endpoint series carry an instance label, adds the endpoint
-// table, the firing rules and the fleet aggregates per component. With
-// watch it redraws every interval until interrupted, htop-style; a failed
-// scrape keeps the last good data on screen under an explicit error
-// banner with the data's age, rather than silently showing stale numbers
-// or dying.
+// topClient bounds one read of a page, so a hung process cannot hang
+// the dashboard.
+var topClient = &http.Client{Timeout: 5 * time.Second}
+
+// scrape reads one /metrics page under baseURL.
+func scrape(baseURL string) ([]health.Series, error) {
+	url := strings.TrimRight(baseURL, "/") + "/metrics"
+	resp, err := topClient.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	page, err := health.ParseMetrics(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return page.Series(), nil
+}
+
+// top scrapes baseURL/metrics — a lobster started with -http or a chirpd
+// with -metrics — and prints a dashboard to w: the per-segment runtime
+// breakdown from the stage histograms (the live view of the Figure 8
+// accounting) and one table of the page's series. With watch it redraws
+// every interval until interrupted, htop-style; a failed scrape keeps
+// the last good data on screen under an explicit error banner with the
+// data's age, rather than silently showing stale numbers or dying.
 func top(w io.Writer, baseURL string, watch bool, interval time.Duration) error {
-	src := &health.HTTPSource{BaseURL: baseURL}
 	var last *topView
 	var lastOK time.Time
 	var hist *topHistory
@@ -102,7 +121,7 @@ func top(w io.Writer, baseURL string, watch bool, interval time.Duration) error 
 		hist = newTopHistory()
 	}
 	for {
-		series, err := src.Scrape()
+		series, err := scrape(baseURL)
 		if err == nil {
 			last, lastOK = newTopView(series), time.Now()
 			last.record(hist)
@@ -126,24 +145,11 @@ func top(w io.Writer, baseURL string, watch bool, interval time.Duration) error 
 	}
 }
 
-// The hub's scrape gauges, drawn as the endpoint table rather than rows.
-const (
-	endpointFailures = "lobster_fleet_endpoint_scrape_failures"
-	endpointAge      = "lobster_fleet_endpoint_scrape_age_seconds"
-)
-
-// allInstances keys a fleet aggregate's sparkline apart from a row of
-// the same name.
-var allInstances = map[string]string{"instance": "*"}
-
 // topView is one scraped page, digested for the dashboard.
 type topView struct {
-	samples   int      // lines on the page
-	rows      []topRow // series without an instance label
-	segments  string   // the rendered runtime breakdown; "" with no stage time
-	endpoints []topEndpoint
-	firing    []string
-	agg       []health.FleetSeries // the endpoints' series, per component
+	samples  int      // lines on the page
+	rows     []topRow // one per series, one per histogram
+	segments string   // the rendered runtime breakdown; "" with no stage time
 }
 
 // topRow is one line of the telemetry table: a series, or a histogram
@@ -156,42 +162,11 @@ type topRow struct {
 	count  float64 // a histogram's observations
 }
 
-// topEndpoint is one endpoint of a hub, from its scrape gauges.
-type topEndpoint struct {
-	name, component string
-	fails, age      float64
-	series          int
-}
-
 func newTopView(series []health.Series) *topView {
 	v := &topView{samples: len(series), segments: renderSegments(series)}
-	var fleet []health.Series
-	hists := make(map[string]int)     // histogram row index by name{labels}
-	endpoints := make(map[string]int) // endpoint index by instance
-	perInstance := make(map[string]int)
+	hists := make(map[string]int) // histogram row index by name{labels}
 	for _, s := range series {
-		inst := s.Label("instance")
-		if s.Name == endpointFailures || s.Name == endpointAge {
-			i, ok := endpoints[inst]
-			if !ok {
-				i = len(v.endpoints)
-				endpoints[inst] = i
-				v.endpoints = append(v.endpoints, topEndpoint{name: inst, component: s.Label("component")})
-			}
-			if s.Name == endpointFailures {
-				v.endpoints[i].fails = s.Value
-			} else {
-				v.endpoints[i].age = s.Value
-			}
-			continue
-		}
-		if s.Name == "lobster_fleet_rule_firing" && s.Value > 0 {
-			v.firing = append(v.firing, s.Label("rule"))
-		}
 		switch {
-		case inst != "":
-			fleet = append(fleet, s)
-			perInstance[inst]++
 		case s.Type != "histogram":
 			v.rows = append(v.rows, topRow{name: s.Name, labels: s.Labels, typ: s.Type, value: s.Value})
 		case !strings.HasSuffix(s.Name, "_bucket"):
@@ -214,12 +189,6 @@ func newTopView(series []health.Series) *topView {
 			r.value /= r.count // the sum until now
 		}
 	}
-	for i := range v.endpoints {
-		v.endpoints[i].series = perInstance[v.endpoints[i].name]
-	}
-	if len(fleet) > 0 {
-		v.agg = (&health.Fleet{Series: fleet}).Aggregate()
-	}
 	return v
 }
 
@@ -232,9 +201,6 @@ func (v *topView) record(h *topHistory) {
 	for i := range v.rows {
 		h.add(v.rows[i].name, v.rows[i].labels, v.rows[i].value)
 	}
-	for _, a := range v.agg {
-		h.add(a.Name, allInstances, a.Total)
-	}
 }
 
 // render draws the dashboard. age is how long ago the data was scraped
@@ -246,11 +212,7 @@ func (v *topView) render(age time.Duration, scrapeErr error, hist *topHistory) s
 	if scrapeErr != nil {
 		fmt.Fprintf(&b, "!! SCRAPE FAILED: %v\n!! showing data %.1fs old\n", scrapeErr, age.Seconds())
 	}
-	fmt.Fprintf(&b, "lobster metrics: %d samples", v.samples)
-	if len(v.endpoints) > 0 {
-		fmt.Fprintf(&b, ", a fleet hub over %d endpoints", len(v.endpoints))
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "lobster metrics: %d samples\n", v.samples)
 	if v.segments != "" {
 		b.WriteString(v.segments)
 		b.WriteByte('\n')
@@ -275,76 +237,14 @@ func (v *topView) render(age time.Duration, scrapeErr error, hist *topHistory) s
 	}
 	b.WriteString(tb.Render())
 	b.WriteByte('\n')
-	v.renderFleet(&b, hist)
 	return b.String()
-}
-
-// renderFleet draws what only a hub's page holds: per-endpoint scrape
-// health with an age column, the firing rules, and the fleet aggregates
-// broken down per component.
-func (v *topView) renderFleet(b *strings.Builder, hist *topHistory) {
-	if len(v.endpoints) > 0 {
-		tb := tabulate.NewTable("Endpoints", "endpoint", "component", "state", "age", "series")
-		for _, e := range v.endpoints {
-			state := "up"
-			if e.fails > 0 || e.age < 0 {
-				state = fmt.Sprintf("DOWN(%d)", int(e.fails))
-			}
-			ageCol := fmt.Sprintf("%.1fs", e.age)
-			if e.age < 0 {
-				ageCol = "never"
-			}
-			tb.Row(e.name, e.component, state, ageCol, fmt.Sprint(e.series))
-		}
-		b.WriteString(tb.Render())
-	}
-	if len(v.firing) > 0 {
-		fmt.Fprintf(b, "\nFIRING: %s\n", strings.Join(v.firing, ", "))
-	}
-	if len(v.agg) == 0 {
-		return
-	}
-	// Column per component, stable order.
-	comps := map[string]bool{}
-	for _, s := range v.agg {
-		for c := range s.PerComponent {
-			comps[c] = true
-		}
-	}
-	order := make([]string, 0, len(comps))
-	for c := range comps {
-		order = append(order, c)
-	}
-	sort.Strings(order)
-	headers := append([]string{"series", "total", "max"}, order...)
-	if hist != nil {
-		headers = append(headers, "trend")
-	}
-	cells := make([]any, 0, len(headers))
-	st := tabulate.NewTable("Fleet aggregates", headers...)
-	for _, s := range v.agg {
-		if !strings.HasPrefix(s.Name, "lobster_") {
-			continue
-		}
-		cells = cells[:0]
-		cells = append(cells, s.Name, fmt.Sprintf("%.6g", s.Total), fmt.Sprintf("%.6g", s.Max))
-		for _, c := range order {
-			cells = append(cells, fmt.Sprintf("%.6g", s.PerComponent[c]))
-		}
-		if hist != nil {
-			cells = append(cells, hist.spark(s.Name, allInstances))
-		}
-		st.Row(cells...)
-	}
-	b.WriteByte('\n')
-	b.WriteString(st.Render())
 }
 
 // renderSegments turns the lobster_task_stage_seconds histograms into
 // the live per-segment breakdown — the same accounting lobster-trace
 // computes offline from span trees (the two reconcile by construction).
-// A hub's page sums each stage over its endpoints. The stage label is
-// telemetry.Stage's closed set, every name of which is a trace segment.
+// The stage label is telemetry.Stage's closed set, every name of which is
+// a trace segment.
 func renderSegments(series []health.Series) string {
 	secs := make(map[string]float64)
 	counts := make(map[string]float64)

@@ -66,9 +66,9 @@ func TestTopHistoryWindow(t *testing.T) {
 }
 
 // topOnce runs the one-shot dashboard against a live /metrics server.
-func topOnce(t *testing.T, x telemetry.Exposition) string {
+func topOnce(t *testing.T, reg *telemetry.Registry) string {
 	t.Helper()
-	srv := httptest.NewServer(telemetry.MetricsHandler(x))
+	srv := httptest.NewServer(reg.Mux())
 	defer srv.Close()
 	var b strings.Builder
 	if err := top(&b, srv.URL, false, 0); err != nil {
@@ -110,56 +110,6 @@ func TestTopSingleProcess(t *testing.T) {
 		if strings.Contains(out, fleetOnly) {
 			t.Errorf("single-process page drew %q:\n%s", fleetOnly, out)
 		}
-	}
-}
-
-// TestTopFleetPage: a hub's federated page draws the endpoint rows, the
-// FIRING line and the per-component aggregate columns, and keeps the
-// endpoints' series out of the telemetry table.
-func TestTopFleetPage(t *testing.T) {
-	master, chirpd := telemetry.NewRegistry(), telemetry.NewRegistry()
-	master.Counter("lobster_wq_tasks_done_total", "Done.").Add(40)
-	master.Gauge("lobster_chirp_queued_connections", "Queued.").Set(6)
-	chirpd.Gauge("lobster_chirp_queued_connections", "Queued.").Set(5)
-	now := 0.0
-	hub := health.NewHub(health.Config{
-		Endpoints: []health.Endpoint{
-			{Name: "master-1", Component: "master", Source: &health.RegistrySource{Reg: master}},
-			{Name: "chirpd-1", Component: "chirpd", Source: &health.RegistrySource{Reg: chirpd}},
-		},
-		Clock:    func() float64 { now += 5; return now },
-		Registry: telemetry.NewRegistry(),
-	})
-	for i := 0; i < 3; i++ {
-		hub.Tick()
-	}
-
-	out := topOnce(t, hub)
-	for _, want := range []string{
-		"a fleet hub over 2 endpoints",
-		"Endpoints", "master-1", "chirpd-1",
-		"FIRING: chirp_pool_exhausted",
-		"Fleet aggregates", "chirpd", "master",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet dashboard lacks %q:\n%s", want, out)
-		}
-	}
-	var aggRow string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "lobster_chirp_queued_connections") {
-			if strings.Contains(line, "instance=") {
-				t.Errorf("an endpoint series landed in the telemetry table: %q", line)
-			}
-			aggRow = line
-		}
-		if strings.Contains(line, "master-1") && !strings.Contains(line, "up") {
-			t.Errorf("master-1 is not up: %q", line)
-		}
-	}
-	// total 11, max 6, then the chirpd and master columns.
-	if f := strings.Fields(aggRow); len(f) < 5 || f[1] != "11" || f[2] != "6" || f[3] != "5" || f[4] != "6" {
-		t.Errorf("aggregate row = %q, want total 11, max 6, chirpd 5, master 6", aggRow)
 	}
 }
 

@@ -1,7 +1,6 @@
 package faultinject_test
 
 import (
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,16 +12,15 @@ import (
 	"lobster/internal/faultinject"
 	"lobster/internal/health"
 	"lobster/internal/monitor"
-	"lobster/internal/profiling"
 	"lobster/internal/telemetry"
 )
 
-// TestChaosFleetHealth runs a worker-kill storm with the fleet health hub
-// scraping the stack's live /metrics endpoint, and asserts the full
-// observability loop closes: the storm's worker losses trip an alert rule, the
-// alert lands as a typed event on the JSONL log where monitor.ReplayLog
-// recovers it, and the firing transition archives a pprof bundle captured
-// from the stressed process.
+// TestChaosFleetHealth runs a worker-kill storm with a health hub
+// evaluating the stack's own registry, and asserts the full observability
+// loop closes in the run's one event log: the storm's worker losses trip
+// an alert rule, the alert lands as a typed event beside the task records
+// where monitor.ReplayLog recovers both, and the firing transition writes
+// the stressed process's profiles into a bundle.
 func TestChaosFleetHealth(t *testing.T) {
 	inj := faultinject.New(&faultinject.Plan{
 		Seed: 1,
@@ -31,12 +29,18 @@ func TestChaosFleetHealth(t *testing.T) {
 		},
 	})
 	reg := telemetry.NewRegistry()
+	logPath := filepath.Join(t.TempDir(), "events.jsonl")
+	evl, err := telemetry.OpenEventLog(logPath, reg.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := deploy.Start(deploy.Options{
 		Files: 3, LumisPerFile: 2, EventsPerFile: 6,
 		Workers: 3, CoresPerWorker: 2,
 		ScratchDir: t.TempDir(),
 		Seed:       11,
 		Telemetry:  reg,
+		EventLog:   evl,
 		Fault:      inj,
 		Retry:      chaosPolicy,
 	})
@@ -45,22 +49,10 @@ func TestChaosFleetHealth(t *testing.T) {
 	}
 	defer st.Close()
 
-	// The stack's telemetry served the way a real deployment serves it,
-	// pprof attached as `lobster -http addr -pprof` would.
-	mux := reg.Mux()
-	profiling.AttachPprof(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	logPath := filepath.Join(t.TempDir(), "fleet-events.jsonl")
-	evl, err := telemetry.OpenEventLog(logPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDir := filepath.Join(t.TempDir(), "profiles")
+	profDir := logPath + ".profiles"
 	// The storm detector: any lost worker connection is the paper's
 	// eviction signature (the counter is cumulative, so the final
-	// post-run tick observes it even when the storm outruns the scrape
+	// post-run tick observes it even when the storm outruns the tick
 	// interval). Profile on fire.
 	rules := health.NewRuleSet([]health.Rule{{
 		Name:     "worker_loss_storm",
@@ -70,7 +62,7 @@ func TestChaosFleetHealth(t *testing.T) {
 		Profile:  true,
 	}})
 	hub := health.NewHub(health.Config{
-		Endpoints:  []health.Endpoint{{Name: "master", Component: "master", Source: &health.HTTPSource{BaseURL: srv.URL}}},
+		Registry:   reg,
 		Rules:      rules,
 		Log:        evl,
 		ProfileDir: profDir,
@@ -93,16 +85,16 @@ func TestChaosFleetHealth(t *testing.T) {
 		rep, runErr = l.Run()
 		done <- runErr
 	}()
-	// Scrape continuously while the storm plays out, then take one final
-	// tick so the post-run counter state is observed.
-	scraping := true
-	for scraping {
+	// Evaluate continuously while the storm plays out, then take one
+	// final tick so the post-run counter state is observed.
+	running := true
+	for running {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatalf("run under storm: %v", err)
 			}
-			scraping = false
+			running = false
 		case <-time.After(10 * time.Millisecond):
 			hub.Tick()
 		}
@@ -134,27 +126,34 @@ func TestChaosFleetHealth(t *testing.T) {
 	if firing.Profile == "" {
 		t.Fatal("firing alert captured no profile bundle")
 	}
-	gr, err := os.ReadFile(filepath.Join(firing.Profile, "master-goroutine.txt"))
+	if filepath.Dir(firing.Profile) != profDir {
+		t.Errorf("bundle %s is not under %s", firing.Profile, profDir)
+	}
+	gr, err := os.ReadFile(filepath.Join(firing.Profile, "goroutine.txt"))
 	if err != nil {
 		t.Fatalf("profile bundle incomplete: %v", err)
 	}
 	if !strings.Contains(string(gr), "goroutine") {
 		t.Error("goroutine capture is not a pprof document")
 	}
-	if _, err := os.Stat(filepath.Join(firing.Profile, "alert.json")); err != nil {
-		t.Errorf("bundle manifest missing: %v", err)
+	if _, err := os.Stat(filepath.Join(firing.Profile, "heap.pb.gz")); err != nil {
+		t.Errorf("bundle lacks the heap profile: %v", err)
 	}
 
-	// The typed alert replays off the event log exactly as the monitor
-	// recovery path reads it.
+	// The run's one event log replays to its task records and the typed
+	// alert, exactly as the monitor recovery path reads it.
 	f, err := os.Open(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	var m monitor.Monitor
-	if _, err := m.ReplayLog(f); err != nil {
+	n, err := m.ReplayLog(f)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if live := st.Services.Monitor.Records(); n == 0 || n != len(live) {
+		t.Errorf("replayed %d task records, want the run's %d", n, len(live))
 	}
 	replayed := m.Alerts()
 	found := false

@@ -1,17 +1,15 @@
-// Package health is Lobster's fleet-level observability plane: a
-// monitoring hub that scrapes every component's /metrics endpoint, merges
-// the per-process Prometheus series into cluster-wide aggregates with
-// per-component labels, evaluates a declarative rule set of derived
-// health signals with hysteresis (eviction spikes, stuck tasks,
-// chirp-pool exhaustion, ramp stalls), emits typed "alert"
-// events onto the shared JSONL event log, and — on anomaly — captures
-// pprof profile bundles from the affected endpoints so a storm leaves a
-// self-contained post-mortem next to the event log.
+// Package health evaluates a declarative rule set of derived health
+// signals with hysteresis (eviction spikes, stuck tasks, chirp-pool
+// exhaustion, ramp stalls) over the process's own telemetry registry,
+// read through its /metrics page. A Hub emits each transition as a typed
+// "alert" event onto the run's JSONL event log and, on anomaly, writes
+// the process's goroutine and heap profiles into a bundle next to it.
 //
-// The hub runs on a pluggable clock, so the identical detectors evaluate
-// a live deployment on the wall clock and a simulated paper-scale ramp
-// on the discrete-event clock (internal/sim drives Tick from simulated
-// time; golden tests pin which alerts fire and when).
+// The hub reads time from the registry's clock, so the same detectors
+// evaluate a live run on the wall clock and a simulated paper-scale ramp
+// on the discrete-event clock (golden tests pin which alerts fire and
+// when). ParseMetrics is also the one reader of a /metrics page that
+// `lobster -top` draws.
 package health
 
 import (
@@ -93,7 +91,7 @@ func ParseMetrics(r io.Reader) (*Page, error) {
 	p := &Page{byName: make(map[string]*Family)}
 	sc := bufio.NewScanner(r)
 	// The scanner starts at 4 KiB and doubles only for a longer line: a
-	// page is a few KiB, and the hub parses one per endpoint per tick.
+	// page is a few KiB, and the hub parses one per tick.
 	sc.Buffer(nil, 16<<20)
 	lineNo := 0
 	for sc.Scan() {
@@ -277,10 +275,9 @@ func unescapeHelp(s string) string {
 	return b.String()
 }
 
-// Series flattens the page into the hub's merge representation: one
-// Series per sample, labels as a map, each naming the family it was
-// written under. The extra labels (component, instance) are appended by
-// the scraper.
+// Series flattens the page into the rules' representation: one Series
+// per sample, labels as a map, each naming the family it was written
+// under.
 func (p *Page) Series() []Series {
 	n := 0
 	for _, f := range p.Families {
@@ -292,7 +289,7 @@ func (p *Page) Series() []Series {
 			s := &f.Samples[i]
 			sr := Series{Name: s.Name, Value: s.Value, Type: f.Type, Family: f.Name}
 			if len(s.Labels) > 0 {
-				sr.Labels = make(map[string]string, len(s.Labels)+2)
+				sr.Labels = make(map[string]string, len(s.Labels))
 				for _, l := range s.Labels {
 					sr.Labels[l.Name] = l.Value
 				}

@@ -84,8 +84,41 @@ m{path="a\"b\\c\nd"} 1
 	}
 }
 
-// rewrite writes series through the one writer, as the hub's page does,
-// and parses the result back.
+// writeFamilies writes series through the one exposition writer, grouped
+// by family: one TYPE line each, the family's lines contiguous and in
+// the order given, families sorted by name.
+func writeFamilies(e *telemetry.Expo, series []Series) {
+	byFamily := make(map[string][]int)
+	var names []string
+	for i := range series {
+		name := series[i].Family
+		if name == "" {
+			name = series[i].Name
+		}
+		if _, ok := byFamily[name]; !ok {
+			names = append(names, name)
+		}
+		byFamily[name] = append(byFamily[name], i)
+	}
+	sort.Strings(names)
+	var labels []Label
+	for _, name := range names {
+		idx := byFamily[name]
+		e.Type(name, series[idx[0]].Type)
+		for _, i := range idx {
+			s := &series[i]
+			labels = labels[:0]
+			for k, v := range s.Labels {
+				labels = append(labels, Label{Name: k, Value: v})
+			}
+			sort.Slice(labels, func(a, b int) bool { return labels[a].Name < labels[b].Name })
+			e.Sample(s.Name, labels, s.Value)
+		}
+	}
+}
+
+// rewrite writes series through the one writer and parses the result
+// back.
 func rewrite(t testing.TB, series []Series) []Series {
 	t.Helper()
 	var e telemetry.Expo
@@ -207,7 +240,7 @@ func TestRoundTripRegistry(t *testing.T) {
 
 // TestRegistryLabelRoundTrip: a label value holding every byte the
 // format escapes, and two it does not (a tab, a non-ASCII rune), leaves a
-// registry and reaches the hub exactly as it went in. The value is
+// registry and reaches the parser exactly as it went in. The value is
 // escaped once: quoted a second time, a"b would arrive as a\"b and the
 // tab as a literal \t.
 func TestRegistryLabelRoundTrip(t *testing.T) {

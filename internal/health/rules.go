@@ -1,14 +1,11 @@
 package health
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 )
 
-// Expr selects and reduces fleet series to one scalar. Fn picks the
+// Expr selects and reduces a page's series to one scalar. Fn picks the
 // reduction:
 //
 //	value     sum of the matching series (default)
@@ -17,24 +14,23 @@ import (
 //	          over the last Window seconds, or since the last tick when
 //	          Window is zero
 //	stall     seconds since the summed value last changed
-//	hist_mean fleet-wide mean of a histogram metric (sum of _sum over
-//	          sum of _count)
+//	hist_mean mean of a histogram metric (sum of _sum over sum of
+//	          _count)
 //
 // rate and stall are multi-tick functions over the rule's own bounded
 // memory (ruleState): rate abstains until it holds two samples, stall
 // measures from its first observation. Every fn abstains (the rule is
-// skipped that tick) when no series match, so a rule set written for the
-// full fleet degrades quietly on components that don't expose a given
-// metric.
+// skipped that tick) when no series match, so a rule degrades quietly in
+// a process that does not register its metric.
 type Expr struct {
-	Metric string            `json:"metric"`
-	Match  map[string]string `json:"match,omitempty"`
-	Fn     string            `json:"fn,omitempty"`
+	Metric string
+	Match  map[string]string
+	Fn     string
 
 	// Window widens rate to the samples of this many seconds. Zero
 	// keeps the single-tick lookback. Only rate takes one: stall
 	// measures from the last change however long ago that was.
-	Window float64 `json:"window,omitempty"`
+	Window float64
 }
 
 // Gate conditions a rule on a second expression: the rule only evaluates
@@ -42,41 +38,41 @@ type Expr struct {
 // condition being false, so a firing rule resolves through its Clear
 // hysteresis when the gate closes.
 type Gate struct {
-	Expr      Expr    `json:"expr"`
-	Op        string  `json:"op,omitempty"`
-	Threshold float64 `json:"threshold"`
+	Expr      Expr
+	Op        string
+	Threshold float64
 }
 
 // Rule is one declarative anomaly detector: an expression, a comparison
 // against a static or derived threshold, and firing hysteresis.
 type Rule struct {
-	Name     string `json:"name"`
-	Help     string `json:"help,omitempty"`
-	Severity string `json:"severity,omitempty"` // "warn" (default) or "critical"
+	Name     string
+	Help     string
+	Severity string // "warn" (default) or "critical"
 
-	Expr Expr   `json:"expr"`
-	Op   string `json:"op,omitempty"` // ">", ">=", "<", "<=" (default ">")
+	Expr Expr
+	Op   string // ">", ">=", "<", "<=" (default ">")
 
 	// Threshold is the static bound. When ThresholdExpr is set the
 	// effective bound is max(Threshold, Scale×eval(ThresholdExpr)) —
 	// Threshold acts as the floor under the derived value, which is how
 	// the stuck-task watchdog pins "N× the observed stage time, but at
 	// least a minute".
-	Threshold     float64 `json:"threshold"`
-	ThresholdExpr *Expr   `json:"threshold_expr,omitempty"`
-	Scale         float64 `json:"scale,omitempty"`
+	Threshold     float64
+	ThresholdExpr *Expr
+	Scale         float64
 
-	Gate *Gate `json:"gate,omitempty"`
+	Gate *Gate
 
 	// For is how many consecutive ticks the condition must hold before
 	// the rule fires; Clear how many ticks it must not hold before a
 	// firing rule resolves. Both default to 1.
-	For   int `json:"for,omitempty"`
-	Clear int `json:"clear,omitempty"`
+	For   int
+	Clear int
 
-	// Profile requests a pprof capture from the fleet's HTTP endpoints
-	// when this rule transitions to firing.
-	Profile bool `json:"profile,omitempty"`
+	// Profile writes this process's goroutine and heap profiles when the
+	// rule transitions to firing.
+	Profile bool
 }
 
 // ruleState is the engine's per-rule memory across ticks, updated on
@@ -168,7 +164,7 @@ func (st *ruleState) rate(window, now, cur float64) (float64, bool) {
 	return inc / elapsed, true
 }
 
-// eval reduces the expression against the fleet at hub time now, using
+// eval reduces the expression against the page at time now, using
 // (and updating) the rule's memory. ok is false when the expression
 // abstains this tick.
 func (e *Expr) eval(f *Fleet, st *ruleState, now float64) (val float64, ok bool) {
@@ -261,53 +257,6 @@ func NewRuleSet(rules []Rule) *RuleSet {
 	return &RuleSet{Rules: rules, states: make([]ruleState, len(rules))}
 }
 
-// LoadRules parses a JSON rule file: either a bare array of rules or an
-// object with a "rules" key.
-func LoadRules(r io.Reader) (*RuleSet, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("health: reading rules: %w", err)
-	}
-	var rules []Rule
-	if err := json.Unmarshal(raw, &rules); err != nil {
-		var wrapped struct {
-			Rules []Rule `json:"rules"`
-		}
-		if err2 := json.Unmarshal(raw, &wrapped); err2 != nil || wrapped.Rules == nil {
-			return nil, fmt.Errorf("health: parsing rules: %w", err)
-		}
-		rules = wrapped.Rules
-	}
-	seen := make(map[string]bool, len(rules))
-	for i := range rules {
-		if rules[i].Name == "" {
-			return nil, fmt.Errorf("health: rule %d has no name", i)
-		}
-		if seen[rules[i].Name] {
-			return nil, fmt.Errorf("health: duplicate rule %q", rules[i].Name)
-		}
-		seen[rules[i].Name] = true
-		if rules[i].Expr.Metric == "" {
-			return nil, fmt.Errorf("health: rule %q has no metric", rules[i].Name)
-		}
-		switch rules[i].Expr.Fn {
-		case "", "value", "max", "rate", "stall", "hist_mean":
-		case "imbalance":
-			return nil, fmt.Errorf("health: rule %q: fn \"imbalance\" was removed with the wq master's dispatch stripes it measured", rules[i].Name)
-		default:
-			return nil, fmt.Errorf("health: rule %q: unknown fn %q", rules[i].Name, rules[i].Expr.Fn)
-		}
-		if w := rules[i].Expr.Window; w < 0 {
-			return nil, fmt.Errorf("health: rule %q: negative window", rules[i].Name)
-		} else if w > 0 {
-			if rules[i].Expr.Fn != "rate" {
-				return nil, fmt.Errorf("health: rule %q: window only applies to rate", rules[i].Name)
-			}
-		}
-	}
-	return NewRuleSet(rules), nil
-}
-
 // Transition is one rule state change produced by a tick.
 type Transition struct {
 	Rule      *Rule
@@ -316,7 +265,7 @@ type Transition struct {
 	Threshold float64
 }
 
-// Evaluate runs every rule against the merged fleet view and returns the
+// Evaluate runs every rule against the page's view and returns the
 // state transitions (rules that fired or resolved this tick), in rule
 // order. Steady states — still firing, still quiet — produce nothing.
 func (rs *RuleSet) Evaluate(f *Fleet, now float64) []Transition {
@@ -396,7 +345,7 @@ func DefaultRules() []Rule {
 			Help:      "pilot evictions are arriving faster than the opportunistic baseline",
 			Severity:  "critical",
 			Expr:      Expr{Metric: "lobster_cluster_evictions_total", Fn: "rate"},
-			Threshold: 0.5, // evictions/sec, fleet-wide
+			Threshold: 0.5, // evictions/sec, over the whole pool
 			For:       2,
 			Clear:     3,
 			Profile:   true,

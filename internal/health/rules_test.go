@@ -1,13 +1,11 @@
 package health
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// fleetAt builds a merged view directly from series for engine tests.
+// fleetAt builds a view directly from series for engine tests; now
+// names the tick it stands for.
 func fleetAt(now float64, series ...Series) *Fleet {
-	f := &Fleet{Time: now, Series: series}
+	f := &Fleet{Series: series}
 	f.index()
 	return f
 }
@@ -216,45 +214,7 @@ func TestRuleDynamicThreshold(t *testing.T) {
 	}
 }
 
-func TestLoadRules(t *testing.T) {
-	rs, err := LoadRules(strings.NewReader(`[
-		{"name": "a", "expr": {"metric": "m", "fn": "rate"}, "threshold": 1, "for": 2},
-		{"name": "b", "expr": {"metric": "n", "fn": "max"}, "threshold": 4}
-	]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rules) != 2 || rs.Rules[0].For != 2 || rs.Rules[1].Expr.Fn != "max" {
-		t.Fatalf("rules = %+v", rs.Rules)
-	}
-	// Wrapped form.
-	rs, err = LoadRules(strings.NewReader(`{"rules": [{"name": "a", "expr": {"metric": "m"}}]}`))
-	if err != nil || len(rs.Rules) != 1 {
-		t.Fatalf("wrapped form: %v, %+v", err, rs)
-	}
-	for _, bad := range []string{
-		`[{"expr": {"metric": "m"}}]`,                                                      // no name
-		`[{"name": "a", "expr": {}}]`,                                                      // no metric
-		`[{"name": "a", "expr": {"metric": "m", "fn": "median"}}]`,                         // unknown fn
-		`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance"}}]`,                      // removed fn
-		`[{"name": "a", "expr": {"metric": "m", "fn": "stall", "window": 60}}]`,            // window on stall
-		`[{"name": "a", "expr": {"metric": "m"}}, {"name": "a", "expr": {"metric": "m"}}]`, // dup
-		`not json`,
-	} {
-		if _, err := LoadRules(strings.NewReader(bad)); err == nil {
-			t.Errorf("LoadRules(%q) succeeded, want error", bad)
-		}
-	}
-	// A rule file written for the striped master's skew detector is
-	// refused by name, not as an unknown fn.
-	_, err = LoadRules(strings.NewReader(`[{"name": "a", "expr": {"metric": "m", "fn": "imbalance", "over": "shard"}}]`))
-	if err == nil || !strings.Contains(err.Error(), `fn "imbalance" was removed`) {
-		t.Errorf("imbalance rule: err = %v, want it refused by name", err)
-	}
-}
-
-// TestDefaultRulesValid pins that the built-in set passes its own
-// validation (round-tripped through the JSON loader).
+// TestDefaultRulesValid pins the built-in set's four rules by name.
 func TestDefaultRulesValid(t *testing.T) {
 	rules := DefaultRules()
 	if len(rules) != 4 {

@@ -55,9 +55,9 @@ func (r *TaskRecord) Failed() bool { return r.ExitCode != 0 }
 // WallTime is the task's start→finish duration.
 func (r *TaskRecord) WallTime() float64 { return r.Finish - r.Start }
 
-// AlertRecord is one typed health-plane alert transition: a fleet rule
+// AlertRecord is one typed health-plane alert transition: a rule
 // crossing into "firing" or back to "resolved". The health hub emits these
-// as "alert" events on the shared JSONL event log; ReplayLog collects them
+// as "alert" events on the run's JSONL event log; ReplayLog collects them
 // so a crashed (or chaos-stormed) run's alert history is replayable next
 // to its task history.
 type AlertRecord struct {
@@ -68,8 +68,8 @@ type AlertRecord struct {
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	Help      string  `json:"help,omitempty"`
-	// Profile names the archived profile-bundle directory captured when
-	// the rule fired, when continuous profiling was armed.
+	// Profile names the directory the process's profiles were written
+	// into when a profiling rule fired.
 	Profile string `json:"profile,omitempty"`
 }
 

@@ -348,13 +348,15 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 
 // TestReplayLogInterleavedHistoryPlane replays a log shaped like a full
 // production run with the history plane armed: task batches, alert
-// transitions, profile-bundle captures, and the since-removed history
-// store's "tsdb_segment" markers all interleaved in one stream. Replay must restore every task
+// transitions, and the since-removed history store's "tsdb_segment"
+// markers all interleaved in one stream. Replay must restore every task
 // and alert, skip the rest without error — including under every
 // possible torn-tail byte prefix a crash could leave. The stream also
-// carries the "election" and "ha_submit" lines a log written by the
-// since-removed replicated master holds; they are skipped, so the log
-// replays to exactly what the same log without them does.
+// carries the lines no program writes any more: the "election" and
+// "ha_submit" lines of the since-removed replicated master and the
+// "profile_bundle" lines of the since-removed fleet hub. They are
+// skipped, so the log replays to exactly what the same log without them
+// does.
 func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	live := New()
 	var liveAlerts []AlertRecord
@@ -389,7 +391,7 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 			liveAlerts = append(liveAlerts, a)
 			emit("alert", a)
 		case 1:
-			emit("profile_bundle", map[string]any{
+			log.Emit("profile_bundle", map[string]any{
 				"dir": fmt.Sprintf("profiles/bundle-%06d", i), "rule": "stuck_tasks",
 				"profiles": []string{"cpu.pprof", "heap.pprof", "goroutine.pprof"},
 			})
@@ -408,8 +410,10 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	if err := plain.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"type":"election"`)) || !bytes.Contains(buf.Bytes(), []byte(`"type":"ha_submit"`)) {
-		t.Fatal("log lacks the old election / ha_submit lines")
+	for _, typ := range []string{"election", "ha_submit", "profile_bundle"} {
+		if !bytes.Contains(buf.Bytes(), []byte(`"type":"`+typ+`"`)) {
+			t.Fatalf("log lacks the old %s lines", typ)
+		}
 	}
 	without := New()
 	if got, err := without.ReplayLog(&plainBuf); err != nil || got != n {
@@ -427,8 +431,8 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	if !reflect.DeepEqual(live.Records(), rebuilt.Records()) {
 		t.Error("replayed records differ from live records")
 	}
-	if !reflect.DeepEqual(without.Records(), rebuilt.Records()) {
-		t.Error("election / ha_submit lines changed the replayed records")
+	if !reflect.DeepEqual(without.Records(), rebuilt.Records()) || !reflect.DeepEqual(without.Alerts(), rebuilt.Alerts()) {
+		t.Error("election / ha_submit / profile_bundle lines changed the replayed records")
 	}
 	if !reflect.DeepEqual(liveAlerts, rebuilt.Alerts()) {
 		t.Errorf("replayed alerts differ: live=%+v rebuilt=%+v", liveAlerts, rebuilt.Alerts())

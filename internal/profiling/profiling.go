@@ -88,11 +88,12 @@ func (f *Flags) Start() (stop func() error, err error) {
 }
 
 // AttachPprof registers the standard net/http/pprof handlers on mux under
-// /debug/pprof/, the endpoints the fleet hub's continuous-profiling
-// capture hits when an anomaly rule fires. Gated behind the -pprof flag
-// in the daemons: the handlers expose goroutine stacks and heap contents,
-// which is exactly what a post-mortem wants and exactly what an open
-// metrics port shouldn't leak by default.
+// /debug/pprof/, for `go tool pprof` against a live daemon. Gated behind
+// the -pprof flag in the daemons: the handlers expose goroutine stacks
+// and heap contents, which is exactly what a post-mortem wants and
+// exactly what an open metrics port shouldn't leak by default. A rule
+// that profiles on alert writes its own process's profiles locally
+// (internal/health); nothing fetches these.
 func AttachPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprofhttp.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprofhttp.Cmdline)

@@ -70,11 +70,12 @@ type BigRunConfig struct {
 	Tracer *trace.Tracer
 
 	// HealthTick, when set, is invoked every HealthInterval simulated
-	// seconds (default 30) for the length of the run — the hook the fleet
-	// health hub's Tick runs from, so the identical anomaly detectors
-	// evaluate the simulated cluster on the simulated clock. The ticker
-	// proc is only spawned when the hook is set and never touches the
-	// RNG, so runs without it stay bit-identical to the pinned goldens.
+	// seconds (default 30) for the length of the run. The health tests
+	// tick a health.Hub over Telemetry from it, so the default rules
+	// evaluate the simulated cluster on the simulated clock; no program
+	// sets it. The ticker proc is only spawned when the hook is set and
+	// never touches the RNG, so runs without it stay bit-identical to the
+	// pinned goldens.
 	HealthTick     func(now float64)
 	HealthInterval float64
 }

@@ -9,27 +9,16 @@ import (
 	"lobster/internal/telemetry"
 )
 
-// healthRun runs cfg with a sim-clocked fleet hub scraping the run's own
-// registry every interval simulated seconds, returning the result and
-// the alert transitions the hub emitted.
+// healthRun runs cfg with a health hub evaluating the default rules over
+// the run's own sim-clocked registry every interval simulated seconds,
+// returning the result and the alert transitions the hub emitted.
 func healthRun(t *testing.T, cfg BigRunConfig, interval float64) (*BigRunResult, []monitor.AlertRecord) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
-
-	now := 0.0
-	hub := health.NewHub(health.Config{
-		Endpoints: []health.Endpoint{
-			{Name: "sim", Component: "master", Source: &health.RegistrySource{Reg: reg}},
-		},
-		Rules: health.NewRuleSet(health.DefaultRules()),
-		Clock: func() float64 { return now },
-	})
+	hub := health.NewHub(health.Config{Registry: reg})
 	cfg.HealthInterval = interval
-	cfg.HealthTick = func(simNow float64) {
-		now = simNow
-		hub.Tick()
-	}
+	cfg.HealthTick = func(float64) { hub.Tick() }
 	res, err := RunBig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,40 +70,5 @@ func TestGoldenBigRunHealthAlerts(t *testing.T) {
 	// early deployments.
 	if alerts[0].Rule != "stuck_tasks" || alerts[0].Value <= 300 {
 		t.Errorf("first alert should be the ramp-phase stuck_tasks watchdog: %+v", alerts[0])
-	}
-}
-
-// TestBigRunHealthInstanceLabels spot-checks the merged view mid-run: a
-// scrape through the hub carries component/instance labels stamped onto
-// every sim series.
-func TestBigRunHealthInstanceLabels(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	cfg := SimRunConfig(0.02)
-	cfg.Duration = 3600
-	cfg.Telemetry = reg
-	var seen *health.Fleet
-	now := 0.0
-	hub := health.NewHub(health.Config{
-		Endpoints: []health.Endpoint{
-			{Name: "sim", Component: "master", Source: &health.RegistrySource{Reg: reg}},
-		},
-		Rules: health.NewRuleSet(nil),
-		Clock: func() float64 { return now },
-	})
-	cfg.HealthTick = func(simNow float64) {
-		now = simNow
-		hub.Tick()
-		seen = hub.Fleet()
-	}
-	cfg.HealthInterval = 600
-	if _, err := RunBig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if seen == nil {
-		t.Fatal("health tick never ran")
-	}
-	sel := seen.Select("lobster_cluster_pilots_up", map[string]string{"component": "master", "instance": "sim"})
-	if len(sel) != 1 || sel[0].Value <= 0 {
-		t.Fatalf("pilots_up series = %+v", sel)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"lobster/internal/telemetry"
 )
 
-// scrape reads reg the way the fleet hub does: its /metrics page, parsed.
+// scrape reads reg the way the health hub does: its /metrics page, parsed.
 func scrape(t *testing.T, reg *telemetry.Registry) []health.Series {
 	t.Helper()
 	series, err := (&health.RegistrySource{Reg: reg}).Scrape()

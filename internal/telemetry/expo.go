@@ -18,9 +18,9 @@ type Label struct {
 }
 
 // Expo accumulates a text exposition page. It is the one writer of the
-// format: the registry's /metrics and the fleet hub's federated page both
-// go through it, so a label value is escaped once, by one escaper, and
-// every value is spelled by one formatter.
+// format: the registry's /metrics page goes through it, so a label value
+// is escaped once, by one escaper, and every value is spelled by one
+// formatter.
 type Expo struct {
 	b []byte
 }
@@ -149,23 +149,13 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", "\\n")
 }
 
-// Exposition is anything that writes a /metrics page: a registry, or
-// the fleet hub's federated page over many.
-type Exposition interface {
-	WritePrometheus(w io.Writer) error
-}
-
-// MetricsHandler serves x's page as Prometheus text exposition.
-func MetricsHandler(x Exposition) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		x.WritePrometheus(w)
-	})
-}
-
-// Mux returns a mux serving GET /metrics.
+// Mux returns a mux serving the registry's page as Prometheus text
+// exposition at GET /metrics.
 func (r *Registry) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(r))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w)
+	})
 	return mux
 }
