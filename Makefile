@@ -4,11 +4,11 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check fmt copy-lint vet build test race flake chaos fuzz bench bench-kernel bench-guard bench-e2e lines
+.PHONY: all check fmt copy-lint vet build test examples race flake chaos fuzz bench bench-kernel bench-guard bench-e2e lines
 
 all: check
 
-check: fmt copy-lint vet build test race flake chaos fuzz bench-guard
+check: fmt copy-lint vet build test examples race flake chaos fuzz bench-guard
 
 # gofmt drift fails the build; .bench_build/ is the benchmark's scratch
 # (it holds a Go build cache, not our sources).
@@ -109,6 +109,18 @@ build:
 test:
 	$(GO) test ./...
 
+# Builds and runs every program under examples/ (the four run in well
+# under a second) in one temporary directory that is removed afterwards:
+# examples/simulation writes mcprod-trace.jsonl into its working directory.
+# `go build ./...` only compiles them; this is what keeps them working.
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for ex in examples/*/; do \
+		name="$$(basename "$$ex")"; \
+		$(GO) build -o "$$dir/$$name" "./$$ex" || exit 1; \
+		(cd "$$dir" && "./$$name" >/dev/null) || { echo "examples: $$name failed"; exit 1; }; \
+	done
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -143,6 +155,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/seglog/
+	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wrapper/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

@@ -562,7 +562,7 @@ func BenchmarkAblationProxyCount(b *testing.B) {
 func BenchmarkAblationTaskBuffer(b *testing.B) {
 	reg := wq.Registry{
 		"analysis": func(ctx *wq.ExecContext) error {
-			ctx.SetOutput("report.json", wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}).Encode())
+			ctx.SetOutput(wrapper.ReportFile, wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}).Encode())
 			return nil
 		},
 	}

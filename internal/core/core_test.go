@@ -244,7 +244,7 @@ func TestBuildTaskAnalysisArgs(t *testing.T) {
 	if err != nil || len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
 		t.Errorf("tasklet ids = %v, %v", ids, err)
 	}
-	if task.Outputs[0] != "report.json" {
+	if task.Outputs[0] != wrapper.ReportFile {
 		t.Errorf("outputs = %v", task.Outputs)
 	}
 }
@@ -331,7 +331,7 @@ func TestTaskRecordsShareMetrics(t *testing.T) {
 	l := &Lobster{svc: Services{Monitor: monitor.New()}}
 	report := func(events float64) *wrapper.Report {
 		return &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegExecute,
-			Metrics: map[string]float64{"events": events, "bytes_in": 1024 * events, "bytes_out": 8 * events}}}}
+			Metrics: wrapper.Metrics{Events: events, BytesIn: 1024 * events, BytesOut: 8 * events}}}}
 	}
 	for i, events := range []float64{4, 4, 9, 4} {
 		l.recordMonitor(&wq.Result{TaskID: int64(i + 1)}, &inflightTask{kind: "proc"}, report(events))

@@ -323,7 +323,7 @@ func (l *Lobster) handleProcSuccess(info *inflightTask, rep *wrapper.Report) err
 	// Register the output for merging.
 	var outBytes int64
 	if rep != nil {
-		outBytes = int64(rep.Metric("bytes_out"))
+		outBytes = int64(rep.Totals().BytesOut)
 	}
 	l.unmerged = append(l.unmerged, outputFile{Path: info.output, Bytes: outBytes})
 
@@ -406,9 +406,8 @@ func (l *Lobster) finalMerge() error {
 // decodeReport extracts the wrapper report from a task result, if present.
 func decodeReport(r *wq.Result) *wrapper.Report {
 	for _, out := range r.Outputs {
-		if out.Name == "report.json" {
-			rep, err := wrapper.Decode(out.Data)
-			if err == nil {
+		if out.Name == wrapper.ReportFile {
+			if rep, err := wrapper.Decode(out.Data); err == nil {
 				return rep
 			}
 		}
@@ -463,7 +462,8 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 		// Tasks of one workflow are cut to the same size, so their
 		// records share one read-only map until a value differs: a fresh
 		// three-key map was 260 of the ~450 bytes a record keeps alive.
-		m := [3]float64{rep.Metric("events"), rep.Metric("bytes_in"), rep.Metric("bytes_out")}
+		t := rep.Totals()
+		m := [3]float64{t.Events, t.BytesIn, t.BytesOut}
 		if l.taskMetrics == nil || m != l.taskMetricVals {
 			l.taskMetricVals = m
 			l.taskMetrics = map[string]float64{"events": m[0], "bytes_in": m[1], "bytes_out": m[2]}

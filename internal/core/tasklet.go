@@ -8,6 +8,7 @@ import (
 
 	"lobster/internal/dbs"
 	"lobster/internal/wq"
+	"lobster/internal/wrapper"
 )
 
 // Tasklet is the smallest self-contained unit of work (paper §4.1): for
@@ -194,7 +195,7 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 	return &wq.Task{
 		Func:    funcName,
 		Args:    args,
-		Outputs: []string{"report.json"},
+		Outputs: []string{wrapper.ReportFile},
 		Tag:     string(cfg.Kind),
 	}, nil
 }

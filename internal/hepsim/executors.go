@@ -25,10 +25,6 @@ import (
 	"lobster/internal/wrapper"
 )
 
-// ReportFile is the sandbox file name the wrapper report is written to;
-// tasks declare it as an output so the report travels back to the master.
-const ReportFile = "report.json"
-
 // Env describes the services a worker-side executor uses. One Env is shared
 // by all tasks on a worker process; the parrot cache in particular is the
 // node-local cache all slots share.
@@ -165,7 +161,7 @@ func Analysis(env *Env) wq.Executor {
 // inline in the result message, so it never needs to be a file — and
 // turns a failed segment into the task's exit code.
 func finish(ctx *wq.ExecContext, rep *wrapper.Report) error {
-	ctx.SetOutput(ReportFile, rep.Encode())
+	ctx.SetOutput(wrapper.ReportFile, rep.Encode())
 	if rep.ExitCode != 0 {
 		return &wq.ExitError{Code: rep.ExitCode, Msg: string(rep.Failed)}
 	}
@@ -210,9 +206,7 @@ func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
 	if err != nil {
 		return err
 	}
-	c.SetMetric("cache_hits", float64(warm.Hits))
-	c.SetMetric("cache_misses", float64(warm.Misses))
-	c.SetMetric("bytes_fetched", float64(warm.BytesFetched))
+	*c.Metrics = wrapper.Metrics{CacheHits: float64(warm.Hits), CacheMisses: float64(warm.Misses), BytesFetched: float64(warm.BytesFetched)}
 	return nil
 }
 
@@ -243,7 +237,7 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byt
 	}); err != nil {
 		return err
 	}
-	c.SetMetric("bytes_out", float64(len(output)))
+	c.Metrics.BytesOut = float64(len(output))
 	return nil
 }
 
@@ -289,7 +283,7 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			if err != nil {
 				return err
 			}
-			c.SetMetric("conditions_bytes", float64(len(p.Data)))
+			c.Metrics.ConditionsBytes = float64(len(p.Data))
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
@@ -311,7 +305,7 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 				if input, err = stageRange(f, lo, hi-lo); err != nil {
 					return err
 				}
-				c.SetMetric("bytes_in", float64(len(*input)))
+				c.Metrics.BytesIn = float64(len(*input))
 				return nil
 			}
 			file = f // streaming: reads happen during execute
@@ -332,9 +326,9 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 				if err != nil {
 					return err
 				}
-				c.SetMetric("bytes_in", float64(streamed))
+				c.Metrics.BytesIn = float64(streamed)
 			}
-			c.SetMetric("events", float64(events))
+			c.Metrics.Events = float64(events)
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
@@ -460,7 +454,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			}); err != nil {
 				return err
 			}
-			c.SetMetric("bytes_in", float64(len(pileup)))
+			c.Metrics.BytesIn = float64(len(pileup))
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
@@ -488,7 +482,7 @@ func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 				}
 				*output, _ = kernel.AppendDigests(*output, signal)
 			}
-			c.SetMetric("events", float64(n))
+			c.Metrics.Events = float64(n)
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {

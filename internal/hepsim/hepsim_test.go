@@ -246,11 +246,11 @@ func TestAnalysisStreamingEndToEnd(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("analysis failed: %+v", rep)
 	}
-	if rep.Metric("events") != 50 {
-		t.Errorf("events = %g", rep.Metric("events"))
+	if rep.Totals().Events != 50 {
+		t.Errorf("events = %g", rep.Totals().Events)
 	}
-	if rep.Metric("bytes_in") != float64(len(data)) {
-		t.Errorf("bytes_in = %g, want %d", rep.Metric("bytes_in"), len(data))
+	if rep.Totals().BytesIn != float64(len(data)) {
+		t.Errorf("bytes_in = %g, want %d", rep.Totals().BytesIn, len(data))
 	}
 	// Output landed on the storage element with the expected content.
 	want, _ := k.ProcessAll(data)
@@ -290,8 +290,8 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 		t.Error("stream and stage outputs differ")
 	}
 	// In stage mode the bytes land during stage_in; streaming during execute.
-	if repStage.Metric("bytes_in") != float64(len(data)) {
-		t.Errorf("stage bytes_in = %g", repStage.Metric("bytes_in"))
+	if repStage.Totals().BytesIn != float64(len(data)) {
+		t.Errorf("stage bytes_in = %g", repStage.Totals().BytesIn)
 	}
 	var stageInSeg, execSeg wrapper.SegmentReport
 	for _, s := range repStage.Segments {
@@ -304,10 +304,10 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 			execSeg = s
 		}
 	}
-	if stageInSeg.Metrics["bytes_in"] == 0 {
+	if stageInSeg.Metrics.BytesIn == 0 {
 		t.Error("stage mode moved no bytes in stage_in segment")
 	}
-	if execSeg.Metrics["bytes_in"] == 0 {
+	if execSeg.Metrics.BytesIn == 0 {
 		t.Error("stream mode moved no bytes in execute segment")
 	}
 }
@@ -389,8 +389,8 @@ func TestAnalysisFromALyingReplica(t *testing.T) {
 	// Stream mode sizes only its output from the claim, and borrows no
 	// more than the largest class for it whatever the claim.
 	rep, got := run("stream", 1<<40)
-	if rep.Metric("events") != 4 || got > bufpool.MaxSized+4<<20 {
-		t.Errorf("stream mode, 1 TiB claimed, 1 KiB served: %g events, %d bytes allocated; want the 4 events served and at most one largest-class buffer", rep.Metric("events"), got)
+	if rep.Totals().Events != 4 || got > bufpool.MaxSized+4<<20 {
+		t.Errorf("stream mode, 1 TiB claimed, 1 KiB served: %g events, %d bytes allocated; want the 4 events served and at most one largest-class buffer", rep.Totals().Events, got)
 	}
 }
 
@@ -425,8 +425,8 @@ func TestAnalysisFromAChoppyReplica(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s mode: digests differ from ProcessAll's (err %v)", mode, err)
 		}
-		if rep.Metric("events") != 200 || rep.Metric("bytes_in") != float64(len(data)) {
-			t.Errorf("%s mode: %g events, %g bytes in; want 200 and %d", mode, rep.Metric("events"), rep.Metric("bytes_in"), len(data))
+		if rep.Totals().Events != 200 || rep.Totals().BytesIn != float64(len(data)) {
+			t.Errorf("%s mode: %g events, %g bytes in; want 200 and %d", mode, rep.Totals().Events, rep.Totals().BytesIn, len(data))
 		}
 	}
 }
@@ -460,11 +460,11 @@ func TestSimulationEndToEnd(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("simulation failed: %+v", rep)
 	}
-	if rep.Metric("events") != 25 {
-		t.Errorf("events = %g", rep.Metric("events"))
+	if rep.Totals().Events != 25 {
+		t.Errorf("events = %g", rep.Totals().Events)
 	}
-	if rep.Metric("bytes_in") != float64(len(pileup)) {
-		t.Errorf("pile-up bytes = %g", rep.Metric("bytes_in"))
+	if rep.Totals().BytesIn != float64(len(pileup)) {
+		t.Errorf("pile-up bytes = %g", rep.Totals().BytesIn)
 	}
 	out, err := svc.chirpFS.ReadFile("/out/sim0.root")
 	if err != nil || len(out) == 0 {
@@ -552,8 +552,8 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-	if rep.Metric("events") != 15 {
-		t.Errorf("events = %g, want 15", rep.Metric("events"))
+	if rep.Totals().Events != 15 {
+		t.Errorf("events = %g, want 15", rep.Totals().Events)
 	}
 	// The output must equal the reduction of exactly events 10..24.
 	want, _ := k.ProcessAll(data[10*128 : 25*128])

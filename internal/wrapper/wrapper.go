@@ -33,7 +33,7 @@ const (
 	SegStageOut   Segment = "stage_out"
 )
 
-// Exit-code bases per segment: a failure in segment s yields code Base(s),
+// Exit-code bases per segment: a failure in segment s yields code s.Code(),
 // so the monitoring side can attribute failures without parsing messages.
 var segmentCodes = map[Segment]int{
 	SegEnvInit:    10,
@@ -52,27 +52,45 @@ func (s Segment) Code() int {
 	return 99
 }
 
-// SegmentName returns the segment whose failure the exit code encodes, or
-// "" for success / unknown codes.
-func SegmentName(code int) Segment {
-	for s, c := range segmentCodes {
-		if c == code {
-			return s
+// ReportFile names the task output the wrapper report comes home as: the
+// executor hands it to the worker in memory, inline in the result.
+const ReportFile = "report.json"
+
+// Metrics are one segment's measurements, or their sum over a report. A
+// field no step set stays zero and is left out of the encoding.
+type Metrics struct {
+	BytesFetched    float64 `json:"bytes_fetched,omitempty"`
+	BytesIn         float64 `json:"bytes_in,omitempty"`
+	BytesOut        float64 `json:"bytes_out,omitempty"`
+	CacheHits       float64 `json:"cache_hits,omitempty"`
+	CacheMisses     float64 `json:"cache_misses,omitempty"`
+	ConditionsBytes float64 `json:"conditions_bytes,omitempty"`
+	Events          float64 `json:"events,omitempty"`
+}
+
+// attrs records each non-zero metric as an attribute of a sampled sp.
+func (m *Metrics) attrs(sp *trace.Span) {
+	attr := func(name string, v float64) {
+		if v != 0 && sp.Sampled() {
+			sp.Attr(name, strconv.FormatFloat(v, 'g', -1, 64))
 		}
 	}
-	return ""
+	attr("bytes_fetched", m.BytesFetched)
+	attr("bytes_in", m.BytesIn)
+	attr("bytes_out", m.BytesOut)
+	attr("cache_hits", m.CacheHits)
+	attr("cache_misses", m.CacheMisses)
+	attr("conditions_bytes", m.ConditionsBytes)
+	attr("events", m.Events)
 }
 
 // SegmentReport records one segment's outcome.
 type SegmentReport struct {
 	Segment  Segment       `json:"segment"`
-	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration"`
 	ExitCode int           `json:"exit_code"` // 0 on success
 	Error    string        `json:"error,omitempty"`
-	// Metrics carries segment-specific measurements (bytes moved, cache
-	// hits, events processed ...).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Metrics  Metrics       `json:"metrics"`
 }
 
 // Report is the wrapper's full record for one task.
@@ -82,13 +100,20 @@ type Report struct {
 	Failed   Segment         `json:"failed_segment,omitempty"`
 }
 
-// Metric sums a named metric across all segments.
-func (r *Report) Metric(name string) float64 {
-	var total float64
-	for _, s := range r.Segments {
-		total += s.Metrics[name]
+// Totals sums each metric across all segments.
+func (r *Report) Totals() Metrics {
+	var t Metrics
+	for i := range r.Segments {
+		m := &r.Segments[i].Metrics
+		t.BytesFetched += m.BytesFetched
+		t.BytesIn += m.BytesIn
+		t.BytesOut += m.BytesOut
+		t.CacheHits += m.CacheHits
+		t.CacheMisses += m.CacheMisses
+		t.ConditionsBytes += m.ConditionsBytes
+		t.Events += m.Events
 	}
-	return total
+	return t
 }
 
 // SegmentDuration returns the duration of the named segment (0 if absent).
@@ -101,17 +126,8 @@ func (r *Report) SegmentDuration(s Segment) time.Duration {
 	return 0
 }
 
-// Total returns the summed duration of all segments.
-func (r *Report) Total() time.Duration {
-	var t time.Duration
-	for _, s := range r.Segments {
-		t += s.Duration
-	}
-	return t
-}
-
-// Encode serialises the report to JSON (the wrapper writes this into the
-// sandbox as an output file so it travels back with the task).
+// Encode serialises the report to JSON, the form it travels back to the
+// master in as the ReportFile output.
 func (r *Report) Encode() []byte {
 	data, err := json.Marshal(r)
 	if err != nil {
@@ -123,7 +139,8 @@ func (r *Report) Encode() []byte {
 
 // Decode parses an encoded report.
 func Decode(data []byte) (*Report, error) {
-	var r Report
+	// Room for every segment: the decoder fills the slice in place.
+	r := Report{Segments: make([]SegmentReport, 0, len(segmentCodes))}
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("wrapper: decoding report: %w", err)
 	}
@@ -134,22 +151,13 @@ func Decode(data []byte) (*Report, error) {
 // the wrapper runs traced, chain service clients (chirp, parrot,
 // frontier, xrootd) under the segment's span.
 type StepContext struct {
-	metrics map[string]float64
+	// Metrics are the current segment's: a step sets what it measures.
+	Metrics *Metrics
 
 	// Tracer and Trace are the task's tracer and the current segment
 	// span's context; both are zero when the wrapper runs untraced.
 	Tracer *trace.Tracer
 	Trace  trace.Context
-}
-
-// SetMetric records a metric for the current segment.
-func (c *StepContext) SetMetric(name string, v float64) {
-	c.metrics[name] = v
-}
-
-// AddMetric accumulates into a metric for the current segment.
-func (c *StepContext) AddMetric(name string, v float64) {
-	c.metrics[name] += v
 }
 
 // Step is one wrapper segment: a name plus the work to perform.
@@ -171,19 +179,22 @@ type Step struct {
 // With a tracer and a valid parent each segment records a span (component
 // "wrapper", named after the segment) chained under parent, and each
 // step's context carries the segment span so service clients used inside
-// chain under it. Segment metrics become span attributes. A nil tracer or
-// invalid parent records no spans.
+// chain under it. Non-zero segment metrics become span attributes. A nil
+// tracer or invalid parent records no spans.
 func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
-	rep := &Report{}
-	for _, step := range steps {
-		sr := SegmentReport{Segment: step.Segment, Start: time.Now(), Metrics: map[string]float64{}}
+	rep := &Report{Segments: make([]SegmentReport, len(steps))}
+	ctx := &StepContext{Tracer: tr}
+	for i, step := range steps {
+		sr := &rep.Segments[i]
+		sr.Segment = step.Segment
+		start := time.Now()
 		var err error
 		var sp *trace.Span
 		if tr != nil && parent.Valid() {
 			sp = tr.Start(parent, "wrapper", string(step.Segment))
 		}
 		if err = inj.Check("wrapper", string(step.Segment)); err == nil && step.Run != nil {
-			ctx := &StepContext{metrics: sr.Metrics, Tracer: tr, Trace: sp.Context().OrElse(parent)}
+			ctx.Metrics, ctx.Trace = &sr.Metrics, sp.Context().OrElse(parent)
 			err = func() (err error) {
 				defer func() {
 					if p := recover(); p != nil {
@@ -193,24 +204,17 @@ func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, step
 				return step.Run(ctx)
 			}()
 		}
-		sr.Duration = time.Since(sr.Start)
-		if sp.Sampled() {
-			for name, v := range sr.Metrics {
-				sp.Attr(name, strconv.FormatFloat(v, 'g', -1, 64))
-			}
-		}
+		sr.Duration = time.Since(start)
+		sr.Metrics.attrs(sp)
 		if err != nil {
-			sr.ExitCode = step.Segment.Code()
-			sr.Error = err.Error()
-			rep.Segments = append(rep.Segments, sr)
-			rep.ExitCode = sr.ExitCode
-			rep.Failed = step.Segment
+			sr.ExitCode, sr.Error = step.Segment.Code(), err.Error()
+			rep.Segments = rep.Segments[:i+1]
+			rep.ExitCode, rep.Failed = sr.ExitCode, step.Segment
 			sp.Attr("error", sr.Error)
 			sp.AttrInt("exit_code", int64(sr.ExitCode))
 			sp.End()
 			return rep
 		}
-		rep.Segments = append(rep.Segments, sr)
 		sp.End()
 	}
 	return rep
