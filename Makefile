@@ -75,6 +75,14 @@ fmt:
 # Nothing scrapes. The fleet hub and lobster-fleet, about 830 lines that
 # fetched other processes' pages and profiles over HTTP, ran in no
 # program or chaos test, and no run's event log ever held an alert.
+#
+# And the sim plane computes figures, not series: no telemetry, trace or
+# health import in non-test internal/sim or internal/simevent code
+# (DESIGN.md section 8, the sim plane's series). The model's figures come
+# from BigRunResult; the real plane's components own every series. The
+# mirror of 17 series, the per-attempt span trees and the health ticker
+# that RunBig carried no program set, and they kept two rules alive that
+# no lobster process could fire.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -91,6 +99,8 @@ copy-lint:
 	test -z "$$out" || { echo "wq moving files (a task carries arguments, an output goes through SetOutput):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"net/http' --include='*.go' internal/health | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "health scraping over HTTP (rules evaluate the process's own registry):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE '"lobster/internal/(telemetry|trace|health)"' --include='*.go' internal/sim internal/simevent | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "the sim plane registering series (figures come from its model):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \

@@ -22,12 +22,10 @@ import (
 	"lobster/internal/core"
 	"lobster/internal/cvmfs"
 	"lobster/internal/dbs"
-	"lobster/internal/health"
 	"lobster/internal/parrot"
 	"lobster/internal/sim"
 	"lobster/internal/stats"
 	"lobster/internal/tabulate"
-	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
@@ -390,40 +388,6 @@ func BenchmarkFig11SimulationTimeline(b *testing.B) {
 	printFirst(b, tb.Render())
 	_, peak := d.PeakSetup()
 	b.ReportMetric(peak/60, "peak-setup-min")
-}
-
-// BenchmarkFig11SimulationTimelineTelemetry runs the same Figure 11 model
-// with a telemetry registry attached, so the real plane's series are
-// recorded on the simulated clock. Compare against
-// BenchmarkFig11SimulationTimeline for the instrumentation cost.
-func BenchmarkFig11SimulationTimelineTelemetry(b *testing.B) {
-	var reg *telemetry.Registry
-	var res *sim.BigRunResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		cfg := sim.SimRunConfig(0.1)
-		reg = telemetry.NewRegistry()
-		cfg.Telemetry = reg
-		res, err = sim.RunBig(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	series, err := (&health.RegistrySource{Reg: reg}).Scrape()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range series {
-		switch s.Name {
-		case "lobster_wq_tasks_done_total":
-			if int(s.Value) != res.TasksDone {
-				b.Fatalf("telemetry drifted from result: %v != %d", s.Value, res.TasksDone)
-			}
-			b.ReportMetric(s.Value, "tasks-done")
-		case "lobster_squid_hit_ratio":
-			b.ReportMetric(s.Value, "squid-hit-ratio")
-		}
-	}
 }
 
 // --- Ablations: the design choices DESIGN.md calls out ---

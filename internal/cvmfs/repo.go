@@ -94,13 +94,6 @@ func (r *Repository) Object(hash string) ([]byte, error) {
 	return data, nil
 }
 
-// ObjectCount returns the number of stored objects (files + catalogs).
-func (r *Repository) ObjectCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.objects)
-}
-
 // TotalBytes returns the summed size of all stored objects.
 func (r *Repository) TotalBytes() int64 {
 	r.mu.RLock()

@@ -14,10 +14,9 @@ import (
 // fault from an organic one.
 var ErrInjected = errors.New("injected fault")
 
-// Error is the concrete error an injection returns. It is transient by
-// construction — the fault plane models the environment's flakiness, not
-// logic bugs — so it reports Temporary() true and is never classified
-// permanent by the retry layer.
+// Error is the concrete error an injection returns: the fault plane
+// models the environment's flakiness, not logic bugs. It matches
+// ErrInjected through errors.Is and carries where and when it was drawn.
 type Error struct {
 	Component string
 	Op        string
@@ -37,9 +36,6 @@ func (e *Error) Error() string {
 
 // Is matches ErrInjected.
 func (e *Error) Is(target error) bool { return target == ErrInjected }
-
-// Temporary marks injected faults as transient (net.Error convention).
-func (e *Error) Temporary() bool { return true }
 
 // keyState is the per-(component,op) invocation counter plus per-rule
 // firing counts for Times budgets.

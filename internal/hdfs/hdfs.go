@@ -51,17 +51,6 @@ func (d *DataNode) Blocks() int {
 	return len(d.blocks)
 }
 
-// UsedBytes returns the bytes stored on this datanode.
-func (d *DataNode) UsedBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var n int64
-	for _, b := range d.blocks {
-		n += int64(len(b))
-	}
-	return n
-}
-
 // SetDown toggles failure injection: a down datanode refuses reads, forcing
 // clients onto other replicas.
 func (d *DataNode) SetDown(down bool) {
@@ -144,12 +133,6 @@ func NewCluster(datanodes int, replication int, blockSize int64) (*Cluster, erro
 // Nodes returns the cluster's datanodes: the handle a test takes an outage
 // through (DataNode.SetDown), as xrootd.DataServer.SetDown is for a replica.
 func (c *Cluster) Nodes() []*DataNode { return c.nodes }
-
-// BlockSize returns the configured block size.
-func (c *Cluster) BlockSize() int64 { return c.blockSize }
-
-// Replication returns the configured replication factor.
-func (c *Cluster) Replication() int { return c.replication }
 
 // WriteFile implements chirp.FileSystem: it creates or replaces path.
 func (c *Cluster) WriteFile(path string, data []byte) error {

@@ -54,17 +54,15 @@ func (h *Hub) Tick() []monitor.AlertRecord {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.cfg.Registry.Now()
-	series, err := (&RegistrySource{Reg: h.cfg.Registry}).Scrape()
+	t, err := registryTotals(h.cfg.Registry)
 	if err != nil {
 		// The registry wrote a page its own parser refuses: a writer
 		// bug FuzzPromParse exists to catch. The tick abstains.
 		return nil
 	}
-	f := &Fleet{Series: series}
-	f.index()
 
 	var emitted []monitor.AlertRecord
-	for _, tr := range h.rules.Evaluate(f, now) {
+	for _, tr := range h.rules.Evaluate(t, now) {
 		a := monitor.AlertRecord{
 			Time: now, Rule: tr.Rule.Name, Severity: tr.Rule.Severity,
 			Value: tr.Value, Threshold: tr.Threshold, Help: tr.Rule.Help,
@@ -129,93 +127,34 @@ func (h *Hub) writeProfiles(rule string) string {
 	return dir
 }
 
-// RegistrySource reads an in-process registry through its /metrics page:
-// WritePrometheus, then ParseMetrics, so a rule reads exactly the series
-// an HTTP read of the same registry would.
-type RegistrySource struct {
-	Reg *telemetry.Registry
-}
-
-// Scrape writes the registry's page and parses it.
-func (s *RegistrySource) Scrape() ([]Series, error) {
-	if s.Reg == nil {
-		return nil, fmt.Errorf("health: registry source has no registry")
-	}
+// registryTotals reads reg through its /metrics page: WritePrometheus,
+// then ParseMetrics, so a rule reads exactly the series an HTTP read of
+// the same registry would.
+func registryTotals(reg *telemetry.Registry) (Totals, error) {
 	var b bytes.Buffer
-	if err := s.Reg.WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		return nil, err
 	}
 	page, err := ParseMetrics(&b)
 	if err != nil {
 		return nil, err
 	}
-	return page.Series(), nil
+	return page.totals(), nil
 }
 
-// Series is one sample of a page: a metric name, its labels and the
-// value. Type carries the family type; Family names the family the
-// sample was written under (a histogram's _sum sits under its base name).
-type Series struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
-	Type   string
-	Family string
-}
+// Totals is the view a tick's rules evaluate: each series name of a page
+// (a histogram's _sum and _count under their own names) with its value
+// summed over the name's series. A name absent from the page is absent
+// from its totals.
+type Totals map[string]float64
 
-// Label returns the named label, or "".
-func (s *Series) Label(name string) string {
-	if s.Labels == nil {
-		return ""
-	}
-	return s.Labels[name]
-}
-
-// Fleet is the indexed view a tick's rules evaluate: every series of the
-// page, looked up by name.
-type Fleet struct {
-	Series []Series
-
-	byName map[string][]int // series indices by metric name
-}
-
-// index builds the name lookup once per tick.
-func (f *Fleet) index() {
-	f.byName = make(map[string][]int, 64)
-	for i := range f.Series {
-		f.byName[f.Series[i].Name] = append(f.byName[f.Series[i].Name], i)
-	}
-}
-
-// Select returns the series with the given name whose labels match every
-// matcher pair. The returned slices alias the fleet's storage.
-func (f *Fleet) Select(name string, match map[string]string) []*Series {
-	if f == nil {
-		return nil
-	}
-	idx := f.byName[name]
-	out := make([]*Series, 0, len(idx))
-	for _, i := range idx {
-		s := &f.Series[i]
-		ok := true
-		for k, v := range match {
-			if s.Label(k) != v {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, s)
+// totals sums the page's samples by series name.
+func (p *Page) totals() Totals {
+	t := make(Totals, 64)
+	for _, f := range p.Families {
+		for i := range f.Samples {
+			t[f.Samples[i].Name] += f.Samples[i].Value
 		}
 	}
-	return out
-}
-
-// Value is a convenience: the sum over Select(name, match).
-func (f *Fleet) Value(name string, match map[string]string) float64 {
-	total := 0.0
-	for _, s := range f.Select(name, match) {
-		total += s.Value
-	}
-	return total
+	return t
 }

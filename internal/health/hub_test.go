@@ -11,9 +11,14 @@ import (
 	"lobster/internal/telemetry"
 )
 
-func TestHubEvictionSpikeOnSimulatedClock(t *testing.T) {
+// TestHubPoolExhaustedOnSimulatedClock: the hub reads time from the
+// registry's clock, so a stepped clock drives the default rules through
+// quiet ticks, firing on the For-th tick over the threshold, and
+// resolving after Clear quiet ticks; the transitions round-trip through
+// the event log.
+func TestHubPoolExhaustedOnSimulatedClock(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	evictions := reg.Counter("lobster_cluster_evictions_total", "Evictions.")
+	queued := reg.Gauge("lobster_chirp_queued_connections", "Queued.")
 	now := 0.0
 	reg.SetClock(func() float64 { return now })
 
@@ -26,36 +31,38 @@ func TestHubEvictionSpikeOnSimulatedClock(t *testing.T) {
 		Log:      evl,
 	})
 
-	// Quiet baseline: two ticks, no alerts.
+	// Quiet baseline: two ticks under the threshold, no alerts.
 	for i := 0; i < 2; i++ {
 		now += 10
+		queued.Set(3)
 		if got := hub.Tick(); len(got) != 0 {
 			t.Fatalf("quiet tick emitted %+v", got)
 		}
 	}
-	// Eviction storm: 100 evictions per 10s tick = 10/s, over the 0.5/s
-	// threshold. For=2 → fires on the second storm tick.
+	// Pool saturated: 20 queued connections, over the threshold of 8.
+	// For=2 → fires on the second saturated tick.
 	now += 10
-	evictions.Add(100)
+	queued.Set(20)
 	if got := hub.Tick(); len(got) != 0 {
 		t.Fatalf("fired one tick early: %+v", got)
 	}
 	now += 10
-	evictions.Add(100)
 	got := hub.Tick()
-	if len(got) != 1 || got[0].Rule != "eviction_spike" || !got[0].Firing() {
-		t.Fatalf("want eviction_spike firing, got %+v", got)
+	if len(got) != 1 || got[0].Rule != "chirp_pool_exhausted" || !got[0].Firing() {
+		t.Fatalf("want chirp_pool_exhausted firing, got %+v", got)
 	}
-	if got[0].Time != now || got[0].Severity != "critical" {
+	if got[0].Time != now || got[0].Severity != "warn" || got[0].Value != 20 {
 		t.Fatalf("alert metadata wrong: %+v", got[0])
 	}
-	// Storm ends: Clear=3 quiet ticks resolve it.
-	var resolved []monitor.AlertRecord
-	for i := 0; i < 3; i++ {
-		now += 10
-		resolved = append(resolved, hub.Tick()...)
+	// Queue drains: Clear=2 quiet ticks resolve it, not one.
+	queued.Set(0)
+	now += 10
+	if got := hub.Tick(); len(got) != 0 {
+		t.Fatalf("resolved one tick early: %+v", got)
 	}
-	if len(resolved) != 1 || resolved[0].State != "resolved" {
+	now += 10
+	resolved := hub.Tick()
+	if len(resolved) != 1 || resolved[0].State != "resolved" || resolved[0].Time != now {
 		t.Fatalf("want one resolved alert, got %+v", resolved)
 	}
 
@@ -66,7 +73,7 @@ func TestHubEvictionSpikeOnSimulatedClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := m.Alerts()
-	if len(alerts) != 2 || alerts[0].Rule != "eviction_spike" || !alerts[0].Firing() || alerts[1].State != "resolved" {
+	if len(alerts) != 2 || alerts[0].Rule != "chirp_pool_exhausted" || !alerts[0].Firing() || alerts[1].State != "resolved" {
 		t.Fatalf("replayed alerts = %+v", alerts)
 	}
 }

@@ -1,15 +1,13 @@
 // Package health evaluates a declarative rule set of derived health
-// signals with hysteresis (eviction spikes, stuck tasks, chirp-pool
-// exhaustion, ramp stalls) over the process's own telemetry registry,
-// read through its /metrics page. A Hub emits each transition as a typed
-// "alert" event onto the run's JSONL event log and, on anomaly, writes
-// the process's goroutine and heap profiles into a bundle next to it.
+// signals with hysteresis (stuck tasks, chirp-pool exhaustion) over the
+// process's own telemetry registry, read through its /metrics page. A Hub
+// emits each transition as a typed "alert" event onto the run's JSONL
+// event log and, on anomaly, writes the process's goroutine and heap
+// profiles into a bundle next to it.
 //
-// The hub reads time from the registry's clock, so the same detectors
-// evaluate a live run on the wall clock and a simulated paper-scale ramp
-// on the discrete-event clock (golden tests pin which alerts fire and
-// when). ParseMetrics is also the one reader of a /metrics page that
-// `lobster -top` draws.
+// The hub reads time from the registry's clock: the wall clock in a run,
+// a stepped clock in tests. ParseMetrics is also the one reader of a
+// /metrics page that `lobster -top` draws.
 package health
 
 import (
@@ -275,9 +273,28 @@ func unescapeHelp(s string) string {
 	return b.String()
 }
 
-// Series flattens the page into the rules' representation: one Series
-// per sample, labels as a map, each naming the family it was written
-// under.
+// Series is one sample of a page: a metric name, its labels and the
+// value. Type carries the family type; Family names the family the
+// sample was written under (a histogram's _sum sits under its base name).
+type Series struct {
+	Name   string
+	Labels map[string]string
+	Value  float64
+	Type   string
+	Family string
+}
+
+// Label returns the named label, or "".
+func (s *Series) Label(name string) string {
+	if s.Labels == nil {
+		return ""
+	}
+	return s.Labels[name]
+}
+
+// Series flattens the page into `lobster -top`'s representation: one
+// Series per sample, labels as a map, each naming the family it was
+// written under.
 func (p *Page) Series() []Series {
 	n := 0
 	for _, f := range p.Families {

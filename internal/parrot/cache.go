@@ -78,7 +78,7 @@ type Cache struct {
 	memo              map[memoKey]*hotCatalog
 	memoHit, memoMiss *telemetry.Counter
 
-	// leases holds the root hash each (proxy list, repository) last
+	// leases holds the root hash each (proxy, repository) last
 	// published, for manifestTTL: the manifest is the one mutable
 	// resource, so without a lease every mount is an origin round trip.
 	leaseMu                       sync.Mutex
@@ -91,7 +91,7 @@ type memoKey struct{ dir, hash string }
 
 const memoMax = 1024
 
-type leaseKey struct{ proxies, repo string }
+type leaseKey struct{ proxy, repo string }
 
 type lease struct {
 	root    string

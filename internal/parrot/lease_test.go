@@ -105,18 +105,20 @@ func TestManifestLease(t *testing.T) {
 	}
 }
 
-// TestManifestLeaseKey: the lease belongs to one proxy list and one
-// repository; another list, or the same proxies in failover order behind
-// a dead one, asks the origin itself.
+// TestManifestLeaseKey: the lease belongs to one proxy and one
+// repository; another proxy in front of the same origin asks the origin
+// itself.
 func TestManifestLeaseKey(t *testing.T) {
 	r := newLeaseRig(t, ModeAlien)
 	r.mount(t, "a")
+	other := httptest.NewServer(r.ts.Config.Handler)
+	defer other.Close()
 	inst, _ := r.cache.Instance("b")
-	if _, err := NewMountFailover([]string{"http://127.0.0.1:1", r.ts.URL}, "cms.cern.ch", inst, newFastClient()); err != nil {
+	if _, err := NewMount(other.URL, "cms.cern.ch", inst, newFastClient()); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.manifests.Load(); n != 2 {
-		t.Errorf("%d manifest GETs for two proxy lists, want one each", n)
+		t.Errorf("%d manifest GETs for two proxies, want one each", n)
 	}
 	if _, err := NewMount(r.ts.URL, "other.cern.ch", inst, nil); err == nil {
 		t.Error("a repository the origin does not serve mounted off another repository's lease")

@@ -15,12 +15,8 @@ import (
 // Parrot-intercepted application sees /cvmfs/<repo>. Objects pass through
 // the Instance cache; catalogs are likewise cached, so a hot cache resolves
 // paths without any network traffic.
-//
-// A mount may be given several proxy base URLs: requests fail over down the
-// list, as real CVMFS clients do once a site deploys additional squids
-// (the paper's remedy when one proxy saturates at ~1000 workers).
 type Mount struct {
-	bases  []string // proxy or stratum base URLs, in failover order
+	base   string // proxy or stratum base URL
 	repo   string
 	client *http.Client
 	inst   *Instance
@@ -32,27 +28,14 @@ type Mount struct {
 // (typically a squid proxy). The repository revision is pinned at mount
 // time, as CVMFS clients pin a catalog snapshot per job.
 func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, error) {
-	return NewMountFailover([]string{base}, repo, inst, client)
-}
-
-// NewMountFailover attaches through an ordered list of proxy base URLs;
-// every request tries them in order until one answers.
-func NewMountFailover(bases []string, repo string, inst *Instance, client *http.Client) (*Mount, error) {
-	if len(bases) == 0 {
-		return nil, fmt.Errorf("parrot: mount needs at least one proxy URL")
-	}
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	trimmed := make([]string, len(bases))
-	for i, b := range bases {
-		trimmed[i] = strings.TrimRight(b, "/")
-	}
-	m := &Mount{bases: trimmed, repo: repo, client: client, inst: inst}
+	m := &Mount{base: strings.TrimRight(base, "/"), repo: repo, client: client, inst: inst}
 	// Mounts of one worker process share the manifest for its TTL, as the
 	// tasks of a node share one CVMFS client's; the objects it names are
 	// still looked up on disk, so a wiped cache directory stays cold.
-	key := leaseKey{strings.Join(trimmed, " "), repo}
+	key := leaseKey{m.base, repo}
 	if root, ok := inst.cache.leasedRoot(key); ok {
 		m.rootHash = root
 		return m, nil
@@ -73,35 +56,22 @@ func NewMountFailover(bases []string, repo string, inst *Instance, client *http.
 	return m, nil
 }
 
-// fetch GETs path from the first proxy that answers.
+// fetch GETs path from the mount's proxy.
 func (m *Mount) fetch(path string) ([]byte, error) {
-	var firstErr error
-	for _, base := range m.bases {
-		resp, err := m.client.Get(base + path)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		body := bufpool.Arrival{Announced: resp.ContentLength}
-		_, err = body.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("status %s from %s", resp.Status, base)
-			}
-			continue
-		}
-		return body.Bytes(), nil
+	resp, err := m.client.Get(m.base + path)
+	if err != nil {
+		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
 	}
-	return nil, fmt.Errorf("parrot: all %d proxies failed for %s: %w", len(m.bases), path, firstErr)
+	body := bufpool.Arrival{Announced: resp.ContentLength}
+	_, err = body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("parrot: fetching %s: status %s from %s", path, resp.Status, m.base)
+	}
+	return body.Bytes(), nil
 }
 
 // RootHash returns the pinned root catalog hash.

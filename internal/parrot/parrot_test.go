@@ -315,31 +315,11 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestMountFailoverToSecondProxy(t *testing.T) {
-	_, ts, paths := testRepo(t)
-	inst := newInstance(t, ModeAlien, "0")
-	// First proxy is dead; the second is the live origin.
-	dead := "http://127.0.0.1:1"
-	client := &http.Client{Timeout: 500 * time.Millisecond}
-	m, err := NewMountFailover([]string{dead, ts.URL}, "cms.cern.ch", inst, client)
-	if err != nil {
-		t.Fatalf("mount did not fail over: %v", err)
-	}
-	if _, err := m.ReadFile(paths[0]); err != nil {
-		t.Fatalf("read through failover: %v", err)
-	}
-}
-
 func TestMountAllProxiesDown(t *testing.T) {
 	inst := newInstance(t, ModeAlien, "0")
 	client := &http.Client{Timeout: 200 * time.Millisecond}
-	_, err := NewMountFailover([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
-		"cms.cern.ch", inst, client)
-	if err == nil {
-		t.Fatal("mount succeeded with every proxy down")
-	}
-	if _, err := NewMountFailover(nil, "x", inst, nil); err == nil {
-		t.Fatal("empty proxy list accepted")
+	if _, err := NewMount("http://127.0.0.1:1", "cms.cern.ch", inst, client); err == nil {
+		t.Fatal("mount succeeded with its proxy down")
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"lobster/internal/monitor"
 	"lobster/internal/simevent"
 	"lobster/internal/stats"
-	"lobster/internal/telemetry"
-	"lobster/internal/trace"
 )
 
 // BigRunConfig describes an at-scale production run: the 10k-core data
@@ -53,31 +51,6 @@ type BigRunConfig struct {
 
 	MaxAttempts int // per task before giving up (generous; default 10)
 	Seed        uint64
-
-	// Telemetry, when set, records the real plane's metric series on the
-	// simulated clock (the registry's clock is switched to simulation time).
-	// Instrumentation never touches the RNG, so results are bit-identical
-	// with or without it.
-	Telemetry *telemetry.Registry
-	// Tracer, when set, records one span tree per task attempt on the
-	// simulated clock: a "task" root with dispatch/setup/stage_in/
-	// execute/stage_out children whose intervals are exactly the stage
-	// durations observed into the Telemetry histograms. Like Telemetry,
-	// tracing never touches the RNG, so results are bit-identical with
-	// or without it. For rate-limited sampling the tracer should share
-	// the sim-clocked registry, so the token bucket refills in
-	// simulation time.
-	Tracer *trace.Tracer
-
-	// HealthTick, when set, is invoked every HealthInterval simulated
-	// seconds (default 30) for the length of the run. The health tests
-	// tick a health.Hub over Telemetry from it, so the default rules
-	// evaluate the simulated cluster on the simulated clock; no program
-	// sets it. The ticker proc is only spawned when the hook is set and
-	// never touches the RNG, so runs without it stay bit-identical to the
-	// pinned goldens.
-	HealthTick     func(now float64)
-	HealthInterval float64
 }
 
 // Exit codes used by the big-run model, matching the wrapper's segment
@@ -204,15 +177,13 @@ func (tp *taskPool) take() (id int, ok bool) {
 	return tp.nextID, true
 }
 
-// requeue returns the task to the pool for another attempt, reporting
-// whether it had attempts left.
-func (tp *taskPool) requeue(id int) bool {
+// requeue returns the task to the pool for another attempt if it has
+// attempts left.
+func (tp *taskPool) requeue(id int) {
 	tp.attempts[id]++
 	if tp.attempts[id] < tp.maxTries {
 		tp.requeued = append(tp.requeued, id)
-		return true
 	}
-	return false
 }
 
 // RunBig executes the model and returns its result. Deterministic for a
@@ -239,11 +210,6 @@ func RunBig(cfg BigRunConfig) (*BigRunResult, error) {
 	s := simevent.New()
 	rng := stats.NewRand(cfg.Seed)
 	res := &BigRunResult{Config: cfg, Monitor: monitor.New()}
-	var tel bigRunTelemetry
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.SetClock(s.Now)
-		tel.init(cfg.Telemetry)
-	}
 	wan := simevent.NewLink(s, cfg.WANBandwidth)
 	proxy := simevent.NewLink(s, cfg.ProxyBandwidth)
 	chirpSlots := simevent.NewResource(s, cfg.ChirpSlots)
@@ -260,8 +226,6 @@ func RunBig(cfg BigRunConfig) (*BigRunResult, error) {
 			p.Wait(startAt)
 			for p.Now() < cfg.Duration {
 				life := &workerLife{cold: true, sig: simevent.NewSignal(s)}
-				tel.launched.Inc()
-				tel.pilotsUp.Add(1)
 				span := math.Inf(1)
 				if cfg.Survival != nil {
 					span = cfg.Survival.Sample(wrng)
@@ -273,7 +237,7 @@ func RunBig(cfg BigRunConfig) (*BigRunResult, error) {
 					cp := s.Go(func(p *simevent.Proc) {
 						runCoreSlot(p, &cfg, life, pool, crng,
 							wan, proxy, chirpSlots, chirpLink,
-							res, &running, &recordID, &tel)
+							res, &running, &recordID)
 					})
 					coreProcs = append(coreProcs, cp)
 				}
@@ -281,8 +245,6 @@ func RunBig(cfg BigRunConfig) (*BigRunResult, error) {
 					p.Wait(span)
 					life.dead = true
 					res.Evictions++
-					tel.evictions.Inc()
-					tel.pilotsUp.Add(-1)
 					for _, cp := range coreProcs {
 						cp.Interrupt()
 					}
@@ -292,23 +254,10 @@ func RunBig(cfg BigRunConfig) (*BigRunResult, error) {
 				// Life outlasts the run window.
 				p.WaitUntil(cfg.Duration)
 				life.dead = true
-				tel.pilotsUp.Add(-1)
 				for _, cp := range coreProcs {
 					cp.Interrupt()
 				}
 				return
-			}
-		})
-	}
-	if cfg.HealthTick != nil {
-		interval := cfg.HealthInterval
-		if interval <= 0 {
-			interval = 30
-		}
-		s.Go(func(p *simevent.Proc) {
-			for p.Now() < cfg.Duration {
-				p.Wait(interval)
-				cfg.HealthTick(p.Now())
 			}
 		})
 	}
@@ -329,17 +278,13 @@ type workerLife struct {
 func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 	pool *taskPool, rng *stats.Rand,
 	wan, proxy *simevent.Link, chirpSlots *simevent.Resource, chirpLink *simevent.Link,
-	res *BigRunResult, running *int, recordID *int64, tel *bigRunTelemetry) {
+	res *BigRunResult, running *int, recordID *int64) {
 
 	record := func(rec monitor.TaskRecord) {
 		*recordID++
 		rec.TaskID = *recordID
 		rec.Kind = cfg.Name
 		res.Monitor.Add(rec)
-	}
-	publish := func() {
-		tel.tasksRunning.Set(float64(*running))
-		tel.tasksWaiting.Set(float64(pool.remaining + len(pool.requeued)))
 	}
 
 	for !life.dead && p.Now() < cfg.Duration {
@@ -352,34 +297,15 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		if *running > res.PeakCores {
 			res.PeakCores = *running
 		}
-		tel.dispatches.Inc()
-		publish()
 		rec := monitor.TaskRecord{
 			Worker:   "",
 			Submit:   start,
 			Dispatch: start,
 			Requeues: pool.attempts[taskID],
 		}
-		// One span tree per attempt; segment spans are emitted
-		// retroactively at the points the stage durations are observed,
-		// so trace-derived breakdowns reconcile exactly with the
-		// lobster_task_stage_seconds histograms.
-		root := cfg.Tracer.RootAt(start, "sim", "task", cfg.Name)
-		root.AttrInt("task_id", int64(taskID))
-		root.AttrInt("attempt", int64(pool.attempts[taskID]))
-		rctx := root.Context()
-		segAt := func(at float64, name string) {
-			sp := cfg.Tracer.StartAt(at, rctx, "sim", name)
-			sp.EndAt(p.Now())
-		}
 		fail := func(code int, setup, io, stageOut float64) {
 			*running--
-			if pool.requeue(taskID) {
-				tel.requeues.Inc()
-			}
-			publish()
-			root.AttrInt("exit_code", int64(code))
-			root.EndAt(p.Now())
+			pool.requeue(taskID)
 			if code == ExitEvicted && p.Now() >= cfg.Duration-1 {
 				// End-of-window cancellation, not a real failure: the run
 				// simply stopped with this task in flight.
@@ -394,7 +320,6 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			rec.StageOut = stageOut
 			record(rec)
 			res.TasksFailed++
-			tel.tasksFailed.Inc()
 		}
 
 		// WQ dispatch (sandbox and task description send).
@@ -405,8 +330,6 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		}
 		rec.WQStageIn = dispatch
 		rec.Start = p.Now()
-		tel.stages.Observe(telemetry.StageDispatch, dispatch)
-		segAt(start, "dispatch")
 
 		// Software setup through the proxy layer. The first task of a life
 		// fills the cold cache; its slot-mates wait on the shared cache.
@@ -414,8 +337,6 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		switch {
 		case life.cold && !life.coldRunning:
 			life.coldRunning = true
-			tel.squidMisses.Inc()
-			tel.squidFetched.Add(int64(cfg.ColdCacheBytes))
 			okT := proxy.Transfer(p, cfg.ColdCacheBytes)
 			if okT {
 				// Client-side bandwidth cap.
@@ -431,21 +352,17 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			life.cold = false
 			life.sig.Broadcast()
 		case life.cold:
-			tel.squidCoalesced.Inc()
 			if !life.sig.Await(p) {
 				fail(ExitEvicted, p.Now()-setupStart, 0, 0)
 				return
 			}
 		default:
-			tel.squidHits.Inc()
 			if !p.Wait(cfg.HotSetupTime) {
 				fail(ExitEvicted, p.Now()-setupStart, 0, 0)
 				return
 			}
 		}
 		setup := p.Now() - setupStart
-		tel.stages.Observe(telemetry.StageSetup, setup)
-		segAt(setupStart, "setup")
 		if cfg.SetupTimeout > 0 && setup > cfg.SetupTimeout &&
 			rng.Float64() < cfg.SetupTimeoutFailProb {
 			fail(ExitSetupTimeout, setup, 0, 0)
@@ -477,27 +394,19 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			}
 		}
 		if cfg.PileupBytes > 0 {
-			tel.chirpQueued.Add(1)
-			ok := chirpSlots.Acquire(p)
-			tel.chirpQueued.Add(-1)
-			if !ok {
+			if !chirpSlots.Acquire(p) {
 				fail(ExitEvicted, setup, p.Now()-ioStart, 0)
 				return
 			}
-			tel.chirpActive.Add(1)
 			okT := chirpLink.Transfer(p, cfg.PileupBytes)
 			chirpSlots.Release()
-			tel.chirpActive.Add(-1)
 			if !okT {
 				fail(ExitEvicted, setup, p.Now()-ioStart, 0)
 				return
 			}
-			tel.chirpBytesOut.Add(int64(cfg.PileupBytes))
 		}
 		io := p.Now() - ioStart
 		rec.IOTime = io
-		tel.stages.Observe(telemetry.StageStageIn, io)
-		segAt(ioStart, "stage_in")
 
 		// Transient application failure.
 		if rng.Float64() < cfg.MiscFailProb {
@@ -512,36 +421,23 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 			return
 		}
 		rec.CPUTime = cpu
-		tel.stages.Observe(telemetry.StageExecute, cpu)
-		segAt(p.Now()-cpu, "execute")
 
 		// Stage-out through the chirp connection cap.
 		outStart := p.Now()
-		tel.chirpQueued.Add(1)
-		okA := chirpSlots.Acquire(p)
-		tel.chirpQueued.Add(-1)
-		if !okA {
+		if !chirpSlots.Acquire(p) {
 			fail(ExitEvicted, setup, io, p.Now()-outStart)
 			return
 		}
-		tel.chirpActive.Add(1)
 		okT := chirpLink.Transfer(p, cfg.OutputBytes)
 		chirpSlots.Release()
-		tel.chirpActive.Add(-1)
 		if !okT {
 			fail(ExitEvicted, setup, io, p.Now()-outStart)
 			return
 		}
-		tel.chirpBytesIn.Add(int64(cfg.OutputBytes))
 		rec.StageOut = p.Now() - outStart
-		tel.stages.Observe(telemetry.StageStageOut, rec.StageOut)
-		segAt(outStart, "stage_out")
 		// Result collection by the loaded master (the paper's "time spent
 		// waiting for responses").
 		rec.WQStageOut = stats.Gaussian{Mu: 100, Sigma: 30, Floor: 5}.Sample(rng)
-
-		root.AttrInt("exit_code", 0)
-		root.EndAt(p.Now())
 
 		*running--
 		rec.Finish = p.Now()
@@ -552,7 +448,5 @@ func runCoreSlot(p *simevent.Proc, cfg *BigRunConfig, life *workerLife,
 		}
 		record(rec)
 		res.TasksDone++
-		tel.tasksDone.Inc()
-		publish()
 	}
 }

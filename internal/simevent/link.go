@@ -30,7 +30,6 @@ type Link struct {
 	// Accounting.
 	bytesMoved float64
 	busyTime   float64 // integral of (active>0) dt
-	loadTime   float64 // integral of active count dt (for mean concurrency)
 }
 
 type transfer struct {
@@ -73,9 +72,6 @@ func NewLink(s *Sim, bytesPerSec float64) *Link {
 	return l
 }
 
-// Capacity returns the configured capacity in bytes/second.
-func (l *Link) Capacity() float64 { return l.capacity }
-
 // Active returns the number of in-flight transfers.
 func (l *Link) Active() int { return l.h.Len() }
 
@@ -92,15 +88,6 @@ func (l *Link) Utilization() float64 {
 		return 0
 	}
 	return l.busyTime / l.sim.Now()
-}
-
-// MeanConcurrency returns the time-averaged number of simultaneous transfers.
-func (l *Link) MeanConcurrency() float64 {
-	l.progress()
-	if l.sim.Now() == 0 {
-		return 0
-	}
-	return l.loadTime / l.sim.Now()
 }
 
 // rate returns the current per-transfer service rate.
@@ -124,7 +111,6 @@ func (l *Link) progress() {
 	l.served += l.capacity / float64(n) * dt
 	l.bytesMoved += l.capacity * dt
 	l.busyTime += dt
-	l.loadTime += dt * float64(n)
 }
 
 // reschedule cancels any pending completion event and schedules the next.

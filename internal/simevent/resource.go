@@ -90,9 +90,6 @@ func (r *Resource) Release() {
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // QueueLen returns the number of procs waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 

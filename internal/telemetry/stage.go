@@ -31,9 +31,9 @@ func (s Stage) String() string {
 }
 
 // StageHistograms holds the per-stage duration histograms
-// lobster_task_stage_seconds{stage=...}. Both planes learn a task's stage
-// timings after the fact (the real plane from the completed task's wrapper
-// report, the simulation from its model), so the one operation is Observe.
+// lobster_task_stage_seconds{stage=...}. core learns a task's stage
+// timings after the fact, from the completed task's wrapper report, so the
+// one operation is Observe.
 // The nil StageHistograms is a complete no-op.
 type StageHistograms struct {
 	stages [numStages]*Histogram
@@ -47,7 +47,7 @@ func NewStageHistograms(reg *Registry) *StageHistograms {
 	}
 	h := &StageHistograms{}
 	hv := reg.HistogramVec("lobster_task_stage_seconds",
-		"Task lifecycle stage durations in seconds (both planes).", nil, "stage")
+		"Task lifecycle stage durations in seconds.", nil, "stage")
 	for s := Stage(0); s < numStages; s++ {
 		h.stages[s] = hv.With(s.String())
 	}

@@ -5,14 +5,13 @@
 // process is read through), and a JSONL structured event log the monitor
 // can replay after a crash.
 //
-// # Two planes, one instrumentation
+// # The real plane's series
 //
-// Every instrument reads time through the registry's pluggable Clock, so
-// the same counters and spans run on both execution planes: the real stack
-// uses the wall clock, while the discrete-event simulator installs its
-// simulated clock (seconds of simulated time). Series names and label
-// schemes are identical on both planes, which is what lets the figure-11
-// style failure signals be cross-checked between a live run and its model.
+// The registry observes the real execution plane: every series is
+// registered by the component that owns it. The discrete-event simulator
+// computes its figures from its model and registers none. Every instrument
+// reads time through the registry's Clock, the wall clock unless a test
+// installs a stepped one with SetClock.
 //
 // # Zero cost when disabled
 //
@@ -29,7 +28,7 @@
 // Series follow the Prometheus convention lobster_<subsystem>_<what>_<unit>:
 // counters end in _total, sizes in _bytes, durations in _seconds, and
 // instantaneous values carry no suffix (gauges). Subsystems are wq, squid,
-// chirp, cluster, core, task, and sim.
+// chirp, cluster, core and task.
 package telemetry
 
 import (
@@ -39,9 +38,8 @@ import (
 	"time"
 )
 
-// Clock returns the current time in seconds from an arbitrary origin. The
-// real plane uses seconds since registry creation; the simulation plane
-// installs the simulated clock.
+// Clock returns the current time in seconds from an arbitrary origin: by
+// default seconds since registry creation.
 type Clock func() float64
 
 // maxSeries is the fixed bound on the label cardinality of one metric family.
@@ -113,9 +111,10 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// SetClock installs clock as the registry time source. Install before
-// concurrent use (typically right after NewRegistry, or at simulation
-// start); a nil clock or registry is ignored.
+// SetClock installs clock as the registry time source: the tests' seam for
+// stepping time through the hub, the tracer and the instruments. Install
+// before concurrent use (right after NewRegistry); a nil clock or registry
+// is ignored.
 func (r *Registry) SetClock(clock Clock) {
 	if r == nil || clock == nil {
 		return

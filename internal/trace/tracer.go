@@ -29,9 +29,8 @@ type Record struct {
 // Config configures a Tracer.
 type Config struct {
 	// Registry supplies the clock and receives the tracer's own meters.
-	// The tracer shares whatever clock the registry runs on, so traces
-	// carry wall time on the real plane and simulated seconds in the
-	// simulator.
+	// The tracer shares whatever clock the registry runs on: wall time in
+	// a run, a stepped clock in tests.
 	Registry *telemetry.Registry
 	// Log receives one "trace" event per sampled span. A nil Log
 	// disables tracing entirely: New returns nil.
@@ -40,8 +39,8 @@ type Config struct {
 	// traces are sampled per clock second (token bucket with a burst of
 	// the same size). Zero or negative means sample every trace.
 	MaxTracesPerSec float64
-	// Seed perturbs the deterministic ID sequence. Sim runs leave it
-	// fixed so trace logs are bit-identical across runs.
+	// Seed perturbs the deterministic ID sequence: a fixed seed mints
+	// the same IDs in the same order.
 	Seed uint64
 }
 
@@ -104,9 +103,9 @@ func (t *Tracer) Now() float64 {
 }
 
 // newID derives the next span/trace ID from a seeded splitmix64 walk
-// over an atomic counter — deterministic under the simulator's
-// cooperative scheduling, collision-free in practice, and free of any
-// coupling to the simulation RNG.
+// over an atomic counter — deterministic for a deterministic order of
+// calls, collision-free in practice, and free of any coupling to a
+// workload's RNG.
 func (t *Tracer) newID() uint64 {
 	x := stats.SplitMix64(t.seed + (t.ctr.Add(1)-1)*stats.SplitMixGamma)
 	if x == 0 {
@@ -159,16 +158,11 @@ func (t *Tracer) Root(comp, name, baggage string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.RootAt(t.reg.Now(), comp, name, baggage)
+	return t.root(t.reg.Now(), comp, name, baggage)
 }
 
-// RootAt is Root with an explicit timestamp — the simulator's path,
-// where span boundaries are computed model values rather than clock
-// readings.
-func (t *Tracer) RootAt(at float64, comp, name, baggage string) *Span {
-	if t == nil {
-		return nil
-	}
+// root starts a new trace at an explicit timestamp.
+func (t *Tracer) root(at float64, comp, name, baggage string) *Span {
 	return &Span{
 		t: t,
 		ctx: Context{
@@ -193,13 +187,14 @@ func (t *Tracer) Start(parent Context, comp, name string) *Span {
 	return t.StartAt(t.reg.Now(), parent, comp, name)
 }
 
-// StartAt is Start with an explicit timestamp.
+// StartAt is Start with an explicit timestamp: the master's path for a
+// span that began before it is opened, such as a task's queue wait.
 func (t *Tracer) StartAt(at float64, parent Context, comp, name string) *Span {
 	if t == nil {
 		return nil
 	}
 	if !parent.Valid() {
-		return t.RootAt(at, comp, name, "")
+		return t.root(at, comp, name, "")
 	}
 	return &Span{
 		t: t,
@@ -259,7 +254,8 @@ func (s *Span) End() {
 	s.EndAt(s.t.reg.Now())
 }
 
-// EndAt closes the span at an explicit timestamp.
+// EndAt closes the span at an explicit timestamp: the master's path for
+// a span whose end it has already read off the clock.
 func (s *Span) EndAt(at float64) {
 	if s == nil || s.ended {
 		return
