@@ -4,11 +4,11 @@ GO ?= go
 # the whole module runs under the race detector, not just the hot packages.
 RACE_PKGS = ./...
 
-.PHONY: all check fmt copy-lint vet build test examples race flake chaos fuzz bench bench-kernel bench-guard bench-e2e lines
+.PHONY: all check fmt copy-lint vet build cross test examples race flake chaos fuzz bench bench-kernel bench-guard bench-e2e lines
 
 all: check
 
-check: fmt copy-lint vet build test examples race flake chaos fuzz bench-guard
+check: fmt copy-lint vet build cross test examples race flake chaos fuzz bench-guard
 
 # gofmt drift fails the build; .bench_build/ is the benchmark's scratch
 # (it holds a Go build cache, not our sources).
@@ -103,6 +103,8 @@ copy-lint:
 	test -z "$$out" || { echo "the sim plane registering series (figures come from its model):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'hash/crc32|os\.Truncate|os\.Rename' --include='*.go' $(LOG_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rn '"unsafe"' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/parrot/scan_linux\.go:' | grep -v '^\./\.bench_build/')"; \
+	test -z "$$out" || { echo "unsafe outside internal/parrot/scan_linux.go:"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 
@@ -115,6 +117,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# internal/parrot's hot scan calls the kernel directly on Linux
+# (scan_linux.go); its !linux twin is the only scan other platforms run.
+# Building for darwin and windows keeps that twin, and the rest of the
+# module, compiling there.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

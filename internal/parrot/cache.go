@@ -17,13 +17,11 @@ package parrot
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"lobster/internal/bufpool"
 	"lobster/internal/cvmfs"
 	"lobster/internal/telemetry"
 )
@@ -195,6 +193,15 @@ func (i *Instance) objectPath(hash string) string {
 	return filepath.Join(i.dir, hash)
 }
 
+// cPath is objectPath NUL-terminated. A catalog's hashes are checked
+// to be hex before it is remembered (validHash), so no other NUL is in it.
+func (i *Instance) cPath(hash string) []byte {
+	p := i.objectPath(hash)
+	b := make([]byte, len(p)+1)
+	copy(b, p)
+	return b
+}
+
 // readIfPresent returns the cached object, or nil if absent.
 func (i *Instance) readIfPresent(hash string) []byte {
 	data, err := os.ReadFile(i.objectPath(hash))
@@ -204,36 +211,14 @@ func (i *Instance) readIfPresent(hash string) []byte {
 	return data
 }
 
-// scanPath reads the cached object at path end to end through a pooled
-// chunk, as a job touching a release file does, and returns its size: a
-// hit that keeps no bytes allocates no buffer.
-func (i *Instance) scanPath(path string) (size int64, ok bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false
-	}
-	defer f.Close()
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	for {
-		n, err := f.Read(*buf)
-		size += int64(n)
-		if err == io.EOF {
-			i.stats.Hits++
-			return size, true
-		}
-		if err != nil {
-			return 0, false
-		}
-	}
-}
-
 // hotCatalog is a decoded catalog with the cache paths a hot walk opens,
 // joined once when the catalog is remembered instead of once per task.
+// They are NUL-terminated so the scan hands them to the kernel as they
+// are (scan_linux.go).
 type hotCatalog struct {
 	*cvmfs.Catalog
-	path  string   // the catalog object itself
-	paths []string // paths[n] holds Entries[n]'s object
+	path  []byte   // the catalog object itself
+	paths [][]byte // paths[n] holds Entries[n]'s object
 }
 
 // memoCatalog returns the decoded catalog remembered for hash, counting
@@ -245,7 +230,7 @@ func (i *Instance) memoCatalog(hash string) *hotCatalog {
 	cat := c.memo[memoKey{i.dir, hash}]
 	c.memoMu.Unlock()
 	if cat != nil {
-		if _, err := os.Stat(cat.path); err == nil {
+		if onDisk(cat.path) {
 			i.stats.Hits++
 			c.memoHit.Inc()
 			return cat
@@ -258,9 +243,9 @@ func (i *Instance) memoCatalog(hash string) *hotCatalog {
 // rememberCatalog memoises the catalog decoded from the object at hash.
 // Remembered catalogs are shared between tasks and must not be modified.
 func (i *Instance) rememberCatalog(hash string, cat *cvmfs.Catalog) *hotCatalog {
-	hot := &hotCatalog{Catalog: cat, path: i.objectPath(hash), paths: make([]string, len(cat.Entries))}
+	hot := &hotCatalog{Catalog: cat, path: i.cPath(hash), paths: make([][]byte, len(cat.Entries))}
 	for n, e := range cat.Entries {
-		hot.paths[n] = i.objectPath(e.Hash)
+		hot.paths[n] = i.cPath(e.Hash)
 	}
 	c := i.cache
 	c.memoMu.Lock()

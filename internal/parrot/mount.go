@@ -1,6 +1,8 @@
 package parrot
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,8 +50,8 @@ func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, e
 	if err := json.Unmarshal(body, &pub); err != nil {
 		return nil, fmt.Errorf("parrot: decoding manifest: %w", err)
 	}
-	if pub.Root == "" {
-		return nil, fmt.Errorf("parrot: manifest has empty root")
+	if !validHash(pub.Root) {
+		return nil, fmt.Errorf("parrot: manifest of %s names root catalog %q, not a content hash", repo, pub.Root)
 	}
 	m.rootHash = pub.Root
 	inst.cache.grantLease(key, pub.Root)
@@ -80,10 +82,36 @@ func (m *Mount) RootHash() string { return m.rootHash }
 // Stats returns the underlying cache instance counters.
 func (m *Mount) Stats() InstanceStats { return m.inst.Stats() }
 
-// object fetches a content-addressed object through the cache.
+// validHash reports whether h is a content hash as cvmfs names objects:
+// 64 lowercase hex digits, the SHA-256 of the content. Only such a name
+// becomes a cache path, so none climbs out of the cache directory
+// ("../x") or carries a NUL into the raw open.
+func validHash(h string) bool {
+	if len(h) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// object fetches a content-addressed object through the cache. What
+// arrives is checked against its name before the cache installs it, so a
+// byte corrupted on the way is an error of this fetch, not a poisoned
+// cache for every later task of the node.
 func (m *Mount) object(hash string) ([]byte, error) {
 	data, _, err := m.inst.GetOrFetch(hash, func() ([]byte, error) {
-		return m.fetch("/cvmfs/" + m.repo + "/data/" + hash)
+		data, err := m.fetch("/cvmfs/" + m.repo + "/data/" + hash)
+		if err != nil {
+			return nil, err
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
+			return nil, fmt.Errorf("parrot: object %s from %s fails its SHA-256 check", hash, m.base)
+		}
+		return data, nil
 	})
 	return data, err
 }
@@ -102,6 +130,11 @@ func (m *Mount) catalog(hash string) (*hotCatalog, error) {
 	var cat cvmfs.Catalog
 	if err := json.Unmarshal(data, &cat); err != nil {
 		return nil, fmt.Errorf("parrot: corrupt catalog %s: %w", hash, err)
+	}
+	for _, e := range cat.Entries {
+		if !validHash(e.Hash) {
+			return nil, fmt.Errorf("parrot: catalog %s: entry %q names %q, not a content hash", hash, e.Name, e.Hash)
+		}
 	}
 	return m.inst.rememberCatalog(hash, &cat), nil
 }
