@@ -76,6 +76,14 @@ fmt:
 # fetched other processes' pages and profiles over HTTP, ran in no
 # program or chaos test, and no run's event log ever held an alert.
 #
+# And no request goes out on the untimed default HTTP client: no
+# http.DefaultClient, and none of the http.Get / Head / Post / PostForm
+# helpers that use it, in non-test code under internal/ or cmd/ (DESIGN.md
+# section 10, one wire). frontier's client fell back to it when no client
+# was injected, as in every deployed worker, so only a traced task had a
+# deadline: a proxy that accepted and never answered held an untraced
+# task's slot forever. Every client now carries a 30 s limit of its own.
+#
 # And the sim plane computes figures, not series: no telemetry, trace or
 # health import in non-test internal/sim or internal/simevent code
 # (DESIGN.md section 8, the sim plane's series). The model's figures come
@@ -83,7 +91,7 @@ fmt:
 # mirror of 17 series, the per-attempt span trees and the health ticker
 # that RunBig carried no program set, and they kept two rules alive that
 # no lobster process could fire.
-COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim
+COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim internal/frontier
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
 copy-lint:
@@ -105,6 +113,8 @@ copy-lint:
 	test -z "$$out" || { echo "a second crash-safe log (use internal/seglog):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rn '"unsafe"' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/parrot/scan_linux\.go:' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "unsafe outside internal/parrot/scan_linux.go:"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'http\.(DefaultClient\b|Get\(|Head\(|Post\(|PostForm\()' --include='*.go' internal cmd | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "the untimed default HTTP client (give the request a deadline of its own):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
-	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +215,16 @@ func TestGroupTaskletsCoversAllExactlyOnce(t *testing.T) {
 	}
 }
 
+// taskArgs decodes the argument record buildTask marshalled.
+func taskArgs(t *testing.T, task *wq.Task) wrapper.Args {
+	t.Helper()
+	var a wrapper.Args
+	if err := json.Unmarshal(task.Args, &a); err != nil {
+		t.Fatalf("task arguments %s: %v", task.Args, err)
+	}
+	return a
+}
+
 func TestBuildTaskAnalysisArgs(t *testing.T) {
 	ds := testDataset(1, 4, 20)
 	svc := Services{DBS: dbs.NewService()}
@@ -223,26 +233,26 @@ func TestBuildTaskAnalysisArgs(t *testing.T) {
 		TaskletsPerTask: 2, EventSize: 256, AccessMode: AccessStage}.withDefaults()
 	tasklets, _ := planTasklets(&cfg, &svc)
 	groups := groupTasklets(&cfg, tasklets)
-	task, err := buildTask(&cfg, tasklets, groups[1], 0)
+	task, output, err := buildTask(&cfg, tasklets, groups[1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if task.Func != "analysis" || task.Tag != "analysis" {
 		t.Errorf("task func/tag: %s/%s", task.Func, task.Tag)
 	}
-	if task.Args["lfn"] != ds.Files[0].LFN {
-		t.Errorf("lfn = %s", task.Args["lfn"])
+	args := taskArgs(t, task)
+	if args.LFN != ds.Files[0].LFN {
+		t.Errorf("lfn = %s", args.LFN)
 	}
-	if task.Args["mode"] != "stage" {
-		t.Errorf("mode = %s", task.Args["mode"])
+	if args.Mode != "stage" {
+		t.Errorf("mode = %s", args.Mode)
 	}
 	// Second group covers lumis 2-3 → events 10-19.
-	if task.Args["skip_events"] != "10" || task.Args["max_events"] != "10" {
-		t.Errorf("range: skip=%s max=%s", task.Args["skip_events"], task.Args["max_events"])
+	if args.SkipEvents != 10 || args.MaxEvents != 10 {
+		t.Errorf("range: skip=%d max=%d", args.SkipEvents, args.MaxEvents)
 	}
-	ids, err := parseTaskletIDs(task)
-	if err != nil || len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
-		t.Errorf("tasklet ids = %v, %v", ids, err)
+	if args.Output != output {
+		t.Errorf("output = %s, buildTask returned %s", args.Output, output)
 	}
 	if task.Outputs[0] != wrapper.ReportFile {
 		t.Errorf("outputs = %v", task.Outputs)
@@ -254,21 +264,22 @@ func TestBuildTaskSimulationArgs(t *testing.T) {
 		EventsPerTasklet: 100, TaskletsPerTask: 2, PileupPath: "/pu/minbias"}.withDefaults()
 	tasklets, _ := planTasklets(&cfg, &Services{})
 	groups := groupTasklets(&cfg, tasklets)
-	task, err := buildTask(&cfg, tasklets, groups[0], 1)
+	task, _, err := buildTask(&cfg, tasklets, groups[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if task.Func != "simulation" {
 		t.Errorf("func = %s", task.Func)
 	}
-	if task.Args["events"] != "200" {
-		t.Errorf("events = %s", task.Args["events"])
+	args := taskArgs(t, task)
+	if args.Events != 200 {
+		t.Errorf("events = %d", args.Events)
 	}
-	if task.Args["pileup"] != "/pu/minbias" {
-		t.Errorf("pileup = %s", task.Args["pileup"])
+	if args.Pileup != "/pu/minbias" {
+		t.Errorf("pileup = %s", args.Pileup)
 	}
-	if task.Args["seed"] != strconv.Itoa(tasklets[0].Seed) {
-		t.Errorf("seed = %s", task.Args["seed"])
+	if args.Seed != tasklets[0].Seed {
+		t.Errorf("seed = %d", args.Seed)
 	}
 }
 

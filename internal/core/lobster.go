@@ -246,7 +246,7 @@ func (l *Lobster) fillBuffer() error {
 
 func (l *Lobster) submitGroup(group []int) error {
 	attempt := l.attempts[group[0]]
-	task, err := buildTask(&l.cfg, l.tasklets, group, attempt)
+	task, output, err := buildTask(&l.cfg, l.tasklets, group, attempt)
 	if err != nil {
 		return err
 	}
@@ -256,7 +256,7 @@ func (l *Lobster) submitGroup(group []int) error {
 		return err
 	}
 	l.inflight[id] = &inflightTask{
-		kind: "proc", group: group, output: task.Args["output"], attempt: attempt,
+		kind: "proc", group: group, output: output, attempt: attempt,
 	}
 	for _, tid := range group {
 		l.state[tid] = StateRunning
@@ -265,14 +265,17 @@ func (l *Lobster) submitGroup(group []int) error {
 }
 
 func (l *Lobster) submitMerge(group []outputFile) error {
-	task := buildMergeTask(&l.cfg, group, l.mergeSeq)
+	task, output, err := buildMergeTask(&l.cfg, group, l.mergeSeq)
+	if err != nil {
+		return err
+	}
 	l.mergeSeq++
 	task.MaxRetries = 10
 	id, err := l.svc.Master.Submit(task)
 	if err != nil {
 		return err
 	}
-	l.inflight[id] = &inflightTask{kind: "merge", merge: group, output: task.Args["output"]}
+	l.inflight[id] = &inflightTask{kind: "merge", merge: group, output: output}
 	l.mergingOpen++
 	return nil
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"lobster/internal/chirp"
@@ -54,9 +54,11 @@ func MergeExecutor(pool *chirp.Pool) wq.Executor {
 		do := func(fn func(*chirp.Client) error) error {
 			return pool.DoTraced(ctx.Tracer, ctx.Trace, fn)
 		}
-		args := ctx.Task.Args
-		inputs := strings.Split(args["inputs"], ";")
-		out := args["output"]
+		var args mergeArgs
+		if err := json.Unmarshal(ctx.Task.Args, &args); err != nil {
+			return fmt.Errorf("merge task arguments: %w", err)
+		}
+		inputs, out := args.Inputs, args.Output
 		if len(inputs) == 0 || inputs[0] == "" || out == "" {
 			return fmt.Errorf("merge task needs inputs and output")
 		}
@@ -171,20 +173,28 @@ func groupOutputsBySize(outputs []outputFile, targetBytes int64, requireFull boo
 	return groups, rest
 }
 
-// buildMergeTask constructs the wq task for one merge group.
-func buildMergeTask(cfg *Config, group []outputFile, seq int) *wq.Task {
-	paths := make([]string, len(group))
+// mergeArgs is what a merge task tells MergeExecutor: the chirp paths
+// it concatenates, in order, and the one it writes.
+type mergeArgs struct {
+	Inputs []string `json:"inputs"`
+	Output string   `json:"output"`
+}
+
+// buildMergeTask constructs the wq task for one merge group and returns
+// the path of the merged file it writes.
+func buildMergeTask(cfg *Config, group []outputFile, seq int) (*wq.Task, string, error) {
+	args := mergeArgs{
+		Inputs: make([]string, len(group)),
+		Output: fmt.Sprintf("%s/%s_merged_%d.root", cfg.OutputDir, cfg.Name, seq),
+	}
 	for i, o := range group {
-		paths[i] = o.Path
+		args.Inputs[i] = o.Path
 	}
-	return &wq.Task{
-		Func: mergeFunc,
-		Args: map[string]string{
-			"inputs": strings.Join(paths, ";"),
-			"output": fmt.Sprintf("%s/%s_merged_%d.root", cfg.OutputDir, cfg.Name, seq),
-		},
-		Tag: "merge",
+	raw, err := json.Marshal(&args)
+	if err != nil {
+		return nil, "", err
 	}
+	return &wq.Task{Func: mergeFunc, Args: raw, Tag: "merge"}, args.Output, nil
 }
 
 // hadoopMerge performs merging entirely within the storage cluster via

@@ -1,10 +1,8 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"lobster/internal/dbs"
 	"lobster/internal/wq"
@@ -146,75 +144,45 @@ func groupTasklets(cfg *Config, tasklets []Tasklet) [][]int {
 	return groups
 }
 
-// buildTask converts a tasklet group into a wq.Task for submission.
-func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.Task, error) {
+// buildTask converts a tasklet group into a wq.Task for submission and
+// returns the chirp path the task stages its output out to.
+func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.Task, string, error) {
 	if len(group) == 0 {
-		return nil, fmt.Errorf("core: empty task group")
+		return nil, "", fmt.Errorf("core: empty task group")
 	}
 	first := tasklets[group[0]]
-	args := map[string]string{
-		"event_size": strconv.Itoa(cfg.EventSize),
-		"work":       strconv.Itoa(cfg.Work),
-	}
-	ids := make([]string, len(group))
-	for i, id := range group {
-		ids[i] = strconv.Itoa(id)
+	args := wrapper.Args{
+		EventSize: cfg.EventSize,
+		Work:      cfg.Work,
+		Output:    fmt.Sprintf("%s/%s_t%d_a%d.root", cfg.OutputDir, cfg.Name, group[0], attempt),
 	}
 	var funcName string
 	switch cfg.Kind {
 	case KindAnalysis:
 		funcName = analysisFunc
-		skip, num := first.SkipEvents, 0
 		for _, id := range group {
 			t := tasklets[id]
 			if t.LFN != first.LFN {
-				return nil, fmt.Errorf("core: task group spans files %s and %s", first.LFN, t.LFN)
+				return nil, "", fmt.Errorf("core: task group spans files %s and %s", first.LFN, t.LFN)
 			}
-			num += t.NumEvents
+			args.MaxEvents += t.NumEvents
 		}
-		args["lfn"] = first.LFN
-		args["mode"] = string(cfg.AccessMode)
-		args["run"] = strconv.Itoa(first.Run)
-		args["skip_events"] = strconv.Itoa(skip)
-		args["max_events"] = strconv.Itoa(num)
+		args.LFN, args.Mode, args.Run, args.SkipEvents = first.LFN, string(cfg.AccessMode), first.Run, first.SkipEvents
 	case KindSimulation:
 		funcName = simulationFunc
-		num := 0
 		for _, id := range group {
-			num += tasklets[id].NumEvents
+			args.Events += tasklets[id].NumEvents
 		}
-		args["events"] = strconv.Itoa(num)
-		args["seed"] = strconv.Itoa(first.Seed)
-		if cfg.PileupPath != "" {
-			args["pileup"] = cfg.PileupPath
-		}
+		args.Seed, args.Pileup = first.Seed, cfg.PileupPath
 	}
-	out := fmt.Sprintf("%s/%s_t%d_a%d.root", cfg.OutputDir, cfg.Name, group[0], attempt)
-	args["output"] = out
-	args["tasklets"] = strings.Join(ids, ",")
+	raw, err := json.Marshal(&args)
+	if err != nil {
+		return nil, "", err
+	}
 	return &wq.Task{
 		Func:    funcName,
-		Args:    args,
+		Args:    raw,
 		Outputs: []string{wrapper.ReportFile},
 		Tag:     string(cfg.Kind),
-	}, nil
-}
-
-// parseTaskletIDs recovers the tasklet group from a task's args.
-func parseTaskletIDs(task *wq.Task) ([]int, error) {
-	s := task.Args["tasklets"]
-	if s == "" {
-		return nil, fmt.Errorf("core: task %d carries no tasklet list", task.ID)
-	}
-	parts := strings.Split(s, ",")
-	ids := make([]int, 0, len(parts))
-	for _, p := range parts {
-		id, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad tasklet id %q: %w", p, err)
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
+	}, args.Output, nil
 }

@@ -7,16 +7,33 @@
 // responses carry cache headers that let squid absorb nearly all load — the
 // paper's analysis jobs hit Frontier once per task for the run being
 // processed.
+//
+// The Service is an origin like any other and answers through net/http.
+// The Client is the worker's end of that once-per-task GET, so it is
+// built to be cheap: one keep-alive connection parked in a wire.Pool
+// between tasks, the request written and the response read in place, and
+// one deadline per fetch (DESIGN.md §10, "One wire").
 package frontier
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"lobster/internal/bufpool"
+	"lobster/internal/retry"
+	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Payload is one conditions record with an inclusive run interval of
@@ -98,37 +115,218 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
+	body, err := json.Marshal(p)
+	if err != nil {
+		http.Error(w, "frontier: encoding payload: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	s.requests.Add(1)
-	// Valid payloads never change: cacheable by the proxy layer.
-	w.Header().Set("Cache-Control", "public, max-age=86400")
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(p)
+	// Valid payloads never change: cacheable by the proxy layer. The
+	// length is announced, so a payload of any size reaches a client
+	// that reads only a Content-Length body (Client) unchunked.
+	h := w.Header()
+	h.Set("Cache-Control", "public, max-age=86400")
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)+1))
+	w.Write(append(body, '\n'))
 }
 
 // Client fetches conditions through an HTTP base URL (direct or proxy).
+//
+// A conditions GET is the one request of an analysis task that every task
+// makes, so the client speaks just enough HTTP/1.1 to make it cheap: it
+// writes the request line and headers itself, reads the status line and
+// headers in place with wire.Conn.ReadLine, and reads a Content-Length
+// body of at most maxBody into a pooled buffer. Connections are kept
+// alive and parked in a wire.Pool between fetches, so a hot task dials
+// nothing. A response it does not read — chunked, without a length, too
+// long, not a 200 — fails the fetch and hangs the connection up; nothing
+// half-read is ever parked. Every fetch has one deadline, fetchTimeout,
+// whether or not it is traced.
+//
+// The zero value with Base set is ready to use; the connections are made
+// on the first fetch. Close hangs up the parked ones. Safe for concurrent
+// use.
 type Client struct {
-	Base   string
-	Client *http.Client
+	Base string
+
+	once    sync.Once
+	err     error  // Base is not an http URL
+	addr    string // dial address, host:port
+	host    string // the Host header
+	path    string // Base's path, without a trailing slash
+	conns   *wire.Pool[*wire.Conn]
+	timeout time.Duration // fetchTimeout; tests shorten it
+}
+
+const (
+	// fetchTimeout bounds one fetch, from the dial or the reuse of a
+	// parked connection to the last byte of the body: the 30 s every
+	// HTTP client of a worker gets, so a proxy that accepts and never
+	// answers costs a slot that long and no longer.
+	fetchTimeout = 30 * time.Second
+	// maxBody bounds the payload a response may announce. Conditions
+	// payloads are calibration constants, kilobytes at most; a length
+	// past this is not a payload this client reads.
+	maxBody = 1 << 20
+)
+
+var (
+	hdrContentLength    = []byte("Content-Length")
+	hdrTransferEncoding = []byte("Transfer-Encoding")
+	hdrConnection       = []byte("Connection")
+	tokenClose          = []byte("close")
+)
+
+func (c *Client) init() {
+	u, err := url.Parse(c.Base)
+	if err == nil && (u.Scheme != "http" || u.Host == "") {
+		err = fmt.Errorf("not an http URL")
+	}
+	if err != nil {
+		c.err = fmt.Errorf("frontier: base %q: %v", c.Base, err)
+		return
+	}
+	c.addr, c.host, c.path = u.Host, u.Host, strings.TrimRight(u.Path, "/")
+	if u.Port() == "" {
+		c.addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	if c.timeout == 0 {
+		c.timeout = fetchTimeout
+	}
+	timeout := c.timeout
+	c.conns = wire.NewPool(nil, "",
+		func(addr string) (*wire.Conn, error) {
+			nc, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return wire.NewConn(wire.ProtoHTTP, nc, 4<<10, 1<<10), nil
+		},
+		func(wc *wire.Conn) *wire.Conn { return wc })
 }
 
 // Fetch returns the payload for (tag, run).
 func (c *Client) Fetch(tag string, run int) (*Payload, error) {
-	hc := c.Client
-	if hc == nil {
-		hc = http.DefaultClient
+	return c.FetchTraced(tag, run, trace.Context{})
+}
+
+// FetchTraced is Fetch for a traced task: the request carries ctx in the
+// Lobster-Trace header, so the proxy's span chains under the caller's.
+func (c *Client) FetchTraced(tag string, run int, ctx trace.Context) (*Payload, error) {
+	c.once.Do(c.init)
+	if c.err != nil {
+		return nil, c.err
 	}
-	url := fmt.Sprintf("%s/frontier/payload?run=%d&tag=%s", c.Base, run, tag)
-	resp, err := hc.Get(url)
+	// One deadline for the whole fetch: a parked connection found stale
+	// is replaced by a dial that gets what is left of it, not another 30 s.
+	deadline := time.Now().Add(c.timeout)
+	conn, err := c.conns.Take(c.addr, func(conn *wire.Conn) error {
+		conn.Net.SetDeadline(deadline)
+		if err := conn.Send(c.appendRequest(conn.W.AvailableBuffer(), tag, run, ctx)); err != nil {
+			return err
+		}
+		return readStatus(conn)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("frontier: fetching %s/%d: %w", tag, run, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("frontier: %s/%d: status %s", tag, run, resp.Status)
+	p, err := c.readBody(conn)
+	if err != nil {
+		return nil, fmt.Errorf("frontier: fetching %s/%d: %w", tag, run, err)
 	}
-	var p Payload
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		return nil, fmt.Errorf("frontier: decoding payload: %w", err)
+	return p, nil
+}
+
+// appendRequest appends the GET for (tag, run) to b. The query keeps the
+// order the proxy has always cached it under.
+func (c *Client) appendRequest(b []byte, tag string, run int, ctx trace.Context) []byte {
+	b = append(b, "GET "...)
+	b = append(b, c.path...)
+	b = append(b, "/frontier/payload?run="...)
+	b = strconv.AppendInt(b, int64(run), 10)
+	b = append(b, "&tag="...)
+	b = append(b, url.QueryEscape(tag)...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, c.host...)
+	if ctx.Valid() {
+		b = append(b, "\r\n"+trace.Header+": "...)
+		b = append(b, ctx.Encode()...)
 	}
-	return &p, nil
+	return append(b, "\r\n\r\n"...)
+}
+
+// readStatus reads the status line. Anything but a 200 fails the fetch
+// and breaks conn: the body that follows is not read.
+func readStatus(conn *wire.Conn) error {
+	line, err := conn.ReadLine()
+	if err != nil {
+		return err
+	}
+	version, status, _ := bytes.Cut(line, []byte(" "))
+	if !bytes.HasPrefix(version, []byte("HTTP/1.")) || len(status) < 3 {
+		return conn.Protocol("bad status line %q", line)
+	}
+	if !bytes.HasPrefix(status, []byte("200")) || (len(status) > 3 && status[3] != ' ') {
+		return conn.Fail(retry.Permanent(fmt.Errorf("status %s", status)))
+	}
+	return nil
+}
+
+// readBody reads the headers and the body after a 200 and decodes the
+// payload. conn goes back to the pool only once the body is read whole
+// and the server has not said it will close it.
+func (c *Client) readBody(conn *wire.Conn) (*Payload, error) {
+	size, closing := int64(-1), false
+	for {
+		line, err := conn.ReadLine()
+		if err != nil {
+			return nil, err
+		}
+		if len(line) == 0 {
+			break
+		}
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok {
+			return nil, conn.Protocol("bad header line %q", line)
+		}
+		value = bytes.TrimSpace(value)
+		switch {
+		case bytes.EqualFold(name, hdrContentLength):
+			if size, err = conn.ParseSize(value, maxBody); err != nil {
+				return nil, err
+			}
+		case bytes.EqualFold(name, hdrTransferEncoding):
+			return nil, conn.Protocol("Transfer-Encoding %s: only a Content-Length body is read", value)
+		case bytes.EqualFold(name, hdrConnection):
+			closing = bytes.EqualFold(value, tokenClose)
+		}
+	}
+	if size < 0 {
+		return nil, conn.Protocol("response without a Content-Length")
+	}
+	buf := bufpool.GetSized(int(size))
+	defer bufpool.PutSized(buf)
+	if _, err := io.ReadFull(conn.R, *buf); err != nil {
+		return nil, conn.Fail(fmt.Errorf("http: reading a %d-byte body: %w", size, err))
+	}
+	if closing {
+		conn.Fail(nil)
+	} else {
+		c.conns.Put(c.addr, conn)
+	}
+	p := new(Payload)
+	if err := json.Unmarshal(*buf, p); err != nil {
+		return nil, fmt.Errorf("decoding payload: %w", err)
+	}
+	return p, nil
+}
+
+// Close hangs up the parked connections; a later fetch dials afresh.
+func (c *Client) Close() error {
+	c.once.Do(c.init)
+	if c.conns == nil {
+		return nil
+	}
+	return c.conns.Close()
 }

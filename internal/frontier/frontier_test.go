@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"testing"
 
@@ -87,5 +88,14 @@ func TestFrontierThroughSquid(t *testing.T) {
 	}
 	if proxy.Stats().Hits != 4 {
 		t.Errorf("proxy hits = %d", proxy.Stats().Hits)
+	}
+	// A payload past net/http's 2 KiB chunking threshold still comes with
+	// a length, as a miss and as a hit, which is all the client reads.
+	big := bytes.Repeat([]byte("calibration "), 1000)
+	s.Publish(Payload{Tag: "big", FirstRun: 1, LastRun: 1000, Data: big})
+	for i := 0; i < 2; i++ {
+		if p, err := c.Fetch("big", 42); err != nil || !bytes.Equal(p.Data, big) {
+			t.Fatalf("fetch %d of a %d-byte payload: %v", i, len(big), err)
+		}
 	}
 }

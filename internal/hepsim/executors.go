@@ -1,16 +1,16 @@
 package hepsim
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/chirp"
@@ -47,7 +47,9 @@ type Env struct {
 	ChirpAddr string
 	// ConditionsTag is the Frontier tag tasks fetch (empty disables).
 	ConditionsTag string
-	// HTTPClient overrides the default client (tests inject one).
+	// HTTPClient overrides parrot's HTTP client (tests inject one). The
+	// conditions GET does not use it: it rides the Env's frontier client,
+	// which keeps its connections and has its own 30 s deadline.
 	HTTPClient *http.Client
 	// Fault, when non-nil, arms per-segment fault hooks in the wrapper
 	// (component "wrapper", op = segment name) and wires chirp stage-out
@@ -67,6 +69,11 @@ type Env struct {
 	// connections instead of dialing per segment.
 	poolOnce sync.Once
 	pool     *chirp.Pool
+
+	// condOnce/cond lazily build the conditions client all task slots
+	// share, with its parked connections to the proxy.
+	condOnce sync.Once
+	cond     *frontier.Client
 
 	// probed is set once the machine-compatibility probe (is the scratch
 	// directory writable?) has passed: it runs with the process's first
@@ -100,6 +107,13 @@ func (e *Env) chirpPool() *chirp.Pool {
 	return e.pool
 }
 
+// conditions returns the Env's shared conditions client, building it on
+// first use (ProxyURL must be set by then).
+func (e *Env) conditions() *frontier.Client {
+	e.condOnce.Do(func() { e.cond = &frontier.Client{Base: e.ProxyURL} })
+	return e.cond
+}
+
 // cloneConfig returns a fresh Env with the same configuration and none
 // of the lazily-built pool state. Env holds a sync.Once, so it must not
 // be copied by value; derive per-task variants through this instead.
@@ -119,12 +133,16 @@ func (e *Env) cloneConfig() *Env {
 	}
 }
 
-// Close releases the Env's pooled chirp connections.
+// Close releases the Env's pooled chirp and conditions connections.
 func (e *Env) Close() error {
-	if e.pool != nil {
-		return e.pool.Close()
+	var err error
+	if e.cond != nil {
+		err = e.cond.Close()
 	}
-	return nil
+	if e.pool != nil {
+		err = cmp.Or(e.pool.Close(), err)
+	}
+	return err
 }
 
 // RemoteFile is the minimal streaming-read interface executors need:
@@ -136,19 +154,22 @@ type RemoteFile interface {
 	Close() error
 }
 
-// Args understood by the executors (all optional unless stated):
-//
-//	lfn         analysis: input logical file name (required)
-//	mode        analysis: "stream" (default) or "stage"
-//	output      chirp path for the task's output file (needs ChirpAddr; a
-//	            task without one leaves output.root in the sandbox)
-//	run         experiment run number, for conditions lookup
-//	event_size  kernel event size in bytes
-//	work        kernel work factor
-//	events      simulation: number of events to generate (required)
-//	pileup      simulation: chirp path of the pile-up sample
-//	seed        simulation: RNG seed
-//	delay_ms    testing: artificial per-segment delay
+// argDefaults are the executors' arguments where a task's record leaves
+// a field out.
+var argDefaults = wrapper.Args{Run: 1, EventSize: DefaultEventSize, Work: 1, Seed: 1}
+
+// initTask is env_init's common part: it reads the task's argument
+// record, a wrapper.Args, into a, which holds argDefaults, and builds the
+// kernel the record describes. A task without arguments runs on the
+// defaults; a record that is not one fails the task here.
+func initTask(raw json.RawMessage, a *wrapper.Args) (*Kernel, error) {
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, a); err != nil {
+			return nil, fmt.Errorf("task arguments: %w", err)
+		}
+	}
+	return NewKernel(a.EventSize, a.Work)
+}
 
 // Analysis returns the executor for data-analysis tasks: software setup via
 // parrot, conditions via frontier, event data via xrootd (streamed or
@@ -214,8 +235,7 @@ func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
 // element over chirp. A task that names an output fails here when there is
 // no storage element, since the sandbox goes when the task ends; only a
 // task that names none leaves its output in the sandbox.
-func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byte) error {
-	out := ctx.Task.Args["output"]
+func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, out string, output []byte) error {
 	if out == "" {
 		if err := ctx.EnsureSandbox(); err != nil {
 			return err
@@ -241,31 +261,33 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, output []byt
 	return nil
 }
 
+// analysisTask is one analysis task's state: its argument record, decoded
+// in env_init, and what each step leaves for the next. The step closures
+// share it through one pointer.
+type analysisTask struct {
+	args   wrapper.Args
+	kernel *Kernel
+	input  *[]byte    // staged content (stage mode), borrowed
+	file   RemoteFile // open handle (stream mode)
+	output *[]byte    // reduced result, borrowed
+}
+
+// releaseInput returns the staged range to the pool: as soon as execute
+// has reduced it, or on the way out if execute never ran.
+func (t *analysisTask) releaseInput() {
+	bufpool.PutSized(t.input)
+	t.input = nil
+}
+
 func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	args := ctx.Task.Args
-	var (
-		kernel  *Kernel
-		input   *[]byte    // staged content (stage mode), borrowed
-		file    RemoteFile // open handle (stream mode)
-		output  *[]byte    // reduced result, borrowed
-		events  int
-		delayMS = argInt(args, "delay_ms", 0)
-	)
-	// The staged range goes back to the pool as soon as execute has
-	// reduced it, or on the way out if execute never ran; the output
-	// only once the wrapper is done, because stage-out may replay it.
-	releaseInput := func() {
-		bufpool.PutSized(input)
-		input = nil
-	}
-	defer releaseInput()
-	defer func() { bufpool.PutSized(output) }()
+	t := &analysisTask{args: argDefaults}
+	defer t.releaseInput()
+	// The output only once the wrapper is done: stage-out may replay it.
+	defer func() { bufpool.PutSized(t.output) }()
 	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
-			sleepMS(delayMS)
 			var err error
-			kernel, err = NewKernel(argInt(args, "event_size", DefaultEventSize), argInt(args, "work", 1))
-			if err != nil {
+			if t.kernel, err = initTask(ctx.Task.Args, &t.args); err != nil {
 				return err
 			}
 			return env.probeScratch(ctx)
@@ -277,9 +299,7 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			if env.ConditionsTag == "" || env.ProxyURL == "" {
 				return nil
 			}
-			run := argInt(args, "run", 1)
-			cl := &frontier.Client{Base: env.ProxyURL, Client: trace.WrapClient(env.HTTPClient, c.Trace)}
-			p, err := cl.Fetch(env.ConditionsTag, run)
+			p, err := env.conditions().FetchTraced(env.ConditionsTag, t.args.Run, c.Trace)
 			if err != nil {
 				return err
 			}
@@ -287,42 +307,41 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
-			lfn := args["lfn"]
-			if lfn == "" {
+			if t.args.LFN == "" {
 				return fmt.Errorf("analysis task needs an lfn")
 			}
 			if env.Open == nil {
 				return fmt.Errorf("no data access configured")
 			}
-			f, err := env.Open(lfn, c.Tracer, c.Trace)
+			f, err := env.Open(t.args.LFN, c.Tracer, c.Trace)
 			if err != nil {
 				return err
 			}
-			if args["mode"] == "stage" {
+			if t.args.Mode == "stage" {
 				// Staging: pull the task's event range before processing.
 				defer f.Close()
-				lo, hi := eventRange(kernel, f.Size(), args)
-				if input, err = stageRange(f, lo, hi-lo); err != nil {
+				lo, hi := eventRange(t.kernel, f.Size(), &t.args)
+				if t.input, err = stageRange(f, lo, hi-lo); err != nil {
 					return err
 				}
-				c.Metrics.BytesIn = float64(len(*input))
+				c.Metrics.BytesIn = float64(len(*t.input))
 				return nil
 			}
-			file = f // streaming: reads happen during execute
+			t.file = f // streaming: reads happen during execute
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
-			sleepMS(delayMS)
-			if input != nil {
-				defer releaseInput()
-				output = bufpool.GetSized(kernel.DigestBytes(len(*input)))
-				*output, events = kernel.AppendDigests((*output)[:0], *input)
+			var events int
+			if t.input != nil {
+				defer t.releaseInput()
+				t.output = bufpool.GetSized(t.kernel.DigestBytes(len(*t.input)))
+				*t.output, events = t.kernel.AppendDigests((*t.output)[:0], *t.input)
 			} else {
-				defer file.Close()
+				defer t.file.Close()
 				var err error
 				var streamed int64
-				lo, hi := eventRange(kernel, file.Size(), args)
-				output, events, streamed, err = processStreaming(kernel, file, lo, hi)
+				lo, hi := eventRange(t.kernel, t.file.Size(), &t.args)
+				t.output, events, streamed, err = processStreaming(t.kernel, t.file, lo, hi)
 				if err != nil {
 					return err
 				}
@@ -332,17 +351,17 @@ func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			return env.stageOut(ctx, c, *output)
+			return env.stageOut(ctx, c, t.args.Output, *t.output)
 		}},
 	)
 }
 
-// eventRange maps the task's skip_events/max_events args to a byte range
-// within the file; max_events <= 0 means "to end of file". This is how a
-// task covering a subset of a file's lumisections addresses its share.
-func eventRange(k *Kernel, size int64, args map[string]string) (lo, hi int64) {
-	skip := int64(argInt(args, "skip_events", 0))
-	max := int64(argInt(args, "max_events", 0))
+// eventRange maps the task's SkipEvents/MaxEvents to a byte range within
+// the file; MaxEvents <= 0 means "to end of file". This is how a task
+// covering a subset of a file's lumisections addresses its share.
+func eventRange(k *Kernel, size int64, args *wrapper.Args) (lo, hi int64) {
+	skip := int64(args.SkipEvents)
+	max := int64(args.MaxEvents)
 	lo = skip * int64(k.EventSize)
 	if lo > size {
 		lo = size
@@ -425,85 +444,73 @@ func (e *Env) pileupSample(cc *chirp.Client, path string) ([]byte, error) {
 	return data, nil
 }
 
+// simulationTask is one simulation task's state, shared by its step
+// closures through one pointer like analysisTask.
+type simulationTask struct {
+	args   wrapper.Args
+	kernel *Kernel
+	pileup []byte  // shared with other tasks: read only
+	output *[]byte // reduced result, borrowed until the wrapper is done
+}
+
 func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	args := ctx.Task.Args
-	var (
-		kernel *Kernel
-		pileup []byte  // shared with other tasks: read only
-		output *[]byte // reduced result, borrowed until the wrapper is done
-	)
-	defer func() { bufpool.PutSized(output) }()
+	t := &simulationTask{args: argDefaults}
+	defer func() { bufpool.PutSized(t.output) }()
 	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
 			var err error
-			kernel, err = NewKernel(argInt(args, "event_size", DefaultEventSize), argInt(args, "work", 1))
+			t.kernel, err = initTask(ctx.Task.Args, &t.args)
 			return err
 		}},
 		wrapper.Step{Segment: wrapper.SegSoftware, Run: func(c *wrapper.StepContext) error {
 			return env.warmSoftware(ctx, c)
 		}},
 		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
-			pu := args["pileup"]
+			pu := t.args.Pileup
 			if pu == "" || env.ChirpAddr == "" {
 				return nil // pile-up overlay disabled
 			}
 			if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
 				var gerr error
-				pileup, gerr = env.pileupSample(cc, pu)
+				t.pileup, gerr = env.pileupSample(cc, pu)
 				return gerr
 			}); err != nil {
 				return err
 			}
-			c.Metrics.BytesIn = float64(len(pileup))
+			c.Metrics.BytesIn = float64(len(t.pileup))
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
-			n := argInt(args, "events", 0)
+			n, k := t.args.Events, t.kernel
 			if n <= 0 {
 				return fmt.Errorf("simulation task needs events > 0")
 			}
-			seed := uint64(argInt(args, "seed", 1))
-			rng := stats.NewRand(seed)
+			rng := stats.NewRand(uint64(t.args.Seed))
 			// Generate, overlay and reduce a chunk of events at a time: a
 			// whole number of 8-byte RNG draws per chunk keeps the signal
 			// byte-identical to generating it whole, and the task's
 			// working set is one borrowed chunk, not its whole sample.
-			buf := bufpool.GetSized(chunkEvents * kernel.EventSize)
+			buf := bufpool.GetSized(chunkEvents * k.EventSize)
 			defer bufpool.PutSized(buf)
-			output = bufpool.GetSized(kernel.DigestBytes(n * kernel.EventSize))
-			*output = (*output)[:0]
+			t.output = bufpool.GetSized(k.DigestBytes(n * k.EventSize))
+			*t.output = (*t.output)[:0]
 			for first := 0; first < n; first += chunkEvents {
-				signal := (*buf)[:min(chunkEvents, n-first)*kernel.EventSize]
+				signal := (*buf)[:min(chunkEvents, n-first)*k.EventSize]
 				rng.Fill(signal)
-				if pileup != nil {
-					if err := kernel.OverlayPileupAt(signal, pileup, first); err != nil {
+				if t.pileup != nil {
+					if err := k.OverlayPileupAt(signal, t.pileup, first); err != nil {
 						return err
 					}
 				}
-				*output, _ = kernel.AppendDigests(*output, signal)
+				*t.output, _ = k.AppendDigests(*t.output, signal)
 			}
 			c.Metrics.Events = float64(n)
 			return nil
 		}},
 		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			return env.stageOut(ctx, c, *output)
+			return env.stageOut(ctx, c, t.args.Output, *t.output)
 		}},
 	)
-}
-
-func argInt(args map[string]string, key string, def int) int {
-	if v, ok := args[key]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-func sleepMS(ms int) {
-	if ms > 0 {
-		time.Sleep(time.Duration(ms) * time.Millisecond)
-	}
 }
 
 // stageRange reads the n bytes of f from lo into memory. n follows from

@@ -2,7 +2,7 @@ package hepsim
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -210,6 +210,15 @@ func simulation(env *Env) taskFunc {
 	return func(ctx *wq.ExecContext) *wrapper.Report { return runSimulation(env, ctx) }
 }
 
+// argsOf marshals a task's argument record, as core does.
+func argsOf(a wrapper.Args) json.RawMessage {
+	raw, err := json.Marshal(&a)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
 func runTask(t testing.TB, run taskFunc, task *wq.Task) *wrapper.Report {
 	t.Helper()
 	return runTaskIn(t, t.TempDir(), run, task)
@@ -236,12 +245,8 @@ func TestAnalysisStreamingEndToEnd(t *testing.T) {
 
 	exec := analysis(svc.env)
 	rep := runTask(t, exec, &wq.Task{
-		ID: 1,
-		Args: map[string]string{
-			"lfn": "/store/data/f0.root", "mode": "stream",
-			"output": "/out/f0.reduced", "run": "42",
-			"event_size": "256", "work": "1",
-		},
+		ID:   1,
+		Args: argsOf(wrapper.Args{LFN: "/store/data/f0.root", Mode: "stream", Output: "/out/f0.reduced", Run: 42, EventSize: 256, Work: 1}),
 	})
 	if rep.ExitCode != 0 {
 		t.Fatalf("analysis failed: %+v", rep)
@@ -275,12 +280,8 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 	svc.redir.Register("/store/s.root", svc.dataSrv.Store("/store/s.root", data))
 
 	exec := analysis(svc.env)
-	repStream := runTask(t, exec, &wq.Task{ID: 2, Args: map[string]string{
-		"lfn": "/store/s.root", "mode": "stream", "output": "/out/stream",
-		"event_size": "128"}})
-	repStage := runTask(t, exec, &wq.Task{ID: 3, Args: map[string]string{
-		"lfn": "/store/s.root", "mode": "stage", "output": "/out/stage",
-		"event_size": "128"}})
+	repStream := runTask(t, exec, &wq.Task{ID: 2, Args: argsOf(wrapper.Args{LFN: "/store/s.root", Mode: "stream", Output: "/out/stream", EventSize: 128})})
+	repStage := runTask(t, exec, &wq.Task{ID: 3, Args: argsOf(wrapper.Args{LFN: "/store/s.root", Mode: "stage", Output: "/out/stage", EventSize: 128})})
 	if repStream.ExitCode != 0 || repStage.ExitCode != 0 {
 		t.Fatalf("reports: %+v %+v", repStream, repStage)
 	}
@@ -316,8 +317,7 @@ func TestAnalysisFailureSegmentAttribution(t *testing.T) {
 	svc := startServices(t)
 	exec := analysis(svc.env)
 	// Missing LFN → stage_in failure with its code.
-	rep := runTask(t, exec, &wq.Task{ID: 4, Args: map[string]string{
-		"lfn": "/store/does-not-exist.root"}})
+	rep := runTask(t, exec, &wq.Task{ID: 4, Args: argsOf(wrapper.Args{LFN: "/store/does-not-exist.root"})})
 	if rep.Failed != wrapper.SegStageIn || rep.ExitCode != wrapper.SegStageIn.Code() {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -334,8 +334,7 @@ func TestAnalysisOutputWithoutStorageElementFails(t *testing.T) {
 	local := svc.env.cloneConfig()
 	local.ChirpAddr = ""
 	sandbox := filepath.Join(t.TempDir(), "task-7")
-	rep := runTaskIn(t, sandbox, analysis(local), &wq.Task{ID: 7, Args: map[string]string{
-		"lfn": "/store/f.root", "event_size": "128", "output": "/out/lost.root"}})
+	rep := runTaskIn(t, sandbox, analysis(local), &wq.Task{ID: 7, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: "/out/lost.root"})})
 	if rep.Failed != wrapper.SegStageOut || rep.ExitCode != wrapper.SegStageOut.Code() {
 		t.Fatalf("report = %+v, want a stage_out failure", rep)
 	}
@@ -372,8 +371,7 @@ func TestAnalysisFromALyingReplica(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rep := runTask(t, analysis(env), &wq.Task{ID: 7, Args: map[string]string{
-			"lfn": "/store/liar.root", "mode": mode, "output": "/out/liar", "event_size": "256"}})
+		rep := runTask(t, analysis(env), &wq.Task{ID: 7, Args: argsOf(wrapper.Args{LFN: "/store/liar.root", Mode: mode, Output: "/out/liar", EventSize: 256})})
 		runtime.ReadMemStats(&after)
 		return rep, after.TotalAlloc - before.TotalAlloc
 	}
@@ -416,8 +414,7 @@ func TestAnalysisFromAChoppyReplica(t *testing.T) {
 	}
 	for i, mode := range []string{"stream", "stage"} {
 		out := "/out/choppy-" + mode
-		rep := runTask(t, analysis(env), &wq.Task{ID: int64(40 + i), Args: map[string]string{
-			"lfn": "/store/choppy.root", "mode": mode, "output": out, "event_size": "256"}})
+		rep := runTask(t, analysis(env), &wq.Task{ID: int64(40 + i), Args: argsOf(wrapper.Args{LFN: "/store/choppy.root", Mode: mode, Output: out, EventSize: 256})})
 		if rep.ExitCode != 0 {
 			t.Fatalf("%s mode: report %+v", mode, rep)
 		}
@@ -438,7 +435,7 @@ func TestAnalysisSquidOutageIsSoftwareFailure(t *testing.T) {
 	env.ProxyURL = "http://127.0.0.1:1" // nothing listens
 	env.HTTPClient = newFastTimeoutClient()
 	exec := analysis(env)
-	rep := runTask(t, exec, &wq.Task{ID: 5, Args: map[string]string{"lfn": "/x"}})
+	rep := runTask(t, exec, &wq.Task{ID: 5, Args: argsOf(wrapper.Args{LFN: "/x"})})
 	if rep.Failed != wrapper.SegSoftware {
 		t.Fatalf("failed segment = %s", rep.Failed)
 	}
@@ -453,10 +450,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := simulation(svc.env)
-	rep := runTask(t, exec, &wq.Task{ID: 6, Args: map[string]string{
-		"events": "25", "seed": "7", "pileup": "/pileup/minbias.root",
-		"output": "/out/sim0.root", "event_size": "128",
-	}})
+	rep := runTask(t, exec, &wq.Task{ID: 6, Args: argsOf(wrapper.Args{Events: 25, Seed: 7, Pileup: "/pileup/minbias.root", Output: "/out/sim0.root", EventSize: 128})})
 	if rep.ExitCode != 0 {
 		t.Fatalf("simulation failed: %+v", rep)
 	}
@@ -471,10 +465,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 		t.Fatalf("simulation output missing: %v", err)
 	}
 	// Deterministic given the seed.
-	rep2 := runTask(t, exec, &wq.Task{ID: 7, Args: map[string]string{
-		"events": "25", "seed": "7", "pileup": "/pileup/minbias.root",
-		"output": "/out/sim1.root", "event_size": "128",
-	}})
+	rep2 := runTask(t, exec, &wq.Task{ID: 7, Args: argsOf(wrapper.Args{Events: 25, Seed: 7, Pileup: "/pileup/minbias.root", Output: "/out/sim1.root", EventSize: 128})})
 	if rep2.ExitCode != 0 {
 		t.Fatal("second simulation failed")
 	}
@@ -487,9 +478,24 @@ func TestSimulationEndToEnd(t *testing.T) {
 func TestSimulationRequiresEvents(t *testing.T) {
 	svc := startServices(t)
 	exec := simulation(svc.env)
-	rep := runTask(t, exec, &wq.Task{ID: 8, Args: map[string]string{}})
+	rep := runTask(t, exec, &wq.Task{ID: 8})
 	if rep.Failed != wrapper.SegExecute {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// TestMalformedArgsFailEnvInit: an argument record that does not decode
+// fails the task in env_init, before any service is touched, instead of
+// running it on defaults.
+func TestMalformedArgsFailEnvInit(t *testing.T) {
+	env := &Env{}
+	for _, raw := range []string{`{"work":"abc"}`, `[1]`, `{"events":`} {
+		for name, exec := range map[string]taskFunc{"analysis": analysis(env), "simulation": simulation(env)} {
+			rep := runTask(t, exec, &wq.Task{ID: 9, Args: json.RawMessage(raw)})
+			if rep.Failed != wrapper.SegEnvInit || rep.ExitCode != wrapper.SegEnvInit.Code() {
+				t.Errorf("%s with arguments %s: report %+v, want an env_init failure", name, raw, rep)
+			}
+		}
 	}
 }
 
@@ -523,14 +529,7 @@ func TestEventRangeSelection(t *testing.T) {
 		{200, 10, 6400, 6400}, // fully past EOF
 	}
 	for _, c := range cases {
-		args := map[string]string{}
-		if c.skip != 0 {
-			args["skip_events"] = fmt.Sprint(c.skip)
-		}
-		if c.max != 0 {
-			args["max_events"] = fmt.Sprint(c.max)
-		}
-		lo, hi := eventRange(k, size, args)
+		lo, hi := eventRange(k, size, &wrapper.Args{SkipEvents: c.skip, MaxEvents: c.max})
 		if lo != c.wantLo || hi != c.wantHi {
 			t.Errorf("eventRange(skip=%d,max=%d) = [%d,%d), want [%d,%d)",
 				c.skip, c.max, lo, hi, c.wantLo, c.wantHi)
@@ -544,11 +543,7 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	data := k.GenerateEvents(40, stats.NewRand(21))
 	svc.redir.Register("/store/ranged.root", svc.dataSrv.Store("/store/ranged.root", data))
 	exec := analysis(svc.env)
-	rep := runTask(t, exec, &wq.Task{ID: 30, Args: map[string]string{
-		"lfn": "/store/ranged.root", "mode": "stream",
-		"skip_events": "10", "max_events": "15",
-		"output": "/out/ranged", "event_size": "128",
-	}})
+	rep := runTask(t, exec, &wq.Task{ID: 30, Args: argsOf(wrapper.Args{LFN: "/store/ranged.root", Mode: "stream", SkipEvents: 10, MaxEvents: 15, Output: "/out/ranged", EventSize: 128})})
 	if rep.ExitCode != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -562,11 +557,7 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 		t.Fatalf("sub-range output wrong: %v", err)
 	}
 	// Stage mode over the same range produces identical output.
-	rep = runTask(t, exec, &wq.Task{ID: 31, Args: map[string]string{
-		"lfn": "/store/ranged.root", "mode": "stage",
-		"skip_events": "10", "max_events": "15",
-		"output": "/out/ranged-staged", "event_size": "128",
-	}})
+	rep = runTask(t, exec, &wq.Task{ID: 31, Args: argsOf(wrapper.Args{LFN: "/store/ranged.root", Mode: "stage", SkipEvents: 10, MaxEvents: 15, Output: "/out/ranged-staged", EventSize: 128})})
 	if rep.ExitCode != 0 {
 		t.Fatal("staged sub-range failed")
 	}
@@ -606,8 +597,12 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 				break
 			}
 		}
+		args := argDefaults
+		if _, err := initTask(ctx.Task.Args, &args); err != nil {
+			return err
+		}
 		reports <- wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegStageOut,
-			Run: func(c *wrapper.StepContext) error { return env.stageOut(ctx, c, []byte("late")) }})
+			Run: func(c *wrapper.StepContext) error { return env.stageOut(ctx, c, args.Output, []byte("late")) }})
 		return nil
 	}}
 	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg, nil)
@@ -615,7 +610,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := m.Submit(&wq.Task{Func: "zombie", Args: map[string]string{"output": "/store/user/late/out.root"}}); err != nil {
+	if _, err := m.Submit(&wq.Task{Func: "zombie", Args: argsOf(wrapper.Args{Output: "/store/user/late/out.root"})}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered

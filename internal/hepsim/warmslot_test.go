@@ -13,6 +13,7 @@ import (
 	"lobster/internal/stats"
 	"lobster/internal/telemetry"
 	"lobster/internal/wq"
+	"lobster/internal/wrapper"
 )
 
 // generateByteLoop is GenerateEvents as it was before the word stores:
@@ -101,10 +102,7 @@ func TestSimulationChunkedMatchesWhole(t *testing.T) {
 	if err := svc.chirpFS.WriteFile("/pileup/odd.root", pileup); err != nil {
 		t.Fatal(err)
 	}
-	rep := runTask(t, simulation(svc.env), &wq.Task{ID: 40, Args: map[string]string{
-		"events": "150", "seed": "5", "pileup": "/pileup/odd.root",
-		"output": "/out/chunked.root", "event_size": "99", "work": "2",
-	}})
+	rep := runTask(t, simulation(svc.env), &wq.Task{ID: 40, Args: argsOf(wrapper.Args{Events: 150, Seed: 5, Pileup: "/pileup/odd.root", Output: "/out/chunked.root", EventSize: 99, Work: 2})})
 	if rep.ExitCode != 0 {
 		t.Fatalf("simulation failed: %+v", rep)
 	}
@@ -145,10 +143,7 @@ func TestConcurrentTasksMatchSerial(t *testing.T) {
 				skip, max := (7*r+13*s)%200, 50+(31*r+17*s)%150
 				mode := []string{"stage", "stream"}[(r+s)%2]
 				out := fmt.Sprintf("/out/conc-%d-%d", s, r)
-				rep := runTaskIn(t, sandbox, exec, &wq.Task{ID: int64(100 + s*rounds + r), Args: map[string]string{
-					"lfn": "/store/shared.root", "mode": mode, "output": out, "event_size": "128",
-					"skip_events": fmt.Sprint(skip), "max_events": fmt.Sprint(max),
-				}})
+				rep := runTaskIn(t, sandbox, exec, &wq.Task{ID: int64(100 + s*rounds + r), Args: argsOf(wrapper.Args{LFN: "/store/shared.root", Mode: mode, Output: out, EventSize: 128, SkipEvents: skip, MaxEvents: max})})
 				if rep.ExitCode != 0 {
 					t.Errorf("slot %d round %d: %+v", s, r, rep)
 					return
@@ -184,9 +179,7 @@ func TestPileupSampleKeptAtWorkerScope(t *testing.T) {
 		t.Helper()
 		before := svc.chirpSrv.Stats()
 		out := fmt.Sprintf("/out/sim-%d", id)
-		rep := runTask(t, exec, &wq.Task{ID: id, Args: map[string]string{
-			"events": "100", "seed": "9", "pileup": "/pileup/minbias.root", "output": out, "event_size": "64",
-		}})
+		rep := runTask(t, exec, &wq.Task{ID: id, Args: argsOf(wrapper.Args{Events: 100, Seed: 9, Pileup: "/pileup/minbias.root", Output: out, EventSize: 64})})
 		if rep.ExitCode != 0 {
 			t.Fatalf("task %d: %+v", id, rep)
 		}
@@ -234,9 +227,7 @@ func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
 	run := func(env *Env, id int64, output string) string {
 		t.Helper()
 		sandbox := filepath.Join(scratch, fmt.Sprintf("task-%d", id)) // as a worker names it; never created
-		ctx := &wq.ExecContext{Task: &wq.Task{ID: id, Args: map[string]string{
-			"lfn": "/store/f.root", "event_size": "128", "output": output,
-		}}, Sandbox: sandbox}
+		ctx := &wq.ExecContext{Task: &wq.Task{ID: id, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: output})}, Sandbox: sandbox}
 		if err := exec(ctx); err != nil {
 			t.Fatalf("task %d: %v", id, err)
 		}
@@ -296,7 +287,7 @@ func TestScratchProbeRemembersOnlySuccess(t *testing.T) {
 // that comes back fails `make bench-guard`. So do files/op and
 // manifest-fetches/op, both pinned at zero: a hot task asks for no
 // sandbox and rides the manifest lease.
-func hotTask(b *testing.B, exec func(*Env) wq.Executor, args map[string]string) {
+func hotTask(b *testing.B, exec func(*Env) wq.Executor, args wrapper.Args) {
 	svc := startServices(b)
 	reg := telemetry.NewRegistry()
 	svc.env.Cache.Instrument(reg)
@@ -308,8 +299,8 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args map[string]string) 
 		b.Fatal(err)
 	}
 	run, sandbox := exec(svc.env), b.TempDir()
-	task := &wq.Task{ID: 1, Args: args}
-	args["event_size"], args["output"] = "1024", "/out/hot"
+	args.EventSize, args.Output = 1024, "/out/hot"
+	task := &wq.Task{ID: 1, Args: argsOf(args)}
 	for i := 0; i < 3; i++ { // cold start, then fill the caches and the sized pools
 		if err := run(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "bench"}); err != nil {
 			b.Fatalf("warm-up task failed: %v", err)
@@ -348,11 +339,11 @@ func warmSized(sizes ...int) {
 func BenchmarkAnalysisTaskHot(b *testing.B) {
 	for _, mode := range []string{"stream", "stage"} {
 		b.Run(mode, func(b *testing.B) {
-			hotTask(b, Analysis, map[string]string{"lfn": "/store/hot.root", "mode": mode, "run": "42"})
+			hotTask(b, Analysis, wrapper.Args{LFN: "/store/hot.root", Mode: mode, Run: 42})
 		})
 	}
 }
 
 func BenchmarkSimulationTaskHot(b *testing.B) {
-	hotTask(b, Simulation, map[string]string{"events": "4096", "seed": "7", "pileup": "/pileup/hot.root"})
+	hotTask(b, Simulation, wrapper.Args{Events: 4096, Seed: 7, Pileup: "/pileup/hot.root"})
 }

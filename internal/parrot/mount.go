@@ -42,7 +42,7 @@ func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, e
 		m.rootHash = root
 		return m, nil
 	}
-	body, err := m.fetch("/cvmfs/" + repo + "/.cvmfspublished")
+	body, err := m.fetch("/cvmfs/"+repo+"/.cvmfspublished", false)
 	if err != nil {
 		return nil, fmt.Errorf("parrot: fetching manifest: %w", err)
 	}
@@ -58,9 +58,17 @@ func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, e
 	return m, nil
 }
 
-// fetch GETs path from the mount's proxy.
-func (m *Mount) fetch(path string) ([]byte, error) {
-	resp, err := m.client.Get(m.base + path)
+// fetch GETs path from the mount's proxy; fresh asks the proxy to go
+// back to the origin for it (Cache-Control: no-cache).
+func (m *Mount) fetch(path string, fresh bool) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodGet, m.base+path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
+	}
+	if fresh {
+		req.Header.Set("Cache-Control", "no-cache")
+	}
+	resp, err := m.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
 	}
@@ -101,19 +109,32 @@ func validHash(h string) bool {
 // object fetches a content-addressed object through the cache. What
 // arrives is checked against its name before the cache installs it, so a
 // byte corrupted on the way is an error of this fetch, not a poisoned
-// cache for every later task of the node.
+// cache for every later task of the node. An object that fails the check
+// is fetched once more with no-cache, as a CVMFS client does: a proxy
+// that kept a corrupted copy replaces it, instead of serving it to every
+// node until it is evicted.
 func (m *Mount) object(hash string) ([]byte, error) {
 	data, _, err := m.inst.GetOrFetch(hash, func() ([]byte, error) {
-		data, err := m.fetch("/cvmfs/" + m.repo + "/data/" + hash)
+		path := "/cvmfs/" + m.repo + "/data/" + hash
+		data, err := m.fetch(path, false)
+		if err == nil && !hashes(data, hash) {
+			data, err = m.fetch(path, true)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
+		if !hashes(data, hash) {
 			return nil, fmt.Errorf("parrot: object %s from %s fails its SHA-256 check", hash, m.base)
 		}
 		return data, nil
 	})
 	return data, err
+}
+
+// hashes reports whether data is the object named hash.
+func hashes(data []byte, hash string) bool {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]) == hash
 }
 
 // catalog returns the decoded catalog object, parsing it at most once

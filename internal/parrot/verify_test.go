@@ -14,6 +14,8 @@ import (
 
 	"lobster/internal/bufpool"
 	"lobster/internal/cvmfs"
+	"lobster/internal/faultinject"
+	"lobster/internal/squid"
 )
 
 // TestHashesMustBeHex: a hash becomes a cache path, so a manifest or a
@@ -123,6 +125,57 @@ func TestCorruptObjectNotInstalled(t *testing.T) {
 	want, _ := repo.Object(victim)
 	if got, err := m.ReadFile(paths[0]); err != nil || string(got) != string(want) {
 		t.Errorf("after the origin healed: %d bytes, %v; want the true %d", len(got), err, len(want))
+	}
+}
+
+// TestCorruptProxyCopyRefetched: an origin response corrupted on its way
+// into the proxy is refetched once by the node that finds it fails its
+// hash, with no-cache, and the proxy keeps the true bytes from then on:
+// three nodes with fresh caches all warm the release, and the proxy
+// counts exactly one miss more than a clean run.
+func TestCorruptProxyCopyRefetched(t *testing.T) {
+	repo, _, _ := testRepo(t)
+	warmThree := func(fault *faultinject.Injector) (squid.Stats, []error) {
+		origin := httptest.NewServer(cvmfs.NewServer(repo))
+		defer origin.Close()
+		proxy, err := squid.New(origin.URL, squid.Config{Fault: fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := httptest.NewServer(proxy)
+		defer ps.Close()
+		var errs []error
+		for node := 0; node < 3; node++ {
+			c, err := NewCache(t.TempDir(), ModeAlien)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := c.Instance("task-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMount(ps.URL, "cms.cern.ch", inst, nil)
+			if err == nil {
+				_, err = m.WarmRelease("/CMSSW_7_4_0")
+			}
+			errs = append(errs, err)
+		}
+		return proxy.Stats(), errs
+	}
+	clean, _ := warmThree(nil)
+	// The first origin round trip is the manifest, which names no hash;
+	// the second is the root catalog.
+	fault := faultinject.New(&faultinject.Plan{Rules: []faultinject.Rule{{
+		Component: "squid_origin", Op: "roundtrip", Action: faultinject.ActCorrupt, After: 1, Times: 1}}})
+	st, errs := warmThree(fault)
+	for node, err := range errs {
+		if err != nil {
+			t.Errorf("node %d: %v", node, err)
+		}
+	}
+	if st.Misses != clean.Misses+1 || st.OriginErrors != 0 {
+		t.Errorf("proxy with one corrupted origin response: %d misses, %d origin errors; want %d, 0 (one refetch)",
+			st.Misses, st.OriginErrors, clean.Misses+1)
 	}
 }
 

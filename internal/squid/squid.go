@@ -164,6 +164,10 @@ type entry struct {
 	key  string
 	body []byte
 	hdr  http.Header
+	// clen is the Content-Length header value, made once at insert: a
+	// hit announces its length, so a body past net/http's 2 KiB chunking
+	// threshold is not sent chunked to a client that reads only a length.
+	clen []string
 }
 
 // stream is one in-flight origin fetch shared by every request that
@@ -275,7 +279,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.mu.Lock()
-	if el, ok := p.items[key]; ok {
+	if el, ok := p.items[key]; ok && !noCache(r.Header) {
 		p.lru.MoveToFront(el)
 		p.stats.Hits++
 		ent := el.Value.(*entry)
@@ -287,6 +291,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				h.Add(k, v)
 			}
 		}
+		h["Content-Length"] = ent.clen
 		h.Set("X-Cache", "HIT")
 		sp.Attr("outcome", outcomeHit)
 		sp.AttrInt("bytes", int64(len(ent.body)))
@@ -320,6 +325,20 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sp.Attr("error", err.Error())
 	}
 	sp.End()
+}
+
+// noCache reports whether the client asked for a copy fresh from the
+// origin (Cache-Control: no-cache), as a CVMFS client does for an object
+// the proxy served corrupted: the request is a miss, and what it fetches
+// replaces the cached entry. A direct lookup of the canonical key, so a
+// request without the header costs the hit path nothing.
+func noCache(h http.Header) bool {
+	for _, v := range h["Cache-Control"] {
+		if strings.Contains(v, "no-cache") {
+			return true
+		}
+	}
+	return false
 }
 
 // countServed updates the served-bytes accounting.
@@ -412,7 +431,7 @@ func (p *Proxy) pump(key string, st *stream, wireCtx, spanCtx trace.Context) {
 	if err == nil && cacheable(st.hdr) {
 		// The stream's buffer becomes the cache body without a copy: the
 		// pump is done appending, so it is immutable from here on.
-		p.insertLocked(&entry{key: key, body: st.buf, hdr: st.hdr})
+		p.insertLocked(&entry{key: key, body: st.buf, hdr: st.hdr, clen: []string{strconv.Itoa(len(st.buf))}})
 	}
 	p.mu.Unlock()
 	st.finish(err)
@@ -427,14 +446,17 @@ func cacheable(h http.Header) bool {
 	return true
 }
 
-// insertLocked adds ent to the cache, evicting LRU entries to fit.
-// Objects larger than the whole capacity are not cached.
+// insertLocked adds ent to the cache, replacing an entry of the same key
+// (a no-cache refetch) and evicting LRU entries to fit. Objects larger
+// than the whole capacity are not cached.
 func (p *Proxy) insertLocked(ent *entry) {
+	if el, exists := p.items[ent.key]; exists {
+		p.lru.Remove(el)
+		delete(p.items, ent.key)
+		p.used -= int64(len(el.Value.(*entry).body))
+	}
 	size := int64(len(ent.body))
 	if size > p.capacity {
-		return
-	}
-	if _, exists := p.items[ent.key]; exists {
 		return
 	}
 	for p.used+size > p.capacity && p.lru.Len() > 0 {

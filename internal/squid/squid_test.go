@@ -114,6 +114,45 @@ func TestNoCacheNotStored(t *testing.T) {
 	}
 }
 
+// TestNoCacheRequestReplacesEntry: a request carrying Cache-Control:
+// no-cache is a miss even when the object is cached, and what it fetches
+// replaces the entry for every later hit. Telling whether a request
+// carries the header allocates nothing, so the hit path pays nothing for it.
+func TestNoCacheRequestReplacesEntry(t *testing.T) {
+	var version atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "v%d", version.Add(1))
+	}))
+	defer origin.Close()
+	p, _ := New(origin.URL, Config{})
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+	if body, cache := get(t, ts.URL+"/obj"); body != "v1" || cache != "MISS" {
+		t.Fatalf("first fetch: %q %q", body, cache)
+	}
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/obj", nil)
+	req.Header.Set("Cache-Control", "no-cache")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "v2" || resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("no-cache fetch: %q %q", body, resp.Header.Get("X-Cache"))
+	}
+	if body, cache := get(t, ts.URL+"/obj"); body != "v2" || cache != "HIT" {
+		t.Fatalf("after the refetch: %q %q, want the replacement as a hit", body, cache)
+	}
+	if s := p.Stats(); s.Misses != 2 || s.Hits != 1 || s.CachedObjects != 1 || s.CachedBytes != 2 {
+		t.Errorf("stats = %+v", s)
+	}
+	plain := http.Header{"Accept": {"*/*"}}
+	if n := testing.AllocsPerRun(100, func() { noCache(plain) }); n != 0 {
+		t.Errorf("reading Cache-Control: %v allocs", n)
+	}
+}
+
 func TestOriginErrorPropagates(t *testing.T) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()

@@ -6,9 +6,10 @@ import (
 )
 
 // Transport is an http.RoundTripper that injects a fixed trace context
-// into every outgoing request — the idiom for clients (parrot mounts,
-// frontier lookups) whose request path offers no per-call hook. The
-// request is cloned before mutation, as RoundTrip contracts require.
+// into every outgoing request — the idiom for a client (parrot's mounts)
+// whose request path offers no per-call hook; frontier's client writes
+// the header itself. The request is cloned before mutation, as RoundTrip
+// contracts require.
 type Transport struct {
 	Base http.RoundTripper // nil means http.DefaultTransport
 	Ctx  Context

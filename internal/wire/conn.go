@@ -3,7 +3,10 @@
 // in which every request is one line, every reply starts with one status
 // line — the command's answer, or "-1 <error>" — and payload bytes follow
 // a size line. wq sends size-framed JSON: a size line, then exactly that
-// many bytes of one JSON value (ReadFrame, SendFrame). Each protocol used
+// many bytes of one JSON value (ReadFrame, SendFrame). frontier's client
+// sends its HTTP/1.1 conditions GET over a Conn too (ProtoHTTP), parked in
+// a Pool between tasks, and reads the response headers with ReadLine.
+// Each protocol used
 // to carry a copy of each piece here, and the copies drifted (DESIGN.md
 // §10, "One wire"); what is left in each package is its commands.
 //
@@ -48,7 +51,7 @@ type Conn struct {
 	R   *bufio.Reader
 	W   *bufio.Writer
 
-	proto  string // "chirp", "xrootd" or "wq": the prefix of every error text
+	proto  string // "chirp", "xrootd", "wq" or "http": the prefix of every error text
 	broken atomic.Bool
 
 	// The frame codec's state (frame.go), each half owned by its side:
@@ -90,16 +93,24 @@ func (c *Conn) Fail(err error) error {
 	return err
 }
 
-// Close says quit and hangs up. A broken connection is already closed;
-// Close is then a no-op.
+// Close says quit and hangs up. HTTP has no quit — a request line the
+// peer cannot parse earns a 400 — so a connection of protocol "http" only
+// hangs up. A broken connection is already closed; Close is then a no-op.
 func (c *Conn) Close() error {
 	if c.broken.Swap(true) {
 		return nil
 	}
-	c.W.WriteString("quit\n")
-	c.W.Flush()
+	if c.proto != ProtoHTTP {
+		c.W.WriteString("quit\n")
+		c.W.Flush()
+	}
 	return c.Net.Close()
 }
+
+// ProtoHTTP names an HTTP/1.1 keep-alive connection: frontier's
+// conditions GET rides a Conn and a Pool like the line protocols, with
+// its own request and response framing.
+const ProtoHTTP = "http"
 
 // Send writes cmd, which may be built in W.AvailableBuffer or be empty,
 // and flushes it with whatever W already held.

@@ -51,7 +51,7 @@ func TestDrainUnderBurst(t *testing.T) {
 	const n = 64
 	for i := 0; i < n; i++ {
 		if _, err := m.Submit(&Task{Func: "echo",
-			Args: map[string]string{"text": "x"}, Outputs: []string{"out.txt"}}); err != nil {
+			Args: argsOf(testArgs{Text: "x"}), Outputs: []string{"out.txt"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestDrainUnderBurst(t *testing.T) {
 func TestPoisonTaskPermanentFailure(t *testing.T) {
 	m := newMaster(t)
 	id, err := m.Submit(&Task{Func: "sleep",
-		Args: map[string]string{"d": "2s"}, MaxRetries: 2})
+		Args: argsOf(testArgs{D: "2s"}), MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

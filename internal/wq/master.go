@@ -2,6 +2,7 @@ package wq
 
 import (
 	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -216,6 +217,12 @@ func (m *Master) Addr() string { return m.srv.Addr() }
 func (m *Master) Submit(t *Task) (int64, error) {
 	if t.Func == "" {
 		return 0, errors.New("wq: task needs a Func")
+	}
+	// The arguments go onto the wire as they are: a record that is not
+	// one JSON value would fail the dispatch frame and break the
+	// connection of every worker the task was handed to.
+	if len(t.Args) > 0 && !json.Valid(t.Args) {
+		return 0, errors.New("wq: task arguments are not one JSON value")
 	}
 	if t.MaxRetries <= 0 {
 		t.MaxRetries = 5

@@ -5,7 +5,8 @@
 //
 // Tasks name an executor function from a Registry shared by master and
 // workers (the Go analogue of shipping a command line) and carry its
-// arguments. wq moves no files: what a task reads and writes travels over
+// arguments as one JSON record, which the submitter marshals, wq passes
+// through its frames unopened, and the executor decodes. wq moves no files: what a task reads and writes travels over
 // parrot/CVMFS, xrootd and chirp, and a declared output comes back only if
 // the executor hands it over in memory with ExecContext.SetOutput.
 //
@@ -15,6 +16,7 @@
 package wq
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -38,8 +40,10 @@ type Task struct {
 	ID int64 `json:"id"`
 	// Func names the executor in the Registry.
 	Func string `json:"func"`
-	// Args are free-form parameters for the executor.
-	Args map[string]string `json:"args,omitempty"`
+	// Args is the executor's argument record, one JSON value the
+	// submitter marshals and the executor decodes. wq carries it as it
+	// is and never opens it.
+	Args json.RawMessage `json:"args,omitempty"`
 	// Outputs name the outputs the executor must hand over with
 	// ExecContext.SetOutput; one it does not fails the task with 171.
 	Outputs []string `json:"outputs,omitempty"`

@@ -45,7 +45,7 @@ func TestTraceMalformedContextDegrades(t *testing.T) {
 		"not-a-trace", "lt1-xx-yy-zz", "lt1-0000000000000000-0000000000000000-01", "lt9-....",
 	} {
 		id, err := m.Submit(&Task{
-			Func: "echo", Args: map[string]string{"text": "x"},
+			Func: "echo", Args: argsOf(testArgs{Text: "x"}),
 			Outputs: []string{"out.txt"}, Trace: garbage,
 		})
 		if err != nil {
@@ -80,7 +80,7 @@ func TestTraceRequeueSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Submit(&Task{Func: "sleep", Args: map[string]string{"d": "5s"}})
+	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
 	// Let the task dispatch, then evict its worker.
 	deadline := time.Now().Add(5 * time.Second)
 	for m.Stats().TasksRunning == 0 {

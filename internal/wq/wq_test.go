@@ -1,6 +1,7 @@
 package wq
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -12,15 +13,37 @@ import (
 	"time"
 )
 
+// testArgs is the argument record of the test executors.
+type testArgs struct {
+	Text string `json:"text,omitempty"` // echo: the output's content
+	D    string `json:"d,omitempty"`    // sleep: how long
+	Mode string `json:"mode,omitempty"` // shim: which path to take
+}
+
+// argsOf marshals a task's argument record, as a submitter does.
+func argsOf(a testArgs) json.RawMessage {
+	raw, err := json.Marshal(&a)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// argsIn decodes the record a test executor was handed.
+func argsIn(ctx *ExecContext) (a testArgs) {
+	json.Unmarshal(ctx.Task.Args, &a)
+	return a
+}
+
 // testRegistry returns executors used across the tests.
 func testRegistry() Registry {
 	return Registry{
 		"echo": func(ctx *ExecContext) error {
-			ctx.SetOutput("out.txt", []byte(ctx.Task.Args["text"]))
+			ctx.SetOutput("out.txt", []byte(argsIn(ctx).Text))
 			return nil
 		},
 		"sleep": func(ctx *ExecContext) error {
-			d, err := time.ParseDuration(ctx.Task.Args["d"])
+			d, err := time.ParseDuration(argsIn(ctx).D)
 			if err != nil {
 				return err
 			}
@@ -61,7 +84,7 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 	newWorker(t, m.Addr(), "w0", 2)
 	id, err := m.Submit(&Task{
 		Func:    "echo",
-		Args:    map[string]string{"text": "hello lobster"},
+		Args:    argsOf(testArgs{Text: "hello lobster"}),
 		Outputs: []string{"out.txt"},
 		Tag:     "analysis",
 	})
@@ -100,7 +123,7 @@ func TestManyTasksManyWorkers(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Submit(&Task{
 			Func:    "echo",
-			Args:    map[string]string{"text": strconv.Itoa(i)},
+			Args:    argsOf(testArgs{Text: strconv.Itoa(i)}),
 			Outputs: []string{"out.txt"},
 		})
 	}
@@ -146,7 +169,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panic not reported: %+v", r)
 	}
 	// Worker must survive and run further tasks.
-	m.Submit(&Task{Func: "echo", Args: map[string]string{"text": "alive"}, Outputs: []string{"out.txt"}})
+	m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "alive"}), Outputs: []string{"out.txt"}})
 	r, ok = m.WaitResult(10 * time.Second)
 	if !ok || r.Failed() {
 		t.Fatalf("worker dead after panic: %+v", r)
@@ -169,7 +192,7 @@ func TestUnknownExecutor(t *testing.T) {
 func TestMissingDeclaredOutput(t *testing.T) {
 	m := newMaster(t)
 	newWorker(t, m.Addr(), "w0", 1)
-	m.Submit(&Task{Func: "echo", Args: map[string]string{"text": "x"}, Outputs: []string{"wrong-name"}})
+	m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "x"}), Outputs: []string{"wrong-name"}})
 	r, ok := m.WaitResult(10 * time.Second)
 	if !ok || r.ExitCode != 171 {
 		t.Fatalf("result = %+v", r)
@@ -186,7 +209,7 @@ func TestSetOutputInMemory(t *testing.T) {
 	dir := t.TempDir()
 	inner := func(ctx *ExecContext) error {
 		ctx.SetOutput("report.json", []byte("from memory"))
-		switch ctx.Task.Args["mode"] {
+		switch argsIn(ctx).Mode {
 		case "fail":
 			return &ExitError{Code: 42, Msg: "after the report"}
 		case "file":
@@ -214,7 +237,7 @@ func TestSetOutputInMemory(t *testing.T) {
 	defer w.Close()
 	run := func(mode string, outputs ...string) *Result {
 		t.Helper()
-		m.Submit(&Task{Func: "shim", Args: map[string]string{"mode": mode}, Outputs: outputs})
+		m.Submit(&Task{Func: "shim", Args: argsOf(testArgs{Mode: mode}), Outputs: outputs})
 		r, ok := m.WaitResult(10 * time.Second)
 		if !ok {
 			t.Fatal("no result")
@@ -256,13 +279,19 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := m.Submit(&Task{}); err == nil {
 		t.Error("task without Func accepted")
 	}
+	// A record that is not one JSON value never reaches a dispatch frame.
+	for _, raw := range []string{`{"text":`, `{} {}`, `text`} {
+		if _, err := m.Submit(&Task{Func: "echo", Args: json.RawMessage(raw)}); err == nil {
+			t.Errorf("task with arguments %q accepted", raw)
+		}
+	}
 }
 
 func TestEvictionRequeuesTasks(t *testing.T) {
 	m := newMaster(t)
 	victim := newWorker(t, m.Addr(), "victim", 2)
-	m.Submit(&Task{Func: "sleep", Args: map[string]string{"d": "5s"}})
-	m.Submit(&Task{Func: "sleep", Args: map[string]string{"d": "5s"}})
+	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
+	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
 	// Wait until both tasks are running on the victim.
 	deadline := time.Now().Add(5 * time.Second)
 	for m.Stats().TasksRunning != 2 {
@@ -298,7 +327,7 @@ func TestEvictionRequeuesTasks(t *testing.T) {
 
 func TestRetriesExhaustedProducesFailure(t *testing.T) {
 	m := newMaster(t)
-	m.Submit(&Task{Func: "sleep", Args: map[string]string{"d": "10s"}, MaxRetries: 1})
+	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "10s"}), MaxRetries: 1})
 	// Two successive evictions exceed MaxRetries=1.
 	for i := 0; i < 2; i++ {
 		w := newWorker(t, m.Addr(), fmt.Sprintf("victim%d", i), 1)

@@ -56,6 +56,36 @@ func (s Segment) Code() int {
 // executor hands it to the worker in memory, inline in the result.
 const ReportFile = "report.json"
 
+// Args is what an analysis or simulation task tells its executor: the
+// record core builds for each task and marshals into wq.Task.Args, which
+// wq carries without opening. A zero field is left out of the encoding and
+// the executor reads its default in its place.
+type Args struct {
+	// LFN is the analysis input's logical file name (required there).
+	LFN string `json:"lfn,omitempty"`
+	// Mode is the analysis access mode: "stream" (the default) or "stage".
+	Mode string `json:"mode,omitempty"`
+	// Run is the experiment run the conditions lookup is for (default 1).
+	Run int `json:"run,omitempty"`
+	// SkipEvents and MaxEvents are the analysis task's share of its file,
+	// in events; MaxEvents 0 runs to the end of the file.
+	SkipEvents int `json:"skip_events,omitempty"`
+	MaxEvents  int `json:"max_events,omitempty"`
+	// EventSize and Work shape the kernel (defaults: the executors'
+	// event size, work factor 1).
+	EventSize int `json:"event_size,omitempty"`
+	Work      int `json:"work,omitempty"`
+	// Events is how many events a simulation task generates (required
+	// there), from RNG seed Seed (default 1).
+	Events int `json:"events,omitempty"`
+	Seed   int `json:"seed,omitempty"`
+	// Pileup is the chirp path of a simulation task's pile-up sample.
+	Pileup string `json:"pileup,omitempty"`
+	// Output is the chirp path the task's output is staged out to. A task
+	// without one leaves output.root in its sandbox.
+	Output string `json:"output,omitempty"`
+}
+
 // Metrics are one segment's measurements, or their sum over a report. A
 // field no step set stays zero and is left out of the encoding.
 type Metrics struct {
