@@ -91,6 +91,14 @@ fmt:
 # mirror of 17 series, the per-attempt span trees and the health ticker
 # that RunBig carried no program set, and they kept two rules alive that
 # no lobster process could fire.
+#
+# And the squid answers its clients on the wire, never through net/http's
+# server: no http.ResponseWriter, ServeHTTP or net/http/httptest in its
+# non-test code (DESIGN.md section 10, the squid answers on the wire).
+# That server half cost a hot conditions hit about 2.4 KB and 21
+# allocations: a request, its header map, a url.URL, a context and a
+# header clone per hit. The origin side stays a net/http client, on the
+# cold path only.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim internal/frontier
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -115,6 +123,8 @@ copy-lint:
 	test -z "$$out" || { echo "unsafe outside internal/parrot/scan_linux.go:"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'http\.(DefaultClient\b|Get\(|Head\(|Post\(|PostForm\()' --include='*.go' internal cmd | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "the untimed default HTTP client (give the request a deadline of its own):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'http\.ResponseWriter|ServeHTTP|net/http/httptest' --include='*.go' internal/squid | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "the squid serving through net/http (it answers on internal/wire):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 
@@ -186,6 +196,8 @@ fuzz:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/seglog/
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wrapper/
+	$(GO) test -fuzz FuzzRequest -fuzztime $(FUZZTIME) ./internal/squid/
+	$(GO) test -fuzz FuzzResponse -fuzztime $(FUZZTIME) ./internal/frontier/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

@@ -96,8 +96,11 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(st.proxy)
-	t.Cleanup(proxySrv.Close)
+	proxyURL, err := st.proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.proxy.Close() })
 
 	// Chirp storage element.
 	if cluster != nil {
@@ -123,7 +126,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	}
 	xcl := &xrootd.Client{Redirector: red, Dashboard: st.dash, Consumer: "lobster"}
 	st.env = &hepsim.Env{
-		ProxyURL:      proxySrv.URL,
+		ProxyURL:      proxyURL,
 		Repo:          "cms.cern.ch",
 		ReleasePath:   "/CMSSW_7_4_0",
 		Cache:         cache,

@@ -215,8 +215,11 @@ func Start(opts Options) (*Stack, error) {
 	}
 	st.Proxy.Instrument(opts.Telemetry)
 	st.Proxy.Trace(opts.Tracer)
-	proxySrv := httptest.NewServer(st.Proxy)
-	st.closers = append(st.closers, proxySrv.Close)
+	proxyURL, err := st.Proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	st.closers = append(st.closers, func() { st.Proxy.Close() })
 
 	// Storage element.
 	if opts.UseHDFS {
@@ -255,7 +258,7 @@ func Start(opts Options) (*Stack, error) {
 		Consumer: "lobster", Fault: opts.Fault, Retry: opts.Retry, Telemetry: opts.Telemetry}
 	st.closers = append(st.closers, func() { xcl.Close() })
 	st.Env = &hepsim.Env{
-		ProxyURL:      proxySrv.URL,
+		ProxyURL:      proxyURL,
 		Repo:          "cms.cern.ch",
 		ReleasePath:   "/CMSSW_7_4_0",
 		Cache:         cache,

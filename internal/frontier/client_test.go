@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"net/http/httptest"
 	"strconv"
@@ -206,9 +207,12 @@ func TestClientConcurrentFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
-	c := &Client{Base: proxySrv.URL}
+	proxyURL, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	c := &Client{Base: proxyURL}
 	const slots, fetches = 4, 50
 	var wg sync.WaitGroup
 	for g := 0; g < slots; g++ {
@@ -314,9 +318,12 @@ func BenchmarkConditionsHot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
-	c := &Client{Base: proxySrv.URL}
+	proxyURL, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer proxy.Close()
+	c := &Client{Base: proxyURL}
 	defer c.Close()
 	for i := 0; i < 3; i++ { // the origin fetch, then the pools
 		if _, err := c.Fetch("align", 250000); err != nil {
@@ -330,4 +337,99 @@ func BenchmarkConditionsHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestClientHeaderRules: a second Content-Length that differs from the
+// first fails the fetch and hangs up (RFC 9112 section 6.3), where the
+// last one used to win; a repeat of the same one does not. A close token
+// inside a Connection list is honoured: the connection is read and then
+// hung up, not parked for a fetch that would find it dead.
+func TestClientHeaderRules(t *testing.T) {
+	length := "Content-Length: " + strconv.Itoa(len(okBody)) + "\r\n"
+	for _, tc := range []struct {
+		name, resp, err string
+		parked          int
+	}{
+		{"two lengths", strings.Replace(okResponse, length, length+"Content-Length: 9\r\n", 1), "Content-Length", 0},
+		{"a repeated length", strings.Replace(okResponse, length, length+length, 1), "", 1},
+		{"close in a list", strings.Replace(okResponse, length, length+"Connection: keep-alive, close\r\n", 1), "", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newRawServer(t, tc.resp)
+			c := &Client{Base: srv.base()}
+			defer c.Close()
+			p, err := c.Fetch("beam", 5)
+			if tc.err == "" && (err != nil || string(p.Data) != "x") || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("fetch = %+v, %v; want error %q", p, err, tc.err)
+			}
+			if tc.parked == 0 {
+				srv.awaitHup(t)
+			}
+			if n := Parked(c); n != tc.parked {
+				t.Errorf("%d connections parked, want %d", n, tc.parked)
+			}
+		})
+	}
+}
+
+// endless is a proxy's side of a connection: what it answers, then an
+// endless stream of bytes, so that a reader that goes past what it may
+// read is caught counting.
+type endless struct {
+	answer *bytes.Reader
+	read   int64
+}
+
+func (e *endless) Read(b []byte) (int, error) {
+	n, _ := e.answer.Read(b)
+	for i := n; i < len(b); i++ {
+		b[i] = 'x'
+	}
+	e.read += int64(len(b))
+	return len(b), nil
+}
+func (e *endless) Write(b []byte) (int, error)      { return len(b), nil }
+func (e *endless) Close() error                     { return nil }
+func (e *endless) LocalAddr() net.Addr              { return nil }
+func (e *endless) RemoteAddr() net.Addr             { return nil }
+func (e *endless) SetDeadline(time.Time) error      { return nil }
+func (e *endless) SetReadDeadline(time.Time) error  { return nil }
+func (e *endless) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzResponse: whatever a proxy answers, a fetch never panics, a fetch
+// that fails never parks its connection, and no body past the 1 MiB cap
+// is read: behind the answer the connection carries bytes without end,
+// and the client reads at most the answer, a capped body and one read
+// buffer of them.
+func FuzzResponse(f *testing.F) {
+	for _, seed := range []string{
+		okResponse,
+		strings.Replace(okResponse, "\r\n\r\n", "\r\nConnection: keep-alive, close\r\n\r\n", 1),
+		strings.Replace(okResponse, "\r\n\r\n", "\r\nContent-Length: 7\r\n\r\n", 1),
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1048577\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1048576\r\n\r\n",
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n\r\nnot found",
+		"HTTP/1.1 200 OK\r\r\nContent-Length: 2\r\n\r\n{}",
+		"ICY 200 OK\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, answer []byte) {
+		e := &endless{answer: bytes.NewReader(answer)}
+		c := &Client{Base: "http://squid.invalid:3128"}
+		DialWith(c, func() net.Conn { return e })
+		p, err := c.Fetch("beam", 5)
+		if err != nil && Parked(c) != 0 {
+			t.Fatalf("%q: %v, and the connection was parked", answer, err)
+		}
+		if err == nil && p == nil {
+			t.Fatalf("%q: no payload and no error", answer)
+		}
+		if limit := int64(len(answer)) + maxBody + 4<<10; e.read > limit {
+			t.Fatalf("%q: read %d bytes, past the %d an answer and a capped body take", answer, e.read, limit)
+		}
+		c.Close()
+	})
 }

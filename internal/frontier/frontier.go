@@ -8,7 +8,8 @@
 // paper's analysis jobs hit Frontier once per task for the run being
 // processed.
 //
-// The Service is an origin like any other and answers through net/http.
+// The Service is an origin like any other and answers through net/http;
+// the squid in front of it answers on internal/wire.
 // The Client is the worker's end of that once-per-task GET, so it is
 // built to be cheap: one keep-alive connection parked in a wire.Pool
 // between tasks, the request written and the response read in place, and
@@ -135,14 +136,15 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 //
 // A conditions GET is the one request of an analysis task that every task
 // makes, so the client speaks just enough HTTP/1.1 to make it cheap: it
-// writes the request line and headers itself, reads the status line and
-// headers in place with wire.Conn.ReadLine, and reads a Content-Length
-// body of at most maxBody into a pooled buffer. Connections are kept
-// alive and parked in a wire.Pool between fetches, so a hot task dials
-// nothing. A response it does not read — chunked, without a length, too
-// long, not a 200 — fails the fetch and hangs the connection up; nothing
-// half-read is ever parked. Every fetch has one deadline, fetchTimeout,
-// whether or not it is traced.
+// writes the request line and headers itself, reads the status line in
+// place with wire.Conn.ReadLine and the headers with wire.Conn.ReadHeader,
+// and reads a Content-Length body of at most maxBody into a pooled
+// buffer. Connections are kept alive and parked in a wire.Pool between
+// fetches, so a hot task dials nothing. A response it does not read —
+// chunked, without a length or with two that differ, too long, not a 200,
+// a payload that does not decode — fails the fetch and hangs the
+// connection up; nothing half-read is ever parked. Every fetch has one
+// deadline, fetchTimeout, whether or not it is traced.
 //
 // The zero value with Base set is ready to use; the connections are made
 // on the first fetch. Close hangs up the parked ones. Safe for concurrent
@@ -171,13 +173,6 @@ const (
 	maxBody = 1 << 20
 )
 
-var (
-	hdrContentLength    = []byte("Content-Length")
-	hdrTransferEncoding = []byte("Transfer-Encoding")
-	hdrConnection       = []byte("Connection")
-	tokenClose          = []byte("close")
-)
-
 func (c *Client) init() {
 	u, err := url.Parse(c.Base)
 	if err == nil && (u.Scheme != "http" || u.Host == "") {
@@ -195,9 +190,14 @@ func (c *Client) init() {
 		c.timeout = fetchTimeout
 	}
 	timeout := c.timeout
-	c.conns = wire.NewPool(nil, "",
+	c.conns = newPool(func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) })
+}
+
+// newPool returns the pool of a client's connections, which dial makes.
+func newPool(dial func(addr string) (net.Conn, error)) *wire.Pool[*wire.Conn] {
+	return wire.NewPool(nil, "",
 		func(addr string) (*wire.Conn, error) {
-			nc, err := net.DialTimeout("tcp", addr, timeout)
+			nc, err := dial(addr)
 			if err != nil {
 				return nil, err
 			}
@@ -275,49 +275,29 @@ func readStatus(conn *wire.Conn) error {
 
 // readBody reads the headers and the body after a 200 and decodes the
 // payload. conn goes back to the pool only once the body is read whole
-// and the server has not said it will close it.
+// and decoded and the server has not said it will close it: an error
+// never parks it.
 func (c *Client) readBody(conn *wire.Conn) (*Payload, error) {
-	size, closing := int64(-1), false
-	for {
-		line, err := conn.ReadLine()
-		if err != nil {
-			return nil, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := bytes.Cut(line, []byte(":"))
-		if !ok {
-			return nil, conn.Protocol("bad header line %q", line)
-		}
-		value = bytes.TrimSpace(value)
-		switch {
-		case bytes.EqualFold(name, hdrContentLength):
-			if size, err = conn.ParseSize(value, maxBody); err != nil {
-				return nil, err
-			}
-		case bytes.EqualFold(name, hdrTransferEncoding):
-			return nil, conn.Protocol("Transfer-Encoding %s: only a Content-Length body is read", value)
-		case bytes.EqualFold(name, hdrConnection):
-			closing = bytes.EqualFold(value, tokenClose)
-		}
+	h, err := conn.ReadHeader(maxBody, nil)
+	if err != nil {
+		return nil, err
 	}
-	if size < 0 {
+	if h.Length < 0 {
 		return nil, conn.Protocol("response without a Content-Length")
 	}
-	buf := bufpool.GetSized(int(size))
+	buf := bufpool.GetSized(int(h.Length))
 	defer bufpool.PutSized(buf)
 	if _, err := io.ReadFull(conn.R, *buf); err != nil {
-		return nil, conn.Fail(fmt.Errorf("http: reading a %d-byte body: %w", size, err))
-	}
-	if closing {
-		conn.Fail(nil)
-	} else {
-		c.conns.Put(c.addr, conn)
+		return nil, conn.Fail(fmt.Errorf("http: reading a %d-byte body: %w", h.Length, err))
 	}
 	p := new(Payload)
 	if err := json.Unmarshal(*buf, p); err != nil {
-		return nil, fmt.Errorf("decoding payload: %w", err)
+		return nil, conn.Fail(fmt.Errorf("decoding payload: %w", err))
+	}
+	if h.Close {
+		conn.Fail(nil)
+	} else {
+		c.conns.Put(c.addr, conn)
 	}
 	return p, nil
 }

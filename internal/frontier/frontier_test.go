@@ -74,10 +74,13 @@ func TestFrontierThroughSquid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
+	proxyURL, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
 
-	c := &Client{Base: proxySrv.URL}
+	c := &Client{Base: proxyURL}
 	for i := 0; i < 5; i++ {
 		if _, err := c.Fetch("calib", 42); err != nil {
 			t.Fatal(err)

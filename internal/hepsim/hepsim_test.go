@@ -135,8 +135,11 @@ func startServices(t testing.TB) *testServices {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(proxy)
-	t.Cleanup(proxySrv.Close)
+	proxyURL, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
 
 	// XrootD federation.
 	red := xrootd.NewRedirector()
@@ -164,7 +167,7 @@ func startServices(t testing.TB) *testServices {
 	}
 	cl := &xrootd.Client{Redirector: red, Dashboard: dash, Consumer: "lobster-test"}
 	env := &Env{
-		ProxyURL:      proxySrv.URL,
+		ProxyURL:      proxyURL,
 		Repo:          "cms.cern.ch",
 		ReleasePath:   "/CMSSW_7_4_0",
 		Cache:         cache,

@@ -131,13 +131,16 @@ func TestMountThroughSquid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
+	proxyURL, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
 
 	// Two workers with separate caches behind one proxy: the second worker's
 	// cold cache should be served almost entirely from the proxy.
 	instA := newInstance(t, ModeAlien, "a")
-	mA, err := NewMount(proxySrv.URL, "cms.cern.ch", instA, nil)
+	mA, err := NewMount(proxyURL, "cms.cern.ch", instA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestMountThroughSquid(t *testing.T) {
 	objectsAfterA := origin.Requests()
 
 	instB := newInstance(t, ModeAlien, "b")
-	mB, err := NewMount(proxySrv.URL, "cms.cern.ch", instB, nil)
+	mB, err := NewMount(proxyURL, "cms.cern.ch", instB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,11 @@ func TestCorruptProxyCopyRefetched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := httptest.NewServer(proxy)
-		defer ps.Close()
+		proxyURL, err := proxy.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
 		var errs []error
 		for node := 0; node < 3; node++ {
 			c, err := NewCache(t.TempDir(), ModeAlien)
@@ -154,7 +157,7 @@ func TestCorruptProxyCopyRefetched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := NewMount(ps.URL, "cms.cern.ch", inst, nil)
+			m, err := NewMount(proxyURL, "cms.cern.ch", inst, nil)
 			if err == nil {
 				_, err = m.WarmRelease("/CMSSW_7_4_0")
 			}

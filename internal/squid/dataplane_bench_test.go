@@ -31,7 +31,10 @@ func BenchmarkDataplaneColdWave(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		front := httptest.NewServer(proxy)
+		front, err := proxy.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
 		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
 		b.StartTimer()
 		var wg sync.WaitGroup
@@ -40,7 +43,7 @@ func BenchmarkDataplaneColdWave(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, err := client.Get(front.URL + "/release/lib.so")
+				resp, err := client.Get(front + "/release/lib.so")
 				if err != nil {
 					errs <- err
 					return
@@ -61,7 +64,7 @@ func BenchmarkDataplaneColdWave(b *testing.B) {
 			b.Fatal(err)
 		}
 		client.CloseIdleConnections()
-		front.Close()
+		proxy.Close()
 		b.StartTimer()
 	}
 }

@@ -8,12 +8,22 @@
 // (exactly the behaviour that makes a cold-start "wave" of identical
 // requests survivable), and bounds concurrent origin connections. Proxies
 // chain: a site proxy's origin may itself be another proxy.
+//
+// Clients reach it over HTTP/1.1 on a wire.Server of its own (Listen):
+// it reads each request in place with wire.Conn.ReadLine and
+// wire.Conn.ReadHeader, and a hit writes a header block made once per
+// entry and then the body, so a hot hit allocates nothing (DESIGN.md
+// section 10, "The squid answers on the wire"). Its origin side is an
+// ordinary net/http client, on the cold path only.
 package squid
 
 import (
+	"bufio"
 	"container/list"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -26,6 +36,7 @@ import (
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 )
 
 // Stats is a snapshot of proxy counters.
@@ -68,14 +79,15 @@ type Config struct {
 	Retry retry.Policy
 }
 
-// Proxy is a caching HTTP proxy in front of a single origin base URL.
-// It implements http.Handler: the request path+query is appended to the
-// origin base. Safe for concurrent use.
+// Proxy is a caching HTTP proxy in front of a single origin base URL:
+// the path and query a client asks for are appended to the origin base.
+// Listen serves it. Safe for concurrent use.
 type Proxy struct {
 	origin *url.URL
 	client *http.Client
 	retry  retry.Policy
 	sem    chan struct{}
+	srv    *wire.Server
 
 	mu       sync.Mutex
 	capacity int64
@@ -163,11 +175,12 @@ func (p *Proxy) Instrument(reg *telemetry.Registry) {
 type entry struct {
 	key  string
 	body []byte
-	hdr  http.Header
-	// clen is the Content-Length header value, made once at insert: a
-	// hit announces its length, so a body past net/http's 2 KiB chunking
-	// threshold is not sent chunked to a client that reads only a length.
-	clen []string
+	// head is the status line and the header block of a hit, up to the
+	// line that says how the connection goes on (endHead), made once at
+	// insert: a hit writes it, that line and the body, and allocates
+	// nothing. It announces the length, which is all frontier's client
+	// reads.
+	head []byte
 }
 
 // stream is one in-flight origin fetch shared by every request that
@@ -180,12 +193,12 @@ type stream struct {
 	mu   sync.Mutex
 	cond sync.Cond
 
-	hdr      http.Header
-	size     int64 // origin Content-Length, -1 unknown
-	hdrReady bool
-	buf      []byte
-	done     bool
-	err      error
+	ctype, cc string // the origin's Content-Type and Cache-Control
+	size      int64  // origin Content-Length, -1 unknown
+	hdrReady  bool
+	buf       []byte
+	done      bool
+	err       error
 }
 
 func newStream() *stream {
@@ -195,9 +208,9 @@ func newStream() *stream {
 }
 
 // publishHeaders releases consumers to start writing their responses.
-func (st *stream) publishHeaders(hdr http.Header, size int64) {
+func (st *stream) publishHeaders(ctype, cc string, size int64) {
 	st.mu.Lock()
-	st.hdr = hdr
+	st.ctype, st.cc = ctype, cc
 	st.size = size
 	st.hdrReady = true
 	st.mu.Unlock()
@@ -261,48 +274,107 @@ func (p *Proxy) Stats() Stats {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "squid: only GET is proxied", http.StatusMethodNotAllowed)
+// Listen serves the proxy's clients on addr ("127.0.0.1:0" picks a
+// port) and returns the base URL they reach it at. Close hangs them up.
+func (p *Proxy) Listen(addr string) (string, error) {
+	if p.srv != nil {
+		return "", errors.New("squid: already listening")
+	}
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("squid: %w", err)
+	}
+	p.srv = wire.Serve(lis, p.serve)
+	return "http://" + lis.Addr().String(), nil
+}
+
+// Close stops listening, hangs up every client connection, parked ones
+// included, and waits for the requests being answered on them. A proxy
+// that never listened has nothing to close.
+func (p *Proxy) Close() error {
+	if p.srv == nil {
+		return nil
+	}
+	return p.srv.Close()
+}
+
+// held is a client's socket as its wire.Conn sees it: a failure breaks
+// the Conn but leaves the socket open, so a refused request is still
+// answered before the hang-up. The accept loop closes the socket once
+// serve returns, and at Close.
+type held struct{ net.Conn }
+
+func (held) Close() error { return nil }
+
+// serve answers the requests of one client connection in turn, until
+// the client hangs up, a request is refused, or an answer ends the
+// connection.
+func (p *Proxy) serve(nc net.Conn) {
+	c := wire.NewConn(wire.ProtoHTTP, held{nc}, 4<<10, 4<<10)
+	var req request // its buffers serve every request on c
+	for {
+		if err := readRequest(c, &req); err != nil {
+			var ref *refusal
+			if errors.As(err, &ref) {
+				writeText(c.W, &request{close: true}, ref.status, ref.text)
+				if c.W.Flush() == nil {
+					hangUp(nc)
+				}
+			}
+			return
+		}
+		if !p.answer(c, &req) {
+			return
+		}
+	}
+}
+
+// hangUp ends a connection whose last request was refused. It half-closes
+// first and reads whatever the client still sends until the client hangs
+// up too, for at most a second: closing a socket with unread bytes (a
+// refused request's body) resets it, and the reset can overtake the
+// answer on its way to the client.
+func hangUp(nc net.Conn) {
+	cw, ok := nc.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
 		return
 	}
-	key := r.URL.Path
-	if r.URL.RawQuery != "" {
-		key += "?" + r.URL.RawQuery
-	}
-	ctx, _ := trace.FromHTTP(r.Header)
+	nc.SetReadDeadline(time.Now().Add(time.Second))
+	io.Copy(io.Discard, nc)
+}
+
+// answer serves one accepted request and reports whether the connection
+// stays open for the next.
+func (p *Proxy) answer(c *wire.Conn, req *request) bool {
+	var ctx trace.Context
 	var sp *trace.Span
-	if p.tracer != nil && ctx.Valid() {
-		sp = p.tracer.Start(ctx, "squid", "proxy_get")
-		sp.Attr("key", key)
+	if p.tracer != nil {
+		if ctx = req.context(); ctx.Valid() {
+			sp = p.tracer.Start(ctx, "squid", "proxy_get")
+			sp.Attr("key", string(req.key))
+		}
 	}
 
 	p.mu.Lock()
-	if el, ok := p.items[key]; ok && !noCache(r.Header) {
+	if el, ok := p.items[string(req.key)]; ok && !req.noCache {
 		p.lru.MoveToFront(el)
 		p.stats.Hits++
 		ent := el.Value.(*entry)
 		p.mu.Unlock()
 		p.tel.hits.Inc()
-		h := w.Header()
-		for k, vs := range ent.hdr {
-			for _, v := range vs {
-				h.Add(k, v)
-			}
-		}
-		h["Content-Length"] = ent.clen
-		h.Set("X-Cache", "HIT")
 		sp.Attr("outcome", outcomeHit)
 		sp.AttrInt("bytes", int64(len(ent.body)))
 		sp.End()
 		p.countServed(int64(len(ent.body)))
-		w.Write(ent.body)
-		return
+		c.W.Write(ent.head)
+		endHead(c.W, req)
+		c.W.Write(ent.body)
+		return c.W.Flush() == nil && !req.close
 	}
 	// Coalesce with an in-flight fetch when one exists; otherwise become
 	// the leader: register the stream and start the origin pump. Either
 	// way this request consumes the shared stream progressively.
+	key := string(req.key)
 	st, ok := p.inflight[key]
 	outcome := outcomeCoalesced
 	if ok {
@@ -316,29 +388,19 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.stats.Misses++
 		p.mu.Unlock()
 		p.tel.misses.Inc()
+		if p.tracer == nil {
+			ctx = req.context() // relayed to the origin unchanged
+		}
 		go p.pump(key, st, ctx, sp.Context())
 	}
 	sp.Attr("outcome", outcome)
-	n, err := p.serveStream(w, st)
+	n, err := p.serveStream(c.W, req, st)
 	sp.AttrInt("bytes", n)
 	if err != nil {
 		sp.Attr("error", err.Error())
 	}
 	sp.End()
-}
-
-// noCache reports whether the client asked for a copy fresh from the
-// origin (Cache-Control: no-cache), as a CVMFS client does for an object
-// the proxy served corrupted: the request is a miss, and what it fetches
-// replaces the cached entry. A direct lookup of the canonical key, so a
-// request without the header costs the hit path nothing.
-func noCache(h http.Header) bool {
-	for _, v := range h["Cache-Control"] {
-		if strings.Contains(v, "no-cache") {
-			return true
-		}
-	}
-	return false
+	return c.W.Flush() == nil && !req.close
 }
 
 // countServed updates the served-bytes accounting.
@@ -353,11 +415,13 @@ func (p *Proxy) countServed(n int64) {
 	p.tel.planeOut.Add(n)
 }
 
-// serveStream copies st to one client as the pump fills it, returning
-// the bytes written. An origin error before the headers were published
-// becomes a 502; after that the response is already under way and can
-// only be truncated.
-func (p *Proxy) serveStream(w http.ResponseWriter, st *stream) (int64, error) {
+// serveStream copies st to one client as the pump fills it, flushing per
+// chunk, and returns the body bytes written. An origin error before the
+// headers were published becomes a 502; after that the response is
+// already under way and can only be cut short, which ends the connection
+// (req.close). A body of unknown length is delimited by the end of the
+// connection too.
+func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, error) {
 	st.mu.Lock()
 	for !st.hdrReady && !st.done {
 		st.cond.Wait()
@@ -369,23 +433,16 @@ func (p *Proxy) serveStream(w http.ResponseWriter, st *stream) (int64, error) {
 		p.stats.OriginErrors++
 		p.mu.Unlock()
 		p.tel.originErrors.Inc()
-		http.Error(w, "squid: origin fetch failed: "+err.Error(), http.StatusBadGateway)
+		writeText(w, req, "502 Bad Gateway", "squid: origin fetch failed: "+err.Error())
 		return 0, err
 	}
-	hdr, size := st.hdr, st.size
+	size := st.size
+	w.Write(appendHead(w.AvailableBuffer(), st.ctype, st.cc, size, "MISS"))
 	st.mu.Unlock()
-
-	h := w.Header()
-	for k, vs := range hdr {
-		for _, v := range vs {
-			h.Add(k, v)
-		}
+	if size < 0 {
+		req.close = true
 	}
-	h.Set("X-Cache", "MISS")
-	if size >= 0 {
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-	}
-	flusher, _ := w.(http.Flusher)
+	endHead(w, req)
 	var off int
 	for {
 		st.mu.Lock()
@@ -400,17 +457,57 @@ func (p *Proxy) serveStream(w http.ResponseWriter, st *stream) (int64, error) {
 			n, werr := w.Write(chunk)
 			off += n
 			p.countServed(int64(n))
+			if werr == nil && !done {
+				werr = w.Flush()
+			}
 			if werr != nil {
 				return int64(off), werr
 			}
-			if !done && flusher != nil {
-				flusher.Flush()
-			}
 		}
 		if done {
+			if err != nil {
+				req.close = true
+			}
 			return int64(off), err
 		}
 	}
+}
+
+// appendHead appends to b the status line and header block of a 200 with
+// the origin's Content-Type and Cache-Control, a Content-Length unless
+// size is unknown (-1), and X-Cache, up to the line endHead writes.
+func appendHead(b []byte, ctype, cc string, size int64, xcache string) []byte {
+	b = append(b, "HTTP/1.1 200 OK\r\n"...)
+	if cc != "" {
+		b = append(append(append(b, "Cache-Control: "...), cc...), "\r\n"...)
+	}
+	if size >= 0 {
+		b = append(strconv.AppendInt(append(b, "Content-Length: "...), size, 10), "\r\n"...)
+	}
+	if ctype != "" {
+		b = append(append(append(b, "Content-Type: "...), ctype...), "\r\n"...)
+	}
+	return append(append(append(b, "X-Cache: "...), xcache...), "\r\n"...)
+}
+
+// endHead ends a header block, saying Connection: close when the
+// connection ends after this response.
+func endHead(w *bufio.Writer, req *request) {
+	if req.close {
+		w.WriteString("Connection: close\r\n")
+	}
+	w.WriteString("\r\n")
+}
+
+// writeText writes a whole plain-text response with status, as
+// http.Error did.
+func writeText(w *bufio.Writer, req *request, status, text string) {
+	w.WriteString("HTTP/1.1 " + status + "\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: ")
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(text))+1, 10))
+	w.WriteString("\r\n")
+	endHead(w, req)
+	w.WriteString(text)
+	w.WriteByte('\n')
 }
 
 // Cache outcomes reported as span attributes so the trace analyzer can
@@ -428,18 +525,17 @@ func (p *Proxy) pump(key string, st *stream, wireCtx, spanCtx trace.Context) {
 	err := p.fetchOrigin(key, st, wireCtx, spanCtx)
 	p.mu.Lock()
 	delete(p.inflight, key)
-	if err == nil && cacheable(st.hdr) {
+	if err == nil && cacheable(st.cc) {
 		// The stream's buffer becomes the cache body without a copy: the
 		// pump is done appending, so it is immutable from here on.
-		p.insertLocked(&entry{key: key, body: st.buf, hdr: st.hdr, clen: []string{strconv.Itoa(len(st.buf))}})
+		p.insertLocked(&entry{key: key, body: st.buf, head: appendHead(nil, st.ctype, st.cc, int64(len(st.buf)), "HIT")})
 	}
 	p.mu.Unlock()
 	st.finish(err)
 }
 
-// cacheable reports whether the response headers permit caching.
-func cacheable(h http.Header) bool {
-	cc := h.Get("Cache-Control")
+// cacheable reports whether the origin's Cache-Control permits caching.
+func cacheable(cc string) bool {
 	if strings.Contains(cc, "no-cache") || strings.Contains(cc, "no-store") {
 		return false
 	}
@@ -520,13 +616,7 @@ func (p *Proxy) fetchOrigin(key string, st *stream, wireCtx, spanCtx trace.Conte
 			}
 			return err
 		}
-		hdr := make(http.Header)
-		for _, k := range []string{"Content-Type", "Cache-Control"} {
-			if v := resp.Header.Get(k); v != "" {
-				hdr.Set(k, v)
-			}
-		}
-		st.publishHeaders(hdr, resp.ContentLength)
+		st.publishHeaders(resp.Header.Get("Content-Type"), resp.Header.Get("Cache-Control"), resp.ContentLength)
 		buf := bufpool.Get()
 		defer bufpool.Put(buf)
 		for {

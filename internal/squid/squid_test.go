@@ -60,6 +60,18 @@ func waitCoalesced(t *testing.T, p *Proxy, n int64) {
 	waitStats(t, p, fmt.Sprintf("%d requests coalescing on one fetch", n), func(s Stats) bool { return s.Coalesced >= n })
 }
 
+// listen serves p on a loopback port for the rest of the test and returns
+// its base URL.
+func listen(t testing.TB, p *Proxy) string {
+	t.Helper()
+	base, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return base
+}
+
 func get(t *testing.T, url string) (string, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -78,14 +90,13 @@ func TestCacheHitAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(p)
-	defer ts.Close()
+	base := listen(t, p)
 
-	body, cache := get(t, ts.URL+"/obj/a")
+	body, cache := get(t, base+"/obj/a")
 	if body != "body:/obj/a" || cache != "MISS" {
 		t.Fatalf("first fetch: %q %q", body, cache)
 	}
-	body, cache = get(t, ts.URL+"/obj/a")
+	body, cache = get(t, base+"/obj/a")
 	if body != "body:/obj/a" || cache != "HIT" {
 		t.Fatalf("second fetch: %q %q", body, cache)
 	}
@@ -105,10 +116,9 @@ func TestNoCacheNotStored(t *testing.T) {
 	origin, hits := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	get(t, ts.URL+"/nocache/x")
-	get(t, ts.URL+"/nocache/x")
+	base := listen(t, p)
+	get(t, base+"/nocache/x")
+	get(t, base+"/nocache/x")
 	if hits.Load() != 2 {
 		t.Errorf("no-cache response served from cache (origin hits = %d)", hits.Load())
 	}
@@ -116,8 +126,9 @@ func TestNoCacheNotStored(t *testing.T) {
 
 // TestNoCacheRequestReplacesEntry: a request carrying Cache-Control:
 // no-cache is a miss even when the object is cached, and what it fetches
-// replaces the entry for every later hit. Telling whether a request
-// carries the header allocates nothing, so the hit path pays nothing for it.
+// replaces the entry for every later hit. (That telling whether a request
+// carries the header allocates nothing is TestHitAllocs's to show: its
+// hot request carries a Cache-Control of another kind.)
 func TestNoCacheRequestReplacesEntry(t *testing.T) {
 	var version atomic.Int64
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -125,12 +136,11 @@ func TestNoCacheRequestReplacesEntry(t *testing.T) {
 	}))
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	if body, cache := get(t, ts.URL+"/obj"); body != "v1" || cache != "MISS" {
+	base := listen(t, p)
+	if body, cache := get(t, base+"/obj"); body != "v1" || cache != "MISS" {
 		t.Fatalf("first fetch: %q %q", body, cache)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/obj", nil)
+	req, _ := http.NewRequest(http.MethodGet, base+"/obj", nil)
 	req.Header.Set("Cache-Control", "no-cache")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -141,15 +151,11 @@ func TestNoCacheRequestReplacesEntry(t *testing.T) {
 	if string(body) != "v2" || resp.Header.Get("X-Cache") != "MISS" {
 		t.Fatalf("no-cache fetch: %q %q", body, resp.Header.Get("X-Cache"))
 	}
-	if body, cache := get(t, ts.URL+"/obj"); body != "v2" || cache != "HIT" {
+	if body, cache := get(t, base+"/obj"); body != "v2" || cache != "HIT" {
 		t.Fatalf("after the refetch: %q %q, want the replacement as a hit", body, cache)
 	}
 	if s := p.Stats(); s.Misses != 2 || s.Hits != 1 || s.CachedObjects != 1 || s.CachedBytes != 2 {
 		t.Errorf("stats = %+v", s)
-	}
-	plain := http.Header{"Accept": {"*/*"}}
-	if n := testing.AllocsPerRun(100, func() { noCache(plain) }); n != 0 {
-		t.Errorf("reading Cache-Control: %v allocs", n)
 	}
 }
 
@@ -157,9 +163,8 @@ func TestOriginErrorPropagates(t *testing.T) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/missing/x")
+	base := listen(t, p)
+	resp, err := http.Get(base + "/missing/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +182,9 @@ func TestLRUEviction(t *testing.T) {
 	defer origin.Close()
 	// Each body is "body:/obj/N" ≈ 11 bytes; capacity fits ~3.
 	p, _ := New(origin.URL, Config{CapacityBytes: 34})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
+	base := listen(t, p)
 	for i := 0; i < 5; i++ {
-		get(t, fmt.Sprintf("%s/obj/%d", ts.URL, i))
+		get(t, fmt.Sprintf("%s/obj/%d", base, i))
 	}
 	s := p.Stats()
 	if s.Evictions == 0 {
@@ -190,7 +194,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Errorf("cache over capacity: %d", s.CachedBytes)
 	}
 	// Oldest object must have been evicted: refetching misses.
-	_, cache := get(t, ts.URL+"/obj/0")
+	_, cache := get(t, base+"/obj/0")
 	if cache != "MISS" {
 		t.Error("evicted object served as HIT")
 	}
@@ -200,17 +204,16 @@ func TestLRUKeepsHotEntries(t *testing.T) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{CapacityBytes: 34})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	get(t, ts.URL+"/obj/0")
-	get(t, ts.URL+"/obj/1")
-	get(t, ts.URL+"/obj/2")
-	get(t, ts.URL+"/obj/0") // touch 0: now 1 is LRU
-	get(t, ts.URL+"/obj/3") // evicts 1
-	if _, cache := get(t, ts.URL+"/obj/0"); cache != "HIT" {
+	base := listen(t, p)
+	get(t, base+"/obj/0")
+	get(t, base+"/obj/1")
+	get(t, base+"/obj/2")
+	get(t, base+"/obj/0") // touch 0: now 1 is LRU
+	get(t, base+"/obj/3") // evicts 1
+	if _, cache := get(t, base+"/obj/0"); cache != "HIT" {
 		t.Error("recently-touched entry evicted")
 	}
-	if _, cache := get(t, ts.URL+"/obj/1"); cache != "MISS" {
+	if _, cache := get(t, base+"/obj/1"); cache != "MISS" {
 		t.Error("LRU entry not evicted")
 	}
 }
@@ -219,10 +222,9 @@ func TestOversizeObjectNotCached(t *testing.T) {
 	origin, hits := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{CapacityBytes: 5})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	get(t, ts.URL+"/obj/big")
-	get(t, ts.URL+"/obj/big")
+	base := listen(t, p)
+	get(t, base+"/obj/big")
+	get(t, base+"/obj/big")
 	if hits.Load() != 2 {
 		t.Errorf("oversize object cached (hits = %d)", hits.Load())
 	}
@@ -233,8 +235,7 @@ func TestCoalescing(t *testing.T) {
 	origin, hits := newOrigin(release)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
+	base := listen(t, p)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -243,7 +244,7 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/obj/shared")
+			resp, err := http.Get(base + "/obj/shared")
 			if err != nil {
 				return
 			}
@@ -273,14 +274,11 @@ func TestProxyChaining(t *testing.T) {
 	origin, hits := newOrigin(nil)
 	defer origin.Close()
 	upstream, _ := New(origin.URL, Config{})
-	upstreamSrv := httptest.NewServer(upstream)
-	defer upstreamSrv.Close()
-	site, _ := New(upstreamSrv.URL, Config{})
-	siteSrv := httptest.NewServer(site)
-	defer siteSrv.Close()
+	site, _ := New(listen(t, upstream), Config{})
+	siteURL := listen(t, site)
 
-	get(t, siteSrv.URL+"/obj/chained")
-	get(t, siteSrv.URL+"/obj/chained")
+	get(t, siteURL+"/obj/chained")
+	get(t, siteURL+"/obj/chained")
 	if hits.Load() != 1 {
 		t.Errorf("origin fetched %d times through two-level chain", hits.Load())
 	}
@@ -302,11 +300,10 @@ func TestQueryStringDistinctKeys(t *testing.T) {
 	origin, hits := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	get(t, ts.URL+"/frontier/data?run=1")
-	get(t, ts.URL+"/frontier/data?run=2")
-	get(t, ts.URL+"/frontier/data?run=1")
+	base := listen(t, p)
+	get(t, base+"/frontier/data?run=1")
+	get(t, base+"/frontier/data?run=2")
+	get(t, base+"/frontier/data?run=1")
 	if hits.Load() != 2 {
 		t.Errorf("query strings conflated: origin hits = %d", hits.Load())
 	}
@@ -316,9 +313,8 @@ func TestMethodNotAllowed(t *testing.T) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/obj/a", "text/plain", strings.NewReader("x"))
+	base := listen(t, p)
+	resp, err := http.Post(base+"/obj/a", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +330,7 @@ func TestConcurrentMixedLoadProperty(t *testing.T) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{CapacityBytes: 200}) // heavy eviction churn
-	ts := httptest.NewServer(p)
-	defer ts.Close()
+	base := listen(t, p)
 
 	const clients = 16
 	const perClient = 40
@@ -347,7 +342,7 @@ func TestConcurrentMixedLoadProperty(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				key := fmt.Sprintf("/obj/%d", (c+i)%7)
-				resp, err := http.Get(ts.URL + key)
+				resp, err := http.Get(base + key)
 				if err != nil {
 					errs[c] = err
 					return
@@ -378,10 +373,9 @@ func BenchmarkProxyHit(b *testing.B) {
 	origin, _ := newOrigin(nil)
 	defer origin.Close()
 	p, _ := New(origin.URL, Config{})
-	ts := httptest.NewServer(p)
-	defer ts.Close()
+	base := listen(b, p)
 	// Prime.
-	resp, err := http.Get(ts.URL + "/obj/hot")
+	resp, err := http.Get(base + "/obj/hot")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,7 +383,7 @@ func BenchmarkProxyHit(b *testing.B) {
 	resp.Body.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(ts.URL + "/obj/hot")
+		resp, err := http.Get(base + "/obj/hot")
 		if err != nil {
 			b.Fatal(err)
 		}

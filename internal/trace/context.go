@@ -146,11 +146,6 @@ func Parse(s string) (Context, bool) {
 	return c, true
 }
 
-// FromHTTP extracts a context from the Lobster-Trace request header.
-func FromHTTP(h http.Header) (Context, bool) {
-	return Parse(h.Get(Header))
-}
-
 // SetHTTP injects c into h. The zero Context removes the header, so the
 // call is safe unconditionally.
 func (c Context) SetHTTP(h http.Header) {

@@ -114,7 +114,7 @@ func TestHTTPCarrier(t *testing.T) {
 	c := Context{TraceID: 9, SpanID: 10, Sampled: true, Baggage: "x"}
 	h := make(http.Header)
 	c.SetHTTP(h)
-	got, ok := FromHTTP(h)
+	got, ok := Parse(h.Get(Header))
 	if !ok || got != c {
 		t.Fatalf("HTTP round trip: got %+v ok=%v", got, ok)
 	}
@@ -123,7 +123,7 @@ func TestHTTPCarrier(t *testing.T) {
 	if v := h.Get(Header); v != "" {
 		t.Fatalf("zero SetHTTP left header %q", v)
 	}
-	if _, ok := FromHTTP(make(http.Header)); ok {
-		t.Fatal("FromHTTP on empty header succeeded")
+	if _, ok := Parse(make(http.Header).Get(Header)); ok {
+		t.Fatal("Parse of an absent header succeeded")
 	}
 }

@@ -3,10 +3,11 @@
 // in which every request is one line, every reply starts with one status
 // line — the command's answer, or "-1 <error>" — and payload bytes follow
 // a size line. wq sends size-framed JSON: a size line, then exactly that
-// many bytes of one JSON value (ReadFrame, SendFrame). frontier's client
-// sends its HTTP/1.1 conditions GET over a Conn too (ProtoHTTP), parked in
-// a Pool between tasks, and reads the response headers with ReadLine.
-// Each protocol used
+// many bytes of one JSON value (ReadFrame, SendFrame). HTTP/1.1 rides a
+// Conn too (ProtoHTTP): frontier's client sends its conditions GET over
+// one parked in a Pool between tasks, and the squid answers its clients
+// on a Server of its own; both read the request or status line with
+// ReadLine and the header block with ReadHeader. Each protocol used
 // to carry a copy of each piece here, and the copies drifted (DESIGN.md
 // §10, "One wire"); what is left in each package is its commands.
 //
@@ -15,9 +16,10 @@
 // (ReadLine, Fields), the status convention (ReadStatus on the client,
 // ReplyError on the server), the size-line parse (ParseSize), the payload
 // that follows a size or request line (ReadPayload), the bounded message
-// frame (ReadFrame, SendFrame), the error pair a peer's answer
-// turns into (ServerError, ProtocolError), the parked-connection list
-// (Pool), and the server's accept and request loops (Server, ServeLines).
+// frame (ReadFrame, SendFrame), the HTTP/1.1 header block (ReadHeader),
+// the error pair a peer's answer turns into (ServerError, ProtocolError),
+// the parked-connection list (Pool), and the server's accept and request
+// loops (Server, ServeLines).
 package wire
 
 import (
@@ -129,17 +131,26 @@ func (c *Conn) Send(cmd []byte) error {
 // its line ending, valid until the next read. A line that outgrows the
 // buffer is bufio.ErrBufferFull: the peer is not speaking the protocol,
 // and the reader hangs up instead of holding whatever it sends.
-func readLine(r *bufio.Reader) ([]byte, error) {
+//
+// The line protocols' ending is every "\r" and "\n" at the end of the
+// line. HTTP's is the "\n" and at most one "\r" before it (RFC 9112
+// section 2.2): a "\r" left inside the line is a bare CR, which whatever
+// parses the line refuses.
+func readLine(r *bufio.Reader, http bool) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return nil, err
+	}
+	if http {
+		line = line[:len(line)-1]
+		return bytes.TrimSuffix(line, []byte("\r")), nil
 	}
 	return bytes.TrimRight(line, "\r\n"), nil
 }
 
 // ReadLine reads a line in place (see readLine); a failure breaks c.
 func (c *Conn) ReadLine() ([]byte, error) {
-	line, err := readLine(c.R)
+	line, err := readLine(c.R, c.proto == ProtoHTTP)
 	if err != nil {
 		return nil, c.Fail(fmt.Errorf("%s: reading response: %w", c.proto, err))
 	}
@@ -170,6 +181,15 @@ func (c *Conn) ReadStatus() ([]byte, error) {
 // trailing field — is a *ProtocolError and breaks c, since the payload the
 // peer meant can no longer be told from the reply after it.
 func (c *Conn) ParseSize(b []byte, max int64) (int64, error) {
+	n, ok := parseSize(b, max)
+	if !ok {
+		return 0, c.Protocol("bad size response %q", b)
+	}
+	return n, nil
+}
+
+// parseSize reads b as a decimal of digits alone, at most max.
+func parseSize(b []byte, max int64) (int64, bool) {
 	n, ok := int64(0), len(b) > 0
 	for _, ch := range b {
 		d := int64(ch - '0')
@@ -178,10 +198,7 @@ func (c *Conn) ParseSize(b []byte, max int64) (int64, error) {
 		}
 		n = n*10 + d
 	}
-	if !ok {
-		return 0, c.Protocol("bad size response %q", b)
-	}
-	return n, nil
+	return n, ok
 }
 
 // ReadSize is ReadStatus and ParseSize: the reply of a command that

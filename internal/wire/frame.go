@@ -54,7 +54,7 @@ func (c *Conn) ReadFrame(max int64, v any) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	line, err := readLine(c.R)
+	line, err := readLine(c.R, false)
 	if errors.Is(err, bufio.ErrBufferFull) {
 		return c.Protocol("size line longer than %d bytes", c.R.Size())
 	}

@@ -16,7 +16,7 @@ import (
 func ServeLines(proto string, conn net.Conn, rsize, wsize int, answer func(line []byte, c *Conn) error) {
 	c := NewConn(proto, conn, rsize, wsize)
 	for {
-		line, err := readLine(c.R)
+		line, err := readLine(c.R, false)
 		if err != nil || string(line) == "quit" {
 			return
 		}

@@ -233,3 +233,49 @@ func TestServerTrackAfterClose(t *testing.T) {
 		t.Errorf("connection left open by a closed server: write = %v", err)
 	}
 }
+
+// TestReadHeader: the one HTTP header reader frontier's client and the
+// squid's request reader share. What it reads itself is not handed on;
+// a block out of protocol is a protocol error that hangs up.
+func TestReadHeader(t *testing.T) {
+	many := strings.Repeat("X: y\r\n", maxHeaderLines+1)
+	for _, tc := range []struct {
+		name, block string
+		want        HTTPHeader
+		fields      string // what fn saw, "name=value;" each
+		bad         bool
+	}{
+		{"fields", "Host: s\r\nX-Cache:  HIT \r\nContent-Length: 12\r\n\r\n", HTTPHeader{Length: 12}, "Host=s;X-Cache=HIT;", false},
+		{"no length", "\r\n", HTTPHeader{Length: -1}, "", false},
+		{"a repeated length", "Content-Length: 3\r\ncontent-length: 3\r\n\r\n", HTTPHeader{Length: 3}, "", false},
+		{"close in a list", "Connection: keep-alive, Close\r\n\r\n", HTTPHeader{Length: -1, Close: true}, "", false},
+		{"two Connection fields", "Connection: upgrade\r\nConnection: close\r\n\r\n", HTTPHeader{Length: -1, Close: true}, "", false},
+		{"closed as a substring", "Connection: closed\r\n\r\n", HTTPHeader{Length: -1}, "", false},
+		{"two lengths", "Content-Length: 3\r\nContent-Length: 4\r\n\r\n", HTTPHeader{}, "", true},
+		{"one length, two spellings", "Content-Length: 3\r\nContent-Length: 03\r\n\r\n", HTTPHeader{}, "", true},
+		{"a length past max", "Content-Length: 101\r\n\r\n", HTTPHeader{}, "", true},
+		{"a signed length", "Content-Length: +3\r\n\r\n", HTTPHeader{}, "", true},
+		{"chunked", "Transfer-Encoding: chunked\r\n\r\n", HTTPHeader{}, "", true},
+		{"no colon", "Host s\r\n\r\n", HTTPHeader{}, "", true},
+		{"a space in the name", "Host : s\r\n\r\n", HTTPHeader{}, "", true},
+		{"folded", "X: a\r\n b\r\n\r\n", HTTPHeader{}, "", true},
+		{"a bare CR", "X: a\rb\r\n\r\n", HTTPHeader{}, "", true},
+		{"a CR before the CRLF", "X: a\r\r\n\r\n", HTTPHeader{}, "", true},
+		{"too many lines", many + "\r\n", HTTPHeader{}, "", true},
+		{"cut short", "Host: s\r\n", HTTPHeader{}, "", true},
+	} {
+		c, nc := canned(tc.block, 64)
+		c.proto = ProtoHTTP
+		var fields string
+		h, err := c.ReadHeader(100, func(name, value []byte) { fields += string(name) + "=" + string(value) + ";" })
+		if tc.bad {
+			if err == nil || !c.Broken() || !nc.closed {
+				t.Errorf("%s: %+v, %v; want an error that hangs up", tc.name, h, err)
+			}
+			continue
+		}
+		if err != nil || h != tc.want || fields != tc.fields || c.Broken() {
+			t.Errorf("%s: %+v, %v, fields %q; want %+v, %q", tc.name, h, err, fields, tc.want, tc.fields)
+		}
+	}
+}
