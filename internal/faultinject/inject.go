@@ -166,24 +166,34 @@ func (in *Injector) Decide(component, op string) Verdict {
 // verdicts have nothing to corrupt here and degrade to errors, so a
 // plan stays meaningful wherever it lands.
 func (in *Injector) Check(component, op string) error {
+	corrupt, err := in.CheckPayload(component, op)
+	if corrupt {
+		return &Error{Component: component, Op: op, Action: ActCorrupt, Msg: "corrupt (no payload at hook point)"}
+	}
+	return err
+}
+
+// CheckPayload is Check for a call site with a payload to corrupt (the
+// squid's origin fetch): a corrupt verdict is reported, for the caller
+// to flip the first byte of what it receives, instead of failing.
+func (in *Injector) CheckPayload(component, op string) (corrupt bool, err error) {
 	if in == nil {
-		return nil
+		return false, nil
 	}
 	v := in.Decide(component, op)
 	switch v.Action {
 	case ActNone:
-		return nil
 	case ActDelay:
 		in.sleep(v.Delay)
-		return nil
 	case ActStallKill:
 		in.sleep(v.Delay)
-		return v.Err
+		return false, v.Err
 	case ActCorrupt:
-		return &Error{Component: component, Op: op, Action: ActCorrupt, Msg: "corrupt (no payload at hook point)"}
+		return true, nil
 	default:
-		return v.Err
+		return false, v.Err
 	}
+	return false, nil
 }
 
 // Fired returns how many non-none verdicts (component, op) has drawn —

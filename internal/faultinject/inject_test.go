@@ -4,8 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -32,9 +30,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	defer c2.Close()
 	if in.Conn("c", c1) != c1 {
 		t.Error("nil Conn wrapped the connection")
-	}
-	if in.Transport("c", http.DefaultTransport) != http.DefaultTransport {
-		t.Error("nil Transport wrapped the round tripper")
 	}
 	if in.Fired("c", "op") != 0 || in.TotalFired() != 0 || in.Invocations("c", "op") != 0 {
 		t.Error("nil counters nonzero")
@@ -251,44 +246,6 @@ func TestConnCorruptFlipsFirstByteAndPreservesBuffer(t *testing.T) {
 	}
 	if buf[0] != 'h'^0xff || string(buf[1:]) != "ello" {
 		t.Errorf("wire bytes = %q, want first byte flipped", buf)
-	}
-}
-
-func TestTransportVerdicts(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "payload")
-	}))
-	defer srv.Close()
-
-	in := New(&Plan{Rules: []Rule{
-		{Component: "origin", Op: "roundtrip", Action: ActError, Times: 1},
-		{Component: "origin", Op: "roundtrip", Action: ActCorrupt, After: 1, Times: 1},
-	}})
-	client := &http.Client{Transport: in.Transport("origin", nil)}
-
-	if _, err := client.Get(srv.URL); !errors.Is(err, ErrInjected) {
-		t.Fatalf("first round trip: %v", err)
-	}
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if body[0] != 'p'^0xff || string(body[1:]) != "ayload" {
-		t.Errorf("corrupted body = %q, want first byte flipped", body)
-	}
-	resp, err = client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "payload" {
-		t.Errorf("post-storm body = %q", body)
-	}
-	if in.Fired("origin", "roundtrip") != 2 {
-		t.Errorf("Fired = %d, want 2", in.Fired("origin", "roundtrip"))
 	}
 }
 

@@ -10,29 +10,25 @@
 //
 // The Service is an origin like any other and answers through net/http;
 // the squid in front of it answers on internal/wire.
-// The Client is the worker's end of that once-per-task GET, so it is
-// built to be cheap: one keep-alive connection parked in a wire.Pool
-// between tasks, the request written and the response read in place, and
-// one deadline per fetch (DESIGN.md §10, "One wire").
+// The Client is the worker's end of that once-per-task GET: the query and
+// the payload decode over wire.HTTPClient, the module's one GET client,
+// which parks a keep-alive connection between tasks, writes the request
+// and reads the response in place, and gives each fetch one deadline
+// (DESIGN.md §10, "One wire").
 package frontier
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lobster/internal/bufpool"
-	"lobster/internal/retry"
 	"lobster/internal/trace"
 	"lobster/internal/wire"
 )
@@ -135,16 +131,12 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Client fetches conditions through an HTTP base URL (direct or proxy).
 //
 // A conditions GET is the one request of an analysis task that every task
-// makes, so the client speaks just enough HTTP/1.1 to make it cheap: it
-// writes the request line and headers itself, reads the status line in
-// place with wire.Conn.ReadLine and the headers with wire.Conn.ReadHeader,
-// and reads a Content-Length body of at most maxBody into a pooled
-// buffer. Connections are kept alive and parked in a wire.Pool between
-// fetches, so a hot task dials nothing. A response it does not read —
-// chunked, without a length or with two that differ, too long, not a 200,
-// a payload that does not decode — fails the fetch and hangs the
-// connection up; nothing half-read is ever parked. Every fetch has one
-// deadline, fetchTimeout, whether or not it is traced.
+// makes, so it rides the module's one GET client, wire.HTTPClient, whose
+// parked connections and in-place reads cost a hot fetch nothing but the
+// payload's decode. What is left here is the query and the decode: the
+// body, at most maxBody, lands in a pooled buffer and is decoded from
+// there. A payload that does not decode fails the fetch and hangs the
+// connection up, like every answer the client does not read.
 //
 // The zero value with Base set is ready to use; the connections are made
 // on the first fetch. Close hangs up the parked ones. Safe for concurrent
@@ -152,58 +144,20 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type Client struct {
 	Base string
 
-	once    sync.Once
-	err     error  // Base is not an http URL
-	addr    string // dial address, host:port
-	host    string // the Host header
-	path    string // Base's path, without a trailing slash
-	conns   *wire.Pool[*wire.Conn]
-	timeout time.Duration // fetchTimeout; tests shorten it
+	once sync.Once
+	http *wire.HTTPClient
+	err  error // Base is not an http URL
 }
 
-const (
-	// fetchTimeout bounds one fetch, from the dial or the reuse of a
-	// parked connection to the last byte of the body: the 30 s every
-	// HTTP client of a worker gets, so a proxy that accepts and never
-	// answers costs a slot that long and no longer.
-	fetchTimeout = 30 * time.Second
-	// maxBody bounds the payload a response may announce. Conditions
-	// payloads are calibration constants, kilobytes at most; a length
-	// past this is not a payload this client reads.
-	maxBody = 1 << 20
-)
+// maxBody bounds the payload a response may announce. Conditions payloads
+// are calibration constants, kilobytes at most; a length past this is not
+// a payload this client reads.
+const maxBody = 1 << 20
 
 func (c *Client) init() {
-	u, err := url.Parse(c.Base)
-	if err == nil && (u.Scheme != "http" || u.Host == "") {
-		err = fmt.Errorf("not an http URL")
+	if c.http, c.err = wire.NewHTTPClient(c.Base); c.err != nil {
+		c.err = fmt.Errorf("frontier: %w", c.err)
 	}
-	if err != nil {
-		c.err = fmt.Errorf("frontier: base %q: %v", c.Base, err)
-		return
-	}
-	c.addr, c.host, c.path = u.Host, u.Host, strings.TrimRight(u.Path, "/")
-	if u.Port() == "" {
-		c.addr = net.JoinHostPort(u.Hostname(), "80")
-	}
-	if c.timeout == 0 {
-		c.timeout = fetchTimeout
-	}
-	timeout := c.timeout
-	c.conns = newPool(func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) })
-}
-
-// newPool returns the pool of a client's connections, which dial makes.
-func newPool(dial func(addr string) (net.Conn, error)) *wire.Pool[*wire.Conn] {
-	return wire.NewPool(nil, "",
-		func(addr string) (*wire.Conn, error) {
-			nc, err := dial(addr)
-			if err != nil {
-				return nil, err
-			}
-			return wire.NewConn(wire.ProtoHTTP, nc, 4<<10, 1<<10), nil
-		},
-		func(wc *wire.Conn) *wire.Conn { return wc })
 }
 
 // Fetch returns the payload for (tag, run).
@@ -218,95 +172,39 @@ func (c *Client) FetchTraced(tag string, run int, ctx trace.Context) (*Payload, 
 	if c.err != nil {
 		return nil, c.err
 	}
-	// One deadline for the whole fetch: a parked connection found stale
-	// is replaced by a dial that gets what is left of it, not another 30 s.
-	deadline := time.Now().Add(c.timeout)
-	conn, err := c.conns.Take(c.addr, func(conn *wire.Conn) error {
-		conn.Net.SetDeadline(deadline)
-		if err := conn.Send(c.appendRequest(conn.W.AvailableBuffer(), tag, run, ctx)); err != nil {
-			return err
+	var query [128]byte
+	p := new(Payload)
+	err := c.http.WithTrace(ctx).Get(appendQuery(query[:0], tag, run), false, maxBody, nil, func(r io.Reader, n int64) error {
+		buf := bufpool.GetSized(int(n))
+		defer bufpool.PutSized(buf)
+		if _, err := io.ReadFull(r, *buf); err != nil {
+			return fmt.Errorf("http: reading a %d-byte body: %w", n, err)
 		}
-		return readStatus(conn)
+		if err := json.Unmarshal(*buf, p); err != nil {
+			return fmt.Errorf("decoding payload: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("frontier: fetching %s/%d: %w", tag, run, err)
 	}
-	p, err := c.readBody(conn)
-	if err != nil {
-		return nil, fmt.Errorf("frontier: fetching %s/%d: %w", tag, run, err)
-	}
 	return p, nil
 }
 
-// appendRequest appends the GET for (tag, run) to b. The query keeps the
-// order the proxy has always cached it under.
-func (c *Client) appendRequest(b []byte, tag string, run int, ctx trace.Context) []byte {
-	b = append(b, "GET "...)
-	b = append(b, c.path...)
+// appendQuery appends the target of (tag, run) to b, in the order the
+// proxy has always cached it under.
+func appendQuery(b []byte, tag string, run int) []byte {
 	b = append(b, "/frontier/payload?run="...)
 	b = strconv.AppendInt(b, int64(run), 10)
 	b = append(b, "&tag="...)
-	b = append(b, url.QueryEscape(tag)...)
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, c.host...)
-	if ctx.Valid() {
-		b = append(b, "\r\n"+trace.Header+": "...)
-		b = append(b, ctx.Encode()...)
-	}
-	return append(b, "\r\n\r\n"...)
-}
-
-// readStatus reads the status line. Anything but a 200 fails the fetch
-// and breaks conn: the body that follows is not read.
-func readStatus(conn *wire.Conn) error {
-	line, err := conn.ReadLine()
-	if err != nil {
-		return err
-	}
-	version, status, _ := bytes.Cut(line, []byte(" "))
-	if !bytes.HasPrefix(version, []byte("HTTP/1.")) || len(status) < 3 {
-		return conn.Protocol("bad status line %q", line)
-	}
-	if !bytes.HasPrefix(status, []byte("200")) || (len(status) > 3 && status[3] != ' ') {
-		return conn.Fail(retry.Permanent(fmt.Errorf("status %s", status)))
-	}
-	return nil
-}
-
-// readBody reads the headers and the body after a 200 and decodes the
-// payload. conn goes back to the pool only once the body is read whole
-// and decoded and the server has not said it will close it: an error
-// never parks it.
-func (c *Client) readBody(conn *wire.Conn) (*Payload, error) {
-	h, err := conn.ReadHeader(maxBody, nil)
-	if err != nil {
-		return nil, err
-	}
-	if h.Length < 0 {
-		return nil, conn.Protocol("response without a Content-Length")
-	}
-	buf := bufpool.GetSized(int(h.Length))
-	defer bufpool.PutSized(buf)
-	if _, err := io.ReadFull(conn.R, *buf); err != nil {
-		return nil, conn.Fail(fmt.Errorf("http: reading a %d-byte body: %w", h.Length, err))
-	}
-	p := new(Payload)
-	if err := json.Unmarshal(*buf, p); err != nil {
-		return nil, conn.Fail(fmt.Errorf("decoding payload: %w", err))
-	}
-	if h.Close {
-		conn.Fail(nil)
-	} else {
-		c.conns.Put(c.addr, conn)
-	}
-	return p, nil
+	return append(b, url.QueryEscape(tag)...)
 }
 
 // Close hangs up the parked connections; a later fetch dials afresh.
 func (c *Client) Close() error {
 	c.once.Do(c.init)
-	if c.conns == nil {
+	if c.http == nil {
 		return nil
 	}
-	return c.conns.Close()
+	return c.http.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,6 +20,7 @@ import (
 	"lobster/internal/stats"
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
+	"lobster/internal/wire"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
 )
@@ -47,10 +47,6 @@ type Env struct {
 	ChirpAddr string
 	// ConditionsTag is the Frontier tag tasks fetch (empty disables).
 	ConditionsTag string
-	// HTTPClient overrides parrot's HTTP client (tests inject one). The
-	// conditions GET does not use it: it rides the Env's frontier client,
-	// which keeps its connections and has its own 30 s deadline.
-	HTTPClient *http.Client
 	// Fault, when non-nil, arms per-segment fault hooks in the wrapper
 	// (component "wrapper", op = segment name) and wires chirp stage-out
 	// and pile-up connections into the fault plane.
@@ -74,6 +70,12 @@ type Env struct {
 	// share, with its parked connections to the proxy.
 	condOnce sync.Once
 	cond     *frontier.Client
+
+	// swOnce/sw lazily build the client to the proxy that every task
+	// slot's parrot mount shares; swErr is a ProxyURL it cannot reach.
+	swOnce sync.Once
+	sw     *wire.HTTPClient
+	swErr  error
 
 	// probed is set once the machine-compatibility probe (is the scratch
 	// directory writable?) has passed: it runs with the process's first
@@ -126,18 +128,21 @@ func (e *Env) cloneConfig() *Env {
 		Open:          e.Open,
 		ChirpAddr:     e.ChirpAddr,
 		ConditionsTag: e.ConditionsTag,
-		HTTPClient:    e.HTTPClient,
 		Fault:         e.Fault,
 		ChirpRetry:    e.ChirpRetry,
 		Telemetry:     e.Telemetry,
 	}
 }
 
-// Close releases the Env's pooled chirp and conditions connections.
+// Close releases the Env's pooled chirp, conditions and software
+// connections.
 func (e *Env) Close() error {
 	var err error
 	if e.cond != nil {
 		err = e.cond.Close()
+	}
+	if e.sw != nil {
+		err = cmp.Or(e.sw.Close(), err)
 	}
 	if e.pool != nil {
 		err = cmp.Or(e.pool.Close(), err)
@@ -219,7 +224,11 @@ func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
 	if err != nil {
 		return err
 	}
-	mount, err := parrot.NewMount(e.ProxyURL, e.Repo, inst, trace.WrapClient(e.HTTPClient, c.Trace))
+	e.swOnce.Do(func() { e.sw, e.swErr = wire.NewHTTPClient(e.ProxyURL) })
+	if e.swErr != nil {
+		return e.swErr
+	}
+	mount, err := parrot.NewMount(e.ProxyURL, e.Repo, inst, e.sw.WithTrace(c.Trace))
 	if err != nil {
 		return err
 	}

@@ -195,12 +195,6 @@ func muxFor(repo *cvmfs.Repository, cond *frontier.Service) http.Handler {
 	return mux
 }
 
-// newFastTimeoutClient returns an HTTP client that gives up quickly, so
-// dead-proxy tests do not stall.
-func newFastTimeoutClient() *http.Client {
-	return &http.Client{Timeout: 500 * time.Millisecond}
-}
-
 // taskFunc is an executor's body: what Analysis and Simulation wrap, with
 // the wrapper report still in hand for the test to read.
 type taskFunc func(*wq.ExecContext) *wrapper.Report
@@ -436,7 +430,6 @@ func TestAnalysisSquidOutageIsSoftwareFailure(t *testing.T) {
 	// Point the env at a dead proxy: software setup must fail with its code.
 	env := svc.env.cloneConfig()
 	env.ProxyURL = "http://127.0.0.1:1" // nothing listens
-	env.HTTPClient = newFastTimeoutClient()
 	exec := analysis(env)
 	rep := runTask(t, exec, &wq.Task{ID: 5, Args: argsOf(wrapper.Args{LFN: "/x"})})
 	if rep.Failed != wrapper.SegSoftware {

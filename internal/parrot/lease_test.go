@@ -114,7 +114,7 @@ func TestManifestLeaseKey(t *testing.T) {
 	other := httptest.NewServer(r.ts.Config.Handler)
 	defer other.Close()
 	inst, _ := r.cache.Instance("b")
-	if _, err := NewMount(other.URL, "cms.cern.ch", inst, newFastClient()); err != nil {
+	if _, err := NewMount(other.URL, "cms.cern.ch", inst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.manifests.Load(); n != 2 {
@@ -136,10 +136,8 @@ func TestManifestLeaseExpiredFetchError(t *testing.T) {
 	}
 	r.clock = r.clock.Add(manifestTTL)
 	inst, _ := r.cache.Instance("c")
-	_, err := NewMount(r.ts.URL, "cms.cern.ch", inst, newFastClient())
+	_, err := NewMount(r.ts.URL, "cms.cern.ch", inst, nil)
 	if err == nil || !strings.Contains(err.Error(), "fetching manifest") {
 		t.Errorf("expired lease, origin down: err = %v, want the manifest fetch error", err)
 	}
 }
-
-func newFastClient() *http.Client { return &http.Client{Timeout: 500 * time.Millisecond} }

@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/cvmfs"
+	"lobster/internal/wire"
 )
 
 // Mount provides file access to a CVMFS repository over HTTP, the way a
@@ -20,20 +22,41 @@ import (
 type Mount struct {
 	base   string // proxy or stratum base URL
 	repo   string
-	client *http.Client
+	client *wire.HTTPClient
 	inst   *Instance
 
 	rootHash string // pinned at mount time for a consistent view
 }
 
+// maxObject is the longest body a fetch reads. The largest object any
+// deploy, test or example publishes is a 16 KiB library of
+// cvmfs.TestRelease (lib/libcms*.so); a real release's run to tens of
+// MiB, so this is bufpool.MaxSized, the most taken on a peer's word.
+const maxObject = bufpool.MaxSized
+
+// defaultClients holds the client of each base a mount was given none
+// for: the process-wide default, as http.DefaultTransport was.
+var defaultClients sync.Map // base → *wire.HTTPClient
+
 // NewMount attaches to the repository named repo at the HTTP base URL
 // (typically a squid proxy). The repository revision is pinned at mount
-// time, as CVMFS clients pin a catalog snapshot per job.
-func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, error) {
+// time, as CVMFS clients pin a catalog snapshot per job. client, a client
+// of base, carries the fetches; nil means the process's own client of
+// base.
+func NewMount(base, repo string, inst *Instance, client *wire.HTTPClient) (*Mount, error) {
+	base = strings.TrimRight(base, "/")
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		c, ok := defaultClients.Load(base)
+		if !ok {
+			fresh, err := wire.NewHTTPClient(base)
+			if err != nil {
+				return nil, fmt.Errorf("parrot: %w", err)
+			}
+			c, _ = defaultClients.LoadOrStore(base, fresh)
+		}
+		client = c.(*wire.HTTPClient)
 	}
-	m := &Mount{base: strings.TrimRight(base, "/"), repo: repo, client: client, inst: inst}
+	m := &Mount{base: base, repo: repo, client: client, inst: inst}
 	// Mounts of one worker process share the manifest for its TTL, as the
 	// tasks of a node share one CVMFS client's; the objects it names are
 	// still looked up on disk, so a wiped cache directory stays cold.
@@ -46,42 +69,41 @@ func NewMount(base, repo string, inst *Instance, client *http.Client) (*Mount, e
 	if err != nil {
 		return nil, fmt.Errorf("parrot: fetching manifest: %w", err)
 	}
+	root, err := manifestRoot(body)
+	if err != nil {
+		return nil, fmt.Errorf("parrot: manifest of %s: %w", repo, err)
+	}
+	m.rootHash = root
+	inst.cache.grantLease(key, root)
+	return m, nil
+}
+
+// manifestRoot decodes a .cvmfspublished manifest and returns the root
+// catalog it names, which must be a content hash (validHash).
+func manifestRoot(body []byte) (string, error) {
 	var pub cvmfs.Published
 	if err := json.Unmarshal(body, &pub); err != nil {
-		return nil, fmt.Errorf("parrot: decoding manifest: %w", err)
+		return "", fmt.Errorf("decoding: %w", err)
 	}
 	if !validHash(pub.Root) {
-		return nil, fmt.Errorf("parrot: manifest of %s names root catalog %q, not a content hash", repo, pub.Root)
+		return "", fmt.Errorf("names root catalog %q, not a content hash", pub.Root)
 	}
-	m.rootHash = pub.Root
-	inst.cache.grantLease(key, pub.Root)
-	return m, nil
+	return pub.Root, nil
 }
 
 // fetch GETs path from the mount's proxy; fresh asks the proxy to go
 // back to the origin for it (Cache-Control: no-cache).
 func (m *Mount) fetch(path string, fresh bool) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, m.base+path, nil)
+	var body []byte
+	err := m.client.Get([]byte(path), fresh, maxObject, nil, func(r io.Reader, n int64) error {
+		body = make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
+		return nil, fmt.Errorf("parrot: fetching %s from %s: %w", path, m.base, err)
 	}
-	if fresh {
-		req.Header.Set("Cache-Control", "no-cache")
-	}
-	resp, err := m.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
-	}
-	body := bufpool.Arrival{Announced: resp.ContentLength}
-	_, err = body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("parrot: fetching %s: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("parrot: fetching %s: status %s from %s", path, resp.Status, m.base)
-	}
-	return body.Bytes(), nil
+	return body, nil
 }
 
 // RootHash returns the pinned root catalog hash.
@@ -148,16 +170,26 @@ func (m *Mount) catalog(hash string) (*hotCatalog, error) {
 	if err != nil {
 		return nil, err
 	}
+	cat, err := decodeCatalog(data)
+	if err != nil {
+		return nil, fmt.Errorf("parrot: catalog %s: %w", hash, err)
+	}
+	return m.inst.rememberCatalog(hash, cat), nil
+}
+
+// decodeCatalog decodes a catalog object, every entry of which must name
+// a content hash (validHash): only then do its hashes become cache paths.
+func decodeCatalog(data []byte) (*cvmfs.Catalog, error) {
 	var cat cvmfs.Catalog
 	if err := json.Unmarshal(data, &cat); err != nil {
-		return nil, fmt.Errorf("parrot: corrupt catalog %s: %w", hash, err)
+		return nil, fmt.Errorf("corrupt: %w", err)
 	}
 	for _, e := range cat.Entries {
 		if !validHash(e.Hash) {
-			return nil, fmt.Errorf("parrot: catalog %s: entry %q names %q, not a content hash", hash, e.Name, e.Hash)
+			return nil, fmt.Errorf("entry %q names %q, not a content hash", e.Name, e.Hash)
 		}
 	}
-	return m.inst.rememberCatalog(hash, &cat), nil
+	return &cat, nil
 }
 
 // resolve walks the catalogs from the pinned root to path.

@@ -3,12 +3,10 @@ package parrot
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lobster/internal/cvmfs"
 	"lobster/internal/squid"
@@ -320,8 +318,7 @@ func TestModeString(t *testing.T) {
 
 func TestMountAllProxiesDown(t *testing.T) {
 	inst := newInstance(t, ModeAlien, "0")
-	client := &http.Client{Timeout: 200 * time.Millisecond}
-	if _, err := NewMount("http://127.0.0.1:1", "cms.cern.ch", inst, client); err == nil {
+	if _, err := NewMount("http://127.0.0.1:1", "cms.cern.ch", inst, nil); err == nil {
 		t.Fatal("mount succeeded with its proxy down")
 	}
 }

@@ -41,6 +41,7 @@ func (r *refusal) Error() string { return "squid: " + r.status + ": " + r.text }
 var (
 	hdrHost         = []byte("Host")
 	hdrCacheControl = []byte("Cache-Control")
+	hdrContentType  = []byte("Content-Type")
 	hdrTrace        = []byte(trace.Header)
 	tokenNoCache    = []byte("no-cache")
 )

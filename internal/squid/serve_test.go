@@ -77,8 +77,8 @@ func TestHitAllocs(t *testing.T) {
 // TestStockClientInterop: the squid stays an HTTP/1.1 server any client
 // reads. net/http's client fetches a miss and then a hit on one kept-alive
 // connection; HEAD and POST get a 405; a GET with a body gets a 400 and a
-// hang-up; and an origin that announces no length reaches the client
-// whole, delimited by the end of the connection.
+// hang-up; and an origin that announces no length is an answer the
+// squid's origin client does not read: a 502 each time, and nothing cached.
 func TestStockClientInterop(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Cache-Control", "public")
@@ -143,14 +143,16 @@ func TestStockClientInterop(t *testing.T) {
 		t.Error("a connection the proxy refused a request on was used again")
 	}
 
-	for i, want := range []string{"MISS", "HIT"} {
+	before := p.Stats().CachedObjects
+	for i := 0; i < 2; i++ {
 		resp, text, _ := do("GET", "/nolength", nil)
-		if text != "first half, body of /nolength" || resp.Header.Get("X-Cache") != want {
-			t.Fatalf("no length, fetch %d: %q, X-Cache %q", i, text, resp.Header.Get("X-Cache"))
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(text, "Content-Length") {
+			t.Fatalf("no length, fetch %d: status %d, %q; want a 502 naming the missing length", i, resp.StatusCode, text)
 		}
-		if miss := want == "MISS"; miss && (resp.ContentLength != -1 || !resp.Close) {
-			t.Errorf("no length, miss: length %d, close %v; want the body delimited by a hang-up", resp.ContentLength, resp.Close)
-		}
+	}
+	if st := p.Stats(); st.CachedObjects != before || st.OriginErrors != 2 {
+		t.Errorf("no length: %d objects cached (%d before), %d origin errors; want nothing cached and 2 errors",
+			st.CachedObjects, before, st.OriginErrors)
 	}
 }
 

@@ -13,18 +13,21 @@
 // it reads each request in place with wire.Conn.ReadLine and
 // wire.Conn.ReadHeader, and a hit writes a header block made once per
 // entry and then the body, so a hot hit allocates nothing (DESIGN.md
-// section 10, "The squid answers on the wire"). Its origin side is an
-// ordinary net/http client, on the cold path only.
+// section 10, "The squid answers on the wire"). Its origin side is the
+// module's one GET client, wire.HTTPClient: a miss streams from the
+// origin through it in chunks, and an origin answer it does not read —
+// one without a Content-Length included — is a 502 that caches nothing.
 package squid
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -68,9 +71,10 @@ const maxOriginConns = 64
 type Config struct {
 	// CapacityBytes bounds the cache size. Zero means 1 GiB.
 	CapacityBytes int64
-	// Fault, when non-nil, wraps the origin client's transport so every
-	// origin round trip consults the fault plane under component
-	// "squid_origin".
+	// Fault, when non-nil, is consulted once per origin attempt under
+	// ("squid_origin", "roundtrip"): delay stalls, then fetches; error and
+	// drop fail the attempt, retryably; stall-kill stalls, then fails;
+	// corrupt flips the first body byte the origin sends.
 	Fault *faultinject.Injector
 	// Retry bounds repeated origin fetches on transport failures and 5xx
 	// responses. The zero Policy keeps the old single-attempt behaviour.
@@ -83,11 +87,12 @@ type Config struct {
 // the path and query a client asks for are appended to the origin base.
 // Listen serves it. Safe for concurrent use.
 type Proxy struct {
-	origin *url.URL
-	client *http.Client
-	retry  retry.Policy
-	sem    chan struct{}
-	srv    *wire.Server
+	origin     *wire.HTTPClient
+	originHost string // the origin span's attribute
+	fault      *faultinject.Injector
+	retry      retry.Policy
+	sem        chan struct{}
+	srv        *wire.Server
 
 	mu       sync.Mutex
 	capacity int64
@@ -194,7 +199,7 @@ type stream struct {
 	cond sync.Cond
 
 	ctype, cc string // the origin's Content-Type and Cache-Control
-	size      int64  // origin Content-Length, -1 unknown
+	size      int64  // the origin's Content-Length
 	hdrReady  bool
 	buf       []byte
 	done      bool
@@ -202,7 +207,7 @@ type stream struct {
 }
 
 func newStream() *stream {
-	st := &stream{size: -1}
+	st := new(stream)
 	st.cond.L = &st.mu
 	return st
 }
@@ -240,27 +245,24 @@ func (st *stream) finish(err error) {
 
 // New returns a proxy forwarding cache misses to the origin base URL.
 func New(origin string, cfg Config) (*Proxy, error) {
-	u, err := url.Parse(origin)
+	client, err := wire.NewHTTPClient(origin)
 	if err != nil {
-		return nil, fmt.Errorf("squid: bad origin %q: %w", origin, err)
+		return nil, fmt.Errorf("squid: bad origin: %w", err)
 	}
-	if u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("squid: origin %q must be absolute", origin)
-	}
+	host, _, _ := strings.Cut(strings.TrimPrefix(origin, "http://"), "/")
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 1 << 30
 	}
-	// A nil Fault leaves the transport nil: http.DefaultTransport.
-	client := &http.Client{Timeout: 30 * time.Second, Transport: cfg.Fault.Transport("squid_origin", nil)}
 	return &Proxy{
-		origin:   u,
-		client:   client,
-		retry:    cfg.Retry,
-		sem:      make(chan struct{}, maxOriginConns),
-		capacity: cfg.CapacityBytes,
-		lru:      list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*stream),
+		origin:     client,
+		originHost: host,
+		fault:      cfg.Fault,
+		retry:      cfg.Retry,
+		sem:        make(chan struct{}, maxOriginConns),
+		capacity:   cfg.CapacityBytes,
+		lru:        list.New(),
+		items:      make(map[string]*list.Element),
+		inflight:   make(map[string]*stream),
 	}, nil
 }
 
@@ -289,13 +291,14 @@ func (p *Proxy) Listen(addr string) (string, error) {
 }
 
 // Close stops listening, hangs up every client connection, parked ones
-// included, and waits for the requests being answered on them. A proxy
-// that never listened has nothing to close.
+// included, and waits for the requests being answered on them; then it
+// hangs up the connections parked to the origin.
 func (p *Proxy) Close() error {
-	if p.srv == nil {
-		return nil
+	var err error
+	if p.srv != nil {
+		err = p.srv.Close()
 	}
-	return p.srv.Close()
+	return errors.Join(err, p.origin.Close())
 }
 
 // held is a client's socket as its wire.Conn sees it: a failure breaks
@@ -419,8 +422,7 @@ func (p *Proxy) countServed(n int64) {
 // chunk, and returns the body bytes written. An origin error before the
 // headers were published becomes a 502; after that the response is
 // already under way and can only be cut short, which ends the connection
-// (req.close). A body of unknown length is delimited by the end of the
-// connection too.
+// (req.close).
 func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, error) {
 	st.mu.Lock()
 	for !st.hdrReady && !st.done {
@@ -436,12 +438,8 @@ func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, e
 		writeText(w, req, "502 Bad Gateway", "squid: origin fetch failed: "+err.Error())
 		return 0, err
 	}
-	size := st.size
-	w.Write(appendHead(w.AvailableBuffer(), st.ctype, st.cc, size, "MISS"))
+	w.Write(appendHead(w.AvailableBuffer(), st.ctype, st.cc, st.size, "MISS"))
 	st.mu.Unlock()
-	if size < 0 {
-		req.close = true
-	}
 	endHead(w, req)
 	var off int
 	for {
@@ -474,16 +472,14 @@ func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, e
 }
 
 // appendHead appends to b the status line and header block of a 200 with
-// the origin's Content-Type and Cache-Control, a Content-Length unless
-// size is unknown (-1), and X-Cache, up to the line endHead writes.
+// the origin's Content-Type and Cache-Control, the Content-Length size and
+// X-Cache, up to the line endHead writes.
 func appendHead(b []byte, ctype, cc string, size int64, xcache string) []byte {
 	b = append(b, "HTTP/1.1 200 OK\r\n"...)
 	if cc != "" {
 		b = append(append(append(b, "Cache-Control: "...), cc...), "\r\n"...)
 	}
-	if size >= 0 {
-		b = append(strconv.AppendInt(append(b, "Content-Length: "...), size, 10), "\r\n"...)
-	}
+	b = append(strconv.AppendInt(append(b, "Content-Length: "...), size, 10), "\r\n"...)
 	if ctype != "" {
 		b = append(append(append(b, "Content-Type: "...), ctype...), "\r\n"...)
 	}
@@ -575,65 +571,57 @@ func (p *Proxy) insertLocked(ent *entry) {
 // Retries are valid only until the first committed 200: once the
 // response headers have been published, body bytes may already be on
 // the way to clients and a second attempt could not rewind them, so a
-// mid-body failure is permanent.
+// mid-body failure is permanent. So is an answer the client does not
+// read (a *wire.ProtocolError) and a 4xx; a 5xx and a transport failure
+// are worth another attempt.
 func (p *Proxy) fetchOrigin(key string, st *stream, wireCtx, spanCtx trace.Context) error {
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
-	u := *p.origin
-	if i := strings.IndexByte(key, '?'); i >= 0 {
-		u.Path = key[:i]
-		u.RawQuery = key[i+1:]
-	} else {
-		u.Path = key
-	}
 	var sp *trace.Span
 	if p.tracer != nil && spanCtx.Valid() {
 		sp = p.tracer.Start(spanCtx, "squid", "origin")
-		sp.Attr("origin", p.origin.Host)
+		sp.Attr("origin", p.originHost)
 	}
 	defer sp.End()
+	// Chain under the local span, or relay the client's context when
+	// this proxy is untraced in an otherwise traced stack.
+	client := p.origin.WithTrace(sp.Context().OrElse(wireCtx))
+	// The key's path was unescaped from the client's target: escape it again.
+	path, query, _ := strings.Cut(key, "?")
+	target := []byte((&url.URL{Path: path, RawQuery: query}).RequestURI())
 	var fetched int64
 	err := p.retry.Do(func() error {
-		req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		// Chain under the local span, or relay the client's context when
-		// this proxy is untraced in an otherwise traced stack.
-		sp.Context().OrElse(wireCtx).SetHTTP(req.Header)
-		resp, err := p.client.Do(req)
+		corrupt, err := p.fault.CheckPayload("squid_origin", "roundtrip")
 		if err != nil {
 			return err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			err := fmt.Errorf("origin status %s for %s", resp.Status, key)
-			if resp.StatusCode < 500 {
-				// 4xx is the origin's final word; 5xx may be a transient
-				// overload worth another attempt.
-				return retry.Permanent(err)
+		var ctype, cc string
+		return client.Get(target, false, math.MaxInt64, func(name, value []byte) {
+			if bytes.EqualFold(name, hdrContentType) {
+				ctype = string(value)
+			} else if bytes.EqualFold(name, hdrCacheControl) {
+				cc = string(value)
 			}
-			return err
-		}
-		st.publishHeaders(resp.Header.Get("Content-Type"), resp.Header.Get("Cache-Control"), resp.ContentLength)
-		buf := bufpool.Get()
-		defer bufpool.Put(buf)
-		for {
-			n, rerr := resp.Body.Read(*buf)
-			if n > 0 {
-				st.append((*buf)[:n])
-				fetched += int64(n)
-				p.tel.bytesFetched.Add(int64(n))
-				p.tel.planeIn.Add(int64(n))
+		}, func(r io.Reader, n int64) error {
+			st.publishHeaders(ctype, cc, n)
+			buf := bufpool.Get()
+			defer bufpool.Put(buf)
+			for got := int64(0); got < n; {
+				k, rerr := r.Read(*buf)
+				if corrupt && got == 0 && k > 0 {
+					(*buf)[0] ^= 0xff
+				}
+				st.append((*buf)[:k])
+				got += int64(k)
+				fetched += int64(k)
+				p.tel.bytesFetched.Add(int64(k))
+				p.tel.planeIn.Add(int64(k))
+				if rerr != nil && got < n {
+					return retry.Permanent(fmt.Errorf("origin body truncated at %d bytes: %w", got, rerr))
+				}
 			}
-			if rerr == io.EOF {
-				return nil
-			}
-			if rerr != nil {
-				return retry.Permanent(fmt.Errorf("origin body truncated at %d bytes: %w", fetched, rerr))
-			}
-		}
+			return nil
+		})
 	})
 	p.mu.Lock()
 	p.stats.BytesFetched += fetched

@@ -29,7 +29,6 @@
 package trace
 
 import (
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -144,14 +143,4 @@ func Parse(s string) (Context, bool) {
 		c.Baggage = parts[4]
 	}
 	return c, true
-}
-
-// SetHTTP injects c into h. The zero Context removes the header, so the
-// call is safe unconditionally.
-func (c Context) SetHTTP(h http.Header) {
-	if enc := c.Encode(); enc != "" {
-		h.Set(Header, enc)
-	} else {
-		h.Del(Header)
-	}
 }

@@ -110,18 +110,29 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// TestHTTPCarrier: a context crosses HTTP as the value of one header
+// field, which wire.HTTPClient writes as "Lobster-Trace: " + Encode() and
+// the squid reads back with Parse. The name is already in net/http's
+// canonical form, the value is a field value as it stands (no blank, no
+// control character), the zero Context encodes to nothing (no field is
+// sent), and an absent field parses to no context.
 func TestHTTPCarrier(t *testing.T) {
+	if http.CanonicalHeaderKey(Header) != Header {
+		t.Errorf("header name %q is not canonical", Header)
+	}
 	c := Context{TraceID: 9, SpanID: 10, Sampled: true, Baggage: "x"}
 	h := make(http.Header)
-	c.SetHTTP(h)
-	got, ok := Parse(h.Get(Header))
+	h.Set(Header, c.Encode())
+	enc := h.Get(Header)
+	if strings.ContainsAny(enc, " \t\r\n") {
+		t.Errorf("encoded context %q is not a bare field value", enc)
+	}
+	got, ok := Parse(enc)
 	if !ok || got != c {
 		t.Fatalf("HTTP round trip: got %+v ok=%v", got, ok)
 	}
-	// Zero context clears the header rather than sending garbage.
-	(Context{}).SetHTTP(h)
-	if v := h.Get(Header); v != "" {
-		t.Fatalf("zero SetHTTP left header %q", v)
+	if enc := (Context{}).Encode(); enc != "" {
+		t.Errorf("the zero Context encodes to %q; want nothing to send", enc)
 	}
 	if _, ok := Parse(make(http.Header).Get(Header)); ok {
 		t.Fatal("Parse of an absent header succeeded")

@@ -1,6 +1,19 @@
 package wire
 
-import "bytes"
+import (
+	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/url"
+	"strings"
+	"time"
+
+	"lobster/internal/retry"
+	"lobster/internal/trace"
+)
 
 // HTTPHeader is what an HTTP/1.1 header block says about the message
 // behind it: the length of its body and whether the connection ends
@@ -116,3 +129,177 @@ var tchar = func() (t [0x80]bool) {
 	}
 	return t
 }()
+
+// HTTPClient is the module's one HTTP/1.1 GET client: frontier's
+// conditions fetch, parrot's CVMFS fetches and the squid's origin fetch
+// all ride it (DESIGN.md section 10, "One wire"). It writes the request
+// itself, reads the answer in place (ReadLine, ReadHeader) and parks its
+// keep-alive connections in a Pool, so a hot fetch dials and allocates
+// nothing. It reads only a 200 with a Content-Length of at most the
+// caller's cap; any other answer, and a body not read whole, fails the
+// fetch and hangs up, and a connection is parked only after a whole body
+// on an answer without close. Each fetch has one deadline, fetchTimeout,
+// from the dial or the reuse of a parked connection (and the one redial
+// of a stale one) to the last byte of the body. Safe for concurrent use;
+// the copies WithTrace makes share the connections.
+type HTTPClient struct {
+	addr    string // dial address, host:port
+	host    string // the Host header
+	path    string // the base's path, escaped, without a trailing slash
+	trace   string // the Lobster-Trace value every request carries, "" for none
+	conns   *Pool[*Conn]
+	timeout time.Duration
+}
+
+// fetchTimeout bounds one fetch: a proxy that accepts and never answers
+// costs a worker's slot 30 s and no longer.
+const fetchTimeout = 30 * time.Second
+
+// NewHTTPClient returns a client of base, an http://host[:port][/path]
+// URL. Its connections are made on the first fetch.
+func NewHTTPClient(base string) (*HTTPClient, error) {
+	u, err := url.Parse(base)
+	if err == nil && (u.Scheme != "http" || u.Host == "") {
+		err = errors.New("not an http URL")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("http: base %q: %v", base, err)
+	}
+	c := &HTTPClient{addr: u.Host, host: u.Host, path: strings.TrimRight(u.EscapedPath(), "/")}
+	if u.Port() == "" {
+		c.addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	c.SetDial(nil, 0)
+	return c, nil
+}
+
+// SetDial makes c's connections with dial (nil: over TCP) and gives each
+// fetch timeout (0: fetchTimeout), the seam through which a test reaches
+// a scripted peer or a silent one. Call it before the first fetch.
+func (c *HTTPClient) SetDial(dial func(addr string) (net.Conn, error), timeout time.Duration) {
+	c.timeout = cmp.Or(timeout, fetchTimeout)
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, c.timeout) }
+	}
+	c.conns = NewPool(nil, "", func(addr string) (*Conn, error) {
+		nc, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return NewConn(ProtoHTTP, nc, 4<<10, 1<<10), nil
+	}, func(wc *Conn) *Conn { return wc })
+}
+
+// WithTrace returns a copy of c whose requests carry ctx in the
+// Lobster-Trace header; an invalid ctx returns c itself.
+func (c *HTTPClient) WithTrace(ctx trace.Context) *HTTPClient {
+	if !ctx.Valid() {
+		return c
+	}
+	cp := *c
+	cp.trace = ctx.Encode()
+	return &cp
+}
+
+// Get sends a GET of target, a path and any "?query" under the base's
+// path, fresh asking a proxy for the origin's copy (Cache-Control:
+// no-cache). header, which may be nil, sees the fields ReadHeader hands
+// on. A 200 with a Content-Length of at most max is handed to body with a
+// reader of exactly its n bytes, which body reads whole or fails.
+//
+// Any other answer breaks the connection: a status other than 200 is a
+// *StatusError, one out of protocol a *ProtocolError. So does an error
+// from body, which comes back as it is, and a body left part unread.
+func (c *HTTPClient) Get(target []byte, fresh bool, max int64, header func(name, value []byte), body func(r io.Reader, n int64) error) error {
+	for _, ch := range target {
+		if ch <= ' ' || ch == 0x7f {
+			return fmt.Errorf("http: target %q is not a request target", string(target))
+		}
+	}
+	deadline := time.Now().Add(c.timeout)
+	var refused *StatusError
+	conn, err := c.conns.Take(c.addr, func(conn *Conn) (err error) {
+		conn.Net.SetDeadline(deadline)
+		if err = conn.Send(c.appendRequest(conn.W.AvailableBuffer(), target, fresh)); err == nil {
+			refused, err = readStatus(conn)
+		}
+		return err
+	})
+	switch {
+	case err != nil:
+		return err
+	case refused != nil:
+		return conn.Fail(refused) // the body that follows is not read
+	}
+	h, err := conn.ReadHeader(max, header)
+	if err != nil {
+		return err
+	}
+	if h.Length < 0 {
+		return conn.Protocol("response without a Content-Length")
+	}
+	conn.body = io.LimitedReader{R: conn.R, N: h.Length}
+	if err := body(&conn.body, h.Length); err != nil {
+		return conn.Fail(err)
+	}
+	if conn.body.N != 0 {
+		return conn.Fail(fmt.Errorf("http: %d of a %d-byte body left unread", conn.body.N, h.Length))
+	}
+	if h.Close {
+		conn.Fail(nil)
+	} else {
+		c.conns.Put(c.addr, conn)
+	}
+	return nil
+}
+
+// appendRequest appends the GET of target to b.
+func (c *HTTPClient) appendRequest(b, target []byte, fresh bool) []byte {
+	b = append(append(append(b, "GET "...), c.path...), target...)
+	b = append(append(b, " HTTP/1.1\r\nHost: "...), c.host...)
+	if fresh {
+		b = append(b, "\r\nCache-Control: no-cache"...)
+	}
+	if c.trace != "" {
+		b = append(append(b, "\r\n"+trace.Header+": "...), c.trace...)
+	}
+	return append(b, "\r\n\r\n"...)
+}
+
+// readStatus reads the status line. An answer other than 200 comes back
+// as refused, not as an error: the exchange worked, so a parked
+// connection that gets one is not stale.
+func readStatus(conn *Conn) (refused *StatusError, err error) {
+	line, err := conn.ReadLine()
+	if err != nil {
+		return nil, err
+	}
+	version, status, _ := bytes.Cut(line, []byte(" "))
+	if !bytes.HasPrefix(version, []byte("HTTP/1.")) || len(status) < 3 {
+		return nil, conn.Protocol("bad status line %q", line)
+	}
+	if !bytes.HasPrefix(status, []byte("200")) || (len(status) > 3 && status[3] != ' ') {
+		return &StatusError{Status: string(status)}, nil
+	}
+	return nil, nil
+}
+
+// Parked counts the connections c holds for its next fetches.
+func (c *HTTPClient) Parked() int { return c.conns.Parked() }
+
+// Close hangs up the parked connections; a later fetch dials afresh.
+func (c *HTTPClient) Close() error { return c.conns.Close() }
+
+// StatusError is an answer other than 200 OK: permanent under the retry
+// package, the server's final word, unless it is a 5xx, which may be an
+// overload another attempt outlives.
+type StatusError struct {
+	Status string // "404 Not Found"
+}
+
+func (e *StatusError) Error() string { return "status " + e.Status }
+
+// Is matches retry.ErrPermanent unless the status is a 5xx.
+func (e *StatusError) Is(target error) bool {
+	return target == retry.ErrPermanent && e.Status[0] != '5'
+}
