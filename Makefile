@@ -97,8 +97,17 @@ fmt:
 # non-test code (DESIGN.md section 10, the squid answers on the wire).
 # That server half cost a hot conditions hit about 2.4 KB and 21
 # allocations: a request, its header map, a url.URL, a context and a
-# header clone per hit. The origin side stays a net/http client, on the
-# cold path only.
+# header clone per hit.
+#
+# And an HTTP GET goes out through wire.HTTPClient, never a second
+# client: no http.Client, http.NewRequest, http.Transport or RoundTripper
+# in non-test internal/ code, and no net/http import at all in non-test
+# internal/parrot, internal/trace or internal/hepsim (DESIGN.md section
+# 10, one GET client). frontier's GET, parrot's net/http client behind
+# trace.WrapClient and the squid's origin http.Client were three clients
+# with three timeout stories and three ways to carry the trace header,
+# and parrot's read whatever length a proxy announced. cmd/lobster's
+# /metrics scraper is outside internal/ and keeps its own.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim internal/frontier
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -125,6 +134,10 @@ copy-lint:
 	test -z "$$out" || { echo "the untimed default HTTP client (give the request a deadline of its own):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'http\.ResponseWriter|ServeHTTP|net/http/httptest' --include='*.go' internal/squid | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "the squid serving through net/http (it answers on internal/wire):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'http\.(Client|NewRequest|Transport)\b|RoundTripper' --include='*.go' internal | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a second HTTP client (GET through wire.HTTPClient):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE '"net/http' --include='*.go' internal/parrot internal/trace internal/hepsim | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "net/http on the worker's fetch path (GET through wire.HTTPClient):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 
@@ -198,6 +211,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wrapper/
 	$(GO) test -fuzz FuzzRequest -fuzztime $(FUZZTIME) ./internal/squid/
 	$(GO) test -fuzz FuzzResponse -fuzztime $(FUZZTIME) ./internal/frontier/
+	$(GO) test -fuzz FuzzPeerBytes -fuzztime $(FUZZTIME) ./internal/parrot/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

@@ -11,6 +11,7 @@
 //	lobster-bench            # all figures at scale 0.25
 //	lobster-bench -scale 1   # full paper scale
 //	lobster-bench -only fig10,fig11
+//	lobster-bench -only adaptive   # static vs rate-adaptive task sizing under a regime shift
 //	lobster-bench -dispatch -scale 1   # 100k workers / 1M tasks through one master
 //	lobster-bench -cpuprofile cpu.pprof -memprofile mem.pprof -trace trace.out
 package main
@@ -33,7 +34,7 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 0.25, "scale of the big runs (1.0 = paper scale)")
-	only := flag.String("only", "", "comma-separated figure list (fig2,...,fig11); empty = all")
+	only := flag.String("only", "", "comma-separated figure list (fig2,...,fig11, adaptive); empty = every figure of the paper")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum figures generated concurrently")
 	dispatch := flag.Bool("dispatch", false, "run the dispatch-plane scale harness (100k workers / 1M tasks at -scale 1) instead of the figures")
 	var prof profiling.Flags
@@ -46,7 +47,9 @@ func main() {
 			want[strings.TrimSpace(f)] = true
 		}
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
+	// The adaptive-sizing ablation is no figure of the paper: it runs only
+	// when -only names it.
+	sel := func(name string) bool { return len(want) == 0 && name != "adaptive" || want[name] }
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -294,5 +297,25 @@ func run(scale float64, sel func(string) bool, workers int) error {
 		}})
 	}
 
+	if sel("adaptive") {
+		jobs = append(jobs, figJob{"adaptive", func() (string, error) {
+			results, err := sim.CompareAdaptive(sim.DefaultPhaseShiftConfig(), adaptiveStaticSize)
+			if err != nil {
+				return "", err
+			}
+			tb := tabulate.NewTable("Task sizing under a mid-run eviction regime shift (calm -> hostile)",
+				"sizer", "efficiency", "evictions", "mean size", "final size")
+			for _, r := range results {
+				tb.Row(r.Sizer, fmt.Sprintf("%.3f", r.Efficiency), r.Evictions,
+					fmt.Sprintf("%.1f", r.MeanSize), r.FinalSize)
+			}
+			return tb.Render() + "\n", nil
+		}})
+	}
+
 	return runJobs(jobs, workers)
 }
+
+// adaptiveStaticSize is the tasklets per task of the adaptive ablation's
+// static sizer, the baseline the rate-adaptive sizer is measured against.
+const adaptiveStaticSize = 18

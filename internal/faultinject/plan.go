@@ -15,10 +15,13 @@
 // under test: no task is lost, outputs are byte-identical to a
 // fault-free run, and retry accounting reconciles.
 //
-// Like the telemetry and trace layers, the disabled path is free: every
-// method on the nil *Injector is a no-op compiling to a single branch
-// (see BenchmarkDisabledInjector, ≤2 ns/op), so components hook the
-// fault plane unconditionally.
+// A seam is a connection the component wraps (Injector.Conn) or a hook
+// point where it asks (Injector.Check, or CheckPayload where it has a
+// payload a corrupt verdict flips: the squid's one call per origin
+// attempt). Like the telemetry and trace layers, the disabled path is
+// free: every method on the nil *Injector is a no-op compiling to a
+// single branch (see BenchmarkDisabledInjector, ≤2 ns/op), so components
+// hook the fault plane unconditionally.
 package faultinject
 
 import (

@@ -1,7 +1,10 @@
 // Package parrot implements the client side of CVMFS access as the paper
 // uses Parrot: an unprivileged layer that fetches content-addressed objects
 // over HTTP (directly or through squid proxies) and keeps them in a local
-// cache directory on the worker node.
+// cache directory on the worker node. The fetches ride wire.HTTPClient,
+// the module's one GET client, under a per-object ceiling (maxObject); a
+// manifest or catalog naming anything but a content hash is refused
+// before any hash becomes a cache path.
 //
 // The package implements the five cache-sharing configurations of Figure 6:
 //

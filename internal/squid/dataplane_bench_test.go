@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -19,7 +20,10 @@ func BenchmarkDataplaneColdWave(b *testing.B) {
 	for i := range body {
 		body[i] = byte(i * 7)
 	}
+	// The length is announced, as every origin of the program announces
+	// it: the squid's origin client reads no other body.
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(size))
 		w.Write(body)
 	}))
 	defer origin.Close()

@@ -213,10 +213,14 @@ func newStream() *stream {
 }
 
 // publishHeaders releases consumers to start writing their responses.
+// The body is reserved at its announced size, up to bufpool.MaxSized, as
+// a bufpool.Arrival reserves it: it lands in one allocation, not in a
+// buffer that doubles as it fills.
 func (st *stream) publishHeaders(ctype, cc string, size int64) {
 	st.mu.Lock()
 	st.ctype, st.cc = ctype, cc
 	st.size = size
+	st.buf = make([]byte, 0, min(size, bufpool.MaxSized))
 	st.hdrReady = true
 	st.mu.Unlock()
 	st.cond.Broadcast()

@@ -4,10 +4,11 @@
 // line — the command's answer, or "-1 <error>" — and payload bytes follow
 // a size line. wq sends size-framed JSON: a size line, then exactly that
 // many bytes of one JSON value (ReadFrame, SendFrame). HTTP/1.1 rides a
-// Conn too (ProtoHTTP): frontier's client sends its conditions GET over
-// one parked in a Pool between tasks, and the squid answers its clients
-// on a Server of its own; both read the request or status line with
-// ReadLine and the header block with ReadHeader. Each protocol used
+// Conn too (ProtoHTTP): HTTPClient, the one GET client that frontier's
+// conditions fetch, parrot's CVMFS fetches and the squid's origin fetch
+// share, parks its connections in a Pool, and the squid answers its
+// clients on a Server of its own; both read the status or request line
+// with ReadLine and the header block with ReadHeader. Each protocol used
 // to carry a copy of each piece here, and the copies drifted (DESIGN.md
 // §10, "One wire"); what is left in each package is its commands.
 //
@@ -16,10 +17,10 @@
 // (ReadLine, Fields), the status convention (ReadStatus on the client,
 // ReplyError on the server), the size-line parse (ParseSize), the payload
 // that follows a size or request line (ReadPayload), the bounded message
-// frame (ReadFrame, SendFrame), the HTTP/1.1 header block (ReadHeader),
-// the error pair a peer's answer turns into (ServerError, ProtocolError),
-// the parked-connection list (Pool), and the server's accept and request
-// loops (Server, ServeLines).
+// frame (ReadFrame, SendFrame), the HTTP/1.1 header block (ReadHeader)
+// and GET (HTTPClient), the error pair a peer's answer turns into
+// (ServerError, ProtocolError), the parked-connection list (Pool), and the
+// server's accept and request loops (Server, ServeLines).
 package wire
 
 import (
@@ -57,7 +58,8 @@ type Conn struct {
 	broken atomic.Bool
 
 	// The frame codec's state (frame.go), each half owned by its side:
-	// body and dec by the reader, out and enc by the writer.
+	// body and dec by the reader, out and enc by the writer. body is an
+	// HTTP answer's body too (HTTPClient.Get).
 	body io.LimitedReader
 	dec  *json.Decoder
 	out  bytes.Buffer
@@ -109,9 +111,9 @@ func (c *Conn) Close() error {
 	return c.Net.Close()
 }
 
-// ProtoHTTP names an HTTP/1.1 keep-alive connection: frontier's
-// conditions GET rides a Conn and a Pool like the line protocols, with
-// its own request and response framing.
+// ProtoHTTP names an HTTP/1.1 keep-alive connection: HTTPClient's GETs
+// ride a Conn and a Pool like the line protocols, with their own request
+// and response framing.
 const ProtoHTTP = "http"
 
 // Send writes cmd, which may be built in W.AvailableBuffer or be empty,
