@@ -34,8 +34,8 @@ type Mount struct {
 // MiB, so this is bufpool.MaxSized, the most taken on a peer's word.
 const maxObject = bufpool.MaxSized
 
-// defaultClients holds the client of each base a mount was given none
-// for: the process-wide default, as http.DefaultTransport was.
+// defaultClients holds the process's own client of each base a mount was
+// given none for, so those mounts share their parked connections.
 var defaultClients sync.Map // base → *wire.HTTPClient
 
 // NewMount attaches to the repository named repo at the HTTP base URL

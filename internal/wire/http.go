@@ -207,9 +207,10 @@ func (c *HTTPClient) WithTrace(ctx trace.Context) *HTTPClient {
 // on. A 200 with a Content-Length of at most max is handed to body with a
 // reader of exactly its n bytes, which body reads whole or fails.
 //
-// Any other answer breaks the connection: a status other than 200 is a
-// *StatusError, one out of protocol a *ProtocolError. So does an error
-// from body, which comes back as it is, and a body left part unread.
+// Any other answer breaks the connection: a status other than 200 is an
+// error permanent under the retry package unless it is a 5xx, one out of
+// protocol a *ProtocolError. So does an error from body, which comes back
+// as it is, and a body left part unread.
 func (c *HTTPClient) Get(target []byte, fresh bool, max int64, header func(name, value []byte), body func(r io.Reader, n int64) error) error {
 	for _, ch := range target {
 		if ch <= ' ' || ch == 0x7f {
@@ -217,7 +218,7 @@ func (c *HTTPClient) Get(target []byte, fresh bool, max int64, header func(name,
 		}
 	}
 	deadline := time.Now().Add(c.timeout)
-	var refused *StatusError
+	var refused *statusError
 	conn, err := c.conns.Take(c.addr, func(conn *Conn) (err error) {
 		conn.Net.SetDeadline(deadline)
 		if err = conn.Send(c.appendRequest(conn.W.AvailableBuffer(), target, fresh)); err == nil {
@@ -269,7 +270,7 @@ func (c *HTTPClient) appendRequest(b, target []byte, fresh bool) []byte {
 // readStatus reads the status line. An answer other than 200 comes back
 // as refused, not as an error: the exchange worked, so a parked
 // connection that gets one is not stale.
-func readStatus(conn *Conn) (refused *StatusError, err error) {
+func readStatus(conn *Conn) (refused *statusError, err error) {
 	line, err := conn.ReadLine()
 	if err != nil {
 		return nil, err
@@ -279,7 +280,7 @@ func readStatus(conn *Conn) (refused *StatusError, err error) {
 		return nil, conn.Protocol("bad status line %q", line)
 	}
 	if !bytes.HasPrefix(status, []byte("200")) || (len(status) > 3 && status[3] != ' ') {
-		return &StatusError{Status: string(status)}, nil
+		return &statusError{status: string(status)}, nil
 	}
 	return nil, nil
 }
@@ -290,16 +291,15 @@ func (c *HTTPClient) Parked() int { return c.conns.Parked() }
 // Close hangs up the parked connections; a later fetch dials afresh.
 func (c *HTTPClient) Close() error { return c.conns.Close() }
 
-// StatusError is an answer other than 200 OK: permanent under the retry
-// package, the server's final word, unless it is a 5xx, which may be an
-// overload another attempt outlives.
-type StatusError struct {
-	Status string // "404 Not Found"
+// statusError is an answer other than 200 OK: the server's final word,
+// unless it is a 5xx, which may be an overload another attempt outlives.
+type statusError struct {
+	status string // "404 Not Found"
 }
 
-func (e *StatusError) Error() string { return "status " + e.Status }
+func (e *statusError) Error() string { return "status " + e.status }
 
 // Is matches retry.ErrPermanent unless the status is a 5xx.
-func (e *StatusError) Is(target error) bool {
-	return target == retry.ErrPermanent && e.Status[0] != '5'
+func (e *statusError) Is(target error) bool {
+	return target == retry.ErrPermanent && e.status[0] != '5'
 }
