@@ -253,13 +253,13 @@ func New(origin string, cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("squid: bad origin: %w", err)
 	}
-	host, _, _ := strings.Cut(strings.TrimPrefix(origin, "http://"), "/")
+	u, _ := url.Parse(origin) // NewHTTPClient parsed it
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 1 << 30
 	}
 	return &Proxy{
 		origin:     client,
-		originHost: host,
+		originHost: u.Host,
 		fault:      cfg.Fault,
 		retry:      cfg.Retry,
 		sem:        make(chan struct{}, maxOriginConns),

@@ -138,10 +138,11 @@ var tchar = func() (t [0x80]bool) {
 // nothing. It reads only a 200 with a Content-Length of at most the
 // caller's cap; any other answer, and a body not read whole, fails the
 // fetch and hangs up, and a connection is parked only after a whole body
-// on an answer without close. Each fetch has one deadline, fetchTimeout,
-// from the dial or the reuse of a parked connection (and the one redial
-// of a stale one) to the last byte of the body. Safe for concurrent use;
-// the copies WithTrace makes share the connections.
+// on an answer without close. Each fetch has one deadline, fetchTimeout
+// after it starts, on every exchange from the request on a parked or a
+// new connection (a stale one's redial included) to the last byte of the
+// body; a dial is bounded by fetchTimeout of its own. Safe for concurrent
+// use; the copies WithTrace makes share the connections.
 type HTTPClient struct {
 	addr    string // dial address, host:port
 	host    string // the Host header
