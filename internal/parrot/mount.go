@@ -29,9 +29,9 @@ type Mount struct {
 }
 
 // maxObject is the longest body a fetch reads. The largest object any
-// deploy, test or example publishes is a 16 KiB library of
-// cvmfs.TestRelease (lib/libcms*.so); a real release's run to tens of
-// MiB, so this is bufpool.MaxSized, the most taken on a peer's word.
+// deploy, test or example publishes is a 16 KiB cvmfs.TestRelease
+// library (lib/libcms*.so); real libraries run to tens of MiB, so this
+// is bufpool.MaxSized, the most taken on a peer's word.
 const maxObject = bufpool.MaxSized
 
 // defaultClients holds the process's own client of each base a mount was
