@@ -544,7 +544,7 @@ func BenchmarkAblationTaskBuffer(b *testing.B) {
 		svc := core.Services{Master: master, DBS: dbs.NewService()}
 		ds, err := dbs.Generate(dbs.GenConfig{
 			Name: "/Bench/Buffer/AOD", Files: 32, EventsPerFile: 4, LumisPerFile: 1,
-		}, nil)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestEvaluateFinalTick(t *testing.T) {
 
 	finish := evaluate(hub)
 	finish()
-	if alerts := hub.Alerts(); len(alerts) != 1 || alerts[0].Rule != "worker_lost" || !alerts[0].Firing() {
+	if alerts := hub.Alerts(); len(alerts) != 1 || alerts[0].Rule != "worker_lost" || alerts[0].State != "firing" {
 		t.Fatalf("alerts after finish = %+v, want worker_lost firing", alerts)
 	}
 	if err := evl.Flush(); err != nil {

@@ -122,7 +122,7 @@ func TestGetFileLandsInOneAllocation(t *testing.T) {
 	pool := NewPool(PoolOptions{Addr: addr, Fault: inj,
 		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
 	defer pool.Close()
-	got, err := pool.GetFile("/whole.dat")
+	got, err := poolGet(pool, "/whole.dat")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("GetFile under a fault: %d bytes, %v, identical %v", len(got), err, bytes.Equal(got, want))
 	}
@@ -154,7 +154,7 @@ func TestPutFallbackFromALyingClient(t *testing.T) {
 	if err, got := put("putfile /liar.dat 2147483648", kib); !errors.Is(err, wire.ErrHangup) || got >= 4<<20 {
 		t.Errorf("MaxPayload announced, 1 KiB sent: %v with %d bytes allocated; want a hang-up under 4 MiB", err, got)
 	}
-	if err, _ := put("append /liar.dat 33554432", kib); !errors.Is(err, wire.ErrHangup) {
+	if err, _ := put("putfile /liar.dat 33554432", kib); !errors.Is(err, wire.ErrHangup) {
 		t.Errorf("32 MiB announced, 1 KiB sent: %v; want a hang-up", err)
 	}
 	if _, err := fs.Stat("/liar.dat"); err == nil {

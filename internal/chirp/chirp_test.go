@@ -77,17 +77,20 @@ func TestEmptyFile(t *testing.T) {
 	}
 }
 
-func TestAppendBuildsMergedFile(t *testing.T) {
-	srv, _ := newTestServer(t, 4)
-	c := dial(t, srv)
-	for i := 0; i < 3; i++ {
-		if err := c.Append("/merged.root", []byte(fmt.Sprintf("part%d;", i))); err != nil {
-			t.Fatal(err)
-		}
+// TestAppendIsUnknown: the protocol has no append; the server refuses
+// it as it does any unknown command, and nothing reaches the backend.
+func TestAppendIsUnknown(t *testing.T) {
+	fs, err := NewLocalFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := c.GetFile("/merged.root")
-	if err != nil || string(got) != "part0;part1;part2;" {
-		t.Fatalf("merged = %q, %v", got, err)
+	s := &Server{fs: fs}
+	c, _ := serverConn("abc")
+	if err := s.dispatch([]byte("append /f.dat 3"), c); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Fatalf("append = %v, want an unknown command", err)
+	}
+	if _, err := fs.Stat("/f.dat"); err == nil {
+		t.Error("append reached the backend")
 	}
 }
 

@@ -112,7 +112,7 @@ func (c *Client) request(verb, path, tail string) error {
 // the wire so the connection stays usable, and the sink's error is
 // returned. A file sink that fails in the spliced tail is the exception:
 // nothing counts what the kernel took off the socket, so the connection
-// breaks and the error is retryable (Pool.FetchTo recreates the file on
+// breaks and the error is retryable (Pool.FetchToTraced recreates the file on
 // each attempt). Transport failures poison the connection as usual. The
 // number of bytes written to w is returned in every case.
 func (c *Client) GetFileTo(path string, w io.Writer) (int64, error) {
@@ -154,23 +154,13 @@ func (c *Client) GetFile(path string) ([]byte, error) {
 // cannot be unsent) and surfaces as a permanent error: the caller's
 // source, not the transport, is at fault.
 func (c *Client) PutFileFrom(path string, r io.Reader, size int64) error {
-	return c.streamOut("put", "putfile", path, r, size)
-}
-
-// AppendFrom appends exactly size bytes streamed from r to the file at
-// path, with the same contract as PutFileFrom.
-func (c *Client) AppendFrom(path string, r io.Reader, size int64) error {
-	return c.streamOut("append", "append", path, r, size)
-}
-
-func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error {
 	if err := c.conn.Err(); err != nil {
 		return err
 	}
 	if size < 0 || size > MaxPayload {
 		return retry.Permanent(fmt.Errorf("chirp: bad payload size %d", size))
 	}
-	sp := c.op(op)
+	sp := c.op("put")
 	sp.AttrInt("bytes", size)
 	defer sp.End()
 	if err := checkPath(path); err != nil {
@@ -179,7 +169,7 @@ func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error 
 	// Command line and payload share one flush: the header rides the
 	// front of the first payload chunk instead of its own packet.
 	w := c.conn.W
-	head := append(append(append(w.AvailableBuffer(), cmd...), ' '), path...)
+	head := append(append(append(w.AvailableBuffer(), "putfile"...), ' '), path...)
 	w.Write(append(strconv.AppendInt(append(head, ' '), size, 10), '\n'))
 	if size > 0 {
 		var n int64
@@ -218,11 +208,6 @@ func (c *Client) streamOut(op, cmd, path string, r io.Reader, size int64) error 
 // It is a thin wrapper over PutFileFrom.
 func (c *Client) PutFile(path string, data []byte) error {
 	return c.PutFileFrom(path, bytes.NewReader(data), int64(len(data)))
-}
-
-// Append appends data to the file at path via AppendFrom.
-func (c *Client) Append(path string, data []byte) error {
-	return c.AppendFrom(path, bytes.NewReader(data), int64(len(data)))
 }
 
 // Stat returns info for the entry at path.

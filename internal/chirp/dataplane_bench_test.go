@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"lobster/internal/bufpool"
+	"lobster/internal/trace"
 )
 
 // Data-plane benchmarks: the transfer paths the wq worker, merge
 // executor, and hepsim stage-out actually pay. The bodies exercise the
-// streaming plane (pooled connections, GetFileTo/StoreFrom) the
+// streaming plane (pooled connections, GetFileTo/PutFileFrom) the
 // production consumers now use; the "before" rows in
 // BENCH_dataplane.json were recorded with the buffered
 // dial-per-operation equivalents. Enforced by cmd/bench-guard.
@@ -75,7 +76,7 @@ func BenchmarkDataplaneGet(b *testing.B) {
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n, err := pool.FetchTo("/in.root", dst)
+				n, err := pool.FetchToTraced(nil, trace.Context{}, "/in.root", dst)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,7 +107,7 @@ func BenchmarkGetFileWhole(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			data, err := pool.GetFile("/whole.root")
+			data, err := poolGet(pool, "/whole.root")
 			if err != nil || len(data) != size {
 				b.Fatalf("GetFile = %d bytes, %v", len(data), err)
 			}
@@ -127,7 +128,7 @@ func BenchmarkDataplanePut(b *testing.B) {
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pool.StoreFrom("/out.root", src); err != nil {
+				if err := putFrom(pool, "/out.root", src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,10 +149,10 @@ func BenchmarkDataplaneRoundTrip64(b *testing.B) {
 	b.SetBytes(2 * 64 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.StoreFrom("/rt.root", src); err != nil {
+		if err := putFrom(pool, "/rt.root", src); err != nil {
 			b.Fatal(err)
 		}
-		n, err := pool.FetchTo("/rt.root", dst)
+		n, err := pool.FetchToTraced(nil, trace.Context{}, "/rt.root", dst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func BenchmarkDataplaneStageIn8(b *testing.B) {
 			go func(j int) {
 				defer wg.Done()
 				dst := filepath.Join(sandbox, fmt.Sprintf("in%d.root", j))
-				_, errs[j] = pool.FetchTo(fmt.Sprintf("/in%d.root", j), dst)
+				_, errs[j] = pool.FetchToTraced(nil, trace.Context{}, fmt.Sprintf("/in%d.root", j), dst)
 			}(j)
 		}
 		wg.Wait()

@@ -152,7 +152,7 @@ func TestPoolRetriesTransportFaults(t *testing.T) {
 	if err := d.PutFile("/r.dat", []byte("retried")); err != nil {
 		t.Fatalf("PutFile with retries: %v", err)
 	}
-	data, err := d.GetFile("/r.dat")
+	data, err := poolGet(d, "/r.dat")
 	if err != nil || string(data) != "retried" {
 		t.Fatalf("GetFile = %q, %v", data, err)
 	}

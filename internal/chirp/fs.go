@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"lobster/internal/bufpool"
 )
 
 // FileInfo describes one entry in a directory listing.
@@ -37,8 +35,6 @@ type FileSystem interface {
 	ReadFile(path string) ([]byte, error)
 	// WriteFile creates or replaces the file at path, creating parents.
 	WriteFile(path string, data []byte) error
-	// Append appends data to the file at path, creating it if needed.
-	Append(path string, data []byte) error
 	// Stat returns info for the entry at path.
 	Stat(path string) (FileInfo, error)
 	// List returns the entries of the directory at path, sorted by name.
@@ -69,8 +65,6 @@ type StreamWriterFS interface {
 	// WriteFileFrom creates or replaces the file at path with what fill
 	// writes.
 	WriteFileFrom(path string, size int64, fill func(io.Writer) error) error
-	// AppendFileFrom appends what fill writes to the file at path.
-	AppendFileFrom(path string, size int64, fill func(io.Writer) error) error
 }
 
 // CleanPath validates and normalises a client-supplied path: it must be
@@ -160,28 +154,6 @@ func (l *LocalFS) WriteFile(p string, data []byte) error {
 	return nil
 }
 
-// Append implements FileSystem.
-func (l *LocalFS) Append(p string, data []byte) error {
-	fp, err := l.resolve(p)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(fp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
-	}
-	defer f.Close()
-	if _, err := f.Write(data); err != nil {
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
-	}
-	return nil
-}
-
 // Stat implements FileSystem.
 func (l *LocalFS) Stat(p string) (FileInfo, error) {
 	fp, err := l.resolve(p)
@@ -262,36 +234,6 @@ func (l *LocalFS) WriteFileFrom(p string, size int64, fill func(io.Writer) error
 	if err := os.Rename(tmp, fp); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("chirp: writing %s: %w", p, err)
-	}
-	return nil
-}
-
-// AppendFileFrom implements StreamWriterFS. Appends cannot be committed
-// by rename, so the spool is copied onto the target under the write
-// lock — a disk-to-disk copy that never waits on the network.
-func (l *LocalFS) AppendFileFrom(p string, size int64, fill func(io.Writer) error) error {
-	fp, tmp, err := l.spool(p, fill)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
-	src, err := os.Open(tmp)
-	if err != nil {
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
-	}
-	defer src.Close()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	dst, err := os.OpenFile(fp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
-	}
-	if _, err := bufpool.CopyN(dst, src, size); err != nil {
-		dst.Close()
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
-	}
-	if err := dst.Close(); err != nil {
-		return fmt.Errorf("chirp: appending %s: %w", p, err)
 	}
 	return nil
 }

@@ -16,11 +16,11 @@ import (
 func FuzzDispatch(f *testing.F) {
 	f.Add("getfile /f.dat", []byte{})
 	f.Add("putfile /f.dat 5", []byte("hello"))
-	f.Add("append /f.dat 3", []byte("abcdef"))
+	f.Add("append /f.dat 3", []byte("abcdef")) // an op the server no longer has
 	f.Add("putfile /f.dat 999999999", []byte("short"))
 	f.Add("putfile /f.dat -3", []byte{})
 	f.Add("putfile /f.dat 9223372036854775807", []byte{})
-	f.Add("append /f.dat 2147483648", bytes.Repeat([]byte("x"), 1<<10)) // the most a client may announce, a kilobyte sent
+	f.Add("putfile /f.dat 2147483648", bytes.Repeat([]byte("x"), 1<<10)) // the most a client may announce, a kilobyte sent
 	f.Add("stat /", []byte{})
 	f.Add("ls /", []byte{})
 	f.Add("unlink /f.dat", []byte{})

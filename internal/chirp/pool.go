@@ -33,12 +33,6 @@ type PoolOptions struct {
 	// (lobster_chirp_client_conns_total{outcome}, the idle gauge) and the
 	// payload bytes of every connection.
 	Telemetry *telemetry.Registry
-	// Site, when set, stamps the remote storage site on every
-	// connection's byte series (lobster_bytes_total{...,site=Site}), the
-	// per-site accounting axis of the paper's Figure 9 — one pool per
-	// storage element is the natural shape, so the pool is where the site
-	// is known.
-	Site string
 }
 
 // Pool is a bounded pool of chirp connections, safe for concurrent use.
@@ -68,8 +62,8 @@ func NewPool(opts PoolOptions) *Pool {
 		opts.Size = 4
 	}
 	p := &Pool{opts: opts, sem: make(chan struct{}, opts.Size)}
-	in := opts.Telemetry.SiteBytes("chirp_client", telemetry.DirIn, opts.Site)
-	out := opts.Telemetry.SiteBytes("chirp_client", telemetry.DirOut, opts.Site)
+	in := opts.Telemetry.Bytes("chirp_client", telemetry.DirIn)
+	out := opts.Telemetry.Bytes("chirp_client", telemetry.DirOut)
 	p.conns = wire.NewPool(opts.Telemetry, "lobster_chirp_client_conns_total",
 		func(addr string) (*Client, error) { return connect(addr, 30*time.Second, opts.Fault, in, out) },
 		func(c *Client) *wire.Conn { return c.conn })
@@ -119,33 +113,17 @@ func (p *Pool) DoTraced(tr *trace.Tracer, parent trace.Context, fn func(*Client)
 	})
 }
 
-// GetFile fetches path with retries.
-func (p *Pool) GetFile(path string) ([]byte, error) {
-	var data []byte
-	err := p.Do(func(c *Client) error {
-		var err error
-		data, err = c.GetFile(path)
-		return err
-	})
-	return data, err
-}
-
 // PutFile writes path with retries (idempotent: replays rewrite the
 // same bytes).
 func (p *Pool) PutFile(path string, data []byte) error {
 	return p.Do(func(c *Client) error { return c.PutFile(path, data) })
 }
 
-// FetchTo streams the remote file at path into the local file at dst,
-// creating or truncating it. Each retry restarts from an empty file, so
-// a half-written download is never left behind as a complete-looking
-// one. Returns the byte count.
-func (p *Pool) FetchTo(path, dst string) (int64, error) {
-	return p.FetchToTraced(nil, trace.Context{}, path, dst)
-}
-
-// FetchToTraced is FetchTo under an explicit tracer and parent, as
-// DoTraced is to Do.
+// FetchToTraced streams the remote file at path into the local file at
+// dst, creating or truncating it, under an explicit tracer and parent as
+// DoTraced is to Do. Each retry restarts from an empty file, so a
+// half-written download is never left behind as a complete-looking one.
+// Returns the byte count.
 func (p *Pool) FetchToTraced(tr *trace.Tracer, parent trace.Context, path, dst string) (int64, error) {
 	var n int64
 	err := p.DoTraced(tr, parent, func(c *Client) error {
@@ -158,28 +136,6 @@ func (p *Pool) FetchToTraced(tr *trace.Tracer, parent trace.Context, path, dst s
 			err = retry.Permanent(fmt.Errorf("chirp: closing %s: %w", dst, cerr))
 		}
 		return err
-	})
-	return n, err
-}
-
-// StoreFrom streams the local file at src to the remote path, reopening
-// the source on each retry. Returns the byte count.
-func (p *Pool) StoreFrom(path, src string) (int64, error) {
-	var n int64
-	err := p.Do(func(c *Client) error {
-		f, err := os.Open(src)
-		if err != nil {
-			return retry.Permanent(fmt.Errorf("chirp: opening %s: %w", src, err))
-		}
-		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return retry.Permanent(fmt.Errorf("chirp: stat %s: %w", src, err))
-		}
-		n = st.Size()
-		// No LimitReader here: PutFileFrom caps at n itself, and keeping
-		// f bare lets the TCP stack's sendfile unwrapping see the *os.File.
-		return c.PutFileFrom(path, f, n)
 	})
 	return n, err
 }

@@ -12,7 +12,37 @@ import (
 	"lobster/internal/faultinject"
 	"lobster/internal/retry"
 	"lobster/internal/telemetry"
+	"lobster/internal/trace"
 )
+
+// poolGet reads the file at path through p.Do, retries included.
+func poolGet(p *Pool, path string) ([]byte, error) {
+	var data []byte
+	err := p.Do(func(c *Client) error {
+		var err error
+		data, err = c.GetFile(path)
+		return err
+	})
+	return data, err
+}
+
+// putFrom puts the local file src at path through p.Do, reopening it on
+// each retry: a file source streamed by PutFileFrom, as the merge
+// executor's stage-out is.
+func putFrom(p *Pool, path, src string) error {
+	return p.Do(func(c *Client) error {
+		f, err := os.Open(src)
+		if err != nil {
+			return retry.Permanent(err)
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return retry.Permanent(err)
+		}
+		return c.PutFileFrom(path, f, st.Size())
+	})
+}
 
 // conns reads the pool's lobster_chirp_client_conns_total{outcome}.
 func conns(reg *telemetry.Registry, outcome string) int64 {
@@ -30,7 +60,7 @@ func TestPoolReusesConnections(t *testing.T) {
 		if err := p.PutFile("/p.dat", payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.GetFile("/p.dat")
+		got, err := poolGet(p, "/p.dat")
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("GetFile = %q, %v", got, err)
 		}
@@ -50,7 +80,7 @@ func TestPoolClosedRejectsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := p.GetFile("/c.dat"); err == nil {
+	if _, err := poolGet(p, "/c.dat"); err == nil {
 		t.Fatal("Do on a closed pool succeeded")
 	}
 }
@@ -109,7 +139,7 @@ func TestPoolSurvivesFaultStorm(t *testing.T) {
 					errs <- fmt.Errorf("put %s: %w", path, err)
 					return
 				}
-				got, err := p.GetFile(path)
+				got, err := poolGet(p, path)
 				if err != nil {
 					errs <- fmt.Errorf("get %s: %w", path, err)
 					return
@@ -136,6 +166,9 @@ func TestPoolSurvivesFaultStorm(t *testing.T) {
 	}
 }
 
+// TestPoolFetchToAndStoreFrom: a local file stored through the pool and
+// fetched back into another lands byte for byte, and a fetch of a file
+// that is gone fails.
 func TestPoolFetchToAndStoreFrom(t *testing.T) {
 	_, addr := startTestServer(t)
 	p := NewPool(PoolOptions{Addr: addr})
@@ -147,11 +180,11 @@ func TestPoolFetchToAndStoreFrom(t *testing.T) {
 	if err := os.WriteFile(src, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.StoreFrom("/staged.dat", src); err != nil || n != int64(len(payload)) {
-		t.Fatalf("StoreFrom = %d, %v", n, err)
+	if err := putFrom(p, "/staged.dat", src); err != nil {
+		t.Fatal(err)
 	}
 	dst := filepath.Join(dir, "dst.dat")
-	if n, err := p.FetchTo("/staged.dat", dst); err != nil || n != int64(len(payload)) {
+	if n, err := p.FetchToTraced(nil, trace.Context{}, "/staged.dat", dst); err != nil || n != int64(len(payload)) {
 		t.Fatalf("FetchTo = %d, %v", n, err)
 	}
 	got, err := os.ReadFile(dst)
@@ -161,7 +194,7 @@ func TestPoolFetchToAndStoreFrom(t *testing.T) {
 	if err := p.Do(func(c *Client) error { return c.Unlink("/staged.dat") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FetchTo("/staged.dat", dst); err == nil {
+	if _, err := p.FetchToTraced(nil, trace.Context{}, "/staged.dat", dst); err == nil {
 		t.Fatal("fetch of unlinked file succeeded")
 	}
 }

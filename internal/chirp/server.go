@@ -24,7 +24,6 @@ import (
 //
 //	getfile <path>            → "<size>\n" + bytes | "-1 <error>\n"
 //	putfile <path> <size>\n<bytes> → "0\n" | "-1 <error>\n"
-//	append  <path> <size>\n<bytes> → "0\n" | "-1 <error>\n"
 //	stat <path> [crc]         → "<size> <dir|file>[ <crc32 hex>]\n" | "-1 <error>\n"
 //	ls <path>                 → "<n>\n" then n lines "<size> <d|f> <name>" | "-1 ..."
 //	unlink <path>             → "0\n" | "-1 <error>\n"
@@ -128,7 +127,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		errs: reg.Counter("lobster_chirp_errors_total",
 			"Protocol requests that returned an error."),
 		bytesIn: reg.Counter("lobster_chirp_bytes_in_total",
-			"Payload bytes received (putfile/append)."),
+			"Payload bytes received (putfile)."),
 		bytesOut: reg.Counter("lobster_chirp_bytes_out_total",
 			"Payload bytes sent (getfile)."),
 		planeIn:  reg.Bytes("chirp_server", telemetry.DirIn),
@@ -296,7 +295,7 @@ func (s *Server) checksum(path string) (uint32, error) {
 	return h.Sum32(), nil
 }
 
-// servePut absorbs one putfile/append payload off c. A backend
+// servePut absorbs one putfile payload off c. A backend
 // implementing StreamWriterFS hands over the writer its spool is, and the
 // bytes are read into it as they arrive off the wire (spool-and-commit,
 // so a dead client never corrupts the target); others get the whole
@@ -304,18 +303,15 @@ func (s *Server) checksum(path string) (uint32, error) {
 // huge size cannot commit server memory. A payload the backend never
 // asked for is drained, so the reply stays in step; one that could not
 // all be read has broken c, and the server hangs up.
-func (s *Server) servePut(op, path string, size int64, c *wire.Conn) error {
+func (s *Server) servePut(path string, size int64, c *wire.Conn) error {
 	sw, ok := s.fs.(StreamWriterFS)
 	if !ok {
 		var land bufpool.Arrival
 		if _, err := c.ReadPayload(&land, size); err != nil {
-			return wire.Hangup(fmt.Errorf("short %s payload: %w", op, err))
+			return wire.Hangup(fmt.Errorf("short putfile payload: %w", err))
 		}
 		s.countIn(size)
-		if op == "putfile" {
-			return s.fs.WriteFile(path, land.Bytes())
-		}
-		return s.fs.Append(path, land.Bytes())
+		return s.fs.WriteFile(path, land.Bytes())
 	}
 	var read bool
 	var rerr error
@@ -324,17 +320,12 @@ func (s *Server) servePut(op, path string, size int64, c *wire.Conn) error {
 		_, rerr = c.ReadPayload(w, size)
 		return rerr
 	}
-	var err error
-	if op == "putfile" {
-		err = sw.WriteFileFrom(path, size, fill)
-	} else {
-		err = sw.AppendFileFrom(path, size, fill)
-	}
+	err := sw.WriteFileFrom(path, size, fill)
 	if !read {
 		_, rerr = c.ReadPayload(io.Discard, size)
 	}
 	if c.Broken() {
-		return wire.Hangup(fmt.Errorf("%s payload: %w", op, rerr))
+		return wire.Hangup(fmt.Errorf("putfile payload: %w", rerr))
 	}
 	s.countIn(size)
 	return err
@@ -381,15 +372,15 @@ func (s *Server) dispatch(line []byte, c *wire.Conn) error {
 			return errors.New("usage: getfile <path>")
 		}
 		return s.serveGet(path, w)
-	case "putfile", "append":
+	case "putfile":
 		if len(fields) != 3 {
-			return fmt.Errorf("usage: %s <path> <size>", fields[0])
+			return errors.New("usage: putfile <path> <size>")
 		}
 		size, err := strconv.ParseInt(string(fields[2]), 10, 64)
 		if err != nil || size < 0 || size > MaxPayload {
 			return fmt.Errorf("bad size %q", fields[2])
 		}
-		if err := s.servePut(string(fields[0]), path, size, c); err != nil {
+		if err := s.servePut(path, size, c); err != nil {
 			return err
 		}
 		w.WriteString("0\n")

@@ -265,10 +265,6 @@ func (p pipeSpool) WriteFileFrom(path string, size int64, fill func(io.Writer) e
 	return errors.New("a pipe spool commits nothing")
 }
 
-func (p pipeSpool) AppendFileFrom(path string, size int64, fill func(io.Writer) error) error {
-	return p.WriteFileFrom(path, size, fill)
-}
-
 // TestPutIntoFailingSpoolDoesNotHang: a spool file that fails partway
 // through the spliced tail of a put ends the put instead of leaving the
 // server draining bytes that never come, and the server's one slot is

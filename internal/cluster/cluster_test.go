@@ -108,8 +108,12 @@ func TestSurvivalDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist.Len() != len(sessions) {
-		t.Errorf("distribution holds %d samples for %d sessions", dist.Len(), len(sessions))
+	var sum float64
+	for _, s := range sessions {
+		sum += s.Duration
+	}
+	if mean := sum / float64(len(sessions)); math.Abs(dist.Mean()-mean) > 1e-9*mean {
+		t.Errorf("distribution mean %g, sessions' mean %g", dist.Mean(), mean)
 	}
 	// Heavy tail: median well below mean.
 	if !(dist.Quantile(0.5) < dist.Mean()) {
@@ -168,7 +172,7 @@ func TestPoolRunsTasksUnderEviction(t *testing.T) {
 		CoresPerWorker: 2,
 		Registry:       reg,
 		// Aggressive real-time eviction so the test exercises requeue.
-		Lifetime:   stats.Uniform{Lo: 0.1, Hi: 0.4},
+		Lifetime:   stats.Gaussian{Mu: 0.25, Sigma: 0.075, Floor: 0.1},
 		Replace:    true,
 		ScratchDir: t.TempDir(),
 	}, stats.NewRand(4))
@@ -214,7 +218,7 @@ func TestPoolStopTerminates(t *testing.T) {
 		MasterAddr: master.Addr(),
 		Workers:    2,
 		Registry:   wq.Registry{},
-		Lifetime:   stats.Constant{Value: 3600}, // would fire in an hour
+		Lifetime:   stats.Gaussian{Mu: 3600}, // would fire in an hour
 		ScratchDir: t.TempDir(),
 	}, stats.NewRand(5))
 	if err != nil {
@@ -230,7 +234,10 @@ func TestPoolStopTerminates(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop blocked on pending eviction timers")
 	}
-	if pool.Alive() != 0 {
-		t.Errorf("workers alive after stop: %d", pool.Alive())
+	pool.mu.Lock()
+	alive := len(pool.workers)
+	pool.mu.Unlock()
+	if alive != 0 {
+		t.Errorf("workers alive after stop: %d", alive)
 	}
 }

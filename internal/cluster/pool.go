@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lobster/internal/stats"
-	"lobster/internal/telemetry"
 	"lobster/internal/wq"
 )
 
@@ -45,24 +44,6 @@ type Pool struct {
 	stopping bool
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
-
-	telLaunched *telemetry.Counter
-	telEvicted  *telemetry.Counter
-}
-
-// Instrument registers the pool's metric series on reg. A nil registry
-// leaves the pool uninstrumented at zero cost.
-func (p *Pool) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	p.telLaunched = reg.Counter("lobster_cluster_pilots_launched_total",
-		"Pilot workers ever launched by the pool (including replacements).")
-	p.telEvicted = reg.Counter("lobster_cluster_evictions_total",
-		"Pilot workers evicted by the batch-system stand-in.")
-	reg.GaugeFunc("lobster_cluster_pilots_up",
-		"Pilot workers currently connected.",
-		func() float64 { return float64(p.Alive()) })
 }
 
 // NewPool starts the pool. Workers connect immediately.
@@ -113,7 +94,6 @@ func (p *Pool) launch() error {
 	}
 	p.workers[id] = w
 	p.mu.Unlock()
-	p.telLaunched.Inc()
 
 	if p.cfg.Lifetime != nil {
 		p.wg.Add(1)
@@ -136,7 +116,6 @@ func (p *Pool) launch() error {
 			p.evicted++
 			replace := p.cfg.Replace && !p.stopping
 			p.mu.Unlock()
-			p.telEvicted.Inc()
 			w.Evict()
 			if replace {
 				p.launch()
@@ -144,13 +123,6 @@ func (p *Pool) launch() error {
 		}()
 	}
 	return nil
-}
-
-// Alive returns the number of currently-connected workers.
-func (p *Pool) Alive() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.workers)
 }
 
 // Evictions returns the number of evictions so far.

@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"lobster/internal/dbs"
 	"lobster/internal/hdfs"
@@ -191,9 +190,6 @@ type Services struct {
 	// HDFS is the storage cluster behind the Chirp storage element; needed
 	// for MergeHadoop, optional otherwise.
 	HDFS *hdfs.Cluster
-	// Epoch is the run origin for monitoring timestamps; zero means "first
-	// use of the Lobster instance".
-	Epoch time.Time
 	// Telemetry receives live metric series and task-lifecycle spans; nil
 	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry

@@ -16,7 +16,7 @@ func testDataset(files, lumisPerFile, eventsPerFile int) *dbs.Dataset {
 	d, err := dbs.Generate(dbs.GenConfig{
 		Name: "/Test/Core/AOD", Files: files, EventsPerFile: eventsPerFile,
 		LumisPerFile: lumisPerFile, EventBytes: 256,
-	}, nil)
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -124,10 +124,6 @@ func New(cfg Config, svc Services) (*Lobster, error) {
 	if err := svc.check(&full); err != nil {
 		return nil, err
 	}
-	epoch := svc.Epoch
-	if epoch.IsZero() {
-		epoch = time.Now()
-	}
 	l := &Lobster{
 		cfg:           full,
 		svc:           svc,
@@ -135,7 +131,7 @@ func New(cfg Config, svc Services) (*Lobster, error) {
 		attempts:      make(map[int]int),
 		inflight:      make(map[int64]*inflightTask),
 		resultTimeout: 2 * time.Minute,
-		epoch:         epoch,
+		epoch:         time.Now(),
 	}
 	l.instrument()
 	return l, nil

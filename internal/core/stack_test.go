@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -56,7 +57,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	ds, err := dbs.Generate(dbs.GenConfig{
 		Name: "/Stack/Test/AOD", Files: files, EventsPerFile: eventsPerFile,
 		LumisPerFile: lumisPerFile, EventBytes: stackEventSize,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	rng := stats.NewRand(42)
 	for _, f := range ds.Files {
 		content := kernel.GenerateEvents(f.Events, rng)
-		red.Register(f.LFN, dataSrv.Store(f.LFN, content))
+		red.Register(f.LFN, mustStore(dataSrv, f.LFN, content))
 	}
 	st.dash = xrootd.NewDashboard()
 
@@ -160,7 +161,6 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	}
 
 	st.svc.Monitor = monitor.New()
-	st.svc.Epoch = time.Now()
 	return st
 }
 
@@ -208,8 +208,8 @@ func TestAnalysisWorkflowEndToEnd(t *testing.T) {
 		t.Errorf("reduced bytes = %d, want 640", total)
 	}
 	// Monitoring captured every task with timing and metrics.
-	if st.svc.Monitor.Len() != 8 {
-		t.Errorf("monitor records = %d", st.svc.Monitor.Len())
+	if len(st.svc.Monitor.Records()) != 8 {
+		t.Errorf("monitor records = %d", len(st.svc.Monitor.Records()))
 	}
 	var events float64
 	st.svc.Monitor.Each(func(r *monitor.TaskRecord) {
@@ -331,7 +331,19 @@ func TestAnalysisWithHadoopMerge(t *testing.T) {
 	if !rep.Succeeded() || rep.MergedFiles == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	merged := cluster.Glob("/store/user/hdp/hdp_hmerged_")
+	entries, err := cluster.List("/store/user/hdp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small files are gone: every entry left is a merged file.
+	var merged []string
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name, "hdp_hmerged_") || e.IsDir {
+			t.Errorf("unmerged small file left: %s", e.Name)
+			continue
+		}
+		merged = append(merged, "/store/user/hdp/"+e.Name)
+	}
 	if len(merged) != rep.MergedFiles {
 		t.Errorf("merged files on cluster = %d, report says %d", len(merged), rep.MergedFiles)
 	}
@@ -345,12 +357,6 @@ func TestAnalysisWithHadoopMerge(t *testing.T) {
 	}
 	if total != 40*8 {
 		t.Errorf("merged bytes = %d", total)
-	}
-	// Small files are gone.
-	for _, p := range cluster.Glob("/store/user/hdp/") {
-		if !strings.Contains(p, "hmerged") {
-			t.Errorf("unmerged small file left: %s", p)
-		}
 	}
 }
 
@@ -531,4 +537,18 @@ func TestFailedSegmentPropagatesToMonitor(t *testing.T) {
 	if !sawStageInFailure {
 		t.Error("no stage_in failure recorded")
 	}
+}
+
+// mustStore stores content under lfn on s and returns the replica to
+// register, panicking if the spool cannot be written: a fixture cannot
+// go on without its data.
+func mustStore(s *xrootd.DataServer, lfn string, content []byte) xrootd.Replica {
+	rep, err := s.StoreFrom(lfn, func(w io.Writer) error {
+		_, err := w.Write(content)
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 )
 
 // Server exposes a Repository over HTTP using a layout modelled on real
@@ -19,10 +18,6 @@ import (
 // nearly all repository load.
 type Server struct {
 	repo *Repository
-	// Requests counts object requests served (monitoring).
-	requests atomic.Int64
-	// BytesServed counts payload bytes (monitoring).
-	bytesServed atomic.Int64
 }
 
 // NewServer returns an HTTP server for repo.
@@ -33,12 +28,6 @@ type Published struct {
 	Root     string `json:"root"`
 	Revision int    `json:"revision"`
 }
-
-// Requests returns the number of object requests served.
-func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// BytesServed returns the number of payload bytes served.
-func (s *Server) BytesServed() int64 { return s.bytesServed.Load() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -65,8 +54,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.NotFound(w, r)
 			return
 		}
-		s.requests.Add(1)
-		s.bytesServed.Add(int64(len(data)))
 		// Immutable: cacheable forever.
 		w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
 		w.Header().Set("Content-Type", "application/octet-stream")

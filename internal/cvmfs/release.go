@@ -19,12 +19,6 @@ type ReleaseConfig struct {
 	DataBytes  int64  // mean size of each data file
 	Scripts    int    // small setup scripts and configuration fragments
 	ScriptSize int64  // mean script size
-	SizeJitter float64
-}
-
-// WorkingSetBytes returns the expected total size of the release.
-func (c ReleaseConfig) WorkingSetBytes() int64 {
-	return int64(c.Libraries)*c.LibBytes + int64(c.DataFiles)*c.DataBytes + int64(c.Scripts)*c.ScriptSize
 }
 
 // PublishRelease stages and commits a synthetic release into repo. Content
@@ -36,16 +30,11 @@ func PublishRelease(repo *Repository, cfg ReleaseConfig, rng *stats.Rand) ([]str
 	}
 	tx := repo.Begin()
 	var paths []string
-	add := func(path string, meanSize int64) error {
-		size := meanSize
-		if cfg.SizeJitter > 0 {
-			g := stats.Gaussian{Mu: float64(meanSize), Sigma: cfg.SizeJitter * float64(meanSize), Floor: 1}
-			size = int64(g.Sample(rng))
-		}
+	add := func(path string, size int64) error {
 		// Fill with a cheap deterministic pattern keyed off the RNG; only the
 		// first words of each 64-byte stride need to differ for unique hashes.
-		// The buffer's pre-allocation is capped: size comes from a sampled
-		// distribution, so it must not become an arbitrary upfront make().
+		// The buffer's pre-allocation is capped, so a large configured size
+		// does not become one upfront make().
 		var content bytes.Buffer
 		if grow := size; grow > 0 {
 			if grow > 64<<10 {

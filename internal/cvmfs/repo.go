@@ -94,17 +94,6 @@ func (r *Repository) Object(hash string) ([]byte, error) {
 	return data, nil
 }
 
-// TotalBytes returns the summed size of all stored objects.
-func (r *Repository) TotalBytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	for _, o := range r.objects {
-		n += int64(len(o))
-	}
-	return n
-}
-
 func hashOf(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
@@ -264,109 +253,4 @@ func splitPath(path string) ([]string, error) {
 		}
 	}
 	return parts, nil
-}
-
-// Stat describes a resolved path.
-type Stat struct {
-	Path string
-	Type EntryType
-	Hash string
-	Size int64
-}
-
-// Lookup resolves path through the committed catalogs.
-func (r *Repository) Lookup(path string) (*Stat, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	curHash := r.rootHash
-	cur := Entry{Type: TypeDir, Hash: curHash}
-	for i, p := range parts {
-		if cur.Type != TypeDir {
-			return nil, fmt.Errorf("cvmfs: %q: %q is not a directory", path, parts[i-1])
-		}
-		cat, err := r.catalogLocked(cur.Hash)
-		if err != nil {
-			return nil, err
-		}
-		found := false
-		for _, e := range cat.Entries {
-			if e.Name == p {
-				cur = e
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cvmfs: %s: no such file or directory", path)
-		}
-	}
-	return &Stat{Path: path, Type: cur.Type, Hash: cur.Hash, Size: cur.Size}, nil
-}
-
-// ReadFile resolves path and returns the file content.
-func (r *Repository) ReadFile(path string) ([]byte, error) {
-	st, err := r.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.Type != TypeFile {
-		return nil, fmt.Errorf("cvmfs: %s is a directory", path)
-	}
-	return r.Object(st.Hash)
-}
-
-// List returns the entries of the directory at path, sorted by name.
-func (r *Repository) List(path string) ([]Entry, error) {
-	st, err := r.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.Type != TypeDir {
-		return nil, fmt.Errorf("cvmfs: %s is not a directory", path)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	cat, err := r.catalogLocked(st.Hash)
-	if err != nil {
-		return nil, err
-	}
-	return cat.Entries, nil
-}
-
-// Walk visits every file beneath path, calling fn(path, entry).
-func (r *Repository) Walk(path string, fn func(path string, e Entry) error) error {
-	entries, err := r.List(path)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		full := strings.TrimSuffix(path, "/") + "/" + e.Name
-		switch e.Type {
-		case TypeFile:
-			if err := fn(full, e); err != nil {
-				return err
-			}
-		case TypeDir:
-			if err := r.Walk(full, fn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (r *Repository) catalogLocked(hash string) (*Catalog, error) {
-	data, ok := r.objects[hash]
-	if !ok {
-		return nil, fmt.Errorf("cvmfs: missing catalog %s", hash)
-	}
-	var cat Catalog
-	if err := json.Unmarshal(data, &cat); err != nil {
-		return nil, fmt.Errorf("cvmfs: corrupt catalog %s: %w", hash, err)
-	}
-	return &cat, nil
 }

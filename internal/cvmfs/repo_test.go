@@ -3,6 +3,7 @@ package cvmfs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -22,10 +23,20 @@ func TestEmptyRepository(t *testing.T) {
 	if r.RootHash() == "" {
 		t.Error("empty root hash")
 	}
-	entries, err := r.List("/")
-	if err != nil || len(entries) != 0 {
-		t.Errorf("root list = %v, %v", entries, err)
+	st, err := lookup(r, "/")
+	if err != nil || st.Type != TypeDir || st.Size != 0 {
+		t.Errorf("root = %+v, %v", st, err)
 	}
+}
+
+// readFile resolves path and returns the object behind it, as a mount
+// reads a file.
+func readFile(r *Repository, path string) ([]byte, error) {
+	st, err := lookup(r, path)
+	if err != nil {
+		return nil, err
+	}
+	return r.Object(st.Hash)
 }
 
 func TestAddAndRead(t *testing.T) {
@@ -40,11 +51,11 @@ func TestAddAndRead(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.ReadFile("/sw/v1/bin/run.sh")
+	data, err := readFile(r, "/sw/v1/bin/run.sh")
 	if err != nil || string(data) != "#!/bin/sh" {
 		t.Fatalf("read = %q, %v", data, err)
 	}
-	st, err := r.Lookup("/sw/v1")
+	st, err := lookup(r, "/sw/v1")
 	if err != nil || st.Type != TypeDir {
 		t.Fatalf("lookup dir: %+v, %v", st, err)
 	}
@@ -67,10 +78,10 @@ func TestOverlayRevisions(t *testing.T) {
 		t.Errorf("revision did not advance")
 	}
 	// Both files visible after overlay.
-	if _, err := r.ReadFile("/a.txt"); err != nil {
+	if _, err := readFile(r, "/a.txt"); err != nil {
 		t.Errorf("a.txt lost across revisions: %v", err)
 	}
-	if _, err := r.ReadFile("/b.txt"); err != nil {
+	if _, err := readFile(r, "/b.txt"); err != nil {
 		t.Errorf("b.txt missing: %v", err)
 	}
 }
@@ -80,19 +91,16 @@ func TestLookupErrors(t *testing.T) {
 	tx := r.Begin()
 	tx.AddFile("/dir/file.txt", []byte("x"))
 	tx.Commit()
-	if _, err := r.Lookup("/missing"); err == nil {
+	if _, err := lookup(r, "/missing"); err == nil {
 		t.Error("missing path resolved")
 	}
-	if _, err := r.Lookup("relative/path"); err == nil {
+	if _, err := lookup(r, "relative/path"); err == nil {
 		t.Error("relative path accepted")
 	}
-	if _, err := r.Lookup("/dir/file.txt/under"); err == nil {
+	if _, err := lookup(r, "/dir/file.txt/under"); err == nil {
 		t.Error("descended through a file")
 	}
-	if _, err := r.ReadFile("/dir"); err == nil {
-		t.Error("ReadFile of a directory succeeded")
-	}
-	if _, err := r.Lookup("/../etc"); err == nil {
+	if _, err := lookup(r, "/../etc"); err == nil {
 		t.Error("dotdot path accepted")
 	}
 }
@@ -129,8 +137,8 @@ func TestContentAddressingDedup(t *testing.T) {
 	tx.AddFile("/a/one.txt", same)
 	tx.AddFile("/b/two.txt", same)
 	tx.Commit()
-	stA, _ := r.Lookup("/a/one.txt")
-	stB, _ := r.Lookup("/b/two.txt")
+	stA, _ := lookup(r, "/a/one.txt")
+	stB, _ := lookup(r, "/b/two.txt")
 	if stA.Hash != stB.Hash {
 		t.Error("identical content has distinct hashes")
 	}
@@ -147,28 +155,6 @@ func TestDeterministicRootHash(t *testing.T) {
 	}
 	if build() != build() {
 		t.Error("root hash not deterministic")
-	}
-}
-
-func TestWalk(t *testing.T) {
-	r := NewRepository("test.cern.ch")
-	tx := r.Begin()
-	tx.AddFile("/sw/a.txt", []byte("1"))
-	tx.AddFile("/sw/sub/b.txt", []byte("22"))
-	tx.AddFile("/top.txt", []byte("333"))
-	tx.Commit()
-	var visited []string
-	var total int64
-	err := r.Walk("/", func(p string, e Entry) error {
-		visited = append(visited, p)
-		total += e.Size
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visited) != 3 || total != 6 {
-		t.Fatalf("visited %v total %d", visited, total)
 	}
 }
 
@@ -205,7 +191,7 @@ func TestPathResolutionProperty(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			return false
 		}
-		got, err := r.ReadFile(path)
+		got, err := readFile(r, path)
 		if err != nil {
 			return false
 		}
@@ -238,7 +224,7 @@ func TestHTTPServer(t *testing.T) {
 	}
 
 	// Object fetch.
-	st, _ := r.Lookup("/v1/lib.so")
+	st, _ := lookup(r, "/v1/lib.so")
 	resp, err = http.Get(ts.URL + "/cvmfs/cms.cern.ch/data/" + st.Hash)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +236,6 @@ func TestHTTPServer(t *testing.T) {
 	}
 	if cc := resp.Header.Get("Cache-Control"); !strings.Contains(cc, "immutable") {
 		t.Errorf("data response not immutable-cacheable: %q", cc)
-	}
-	if srv.Requests() != 1 || srv.BytesServed() != 13 {
-		t.Errorf("accounting: %d reqs, %d bytes", srv.Requests(), srv.BytesServed())
 	}
 
 	// Missing object.
@@ -280,15 +263,15 @@ func TestPublishRelease(t *testing.T) {
 		t.Fatalf("published %d paths", len(paths))
 	}
 	for _, p := range paths {
-		if _, err := r.ReadFile(p); err != nil {
+		if _, err := readFile(r, p); err != nil {
 			t.Errorf("published path unreadable: %s: %v", p, err)
 		}
 	}
-	st, err := r.Lookup("/CMSSW_7_4_0")
+	st, err := lookup(r, "/CMSSW_7_4_0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.WorkingSetBytes()
+	want := int64(cfg.Libraries)*cfg.LibBytes + int64(cfg.DataFiles)*cfg.DataBytes + int64(cfg.Scripts)*cfg.ScriptSize
 	if st.Size != want {
 		t.Errorf("release size = %d, want %d", st.Size, want)
 	}
@@ -301,9 +284,41 @@ func TestPublishReleaseUniqueContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each library must hash distinctly (content fill is randomised).
-	h1, _ := r.Lookup("/V1/lib/libcms0000.so")
-	h2, _ := r.Lookup("/V1/lib/libcms0001.so")
+	h1, _ := lookup(r, "/V1/lib/libcms0000.so")
+	h2, _ := lookup(r, "/V1/lib/libcms0001.so")
 	if h1.Hash == h2.Hash {
 		t.Error("two libraries share a hash; content fill broken")
 	}
+}
+
+// lookup resolves path through r's committed catalogs, as a mount does
+// through the ones it fetches.
+func lookup(r *Repository, path string) (*Entry, error) {
+	parts, err := splitPath(path)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	cur := Entry{Type: TypeDir, Hash: r.rootHash}
+	for i, p := range parts {
+		if cur.Type != TypeDir {
+			return nil, fmt.Errorf("%q: %q is not a directory", path, parts[i-1])
+		}
+		var cat Catalog
+		if err := json.Unmarshal(r.objects[cur.Hash], &cat); err != nil {
+			return nil, fmt.Errorf("catalog %s: %w", cur.Hash, err)
+		}
+		found := false
+		for _, e := range cat.Entries {
+			if e.Name == p {
+				cur, found = e, true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("%s: no such file or directory", path)
+		}
+	}
+	return &cur, nil
 }

@@ -9,7 +9,6 @@ package dbs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -18,14 +17,6 @@ import (
 type Lumi struct {
 	Run  int `json:"run"`
 	Lumi int `json:"lumi"`
-}
-
-// Less orders lumis by (run, lumi).
-func (l Lumi) Less(o Lumi) bool {
-	if l.Run != o.Run {
-		return l.Run < o.Run
-	}
-	return l.Lumi < o.Lumi
 }
 
 func (l Lumi) String() string { return fmt.Sprintf("%d:%d", l.Run, l.Lumi) }
@@ -62,31 +53,6 @@ func (d *Dataset) TotalEvents() int {
 		n += f.Events
 	}
 	return n
-}
-
-// TotalLumis returns the number of lumisections across all files.
-func (d *Dataset) TotalLumis() int {
-	n := 0
-	for _, f := range d.Files {
-		n += len(f.Lumis)
-	}
-	return n
-}
-
-// Runs returns the sorted set of distinct run numbers in the dataset.
-func (d *Dataset) Runs() []int {
-	seen := make(map[int]bool)
-	for _, f := range d.Files {
-		for _, l := range f.Lumis {
-			seen[l.Run] = true
-		}
-	}
-	runs := make([]int, 0, len(seen))
-	for r := range seen {
-		runs = append(runs, r)
-	}
-	sort.Ints(runs)
-	return runs
 }
 
 // Validate checks dataset integrity: non-empty name, unique LFNs, no lumi
@@ -153,43 +119,6 @@ func (s *Service) Dataset(name string) (*Dataset, error) {
 		return nil, fmt.Errorf("dbs: unknown dataset %s", name)
 	}
 	return d, nil
-}
-
-// List returns all registered dataset names in sorted order.
-func (s *Service) List() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.datasets))
-	for n := range s.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Files returns the file list for a dataset.
-func (s *Service) Files(dataset string) ([]File, error) {
-	d, err := s.Dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	return d.Files, nil
-}
-
-// FileForLumi returns the file containing the given lumi, if any.
-func (s *Service) FileForLumi(dataset string, l Lumi) (*File, error) {
-	d, err := s.Dataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	for i := range d.Files {
-		for _, fl := range d.Files[i].Lumis {
-			if fl == l {
-				return &d.Files[i], nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("dbs: lumi %v not in dataset %s", l, dataset)
 }
 
 // LumiMask selects subsets of lumis, as physicists use to restrict to

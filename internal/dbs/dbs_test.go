@@ -1,11 +1,10 @@
 package dbs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"lobster/internal/stats"
 )
 
 func sampleDataset() *Dataset {
@@ -27,13 +26,6 @@ func TestDatasetTotals(t *testing.T) {
 	}
 	if d.TotalEvents() != 30 {
 		t.Errorf("events = %d", d.TotalEvents())
-	}
-	if d.TotalLumis() != 4 {
-		t.Errorf("lumis = %d", d.TotalLumis())
-	}
-	runs := d.Runs()
-	if len(runs) != 2 || runs[0] != 1 || runs[1] != 2 {
-		t.Errorf("runs = %v", runs)
 	}
 }
 
@@ -76,35 +68,10 @@ func TestServiceRegisterAndQuery(t *testing.T) {
 	if _, err := s.Dataset("/nope"); err == nil {
 		t.Error("unknown dataset lookup succeeded")
 	}
-	files, err := s.Files(d.Name)
-	if err != nil || len(files) != 2 {
-		t.Fatalf("files: %d, %v", len(files), err)
-	}
-	names := s.List()
-	if len(names) != 1 || names[0] != d.Name {
-		t.Errorf("list = %v", names)
-	}
 }
 
-func TestFileForLumi(t *testing.T) {
-	s := NewService()
-	s.Register(sampleDataset())
-	f, err := s.FileForLumi("/Test/Run2015A/AOD", Lumi{Run: 2, Lumi: 1})
-	if err != nil || f.LFN != "/Test/f1.root" {
-		t.Fatalf("FileForLumi: %v, %v", f, err)
-	}
-	if _, err := s.FileForLumi("/Test/Run2015A/AOD", Lumi{Run: 9, Lumi: 9}); err == nil {
-		t.Error("missing lumi found")
-	}
-}
-
-func TestLumiOrdering(t *testing.T) {
+func TestLumiString(t *testing.T) {
 	a := Lumi{Run: 1, Lumi: 5}
-	b := Lumi{Run: 2, Lumi: 1}
-	c := Lumi{Run: 1, Lumi: 6}
-	if !a.Less(b) || !a.Less(c) || b.Less(a) {
-		t.Error("Lumi.Less ordering wrong")
-	}
 	if a.String() != "1:5" {
 		t.Errorf("String = %s", a.String())
 	}
@@ -132,19 +99,18 @@ func TestLumiMask(t *testing.T) {
 }
 
 func TestGenerateBasic(t *testing.T) {
-	rng := stats.NewRand(1)
 	d, err := Generate(GenConfig{
 		Name: "/Gen/Test/AOD", Files: 10, EventsPerFile: 100,
 		LumisPerFile: 4, EventBytes: 1000,
-	}, rng)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Files) != 10 {
 		t.Fatalf("files = %d", len(d.Files))
 	}
-	if d.TotalLumis() != 40 {
-		t.Errorf("lumis = %d", d.TotalLumis())
+	if n := len(d.Files[9].Lumis); n != 4 {
+		t.Errorf("lumis per file = %d", n)
 	}
 	if d.TotalEvents() != 1000 {
 		t.Errorf("events = %d", d.TotalEvents())
@@ -157,40 +123,30 @@ func TestGenerateBasic(t *testing.T) {
 	}
 }
 
-func TestGenerateJitterAndRunRollover(t *testing.T) {
-	rng := stats.NewRand(2)
+func TestGenerateRunRollover(t *testing.T) {
 	d, err := Generate(GenConfig{
-		Name: "/Gen/Jitter/AOD", Files: 50, EventsPerFile: 100,
-		LumisPerFile: 7, FirstRun: 100, LumisPerRun: 10, SizeJitter: 0.3,
-	}, rng)
+		Name: "/Gen/Rollover/AOD", Files: 50, EventsPerFile: 100,
+		LumisPerFile: 7, FirstRun: 100, LumisPerRun: 10,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Runs()) < 2 {
-		t.Errorf("expected run rollover, got runs %v", d.Runs())
-	}
-	// Jitter should give varying event counts.
-	same := true
-	for _, f := range d.Files[1:] {
-		if f.Events != d.Files[0].Events {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("jitter produced identical files")
+	// 350 lumis at 10 a run: runs 100 to 134, lumi 10 the last of each.
+	first, last := d.Files[0].Lumis[0], d.Files[49].Lumis[6]
+	if first != (Lumi{Run: 100, Lumi: 1}) || last != (Lumi{Run: 134, Lumi: 10}) {
+		t.Errorf("lumis run %v to %v, want 100:1 to 134:10", first, last)
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{Name: "/Gen/Det/AOD", Files: 20, EventsPerFile: 50,
-		LumisPerFile: 3, SizeJitter: 0.2}
-	d1, _ := Generate(cfg, stats.NewRand(7))
-	d2, _ := Generate(cfg, stats.NewRand(7))
-	for i := range d1.Files {
-		if d1.Files[i].Events != d2.Files[i].Events {
-			t.Fatalf("file %d differs between identical seeds", i)
-		}
+	cfg := GenConfig{Name: "/Gen/Det/AOD", Files: 20, EventsPerFile: 50, LumisPerFile: 3}
+	d1, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := Generate(cfg)
+	if !reflect.DeepEqual(d1, d2) {
+		t.Fatal("one config generated two datasets")
 	}
 }
 
@@ -200,7 +156,7 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{Name: "/x", Files: 1, EventsPerFile: 0, LumisPerFile: 1},
 		{Name: "/x", Files: 1, EventsPerFile: 1, LumisPerFile: 0},
 	} {
-		if _, err := Generate(cfg, stats.NewRand(1)); err == nil {
+		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -212,7 +168,7 @@ func TestGeneratePropertyAllLumisUnique(t *testing.T) {
 		nl := int(lumis%20) + 1
 		d, err := Generate(GenConfig{
 			Name: "/P/Q/R", Files: nf, EventsPerFile: 10, LumisPerFile: nl,
-		}, stats.NewRand(3))
+		})
 		if err != nil {
 			return false
 		}

@@ -1,28 +1,23 @@
 package dbs
 
-import (
-	"fmt"
-
-	"lobster/internal/stats"
-)
+import "fmt"
 
 // GenConfig describes a synthetic dataset to generate. It stands in for the
 // production CMS data the paper consumed: a typical analysis reads 0.1–1 PB
 // selected via this metadata service, with events around 100 kB each.
 type GenConfig struct {
-	Name          string  // dataset name, e.g. "/SingleMu/Sim2015A/AOD"
-	Files         int     // number of logical files
-	EventsPerFile int     // mean events per file
-	EventBytes    int64   // mean bytes per event (paper: ~100 kB)
-	LumisPerFile  int     // lumisections per file
-	FirstRun      int     // starting run number
-	LumisPerRun   int     // lumis before the run number advances
-	SizeJitter    float64 // relative sigma on per-file event counts (0 = exact)
+	Name          string // dataset name, e.g. "/SingleMu/Sim2015A/AOD"
+	Files         int    // number of logical files
+	EventsPerFile int    // events per file
+	EventBytes    int64  // bytes per event (paper: ~100 kB)
+	LumisPerFile  int    // lumisections per file
+	FirstRun      int    // starting run number
+	LumisPerRun   int    // lumis before the run number advances
 }
 
-// Generate builds a synthetic dataset. The result is deterministic for a
-// given config and rng state and always passes Validate.
-func Generate(cfg GenConfig, rng *stats.Rand) (*Dataset, error) {
+// Generate builds a synthetic dataset. The result is a function of the
+// config alone and always passes Validate.
+func Generate(cfg GenConfig) (*Dataset, error) {
 	if cfg.Files <= 0 || cfg.EventsPerFile <= 0 || cfg.LumisPerFile <= 0 {
 		return nil, fmt.Errorf("dbs: invalid generator config %+v", cfg)
 	}
@@ -39,16 +34,10 @@ func Generate(cfg GenConfig, rng *stats.Rand) (*Dataset, error) {
 	run := cfg.FirstRun
 	lumiInRun := 1
 	for i := 0; i < cfg.Files; i++ {
-		events := cfg.EventsPerFile
-		if cfg.SizeJitter > 0 && rng != nil {
-			g := stats.Gaussian{Mu: float64(cfg.EventsPerFile),
-				Sigma: cfg.SizeJitter * float64(cfg.EventsPerFile), Floor: 1}
-			events = int(g.Sample(rng))
-		}
 		f := File{
 			LFN:    fmt.Sprintf("%s/file%06d.root", cfg.Name, i),
-			Events: events,
-			Bytes:  int64(events) * cfg.EventBytes,
+			Events: cfg.EventsPerFile,
+			Bytes:  int64(cfg.EventsPerFile) * cfg.EventBytes,
 		}
 		for j := 0; j < cfg.LumisPerFile; j++ {
 			f.Lumis = append(f.Lumis, Lumi{Run: run, Lumi: lumiInRun})

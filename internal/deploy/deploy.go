@@ -164,7 +164,7 @@ func Start(opts Options) (*Stack, error) {
 	ds, err := dbs.Generate(dbs.GenConfig{
 		Name: opts.DatasetName, Files: opts.Files, EventsPerFile: opts.EventsPerFile,
 		LumisPerFile: opts.LumisPerFile, EventBytes: opts.EventBytes,
-	}, rng)
+	})
 	if err != nil {
 		return nil, err
 	}

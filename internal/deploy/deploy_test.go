@@ -55,7 +55,7 @@ func TestStackEndToEnd(t *testing.T) {
 	if st.ChirpSrv.Stats().BytesIn == 0 {
 		t.Error("storage element received nothing")
 	}
-	if st.Services.Monitor.Len() == 0 {
+	if len(st.Services.Monitor.Records()) == 0 {
 		t.Error("monitor empty")
 	}
 }
@@ -187,7 +187,7 @@ func TestStoreDatasetFailureJoinsGenerator(t *testing.T) {
 	srv.Close()
 	ds, err := dbs.Generate(dbs.GenConfig{
 		Name: "/Closed/Run/AOD", Files: 4, EventsPerFile: 512, LumisPerFile: 1, EventBytes: 4096,
-	}, stats.NewRand(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestStackHDFSBackend(t *testing.T) {
 	if err != nil || !rep.Succeeded() || rep.MergedFiles == 0 {
 		t.Fatalf("hadoop-merge run: %v %+v", err, rep)
 	}
-	if st.HDFS.FileCount() == 0 {
+	if top, err := st.HDFS.List("/"); err != nil || len(top) == 0 {
 		t.Error("no files on the HDFS storage element")
 	}
 }

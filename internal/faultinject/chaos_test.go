@@ -40,7 +40,6 @@ var chaosPolicy = retry.Policy{
 	MaxAttempts: 6,
 	BaseDelay:   2 * time.Millisecond,
 	MaxDelay:    20 * time.Millisecond,
-	Seed:        7,
 }
 
 // runChaos executes one analysis workflow named name over a small
@@ -362,7 +361,7 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 	if res == nil {
 		t.Fatal("poison task never reached a terminal result")
 	}
-	if res.TaskID != id || res.ExitCode != -1 || !res.PermanentlyFailed() {
+	if res.TaskID != id || res.ExitCode != -1 || !(res.Permanent && res.Failed()) {
 		t.Fatalf("terminal result not a typed permanent failure: %+v", res)
 	}
 	if res.Requeues != maxRetries+1 {

@@ -19,7 +19,7 @@ func TestNewNilAndEmptyPlansDisable(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if v := in.Decide("c", "op"); v.Faulty() {
+	if v := in.Decide("c", "op"); v.Action != ActNone {
 		t.Errorf("nil Decide = %+v", v)
 	}
 	if err := in.Check("c", "op"); err != nil {
@@ -43,7 +43,7 @@ func TestScheduleAfterEveryTimes(t *testing.T) {
 	}})
 	var fired []int
 	for n := 1; n <= 12; n++ {
-		if in.Decide("c", "op").Faulty() {
+		if in.Decide("c", "op").Action != ActNone {
 			fired = append(fired, n)
 		}
 	}
@@ -72,23 +72,23 @@ func TestFirstMatchWins(t *testing.T) {
 
 func TestWildcardAndEmptyOpMatch(t *testing.T) {
 	in := New(&Plan{Rules: []Rule{{Component: "c", Action: ActError}}})
-	if !in.Decide("c", "anything").Faulty() {
+	if in.Decide("c", "anything").Action == ActNone {
 		t.Error("empty Op should match any op")
 	}
-	if in.Decide("other", "anything").Faulty() {
+	if in.Decide("other", "anything").Action != ActNone {
 		t.Error("component mismatch should not fire")
 	}
 }
 
 func TestTimesBudgetIsPerKey(t *testing.T) {
 	in := New(&Plan{Rules: []Rule{{Component: "*", Action: ActError, Times: 1}}})
-	if !in.Decide("a", "op").Faulty() {
+	if in.Decide("a", "op").Action == ActNone {
 		t.Error("first invocation of key a should fire")
 	}
-	if in.Decide("a", "op").Faulty() {
+	if in.Decide("a", "op").Action != ActNone {
 		t.Error("key a budget exhausted")
 	}
-	if !in.Decide("b", "op").Faulty() {
+	if in.Decide("b", "op").Action == ActNone {
 		t.Error("key b has its own budget")
 	}
 }
@@ -131,7 +131,7 @@ func TestProbGateSeedSensitive(t *testing.T) {
 	mask := func(seed uint64) (m uint64) {
 		in := New(&Plan{Seed: seed, Rules: []Rule{{Component: "c", Action: ActError, Prob: 0.5}}})
 		for n := 0; n < 64; n++ {
-			if in.Decide("c", "op").Faulty() {
+			if in.Decide("c", "op").Action != ActNone {
 				m |= 1 << n
 			}
 		}

@@ -152,17 +152,6 @@ func LoadPlan(path string) (*Plan, error) {
 	return ParsePlan(data)
 }
 
-// Encode renders the plan as indented JSON (the `-fault-plan` file
-// format).
-func (p *Plan) Encode() []byte {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		// A plan is plain data; failure to encode is a bug.
-		panic(fmt.Sprintf("faultinject: encoding plan: %v", err))
-	}
-	return data
-}
-
 // Verdict is the decision for one invocation. The zero Verdict means
 // "proceed normally".
 type Verdict struct {
@@ -170,6 +159,3 @@ type Verdict struct {
 	Delay  time.Duration
 	Err    error // non-nil for error, drop, and stall-kill verdicts
 }
-
-// Faulty reports whether the verdict injects anything.
-func (v Verdict) Faulty() bool { return v.Action != ActNone }

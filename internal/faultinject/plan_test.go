@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +51,11 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 			{Component: "*", Action: ActDelay, DelayMS: 5, Prob: 0.25},
 		},
 	}
-	back, err := ParsePlan(p.Encode())
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParsePlan(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"lobster/internal/bufpool"
 	"lobster/internal/trace"
@@ -47,7 +46,6 @@ type Payload struct {
 type Service struct {
 	mu       sync.RWMutex
 	payloads map[string][]Payload // tag → payloads sorted by FirstRun
-	requests atomic.Int64
 }
 
 // NewService returns an empty conditions service.
@@ -92,9 +90,6 @@ func (s *Service) Lookup(tag string, run int) (*Payload, error) {
 	return nil, fmt.Errorf("frontier: no payload for tag %s run %d", tag, run)
 }
 
-// Requests returns the number of HTTP payload requests served.
-func (s *Service) Requests() int64 { return s.requests.Load() }
-
 // ServeHTTP implements http.Handler.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/frontier/payload" {
@@ -117,7 +112,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "frontier: encoding payload: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.requests.Add(1)
 	// Valid payloads never change: cacheable by the proxy layer. The
 	// length is announced, so a payload of any size reaches a client
 	// that reads only a Content-Length body (Client) unchunked.

@@ -2,7 +2,9 @@ package frontier
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"lobster/internal/squid"
@@ -60,15 +62,16 @@ func TestHTTPAndClient(t *testing.T) {
 	if _, err := c.Fetch("beam", 99); err == nil {
 		t.Error("missing payload fetched")
 	}
-	if s.Requests() != 1 {
-		t.Errorf("requests = %d", s.Requests())
-	}
 }
 
 func TestFrontierThroughSquid(t *testing.T) {
 	s := NewService()
 	s.Publish(Payload{Tag: "calib", FirstRun: 1, LastRun: 1000, Data: []byte("x")})
-	origin := httptest.NewServer(s)
+	var requests atomic.Int64 // requests reaching the origin
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		s.ServeHTTP(w, r)
+	}))
 	defer origin.Close()
 	proxy, err := squid.New(origin.URL, squid.Config{})
 	if err != nil {
@@ -86,8 +89,8 @@ func TestFrontierThroughSquid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Requests() != 1 {
-		t.Errorf("origin saw %d requests; proxy not caching conditions", s.Requests())
+	if n := requests.Load(); n != 1 {
+		t.Errorf("origin saw %d requests; proxy not caching conditions", n)
 	}
 	if proxy.Stats().Hits != 4 {
 		t.Errorf("proxy hits = %d", proxy.Stats().Hits)

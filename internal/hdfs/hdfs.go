@@ -41,16 +41,6 @@ type DataNode struct {
 	down   bool
 }
 
-// ID returns the datanode's identifier.
-func (d *DataNode) ID() string { return d.id }
-
-// Blocks returns the number of block replicas held.
-func (d *DataNode) Blocks() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.blocks)
-}
-
 // SetDown toggles failure injection: a down datanode refuses reads, forcing
 // clients onto other replicas.
 func (d *DataNode) SetDown(down bool) {
@@ -221,16 +211,6 @@ func (c *Cluster) readBlock(id blockID) ([]byte, error) {
 	return nil, fmt.Errorf("all %d replicas of block %d failed: %w", len(nodes), id, firstErr)
 }
 
-// Append implements chirp.FileSystem. It rewrites the file; HDFS appends are
-// likewise block-granular and this keeps the semantics simple.
-func (c *Cluster) Append(path string, data []byte) error {
-	existing, err := c.ReadFile(path)
-	if err != nil {
-		existing = nil
-	}
-	return c.WriteFile(path, append(existing, data...))
-}
-
 // Stat implements chirp.FileSystem. Directories exist implicitly as path
 // prefixes.
 func (c *Cluster) Stat(path string) (chirp.FileInfo, error) {
@@ -306,38 +286,6 @@ func (c *Cluster) deleteBlocksLocked(meta *fileMeta) {
 		}
 		delete(c.locations, id)
 	}
-}
-
-// Glob returns the sorted paths of all files whose path starts with prefix.
-func (c *Cluster) Glob(prefix string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
-	for p := range c.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FileCount returns the number of files stored.
-func (c *Cluster) FileCount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.files)
-}
-
-// TotalBytes returns the logical (pre-replication) bytes stored.
-func (c *Cluster) TotalBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var n int64
-	for _, m := range c.files {
-		n += m.size
-	}
-	return n
 }
 
 func baseName(p string) string {

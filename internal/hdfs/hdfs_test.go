@@ -3,7 +3,6 @@ package hdfs
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,9 +79,9 @@ func TestNoReplicationFailsOnNodeLoss(t *testing.T) {
 func TestOverwriteReclaimsBlocks(t *testing.T) {
 	c := newCluster(t, 2, 1, 8)
 	c.WriteFile("/f", bytes.Repeat([]byte("a"), 100))
-	before := c.Nodes()[0].Blocks() + c.Nodes()[1].Blocks()
+	before := held(c.Nodes()[0]) + held(c.Nodes()[1])
 	c.WriteFile("/f", []byte("tiny"))
-	after := c.Nodes()[0].Blocks() + c.Nodes()[1].Blocks()
+	after := held(c.Nodes()[0]) + held(c.Nodes()[1])
 	if after >= before {
 		t.Errorf("blocks not reclaimed: %d -> %d", before, after)
 	}
@@ -104,20 +103,13 @@ func TestRemove(t *testing.T) {
 	if err := c.Remove("/f"); err == nil {
 		t.Error("double remove succeeded")
 	}
-	for _, n := range c.Nodes() {
-		if n.Blocks() != 0 {
-			t.Errorf("node %s still holds %d blocks", n.ID(), n.Blocks())
-		}
+	if _, err := c.Stat("/f"); err == nil {
+		t.Error("stat of a removed file succeeded")
 	}
-}
-
-func TestAppend(t *testing.T) {
-	c := newCluster(t, 2, 1, 8)
-	c.Append("/log", []byte("one;"))
-	c.Append("/log", []byte("two;"))
-	got, err := c.ReadFile("/log")
-	if err != nil || string(got) != "one;two;" {
-		t.Fatalf("append result = %q, %v", got, err)
+	for _, n := range c.Nodes() {
+		if held(n) != 0 {
+			t.Errorf("node %s still holds %d blocks", n.id, held(n))
+		}
 	}
 }
 
@@ -148,27 +140,13 @@ func TestListAndStatDirectories(t *testing.T) {
 	}
 }
 
-func TestGlobAndTotals(t *testing.T) {
-	c := newCluster(t, 2, 1, 64)
-	c.WriteFile("/out/t1.root", []byte("aa"))
-	c.WriteFile("/out/t2.root", []byte("bbb"))
-	c.WriteFile("/other/x", []byte("c"))
-	g := c.Glob("/out/")
-	if !reflect.DeepEqual(g, []string{"/out/t1.root", "/out/t2.root"}) {
-		t.Errorf("glob = %v", g)
-	}
-	if c.FileCount() != 3 || c.TotalBytes() != 6 {
-		t.Errorf("count=%d bytes=%d", c.FileCount(), c.TotalBytes())
-	}
-}
-
 func TestReplicationPlacementDistinctNodes(t *testing.T) {
 	c := newCluster(t, 4, 3, 8)
 	c.WriteFile("/f", bytes.Repeat([]byte("z"), 30))
 	// Each block must be on 3 distinct nodes: total replicas = blocks*3.
 	blocks := 0
 	for _, n := range c.Nodes() {
-		blocks += n.Blocks()
+		blocks += held(n)
 	}
 	if blocks != 4*3 { // 30 bytes / 8 = 4 blocks
 		t.Errorf("total replicas = %d, want 12", blocks)
@@ -249,8 +227,8 @@ func TestChirpExportOfHDFS(t *testing.T) {
 		t.Fatalf("chirp-over-hdfs round trip failed: %v", err)
 	}
 	// The data must actually live in HDFS blocks.
-	if c.FileCount() != 1 {
-		t.Errorf("hdfs file count = %d", c.FileCount())
+	if got, err := c.ReadFile("/store/out/task1.root"); err != nil || !bytes.Equal(got, payload) {
+		t.Errorf("hdfs holds %d bytes, %v", len(got), err)
 	}
 }
 
@@ -271,24 +249,18 @@ func TestMapReduceWordCountStyle(t *testing.T) {
 			emit(KV{Key: key, Value: []byte(fmt.Sprint(len(values)))})
 			return nil
 		},
-		OutputPrefix: "/out/count-",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Intermediate != 5 || res.OutputFiles != 3 {
-		t.Errorf("result = %+v", res)
-	}
-	want := map[string]string{"x": "2", "y": "2", "z": "1"}
-	for k, v := range want {
-		got, err := c.ReadFile("/out/count-" + k)
-		if err != nil || string(got) != v {
-			t.Errorf("count[%s] = %q, %v", k, got, err)
-		}
+	if res.Intermediate != 5 || len(res.Output) != 3 {
+		t.Fatalf("result = %+v", res)
 	}
 	// Output list is key-sorted.
-	if res.Output[0].Key != "x" || res.Output[2].Key != "z" {
-		t.Errorf("output order: %+v", res.Output)
+	for i, want := range []KV{{"x", []byte("2")}, {"y", []byte("2")}, {"z", []byte("1")}} {
+		if got := res.Output[i]; got.Key != want.Key || !bytes.Equal(got.Value, want.Value) {
+			t.Errorf("output[%d] = %s=%q, want %s=%q", i, got.Key, got.Value, want.Key, want.Value)
+		}
 	}
 }
 
@@ -386,4 +358,11 @@ func TestReadFileReservesTheRecordedSize(t *testing.T) {
 	if got, err = c.ReadFile("/fragile"); err == nil || got != nil {
 		t.Errorf("unreadable block: %d bytes, %v; want an error and nothing", len(got), err)
 	}
+}
+
+// held counts the block replicas n stores.
+func held(n *DataNode) int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return len(n.blocks)
 }

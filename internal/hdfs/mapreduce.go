@@ -25,22 +25,17 @@ type Job struct {
 	Name string
 	// Inputs are the HDFS paths to map over.
 	Inputs []string
-	// Mappers / Reducers bound worker parallelism (default 4 each).
-	Mappers  int
-	Reducers int
-	Map      MapFunc
-	Reduce   ReduceFunc
-	// OutputPrefix: each reduce emission (k, v) is written to
-	// "<OutputPrefix><k>" with content v. Empty means results are only
-	// returned, not stored.
-	OutputPrefix string
+	Map    MapFunc
+	Reduce ReduceFunc
 }
+
+// workers bounds the map and the reduce phase's parallelism each.
+const workers = 4
 
 // Result summarises a completed job.
 type Result struct {
 	InputFiles   int
-	Intermediate int // intermediate pairs shuffled
-	OutputFiles  int
+	Intermediate int  // intermediate pairs shuffled
 	Output       []KV // all reduce emissions, sorted by key
 }
 
@@ -51,24 +46,15 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 	if job.Map == nil || job.Reduce == nil {
 		return nil, fmt.Errorf("hdfs: job %q needs Map and Reduce", job.Name)
 	}
-	mappers := job.Mappers
-	if mappers <= 0 {
-		mappers = 4
-	}
-	reducers := job.Reducers
-	if reducers <= 0 {
-		reducers = 4
-	}
-
 	// Map phase.
 	type mapOut struct {
 		pairs []KV
 		err   error
 	}
 	inputs := make(chan string)
-	outs := make(chan mapOut, mappers)
+	outs := make(chan mapOut, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < mappers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -121,9 +107,9 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 		err   error
 	}
 	keyCh := make(chan string)
-	redCh := make(chan redOut, reducers)
+	redCh := make(chan redOut, workers)
 	var rwg sync.WaitGroup
-	for w := 0; w < reducers; w++ {
+	for w := 0; w < workers; w++ {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
@@ -155,18 +141,9 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 	}
 	sort.Slice(output, func(i, j int) bool { return output[i].Key < output[j].Key })
 
-	res := &Result{
+	return &Result{
 		InputFiles:   len(job.Inputs),
 		Intermediate: intermediate,
 		Output:       output,
-	}
-	if job.OutputPrefix != "" {
-		for _, kv := range output {
-			if err := c.WriteFile(job.OutputPrefix+kv.Key, kv.Value); err != nil {
-				return nil, fmt.Errorf("hdfs: job %q writing output %s: %w", job.Name, kv.Key, err)
-			}
-			res.OutputFiles++
-		}
-	}
-	return res, nil
+	}, nil
 }

@@ -2,6 +2,8 @@ package health
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +50,7 @@ func TestHubPoolExhaustedOnSimulatedClock(t *testing.T) {
 	}
 	now += 10
 	got := hub.Tick()
-	if len(got) != 1 || got[0].Rule != "chirp_pool_exhausted" || !got[0].Firing() {
+	if len(got) != 1 || got[0].Rule != "chirp_pool_exhausted" || got[0].State != "firing" {
 		t.Fatalf("want chirp_pool_exhausted firing, got %+v", got)
 	}
 	if got[0].Time != now || got[0].Severity != "warn" || got[0].Value != 20 {
@@ -66,14 +68,10 @@ func TestHubPoolExhaustedOnSimulatedClock(t *testing.T) {
 		t.Fatalf("want one resolved alert, got %+v", resolved)
 	}
 
-	// The typed events round-trip through the monitor's replay path.
+	// The transitions are typed "alert" events on the run's log.
 	evl.Flush()
-	var m monitor.Monitor
-	if _, err := m.ReplayLog(strings.NewReader(buf.String())); err != nil {
-		t.Fatal(err)
-	}
-	alerts := m.Alerts()
-	if len(alerts) != 2 || alerts[0].Rule != "chirp_pool_exhausted" || !alerts[0].Firing() || alerts[1].State != "resolved" {
+	alerts := logAlerts(t, &buf)
+	if len(alerts) != 2 || alerts[0].Rule != "chirp_pool_exhausted" || alerts[0].State != "firing" || alerts[1].State != "resolved" {
 		t.Fatalf("replayed alerts = %+v", alerts)
 	}
 }
@@ -96,7 +94,7 @@ func TestHubProfileCapture(t *testing.T) {
 	queued.Set(20) // over the chirp_pool_exhausted threshold (8), For=2
 	hub.Tick()
 	alerts := hub.Tick()
-	if len(alerts) != 1 || alerts[0].Rule != "chirp_pool_exhausted" || !alerts[0].Firing() {
+	if len(alerts) != 1 || alerts[0].Rule != "chirp_pool_exhausted" || alerts[0].State != "firing" {
 		t.Fatalf("want chirp_pool_exhausted firing, got %+v", alerts)
 	}
 	bundle := alerts[0].Profile
@@ -113,13 +111,30 @@ func TestHubProfileCapture(t *testing.T) {
 		t.Fatalf("goroutine profile looks wrong: %q", string(gr[:min(len(gr), 80)]))
 	}
 
-	// The alert, bundle named, replays off the event log.
+	// The alert, bundle named, is on the event log.
 	evl.Flush()
-	var m monitor.Monitor
-	if _, err := m.ReplayLog(&buf); err != nil {
+	if got := logAlerts(t, &buf); len(got) != 1 || got[0].Profile != bundle {
+		t.Fatalf("logged alerts = %+v, want one naming %s", got, bundle)
+	}
+}
+
+// logAlerts decodes the "alert" events of an event log.
+func logAlerts(t *testing.T, r io.Reader) []monitor.AlertRecord {
+	t.Helper()
+	var alerts []monitor.AlertRecord
+	err := telemetry.ReadEvents(r, func(ev telemetry.Event) error {
+		if ev.Type != "alert" {
+			return nil
+		}
+		var a monitor.AlertRecord
+		if err := json.Unmarshal(ev.Data, &a); err != nil {
+			return err
+		}
+		alerts = append(alerts, a)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Alerts(); len(got) != 1 || got[0].Profile != bundle {
-		t.Fatalf("replayed alerts = %+v, want one naming %s", got, bundle)
-	}
+	return alerts
 }

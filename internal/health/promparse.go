@@ -31,16 +31,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the value of the named label, or "".
-func (s *Sample) Label(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // Family is one named metric with its metadata and samples. Histogram
 // families hold their _bucket/_sum/_count samples verbatim.
 type Family struct {
@@ -54,14 +44,6 @@ type Family struct {
 type Page struct {
 	Families []*Family
 	byName   map[string]*Family
-}
-
-// Family returns the named family, or nil.
-func (p *Page) Family(name string) *Family {
-	if p == nil {
-		return nil
-	}
-	return p.byName[name]
 }
 
 // baseFamily maps a sample name onto its owning family: histogram samples

@@ -39,7 +39,7 @@ func TestParseMetrics(t *testing.T) {
 	if got := len(p.Families); got != 4 {
 		t.Fatalf("families = %d, want 4", got)
 	}
-	f := p.Family("lobster_wq_tasks_done_total")
+	f := p.byName["lobster_wq_tasks_done_total"]
 	if f == nil || f.Type != "counter" || len(f.Samples) != 1 || f.Samples[0].Value != 42 {
 		t.Fatalf("counter family wrong: %+v", f)
 	}
@@ -47,7 +47,7 @@ func TestParseMetrics(t *testing.T) {
 		t.Fatalf("help = %q", f.Help)
 	}
 	// Histogram sub-series land on the base family.
-	h := p.Family("lobster_wq_worker_exec_seconds")
+	h := p.byName["lobster_wq_worker_exec_seconds"]
 	if h == nil || h.Type != "histogram" {
 		t.Fatalf("histogram family missing: %+v", h)
 	}
@@ -55,8 +55,8 @@ func TestParseMetrics(t *testing.T) {
 		t.Fatalf("histogram samples = %d, want 5 (3 buckets + sum + count)", len(h.Samples))
 	}
 	// Labelled gauge.
-	g := p.Family("lobster_wq_shard_queue_depth")
-	if len(g.Samples) != 2 || g.Samples[1].Label("shard") != "1" || g.Samples[1].Value != 3 {
+	g := p.byName["lobster_wq_shard_queue_depth"]
+	if len(g.Samples) != 2 || labelOf(g.Samples[1], "shard") != "1" || g.Samples[1].Value != 3 {
 		t.Fatalf("labelled gauge wrong: %+v", g.Samples)
 	}
 }
@@ -70,11 +70,11 @@ m{path="a\"b\\c\nd"} 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := p.Family("m")
+	f := p.byName["m"]
 	if f.Help != "escaped\nhelp\\line" {
 		t.Fatalf("help = %q", f.Help)
 	}
-	if got := f.Samples[0].Label("path"); got != "a\"b\\c\nd" {
+	if got := labelOf(f.Samples[0], "path"); got != "a\"b\\c\nd" {
 		t.Fatalf("label = %q", got)
 	}
 	// Escapes survive a trip through the one writer.
@@ -230,7 +230,7 @@ func TestRoundTripRegistry(t *testing.T) {
 			t.Errorf("%s = %v, want %v", k, got[k], v)
 		}
 	}
-	if f := p.Family("lobster_test_latency_seconds"); f == nil || f.Type != "histogram" || len(f.Samples) != 6 {
+	if f := p.byName["lobster_test_latency_seconds"]; f == nil || f.Type != "histogram" || len(f.Samples) != 6 {
 		t.Fatalf("histogram family = %+v", f)
 	}
 	if a, b := canonical(series), canonical(rewrite(t, series)); !slices.Equal(a, b) {
@@ -255,8 +255,8 @@ func TestRegistryLabelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := p.Family("m"); f != nil && len(f.Samples) == 1 {
-		if got := f.Samples[0].Label("path"); got != path {
+	if f := p.byName["m"]; f != nil && len(f.Samples) == 1 {
+		if got := labelOf(f.Samples[0], "path"); got != path {
 			t.Fatalf("label = %q, want %q\npage:\n%s", got, path, page.String())
 		}
 		return
@@ -312,4 +312,14 @@ func FuzzPromParse(f *testing.F) {
 				strings.Join(a, "\n"), strings.Join(b, "\n"))
 		}
 	})
+}
+
+// labelOf returns the value of s's label name, or "".
+func labelOf(s Sample, name string) string {
+	for _, l := range s.Labels {
+		if l.Name == name {
+			return l.Value
+		}
+	}
+	return ""
 }

@@ -1,7 +1,5 @@
 package health
 
-import "sort"
-
 // Expr reduces a page's series to one scalar: the value of Metric,
 // summed over its series. Fn picks the reduction:
 //
@@ -19,24 +17,22 @@ type Expr struct {
 }
 
 // Gate conditions a rule on a second expression: the rule only evaluates
-// on ticks where `Expr Op Threshold` holds. A closed gate counts as the
+// on ticks where `Expr > Threshold` holds. A closed gate counts as the
 // condition being false, so a firing rule resolves through its Clear
 // hysteresis when the gate closes.
 type Gate struct {
 	Expr      Expr
-	Op        string
 	Threshold float64
 }
 
-// Rule is one declarative anomaly detector: an expression, a comparison
-// against a static or derived threshold, and firing hysteresis.
+// Rule is one declarative anomaly detector: an expression, a bound it
+// must exceed (static or derived), and firing hysteresis.
 type Rule struct {
 	Name     string
 	Help     string
 	Severity string // "warn" (default) or "critical"
 
 	Expr Expr
-	Op   string // ">", ">=", "<", "<=" (default ">")
 
 	// Threshold is the static bound. When ThresholdExpr is set the
 	// effective bound is max(Threshold, Scale×eval(ThresholdExpr)) —
@@ -73,20 +69,6 @@ type ruleState struct {
 	over   int
 	under  int
 	firing bool
-}
-
-// exceeds applies the rule's comparison operator.
-func exceeds(op string, val, threshold float64) bool {
-	switch op {
-	case "<":
-		return val < threshold
-	case "<=":
-		return val <= threshold
-	case ">=":
-		return val >= threshold
-	default:
-		return val > threshold
-	}
 }
 
 // eval reduces the expression against the page's totals at time now,
@@ -175,12 +157,12 @@ func (rs *RuleSet) Evaluate(t Totals, now float64) []Transition {
 		val, ok := r.Expr.eval(t, st, now)
 		cond := false
 		if ok && thrOK {
-			cond = exceeds(r.Op, val, threshold)
+			cond = val > threshold
 		}
 		if r.Gate != nil && cond {
 			var scratch ruleState
 			gv, gok := r.Gate.Expr.eval(t, &scratch, now)
-			if !gok || !exceeds(r.Gate.Op, gv, r.Gate.Threshold) {
+			if !gok || !(gv > r.Gate.Threshold) {
 				cond = false
 			}
 		}
@@ -209,22 +191,6 @@ func (rs *RuleSet) Evaluate(t Totals, now float64) []Transition {
 			out = append(out, Transition{Rule: r, Firing: false, Value: val, Threshold: threshold})
 		}
 	}
-	return out
-}
-
-// Firing returns the names of the rules currently in the firing state,
-// sorted.
-func (rs *RuleSet) Firing() []string {
-	if rs == nil {
-		return nil
-	}
-	var out []string
-	for i := range rs.Rules {
-		if rs.states[i].firing {
-			out = append(out, rs.Rules[i].Name)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

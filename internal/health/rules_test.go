@@ -67,8 +67,8 @@ func TestRuleHysteresis(t *testing.T) {
 	if len(tr) != 1 || !tr[0].Firing || tr[0].Value != 50 || tr[0].Threshold != 10 {
 		t.Fatalf("want firing transition, got %+v", tr)
 	}
-	if got := rs.Firing(); len(got) != 1 || got[0] != "deep" {
-		t.Fatalf("Firing() = %v", got)
+	if !rs.states[0].firing {
+		t.Fatal("not firing after the firing transition")
 	}
 	// Two quiet ticks with Clear=3: still firing.
 	if tr := tick(3, 1); len(tr) != 0 {
@@ -81,8 +81,8 @@ func TestRuleHysteresis(t *testing.T) {
 	if len(tr) != 1 || tr[0].Firing {
 		t.Fatalf("want resolved transition, got %+v", tr)
 	}
-	if got := rs.Firing(); len(got) != 0 {
-		t.Fatalf("Firing() after resolve = %v", got)
+	if rs.states[0].firing {
+		t.Fatal("still firing after resolve")
 	}
 	// A dip below threshold resets the For streak.
 	tick(6, 50)

@@ -27,7 +27,7 @@ func TestWindowedStallSeesThroughRestart(t *testing.T) {
 	// t=40: flat since t=10 → stall = 30 > 25 → fires.
 	now += 10
 	got := hub.Tick()
-	if len(got) != 1 || got[0].Rule != "stuck" || !got[0].Firing() {
+	if len(got) != 1 || got[0].Rule != "stuck" || got[0].State != "firing" {
 		t.Fatalf("want stuck firing at t=40, got %+v", got)
 	}
 	if got[0].Value != 30 {

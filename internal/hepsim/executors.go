@@ -116,24 +116,6 @@ func (e *Env) conditions() *frontier.Client {
 	return e.cond
 }
 
-// cloneConfig returns a fresh Env with the same configuration and none
-// of the lazily-built pool state. Env holds a sync.Once, so it must not
-// be copied by value; derive per-task variants through this instead.
-func (e *Env) cloneConfig() *Env {
-	return &Env{
-		ProxyURL:      e.ProxyURL,
-		Repo:          e.Repo,
-		ReleasePath:   e.ReleasePath,
-		Cache:         e.Cache,
-		Open:          e.Open,
-		ChirpAddr:     e.ChirpAddr,
-		ConditionsTag: e.ConditionsTag,
-		Fault:         e.Fault,
-		ChirpRetry:    e.ChirpRetry,
-		Telemetry:     e.Telemetry,
-	}
-}
-
 // Close releases the Env's pooled chirp, conditions and software
 // connections.
 func (e *Env) Close() error {

@@ -3,6 +3,7 @@ package hepsim
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -238,7 +239,7 @@ func TestAnalysisStreamingEndToEnd(t *testing.T) {
 	// Publish event data into the federation: 50 events of 256 B.
 	k, _ := NewKernel(256, 1)
 	data := k.GenerateEvents(50, stats.NewRand(3))
-	svc.redir.Register("/store/data/f0.root", svc.dataSrv.Store("/store/data/f0.root", data))
+	svc.redir.Register("/store/data/f0.root", mustStore(svc.dataSrv, "/store/data/f0.root", data))
 
 	exec := analysis(svc.env)
 	rep := runTask(t, exec, &wq.Task{
@@ -274,7 +275,7 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 	svc := startServices(t)
 	k, _ := NewKernel(128, 1)
 	data := k.GenerateEvents(20, stats.NewRand(4))
-	svc.redir.Register("/store/s.root", svc.dataSrv.Store("/store/s.root", data))
+	svc.redir.Register("/store/s.root", mustStore(svc.dataSrv, "/store/s.root", data))
 
 	exec := analysis(svc.env)
 	repStream := runTask(t, exec, &wq.Task{ID: 2, Args: argsOf(wrapper.Args{LFN: "/store/s.root", Mode: "stream", Output: "/out/stream", EventSize: 128})})
@@ -327,8 +328,8 @@ func TestAnalysisFailureSegmentAttribution(t *testing.T) {
 func TestAnalysisOutputWithoutStorageElementFails(t *testing.T) {
 	svc := startServices(t)
 	k, _ := NewKernel(128, 1)
-	svc.redir.Register("/store/f.root", svc.dataSrv.Store("/store/f.root", k.GenerateEvents(8, stats.NewRand(5))))
-	local := svc.env.cloneConfig()
+	svc.redir.Register("/store/f.root", mustStore(svc.dataSrv, "/store/f.root", k.GenerateEvents(8, stats.NewRand(5))))
+	local := cloneEnv(svc.env)
 	local.ChirpAddr = ""
 	sandbox := filepath.Join(t.TempDir(), "task-7")
 	rep := runTaskIn(t, sandbox, analysis(local), &wq.Task{ID: 7, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: "/out/lost.root"})})
@@ -362,7 +363,7 @@ func TestAnalysisFromALyingReplica(t *testing.T) {
 	// run is one task against a replica that claims claimed bytes and
 	// serves 1 KiB, and what the task allocated.
 	run := func(mode string, claimed int64) (*wrapper.Report, uint64) {
-		env := svc.env.cloneConfig()
+		env := cloneEnv(svc.env)
 		env.Open = func(string, *trace.Tracer, trace.Context) (RemoteFile, error) {
 			return &lyingFile{fakeFile{make([]byte, 1<<10)}, claimed}, nil
 		}
@@ -405,7 +406,7 @@ func TestAnalysisFromAChoppyReplica(t *testing.T) {
 	k, _ := NewKernel(256, 1)
 	data := k.GenerateEvents(200, stats.NewRand(5))
 	want, _ := k.ProcessAll(data)
-	env := svc.env.cloneConfig()
+	env := cloneEnv(svc.env)
 	env.Open = func(string, *trace.Tracer, trace.Context) (RemoteFile, error) {
 		return &choppyFile{fakeFile{data}}, nil
 	}
@@ -428,7 +429,7 @@ func TestAnalysisFromAChoppyReplica(t *testing.T) {
 func TestAnalysisSquidOutageIsSoftwareFailure(t *testing.T) {
 	svc := startServices(t)
 	// Point the env at a dead proxy: software setup must fail with its code.
-	env := svc.env.cloneConfig()
+	env := cloneEnv(svc.env)
 	env.ProxyURL = "http://127.0.0.1:1" // nothing listens
 	exec := analysis(env)
 	rep := runTask(t, exec, &wq.Task{ID: 5, Args: argsOf(wrapper.Args{LFN: "/x"})})
@@ -537,7 +538,7 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	svc := startServices(t)
 	k, _ := NewKernel(128, 1)
 	data := k.GenerateEvents(40, stats.NewRand(21))
-	svc.redir.Register("/store/ranged.root", svc.dataSrv.Store("/store/ranged.root", data))
+	svc.redir.Register("/store/ranged.root", mustStore(svc.dataSrv, "/store/ranged.root", data))
 	exec := analysis(svc.env)
 	rep := runTask(t, exec, &wq.Task{ID: 30, Args: argsOf(wrapper.Args{LFN: "/store/ranged.root", Mode: "stream", SkipEvents: 10, MaxEvents: 15, Output: "/out/ranged", EventSize: 128})})
 	if rep.ExitCode != 0 {
@@ -624,4 +625,36 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 	if len(left) != 0 {
 		t.Fatalf("the abandoned attempt wrote to the storage element: %v", left)
 	}
+}
+
+// cloneEnv returns a fresh Env with e's configuration and none of its
+// lazily-built pool state: Env holds sync.Onces and must not be copied by
+// value.
+func cloneEnv(e *Env) *Env {
+	return &Env{
+		ProxyURL:      e.ProxyURL,
+		Repo:          e.Repo,
+		ReleasePath:   e.ReleasePath,
+		Cache:         e.Cache,
+		Open:          e.Open,
+		ChirpAddr:     e.ChirpAddr,
+		ConditionsTag: e.ConditionsTag,
+		Fault:         e.Fault,
+		ChirpRetry:    e.ChirpRetry,
+		Telemetry:     e.Telemetry,
+	}
+}
+
+// mustStore stores content under lfn on s and returns the replica to
+// register, panicking if the spool cannot be written: a fixture cannot
+// go on without its data.
+func mustStore(s *xrootd.DataServer, lfn string, content []byte) xrootd.Replica {
+	rep, err := s.StoreFrom(lfn, func(w io.Writer) error {
+		_, err := w.Write(content)
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }

@@ -127,7 +127,7 @@ func TestConcurrentTasksMatchSerial(t *testing.T) {
 	k, _ := NewKernel(128, 1)
 	const events = 400
 	data := k.GenerateEvents(events, stats.NewRand(31))
-	svc.redir.Register("/store/shared.root", svc.dataSrv.Store("/store/shared.root", data))
+	svc.redir.Register("/store/shared.root", mustStore(svc.dataSrv, "/store/shared.root", data))
 	exec := analysis(svc.env)
 
 	const slots, rounds = 2, 12
@@ -221,7 +221,7 @@ func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
 	svc := startServices(t)
 	k, _ := NewKernel(128, 1)
 	data := k.GenerateEvents(16, stats.NewRand(4))
-	svc.redir.Register("/store/f.root", svc.dataSrv.Store("/store/f.root", data))
+	svc.redir.Register("/store/f.root", mustStore(svc.dataSrv, "/store/f.root", data))
 	scratch := t.TempDir()
 	exec := Analysis(svc.env)
 	run := func(env *Env, id int64, output string) string {
@@ -245,7 +245,7 @@ func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
 		t.Errorf("scratch directory holds %d entries after tasks that stage out over chirp", len(entries))
 	}
 
-	local := svc.env.cloneConfig()
+	local := cloneEnv(svc.env)
 	local.ChirpAddr = ""
 	exec = Analysis(local)
 	sandbox := run(local, 6, "")
@@ -294,7 +294,7 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args wrapper.Args) {
 	fetched := reg.CounterVec("lobster_parrot_manifest_total", "", "outcome").With("fetched")
 	k, _ := NewKernel(1024, 1)
 	data := k.GenerateEvents(4096, stats.NewRand(3)) // 4 MiB
-	svc.redir.Register("/store/hot.root", svc.dataSrv.Store("/store/hot.root", data))
+	svc.redir.Register("/store/hot.root", mustStore(svc.dataSrv, "/store/hot.root", data))
 	if err := svc.chirpFS.WriteFile("/pileup/hot.root", data[:256<<10]); err != nil {
 		b.Fatal(err)
 	}

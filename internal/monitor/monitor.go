@@ -57,9 +57,7 @@ func (r *TaskRecord) WallTime() float64 { return r.Finish - r.Start }
 
 // AlertRecord is one typed health-plane alert transition: a rule
 // crossing into "firing" or back to "resolved". The health hub emits these
-// as "alert" events on the run's JSONL event log; ReplayLog collects them
-// so a crashed (or chaos-stormed) run's alert history is replayable next
-// to its task history.
+// as "alert" events on the run's JSONL event log, beside its task records.
 type AlertRecord struct {
 	Time      float64 `json:"t"`
 	Rule      string  `json:"rule"`
@@ -73,14 +71,10 @@ type AlertRecord struct {
 	Profile string `json:"profile,omitempty"`
 }
 
-// Firing reports whether the record is a firing transition.
-func (a *AlertRecord) Firing() bool { return a.State == "firing" }
-
 // Monitor accumulates task records. It is safe for concurrent use.
 type Monitor struct {
 	mu      sync.RWMutex
 	records []TaskRecord
-	alerts  []AlertRecord
 
 	// byFinish caches record indices sorted by Finish so windowed queries
 	// (Timeline, FailureCodes) can binary-search to their window instead of
@@ -130,33 +124,11 @@ func (m *Monitor) ensureIndexLocked() {
 	m.sortGen = n
 }
 
-// Len returns the number of records.
-func (m *Monitor) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.records)
-}
-
 // Records returns a copy of all records.
 func (m *Monitor) Records() []TaskRecord {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return append([]TaskRecord(nil), m.records...)
-}
-
-// AddAlert appends a health-plane alert transition.
-func (m *Monitor) AddAlert(a AlertRecord) {
-	m.mu.Lock()
-	m.alerts = append(m.alerts, a)
-	m.mu.Unlock()
-}
-
-// Alerts returns a copy of the collected alert transitions, in arrival
-// (= replay) order.
-func (m *Monitor) Alerts() []AlertRecord {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]AlertRecord(nil), m.alerts...)
 }
 
 // Each calls fn for every record under the read lock.

@@ -12,9 +12,9 @@ import (
 // event log (the crash-recovery path: a restarted Lobster replays the log
 // its predecessor emitted). Events with type "task" carry one TaskRecord
 // each; "task_batch" events carry a slice of them (no run writes them any
-// more; logs on disk may hold them); "alert" events carry one health-plane
-// AlertRecord, collected into the alert history (and not counted); other
-// event types are skipped. Returns the number of task records replayed.
+// more; logs on disk may hold them); other event types, the health
+// plane's "alert" events among them, are skipped. Returns the number of
+// task records replayed.
 func (m *Monitor) ReplayLog(r io.Reader) (int, error) {
 	n := 0
 	err := telemetry.ReadEvents(r, m.replayEvent(&n))
@@ -40,15 +40,6 @@ func (m *Monitor) replayEvent(n *int) func(telemetry.Event) error {
 				m.Add(rec)
 				*n++
 			}
-		case "alert":
-			var a AlertRecord
-			if err := json.Unmarshal(ev.Data, &a); err != nil {
-				return fmt.Errorf("monitor: replaying alert event: %w", err)
-			}
-			if a.Time == 0 {
-				a.Time = ev.Time
-			}
-			m.AddAlert(a)
 		}
 		return nil
 	}

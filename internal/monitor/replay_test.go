@@ -316,8 +316,8 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 		if got != want {
 			t.Fatalf("prefix of %d bytes replayed %d records, want %d", cut, got, want)
 		}
-		if m.Len() != got {
-			t.Fatalf("prefix of %d bytes: DB holds %d records, replay reported %d", cut, m.Len(), got)
+		if len(m.Records()) != got {
+			t.Fatalf("prefix of %d bytes: DB holds %d records, replay reported %d", cut, len(m.Records()), got)
 		}
 		if got > 0 && !reflect.DeepEqual(m.Records(), live.Records()[:got]) {
 			t.Fatalf("prefix of %d bytes: replayed records are not a prefix of the live DB", cut)
@@ -350,8 +350,8 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 // production run with the history plane armed: task batches, alert
 // transitions, and the since-removed history store's "tsdb_segment"
 // markers all interleaved in one stream. Replay must restore every task
-// and alert, skip the rest without error — including under every
-// possible torn-tail byte prefix a crash could leave. The stream also
+// and skip the rest without error — including under every possible
+// torn-tail byte prefix a crash could leave. The stream also
 // carries the lines no program writes any more: the "election" and
 // "ha_submit" lines of the since-removed replicated master and the
 // "profile_bundle" lines of the since-removed fleet hub. They are
@@ -359,7 +359,6 @@ func TestReplayLogPartialWritePrefixes(t *testing.T) {
 // does.
 func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	live := New()
-	var liveAlerts []AlertRecord
 	var buf, plainBuf bytes.Buffer
 	log := telemetry.NewEventLog(&buf, nil)
 	plain := telemetry.NewEventLog(&plainBuf, nil) // the same log minus the old lines
@@ -383,13 +382,11 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 		// Interleave the other planes' event types between batches.
 		switch (i / 4) % 3 {
 		case 0:
-			a := AlertRecord{
+			emit("alert", AlertRecord{
 				Time: float64(i), Rule: "stuck_tasks", Severity: "page",
 				State: "firing", Value: float64(i) * 10, Threshold: 300,
 				Profile: fmt.Sprintf("profiles/bundle-%06d", i),
-			}
-			liveAlerts = append(liveAlerts, a)
-			emit("alert", a)
+			})
 		case 1:
 			log.Emit("profile_bundle", map[string]any{
 				"dir": fmt.Sprintf("profiles/bundle-%06d", i), "rule": "stuck_tasks",
@@ -431,40 +428,30 @@ func TestReplayLogInterleavedHistoryPlane(t *testing.T) {
 	if !reflect.DeepEqual(live.Records(), rebuilt.Records()) {
 		t.Error("replayed records differ from live records")
 	}
-	if !reflect.DeepEqual(without.Records(), rebuilt.Records()) || !reflect.DeepEqual(without.Alerts(), rebuilt.Alerts()) {
+	if !reflect.DeepEqual(without.Records(), rebuilt.Records()) {
 		t.Error("election / ha_submit / profile_bundle lines changed the replayed records")
-	}
-	if !reflect.DeepEqual(liveAlerts, rebuilt.Alerts()) {
-		t.Errorf("replayed alerts differ: live=%+v rebuilt=%+v", liveAlerts, rebuilt.Alerts())
 	}
 
 	// Crash-recovery sweep: every byte prefix must replay cleanly, and
-	// what it restores must be a prefix of the full history — tasks and
-	// alerts both monotone in the cut point, never an error, never a
-	// half-parsed record.
+	// what it restores must be a prefix of the full history — monotone in
+	// the cut point, never an error, never a half-parsed record.
 	full := buf.Bytes()
-	prevTasks, prevAlerts := 0, 0
+	prevTasks := 0
 	for cut := 0; cut <= len(full); cut++ {
 		m := New()
 		nt, err := m.ReplayLog(bytes.NewReader(full[:cut]))
 		if err != nil {
 			t.Fatalf("prefix of %d bytes: %v", cut, err)
 		}
-		na := len(m.Alerts())
-		if nt < prevTasks || na < prevAlerts {
-			t.Fatalf("prefix of %d bytes lost ground: tasks %d<%d or alerts %d<%d",
-				cut, nt, prevTasks, na, prevAlerts)
+		if nt < prevTasks {
+			t.Fatalf("prefix of %d bytes lost ground: tasks %d<%d", cut, nt, prevTasks)
 		}
-		prevTasks, prevAlerts = nt, na
+		prevTasks = nt
 		if nt > 0 && !reflect.DeepEqual(m.Records(), live.Records()[:nt]) {
 			t.Fatalf("prefix of %d bytes: tasks are not a prefix of the live DB", cut)
 		}
-		if na > 0 && !reflect.DeepEqual(m.Alerts(), liveAlerts[:na]) {
-			t.Fatalf("prefix of %d bytes: alerts are not a prefix of the live history", cut)
-		}
 	}
-	if prevTasks != n || prevAlerts != len(liveAlerts) {
-		t.Fatalf("full log replayed %d/%d tasks, %d/%d alerts",
-			prevTasks, n, prevAlerts, len(liveAlerts))
+	if prevTasks != n {
+		t.Fatalf("full log replayed %d/%d tasks", prevTasks, n)
 	}
 }

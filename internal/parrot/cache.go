@@ -154,12 +154,6 @@ func (c *Cache) grantLease(key leaseKey, root string) {
 	c.leaseMu.Unlock()
 }
 
-// Mode returns the cache's sharing mode.
-func (c *Cache) Mode() Mode { return c.mode }
-
-// Dir returns the cache root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // InstanceStats counts one instance's cache traffic.
 type InstanceStats struct {
 	Hits         int

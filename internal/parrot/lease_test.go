@@ -66,7 +66,7 @@ func TestManifestLease(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r.cache.Instrument(reg)
 
-	first := r.mount(t, "a").RootHash()
+	first := r.mount(t, "a").rootHash
 	if first != r.repo.RootHash() || r.manifests.Load() != 1 {
 		t.Fatalf("first mount: root %s after %d manifest GETs, want %s after 1", first, r.manifests.Load(), r.repo.RootHash())
 	}
@@ -80,7 +80,7 @@ func TestManifestLease(t *testing.T) {
 
 	r.clock = r.clock.Add(manifestTTL - time.Second)
 	for _, id := range []string{"b", "c", "d"} {
-		if got := r.mount(t, id).RootHash(); got != first {
+		if got := r.mount(t, id).rootHash; got != first {
 			t.Errorf("mount %s inside the TTL pinned %s, want the leased %s", id, got, first)
 		}
 	}
@@ -89,10 +89,10 @@ func TestManifestLease(t *testing.T) {
 	}
 
 	r.clock = r.clock.Add(time.Second) // exactly the TTL: expired
-	if got := r.mount(t, "e").RootHash(); got != republished {
+	if got := r.mount(t, "e").rootHash; got != republished {
 		t.Errorf("mount at the TTL pinned %s, want the republished %s", got, republished)
 	}
-	if got := r.mount(t, "f").RootHash(); got != republished {
+	if got := r.mount(t, "f").rootHash; got != republished {
 		t.Errorf("mount on the renewed lease pinned %s, want %s", got, republished)
 	}
 	if n := r.manifests.Load(); n != 2 {
@@ -131,7 +131,7 @@ func TestManifestLeaseExpiredFetchError(t *testing.T) {
 	r := newLeaseRig(t, ModeAlien)
 	r.mount(t, "a")
 	r.ts.Close()
-	if got := r.mount(t, "b").RootHash(); got != r.repo.RootHash() {
+	if got := r.mount(t, "b").rootHash; got != r.repo.RootHash() {
 		t.Errorf("leased mount with the origin down pinned %s", got)
 	}
 	r.clock = r.clock.Add(manifestTTL)

@@ -79,7 +79,7 @@ func TestMemoForgetsVanishedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmOn(t, c, "a", ts.URL)
-	root := filepath.Join(c.Dir(), repo.RootHash())
+	root := filepath.Join(c.dir, repo.RootHash())
 	if err := os.Remove(root); err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestMemoForgetsVanishedObjects(t *testing.T) {
 	if _, rep := warmOn(t, c, "c", ts.URL); rep.Misses != 0 {
 		t.Errorf("re-fetched catalog missed again: %+v", rep)
 	}
-	entries, err := os.ReadDir(c.Dir())
+	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		os.Remove(filepath.Join(c.Dir(), e.Name()))
+		os.Remove(filepath.Join(c.dir, e.Name()))
 	}
 	if _, rep := warmOn(t, c, "d", ts.URL); rep.Misses != releaseObjects {
 		t.Errorf("after wiping the cache directory: %d misses, want %d", rep.Misses, releaseObjects)

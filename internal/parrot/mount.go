@@ -106,12 +106,6 @@ func (m *Mount) fetch(path string, fresh bool) ([]byte, error) {
 	return body, nil
 }
 
-// RootHash returns the pinned root catalog hash.
-func (m *Mount) RootHash() string { return m.rootHash }
-
-// Stats returns the underlying cache instance counters.
-func (m *Mount) Stats() InstanceStats { return m.inst.Stats() }
-
 // validHash reports whether h is a content hash as cvmfs names objects:
 // 64 lowercase hex digits, the SHA-256 of the content. Only such a name
 // becomes a cache path, so none climbs out of the cache directory
@@ -222,34 +216,6 @@ func (m *Mount) resolve(path string) (*cvmfs.Entry, error) {
 		}
 	}
 	return &cur, nil
-}
-
-// ReadFile returns the content of the file at path.
-func (m *Mount) ReadFile(path string) ([]byte, error) {
-	e, err := m.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if e.Type != cvmfs.TypeFile {
-		return nil, fmt.Errorf("parrot: %s is a directory", path)
-	}
-	return m.object(e.Hash)
-}
-
-// List returns the entries of the directory at path.
-func (m *Mount) List(path string) ([]cvmfs.Entry, error) {
-	e, err := m.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	if e.Type != cvmfs.TypeDir {
-		return nil, fmt.Errorf("parrot: %s is not a directory", path)
-	}
-	cat, err := m.catalog(e.Hash)
-	if err != nil {
-		return nil, err
-	}
-	return cat.Entries, nil
 }
 
 // SetupReport summarises an environment setup (reading a whole release).

@@ -81,11 +81,7 @@ func TestHashesMustBeHex(t *testing.T) {
 // warm reads them.
 func TestCorruptObjectNotInstalled(t *testing.T) {
 	repo, _, paths := testRepo(t)
-	st, err := repo.Lookup(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := st.Hash
+	victim := repoEntry(t, repo, paths[0]).Hash
 	var corrupt atomic.Bool
 	corrupt.Store(true)
 	origin := cvmfs.NewServer(repo)
@@ -115,7 +111,7 @@ func TestCorruptObjectNotInstalled(t *testing.T) {
 	if rep, err := m.WarmRelease("/CMSSW_7_4_0"); err == nil || !strings.Contains(err.Error(), victim) {
 		t.Fatalf("warm through a corrupting origin: %+v, %v; want an error naming %s", rep, err, victim)
 	}
-	if _, err := os.Stat(filepath.Join(c.Dir(), victim)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(c.dir, victim)); !os.IsNotExist(err) {
 		t.Fatalf("corrupted object installed under its hash (stat: %v)", err)
 	}
 	corrupt.Store(false)
@@ -123,7 +119,7 @@ func TestCorruptObjectNotInstalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := repo.Object(victim)
-	if got, err := m.ReadFile(paths[0]); err != nil || string(got) != string(want) {
+	if got, err := readFile(m, paths[0]); err != nil || string(got) != string(want) {
 		t.Errorf("after the origin healed: %d bytes, %v; want the true %d", len(got), err, len(want))
 	}
 }

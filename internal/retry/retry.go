@@ -7,10 +7,9 @@
 // retried with backoff, and only genuinely permanent errors (protocol
 // violations, server-reported failures) may surface on first strike.
 //
-// Determinism: jitter is drawn from a seeded splitmix64 walk, so the
-// same Policy produces the same delay sequence — chaos tests replay
-// byte-identical storms, and two clients with different seeds still
-// decorrelate their retries.
+// Determinism: jitter is drawn from a splitmix64 walk over the attempt
+// number, so the same Policy produces the same delay sequence and chaos
+// tests replay byte-identical storms.
 package retry
 
 import (
@@ -39,8 +38,6 @@ type Policy struct {
 	// times its nominal value. Values outside [0,1) (including the
 	// zero value) normalise to 0.2.
 	Jitter float64
-	// Seed drives the deterministic jitter stream.
-	Seed uint64
 	// Sleep replaces time.Sleep (tests make backoff free). Nil means
 	// time.Sleep.
 	Sleep func(time.Duration)
@@ -83,7 +80,7 @@ func (p Policy) Delay(n int) time.Duration {
 		d = float64(p.MaxDelay)
 	}
 	if p.Jitter > 0 {
-		u := unit(p.Seed + uint64(n)) // [0,1)
+		u := unit(uint64(n)) // [0,1)
 		d *= 1 - p.Jitter + 2*p.Jitter*u
 	}
 	return time.Duration(d)

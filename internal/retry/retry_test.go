@@ -81,24 +81,12 @@ func TestExhaustionReportsAttempts(t *testing.T) {
 
 func TestDelayScheduleDeterministic(t *testing.T) {
 	p := Policy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 200 * time.Millisecond, Seed: 7}
+		MaxDelay: 200 * time.Millisecond}
 	q := p // identical policy, identical schedule
 	for n := 1; n <= 8; n++ {
 		if p.Delay(n) != q.Delay(n) {
 			t.Fatalf("delay(%d) not deterministic", n)
 		}
-	}
-	// A different seed decorrelates the jitter.
-	r := p
-	r.Seed = 8
-	same := true
-	for n := 1; n <= 8; n++ {
-		if p.Delay(n) != r.Delay(n) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 produced identical jitter")
 	}
 }
 

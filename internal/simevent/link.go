@@ -27,9 +27,7 @@ type Link struct {
 	last       float64 // time of last progress update
 	next       Event   // next completion event; zero handle when none
 	completeFn func()  // bound l.complete, allocated once
-	// Accounting.
 	bytesMoved float64
-	busyTime   float64 // integral of (active>0) dt
 }
 
 type transfer struct {
@@ -72,22 +70,10 @@ func NewLink(s *Sim, bytesPerSec float64) *Link {
 	return l
 }
 
-// Active returns the number of in-flight transfers.
-func (l *Link) Active() int { return l.h.Len() }
-
 // BytesMoved returns the total payload moved through the link so far.
 func (l *Link) BytesMoved() float64 {
 	l.progress()
 	return l.bytesMoved
-}
-
-// Utilization returns the fraction of elapsed time the link was busy.
-func (l *Link) Utilization() float64 {
-	l.progress()
-	if l.sim.Now() == 0 {
-		return 0
-	}
-	return l.busyTime / l.sim.Now()
 }
 
 // rate returns the current per-transfer service rate.
@@ -110,7 +96,6 @@ func (l *Link) progress() {
 	}
 	l.served += l.capacity / float64(n) * dt
 	l.bytesMoved += l.capacity * dt
-	l.busyTime += dt
 }
 
 // reschedule cancels any pending completion event and schedules the next.
@@ -164,7 +149,7 @@ func (l *Link) Transfer(p *Proc, bytes float64) bool {
 		if tr.index >= 0 {
 			heap.Remove(&l.h, tr.index)
 			// The abandoned bytes were counted as moved while active; the
-			// approximation is acceptable for utilisation accounting.
+			// approximation is acceptable for BytesMoved.
 			l.reschedule()
 		}
 		return false

@@ -119,9 +119,6 @@ func (p *Proc) suspend() {
 	<-p.resume
 }
 
-// Sim returns the simulation this proc belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.sim.now }
 
@@ -137,20 +134,18 @@ func (p *Proc) Wait(d float64) bool {
 		panic(fmt.Sprintf("simevent: Wait(%g)", d))
 	}
 	s := p.sim
-	if !p.interrupted && !s.stopped {
+	if !p.interrupted {
 		t := s.now + d
-		if t <= s.bound() {
-			for {
-				if len(s.events) == 0 || t < s.events[0].time {
-					s.now = t
-					return true
-				}
-				if s.events[0].cancelled {
-					s.recycle(s.pop())
-					continue
-				}
-				break
+		for {
+			if len(s.events) == 0 || t < s.events[0].time {
+				s.now = t
+				return true
 			}
+			if s.events[0].cancelled {
+				s.recycle(s.pop())
+				continue
+			}
+			break
 		}
 	}
 	ev := s.schedule(d, evWake, p)
@@ -191,12 +186,6 @@ func (p *Proc) parkInterruptible() bool {
 	return true
 }
 
-// park suspends until wakeup, ignoring interrupts (they are deferred: the
-// flag remains set and will be observed at the next interruptible wait).
-func (p *Proc) park() {
-	p.suspend()
-}
-
 // Interrupt wakes the proc if it is blocked in an interruptible wait
 // (Wait/WaitUntil/AwaitSignal). The victim's wait method returns false.
 // Must be called from scheduler context or another proc — never from the
@@ -210,15 +199,11 @@ func (p *Proc) Interrupt() {
 	p.sim.schedule(0, evInterrupt, p)
 }
 
-// Dead reports whether the proc's function has returned.
-func (p *Proc) Dead() bool { return p.dead }
-
 // Signal is a broadcast condition variable for procs. The zero value is
 // ready to use after binding to a Sim via NewSignal.
 type Signal struct {
 	sim     *Sim
 	waiters []*Proc // interrupted waiters leave nil holes until Broadcast
-	live    int     // non-nil entries in waiters
 }
 
 // NewSignal returns a signal bound to s.
@@ -230,13 +215,11 @@ func NewSignal(s *Sim) *Signal { return &Signal{sim: s} }
 func (sg *Signal) Await(p *Proc) bool {
 	p.sigSlot = len(sg.waiters)
 	sg.waiters = append(sg.waiters, p)
-	sg.live++
 	ok := p.parkInterruptible()
 	if !ok && p.sigSlot >= 0 {
 		// Still registered (Broadcast would have cleared the slot): punch
 		// out our hole without disturbing the FIFO order of the rest.
 		sg.waiters[p.sigSlot] = nil
-		sg.live--
 	}
 	p.sigSlot = -1
 	return ok
@@ -247,7 +230,6 @@ func (sg *Signal) Await(p *Proc) bool {
 func (sg *Signal) Broadcast() {
 	ws := sg.waiters
 	sg.waiters = nil
-	sg.live = 0
 	for _, w := range ws {
 		if w == nil {
 			continue
@@ -256,6 +238,3 @@ func (sg *Signal) Broadcast() {
 		sg.sim.schedule(0, evWake, w)
 	}
 }
-
-// Waiters returns the number of procs currently blocked on the signal.
-func (sg *Signal) Waiters() int { return sg.live }

@@ -40,7 +40,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		if done != len(sizes) {
 			return false
 		}
-		if l.Active() != 0 {
+		if l.h.Len() != 0 {
 			return false
 		}
 		// Bytes moved match the demand (PS accounting is exact on
@@ -84,8 +84,8 @@ func TestResourceNeverOversubscribedProperty(t *testing.T) {
 				if !r.Acquire(p) {
 					return
 				}
-				if r.InUse() > maxInUse {
-					maxInUse = r.InUse()
+				if r.inUse > maxInUse {
+					maxInUse = r.inUse
 				}
 				p.Wait(hold)
 				r.Release()
@@ -93,7 +93,7 @@ func TestResourceNeverOversubscribedProperty(t *testing.T) {
 			})
 		}
 		s.Run()
-		return completed == len(holds) && maxInUse <= capacity && r.InUse() == 0 && r.QueueLen() == 0
+		return completed == len(holds) && maxInUse <= capacity && r.inUse == 0 && len(r.queue) == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

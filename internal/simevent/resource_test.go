@@ -78,21 +78,6 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	var got1, got2 bool
-	s.Go(func(p *Proc) {
-		got1 = r.TryAcquire()
-		got2 = r.TryAcquire()
-		r.Release()
-	})
-	s.Run()
-	if !got1 || got2 {
-		t.Fatalf("TryAcquire = %v, %v", got1, got2)
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)
@@ -102,53 +87,6 @@ func TestReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	r.Release()
-}
-
-func TestResourceMeanWait(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	for i := 0; i < 4; i++ {
-		s.Go(func(p *Proc) {
-			r.Acquire(p)
-			p.Wait(10)
-			r.Release()
-		})
-	}
-	s.Run()
-	// Waits are 0,10,20,30 → mean 15.
-	if math.Abs(r.MeanWait()-15) > 1e-9 {
-		t.Errorf("mean wait = %g, want 15", r.MeanWait())
-	}
-	if r.MaxQueue() != 3 {
-		t.Errorf("max queue = %d, want 3", r.MaxQueue())
-	}
-}
-
-func TestSetCapacityGrowWakesWaiters(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	finished := 0
-	for i := 0; i < 6; i++ {
-		s.Go(func(p *Proc) {
-			r.Acquire(p)
-			p.Wait(10)
-			r.Release()
-			finished++
-		})
-	}
-	s.Go(func(p *Proc) {
-		p.Wait(5)
-		r.SetCapacity(3)
-	})
-	s.Run()
-	if finished != 6 {
-		t.Fatalf("finished = %d", finished)
-	}
-	// With capacity 3 from t=5: first task holds 0-10; at t=5 two more admitted
-	// (5-15); then remaining three run 10-20, 15-25, 15-25 → end 25 < serial 60.
-	if s.Now() >= 60 {
-		t.Errorf("capacity growth had no effect; end = %g", s.Now())
-	}
 }
 
 func TestResourceInterruptedWaiter(t *testing.T) {
@@ -176,8 +114,8 @@ func TestResourceInterruptedWaiter(t *testing.T) {
 	if gotUnit {
 		t.Fatal("interrupted acquire reported success")
 	}
-	if r.InUse() != 0 {
-		t.Errorf("units leaked: inUse = %d", r.InUse())
+	if r.inUse != 0 {
+		t.Errorf("units leaked: inUse = %d", r.inUse)
 	}
 }
 
@@ -274,23 +212,10 @@ func TestLinkInterruptedTransfer(t *testing.T) {
 	if ok {
 		t.Fatal("interrupted transfer reported success")
 	}
-	if l.Active() != 0 {
+	if l.h.Len() != 0 {
 		t.Errorf("abandoned transfer still active")
 	}
 	if s.Now() >= 100 {
 		t.Errorf("sim ran to completion time %g despite interrupt", s.Now())
-	}
-}
-
-func TestLinkUtilization(t *testing.T) {
-	s := New()
-	l := NewLink(s, 100)
-	s.Go(func(p *Proc) {
-		l.Transfer(p, 500) // busy 0-5
-		p.Wait(5)          // idle 5-10
-	})
-	s.Run()
-	if math.Abs(l.Utilization()-0.5) > 1e-9 {
-		t.Errorf("utilization = %g, want 0.5", l.Utilization())
 	}
 }

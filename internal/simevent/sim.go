@@ -70,15 +70,6 @@ type Event struct {
 	gen uint32
 }
 
-// Time returns the simulated time at which the event fires, or NaN if the
-// handle is inert or the event has already fired or been cancelled.
-func (e Event) Time() float64 {
-	if e.n == nil || e.n.gen != e.gen || e.n.cancelled {
-		return math.NaN()
-	}
-	return e.n.time
-}
-
 // live reports whether the handle refers to a queued, uncancelled event.
 func (e Event) live() bool {
 	return e.n != nil && e.n.gen == e.gen && !e.n.cancelled
@@ -92,10 +83,6 @@ type Sim struct {
 	seq    int64
 	live   int // queued, uncancelled events
 	procs  int // live processes (for diagnostics)
-
-	stopped bool
-	bounded bool    // a RunUntil horizon is active
-	limit   float64 // the RunUntil horizon when bounded
 }
 
 // New returns a fresh simulation with the clock at zero.
@@ -103,14 +90,6 @@ func New() *Sim { return &Sim{} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() float64 { return s.now }
-
-// bound returns the time horizon the sleep fast path must respect.
-func (s *Sim) bound() float64 {
-	if !s.bounded {
-		return math.Inf(1)
-	}
-	return s.limit
-}
 
 // newNode takes a node from the free list (or allocates one) and enqueues it
 // at absolute time t with the next sequence number.
@@ -203,13 +182,6 @@ func (s *Sim) pop() *eventNode {
 	return top
 }
 
-// skim discards cancelled nodes sitting at the top of the queue.
-func (s *Sim) skim() {
-	for len(s.events) > 0 && s.events[0].cancelled {
-		s.recycle(s.pop())
-	}
-}
-
 // Schedule arranges for fn to run after delay units of simulated time.
 // A negative delay is an error expressed as a panic: it would mean time
 // travel, which is always a bug in the caller.
@@ -254,9 +226,6 @@ func (s *Sim) Cancel(e Event) {
 	s.live--
 }
 
-// Stop makes Run return after the current event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // Step fires the next pending event, advancing the clock. It reports whether
 // an event was processed.
 func (s *Sim) Step() bool {
@@ -287,27 +256,9 @@ func (s *Sim) Step() bool {
 	return false
 }
 
-// Run processes events until the queue drains or Stop is called.
+// Run processes events until the queue drains.
 func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
-
-// RunUntil processes events with time <= t, then sets the clock to t.
-func (s *Sim) RunUntil(t float64) {
-	s.stopped = false
-	s.bounded, s.limit = true, t
-	for !s.stopped {
-		s.skim()
-		if len(s.events) == 0 || s.events[0].time > t {
-			break
-		}
-		s.Step()
-	}
-	s.bounded = false
-	if s.now < t {
-		s.now = t
+	for s.Step() {
 	}
 }
 

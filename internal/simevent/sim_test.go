@@ -105,59 +105,9 @@ func TestPendingCountsOnlyLiveEvents(t *testing.T) {
 	if s.Pending() != 8 {
 		t.Fatalf("Pending after 2 cancels = %d, want 8", s.Pending())
 	}
-	s.RunUntil(5)
-	// Events at t=1,2,3,5 fired (t=4 was cancelled): 4 live ones remain.
-	if s.Pending() != 4 {
-		t.Fatalf("Pending after RunUntil(5) = %d, want 4", s.Pending())
-	}
 	s.Run()
 	if s.Pending() != 0 {
 		t.Fatalf("Pending after Run = %d, want 0", s.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4, 5} {
-		d := d
-		s.Schedule(d, func() { fired = append(fired, d) })
-	}
-	s.RunUntil(3)
-	if len(fired) != 3 {
-		t.Fatalf("fired %v", fired)
-	}
-	if s.Now() != 3 {
-		t.Errorf("now = %g", s.Now())
-	}
-	s.Run()
-	if len(fired) != 5 {
-		t.Errorf("remaining events lost: %v", fired)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	s := New()
-	s.RunUntil(42)
-	if s.Now() != 42 {
-		t.Errorf("now = %g", s.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New()
-	n := 0
-	for i := 0; i < 10; i++ {
-		s.Schedule(float64(i), func() {
-			n++
-			if n == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if n != 3 {
-		t.Errorf("processed %d events after Stop at 3", n)
 	}
 }
 

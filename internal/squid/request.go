@@ -50,8 +50,8 @@ var (
 // the header block, in place. It accepts a GET of HTTP/1.1 or 1.0
 // without a body. Any other method is a *refusal of 405; a request out
 // of protocol — a malformed line, a line past c's read buffer, a target
-// appendKey refuses, a body or a Transfer-Encoding, an HTTP/1.1 request
-// without exactly one Host — is a *refusal of 400. Every error breaks c,
+// appendKey refuses, a body or a Transfer-Encoding, a second Host, an
+// HTTP/1.1 request without one — is a *refusal of 400. Every error breaks c,
 // so nothing is answered on a request read half-way; any other error
 // means the client hung up.
 func readRequest(c *wire.Conn, req *request) error {
@@ -89,7 +89,7 @@ func readRequest(c *wire.Conn, req *request) error {
 		return refuse(c, "400 Bad Request", "%v", err)
 	case h.Length > 0:
 		return refuse(c, "400 Bad Request", "a GET carries no body")
-	case !http10 && hosts != 1:
+	case hosts > 1 || !http10 && hosts != 1:
 		return refuse(c, "400 Bad Request", "want exactly one Host field, got %d", hosts)
 	}
 	// An HTTP/1.0 connection ends after one answer, Keep-Alive or not.

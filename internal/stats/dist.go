@@ -64,24 +64,6 @@ func (w Weibull) Sample(r *Rand) float64 {
 // Mean returns Lambda * Gamma(1 + 1/K).
 func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
 
-// Constant is a degenerate distribution that always returns Value.
-type Constant struct{ Value float64 }
-
-// Sample returns Value.
-func (c Constant) Sample(*Rand) float64 { return c.Value }
-
-// Mean returns Value.
-func (c Constant) Mean() float64 { return c.Value }
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample draws a uniform variate.
-func (u Uniform) Sample(r *Rand) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // Empirical is a distribution defined by observed samples; Sample draws from
 // the empirical CDF with linear interpolation between order statistics. This
 // is how the paper's "probability derived from observation" eviction scenario
@@ -138,16 +120,6 @@ func (e *Empirical) Quantile(q float64) float64 {
 	return e.sorted[i] + frac*(e.sorted[i+1]-e.sorted[i])
 }
 
-// Len returns the number of underlying samples.
-func (e *Empirical) Len() int { return len(e.sorted) }
-
-// SurvivalAt returns the empirical survival probability P(X > t).
-func (e *Empirical) SurvivalAt(t float64) float64 {
-	// Index of first element > t.
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(t, math.Inf(1)))
-	return float64(len(e.sorted)-i) / float64(len(e.sorted))
-}
-
 // LogNormal is a log-normal distribution parameterised by the mean Mu and
 // standard deviation Sigma of the underlying normal.
 type LogNormal struct{ Mu, Sigma float64 }
@@ -175,16 +147,16 @@ func BinomialCI(k, n int) (p, sigma float64, err error) {
 	return p, sigma, nil
 }
 
-// Summary holds streaming moments of a sequence of observations.
+// Summary holds the count, extremes and running mean of a sequence of
+// observations.
 type Summary struct {
 	N        int
 	Min, Max float64
 	mean     float64
-	m2       float64
-	sum      float64
 }
 
-// Add records one observation (Welford's algorithm).
+// Add records one observation (the mean updated as Welford's algorithm
+// does).
 func (s *Summary) Add(v float64) {
 	if s.N == 0 {
 		s.Min, s.Max = v, v
@@ -199,47 +171,7 @@ func (s *Summary) Add(v float64) {
 	s.N++
 	d := v - s.mean
 	s.mean += d / float64(s.N)
-	s.m2 += d * (v - s.mean)
-	s.sum += v
 }
 
 // Mean returns the running mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns the running sum.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Var returns the unbiased sample variance (0 if fewer than two samples).
-func (s *Summary) Var() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.N-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Merge folds other into s as if all its observations had been Added.
-func (s *Summary) Merge(other *Summary) {
-	if other.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.N), float64(other.N)
-	delta := other.mean - s.mean
-	tot := n1 + n2
-	s.m2 += other.m2 + delta*delta*n1*n2/tot
-	s.mean += delta * n2 / tot
-	s.sum += other.sum
-	if other.Min < s.Min {
-		s.Min = other.Min
-	}
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	s.N += other.N
-}

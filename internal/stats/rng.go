@@ -106,44 +106,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0,n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("stats: Intn with non-positive n")
-	}
-	// Lemire's nearly-divisionless bounded generation.
-	bound := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), bound)
-	if lo < bound {
-		threshold := (-bound) % bound
-		for lo < threshold {
-			hi, lo = bits.Mul64(r.Uint64(), bound)
-		}
-	}
-	return int(hi)
-}
-
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // NormFloat64 returns a standard normal variate (Box-Muller, cached pair).
 func (r *Rand) NormFloat64() float64 {
 	if r.haveGauss {

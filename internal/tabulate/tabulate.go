@@ -148,15 +148,6 @@ func Bars(labels []string, values []float64, width int) string {
 	return b.String()
 }
 
-// Series renders a numeric series as one bar row per bin with a time label.
-func Series(times, values []float64, width int, timeUnit string, scale float64) string {
-	labels := make([]string, len(times))
-	for i, t := range times {
-		labels[i] = fmt.Sprintf("%6.1f%s", t/scale, timeUnit)
-	}
-	return Bars(labels, values, width)
-}
-
 // sparkRunes are the eight block heights Spark maps values onto.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 

@@ -93,13 +93,6 @@ func TestBarsZeroValues(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	out := Series([]float64{0, 3600}, []float64{1, 2}, 10, "h", 3600)
-	if !strings.Contains(out, "0.0h") || !strings.Contains(out, "1.0h") {
-		t.Errorf("time labels missing:\n%s", out)
-	}
-}
-
 func TestSpark(t *testing.T) {
 	cases := []struct {
 		in   []float64

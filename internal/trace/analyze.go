@@ -76,9 +76,9 @@ type Tree struct {
 	Orphans int
 }
 
-// Start and End bound the whole trace (root span extents).
+// Start is when the trace began (its root span's start); Dur is how long
+// the root span ran.
 func (t *Tree) Start() float64 { return t.Root.Start }
-func (t *Tree) End() float64   { return t.Root.End }
 func (t *Tree) Dur() float64   { return t.Root.Dur() }
 
 // ReadRecords decodes trace records from a JSONL event stream, ignoring

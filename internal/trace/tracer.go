@@ -91,9 +91,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Enabled reports whether spans will be recorded at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now reads the tracer's clock (the registry clock); 0 when disabled.
 func (t *Tracer) Now() float64 {
 	if t == nil {

@@ -32,9 +32,6 @@ func drain(t *testing.T, buf *bytes.Buffer, log *telemetry.EventLog) []Record {
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer claims enabled")
-	}
 	s := tr.Root("master", "task", "b")
 	if s != nil {
 		t.Fatal("nil tracer returned a span")

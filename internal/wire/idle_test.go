@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -41,7 +42,12 @@ var peers = []peer{
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		srv.Store("/f", []byte("hello"))
+		if _, err := srv.StoreFrom("/f", func(w io.Writer) error {
+			_, err := w.Write([]byte("hello"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return srv.Addr(), srv.Close
 	}},
 }

@@ -111,7 +111,7 @@ func TestPoisonTaskPermanentFailure(t *testing.T) {
 	if r.TaskID != id || !r.Failed() || r.ExitCode != -1 {
 		t.Fatalf("result: %+v", r)
 	}
-	if !r.PermanentlyFailed() {
+	if !(r.Permanent && r.Failed()) {
 		t.Fatalf("result not typed permanent: %+v", r)
 	}
 	if r.Requeues != 3 {

@@ -70,12 +70,8 @@ type TaskTimes struct {
 // TaskStats is measured on the worker and augmented by the master.
 type TaskStats struct {
 	Times TaskTimes `json:"times"`
-	// StageIn is the worker's preparation time before the executor runs.
-	StageIn time.Duration `json:"stage_in"`
 	// Exec is executor wall time.
 	Exec time.Duration `json:"exec"`
-	// StageOut is output collection time on the worker.
-	StageOut time.Duration `json:"stage_out"`
 	// BytesOut is the volume of the outputs this task returned.
 	BytesOut int64 `json:"bytes_out"`
 }
@@ -101,10 +97,6 @@ type Result struct {
 
 // Failed reports whether the task did not complete successfully.
 func (r *Result) Failed() bool { return r.ExitCode != 0 || r.Error != "" }
-
-// PermanentlyFailed reports whether the task failed with its retry budget
-// exhausted — the typed signal that resubmitting is pointless.
-func (r *Result) PermanentlyFailed() bool { return r.Permanent && r.Failed() }
 
 // ExecContext is handed to an executor on the worker.
 type ExecContext struct {

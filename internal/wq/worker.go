@@ -68,7 +68,6 @@ func (w *Worker) Trace(tr *trace.Tracer) {
 type workerTelemetry struct {
 	tasks     *telemetry.Counter
 	failures  *telemetry.Counter
-	stageIn   *telemetry.Histogram
 	execTime  *telemetry.Histogram
 	slotsBusy *telemetry.Gauge
 	planeOut  *telemetry.Counter // lobster_bytes_total{wq_worker,out}
@@ -97,8 +96,6 @@ func (w *Worker) Instrument(reg *telemetry.Registry) {
 			"Tasks executed by workers in this process."),
 		failures: reg.Counter("lobster_wq_worker_failures_total",
 			"Tasks that failed locally on workers in this process."),
-		stageIn: reg.Histogram("lobster_wq_worker_stage_in_seconds",
-			"Worker stage-in time per task.", nil),
 		execTime: reg.Histogram("lobster_wq_worker_exec_seconds",
 			"Executor run time per task.", nil),
 		slotsBusy: reg.Gauge("lobster_wq_worker_slots_busy",
@@ -142,9 +139,6 @@ func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *fa
 	go w.resultLoop()
 	return w, nil
 }
-
-// Name returns the worker's name.
-func (w *Worker) Name() string { return w.name }
 
 // TasksRun returns the number of tasks executed (including failures).
 func (w *Worker) TasksRun() int64 { return w.tasksRun.Load() }
@@ -274,7 +268,7 @@ func (w *Worker) execute(t *Task) *Result {
 	run := tracer.Start(wireCtx, "worker", "run")
 	run.Attr("worker", w.name)
 	run.AttrInt("task_id", t.ID)
-	var siSpan, exSpan, soSpan *trace.Span
+	var exSpan *trace.Span
 	defer func() {
 		res.Stats.Times.Finished = time.Now()
 		w.tasksRun.Add(1)
@@ -284,13 +278,10 @@ func (w *Worker) execute(t *Task) *Result {
 			w.tasksFailed.Add(1)
 			tel.failures.Inc()
 		}
-		tel.stageIn.Observe(res.Stats.StageIn.Seconds())
 		tel.execTime.Observe(res.Stats.Exec.Seconds())
-		// Close whatever stage span a failure return left open (End on
-		// an already-ended or nil span is a no-op).
-		siSpan.End()
+		// Close the execute span a failure return left open (End on an
+		// already-ended or nil span is a no-op).
 		exSpan.End()
-		soSpan.End()
 		run.AttrInt("exit_code", int64(res.ExitCode))
 		run.End()
 	}()
@@ -301,13 +292,10 @@ func (w *Worker) execute(t *Task) *Result {
 		return res
 	}
 
-	// Stage in: a task carries its arguments and nothing else, so there
-	// is nothing to move; the span and StageIn keep the run's shape the
-	// same as every other stage's. The sandbox is executor scratch, made
-	// only if the executor asks for it (ctx.EnsureSandbox): profiling
-	// showed sandbox mkdir/rmdir dominating the per-task syscall budget.
-	stageStart := time.Now()
-	siSpan = tracer.Start(run.Context(), "worker", "stage_in")
+	// A task carries its arguments and nothing else, so there is nothing
+	// to stage in. The sandbox is executor scratch, made only if the
+	// executor asks for it (ctx.EnsureSandbox): profiling showed sandbox
+	// mkdir/rmdir dominating the per-task syscall budget.
 	sandbox := filepath.Join(w.dir, fmt.Sprintf("task-%d", t.ID))
 	held := &heldState{}
 	defer func() {
@@ -315,8 +303,6 @@ func (w *Worker) execute(t *Task) *Result {
 			os.RemoveAll(sandbox)
 		}
 	}()
-	res.Stats.StageIn = time.Since(stageStart)
-	siSpan.End()
 
 	// Execute.
 	exec, ok := w.reg[t.Func]
@@ -355,16 +341,11 @@ func (w *Worker) execute(t *Task) *Result {
 		return fail(1, "%v", err)
 	}
 
-	// Stage out: the outputs travel in the result message, as the
-	// executor handed them over.
-	outStart := time.Now()
-	soSpan = tracer.Start(run.Context(), "worker", "stage_out")
+	// The outputs travel in the result message, as the executor handed
+	// them over.
 	if missing := held.collect(res, t.Outputs); missing != "" {
 		return fail(171, "stage-out: declared output %q was not handed over with SetOutput", missing)
 	}
 	w.telemetry().planeOut.Add(res.Stats.BytesOut)
-	res.Stats.StageOut = time.Since(outStart)
-	soSpan.AttrInt("bytes", res.Stats.BytesOut)
-	soSpan.End()
 	return res
 }

@@ -100,7 +100,7 @@ func TestFetchResumesIntoTheSameBuffer(t *testing.T) {
 	for i := range content {
 		content[i] = byte(i * 7)
 	}
-	red.Register("/big", srv.Store("/big", content))
+	red.Register("/big", mustStore(srv, "/big", content))
 	clean := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "c"}
 	defer clean.Close()
 	want, err := clean.Fetch("/big")

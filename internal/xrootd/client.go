@@ -89,10 +89,6 @@ type File struct {
 	siteBytes *telemetry.Counter
 }
 
-// Broken reports whether a transport failure has poisoned this file's
-// connection (or Close has given it back); a broken file must be reopened.
-func (f *File) Broken() bool { return f.conn.Broken() }
-
 // Open resolves lfn and connects to a replica. Replicas are tried in the
 // order the redirector returns them; configured retries repeat the whole
 // pass with backoff.

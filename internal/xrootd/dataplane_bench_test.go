@@ -24,7 +24,7 @@ func BenchmarkDataplaneFetch64(b *testing.B) {
 		content[i] = byte(i * 13)
 	}
 	red := NewRedirector()
-	red.Register("/store/bench.root", srv.Store("/store/bench.root", content))
+	red.Register("/store/bench.root", mustStore(srv, "/store/bench.root", content))
 	cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
 	bufpool.Warm(2) // client and server each hold one chunk
 	b.SetBytes(size)
@@ -55,7 +55,7 @@ func BenchmarkFetchWhole(b *testing.B) {
 		}
 		defer srv.Close()
 		red := NewRedirector()
-		red.Register("/store/whole.root", srv.Store("/store/whole.root", make([]byte, size)))
+		red.Register("/store/whole.root", mustStore(srv, "/store/whole.root", make([]byte, size)))
 		cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
 		defer cl.Close()
 		bufpool.Warm(1) // the server's chunk for replies past its write buffer
@@ -89,7 +89,7 @@ func BenchmarkDataServerReadHot(b *testing.B) {
 			defer srv.Close()
 			const fileSize = 4 << 20
 			red := NewRedirector()
-			red.Register("/store/hot.root", srv.Store("/store/hot.root", make([]byte, fileSize)))
+			red.Register("/store/hot.root", mustStore(srv, "/store/hot.root", make([]byte, fileSize)))
 			cl := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "bench"}
 			defer cl.Close()
 			f, err := cl.Open("/store/hot.root")

@@ -14,7 +14,7 @@ import (
 func TestServerErrorClassification(t *testing.T) {
 	srv := newServer(t, "T2_CLASSIFY")
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", []byte("x")))
+	red.Register("/f", mustStore(srv, "/f", []byte("x")))
 	srv.SetDown(true)
 
 	c := &Client{Redirector: red, Consumer: "c"}
@@ -84,7 +84,7 @@ func TestTransportFaultMarksFileBroken(t *testing.T) {
 	srv := newServer(t, "T2_FAULTY")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte("data"), 1000)
-	red.Register("/f", srv.Store("/f", content))
+	red.Register("/f", mustStore(srv, "/f", content))
 
 	// Let the open succeed (reads 1–2: open request's response), then
 	// drop the connection on a later read.
@@ -105,7 +105,7 @@ func TestTransportFaultMarksFileBroken(t *testing.T) {
 	if _, err := f.ReadAt(buf, 0); err == nil {
 		t.Fatal("ReadAt succeeded despite injected drop")
 	}
-	if !f.Broken() {
+	if !f.conn.Broken() {
 		t.Fatal("transport failure did not mark the file broken")
 	}
 	if _, err := f.ReadAt(buf, 0); err == nil || retry.IsPermanent(err) {
@@ -118,7 +118,7 @@ func TestFetchRetriesTransportFaults(t *testing.T) {
 	srv := newServer(t, "T2_RECOVERS")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte("payload!"), 64<<10/8)
-	red.Register("/big", srv.Store("/big", content))
+	red.Register("/big", mustStore(srv, "/big", content))
 
 	// Kill the first fetch attempt mid-stream; the retry runs clean.
 	inj := faultinject.New(&faultinject.Plan{

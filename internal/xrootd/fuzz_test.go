@@ -41,7 +41,7 @@ func FuzzDispatch(f *testing.F) {
 	}
 	f.Cleanup(func() { s.Close() })
 	content := bytes.Repeat([]byte("x0"), 128)
-	s.Store("/store/a.root", content)
+	mustStore(s, "/store/a.root", content)
 	f.Fuzz(func(t *testing.T, line string) {
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)

@@ -32,7 +32,7 @@ func newReuseFixture(t *testing.T, inj *faultinject.Injector) *reuseFixture {
 		reg:     telemetry.NewRegistry(),
 	}
 	red := NewRedirector()
-	red.Register("/store/f.root", fx.srv.Store("/store/f.root", fx.content))
+	red.Register("/store/f.root", mustStore(fx.srv, "/store/f.root", fx.content))
 	fx.c = &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "reuse",
 		Fault: inj, Telemetry: fx.reg,
 		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) { fx.sleeps++ }}}
@@ -140,7 +140,7 @@ func TestBrokenFileIsNeverParked(t *testing.T) {
 	if _, err := f.ReadAt(make([]byte, 16), 0); err == nil {
 		t.Fatal("read on a connection the peer closed succeeded")
 	}
-	if !f.Broken() {
+	if !f.conn.Broken() {
 		t.Fatal("transport failure did not mark the file broken")
 	}
 	f.Close()
@@ -198,7 +198,7 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", []byte("payload")))
+	red.Register("/f", mustStore(srv, "/f", []byte("payload")))
 	c := &Client{Redirector: red}
 	held := make([]*File, 4)
 	for i := range held {

@@ -133,21 +133,6 @@ func (s *DataServer) install(lfn string, st stored) error {
 	return nil
 }
 
-// Store is StoreFrom for content already in memory, the form fixtures
-// use. Like httptest.NewServer it panics when the
-// environment fails it (the spool cannot be written) rather than make
-// every caller carry an error it cannot act on.
-func (s *DataServer) Store(lfn string, content []byte) Replica {
-	rep, err := s.StoreFrom(lfn, func(w io.Writer) error {
-		_, err := w.Write(content)
-		return err
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
 // SetDown toggles fault injection: while down, every request errors. This
 // models the transient WAN data-access outage in the paper's Figure 10.
 func (s *DataServer) SetDown(down bool) { s.down.Store(down) }

@@ -25,7 +25,7 @@ import (
 // TestDispatchReplies.
 func TestFieldsMatchStringsFields(t *testing.T) {
 	s := newServer(t, "T3")
-	s.Store("/f", bytes.Repeat([]byte("x0"), 128))
+	mustStore(s, "/f", bytes.Repeat([]byte("x0"), 128))
 	for _, line := range []string{
 		"open /f", " \v\f open /f", "open\u00a0/f", "open\u2003/f\u0085", "open\u0085/f",
 		"\xff\xfe open /f", "open /f\xff", "open/f", "open /f a b c d e",
@@ -49,7 +49,7 @@ func TestFieldsMatchStringsFields(t *testing.T) {
 func TestDispatchReplies(t *testing.T) {
 	s := newServer(t, "T3")
 	content := bytes.Repeat([]byte("x0"), 128)
-	s.Store("/store/a.root", content)
+	mustStore(s, "/store/a.root", content)
 	for _, tc := range []struct{ line, reply, err string }{
 		{line: "open /store/a.root", reply: "256\n"},
 		{line: "open\t/store/a.root  ", reply: "256\n"},
@@ -105,9 +105,9 @@ func TestConcurrentPositionalReads(t *testing.T) {
 	content := make([]byte, 3<<20+4321)
 	rand.New(rand.NewSource(7)).Read(content)
 	red := NewRedirector()
-	srv.Store("/before", make([]byte, 12345))
-	red.Register("/f", srv.Store("/f", content))
-	srv.Store("/after", make([]byte, 999))
+	mustStore(srv, "/before", make([]byte, 12345))
+	red.Register("/f", mustStore(srv, "/f", content))
+	mustStore(srv, "/after", make([]byte, 999))
 	const conns = 8
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
@@ -174,7 +174,7 @@ func TestStoreFromFillError(t *testing.T) {
 		t.Errorf("Open after a failed fill = %v, want no such file", err)
 	}
 
-	srv.Store("/f", []byte("kept"))
+	mustStore(srv, "/f", []byte("kept"))
 	if _, err := srv.StoreFrom("/f", func(io.Writer) error { return boom }); err == nil {
 		t.Fatal("StoreFrom swallowed the fill's error")
 	}
@@ -194,12 +194,12 @@ func TestRestoreKeepsReadsInFlight(t *testing.T) {
 	}
 	fds := openFDs()
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", []byte("first version")))
+	red.Register("/f", mustStore(srv, "/f", []byte("first version")))
 	old, err := srv.lookup([]byte("/f"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Store("/f", []byte("second"))
+	mustStore(srv, "/f", []byte("second"))
 	if n := openFDs(); n > fds {
 		t.Errorf("%d descriptors on an empty server, %d after two stores", fds, n)
 	}
@@ -231,7 +231,7 @@ func TestSpoolErrorMidReplyHangsUp(t *testing.T) {
 	content := make([]byte, 3<<20)
 	rand.New(rand.NewSource(9)).Read(content)
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", content))
+	red.Register("/f", mustStore(srv, "/f", content))
 	c := &Client{Redirector: red}
 	defer c.Close()
 	f, err := c.Open("/f")
@@ -248,8 +248,8 @@ func TestSpoolErrorMidReplyHangsUp(t *testing.T) {
 	}
 	_, err = f.ReadAt(buf[:64], 2<<20)
 	var se *wire.ServerError
-	if !errors.As(err, &se) || f.Broken() {
-		t.Fatalf("read wholly past the truncation = %v (broken %v), want an in-protocol error on a live connection", err, f.Broken())
+	if !errors.As(err, &se) || f.conn.Broken() {
+		t.Fatalf("read wholly past the truncation = %v (broken %v), want an in-protocol error on a live connection", err, f.conn.Broken())
 	}
 	if n, err := f.ReadAt(buf[:64], 0); err != nil || !bytes.Equal(buf[:n], content[:64]) {
 		t.Fatalf("connection out of sync after an in-protocol spool error: %d, %v", n, err)
@@ -258,7 +258,7 @@ func TestSpoolErrorMidReplyHangsUp(t *testing.T) {
 	if err == nil || retry.IsPermanent(err) {
 		t.Fatalf("read across the truncation = %d, %v; want a transport failure", n, err)
 	}
-	if !f.Broken() {
+	if !f.conn.Broken() {
 		t.Error("connection survived a reply cut short")
 	}
 }
@@ -287,7 +287,7 @@ func TestInstrumentExportsServerCounters(t *testing.T) {
 	srv.Instrument(reg)
 	srv.Instrument(nil) // no registry: no-op
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", make([]byte, 5000)))
+	red.Register("/f", mustStore(srv, "/f", make([]byte, 5000)))
 	c := &Client{Redirector: red}
 	defer c.Close()
 	f, err := c.Open("/f")

@@ -44,7 +44,7 @@ func TestOpenReadStream(t *testing.T) {
 	srv := newServer(t, "T3_US_NotreDame")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte("event-data;"), 5000)
-	red.Register("/store/data.root", srv.Store("/store/data.root", content))
+	red.Register("/store/data.root", mustStore(srv, "/store/data.root", content))
 
 	c := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "lobster-nd"}
 	f, err := c.Open("/store/data.root")
@@ -71,7 +71,7 @@ func TestReadAtRandomAccess(t *testing.T) {
 	srv := newServer(t, "T1_US_FNAL")
 	red := NewRedirector()
 	content := []byte("0123456789abcdef")
-	red.Register("/f", srv.Store("/f", content))
+	red.Register("/f", mustStore(srv, "/f", content))
 	c := &Client{Redirector: red, Consumer: "t"}
 	f, err := c.Open("/f")
 	if err != nil {
@@ -99,7 +99,7 @@ func TestFetchWholeFile(t *testing.T) {
 	srv := newServer(t, "T2_US_Wisconsin")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte{7}, 1<<20)
-	red.Register("/big", srv.Store("/big", content))
+	red.Register("/big", mustStore(srv, "/big", content))
 	c := &Client{Redirector: red, Dashboard: NewDashboard(), Consumer: "c"}
 	got, err := c.Fetch("/big")
 	if err != nil {
@@ -115,8 +115,8 @@ func TestFailoverToSecondReplica(t *testing.T) {
 	good := newServer(t, "T2_UP")
 	red := NewRedirector()
 	content := []byte("survives failover")
-	red.Register("/f", bad.Store("/f", content))
-	red.Register("/f", good.Store("/f", content))
+	red.Register("/f", mustStore(bad, "/f", content))
+	red.Register("/f", mustStore(good, "/f", content))
 	bad.SetDown(true)
 
 	c := &Client{Redirector: red, Consumer: "c"}
@@ -141,8 +141,8 @@ func TestFetchToFailoverStampsSiteBytes(t *testing.T) {
 	first, second := newServer(t, "T2_US_Site0"), newServer(t, "T2_US_Site1")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
-	red.Register("/big", first.Store("/big", content))
-	red.Register("/big", second.Store("/big", content))
+	red.Register("/big", mustStore(first, "/big", content))
+	red.Register("/big", mustStore(second, "/big", content))
 	reg := telemetry.NewRegistry()
 	c := &Client{Redirector: red, Consumer: "c", Telemetry: reg,
 		Retry: retry.Policy{MaxAttempts: 3, Sleep: func(time.Duration) {}}}
@@ -170,7 +170,7 @@ func TestReadAtStampsSiteBytes(t *testing.T) {
 	srv := newServer(t, "T3_US_NotreDame")
 	red := NewRedirector()
 	content := bytes.Repeat([]byte("event;"), 1000)
-	red.Register("/f", srv.Store("/f", content))
+	red.Register("/f", mustStore(srv, "/f", content))
 	reg := telemetry.NewRegistry()
 	c := &Client{Redirector: red, Consumer: "c", Telemetry: reg}
 	defer c.Close()
@@ -196,7 +196,7 @@ func TestReadAtStampsSiteBytes(t *testing.T) {
 func TestAllReplicasDown(t *testing.T) {
 	srv := newServer(t, "T2_ONLY")
 	red := NewRedirector()
-	red.Register("/f", srv.Store("/f", []byte("x")))
+	red.Register("/f", mustStore(srv, "/f", []byte("x")))
 	srv.SetDown(true)
 	c := &Client{Redirector: red, Consumer: "c"}
 	if _, err := c.Open("/f"); err == nil {
@@ -216,7 +216,7 @@ func TestConcurrentStreams(t *testing.T) {
 	contents := make([][]byte, nFiles)
 	for i := range contents {
 		contents[i] = bytes.Repeat([]byte{byte(i + 1)}, 100000+i)
-		red.Register(fmt.Sprintf("/f%d", i), srv.Store(fmt.Sprintf("/f%d", i), contents[i]))
+		red.Register(fmt.Sprintf("/f%d", i), mustStore(srv, fmt.Sprintf("/f%d", i), contents[i]))
 	}
 	dash := NewDashboard()
 	var wg sync.WaitGroup
@@ -274,4 +274,18 @@ func TestDashboardTop(t *testing.T) {
 	}
 	var nilDash *Dashboard
 	nilDash.Record("x", 1) // must not panic
+}
+
+// mustStore stores content under lfn on s and returns the replica to
+// register, panicking if the spool cannot be written: a fixture cannot
+// go on without its data.
+func mustStore(s *DataServer, lfn string, content []byte) Replica {
+	rep, err := s.StoreFrom(lfn, func(w io.Writer) error {
+		_, err := w.Write(content)
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }
