@@ -63,12 +63,20 @@ fmt:
 #
 # And wq moves no files: no crypto/sha256, os.ReadFile( or os.WriteFile(
 # in its non-test code (DESIGN.md section 11, task files). A task carries
-# its arguments and a result what the executor handed over with
-# ExecContext.SetOutput; what a task reads and writes travels over
+# its arguments and a result the wrapper report the executor handed over
+# with ExecContext.SetReport; what a task reads and writes travels over
 # parrot/CVMFS, xrootd and chirp. The cacheable-input plane, sandbox
 # staging and the sandbox-file output fallback were about 290 lines that
 # no program reached, and a worker started without a storage element
 # reported tasks succeeded whose outputs its sandbox cleanup then deleted.
+#
+# And the wrapper report is encoded once, by the worker's frame encoder,
+# and decoded once, by the master's: no json.Marshal( and no
+# encoding/base64 in non-test internal/wrapper or internal/wq code
+# (DESIGN.md section 11, the result frame; section 17, eighth turn). The
+# report used to be marshalled on its own, carried as a base64 output
+# file, and decoded twice on the master: about 2.2 KB of a small task's
+# allocation.
 #
 # And alerts read the process's own registry: no net/http in non-test
 # internal/health code (DESIGN.md section 12, the in-process evaluator).
@@ -121,7 +129,9 @@ copy-lint:
 	@out="$$(grep -rnE '\.Peek\(|io\.LimitedReader\{' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'crypto/sha256|os\.ReadFile\(|os\.WriteFile\(' --include='*.go' internal/wq | grep -v '_test\.go:')"; \
-	test -z "$$out" || { echo "wq moving files (a task carries arguments, an output goes through SetOutput):"; echo "$$out"; exit 1; }
+	test -z "$$out" || { echo "wq moving files (a task carries arguments, a result its report):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'json\.Marshal\(|"encoding/base64"' --include='*.go' internal/wrapper internal/wq | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "the report encoded on its own (it rides the result frame as a typed field):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"net/http' --include='*.go' internal/health | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "health scraping over HTTP (rules evaluate the process's own registry):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"lobster/internal/(telemetry|trace|health)"' --include='*.go' internal/sim internal/simevent | grep -v '_test\.go:')"; \

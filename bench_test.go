@@ -526,7 +526,7 @@ func BenchmarkAblationProxyCount(b *testing.B) {
 func BenchmarkAblationTaskBuffer(b *testing.B) {
 	reg := wq.Registry{
 		"analysis": func(ctx *wq.ExecContext) error {
-			ctx.SetOutput(wrapper.ReportFile, wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}).Encode())
+			ctx.SetReport(wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}))
 			return nil
 		},
 	}

@@ -162,7 +162,6 @@ func TestPoolRunsTasksUnderEviction(t *testing.T) {
 	reg := wq.Registry{
 		"spin": func(ctx *wq.ExecContext) error {
 			time.Sleep(30 * time.Millisecond)
-			ctx.SetOutput("out", []byte("ok"))
 			return nil
 		},
 	}
@@ -183,7 +182,7 @@ func TestPoolRunsTasksUnderEviction(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		master.Submit(&wq.Task{Func: "spin", Outputs: []string{"out"}})
+		master.Submit(&wq.Task{Func: "spin"})
 	}
 	results := master.Drain(n, 60*time.Second)
 	if len(results) != n {

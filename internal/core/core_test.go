@@ -254,9 +254,6 @@ func TestBuildTaskAnalysisArgs(t *testing.T) {
 	if args.Output != output {
 		t.Errorf("output = %s, buildTask returned %s", args.Output, output)
 	}
-	if task.Outputs[0] != wrapper.ReportFile {
-		t.Errorf("outputs = %v", task.Outputs)
-	}
 }
 
 func TestBuildTaskSimulationArgs(t *testing.T) {
@@ -361,5 +358,43 @@ func TestTaskRecordsShareMetrics(t *testing.T) {
 	}
 	if same(recs[1].Metrics, recs[2].Metrics) || same(recs[2].Metrics, recs[3].Metrics) {
 		t.Error("tasks of different sizes share a Metrics map")
+	}
+}
+
+// TestProcSuccessWithoutReportRetried: a processing result that claims
+// success but carries no wrapper report has no record of what it wrote,
+// so it is retried like a failure instead of accepted with 0 output
+// bytes; the same result with its report is accepted and its output
+// registered at the size the report gives.
+func TestProcSuccessWithoutReportRetried(t *testing.T) {
+	l := &Lobster{
+		cfg:      Config{MaxTaskRetries: 3, MergeMode: MergeNone},
+		svc:      Services{Monitor: monitor.New()},
+		tasklets: make([]Tasklet, 2),
+		state:    map[int]TaskletState{},
+		attempts: map[int]int{},
+		inflight: map[int64]*inflightTask{
+			1: {kind: "proc", group: []int{0}, output: "/store/out/0.root"},
+			2: {kind: "proc", group: []int{1}, output: "/store/out/1.root"},
+		},
+	}
+	if err := l.handleResult(&wq.Result{TaskID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if l.state[0] != StatePending || len(l.pending) != 1 || l.tasksFailed != 1 || len(l.unmerged) != 0 {
+		t.Errorf("no report: state %v, %d pending, %d failed, %d outputs; want pending, retried, no output",
+			l.state[0], len(l.pending), l.tasksFailed, len(l.unmerged))
+	}
+	if recs := l.svc.Monitor.Records(); len(recs) != 1 || !recs[0].Failed() {
+		t.Errorf("no report: monitor records %+v, want one failed record", recs)
+	}
+
+	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegStageOut,
+		Metrics: wrapper.Metrics{BytesOut: 4096}}}}
+	if err := l.handleResult(&wq.Result{TaskID: 2, Report: rep}); err != nil {
+		t.Fatal(err)
+	}
+	if l.state[1] != StateDone || len(l.unmerged) != 1 || l.unmerged[0].Bytes != 4096 {
+		t.Errorf("with report: state %v, outputs %+v; want done, one 4096-byte output", l.state[1], l.unmerged)
 	}
 }

@@ -283,7 +283,12 @@ func (l *Lobster) handleResult(r *wq.Result) error {
 		return nil // stale result from an earlier incarnation
 	}
 	delete(l.inflight, r.TaskID)
-	rep := decodeReport(r)
+	rep := r.Report
+	if info.kind == "proc" && rep == nil && !r.Failed() {
+		// Without its report a processing task has no record of what it
+		// wrote: retry it like a failure rather than accept 0 output bytes.
+		r.ExitCode, r.Error = 1, "processing task returned no wrapper report"
+	}
 	l.recordMonitor(r, info, rep)
 
 	switch info.kind {
@@ -402,21 +407,9 @@ func (l *Lobster) finalMerge() error {
 	return nil
 }
 
-// decodeReport extracts the wrapper report from a task result, if present.
-func decodeReport(r *wq.Result) *wrapper.Report {
-	for _, out := range r.Outputs {
-		if out.Name == wrapper.ReportFile {
-			if rep, err := wrapper.Decode(out.Data); err == nil {
-				return rep
-			}
-		}
-	}
-	return nil
-}
-
-// recordMonitor converts a task result and its decoded wrapper report
-// (nil if it carried none) into a monitoring record, feeding the monitor
-// DB, the task-stage histograms, and the structured event log.
+// recordMonitor converts a task result and its wrapper report (nil if it
+// carried none) into a monitoring record, feeding the monitor DB, the
+// task-stage histograms, and the structured event log.
 func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.Report) {
 	if l.svc.Monitor == nil && l.svc.EventLog == nil && l.tel.stages == nil {
 		return

@@ -217,6 +217,12 @@ func TestAnalysisWorkflowEndToEnd(t *testing.T) {
 		if r.Finish <= r.Start {
 			t.Error("record without positive wall time")
 		}
+		// The worker's result frame carries only Started and Finished;
+		// the master stamps the other three, and all five reach the record.
+		if r.Submit <= 0 || r.Dispatch < r.Submit || r.Start <= 0 || r.Return < r.Dispatch {
+			t.Errorf("task %d times submit %g dispatch %g start %g finish %g return %g",
+				r.TaskID, r.Submit, r.Dispatch, r.Start, r.Finish, r.Return)
+		}
 	})
 	if events != 80 {
 		t.Errorf("monitored events = %g", events)

@@ -180,9 +180,8 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 		return nil, "", err
 	}
 	return &wq.Task{
-		Func:    funcName,
-		Args:    raw,
-		Outputs: []string{wrapper.ReportFile},
-		Tag:     string(cfg.Kind),
+		Func: funcName,
+		Args: raw,
+		Tag:  string(cfg.Kind),
 	}, args.Output, nil
 }

@@ -165,11 +165,11 @@ func Analysis(env *Env) wq.Executor {
 	return func(ctx *wq.ExecContext) error { return finish(ctx, runAnalysis(env, ctx)) }
 }
 
-// finish hands the wrapper report to the worker in memory — it travels
-// inline in the result message, so it never needs to be a file — and
+// finish hands the wrapper report to the worker — it rides the result
+// frame as a typed field, encoded once on its way to the master — and
 // turns a failed segment into the task's exit code.
 func finish(ctx *wq.ExecContext, rep *wrapper.Report) error {
-	ctx.SetOutput(wrapper.ReportFile, rep.Encode())
+	ctx.SetReport(rep)
 	if rep.ExitCode != 0 {
 		return &wq.ExitError{Code: rep.ExitCode, Msg: string(rep.Failed)}
 	}

@@ -32,20 +32,21 @@ type point struct {
 }
 
 // TestFrameRoundTrip pins the frame's bytes — the size line, then the
-// JSON with no newline after it — and that once the scratch has grown a
-// frame costs no allocation either way.
+// JSON with no newline after it — that both ends report the body's size,
+// and that once the scratch has grown a frame costs no allocation either
+// way.
 func TestFrameRoundTrip(t *testing.T) {
 	nc := &loopConn{}
 	c := NewConn("test", nc, 64, 64)
-	if err := c.SendFrame(&point{X: 1, Y: -2}); err != nil {
-		t.Fatal(err)
+	if n, err := c.SendFrame(&point{X: 1, Y: -2}); err != nil || n != 14 {
+		t.Fatalf("sent %d bytes, %v; want 14", n, err)
 	}
 	if got := nc.buf.String(); got != "14\n{\"X\":1,\"Y\":-2}" {
 		t.Fatalf("frame bytes %q", got)
 	}
 	var p point
-	if err := c.ReadFrame(14, &p); err != nil || p != (point{1, -2}) {
-		t.Fatalf("read back %+v, %v", p, err)
+	if n, err := c.ReadFrame(14, &p); err != nil || n != 14 || p != (point{1, -2}) {
+		t.Fatalf("read back %+v, %d bytes, %v", p, n, err)
 	}
 	in, out := point{X: 7, Y: math.MaxInt32}, point{}
 	if n := testing.AllocsPerRun(100, func() {
@@ -78,12 +79,12 @@ func TestReadFrameOutOfProtocol(t *testing.T) {
 		nc.buf.WriteString(tc.stream)
 		c := NewConn("test", nc, 32, 64)
 		var p point
-		err := c.ReadFrame(64, &p)
+		_, err := c.ReadFrame(64, &p)
 		var pe *ProtocolError
 		if !errors.As(err, &pe) || !c.Broken() || !nc.closed || !retry.IsPermanent(err) {
 			t.Errorf("%s (%q): %v, broken %v; want a protocol error that hangs up", tc.name, tc.stream, err, c.Broken())
 		}
-		if err := c.ReadFrame(64, &p); err == nil || errors.As(err, &pe) {
+		if _, err := c.ReadFrame(64, &p); err == nil || errors.As(err, &pe) {
 			t.Errorf("%s: a broken connection read on: %v", tc.name, err)
 		}
 	}
@@ -102,13 +103,19 @@ func TestFrameConcurrentHangup(t *testing.T) {
 		loops.Add(2)
 		go func() {
 			defer loops.Done()
-			for i := 0; c.SendFrame(&point{X: i}) == nil; i++ {
+			for i := 0; ; i++ {
+				if _, err := c.SendFrame(&point{X: i}); err != nil {
+					return
+				}
 			}
 		}()
 		go func() {
 			defer loops.Done()
 			var p point
-			for c.ReadFrame(64, &p) == nil {
+			for {
+				if _, err := c.ReadFrame(64, &p); err != nil {
+					return
+				}
 				read.Add(1)
 			}
 		}()
@@ -132,10 +139,10 @@ func TestFrameConcurrentHangup(t *testing.T) {
 func TestSendFrameUnencodable(t *testing.T) {
 	nc := &loopConn{}
 	c := NewConn("test", nc, 64, 64)
-	if err := c.SendFrame(math.NaN()); err == nil || !c.Broken() || !nc.closed || nc.buf.Len() != 0 {
+	if _, err := c.SendFrame(math.NaN()); err == nil || !c.Broken() || !nc.closed || nc.buf.Len() != 0 {
 		t.Fatalf("unencodable message: %v, broken %v, %d bytes sent", err, c.Broken(), nc.buf.Len())
 	}
-	if err := c.SendFrame(&point{}); err == nil {
+	if _, err := c.SendFrame(&point{}); err == nil {
 		t.Fatal("a broken connection sent on")
 	}
 }

@@ -2,6 +2,7 @@ package wq
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,8 +51,7 @@ func TestDrainUnderBurst(t *testing.T) {
 	newWorker(t, m.Addr(), "w0", 8)
 	const n = 64
 	for i := 0; i < n; i++ {
-		if _, err := m.Submit(&Task{Func: "echo",
-			Args: argsOf(testArgs{Text: "x"}), Outputs: []string{"out.txt"}}); err != nil {
+		if _, err := m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "x"})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,6 +152,17 @@ func (p *rawPeer) send(m *message) {
 
 func (p *rawPeer) recv(timeout time.Duration) *message {
 	p.t.Helper()
+	body := p.recvBody(timeout)
+	var m message
+	if err := json.Unmarshal(body, &m); err != nil || body[0] != '{' || body[len(body)-1] != '}' {
+		p.t.Fatalf("raw recv: body %q is not exactly one object: %v", body, err)
+	}
+	return &m
+}
+
+// recvBody reads one frame and returns its body as sent.
+func (p *rawPeer) recvBody(timeout time.Duration) []byte {
+	p.t.Helper()
 	p.conn.SetReadDeadline(time.Now().Add(timeout))
 	defer p.conn.SetReadDeadline(time.Time{})
 	line, err := p.r.ReadString('\n')
@@ -163,14 +174,10 @@ func (p *rawPeer) recv(timeout time.Duration) *message {
 		p.t.Fatalf("raw recv: size line %q: %v", line, err)
 	}
 	body := make([]byte, n)
-	if _, err := io.ReadFull(p.r, body); err != nil {
+	if _, err := io.ReadFull(p.r, body); err != nil || n == 0 {
 		p.t.Fatalf("raw recv: %d-byte body: %v", n, err)
 	}
-	var m message
-	if err := json.Unmarshal(body, &m); err != nil || body[0] != '{' || body[n-1] != '}' {
-		p.t.Fatalf("raw recv: body %q is not exactly one object: %v", body, err)
-	}
-	return &m
+	return body
 }
 
 // TestInteropBatchPeers impersonates a worker and checks the whole
@@ -203,6 +210,50 @@ func TestInteropBatchPeers(t *testing.T) {
 	}
 	if collected := m.Drain(n, 10*time.Second); len(collected) != n {
 		t.Fatalf("collected %d/%d batched results", len(collected), n)
+	}
+}
+
+// TestResultFrameLeavesMasterTimesOut: a worker stamps only Started and
+// Finished, so its result frame carries no submitted, dispatched or
+// returned key (the master stamps those once the result is in), and the
+// report rides the frame as an object, not as encoded bytes.
+func TestResultFrameLeavesMasterTimesOut(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), testRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	nc, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	p := &rawPeer{t: t, conn: nc, r: bufio.NewReader(nc)}
+	if hello := p.recv(10 * time.Second); hello.Type != "hello" {
+		t.Fatalf("first message %+v, want a hello", hello)
+	}
+	p.send(&message{Type: "tasks", Tasks: []*Task{{ID: 1, Func: "echo", Args: argsOf(testArgs{Text: "execute"})}}})
+	body := p.recvBody(10 * time.Second)
+	var frame struct {
+		Results []struct {
+			Report json.RawMessage
+			Stats  struct{ Times map[string]json.RawMessage }
+		}
+	}
+	if err := json.Unmarshal(body, &frame); err != nil || len(frame.Results) != 1 {
+		t.Fatalf("results frame %s: %v", body, err)
+	}
+	r := frame.Results[0]
+	if len(r.Stats.Times) != 2 || r.Stats.Times["started"] == nil || r.Stats.Times["finished"] == nil {
+		t.Errorf("worker stamped times %s, want only started and finished", body)
+	}
+	if !bytes.HasPrefix(r.Report, []byte(`{"segments":[{"segment":"execute"`)) {
+		t.Errorf("report rode the frame as %s, want the record itself", r.Report)
 	}
 }
 

@@ -3,11 +3,14 @@ package wq
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"lobster/internal/wrapper"
 )
 
 // hostileStreams are what a peer that is not speaking the protocol sends
@@ -99,5 +102,76 @@ func TestHostilePeerAtWorker(t *testing.T) {
 			defer c.Close()
 			checkHostile(t, c, s.head)
 		})
+	}
+}
+
+// malformedReport is a results frame's body whose one report does not
+// decode: a segment's duration is a string.
+const malformedReport = `{"type":"results","results":[{"task_id":1,"worker":"w","report":` +
+	`{"segments":[{"segment":"execute","duration":"soon"}]}}]}`
+
+// TestMalformedReportBreaksConnection: a result whose report does not
+// decode fails the whole results frame and breaks the connection. The
+// master neither accepts the batch nor parks on the rest of the stream,
+// and the peer's tasks go back to the queue.
+func TestMalformedReportBreaksConnection(t *testing.T) {
+	m := newLocalMaster()
+	if _, err := m.Submit(&Task{Func: "noop"}); err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		m.serveWorker(newConn(server))
+		server.Close() // as wire.Serve does once the handler returns
+		close(done)
+	}()
+	go io.Copy(io.Discard, client)
+	client.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	client.Write([]byte(frame(`{"type":"hello","name":"w","cores":1}`) + frame(malformedReport)))
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the master still holds a connection whose report did not decode")
+	}
+	if s := m.Stats(); s.TasksDone != 0 || s.TasksWaiting != 1 || s.WorkersLost != 1 {
+		t.Errorf("after the malformed report: %+v; want nothing done, the task queued, the worker lost", s)
+	}
+}
+
+// TestWorstCaseResultsFitFrame: the largest message any peer sends is a
+// batchMax-result batch whose every result carries a worst-case analysis
+// report — all six segments, every metric set to a 17-digit value, an
+// error string on every segment and on the result. It encodes in under a
+// quarter of maxFrame.
+func TestWorstCaseResultsFitFrame(t *testing.T) {
+	const long = 1.2345678901234567e+300
+	errText := "xrootd: open /store/data/Run2015A/DoubleMuon/AOD/PromptReco-v1/000/250/985/00000/file0003.root: dial tcp 127.0.0.1:1094: connection refused"
+	rep := &wrapper.Report{ExitCode: 60, Failed: wrapper.SegStageOut}
+	for _, s := range []wrapper.Segment{wrapper.SegEnvInit, wrapper.SegSoftware, wrapper.SegConditions,
+		wrapper.SegStageIn, wrapper.SegExecute, wrapper.SegStageOut} {
+		rep.Segments = append(rep.Segments, wrapper.SegmentReport{
+			Segment: s, Duration: math.MaxInt64, ExitCode: s.Code(), Error: errText,
+			Metrics: wrapper.Metrics{BytesFetched: long, BytesIn: long, BytesOut: long, CacheHits: long,
+				CacheMisses: long, ConditionsBytes: long, Events: long},
+		})
+	}
+	now := time.Now()
+	out := message{Type: "results"}
+	for i := 0; i < batchMax; i++ {
+		out.Results = append(out.Results, &Result{
+			TaskID: math.MaxInt64, Tag: "analysis", Worker: "pilot-0123456789", ExitCode: 60,
+			Error: "exit code 60: stage_out", Report: rep,
+			Stats: TaskStats{Times: TaskTimes{Started: now, Finished: now}, Exec: math.MaxInt64},
+		})
+	}
+	n, err := newConn(&loopConn{}).SendFrame(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d results in %d bytes, %d per result", batchMax, n, n/batchMax)
+	if n >= maxFrame/4 {
+		t.Errorf("a worst-case results batch is %d bytes, want under a quarter of maxFrame (%d)", n, maxFrame)
 	}
 }

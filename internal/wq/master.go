@@ -34,8 +34,8 @@ type MasterStats struct {
 	TasksFailed      int   // done with failure
 	Requeues         int   // cumulative dispatches repeated after worker loss
 	ResultsPending   int   // results received but not yet collected by WaitResult
-	BytesSent        int64 // always 0, tasks carry no files; the benchmark harness still reads it
-	BytesReceived    int64 // task output payload bytes returned by workers
+	BytesSent        int64 // task-frame body bytes sent to workers
+	BytesReceived    int64 // result-frame body bytes read from workers
 }
 
 // Master owns the task queue and distributes work to connected workers.
@@ -61,7 +61,7 @@ type Master struct {
 
 	statsSeen, statsLost, statsDone, statsFailed atomic.Int64
 	statsRequeues, statsDispatched               atomic.Int64
-	statsBytesIn                                 atomic.Int64
+	statsBytesIn, statsBytesOut                  atomic.Int64
 
 	// tel, fault and tracer are installed after the accept loop is already
 	// running, so publication must be atomic.
@@ -129,7 +129,7 @@ func (m *Master) Instrument(reg *telemetry.Registry) {
 		workersLost: reg.Counter("lobster_wq_workers_lost_total",
 			"Worker connections dropped."),
 		bytesRecv: reg.Counter("lobster_wq_bytes_received_total",
-			"Task output payload bytes returned by workers."),
+			"Result-frame body bytes read from workers."),
 		dispatchWait: reg.Histogram("lobster_wq_dispatch_latency_seconds",
 			"Submit-to-dispatch queue latency.", nil),
 	})
@@ -259,6 +259,7 @@ func (m *Master) Stats() MasterStats {
 		TasksDone:       int(m.statsDone.Load()),
 		TasksFailed:     int(m.statsFailed.Load()),
 		Requeues:        int(m.statsRequeues.Load()),
+		BytesSent:       m.statsBytesOut.Load(),
 		BytesReceived:   m.statsBytesIn.Load(),
 	}
 	m.workersMu.Lock()
@@ -327,7 +328,7 @@ func (m *Master) markDead(wc *workerConn) {
 // closes c once it returns.
 func (m *Master) serveWorker(c *wire.Conn) {
 	var hello message
-	if recv(c, &hello) != nil || hello.Type != "hello" || hello.Cores < 1 {
+	if _, err := recv(c, &hello); err != nil || hello.Type != "hello" || hello.Cores < 1 {
 		return
 	}
 	wc := &workerConn{
@@ -487,9 +488,11 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 		// and its cleanup requeues everything the connection held, this
 		// batch included.
 		wc.msg = message{Type: "tasks", Tasks: tasks}
-		if wc.conn.SendFrame(&wc.msg) != nil {
+		sent, err := wc.conn.SendFrame(&wc.msg)
+		if err != nil {
 			return
 		}
+		m.statsBytesOut.Add(int64(sent))
 	}
 }
 
@@ -565,12 +568,9 @@ func (m *Master) settle(wc *workerConn, rs []*Result) []*Result {
 	wc.inUse -= len(accepted)
 	wc.cond.Signal()
 	wc.mu.Unlock()
-	var recv, failed int64
+	var failed int64
 	now := time.Now()
 	for i, r := range accepted {
-		for j := range r.Outputs {
-			recv += int64(len(r.Outputs[j].Data))
-		}
 		if r.Failed() {
 			failed++
 		}
@@ -584,13 +584,11 @@ func (m *Master) settle(wc *workerConn, rs []*Result) []*Result {
 		metas[i] = nil
 		r.Stats.Times.Returned = now
 	}
-	m.statsBytesIn.Add(recv)
 	m.statsDone.Add(n)
 	m.statsFailed.Add(failed)
 	tel := m.telemetry()
 	tel.done.Add(n)
 	tel.failed.Add(failed)
-	tel.bytesRecv.Add(recv)
 	return accepted
 }
 
@@ -600,8 +598,14 @@ func (m *Master) settle(wc *workerConn, rs []*Result) []*Result {
 // backing array.
 func (m *Master) readLoop(wc *workerConn) {
 	var msg message
-	for recv(wc.conn, &msg) == nil {
+	for {
+		n, err := recv(wc.conn, &msg)
+		if err != nil {
+			return
+		}
 		if msg.Type == "results" {
+			m.statsBytesIn.Add(int64(n))
+			m.telemetry().bytesRecv.Add(int64(n))
 			m.res.push(m.settle(wc, msg.Results)...)
 		}
 	}

@@ -14,6 +14,11 @@ import (
 //	master → worker:  tasks {tasks}
 //	worker → master:  results {results}
 //
+// A result carries the task's wrapper report as a typed field, so the
+// report is encoded once, by the worker's frame encoder, and decoded once,
+// by the master's; a report that does not decode fails its frame and
+// breaks the connection like any other malformed message.
+//
 // One message carries up to batchMax tasks (or results), so a worker
 // asking for K cores costs one wire round instead of K. Every peer lives in
 // this module, so there is nothing to negotiate. Unknown message types are
@@ -28,9 +33,11 @@ const batchMax = 64
 // make a master or worker hold: a size line over it ends the
 // connection before a byte of the body is read. It is sized to the largest
 // message any caller sends. A task carries arguments, never files, so the
-// largest is a 64-result batch carrying reports: at about 530 B of report
-// per result (an analysis task's, measured) it stays under 100 KB. 1 MiB
-// holds it ten times over.
+// largest is a 64-result batch carrying reports. An analysis task's result
+// frames as 774 B with its report (BenchmarkResultFrame), so a full batch
+// is about 50 KB; at the worst case, every segment with every metric at 17
+// digits and an error string, a result is 3.3 KB and the batch 212 KB
+// (TestWorstCaseResultsFitFrame). 1 MiB holds that four times over.
 const maxFrame = 1 << 20
 
 type message struct {
@@ -47,8 +54,9 @@ type message struct {
 func newConn(nc net.Conn) *wire.Conn { return wire.NewConn("wq", nc, 4<<10, 4<<10) }
 
 // recv reads the next message into m, zeroed first so the tasks and
-// results it decodes are fresh objects that may outlive m.
-func recv(c *wire.Conn, m *message) error {
+// results it decodes are fresh objects that may outlive m, and returns the
+// size of its body.
+func recv(c *wire.Conn, m *message) (int, error) {
 	*m = message{}
 	return c.ReadFrame(maxFrame, m)
 }

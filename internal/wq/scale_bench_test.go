@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"lobster/internal/wrapper"
 )
 
 // BenchmarkMatchLoop measures the master's bare match cycle — submit,
@@ -157,13 +159,54 @@ func BenchmarkResultMessage(b *testing.B) {
 	wire := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := c.SendFrame(&out); err != nil {
+		if _, err := c.SendFrame(&out); err != nil {
 			b.Fatal(err)
 		}
 		wire = nc.buf.Len()
-		if err := recv(c, &in); err != nil || len(in.Results) != 1 {
+		if _, err := recv(c, &in); err != nil || len(in.Results) != 1 {
 			b.Fatalf("recv: %v", err)
 		}
 	}
 	b.ReportMetric(float64(wire), "wire-B")
+}
+
+// BenchmarkResultFrame is the master's side of one result: it decodes a
+// "results" frame holding one analysis task's result and report, as a
+// successful task's wrapper leaves it. B/op and allocs/op are what the
+// master's frame decoder allocates per task for the result and its typed
+// report; wire-B is the frame's body.
+func BenchmarkResultFrame(b *testing.B) {
+	nc := &loopConn{}
+	c := newConn(nc)
+	now := time.Now()
+	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{
+		{Segment: wrapper.SegEnvInit, Duration: 21035},
+		{Segment: wrapper.SegSoftware, Duration: 118245, Metrics: wrapper.Metrics{CacheHits: 31}},
+		{Segment: wrapper.SegConditions, Duration: 301244, Metrics: wrapper.Metrics{ConditionsBytes: 4096}},
+		{Segment: wrapper.SegStageIn, Duration: 40521},
+		{Segment: wrapper.SegExecute, Duration: 1843002, Metrics: wrapper.Metrics{BytesIn: 4194304, Events: 1024}},
+		{Segment: wrapper.SegStageOut, Duration: 402118, Metrics: wrapper.Metrics{BytesOut: 32768}},
+	}}
+	n, err := c.SendFrame(&message{Type: "results", Results: []*Result{{
+		TaskID: 123456, Tag: "analysis", Worker: "pilot-3", Report: rep,
+		Stats: TaskStats{Times: TaskTimes{Started: now, Finished: now}, Exec: time.Millisecond},
+	}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := append([]byte(nil), nc.buf.Bytes()...)
+	var in message
+	// The first read grows the decoder's buffer; a task's share is what
+	// every later one allocates.
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		if _, err := recv(c, &in); err != nil || len(in.Results) != 1 || in.Results[0].Report == nil {
+			b.Fatalf("recv: %v", err)
+		}
+		nc.buf.Write(frame)
+	}
+	b.ReportMetric(float64(n), "wire-B")
 }

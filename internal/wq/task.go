@@ -6,9 +6,11 @@
 // Tasks name an executor function from a Registry shared by master and
 // workers (the Go analogue of shipping a command line) and carry its
 // arguments as one JSON record, which the submitter marshals, wq passes
-// through its frames unopened, and the executor decodes. wq moves no files: what a task reads and writes travels over
-// parrot/CVMFS, xrootd and chirp, and a declared output comes back only if
-// the executor hands it over in memory with ExecContext.SetOutput.
+// through its frames unopened, and the executor decodes. wq moves no
+// files: what a task reads and writes travels over parrot/CVMFS, xrootd
+// and chirp. What comes back is the result, and with it the wrapper report
+// the executor hands over with ExecContext.SetReport, a typed field of the
+// result frame.
 //
 // Non-dedicated behaviour is first-class: a worker may vanish at any moment
 // (eviction); the master detects the lost connection and requeues the tasks
@@ -24,15 +26,8 @@ import (
 	"time"
 
 	"lobster/internal/trace"
+	"lobster/internal/wrapper"
 )
-
-// FileSpec is one declared output returned to the master.
-type FileSpec struct {
-	// Name is the output's declared name (Task.Outputs).
-	Name string `json:"name"`
-	// Data is what the executor handed over with ExecContext.SetOutput.
-	Data []byte `json:"data,omitempty"`
-}
 
 // Task is one unit of work dispatched to a single worker slot.
 type Task struct {
@@ -44,9 +39,6 @@ type Task struct {
 	// submitter marshals and the executor decodes. wq carries it as it
 	// is and never opens it.
 	Args json.RawMessage `json:"args,omitempty"`
-	// Outputs name the outputs the executor must hand over with
-	// ExecContext.SetOutput; one it does not fails the task with 171.
-	Outputs []string `json:"outputs,omitempty"`
 	// Tag is an opaque caller label (Lobster uses it for workflow/task kind).
 	Tag string `json:"tag,omitempty"`
 	// MaxRetries bounds automatic requeue after worker loss (default 5).
@@ -59,12 +51,16 @@ type Task struct {
 }
 
 // TaskTimes records the lifecycle timestamps the monitoring system consumes.
+// The worker stamps Started and Finished; the master stamps the other
+// three once the result is in, so a worker's result frame leaves them out
+// (omitzero, honoured from go1.24's encoding/json; an older one writes the
+// zero times, which the master overwrites all the same).
 type TaskTimes struct {
-	Submitted  time.Time `json:"submitted"`
-	Dispatched time.Time `json:"dispatched"`
+	Submitted  time.Time `json:"submitted,omitzero"`
+	Dispatched time.Time `json:"dispatched,omitzero"`
 	Started    time.Time `json:"started"`
 	Finished   time.Time `json:"finished"`
-	Returned   time.Time `json:"returned"`
+	Returned   time.Time `json:"returned,omitzero"`
 }
 
 // TaskStats is measured on the worker and augmented by the master.
@@ -72,19 +68,20 @@ type TaskStats struct {
 	Times TaskTimes `json:"times"`
 	// Exec is executor wall time.
 	Exec time.Duration `json:"exec"`
-	// BytesOut is the volume of the outputs this task returned.
-	BytesOut int64 `json:"bytes_out"`
 }
 
 // Result is the completed (or failed) outcome of a task.
 type Result struct {
-	TaskID   int64      `json:"task_id"`
-	Tag      string     `json:"tag,omitempty"`
-	Worker   string     `json:"worker"`
-	ExitCode int        `json:"exit_code"`
-	Error    string     `json:"error,omitempty"`
-	Outputs  []FileSpec `json:"outputs,omitempty"`
-	Stats    TaskStats  `json:"stats"`
+	TaskID   int64  `json:"task_id"`
+	Tag      string `json:"tag,omitempty"`
+	Worker   string `json:"worker"`
+	ExitCode int    `json:"exit_code"`
+	Error    string `json:"error,omitempty"`
+	// Report is the wrapper report the executor handed over with
+	// ExecContext.SetReport, on success and on failure alike; nil when it
+	// handed none over.
+	Report *wrapper.Report `json:"report,omitempty"`
+	Stats  TaskStats       `json:"stats"`
 	// Requeues counts how many times the task was re-dispatched after
 	// worker loss before this result.
 	Requeues int `json:"requeues"`
@@ -147,8 +144,8 @@ func (c *ExecContext) Err() error {
 
 // heldState is one task's hand-over from executor to worker.
 type heldState struct {
-	outputs []FileSpec // declared outputs handed over in memory
-	sandbox bool       // the sandbox directory was created
+	report  *wrapper.Report // handed over with SetReport
+	sandbox bool            // the sandbox directory was created
 }
 
 // EnsureSandbox creates the sandbox directory on demand. The worker never
@@ -177,42 +174,11 @@ func (c *ExecContext) hold() *heldState {
 	return c.held
 }
 
-// SetOutput hands the declared output name over in memory: the worker
-// returns data to the master, whether the task then succeeds or fails,
-// without the file ever existing in the sandbox. data must not be
-// modified afterwards. Call it from the executor's own goroutine.
-func (c *ExecContext) SetOutput(name string, data []byte) {
-	h := c.hold()
-	h.outputs = append(h.outputs, FileSpec{Name: name, Data: data})
-}
-
-// collect adds the declared outputs the executor handed over to res, in
-// declaration order, and returns the first declared name it did not hand
-// over ("" when none is missing). A file of that name left in the sandbox
-// does not count: wq moves no files.
-func (h *heldState) collect(res *Result, names []string) (missing string) {
-	for _, name := range names {
-		data, ok := h.output(name)
-		if !ok {
-			if missing == "" {
-				missing = name
-			}
-			continue
-		}
-		res.Outputs = append(res.Outputs, FileSpec{Name: name, Data: data})
-		res.Stats.BytesOut += int64(len(data))
-	}
-	return missing
-}
-
-func (h *heldState) output(name string) ([]byte, bool) {
-	for _, f := range h.outputs {
-		if f.Name == name {
-			return f.Data, true
-		}
-	}
-	return nil, false
-}
+// SetReport hands the task's wrapper report to the worker, which returns
+// it to the master in the result, whether the task then succeeds or fails.
+// rep must not be modified afterwards. Call it from the executor's own
+// goroutine.
+func (c *ExecContext) SetReport(rep *wrapper.Report) { c.hold().report = rep }
 
 // filesCreated counts the sandbox directories this process's executors
 // made: the per-task file-system cost that the hot path is pinned to keep

@@ -45,8 +45,7 @@ func TestTraceMalformedContextDegrades(t *testing.T) {
 		"not-a-trace", "lt1-xx-yy-zz", "lt1-0000000000000000-0000000000000000-01", "lt9-....",
 	} {
 		id, err := m.Submit(&Task{
-			Func: "echo", Args: argsOf(testArgs{Text: "x"}),
-			Outputs: []string{"out.txt"}, Trace: garbage,
+			Func: "echo", Args: argsOf(testArgs{Text: "x"}), Trace: garbage,
 		})
 		if err != nil {
 			t.Fatalf("Submit with trace %q: %v", garbage, err)

@@ -52,10 +52,10 @@ type Worker struct {
 
 // Trace attaches a tracer: each task run gets a span chained under the
 // master's dispatch context carried in Task.Trace (a malformed context
-// degrades to a fresh root), with child spans for stage-in, execution,
-// and stage-out. The execute span's context is handed to the executor
-// so application-level operations (chirp, squid, xrootd) chain under
-// it. Call before traffic; nil leaves the worker untraced at zero cost.
+// degrades to a fresh root), with a child span for the execution. The
+// execute span's context is handed to the executor so application-level
+// operations (chirp, squid, xrootd) chain under it. Call before traffic;
+// nil leaves the worker untraced at zero cost.
 func (w *Worker) Trace(tr *trace.Tracer) {
 	if tr != nil {
 		w.tracer.Store(tr)
@@ -70,7 +70,7 @@ type workerTelemetry struct {
 	failures  *telemetry.Counter
 	execTime  *telemetry.Histogram
 	slotsBusy *telemetry.Gauge
-	planeOut  *telemetry.Counter // lobster_bytes_total{wq_worker,out}
+	planeOut  *telemetry.Counter // lobster_bytes_total{wq_worker,out}: result-frame bytes
 }
 
 // noWorkerTel is the disabled instrument set: every field nil, every
@@ -131,7 +131,7 @@ func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *fa
 		done:  make(chan struct{}),
 		lost:  make(chan struct{}),
 	}
-	if err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
+	if _, err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		return nil, err
 	}
 	w.wg.Add(2)
@@ -174,7 +174,10 @@ func (w *Worker) run() {
 	var taskWG sync.WaitGroup
 	defer taskWG.Wait()
 	var msg message
-	for recv(w.conn, &msg) == nil {
+	for {
+		if _, err := recv(w.conn, &msg); err != nil {
+			break
+		}
 		if msg.Type != "tasks" {
 			continue
 		}
@@ -224,7 +227,8 @@ func (w *Worker) resultLoop() {
 		}
 		if !w.evicted.Load() {
 			out.Results = pending
-			w.conn.SendFrame(&out)
+			n, _ := w.conn.SendFrame(&out)
+			w.telemetry().planeOut.Add(int64(n))
 		}
 		clear(pending)
 		pending = pending[:0]
@@ -259,7 +263,8 @@ func (w *Worker) resultLoop() {
 	}
 }
 
-// execute runs the executor and collects the outputs it handed over.
+// execute runs the executor and returns its result with the report it
+// handed over.
 func (w *Worker) execute(t *Task) *Result {
 	res := &Result{TaskID: t.ID, Tag: t.Tag, Worker: w.name}
 	res.Stats.Times.Started = time.Now()
@@ -330,22 +335,14 @@ func (w *Worker) execute(t *Task) *Result {
 	}()
 	res.Stats.Exec = time.Since(execStart)
 	exSpan.End()
+	// The report rides the result on failure too: "a record of ... each
+	// segment is returned back" whatever the outcome.
+	res.Report = held.report
 	if err != nil {
-		// Best-effort output collection on failure: diagnostic outputs such
-		// as the wrapper report must reach the master even when the task
-		// fails ("a record of ... each segment is returned back").
-		held.collect(res, t.Outputs)
 		if ee, ok := err.(*ExitError); ok {
 			return fail(ee.Code, "%s", ee.Error())
 		}
 		return fail(1, "%v", err)
 	}
-
-	// The outputs travel in the result message, as the executor handed
-	// them over.
-	if missing := held.collect(res, t.Outputs); missing != "" {
-		return fail(171, "stage-out: declared output %q was not handed over with SetOutput", missing)
-	}
-	w.telemetry().planeOut.Add(res.Stats.BytesOut)
 	return res
 }

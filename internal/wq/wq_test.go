@@ -6,16 +6,18 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lobster/internal/wrapper"
 )
 
 // testArgs is the argument record of the test executors.
 type testArgs struct {
-	Text string `json:"text,omitempty"` // echo: the output's content
+	Text string `json:"text,omitempty"` // echo: the reported segment's name
 	D    string `json:"d,omitempty"`    // sleep: how long
 	Mode string `json:"mode,omitempty"` // shim: which path to take
 }
@@ -35,11 +37,17 @@ func argsIn(ctx *ExecContext) (a testArgs) {
 	return a
 }
 
+// echoReport is the report the echo executor hands over: one segment
+// named after its text.
+func echoReport(text string) *wrapper.Report {
+	return &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.Segment(text)}}}
+}
+
 // testRegistry returns executors used across the tests.
 func testRegistry() Registry {
 	return Registry{
 		"echo": func(ctx *ExecContext) error {
-			ctx.SetOutput("out.txt", []byte(argsIn(ctx).Text))
+			ctx.SetReport(echoReport(argsIn(ctx).Text))
 			return nil
 		},
 		"sleep": func(ctx *ExecContext) error {
@@ -83,10 +91,9 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 	m := newMaster(t)
 	newWorker(t, m.Addr(), "w0", 2)
 	id, err := m.Submit(&Task{
-		Func:    "echo",
-		Args:    argsOf(testArgs{Text: "hello lobster"}),
-		Outputs: []string{"out.txt"},
-		Tag:     "analysis",
+		Func: "echo",
+		Args: argsOf(testArgs{Text: "hello lobster"}),
+		Tag:  "analysis",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +108,8 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 	if r.Tag != "analysis" || r.Worker != "w0" {
 		t.Errorf("metadata: tag=%q worker=%q", r.Tag, r.Worker)
 	}
-	if len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "hello lobster" {
-		t.Fatalf("outputs = %+v", r.Outputs)
+	if !reflect.DeepEqual(r.Report, echoReport("hello lobster")) {
+		t.Fatalf("report = %+v", r.Report)
 	}
 	ts := r.Stats.Times
 	if ts.Submitted.IsZero() || ts.Dispatched.IsZero() || ts.Started.IsZero() ||
@@ -121,11 +128,7 @@ func TestManyTasksManyWorkers(t *testing.T) {
 	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		m.Submit(&Task{
-			Func:    "echo",
-			Args:    argsOf(testArgs{Text: strconv.Itoa(i)}),
-			Outputs: []string{"out.txt"},
-		})
+		m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: strconv.Itoa(i)})})
 	}
 	results := m.Drain(n, 30*time.Second)
 	if len(results) != n {
@@ -169,7 +172,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panic not reported: %+v", r)
 	}
 	// Worker must survive and run further tasks.
-	m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "alive"}), Outputs: []string{"out.txt"}})
+	m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "alive"})})
 	r, ok = m.WaitResult(10 * time.Second)
 	if !ok || r.Failed() {
 		t.Fatalf("worker dead after panic: %+v", r)
@@ -189,27 +192,20 @@ func TestUnknownExecutor(t *testing.T) {
 	}
 }
 
-func TestMissingDeclaredOutput(t *testing.T) {
-	m := newMaster(t)
-	newWorker(t, m.Addr(), "w0", 1)
-	m.Submit(&Task{Func: "echo", Args: argsOf(testArgs{Text: "x"}), Outputs: []string{"wrong-name"}})
-	r, ok := m.WaitResult(10 * time.Second)
-	if !ok || r.ExitCode != 171 {
-		t.Fatalf("result = %+v", r)
-	}
-}
-
-// TestSetOutputInMemory: an output handed over with SetOutput reaches
-// the master without a sandbox ever existing — through a copy of the
-// context (a tracing shim re-tagging it), on the failure path too, and
-// ahead of a sandbox file of the same name; a declared output left only
-// as a sandbox file fails the task with 171, since wq moves no files.
-func TestSetOutputInMemory(t *testing.T) {
+// TestReportRidesResult: a report handed over with SetReport reaches
+// WaitResult without a sandbox ever existing — through a copy of the
+// context (a tracing shim re-tagging it), and on a failed exit too. A
+// sandbox file named report.json is no report: wq moves no files.
+func TestReportRidesResult(t *testing.T) {
 	m := newMaster(t)
 	dir := t.TempDir()
+	want := echoReport("from the executor")
 	inner := func(ctx *ExecContext) error {
-		ctx.SetOutput("report.json", []byte("from memory"))
-		switch argsIn(ctx).Mode {
+		mode := argsIn(ctx).Mode
+		if mode != "file" {
+			ctx.SetReport(want)
+		}
+		switch mode {
 		case "fail":
 			return &ExitError{Code: 42, Msg: "after the report"}
 		case "file":
@@ -218,11 +214,7 @@ func TestSetOutputInMemory(t *testing.T) {
 					return err
 				}
 			}
-			for _, name := range []string{"report.json", "side.txt"} {
-				if err := os.WriteFile(filepath.Join(ctx.Sandbox, name), []byte("from disk"), 0o644); err != nil {
-					return err
-				}
-			}
+			return os.WriteFile(filepath.Join(ctx.Sandbox, "report.json"), []byte(`{"segments":[]}`), 0o644)
 		}
 		return nil
 	}
@@ -235,9 +227,9 @@ func TestSetOutputInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	run := func(mode string, outputs ...string) *Result {
+	run := func(mode string) *Result {
 		t.Helper()
-		m.Submit(&Task{Func: "shim", Args: argsOf(testArgs{Mode: mode}), Outputs: outputs})
+		m.Submit(&Task{Func: "shim", Args: argsOf(testArgs{Mode: mode})})
 		r, ok := m.WaitResult(10 * time.Second)
 		if !ok {
 			t.Fatal("no result")
@@ -246,25 +238,21 @@ func TestSetOutputInMemory(t *testing.T) {
 	}
 
 	before := FilesCreated()
-	if r := run("ok", "report.json"); r.Failed() || len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
-		t.Errorf("success path: %+v", r)
+	if r := run("ok"); r.Failed() || !reflect.DeepEqual(r.Report, want) {
+		t.Errorf("success path: %+v, report %+v", r, r.Report)
 	}
-	if r := run("fail", "report.json"); r.ExitCode != 42 || len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
-		t.Errorf("failure path lost the in-memory output: %+v", r)
+	if r := run("fail"); r.ExitCode != 42 || !reflect.DeepEqual(r.Report, want) {
+		t.Errorf("failure path lost the report: %+v, report %+v", r, r.Report)
 	}
 	if n := FilesCreated() - before; n != 0 {
-		t.Errorf("two tasks declaring only outputs created %d files and directories, want 0", n)
+		t.Errorf("two tasks handing over only a report created %d files and directories, want 0", n)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("worker dir holds %d entries after tasks that never asked for a sandbox", len(entries))
 	}
 
-	r := run("file", "report.json", "side.txt")
-	if r.ExitCode != 171 || !strings.Contains(r.Error, `"side.txt"`) {
-		t.Errorf("a declared output left only as a sandbox file: exit %d %q, want 171 naming side.txt", r.ExitCode, r.Error)
-	}
-	if len(r.Outputs) != 1 || string(r.Outputs[0].Data) != "from memory" {
-		t.Errorf("the handed-over report did not ride the failed result: %+v", r.Outputs)
+	if r := run("file"); r.Failed() || r.Report != nil {
+		t.Errorf("a sandbox file named report.json: %+v, report %+v; want success and no report", r, r.Report)
 	}
 	if n := FilesCreated() - before; n != 1 {
 		t.Errorf("EnsureSandbox counted %d, want 1", n)
@@ -487,10 +475,10 @@ func TestExecContextErrAfterMasterLost(t *testing.T) {
 	}
 	c := newConn(nc)
 	var hello message
-	if err := recv(c, &hello); err != nil || hello.Type != "hello" {
+	if _, err := recv(c, &hello); err != nil || hello.Type != "hello" {
 		t.Fatalf("hello: %+v, %v", hello, err)
 	}
-	if err := c.SendFrame(&message{Type: "tasks", Tasks: []*Task{{ID: 1, Func: "block"}}}); err != nil {
+	if _, err := c.SendFrame(&message{Type: "tasks", Tasks: []*Task{{ID: 1, Func: "block"}}}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered

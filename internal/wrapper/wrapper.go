@@ -7,7 +7,9 @@
 // ... Each segment records a timestamp and performs an internal test for
 // success or failure, with a unique failure code that can be emitted for
 // each segment." The resulting Report is returned with the task and feeds
-// the monitoring system.
+// the monitoring system: the executor hands it to wq, which carries it in
+// the result frame as a typed field (wq.Result.Report), so it is encoded
+// once, by the worker's frame encoder, and decoded once, by the master's.
 package wrapper
 
 import (
@@ -51,10 +53,6 @@ func (s Segment) Code() int {
 	}
 	return 99
 }
-
-// ReportFile names the task output the wrapper report comes home as: the
-// executor hands it to the worker in memory, inline in the result.
-const ReportFile = "report.json"
 
 // Args is what an analysis or simulation task tells its executor: the
 // record core builds for each task and marshals into wq.Task.Args, which
@@ -156,25 +154,14 @@ func (r *Report) SegmentDuration(s Segment) time.Duration {
 	return 0
 }
 
-// Encode serialises the report to JSON, the form it travels back to the
-// master in as the ReportFile output.
-func (r *Report) Encode() []byte {
-	data, err := json.Marshal(r)
-	if err != nil {
-		// A report is always plain data; failure to encode is a bug.
-		panic(fmt.Sprintf("wrapper: encoding report: %v", err))
-	}
-	return data
-}
-
-// Decode parses an encoded report.
-func Decode(data []byte) (*Report, error) {
-	// Room for every segment: the decoder fills the slice in place.
-	r := Report{Segments: make([]SegmentReport, 0, len(segmentCodes))}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("wrapper: decoding report: %w", err)
-	}
-	return &r, nil
+// UnmarshalJSON decodes a report into segments made with room for every
+// segment, so the decoder fills one slice in place instead of growing it
+// 1, 2, 4, 8 as it goes: that growth cost the master 1.6 KB a task, the
+// nested decode's state about 350 B.
+func (r *Report) UnmarshalJSON(data []byte) error {
+	type plain Report // Report's fields without this method
+	r.Segments = make([]SegmentReport, 0, len(segmentCodes))
+	return json.Unmarshal(data, (*plain)(r))
 }
 
 // StepContext is passed to each step so it can record metrics and, when

@@ -55,7 +55,6 @@ var reachAllow = map[string]string{
 	"internal/sim.PeakEfficiency":               "figure tests assert the efficiency peak",
 	"internal/sim.Fig10Data.OutageWindowStats":  "figure tests assert the outage window's shape",
 	"internal/wq.FilesCreated":                  "the warm-slot benchmarks report it as files/op, pinned at 0 in BENCH_dataplane.json",
-	"internal/wq.MasterStats.BytesSent":         "always 0, read by benchmark/layers.go until the benchmark drops it",
 }
 
 type reachPkg struct {
