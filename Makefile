@@ -214,7 +214,7 @@ flake:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faultinject/
 
-# Native fuzzing of the wire-facing parsers, 30s per target. Checked-in
+# Native fuzzing of the wire- and disk-facing parsers, 30s per target. Checked-in
 # seed corpora live in each package's testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
@@ -232,6 +232,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRequest -fuzztime $(FUZZTIME) ./internal/squid/
 	$(GO) test -fuzz FuzzResponse -fuzztime $(FUZZTIME) ./internal/frontier/
 	$(GO) test -fuzz FuzzPeerBytes -fuzztime $(FUZZTIME) ./internal/parrot/
+	$(GO) test -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/core/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

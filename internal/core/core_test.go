@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lobster/internal/dbs"
 	"lobster/internal/monitor"
+	"lobster/internal/telemetry"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
 )
@@ -21,6 +23,15 @@ func testDataset(files, lumisPerFile, eventsPerFile int) *dbs.Dataset {
 		panic(err)
 	}
 	return d
+}
+
+// allIDs lists every tasklet's ID, the todo list of a fresh plan.
+func allIDs(tasklets []Tasklet) []int {
+	ids := make([]int, len(tasklets))
+	for i := range ids {
+		ids[i] = tasklets[i].ID
+	}
+	return ids
 }
 
 func analysisServices(t *testing.T, ds *dbs.Dataset) Services {
@@ -165,7 +176,7 @@ func TestGroupTaskletsRespectsFileBoundaries(t *testing.T) {
 	svc.DBS.Register(ds)
 	cfg, _ := Config{Name: "wf", Kind: KindAnalysis, Dataset: ds.Name, TaskletsPerTask: 3}.withDefaults()
 	tasklets, _ := planTasklets(&cfg, &svc)
-	groups := groupTasklets(&cfg, tasklets)
+	groups := groupTasklets(&cfg, tasklets, allIDs(tasklets))
 	// Per file: 5 lumis at 3/task → groups of 3,2. Two files → 4 groups.
 	if len(groups) != 4 {
 		t.Fatalf("groups = %d: %v", len(groups), groups)
@@ -195,23 +206,71 @@ func TestGroupTaskletsCoversAllExactlyOnce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		groups := groupTasklets(&cfg, tasklets)
+		groups := groupTasklets(&cfg, tasklets, allIDs(tasklets))
 		seen := make(map[int]bool)
 		for _, g := range groups {
 			if len(g) > size {
 				return false
 			}
-			for _, id := range g {
+			for i, id := range g {
 				if seen[id] {
 					return false
 				}
 				seen[id] = true
+				// One contiguous range: its DB row names it by first ID and count.
+				if i > 0 && id != g[i-1]+1 {
+					return false
+				}
 			}
 		}
 		return len(seen) == len(tasklets)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupTaskletsBreaksAtMaskGaps: a task streams one event range, so
+// two selected lumis with a masked one between them go to two tasks. One
+// task over both used to read from the first lumi's start for the sum of
+// their events: it processed the masked lumi and never read the last one.
+func TestGroupTaskletsBreaksAtMaskGaps(t *testing.T) {
+	ds := testDataset(1, 3, 30) // one file, 3 lumis of 10 events
+	svc := Services{DBS: dbs.NewService()}
+	svc.DBS.Register(ds)
+	ls := ds.Files[0].Lumis
+	mask := &dbs.LumiMask{Ranges: map[int][][2]int{
+		ls[0].Run: {{ls[0].Lumi, ls[0].Lumi}, {ls[2].Lumi, ls[2].Lumi}},
+	}}
+	cfg, _ := Config{Name: "wf", Kind: KindAnalysis, Dataset: ds.Name, LumiMask: mask, TaskletsPerTask: 2}.withDefaults()
+	tasklets, err := planTasklets(&cfg, &svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := groupTasklets(&cfg, tasklets, allIDs(tasklets))
+	if len(groups) != 2 {
+		t.Fatalf("groups = %v, want lumis 1 and 3 in a task each", groups)
+	}
+	for i, want := range [][2]int{{0, 10}, {20, 10}} {
+		task, _, err := buildTask(&cfg, tasklets, groups[i], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := taskArgs(t, task); a.SkipEvents != want[0] || a.MaxEvents != want[1] {
+			t.Errorf("task %d reads events [%d, +%d), want [%d, +%d)", i, a.SkipEvents, a.MaxEvents, want[0], want[1])
+		}
+	}
+}
+
+// TestGroupTaskletsBreaksAtIDGaps: after a restart the pending tasklets
+// have holes where finished ones were; no group spans a hole, so one row
+// (first ID, count) names each group exactly.
+func TestGroupTaskletsBreaksAtIDGaps(t *testing.T) {
+	cfg, _ := Config{Name: "sim", Kind: KindSimulation, TotalEvents: 800, EventsPerTasklet: 100, TaskletsPerTask: 3}.withDefaults()
+	tasklets, _ := planTasklets(&cfg, &Services{})
+	groups := groupTasklets(&cfg, tasklets, []int{0, 1, 3, 4, 5, 6, 7})
+	if want := [][]int{{0, 1}, {3, 4, 5}, {6, 7}}; !reflect.DeepEqual(groups, want) {
+		t.Errorf("groups = %v, want %v", groups, want)
 	}
 }
 
@@ -232,7 +291,7 @@ func TestBuildTaskAnalysisArgs(t *testing.T) {
 	cfg, _ := Config{Name: "wf", Kind: KindAnalysis, Dataset: ds.Name,
 		TaskletsPerTask: 2, EventSize: 256, AccessMode: AccessStage}.withDefaults()
 	tasklets, _ := planTasklets(&cfg, &svc)
-	groups := groupTasklets(&cfg, tasklets)
+	groups := groupTasklets(&cfg, tasklets, allIDs(tasklets))
 	task, output, err := buildTask(&cfg, tasklets, groups[1], 0)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +319,7 @@ func TestBuildTaskSimulationArgs(t *testing.T) {
 	cfg, _ := Config{Name: "sim", Kind: KindSimulation, TotalEvents: 300,
 		EventsPerTasklet: 100, TaskletsPerTask: 2, PileupPath: "/pu/minbias"}.withDefaults()
 	tasklets, _ := planTasklets(&cfg, &Services{})
-	groups := groupTasklets(&cfg, tasklets)
+	groups := groupTasklets(&cfg, tasklets, allIDs(tasklets))
 	task, _, err := buildTask(&cfg, tasklets, groups[0], 1)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +430,7 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 		cfg:      Config{MaxTaskRetries: 3, MergeMode: MergeNone},
 		svc:      Services{Monitor: monitor.New()},
 		tasklets: make([]Tasklet, 2),
-		state:    map[int]TaskletState{},
+		state:    make([]TaskletState, 2),
 		attempts: map[int]int{},
 		inflight: map[int64]*inflightTask{
 			1: {kind: "proc", group: []int{0}, output: "/store/out/0.root"},
@@ -396,5 +455,19 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 	}
 	if l.state[1] != StateDone || len(l.unmerged) != 1 || l.unmerged[0].Bytes != 4096 {
 		t.Errorf("with report: state %v, outputs %+v; want done, one 4096-byte output", l.state[1], l.unmerged)
+	}
+}
+
+// TestRecordMonitorUntracedAllocs: with no event log a task record is
+// never boxed for one, so feeding only the stage histograms allocates
+// nothing once the record's shared Metrics map exists.
+func TestRecordMonitorUntracedAllocs(t *testing.T) {
+	l := &Lobster{epoch: time.Now()}
+	l.tel.stages = telemetry.NewStageHistograms(telemetry.NewRegistry())
+	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegExecute,
+		Metrics: wrapper.Metrics{Events: 4}}}}
+	r, info := &wq.Result{TaskID: 1}, &inflightTask{kind: "proc"}
+	if n := testing.AllocsPerRun(100, func() { l.recordMonitor(r, info, rep) }); n != 0 {
+		t.Errorf("recordMonitor allocates %g times a task with no event log, want 0", n)
 	}
 }

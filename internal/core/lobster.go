@@ -16,7 +16,7 @@ type Lobster struct {
 	svc Services
 
 	tasklets []Tasklet
-	state    map[int]TaskletState
+	state    []TaskletState // indexed by tasklet ID, 0..len(tasklets)-1
 
 	pending  [][]int                 // task groups awaiting submission
 	attempts map[int]int             // group head tasklet ID → attempts used
@@ -127,7 +127,6 @@ func New(cfg Config, svc Services) (*Lobster, error) {
 	l := &Lobster{
 		cfg:           full,
 		svc:           svc,
-		state:         make(map[int]TaskletState),
 		attempts:      make(map[int]int),
 		inflight:      make(map[int64]*inflightTask),
 		resultTimeout: 2 * time.Minute,
@@ -175,8 +174,9 @@ func (l *Lobster) prepare() (recovered bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	for _, t := range l.tasklets {
-		l.state[t.ID] = StatePending
+	l.state = make([]TaskletState, len(l.tasklets))
+	for id := range l.state {
+		l.state[id] = StatePending
 	}
 	if l.svc.DB != nil {
 		recovered, err = l.loadState()
@@ -184,25 +184,21 @@ func (l *Lobster) prepare() (recovered bool, err error) {
 			return false, err
 		}
 		if !recovered {
-			if err := l.persistAllTasklets(); err != nil {
+			if err := l.persistPlan(); err != nil {
 				return false, err
 			}
 		}
 	}
-	// Group only tasklets still pending.
-	var todo []Tasklet
-	for _, t := range l.tasklets {
-		if l.state[t.ID] == StatePending {
-			todo = append(todo, t)
-		} else if l.state[t.ID] == StateDone {
+	// Group every tasklet not done.
+	todo := make([]int, 0, len(l.tasklets))
+	for id, s := range l.state {
+		if s == StateDone {
 			l.doneTasklets++
-		} else if l.state[t.ID] == StateFailed {
-			// Failed tasklets from a previous incarnation get another chance.
-			l.state[t.ID] = StatePending
-			todo = append(todo, t)
+		} else {
+			todo = append(todo, id)
 		}
 	}
-	l.pending = groupTasklets(&l.cfg, todo)
+	l.pending = groupTasklets(&l.cfg, l.tasklets, todo)
 	return recovered, nil
 }
 
@@ -482,7 +478,10 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 			t.Observe(telemetry.StageStageOut, pos(rec.StageOut+rec.WQStageOut))
 		}
 	}
-	l.svc.EventLog.Emit("task", rec)
+	if l.svc.EventLog != nil {
+		// Boxing rec for Emit allocates even when the log is off.
+		l.svc.EventLog.Emit("task", rec)
+	}
 	if l.svc.Monitor != nil {
 		l.svc.Monitor.Add(rec)
 	}

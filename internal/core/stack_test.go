@@ -233,6 +233,79 @@ func TestAnalysisWorkflowEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAnalysisWithLumiMask: a mask that drops the middle lumi of every
+// file leaves two selected lumis per file that a two-tasklet task must not
+// join. The outputs hold the digests of exactly the selected events.
+func TestAnalysisWithLumiMask(t *testing.T) {
+	st := startStack(t, 2, 3, 30, nil) // 2 files x 3 lumis x 10 events
+	mask := &dbs.LumiMask{Ranges: map[int][][2]int{}}
+	for _, f := range st.dataset.Files {
+		for _, l := range []dbs.Lumi{f.Lumis[0], f.Lumis[2]} {
+			mask.Ranges[l.Run] = append(mask.Ranges[l.Run], [2]int{l.Lumi, l.Lumi})
+		}
+	}
+	rep := runWorkflow(t, st, Config{
+		Name: "mask", Kind: KindAnalysis, Dataset: st.dataset.Name,
+		LumiMask: mask, TaskletsPerTask: 2, AccessMode: AccessStream,
+	})
+	if !rep.Succeeded() || rep.TaskletsDone != 4 {
+		t.Fatalf("report = %+v", rep)
+	}
+
+	// The selected events, digested as the analysis reduces them, from the
+	// content startStack generated.
+	kernel, _ := hepsim.NewKernel(stackEventSize, 1)
+	rng := stats.NewRand(42)
+	var want []byte
+	for _, f := range st.dataset.Files {
+		content := kernel.GenerateEvents(f.Events, rng)
+		lumi := len(content) / len(f.Lumis)
+		for i, l := range f.Lumis {
+			if mask.Contains(l) {
+				want, _ = kernel.AppendDigests(want, content[i*lumi:(i+1)*lumi])
+			}
+		}
+	}
+	var got []byte
+	outs, err := st.chirpFS.List("/store/user/mask")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outs {
+		b, err := st.chirpFS.ReadFile("/store/user/mask/" + o.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, b...)
+	}
+	var events float64
+	st.svc.Monitor.Each(func(r *monitor.TaskRecord) { events += r.Metrics["events"] })
+	if events != 40 {
+		t.Errorf("events processed = %g, want the 40 selected", events)
+	}
+	if !sameDigests(got, want) {
+		t.Errorf("outputs hold %d event digests that differ from the %d selected ones", len(got)/8, len(want)/8)
+	}
+}
+
+// sameDigests compares two runs of 8-byte event digests as multisets.
+func sameDigests(a, b []byte) bool {
+	if len(a) != len(b) || len(a)%8 != 0 {
+		return false
+	}
+	count := map[string]int{}
+	for i := 0; i < len(a); i += 8 {
+		count[string(a[i:i+8])]++
+		count[string(b[i:i+8])]--
+	}
+	for _, c := range count {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAnalysisWithInterleavedMerge(t *testing.T) {
 	// 288 events, 48 tasklets: six waves over the stack's eight slots, so
 	// the first merge (four outputs, ready after the first wave) has five

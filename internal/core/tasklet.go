@@ -98,50 +98,39 @@ func lumiIndex(f *dbs.File, l dbs.Lumi) int {
 
 // planSimulationTasklets divides TotalEvents into blocks.
 func planSimulationTasklets(cfg *Config) ([]Tasklet, error) {
-	var tasklets []Tasklet
-	remaining := cfg.TotalEvents
-	id := 0
-	for remaining > 0 {
-		n := cfg.EventsPerTasklet
-		if n > remaining {
-			n = remaining
-		}
-		tasklets = append(tasklets, Tasklet{ID: id, NumEvents: n, Seed: id + 1})
-		remaining -= n
-		id++
+	per := cfg.EventsPerTasklet
+	tasklets := make([]Tasklet, 0, (cfg.TotalEvents+per-1)/per)
+	for first := 0; first < cfg.TotalEvents; first += per {
+		id := len(tasklets)
+		tasklets = append(tasklets, Tasklet{ID: id, NumEvents: min(per, cfg.TotalEvents-first), Seed: id + 1})
 	}
 	return tasklets, nil
 }
 
-// taskPlan is one task: a group of tasklets bound for a single worker core.
-type taskPlan struct {
-	Attempt  int   `json:"attempt"`
-	Tasklets []int `json:"tasklets"` // tasklet IDs
+// groupTasklets cuts the tasklet IDs ids into tasks of at most
+// cfg.TaskletsPerTask. A task is one contiguous run: a group breaks
+// wherever the next tasklet does not continue the previous one, by ID
+// (so a group is the range its DB row names) and, for analysis, by file
+// and by event (a task streams one event range of one file, so a lumi
+// the mask drops between two selected ones must split them). The groups
+// are sub-slices of ids.
+func groupTasklets(cfg *Config, tasklets []Tasklet, ids []int) [][]int {
+	groups := make([][]int, 0, (len(ids)+cfg.TaskletsPerTask-1)/cfg.TaskletsPerTask)
+	start := 0
+	for i := 1; i <= len(ids); i++ {
+		if i < len(ids) && i-start < cfg.TaskletsPerTask && continues(cfg, &tasklets[ids[i-1]], &tasklets[ids[i]]) {
+			continue
+		}
+		groups = append(groups, ids[start:i:i])
+		start = i
+	}
+	return groups
 }
 
-// groupTasklets forms tasks of cfg.TaskletsPerTask tasklets. Analysis tasks
-// never span files (a task streams from one input file); grouping restarts
-// at file boundaries. Contiguity is preserved so a task covers one event
-// range per file.
-func groupTasklets(cfg *Config, tasklets []Tasklet) [][]int {
-	var groups [][]int
-	var cur []int
-	var curLFN string
-	flush := func() {
-		if len(cur) > 0 {
-			groups = append(groups, cur)
-			cur = nil
-		}
-	}
-	for _, t := range tasklets {
-		if len(cur) >= cfg.TaskletsPerTask || (cfg.Kind == KindAnalysis && t.LFN != curLFN) {
-			flush()
-		}
-		curLFN = t.LFN
-		cur = append(cur, t.ID)
-	}
-	flush()
-	return groups
+// continues reports whether tasklet t picks up exactly where prev ends.
+func continues(cfg *Config, prev, t *Tasklet) bool {
+	return t.ID == prev.ID+1 &&
+		(cfg.Kind != KindAnalysis || (t.LFN == prev.LFN && t.SkipEvents == prev.SkipEvents+prev.NumEvents))
 }
 
 // buildTask converts a tasklet group into a wq.Task for submission and
