@@ -78,6 +78,14 @@ fmt:
 # file, and decoded twice on the master: about 2.2 KB of a small task's
 # allocation.
 #
+# And so are a task's arguments, by the master's frame encoder and the
+# worker's decoder: no json.RawMessage in non-test internal/wq,
+# internal/core, internal/hepsim or internal/wrapper, and no json.Marshal(
+# or json.Unmarshal( in non-test internal/hepsim (DESIGN.md section 11, a
+# task's arguments on the wire). core marshalled each record into a
+# RawMessage that the frame decoder copied and hepsim decoded a second
+# time: about 0.6 KB of a small task's allocation.
+#
 # And alerts read the process's own registry: no net/http in non-test
 # internal/health code (DESIGN.md section 12, the in-process evaluator).
 # Nothing scrapes. The fleet hub and lobster-fleet, about 830 lines that
@@ -132,6 +140,9 @@ copy-lint:
 	test -z "$$out" || { echo "wq moving files (a task carries arguments, a result its report):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'json\.Marshal\(|"encoding/base64"' --include='*.go' internal/wrapper internal/wq | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "the report encoded on its own (it rides the result frame as a typed field):"; echo "$$out"; exit 1; }
+	@out="$$( { grep -rn 'json\.RawMessage' --include='*.go' internal/wq internal/core internal/hepsim internal/wrapper; \
+		grep -rnE 'json\.(Marshal|Unmarshal)\(' --include='*.go' internal/hepsim; } | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "task arguments coded on their own (they ride the task frame as a typed field):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"net/http' --include='*.go' internal/health | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "health scraping over HTTP (rules evaluate the process's own registry):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"lobster/internal/(telemetry|trace|health)"' --include='*.go' internal/sim internal/simevent | grep -v '_test\.go:')"; \
@@ -225,6 +236,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFetchReplies -fuzztime $(FUZZTIME) ./internal/xrootd/
 	$(GO) test -fuzz FuzzLine -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzBatchDispatch -fuzztime $(FUZZTIME) ./internal/wq/
+	$(GO) test -fuzz FuzzTaskFrame -fuzztime $(FUZZTIME) ./internal/wq/
 	$(GO) test -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/health/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/seglog/

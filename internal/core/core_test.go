@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -274,14 +273,13 @@ func TestGroupTaskletsBreaksAtIDGaps(t *testing.T) {
 	}
 }
 
-// taskArgs decodes the argument record buildTask marshalled.
+// taskArgs returns the argument record buildTask handed over.
 func taskArgs(t *testing.T, task *wq.Task) wrapper.Args {
 	t.Helper()
-	var a wrapper.Args
-	if err := json.Unmarshal(task.Args, &a); err != nil {
-		t.Fatalf("task arguments %s: %v", task.Args, err)
+	if task.Args == nil {
+		t.Fatal("task has no arguments")
 	}
-	return a
+	return *task.Args
 }
 
 func TestBuildTaskAnalysisArgs(t *testing.T) {
@@ -397,7 +395,7 @@ func TestNewValidatesServices(t *testing.T) {
 func TestTaskRecordsShareMetrics(t *testing.T) {
 	l := &Lobster{svc: Services{Monitor: monitor.New()}}
 	report := func(events float64) *wrapper.Report {
-		return &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegExecute,
+		return &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegExecute,
 			Metrics: wrapper.Metrics{Events: events, BytesIn: 1024 * events, BytesOut: 8 * events}}}}
 	}
 	for i, events := range []float64{4, 4, 9, 4} {
@@ -448,7 +446,7 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 		t.Errorf("no report: monitor records %+v, want one failed record", recs)
 	}
 
-	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegStageOut,
+	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegStageOut,
 		Metrics: wrapper.Metrics{BytesOut: 4096}}}}
 	if err := l.handleResult(&wq.Result{TaskID: 2, Report: rep}); err != nil {
 		t.Fatal(err)
@@ -464,7 +462,7 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 func TestRecordMonitorUntracedAllocs(t *testing.T) {
 	l := &Lobster{epoch: time.Now()}
 	l.tel.stages = telemetry.NewStageHistograms(telemetry.NewRegistry())
-	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.SegExecute,
+	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegExecute,
 		Metrics: wrapper.Metrics{Events: 4}}}}
 	r, info := &wq.Result{TaskID: 1}, &inflightTask{kind: "proc"}
 	if n := testing.AllocsPerRun(100, func() { l.recordMonitor(r, info, rep) }); n != 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"lobster/internal/retry"
 	"lobster/internal/wire"
 	"lobster/internal/wq"
+	"lobster/internal/wrapper"
 )
 
 // outputFile is one unmerged task output on the storage element.
@@ -54,25 +54,23 @@ func MergeExecutor(pool *chirp.Pool) wq.Executor {
 		do := func(fn func(*chirp.Client) error) error {
 			return pool.DoTraced(ctx.Tracer, ctx.Trace, fn)
 		}
-		var args mergeArgs
-		if err := json.Unmarshal(ctx.Task.Args, &args); err != nil {
-			return fmt.Errorf("merge task arguments: %w", err)
-		}
-		inputs, out := args.Inputs, args.Output
-		if len(inputs) == 0 || inputs[0] == "" || out == "" {
+		args := ctx.Task.Args
+		if args == nil || len(args.Inputs) == 0 || args.Inputs[0] == "" || args.Output == "" {
 			return fmt.Errorf("merge task needs inputs and output")
 		}
+		inputs, out := args.Inputs, args.Output
 		// Merge tasks declare no input or output files — everything moves
 		// over chirp — so the worker never created the sandbox the spool
 		// files below need.
 		if err := ctx.EnsureSandbox(); err != nil {
 			return fmt.Errorf("merge sandbox: %w", err)
 		}
+		sandbox := ctx.Sandbox()
 		spools := make([]string, len(inputs))
 		errs := make([]error, len(inputs))
 		var wg sync.WaitGroup
 		for i := range inputs {
-			spools[i] = filepath.Join(ctx.Sandbox, fmt.Sprintf("merge-in-%d", i))
+			spools[i] = filepath.Join(sandbox, fmt.Sprintf("merge-in-%d", i))
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -173,28 +171,17 @@ func groupOutputsBySize(outputs []outputFile, targetBytes int64, requireFull boo
 	return groups, rest
 }
 
-// mergeArgs is what a merge task tells MergeExecutor: the chirp paths
-// it concatenates, in order, and the one it writes.
-type mergeArgs struct {
-	Inputs []string `json:"inputs"`
-	Output string   `json:"output"`
-}
-
 // buildMergeTask constructs the wq task for one merge group and returns
 // the path of the merged file it writes.
 func buildMergeTask(cfg *Config, group []outputFile, seq int) (*wq.Task, string, error) {
-	args := mergeArgs{
+	args := &wrapper.Args{
 		Inputs: make([]string, len(group)),
 		Output: fmt.Sprintf("%s/%s_merged_%d.root", cfg.OutputDir, cfg.Name, seq),
 	}
 	for i, o := range group {
 		args.Inputs[i] = o.Path
 	}
-	raw, err := json.Marshal(&args)
-	if err != nil {
-		return nil, "", err
-	}
-	return &wq.Task{Func: mergeFunc, Args: raw, Tag: "merge"}, args.Output, nil
+	return &wq.Task{Func: mergeFunc, Args: args, Tag: "merge"}, args.Output, nil
 }
 
 // hadoopMerge performs merging entirely within the storage cluster via

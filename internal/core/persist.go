@@ -47,12 +47,18 @@ func (l *Lobster) persistPlan() error {
 	})
 }
 
-// persistTaskletStates records the state of one task group in one row.
+// persistTaskletStates records the state of one task group in one row,
+// handed to the kernel before the caller acts on the result: a master
+// killed after that loses no finished group (no fsync; a crashed machine
+// may).
 func (l *Lobster) persistTaskletStates(group []int, s TaskletState) error {
 	if l.svc.DB == nil {
 		return nil
 	}
 	if err := l.svc.DB.PutJSON(l.taskletsTable(), taskletKey(group[0]), taskletRow{State: s, N: len(group)}); err != nil {
+		return err
+	}
+	if err := l.svc.DB.Flush(); err != nil {
 		return err
 	}
 	// Bound WAL growth over long runs.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"lobster/internal/dbs"
@@ -140,7 +139,7 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 		return nil, "", fmt.Errorf("core: empty task group")
 	}
 	first := tasklets[group[0]]
-	args := wrapper.Args{
+	args := &wrapper.Args{
 		EventSize: cfg.EventSize,
 		Work:      cfg.Work,
 		Output:    fmt.Sprintf("%s/%s_t%d_a%d.root", cfg.OutputDir, cfg.Name, group[0], attempt),
@@ -164,13 +163,5 @@ func buildTask(cfg *Config, tasklets []Tasklet, group []int, attempt int) (*wq.T
 		}
 		args.Seed, args.Pileup = first.Seed, cfg.PileupPath
 	}
-	raw, err := json.Marshal(&args)
-	if err != nil {
-		return nil, "", err
-	}
-	return &wq.Task{
-		Func: funcName,
-		Args: raw,
-		Tag:  string(cfg.Kind),
-	}, args.Output, nil
+	return &wq.Task{Func: funcName, Args: args, Tag: string(cfg.Kind)}, args.Output, nil
 }

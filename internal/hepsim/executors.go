@@ -2,7 +2,6 @@ package hepsim
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -141,20 +140,17 @@ type RemoteFile interface {
 	Close() error
 }
 
-// argDefaults are the executors' arguments where a task's record leaves
-// a field out.
-var argDefaults = wrapper.Args{Run: 1, EventSize: DefaultEventSize, Work: 1, Seed: 1}
-
 // initTask is env_init's common part: it reads the task's argument
-// record, a wrapper.Args, into a, which holds argDefaults, and builds the
-// kernel the record describes. A task without arguments runs on the
-// defaults; a record that is not one fails the task here.
-func initTask(raw json.RawMessage, a *wrapper.Args) (*Kernel, error) {
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, a); err != nil {
-			return nil, fmt.Errorf("task arguments: %w", err)
-		}
+// record rec into a, each zero field replaced by the executors' default for
+// it, and builds the kernel the record describes. A task without
+// arguments runs on the defaults; a record that describes no kernel fails
+// the task here.
+func initTask(rec, a *wrapper.Args) (*Kernel, error) {
+	if rec != nil {
+		*a = *rec
 	}
+	a.Run, a.EventSize = cmp.Or(a.Run, 1), cmp.Or(a.EventSize, DefaultEventSize)
+	a.Work, a.Seed = cmp.Or(a.Work, 1), cmp.Or(a.Seed, 1)
 	return NewKernel(a.EventSize, a.Work)
 }
 
@@ -184,7 +180,7 @@ func (e *Env) probeScratch(ctx *wq.ExecContext) error {
 		return nil
 	}
 	// Per task, so that concurrent first tasks do not remove each other's.
-	probe := ctx.Sandbox + ".probe"
+	probe := ctx.Sandbox() + ".probe"
 	err := os.WriteFile(probe, nil, 0o644)
 	if err == nil {
 		err = os.Remove(probe)
@@ -231,7 +227,7 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, out string, 
 		if err := ctx.EnsureSandbox(); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(ctx.Sandbox, "output.root"), output, 0o644)
+		return os.WriteFile(filepath.Join(ctx.Sandbox(), "output.root"), output, 0o644)
 	}
 	if e.ChirpAddr == "" {
 		return fmt.Errorf("output %s: no storage element to stage it out to", out)
@@ -252,7 +248,7 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, out string, 
 	return nil
 }
 
-// analysisTask is one analysis task's state: its argument record, decoded
+// analysisTask is one analysis task's state: its argument record, read
 // in env_init, and what each step leaves for the next. The step closures
 // share it through one pointer.
 type analysisTask struct {
@@ -271,7 +267,7 @@ func (t *analysisTask) releaseInput() {
 }
 
 func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	t := &analysisTask{args: argDefaults}
+	t := &analysisTask{}
 	defer t.releaseInput()
 	// The output only once the wrapper is done: stage-out may replay it.
 	defer func() { bufpool.PutSized(t.output) }()
@@ -445,7 +441,7 @@ type simulationTask struct {
 }
 
 func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	t := &simulationTask{args: argDefaults}
+	t := &simulationTask{}
 	defer func() { bufpool.PutSized(t.output) }()
 	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
 		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {

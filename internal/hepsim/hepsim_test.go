@@ -2,7 +2,6 @@ package hepsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	iofs "io/fs"
 	"net/http"
@@ -208,25 +207,20 @@ func simulation(env *Env) taskFunc {
 	return func(ctx *wq.ExecContext) *wrapper.Report { return runSimulation(env, ctx) }
 }
 
-// argsOf marshals a task's argument record, as core does.
-func argsOf(a wrapper.Args) json.RawMessage {
-	raw, err := json.Marshal(&a)
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
+// argsOf hands a task its argument record, as core does.
+func argsOf(a wrapper.Args) *wrapper.Args { return &a }
 
 func runTask(t testing.TB, run taskFunc, task *wq.Task) *wrapper.Report {
 	t.Helper()
 	return runTaskIn(t, t.TempDir(), run, task)
 }
 
-// runTaskIn runs one task as the executor would, and checks that the
-// error the worker gets agrees with the report the master gets.
-func runTaskIn(t testing.TB, sandbox string, run taskFunc, task *wq.Task) *wrapper.Report {
+// runTaskIn runs one task as the executor would, with dir as the worker's
+// scratch directory, and checks that the error the worker gets agrees
+// with the report the master gets.
+func runTaskIn(t testing.TB, dir string, run taskFunc, task *wq.Task) *wrapper.Report {
 	t.Helper()
-	ctx := &wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "test"}
+	ctx := &wq.ExecContext{Task: task, Dir: dir, WorkerName: "test"}
 	rep := run(ctx)
 	if err := finish(ctx, rep); (err != nil) != (rep.ExitCode != 0) {
 		t.Fatalf("exec err %v inconsistent with report %+v", err, rep)
@@ -331,8 +325,9 @@ func TestAnalysisOutputWithoutStorageElementFails(t *testing.T) {
 	svc.redir.Register("/store/f.root", mustStore(svc.dataSrv, "/store/f.root", k.GenerateEvents(8, stats.NewRand(5))))
 	local := cloneEnv(svc.env)
 	local.ChirpAddr = ""
-	sandbox := filepath.Join(t.TempDir(), "task-7")
-	rep := runTaskIn(t, sandbox, analysis(local), &wq.Task{ID: 7, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: "/out/lost.root"})})
+	dir := t.TempDir()
+	sandbox := filepath.Join(dir, "task-7")
+	rep := runTaskIn(t, dir, analysis(local), &wq.Task{ID: 7, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: "/out/lost.root"})})
 	if rep.Failed != wrapper.SegStageOut || rep.ExitCode != wrapper.SegStageOut.Code() {
 		t.Fatalf("report = %+v, want a stage_out failure", rep)
 	}
@@ -481,17 +476,18 @@ func TestSimulationRequiresEvents(t *testing.T) {
 	}
 }
 
-// TestMalformedArgsFailEnvInit: an argument record that does not decode
-// fails the task in env_init, before any service is touched, instead of
-// running it on defaults.
-func TestMalformedArgsFailEnvInit(t *testing.T) {
+// TestUnbuildableArgsFailEnvInit: an argument record that decodes but
+// describes no kernel (a negative event size; a work factor below one is
+// read as one) fails the task in env_init, before any service is touched,
+// instead of running it on defaults. A record that does not decode never
+// reaches an executor: it breaks the worker's connection
+// (wq's TestMalformedArgsBreakConnection).
+func TestUnbuildableArgsFailEnvInit(t *testing.T) {
 	env := &Env{}
-	for _, raw := range []string{`{"work":"abc"}`, `[1]`, `{"events":`} {
-		for name, exec := range map[string]taskFunc{"analysis": analysis(env), "simulation": simulation(env)} {
-			rep := runTask(t, exec, &wq.Task{ID: 9, Args: json.RawMessage(raw)})
-			if rep.Failed != wrapper.SegEnvInit || rep.ExitCode != wrapper.SegEnvInit.Code() {
-				t.Errorf("%s with arguments %s: report %+v, want an env_init failure", name, raw, rep)
-			}
+	for name, exec := range map[string]taskFunc{"analysis": analysis(env), "simulation": simulation(env)} {
+		rep := runTask(t, exec, &wq.Task{ID: 9, Args: &wrapper.Args{LFN: "/x", Events: 1, EventSize: -1}})
+		if rep.Failed != wrapper.SegEnvInit || rep.ExitCode != wrapper.SegEnvInit.Code() {
+			t.Errorf("%s with event size -1: report %+v, want an env_init failure", name, rep)
 		}
 	}
 }
@@ -594,7 +590,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 				break
 			}
 		}
-		args := argDefaults
+		var args wrapper.Args
 		if _, err := initTask(ctx.Task.Args, &args); err != nil {
 			return err
 		}

@@ -136,14 +136,14 @@ func TestConcurrentTasksMatchSerial(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sandbox := t.TempDir()
+			dir := t.TempDir()
 			for r := 0; r < rounds; r++ {
 				// Ranges of different lengths, so a slot is handed a
 				// buffer another task of another size just gave back.
 				skip, max := (7*r+13*s)%200, 50+(31*r+17*s)%150
 				mode := []string{"stage", "stream"}[(r+s)%2]
 				out := fmt.Sprintf("/out/conc-%d-%d", s, r)
-				rep := runTaskIn(t, sandbox, exec, &wq.Task{ID: int64(100 + s*rounds + r), Args: argsOf(wrapper.Args{LFN: "/store/shared.root", Mode: mode, Output: out, EventSize: 128, SkipEvents: skip, MaxEvents: max})})
+				rep := runTaskIn(t, dir, exec, &wq.Task{ID: int64(100 + s*rounds + r), Args: argsOf(wrapper.Args{LFN: "/store/shared.root", Mode: mode, Output: out, EventSize: 128, SkipEvents: skip, MaxEvents: max})})
 				if rep.ExitCode != 0 {
 					t.Errorf("slot %d round %d: %+v", s, r, rep)
 					return
@@ -227,7 +227,7 @@ func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
 	run := func(env *Env, id int64, output string) string {
 		t.Helper()
 		sandbox := filepath.Join(scratch, fmt.Sprintf("task-%d", id)) // as a worker names it; never created
-		ctx := &wq.ExecContext{Task: &wq.Task{ID: id, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: output})}, Sandbox: sandbox}
+		ctx := &wq.ExecContext{Task: &wq.Task{ID: id, Args: argsOf(wrapper.Args{LFN: "/store/f.root", EventSize: 128, Output: output})}, Dir: scratch}
 		if err := exec(ctx); err != nil {
 			t.Fatalf("task %d: %v", id, err)
 		}
@@ -262,7 +262,7 @@ func TestHotAnalysisTaskTouchesNoFiles(t *testing.T) {
 func TestScratchProbeRemembersOnlySuccess(t *testing.T) {
 	env := &Env{}
 	dir := filepath.Join(t.TempDir(), "worker")
-	ctx := &wq.ExecContext{Sandbox: filepath.Join(dir, "task-1")}
+	ctx := &wq.ExecContext{Task: &wq.Task{ID: 1}, Dir: dir}
 	if env.probeScratch(ctx) == nil {
 		t.Fatal("probe passed in a directory that does not exist")
 	}
@@ -298,11 +298,11 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args wrapper.Args) {
 	if err := svc.chirpFS.WriteFile("/pileup/hot.root", data[:256<<10]); err != nil {
 		b.Fatal(err)
 	}
-	run, sandbox := exec(svc.env), b.TempDir()
+	run, dir := exec(svc.env), b.TempDir()
 	args.EventSize, args.Output = 1024, "/out/hot"
 	task := &wq.Task{ID: 1, Args: argsOf(args)}
 	for i := 0; i < 3; i++ { // cold start, then fill the caches and the sized pools
-		if err := run(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "bench"}); err != nil {
+		if err := run(&wq.ExecContext{Task: task, Dir: dir, WorkerName: "bench"}); err != nil {
 			b.Fatalf("warm-up task failed: %v", err)
 		}
 	}
@@ -312,7 +312,7 @@ func hotTask(b *testing.B, exec func(*Env) wq.Executor, args wrapper.Args) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(&wq.ExecContext{Task: task, Sandbox: sandbox, WorkerName: "bench"}); err != nil {
+		if err := run(&wq.ExecContext{Task: task, Dir: dir, WorkerName: "bench"}); err != nil {
 			b.Fatal(err)
 		}
 	}

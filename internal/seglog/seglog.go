@@ -153,7 +153,7 @@ func (l *Log) fail(err error) error {
 
 // Append writes one record, first sealing the live segment when it has
 // reached the size limit. Records sit in a 4 KiB buffer until it fills or
-// Sync, Compact or Close.
+// Flush, Sync, Compact or Close.
 func (l *Log) Append(rec []byte) error {
 	if l.err != nil {
 		return l.err
@@ -189,13 +189,22 @@ func (l *Log) write(rec []byte) error {
 // Size returns the bytes appended since Open or the last Compact.
 func (l *Log) Size() int64 { return l.size }
 
-// Sync makes every appended record durable.
-func (l *Log) Sync() error {
+// Flush hands every appended record to the kernel, without syncing it: a
+// killed process loses none of them, a crashed machine may.
+func (l *Log) Flush() error {
 	if l.err != nil {
 		return l.err
 	}
 	if err := l.w.Flush(); err != nil {
 		return l.fail(fmt.Errorf("seglog: flush: %w", err))
+	}
+	return nil
+}
+
+// Sync makes every appended record durable.
+func (l *Log) Sync() error {
+	if err := l.Flush(); err != nil {
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("seglog: sync: %w", err))

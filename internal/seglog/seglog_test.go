@@ -323,3 +323,30 @@ func TestDecoderRejectionIsAnError(t *testing.T) {
 		t.Fatalf("live segment changed from %d to %d bytes", len(before), len(after))
 	}
 }
+
+// TestFlushReachesTheFile: appended records wait in the log's buffer, and
+// Flush hands them to the file, so a second reader of the directory, the
+// writer never closed, as after a killed process, replays them all.
+func TestFlushReachesTheFile(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, sfx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := []string{"a=1", "b=2", "c=3"}
+	for _, rec := range want {
+		if err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, _ := os.ReadFile(segFile(dir, 1)); len(data) != 0 {
+		t.Fatalf("%d bytes in the file before Flush; the test assumes Append buffers", len(data))
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Flush a second Open replays %q, want %q", got, want)
+	}
+}

@@ -148,6 +148,14 @@ func (db *DB) GetJSON(table, key string, out any) error {
 	return nil
 }
 
+// Flush hands every record put so far to the kernel, without syncing it:
+// a killed process loses none of them.
+func (db *DB) Flush() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.log.Flush()
+}
+
 // WALSize returns the number of bytes appended to the log since Open or
 // the last compaction, a trigger for Compact.
 func (db *DB) WALSize() int64 {

@@ -1,6 +1,7 @@
 package wq
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math"
@@ -140,6 +141,40 @@ func TestMalformedReportBreaksConnection(t *testing.T) {
 	}
 }
 
+// TestMalformedArgsBreakConnection: a task whose argument record does not
+// decode fails the whole task frame on the worker and breaks its
+// connection, as a report that does not decode breaks the master's. The
+// worker runs nothing, that task included, and sends nothing back.
+func TestMalformedArgsBreakConnection(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := lis.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	w := newWorker(t, lis.Addr().String(), "w", 1)
+	c := <-accepted
+	defer c.Close()
+	p := &rawPeer{t: t, conn: c, r: bufio.NewReader(c)}
+	if hello := p.recv(10 * time.Second); hello.Type != "hello" {
+		t.Fatalf("first message %+v, want a hello", hello)
+	}
+	c.Write([]byte(frame(`{"type":"tasks","tasks":[{"id":1,"func":"echo","args":{"lfn":"x"}},` +
+		`{"id":2,"func":"echo","args":{"work":"abc"}}]}`)))
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := p.r.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after a task frame whose arguments do not decode: read %d bytes, %v; want the worker to hang up", n, err)
+	}
+	if n := w.TasksRun(); n != 0 {
+		t.Errorf("the worker ran %d tasks of a frame that did not decode", n)
+	}
+}
+
 // TestWorstCaseResultsFitFrame: the largest message any peer sends is a
 // batchMax-result batch whose every result carries a worst-case analysis
 // report — all six segments, every metric set to a 17-digit value, an
@@ -149,13 +184,13 @@ func TestWorstCaseResultsFitFrame(t *testing.T) {
 	const long = 1.2345678901234567e+300
 	errText := "xrootd: open /store/data/Run2015A/DoubleMuon/AOD/PromptReco-v1/000/250/985/00000/file0003.root: dial tcp 127.0.0.1:1094: connection refused"
 	rep := &wrapper.Report{ExitCode: 60, Failed: wrapper.SegStageOut}
-	for _, s := range []wrapper.Segment{wrapper.SegEnvInit, wrapper.SegSoftware, wrapper.SegConditions,
+	for i, s := range []wrapper.Segment{wrapper.SegEnvInit, wrapper.SegSoftware, wrapper.SegConditions,
 		wrapper.SegStageIn, wrapper.SegExecute, wrapper.SegStageOut} {
-		rep.Segments = append(rep.Segments, wrapper.SegmentReport{
+		rep.Segments[i] = wrapper.SegmentReport{
 			Segment: s, Duration: math.MaxInt64, ExitCode: s.Code(), Error: errText,
 			Metrics: wrapper.Metrics{BytesFetched: long, BytesIn: long, BytesOut: long, CacheHits: long,
 				CacheMisses: long, ConditionsBytes: long, Events: long},
-		})
+		}
 	}
 	now := time.Now()
 	out := message{Type: "results"}

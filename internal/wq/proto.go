@@ -14,10 +14,11 @@ import (
 //	master → worker:  tasks {tasks}
 //	worker → master:  results {results}
 //
-// A result carries the task's wrapper report as a typed field, so the
-// report is encoded once, by the worker's frame encoder, and decoded once,
-// by the master's; a report that does not decode fails its frame and
-// breaks the connection like any other malformed message.
+// A task carries its argument record (wrapper.Args) and a result the
+// task's wrapper report (wrapper.Report), each as a typed field, so each
+// is encoded once, by the sender's frame encoder, and decoded once, in
+// place, by the receiver's; a record that does not decode fails its frame
+// and breaks the connection like any other malformed message.
 //
 // One message carries up to batchMax tasks (or results), so a worker
 // asking for K cores costs one wire round instead of K. Every peer lives in
@@ -32,12 +33,13 @@ const batchMax = 64
 // maxFrame bounds one message's JSON body, and with it what a peer can
 // make a master or worker hold: a size line over it ends the
 // connection before a byte of the body is read. It is sized to the largest
-// message any caller sends. A task carries arguments, never files, so the
-// largest is a 64-result batch carrying reports. An analysis task's result
-// frames as 774 B with its report (BenchmarkResultFrame), so a full batch
-// is about 50 KB; at the worst case, every segment with every metric at 17
-// digits and an error string, a result is 3.3 KB and the batch 212 KB
-// (TestWorstCaseResultsFitFrame). 1 MiB holds that four times over.
+// message any caller sends. A task carries its typed argument record,
+// never files (an analysis task frames as about 0.3 KB), so the largest
+// is a 64-result batch carrying reports. An analysis task's result frames
+// as 774 B with its report (BenchmarkResultFrame), so a full batch is
+// about 50 KB; at the worst case, all six report slots with every metric
+// at 17 digits and an error string, a result is 3.3 KB and the batch
+// 212 KB (TestWorstCaseResultsFitFrame). 1 MiB holds that four times over.
 const maxFrame = 1 << 20
 
 type message struct {

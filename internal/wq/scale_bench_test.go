@@ -179,7 +179,7 @@ func BenchmarkResultFrame(b *testing.B) {
 	nc := &loopConn{}
 	c := newConn(nc)
 	now := time.Now()
-	rep := &wrapper.Report{Segments: []wrapper.SegmentReport{
+	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{
 		{Segment: wrapper.SegEnvInit, Duration: 21035},
 		{Segment: wrapper.SegSoftware, Duration: 118245, Metrics: wrapper.Metrics{CacheHits: 31}},
 		{Segment: wrapper.SegConditions, Duration: 301244, Metrics: wrapper.Metrics{ConditionsBytes: 4096}},

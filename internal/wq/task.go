@@ -5,12 +5,12 @@
 //
 // Tasks name an executor function from a Registry shared by master and
 // workers (the Go analogue of shipping a command line) and carry its
-// arguments as one JSON record, which the submitter marshals, wq passes
-// through its frames unopened, and the executor decodes. wq moves no
-// files: what a task reads and writes travels over parrot/CVMFS, xrootd
+// arguments as a wrapper.Args, a typed field of the task frame. wq moves
+// no files: what a task reads and writes travels over parrot/CVMFS, xrootd
 // and chirp. What comes back is the result, and with it the wrapper report
 // the executor hands over with ExecContext.SetReport, a typed field of the
-// result frame.
+// result frame. Each record is encoded once, by the sender's frame
+// encoder, and decoded once, in place, by the receiver's.
 //
 // Non-dedicated behaviour is first-class: a worker may vanish at any moment
 // (eviction); the master detects the lost connection and requeues the tasks
@@ -18,10 +18,11 @@
 package wq
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -35,10 +36,9 @@ type Task struct {
 	ID int64 `json:"id"`
 	// Func names the executor in the Registry.
 	Func string `json:"func"`
-	// Args is the executor's argument record, one JSON value the
-	// submitter marshals and the executor decodes. wq carries it as it
-	// is and never opens it.
-	Args json.RawMessage `json:"args,omitempty"`
+	// Args is the executor's argument record; nil runs the executor on
+	// its defaults.
+	Args *wrapper.Args `json:"args,omitempty"`
 	// Tag is an opaque caller label (Lobster uses it for workflow/task kind).
 	Tag string `json:"tag,omitempty"`
 	// MaxRetries bounds automatic requeue after worker loss (default 5).
@@ -99,10 +99,8 @@ func (r *Result) Failed() bool { return r.ExitCode != 0 || r.Error != "" }
 type ExecContext struct {
 	// Task is the task being executed (do not mutate).
 	Task *Task
-	// Sandbox is the path of the task's scratch directory. It exists only
-	// once EnsureSandbox has made it, and the worker removes it when the
-	// task ends: nothing is staged into it and no output is read from it.
-	Sandbox string
+	// Dir is the worker's scratch directory, the one Sandbox lives under.
+	Dir string
 	// WorkerName identifies the executing worker.
 	WorkerName string
 	// Trace is the execution's trace context (the worker's execute span
@@ -148,6 +146,15 @@ type heldState struct {
 	sandbox bool            // the sandbox directory was created
 }
 
+// Sandbox returns the path of the task's scratch directory, Dir/task-<id>,
+// built when an executor asks for it, not for every task. The directory
+// exists only once EnsureSandbox has made it, and the worker removes it
+// when the task ends: nothing is staged into it and no output is read
+// from it.
+func (c *ExecContext) Sandbox() string {
+	return filepath.Join(c.Dir, "task-"+strconv.FormatInt(c.Task.ID, 10))
+}
+
 // EnsureSandbox creates the sandbox directory on demand. The worker never
 // makes one itself — a task that asks for none never touches the
 // filesystem on the hot path — so an executor that writes scratch files
@@ -157,7 +164,7 @@ func (c *ExecContext) EnsureSandbox() error {
 	if h.sandbox {
 		return nil // an earlier call made and counted it
 	}
-	if err := os.MkdirAll(c.Sandbox, 0o755); err != nil {
+	if err := os.MkdirAll(c.Sandbox(), 0o755); err != nil {
 		return err
 	}
 	filesCreated.Add(1)

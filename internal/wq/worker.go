@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -298,14 +297,14 @@ func (w *Worker) execute(t *Task) *Result {
 	}
 
 	// A task carries its arguments and nothing else, so there is nothing
-	// to stage in. The sandbox is executor scratch, made only if the
-	// executor asks for it (ctx.EnsureSandbox): profiling showed sandbox
-	// mkdir/rmdir dominating the per-task syscall budget.
-	sandbox := filepath.Join(w.dir, fmt.Sprintf("task-%d", t.ID))
-	held := &heldState{}
+	// to stage in. The sandbox is executor scratch, its path built and the
+	// directory made only if the executor asks for them (ctx.Sandbox,
+	// ctx.EnsureSandbox): profiling showed sandbox mkdir/rmdir dominating
+	// the per-task syscall budget.
+	ctx := &ExecContext{Task: t, Dir: w.dir, WorkerName: w.name, Tracer: tracer, held: &heldState{}, lost: w.lost}
 	defer func() {
-		if held.sandbox {
-			os.RemoveAll(sandbox)
+		if ctx.held.sandbox {
+			os.RemoveAll(ctx.Sandbox())
 		}
 	}()
 
@@ -316,11 +315,11 @@ func (w *Worker) execute(t *Task) *Result {
 	}
 	execStart := time.Now()
 	exSpan = tracer.Start(run.Context(), "worker", "execute")
-	execTrace := exSpan.Context()
-	if !execTrace.Valid() {
+	ctx.Trace = exSpan.Context()
+	if !ctx.Trace.Valid() {
 		// Tracing off locally: still forward the upstream context so a
 		// partially-instrumented stack keeps one trace.
-		execTrace = wireCtx
+		ctx.Trace = wireCtx
 	}
 	err := func() (err error) {
 		defer func() {
@@ -328,16 +327,13 @@ func (w *Worker) execute(t *Task) *Result {
 				err = fmt.Errorf("executor panicked: %v", p)
 			}
 		}()
-		return exec(&ExecContext{
-			Task: t, Sandbox: sandbox, WorkerName: w.name,
-			Trace: execTrace, Tracer: tracer, held: held, lost: w.lost,
-		})
+		return exec(ctx)
 	}()
 	res.Stats.Exec = time.Since(execStart)
 	exSpan.End()
 	// The report rides the result on failure too: "a record of ... each
 	// segment is returned back" whatever the outcome.
-	res.Report = held.report
+	res.Report = ctx.held.report
 	if err != nil {
 		if ee, ok := err.(*ExitError); ok {
 			return fail(ee.Code, "%s", ee.Error())

@@ -1,7 +1,6 @@
 package wq
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -15,32 +14,33 @@ import (
 	"lobster/internal/wrapper"
 )
 
-// testArgs is the argument record of the test executors.
+// testArgs is what the test executors read, carried in three string
+// fields of a task's wrapper.Args.
 type testArgs struct {
-	Text string `json:"text,omitempty"` // echo: the reported segment's name
-	D    string `json:"d,omitempty"`    // sleep: how long
-	Mode string `json:"mode,omitempty"` // shim: which path to take
+	Text string // echo: the reported segment's name (Args.LFN)
+	D    string // sleep: how long (Args.Output)
+	Mode string // shim: which path to take (Args.Mode)
 }
 
-// argsOf marshals a task's argument record, as a submitter does.
-func argsOf(a testArgs) json.RawMessage {
-	raw, err := json.Marshal(&a)
-	if err != nil {
-		panic(err)
+// argsOf builds a task's argument record, as a submitter does.
+func argsOf(a testArgs) *wrapper.Args {
+	return &wrapper.Args{LFN: a.Text, Output: a.D, Mode: a.Mode}
+}
+
+// argsIn reads the record a test executor was handed.
+func argsIn(ctx *ExecContext) testArgs {
+	if a := ctx.Task.Args; a != nil {
+		return testArgs{Text: a.LFN, D: a.Output, Mode: a.Mode}
 	}
-	return raw
-}
-
-// argsIn decodes the record a test executor was handed.
-func argsIn(ctx *ExecContext) (a testArgs) {
-	json.Unmarshal(ctx.Task.Args, &a)
-	return a
+	return testArgs{}
 }
 
 // echoReport is the report the echo executor hands over: one segment
 // named after its text.
 func echoReport(text string) *wrapper.Report {
-	return &wrapper.Report{Segments: []wrapper.SegmentReport{{Segment: wrapper.Segment(text)}}}
+	rep := &wrapper.Report{}
+	rep.Segments[0].Segment = wrapper.Segment(text)
+	return rep
 }
 
 // testRegistry returns executors used across the tests.
@@ -214,7 +214,7 @@ func TestReportRidesResult(t *testing.T) {
 					return err
 				}
 			}
-			return os.WriteFile(filepath.Join(ctx.Sandbox, "report.json"), []byte(`{"segments":[]}`), 0o644)
+			return os.WriteFile(filepath.Join(ctx.Sandbox(), "report.json"), []byte(`{"segments":[]}`), 0o644)
 		}
 		return nil
 	}
@@ -266,12 +266,6 @@ func TestSubmitValidation(t *testing.T) {
 	m := newMaster(t)
 	if _, err := m.Submit(&Task{}); err == nil {
 		t.Error("task without Func accepted")
-	}
-	// A record that is not one JSON value never reaches a dispatch frame.
-	for _, raw := range []string{`{"text":`, `{} {}`, `text`} {
-		if _, err := m.Submit(&Task{Func: "echo", Args: json.RawMessage(raw)}); err == nil {
-			t.Errorf("task with arguments %q accepted", raw)
-		}
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 // FuzzDecode runs the report decoder on arbitrary bytes, as the master's
 // frame decoder does on the report field of whatever a worker's result
 // carries. Decoding never panics, and a report that decodes re-encodes to
-// bytes that decode to the same report. The checked-in corpus
-// (testdata/fuzz/FuzzDecode) holds a successful analysis report, a report
-// whose stage-in failed and a report in the map-shaped form workers sent
-// before segment metrics were typed; a seed has more segments than the
-// decoder makes room for.
+// bytes that decode to the same report, its six slots and every name in
+// them included. The checked-in corpus (testdata/fuzz/FuzzDecode) holds a
+// successful analysis report, a report whose stage-in failed and a report
+// in the map-shaped form workers sent before segment metrics were typed; a
+// seed has nine entries, more than the six slots, of which the decoder
+// keeps the first six.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"segments":[],"exit_code":0}`))
 	f.Add([]byte(`{"segments":null}`))

@@ -35,29 +35,41 @@ const (
 	SegStageOut   Segment = "stage_out"
 )
 
-// Exit-code bases per segment: a failure in segment s yields code s.Code(),
-// so the monitoring side can attribute failures without parsing messages.
-var segmentCodes = map[Segment]int{
-	SegEnvInit:    10,
-	SegSoftware:   20,
-	SegConditions: 30,
-	SegStageIn:    40,
-	SegExecute:    50,
-	SegStageOut:   60,
-}
+// segments lists the wrapper segments in execution order. A failure in
+// the i-th (from 0) yields exit code 10(i+1), so the monitoring side can
+// attribute failures without parsing messages.
+var segments = [...]Segment{SegEnvInit, SegSoftware, SegConditions, SegStageIn, SegExecute, SegStageOut}
 
 // Code returns the exit code emitted when this segment fails.
 func (s Segment) Code() int {
-	if c, ok := segmentCodes[s]; ok {
-		return c
+	for i, k := range segments {
+		if k == s {
+			return 10 * (i + 1)
+		}
 	}
 	return 99
 }
 
-// Args is what an analysis or simulation task tells its executor: the
-// record core builds for each task and marshals into wq.Task.Args, which
-// wq carries without opening. A zero field is left out of the encoding and
-// the executor reads its default in its place.
+// UnmarshalJSON decodes a segment name, which data holds as one JSON
+// value. The six known names come back as their constants, so the
+// master's frame decoder allocates no string for them; any other name
+// decodes as itself.
+func (s *Segment) UnmarshalJSON(data []byte) error {
+	for _, k := range segments {
+		if len(data) == len(k)+2 && string(data[1:len(data)-1]) == string(k) {
+			*s = k
+			return nil
+		}
+	}
+	return json.Unmarshal(data, (*string)(s))
+}
+
+// Args is what a task tells its executor: the record core builds for each
+// analysis, simulation or merge task and hands to wq as wq.Task.Args. It
+// rides the task frame as a typed field, so it is encoded once, by the
+// master's frame encoder, and decoded once, by the worker's. A zero field
+// is left out of the encoding and the executor reads its default in its
+// place.
 type Args struct {
 	// LFN is the analysis input's logical file name (required there).
 	LFN string `json:"lfn,omitempty"`
@@ -79,6 +91,9 @@ type Args struct {
 	Seed   int `json:"seed,omitempty"`
 	// Pileup is the chirp path of a simulation task's pile-up sample.
 	Pileup string `json:"pileup,omitempty"`
+	// Inputs are the chirp paths a merge task concatenates, in order,
+	// into Output.
+	Inputs []string `json:"inputs,omitempty"`
 	// Output is the chirp path the task's output is staged out to. A task
 	// without one leaves output.root in its sandbox.
 	Output string `json:"output,omitempty"`
@@ -121,11 +136,15 @@ type SegmentReport struct {
 	Metrics  Metrics       `json:"metrics"`
 }
 
-// Report is the wrapper's full record for one task.
+// Report is the wrapper's full record for one task. Segments has one slot
+// per wrapper segment, filled in step order; a slot with an empty name
+// did not run. The master's frame decoder fills the array in place, entry
+// by entry: a list of more than six entries keeps its first six, and a
+// shorter one leaves the rest empty.
 type Report struct {
-	Segments []SegmentReport `json:"segments"`
-	ExitCode int             `json:"exit_code"`
-	Failed   Segment         `json:"failed_segment,omitempty"`
+	Segments [6]SegmentReport `json:"segments"`
+	ExitCode int              `json:"exit_code"`
+	Failed   Segment          `json:"failed_segment,omitempty"`
 }
 
 // Totals sums each metric across all segments.
@@ -145,23 +164,15 @@ func (r *Report) Totals() Metrics {
 }
 
 // SegmentDuration returns the duration of the named segment (0 if absent).
+// It looks the segment up by name, not by slot, so a report a worker wrote
+// in another step order reads the same.
 func (r *Report) SegmentDuration(s Segment) time.Duration {
-	for _, sr := range r.Segments {
-		if sr.Segment == s {
-			return sr.Duration
+	for i := range r.Segments {
+		if r.Segments[i].Segment == s {
+			return r.Segments[i].Duration
 		}
 	}
 	return 0
-}
-
-// UnmarshalJSON decodes a report into segments made with room for every
-// segment, so the decoder fills one slice in place instead of growing it
-// 1, 2, 4, 8 as it goes: that growth cost the master 1.6 KB a task, the
-// nested decode's state about 350 B.
-func (r *Report) UnmarshalJSON(data []byte) error {
-	type plain Report // Report's fields without this method
-	r.Segments = make([]SegmentReport, 0, len(segmentCodes))
-	return json.Unmarshal(data, (*plain)(r))
 }
 
 // StepContext is passed to each step so it can record metrics and, when
@@ -183,8 +194,10 @@ type Step struct {
 	Run     func(*StepContext) error
 }
 
-// Run executes steps in order, recording one SegmentReport each. The first
-// failure stops execution; its segment's exit code becomes the report's.
+// Run executes steps in order, recording one SegmentReport each in the
+// report's next slot; it takes at most six steps, one per segment. The
+// first failure stops execution; its segment's exit code becomes the
+// report's.
 // A nil Run function records an instantaneous success (segment skipped).
 //
 // Before each segment runs, inj is consulted under (component "wrapper",
@@ -199,7 +212,7 @@ type Step struct {
 // chain under it. Non-zero segment metrics become span attributes. A nil
 // tracer or invalid parent records no spans.
 func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
-	rep := &Report{Segments: make([]SegmentReport, len(steps))}
+	rep := &Report{}
 	ctx := &StepContext{Tracer: tr}
 	for i, step := range steps {
 		sr := &rep.Segments[i]
@@ -225,7 +238,6 @@ func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, step
 		sr.Metrics.attrs(sp)
 		if err != nil {
 			sr.ExitCode, sr.Error = step.Segment.Code(), err.Error()
-			rep.Segments = rep.Segments[:i+1]
 			rep.ExitCode, rep.Failed = sr.ExitCode, step.Segment
 			sp.Attr("error", sr.Error)
 			sp.AttrInt("exit_code", int64(sr.ExitCode))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,6 +13,17 @@ import (
 )
 
 var allSegments = []Segment{SegEnvInit, SegSoftware, SegConditions, SegStageIn, SegExecute, SegStageOut}
+
+// slotsRun counts rep's slots that hold a segment: the ones that ran.
+func slotsRun(rep *Report) int {
+	n := 0
+	for _, sr := range rep.Segments {
+		if sr.Segment != "" {
+			n++
+		}
+	}
+	return n
+}
 
 // roundTrip sends rep the way a report reaches the master: encoded by the
 // worker's frame encoder, decoded by the master's.
@@ -44,8 +56,8 @@ func TestAllSegmentsSucceed(t *testing.T) {
 	if rep.ExitCode != 0 || rep.Failed != "" {
 		t.Fatalf("report = %+v", rep)
 	}
-	if len(rep.Segments) != 3 {
-		t.Fatalf("segments = %d", len(rep.Segments))
+	if slotsRun(rep) != 3 {
+		t.Fatalf("segments = %d", slotsRun(rep))
 	}
 	if rep.SegmentDuration(SegExecute) < time.Millisecond {
 		t.Error("execute duration not recorded")
@@ -81,10 +93,10 @@ func TestFailureStopsAndCodes(t *testing.T) {
 	if rep.ExitCode != SegStageIn.Code() || rep.Failed != SegStageIn {
 		t.Fatalf("report = %+v", rep)
 	}
-	if len(rep.Segments) != 2 {
+	if slotsRun(rep) != 2 {
 		t.Fatalf("segments = %+v, want the two that ran", rep.Segments)
 	}
-	last := rep.Segments[len(rep.Segments)-1]
+	last := rep.Segments[1]
 	if last.Error != "xrootd timeout" || last.ExitCode != 40 {
 		t.Errorf("failing segment = %+v", last)
 	}
@@ -101,7 +113,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 
 func TestNilStepSkips(t *testing.T) {
 	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegConditions})
-	if rep.ExitCode != 0 || len(rep.Segments) != 1 {
+	if rep.ExitCode != 0 || slotsRun(rep) != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
 }
@@ -172,32 +184,74 @@ func TestDecodeMapShapedReport(t *testing.T) {
 	}
 }
 
-// TestDecodePresized: the decoder fills one slice made with room for
-// every segment, and a report with more segments than that still decodes
-// whole.
-func TestDecodePresized(t *testing.T) {
-	steps := make([]Step, 0, 2*len(allSegments))
-	for _, s := range append(allSegments, allSegments...) {
-		steps = append(steps, Step{Segment: s})
+// TestSixSlots: Run fills the report's slots in step order and leaves the
+// rest empty, and the decoder fills them in place from the list on the
+// wire. A segment name comes back as its constant, so decoding one
+// allocates nothing, and SegmentDuration finds a segment by name in any
+// slot. No producer writes more than six entries; a longer list keeps its
+// first six and drops the rest.
+func TestSixSlots(t *testing.T) {
+	steps := []Step{{Segment: SegEnvInit}, {Segment: SegSoftware}, {Segment: SegStageIn}, {Segment: SegExecute}, {Segment: SegStageOut}}
+	rep := Run(nil, nil, trace.Context{}, steps...)
+	for i, s := range steps {
+		if rep.Segments[i].Segment != s.Segment {
+			t.Errorf("slot %d holds %q, want %q", i, rep.Segments[i].Segment, s.Segment)
+		}
 	}
-	if got := roundTrip(t, Run(nil, nil, trace.Context{}, steps[:len(allSegments)]...)); cap(got.Segments) != len(allSegments) {
-		t.Errorf("six segments decoded into capacity %d, want %d", cap(got.Segments), len(allSegments))
+	if rep.Segments[5] != (SegmentReport{}) {
+		t.Errorf("the slot no step ran holds %+v", rep.Segments[5])
 	}
-	if got := roundTrip(t, Run(nil, nil, trace.Context{}, steps...)); len(got.Segments) != len(steps) {
-		t.Errorf("%d segments decoded as %d", len(steps), len(got.Segments))
+	if got := roundTrip(t, rep); !reflect.DeepEqual(got, rep) {
+		t.Errorf("five segments decoded as %+v", got.Segments)
+	}
+
+	var long bytes.Buffer
+	long.WriteString(`{"segments":[`)
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&long, `{"segment":%q,"duration":%d},`, allSegments[(11-i)%6], i+1)
+	}
+	long.WriteString(`{"segment":"later"}]}`)
+	var got Report
+	if err := json.Unmarshal(long.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	for i, sr := range got.Segments {
+		if want := allSegments[(11-i)%6]; sr.Segment != want || sr.Duration != time.Duration(i+1) {
+			t.Errorf("slot %d of a 13-entry list: %+v, want %s for %d", i, sr, want, i+1)
+		}
+	}
+	if d := got.SegmentDuration(SegEnvInit); d != 6 {
+		t.Errorf("env_init found in slot 5 with duration %d, want 6", d)
+	}
+
+	var s Segment
+	known := []byte(`"stage_out"`)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.UnmarshalJSON(known); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || s != SegStageOut {
+		t.Errorf("a known name decoded as %q in %v allocs, want its constant in 0", s, n)
+	}
+	if err := json.Unmarshal([]byte(`"stage\u005fout"`), &s); err != nil || s != SegStageOut {
+		t.Errorf("an escaped name decoded as %q, %v", s, err)
+	}
+	if err := json.Unmarshal([]byte(`"custom"`), &s); err != nil || s != "custom" {
+		t.Errorf("an unknown name decoded as %q, %v", s, err)
 	}
 }
 
 // TestReportAllocs pins what one task's report costs: Run over the six
 // segments of a task, and the master's decode of the report field of a
-// result frame, through a decoder it keeps. Run makes the report, its
-// segments and one step context. The decode makes the report, its
-// segments, one name per segment, and the state of the nested decode
-// that UnmarshalJSON runs to presize the segments: 16 allocations and
-// 1120 B in all, against 11 and 1744 B for a decode that grows the slice
-// 1, 2, 4, 8 (the nested decode's state is about 350 B of the 1120). The report made the trip as encoded bytes before (DESIGN.md
-// section 17, eighth turn): an Encode of 1 allocation on the worker, then
-// a base64 copy and a Decode of 15 on the master.
+// result frame, through a decoder it keeps. Run makes the report, whose
+// six slots are part of it, and one step context. The decode makes the
+// report and nothing else: the slots are filled in place and each name
+// comes back as its constant. It was 16 allocations while the segments
+// were a slice that Report.UnmarshalJSON presized through a nested
+// decode, one fresh string per name; before that the report made the trip
+// as encoded bytes (DESIGN.md section 17, eighth turn), an Encode of 1
+// allocation on the worker, then a base64 copy and a Decode of 15 on the
+// master.
 func TestReportAllocs(t *testing.T) {
 	if poolDropsPuts {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -210,8 +264,8 @@ func TestReportAllocs(t *testing.T) {
 		}}
 	}
 	var rep *Report
-	if n := testing.AllocsPerRun(100, func() { rep = Run(nil, nil, trace.Context{}, steps...) }); n > 3 {
-		t.Errorf("Run: %v allocs, want at most 3", n)
+	if n := testing.AllocsPerRun(100, func() { rep = Run(nil, nil, trace.Context{}, steps...) }); n > 2 {
+		t.Errorf("Run: %v allocs, want at most 2", n)
 	}
 	data, err := json.Marshal(&struct{ Report *Report }{rep})
 	if err != nil {
@@ -226,8 +280,8 @@ func TestReportAllocs(t *testing.T) {
 		if err := dec.Decode(&frame); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 16 {
-		t.Errorf("decode: %v allocs, want at most 16", n)
+	}); n > 1 {
+		t.Errorf("decode: %v allocs, want 1", n)
 	}
 	if !reflect.DeepEqual(frame.Report, rep) {
 		t.Errorf("decoded %+v, want %+v", frame.Report, rep)
