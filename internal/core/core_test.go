@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -373,6 +375,51 @@ func TestGroupOutputsBySize(t *testing.T) {
 	}
 }
 
+// TestMergeGroupsFitFrame: many tiny outputs still make merge tasks that
+// wq can carry. 20,000 outputs of 8 B under an 8 MiB target once made one
+// group whose task encoded past wq's 1 MiB frame, which every worker
+// refused. Each group now stops at mergeInputBudget of input paths, so
+// every merge task's frame entry is far under 1 MiB, and even a full
+// batch of 64 of the largest fits one frame; every output lands in
+// exactly one group.
+func TestMergeGroupsFitFrame(t *testing.T) {
+	cfg := Config{Name: "ttbar-2015D-analysis"}
+	cfg.OutputDir = "/store/user/" + cfg.Name
+	outs := make([]outputFile, 20000)
+	for i := range outs {
+		outs[i] = outputFile{Path: fmt.Sprintf("%s/%s_t%d_a0.root", cfg.OutputDir, cfg.Name, i), Bytes: 8}
+	}
+	groups, rest := groupOutputsBySize(outs, 8<<20, false)
+	if len(rest) != 0 {
+		t.Fatalf("a flush kept %d outputs back", len(rest))
+	}
+	seen := map[string]int{}
+	largest := 0
+	for seq, g := range groups {
+		task, _, err := buildMergeTask(&cfg, g, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, len(data))
+		for _, o := range g {
+			seen[o.Path]++
+		}
+	}
+	if 64*largest >= 1<<20 {
+		t.Errorf("%d groups, the largest task %d B: 64 of them do not fit a 1 MiB frame", len(groups), largest)
+	}
+	for _, o := range outs {
+		if seen[o.Path] != 1 {
+			t.Fatalf("%s is in %d groups, want 1", o.Path, seen[o.Path])
+		}
+	}
+	t.Logf("%d groups, the largest task %d B", len(groups), largest)
+}
+
 func TestNewValidatesServices(t *testing.T) {
 	ds := testDataset(1, 2, 4)
 	if _, err := New(Config{Name: "x", Kind: KindAnalysis, Dataset: ds.Name}, Services{}); err == nil {
@@ -395,8 +442,7 @@ func TestNewValidatesServices(t *testing.T) {
 func TestTaskRecordsShareMetrics(t *testing.T) {
 	l := &Lobster{svc: Services{Monitor: monitor.New()}}
 	report := func(events float64) *wrapper.Report {
-		return &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegExecute,
-			Metrics: wrapper.Metrics{Events: events, BytesIn: 1024 * events, BytesOut: 8 * events}}}}
+		return &wrapper.Report{Metrics: wrapper.Metrics{Events: events, BytesIn: 1024 * events, BytesOut: 8 * events}}
 	}
 	for i, events := range []float64{4, 4, 9, 4} {
 		l.recordMonitor(&wq.Result{TaskID: int64(i + 1)}, &inflightTask{kind: "proc"}, report(events))
@@ -415,6 +461,69 @@ func TestTaskRecordsShareMetrics(t *testing.T) {
 	}
 	if same(recs[1].Metrics, recs[2].Metrics) || same(recs[2].Metrics, recs[3].Metrics) {
 		t.Error("tasks of different sizes share a Metrics map")
+	}
+}
+
+// TestRecordMonitorFromReport pins the monitoring record the master
+// builds from a result and its wrapper report, for an analysis success, a
+// simulation success (which has no conditions step) and an analysis task
+// failing at each segment in turn; a failed report carries the durations
+// and summed metrics of the segments that ran. Every value was taken
+// while the report still held six full segment records.
+func TestRecordMonitorFromReport(t *testing.T) {
+	ana := [6]time.Duration{21035, 118245, 301244, 40521, 1843002, 402118}
+	upTo := func(i int) (d [6]time.Duration) { copy(d[:i+1], ana[:i+1]); return d }
+	setup := wrapper.Metrics{BytesFetched: 8192, CacheHits: 31, CacheMisses: 2}
+	cond := setup
+	cond.ConditionsBytes = 4096
+	exec := cond
+	exec.BytesIn, exec.Events = 4194304, 1024
+	all := exec
+	all.BytesOut = 32768
+	failed := func(s wrapper.Segment, i int, m wrapper.Metrics) wrapper.Report {
+		return wrapper.Report{Durations: upTo(i), Metrics: m, ExitCode: s.Code(), Failed: s, Error: "down: " + string(s)}
+	}
+	none := map[string]float64{"bytes_in": 0, "bytes_out": 0, "events": 0}
+	anaMetrics := map[string]float64{"bytes_in": 4.194304e+06, "bytes_out": 32768, "events": 1024}
+	cases := []struct {
+		name, kind string
+		rep        wrapper.Report
+		want       monitor.TaskRecord
+	}{
+		{"analysis", "analysis", wrapper.Report{Durations: ana, Metrics: all},
+			monitor.TaskRecord{CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, StageOut: 0.000402118, Metrics: anaMetrics}},
+		{"simulation", "simulation", wrapper.Report{Durations: [6]time.Duration{17011, 99873, 0, 250117, 5120009, 733001},
+			Metrics: wrapper.Metrics{BytesIn: 262144, BytesOut: 65536, CacheHits: 12, Events: 500}},
+			monitor.TaskRecord{CPUTime: 0.005120009, IOTime: 0.000250117, SetupTime: 9.9873e-05, StageIn: 0.000250117, StageOut: 0.000733001,
+				Metrics: map[string]float64{"bytes_in": 262144, "bytes_out": 65536, "events": 500}}},
+		{"env_init fails", "analysis", failed(wrapper.SegEnvInit, 0, wrapper.Metrics{}),
+			monitor.TaskRecord{ExitCode: 10, FailedSegment: "env_init", Metrics: none}},
+		{"software_setup fails", "analysis", failed(wrapper.SegSoftware, 1, setup),
+			monitor.TaskRecord{ExitCode: 20, FailedSegment: "software_setup", SetupTime: 0.000118245, Metrics: none}},
+		{"conditions fails", "analysis", failed(wrapper.SegConditions, 2, cond),
+			monitor.TaskRecord{ExitCode: 30, FailedSegment: "conditions", IOTime: 0.000301244, SetupTime: 0.000118245, Metrics: none}},
+		{"stage_in fails", "analysis", failed(wrapper.SegStageIn, 3, cond),
+			monitor.TaskRecord{ExitCode: 40, FailedSegment: "stage_in", IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, Metrics: none}},
+		{"execute fails", "analysis", failed(wrapper.SegExecute, 4, exec),
+			monitor.TaskRecord{ExitCode: 50, FailedSegment: "execute", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05,
+				Metrics: map[string]float64{"bytes_in": 4.194304e+06, "bytes_out": 0, "events": 1024}}},
+		{"stage_out fails", "analysis", failed(wrapper.SegStageOut, 5, all),
+			monitor.TaskRecord{ExitCode: 60, FailedSegment: "stage_out", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, StageOut: 0.000402118, Metrics: anaMetrics}},
+	}
+	epoch := time.Date(2026, 10, 19, 12, 0, 0, 0, time.UTC)
+	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	for i, c := range cases {
+		l := &Lobster{svc: Services{Monitor: monitor.New()}, epoch: epoch}
+		r := &wq.Result{TaskID: int64(i + 1), Tag: c.kind, Worker: "pilot-1", ExitCode: c.rep.ExitCode, Requeues: i % 2,
+			Stats: wq.TaskStats{Times: wq.TaskTimes{Submitted: at(10), Dispatched: at(25), Started: at(31), Finished: at(2907), Returned: at(2950)}}}
+		l.recordMonitor(r, &inflightTask{kind: "proc"}, &c.rep)
+		want := c.want
+		want.TaskID, want.Kind, want.Worker, want.Requeues = int64(i+1), c.kind, "pilot-1", i%2
+		want.Submit, want.Dispatch, want.Start, want.Finish, want.Return = 0.01, 0.025, 0.031, 2.907, 2.95
+		want.WQStageIn, want.WQStageOut = 0.006, 0.043
+		if got := l.svc.Monitor.Records(); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%s: record\n%+v\nwant\n%+v", c.name, got, want)
+		}
 	}
 }
 
@@ -446,8 +555,7 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 		t.Errorf("no report: monitor records %+v, want one failed record", recs)
 	}
 
-	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegStageOut,
-		Metrics: wrapper.Metrics{BytesOut: 4096}}}}
+	rep := &wrapper.Report{Metrics: wrapper.Metrics{BytesOut: 4096}}
 	if err := l.handleResult(&wq.Result{TaskID: 2, Report: rep}); err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +570,7 @@ func TestProcSuccessWithoutReportRetried(t *testing.T) {
 func TestRecordMonitorUntracedAllocs(t *testing.T) {
 	l := &Lobster{epoch: time.Now()}
 	l.tel.stages = telemetry.NewStageHistograms(telemetry.NewRegistry())
-	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{{Segment: wrapper.SegExecute,
-		Metrics: wrapper.Metrics{Events: 4}}}}
+	rep := &wrapper.Report{Metrics: wrapper.Metrics{Events: 4}}
 	r, info := &wq.Result{TaskID: 1}, &inflightTask{kind: "proc"}
 	if n := testing.AllocsPerRun(100, func() { l.recordMonitor(r, info, rep) }); n != 0 {
 		t.Errorf("recordMonitor allocates %g times a task with no event log, want 0", n)

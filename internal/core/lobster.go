@@ -323,7 +323,7 @@ func (l *Lobster) handleProcSuccess(info *inflightTask, rep *wrapper.Report) err
 	// Register the output for merging.
 	var outBytes int64
 	if rep != nil {
-		outBytes = int64(rep.Totals().BytesOut)
+		outBytes = int64(rep.Metrics.BytesOut)
 	}
 	l.unmerged = append(l.unmerged, outputFile{Path: info.output, Bytes: outBytes})
 
@@ -450,7 +450,7 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 		// Tasks of one workflow are cut to the same size, so their
 		// records share one read-only map until a value differs: a fresh
 		// three-key map was 260 of the ~450 bytes a record keeps alive.
-		t := rep.Totals()
+		t := &rep.Metrics
 		m := [3]float64{t.Events, t.BytesIn, t.BytesOut}
 		if l.taskMetrics == nil || m != l.taskMetricVals {
 			l.taskMetricVals = m

@@ -143,9 +143,16 @@ func MergeExecutor(pool *chirp.Pool) wq.Executor {
 // the pool keeps these open between tasks.
 const mergeParallelism = 4
 
+// mergeInputBudget bounds a merge group's input paths as its task frame
+// holds them, each with two quotes and a comma: wq sends up to 64 tasks in
+// one frame of at most 1 MiB, and a full batch of merges at this budget
+// fits, where 20,000 tiny outputs once made one task no frame could carry.
+const mergeInputBudget = 14 << 10
+
 // groupOutputsBySize forms merge groups whose summed size approaches
 // targetBytes (paper: "group the finished tasks by output size to form merge
-// tasks, yielding an output file size close to a user-specified value").
+// tasks, yielding an output file size close to a user-specified value"),
+// closing a group early when its input paths reach mergeInputBudget.
 // Groups of a single file are only produced when requireFull is false (the
 // end-of-run flush).
 func groupOutputsBySize(outputs []outputFile, targetBytes int64, requireFull bool) (groups [][]outputFile, rest []outputFile) {
@@ -153,12 +160,18 @@ func groupOutputsBySize(outputs []outputFile, targetBytes int64, requireFull boo
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	var cur []outputFile
 	var curBytes int64
+	curPaths := 0
 	for _, o := range sorted {
+		if len(cur) > 0 && curPaths+len(o.Path)+3 > mergeInputBudget {
+			groups = append(groups, cur)
+			cur, curBytes, curPaths = nil, 0, 0
+		}
 		cur = append(cur, o)
 		curBytes += o.Bytes
+		curPaths += len(o.Path) + 3
 		if curBytes >= targetBytes {
 			groups = append(groups, cur)
-			cur, curBytes = nil, 0
+			cur, curBytes, curPaths = nil, 0, 0
 		}
 	}
 	if len(cur) > 0 {
@@ -192,8 +205,7 @@ func hadoopMerge(cfg *Config, cluster *hdfs.Cluster, outputs []outputFile) (merg
 	if len(outputs) == 0 {
 		return 0, nil
 	}
-	groups, rest := groupOutputsBySize(outputs, cfg.MergeTargetBytes, false)
-	groups = append(groups, restAsGroups(rest)...)
+	groups, _ := groupOutputsBySize(outputs, cfg.MergeTargetBytes, false)
 	// Precomputed path → merged-file key, consulted by the mappers.
 	groupOf := make(map[string]string)
 	var inputs []string
@@ -250,11 +262,4 @@ func hadoopMerge(cfg *Config, cluster *hdfs.Cluster, outputs []outputFile) (merg
 		}
 	}
 	return merged, nil
-}
-
-func restAsGroups(rest []outputFile) [][]outputFile {
-	if len(rest) == 0 {
-		return nil
-	}
-	return [][]outputFile{rest}
 }

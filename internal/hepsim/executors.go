@@ -214,7 +214,7 @@ func (e *Env) warmSoftware(ctx *wq.ExecContext, c *wrapper.StepContext) error {
 	if err != nil {
 		return err
 	}
-	*c.Metrics = wrapper.Metrics{CacheHits: float64(warm.Hits), CacheMisses: float64(warm.Misses), BytesFetched: float64(warm.BytesFetched)}
+	c.Metrics = wrapper.Metrics{CacheHits: float64(warm.Hits), CacheMisses: float64(warm.Misses), BytesFetched: float64(warm.BytesFetched)}
 	return nil
 }
 

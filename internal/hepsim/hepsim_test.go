@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"lobster/internal/parrot"
 	"lobster/internal/squid"
 	"lobster/internal/stats"
+	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 	"lobster/internal/wq"
 	"lobster/internal/wrapper"
@@ -243,11 +245,11 @@ func TestAnalysisStreamingEndToEnd(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("analysis failed: %+v", rep)
 	}
-	if rep.Totals().Events != 50 {
-		t.Errorf("events = %g", rep.Totals().Events)
+	if rep.Metrics.Events != 50 {
+		t.Errorf("events = %g", rep.Metrics.Events)
 	}
-	if rep.Totals().BytesIn != float64(len(data)) {
-		t.Errorf("bytes_in = %g, want %d", rep.Totals().BytesIn, len(data))
+	if rep.Metrics.BytesIn != float64(len(data)) {
+		t.Errorf("bytes_in = %g, want %d", rep.Metrics.BytesIn, len(data))
 	}
 	// Output landed on the storage element with the expected content.
 	want, _ := k.ProcessAll(data)
@@ -282,26 +284,39 @@ func TestAnalysisStageModeMatchesStreaming(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("stream and stage outputs differ")
 	}
-	// In stage mode the bytes land during stage_in; streaming during execute.
-	if repStage.Totals().BytesIn != float64(len(data)) {
-		t.Errorf("stage bytes_in = %g", repStage.Totals().BytesIn)
+	if repStage.Metrics.BytesIn != float64(len(data)) {
+		t.Errorf("stage bytes_in = %g", repStage.Metrics.BytesIn)
 	}
-	var stageInSeg, execSeg wrapper.SegmentReport
-	for _, s := range repStage.Segments {
-		if s.Segment == wrapper.SegStageIn {
-			stageInSeg = s
+	// In stage mode the bytes land during stage_in, streaming during
+	// execute: each segment's span says so.
+	for _, c := range []struct{ mode, seg string }{{"stage", "stage_in"}, {"stream", "execute"}} {
+		reg := telemetry.NewRegistry()
+		var buf bytes.Buffer
+		log := telemetry.NewEventLog(&buf, nil)
+		tr := trace.New(trace.Config{Registry: reg, Log: log})
+		root := tr.Root("test", "task", "")
+		ctx := &wq.ExecContext{Task: &wq.Task{ID: 4, Args: argsOf(wrapper.Args{LFN: "/store/s.root", Mode: c.mode, Output: "/out/" + c.mode + "-traced", EventSize: 128})},
+			Dir: t.TempDir(), WorkerName: "test", Tracer: tr, Trace: root.Context()}
+		if rep := exec(ctx); rep.ExitCode != 0 {
+			t.Fatalf("traced %s task: %+v", c.mode, rep)
 		}
-	}
-	for _, s := range repStream.Segments {
-		if s.Segment == wrapper.SegExecute {
-			execSeg = s
+		root.End()
+		if err := log.Flush(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if stageInSeg.Metrics.BytesIn == 0 {
-		t.Error("stage mode moved no bytes in stage_in segment")
-	}
-	if execSeg.Metrics.BytesIn == 0 {
-		t.Error("stream mode moved no bytes in execute segment")
+		recs, err := trace.ReadRecords(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := map[string]string{}
+		for _, r := range recs {
+			if r.Comp == "wrapper" {
+				in[r.Name] = r.Attrs["bytes_in"]
+			}
+		}
+		if want := strconv.Itoa(len(data)); in[c.seg] != want {
+			t.Errorf("%s mode: bytes_in by segment span %v, want %s on %s", c.mode, in, want, c.seg)
+		}
 	}
 }
 
@@ -331,8 +346,8 @@ func TestAnalysisOutputWithoutStorageElementFails(t *testing.T) {
 	if rep.Failed != wrapper.SegStageOut || rep.ExitCode != wrapper.SegStageOut.Code() {
 		t.Fatalf("report = %+v, want a stage_out failure", rep)
 	}
-	if seg := rep.Segments[len(rep.Segments)-1]; !strings.Contains(seg.Error, "/out/lost.root") {
-		t.Errorf("stage_out error %q does not name the output", seg.Error)
+	if !strings.Contains(rep.Error, "/out/lost.root") {
+		t.Errorf("stage_out error %q does not name the output", rep.Error)
 	}
 	if _, err := os.Stat(sandbox); !os.IsNotExist(err) {
 		t.Errorf("the failed stage-out left a sandbox behind: %v", err)
@@ -380,8 +395,8 @@ func TestAnalysisFromALyingReplica(t *testing.T) {
 	// Stream mode sizes only its output from the claim, and borrows no
 	// more than the largest class for it whatever the claim.
 	rep, got := run("stream", 1<<40)
-	if rep.Totals().Events != 4 || got > bufpool.MaxSized+4<<20 {
-		t.Errorf("stream mode, 1 TiB claimed, 1 KiB served: %g events, %d bytes allocated; want the 4 events served and at most one largest-class buffer", rep.Totals().Events, got)
+	if rep.Metrics.Events != 4 || got > bufpool.MaxSized+4<<20 {
+		t.Errorf("stream mode, 1 TiB claimed, 1 KiB served: %g events, %d bytes allocated; want the 4 events served and at most one largest-class buffer", rep.Metrics.Events, got)
 	}
 }
 
@@ -415,8 +430,8 @@ func TestAnalysisFromAChoppyReplica(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s mode: digests differ from ProcessAll's (err %v)", mode, err)
 		}
-		if rep.Totals().Events != 200 || rep.Totals().BytesIn != float64(len(data)) {
-			t.Errorf("%s mode: %g events, %g bytes in; want 200 and %d", mode, rep.Totals().Events, rep.Totals().BytesIn, len(data))
+		if rep.Metrics.Events != 200 || rep.Metrics.BytesIn != float64(len(data)) {
+			t.Errorf("%s mode: %g events, %g bytes in; want 200 and %d", mode, rep.Metrics.Events, rep.Metrics.BytesIn, len(data))
 		}
 	}
 }
@@ -446,11 +461,11 @@ func TestSimulationEndToEnd(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("simulation failed: %+v", rep)
 	}
-	if rep.Totals().Events != 25 {
-		t.Errorf("events = %g", rep.Totals().Events)
+	if rep.Metrics.Events != 25 {
+		t.Errorf("events = %g", rep.Metrics.Events)
 	}
-	if rep.Totals().BytesIn != float64(len(pileup)) {
-		t.Errorf("pile-up bytes = %g", rep.Totals().BytesIn)
+	if rep.Metrics.BytesIn != float64(len(pileup)) {
+		t.Errorf("pile-up bytes = %g", rep.Metrics.BytesIn)
 	}
 	out, err := svc.chirpFS.ReadFile("/out/sim0.root")
 	if err != nil || len(out) == 0 {
@@ -540,8 +555,8 @@ func TestAnalysisSubRangeProcessesOnlyItsEvents(t *testing.T) {
 	if rep.ExitCode != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-	if rep.Totals().Events != 15 {
-		t.Errorf("events = %g, want 15", rep.Totals().Events)
+	if rep.Metrics.Events != 15 {
+		t.Errorf("events = %g, want 15", rep.Metrics.Events)
 	}
 	// The output must equal the reduction of exactly events 10..24.
 	want, _ := k.ProcessAll(data[10*128 : 25*128])

@@ -252,7 +252,7 @@ func TestResultFrameLeavesMasterTimesOut(t *testing.T) {
 	if len(r.Stats.Times) != 2 || r.Stats.Times["started"] == nil || r.Stats.Times["finished"] == nil {
 		t.Errorf("worker stamped times %s, want only started and finished", body)
 	}
-	if !bytes.HasPrefix(r.Report, []byte(`{"segments":[{"segment":"execute"`)) {
+	if !bytes.HasPrefix(r.Report, []byte(`{"durations":[`)) || !bytes.HasSuffix(r.Report, []byte(`"error":"execute"}`)) {
 		t.Errorf("report rode the frame as %s, want the record itself", r.Report)
 	}
 }

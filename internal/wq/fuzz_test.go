@@ -34,7 +34,7 @@ func FuzzBatchDispatch(f *testing.F) {
 	f.Add([]byte(frame(`{"type":"bogus"}`)))
 	f.Add([]byte("not json at all"))
 	f.Add([]byte(hello + frame(`{"type":"results","results":[{"task_id":3,"exit_code":40,"error":"x","report":`+
-		`{"segments":[{"segment":"stage_in","duration":9,"exit_code":40,"error":"x","metrics":{"bytes_in":1}}],"exit_code":40,"failed_segment":"stage_in"}}]}`)))
+		`{"durations":[0,0,0,9],"metrics":{"bytes_in":1},"exit_code":40,"failed_segment":"stage_in","error":"x"}}]}`)))
 	f.Add([]byte(hello + frame(malformedReport)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newLocalMaster()

@@ -107,9 +107,9 @@ func TestHostilePeerAtWorker(t *testing.T) {
 }
 
 // malformedReport is a results frame's body whose one report does not
-// decode: a segment's duration is a string.
+// decode: a duration is a string.
 const malformedReport = `{"type":"results","results":[{"task_id":1,"worker":"w","report":` +
-	`{"segments":[{"segment":"execute","duration":"soon"}]}}]}`
+	`{"durations":["soon"]}}]}`
 
 // TestMalformedReportBreaksConnection: a result whose report does not
 // decode fails the whole results frame and breaks the connection. The
@@ -177,20 +177,18 @@ func TestMalformedArgsBreakConnection(t *testing.T) {
 
 // TestWorstCaseResultsFitFrame: the largest message any peer sends is a
 // batchMax-result batch whose every result carries a worst-case analysis
-// report — all six segments, every metric set to a 17-digit value, an
-// error string on every segment and on the result. It encodes in under a
-// quarter of maxFrame.
+// report — every duration and every metric at its widest, a failed
+// segment and an error string on the report and on the result. It
+// encodes in under a sixteenth of maxFrame (57 KB; 212 KB while the
+// report held six full segment records).
 func TestWorstCaseResultsFitFrame(t *testing.T) {
 	const long = 1.2345678901234567e+300
 	errText := "xrootd: open /store/data/Run2015A/DoubleMuon/AOD/PromptReco-v1/000/250/985/00000/file0003.root: dial tcp 127.0.0.1:1094: connection refused"
-	rep := &wrapper.Report{ExitCode: 60, Failed: wrapper.SegStageOut}
-	for i, s := range []wrapper.Segment{wrapper.SegEnvInit, wrapper.SegSoftware, wrapper.SegConditions,
-		wrapper.SegStageIn, wrapper.SegExecute, wrapper.SegStageOut} {
-		rep.Segments[i] = wrapper.SegmentReport{
-			Segment: s, Duration: math.MaxInt64, ExitCode: s.Code(), Error: errText,
-			Metrics: wrapper.Metrics{BytesFetched: long, BytesIn: long, BytesOut: long, CacheHits: long,
-				CacheMisses: long, ConditionsBytes: long, Events: long},
-		}
+	rep := &wrapper.Report{ExitCode: 60, Failed: wrapper.SegStageOut, Error: errText,
+		Metrics: wrapper.Metrics{BytesFetched: long, BytesIn: long, BytesOut: long, CacheHits: long,
+			CacheMisses: long, ConditionsBytes: long, Events: long}}
+	for i := range rep.Durations {
+		rep.Durations[i] = math.MinInt64
 	}
 	now := time.Now()
 	out := message{Type: "results"}
@@ -206,7 +204,7 @@ func TestWorstCaseResultsFitFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d results in %d bytes, %d per result", batchMax, n, n/batchMax)
-	if n >= maxFrame/4 {
-		t.Errorf("a worst-case results batch is %d bytes, want under a quarter of maxFrame (%d)", n, maxFrame)
+	if n >= maxFrame/16 {
+		t.Errorf("a worst-case results batch is %d bytes, want under a sixteenth of maxFrame (%d)", n, maxFrame)
 	}
 }

@@ -34,12 +34,13 @@ const batchMax = 64
 // make a master or worker hold: a size line over it ends the
 // connection before a byte of the body is read. It is sized to the largest
 // message any caller sends. A task carries its typed argument record,
-// never files (an analysis task frames as about 0.3 KB), so the largest
-// is a 64-result batch carrying reports. An analysis task's result frames
-// as 774 B with its report (BenchmarkResultFrame), so a full batch is
-// about 50 KB; at the worst case, all six report slots with every metric
-// at 17 digits and an error string, a result is 3.3 KB and the batch
-// 212 KB (TestWorstCaseResultsFitFrame). 1 MiB holds that four times over.
+// never files: an analysis task frames as about 0.3 KB, and core keeps a
+// merge task's input paths within 14 KiB, so a batch of 64 merges stays
+// under 1 MiB. A result carries its task's compact report: an analysis
+// task's result frames as 403 B (BenchmarkResultFrame), so a full batch
+// is about 26 KB; at the worst case, every duration and metric at its
+// widest and an error string, a result is 0.9 KB and the batch 57 KB
+// (TestWorstCaseResultsFitFrame).
 const maxFrame = 1 << 20
 
 type message struct {

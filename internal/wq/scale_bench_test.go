@@ -179,14 +179,10 @@ func BenchmarkResultFrame(b *testing.B) {
 	nc := &loopConn{}
 	c := newConn(nc)
 	now := time.Now()
-	rep := &wrapper.Report{Segments: [6]wrapper.SegmentReport{
-		{Segment: wrapper.SegEnvInit, Duration: 21035},
-		{Segment: wrapper.SegSoftware, Duration: 118245, Metrics: wrapper.Metrics{CacheHits: 31}},
-		{Segment: wrapper.SegConditions, Duration: 301244, Metrics: wrapper.Metrics{ConditionsBytes: 4096}},
-		{Segment: wrapper.SegStageIn, Duration: 40521},
-		{Segment: wrapper.SegExecute, Duration: 1843002, Metrics: wrapper.Metrics{BytesIn: 4194304, Events: 1024}},
-		{Segment: wrapper.SegStageOut, Duration: 402118, Metrics: wrapper.Metrics{BytesOut: 32768}},
-	}}
+	rep := &wrapper.Report{
+		Durations: [6]time.Duration{21035, 118245, 301244, 40521, 1843002, 402118},
+		Metrics:   wrapper.Metrics{BytesIn: 4194304, BytesOut: 32768, CacheHits: 31, ConditionsBytes: 4096, Events: 1024},
+	}
 	n, err := c.SendFrame(&message{Type: "results", Results: []*Result{{
 		TaskID: 123456, Tag: "analysis", Worker: "pilot-3", Report: rep,
 		Stats: TaskStats{Times: TaskTimes{Started: now, Finished: now}, Exec: time.Millisecond},

@@ -35,13 +35,9 @@ func argsIn(ctx *ExecContext) testArgs {
 	return testArgs{}
 }
 
-// echoReport is the report the echo executor hands over: one segment
-// named after its text.
-func echoReport(text string) *wrapper.Report {
-	rep := &wrapper.Report{}
-	rep.Segments[0].Segment = wrapper.Segment(text)
-	return rep
-}
+// echoReport is the report the echo executor hands over: its text as the
+// report's error.
+func echoReport(text string) *wrapper.Report { return &wrapper.Report{Error: text} }
 
 // testRegistry returns executors used across the tests.
 func testRegistry() Registry {
@@ -214,7 +210,7 @@ func TestReportRidesResult(t *testing.T) {
 					return err
 				}
 			}
-			return os.WriteFile(filepath.Join(ctx.Sandbox(), "report.json"), []byte(`{"segments":[]}`), 0o644)
+			return os.WriteFile(filepath.Join(ctx.Sandbox(), "report.json"), []byte(`{"durations":[]}`), 0o644)
 		}
 		return nil
 	}

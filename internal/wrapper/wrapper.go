@@ -6,14 +6,14 @@
 // As in the paper's §5, the wrapper "is broken down into logical segments
 // ... Each segment records a timestamp and performs an internal test for
 // success or failure, with a unique failure code that can be emitted for
-// each segment." The resulting Report is returned with the task and feeds
-// the monitoring system: the executor hands it to wq, which carries it in
-// the result frame as a typed field (wq.Result.Report), so it is encoded
+// each segment." The resulting Report, six durations, the metrics summed
+// over segments and the failure, is returned with the task and feeds the
+// monitoring system: the executor hands it to wq, which carries it in the
+// result frame as a typed field (wq.Result.Report), so it is encoded
 // once, by the worker's frame encoder, and decoded once, by the master's.
 package wrapper
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
@@ -42,26 +42,21 @@ var segments = [...]Segment{SegEnvInit, SegSoftware, SegConditions, SegStageIn, 
 
 // Code returns the exit code emitted when this segment fails.
 func (s Segment) Code() int {
-	for i, k := range segments {
-		if k == s {
-			return 10 * (i + 1)
-		}
+	if i := s.index(); i >= 0 {
+		return 10 * (i + 1)
 	}
 	return 99
 }
 
-// UnmarshalJSON decodes a segment name, which data holds as one JSON
-// value. The six known names come back as their constants, so the
-// master's frame decoder allocates no string for them; any other name
-// decodes as itself.
-func (s *Segment) UnmarshalJSON(data []byte) error {
-	for _, k := range segments {
-		if len(data) == len(k)+2 && string(data[1:len(data)-1]) == string(k) {
-			*s = k
-			return nil
+// index is s's place in execution order, and so in Report.Durations: -1
+// for a name that is not one of the six.
+func (s Segment) index() int {
+	for i, k := range segments {
+		if k == s {
+			return i
 		}
 	}
-	return json.Unmarshal(data, (*string)(s))
+	return -1
 }
 
 // Args is what a task tells its executor: the record core builds for each
@@ -127,50 +122,33 @@ func (m *Metrics) attrs(sp *trace.Span) {
 	attr("events", m.Events)
 }
 
-// SegmentReport records one segment's outcome.
-type SegmentReport struct {
-	Segment  Segment       `json:"segment"`
-	Duration time.Duration `json:"duration"`
-	ExitCode int           `json:"exit_code"` // 0 on success
-	Error    string        `json:"error,omitempty"`
-	Metrics  Metrics       `json:"metrics"`
+// add adds each of o's metrics to m's.
+func (m *Metrics) add(o *Metrics) {
+	m.BytesFetched += o.BytesFetched
+	m.BytesIn += o.BytesIn
+	m.BytesOut += o.BytesOut
+	m.CacheHits += o.CacheHits
+	m.CacheMisses += o.CacheMisses
+	m.ConditionsBytes += o.ConditionsBytes
+	m.Events += o.Events
 }
 
-// Report is the wrapper's full record for one task. Segments has one slot
-// per wrapper segment, filled in step order; a slot with an empty name
-// did not run. The master's frame decoder fills the array in place, entry
-// by entry: a list of more than six entries keeps its first six, and a
-// shorter one leaves the rest empty.
+// Report is the wrapper's record for one task. Durations is indexed by
+// segment order, 0 for a segment that did not run; Metrics is the sum
+// over segments (each segment's own are attributes of its span when the
+// wrapper runs traced); Error is the failing segment's.
 type Report struct {
-	Segments [6]SegmentReport `json:"segments"`
-	ExitCode int              `json:"exit_code"`
-	Failed   Segment          `json:"failed_segment,omitempty"`
+	Durations [6]time.Duration `json:"durations"`
+	Metrics   Metrics          `json:"metrics"`
+	ExitCode  int              `json:"exit_code,omitempty"` // 0 on success
+	Failed    Segment          `json:"failed_segment,omitempty"`
+	Error     string           `json:"error,omitempty"`
 }
 
-// Totals sums each metric across all segments.
-func (r *Report) Totals() Metrics {
-	var t Metrics
-	for i := range r.Segments {
-		m := &r.Segments[i].Metrics
-		t.BytesFetched += m.BytesFetched
-		t.BytesIn += m.BytesIn
-		t.BytesOut += m.BytesOut
-		t.CacheHits += m.CacheHits
-		t.CacheMisses += m.CacheMisses
-		t.ConditionsBytes += m.ConditionsBytes
-		t.Events += m.Events
-	}
-	return t
-}
-
-// SegmentDuration returns the duration of the named segment (0 if absent).
-// It looks the segment up by name, not by slot, so a report a worker wrote
-// in another step order reads the same.
+// SegmentDuration returns the duration of segment s (0 if it did not run).
 func (r *Report) SegmentDuration(s Segment) time.Duration {
-	for i := range r.Segments {
-		if r.Segments[i].Segment == s {
-			return r.Segments[i].Duration
-		}
+	if i := s.index(); i >= 0 {
+		return r.Durations[i]
 	}
 	return 0
 }
@@ -179,8 +157,9 @@ func (r *Report) SegmentDuration(s Segment) time.Duration {
 // the wrapper runs traced, chain service clients (chirp, parrot,
 // frontier, xrootd) under the segment's span.
 type StepContext struct {
-	// Metrics are the current segment's: a step sets what it measures.
-	Metrics *Metrics
+	// Metrics are the current segment's, zero when it starts: a step sets
+	// what it measures.
+	Metrics Metrics
 
 	// Tracer and Trace are the task's tracer and the current segment
 	// span's context; both are zero when the wrapper runs untraced.
@@ -194,10 +173,10 @@ type Step struct {
 	Run     func(*StepContext) error
 }
 
-// Run executes steps in order, recording one SegmentReport each in the
-// report's next slot; it takes at most six steps, one per segment. The
-// first failure stops execution; its segment's exit code becomes the
-// report's.
+// Run executes steps in order, recording each one's duration in the
+// report's slot for its segment and adding its metrics to the report's.
+// The first failure stops execution; its segment, exit code and error
+// become the report's.
 // A nil Run function records an instantaneous success (segment skipped).
 //
 // Before each segment runs, inj is consulted under (component "wrapper",
@@ -214,9 +193,8 @@ type Step struct {
 func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
 	rep := &Report{}
 	ctx := &StepContext{Tracer: tr}
-	for i, step := range steps {
-		sr := &rep.Segments[i]
-		sr.Segment = step.Segment
+	for _, step := range steps {
+		ctx.Metrics = Metrics{}
 		start := time.Now()
 		var err error
 		var sp *trace.Span
@@ -224,7 +202,7 @@ func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, step
 			sp = tr.Start(parent, "wrapper", string(step.Segment))
 		}
 		if err = inj.Check("wrapper", string(step.Segment)); err == nil && step.Run != nil {
-			ctx.Metrics, ctx.Trace = &sr.Metrics, sp.Context().OrElse(parent)
+			ctx.Trace = sp.Context().OrElse(parent)
 			err = func() (err error) {
 				defer func() {
 					if p := recover(); p != nil {
@@ -234,13 +212,15 @@ func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, step
 				return step.Run(ctx)
 			}()
 		}
-		sr.Duration = time.Since(start)
-		sr.Metrics.attrs(sp)
+		if i := step.Segment.index(); i >= 0 {
+			rep.Durations[i] = time.Since(start)
+		}
+		ctx.Metrics.attrs(sp)
+		rep.Metrics.add(&ctx.Metrics)
 		if err != nil {
-			sr.ExitCode, sr.Error = step.Segment.Code(), err.Error()
-			rep.ExitCode, rep.Failed = sr.ExitCode, step.Segment
-			sp.Attr("error", sr.Error)
-			sp.AttrInt("exit_code", int64(sr.ExitCode))
+			rep.ExitCode, rep.Failed, rep.Error = step.Segment.Code(), step.Segment, err.Error()
+			sp.Attr("error", rep.Error)
+			sp.AttrInt("exit_code", int64(rep.ExitCode))
 			sp.End()
 			return rep
 		}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,17 +15,6 @@ import (
 )
 
 var allSegments = []Segment{SegEnvInit, SegSoftware, SegConditions, SegStageIn, SegExecute, SegStageOut}
-
-// slotsRun counts rep's slots that hold a segment: the ones that ran.
-func slotsRun(rep *Report) int {
-	n := 0
-	for _, sr := range rep.Segments {
-		if sr.Segment != "" {
-			n++
-		}
-	}
-	return n
-}
 
 // roundTrip sends rep the way a report reaches the master: encoded by the
 // worker's frame encoder, decoded by the master's.
@@ -48,26 +39,29 @@ func TestAllSegmentsSucceed(t *testing.T) {
 			return nil
 		}},
 		Step{Segment: SegExecute, Run: func(c *StepContext) error {
+			// Each segment starts from zero metrics: execute sees no
+			// cache hits.
+			if c.Metrics != (Metrics{}) {
+				t.Errorf("execute starts with metrics %+v", c.Metrics)
+			}
 			time.Sleep(time.Millisecond)
 			c.Metrics.Events = 100
 			return nil
 		}},
 	)
-	if rep.ExitCode != 0 || rep.Failed != "" {
+	if rep.ExitCode != 0 || rep.Failed != "" || rep.Error != "" {
 		t.Fatalf("report = %+v", rep)
-	}
-	if slotsRun(rep) != 3 {
-		t.Fatalf("segments = %d", slotsRun(rep))
 	}
 	if rep.SegmentDuration(SegExecute) < time.Millisecond {
 		t.Error("execute duration not recorded")
 	}
-	if got := rep.Totals(); got != (Metrics{CacheHits: 5, Events: 100}) {
-		t.Errorf("totals = %+v", got)
+	for _, s := range []Segment{SegConditions, SegStageIn, SegStageOut} {
+		if d := rep.SegmentDuration(s); d != 0 {
+			t.Errorf("%s did not run but has duration %v", s, d)
+		}
 	}
-	// Each segment starts from zero metrics: execute sees no cache hits.
-	if m := rep.Segments[2].Metrics; m != (Metrics{Events: 100}) {
-		t.Errorf("execute metrics = %+v", m)
+	if rep.Metrics != (Metrics{CacheHits: 5, Events: 100}) {
+		t.Errorf("metrics = %+v", rep.Metrics)
 	}
 }
 
@@ -80,6 +74,7 @@ func TestFailureStopsAndCodes(t *testing.T) {
 		}},
 		Step{Segment: SegStageIn, Run: func(c *StepContext) error {
 			ran = append(ran, SegStageIn)
+			c.Metrics.BytesIn = 7
 			return errors.New("xrootd timeout")
 		}},
 		Step{Segment: SegExecute, Run: func(c *StepContext) error {
@@ -90,15 +85,13 @@ func TestFailureStopsAndCodes(t *testing.T) {
 	if len(ran) != 2 {
 		t.Fatalf("ran = %v", ran)
 	}
-	if rep.ExitCode != SegStageIn.Code() || rep.Failed != SegStageIn {
+	if rep.ExitCode != 40 || rep.Failed != SegStageIn || rep.Error != "xrootd timeout" {
 		t.Fatalf("report = %+v", rep)
 	}
-	if slotsRun(rep) != 2 {
-		t.Fatalf("segments = %+v, want the two that ran", rep.Segments)
-	}
-	last := rep.Segments[1]
-	if last.Error != "xrootd timeout" || last.ExitCode != 40 {
-		t.Errorf("failing segment = %+v", last)
+	// The failing segment's measurements count; the one that never ran
+	// has no time.
+	if rep.Metrics != (Metrics{BytesIn: 7}) || rep.SegmentDuration(SegExecute) != 0 {
+		t.Errorf("report = %+v", rep)
 	}
 }
 
@@ -106,21 +99,21 @@ func TestPanicBecomesFailure(t *testing.T) {
 	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegExecute, Run: func(c *StepContext) error {
 		panic("application bug")
 	}})
-	if rep.ExitCode != SegExecute.Code() {
+	if rep.ExitCode != SegExecute.Code() || !strings.Contains(rep.Error, "application bug") {
 		t.Fatalf("panic not converted: %+v", rep)
 	}
 }
 
 func TestNilStepSkips(t *testing.T) {
 	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegConditions})
-	if rep.ExitCode != 0 || slotsRun(rep) != 1 {
+	if rep.ExitCode != 0 || rep.Failed != "" || rep.Metrics != (Metrics{}) {
 		t.Fatalf("report = %+v", rep)
 	}
 }
 
 // TestSegmentCodeRoundTrip: every segment has its own exit code, and a
 // failure in it reaches the master, through the report's encoding, under
-// that segment and that code.
+// that segment, that code and its error.
 func TestSegmentCodeRoundTrip(t *testing.T) {
 	seen := map[int]Segment{}
 	for _, s := range allSegments {
@@ -130,8 +123,8 @@ func TestSegmentCodeRoundTrip(t *testing.T) {
 		seen[s.Code()] = s
 		rep := Run(nil, nil, trace.Context{}, Step{Segment: s, Run: func(*StepContext) error { return errors.New("down") }})
 		got := roundTrip(t, rep)
-		if got.Failed != s || got.ExitCode != s.Code() {
-			t.Errorf("%s failure decoded as %q / %d", s, got.Failed, got.ExitCode)
+		if got.Failed != s || got.ExitCode != s.Code() || got.Error != "down" {
+			t.Errorf("%s failure decoded as %q / %d / %q", s, got.Failed, got.ExitCode, got.Error)
 		}
 	}
 	if Segment("unknown").Code() != 99 {
@@ -154,104 +147,101 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, rep) {
 		t.Fatalf("decoded = %+v\nwant %+v", got, rep)
 	}
-	if got.Totals().BytesFetched != 150 {
-		t.Errorf("metrics lost in round trip: %+v", got.Totals())
+	if got.Metrics != (Metrics{BytesFetched: 150, Events: 3}) {
+		t.Errorf("metrics lost in round trip: %+v", got.Metrics)
 	}
-	for _, bad := range []string{"not json", `[]`, `{"segments":"x"}`, `{"segments":[{"duration":"soon"}]}`} {
+	for _, bad := range []string{"not json", `[]`, `{"durations":"x"}`, `{"durations":["soon"]}`, `{"metrics":{"events":"many"}}`} {
 		if err := json.Unmarshal([]byte(bad), new(Report)); err == nil {
 			t.Errorf("%s decoded", bad)
 		}
 	}
 }
 
-// TestDecodeMapShapedReport: a report in the shape workers sent before
-// segment metrics were typed (a start time per segment, metrics as a map)
-// still decodes, every known metric into its field.
-func TestDecodeMapShapedReport(t *testing.T) {
-	old := `{"segments":[` +
-		`{"segment":"software_setup","start":"2026-10-17T17:39:05.123456789Z","duration":300000,"exit_code":0,"metrics":{"bytes_fetched":0,"cache_hits":31,"cache_misses":0}},` +
-		`{"segment":"conditions","start":"2026-10-17T17:39:05.2Z","duration":90000,"exit_code":0,"metrics":{"conditions_bytes":4096}},` +
-		`{"segment":"execute","start":"2026-10-17T17:39:05.3Z","duration":1000000,"exit_code":0,"metrics":{"bytes_in":4194304,"events":1024}},` +
-		`{"segment":"stage_out","start":"2026-10-17T17:39:05.4Z","duration":200000,"exit_code":0,"metrics":{"bytes_out":32768}}` +
-		`],"exit_code":0}`
-	var got Report
-	if err := json.Unmarshal([]byte(old), &got); err != nil {
-		t.Fatal(err)
-	}
-	want := Metrics{BytesIn: 4194304, BytesOut: 32768, CacheHits: 31, ConditionsBytes: 4096, Events: 1024}
-	if got.Totals() != want || got.SegmentDuration(SegExecute) != time.Millisecond {
-		t.Errorf("totals = %+v, execute %v", got.Totals(), got.SegmentDuration(SegExecute))
-	}
-}
-
-// TestSixSlots: Run fills the report's slots in step order and leaves the
-// rest empty, and the decoder fills them in place from the list on the
-// wire. A segment name comes back as its constant, so decoding one
-// allocates nothing, and SegmentDuration finds a segment by name in any
-// slot. No producer writes more than six entries; a longer list keeps its
-// first six and drops the rest.
+// TestSixSlots: Run records each segment's duration in the slot of its
+// place in execution order, whatever the order of the steps, and leaves
+// the slots of segments that did not run at 0; the decoder fills the six
+// slots in place from the list on the wire. No producer writes more than
+// six; a longer list keeps its first six, a shorter one leaves the rest
+// 0. A failed segment's name decodes as itself, escaped or not.
 func TestSixSlots(t *testing.T) {
-	steps := []Step{{Segment: SegEnvInit}, {Segment: SegSoftware}, {Segment: SegStageIn}, {Segment: SegExecute}, {Segment: SegStageOut}}
-	rep := Run(nil, nil, trace.Context{}, steps...)
-	for i, s := range steps {
-		if rep.Segments[i].Segment != s.Segment {
-			t.Errorf("slot %d holds %q, want %q", i, rep.Segments[i].Segment, s.Segment)
+	sleep := func(d time.Duration) func(*StepContext) error {
+		return func(*StepContext) error { time.Sleep(d); return nil }
+	}
+	rep := Run(nil, nil, trace.Context{},
+		Step{Segment: SegStageOut, Run: sleep(2 * time.Millisecond)},
+		Step{Segment: SegEnvInit, Run: sleep(time.Millisecond)})
+	if rep.Durations[5] < 2*time.Millisecond || rep.Durations[0] < time.Millisecond {
+		t.Errorf("durations = %v, want stage_out's in slot 5 and env_init's in slot 0", rep.Durations)
+	}
+	for i := 1; i < 5; i++ {
+		if rep.Durations[i] != 0 {
+			t.Errorf("slot %d (%s) holds %v, but its segment did not run", i, allSegments[i], rep.Durations[i])
 		}
 	}
-	if rep.Segments[5] != (SegmentReport{}) {
-		t.Errorf("the slot no step ran holds %+v", rep.Segments[5])
-	}
 	if got := roundTrip(t, rep); !reflect.DeepEqual(got, rep) {
-		t.Errorf("five segments decoded as %+v", got.Segments)
+		t.Errorf("durations decoded as %v", got.Durations)
+	}
+	if d := rep.SegmentDuration("later"); d != 0 {
+		t.Errorf("an unknown segment has duration %v", d)
 	}
 
 	var long bytes.Buffer
-	long.WriteString(`{"segments":[`)
+	long.WriteString(`{"durations":[`)
 	for i := 0; i < 12; i++ {
-		fmt.Fprintf(&long, `{"segment":%q,"duration":%d},`, allSegments[(11-i)%6], i+1)
+		fmt.Fprintf(&long, "%d,", i+1)
 	}
-	long.WriteString(`{"segment":"later"}]}`)
+	long.WriteString(`13]}`)
 	var got Report
 	if err := json.Unmarshal(long.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	for i, sr := range got.Segments {
-		if want := allSegments[(11-i)%6]; sr.Segment != want || sr.Duration != time.Duration(i+1) {
-			t.Errorf("slot %d of a 13-entry list: %+v, want %s for %d", i, sr, want, i+1)
-		}
+	if got.Durations != [6]time.Duration{1, 2, 3, 4, 5, 6} {
+		t.Errorf("a 13-entry list decoded as %v, want its first six", got.Durations)
 	}
-	if d := got.SegmentDuration(SegEnvInit); d != 6 {
-		t.Errorf("env_init found in slot 5 with duration %d, want 6", d)
+	if err := json.Unmarshal([]byte(`{"durations":[9]}`), &got); err != nil || got.Durations != [6]time.Duration{9} {
+		t.Errorf("a 1-entry list decoded as %v, %v; want it and five zeros", got.Durations, err)
 	}
 
-	var s Segment
-	known := []byte(`"stage_out"`)
-	if n := testing.AllocsPerRun(100, func() {
-		if err := s.UnmarshalJSON(known); err != nil {
-			t.Fatal(err)
+	for in, want := range map[string]Segment{`"stage_out"`: SegStageOut, `"stage\u005fout"`: SegStageOut, `"custom"`: "custom"} {
+		var rep Report
+		if err := json.Unmarshal([]byte(`{"failed_segment":`+in+`}`), &rep); err != nil || rep.Failed != want {
+			t.Errorf("failed segment %s decoded as %q, %v", in, rep.Failed, err)
 		}
-	}); n != 0 || s != SegStageOut {
-		t.Errorf("a known name decoded as %q in %v allocs, want its constant in 0", s, n)
 	}
-	if err := json.Unmarshal([]byte(`"stage\u005fout"`), &s); err != nil || s != SegStageOut {
-		t.Errorf("an escaped name decoded as %q, %v", s, err)
+}
+
+// bytesPerRun is the heap bytes one call of f allocates, averaged over
+// runs calls after one warm-up call, with one P as testing.AllocsPerRun
+// runs them: the least of three such averages, so that an allocation of
+// the test runner's own in between is not charged to f.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
 	}
-	if err := json.Unmarshal([]byte(`"custom"`), &s); err != nil || s != "custom" {
-		t.Errorf("an unknown name decoded as %q, %v", s, err)
-	}
+	return least
 }
 
 // TestReportAllocs pins what one task's report costs: Run over the six
 // segments of a task, and the master's decode of the report field of a
-// result frame, through a decoder it keeps. Run makes the report, whose
-// six slots are part of it, and one step context. The decode makes the
-// report and nothing else: the slots are filled in place and each name
-// comes back as its constant. It was 16 allocations while the segments
-// were a slice that Report.UnmarshalJSON presized through a nested
-// decode, one fresh string per name; before that the report made the trip
-// as encoded bytes (DESIGN.md section 17, eighth turn), an Encode of 1
-// allocation on the worker, then a base64 copy and a Decode of 15 on the
-// master.
+// result frame, through a decoder it keeps. Run makes the report (144 B)
+// and one step context, which holds the current segment's metrics (112
+// B). The decode makes the report and nothing else: the six durations and
+// the metrics are filled in place. While the report held six full segment
+// records, name, exit code, error and metrics each, it was a 704 B
+// allocation that Run made once and the master's decoder again; before
+// that the segments were a slice that Report.UnmarshalJSON presized
+// through a nested decode, one fresh string per name (16 allocations);
+// and before that the report made the trip as encoded bytes (DESIGN.md
+// section 17, eighth turn).
 func TestReportAllocs(t *testing.T) {
 	if poolDropsPuts {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -264,8 +254,9 @@ func TestReportAllocs(t *testing.T) {
 		}}
 	}
 	var rep *Report
-	if n := testing.AllocsPerRun(100, func() { rep = Run(nil, nil, trace.Context{}, steps...) }); n > 2 {
-		t.Errorf("Run: %v allocs, want at most 2", n)
+	run := func() { rep = Run(nil, nil, trace.Context{}, steps...) }
+	if n, b := testing.AllocsPerRun(100, run), bytesPerRun(100, run); n > 2 || b > 256 {
+		t.Errorf("Run: %v allocs, %d B; want at most 2 and 256 B", n, b)
 	}
 	data, err := json.Marshal(&struct{ Report *Report }{rep})
 	if err != nil {
@@ -274,14 +265,15 @@ func TestReportAllocs(t *testing.T) {
 	var stream bytes.Buffer
 	dec := json.NewDecoder(&stream)
 	var frame struct{ Report *Report }
-	if n := testing.AllocsPerRun(100, func() {
+	decode := func() {
 		stream.Write(data)
 		frame.Report = nil
 		if err := dec.Decode(&frame); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("decode: %v allocs, want 1", n)
+	}
+	if n, b := testing.AllocsPerRun(100, decode), bytesPerRun(100, decode); n > 1 || b > 144 {
+		t.Errorf("decode: %v allocs, %d B; want 1 of 144 B", n, b)
 	}
 	if !reflect.DeepEqual(frame.Report, rep) {
 		t.Errorf("decoded %+v, want %+v", frame.Report, rep)
