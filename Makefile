@@ -136,6 +136,8 @@ copy-lint:
 	test -z "$$out" || { echo "a third copy of the line protocol's substrate (use internal/wire):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '\.Peek\(|io\.LimitedReader\{' --include='*.go' $(WIRE_LINT_DIRS) | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a payload reader of its own (use wire.Conn.ReadPayload):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'os\.(CreateTemp|Rename)\(' --include='*.go' internal/chirp | grep -v '_test\.go:' | grep -v '^internal/chirp/rename_windows\.go:')"; \
+	test -z "$$out" || { echo "a chirp put spooled beside its target or published through os.Rename's Lstat (spool in the spool directory, publish with rename):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'crypto/sha256|os\.ReadFile\(|os\.WriteFile\(' --include='*.go' internal/wq | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "wq moving files (a task carries arguments, a result its report):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'json\.Marshal\(|"encoding/base64"' --include='*.go' internal/wrapper internal/wq | grep -v '_test\.go:')"; \

@@ -148,12 +148,24 @@ func (c *Client) GetFile(path string) ([]byte, error) {
 
 // PutFileFrom creates or replaces the file at path with exactly size
 // bytes streamed from r through a pooled chunk. File readers hand off to
-// sendfile where the kernel supports it; a *bytes.Reader holding exactly
-// size bytes is written as the slice it is. A reader that delivers fewer
-// than size bytes poisons the connection (the announced payload length
-// cannot be unsent) and surfaces as a permanent error: the caller's
-// source, not the transport, is at fault.
+// sendfile where the kernel supports it; bytes already in memory belong
+// in PutFile, which writes the slice as it is. A reader that delivers
+// fewer than size bytes poisons the connection (the announced payload
+// length cannot be unsent) and surfaces as a permanent error: the
+// caller's source, not the transport, is at fault.
 func (c *Client) PutFileFrom(path string, r io.Reader, size int64) error {
+	return c.put(path, r, nil, size)
+}
+
+// PutFile creates or replaces the file at path. PutFile is idempotent:
+// a retried put that already landed simply rewrites the same bytes.
+func (c *Client) PutFile(path string, data []byte) error {
+	return c.put(path, nil, data, int64(len(data)))
+}
+
+// put sends one putfile of size bytes: data when r is nil, else what r
+// delivers.
+func (c *Client) put(path string, r io.Reader, data []byte, size int64) error {
 	if err := c.conn.Err(); err != nil {
 		return err
 	}
@@ -174,10 +186,14 @@ func (c *Client) PutFileFrom(path string, r io.Reader, size int64) error {
 	if size > 0 {
 		var n int64
 		var err error
-		if mem, ok := r.(*bytes.Reader); ok && int64(mem.Len()) == size {
+		if r == nil {
 			// Bytes already in memory go out as one Write of the whole
 			// slice behind the header, not chunk by chunk through a Reader.
-			n, err = mem.WriteTo(w)
+			var k int
+			k, err = w.Write(data)
+			if n = int64(k); err == nil && n < size {
+				err = io.ErrUnexpectedEOF // PutFileFrom with a nil reader
+			}
 		} else {
 			// A file source rides the bufio writer's ReadFrom to the
 			// connection's sendfile once the header has drained.
@@ -201,13 +217,6 @@ func (c *Client) PutFileFrom(path string, r io.Reader, size int64) error {
 	}
 	c.bytesOut.Add(size)
 	return nil
-}
-
-// PutFile creates or replaces the file at path. PutFile is idempotent:
-// a retried put that already landed simply rewrites the same bytes.
-// It is a thin wrapper over PutFileFrom.
-func (c *Client) PutFile(path string, data []byte) error {
-	return c.PutFileFrom(path, bytes.NewReader(data), int64(len(data)))
 }
 
 // Stat returns info for the entry at path.

@@ -201,12 +201,13 @@ func BenchmarkDataplaneStageIn8(b *testing.B) {
 // BenchmarkDataplanePutHot is one stage-out put of bytes already in
 // memory on a warm pooled connection, client and LocalFS server in this
 // process: what a finished task's output costs to send home. B/op is the
-// guarded number — neither end may allocate a transfer buffer.
+// guarded number — neither end may allocate a transfer buffer. 8B is a
+// small-tasks output, where the put is all per-request cost.
 func BenchmarkDataplanePutHot(b *testing.B) {
 	for _, sz := range []struct {
 		name string
 		n    int
-	}{{"32KiB", 32 << 10}, {"1MiB", 1 << 20}} {
+	}{{"8B", 8}, {"32KiB", 32 << 10}, {"1MiB", 1 << 20}} {
 		b.Run(sz.name, func(b *testing.B) {
 			srv, _ := benchServer(b)
 			pool := NewPool(PoolOptions{Addr: srv.Addr(), Size: 1})

@@ -13,12 +13,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"lobster/internal/bufpool"
 )
 
 // FileInfo describes one entry in a directory listing.
@@ -89,10 +95,22 @@ func CleanPath(p string) (string, error) {
 	return path.Clean(p), nil
 }
 
-// LocalFS exports a directory of the local file system.
+// spoolDir is the directory under the export root that every put spools
+// into before a rename publishes it; no client path reaches it.
+const spoolDir = ".chirp-spool"
+
+// LocalFS exports a directory of the local file system. Every write
+// spools into the one spool directory under the root and is published by
+// one rename(2), so a reader never sees a half-written file and a target
+// directory sees one namespace operation a put. A root the spool directory
+// cannot serve — it cannot be made there, or a rename out of it crosses
+// into another file system mounted under the root — spools every later put
+// beside its target instead, as a ".chirp-spool-" file.
 type LocalFS struct {
-	root string
-	mu   sync.RWMutex
+	root   string
+	spool  string        // root/.chirp-spool/, made by the first put that misses it
+	seq    atomic.Uint64 // names spool files
+	beside atomic.Bool   // the spool directory failed this root: spool beside each target
 }
 
 // NewLocalFS returns a FileSystem rooted at dir, creating it if necessary.
@@ -104,7 +122,11 @@ func NewLocalFS(dir string) (*LocalFS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LocalFS{root: abs}, nil
+	l := &LocalFS{root: abs, spool: filepath.Join(abs, spoolDir) + string(filepath.Separator)}
+	// Two servers on one root, or one restarted over a crashed one's
+	// leftovers, start their spool names far apart; O_EXCL settles the rest.
+	l.seq.Store(uint64(time.Now().UnixNano()))
+	return l, nil
 }
 
 // Root returns the exported directory.
@@ -115,11 +137,22 @@ func (l *LocalFS) resolve(p string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if isSpool(cleaned[1:]) {
+		return "", fmt.Errorf("chirp: %s: reserved for the server's spool", p)
+	}
 	if cleaned == "/" || l.root == string(filepath.Separator) {
 		return filepath.Join(l.root, filepath.FromSlash(cleaned)), nil
 	}
 	// Both halves are already clean: one concatenation, not a Join.
 	return l.root + filepath.FromSlash(cleaned), nil
+}
+
+// isSpool reports whether rel, a clean path relative to the export root,
+// is the spool directory or lies under it. Case is folded: on a
+// case-insensitive file system ".CHIRP-SPOOL" is the same directory.
+func isSpool(rel string) bool {
+	n := len(spoolDir)
+	return len(rel) >= n && strings.EqualFold(rel[:n], spoolDir) && (len(rel) == n || rel[n] == '/')
 }
 
 // ReadFile implements FileSystem.
@@ -128,8 +161,6 @@ func (l *LocalFS) ReadFile(p string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	data, err := os.ReadFile(fp)
 	if err != nil {
 		return nil, fmt.Errorf("chirp: reading %s: %w", p, err)
@@ -137,21 +168,13 @@ func (l *LocalFS) ReadFile(p string) ([]byte, error) {
 	return data, nil
 }
 
-// WriteFile implements FileSystem.
+// WriteFile implements FileSystem: data is published the way a streamed
+// put is, through the spool.
 func (l *LocalFS) WriteFile(p string, data []byte) error {
-	fp, err := l.resolve(p)
-	if err != nil {
+	return l.WriteFileFrom(p, int64(len(data)), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(fp), 0o755); err != nil {
-		return fmt.Errorf("chirp: creating parents of %s: %w", p, err)
-	}
-	if err := os.WriteFile(fp, data, 0o644); err != nil {
-		return fmt.Errorf("chirp: writing %s: %w", p, err)
-	}
-	return nil
+	})
 }
 
 // Stat implements FileSystem.
@@ -160,8 +183,6 @@ func (l *LocalFS) Stat(p string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	st, err := os.Stat(fp)
 	if err != nil {
 		return FileInfo{}, fmt.Errorf("chirp: stat %s: %w", p, err)
@@ -169,20 +190,22 @@ func (l *LocalFS) Stat(p string) (FileInfo, error) {
 	return FileInfo{Name: st.Name(), Size: st.Size(), IsDir: st.IsDir()}, nil
 }
 
-// List implements FileSystem.
+// List implements FileSystem. The spool directory is left out of the
+// root's listing.
 func (l *LocalFS) List(p string) ([]FileInfo, error) {
 	fp, err := l.resolve(p)
 	if err != nil {
 		return nil, err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	entries, err := os.ReadDir(fp)
 	if err != nil {
 		return nil, fmt.Errorf("chirp: listing %s: %w", p, err)
 	}
 	out := make([]FileInfo, 0, len(entries))
 	for _, e := range entries {
+		if fp == l.root && isSpool(e.Name()) {
+			continue
+		}
 		info, err := e.Info()
 		if err != nil {
 			continue
@@ -193,17 +216,14 @@ func (l *LocalFS) List(p string) ([]FileInfo, error) {
 	return out, nil
 }
 
-// OpenRead implements StreamReaderFS. The open and stat happen under
-// the read lock; the returned handle streams after the lock is gone,
-// which is safe for chirp's write-once workload (task outputs land
-// under unique names and are never rewritten in place).
+// OpenRead implements StreamReaderFS. Every file is published whole by
+// a rename, so the handle sees one version of it whatever lands at the
+// same name while it streams.
 func (l *LocalFS) OpenRead(p string) (io.ReadCloser, int64, error) {
 	fp, err := l.resolve(p)
 	if err != nil {
 		return nil, 0, err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	f, err := os.Open(fp)
 	if err != nil {
 		return nil, 0, fmt.Errorf("chirp: reading %s: %w", p, err)
@@ -220,57 +240,125 @@ func (l *LocalFS) OpenRead(p string) (io.ReadCloser, int64, error) {
 	return f, st.Size(), nil
 }
 
-// WriteFileFrom implements StreamWriterFS: the payload spools into a
-// temp file in the target directory (no lock held while the bytes
-// arrive off the network), then a rename commits it under the write
-// lock. A failed fill discards the spool and leaves the target alone.
+// WriteFileFrom implements StreamWriterFS: fill writes the payload into a
+// fresh spool file, and one rename(2) publishes it at the target, making
+// the target's parents only when that rename finds them missing. rename(2)
+// refuses to put a file over a directory. A put that fails anywhere
+// removes its spool file and leaves the target alone.
 func (l *LocalFS) WriteFileFrom(p string, size int64, fill func(io.Writer) error) error {
-	fp, tmp, err := l.spool(p, fill)
+	fp, err := l.resolve(p)
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := os.Rename(tmp, fp); err != nil {
-		os.Remove(tmp)
+	tmp, err := l.spoolFile(fp, fill)
+	if err != nil {
+		return fmt.Errorf("chirp: spooling %s: %w", p, err)
+	}
+	err = rename(tmp, fp)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(fp), 0o755); err == nil {
+			err = rename(tmp, fp)
+		}
+	}
+	if errors.Is(err, syscall.EXDEV) {
+		// The target's directory is another file system mounted under the
+		// root: copy the payload beside it, as every later put will spool.
+		l.beside.Store(true)
+		from := tmp
+		tmp, err = l.spoolFile(fp, func(w io.Writer) error { return copyFile(w, from) })
+		os.Remove(from)
+		if err == nil {
+			err = rename(tmp, fp)
+		}
+	}
+	if err != nil {
+		if tmp != "" {
+			os.Remove(tmp)
+		}
 		return fmt.Errorf("chirp: writing %s: %w", p, err)
 	}
 	return nil
 }
 
-// spool has fill write into a fresh temp file next to the resolved target
-// path — the server's fill splices the payload off the socket into it. It
-// returns the resolved target and the temp path; on any error the temp
-// file is already gone.
-func (l *LocalFS) spool(p string, fill func(io.Writer) error) (fp, tmp string, err error) {
-	fp, err = l.resolve(p)
+// spoolFile has fill write into a new spool file for the target fp — the
+// server's fill splices the payload off the socket into it — and returns
+// its path. On any error the spool file is already gone.
+func (l *LocalFS) spoolFile(fp string, fill func(io.Writer) error) (string, error) {
+	tmp, f, err := l.create(fp)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	// Create first, make the parents only when they turn out to be
-	// missing: every put after a directory's first finds it there.
-	dir := filepath.Dir(fp)
-	f, err := os.CreateTemp(dir, ".chirp-spool-*")
-	if errors.Is(err, os.ErrNotExist) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", "", fmt.Errorf("chirp: creating parents of %s: %w", p, err)
-		}
-		f, err = os.CreateTemp(dir, ".chirp-spool-*")
-	}
-	if err != nil {
-		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)
-	}
-	tmp = f.Name()
-	if err := fill(f); err != nil {
+	if err = fill(f); err == nil {
+		err = f.Close()
+	} else {
 		f.Close()
-		os.Remove(tmp)
-		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return "", "", fmt.Errorf("chirp: spooling %s: %w", p, err)
+		return "", err
 	}
-	return fp, tmp, nil
+	return tmp, nil
+}
+
+// create opens a new spool file for the target fp: in the spool
+// directory, or beside fp once the spool directory has failed this root.
+func (l *LocalFS) create(fp string) (string, *os.File, error) {
+	if !l.beside.Load() {
+		name, f, err := l.open(l.spool, func() error { return os.Mkdir(l.spool, 0o755) })
+		if !unusable(err) {
+			return name, f, err
+		}
+		l.beside.Store(true)
+	}
+	dir := filepath.Dir(fp)
+	return l.open(dir+string(filepath.Separator)+spoolDir+"-", func() error { return os.MkdirAll(dir, 0o755) })
+}
+
+// open creates the file prefix plus the next value of the counter,
+// O_EXCL, passing over names another LocalFS on the root holds. It calls
+// mkdir once if the open finds the directory missing.
+func (l *LocalFS) open(prefix string, mkdir func() error) (string, *os.File, error) {
+	for made := false; ; {
+		// One allocation whatever the path's length (13 base-36 digits
+		// hold any uint64).
+		var num [13]byte
+		digits := strconv.AppendUint(num[:0], l.seq.Add(1), 36)
+		var b strings.Builder
+		b.Grow(len(prefix) + len(digits))
+		b.WriteString(prefix)
+		b.Write(digits)
+		name := b.String()
+		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		switch {
+		case errors.Is(err, fs.ErrExist):
+			// Another LocalFS on this root holds the name: take the next.
+		case errors.Is(err, fs.ErrNotExist) && !made:
+			made = true
+			if err := mkdir(); err != nil && !errors.Is(err, fs.ErrExist) {
+				return "", nil, err
+			}
+		default:
+			return name, f, err
+		}
+	}
+}
+
+// unusable reports whether err, from making the spool directory or a file
+// in it, says the spool directory cannot serve this root at all: the root
+// is read-only or not this process's to write, or a file holds the name.
+func unusable(err error) bool {
+	return errors.Is(err, fs.ErrPermission) || errors.Is(err, syscall.EROFS) || errors.Is(err, syscall.ENOTDIR)
+}
+
+// copyFile writes the file at name to w.
+func copyFile(w io.Writer, name string) error {
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = bufpool.Copy(w, f)
+	return err
 }
 
 // Remove implements FileSystem.
@@ -279,8 +367,6 @@ func (l *LocalFS) Remove(p string) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if err := os.Remove(fp); err != nil {
 		return fmt.Errorf("chirp: removing %s: %w", p, err)
 	}

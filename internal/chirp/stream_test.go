@@ -126,22 +126,23 @@ func (f *failingSink) Write(p []byte) (int, error) {
 }
 
 // TestShortSourcePoisonsConnection: a PutFileFrom source that delivers
-// fewer bytes than announced leaves the payload unsendable; the client
-// must poison the connection and mark the error permanent so the retry
-// layer does not replay a caller bug.
+// fewer bytes than announced — or none, a nil reader — leaves the payload
+// unsendable; the client must poison the connection and mark the error
+// permanent so the retry layer does not replay a caller bug.
 func TestShortSourcePoisonsConnection(t *testing.T) {
 	_, addr := startTestServer(t)
-	c := mustDial(t, addr)
-
-	err := c.PutFileFrom("/short.dat", bytes.NewReader([]byte("only10byt")), 4096)
-	if err == nil {
-		t.Fatal("short source succeeded")
-	}
-	if !retry.IsPermanent(err) {
-		t.Fatalf("short source error not permanent: %v", err)
-	}
-	if !c.conn.Broken() {
-		t.Fatal("short source left the connection alive with a half-sent payload")
+	for _, src := range []io.Reader{bytes.NewReader([]byte("only10byt")), nil} {
+		c := mustDial(t, addr)
+		err := c.PutFileFrom("/short.dat", src, 4096)
+		if err == nil {
+			t.Fatalf("short source %T succeeded", src)
+		}
+		if !retry.IsPermanent(err) {
+			t.Fatalf("short source %T: error not permanent: %v", src, err)
+		}
+		if !c.conn.Broken() {
+			t.Fatalf("short source %T left the connection alive with a half-sent payload", src)
+		}
 	}
 }
 

@@ -468,8 +468,9 @@ func TestTaskRecordsShareMetrics(t *testing.T) {
 // builds from a result and its wrapper report, for an analysis success, a
 // simulation success (which has no conditions step) and an analysis task
 // failing at each segment in turn; a failed report carries the durations
-// and summed metrics of the segments that ran. Every value was taken
-// while the report still held six full segment records.
+// and summed metrics of the segments that ran, and its segment's error.
+// Every other value was taken while the report still held six full
+// segment records.
 func TestRecordMonitorFromReport(t *testing.T) {
 	ana := [6]time.Duration{21035, 118245, 301244, 40521, 1843002, 402118}
 	upTo := func(i int) (d [6]time.Duration) { copy(d[:i+1], ana[:i+1]); return d }
@@ -497,18 +498,18 @@ func TestRecordMonitorFromReport(t *testing.T) {
 			monitor.TaskRecord{CPUTime: 0.005120009, IOTime: 0.000250117, SetupTime: 9.9873e-05, StageIn: 0.000250117, StageOut: 0.000733001,
 				Metrics: map[string]float64{"bytes_in": 262144, "bytes_out": 65536, "events": 500}}},
 		{"env_init fails", "analysis", failed(wrapper.SegEnvInit, 0, wrapper.Metrics{}),
-			monitor.TaskRecord{ExitCode: 10, FailedSegment: "env_init", Metrics: none}},
+			monitor.TaskRecord{ExitCode: 10, FailedSegment: "env_init", Error: "down: env_init", Metrics: none}},
 		{"software_setup fails", "analysis", failed(wrapper.SegSoftware, 1, setup),
-			monitor.TaskRecord{ExitCode: 20, FailedSegment: "software_setup", SetupTime: 0.000118245, Metrics: none}},
+			monitor.TaskRecord{ExitCode: 20, FailedSegment: "software_setup", Error: "down: software_setup", SetupTime: 0.000118245, Metrics: none}},
 		{"conditions fails", "analysis", failed(wrapper.SegConditions, 2, cond),
-			monitor.TaskRecord{ExitCode: 30, FailedSegment: "conditions", IOTime: 0.000301244, SetupTime: 0.000118245, Metrics: none}},
+			monitor.TaskRecord{ExitCode: 30, FailedSegment: "conditions", Error: "down: conditions", IOTime: 0.000301244, SetupTime: 0.000118245, Metrics: none}},
 		{"stage_in fails", "analysis", failed(wrapper.SegStageIn, 3, cond),
-			monitor.TaskRecord{ExitCode: 40, FailedSegment: "stage_in", IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, Metrics: none}},
+			monitor.TaskRecord{ExitCode: 40, FailedSegment: "stage_in", Error: "down: stage_in", IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, Metrics: none}},
 		{"execute fails", "analysis", failed(wrapper.SegExecute, 4, exec),
-			monitor.TaskRecord{ExitCode: 50, FailedSegment: "execute", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05,
+			monitor.TaskRecord{ExitCode: 50, FailedSegment: "execute", Error: "down: execute", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05,
 				Metrics: map[string]float64{"bytes_in": 4.194304e+06, "bytes_out": 0, "events": 1024}}},
 		{"stage_out fails", "analysis", failed(wrapper.SegStageOut, 5, all),
-			monitor.TaskRecord{ExitCode: 60, FailedSegment: "stage_out", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, StageOut: 0.000402118, Metrics: anaMetrics}},
+			monitor.TaskRecord{ExitCode: 60, FailedSegment: "stage_out", Error: "down: stage_out", CPUTime: 0.001843002, IOTime: 0.000341765, SetupTime: 0.000118245, StageIn: 4.0521e-05, StageOut: 0.000402118, Metrics: anaMetrics}},
 	}
 	epoch := time.Date(2026, 10, 19, 12, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }

@@ -438,7 +438,7 @@ func (l *Lobster) recordMonitor(r *wq.Result, info *inflightTask, rep *wrapper.R
 		rec.WQStageOut = 0
 	}
 	if rep != nil {
-		rec.FailedSegment = string(rep.Failed)
+		rec.FailedSegment, rec.Error = string(rep.Failed), rep.Error
 		rec.SetupTime = rep.SegmentDuration(wrapper.SegSoftware).Seconds()
 		rec.StageIn = rep.SegmentDuration(wrapper.SegStageIn).Seconds()
 		rec.StageOut = rep.SegmentDuration(wrapper.SegStageOut).Seconds()

@@ -618,6 +618,59 @@ func TestFailedSegmentPropagatesToMonitor(t *testing.T) {
 	}
 }
 
+// TestStageOutErrorReachesRecord: a task whose stage-out the storage
+// element refuses carries the server's reason in its monitor record and
+// in its "task" event line, and the log replays to the same records.
+func TestStageOutErrorReachesRecord(t *testing.T) {
+	st := startStack(t, 1, 2, 10, nil)
+	// A file where the output directory belongs: every put under it fails
+	// at the rename that would publish it.
+	if err := st.chirpFS.WriteFile("/store/user/refused", []byte("in the way")); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	st.svc.EventLog = telemetry.NewEventLog(&buf, nil)
+	rep := runWorkflow(t, st, Config{
+		Name: "refused", Kind: KindAnalysis, Dataset: st.dataset.Name,
+		TaskletsPerTask: 2, MaxTaskRetries: 1,
+	})
+	if rep.Succeeded() {
+		t.Fatal("workflow succeeded with its output directory a file")
+	}
+	if err := st.svc.EventLog.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const why = "chirp: writing /store/user/refused/"
+	recs := st.svc.Monitor.Records()
+	if len(recs) == 0 {
+		t.Fatal("no task records")
+	}
+	for _, r := range recs {
+		if r.FailedSegment != "stage_out" || !strings.Contains(r.Error, why) || !strings.Contains(r.Error, "not a directory") {
+			t.Errorf("task %d: failed segment %q, error %q; want stage_out and the server's %q", r.TaskID, r.FailedSegment, r.Error, why)
+		}
+	}
+	lines := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, `"type":"task"`) {
+			lines++
+			if !strings.Contains(line, `"error":"chirp: server error: `+why) {
+				t.Errorf("task event without the server's reason: %s", line)
+			}
+		}
+	}
+	if lines != len(recs) {
+		t.Errorf("%d task events for %d records", lines, len(recs))
+	}
+	rebuilt := monitor.New()
+	if _, err := rebuilt.ReplayLog(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs, rebuilt.Records()) {
+		t.Error("replayed records differ from live monitor")
+	}
+}
+
 // mustStore stores content under lfn on s and returns the replica to
 // register, panicking if the spool cannot be written: a fixture cannot
 // go on without its data.

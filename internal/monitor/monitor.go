@@ -32,6 +32,7 @@ type TaskRecord struct {
 
 	ExitCode      int    `json:"exit_code"`
 	FailedSegment string `json:"failed_segment,omitempty"`
+	Error         string `json:"error,omitempty"` // why the failed segment failed
 	Requeues      int    `json:"requeues"`
 
 	// Decomposed task time, seconds.

@@ -67,6 +67,43 @@ func TestReplayLogEquivalence(t *testing.T) {
 	}
 }
 
+// TestReplayLogBeforeErrorField: a log written before records carried
+// their failed segment's error replays to the records it held, Error
+// empty, and those records write the same lines back.
+func TestReplayLogBeforeErrorField(t *testing.T) {
+	const old = `{"t":0,"type":"task","data":{"task_id":1,"kind":"analysis","worker":"w0","submit":0.5,"dispatch":0.75,"start":1,"finish":3,"return":3.25,"exit_code":0,"requeues":0,"cpu_time":1.5,"io_time":0.25,"setup_time":0.125,"stage_in":0.0625,"stage_out":0.03125,"wq_stage_in":0.25,"wq_stage_out":0.25,"lost_time":0,"metrics":{"bytes_in":256,"bytes_out":8,"events":1}}}
+{"t":0,"type":"task","data":{"task_id":2,"kind":"analysis","worker":"w1","submit":0.5,"dispatch":0.75,"start":1,"finish":2,"return":2.25,"exit_code":60,"failed_segment":"stage_out","requeues":1,"cpu_time":0.5,"io_time":0.25,"setup_time":0.125,"stage_in":0.0625,"stage_out":0.03125,"wq_stage_in":0.25,"wq_stage_out":0.25,"lost_time":0,"metrics":{"bytes_in":256,"bytes_out":0,"events":1}}}
+`
+	m := New()
+	if n, err := m.ReplayLog(bytes.NewBufferString(old)); err != nil || n != 2 {
+		t.Fatalf("replayed %d records: %v", n, err)
+	}
+	metrics := func(out float64) map[string]float64 {
+		return map[string]float64{"bytes_in": 256, "bytes_out": out, "events": 1}
+	}
+	want := []TaskRecord{
+		{TaskID: 1, Kind: "analysis", Worker: "w0", Submit: 0.5, Dispatch: 0.75, Start: 1, Finish: 3, Return: 3.25,
+			CPUTime: 1.5, IOTime: 0.25, SetupTime: 0.125, StageIn: 0.0625, StageOut: 0.03125, WQStageIn: 0.25, WQStageOut: 0.25, Metrics: metrics(8)},
+		{TaskID: 2, Kind: "analysis", Worker: "w1", Submit: 0.5, Dispatch: 0.75, Start: 1, Finish: 2, Return: 2.25,
+			ExitCode: 60, FailedSegment: "stage_out", Requeues: 1,
+			CPUTime: 0.5, IOTime: 0.25, SetupTime: 0.125, StageIn: 0.0625, StageOut: 0.03125, WQStageIn: 0.25, WQStageOut: 0.25, Metrics: metrics(0)},
+	}
+	if got := m.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed\n%+v\nwant\n%+v", got, want)
+	}
+	var buf bytes.Buffer
+	log := telemetry.NewEventLog(&buf, nil)
+	for _, rec := range want {
+		log.Emit("task", rec)
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != old {
+		t.Errorf("the records write back as\n%s\nnot\n%s", buf.String(), old)
+	}
+}
+
 // TestReplayLogBatchedEvents replays a log mixing single "task" events
 // with "task_batch" events (the framing runs with event batching enabled
 // write) and checks the rebuilt DB matches a monitor fed the same records
