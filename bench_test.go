@@ -526,7 +526,9 @@ func BenchmarkAblationProxyCount(b *testing.B) {
 func BenchmarkAblationTaskBuffer(b *testing.B) {
 	reg := wq.Registry{
 		"analysis": func(ctx *wq.ExecContext) error {
-			ctx.SetReport(wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute}))
+			var rep wrapper.Report
+			wrapper.Run(&rep, new(wrapper.StepContext), nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegExecute})
+			ctx.SetReport(&rep)
 			return nil
 		},
 	}

@@ -36,9 +36,9 @@ func cannedClient(replies string) (*Client, *cannedConn) {
 
 // serverConn is the server's end of a connection on which the client
 // sends stream: request payloads, and whatever follows them.
-func serverConn(stream string) (*wire.Conn, *cannedConn) {
+func serverConn(stream string) (*peer, *cannedConn) {
 	conn := &cannedConn{replies: bytes.NewReader([]byte(stream))}
-	return wire.NewConn("chirp", conn, 64<<10, 64<<10), conn
+	return newPeer(wire.NewConn("chirp", conn, 64<<10, 64<<10)), conn
 }
 
 // allocatedBy is what f (and anything running beside it) allocated.

@@ -99,6 +99,14 @@ func CleanPath(p string) (string, error) {
 // into before a rename publishes it; no client path reaches it.
 const spoolDir = ".chirp-spool"
 
+// spoolMaxAge is how long a spool file may go unwritten before NewLocalFS
+// takes it for a killed server's leftover and removes it. A live put
+// writes its file as the payload arrives, and no put of MaxPayload bytes
+// stalls this long, so a second server's put on the same root is safe.
+// A client stalled longer than this loses its put: the rename finds its
+// spool file gone and the put fails, leaving the target alone.
+const spoolMaxAge = 24 * time.Hour
+
 // LocalFS exports a directory of the local file system. Every write
 // spools into the one spool directory under the root and is published by
 // one rename(2), so a reader never sees a half-written file and a target
@@ -125,8 +133,26 @@ func NewLocalFS(dir string) (*LocalFS, error) {
 	l := &LocalFS{root: abs, spool: filepath.Join(abs, spoolDir) + string(filepath.Separator)}
 	// Two servers on one root, or one restarted over a crashed one's
 	// leftovers, start their spool names far apart; O_EXCL settles the rest.
-	l.seq.Store(uint64(time.Now().UnixNano()))
+	now := time.Now()
+	l.seq.Store(uint64(now.UnixNano()))
+	l.sweepSpool(now)
 	return l, nil
+}
+
+// sweepSpool removes the files in the spool directory that have gone
+// unwritten for spoolMaxAge: what servers killed mid-payload left there,
+// where no client path can see or remove it.
+func (l *LocalFS) sweepSpool(now time.Time) {
+	entries, err := os.ReadDir(l.spool)
+	if err != nil {
+		return // no spool directory yet, or none this root can have
+	}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err == nil && info.Mode().IsRegular() && now.Sub(info.ModTime()) > spoolMaxAge {
+			os.Remove(l.spool + e.Name())
+		}
+	}
 }
 
 // Root returns the exported directory.

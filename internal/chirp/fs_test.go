@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // spoolEntries lists what the spool directory under root holds (nothing
@@ -229,6 +230,45 @@ func TestSpoolNameTaken(t *testing.T) {
 	}
 	if got, err := fs.ReadFile("/second"); err != nil || string(got) != "2" {
 		t.Errorf("the put past a taken name reads %q, %v", got, err)
+	}
+}
+
+// TestNewLocalFSSweepsStaleSpool: a LocalFS starting on a root sweeps
+// the spool files that have gone unwritten for spoolMaxAge, what a server
+// killed mid-payload leaves behind, and keeps a fresh one, which may be a
+// second live server's put in progress.
+func TestNewLocalFSSweepsStaleSpool(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, spoolDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(root, spoolDir, "stale")
+	fresh := filepath.Join(root, spoolDir, "fresh")
+	for _, name := range []string{stale, fresh} {
+		if err := os.WriteFile(name, []byte("half a payload"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-spoolMaxAge - time.Minute)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	almost := time.Now().Add(-spoolMaxAge + time.Hour)
+	if err := os.Chtimes(fresh, almost, almost); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewLocalFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spoolEntries(t, root); len(got) != 1 || got[0] != "fresh" {
+		t.Errorf("the spool holds %q after start, want only the fresh file", got)
+	}
+	if err := fs.WriteFile("/after", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := spoolEntries(t, root); len(got) != 1 || got[0] != "fresh" {
+		t.Errorf("the spool holds %q after a put, want only the fresh file", got)
 	}
 }
 

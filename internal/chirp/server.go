@@ -207,7 +207,11 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	// A line that outgrows the 64 KiB reader ends the connection.
 	var cur trace.Context // context for the next command, set by "trace"
+	var pc *peer
 	wire.ServeLines("chirp", conn, 64<<10, 64<<10, func(line []byte, c *wire.Conn) error {
+		if pc == nil {
+			pc = newPeer(c)
+		}
 		if rest, ok := bytes.CutPrefix(line, []byte("trace ")); ok {
 			// Advisory, no response: a malformed context parses to the
 			// zero value, which simply leaves the next command untraced.
@@ -223,7 +227,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		cur = trace.Context{}
 		defer sp.End()
-		err := s.dispatch(line, c)
+		err := s.dispatch(line, pc)
 		if err != nil {
 			s.errs.Add(1)
 			s.telemetry().errs.Inc()
@@ -295,6 +299,30 @@ func (s *Server) checksum(path string) (uint32, error) {
 	return h.Sum32(), nil
 }
 
+// peer is one accepted connection and what its requests reuse: the
+// putfile payload reader a put hands its backend, its method value bound
+// once, so that a put allocates no closure of its own.
+type peer struct {
+	*wire.Conn
+	putSize int64 // the current put's payload
+	putRead bool  // the backend asked for it
+	putErr  error // and reading it failed so
+	fill    func(io.Writer) error
+}
+
+func newPeer(c *wire.Conn) *peer {
+	p := &peer{Conn: c}
+	p.fill = p.readPut
+	return p
+}
+
+// readPut reads the current put's payload into w.
+func (c *peer) readPut(w io.Writer) error {
+	c.putRead = true
+	_, c.putErr = c.ReadPayload(w, c.putSize)
+	return c.putErr
+}
+
 // servePut absorbs one putfile payload off c. A backend
 // implementing StreamWriterFS hands over the writer its spool is, and the
 // bytes are read into it as they arrive off the wire (spool-and-commit,
@@ -303,7 +331,7 @@ func (s *Server) checksum(path string) (uint32, error) {
 // huge size cannot commit server memory. A payload the backend never
 // asked for is drained, so the reply stays in step; one that could not
 // all be read has broken c, and the server hangs up.
-func (s *Server) servePut(path string, size int64, c *wire.Conn) error {
+func (s *Server) servePut(path string, size int64, c *peer) error {
 	sw, ok := s.fs.(StreamWriterFS)
 	if !ok {
 		var land bufpool.Arrival
@@ -313,19 +341,13 @@ func (s *Server) servePut(path string, size int64, c *wire.Conn) error {
 		s.countIn(size)
 		return s.fs.WriteFile(path, land.Bytes())
 	}
-	var read bool
-	var rerr error
-	fill := func(w io.Writer) error {
-		read = true
-		_, rerr = c.ReadPayload(w, size)
-		return rerr
-	}
-	err := sw.WriteFileFrom(path, size, fill)
-	if !read {
-		_, rerr = c.ReadPayload(io.Discard, size)
+	c.putSize, c.putRead, c.putErr = size, false, nil
+	err := sw.WriteFileFrom(path, size, c.fill)
+	if !c.putRead {
+		_, c.putErr = c.ReadPayload(io.Discard, size)
 	}
 	if c.Broken() {
-		return wire.Hangup(fmt.Errorf("putfile payload: %w", rerr))
+		return wire.Hangup(fmt.Errorf("putfile payload: %w", c.putErr))
 	}
 	s.countIn(size)
 	return err
@@ -353,7 +375,7 @@ func (s *Server) countOut(n int64) {
 
 // dispatch answers one command line on c: its reply into c.W, a put's
 // payload off c.
-func (s *Server) dispatch(line []byte, c *wire.Conn) error {
+func (s *Server) dispatch(line []byte, c *peer) error {
 	w := c.W
 	// No command takes more than two arguments; a fourth field only has
 	// to be seen to be refused.

@@ -291,7 +291,8 @@ func TestConditionsTimeout(t *testing.T) {
 			ctx = trace.Context{TraceID: 1, SpanID: 2, Sampled: true}
 		}
 		start := time.Now()
-		rep := wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegConditions,
+		rep := new(wrapper.Report)
+		wrapper.Run(rep, new(wrapper.StepContext), nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegConditions,
 			Run: func(*wrapper.StepContext) error {
 				_, err := c.FetchTraced("beam", 5, ctx)
 				return err

@@ -146,6 +146,7 @@ type RemoteFile interface {
 // arguments runs on the defaults; a record that describes no kernel fails
 // the task here.
 func initTask(rec, a *wrapper.Args) (*Kernel, error) {
+	*a = wrapper.Args{}
 	if rec != nil {
 		*a = *rec
 	}
@@ -154,11 +155,75 @@ func initTask(rec, a *wrapper.Args) (*Kernel, error) {
 	return NewKernel(a.EventSize, a.Work)
 }
 
+// taskState is what each executor's per-task record holds: the task's
+// argument record and kernel, read in env_init, the output its execute
+// step leaves for stage-out, and the wrapper's report and step context.
+// A record is built once with its step closures and reused task after
+// task from its executor's pool (reusing); run clears what a task leaves.
+type taskState struct {
+	env    *Env
+	ctx    *wq.ExecContext // the running task's, nil between tasks
+	args   wrapper.Args
+	kernel Kernel
+	output *[]byte // reduced result, borrowed until the wrapper is done
+	rep    wrapper.Report
+	step   wrapper.StepContext
+	steps  []wrapper.Step
+}
+
+// run runs ctx's task through t's steps and returns its report, t's
+// until t's next task.
+func (t *taskState) run(ctx *wq.ExecContext) *wrapper.Report {
+	t.ctx = ctx
+	wrapper.Run(&t.rep, &t.step, t.env.Fault, ctx.Tracer, ctx.Trace, t.steps...)
+	// The output only once the wrapper is done: stage-out may replay it.
+	bufpool.PutSized(t.output)
+	t.output, t.ctx = nil, nil
+	return &t.rep
+}
+
+// initKernel is env_init's common step: the task's arguments and kernel.
+func (t *taskState) initKernel(*wrapper.StepContext) error {
+	k, err := initTask(t.ctx.Task.Args, &t.args)
+	if err != nil {
+		return err
+	}
+	t.kernel = *k
+	return nil
+}
+
+// software is the software segment, warmSoftware for t's task.
+func (t *taskState) software(c *wrapper.StepContext) error { return t.env.warmSoftware(t.ctx, c) }
+
+// stageOut is the stage-out segment: the execute step's output to the
+// task's output path.
+func (t *taskState) stageOut(c *wrapper.StepContext) error {
+	return t.env.stageOut(t.ctx, c, t.args.Output, *t.output)
+}
+
 // Analysis returns the executor for data-analysis tasks: software setup via
 // parrot, conditions via frontier, event data via xrootd (streamed or
 // staged), reduction via the kernel, stage-out via chirp.
 func Analysis(env *Env) wq.Executor {
-	return func(ctx *wq.ExecContext) error { return finish(ctx, runAnalysis(env, ctx)) }
+	return reusing(func() *analysisTask { return newAnalysisTask(env) })
+}
+
+// taskRunner is a per-task state record: it runs one task at a time.
+type taskRunner interface {
+	run(*wq.ExecContext) *wrapper.Report
+}
+
+// reusing returns an executor that runs each task on a state record from
+// a pool of its own: a worker builds a record, and its step closures, for
+// each task it runs at a time (and again only after the collector has
+// emptied the pool), not for every task.
+func reusing[T taskRunner](build func() T) wq.Executor {
+	pool := sync.Pool{New: func() any { return build() }}
+	return func(ctx *wq.ExecContext) error {
+		t := pool.Get().(T)
+		defer pool.Put(t)
+		return finish(ctx, t.run(ctx))
+	}
 }
 
 // finish hands the wrapper report to the worker — it rides the result
@@ -248,15 +313,33 @@ func (e *Env) stageOut(ctx *wq.ExecContext, c *wrapper.StepContext, out string, 
 	return nil
 }
 
-// analysisTask is one analysis task's state: its argument record, read
-// in env_init, and what each step leaves for the next. The step closures
-// share it through one pointer.
+// analysisTask is an analysis executor's per-task record: the common
+// state, and what stage-in leaves for execute.
 type analysisTask struct {
-	args   wrapper.Args
-	kernel *Kernel
-	input  *[]byte    // staged content (stage mode), borrowed
-	file   RemoteFile // open handle (stream mode)
-	output *[]byte    // reduced result, borrowed
+	taskState
+	input *[]byte    // staged content (stage mode), borrowed
+	file  RemoteFile // open handle (stream mode), execute's to close
+}
+
+func newAnalysisTask(env *Env) *analysisTask {
+	t := &analysisTask{taskState: taskState{env: env}}
+	t.steps = []wrapper.Step{
+		{Segment: wrapper.SegEnvInit, Run: t.envInit},
+		{Segment: wrapper.SegSoftware, Run: t.software},
+		{Segment: wrapper.SegConditions, Run: t.conditions},
+		{Segment: wrapper.SegStageIn, Run: t.stageIn},
+		{Segment: wrapper.SegExecute, Run: t.execute},
+		{Segment: wrapper.SegStageOut, Run: t.stageOut},
+	}
+	return t
+}
+
+// run runs one analysis task, and returns what it borrowed and closes
+// what it opened if a failure stopped it before execute did.
+func (t *analysisTask) run(ctx *wq.ExecContext) *wrapper.Report {
+	defer t.releaseInput()
+	defer t.closeFile()
+	return t.taskState.run(ctx)
 }
 
 // releaseInput returns the staged range to the pool: as soon as execute
@@ -266,81 +349,79 @@ func (t *analysisTask) releaseInput() {
 	t.input = nil
 }
 
-func runAnalysis(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	t := &analysisTask{}
-	defer t.releaseInput()
-	// The output only once the wrapper is done: stage-out may replay it.
-	defer func() { bufpool.PutSized(t.output) }()
-	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
-		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
-			var err error
-			if t.kernel, err = initTask(ctx.Task.Args, &t.args); err != nil {
-				return err
-			}
-			return env.probeScratch(ctx)
-		}},
-		wrapper.Step{Segment: wrapper.SegSoftware, Run: func(c *wrapper.StepContext) error {
-			return env.warmSoftware(ctx, c)
-		}},
-		wrapper.Step{Segment: wrapper.SegConditions, Run: func(c *wrapper.StepContext) error {
-			if env.ConditionsTag == "" || env.ProxyURL == "" {
-				return nil
-			}
-			p, err := env.conditions().FetchTraced(env.ConditionsTag, t.args.Run, c.Trace)
-			if err != nil {
-				return err
-			}
-			c.Metrics.ConditionsBytes = float64(len(p.Data))
-			return nil
-		}},
-		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
-			if t.args.LFN == "" {
-				return fmt.Errorf("analysis task needs an lfn")
-			}
-			if env.Open == nil {
-				return fmt.Errorf("no data access configured")
-			}
-			f, err := env.Open(t.args.LFN, c.Tracer, c.Trace)
-			if err != nil {
-				return err
-			}
-			if t.args.Mode == "stage" {
-				// Staging: pull the task's event range before processing.
-				defer f.Close()
-				lo, hi := eventRange(t.kernel, f.Size(), &t.args)
-				if t.input, err = stageRange(f, lo, hi-lo); err != nil {
-					return err
-				}
-				c.Metrics.BytesIn = float64(len(*t.input))
-				return nil
-			}
-			t.file = f // streaming: reads happen during execute
-			return nil
-		}},
-		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
-			var events int
-			if t.input != nil {
-				defer t.releaseInput()
-				t.output = bufpool.GetSized(t.kernel.DigestBytes(len(*t.input)))
-				*t.output, events = t.kernel.AppendDigests((*t.output)[:0], *t.input)
-			} else {
-				defer t.file.Close()
-				var err error
-				var streamed int64
-				lo, hi := eventRange(t.kernel, t.file.Size(), &t.args)
-				t.output, events, streamed, err = processStreaming(t.kernel, t.file, lo, hi)
-				if err != nil {
-					return err
-				}
-				c.Metrics.BytesIn = float64(streamed)
-			}
-			c.Metrics.Events = float64(events)
-			return nil
-		}},
-		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			return env.stageOut(ctx, c, t.args.Output, *t.output)
-		}},
-	)
+// closeFile closes the streamed input: when execute has read it, or on
+// the way out if execute never ran.
+func (t *analysisTask) closeFile() {
+	if t.file != nil {
+		t.file.Close()
+		t.file = nil
+	}
+}
+
+func (t *analysisTask) envInit(c *wrapper.StepContext) error {
+	if err := t.initKernel(c); err != nil {
+		return err
+	}
+	return t.env.probeScratch(t.ctx)
+}
+
+func (t *analysisTask) conditions(c *wrapper.StepContext) error {
+	env := t.env
+	if env.ConditionsTag == "" || env.ProxyURL == "" {
+		return nil
+	}
+	p, err := env.conditions().FetchTraced(env.ConditionsTag, t.args.Run, c.Trace)
+	if err != nil {
+		return err
+	}
+	c.Metrics.ConditionsBytes = float64(len(p.Data))
+	return nil
+}
+
+func (t *analysisTask) stageIn(c *wrapper.StepContext) error {
+	if t.args.LFN == "" {
+		return fmt.Errorf("analysis task needs an lfn")
+	}
+	if t.env.Open == nil {
+		return fmt.Errorf("no data access configured")
+	}
+	f, err := t.env.Open(t.args.LFN, c.Tracer, c.Trace)
+	if err != nil {
+		return err
+	}
+	if t.args.Mode == "stage" {
+		// Staging: pull the task's event range before processing.
+		defer f.Close()
+		lo, hi := eventRange(&t.kernel, f.Size(), &t.args)
+		if t.input, err = stageRange(f, lo, hi-lo); err != nil {
+			return err
+		}
+		c.Metrics.BytesIn = float64(len(*t.input))
+		return nil
+	}
+	t.file = f // streaming: reads happen during execute
+	return nil
+}
+
+func (t *analysisTask) execute(c *wrapper.StepContext) error {
+	var events int
+	if t.input != nil {
+		defer t.releaseInput()
+		t.output = bufpool.GetSized(t.kernel.DigestBytes(len(*t.input)))
+		*t.output, events = t.kernel.AppendDigests((*t.output)[:0], *t.input)
+	} else {
+		defer t.closeFile()
+		var err error
+		var streamed int64
+		lo, hi := eventRange(&t.kernel, t.file.Size(), &t.args)
+		t.output, events, streamed, err = processStreaming(&t.kernel, t.file, lo, hi)
+		if err != nil {
+			return err
+		}
+		c.Metrics.BytesIn = float64(streamed)
+	}
+	c.Metrics.Events = float64(events)
+	return nil
 }
 
 // eventRange maps the task's SkipEvents/MaxEvents to a byte range within
@@ -404,7 +485,7 @@ func processStreaming(k *Kernel, f RemoteFile, lo, hi int64) (out *[]byte, event
 // element over chirp, and chirp stage-out. External bandwidth demand is
 // orders of magnitude below analysis, matching §6.
 func Simulation(env *Env) wq.Executor {
-	return func(ctx *wq.ExecContext) error { return finish(ctx, runSimulation(env, ctx)) }
+	return reusing(func() *simulationTask { return newSimulationTask(env) })
 }
 
 // pileupSample returns the pile-up sample at path. One stat tells
@@ -431,73 +512,72 @@ func (e *Env) pileupSample(cc *chirp.Client, path string) ([]byte, error) {
 	return data, nil
 }
 
-// simulationTask is one simulation task's state, shared by its step
-// closures through one pointer like analysisTask.
+// simulationTask is a simulation executor's per-task record: the common
+// state, and the pile-up sample stage-in leaves for execute.
 type simulationTask struct {
-	args   wrapper.Args
-	kernel *Kernel
-	pileup []byte  // shared with other tasks: read only
-	output *[]byte // reduced result, borrowed until the wrapper is done
+	taskState
+	pileup []byte // shared with other tasks: read only
 }
 
-func runSimulation(env *Env, ctx *wq.ExecContext) *wrapper.Report {
-	t := &simulationTask{}
-	defer func() { bufpool.PutSized(t.output) }()
-	return wrapper.Run(env.Fault, ctx.Tracer, ctx.Trace,
-		wrapper.Step{Segment: wrapper.SegEnvInit, Run: func(c *wrapper.StepContext) error {
-			var err error
-			t.kernel, err = initTask(ctx.Task.Args, &t.args)
-			return err
-		}},
-		wrapper.Step{Segment: wrapper.SegSoftware, Run: func(c *wrapper.StepContext) error {
-			return env.warmSoftware(ctx, c)
-		}},
-		wrapper.Step{Segment: wrapper.SegStageIn, Run: func(c *wrapper.StepContext) error {
-			pu := t.args.Pileup
-			if pu == "" || env.ChirpAddr == "" {
-				return nil // pile-up overlay disabled
-			}
-			if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
-				var gerr error
-				t.pileup, gerr = env.pileupSample(cc, pu)
-				return gerr
-			}); err != nil {
+func newSimulationTask(env *Env) *simulationTask {
+	t := &simulationTask{taskState: taskState{env: env}}
+	t.steps = []wrapper.Step{
+		{Segment: wrapper.SegEnvInit, Run: t.initKernel},
+		{Segment: wrapper.SegSoftware, Run: t.software},
+		{Segment: wrapper.SegStageIn, Run: t.stageIn},
+		{Segment: wrapper.SegExecute, Run: t.execute},
+		{Segment: wrapper.SegStageOut, Run: t.stageOut},
+	}
+	return t
+}
+
+func (t *simulationTask) run(ctx *wq.ExecContext) *wrapper.Report {
+	t.pileup = nil
+	return t.taskState.run(ctx)
+}
+
+func (t *simulationTask) stageIn(c *wrapper.StepContext) error {
+	env, pu := t.env, t.args.Pileup
+	if pu == "" || env.ChirpAddr == "" {
+		return nil // pile-up overlay disabled
+	}
+	if err := env.chirpPool().DoTraced(c.Tracer, c.Trace, func(cc *chirp.Client) error {
+		var gerr error
+		t.pileup, gerr = env.pileupSample(cc, pu)
+		return gerr
+	}); err != nil {
+		return err
+	}
+	c.Metrics.BytesIn = float64(len(t.pileup))
+	return nil
+}
+
+func (t *simulationTask) execute(c *wrapper.StepContext) error {
+	n, k := t.args.Events, &t.kernel
+	if n <= 0 {
+		return fmt.Errorf("simulation task needs events > 0")
+	}
+	rng := stats.NewRand(uint64(t.args.Seed))
+	// Generate, overlay and reduce a chunk of events at a time: a whole
+	// number of 8-byte RNG draws per chunk keeps the signal byte-identical
+	// to generating it whole, and the task's working set is one borrowed
+	// chunk, not its whole sample.
+	buf := bufpool.GetSized(chunkEvents * k.EventSize)
+	defer bufpool.PutSized(buf)
+	t.output = bufpool.GetSized(k.DigestBytes(n * k.EventSize))
+	*t.output = (*t.output)[:0]
+	for first := 0; first < n; first += chunkEvents {
+		signal := (*buf)[:min(chunkEvents, n-first)*k.EventSize]
+		rng.Fill(signal)
+		if t.pileup != nil {
+			if err := k.OverlayPileupAt(signal, t.pileup, first); err != nil {
 				return err
 			}
-			c.Metrics.BytesIn = float64(len(t.pileup))
-			return nil
-		}},
-		wrapper.Step{Segment: wrapper.SegExecute, Run: func(c *wrapper.StepContext) error {
-			n, k := t.args.Events, t.kernel
-			if n <= 0 {
-				return fmt.Errorf("simulation task needs events > 0")
-			}
-			rng := stats.NewRand(uint64(t.args.Seed))
-			// Generate, overlay and reduce a chunk of events at a time: a
-			// whole number of 8-byte RNG draws per chunk keeps the signal
-			// byte-identical to generating it whole, and the task's
-			// working set is one borrowed chunk, not its whole sample.
-			buf := bufpool.GetSized(chunkEvents * k.EventSize)
-			defer bufpool.PutSized(buf)
-			t.output = bufpool.GetSized(k.DigestBytes(n * k.EventSize))
-			*t.output = (*t.output)[:0]
-			for first := 0; first < n; first += chunkEvents {
-				signal := (*buf)[:min(chunkEvents, n-first)*k.EventSize]
-				rng.Fill(signal)
-				if t.pileup != nil {
-					if err := k.OverlayPileupAt(signal, t.pileup, first); err != nil {
-						return err
-					}
-				}
-				*t.output, _ = k.AppendDigests(*t.output, signal)
-			}
-			c.Metrics.Events = float64(n)
-			return nil
-		}},
-		wrapper.Step{Segment: wrapper.SegStageOut, Run: func(c *wrapper.StepContext) error {
-			return env.stageOut(ctx, c, t.args.Output, *t.output)
-		}},
-	)
+		}
+		*t.output, _ = k.AppendDigests(*t.output, signal)
+	}
+	c.Metrics.Events = float64(n)
+	return nil
 }
 
 // stageRange reads the n bytes of f from lo into memory. n follows from

@@ -202,11 +202,11 @@ func muxFor(repo *cvmfs.Repository, cond *frontier.Service) http.Handler {
 type taskFunc func(*wq.ExecContext) *wrapper.Report
 
 func analysis(env *Env) taskFunc {
-	return func(ctx *wq.ExecContext) *wrapper.Report { return runAnalysis(env, ctx) }
+	return func(ctx *wq.ExecContext) *wrapper.Report { return newAnalysisTask(env).run(ctx) }
 }
 
 func simulation(env *Env) taskFunc {
-	return func(ctx *wq.ExecContext) *wrapper.Report { return runSimulation(env, ctx) }
+	return func(ctx *wq.ExecContext) *wrapper.Report { return newSimulationTask(env).run(ctx) }
 }
 
 // argsOf hands a task its argument record, as core does.
@@ -609,8 +609,10 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 		if _, err := initTask(ctx.Task.Args, &args); err != nil {
 			return err
 		}
-		reports <- wrapper.Run(nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegStageOut,
+		rep := new(wrapper.Report)
+		wrapper.Run(rep, new(wrapper.StepContext), nil, nil, trace.Context{}, wrapper.Step{Segment: wrapper.SegStageOut,
 			Run: func(c *wrapper.StepContext) error { return env.stageOut(ctx, c, args.Output, []byte("late")) }})
+		reports <- rep
 		return nil
 	}}
 	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg, nil)

@@ -13,6 +13,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -72,10 +73,38 @@ type AlertRecord struct {
 	Profile string `json:"profile,omitempty"`
 }
 
+// A Monitor stores its records in blocks, and growth adds a block and
+// copies no record: a record is 200 B, and re-copying them all each time
+// one slice outgrew its capacity cost about 0.5 KB a task of a long run.
+// The first block holds firstBlock records and each next one twice as
+// many, so that a short workflow's monitor stays as small as a slice
+// would, up to blocks of maxBlock records, so that no block outgrows what
+// a long run needs next.
+const (
+	firstBlock  = 8
+	maxBlock    = 128
+	smallBlocks = 4                     // blocks before the first of maxBlock: 8, 16, 32, 64 records
+	smallRecs   = maxBlock - firstBlock // the records those hold
+)
+
+// blockOf returns the block that holds record i and i's place in it.
+func blockOf(i int) (block, off int) {
+	if i < smallRecs {
+		j := uint(i + firstBlock)
+		top := bits.Len(j) - 1
+		return top - bits.Len(firstBlock) + 1, int(j - 1<<top)
+	}
+	i -= smallRecs
+	return smallBlocks + i/maxBlock, i % maxBlock
+}
+
 // Monitor accumulates task records. It is safe for concurrent use.
 type Monitor struct {
-	mu      sync.RWMutex
-	records []TaskRecord
+	mu sync.RWMutex
+	// blocks hold the records in arrival order (blockOf); n is how many
+	// there are.
+	blocks [][]TaskRecord
+	n      int
 
 	// byFinish caches record indices sorted by Finish so windowed queries
 	// (Timeline, FailureCodes) can binary-search to their window instead of
@@ -91,8 +120,22 @@ func New() *Monitor { return &Monitor{} }
 // Add appends a record.
 func (m *Monitor) Add(r TaskRecord) {
 	m.mu.Lock()
-	m.records = append(m.records, r)
+	if b, _ := blockOf(m.n); b == len(m.blocks) {
+		size := maxBlock
+		if b < smallBlocks {
+			size = firstBlock << b
+		}
+		m.blocks = append(m.blocks, make([]TaskRecord, size))
+	}
+	*m.record(m.n) = r
+	m.n++
 	m.mu.Unlock()
+}
+
+// record returns record i (i < m.n). Caller holds a lock.
+func (m *Monitor) record(i int) *TaskRecord {
+	b, off := blockOf(i)
+	return &m.blocks[b][off]
 }
 
 // ensureIndexLocked brings the finish-sorted index up to date. Caller holds
@@ -100,7 +143,7 @@ func (m *Monitor) Add(r TaskRecord) {
 // stream back as tasks complete), so the common case appends the new tail
 // without sorting; out-of-order arrivals trigger one stable re-sort.
 func (m *Monitor) ensureIndexLocked() {
-	n := len(m.records)
+	n := m.n
 	if m.sortGen == n {
 		return
 	}
@@ -110,7 +153,7 @@ func (m *Monitor) ensureIndexLocked() {
 	}
 	sorted := true
 	for i := tail; i < n; i++ {
-		if i > 0 && m.records[m.byFinish[i-1]].Finish > m.records[m.byFinish[i]].Finish {
+		if i > 0 && m.record(m.byFinish[i-1]).Finish > m.record(m.byFinish[i]).Finish {
 			sorted = false
 			break
 		}
@@ -119,7 +162,7 @@ func (m *Monitor) ensureIndexLocked() {
 		// Stable so equal finish times keep arrival order, preserving the
 		// accumulation order (and float summation) of the scan-based code.
 		sort.SliceStable(m.byFinish, func(a, b int) bool {
-			return m.records[m.byFinish[a]].Finish < m.records[m.byFinish[b]].Finish
+			return m.record(m.byFinish[a]).Finish < m.record(m.byFinish[b]).Finish
 		})
 	}
 	m.sortGen = n
@@ -129,15 +172,22 @@ func (m *Monitor) ensureIndexLocked() {
 func (m *Monitor) Records() []TaskRecord {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]TaskRecord(nil), m.records...)
+	if m.n == 0 {
+		return nil
+	}
+	out := make([]TaskRecord, m.n)
+	for i := range out {
+		out[i] = *m.record(i)
+	}
+	return out
 }
 
 // Each calls fn for every record under the read lock.
 func (m *Monitor) Each(fn func(*TaskRecord)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for i := range m.records {
-		fn(&m.records[i])
+	for i := range m.n {
+		fn(m.record(i))
 	}
 }
 
@@ -157,8 +207,8 @@ func (m *Monitor) Breakdown() []BreakdownRow {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var cpu, io, failed, wqIn, wqOut, lost float64
-	for i := range m.records {
-		r := &m.records[i]
+	for i := range m.n {
+		r := m.record(i)
 		lost += r.LostTime
 		if r.Failed() {
 			failed += r.WallTime()
@@ -250,10 +300,10 @@ func (m *Monitor) Timeline(start, end, binWidth float64) (*Timeline, error) {
 	// Prune the prefix of records that finished before the window opened;
 	// for recent-window queries over a long run this skips nearly everything.
 	first := sort.Search(len(m.byFinish), func(i int) bool {
-		return m.records[m.byFinish[i]].Finish > start
+		return m.record(m.byFinish[i]).Finish > start
 	})
 	for _, ri := range m.byFinish[first:] {
-		r := &m.records[ri]
+		r := m.record(ri)
 		if r.Start >= end {
 			continue
 		}
@@ -323,13 +373,13 @@ func (m *Monitor) FailureCodes(start, end, binWidth float64) (map[int][]int, err
 	// Binary-search the finish-sorted index to exactly the [start, end)
 	// window instead of scanning every record.
 	lo := sort.Search(len(m.byFinish), func(i int) bool {
-		return m.records[m.byFinish[i]].Finish >= start
+		return m.record(m.byFinish[i]).Finish >= start
 	})
 	hi := sort.Search(len(m.byFinish), func(i int) bool {
-		return m.records[m.byFinish[i]].Finish >= end
+		return m.record(m.byFinish[i]).Finish >= end
 	})
 	for _, ri := range m.byFinish[lo:hi] {
-		r := &m.records[ri]
+		r := m.record(ri)
 		if !r.Failed() {
 			continue
 		}

@@ -187,3 +187,69 @@ func TestDiagnoseEmptyMonitor(t *testing.T) {
 		t.Errorf("empty monitor produced advice: %+v", advice)
 	}
 }
+
+// TestAddNeverMovesRecords holds the store's growth rule: a record stays
+// where Add put it however many follow, Records and Each see them all in
+// arrival order across block boundaries, a monitor of a few records
+// allocates a block of a few, and a whole full-size block of Adds
+// allocates that block and nothing per record.
+func TestAddNeverMovesRecords(t *testing.T) {
+	off := -1
+	for i := range 3 * maxBlock {
+		b, o := blockOf(i)
+		if o != off+1 {
+			if o != 0 {
+				t.Fatalf("record %d at block %d offset %d, after offset %d", i, b, o, off)
+			}
+			if want := min(firstBlock<<(b-1), maxBlock); b > 0 && off+1 != want {
+				t.Fatalf("block %d held %d records, want %d", b-1, off+1, want)
+			}
+		}
+		off = o
+	}
+
+	m := New()
+	m.Add(mkRecord(0, 0, 1, 1))
+	var first *TaskRecord
+	m.Each(func(r *TaskRecord) {
+		if first == nil {
+			first = r
+		}
+	})
+	if got := cap(m.blocks[0]); got != firstBlock {
+		t.Errorf("a one-record monitor holds a block of %d, want %d", got, firstBlock)
+	}
+	const n = smallRecs + 2*maxBlock + 5
+	for i := int64(1); i < n; i++ {
+		m.Add(mkRecord(i, float64(i), 1, 1))
+	}
+	seen := 0
+	m.Each(func(r *TaskRecord) {
+		if seen == 0 && r != first {
+			t.Error("record 0 moved when the store grew")
+		}
+		if r.TaskID != int64(seen) {
+			t.Errorf("record %d is task %d", seen, r.TaskID)
+		}
+		seen++
+	})
+	recs := m.Records()
+	if seen != n || len(recs) != n || recs[n-1].TaskID != n-1 {
+		t.Fatalf("Each saw %d and Records holds %d of %d records", seen, len(recs), n)
+	}
+	if New().Records() != nil {
+		t.Error("an empty monitor's Records is not nil")
+	}
+	// Fill the current block, then time one whole block of Adds.
+	for _, o := blockOf(m.n); o != 0; _, o = blockOf(m.n) {
+		m.Add(TaskRecord{})
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for range maxBlock {
+			m.Add(TaskRecord{})
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("%d Adds made %v allocations, want the block (and the block list's growth)", maxBlock, allocs)
+	}
+}

@@ -64,6 +64,10 @@ type Conn struct {
 	dec  *json.Decoder
 	out  bytes.Buffer
 	enc  *json.Encoder
+
+	// sink is ReadPayload's, the reader's too: kept here, it costs a
+	// payload no allocation.
+	sink sinkWriter
 }
 
 // NewConn wraps nc for protocol proto with buffers of the given sizes.

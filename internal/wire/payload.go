@@ -37,7 +37,9 @@ func (c *Conn) ReadPayload(w io.Writer, n int64) (int64, error) {
 		}
 		return got, nil
 	}
-	sink := &sinkWriter{w: w}
+	sink := &c.sink
+	*sink = sinkWriter{w: w}
+	defer func() { sink.w = nil }()
 	p, _ := c.R.Peek(int(min(int64(c.R.Buffered()), n)))
 	sink.Write(p)
 	c.R.Discard(len(p))

@@ -257,14 +257,14 @@ func TestResultFrameLeavesMasterTimesOut(t *testing.T) {
 	}
 }
 
-// queuedResultsWorker is a worker whose resCh already holds n results
-// before its result loop has run: just the loop's own state, and one end
-// of an in-memory pipe as the master connection.
+// queuedResultsWorker is a worker of n slots whose resCh already holds
+// all n before its result loop has run: just the loop's own state, and
+// one end of an in-memory pipe as the master connection.
 func queuedResultsWorker(n int) (*Worker, net.Conn) {
 	near, far := net.Pipe()
-	w := &Worker{conn: newConn(near), resCh: make(chan *Result, n), done: make(chan struct{})}
+	w := &Worker{conn: newConn(near), free: make(chan *slot, n), resCh: make(chan *slot, n), done: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		w.resCh <- &Result{TaskID: int64(i + 1)}
+		w.resCh <- &slot{res: Result{TaskID: int64(i + 1)}}
 	}
 	return w, far
 }
@@ -310,5 +310,8 @@ func TestEvictedWorkerSendsNoQueuedResults(t *testing.T) {
 	}
 	if len(w.resCh) != 0 {
 		t.Fatalf("%d results left queued after the loop exited", len(w.resCh))
+	}
+	if len(w.free) != 8 {
+		t.Fatalf("%d of 8 slots freed after the loop exited", len(w.free))
 	}
 }

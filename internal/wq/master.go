@@ -270,23 +270,24 @@ func (m *Master) Stats() MasterStats {
 // WaitResult blocks until a result is available or the timeout elapses
 // (timeout <= 0 waits forever). The second return is false on timeout or
 // master close with no pending results.
+//
+// A result already waiting is taken without a timer: one is armed only
+// to wait, and the one a wait stopped is re-armed for the next.
 func (m *Master) WaitResult(timeout time.Duration) (*Result, bool) {
 	t := m.res
-	expired := false // guarded by t.mu
-	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() {
-			t.mu.Lock()
-			expired = true
-			t.arrived.Broadcast()
-			t.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
 	var one [1]*Result
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.q.popN(one[:]) == 1 {
+		return one[0], true
+	}
+	var w *waitTimeout
+	if timeout > 0 {
+		w = t.armTimeout(timeout)
+		defer t.disarm(w)
+	}
 	for t.q.popN(one[:]) == 0 {
-		if expired || m.closed.Load() {
+		if (w != nil && w.expired) || m.closed.Load() {
 			return nil, false
 		}
 		t.arrived.Wait()

@@ -58,7 +58,8 @@ func newConn(nc net.Conn) *wire.Conn { return wire.NewConn("wq", nc, 4<<10, 4<<1
 
 // recv reads the next message into m, zeroed first so the tasks and
 // results it decodes are fresh objects that may outlive m, and returns the
-// size of its body.
+// size of its body. It is the master's reader; a worker reads its task
+// frames into records it reuses (taskFrame).
 func recv(c *wire.Conn, m *message) (int, error) {
 	*m = message{}
 	return c.ReadFrame(maxFrame, m)

@@ -202,6 +202,49 @@ type resultTable struct {
 	mu      sync.Mutex
 	q       ring[*Result]
 	arrived sync.Cond // WaitResult callers; L is &mu
+
+	// spare is a timeout that WaitResult armed and stopped before it
+	// fired, kept for the next wait (nil while a waiter holds it).
+	spare *waitTimeout
+}
+
+// waitTimeout is one WaitResult's timeout: when its timer fires it marks
+// the wait expired and wakes the waiters.
+type waitTimeout struct {
+	t       *resultTable
+	timer   *time.Timer
+	expired bool // guarded by t.mu
+}
+
+func (w *waitTimeout) fire() {
+	w.t.mu.Lock()
+	w.expired = true
+	w.t.arrived.Broadcast()
+	w.t.mu.Unlock()
+}
+
+// armTimeout returns a timeout that fires after d: the spare, re-armed,
+// or a new one when another waiter holds it. Caller holds mu.
+func (t *resultTable) armTimeout(d time.Duration) *waitTimeout {
+	w := t.spare
+	if w == nil {
+		w = &waitTimeout{t: t}
+		w.timer = time.AfterFunc(d, w.fire)
+		return w
+	}
+	t.spare = nil
+	w.expired = false
+	w.timer.Reset(d)
+	return w
+}
+
+// disarm stops w and keeps it as the spare, unless it has fired: its
+// callback may still be on its way to mu then, and would expire the next
+// wait. Caller holds mu.
+func (t *resultTable) disarm(w *waitTimeout) {
+	if w.timer.Stop() {
+		t.spare = w
+	}
 }
 
 func newResultTable() *resultTable {

@@ -95,7 +95,11 @@ type Result struct {
 // Failed reports whether the task did not complete successfully.
 func (r *Result) Failed() bool { return r.ExitCode != 0 || r.Error != "" }
 
-// ExecContext is handed to an executor on the worker.
+// ExecContext is handed to an executor on the worker. It, its Task and
+// the task's Args belong to the worker's slot, which reuses them for its
+// next task: an executor must keep no pointer to any of them once it
+// returns. The strings and slices they hold are never overwritten, and
+// are its to keep.
 type ExecContext struct {
 	// Task is the task being executed (do not mutate).
 	Task *Task
@@ -111,9 +115,9 @@ type ExecContext struct {
 	// Tracer records executor-internal spans; nil when tracing is off.
 	Tracer *trace.Tracer
 
-	// held is what the executor leaves for the worker. The worker
-	// allocates it, so a copy of the context (a shim re-tagging Trace)
-	// still writes where the worker reads.
+	// held is what the executor leaves for the worker. It lives in the
+	// worker's slot record, so a copy of the context (a shim re-tagging
+	// Trace) still writes where the worker reads.
 	held *heldState
 	// lost is the worker's: closed when its receive loop ends.
 	lost <-chan struct{}
@@ -142,7 +146,8 @@ func (c *ExecContext) Err() error {
 
 // heldState is one task's hand-over from executor to worker.
 type heldState struct {
-	report  *wrapper.Report // handed over with SetReport
+	report  *wrapper.Report // &rep once SetReport handed one over, else nil
+	rep     wrapper.Report  // SetReport's copy, which the result carries
 	sandbox bool            // the sandbox directory was created
 }
 
@@ -183,9 +188,18 @@ func (c *ExecContext) hold() *heldState {
 
 // SetReport hands the task's wrapper report to the worker, which returns
 // it to the master in the result, whether the task then succeeds or fails.
-// rep must not be modified afterwards. Call it from the executor's own
+// The worker keeps a copy, so rep stays the executor's to reuse; a nil rep
+// takes back one handed over before. Call it from the executor's own
 // goroutine.
-func (c *ExecContext) SetReport(rep *wrapper.Report) { c.hold().report = rep }
+func (c *ExecContext) SetReport(rep *wrapper.Report) {
+	h := c.hold()
+	if rep == nil {
+		h.report = nil
+		return
+	}
+	h.rep = *rep
+	h.report = &h.rep
+}
 
 // filesCreated counts the sandbox directories this process's executors
 // made: the per-task file-system cost that the hot path is pinned to keep

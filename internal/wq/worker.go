@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"lobster/internal/telemetry"
 	"lobster/internal/trace"
 	"lobster/internal/wire"
+	"lobster/internal/wrapper"
 )
 
 // Worker connects to a master, advertises a number of cores,
@@ -28,15 +30,21 @@ type Worker struct {
 	dir   string
 	conn  *wire.Conn
 
-	slots   chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 	evicted atomic.Bool
 
-	// Result batching: finished tasks queue their results on resCh and a
-	// dedicated loop sends whatever is queued as one "results" message —
-	// results that finish while a send is on the wire share the next one.
-	resCh chan *Result
+	// A slot record travels free → work → resCh → free: the receive loop
+	// loads a task into a free one and queues it on work, one of cores
+	// slot goroutines runs it and queues it on resCh, and the result loop
+	// sends whatever is queued as one "results" message — results that
+	// finish while a send is on the wire share the next one — and frees
+	// the slots once that frame is written (DESIGN.md section 17, twelfth
+	// turn). Each channel holds up to cores slots, all there are, so only
+	// the receive loop's take from free ever waits.
+	free  chan *slot
+	work  chan *slot
+	resCh chan *slot
 	done  chan struct{} // closed by run() after in-flight tasks finish
 	lost  chan struct{} // closed by run() when the receive loop ends
 
@@ -125,10 +133,15 @@ func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *fa
 		reg:   reg,
 		dir:   dir,
 		conn:  newConn(fault.Conn("wq_worker", raw)),
-		slots: make(chan struct{}, cores),
-		resCh: make(chan *Result, cores+batchMax),
+		free:  make(chan *slot, cores),
+		work:  make(chan *slot, cores),
+		resCh: make(chan *slot, cores),
 		done:  make(chan struct{}),
 		lost:  make(chan struct{}),
+	}
+	slots := make([]slot, cores)
+	for i := range slots {
+		w.free <- &slots[i]
 	}
 	if _, err := w.conn.SendFrame(&message{Type: "hello", Name: name, Cores: cores}); err != nil {
 		return nil, err
@@ -162,50 +175,137 @@ func (w *Worker) Evict() {
 	w.Close()
 }
 
-// run reads tasks until the connection dies. Then lost closes, so the
-// tasks still running see ExecContext.Err and stage nothing out. The
-// deferred order matters: in-flight tasks finish (and queue their
+// slot is one of the worker's cores: the one record every task it runs
+// lives in, from the task frame that brings the task to the result frame
+// that carries its result. Between the two it belongs to one goroutine at
+// a time, handed on by channel: the receive loop loads it, a slot
+// goroutine runs it, the result loop sends it and frees it.
+type slot struct {
+	task Task
+	args wrapper.Args
+	res  Result
+	ctx  ExecContext
+	held heldState
+}
+
+// load copies t, decoded into the receive loop's reused records, into the
+// slot, whose task it stays until the slot is freed.
+func (s *slot) load(t *Task) {
+	s.task = *t
+	if t.Args != nil {
+		s.args = *t.Args
+		s.task.Args = &s.args
+	}
+}
+
+// taskFrame is the receive loop's decode target, reused frame after
+// frame: a record per task the largest frame so far carried (at most
+// batchMax), each zeroed before the next frame is read into it, so that
+// no field of an earlier task survives into a later one.
+type taskFrame struct {
+	msg  message
+	recs []taskRec
+	ptrs []*Task
+}
+
+type taskRec struct {
+	task Task
+	args wrapper.Args
+}
+
+// read reads the next message into f.msg. Its tasks are f's records until
+// the next read: load copies what a slot needs out of them. Every record
+// is handed to the decoder with its Args in place, so a task that carries
+// none is told apart afterwards by a zero record and goes to its executor
+// with nil Args, as the frame said.
+func (f *taskFrame) read(c *wire.Conn) error {
+	f.ptrs = f.ptrs[:0]
+	for i := range f.recs {
+		r := &f.recs[i]
+		r.args = wrapper.Args{}
+		r.task = Task{Args: &r.args}
+		f.ptrs = append(f.ptrs, &r.task)
+	}
+	f.msg = message{Tasks: f.ptrs[:0]}
+	_, err := c.ReadFrame(maxFrame, &f.msg)
+	for _, t := range f.msg.Tasks {
+		if t != nil {
+			t.Args = argsOrNil(t.Args)
+		}
+	}
+	// A frame with more tasks than records decoded the rest into fresh
+	// ones; the next frame that size finds records waiting, up to the
+	// batchMax tasks a master sends in one, so that a peer's oversized
+	// frame cannot make the worker keep more.
+	if n := min(len(f.msg.Tasks), batchMax); n > len(f.recs) {
+		f.recs = append(f.recs, make([]taskRec, n-len(f.recs))...)
+	}
+	return err
+}
+
+// argsOrNil is a, or nil for a zero record: to every executor the zero
+// record and none both mean its defaults.
+func argsOrNil(a *wrapper.Args) *wrapper.Args {
+	if a == nil || reflect.ValueOf(a).Elem().IsZero() {
+		return nil
+	}
+	return a
+}
+
+// run reads tasks until the connection dies, handing each to a free slot
+// and blocking while every slot is busy (the worker's natural
+// backpressure on the receive loop). Then lost closes, so the tasks still
+// running see ExecContext.Err and stage nothing out. The order after that
+// matters: the slot goroutines finish their tasks (and queue their
 // results) before done closes, so the result loop flushes everything
 // before it exits.
 func (w *Worker) run() {
 	defer w.wg.Done()
-	defer close(w.done)
-	var taskWG sync.WaitGroup
-	defer taskWG.Wait()
-	var msg message
+	var slots sync.WaitGroup
+	slots.Add(w.cores)
+	for range w.cores {
+		go func() {
+			defer slots.Done()
+			w.serveSlot()
+		}()
+	}
+	var f taskFrame
 	for {
-		if _, err := recv(w.conn, &msg); err != nil {
+		if err := f.read(w.conn); err != nil {
 			break
 		}
-		if msg.Type != "tasks" {
+		if f.msg.Type != "tasks" {
 			continue
 		}
-		for _, t := range msg.Tasks {
+		for _, t := range f.msg.Tasks {
 			if t != nil {
-				w.startTask(t, &taskWG)
+				s := <-w.free
+				s.load(t)
+				w.work <- s
 			}
 		}
 	}
 	close(w.lost)
+	close(w.work)
+	slots.Wait()
+	close(w.done)
 }
 
-// startTask launches a task on a free slot, blocking while all cores are
-// busy (the worker's natural backpressure on the receive loop).
-func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
-	tel := w.telemetry()
-	taskWG.Add(1)
-	w.slots <- struct{}{}
-	go func() {
-		defer taskWG.Done()
-		defer func() { <-w.slots }()
+// serveSlot runs the tasks queued on work, one at a time, and queues each
+// slot for the result loop, or frees it at once when the worker was
+// evicted mid-task: an evicted worker never reports.
+func (w *Worker) serveSlot() {
+	for s := range w.work {
+		tel := w.telemetry()
 		tel.slotsBusy.Add(1)
-		defer tel.slotsBusy.Add(-1)
-		res := w.execute(t)
+		w.execute(s)
+		tel.slotsBusy.Add(-1)
 		if w.evicted.Load() {
-			return // evicted mid-task: never report
+			w.free <- s
+			continue
 		}
-		w.resCh <- res
-	}()
+		w.resCh <- s
+	}
 }
 
 // resultLoop sends finished results the moment resCh runs dry: it never
@@ -218,41 +318,50 @@ func (w *Worker) startTask(t *Task, taskWG *sync.WaitGroup) {
 // closed socket, and every later send fails at once.
 func (w *Worker) resultLoop() {
 	defer w.wg.Done()
-	pending := make([]*Result, 0, batchMax)
-	out := message{Type: "results"}
+	pending := make([]*slot, 0, batchMax)
+	out := message{Type: "results", Results: make([]*Result, 0, batchMax)}
 	flush := func() {
 		if len(pending) == 0 {
 			return
 		}
 		if !w.evicted.Load() {
-			out.Results = pending
+			for _, s := range pending {
+				out.Results = append(out.Results, &s.res)
+			}
 			n, _ := w.conn.SendFrame(&out)
 			w.telemetry().planeOut.Add(int64(n))
+			clear(out.Results)
+			out.Results = out.Results[:0]
+		}
+		// Written or never to be: the slots are free for their next tasks.
+		for _, s := range pending {
+			w.free <- s
 		}
 		clear(pending)
 		pending = pending[:0]
 	}
 	for exiting := false; !exiting; {
 		select {
-		case r := <-w.resCh:
-			pending = append(pending, r)
+		case s := <-w.resCh:
+			pending = append(pending, s)
 		case <-w.done:
 			// Every in-flight task has queued its result by now.
 			exiting = true
 		}
 		for yielded := false; ; {
 			select {
-			case r := <-w.resCh:
-				if pending = append(pending, r); len(pending) == batchMax {
+			case s := <-w.resCh:
+				if pending = append(pending, s); len(pending) == batchMax {
 					flush()
 				}
 				continue
 			default:
 			}
-			// The queue is dry. While more slots are held than results are
-			// in hand, yield once — a reschedule, not a timer — so tasks
-			// finishing this instant make this message instead of the next.
-			if yielded || len(w.slots) <= len(pending) {
+			// The queue is dry. While more slots hold unfinished tasks than
+			// results are in hand, yield once — a reschedule, not a timer —
+			// so tasks finishing this instant make this message instead of
+			// the next.
+			if unfinished := cap(w.free) - len(w.free) - len(pending); yielded || unfinished <= len(pending) {
 				break
 			}
 			yielded = true
@@ -262,10 +371,11 @@ func (w *Worker) resultLoop() {
 	}
 }
 
-// execute runs the executor and returns its result with the report it
-// handed over.
-func (w *Worker) execute(t *Task) *Result {
-	res := &Result{TaskID: t.ID, Tag: t.Tag, Worker: w.name}
+// execute runs the slot's task and leaves its result, with the report
+// the executor handed over, in the slot.
+func (w *Worker) execute(s *slot) {
+	t, res := &s.task, &s.res
+	*res = Result{TaskID: t.ID, Tag: t.Tag, Worker: w.name}
 	res.Stats.Times.Started = time.Now()
 	tracer := w.tracer.Load()
 	wireCtx, _ := trace.Parse(t.Trace)
@@ -290,10 +400,9 @@ func (w *Worker) execute(t *Task) *Result {
 		run.End()
 	}()
 
-	fail := func(code int, format string, args ...any) *Result {
+	fail := func(code int, format string, args ...any) {
 		res.ExitCode = code
 		res.Error = fmt.Sprintf(format, args...)
-		return res
 	}
 
 	// A task carries its arguments and nothing else, so there is nothing
@@ -301,9 +410,11 @@ func (w *Worker) execute(t *Task) *Result {
 	// directory made only if the executor asks for them (ctx.Sandbox,
 	// ctx.EnsureSandbox): profiling showed sandbox mkdir/rmdir dominating
 	// the per-task syscall budget.
-	ctx := &ExecContext{Task: t, Dir: w.dir, WorkerName: w.name, Tracer: tracer, held: &heldState{}, lost: w.lost}
+	s.held = heldState{}
+	s.ctx = ExecContext{Task: t, Dir: w.dir, WorkerName: w.name, Tracer: tracer, held: &s.held, lost: w.lost}
+	ctx := &s.ctx
 	defer func() {
-		if ctx.held.sandbox {
+		if s.held.sandbox {
 			os.RemoveAll(ctx.Sandbox())
 		}
 	}()
@@ -311,7 +422,8 @@ func (w *Worker) execute(t *Task) *Result {
 	// Execute.
 	exec, ok := w.reg[t.Func]
 	if !ok {
-		return fail(127, "unknown executor %q", t.Func)
+		fail(127, "unknown executor %q", t.Func)
+		return
 	}
 	execStart := time.Now()
 	exSpan = tracer.Start(run.Context(), "worker", "execute")
@@ -333,12 +445,10 @@ func (w *Worker) execute(t *Task) *Result {
 	exSpan.End()
 	// The report rides the result on failure too: "a record of ... each
 	// segment is returned back" whatever the outcome.
-	res.Report = ctx.held.report
-	if err != nil {
-		if ee, ok := err.(*ExitError); ok {
-			return fail(ee.Code, "%s", ee.Error())
-		}
-		return fail(1, "%v", err)
+	res.Report = s.held.report
+	if ee, ok := err.(*ExitError); ok {
+		fail(ee.Code, "%s", ee.Error())
+	} else if err != nil {
+		fail(1, "%v", err)
 	}
-	return res
 }

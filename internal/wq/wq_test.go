@@ -343,6 +343,48 @@ func TestWaitResultTimeout(t *testing.T) {
 	}
 }
 
+// TestWaitResultTakesQueuedResultWithoutTimer: a result that is already
+// waiting is taken with no allocation, so no timer is armed for it.
+func TestWaitResultTakesQueuedResultWithoutTimer(t *testing.T) {
+	m := newLocalMaster()
+	r := &Result{TaskID: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.res.push(r)
+		if got, ok := m.WaitResult(time.Minute); !ok || got != r {
+			t.Fatalf("WaitResult = %v, %v", got, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("taking a queued result allocated %v times, want 0", allocs)
+	}
+}
+
+// TestWaitResultReusesStoppedTimeout: the timeout a wait stopped before
+// it fired serves the next wait, which still times out on time; one that
+// fired is never handed to another wait, whose result it would expire.
+func TestWaitResultReusesStoppedTimeout(t *testing.T) {
+	m := newLocalMaster()
+	pushLater := func() {
+		time.AfterFunc(20*time.Millisecond, func() { m.res.push(&Result{TaskID: 1}) })
+	}
+	if _, ok := m.WaitResult(time.Millisecond); ok || m.res.spare != nil {
+		t.Fatalf("a wait on no result: ok %v, spare %v; want a timeout that is not kept", ok, m.res.spare)
+	}
+	pushLater()
+	if _, ok := m.WaitResult(time.Minute); !ok || m.res.spare == nil {
+		t.Fatalf("a wait for a later result: ok %v, spare %v; want the result and a kept timeout", ok, m.res.spare)
+	}
+	spare := m.res.spare
+	start := time.Now()
+	if _, ok := m.WaitResult(30 * time.Millisecond); ok || time.Since(start) < 25*time.Millisecond {
+		t.Fatalf("a wait on the kept timeout returned %v after %v, want a timeout after 30ms", ok, time.Since(start))
+	}
+	pushLater()
+	if r, ok := m.WaitResult(time.Minute); !ok || r == nil || m.res.spare == spare {
+		t.Fatalf("a wait after a fired timeout = %v, %v; want its result, on a new timeout", r, ok)
+	}
+}
+
 func TestMasterStatsWorkers(t *testing.T) {
 	m := newMaster(t)
 	w1 := newWorker(t, m.Addr(), "a", 4)

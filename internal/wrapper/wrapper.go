@@ -173,11 +173,15 @@ type Step struct {
 	Run     func(*StepContext) error
 }
 
-// Run executes steps in order, recording each one's duration in the
-// report's slot for its segment and adding its metrics to the report's.
-// The first failure stops execution; its segment, exit code and error
-// become the report's.
+// Run executes steps in order into rep, recording each one's duration in
+// the report's slot for its segment and adding its metrics to the
+// report's. The first failure stops execution; its segment, exit code and
+// error become the report's.
 // A nil Run function records an instantaneous success (segment skipped).
+//
+// rep and sc are the caller's, so that a caller running task after task
+// (an executor's per-slot state) allocates neither: Run zeroes rep before
+// the first step, and hands every step sc with its metrics zeroed.
 //
 // Before each segment runs, inj is consulted under (component "wrapper",
 // op = segment name). An injected fault fails the segment with its usual
@@ -190,11 +194,11 @@ type Step struct {
 // step's context carries the segment span so service clients used inside
 // chain under it. Non-zero segment metrics become span attributes. A nil
 // tracer or invalid parent records no spans.
-func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) *Report {
-	rep := &Report{}
-	ctx := &StepContext{Tracer: tr}
+func Run(rep *Report, sc *StepContext, inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, steps ...Step) {
+	*rep = Report{}
+	*sc = StepContext{Tracer: tr}
 	for _, step := range steps {
-		ctx.Metrics = Metrics{}
+		sc.Metrics = Metrics{}
 		start := time.Now()
 		var err error
 		var sp *trace.Span
@@ -202,29 +206,28 @@ func Run(inj *faultinject.Injector, tr *trace.Tracer, parent trace.Context, step
 			sp = tr.Start(parent, "wrapper", string(step.Segment))
 		}
 		if err = inj.Check("wrapper", string(step.Segment)); err == nil && step.Run != nil {
-			ctx.Trace = sp.Context().OrElse(parent)
+			sc.Trace = sp.Context().OrElse(parent)
 			err = func() (err error) {
 				defer func() {
 					if p := recover(); p != nil {
 						err = fmt.Errorf("segment panicked: %v", p)
 					}
 				}()
-				return step.Run(ctx)
+				return step.Run(sc)
 			}()
 		}
 		if i := step.Segment.index(); i >= 0 {
 			rep.Durations[i] = time.Since(start)
 		}
-		ctx.Metrics.attrs(sp)
-		rep.Metrics.add(&ctx.Metrics)
+		sc.Metrics.attrs(sp)
+		rep.Metrics.add(&sc.Metrics)
 		if err != nil {
 			rep.ExitCode, rep.Failed, rep.Error = step.Segment.Code(), step.Segment, err.Error()
 			sp.Attr("error", rep.Error)
 			sp.AttrInt("exit_code", int64(rep.ExitCode))
 			sp.End()
-			return rep
+			return
 		}
 		sp.End()
 	}
-	return rep
 }

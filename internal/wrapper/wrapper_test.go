@@ -31,8 +31,43 @@ func roundTrip(t testing.TB, rep *Report) *Report {
 	return &got
 }
 
+// run is Run into a fresh report, untraced and fault-free.
+func run(steps ...Step) *Report {
+	rep := new(Report)
+	Run(rep, new(StepContext), nil, nil, trace.Context{}, steps...)
+	return rep
+}
+
+// TestRunReusesCallerRecords runs a failing task and then a succeeding
+// one into the same report and step context: the second report carries
+// nothing of the first, and its first step starts from zero metrics.
+func TestRunReusesCallerRecords(t *testing.T) {
+	rep, sc := new(Report), new(StepContext)
+	Run(rep, sc, nil, nil, trace.Context{},
+		Step{Segment: SegStageIn, Run: func(c *StepContext) error {
+			c.Metrics.BytesIn = 7
+			return errors.New("down")
+		}})
+	if rep.Failed != SegStageIn || rep.Metrics.BytesIn != 7 {
+		t.Fatalf("first report = %+v", rep)
+	}
+	Run(rep, sc, nil, nil, trace.Context{},
+		Step{Segment: SegExecute, Run: func(c *StepContext) error {
+			if c.Metrics != (Metrics{}) {
+				t.Errorf("second run's step starts with metrics %+v", c.Metrics)
+			}
+			c.Metrics.Events = 1
+			return nil
+		}})
+	want := Report{Metrics: Metrics{Events: 1}}
+	want.Durations[SegExecute.index()] = rep.Durations[SegExecute.index()]
+	if *rep != want {
+		t.Errorf("second report = %+v, want %+v", rep, want)
+	}
+}
+
 func TestAllSegmentsSucceed(t *testing.T) {
-	rep := Run(nil, nil, trace.Context{},
+	rep := run(
 		Step{Segment: SegEnvInit, Run: func(c *StepContext) error { return nil }},
 		Step{Segment: SegSoftware, Run: func(c *StepContext) error {
 			c.Metrics.CacheHits = 5
@@ -67,7 +102,7 @@ func TestAllSegmentsSucceed(t *testing.T) {
 
 func TestFailureStopsAndCodes(t *testing.T) {
 	ran := []Segment{}
-	rep := Run(nil, nil, trace.Context{},
+	rep := run(
 		Step{Segment: SegEnvInit, Run: func(c *StepContext) error {
 			ran = append(ran, SegEnvInit)
 			return nil
@@ -96,7 +131,7 @@ func TestFailureStopsAndCodes(t *testing.T) {
 }
 
 func TestPanicBecomesFailure(t *testing.T) {
-	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegExecute, Run: func(c *StepContext) error {
+	rep := run(Step{Segment: SegExecute, Run: func(c *StepContext) error {
 		panic("application bug")
 	}})
 	if rep.ExitCode != SegExecute.Code() || !strings.Contains(rep.Error, "application bug") {
@@ -105,7 +140,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 }
 
 func TestNilStepSkips(t *testing.T) {
-	rep := Run(nil, nil, trace.Context{}, Step{Segment: SegConditions})
+	rep := run(Step{Segment: SegConditions})
 	if rep.ExitCode != 0 || rep.Failed != "" || rep.Metrics != (Metrics{}) {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -121,7 +156,7 @@ func TestSegmentCodeRoundTrip(t *testing.T) {
 			t.Errorf("%s has code %d (shared with %q)", s, s.Code(), prev)
 		}
 		seen[s.Code()] = s
-		rep := Run(nil, nil, trace.Context{}, Step{Segment: s, Run: func(*StepContext) error { return errors.New("down") }})
+		rep := run(Step{Segment: s, Run: func(*StepContext) error { return errors.New("down") }})
 		got := roundTrip(t, rep)
 		if got.Failed != s || got.ExitCode != s.Code() || got.Error != "down" {
 			t.Errorf("%s failure decoded as %q / %d / %q", s, got.Failed, got.ExitCode, got.Error)
@@ -133,7 +168,7 @@ func TestSegmentCodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rep := Run(nil, nil, trace.Context{},
+	rep := run(
 		Step{Segment: SegSoftware, Run: func(c *StepContext) error {
 			c.Metrics.BytesFetched = 150
 			return nil
@@ -167,7 +202,7 @@ func TestSixSlots(t *testing.T) {
 	sleep := func(d time.Duration) func(*StepContext) error {
 		return func(*StepContext) error { time.Sleep(d); return nil }
 	}
-	rep := Run(nil, nil, trace.Context{},
+	rep := run(
 		Step{Segment: SegStageOut, Run: sleep(2 * time.Millisecond)},
 		Step{Segment: SegEnvInit, Run: sleep(time.Millisecond)})
 	if rep.Durations[5] < 2*time.Millisecond || rep.Durations[0] < time.Millisecond {
@@ -232,12 +267,14 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // TestReportAllocs pins what one task's report costs: Run over the six
 // segments of a task, and the master's decode of the report field of a
-// result frame, through a decoder it keeps. Run makes the report (144 B)
-// and one step context, which holds the current segment's metrics (112
-// B). The decode makes the report and nothing else: the six durations and
-// the metrics are filled in place. While the report held six full segment
-// records, name, exit code, error and metrics each, it was a 704 B
-// allocation that Run made once and the master's decoder again; before
+// result frame, through a decoder it keeps. Run fills a report and a step
+// context its caller owns and allocates nothing; until an executor's
+// per-slot state owned them, it made the report (144 B) and the step
+// context (112 B) for every task. The decode makes the report and nothing
+// else: the six durations and the metrics are filled in place. While the
+// report held six full segment records, name, exit code, error and
+// metrics each, it was a 704 B allocation that Run made once and the
+// master's decoder again; before
 // that the segments were a slice that Report.UnmarshalJSON presized
 // through a nested decode, one fresh string per name (16 allocations);
 // and before that the report made the trip as encoded bytes (DESIGN.md
@@ -253,10 +290,10 @@ func TestReportAllocs(t *testing.T) {
 			return nil
 		}}
 	}
-	var rep *Report
-	run := func() { rep = Run(nil, nil, trace.Context{}, steps...) }
-	if n, b := testing.AllocsPerRun(100, run), bytesPerRun(100, run); n > 2 || b > 256 {
-		t.Errorf("Run: %v allocs, %d B; want at most 2 and 256 B", n, b)
+	rep, sc := new(Report), new(StepContext)
+	task := func() { Run(rep, sc, nil, nil, trace.Context{}, steps...) }
+	if n, b := testing.AllocsPerRun(100, task), bytesPerRun(100, task); n > 0 || b > 0 {
+		t.Errorf("Run: %v allocs, %d B; want none", n, b)
 	}
 	data, err := json.Marshal(&struct{ Report *Report }{rep})
 	if err != nil {
