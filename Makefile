@@ -124,6 +124,13 @@ fmt:
 # with three timeout stories and three ways to carry the trace header,
 # and parrot's read whatever length a proxy announced. cmd/lobster's
 # /metrics scraper is outside internal/ and keeps its own.
+#
+# And a counter is published as a counter, never as a gauge: no
+# GaugeFunc("lobster_..._total" in non-test internal/ code (DESIGN.md
+# section 7, one count per event). A component whose Stats reports a
+# count publishes that very telemetry.Counter with CounterVec.Publish.
+# The xrootd data server exported its two counts through GaugeFunc, so
+# its _total series read # TYPE gauge, which a reader takes for a level.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim internal/frontier
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -161,6 +168,8 @@ copy-lint:
 	test -z "$$out" || { echo "a second HTTP client (GET through wire.HTTPClient):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '"net/http' --include='*.go' internal/parrot internal/trace internal/hepsim | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "net/http on the worker's fetch path (GET through wire.HTTPClient):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'GaugeFunc\("lobster_[a-z0-9_]*_total"' --include='*.go' internal | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a counter published as a gauge (publish the component's telemetry.Counter):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 

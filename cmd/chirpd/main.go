@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -62,7 +63,11 @@ func main() {
 		if *pprofOn {
 			profiling.AttachPprof(mux)
 		}
-		go http.Serve(lis, mux)
+		go func() {
+			if err := http.Serve(lis, mux); !errors.Is(err, net.ErrClosed) {
+				fmt.Fprintln(os.Stderr, "chirpd: metrics server:", err)
+			}
+		}()
 		fmt.Printf("chirpd: telemetry on http://%s/metrics\n", lis.Addr())
 	}
 	fmt.Printf("chirpd: exporting %s on %s (max %d concurrent)\n", fs.Root(), srv.Addr(), *maxConc)

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -155,7 +156,11 @@ func run(o options) error {
 		if o.pprofOn {
 			profiling.AttachPprof(mux)
 		}
-		go http.Serve(lis, mux)
+		go func() {
+			if err := http.Serve(lis, mux); !errors.Is(err, net.ErrClosed) {
+				fmt.Fprintln(os.Stderr, "lobster: telemetry server:", err)
+			}
+		}()
 		fmt.Printf("telemetry on http://%s/metrics\n", lis.Addr())
 	}
 

@@ -54,19 +54,19 @@ type Server struct {
 	// slots bounds concurrently-serviced connections; others queue.
 	slots chan struct{}
 
-	conns   atomic.Int64
-	active  atomic.Int64
-	queued  atomic.Int64
-	reqs    atomic.Int64
-	errs    atomic.Int64
-	in, out atomic.Int64
-	qwait   atomic.Int64 // nanoseconds
+	// The counters Stats reports, counting from construction; Instrument
+	// publishes them as they are.
+	conns, reqs, errs, in, out telemetry.Counter
 
-	// tel, tracer, and fault are installed after the accept loop is
+	active atomic.Int64
+	queued atomic.Int64
+	qwait  atomic.Int64 // nanoseconds
+
+	// queueWait, tracer, and fault are installed after the accept loop is
 	// already running, so publication must be atomic.
-	tel    atomic.Pointer[serverTelemetry]
-	tracer atomic.Pointer[trace.Tracer]
-	fault  atomic.Pointer[faultinject.Injector]
+	queueWait atomic.Pointer[telemetry.Histogram]
+	tracer    atomic.Pointer[trace.Tracer]
+	fault     atomic.Pointer[faultinject.Injector]
 }
 
 // Fault wires the server into the fault plane: newly accepted
@@ -89,52 +89,28 @@ func (s *Server) Trace(tr *trace.Tracer) {
 	}
 }
 
-// serverTelemetry holds the server's instruments; the zero value is free.
-type serverTelemetry struct {
-	conns     *telemetry.Counter
-	reqs      *telemetry.Counter
-	errs      *telemetry.Counter
-	bytesIn   *telemetry.Counter
-	bytesOut  *telemetry.Counter
-	planeIn   *telemetry.Counter // lobster_bytes_total{chirp_server,in}
-	planeOut  *telemetry.Counter // lobster_bytes_total{chirp_server,out}
-	queueWait *telemetry.Histogram
-}
-
-// noTel is the disabled instrument set: every field nil, every call a
-// nil-receiver no-op.
-var noTel serverTelemetry
-
-// telemetry returns the installed instruments, or the free zero set.
-func (s *Server) telemetry() *serverTelemetry {
-	if t := s.tel.Load(); t != nil {
-		return t
-	}
-	return &noTel
-}
-
-// Instrument registers the server's metric series on reg. A nil registry
-// leaves the server uninstrumented at zero cost.
+// Instrument publishes the server's counters on reg, payload bytes also
+// as lobster_bytes_total{component="chirp_server"}, and registers its
+// queue-wait histogram. One server per registry; a nil registry is a
+// no-op.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	s.tel.Store(&serverTelemetry{
-		conns: reg.Counter("lobster_chirp_connections_total",
-			"Connections accepted by the chirp server."),
-		reqs: reg.Counter("lobster_chirp_requests_total",
-			"Protocol requests dispatched."),
-		errs: reg.Counter("lobster_chirp_errors_total",
-			"Protocol requests that returned an error."),
-		bytesIn: reg.Counter("lobster_chirp_bytes_in_total",
-			"Payload bytes received (putfile)."),
-		bytesOut: reg.Counter("lobster_chirp_bytes_out_total",
-			"Payload bytes sent (getfile)."),
-		planeIn:  reg.Bytes("chirp_server", telemetry.DirIn),
-		planeOut: reg.Bytes("chirp_server", telemetry.DirOut),
-		queueWait: reg.Histogram("lobster_chirp_queue_wait_seconds",
-			"Time connections waited for one of the bounded service slots.", nil),
-	})
+	reg.CounterVec("lobster_chirp_connections_total",
+		"Connections accepted by the chirp server.").Publish(&s.conns)
+	reg.CounterVec("lobster_chirp_requests_total",
+		"Protocol requests dispatched.").Publish(&s.reqs)
+	reg.CounterVec("lobster_chirp_errors_total",
+		"Protocol requests that returned an error.").Publish(&s.errs)
+	reg.CounterVec("lobster_chirp_bytes_in_total",
+		"Payload bytes received (putfile).").Publish(&s.in)
+	reg.CounterVec("lobster_chirp_bytes_out_total",
+		"Payload bytes sent (getfile).").Publish(&s.out)
+	reg.BytesVec().Publish(&s.in, "chirp_server", telemetry.DirIn, "")
+	reg.BytesVec().Publish(&s.out, "chirp_server", telemetry.DirOut, "")
+	s.queueWait.Store(reg.Histogram("lobster_chirp_queue_wait_seconds",
+		"Time connections waited for one of the bounded service slots.", nil))
 	reg.GaugeFunc("lobster_chirp_active_connections",
 		"Connections holding a service slot right now.",
 		func() float64 { return float64(s.active.Load()) })
@@ -170,13 +146,13 @@ func (s *Server) Addr() string { return s.srv.Addr() }
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Connections:  s.conns.Load(),
+		Connections:  s.conns.Value(),
 		ActiveConns:  s.active.Load(),
 		QueuedConns:  s.queued.Load(),
-		Requests:     s.reqs.Load(),
-		Errors:       s.errs.Load(),
-		BytesIn:      s.in.Load(),
-		BytesOut:     s.out.Load(),
+		Requests:     s.reqs.Value(),
+		Errors:       s.errs.Value(),
+		BytesIn:      s.in.Value(),
+		BytesOut:     s.out.Value(),
 		QueueWaitSum: time.Duration(s.qwait.Load()),
 	}
 }
@@ -189,8 +165,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 // service slot.
 func (s *Server) handle(conn net.Conn) {
 	conn = s.fault.Load().Conn("chirp_server", conn)
-	s.conns.Add(1)
-	s.telemetry().conns.Inc()
+	s.conns.Inc()
 	// Queue for a service slot: this is the connection cap that
 	// produces batched stage-out behaviour under bursts.
 	start := time.Now()
@@ -199,7 +174,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.queued.Add(-1)
 	wait := time.Since(start)
 	s.qwait.Add(int64(wait))
-	s.telemetry().queueWait.Observe(wait.Seconds())
+	s.queueWait.Load().Observe(wait.Seconds())
 	s.active.Add(1)
 	defer func() {
 		s.active.Add(-1)
@@ -218,8 +193,7 @@ func (s *Server) handle(conn net.Conn) {
 			cur, _ = trace.Parse(string(rest))
 			return nil
 		}
-		s.reqs.Add(1)
-		s.telemetry().reqs.Inc()
+		s.reqs.Inc()
 		var sp *trace.Span
 		if tr := s.tracer.Load(); tr != nil && cur.Valid() {
 			cmd, _, _ := bytes.Cut(line, []byte(" "))
@@ -229,8 +203,7 @@ func (s *Server) handle(conn net.Conn) {
 		defer sp.End()
 		err := s.dispatch(line, pc)
 		if err != nil {
-			s.errs.Add(1)
-			s.telemetry().errs.Inc()
+			s.errs.Inc()
 			sp.Attr("error", err.Error())
 		}
 		return err
@@ -252,7 +225,7 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 		if _, err := w.Write(data); err != nil {
 			return wire.Hangup(err)
 		}
-		s.countOut(int64(len(data)))
+		s.out.Add(int64(len(data)))
 		return nil
 	}
 	rc, size, err := sr.OpenRead(path)
@@ -266,7 +239,7 @@ func (s *Server) serveGet(path string, w *bufio.Writer) error {
 	// rides the bufio writer's ReadFrom to the connection's sendfile — no
 	// user-space copy; any other backend moves through a pooled chunk.
 	n, err := bufpool.CopyN(w, rc, size)
-	s.countOut(n)
+	s.out.Add(n)
 	if err == io.EOF {
 		return wire.Hangup(fmt.Errorf("file shrank to %d of %d bytes mid-send", n, size))
 	}
@@ -338,7 +311,7 @@ func (s *Server) servePut(path string, size int64, c *peer) error {
 		if _, err := c.ReadPayload(&land, size); err != nil {
 			return wire.Hangup(fmt.Errorf("short putfile payload: %w", err))
 		}
-		s.countIn(size)
+		s.in.Add(size)
 		return s.fs.WriteFile(path, land.Bytes())
 	}
 	c.putSize, c.putRead, c.putErr = size, false, nil
@@ -349,28 +322,8 @@ func (s *Server) servePut(path string, size int64, c *peer) error {
 	if c.Broken() {
 		return wire.Hangup(fmt.Errorf("putfile payload: %w", c.putErr))
 	}
-	s.countIn(size)
+	s.in.Add(size)
 	return err
-}
-
-func (s *Server) countIn(n int64) {
-	if n <= 0 {
-		return
-	}
-	s.in.Add(n)
-	t := s.telemetry()
-	t.bytesIn.Add(n)
-	t.planeIn.Add(n)
-}
-
-func (s *Server) countOut(n int64) {
-	if n <= 0 {
-		return
-	}
-	s.out.Add(n)
-	t := s.telemetry()
-	t.bytesOut.Add(n)
-	t.planeOut.Add(n)
 }
 
 // dispatch answers one command line on c: its reply into c.W, a put's

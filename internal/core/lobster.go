@@ -74,7 +74,7 @@ func (l *Lobster) instrument() {
 		tasksFailed: reg.Counter("lobster_core_task_failures_total",
 			"Processing task attempts that returned failure."),
 		merges: reg.Counter("lobster_core_merges_total",
-			"Merge tasks that returned."),
+			"Merges run: merge tasks that returned, or the one Hadoop merge job."),
 		stages: telemetry.NewStageHistograms(reg),
 	}
 }
@@ -375,6 +375,7 @@ func (l *Lobster) finalMerge() error {
 			return fmt.Errorf("core: hadoop merge: %w", err)
 		}
 		l.mergesRun++
+		l.tel.merges.Inc()
 		l.mergedFiles += n
 		l.unmerged = nil
 		return nil

@@ -403,12 +403,17 @@ func TestAnalysisWithHadoopMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := startStack(t, 4, 2, 10, cluster)
+	st.svc.Telemetry = telemetry.NewRegistry()
 	rep := runWorkflow(t, st, Config{
 		Name: "hdp", Kind: KindAnalysis, Dataset: st.dataset.Name,
 		TaskletsPerTask: 2, MergeMode: MergeHadoop, MergeTargetBytes: 100,
 	})
 	if !rep.Succeeded() || rep.MergedFiles == 0 {
 		t.Fatalf("report = %+v", rep)
+	}
+	// The Hadoop job is the run's one merge, on the page as in the report.
+	if got := st.svc.Telemetry.Counter("lobster_core_merges_total", "").Value(); rep.MergesRun != 1 || got != int64(rep.MergesRun) {
+		t.Errorf("lobster_core_merges_total = %d, report MergesRun = %d, want both 1", got, rep.MergesRun)
 	}
 	entries, err := cluster.List("/store/user/hdp")
 	if err != nil {

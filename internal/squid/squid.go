@@ -100,9 +100,12 @@ type Proxy struct {
 	lru      *list.List               // of *entry, front = most recent
 	items    map[string]*list.Element // key → element
 	inflight map[string]*stream
-	stats    Stats
 
-	tel    proxyTelemetry
+	// The counters Stats reports, counting from construction; Instrument
+	// publishes them as they are.
+	hits, misses, coalesced, originErrors, evictions telemetry.Counter
+	bytesServed, bytesFetched                        telemetry.Counter
+
 	tracer *trace.Tracer
 }
 
@@ -118,43 +121,26 @@ func (p *Proxy) Trace(tr *trace.Tracer) {
 	}
 }
 
-// proxyTelemetry holds the proxy's instruments; the zero value is free.
-type proxyTelemetry struct {
-	hits         *telemetry.Counter
-	misses       *telemetry.Counter
-	coalesced    *telemetry.Counter
-	originErrors *telemetry.Counter
-	evictions    *telemetry.Counter
-	bytesServed  *telemetry.Counter
-	bytesFetched *telemetry.Counter
-	planeIn      *telemetry.Counter // lobster_bytes_total{squid,in}
-	planeOut     *telemetry.Counter // lobster_bytes_total{squid,out}
-}
-
-// Instrument registers the proxy's metric series on reg. A nil registry
-// leaves the proxy uninstrumented at zero cost.
+// Instrument publishes the proxy's counters on reg, bytes fetched and
+// served also as lobster_bytes_total{component="squid"}, and registers its
+// gauges. One proxy per registry; a nil registry is a no-op.
 func (p *Proxy) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	p.tel = proxyTelemetry{
-		hits: reg.Counter("lobster_squid_hits_total",
-			"Requests served from the proxy cache."),
-		misses: reg.Counter("lobster_squid_misses_total",
-			"Requests that triggered an origin fetch."),
-		coalesced: reg.Counter("lobster_squid_coalesced_total",
-			"Requests satisfied by piggybacking on an in-flight origin fetch."),
-		originErrors: reg.Counter("lobster_squid_origin_errors_total",
-			"Origin fetches that failed."),
-		evictions: reg.Counter("lobster_squid_evictions_total",
-			"Cache entries evicted to make room."),
-		bytesServed: reg.Counter("lobster_squid_bytes_served_total",
-			"Response bytes served to clients."),
-		bytesFetched: reg.Counter("lobster_squid_bytes_fetched_total",
-			"Bytes fetched from the origin (misses only)."),
-		planeIn:  reg.Bytes("squid", telemetry.DirIn),
-		planeOut: reg.Bytes("squid", telemetry.DirOut),
-	}
+	reg.CounterVec("lobster_squid_hits_total",
+		"Requests served from the proxy cache.").Publish(&p.hits)
+	reg.CounterVec("lobster_squid_misses_total",
+		"Requests that triggered an origin fetch.").Publish(&p.misses)
+	reg.CounterVec("lobster_squid_coalesced_total",
+		"Requests satisfied by piggybacking on an in-flight origin fetch.").Publish(&p.coalesced)
+	reg.CounterVec("lobster_squid_origin_errors_total",
+		"Origin fetches that failed.").Publish(&p.originErrors)
+	reg.CounterVec("lobster_squid_evictions_total",
+		"Cache entries evicted to make room.").Publish(&p.evictions)
+	reg.CounterVec("lobster_squid_bytes_served_total",
+		"Response bytes served to clients.").Publish(&p.bytesServed)
+	reg.CounterVec("lobster_squid_bytes_fetched_total",
+		"Bytes fetched from the origin (misses only).").Publish(&p.bytesFetched)
+	reg.BytesVec().Publish(&p.bytesFetched, "squid", telemetry.DirIn, "")
+	reg.BytesVec().Publish(&p.bytesServed, "squid", telemetry.DirOut, "")
 	reg.GaugeFunc("lobster_squid_hit_ratio",
 		"Cache hit ratio: hits / (hits + misses).",
 		func() float64 { return p.Stats().HitRate() })
@@ -270,14 +256,23 @@ func New(origin string, cfg Config) (*Proxy, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the proxy counters.
+// Stats returns a snapshot of the proxy counters, each exact at its own
+// read instant.
 func (p *Proxy) Stats() Stats {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.CachedObjects = p.lru.Len()
-	s.CachedBytes = p.used
-	return s
+	objects, used := p.lru.Len(), p.used
+	p.mu.Unlock()
+	return Stats{
+		Hits:          p.hits.Value(),
+		Misses:        p.misses.Value(),
+		OriginErrors:  p.originErrors.Value(),
+		BytesServed:   p.bytesServed.Value(),
+		BytesFetched:  p.bytesFetched.Value(),
+		CachedObjects: objects,
+		CachedBytes:   used,
+		Evictions:     p.evictions.Value(),
+		Coalesced:     p.coalesced.Value(),
+	}
 }
 
 // Listen serves the proxy's clients on addr ("127.0.0.1:0" picks a
@@ -365,14 +360,13 @@ func (p *Proxy) answer(c *wire.Conn, req *request) bool {
 	p.mu.Lock()
 	if el, ok := p.items[string(req.key)]; ok && !req.noCache {
 		p.lru.MoveToFront(el)
-		p.stats.Hits++
 		ent := el.Value.(*entry)
 		p.mu.Unlock()
-		p.tel.hits.Inc()
+		p.hits.Inc()
 		sp.Attr("outcome", outcomeHit)
 		sp.AttrInt("bytes", int64(len(ent.body)))
 		sp.End()
-		p.countServed(int64(len(ent.body)))
+		p.bytesServed.Add(int64(len(ent.body)))
 		c.W.Write(ent.head)
 		endHead(c.W, req)
 		c.W.Write(ent.body)
@@ -385,16 +379,14 @@ func (p *Proxy) answer(c *wire.Conn, req *request) bool {
 	st, ok := p.inflight[key]
 	outcome := outcomeCoalesced
 	if ok {
-		p.stats.Coalesced++
 		p.mu.Unlock()
-		p.tel.coalesced.Inc()
+		p.coalesced.Inc()
 	} else {
 		outcome = outcomeMiss
 		st = newStream()
 		p.inflight[key] = st
-		p.stats.Misses++
 		p.mu.Unlock()
-		p.tel.misses.Inc()
+		p.misses.Inc()
 		if p.tracer == nil {
 			ctx = req.context() // relayed to the origin unchanged
 		}
@@ -410,18 +402,6 @@ func (p *Proxy) answer(c *wire.Conn, req *request) bool {
 	return c.W.Flush() == nil && !req.close
 }
 
-// countServed updates the served-bytes accounting.
-func (p *Proxy) countServed(n int64) {
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.stats.BytesServed += n
-	p.mu.Unlock()
-	p.tel.bytesServed.Add(n)
-	p.tel.planeOut.Add(n)
-}
-
 // serveStream copies st to one client as the pump fills it, flushing per
 // chunk, and returns the body bytes written. An origin error before the
 // headers were published becomes a 502; after that the response is
@@ -435,10 +415,7 @@ func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, e
 	if !st.hdrReady {
 		err := st.err
 		st.mu.Unlock()
-		p.mu.Lock()
-		p.stats.OriginErrors++
-		p.mu.Unlock()
-		p.tel.originErrors.Inc()
+		p.originErrors.Inc()
 		writeText(w, req, "502 Bad Gateway", "squid: origin fetch failed: "+err.Error())
 		return 0, err
 	}
@@ -458,7 +435,7 @@ func (p *Proxy) serveStream(w *bufio.Writer, req *request, st *stream) (int64, e
 		if len(chunk) > 0 {
 			n, werr := w.Write(chunk)
 			off += n
-			p.countServed(int64(n))
+			p.bytesServed.Add(int64(n))
 			if werr == nil && !done {
 				werr = w.Flush()
 			}
@@ -561,8 +538,7 @@ func (p *Proxy) insertLocked(ent *entry) {
 		p.lru.Remove(back)
 		delete(p.items, victim.key)
 		p.used -= int64(len(victim.body))
-		p.stats.Evictions++
-		p.tel.evictions.Inc()
+		p.evictions.Inc()
 	}
 	p.items[ent.key] = p.lru.PushFront(ent)
 	p.used += size
@@ -615,11 +591,10 @@ func (p *Proxy) fetchOrigin(key string, st *stream, wireCtx, spanCtx trace.Conte
 				if corrupt && got == 0 && k > 0 {
 					(*buf)[0] ^= 0xff
 				}
+				p.bytesFetched.Add(int64(k))
 				st.append((*buf)[:k])
 				got += int64(k)
 				fetched += int64(k)
-				p.tel.bytesFetched.Add(int64(k))
-				p.tel.planeIn.Add(int64(k))
 				if rerr != nil && got < n {
 					return retry.Permanent(fmt.Errorf("origin body truncated at %d bytes: %w", got, rerr))
 				}
@@ -627,9 +602,6 @@ func (p *Proxy) fetchOrigin(key string, st *stream, wireCtx, spanCtx trace.Conte
 			return nil
 		})
 	})
-	p.mu.Lock()
-	p.stats.BytesFetched += fetched
-	p.mu.Unlock()
 	sp.AttrInt("bytes", fetched)
 	if err != nil {
 		sp.Attr("error", err.Error())

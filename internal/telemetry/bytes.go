@@ -13,11 +13,12 @@ const (
 	DirOut = "out"
 )
 
-// bytesVec registers (or finds) the shared family. The site label names
+// BytesVec registers (or finds) the shared family. The site label names
 // the remote storage site the bytes crossed to or from (the Fig 9
 // accounting axis); components that don't know their peer's site leave
-// it empty, which Prometheus treats as the label being absent.
-func (r *Registry) bytesVec() *CounterVec {
+// it empty, which Prometheus treats as the label being absent. A server
+// publishes the byte counters its Stats reports into it.
+func (r *Registry) BytesVec() *CounterVec {
 	return r.CounterVec(BytesTotalName,
 		"Payload bytes moved by the data plane, by component, direction and remote site.",
 		"component", "direction", "site")
@@ -31,7 +32,7 @@ func (r *Registry) Bytes(component, direction string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.bytesVec().With(component, direction, "")
+	return r.BytesVec().With(component, direction, "")
 }
 
 // SiteBytes is Bytes with the remote site stamped, feeding the per-site
@@ -42,5 +43,5 @@ func (r *Registry) SiteBytes(component, direction, site string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.bytesVec().With(component, direction, site)
+	return r.BytesVec().With(component, direction, site)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -69,6 +70,22 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return v.f.get(values, v.r.dropped, func() instrument { return new(Counter) }).(*Counter)
+}
+
+// Publish makes c, a counter its component owns and counts into from
+// construction, the series for the given label values: the page reads the
+// component's own count, with no second counter to keep equal to it.
+// Publishing c again changes nothing; publishing into a series that holds
+// another counter panics, as a name re-registered with a different shape
+// does, so a component publishes one instance per registry. A nil v is a
+// no-op.
+func (v *CounterVec) Publish(c *Counter, values ...string) {
+	if v == nil {
+		return
+	}
+	if got := v.f.get(values, v.r.dropped, func() instrument { return c }); got != instrument(c) {
+		panic(fmt.Sprintf("telemetry: %s%q already holds another counter", v.f.name, values))
+	}
 }
 
 // --- Gauge ---

@@ -21,7 +21,10 @@
 // predictable branch (≤2 ns, zero allocations — see
 // BenchmarkTelemetryOverhead). The same holds for a nil *StageHistograms
 // and for a nil *Registry, whose constructors return nil instruments.
-// Components therefore instrument unconditionally.
+// Components therefore instrument unconditionally. A count a component's
+// Stats reports is the exception: a Counter value the component owns and
+// counts into from construction, which Instrument publishes as it is
+// (CounterVec.Publish), so the page and Stats read one count.
 //
 // # Naming scheme
 //

@@ -29,6 +29,48 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestPublishOwnedCounter: a published counter is the series itself, counts
+// made before publication included; publishing it again changes nothing,
+// and publishing a second counter into the same series panics.
+func TestPublishOwnedCounter(t *testing.T) {
+	r := NewRegistry()
+	var own, bytesIn Counter
+	own.Add(3) // counted before any registry saw it
+	r.CounterVec("t_own_total", "help").Publish(&own)
+	r.CounterVec("t_own_total", "help").Publish(&own)
+	r.BytesVec().Publish(&bytesIn, "comp", DirIn, "")
+	own.Inc()
+	bytesIn.Add(7)
+	if r.Counter("t_own_total", "help") != &own || r.Bytes("comp", DirIn) != &bytesIn {
+		t.Fatal("the series is not the published counter")
+	}
+	var b bytes.Buffer
+	r.WritePrometheus(&b)
+	for _, line := range []string{
+		"# TYPE t_own_total counter\nt_own_total 4\n",
+		`lobster_bytes_total{component="comp",direction="in",site=""} 7`,
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", line, b.String())
+		}
+	}
+	for name, publish := range map[string]func(){
+		"unlabelled": func() { r.CounterVec("t_own_total", "help").Publish(new(Counter)) },
+		"labelled":   func() { r.BytesVec().Publish(new(Counter), "comp", DirIn, "") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: publishing a second counter into a series did not panic", name)
+				}
+			}()
+			publish()
+		}()
+	}
+	var nilReg *Registry
+	nilReg.CounterVec("x_total", "h").Publish(&own) // a nil registry publishes nothing
+}
+
 func TestNilInstrumentsAreNoops(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "h")

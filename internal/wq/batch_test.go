@@ -77,32 +77,16 @@ func TestDrainUnderBurst(t *testing.T) {
 // failure instead of recycling the task forever.
 func TestPoisonTaskPermanentFailure(t *testing.T) {
 	m := newMaster(t)
-	id, err := m.Submit(&Task{Func: "sleep",
-		Args: argsOf(testArgs{D: "2s"}), MaxRetries: 2})
+	id, err := m.Submit(&Task{Func: "hold", MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		w, err := NewWorker(m.Addr(), fmt.Sprintf("victim%d", attempt), 1, t.TempDir(), testRegistry(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for m.Stats().TasksRunning == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("attempt %d never dispatched", attempt)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		w.Evict()
+		w, release := holdWorker(t, m.Addr(), fmt.Sprintf("victim%d", attempt), 1)
+		waitStats(t, m, fmt.Sprintf("attempt %d never dispatched", attempt), running(1))
 		// Wait for the loss to be accounted before connecting the next
 		// victim, so each eviction burns exactly one attempt.
-		for m.Stats().TasksRunning != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("attempt %d never requeued", attempt)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		evictHolding(t, m, w, release, running(0))
 	}
 	r, ok := m.WaitResult(10 * time.Second)
 	if !ok {

@@ -58,15 +58,16 @@ type Master struct {
 
 	res *resultTable
 
-	statsSeen, statsLost, statsDone, statsFailed atomic.Int64
-	statsRequeues, statsDispatched               atomic.Int64
-	statsBytesIn, statsBytesOut                  atomic.Int64
+	// The counters Stats reports, counting from construction; Instrument
+	// publishes them as they are (all but bytesSent).
+	seen, lost, done, failed, requeues, dispatched telemetry.Counter
+	bytesSent, bytesReceived                       telemetry.Counter
 
-	// tel, fault and tracer are installed after the accept loop is already
-	// running, so publication must be atomic.
-	tel    atomic.Pointer[masterTelemetry]
-	fault  atomic.Pointer[faultinject.Injector]
-	tracer atomic.Pointer[trace.Tracer]
+	// dispatchWait, fault and tracer are installed after the accept loop
+	// is already running, so publication must be atomic.
+	dispatchWait atomic.Pointer[telemetry.Histogram]
+	fault        atomic.Pointer[faultinject.Injector]
+	tracer       atomic.Pointer[trace.Tracer]
 }
 
 // Fault wires the master into the fault plane: newly accepted worker
@@ -81,57 +82,29 @@ func (m *Master) Fault(inj *faultinject.Injector) {
 	}
 }
 
-// masterTelemetry holds the master's instruments. The zero value (nil
-// fields) is fully functional and free: every method on a nil instrument
-// is a no-op branch.
-type masterTelemetry struct {
-	dispatches   *telemetry.Counter
-	requeues     *telemetry.Counter
-	done         *telemetry.Counter
-	failed       *telemetry.Counter
-	workersSeen  *telemetry.Counter
-	workersLost  *telemetry.Counter
-	bytesRecv    *telemetry.Counter
-	dispatchWait *telemetry.Histogram
-}
-
-// noMasterTel is the disabled instrument set: every field nil, every
-// call a nil-receiver no-op.
-var noMasterTel masterTelemetry
-
-// telemetry returns the installed instruments, or the free zero set.
-func (m *Master) telemetry() *masterTelemetry {
-	if t := m.tel.Load(); t != nil {
-		return t
-	}
-	return &noMasterTel
-}
-
-// Instrument registers the master's metric series on reg and begins
-// updating them. Call once, before heavy traffic; a nil registry leaves
-// the master uninstrumented at zero cost.
+// Instrument publishes the master's counters on reg and registers its
+// histograms and gauges. One master per registry, instrumented before
+// heavy traffic; a nil registry is a no-op.
 func (m *Master) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	m.tel.Store(&masterTelemetry{
-		dispatches: reg.Counter("lobster_wq_dispatches_total",
-			"Tasks dispatched to workers, including re-dispatches."),
-		requeues: reg.Counter("lobster_wq_requeues_total",
-			"Tasks returned to the queue after a worker was lost."),
-		done: reg.Counter("lobster_wq_tasks_done_total",
-			"Task results collected (success and failure)."),
-		failed: reg.Counter("lobster_wq_tasks_failed_total",
-			"Task results that reported failure."),
-		workersSeen: reg.Counter("lobster_wq_workers_seen_total",
-			"Worker hellos accepted."),
-		workersLost: reg.Counter("lobster_wq_workers_lost_total",
-			"Worker connections dropped."),
-		bytesRecv: reg.Counter("lobster_wq_bytes_received_total",
-			"Result-frame body bytes read from workers."),
-		dispatchWait: reg.Histogram("lobster_wq_dispatch_latency_seconds",
-			"Submit-to-dispatch queue latency.", nil),
-	})
+	reg.CounterVec("lobster_wq_dispatches_total",
+		"Tasks dispatched to workers, including re-dispatches.").Publish(&m.dispatched)
+	reg.CounterVec("lobster_wq_requeues_total",
+		"Tasks returned to the queue after a worker was lost.").Publish(&m.requeues)
+	reg.CounterVec("lobster_wq_tasks_done_total",
+		"Task results collected (success and failure).").Publish(&m.done)
+	reg.CounterVec("lobster_wq_tasks_failed_total",
+		"Task results that reported failure.").Publish(&m.failed)
+	reg.CounterVec("lobster_wq_workers_seen_total",
+		"Worker hellos accepted.").Publish(&m.seen)
+	reg.CounterVec("lobster_wq_workers_lost_total",
+		"Worker connections dropped.").Publish(&m.lost)
+	reg.CounterVec("lobster_wq_bytes_received_total",
+		"Result-frame body bytes read from workers.").Publish(&m.bytesReceived)
+	m.dispatchWait.Store(reg.Histogram("lobster_wq_dispatch_latency_seconds",
+		"Submit-to-dispatch queue latency.", nil))
 	reg.GaugeFunc("lobster_wq_tasks_waiting",
 		"Tasks submitted and awaiting dispatch (queue depth).",
 		func() float64 { return float64(m.d.waiting()) })
@@ -244,16 +217,16 @@ func (m *Master) Submit(t *Task) (int64, error) {
 // Stats returns a snapshot of master counters.
 func (m *Master) Stats() MasterStats {
 	s := MasterStats{
-		WorkersSeen:     int(m.statsSeen.Load()),
-		WorkersLost:     int(m.statsLost.Load()),
+		WorkersSeen:     int(m.seen.Value()),
+		WorkersLost:     int(m.lost.Value()),
 		TasksWaiting:    m.d.waiting(),
 		TasksRunning:    int(m.running.Load()),
-		TasksDispatched: int(m.statsDispatched.Load()),
-		TasksDone:       int(m.statsDone.Load()),
-		TasksFailed:     int(m.statsFailed.Load()),
-		Requeues:        int(m.statsRequeues.Load()),
-		BytesSent:       m.statsBytesOut.Load(),
-		BytesReceived:   m.statsBytesIn.Load(),
+		TasksDispatched: int(m.dispatched.Value()),
+		TasksDone:       int(m.done.Value()),
+		TasksFailed:     int(m.failed.Value()),
+		Requeues:        int(m.requeues.Value()),
+		BytesSent:       m.bytesSent.Value(),
+		BytesReceived:   m.bytesReceived.Value(),
 	}
 	m.workersMu.Lock()
 	for wc := range m.workers {
@@ -341,8 +314,7 @@ func (m *Master) serveWorker(c *wire.Conn) {
 	}
 	m.workers[wc] = true
 	m.workersMu.Unlock()
-	m.statsSeen.Add(1)
-	m.telemetry().workersSeen.Inc()
+	m.seen.Inc()
 
 	done := make(chan struct{})
 	go func() {
@@ -358,8 +330,7 @@ func (m *Master) serveWorker(c *wire.Conn) {
 	m.workersMu.Lock()
 	delete(m.workers, wc)
 	m.workersMu.Unlock()
-	m.statsLost.Add(1)
-	m.telemetry().workersLost.Inc()
+	m.lost.Inc()
 	<-done
 	var lost []*taskMeta
 	m.d.mu.Lock()
@@ -404,8 +375,7 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 			lostDispatch.Attr("lost", worker)
 			lostDispatch.End()
 		}
-		m.statsRequeues.Add(1)
-		m.telemetry().requeues.Inc()
+		m.requeues.Inc()
 		return
 	}
 	delete(d.tasks, id)
@@ -422,10 +392,8 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 		tt.root.AttrInt("requeues", int64(n))
 		tt.root.End()
 	}
-	m.statsDone.Add(1)
-	m.statsFailed.Add(1)
-	m.telemetry().done.Inc()
-	m.telemetry().failed.Inc()
+	m.done.Inc()
+	m.failed.Inc()
 	m.res.push(&Result{
 		TaskID:    id,
 		Tag:       t.Tag,
@@ -486,7 +454,7 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 		if err != nil {
 			return
 		}
-		m.statsBytesOut.Add(int64(sent))
+		m.bytesSent.Add(int64(sent))
 	}
 }
 
@@ -497,7 +465,7 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 // owners are named under one.
 func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	now := time.Now()
-	tel := m.telemetry()
+	wait := m.dispatchWait.Load()
 	tr := m.tracer.Load()
 	for _, mt := range batch {
 		if tt := mt.tt; tt != nil {
@@ -513,7 +481,7 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 			tt.dispatch = d
 			mt.task.Trace = d.Context().Encode()
 		}
-		tel.dispatchWait.Observe(now.Sub(mt.submitted).Seconds())
+		wait.Observe(now.Sub(mt.submitted).Seconds())
 	}
 	m.d.mu.Lock()
 	for _, mt := range batch {
@@ -522,9 +490,8 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	}
 	m.d.mu.Unlock()
 	n := int64(len(batch))
-	tel.dispatches.Add(n)
 	m.running.Add(n)
-	m.statsDispatched.Add(n)
+	m.dispatched.Add(n)
 }
 
 // settle completes the results of one message against the task table
@@ -578,11 +545,8 @@ func (m *Master) settle(wc *workerConn, rs []*Result) []*Result {
 		metas[i] = nil
 		r.Stats.Times.Returned = now
 	}
-	m.statsDone.Add(n)
-	m.statsFailed.Add(failed)
-	tel := m.telemetry()
-	tel.done.Add(n)
-	tel.failed.Add(failed)
+	m.done.Add(n)
+	m.failed.Add(failed)
 	return accepted
 }
 
@@ -598,8 +562,7 @@ func (m *Master) readLoop(wc *workerConn) {
 			return
 		}
 		if msg.Type == "results" {
-			m.statsBytesIn.Add(int64(n))
-			m.telemetry().bytesRecv.Add(int64(n))
+			m.bytesReceived.Add(int64(n))
 			m.res.push(m.settle(wc, msg.Results)...)
 		}
 	}

@@ -75,24 +75,13 @@ func TestTraceRequeueSpans(t *testing.T) {
 	tr, buf, log := traceSetup(t)
 	m := newMaster(t)
 	m.Trace(tr)
-	w1, err := NewWorker(m.Addr(), "victim", 1, t.TempDir(), testRegistry(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
+	w1, release := holdWorker(t, m.Addr(), "victim", 1)
+	m.Submit(&Task{Func: "hold"})
 	// Let the task dispatch, then evict its worker.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Stats().TasksRunning == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("task never dispatched")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	w1.Evict()
+	waitStats(t, m, "task never dispatched", running(1))
+	evictHolding(t, m, w1, release, requeued(1))
 	w2 := newWorker(t, m.Addr(), "rescuer", 1)
 	w2.Trace(tr)
-	// Speed the retry up: replace the sleep with a short one is not
-	// possible, so just wait for the 5s task on the second worker.
 	r, ok := m.WaitResult(30 * time.Second)
 	if !ok {
 		t.Fatal("no result after requeue")

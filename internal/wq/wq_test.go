@@ -14,23 +14,22 @@ import (
 	"lobster/internal/wrapper"
 )
 
-// testArgs is what the test executors read, carried in three string
+// testArgs is what the test executors read, carried in two string
 // fields of a task's wrapper.Args.
 type testArgs struct {
 	Text string // echo: the reported segment's name (Args.LFN)
-	D    string // sleep: how long (Args.Output)
 	Mode string // shim: which path to take (Args.Mode)
 }
 
 // argsOf builds a task's argument record, as a submitter does.
 func argsOf(a testArgs) *wrapper.Args {
-	return &wrapper.Args{LFN: a.Text, Output: a.D, Mode: a.Mode}
+	return &wrapper.Args{LFN: a.Text, Mode: a.Mode}
 }
 
 // argsIn reads the record a test executor was handed.
 func argsIn(ctx *ExecContext) testArgs {
 	if a := ctx.Task.Args; a != nil {
-		return testArgs{Text: a.LFN, D: a.Output, Mode: a.Mode}
+		return testArgs{Text: a.LFN, Mode: a.Mode}
 	}
 	return testArgs{}
 }
@@ -46,14 +45,9 @@ func testRegistry() Registry {
 			ctx.SetReport(echoReport(argsIn(ctx).Text))
 			return nil
 		},
-		"sleep": func(ctx *ExecContext) error {
-			d, err := time.ParseDuration(argsIn(ctx).D)
-			if err != nil {
-				return err
-			}
-			time.Sleep(d)
-			return nil
-		},
+		// A rescuer's hold returns at once; a victim's (holdWorker)
+		// blocks until the test releases it.
+		"hold": func(ctx *ExecContext) error { return nil },
 		"fail": func(ctx *ExecContext) error {
 			return &ExitError{Code: 42, Msg: "synthetic failure"}
 		},
@@ -81,6 +75,60 @@ func newWorker(t *testing.T, addr, name string, cores int) *Worker {
 	}
 	t.Cleanup(func() { w.Close() })
 	return w
+}
+
+// holdWorker starts a victim: a worker whose "hold" tasks block until
+// release is called, so they are still running when it is evicted, for
+// as long as the test wants and no longer.
+func holdWorker(t *testing.T, addr, name string, cores int) (w *Worker, release func()) {
+	t.Helper()
+	held := make(chan struct{})
+	release = sync.OnceFunc(func() { close(held) })
+	reg := testRegistry()
+	reg["hold"] = func(*ExecContext) error { <-held; return nil }
+	w, err := NewWorker(addr, name, cores, t.TempDir(), reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { release(); w.Close() })
+	return w, release
+}
+
+// evictHolding evicts the victim w and returns once the master has taken
+// the loss (lost reports it) and Evict has returned. Evict waits for the
+// victim's running tasks, so it runs on its own goroutine until the
+// master's count shows the loss and release lets the tasks end.
+func evictHolding(t *testing.T, m *Master, w *Worker, release func(), lost func(MasterStats) bool) {
+	t.Helper()
+	evicted := make(chan struct{})
+	go func() {
+		w.Evict()
+		close(evicted)
+	}()
+	waitStats(t, m, "the master never took the loss", lost)
+	release()
+	<-evicted
+}
+
+// waitStats polls the master's counters until cond holds, failing after
+// 10 s.
+func waitStats(t *testing.T, m *Master, what string, cond func(MasterStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond(m.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %+v", what, m.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func running(n int) func(MasterStats) bool {
+	return func(s MasterStats) bool { return s.TasksRunning == n }
+}
+
+func requeued(n int) func(MasterStats) bool {
+	return func(s MasterStats) bool { return s.Requeues == n }
 }
 
 func TestSingleTaskRoundTrip(t *testing.T) {
@@ -267,21 +315,14 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestEvictionRequeuesTasks(t *testing.T) {
 	m := newMaster(t)
-	victim := newWorker(t, m.Addr(), "victim", 2)
-	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
-	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "5s"})})
+	victim, release := holdWorker(t, m.Addr(), "victim", 2)
+	m.Submit(&Task{Func: "hold"})
+	m.Submit(&Task{Func: "hold"})
 	// Wait until both tasks are running on the victim.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Stats().TasksRunning != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("tasks never dispatched")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	victim.Evict()
+	waitStats(t, m, "tasks never dispatched", running(2))
+	evictHolding(t, m, victim, release, requeued(2))
 	// A rescuer arrives; requeued tasks must complete there.
-	rescuer := newWorker(t, m.Addr(), "rescuer", 2)
-	// Speed things up: replace sleeps is impossible, so just wait.
+	newWorker(t, m.Addr(), "rescuer", 2)
 	results := m.Drain(2, 30*time.Second)
 	if len(results) != 2 {
 		t.Fatalf("got %d results after eviction", len(results))
@@ -300,27 +341,17 @@ func TestEvictionRequeuesTasks(t *testing.T) {
 	if m.Stats().Requeues != 2 {
 		t.Errorf("master requeues = %d", m.Stats().Requeues)
 	}
-	_ = rescuer
 }
 
 func TestRetriesExhaustedProducesFailure(t *testing.T) {
 	m := newMaster(t)
-	m.Submit(&Task{Func: "sleep", Args: argsOf(testArgs{D: "10s"}), MaxRetries: 1})
+	m.Submit(&Task{Func: "hold", MaxRetries: 1})
 	// Two successive evictions exceed MaxRetries=1.
 	for i := 0; i < 2; i++ {
-		w := newWorker(t, m.Addr(), fmt.Sprintf("victim%d", i), 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for m.Stats().TasksRunning != 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("task never dispatched")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		w.Evict()
+		w, release := holdWorker(t, m.Addr(), fmt.Sprintf("victim%d", i), 1)
+		waitStats(t, m, "task never dispatched", running(1))
 		// Wait for the master to process the loss.
-		for m.Stats().TasksRunning != 0 {
-			time.Sleep(5 * time.Millisecond)
-		}
+		evictHolding(t, m, w, release, running(0))
 	}
 	r, ok := m.WaitResult(10 * time.Second)
 	if !ok {

@@ -44,8 +44,8 @@ type DataServer struct {
 
 	closed      atomic.Bool
 	down        atomic.Bool // fault injection: refuse all requests
-	reads       atomic.Int64
-	bytesOut    atomic.Int64
+	reads       telemetry.Counter
+	bytesOut    telemetry.Counter
 	storedBytes atomic.Int64
 }
 
@@ -137,16 +137,14 @@ func (s *DataServer) install(lfn string, st stored) error {
 // models the transient WAN data-access outage in the paper's Figure 10.
 func (s *DataServer) SetDown(down bool) { s.down.Store(down) }
 
-// Instrument exports the server's own counters on reg, read at scrape
-// time; a nil registry is a no-op. One data server per registry: the
-// series carry no site label.
+// Instrument publishes the server's counters on reg and exports its
+// gauges, read at scrape time; a nil registry is a no-op. One data server
+// per registry: the series carry no site label.
 func (s *DataServer) Instrument(reg *telemetry.Registry) {
-	reg.GaugeFunc("lobster_xrootd_server_reads_total",
-		"Read requests the data server answered with payload.",
-		func() float64 { return float64(s.reads.Load()) })
-	reg.GaugeFunc("lobster_xrootd_server_bytes_total",
-		"Payload bytes the data server sent.",
-		func() float64 { return float64(s.bytesOut.Load()) })
+	reg.CounterVec("lobster_xrootd_server_reads_total",
+		"Read requests the data server answered with payload.").Publish(&s.reads)
+	reg.CounterVec("lobster_xrootd_server_bytes_total",
+		"Payload bytes the data server sent.").Publish(&s.bytesOut)
 	reg.GaugeFunc("lobster_xrootd_server_open_conns",
 		"Client connections open on the data server right now, parked ones included.",
 		func() float64 { return float64(s.srv.Conns()) })
@@ -267,7 +265,7 @@ func (s *DataServer) sendRange(w *bufio.Writer, off, n int64) error {
 			return fmt.Errorf("reading the spool: %w", err)
 		}
 		if !sent {
-			s.reads.Add(1)
+			s.reads.Inc()
 		}
 		s.bytesOut.Add(int64(m))
 		if _, err := w.Write(chunk[:head+m]); err != nil {

@@ -246,8 +246,8 @@ func TestConcurrentStreams(t *testing.T) {
 	for _, c := range contents {
 		total += int64(len(c))
 	}
-	if srv.bytesOut.Load() != total {
-		t.Errorf("server bytes out = %d, want %d", srv.bytesOut.Load(), total)
+	if srv.bytesOut.Value() != total {
+		t.Errorf("server bytes out = %d, want %d", srv.bytesOut.Value(), total)
 	}
 }
 
