@@ -131,6 +131,14 @@ fmt:
 # count publishes that very telemetry.Counter with CounterVec.Publish.
 # The xrootd data server exported its two counts through GaugeFunc, so
 # its _total series read # TYPE gauge, which a reader takes for a level.
+#
+# And a server is wired when it is built: no atomic.Pointer to a
+# trace.Tracer, a faultinject.Injector or a telemetry.Histogram in
+# non-test internal/ code (DESIGN.md section 7, wired when built). The
+# chirp server, the wq master and the wq worker each took theirs through
+# a setter after their accept or receive loop had started, so every
+# request paid an atomic load for a value that never changed after the
+# first.
 COPY_LINT_DIRS = internal/chirp internal/xrootd internal/squid internal/hdfs internal/parrot internal/hepsim internal/frontier
 WIRE_LINT_DIRS = $(COPY_LINT_DIRS) internal/wq
 LOG_LINT_DIRS = internal/store
@@ -170,6 +178,8 @@ copy-lint:
 	test -z "$$out" || { echo "net/http on the worker's fetch path (GET through wire.HTTPClient):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE 'GaugeFunc\("lobster_[a-z0-9_]*_total"' --include='*.go' internal | grep -v '_test\.go:')"; \
 	test -z "$$out" || { echo "a counter published as a gauge (publish the component's telemetry.Counter):"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE 'atomic\.Pointer\[(trace\.Tracer|faultinject\.Injector|telemetry\.Histogram)\]' --include='*.go' internal | grep -v '_test\.go:')"; \
+	test -z "$$out" || { echo "a tracer, fault plan or histogram wired after start (pass it to the constructor):"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnE '["`]# (HELP|TYPE) ' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/telemetry/' | grep -v '^\./\.bench_build/')"; \
 	test -z "$$out" || { echo "a second exposition writer (use internal/telemetry):"; echo "$$out"; exit 1; }
 
@@ -256,6 +266,7 @@ fuzz:
 	$(GO) test -fuzz FuzzResponse -fuzztime $(FUZZTIME) ./internal/frontier/
 	$(GO) test -fuzz FuzzPeerBytes -fuzztime $(FUZZTIME) ./internal/parrot/
 	$(GO) test -fuzz FuzzLoadState -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/core/
 
 # The size ROADMAP tracks: non-test Go lines outside the benchmark harness.
 lines:

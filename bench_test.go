@@ -533,12 +533,12 @@ func BenchmarkAblationTaskBuffer(b *testing.B) {
 		},
 	}
 	runBuffer := func(depth int) time.Duration {
-		master, err := wq.NewMaster("127.0.0.1:0")
+		master, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer master.Close()
-		w, err := wq.NewWorker(master.Addr(), "w0", 4, b.TempDir(), reg, nil)
+		w, err := wq.NewWorker(master.Addr(), "w0", 4, b.TempDir(), reg, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,23 +37,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chirpd:", err)
 		os.Exit(1)
 	}
-	srv, err := chirp.NewServer(fs, *addr, *maxConc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chirpd:", err)
-		os.Exit(1)
-	}
+	var inj *faultinject.Injector
 	if *fplan != "" {
 		plan, err := faultinject.LoadPlan(*fplan)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chirpd:", err)
 			os.Exit(1)
 		}
-		srv.Fault(faultinject.New(plan))
+		inj = faultinject.New(plan)
 		fmt.Printf("chirpd: fault plan armed: %d rules, seed %d\n", len(plan.Rules), plan.Seed)
 	}
+	var reg *telemetry.Registry
 	if *metrics != "" {
-		reg := telemetry.NewRegistry()
-		srv.Instrument(reg)
+		reg = telemetry.NewRegistry()
+	}
+	srv, err := chirp.NewServer(fs, *addr, *maxConc, reg, nil, inj)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chirpd:", err)
+		os.Exit(1)
+	}
+	if reg != nil {
 		lis, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chirpd: metrics listener:", err)

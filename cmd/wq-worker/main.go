@@ -86,7 +86,7 @@ func run(o options) error {
 		defer pool.Close()
 		reg["merge"] = core.MergeExecutor(pool)
 	}
-	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg, nil)
+	w, err := wq.NewWorker(o.master, o.name, o.cores, o.dir, reg, nil, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func newTestServer(t *testing.T, maxConcurrent int) (*Server, *LocalFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(fs, "127.0.0.1:0", maxConcurrent)
+	srv, err := NewServer(fs, "127.0.0.1:0", maxConcurrent, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 
 func BenchmarkPutGet(b *testing.B) {
 	fs, _ := NewLocalFS(b.TempDir())
-	srv, err := NewServer(fs, "127.0.0.1:0", 8)
+	srv, err := NewServer(fs, "127.0.0.1:0", 8, nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestStatCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrapping hides LocalFS's streaming extensions: the ReadFile path.
-	plain, err := NewServer(struct{ FileSystem }{plainFS}, "127.0.0.1:0", 4)
+	plain, err := NewServer(struct{ FileSystem }{plainFS}, "127.0.0.1:0", 4, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

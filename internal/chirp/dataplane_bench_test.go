@@ -24,7 +24,7 @@ func benchServer(b *testing.B) (*Server, *LocalFS) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := NewServer(fs, "127.0.0.1:0", 16)
+	srv, err := NewServer(fs, "127.0.0.1:0", 16, nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

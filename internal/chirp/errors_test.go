@@ -18,7 +18,7 @@ func startTestServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(fs, "127.0.0.1:0", 8)
+	srv, err := NewServer(fs, "127.0.0.1:0", 8, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestPoolSurvivesFaultStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(fs, "127.0.0.1:0", 16)
+	srv, err := NewServer(fs, "127.0.0.1:0", 16, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

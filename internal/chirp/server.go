@@ -54,49 +54,46 @@ type Server struct {
 	// slots bounds concurrently-serviced connections; others queue.
 	slots chan struct{}
 
-	// The counters Stats reports, counting from construction; Instrument
-	// publishes them as they are.
+	// The counters Stats reports, counting from construction, and
+	// published as they are when the server is built with a registry.
 	conns, reqs, errs, in, out telemetry.Counter
 
 	active atomic.Int64
 	queued atomic.Int64
 	qwait  atomic.Int64 // nanoseconds
 
-	// queueWait, tracer, and fault are installed after the accept loop is
-	// already running, so publication must be atomic.
-	queueWait atomic.Pointer[telemetry.Histogram]
-	tracer    atomic.Pointer[trace.Tracer]
-	fault     atomic.Pointer[faultinject.Injector]
+	// Fixed at construction; nil means off.
+	queueWait *telemetry.Histogram
+	tracer    *trace.Tracer
+	fault     *faultinject.Injector
 }
 
-// Fault wires the server into the fault plane: newly accepted
-// connections are wrapped so their reads and writes consult inj under
-// component "chirp_server". Call before traffic; nil is a no-op.
-func (s *Server) Fault(inj *faultinject.Injector) {
-	if inj != nil {
-		s.fault.Store(inj)
-	}
-}
+// MaxPayload bounds a single transfer to keep a malicious or buggy client
+// from exhausting memory.
+const MaxPayload = 1 << 31 // 2 GiB
 
-// Trace attaches a tracer: requests preceded by a client "trace" line
-// get a server-side span chained under the client's context, so the
-// analyzer can split a slow chirp get into network time (client span
-// minus server span) and service time. Call before traffic; nil leaves
-// the server untraced at zero cost.
-func (s *Server) Trace(tr *trace.Tracer) {
-	if tr != nil {
-		s.tracer.Store(tr)
+// NewServer starts a server for fs on addr (e.g. "127.0.0.1:0").
+// maxConcurrent bounds simultaneously-serviced connections (<=0 means 16,
+// a deliberately small default mirroring the paper's throttled Chirp).
+//
+// reg, when not nil, gets the server's counters, payload bytes also as
+// lobster_bytes_total{component="chirp_server"}, and its queue-wait
+// histogram; one server per registry. tr gives requests preceded by a
+// client "trace" line a server-side span chained under the client's
+// context, so the analyzer can split a slow chirp get into network time
+// (client span minus server span) and service time. inj wraps each
+// accepted connection so its reads and writes consult the fault plan
+// under component "chirp_server". Each may be nil, which is off at zero
+// cost.
+func NewServer(fs FileSystem, addr string, maxConcurrent int, reg *telemetry.Registry, tr *trace.Tracer, inj *faultinject.Injector) (*Server, error) {
+	if maxConcurrent <= 0 {
+		maxConcurrent = 16
 	}
-}
-
-// Instrument publishes the server's counters on reg, payload bytes also
-// as lobster_bytes_total{component="chirp_server"}, and registers its
-// queue-wait histogram. One server per registry; a nil registry is a
-// no-op.
-func (s *Server) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("chirp: listening on %s: %w", addr, err)
 	}
+	s := &Server{fs: fs, slots: make(chan struct{}, maxConcurrent), tracer: tr, fault: inj}
 	reg.CounterVec("lobster_chirp_connections_total",
 		"Connections accepted by the chirp server.").Publish(&s.conns)
 	reg.CounterVec("lobster_chirp_requests_total",
@@ -109,8 +106,8 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Payload bytes sent (getfile).").Publish(&s.out)
 	reg.BytesVec().Publish(&s.in, "chirp_server", telemetry.DirIn, "")
 	reg.BytesVec().Publish(&s.out, "chirp_server", telemetry.DirOut, "")
-	s.queueWait.Store(reg.Histogram("lobster_chirp_queue_wait_seconds",
-		"Time connections waited for one of the bounded service slots.", nil))
+	s.queueWait = reg.Histogram("lobster_chirp_queue_wait_seconds",
+		"Time connections waited for one of the bounded service slots.", nil)
 	reg.GaugeFunc("lobster_chirp_active_connections",
 		"Connections holding a service slot right now.",
 		func() float64 { return float64(s.active.Load()) })
@@ -118,24 +115,6 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Connections accepted but still waiting for a service slot — the "+
 			"overload signal of the paper's throttled Chirp server.",
 		func() float64 { return float64(s.queued.Load()) })
-}
-
-// MaxPayload bounds a single transfer to keep a malicious or buggy client
-// from exhausting memory.
-const MaxPayload = 1 << 31 // 2 GiB
-
-// NewServer starts a server for fs on addr (e.g. "127.0.0.1:0").
-// maxConcurrent bounds simultaneously-serviced connections (<=0 means 16,
-// a deliberately small default mirroring the paper's throttled Chirp).
-func NewServer(fs FileSystem, addr string, maxConcurrent int) (*Server, error) {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 16
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("chirp: listening on %s: %w", addr, err)
-	}
-	s := &Server{fs: fs, slots: make(chan struct{}, maxConcurrent)}
 	s.srv = wire.Serve(lis, s.handle)
 	return s, nil
 }
@@ -164,7 +143,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 // handle answers one accepted connection's requests once it holds a
 // service slot.
 func (s *Server) handle(conn net.Conn) {
-	conn = s.fault.Load().Conn("chirp_server", conn)
+	conn = s.fault.Conn("chirp_server", conn)
 	s.conns.Inc()
 	// Queue for a service slot: this is the connection cap that
 	// produces batched stage-out behaviour under bursts.
@@ -174,7 +153,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.queued.Add(-1)
 	wait := time.Since(start)
 	s.qwait.Add(int64(wait))
-	s.queueWait.Load().Observe(wait.Seconds())
+	s.queueWait.Observe(wait.Seconds())
 	s.active.Add(1)
 	defer func() {
 		s.active.Add(-1)
@@ -195,9 +174,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.reqs.Inc()
 		var sp *trace.Span
-		if tr := s.tracer.Load(); tr != nil && cur.Valid() {
+		if s.tracer != nil && cur.Valid() {
 			cmd, _, _ := bytes.Cut(line, []byte(" "))
-			sp = tr.Start(cur, "chirp_server", string(cmd))
+			sp = s.tracer.Start(cur, "chirp_server", string(cmd))
 		}
 		cur = trace.Context{}
 		defer sp.End()

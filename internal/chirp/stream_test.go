@@ -279,7 +279,7 @@ func TestPutIntoFailingSpoolDoesNotHang(t *testing.T) {
 	if err := fs.WriteFile("/known.dat", known); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(pipeSpool{fs, 3 << 20}, "127.0.0.1:0", 1)
+	srv, err := NewServer(pipeSpool{fs, 3 << 20}, "127.0.0.1:0", 1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

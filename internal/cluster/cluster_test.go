@@ -153,7 +153,7 @@ func TestHazardIsDecreasing(t *testing.T) {
 }
 
 func TestPoolRunsTasksUnderEviction(t *testing.T) {
-	master, err := wq.NewMaster("127.0.0.1:0")
+	master, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestPoolRunsTasksUnderEviction(t *testing.T) {
 }
 
 func TestPoolStopTerminates(t *testing.T) {
-	master, err := wq.NewMaster("127.0.0.1:0")
+	master, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func (p *Pool) launch() error {
 
 	name := fmt.Sprintf("pool-worker-%d", id)
 	w, err := wq.NewWorker(p.cfg.MasterAddr, name, p.cfg.CoresPerWorker,
-		fmt.Sprintf("%s/%s", p.cfg.ScratchDir, name), p.cfg.Registry, nil)
+		fmt.Sprintf("%s/%s", p.cfg.ScratchDir, name), p.cfg.Registry, nil, nil, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: launching %s: %w", name, err)
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 
 	"lobster/internal/dbs"
 )
@@ -76,10 +78,21 @@ func ParseConfig(data []byte) (Config, error) {
 	}
 	if len(fc.LumiMask) > 0 {
 		mask := &dbs.LumiMask{Ranges: make(map[int][][2]int)}
-		for runStr, ranges := range fc.LumiMask {
-			var run int
-			if _, err := fmt.Sscanf(runStr, "%d", &run); err != nil {
-				return Config{}, fmt.Errorf("core: lumi mask run %q is not a number", runStr)
+		// Keys in order, so that an input with two bad keys is always
+		// refused naming the same one.
+		keys := make([]string, 0, len(fc.LumiMask))
+		for k := range fc.LumiMask {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, runStr := range keys {
+			ranges := fc.LumiMask[runStr]
+			// Exactly a run number: "012" or "12 " would otherwise name
+			// run 12 beside a "12" key, and which one won would be map
+			// order.
+			run, err := strconv.Atoi(runStr)
+			if err != nil || run < 0 || strconv.Itoa(run) != runStr {
+				return Config{}, fmt.Errorf("core: lumi mask run %q is not a run number", runStr)
 			}
 			for _, r := range ranges {
 				if r[1] < r[0] {

@@ -41,7 +41,7 @@ func analysisServices(t *testing.T, ds *dbs.Dataset) Services {
 	if err := svc.DBS.Register(ds); err != nil {
 		t.Fatal(err)
 	}
-	m, err := wq.NewMaster("127.0.0.1:0")
+	m, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestNewValidatesServices(t *testing.T) {
 	if _, err := New(Config{Name: "x", Kind: KindAnalysis, Dataset: ds.Name}, Services{}); err == nil {
 		t.Error("missing master accepted")
 	}
-	m, _ := wq.NewMaster("127.0.0.1:0")
+	m, _ := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	defer m.Close()
 	if _, err := New(Config{Name: "x", Kind: KindAnalysis, Dataset: ds.Name}, Services{Master: m}); err == nil {
 		t.Error("analysis without DBS accepted")

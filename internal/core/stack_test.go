@@ -67,7 +67,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 		t.Fatal(err)
 	}
 
-	dataSrv, err := xrootd.NewDataServer("T2_US_Stack", "127.0.0.1:0")
+	dataSrv, err := xrootd.NewDataServer("T2_US_Stack", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 		}
 		st.chirpFS = fs
 	}
-	st.chirpSrv, err = chirp.NewServer(st.chirpFS, "127.0.0.1:0", 16)
+	st.chirpSrv, err = chirp.NewServer(st.chirpFS, "127.0.0.1:0", 16, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +146,14 @@ func startStack(t *testing.T, files, lumisPerFile, eventsPerFile int, cluster *h
 	}
 
 	// Master + workers.
-	master, err := wq.NewMaster("127.0.0.1:0")
+	master, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { master.Close() })
 	st.svc.Master = master
 	for i := 0; i < 2; i++ {
-		w, err := wq.NewWorker(master.Addr(), fmt.Sprintf("w%d", i), 4, t.TempDir(), st.registry, nil)
+		w, err := wq.NewWorker(master.Addr(), fmt.Sprintf("w%d", i), 4, t.TempDir(), st.registry, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func TestWorkflowUnderEviction(t *testing.T) {
 	st := startStack(t, 4, 2, 10, nil)
 	// Add a saboteur: an extra worker that keeps dying. The pool machinery
 	// is exercised in cluster tests; here one flaky worker suffices.
-	flaky, err := wq.NewWorker(st.svc.Master.Addr(), "flaky", 2, t.TempDir(), st.registry, nil)
+	flaky, err := wq.NewWorker(st.svc.Master.Addr(), "flaky", 2, t.TempDir(), st.registry, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

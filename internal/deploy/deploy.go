@@ -174,7 +174,7 @@ func Start(opts Options) (*Stack, error) {
 		return nil, err
 	}
 
-	dataSrv, err := xrootd.NewDataServer("T3_US_Local", "127.0.0.1:0")
+	dataSrv, err := xrootd.NewDataServer("T3_US_Local", "127.0.0.1:0", opts.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,6 @@ func Start(opts Options) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	dataSrv.Instrument(opts.Telemetry)
 	if err := storeDataset(dataSrv, st.Redirector, ds, kernel, rng); err != nil {
 		return nil, err
 	}
@@ -207,14 +206,14 @@ func Start(opts Options) (*Stack, error) {
 	origin := httptest.NewServer(mux)
 	st.closers = append(st.closers, origin.Close)
 	st.Proxy, err = squid.New(origin.URL, squid.Config{
-		Fault: opts.Fault,
-		Retry: opts.Retry,
+		Fault:     opts.Fault,
+		Telemetry: opts.Telemetry,
+		Tracer:    opts.Tracer,
+		Retry:     opts.Retry,
 	})
 	if err != nil {
 		return nil, err
 	}
-	st.Proxy.Instrument(opts.Telemetry)
-	st.Proxy.Trace(opts.Tracer)
 	proxyURL, err := st.Proxy.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -237,13 +236,10 @@ func Start(opts Options) (*Stack, error) {
 		}
 		st.ChirpFS = fs
 	}
-	st.ChirpSrv, err = chirp.NewServer(st.ChirpFS, "127.0.0.1:0", 16)
+	st.ChirpSrv, err = chirp.NewServer(st.ChirpFS, "127.0.0.1:0", 16, opts.Telemetry, opts.Tracer, opts.Fault)
 	if err != nil {
 		return nil, err
 	}
-	st.ChirpSrv.Instrument(opts.Telemetry)
-	st.ChirpSrv.Trace(opts.Tracer)
-	st.ChirpSrv.Fault(opts.Fault)
 	st.closers = append(st.closers, func() { st.ChirpSrv.Close() })
 
 	// Worker environment and registry.
@@ -280,13 +276,10 @@ func Start(opts Options) (*Stack, error) {
 	}
 
 	// Master and workers.
-	master, err := wq.NewMaster("127.0.0.1:0")
+	master, err := wq.NewMaster("127.0.0.1:0", opts.Telemetry, opts.Tracer, opts.Fault)
 	if err != nil {
 		return nil, err
 	}
-	master.Instrument(opts.Telemetry)
-	master.Trace(opts.Tracer)
-	master.Fault(opts.Fault)
 	st.Services.Master = master
 	st.closers = append(st.closers, func() { master.Close() })
 	for i := 0; i < opts.Workers; i++ {
@@ -364,12 +357,10 @@ func (st *Stack) AddWorker() (*wq.Worker, error) {
 	name := fmt.Sprintf("worker-%d", st.nWorkers)
 	st.nWorkers++
 	w, err := wq.NewWorker(st.Services.Master.Addr(), name, st.Options.CoresPerWorker,
-		filepath.Join(st.scratch, name), st.Registry, st.Options.Fault)
+		filepath.Join(st.scratch, name), st.Registry, st.Options.Telemetry, st.Options.Tracer, st.Options.Fault)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: starting %s: %w", name, err)
 	}
-	w.Instrument(st.Options.Telemetry)
-	w.Trace(st.Options.Tracer)
 	st.workers = append(st.workers, w)
 	return w, nil
 }

@@ -180,7 +180,7 @@ func TestDatasetBytesUnchanged(t *testing.T) {
 // fails storeDataset with StoreFrom's error, and the generator goroutine
 // is gone by then rather than parked on a chunk nobody will take.
 func TestStoreDatasetFailureJoinsGenerator(t *testing.T) {
-	srv, err := xrootd.NewDataServer("T3_US_Closed", "127.0.0.1:0")
+	srv, err := xrootd.NewDataServer("T3_US_Closed", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,6 +70,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		"lobster_wq_tasks_failed_total":   float64(ms.TasksFailed),
 		"lobster_wq_requeues_total":       float64(ms.Requeues),
 		"lobster_wq_results_pending":      float64(ms.ResultsPending),
+		"lobster_wq_bytes_sent_total":     float64(ms.BytesSent),
 		"lobster_wq_bytes_received_total": float64(ms.BytesReceived),
 
 		"lobster_chirp_connections_total":       float64(cs.Connections),
@@ -107,7 +108,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		t.Errorf("lobster_chirp_queue_wait_seconds_sum = %v on the page, %v in Stats", g, w)
 	}
 	// The run moved something through every layer compared above.
-	if ms.TasksDone == 0 || ms.BytesReceived == 0 || cs.BytesIn == 0 || cs.BytesOut == 0 || ps.Hits == 0 || ps.BytesFetched == 0 {
+	if ms.TasksDone == 0 || ms.BytesSent == 0 || ms.BytesReceived == 0 || cs.BytesIn == 0 || cs.BytesOut == 0 || ps.Hits == 0 || ps.BytesFetched == 0 {
 		t.Errorf("a layer saw no traffic: %+v %+v %+v", ms, cs, ps)
 	}
 	for _, f := range parsed.Families {

@@ -324,7 +324,7 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 			{Component: "wq_worker", Op: "read", Action: faultinject.ActDrop, Every: 1},
 		},
 	})
-	m, err := wq.NewMaster("127.0.0.1:0")
+	m, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestChaosPoisonTaskPermanentFailure(t *testing.T) {
 	// is generous. The loop ends with the first terminal result.
 	for attempt := 0; attempt < 200 && res == nil; attempt++ {
 		w, err := wq.NewWorker(m.Addr(), fmt.Sprintf("doomed%d", attempt), 1,
-			t.TempDir(), reg, inj)
+			t.TempDir(), reg, nil, nil, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func TestChaosResultWriteError(t *testing.T) {
 			{Component: "wq_worker", Op: "write", Action: faultinject.ActError, After: 1, Times: 1},
 		},
 	})
-	m, err := wq.NewMaster("127.0.0.1:0")
+	m, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestChaosResultWriteError(t *testing.T) {
 		}
 		ids[id] = 0
 	}
-	faulty, err := wq.NewWorker(m.Addr(), "faulty", 1, t.TempDir(), reg, inj)
+	faulty, err := wq.NewWorker(m.Addr(), "faulty", 1, t.TempDir(), reg, nil, nil, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestChaosResultWriteError(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	healthy, err := wq.NewWorker(m.Addr(), "healthy", 1, t.TempDir(), reg, nil)
+	healthy, err := wq.NewWorker(m.Addr(), "healthy", 1, t.TempDir(), reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestChirpExportOfHDFS(t *testing.T) {
 	c := newCluster(t, 2, 2, 1024)
-	srv, err := chirp.NewServer(c, "127.0.0.1:0", 4)
+	srv, err := chirp.NewServer(c, "127.0.0.1:0", 4, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func startServices(t testing.TB) *testServices {
 
 	// XrootD federation.
 	red := xrootd.NewRedirector()
-	ds, err := xrootd.NewDataServer("T2_US_Test", "127.0.0.1:0")
+	ds, err := xrootd.NewDataServer("T2_US_Test", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func startServices(t testing.TB) *testServices {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := chirp.NewServer(fs, "127.0.0.1:0", 8)
+	se, err := chirp.NewServer(fs, "127.0.0.1:0", 8, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := chirp.NewServer(fs, "127.0.0.1:0", 8)
+	se, err := chirp.NewServer(fs, "127.0.0.1:0", 8, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 	env := &Env{ChirpAddr: se.Addr()}
 	defer env.Close()
 
-	m, err := wq.NewMaster("127.0.0.1:0")
+	m, err := wq.NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestStageOutAfterMasterLostWritesNothing(t *testing.T) {
 		reports <- rep
 		return nil
 	}}
-	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg, nil)
+	w, err := wq.NewWorker(m.Addr(), "zombie", 1, t.TempDir(), reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

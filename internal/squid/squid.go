@@ -76,6 +76,16 @@ type Config struct {
 	// drop fail the attempt, retryably; stall-kill stalls, then fails;
 	// corrupt flips the first body byte the origin sends.
 	Fault *faultinject.Injector
+	// Telemetry, when non-nil, gets the proxy's counters, bytes fetched
+	// and served also as lobster_bytes_total{component="squid"}, and its
+	// gauges. One proxy per registry.
+	Telemetry *telemetry.Registry
+	// Tracer, when non-nil, gives requests carrying a Lobster-Trace
+	// header a span recording the cache outcome (hit, miss, or
+	// coalesced), and origin fetches a child span whose context is
+	// forwarded in the outgoing header, so chained proxies and the origin
+	// server extend the same trace.
+	Tracer *trace.Tracer
 	// Retry bounds repeated origin fetches on transport failures and 5xx
 	// responses. The zero Policy keeps the old single-attempt behaviour.
 	// Coalesced waiters share the retried fetch, so a storm of identical
@@ -101,66 +111,12 @@ type Proxy struct {
 	items    map[string]*list.Element // key → element
 	inflight map[string]*stream
 
-	// The counters Stats reports, counting from construction; Instrument
-	// publishes them as they are.
+	// The counters Stats reports, counting from construction, and
+	// published as they are when the proxy is built with a registry.
 	hits, misses, coalesced, originErrors, evictions telemetry.Counter
 	bytesServed, bytesFetched                        telemetry.Counter
 
 	tracer *trace.Tracer
-}
-
-// Trace attaches a tracer: requests carrying a Lobster-Trace header get
-// a span recording the cache outcome (hit, miss, or coalesced), and
-// origin fetches get a child span whose context is forwarded in the
-// outgoing header — so chained proxies and the origin server extend the
-// same trace. Call before traffic; nil leaves the proxy untraced at
-// zero cost.
-func (p *Proxy) Trace(tr *trace.Tracer) {
-	if tr != nil {
-		p.tracer = tr
-	}
-}
-
-// Instrument publishes the proxy's counters on reg, bytes fetched and
-// served also as lobster_bytes_total{component="squid"}, and registers its
-// gauges. One proxy per registry; a nil registry is a no-op.
-func (p *Proxy) Instrument(reg *telemetry.Registry) {
-	reg.CounterVec("lobster_squid_hits_total",
-		"Requests served from the proxy cache.").Publish(&p.hits)
-	reg.CounterVec("lobster_squid_misses_total",
-		"Requests that triggered an origin fetch.").Publish(&p.misses)
-	reg.CounterVec("lobster_squid_coalesced_total",
-		"Requests satisfied by piggybacking on an in-flight origin fetch.").Publish(&p.coalesced)
-	reg.CounterVec("lobster_squid_origin_errors_total",
-		"Origin fetches that failed.").Publish(&p.originErrors)
-	reg.CounterVec("lobster_squid_evictions_total",
-		"Cache entries evicted to make room.").Publish(&p.evictions)
-	reg.CounterVec("lobster_squid_bytes_served_total",
-		"Response bytes served to clients.").Publish(&p.bytesServed)
-	reg.CounterVec("lobster_squid_bytes_fetched_total",
-		"Bytes fetched from the origin (misses only).").Publish(&p.bytesFetched)
-	reg.BytesVec().Publish(&p.bytesFetched, "squid", telemetry.DirIn, "")
-	reg.BytesVec().Publish(&p.bytesServed, "squid", telemetry.DirOut, "")
-	reg.GaugeFunc("lobster_squid_hit_ratio",
-		"Cache hit ratio: hits / (hits + misses).",
-		func() float64 { return p.Stats().HitRate() })
-	reg.GaugeFunc("lobster_squid_cached_bytes",
-		"Bytes currently held in the proxy cache.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.used)
-		})
-	reg.GaugeFunc("lobster_squid_cached_objects",
-		"Objects currently held in the proxy cache.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.lru.Len())
-		})
-	reg.GaugeFunc("lobster_squid_origin_inflight",
-		"Origin fetches currently in flight (at most 64).",
-		func() float64 { return float64(len(p.sem)) })
 }
 
 type entry struct {
@@ -243,17 +199,56 @@ func New(origin string, cfg Config) (*Proxy, error) {
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 1 << 30
 	}
-	return &Proxy{
+	p := &Proxy{
 		origin:     client,
 		originHost: u.Host,
 		fault:      cfg.Fault,
+		tracer:     cfg.Tracer,
 		retry:      cfg.Retry,
 		sem:        make(chan struct{}, maxOriginConns),
 		capacity:   cfg.CapacityBytes,
 		lru:        list.New(),
 		items:      make(map[string]*list.Element),
 		inflight:   make(map[string]*stream),
-	}, nil
+	}
+	reg := cfg.Telemetry
+	reg.CounterVec("lobster_squid_hits_total",
+		"Requests served from the proxy cache.").Publish(&p.hits)
+	reg.CounterVec("lobster_squid_misses_total",
+		"Requests that triggered an origin fetch.").Publish(&p.misses)
+	reg.CounterVec("lobster_squid_coalesced_total",
+		"Requests satisfied by piggybacking on an in-flight origin fetch.").Publish(&p.coalesced)
+	reg.CounterVec("lobster_squid_origin_errors_total",
+		"Origin fetches that failed.").Publish(&p.originErrors)
+	reg.CounterVec("lobster_squid_evictions_total",
+		"Cache entries evicted to make room.").Publish(&p.evictions)
+	reg.CounterVec("lobster_squid_bytes_served_total",
+		"Response bytes served to clients.").Publish(&p.bytesServed)
+	reg.CounterVec("lobster_squid_bytes_fetched_total",
+		"Bytes fetched from the origin (misses only).").Publish(&p.bytesFetched)
+	reg.BytesVec().Publish(&p.bytesFetched, "squid", telemetry.DirIn, "")
+	reg.BytesVec().Publish(&p.bytesServed, "squid", telemetry.DirOut, "")
+	reg.GaugeFunc("lobster_squid_hit_ratio",
+		"Cache hit ratio: hits / (hits + misses).",
+		func() float64 { return p.Stats().HitRate() })
+	reg.GaugeFunc("lobster_squid_cached_bytes",
+		"Bytes currently held in the proxy cache.",
+		func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return float64(p.used)
+		})
+	reg.GaugeFunc("lobster_squid_cached_objects",
+		"Objects currently held in the proxy cache.",
+		func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return float64(p.lru.Len())
+		})
+	reg.GaugeFunc("lobster_squid_origin_inflight",
+		"Origin fetches currently in flight (at most 64).",
+		func() float64 { return float64(len(p.sem)) })
+	return p, nil
 }
 
 // Stats returns a snapshot of the proxy counters, each exact at its own

@@ -15,16 +15,16 @@
 //
 // # Zero cost when disabled
 //
-// All instrument methods are nil-receiver safe: a component whose
-// Instrument method was never called holds nil *Counter / *Gauge /
-// *Histogram fields and every Inc/Set/Observe on them is a single
+// All instrument methods are nil-receiver safe: a component built
+// without a registry holds nil *Counter / *Gauge / *Histogram fields and every Inc/Set/Observe on them is a single
 // predictable branch (≤2 ns, zero allocations — see
 // BenchmarkTelemetryOverhead). The same holds for a nil *StageHistograms
 // and for a nil *Registry, whose constructors return nil instruments.
 // Components therefore instrument unconditionally. A count a component's
 // Stats reports is the exception: a Counter value the component owns and
-// counts into from construction, which Instrument publishes as it is
-// (CounterVec.Publish), so the page and Stats read one count.
+// counts into from construction, which its constructor publishes as it is
+// (CounterVec.Publish) when handed a registry, so the page and Stats read
+// one count.
 //
 // # Naming scheme
 //

@@ -29,7 +29,7 @@ var peers = []peer{
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := chirp.NewServer(fs, addr, 16)
+		srv, err := chirp.NewServer(fs, addr, 16, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ var peers = []peer{
 		return srv.Addr(), srv.Close
 	}},
 	{name: "xrootd", hello: "open /f\n", serve: func(t *testing.T, addr string) (string, func() error) {
-		srv, err := xrootd.NewDataServer("T3_WIRE", addr)
+		srv, err := xrootd.NewDataServer("T3_WIRE", addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

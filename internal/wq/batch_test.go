@@ -207,7 +207,7 @@ func TestResultFrameLeavesMasterTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), testRegistry(), nil)
+	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), testRegistry(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

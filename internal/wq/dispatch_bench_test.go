@@ -4,12 +4,11 @@ import "testing"
 
 // BenchmarkDispatchDisabledTel pins the uninstrumented dispatch hot path:
 // 64 enqueues (one lock each, as Submit and a requeue take) and one
-// popBatch of all 64 (one lock) with no dispatchTel installed, the state
-// every run is in until Master.Instrument is called.
-// The telemetry hooks must stay a nil-pointer load and nil-receiver
-// no-ops — BENCH_health.json holds this at zero allocations per op and
-// guards its wall clock, so an instrument sneaking an allocation or a
-// lock onto the disabled path fails `make check`.
+// popBatch of all 64 (one lock) on a table built without a registry, as
+// the master of every run without one is. The telemetry hooks must stay
+// nil-receiver no-ops — BENCH_health.json holds this at zero allocations
+// per op and guards its wall clock, so an instrument sneaking an
+// allocation or a lock onto the disabled path fails `make check`.
 func BenchmarkDispatchDisabledTel(b *testing.B) {
 	d := newDispatchTable()
 	const batch = 64

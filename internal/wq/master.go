@@ -58,92 +58,15 @@ type Master struct {
 
 	res *resultTable
 
-	// The counters Stats reports, counting from construction; Instrument
-	// publishes them as they are (all but bytesSent).
+	// The counters Stats reports, counting from construction, and
+	// published as they are when the master is built with a registry.
 	seen, lost, done, failed, requeues, dispatched telemetry.Counter
 	bytesSent, bytesReceived                       telemetry.Counter
 
-	// dispatchWait, fault and tracer are installed after the accept loop
-	// is already running, so publication must be atomic.
-	dispatchWait atomic.Pointer[telemetry.Histogram]
-	fault        atomic.Pointer[faultinject.Injector]
-	tracer       atomic.Pointer[trace.Tracer]
-}
-
-// Fault wires the master into the fault plane: newly accepted worker
-// connections are wrapped so their reads and writes consult
-// inj under component "wq_master". The master's requeue accounting
-// turns the resulting connection losses into re-dispatches, which is
-// exactly what chaos storms assert on. Call before traffic; nil is a
-// no-op.
-func (m *Master) Fault(inj *faultinject.Injector) {
-	if inj != nil {
-		m.fault.Store(inj)
-	}
-}
-
-// Instrument publishes the master's counters on reg and registers its
-// histograms and gauges. One master per registry, instrumented before
-// heavy traffic; a nil registry is a no-op.
-func (m *Master) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterVec("lobster_wq_dispatches_total",
-		"Tasks dispatched to workers, including re-dispatches.").Publish(&m.dispatched)
-	reg.CounterVec("lobster_wq_requeues_total",
-		"Tasks returned to the queue after a worker was lost.").Publish(&m.requeues)
-	reg.CounterVec("lobster_wq_tasks_done_total",
-		"Task results collected (success and failure).").Publish(&m.done)
-	reg.CounterVec("lobster_wq_tasks_failed_total",
-		"Task results that reported failure.").Publish(&m.failed)
-	reg.CounterVec("lobster_wq_workers_seen_total",
-		"Worker hellos accepted.").Publish(&m.seen)
-	reg.CounterVec("lobster_wq_workers_lost_total",
-		"Worker connections dropped.").Publish(&m.lost)
-	reg.CounterVec("lobster_wq_bytes_received_total",
-		"Result-frame body bytes read from workers.").Publish(&m.bytesReceived)
-	m.dispatchWait.Store(reg.Histogram("lobster_wq_dispatch_latency_seconds",
-		"Submit-to-dispatch queue latency.", nil))
-	reg.GaugeFunc("lobster_wq_tasks_waiting",
-		"Tasks submitted and awaiting dispatch (queue depth).",
-		func() float64 { return float64(m.d.waiting()) })
-	reg.GaugeFunc("lobster_wq_tasks_running",
-		"Tasks dispatched and awaiting results (in flight).",
-		func() float64 { return float64(m.running.Load()) })
-	reg.GaugeFunc("lobster_wq_workers_connected",
-		"Workers currently connected.",
-		func() float64 { return float64(m.Stats().WorkersConnected) })
-	reg.GaugeFunc("lobster_wq_cores_connected",
-		"Cores advertised by connected workers.",
-		func() float64 { return float64(m.Stats().CoresConnected) })
-	reg.GaugeFunc("lobster_wq_results_pending",
-		"Results received from workers and not yet collected by WaitResult.",
-		func() float64 { return float64(m.res.pending()) })
-
-	// Dispatch-plane instruments: park/wake counters for the idle
-	// dispatchers, and the batch-size histogram that shows how full
-	// dispatch rounds run.
-	m.d.tel.Store(&dispatchTel{
-		parks: reg.Counter("lobster_wq_dispatch_parks_total",
-			"Dispatcher park episodes (ready queue empty)."),
-		wakes: reg.Counter("lobster_wq_dispatch_wakes_total",
-			"Broadcasts waking parked dispatchers."),
-		batchSize: reg.Histogram("lobster_wq_dispatch_batch_size",
-			"Tasks taken per dispatch batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-	})
-}
-
-// Trace attaches a tracer: every task gets a root span spanning
-// submit→result, a "submit" span per queue wait, and a "dispatch" span
-// per dispatch attempt whose context travels to the worker in the task's
-// Trace field. Call before traffic; a nil tracer leaves the master
-// untraced at zero cost.
-func (m *Master) Trace(tr *trace.Tracer) {
-	if tr != nil {
-		m.tracer.Store(tr)
-	}
+	// Fixed at construction; nil means off.
+	dispatchWait *telemetry.Histogram
+	fault        *faultinject.Injector
+	tracer       *trace.Tracer
 }
 
 // workerConn is the master's end of one worker connection.
@@ -170,14 +93,71 @@ type workerConn struct {
 }
 
 // NewMaster starts a master listening on addr (e.g. "127.0.0.1:0").
-func NewMaster(addr string) (*Master, error) {
+//
+// reg, when not nil, gets the master's counters, histograms and gauges;
+// one master per registry. tr gives every task a root span spanning
+// submit→result, a "submit" span per queue wait, and a "dispatch" span
+// per dispatch attempt whose context travels to the worker in the task's
+// Trace field. inj wraps each accepted worker connection so its reads and
+// writes consult the fault plan under component "wq_master"; the
+// master's requeue accounting turns the resulting connection losses into
+// re-dispatches, which is exactly what chaos storms assert on. Each may
+// be nil, which is off at zero cost.
+func NewMaster(addr string, reg *telemetry.Registry, tr *trace.Tracer, inj *faultinject.Injector) (*Master, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wq: master listen: %w", err)
 	}
 	m := newLocalMaster()
+	m.tracer, m.fault = tr, inj
+	reg.CounterVec("lobster_wq_dispatches_total",
+		"Tasks dispatched to workers, including re-dispatches.").Publish(&m.dispatched)
+	reg.CounterVec("lobster_wq_requeues_total",
+		"Tasks returned to the queue after a worker was lost.").Publish(&m.requeues)
+	reg.CounterVec("lobster_wq_tasks_done_total",
+		"Task results collected (success and failure).").Publish(&m.done)
+	reg.CounterVec("lobster_wq_tasks_failed_total",
+		"Task results that reported failure.").Publish(&m.failed)
+	reg.CounterVec("lobster_wq_workers_seen_total",
+		"Worker hellos accepted.").Publish(&m.seen)
+	reg.CounterVec("lobster_wq_workers_lost_total",
+		"Worker connections dropped.").Publish(&m.lost)
+	reg.CounterVec("lobster_wq_bytes_sent_total",
+		"Task-frame body bytes sent to workers.").Publish(&m.bytesSent)
+	reg.CounterVec("lobster_wq_bytes_received_total",
+		"Result-frame body bytes read from workers.").Publish(&m.bytesReceived)
+	m.dispatchWait = reg.Histogram("lobster_wq_dispatch_latency_seconds",
+		"Submit-to-dispatch queue latency.", nil)
+	reg.GaugeFunc("lobster_wq_tasks_waiting",
+		"Tasks submitted and awaiting dispatch (queue depth).",
+		func() float64 { return float64(m.d.waiting()) })
+	reg.GaugeFunc("lobster_wq_tasks_running",
+		"Tasks dispatched and awaiting results (in flight).",
+		func() float64 { return float64(m.running.Load()) })
+	reg.GaugeFunc("lobster_wq_workers_connected",
+		"Workers currently connected.",
+		func() float64 { return float64(m.Stats().WorkersConnected) })
+	reg.GaugeFunc("lobster_wq_cores_connected",
+		"Cores advertised by connected workers.",
+		func() float64 { return float64(m.Stats().CoresConnected) })
+	reg.GaugeFunc("lobster_wq_results_pending",
+		"Results received from workers and not yet collected by WaitResult.",
+		func() float64 { return float64(m.res.pending()) })
+
+	// Dispatch-plane instruments: park/wake counters for the idle
+	// dispatchers, and the batch-size histogram that shows how full
+	// dispatch rounds run.
+	m.d.tel = dispatchTel{
+		parks: reg.Counter("lobster_wq_dispatch_parks_total",
+			"Dispatcher park episodes (ready queue empty)."),
+		wakes: reg.Counter("lobster_wq_dispatch_wakes_total",
+			"Broadcasts waking parked dispatchers."),
+		batchSize: reg.Histogram("lobster_wq_dispatch_batch_size",
+			"Tasks taken per dispatch batch.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
+	}
 	m.srv = wire.Serve(lis, func(nc net.Conn) {
-		m.serveWorker(newConn(m.fault.Load().Conn("wq_master", nc)))
+		m.serveWorker(newConn(m.fault.Conn("wq_master", nc)))
 	})
 	return m, nil
 }
@@ -201,7 +181,7 @@ func (m *Master) Submit(t *Task) (int64, error) {
 	mt := newTaskMeta()
 	mt.task = t
 	mt.submitted = time.Now()
-	if tr := m.tracer.Load(); tr != nil {
+	if tr := m.tracer; tr != nil {
 		span := tr.Root("master", "task", t.Tag)
 		span.AttrInt("task_id", id)
 		if t.Tag != "" {
@@ -365,7 +345,7 @@ func (m *Master) requeueMeta(mt *taskMeta, worker string) {
 	var lostDispatch *trace.Span
 	if tt != nil {
 		lostDispatch, tt.dispatch = tt.dispatch, nil
-		tt.readyAt = m.tracer.Load().Now() // requeue restarts the queue wait
+		tt.readyAt = m.tracer.Now() // requeue restarts the queue wait
 	}
 	if n <= t.MaxRetries && !m.closed.Load() {
 		d.pushLocked(mt)
@@ -465,8 +445,7 @@ func (m *Master) dispatchLoop(wc *workerConn) {
 // owners are named under one.
 func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 	now := time.Now()
-	wait := m.dispatchWait.Load()
-	tr := m.tracer.Load()
+	tr := m.tracer
 	for _, mt := range batch {
 		if tt := mt.tt; tt != nil {
 			// Queue wait since submit (or the last requeue) becomes a
@@ -481,7 +460,7 @@ func (m *Master) stampBatch(wc *workerConn, batch []*taskMeta) {
 			tt.dispatch = d
 			mt.task.Trace = d.Context().Encode()
 		}
-		wait.Observe(now.Sub(mt.submitted).Seconds())
+		m.dispatchWait.Observe(now.Sub(mt.submitted).Seconds())
 	}
 	m.d.mu.Lock()
 	for _, mt := range batch {

@@ -198,7 +198,7 @@ func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, erro
 	if single {
 		return ScaleReport{}, errors.New("wq: single-message framing was removed; drop the argument (ROADMAP item 1 f)")
 	}
-	m, err := NewMaster("127.0.0.1:0")
+	m, err := NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		return ScaleReport{}, err
 	}
@@ -217,7 +217,7 @@ func RunScaleLoopback(workers, cores, tasks int, single bool) (ScaleReport, erro
 	}()
 	for i := 0; i < workers; i++ {
 		w, err := NewWorker(m.Addr(), fmt.Sprintf("lo-%d", i), cores,
-			filepath.Join(root, fmt.Sprintf("w%d", i)), reg, nil)
+			filepath.Join(root, fmt.Sprintf("w%d", i)), reg, nil, nil, nil)
 		if err != nil {
 			return ScaleReport{}, err
 		}

@@ -68,7 +68,7 @@ func BenchmarkMatchLoop(b *testing.B) {
 func benchLoopback(b *testing.B, workers, cores int) {
 	b.Helper()
 	reg := Registry{"noop": func(*ExecContext) error { return nil }}
-	m, err := NewMaster("127.0.0.1:0")
+	m, err := NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func benchLoopback(b *testing.B, workers, cores int) {
 	ws := make([]*Worker, workers)
 	for i := range ws {
 		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), cores,
-			fmt.Sprintf("%s/w%d", dir, i), reg, nil)
+			fmt.Sprintf("%s/w%d", dir, i), reg, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

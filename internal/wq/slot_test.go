@@ -37,7 +37,7 @@ func TestSlotReuseLeavesNothingBehind(t *testing.T) {
 			return nil
 		},
 		"none": func(*ExecContext) error { return nil },
-	}, nil)
+	}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

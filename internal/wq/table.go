@@ -2,7 +2,6 @@ package wq
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lobster/internal/telemetry"
@@ -98,29 +97,19 @@ type dispatchTable struct {
 	idle   sync.Cond // parked dispatchers; L is &mu
 	parked int       // dispatchers waiting on idle
 
-	// tel is installed by Master.Instrument after traffic may already be
-	// flowing; the zero set keeps the uninstrumented hot path at a nil
-	// branch and zero allocations (pinned by BenchmarkDispatchDisabledTel).
-	tel atomic.Pointer[dispatchTel]
+	// tel is set when the master is built with a registry, before any
+	// traffic; without one every instrument is nil and every call a
+	// nil-receiver no-op (pinned at zero allocations by
+	// BenchmarkDispatchDisabledTel).
+	tel dispatchTel
 }
 
 // dispatchTel is the dispatch plane's instrument set: park/wake counters
-// and the per-dispatch batch-size histogram. The zero value is fully
-// functional — every field nil, every call a nil-receiver no-op.
+// and the per-dispatch batch-size histogram.
 type dispatchTel struct {
 	parks     *telemetry.Counter
 	wakes     *telemetry.Counter
 	batchSize *telemetry.Histogram
-}
-
-var noDispatchTel dispatchTel
-
-// telemetry returns the installed instruments, or the free zero set.
-func (d *dispatchTable) telemetry() *dispatchTel {
-	if t := d.tel.Load(); t != nil {
-		return t
-	}
-	return &noDispatchTel
 }
 
 func newDispatchTable() *dispatchTable {
@@ -150,7 +139,7 @@ func (d *dispatchTable) enqueue(ms ...*taskMeta) {
 func (d *dispatchTable) pushLocked(m *taskMeta) {
 	d.ready.push(m)
 	if d.parked > 0 {
-		d.telemetry().wakes.Inc()
+		d.tel.wakes.Inc()
 		d.idle.Broadcast()
 	}
 }
@@ -179,7 +168,7 @@ func (d *dispatchTable) popBatch(dst []*taskMeta) int {
 	n := d.ready.popN(dst)
 	d.mu.Unlock()
 	if n > 0 {
-		d.telemetry().batchSize.Observe(float64(n))
+		d.tel.batchSize.Observe(float64(n))
 	}
 	return n
 }
@@ -187,7 +176,7 @@ func (d *dispatchTable) popBatch(dst []*taskMeta) int {
 // park blocks until a task is ready or stop() reports the caller should
 // exit. The caller re-checks its own conditions after park returns.
 func (d *dispatchTable) park(stop func() bool) {
-	d.telemetry().parks.Inc()
+	d.tel.parks.Inc()
 	d.mu.Lock()
 	d.parked++
 	for d.ready.n == 0 && !stop() {

@@ -19,6 +19,27 @@ func traceSetup(t *testing.T) (*trace.Tracer, *bytes.Buffer, *telemetry.EventLog
 	return tr, &buf, log
 }
 
+// tracedMaster and tracedWorker are newMaster and a one-core newWorker
+// built with tr.
+func tracedMaster(t *testing.T, tr *trace.Tracer) *Master {
+	t.Helper()
+	m, err := NewMaster("127.0.0.1:0", nil, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+func tracedWorker(t *testing.T, addr, name string, tr *trace.Tracer) {
+	t.Helper()
+	w, err := NewWorker(addr, name, 1, t.TempDir(), testRegistry(), nil, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+}
+
 func records(t *testing.T, buf *bytes.Buffer, log *telemetry.EventLog) []trace.Record {
 	t.Helper()
 	if err := log.Flush(); err != nil {
@@ -36,10 +57,8 @@ func records(t *testing.T, buf *bytes.Buffer, log *telemetry.EventLog) []trace.R
 // the task must complete normally.
 func TestTraceMalformedContextDegrades(t *testing.T) {
 	tr, buf, log := traceSetup(t)
-	m := newMaster(t)
-	m.Trace(tr)
-	w := newWorker(t, m.Addr(), "w0", 1)
-	w.Trace(tr)
+	m := tracedMaster(t, tr)
+	tracedWorker(t, m.Addr(), "w0", tr)
 
 	for _, garbage := range []string{
 		"not-a-trace", "lt1-xx-yy-zz", "lt1-0000000000000000-0000000000000000-01", "lt9-....",
@@ -73,15 +92,13 @@ func TestTraceMalformedContextDegrades(t *testing.T) {
 // root.
 func TestTraceRequeueSpans(t *testing.T) {
 	tr, buf, log := traceSetup(t)
-	m := newMaster(t)
-	m.Trace(tr)
+	m := tracedMaster(t, tr)
 	w1, release := holdWorker(t, m.Addr(), "victim", 1)
 	m.Submit(&Task{Func: "hold"})
 	// Let the task dispatch, then evict its worker.
 	waitStats(t, m, "task never dispatched", running(1))
 	evictHolding(t, m, w1, release, requeued(1))
-	w2 := newWorker(t, m.Addr(), "rescuer", 1)
-	w2.Trace(tr)
+	tracedWorker(t, m.Addr(), "rescuer", tr)
 	r, ok := m.WaitResult(30 * time.Second)
 	if !ok {
 		t.Fatal("no result after requeue")

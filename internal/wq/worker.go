@@ -51,22 +51,9 @@ type Worker struct {
 	tasksRun    atomic.Int64
 	tasksFailed atomic.Int64
 
-	// tel and tracer are installed after the receive loop is already
-	// running, so publication must be atomic.
-	tel    atomic.Pointer[workerTelemetry]
-	tracer atomic.Pointer[trace.Tracer]
-}
-
-// Trace attaches a tracer: each task run gets a span chained under the
-// master's dispatch context carried in Task.Trace (a malformed context
-// degrades to a fresh root), with a child span for the execution. The
-// execute span's context is handed to the executor so application-level
-// operations (chirp, squid, xrootd) chain under it. Call before traffic;
-// nil leaves the worker untraced at zero cost.
-func (w *Worker) Trace(tr *trace.Tracer) {
-	if tr != nil {
-		w.tracer.Store(tr)
-	}
+	// Fixed at construction; nil instruments and a nil tracer are off.
+	tel    workerTelemetry
+	tracer *trace.Tracer
 }
 
 // workerTelemetry holds the worker's instruments; series are shared by all
@@ -80,43 +67,19 @@ type workerTelemetry struct {
 	planeOut  *telemetry.Counter // lobster_bytes_total{wq_worker,out}: result-frame bytes
 }
 
-// noWorkerTel is the disabled instrument set: every field nil, every
-// call a nil-receiver no-op.
-var noWorkerTel workerTelemetry
-
-// telemetry returns the installed instruments, or the free zero set.
-func (w *Worker) telemetry() *workerTelemetry {
-	if t := w.tel.Load(); t != nil {
-		return t
-	}
-	return &noWorkerTel
-}
-
-// Instrument registers the worker's (process-aggregate) metric series on
-// reg. A nil registry leaves the worker uninstrumented at zero cost.
-func (w *Worker) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	w.tel.Store(&workerTelemetry{
-		tasks: reg.Counter("lobster_wq_worker_tasks_total",
-			"Tasks executed by workers in this process."),
-		failures: reg.Counter("lobster_wq_worker_failures_total",
-			"Tasks that failed locally on workers in this process."),
-		execTime: reg.Histogram("lobster_wq_worker_exec_seconds",
-			"Executor run time per task.", nil),
-		slotsBusy: reg.Gauge("lobster_wq_worker_slots_busy",
-			"Core slots currently executing tasks across workers in this process."),
-		planeOut: reg.Bytes("wq_worker", telemetry.DirOut),
-	})
-}
-
 // NewWorker connects a worker to the master at addr. dir is the worker's
 // scratch directory (the sandboxes executors ask for live beneath it). The
-// registry maps the executor names tasks will reference. A non-nil fault
-// wraps the master connection so its reads and writes consult the fault
-// plane under component "wq_worker"; nil leaves it fault-free.
-func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *faultinject.Injector) (*Worker, error) {
+// registry maps the executor names tasks will reference.
+//
+// metrics, when not nil, gets the worker's (process-aggregate) series. tr
+// gives each task run a span chained under the master's dispatch context
+// carried in Task.Trace (a malformed context degrades to a fresh root),
+// with a child span for the execution, whose context is handed to the
+// executor so application-level operations (chirp, squid, xrootd) chain
+// under it. inj wraps the master connection so its reads and writes
+// consult the fault plan under component "wq_worker". Each may be nil,
+// which is off at zero cost.
+func NewWorker(addr, name string, cores int, dir string, reg Registry, metrics *telemetry.Registry, tr *trace.Tracer, inj *faultinject.Injector) (*Worker, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("wq: worker needs at least one core")
 	}
@@ -132,12 +95,24 @@ func NewWorker(addr, name string, cores int, dir string, reg Registry, fault *fa
 		cores: cores,
 		reg:   reg,
 		dir:   dir,
-		conn:  newConn(fault.Conn("wq_worker", raw)),
+		conn:  newConn(inj.Conn("wq_worker", raw)),
 		free:  make(chan *slot, cores),
 		work:  make(chan *slot, cores),
 		resCh: make(chan *slot, cores),
 		done:  make(chan struct{}),
 		lost:  make(chan struct{}),
+		tel: workerTelemetry{
+			tasks: metrics.Counter("lobster_wq_worker_tasks_total",
+				"Tasks executed by workers in this process."),
+			failures: metrics.Counter("lobster_wq_worker_failures_total",
+				"Tasks that failed locally on workers in this process."),
+			execTime: metrics.Histogram("lobster_wq_worker_exec_seconds",
+				"Executor run time per task.", nil),
+			slotsBusy: metrics.Gauge("lobster_wq_worker_slots_busy",
+				"Core slots currently executing tasks across workers in this process."),
+			planeOut: metrics.Bytes("wq_worker", telemetry.DirOut),
+		},
+		tracer: tr,
 	}
 	slots := make([]slot, cores)
 	for i := range slots {
@@ -296,10 +271,9 @@ func (w *Worker) run() {
 // evicted mid-task: an evicted worker never reports.
 func (w *Worker) serveSlot() {
 	for s := range w.work {
-		tel := w.telemetry()
-		tel.slotsBusy.Add(1)
+		w.tel.slotsBusy.Add(1)
 		w.execute(s)
-		tel.slotsBusy.Add(-1)
+		w.tel.slotsBusy.Add(-1)
 		if w.evicted.Load() {
 			w.free <- s
 			continue
@@ -329,7 +303,7 @@ func (w *Worker) resultLoop() {
 				out.Results = append(out.Results, &s.res)
 			}
 			n, _ := w.conn.SendFrame(&out)
-			w.telemetry().planeOut.Add(int64(n))
+			w.tel.planeOut.Add(int64(n))
 			clear(out.Results)
 			out.Results = out.Results[:0]
 		}
@@ -377,7 +351,7 @@ func (w *Worker) execute(s *slot) {
 	t, res := &s.task, &s.res
 	*res = Result{TaskID: t.ID, Tag: t.Tag, Worker: w.name}
 	res.Stats.Times.Started = time.Now()
-	tracer := w.tracer.Load()
+	tracer := w.tracer
 	wireCtx, _ := trace.Parse(t.Trace)
 	run := tracer.Start(wireCtx, "worker", "run")
 	run.Attr("worker", w.name)
@@ -386,13 +360,12 @@ func (w *Worker) execute(s *slot) {
 	defer func() {
 		res.Stats.Times.Finished = time.Now()
 		w.tasksRun.Add(1)
-		tel := w.telemetry()
-		tel.tasks.Inc()
+		w.tel.tasks.Inc()
 		if res.Failed() {
 			w.tasksFailed.Add(1)
-			tel.failures.Inc()
+			w.tel.failures.Inc()
 		}
-		tel.execTime.Observe(res.Stats.Exec.Seconds())
+		w.tel.execTime.Observe(res.Stats.Exec.Seconds())
 		// Close the execute span a failure return left open (End on an
 		// already-ended or nil span is a no-op).
 		exSpan.End()

@@ -59,7 +59,7 @@ func testRegistry() Registry {
 
 func newMaster(t *testing.T) *Master {
 	t.Helper()
-	m, err := NewMaster("127.0.0.1:0")
+	m, err := NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func newMaster(t *testing.T) *Master {
 
 func newWorker(t *testing.T, addr, name string, cores int) *Worker {
 	t.Helper()
-	w, err := NewWorker(addr, name, cores, t.TempDir(), testRegistry(), nil)
+	w, err := NewWorker(addr, name, cores, t.TempDir(), testRegistry(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func holdWorker(t *testing.T, addr, name string, cores int) (w *Worker, release 
 	release = sync.OnceFunc(func() { close(held) })
 	reg := testRegistry()
 	reg["hold"] = func(*ExecContext) error { <-held; return nil }
-	w, err := NewWorker(addr, name, cores, t.TempDir(), reg, nil)
+	w, err := NewWorker(addr, name, cores, t.TempDir(), reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestReportRidesResult(t *testing.T) {
 		retagged := *ctx
 		retagged.WorkerName = "shim"
 		return inner(&retagged)
-	}}, nil)
+	}}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestMasterStatsWorkers(t *testing.T) {
 }
 
 func TestMasterCloseUnblocksWaiters(t *testing.T) {
-	m, err := NewMaster("127.0.0.1:0")
+	m, err := NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,13 +477,13 @@ func TestExitErrorFormatting(t *testing.T) {
 
 func TestWorkerRequiresPositiveCores(t *testing.T) {
 	m := newMaster(t)
-	if _, err := NewWorker(m.Addr(), "bad", 0, t.TempDir(), nil, nil); err == nil {
+	if _, err := NewWorker(m.Addr(), "bad", 0, t.TempDir(), nil, nil, nil, nil); err == nil {
 		t.Error("zero-core worker accepted")
 	}
 }
 
 func BenchmarkMasterTaskThroughput(b *testing.B) {
-	m, err := NewMaster("127.0.0.1:0")
+	m, err := NewMaster("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func BenchmarkMasterTaskThroughput(b *testing.B) {
 		"noop": func(ctx *ExecContext) error { return nil },
 	}
 	for i := 0; i < 4; i++ {
-		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), 4, b.TempDir(), reg, nil)
+		w, err := NewWorker(m.Addr(), fmt.Sprintf("w%d", i), 4, b.TempDir(), reg, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -527,7 +527,7 @@ func TestExecContextErrAfterMasterLost(t *testing.T) {
 		errs <- ctx.Err()
 		return nil
 	}}
-	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), reg, nil)
+	w, err := NewWorker(lis.Addr().String(), "w0", 1, t.TempDir(), reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestDispatchFIFO(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}}
-	w, err := NewWorker(m.Addr(), "w0", 1, t.TempDir(), reg, nil)
+	w, err := NewWorker(m.Addr(), "w0", 1, t.TempDir(), reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // cmd/bench-guard.
 func BenchmarkDataplaneFetch64(b *testing.B) {
 	const size = 64 << 20
-	srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0")
+	srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkDataplaneFetch64(b *testing.B) {
 func BenchmarkFetchWhole(b *testing.B) {
 	b.Run("16MiB", func(b *testing.B) {
 		const size = 16 << 20
-		srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0")
+		srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkDataServerReadHot(b *testing.B) {
 		size int
 	}{{"1KiB", 1 << 10}, {"256KiB", 256 << 10}} {
 		b.Run(tc.name, func(b *testing.B) {
-			srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0")
+			srv, err := NewDataServer("T3_BENCH", "127.0.0.1:0", nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Add("  ")
 	f.Add("bogus /store/a.root")
 	f.Add("open /store/a.root extra")
-	s, err := NewDataServer("T3_FUZZ", "127.0.0.1:0")
+	s, err := NewDataServer("T3_FUZZ", "127.0.0.1:0", nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func openFDs() int {
 // connections included; and a closed client parks nothing new.
 func TestCloseLeavesNothingBehind(t *testing.T) {
 	goroutines, fds := runtime.NumGoroutine(), openFDs()
-	srv, err := NewDataServer("T2_US_Leak", "127.0.0.1:0")
+	srv, err := NewDataServer("T2_US_Leak", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

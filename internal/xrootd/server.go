@@ -78,7 +78,10 @@ func (w *spoolWriter) Write(p []byte) (n int, err error) {
 }
 
 // NewDataServer starts a data server for site on addr ("127.0.0.1:0").
-func NewDataServer(site, addr string) (*DataServer, error) {
+// reg, when not nil, gets the server's counters and its gauges, read at
+// scrape time; one data server per registry, since the series carry no
+// site label.
+func NewDataServer(site, addr string, reg *telemetry.Registry) (*DataServer, error) {
 	spool, err := os.CreateTemp("", "lobster-xrootd-*")
 	if err == nil {
 		err = os.Remove(spool.Name())
@@ -93,6 +96,17 @@ func NewDataServer(site, addr string) (*DataServer, error) {
 	}
 	s := &DataServer{site: site, spool: spool, files: make(map[string]stored)}
 	s.srv = wire.Serve(lis, s.serveConn)
+	// After Serve: the open_conns gauge reads s.srv.
+	reg.CounterVec("lobster_xrootd_server_reads_total",
+		"Read requests the data server answered with payload.").Publish(&s.reads)
+	reg.CounterVec("lobster_xrootd_server_bytes_total",
+		"Payload bytes the data server sent.").Publish(&s.bytesOut)
+	reg.GaugeFunc("lobster_xrootd_server_open_conns",
+		"Client connections open on the data server right now, parked ones included.",
+		func() float64 { return float64(s.srv.Conns()) })
+	reg.GaugeFunc("lobster_xrootd_server_stored_bytes",
+		"Bytes of file content the data server serves from its spool.",
+		func() float64 { return float64(s.storedBytes.Load()) })
 	return s, nil
 }
 
@@ -136,22 +150,6 @@ func (s *DataServer) install(lfn string, st stored) error {
 // SetDown toggles fault injection: while down, every request errors. This
 // models the transient WAN data-access outage in the paper's Figure 10.
 func (s *DataServer) SetDown(down bool) { s.down.Store(down) }
-
-// Instrument publishes the server's counters on reg and exports its
-// gauges, read at scrape time; a nil registry is a no-op. One data server
-// per registry: the series carry no site label.
-func (s *DataServer) Instrument(reg *telemetry.Registry) {
-	reg.CounterVec("lobster_xrootd_server_reads_total",
-		"Read requests the data server answered with payload.").Publish(&s.reads)
-	reg.CounterVec("lobster_xrootd_server_bytes_total",
-		"Payload bytes the data server sent.").Publish(&s.bytesOut)
-	reg.GaugeFunc("lobster_xrootd_server_open_conns",
-		"Client connections open on the data server right now, parked ones included.",
-		func() float64 { return float64(s.srv.Conns()) })
-	reg.GaugeFunc("lobster_xrootd_server_stored_bytes",
-		"Bytes of file content the data server serves from its spool.",
-		func() float64 { return float64(s.storedBytes.Load()) })
-}
 
 // Close stops accepting, hangs up every open connection and waits for
 // their handlers: clients park connections between files, and an idle

@@ -282,10 +282,12 @@ func TestTrackConnAfterClose(t *testing.T) {
 // TestInstrumentExportsServerCounters: the four series read the server's
 // own counters at scrape time.
 func TestInstrumentExportsServerCounters(t *testing.T) {
-	srv := newServer(t, "T3")
 	reg := telemetry.NewRegistry()
-	srv.Instrument(reg)
-	srv.Instrument(nil) // no registry: no-op
+	srv, err := NewDataServer("T3", "127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	red := NewRedirector()
 	red.Register("/f", mustStore(srv, "/f", make([]byte, 5000)))
 	c := &Client{Redirector: red}

@@ -14,7 +14,7 @@ import (
 
 func newServer(t *testing.T, site string) *DataServer {
 	t.Helper()
-	s, err := NewDataServer(site, "127.0.0.1:0")
+	s, err := NewDataServer(site, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
